@@ -133,21 +133,39 @@ def cpwl_softmax(
     granularity: float,
     fmt: Optional[QFormat] = INT16,
     axis: int = -1,
+    row_offset: Optional[int] = None,
 ) -> np.ndarray:
     """Softmax decomposed into array events.
 
     Program: (1) row max and subtraction — linear; (2) ``exp`` — CPWL
     IPF+MHP; (3) row sum — matrix-vector GEMM against a ones vector;
     (4) ``1/sum`` — CPWL; (5) elementwise scale — MHP with ``B = 0``.
+
+    ``row_offset`` selects the causal form over the last axis of
+    ``(..., R, T)`` scores: row ``i`` is a softmax over its first
+    ``row_offset + i + 1`` entries and the rest are exact zeros, all
+    rows in one pass.  With a fixed-point ``fmt`` every ``exp`` output
+    sits on the format grid, so the row sum is exact in float64 whatever
+    its order and the pass is bit-identical to one call per row slice.
     """
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    if row_offset is None:
+        shifted = x - np.max(x, axis=axis, keepdims=True)
+    else:
+        if axis not in (-1, x.ndim - 1):
+            raise ValueError("causal softmax runs over the last axis")
+        rows, cols = x.shape[-2:]
+        visible = np.arange(cols) <= row_offset + np.arange(rows)[:, None]
+        peak = np.max(np.where(visible, x, -np.inf), axis=-1, keepdims=True)
+        shifted = np.where(visible, x - peak, 0.0)
     shifted = _roundtrip(shifted, fmt)
     exps = get_approximator("exp", granularity, fmt)(shifted)
     # CPWL chords of a convex function overshoot slightly and the capped
     # lower boundary segment can dip below zero; the hardware clamps the
     # exponential to its known non-negative range on writeback.
     exps = np.maximum(exps, 0.0)
+    if row_offset is not None:
+        exps = np.where(visible, exps, 0.0)
     denom = np.sum(exps, axis=axis, keepdims=True)
     denom = _roundtrip(denom, fmt)
     # Guard the reciprocal domain: a denominator this small only occurs

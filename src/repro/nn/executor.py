@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -202,8 +202,8 @@ class DecodeKV:
     The object speaks the ``kv_tap`` capture protocol, so a cold
     prefill can pass it straight into ``layer.infer(..., kv_tap=state)``
     and collect the merged activations with zero extra compute.  For a
-    warm prefill, :meth:`seed` broadcasts a cached :class:`KVTap`
-    payload across the batch before the suffix rows are appended.
+    warm prefill, :meth:`seed` stacks one cached :class:`KVTap` payload
+    per sequence before the suffix rows are appended.
     """
 
     def __init__(self, n_layers: int):
@@ -240,22 +240,21 @@ class DecodeKV:
         """Final-hidden capture is a prefix-cache concern; ignore it."""
 
     # -- warm prefill / incremental append ------------------------------
-    def seed(self, cached: KVTap, batch: int) -> None:
-        """Broadcast a shared cached prefix across ``batch`` sequences.
-
-        Stores read-only broadcast views — the first :meth:`extend`
-        copies them into owning arrays, so the cache entry is never
-        aliased writably.
+    def seed(self, cached: "Sequence[KVTap]", upto: int) -> None:
+        """Start from cached prefixes: one payload per sequence, each
+        cut to its first ``upto`` rows (so members whose caches reach
+        different depths share one suffix length).  The stacked rows
+        are fresh copies; no cache entry is ever aliased writably.
         """
-        if len(cached.layers) != self.n_layers:
-            raise ValueError(
-                f"cached payload has {len(cached.layers)} layers, "
-                f"state expects {self.n_layers}"
-            )
-        for i, layer in enumerate(cached.layers):
-            c, d = layer.k.shape
-            self.k[i] = np.broadcast_to(layer.k, (batch, c, d))
-            self.v[i] = np.broadcast_to(layer.v, (batch, c, d))
+        for tap in cached:
+            if len(tap.layers) != self.n_layers:
+                raise ValueError(
+                    f"cached payload has {len(tap.layers)} layers, "
+                    f"state expects {self.n_layers}"
+                )
+        for i in range(self.n_layers):
+            self.k[i] = np.stack([tap.layers[i].k[:upto] for tap in cached])
+            self.v[i] = np.stack([tap.layers[i].v[:upto] for tap in cached])
         self._captured = self.n_layers
 
     def extend(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
@@ -339,6 +338,21 @@ class FloatBackend:
         shifted = x - x.max(axis=axis, keepdims=True)
         exps = np.exp(shifted)
         return exps / exps.sum(axis=axis, keepdims=True)
+
+    def causal_softmax(self, scores: np.ndarray, row_offset: int) -> np.ndarray:
+        """Causal attention weights of ``(..., R, T)`` scores.
+
+        Query row ``i`` sits at global position ``row_offset + i``: its
+        softmax runs over its first ``row_offset + i + 1`` scores and
+        the weights past the diagonal are exact zeros.  One
+        :meth:`softmax` per row, because a float sum over a zero-padded
+        row is not bit-identical to the sum over the visible slice.
+        """
+        attn = np.zeros_like(scores)
+        for row in range(scores.shape[-2]):
+            limit = row_offset + row + 1
+            attn[..., row, :limit] = self.softmax(scores[..., row, :limit], axis=-1)
+        return attn
 
     def conv_cols(
         self,
@@ -580,6 +594,13 @@ class CPWLBackend:
     def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         return NL.cpwl_softmax(x, self.granularity, self.fmt, axis=axis)
 
+    def causal_softmax(self, scores: np.ndarray, row_offset: int) -> np.ndarray:
+        """All causal rows in one masked pass, bit-identical to one
+        :meth:`softmax` per row slice (see ``cpwl_softmax``'s ``row_offset``)."""
+        return NL.cpwl_softmax(
+            scores, self.granularity, self.fmt, row_offset=row_offset
+        )
+
     def layernorm(self, x, gamma, beta, eps: float = 1e-5) -> np.ndarray:
         return NL.cpwl_layernorm(
             x, self.granularity, gamma=gamma, beta=beta, fmt=self.fmt, eps=eps
@@ -603,8 +624,10 @@ class ArrayBackend(CPWLBackend):
     Linear ops call :meth:`SystolicArray.gemm_raw` and scalar
     nonlinearities :meth:`SystolicArray.apply_nonlinear_raw`, so after a
     model's ``infer`` the array's trace holds the per-op cycle account.
-    Composite nonlinearities (softmax, layernorm) keep their reduction
-    steps vectorized but execute the scalar stages on the array.
+    Composite nonlinearities (softmax, layernorm) are *not*
+    routed through the array: they inherit :class:`CPWLBackend`'s
+    vectorized path, which computes the same values but records no
+    trace events, so they add 0 traced cycles.
     """
 
     name = "array"

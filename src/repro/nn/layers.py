@@ -458,16 +458,11 @@ class MultiHeadSelfAttention(Module):
         scale = 1.0 / np.sqrt(self.head_dim)
         scores = backend.matmul(q, k.transpose(0, 1, 3, 2)) * scale
         if self.causal:
-            # Structural mask: one softmax per global position over its
-            # first i+1 scores; weights past the diagonal are exact
+            # Structural mask: each global position's softmax sees its
+            # first i+1 scores only; weights past the diagonal are exact
             # zeros, so the context GEMM's masked terms contribute
             # nothing regardless of later tokens.
-            attn = np.zeros_like(scores)
-            for row in range(r):
-                limit = row_offset + row + 1
-                attn[:, :, row, :limit] = backend.softmax(
-                    scores[:, :, row, :limit], axis=-1
-                )
+            attn = backend.causal_softmax(scores, row_offset)
         else:
             attn = backend.softmax(scores, axis=-1)
         ctx = backend.matmul(attn, v)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.autograd import Tensor
-from repro.nn.executor import DecodeKV
+from repro.nn.executor import DecodeKV, KVTap
 from repro.nn.layers import Embedding, Linear, Module, TransformerEncoderLayer
 
 
@@ -153,11 +153,13 @@ class TinyBERT(Module):
     ) -> "tuple[np.ndarray, DecodeKV]":
         """Process the prompt and return ``(last-row logits, KV state)``.
 
-        ``tokens`` is ``(N, P)``.  With ``cached`` (a captured
-        :class:`~repro.nn.executor.KVTap` covering the first ``C < P``
-        prompt columns, shared across the batch) only the remaining
-        suffix rows are computed — bit-identical to the cold pass
-        because causal K/V rows are suffix-independent.
+        ``tokens`` is ``(N, P)``.  ``cached`` holds captured
+        :class:`~repro.nn.executor.KVTap` prefixes: one per sequence,
+        each matching its own row's leading tokens, or a single tap
+        every row shares.  The pass starts from their first ``C`` rows,
+        ``C`` being the shortest payload's length (``0 < C < P``), and
+        computes only the remaining suffix rows — bit-identical to the
+        cold pass because causal K/V rows are suffix-independent.
         """
         if not self.causal:
             raise ValueError("generation requires causal=True")
@@ -173,10 +175,15 @@ class TinyBERT(Module):
             for layer in self.layers:
                 x = layer.infer(x, backend, kv_tap=state)
         else:
-            c = cached.prefix_len
+            taps = [cached] * n if isinstance(cached, KVTap) else list(cached)
+            if len(taps) != n:
+                raise ValueError(
+                    f"got {len(taps)} cached prefixes for {n} sequences"
+                )
+            c = min(tap.prefix_len for tap in taps)
             if not 0 < c < p:
                 raise ValueError(f"cached prefix length {c} must be in (0, {p})")
-            state.seed(cached, n)
+            state.seed(taps, c)
             x = self.token_emb.infer_indices(tokens[:, c:]) + self.pos_emb.data[c:p]
             for i, layer in enumerate(self.layers):
                 x, k_s, v_s = layer.infer_suffix_kv(

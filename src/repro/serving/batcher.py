@@ -6,8 +6,10 @@ to exactly one tenant, and never mixes prompt prefixes, so a
 prefix-cache decision applies to the whole batch (hits and misses
 cannot silently share one stacked inference).  Requests without a
 prefix key (``prefix_key=None``, every endpoint without a prefix
-adapter) group exactly as before.  An open batch flushes when either
-knob fires:
+adapter) group exactly as before.  Generation requests use the same
+slot for a *shape* key (their prompt length), so one prefill stacks
+distinct same-length prompts.  An open batch flushes when either knob
+fires:
 
 * **max_batch_size** — the batch is full the moment the Nth request
   joins; it becomes ready at that request's arrival time;
@@ -32,7 +34,7 @@ rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serving.request import InferenceRequest
@@ -146,16 +148,7 @@ class DynamicBatcher:
             flush(key, at=when)
 
         batches.sort(key=lambda b: (b.ready_time, b.index))
-        return [
-            Batch(
-                index=i,
-                model=b.model,
-                requests=b.requests,
-                ready_time=b.ready_time,
-                tenant=b.tenant,
-            )
-            for i, b in enumerate(batches)
-        ]
+        return [replace(b, index=i) for i, b in enumerate(batches)]
 
 
 @dataclass

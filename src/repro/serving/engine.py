@@ -529,7 +529,7 @@ class InferenceEngine:
 
         The endpoint must be registered with a ``generation_adapter``.
         ``prompt`` is a 1-D token row; the request prefills through the
-        normal batch pipeline (grouped with identical prompts), then
+        normal batch pipeline (grouped with same-length prompts), then
         decodes greedily in the engine's continuous-batching pool until
         ``max_new_tokens`` tokens are generated or ``stop_token`` is
         emitted (the stop token is included in the output).
@@ -572,11 +572,11 @@ class InferenceEngine:
         endpoint = self._endpoints[model]
         prefix_key = None
         if generation is not None:
-            # Generation requests always carry a prompt-content key:
-            # batch assembly groups on it, so one prefill batch is one
-            # prompt — the shape-uniformity np.stack needs, and the
-            # uniformity the radix warm path verifies.  Validation
-            # happens before any engine state is touched.
+            # Generation requests carry a prompt-*length* key: batch
+            # assembly groups on it, so one prefill stacks distinct
+            # same-shape prompts (all np.stack needs) into one array
+            # pass.  Validation happens before any engine state is
+            # touched.
             adapter = endpoint.generation_adapter
             if adapter is None:
                 raise ValueError(
@@ -584,7 +584,7 @@ class InferenceEngine:
                     "generation_adapter; submit_generation needs one"
                 )
             adapter.validate(generation.prompt, generation.max_new_tokens)
-            prefix_key = adapter.prompt_key(generation.prompt)
+            prefix_key = adapter.batch_key(generation.prompt)
         elif self.prefix_cache is not None and endpoint.prefix_adapter is not None:
             # Key the request on its prompt content at admission: batch
             # assembly groups on it, so one batch is one prompt and the
@@ -1604,6 +1604,22 @@ class InferenceEngine:
         )
         return True
 
+    def _estimated_seconds(
+        self, profile: BatchProfile, array: Optional[object], prefix_hit: bool
+    ) -> Optional[float]:
+        """The estimate a finished batch feeds its shard's drift EWMA.
+
+        Only full executions count: a prefix hit's suffix-only timing
+        would read as phantom speedup against full-cost estimates,
+        exactly like the calibrator exclusion in :meth:`_execute_batch`.
+        """
+        if not self.elastic.enabled or array is None or prefix_hit:
+            return None
+        estimate = profile.estimate_cycles(array.config)
+        if estimate is None or not array.config.clock_hz:
+            return None
+        return estimate / array.config.clock_hz
+
     def _execute_batch(
         self,
         batch: Batch,
@@ -1740,16 +1756,10 @@ class InferenceEngine:
         self.dispatcher.busy_until[shard] = finish
         self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + duration
         self._health_of(shard).record_success(finish)
-        # Feed the shard's drift EWMA (estimated vs actual service
-        # seconds) only from full executions: a prefix hit's suffix-only
-        # timing would read as phantom speedup against full-cost
-        # estimates, exactly like the calibrator exclusion below.
-        estimated_seconds = None
-        if self.elastic.enabled and array is not None and not prefix_hit:
-            estimate = profile.estimate_cycles(array.config)
-            if estimate is not None and array.config.clock_hz:
-                estimated_seconds = estimate / array.config.clock_hz
-        self._stats_of(shard).observe(batch_cycles, duration, estimated_seconds)
+        self._stats_of(shard).observe(
+            batch_cycles, duration,
+            self._estimated_seconds(profile, array, prefix_hit),
+        )
         if array is not None and batch_cycles > 0 and not prefix_hit:
             # Feed the calibrating cost model: the next placement of
             # this (model, shape) estimates from traced ground truth.
@@ -1824,24 +1834,36 @@ class InferenceEngine:
         classifier batches (same placement, breaker, park and crash
         handling); what differs is the payload: the adapter returns each
         member's first greedy token plus its K/V state, the radix cache
-        (when configured) trims the prompt to its uncached suffix, and
-        the surviving members enter :attr:`_active` for iteration-level
-        decode instead of completing.
+        (when configured) trims the prompts to their uncached suffix,
+        and the surviving members enter :attr:`_active` for
+        iteration-level decode instead of completing.
+
+        Members share a prompt *length*, not a prompt.  The radix cache
+        is read and fed once per distinct member prompt; the pass starts
+        from the shortest cached prefix among them (one miss makes it
+        cold), because one stacked suffix needs one suffix length.
         """
         endpoint = self._endpoints[batch.model]
         adapter = endpoint.generation_adapter
         prompts = np.stack([r.inputs for r in batch.requests])
         prompt_len = int(prompts.shape[1])
-        # Batches are keyed on the prompt digest, so members share one
-        # prompt; verify rather than assume, because the warm path
-        # broadcasts sequence 0's cached rows across the whole batch.
-        uniform = bool(np.all(prompts == prompts[0]))
-        use_radix = self.radix_cache is not None and uniform
+        use_radix = self.radix_cache is not None
         resident: "tuple[int, ...]" = ()
         if use_radix:
-            resident = self.radix_cache.resident_shards(
-                batch.tenant, batch.model, prompts[0]
+            # leader[j] is the first member holding member j's prompt.
+            first_of: Dict[tuple, int] = {}
+            leader = [
+                first_of.setdefault(tuple(row), j)
+                for j, row in enumerate(prompts.tolist())
+            ]
+            distinct = list(first_of.values())
+            holders = (
+                self.radix_cache.resident_shards(
+                    batch.tenant, batch.model, prompts[j]
+                )
+                for j in distinct
             )
+            resident = tuple(sorted(set().union(*holders)))
         estimator = (
             endpoint.cost_model
             if endpoint.cost_model is not None
@@ -1880,12 +1902,16 @@ class InferenceEngine:
             # Cap the usable prefix one short of the prompt: at least
             # one suffix row must execute to produce the next-token
             # logits.
-            cached_len, cached = self.radix_cache.lookup(
-                shard, batch.tenant, batch.model, prompts[0],
-                max_len=prompt_len - 1,
-            )
-            if cached_len == 0:
-                cached = None
+            found = {
+                j: self.radix_cache.lookup(
+                    shard, batch.tenant, batch.model, prompts[j],
+                    max_len=prompt_len - 1,
+                )
+                for j in distinct
+            }
+            cached_len = min(length for length, _ in found.values())
+            if cached_len > 0:
+                cached = [found[j][1] for j in leader]
 
         namespace = (
             array.trace.namespace(batch.tenant) if array is not None else nullcontext()
@@ -1917,15 +1943,18 @@ class InferenceEngine:
         self.dispatcher.busy_until[shard] = finish
         self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + duration
         self._health_of(shard).record_success(finish)
-        self._stats_of(shard).observe(batch_cycles, duration)
+        self._stats_of(shard).observe(
+            batch_cycles, duration,
+            self._estimated_seconds(profile, array, cached_len > 0),
+        )
         if use_radix:
-            if cached_len < prompt_len:
-                # Donate the full prompt's rows back (incremental
-                # capture: a future prompt extending this one prefills
-                # only its new suffix).
+            # Donate every distinct prompt's rows back (incremental
+            # capture: a future prompt extending one of them prefills
+            # only its new suffix).
+            for j in distinct:
                 self.radix_cache.insert(
-                    shard, batch.tenant, batch.model, prompts[0],
-                    adapter.capture(state, prompt_len),
+                    shard, batch.tenant, batch.model, prompts[j],
+                    adapter.capture(state, prompt_len, j),
                 )
             cycles_saved = 0
             if cached_len > 0 and array is not None:
@@ -2093,7 +2122,9 @@ class InferenceEngine:
         self.dispatcher.busy_until[shard] = finish
         self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + duration
         self._health_of(shard).record_success(finish)
-        self._stats_of(shard).observe(batch_cycles, duration)
+        self._stats_of(shard).observe(
+            batch_cycles, duration, self._estimated_seconds(profile, array, False)
+        )
         self._gen_steps.append(
             DecodeStepRecord(
                 step_index=batch_index,

@@ -2,12 +2,15 @@
 
 The engine serves generation with Orca/vLLM-style *iteration-level
 scheduling*: a request's prompt runs through the normal batch pipeline
-as a **prefill** (grouped by prompt digest, so a batch shares one
-prompt and one radix-cache lookup), after which the sequence joins the
-engine's decode pool.  Every decode iteration re-forms its batch from
-scratch — sequences that just finished a prefill join, finished
-sequences retire — so the batch composition tracks the live set
-instead of convoying behind the longest request.
+as a **prefill** (grouped by prompt *length*, so distinct prompts of
+one shape stack into one array pass; each distinct member prompt gets
+its own radix-cache lookup and the pass starts from the shortest cached
+prefix among them), after which the sequence joins the engine's decode
+pool.  Every decode iteration re-forms its batch from scratch —
+sequences that just finished a prefill join, finished sequences retire
+— so the batch composition tracks the live set instead of convoying
+behind the longest request.  Members of one prefill leave it at one
+position and one ready time, so they also decode together.
 
 :class:`GenerationAdapter` is the model-facing half: it validates the
 request against the model's position table, runs prefill/decode steps,
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,17 +147,28 @@ class GenerationAdapter:
                 f"the model's {self.model.seq_len}-entry position table"
             )
 
+    def batch_key(self, prompt: np.ndarray) -> str:
+        """Shape key grouping same-length prompts into one prefill."""
+        return f"g{int(np.asarray(prompt).shape[-1])}"
+
     def prompt_key(self, prompt: np.ndarray) -> str:
-        """Content digest grouping identical prompts into one prefill."""
+        """Content digest of a prompt (equal exactly for equal prompts)."""
         tokens = np.ascontiguousarray(np.asarray(prompt, dtype=np.int64))
         digest = hashlib.sha256(tokens.tobytes()).hexdigest()[:32]
         return f"g{tokens.shape[-1]}-{digest}"
 
     # -- execution -------------------------------------------------------
     def prefill(
-        self, prompts: np.ndarray, backend, cached: Optional[KVTap] = None
+        self,
+        prompts: np.ndarray,
+        backend,
+        cached: Optional[Sequence[KVTap]] = None,
     ) -> Tuple[np.ndarray, DecodeKV]:
-        """Run the prompt batch; returns ``(first tokens, stacked state)``."""
+        """Run the prompt batch; returns ``(first tokens, stacked state)``.
+
+        ``cached`` carries one radix payload per member; the pass starts
+        from the shortest one's length (see ``model.prefill``).
+        """
         logits, state = self.model.prefill(prompts, backend, cached=cached)
         return np.argmax(logits, axis=-1), state
 
@@ -175,11 +189,12 @@ class GenerationAdapter:
         ]
         return np.argmax(logits, axis=-1), step_kv
 
-    def capture(self, state: DecodeKV, upto: int) -> KVTap:
-        """Freeze sequence 0's first ``upto`` K/V rows as a cache payload."""
+    def capture(self, state: DecodeKV, upto: int, index: int = 0) -> KVTap:
+        """Freeze sequence ``index``'s first ``upto`` K/V rows as a cache payload."""
         tap = KVTap(prefix_len=upto)
+        rows = slice(index, index + 1)
         for i in range(state.n_layers):
-            tap.capture(state.k[i][:, :upto], state.v[i][:, :upto])
+            tap.capture(state.k[i][rows, :upto], state.v[i][rows, :upto])
         return tap
 
     # -- closed-form cycle accounting ------------------------------------

@@ -86,7 +86,8 @@ class InferenceRequest:
         carries a :class:`~repro.serving.prefix_cache.PrefixCache`.
         Batch assembly keys groups on it, so requests with different
         prompts (or none) never share a batch — cache hits and misses
-        cannot silently mix.
+        cannot silently mix.  A generation request carries its prompt
+        *length* here instead, so same-length prompts share a prefill.
     generation:
         :class:`GenerationRequest` parameters when this request asks
         for autoregressive decode (set by

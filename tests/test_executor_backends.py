@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.executor import (
     ArrayBackend,
@@ -152,3 +154,78 @@ class TestArrayBackend:
         fast = model.infer(x, CPWLBackend(0.25))
         assert np.allclose(on_array, fast)
         assert array.total_cycles > 0
+
+
+def _per_row_causal_softmax(backend, scores, row_offset):
+    """Reference: one ``backend.softmax`` per query row over its visible
+    slice — the loop ``MultiHeadSelfAttention._attend`` used to run."""
+    attn = np.zeros_like(scores)
+    for row in range(scores.shape[-2]):
+        limit = row_offset + row + 1
+        attn[..., row, :limit] = backend.softmax(scores[..., row, :limit], axis=-1)
+    return attn
+
+
+class TestCausalSoftmax:
+    @given(
+        shape=st.sampled_from(
+            # (row_offset, rows): prefill, warm suffix, decode step
+            [(0, 1), (0, 5), (0, 8), (3, 2), (2, 6), (1, 1), (7, 1)]
+        ),
+        batch=st.integers(1, 3),
+        heads=st.integers(1, 2),
+        spread=st.sampled_from([0.05, 1.0, 4.0, 40.0, 400.0]),
+        granularity=st.sampled_from([0.1, 0.25, 1.0]),
+        on_array=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_bit_identical_to_per_row_loop(
+        self, shape, batch, heads, spread, granularity, on_array, seed
+    ):
+        """Fixed-point backends: the masked pass equals the row loop bit
+        for bit, from near-uniform rows through saturated scores."""
+        row_offset, rows = shape
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(0.0, spread, size=(batch, heads, rows, row_offset + rows))
+        if on_array:
+            config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)
+            backend = ArrayBackend(SystolicArray(config), granularity)
+        else:
+            backend = CPWLBackend(granularity)
+        one_pass = backend.causal_softmax(scores, row_offset)
+        assert np.array_equal(
+            one_pass, _per_row_causal_softmax(backend, scores, row_offset)
+        )
+        hidden = np.arange(row_offset + rows) > row_offset + np.arange(rows)[:, None]
+        assert not one_pass[..., hidden].any()
+
+    @pytest.mark.parametrize("backend", [FloatBackend(), QuantizedFloatBackend()])
+    def test_float_backends_keep_the_row_loop(self, backend):
+        scores = RNG.normal(size=(2, 2, 4, 6))
+        attn = backend.causal_softmax(scores, 2)
+        assert np.array_equal(attn, _per_row_causal_softmax(backend, scores, 2))
+        assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-2)
+        assert not attn[..., 0, 3:].any()
+
+    def test_causal_model_matches_a_row_looping_backend(self):
+        """Prefill and decode step through ``causal_softmax`` equal the
+        same model on a backend that still loops per query row."""
+        from repro.nn.models import TinyBERT
+
+        class LoopBackend(CPWLBackend):
+            def causal_softmax(self, scores, row_offset):
+                return _per_row_causal_softmax(self, scores, row_offset)
+
+        model = TinyBERT(
+            vocab=16, seq_len=12, dim=8, heads=2, ff_dim=16, n_layers=2,
+            causal=True, seed=0,
+        )
+        tokens = RNG.integers(0, 16, size=(3, 6))
+        outputs = []
+        for backend in (CPWLBackend(0.25), LoopBackend(0.25)):
+            logits, state = model.prefill(tokens, backend)
+            step = model.decode_step(state, np.argmax(logits, axis=-1), backend)
+            outputs.append((logits, step))
+        assert np.array_equal(outputs[0][0], outputs[1][0])
+        assert np.array_equal(outputs[0][1], outputs[1][1])

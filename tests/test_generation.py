@@ -15,10 +15,12 @@ three tiers:
    step, warm and cold.
 3. **Continuous batching** (engine-level fuzz): randomized
    arrival/retirement schedules keep the scheduler honest — decode
-   batches never mix tenants or positions, prefill batches never mix
-   prompts, per-tenant cycles sum exactly to the total, and every
-   admitted request completes bit-identically or lands in the failure
-   ledger (the chaos case injects a seeded mid-decode shard crash).
+   batches never mix tenants or positions, prefill batches mix
+   distinct prompts of one length (radix cache on or off, cold, warm
+   and half-cached) without changing a single token, per-tenant cycles
+   sum exactly to the total, and every admitted request completes
+   bit-identically or lands in the failure ledger (the chaos case
+   injects a seeded mid-decode shard crash).
 
 Plus unit/property coverage of the radix prefix index and the
 tenant-scoped, byte-budgeted :class:`~repro.serving.RadixKVCache`, and
@@ -40,6 +42,7 @@ from repro.nn.workload import (
 )
 from repro.serving import (
     ClusterDispatcher,
+    ElasticConfig,
     FaultPlan,
     GenerationAdapter,
     GenerationRequest,
@@ -50,6 +53,7 @@ from repro.serving import (
     RadixPrefixIndex,
     RetryPolicy,
     ShardedDispatcher,
+    ShardSlowdown,
 )
 from repro.systolic import SystolicArray, SystolicConfig
 
@@ -310,7 +314,7 @@ class RecordingAdapter(GenerationAdapter):
         self.prefill_batches.append(
             {
                 "size": prompts.shape[0],
-                "uniform": bool(np.all(prompts == prompts[0])),
+                "distinct": len({tuple(row) for row in prompts.tolist()}),
                 "cached": cached is not None,
             }
         )
@@ -370,14 +374,18 @@ class TestContinuousBatching:
             expect = model.generate(prompt[None, :], max_new, reference)[0]
             assert np.array_equal(engine.result(rid), expect)
 
-        # Prefill batches never mix prompts; decode batches never mix
-        # positions (tenant/model purity is structural: DecodeStepRecord
-        # carries exactly one of each, and the grouping keys on them).
-        assert all(b["uniform"] for b in adapter.prefill_batches)
+        # Prefill batches stack distinct prompts of one length (the
+        # tokens above are bit-identical all the same); decode batches
+        # never mix positions (tenant/model purity is structural:
+        # DecodeStepRecord carries exactly one of each, and the
+        # grouping keys on them).
+        assert any(b["distinct"] > 1 for b in adapter.prefill_batches)
+        assert sum(b["size"] for b in adapter.prefill_batches) == len(ids)
         assert all(len(b["positions"]) == 1 for b in adapter.decode_batches)
+        cap = engine.scheduler.assembler.max_batch_size
         assert all(
-            b["size"] <= engine.scheduler.assembler.max_batch_size
-            for b in adapter.decode_batches
+            b["size"] <= cap
+            for b in adapter.prefill_batches + adapter.decode_batches
         )
 
         # Per-tenant attribution is exact and exhaustive.
@@ -398,10 +406,12 @@ class TestContinuousBatching:
         the continuous part of continuous batching."""
         model = _model()
         adapter = RecordingAdapter(model)
-        engine, _, _ = _gen_engine(n_shards=1, adapter=adapter, model=model)
+        # flush_timeout=0 flushes every distinct arrival instant alone.
+        engine, _, _ = _gen_engine(
+            n_shards=1, adapter=adapter, model=model, flush_timeout=0.0
+        )
         rng = np.random.default_rng(5)
-        # Same length, distinct prompts (distinct digests => distinct
-        # prefill batches), arrivals staggered tightly enough that later
+        # Same length, arrivals staggered tightly enough that later
         # sequences prefill while earlier ones still have steps left.
         for i in range(4):
             engine.submit_generation(
@@ -409,11 +419,120 @@ class TestContinuousBatching:
             )
         report = engine.run()
         assert len(report.completed) == 4
-        # Distinct prompts never share a prefill...
-        assert all(b["size"] == 1 for b in adapter.prefill_batches)
+        # Four arrival instants, four prefills...
+        assert [b["size"] for b in adapter.prefill_batches] == [1, 1, 1, 1]
         # ...yet decode iterations run multiple sequences together.
         assert any(b["size"] > 1 for b in adapter.decode_batches)
         assert any(s.batch_size > 1 for s in report.generation_steps)
+
+    @given(
+        prompt_len=st.integers(2, 4),
+        first_new=st.lists(st.integers(1, 3), min_size=2, max_size=6),
+        follow_new=st.integers(1, 3),
+        fresh=st.lists(st.booleans(), min_size=6, max_size=6),
+        radix=st.booleans(),
+        n_shards=st.integers(1, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_prompt_prefills_bit_identical_to_lone_generate(
+        self, prompt_len, first_new, follow_new, fresh, radix, n_shards, seed
+    ):
+        """Same-length prompt sets, two tenants, radix on and off: every
+        request's tokens equal a lone ``model.generate``.
+
+        Two waves.  The first wave's members generate different numbers
+        of tokens, so (radix on) they retire histories of different
+        lengths; the second wave's same-length prompts replay those
+        transcripts or, where ``fresh``, start over — one prefill then
+        holds hits at unequal depths and misses side by side.
+        """
+        model = _model(seq_len=16)
+        adapter = RecordingAdapter(model)
+        engine, _, _ = _gen_engine(
+            n_shards=n_shards, adapter=adapter, model=model, max_batch_size=8,
+            radix_cache=RadixKVCache() if radix else None,
+        )
+        rng = np.random.default_rng(seed)
+        reference = _backend()
+        tenants = [["gold", "free"][int(t)] for t in rng.integers(0, 2, len(first_new))]
+
+        def wave(prompts, max_new, arrival):
+            ids = [
+                engine.submit_generation(
+                    "gen", prompt, new, arrival=arrival, tenant=tenant
+                )
+                for prompt, new, tenant in zip(prompts, max_new, tenants)
+            ]
+            report = engine.run()
+            assert len(report.completed) == len(ids)
+            assert not report.failed and not report.shed
+            outputs = [engine.result(rid) for rid in ids]
+            for prompt, new, got in zip(prompts, max_new, outputs):
+                expect = model.generate(prompt[None, :], new, reference)[0]
+                assert np.array_equal(got, expect)
+            assert sum(report.tenant_cycles.values()) == sum(
+                report.shard_cycles.values()
+            )
+            return report, outputs
+
+        prompts = list(_prompts(rng, len(first_new), prompt_len))
+        _, outputs = wave(prompts, first_new, arrival=0.0)
+
+        follow_len = prompt_len + max(first_new) + 1
+        follows = [
+            _prompts(rng, 1, follow_len)[0]
+            if fresh[i]
+            else np.concatenate(
+                [prompt, out, _prompts(rng, 1, follow_len)[0]]
+            )[:follow_len]
+            for i, (prompt, out) in enumerate(zip(prompts, outputs))
+        ]
+        first_wave_prefills = len(adapter.prefill_batches)
+        report, _ = wave(follows, [follow_new] * len(follows), arrival=1.0)
+        # One tenant's same-length follow-ups share one prefill.
+        assert len(adapter.prefill_batches) - first_wave_prefills == len(
+            set(tenants)
+        )
+        if not radix:
+            assert not report.prefix_events
+            assert not any(b["cached"] for b in adapter.prefill_batches)
+
+    def test_conversational_trace_batches_prefills_and_decodes(self):
+        """hostbench's ``generate_chat`` shape: prefills and decode
+        steps run several sequences at a time, not one."""
+        from repro.autotune import (
+            EndpointProfile,
+            EndpointSpec,
+            TuningConfig,
+            replay_trace,
+            synthesize_trace,
+        )
+
+        big = SystolicConfig(pe_rows=8, pe_cols=8, macs_per_pe=16, clock_hz=250e6)
+        requests = 72
+        trace = synthesize_trace(
+            "chat",
+            (EndpointProfile("chat", seq_len=8, vocab=16, max_new_tokens=8),),
+            requests, requests * 1e-4, 0, "conversational",
+            tenants=("tenant-a", "tenant-b"),
+        )
+        endpoint = EndpointSpec(
+            "chat", TinyBERT,
+            dict(vocab=16, seq_len=16, dim=8, heads=2, ff_dim=16, n_layers=1,
+                 causal=True, seed=0),
+            generation=True,
+        )
+        tuning = TuningConfig(
+            pool=(big, big), placement="cost_aware", max_batch_size=8,
+            radix_budget_bytes=1 << 20,
+        )
+        report = replay_trace(trace, tuning, (endpoint,))
+        assert len(report.completed) == requests
+        steps = [step.batch_size for step in report.generation_steps]
+        prefill_batches = len(report.placements) - len(steps)
+        assert prefill_batches <= requests / 2
+        assert np.mean(steps) > 2
 
     def test_identical_prompts_share_one_prefill(self):
         model = _model()
@@ -444,6 +563,28 @@ class TestContinuousBatching:
         assert report.decode_steps == 3  # 4 tokens = prefill + 3 steps
         for step in report.generation_steps:
             assert step.cycles > 0 and step.finish > step.start
+
+    def test_generation_traffic_feeds_the_drift_ewma(self):
+        """Prefills and decode steps hand ``ShardStats.observe`` their
+        closed-form estimate, so a slowed shard's drift shows from
+        generation traffic alone — and stays at 1 without a fault."""
+        def drift_after_one_request(faults):
+            engine, _, _ = _gen_engine(
+                n_shards=1, elastic=ElasticConfig(steal=True), faults=faults
+            )
+            engine.submit_generation("gen", np.array([1, 2, 3], dtype=np.int64), 6)
+            engine.run()
+            stats = engine.shard_stats[0]
+            assert stats.batches == 6 and stats.estimated_seconds > 0
+            return stats.drift
+
+        # The estimates are exact; only the shard's one-time table
+        # preload in its first batch separates duration from estimate.
+        assert drift_after_one_request(None) == pytest.approx(1.0, abs=0.01)
+        slowed = FaultPlan(
+            events=(ShardSlowdown(shard=0, at=0.0, until=1.0, factor=4.0),)
+        )
+        assert drift_after_one_request(slowed) > 2.0
 
     def test_submit_generation_requires_adapter(self):
         pool = ClusterDispatcher.from_arrays([SystolicArray(CONFIG)], GRANULARITY)
@@ -748,6 +889,93 @@ class TestRadixKVCache:
         assert any(
             ns.startswith("serving.radix.") for ns in engine.cache_stats()
         )
+
+    def _two_wave_radix_engine(self, first_wave):
+        """Run ``first_wave`` ((prompt, max_new) pairs) on a one-shard
+        radix engine; returns the engine, its spy and the outputs."""
+        model = _model(seq_len=16)
+        adapter = RecordingAdapter(model)
+        engine, _, _ = _gen_engine(
+            n_shards=1, model=model, adapter=adapter, radix_cache=RadixKVCache()
+        )
+        ids = [
+            engine.submit_generation("gen", prompt, new, arrival=0.0)
+            for prompt, new in first_wave
+        ]
+        engine.run()
+        return engine, adapter, model, [engine.result(rid) for rid in ids]
+
+    def _prefill_closed_form(self, model, batch, prompt_len, cached_len):
+        return transformer_prefill_cycles(
+            batch, prompt_len, cached_len, model.dim, model.heads,
+            model.ff_dim, model.n_layers, model.vocab, CONFIG,
+        )
+
+    def test_hit_and_miss_in_one_prefill_run_cold(self):
+        """One member's transcript is cached, the other's prompt is
+        new: a stacked suffix needs one suffix length, so the pass is
+        cold — and still donates both prompts' rows."""
+        prompt = np.array([3, 1, 4, 1], dtype=np.int64)
+        engine, adapter, model, (out,) = self._two_wave_radix_engine([(prompt, 2)])
+        known = np.concatenate([prompt, out, [7]]).astype(np.int64)
+        unknown = np.array([9, 2, 6, 5, 3, 5, 8], dtype=np.int64)
+        assert len(known) == len(unknown)
+        cache = engine.radix_cache
+        hits_before = cache.stats()["hits"]
+        ids = [
+            engine.submit_generation("gen", p, 3, arrival=1.0)
+            for p in (known, unknown)
+        ]
+        report = engine.run()
+
+        assert adapter.prefill_batches[-1] == {
+            "size": 2, "distinct": 2, "cached": False,
+        }
+        (event,) = report.prefix_events
+        assert not event.hit and event.cycles_saved == 0
+        # The known prompt's lookup did hit; the batch still ran cold.
+        assert cache.stats()["hits"] == hits_before + 1
+        prefill = report.placements[0]
+        assert prefill.batch_cycles == self._prefill_closed_form(
+            model, 2, len(known), 0
+        )
+        for rid, p in zip(ids, (known, unknown)):
+            expect = model.generate(p[None, :], 3, _backend())[0]
+            assert np.array_equal(engine.result(rid), expect)
+        for p in (known, unknown):
+            assert cache.lookup(0, "default", "gen", np.append(p, 0))[0] >= len(p)
+
+    def test_unequal_hits_prefill_warm_at_the_shorter_depth(self):
+        """Cached depths 5 and 3 in one prefill: the pass starts at 3
+        and the event's savings are the closed form at 3."""
+        a = np.array([3, 1, 4, 1], dtype=np.int64)  # retires 4 + 2 - 1 = 5 rows
+        b = np.array([2, 7, 1], dtype=np.int64)  # retires 3 + 1 - 1 = 3 rows
+        engine, adapter, model, (out_a, _) = self._two_wave_radix_engine(
+            [(a, 2), (b, 1)]
+        )
+        follow_a = np.concatenate([a, out_a, [5, 9]]).astype(np.int64)
+        follow_b = np.concatenate([b, [8, 2, 8, 1, 8]]).astype(np.int64)
+        assert len(follow_a) == len(follow_b) == 8
+        cache = engine.radix_cache
+        assert cache.lookup(0, "default", "gen", follow_a, max_len=7)[0] == 5
+        assert cache.lookup(0, "default", "gen", follow_b, max_len=7)[0] == 3
+        ids = [
+            engine.submit_generation("gen", p, 3, arrival=1.0)
+            for p in (follow_a, follow_b)
+        ]
+        report = engine.run()
+
+        assert adapter.prefill_batches[-1] == {
+            "size": 2, "distinct": 2, "cached": True,
+        }
+        (event,) = report.prefix_events
+        cold = self._prefill_closed_form(model, 2, 8, 0)
+        warm_at_3 = self._prefill_closed_form(model, 2, 8, 3)
+        assert event.hit and event.cycles_saved == cold - warm_at_3
+        assert report.placements[0].batch_cycles == warm_at_3
+        for rid, p in zip(ids, (follow_a, follow_b)):
+            expect = model.generate(p[None, :], 3, _backend())[0]
+            assert np.array_equal(engine.result(rid), expect)
 
 
 # ---------------------------------------------------------------------------

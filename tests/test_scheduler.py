@@ -35,7 +35,10 @@ from repro.systolic.trace import Trace, TraceEvent
 RNG = np.random.default_rng(7)
 
 
-def req(i, model="m", arrival=0.0, tenant="default", priority=0, deadline=None):
+def req(
+    i, model="m", arrival=0.0, tenant="default", priority=0, deadline=None,
+    prefix_key=None,
+):
     return InferenceRequest(
         request_id=i,
         model=model,
@@ -44,6 +47,7 @@ def req(i, model="m", arrival=0.0, tenant="default", priority=0, deadline=None):
         tenant=tenant,
         priority=priority,
         deadline=deadline,
+        prefix_key=prefix_key,
     )
 
 
@@ -104,6 +108,7 @@ class TestBatchAssembler:
                     model=rng.choice(["m1", "m2"]),
                     arrival=float(arrivals[i]),
                     tenant=rng.choice(["a", "b"]),
+                    prefix_key=[None, "p1", "p2"][int(rng.integers(0, 3))],
                 )
                 for i in range(n)
             ]
@@ -119,6 +124,7 @@ class TestBatchAssembler:
                 return (
                     b.tenant,
                     b.model,
+                    b.prefix_key,
                     tuple(r.request_id for r in b.requests),
                     round(b.ready_time, 12),
                 )
