@@ -27,9 +27,7 @@ multi-tenant serving system:
   (occupancy-aware) or cost-aware (closed-form cycle-model finish-time
   estimates) — decides at batch-ready time which shard runs each
   batch, with per-array trace aggregation and per-tenant namespace
-  attribution (:class:`~repro.serving.cluster.ClusterDispatcher`;
-  :mod:`repro.serving.dispatcher` keeps the historical
-  ``ShardedDispatcher`` name alive);
+  attribution (:class:`~repro.serving.cluster.ClusterDispatcher`);
 * KV-prefix reuse for transformer endpoints
   (:mod:`repro.serving.prefix_cache`): a
   :class:`~repro.serving.prefix_cache.PrefixCache` keyed on
@@ -114,7 +112,6 @@ from repro.serving.cluster import (
     save_calibration,
     workload_cost_model,
 )
-from repro.serving.dispatcher import ShardedDispatcher
 from repro.serving.elastic import ElasticConfig, ScalingEvent, StealEvent
 from repro.serving.engine import InferenceEngine, ModelEndpoint
 from repro.serving.generation import (
@@ -216,7 +213,6 @@ __all__ = [
     "RadixKVCache",
     "RadixPrefixIndex",
     "TransformerPrefixAdapter",
-    "ShardedDispatcher",
     "ElasticConfig",
     "ScalingEvent",
     "StealEvent",

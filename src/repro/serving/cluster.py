@@ -205,6 +205,26 @@ class BatchProfile:
             return None
         return self.estimator(self, config)
 
+    def service_seconds(
+        self, config: Optional[SystolicConfig], clock_hz: Optional[float]
+    ) -> Optional[float]:
+        """Estimated service time of this batch on a shard of design
+        point ``config`` clocked at ``clock_hz`` (None when unpriceable:
+        no estimate, or a functional shard without a clock)."""
+        estimate = self.estimate_cycles(config)
+        if estimate is None or not clock_hz:
+            return None
+        return estimate / clock_hz
+
+    def services_on(self, views: Sequence[ShardView]) -> Dict[int, float]:
+        """Estimated service seconds per view index, priceable views only."""
+        services = {}
+        for view in views:
+            service = self.service_seconds(view.config, view.clock_hz)
+            if service is not None:
+                services[view.index] = service
+        return services
+
 
 @dataclass(frozen=True)
 class PlacementDecision:
@@ -530,11 +550,7 @@ class CostAwarePlacement(PlacementPolicy):
 
     def place(self, batch: BatchProfile, shards: Sequence[ShardView]) -> int:
         shards = self.admissible(shards)
-        services = {}
-        for view in shards:
-            estimate = batch.estimate_cycles(view.config)
-            if estimate is not None and view.clock_hz:
-                services[view.index] = estimate / view.clock_hz
+        services = batch.services_on(shards)
         unknown_service = max(services.values(), default=0.0)
 
         def finish(view: ShardView) -> Tuple[float, int, float, int]:
@@ -633,15 +649,7 @@ class LookaheadPlacement(PlacementPolicy):
         candidates = list(self.admissible(shards))
         horizons = {view.index: view.busy_until for view in candidates}
 
-        def services_of(batch: BatchProfile) -> Dict[int, float]:
-            services = {}
-            for view in candidates:
-                estimate = batch.estimate_cycles(view.config)
-                if estimate is not None and view.clock_hz:
-                    services[view.index] = estimate / view.clock_hz
-            return services
-
-        priced = [services_of(batch) for batch in batches]
+        priced = [batch.services_on(candidates) for batch in batches]
         # LPT order: biggest batch (by its best-case service anywhere)
         # first; ties keep submission order for determinism.
         order = sorted(
@@ -986,9 +994,7 @@ class ClusterDispatcher:
     carries an independent design point and cycle trace.  The engine
     asks a :class:`PlacementPolicy` where each ready batch runs
     (:meth:`shard_views` is the pool state it decides on) and maintains
-    :attr:`busy_until` as the discrete-event loop advances;
-    :meth:`acquire` survives for legacy callers that want the blind
-    round-robin iterator.
+    :attr:`busy_until` as the discrete-event loop advances.
 
     Parameters
     ----------
@@ -1023,7 +1029,6 @@ class ClusterDispatcher:
         #: traces and in-flight horizons survive) but hidden from
         #: :meth:`shard_views`, so placement never offers them.
         self._offline: set = set()
-        self._next = 0
 
     @classmethod
     def from_arrays(
@@ -1037,12 +1042,6 @@ class ClusterDispatcher:
     @property
     def n_shards(self) -> int:
         return len(self.backends)
-
-    def acquire(self) -> Tuple[int, object]:
-        """Next ``(shard_index, backend)`` in round-robin order (legacy)."""
-        shard = self._next
-        self._next = (self._next + 1) % len(self.backends)
-        return shard, self.backends[shard]
 
     def array_of(self, shard: int) -> Optional[object]:
         """The shard's systolic array, if it is hardware-routed."""
@@ -1162,13 +1161,12 @@ class ClusterDispatcher:
         return totals
 
     def reset(self) -> None:
-        """Clear traces, busy horizons, offline marks and the
-        round-robin pointer.  Shards the autoscaler added stay in the
-        pool (membership is state, not statistics) but re-enter live."""
+        """Clear traces, busy horizons and offline marks.  Shards the
+        autoscaler added stay in the pool (membership is state, not
+        statistics) but re-enter live."""
         for shard in range(self.n_shards):
             array = self.array_of(shard)
             if array is not None:
                 array.reset()
         self.busy_until.clear()
         self._offline.clear()
-        self._next = 0

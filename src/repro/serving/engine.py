@@ -36,6 +36,11 @@ flight — join their tenant queues without waiting for a drain.  The
 loop is discrete-event over simulated arrival time, so a request
 stream always reproduces the same batches, placements and report.
 
+**One execution pipeline.**  Classifier batches, generation prefills
+and decode iterations all run through one place → run → fault-check →
+commit skeleton (``InferenceEngine._execute``); a kind supplies only
+its profile, its payload and its commit / park / fail hooks.
+
 Batched execution is bit-identical to running every request alone:
 stacking adds rows to the GEMMs and elementwise stages, and every
 output element is still produced by the same saturating fixed-point
@@ -88,7 +93,9 @@ import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union,
+)
 
 import numpy as np
 
@@ -199,6 +206,42 @@ class _RequestSource:
         self._last_arrival = request.arrival
         self._head = next(self._iter, self._SENTINEL)
         return request
+
+
+#: Work sources in tie-break order (see ``InferenceEngine._work_sources``).
+_RETRY, _DECODE, _PLANNED, _SCHEDULER = range(4)
+
+
+class _WorkUnit(NamedTuple):
+    """What one kind of work hands :meth:`InferenceEngine._execute`.
+
+    The pipeline owns every step the kinds share (place, park, fault
+    checks, timing, the shard-side commit, the placement record); a
+    unit carries only what differs between a classifier batch, a
+    generation prefill and a decode step:
+
+    ``run(shard, backend) -> (result, reused)``
+        The payload.  ``reused`` marks a partial execution (a prefix or
+        radix hit) whose timing must not feed full-cost estimates.
+    ``commit(placed, result, reused) -> completions``
+        What a surviving attempt commits, given its placement record.
+    ``park(wake)`` / ``fail(shard, at) -> survivors``
+        How an all-breakers-open park and a crashed attempt are
+        absorbed: the retry heap for batches, in-place ``ready_time`` /
+        attempt bookkeeping for pooled decode sequences.  ``fail``
+        returns how many requests will retry (0 = abandoned).
+    """
+
+    profile: BatchProfile
+    batch_index: int
+    attempt: int
+    exclude_shard: Optional[int]
+    run: Callable[[int, object], "Tuple[object, bool]"]
+    commit: Callable[[PlacementDecision, object, bool], List[CompletedRequest]]
+    park: Callable[[float], None]
+    fail: Callable[[int, float], int]
+    #: Shard a look-ahead round planned this unit onto (None = place now).
+    planned_shard: Optional[int] = None
 
 
 class InferenceEngine:
@@ -717,17 +760,7 @@ class InferenceEngine:
         # caller-driven step() sequences are readable on
         # :attr:`placement_log` / :attr:`shed_log` until the next run
         # starts.
-        self._placements.clear()
-        self._shed.clear()
-        self._prefix_events.clear()
-        self._failed.clear()
-        self._fault_log.clear()
-        self._breaker_log.clear()
-        self._gen_steps.clear()
-        self._steals.clear()
-        self._scaling_log.clear()
-        self._slo_window.clear()
-        self._window_sheds = 0
+        self._clear_run_logs()
         self._shard_busy = {shard: 0.0 for shard in range(self.dispatcher.n_shards)}
         source = _RequestSource(request_source, self) if request_source is not None else None
 
@@ -751,7 +784,8 @@ class InferenceEngine:
                     head = 0
                     self._run_buffered = len(buffer)
 
-                ready_at = self._earliest_work()
+                sources = self._work_sources()
+                ready_at = min(sources)[0] if sources else None
                 feed_arrival = buffer[head].arrival if head < len(buffer) else None
                 source_arrival = None if source is None else source.peek_arrival()
 
@@ -906,32 +940,26 @@ class InferenceEngine:
             sample_shape=np.asarray(request.inputs).shape,
             ready_time=request.arrival,
         )
-        best = None
-        for view in self.dispatcher.shard_views():
-            estimate = profile.estimate_cycles(view.config)
-            service = (
-                estimate / view.clock_hz
-                if estimate is not None and view.clock_hz
-                else 0.0
-            )
-            finish = request.arrival + service
-            if best is None or finish < best:
-                best = finish
-        return best if best is not None else request.arrival
+        return request.arrival + min(
+            (
+                profile.service_seconds(view.config, view.clock_hz) or 0.0
+                for view in self.dispatcher.shard_views()
+            ),
+            default=0.0,
+        )
 
     def _profile(
-        self, model, tenant, batch_size, sample_shape, ready_time, prefix_key=None
+        self, model, tenant, batch_size, sample_shape, ready_time,
+        prefix_key=None, resident_shards=(),
     ):
-        """Build the placement-time view of a batch (or lone request)."""
+        """Build the placement-time view of a batch (or lone request),
+        priced by the endpoint's cost model or the calibrating default."""
         endpoint = self._endpoints[model]
         estimator = (
             endpoint.cost_model
             if endpoint.cost_model is not None
             else self._calibrator.estimate
         )
-        resident: "tuple[int, ...]" = ()
-        if prefix_key is not None and self.prefix_cache is not None:
-            resident = self.prefix_cache.resident_shards(tenant, model, prefix_key)
         return BatchProfile(
             model=model,
             tenant=tenant,
@@ -940,7 +968,37 @@ class InferenceEngine:
             ready_time=ready_time,
             estimator=estimator,
             prefix_key=prefix_key,
-            resident_shards=resident,
+            resident_shards=resident_shards,
+        )
+
+    def _is_prefill(self, batch: Batch) -> bool:
+        """Is ``batch`` a generation batch (prompt pass, then decode)?"""
+        return (
+            self._endpoints[batch.model].generation_adapter is not None
+            and batch.requests[0].generation is not None
+        )
+
+    def _batch_profile(self, batch: Batch) -> BatchProfile:
+        """Placement-time view of a classifier batch.
+
+        Carries the batch's prefix key and the shards already holding
+        it exactly when the batch will execute through the prefix cache
+        (``profile.prefix_key is not None`` is that decision).
+        """
+        prefix_key, resident = None, ()
+        if (
+            batch.prefix_key is not None
+            and self.prefix_cache is not None
+            and self._endpoints[batch.model].prefix_adapter is not None
+        ):
+            prefix_key = batch.prefix_key
+            resident = self.prefix_cache.resident_shards(
+                batch.tenant, batch.model, prefix_key
+            )
+        return self._profile(
+            batch.model, batch.tenant, batch.size,
+            np.asarray(batch.requests[0].inputs).shape, batch.ready_time,
+            prefix_key, resident,
         )
 
     @property
@@ -1004,91 +1062,57 @@ class InferenceEngine:
         """
         return self._calibrator
 
-    def _next_retry_at(self) -> Optional[float]:
-        """Wake time of the earliest queued retry, if any."""
-        return self._retry_queue[0][0] if self._retry_queue else None
+    def _work_sources(self) -> "List[Tuple[float, int]]":
+        """``(ready time, source)`` of every source that has work.
 
-    def _decode_ready_at(self) -> Optional[float]:
-        """Earliest instant a decode-pool sequence can take a step."""
-        if not self._active:
-            return None
-        return min(seq.ready_time for seq in self._active)
-
-    def _planned_ready_at(self) -> Optional[float]:
-        """Ready time of the look-ahead round's next planned batch."""
-        return self._planned[0][0].ready_time if self._planned else None
-
-    def _earliest_work(self) -> Optional[float]:
-        """Earliest instant anything is runnable: a ready batch from
-        the scheduler, a batch the look-ahead round already planned, a
-        retry whose backoff has a wake time, or a decode-pool sequence
-        ready for its next token."""
-        times = [
-            t
-            for t in (
-                self.scheduler.earliest_ready(),
-                self._planned_ready_at(),
-                self._next_retry_at(),
-                self._decode_ready_at(),
-            )
-            if t is not None
-        ]
-        return min(times) if times else None
+        The source rank breaks ties, so ``min`` picks what runs next:
+        retries tied with anything run first (they are strictly older
+        work), decode iterations beat fresh batches, and a batch a
+        look-ahead round already planned (older) beats the scheduler.
+        """
+        times = (
+            self._retry_queue[0][0] if self._retry_queue else None,
+            min((seq.ready_time for seq in self._active), default=None),
+            self._planned[0][0].ready_time if self._planned else None,
+            self.scheduler.earliest_ready(),
+        )
+        return [(t, source) for source, t in enumerate(times) if t is not None]
 
     def _drain_one(self) -> List[CompletedRequest]:
-        """Pop the earliest work unit, execute, store results.
+        """Pick the earliest work unit, execute it, store results.
 
-        Retries tied with decode iterations or fresh batches run first
-        (they are strictly older work), and decode iterations beat
-        fresh batches in a tie.  Fresh work is either the next batch a
-        look-ahead round already planned (older, so it wins ties
-        against the scheduler) or the scheduler's policy-selected ready
-        batch — which, under ``elastic.lookahead``, first harvests
-        every batch ready at the same instant into a jointly planned
-        round.  Returns the completions of the attempt — empty when
-        the attempt failed and the batch was re-queued, parked, or
-        abandoned (its requests then appear on :attr:`failed_log`).
+        Fresh work is either the next batch a look-ahead round already
+        planned or the scheduler's policy-selected ready batch — which,
+        under ``elastic.lookahead``, first harvests every batch ready at
+        the same instant into a jointly planned round.  Returns the
+        completions of the attempt — empty when the attempt failed and
+        the batch was re-queued, parked, or abandoned (its requests
+        then appear on :attr:`failed_log`).
         """
-        ready = self.scheduler.earliest_ready()
-        planned = self._planned_ready_at()
-        fresh_times = [t for t in (ready, planned) if t is not None]
-        fresh = min(fresh_times) if fresh_times else None
-        retry = self._next_retry_at()
-        decode = self._decode_ready_at()
-        if (
-            retry is not None
-            and (fresh is None or retry <= fresh)
-            and (decode is None or retry <= decode)
-        ):
-            wake, _seq, attempt, exclude, batch = heapq.heappop(self._retry_queue)
-            self._work_consumed += 1
-            completed = self._execute_batch(
-                batch, attempt=attempt, exclude_shard=exclude
-            )
-        elif decode is not None and (fresh is None or decode <= fresh):
-            self._work_consumed += 1
-            completed = self._execute_decode()
-        elif planned is not None and (ready is None or planned <= ready):
-            batch, shard = self._planned.popleft()
-            self._work_consumed += 1
-            completed = self._execute_batch(batch, planned_shard=shard)
+        sources = self._work_sources()
+        if not sources:
+            return []
+        ready, source = min(sources)
+        if source == _RETRY:
+            _wake, _seq, attempt, exclude, batch = heapq.heappop(self._retry_queue)
+            unit = self._batch_unit(batch, attempt=attempt, exclude_shard=exclude)
+        elif source == _DECODE:
+            unit = self._decode_unit()
         else:
-            if ready is None:
-                return []
-            batch = self.scheduler.pop_ready(ready)
-            if batch is None:  # pragma: no cover — ready_at implies a batch
-                return []
-            self._work_consumed += 1
-            if self.elastic.lookahead:
-                self._plan_round(batch, ready)
-                batch, shard = self._planned.popleft()
-                completed = self._execute_batch(batch, planned_shard=shard)
-            else:
-                completed = self._execute_batch(batch)
+            if source == _SCHEDULER:
+                batch = self.scheduler.pop_ready(ready)
+                if batch is None:  # pragma: no cover — ready implies a batch
+                    return []
+                if self.elastic.lookahead:
+                    self._plan_round(batch, ready)
+                else:
+                    self._planned.append((batch, None))
+            unit = self._batch_unit(*self._planned.popleft())
+        self._work_consumed += 1
+        completed = self._execute(unit)
         for record in completed:
             self._results[record.request.request_id] = record.outputs
-        if completed:
-            self._note_completions(completed)
+        self._note_completions(completed)
         return completed
 
     def _plan_round(self, first: Batch, ready: float) -> None:
@@ -1120,57 +1144,26 @@ class InferenceEngine:
             # Everything will park through the normal placement path.
             self._planned.extend((batch, None) for batch in batches)
             return
-        profiles: List[Optional[BatchProfile]] = []
-        for batch in batches:
-            endpoint = self._endpoints[batch.model]
-            if (
-                endpoint.generation_adapter is not None
-                and batch.requests[0].generation is not None
-            ):
-                profiles.append(None)
-                continue
-            use_prefix = (
-                batch.prefix_key is not None
-                and self.prefix_cache is not None
-                and endpoint.prefix_adapter is not None
-            )
-            profiles.append(
-                self._profile(
-                    model=batch.model,
-                    tenant=batch.tenant,
-                    batch_size=batch.size,
-                    sample_shape=np.asarray(batch.requests[0].inputs).shape,
-                    ready_time=batch.ready_time,
-                    prefix_key=batch.prefix_key if use_prefix else None,
-                )
-            )
+        profiles = [
+            None if self._is_prefill(batch) else self._batch_profile(batch)
+            for batch in batches
+        ]
         horizons = {view.index: view.busy_until for view in views}
         assignments: List[Optional[int]] = [None] * len(batches)
         plan_indices: List[int] = []
         for i, profile in enumerate(profiles):
             if profile is None:
                 continue
-            if profile.resident_shards:
-                resident = [
-                    view
-                    for view in views
-                    if view.index in set(profile.resident_shards)
-                ]
-                if resident:
-                    best = min(
-                        resident, key=lambda v: (horizons[v.index], v.index)
-                    )
-                    assignments[i] = best.index
-                    estimate = profile.estimate_cycles(best.config)
-                    service = (
-                        estimate / best.clock_hz
-                        if estimate is not None and best.clock_hz
-                        else 0.0
-                    )
-                    horizons[best.index] = (
-                        max(profile.ready_time, horizons[best.index]) + service
-                    )
-                    continue
+            holders = set(profile.resident_shards)
+            resident = [view for view in views if view.index in holders]
+            if resident:
+                best = min(resident, key=lambda v: (horizons[v.index], v.index))
+                assignments[i] = best.index
+                service = profile.service_seconds(best.config, best.clock_hz)
+                horizons[best.index] = max(
+                    profile.ready_time, horizons[best.index]
+                ) + (service or 0.0)
+                continue
             plan_indices.append(i)
         if plan_indices:
             planning_views = [
@@ -1185,7 +1178,7 @@ class InferenceEngine:
 
     def _note_completions(self, completed: List[CompletedRequest]) -> None:
         """Feed the autoscaler's windowed SLO signal, maybe scale."""
-        if not self.elastic.autoscale:
+        if not completed or not self.elastic.autoscale:
             return
         for record in completed:
             due = self._effective_deadline(record.request)
@@ -1208,6 +1201,16 @@ class InferenceEngine:
             return self._results[request_id]
         return self._results.pop(request_id)
 
+    def _clear_run_logs(self) -> None:
+        """Empty the per-run logs and the autoscaler's windowed signals."""
+        for log in (
+            self._placements, self._shed, self._prefix_events, self._failed,
+            self._fault_log, self._breaker_log, self._gen_steps, self._steals,
+            self._scaling_log, self._slo_window,
+        ):
+            log.clear()
+        self._window_sheds = 0
+
     def reset(self) -> None:
         """Drop queued requests, stored results, shard occupancy and
         cached prefixes."""
@@ -1217,22 +1220,12 @@ class InferenceEngine:
         self.placement.reset()
         self._calibrator.reset()
         self._results.clear()
-        self._placements.clear()
-        self._shed.clear()
-        self._prefix_events.clear()
+        self._clear_run_logs()
         self._shard_busy.clear()
         self._retry_queue.clear()
         self._retry_seq = 0
-        self._failed.clear()
-        self._fault_log.clear()
-        self._breaker_log.clear()
         self._active.clear()
-        self._gen_steps.clear()
         self._planned.clear()
-        self._steals.clear()
-        self._scaling_log.clear()
-        self._slo_window.clear()
-        self._window_sheds = 0
         self._last_scale_at = None
         for stats in self._shard_stats.values():
             stats.reset()
@@ -1291,71 +1284,48 @@ class InferenceEngine:
             views.append(replace(view, breaker=health.state))
         return views
 
-    def _all_down(
-        self, ready_time: float, batch_index: int, attempt: int, batch_size: int
-    ) -> "Tuple[None, float]":
-        """Every live breaker is open: park until the earliest expiry."""
+    def _all_down(self, unit: _WorkUnit) -> float:
+        """Every live breaker is open: log the park, return the wake
+        time (the earliest quarantine expiry)."""
         offline = self.dispatcher.offline_shards()
-        expiries = [
-            health.open_until
-            for shard, health in self._health.items()
-            if shard not in offline
-        ]
-        wake = min(expiries) if expiries else min(
-            health.open_until for health in self._health.values()
-        )
+        live = [h for shard, h in self._health.items() if shard not in offline]
+        wake = min(h.open_until for h in live or self._health.values())
         self._fault_log.append(
             FaultRecord(
                 kind="all_shards_down",
                 shard=None,
-                batch_index=batch_index,
-                at=ready_time,
-                attempt=attempt,
+                batch_index=unit.batch_index,
+                at=unit.profile.ready_time,
+                attempt=unit.attempt,
                 action="park",
-                requests=batch_size,
+                requests=unit.profile.batch_size,
             )
         )
-        return None, wake
+        return wake
 
-    def _select_shard(
-        self,
-        ready_time: float,
-        profile: BatchProfile,
-        attempt: int,
-        exclude_shard: Optional[int],
-        batch_index: int,
-        batch_size: int,
-    ) -> "Tuple[Optional[int], Optional[float]]":
-        """Pick the shard a ready batch executes on; park when none can.
+    def _select_shard(self, unit: _WorkUnit, healthy: List[ShardView]) -> int:
+        """Pick the shard a ready unit executes on.
 
-        Returns ``(shard, None)`` on success or ``(None, wake)`` when
-        every breaker is open — the caller re-schedules the work at
-        ``wake`` (the earliest quarantine expiry) without consuming a
-        retry.  The policy only sees live shards whose breaker admits
-        work at the ready time (each view carries its breaker state, so
+        The policy only sees live shards whose breaker admits work at
+        the ready time (each view carries its breaker state, so
         half-open probes are priced pessimistically); a retry
         additionally avoids the shard of its failed attempt whenever an
-        alternative exists.
+        alternative exists.  A look-ahead-planned first attempt
+        re-validates (and possibly steals) its planned shard instead of
+        re-placing from scratch.
         """
-        healthy = self._available_views(ready_time)
-        if not healthy:
-            return self._all_down(ready_time, batch_index, attempt, batch_size)
-        candidates = healthy
-        if exclude_shard is not None and len(healthy) > 1:
-            without = [view for view in healthy if view.index != exclude_shard]
-            if without:
-                candidates = without
-        shard = self.placement.place(profile, candidates)
+        if unit.planned_shard is not None and unit.attempt == 0:
+            return self._resolve_planned(unit, healthy)
+        without = [view for view in healthy if view.index != unit.exclude_shard]
+        shard = self.placement.place(unit.profile, without or healthy)
         if not 0 <= shard < self.dispatcher.n_shards:
             raise ValueError(
                 f"placement policy {self.placement.name!r} returned shard "
                 f"{shard} for a pool of {self.dispatcher.n_shards}"
             )
-        return shard, None
+        return shard
 
-    def _resolve_planned(
-        self, batch: Batch, profile: BatchProfile, planned_shard: int
-    ) -> "Tuple[Optional[int], Optional[float]]":
+    def _resolve_planned(self, unit: _WorkUnit, views: List[ShardView]) -> int:
         """Hold or steal: re-validate a planned placement at execution.
 
         The look-ahead plan priced the round with calibrated estimates;
@@ -1373,27 +1343,21 @@ class InferenceEngine:
         falls back to the configured placement policy; an available one
         is honored unconditionally.
         """
-        ready = batch.ready_time
-        views = self._available_views(ready)
-        if not views:
-            return self._all_down(ready, batch.index, 0, batch.size)
+        profile, planned_shard = unit.profile, unit.planned_shard
+        ready = profile.ready_time
         available = {view.index: view for view in views}
-        if planned_shard in available and not self.elastic.steal:
-            return planned_shard, None
-        if planned_shard not in available and not self.elastic.steal:
+        if not self.elastic.steal:
+            if planned_shard in available:
+                return planned_shard
             # Breaker opened (or shard retired) under the plan: the
             # batch re-places through the normal policy path.
-            return self.placement.place(profile, views), None
+            return self.placement.place(profile, views)
 
         # Drift-corrected ETA per candidate: the planned service time,
         # scaled by the shard's measured actual/estimated ratio, on top
         # of its live horizon.  Half-open probes carry the worst known
         # service on top (mirroring CostAwarePlacement's pessimism).
-        services: Dict[int, float] = {}
-        for view in views:
-            estimate = profile.estimate_cycles(view.config)
-            if estimate is not None and view.clock_hz:
-                services[view.index] = estimate / view.clock_hz
+        services = profile.services_on(views)
         unknown_service = max(services.values(), default=0.0)
 
         def eta_of(view: ShardView) -> float:
@@ -1404,19 +1368,14 @@ class InferenceEngine:
             return max(ready, view.busy_until) + service
 
         best = min(views, key=lambda view: (eta_of(view), view.index))
-        resident = planned_shard in set(profile.resident_shards or ())
+        resident = planned_shard in profile.resident_shards
 
         if planned_shard not in available:
-            target = best.index
-            migrated = self._migrate_prefix(batch, resident, planned_shard, target)
-            self._record_steal(
-                batch, planned_shard, target, ready, "breaker",
-                planned_eta=0.0, stolen_eta=eta_of(best), migrated=migrated,
-            )
-            return target, None
+            self._steal(unit, best.index, "breaker", 0.0, eta_of(best), resident)
+            return best.index
 
         if best.index == planned_shard:
-            return planned_shard, None
+            return planned_shard
         planned_eta = eta_of(available[planned_shard])
         best_eta = eta_of(best)
         factor = (
@@ -1425,44 +1384,37 @@ class InferenceEngine:
             else self.elastic.steal_drift_threshold
         )
         if planned_eta <= factor * best_eta:
-            return planned_shard, None
-        migrated = self._migrate_prefix(batch, resident, planned_shard, best.index)
-        self._record_steal(
-            batch, planned_shard, best.index, ready,
-            "affinity" if resident else "drift",
-            planned_eta=planned_eta, stolen_eta=best_eta, migrated=migrated,
+            return planned_shard
+        self._steal(
+            unit, best.index, "affinity" if resident else "drift",
+            planned_eta, best_eta, resident,
         )
-        return best.index, None
+        return best.index
 
-    def _migrate_prefix(
-        self, batch: Batch, resident: bool, from_shard: int, to_shard: int
-    ) -> bool:
-        """Move the batch's prefix entry with a steal (when it has one)."""
-        if not resident or self.prefix_cache is None or batch.prefix_key is None:
-            return False
-        return self.prefix_cache.migrate(
-            from_shard, to_shard, batch.tenant, batch.model, batch.prefix_key
-        )
-
-    def _record_steal(
+    def _steal(
         self,
-        batch: Batch,
-        from_shard: int,
+        unit: _WorkUnit,
         to_shard: int,
-        at: float,
         reason: str,
         planned_eta: float,
         stolen_eta: float,
-        migrated: bool,
+        resident: bool,
     ) -> None:
+        """Log a migration off the planned shard; the batch's prefix
+        entry (when the planned shard holds one) moves with it."""
+        profile, from_shard = unit.profile, unit.planned_shard
+        # ``resident`` implies a prefix-keyed profile (see _batch_profile).
+        migrated = resident and self.prefix_cache.migrate(
+            from_shard, to_shard, profile.tenant, profile.model, profile.prefix_key
+        )
         self._steals.append(
             StealEvent(
-                batch_index=batch.index,
-                model=batch.model,
-                tenant=batch.tenant,
+                batch_index=unit.batch_index,
+                model=profile.model,
+                tenant=profile.tenant,
                 from_shard=from_shard,
                 to_shard=to_shard,
-                at=at,
+                at=profile.ready_time,
                 reason=reason,
                 planned_eta=planned_eta,
                 stolen_eta=stolen_eta,
@@ -1604,127 +1556,55 @@ class InferenceEngine:
         )
         return True
 
-    def _estimated_seconds(
-        self, profile: BatchProfile, array: Optional[object], prefix_hit: bool
-    ) -> Optional[float]:
-        """The estimate a finished batch feeds its shard's drift EWMA.
+    # ------------------------------------------------------------------
+    # The execute-and-commit pipeline (one, for every kind of work)
+    # ------------------------------------------------------------------
+    def _execute(self, unit: _WorkUnit) -> List[CompletedRequest]:
+        """Place, run, fault-check and commit one unit of work.
 
-        Only full executions count: a prefix hit's suffix-only timing
-        would read as phantom speedup against full-cost estimates,
-        exactly like the calibrator exclusion in :meth:`_execute_batch`.
+        Every classifier batch, generation prefill and decode step goes
+        through this skeleton; the unit's hooks supply the payload and
+        absorb the outcome (see :class:`_WorkUnit`).  Failed attempts
+        record *nothing* in the placement, prefix or calibration logs —
+        those are written exactly once, by the attempt that completes —
+        so retried traffic is never double-attributed.
         """
-        if not self.elastic.enabled or array is None or prefix_hit:
-            return None
-        estimate = profile.estimate_cycles(array.config)
-        if estimate is None or not array.config.clock_hz:
-            return None
-        return estimate / array.config.clock_hz
-
-    def _execute_batch(
-        self,
-        batch: Batch,
-        attempt: int = 0,
-        exclude_shard: Optional[int] = None,
-        planned_shard: Optional[int] = None,
-    ) -> List[CompletedRequest]:
-        endpoint = self._endpoints[batch.model]
-        if (
-            endpoint.generation_adapter is not None
-            and batch.requests[0].generation is not None
-        ):
-            return self._execute_prefill(batch, attempt, exclude_shard)
-        use_prefix = (
-            batch.prefix_key is not None
-            and self.prefix_cache is not None
-            and endpoint.prefix_adapter is not None
-        )
-        # Placement happens here — at batch-ready time, not acquire
-        # time — so the policy sees every shard's busy horizon and the
-        # batch's shape/cost profile (including prefix residency, for
-        # affinity) before choosing.
-        profile = self._profile(
-            model=batch.model,
-            tenant=batch.tenant,
-            batch_size=batch.size,
-            sample_shape=np.asarray(batch.requests[0].inputs).shape,
-            ready_time=batch.ready_time,
-            prefix_key=batch.prefix_key if use_prefix else None,
-        )
-        # With every breaker open the batch parks (no retry consumed)
-        # until the earliest quarantine expiry re-admits a probe.  A
-        # look-ahead-planned batch re-validates (and possibly steals)
-        # its planned shard instead of re-placing from scratch.
-        if planned_shard is not None and attempt == 0:
-            shard, wake = self._resolve_planned(batch, profile, planned_shard)
-        else:
-            shard, wake = self._select_shard(
-                batch.ready_time, profile, attempt, exclude_shard,
-                batch.index, batch.size,
-            )
-        if shard is None:
-            self._requeue(batch, wake, attempt, exclude_shard)
+        profile = unit.profile
+        ready = profile.ready_time
+        # Placement happens at ready time, so the policy sees every
+        # shard's busy horizon and the unit's shape/cost profile
+        # (including prefix residency, for affinity) before choosing.
+        # With every breaker open the unit parks (no retry consumed)
+        # until the earliest quarantine expiry re-admits a probe.
+        healthy = self._available_views(ready)
+        if not healthy:
+            unit.park(self._all_down(unit))
             return []
+        shard = self._select_shard(unit, healthy)
         backend = self.dispatcher.backends[shard]
         array = self.dispatcher.array_of(shard)
 
-        start = max(batch.ready_time, self.dispatcher.busy_until.get(shard, 0.0))
+        start = max(ready, self.dispatcher.busy_until.get(shard, 0.0))
         if self.faults is not None:
             doa = self.faults.crash_covering(shard, start)
             if doa is not None:
-                # Dead on arrival: the shard is down when the batch
+                # Dead on arrival: the shard is down when the unit
                 # would start, so nothing executes — no cycles, no
                 # cache effects — and the shard stays occupied through
                 # its outage window.
-                self._shard_down(shard, doa)
-                self._attempt_failed(batch, attempt, shard, at=start)
+                self._crashed(unit, shard, doa, at=start)
                 return []
         cycles_before = array.total_cycles if array is not None else 0
 
-        # Attribute everything the batch records to its tenant's trace
+        # Attribute everything the unit records to its tenant's trace
         # namespace — per-tenant cycle accounting that works even in
         # aggregate-only retention mode.
         namespace = (
-            array.trace.namespace(batch.tenant) if array is not None else nullcontext()
+            array.trace.namespace(profile.tenant) if array is not None else nullcontext()
         )
-        prefix_hit = False
         t0 = time.perf_counter()
         with namespace:
-            if use_prefix or endpoint.batchable:
-                stacked = np.stack([r.inputs for r in batch.requests])
-            if use_prefix:
-                # One cache decision for the whole batch: the batcher
-                # keys groups on the prompt digest, so every request
-                # here shares the prefix the entry is verified against.
-                adapter = endpoint.prefix_adapter
-                cache = self.prefix_cache
-                prefix_tokens = adapter.prefix_tokens(batch.requests[0].inputs)
-                entry = cache.lookup(
-                    shard, batch.tenant, batch.model, batch.prefix_key, prefix_tokens
-                )
-                if entry is not None:
-                    outputs = adapter.infer_hit(stacked, entry.payload, backend)
-                    prefix_hit = True
-                else:
-                    outputs, payload = adapter.infer_cold(stacked, backend)
-                    cache.insert(
-                        shard,
-                        PrefixEntry(
-                            tenant=batch.tenant,
-                            model=batch.model,
-                            prefix_key=batch.prefix_key,
-                            prefix_tokens=prefix_tokens,
-                            payload=payload,
-                        ),
-                    )
-                per_request = list(self._check_batched(endpoint, outputs, batch))
-            elif endpoint.batchable:
-                outputs = np.asarray(endpoint.infer_fn(stacked, backend))
-                per_request = list(self._check_batched(endpoint, outputs, batch))
-            else:
-                per_request = [
-                    np.asarray(endpoint.infer_fn(r.inputs, backend))
-                    for r in batch.requests
-                ]
+            result, reused = unit.run(shard, backend)
         elapsed_wall = time.perf_counter() - t0
 
         if array is not None:
@@ -1739,112 +1619,187 @@ class InferenceEngine:
         if self.faults is not None:
             # A slowdown stretches the timeline (results unchanged); a
             # crash striking inside the stretched window kills the
-            # attempt: outputs are discarded, the partial occupancy is
-            # charged as wasted work (the traced cycles already stand),
-            # and the shard is held busy through its outage.
+            # attempt: the result is discarded (a decode step ran on a
+            # scratch copy, so dropping it IS the rollback), the partial
+            # occupancy is charged as wasted work (the traced cycles
+            # already stand), and the shard is held busy through its
+            # outage.
             duration *= self.faults.slowdown_factor(shard, start)
             crash = self.faults.crash_within(shard, start, start + duration)
             if crash is not None:
                 self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + (
                     crash.at - start
                 )
-                self._shard_down(shard, crash)
-                self._attempt_failed(batch, attempt, shard, at=crash.at)
+                self._crashed(unit, shard, crash, at=crash.at)
                 return []
 
         finish = start + duration
         self.dispatcher.busy_until[shard] = finish
         self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + duration
         self._health_of(shard).record_success(finish)
-        self._stats_of(shard).observe(
-            batch_cycles, duration,
-            self._estimated_seconds(profile, array, prefix_hit),
+        # The shard's drift EWMA learns from full executions only: a
+        # prefix hit's suffix-only timing would read as phantom speedup
+        # against full-cost estimates (the calibrator excludes hits for
+        # the same reason).
+        estimate = None
+        if self.elastic.enabled and array is not None and not reused:
+            estimate = profile.service_seconds(array.config, array.config.clock_hz)
+        self._stats_of(shard).observe(batch_cycles, duration, estimate)
+        placed = PlacementDecision(
+            batch_index=unit.batch_index,
+            model=profile.model,
+            tenant=profile.tenant,
+            batch_size=profile.batch_size,
+            shard=shard,
+            policy=self.placement.name,
+            ready_time=ready,
+            start=start,
+            finish=finish,
+            batch_cycles=batch_cycles,
+            attempt=unit.attempt,
+            recovered_from=unit.exclude_shard if unit.attempt > 0 else None,
         )
-        if array is not None and batch_cycles > 0 and not prefix_hit:
-            # Feed the calibrating cost model: the next placement of
-            # this (model, shape) estimates from traced ground truth.
-            # Hit batches are excluded — their cycles reflect the
-            # suffix-only execution, which would poison full-cost
-            # estimates of the same (model, shape).
-            self._calibrator.observe(
-                batch.model, batch.size, profile.sample_shape,
-                array.config, batch_cycles,
+        self._placements.append(placed)
+        return unit.commit(placed, result, reused)
+
+    def _log_prefix_event(
+        self, placed: PlacementDecision, prefix_key: str, hit: bool, cycles_saved: int
+    ) -> None:
+        """One cache decision (prefix or radix) of a committed batch."""
+        self._prefix_events.append(
+            PrefixEvent(
+                batch_index=placed.batch_index,
+                model=placed.model,
+                tenant=placed.tenant,
+                shard=placed.shard,
+                batch_size=placed.batch_size,
+                prefix_key=prefix_key,
+                hit=hit,
+                cycles_saved=cycles_saved,
             )
-        if use_prefix:
-            cycles_saved = (
-                int(endpoint.prefix_adapter.saved_cycles(batch.size, array.config))
-                if prefix_hit and array is not None
-                else 0
-            )
-            self._prefix_events.append(
-                PrefixEvent(
-                    batch_index=batch.index,
-                    model=batch.model,
-                    tenant=batch.tenant,
-                    shard=shard,
-                    batch_size=batch.size,
-                    prefix_key=batch.prefix_key,
-                    hit=prefix_hit,
-                    cycles_saved=cycles_saved,
+        )
+
+    def _batch_unit(
+        self,
+        batch: Batch,
+        planned_shard: Optional[int] = None,
+        attempt: int = 0,
+        exclude_shard: Optional[int] = None,
+    ) -> _WorkUnit:
+        """The work unit of a scheduler batch: a classifier batch or a
+        generation prefill.  Both park and fail through the retry heap."""
+        profile, run, commit = (
+            self._prefill_payload(batch)
+            if self._is_prefill(batch)
+            else self._classify_payload(batch)
+        )
+        return _WorkUnit(
+            profile, batch.index, attempt, exclude_shard, run, commit,
+            park=lambda wake: self._requeue(batch, wake, attempt, exclude_shard),
+            fail=lambda shard, at: self._attempt_failed(batch, attempt, shard, at),
+            planned_shard=planned_shard,
+        )
+
+    def _classify_payload(self, batch: Batch):
+        """Profile, run and commit of a classifier batch: one stacked
+        ``infer_fn`` call, or the prefix adapter's hit-or-cold pass."""
+        endpoint = self._endpoints[batch.model]
+        profile = self._batch_profile(batch)
+        use_prefix = profile.prefix_key is not None
+
+        def run(shard, backend):
+            if not (use_prefix or endpoint.batchable):
+                return [
+                    np.asarray(endpoint.infer_fn(r.inputs, backend))
+                    for r in batch.requests
+                ], False
+            stacked = np.stack([r.inputs for r in batch.requests])
+            entry = None
+            if not use_prefix:
+                outputs = endpoint.infer_fn(stacked, backend)
+            else:
+                # One cache decision for the whole batch: the batcher
+                # keys groups on the prompt digest, so every request
+                # here shares the prefix the entry is verified against.
+                adapter = endpoint.prefix_adapter
+                cache = self.prefix_cache
+                prefix_tokens = adapter.prefix_tokens(batch.requests[0].inputs)
+                entry = cache.lookup(
+                    shard, batch.tenant, batch.model, batch.prefix_key, prefix_tokens
                 )
-            )
-        self._placements.append(
-            PlacementDecision(
-                batch_index=batch.index,
-                model=batch.model,
-                tenant=batch.tenant,
-                batch_size=batch.size,
-                shard=shard,
-                policy=self.placement.name,
-                ready_time=batch.ready_time,
-                start=start,
-                finish=finish,
-                batch_cycles=batch_cycles,
-                attempt=attempt,
-                recovered_from=exclude_shard if attempt > 0 else None,
-            )
-        )
-        return [
-            CompletedRequest(
-                request=req,
-                outputs=out,
-                shard=shard,
-                batch_index=batch.index,
-                batch_size=batch.size,
-                start=start,
-                finish=finish,
-                batch_cycles=batch_cycles,
-                attempts=attempt + 1,
-            )
-            for req, out in zip(batch.requests, per_request)
-        ]
+                if entry is not None:
+                    outputs = adapter.infer_hit(stacked, entry.payload, backend)
+                else:
+                    outputs, payload = adapter.infer_cold(stacked, backend)
+                    cache.insert(
+                        shard,
+                        PrefixEntry(
+                            tenant=batch.tenant,
+                            model=batch.model,
+                            prefix_key=batch.prefix_key,
+                            prefix_tokens=prefix_tokens,
+                            payload=payload,
+                        ),
+                    )
+            outputs = self._check_batched(endpoint, outputs, batch)
+            return list(outputs), entry is not None
+
+        def commit(placed, per_request, prefix_hit):
+            array = self.dispatcher.array_of(placed.shard)
+            if array is not None and placed.batch_cycles > 0 and not prefix_hit:
+                # Feed the calibrating cost model: the next placement of
+                # this (model, shape) estimates from traced ground truth.
+                # Hit batches are excluded — their cycles reflect the
+                # suffix-only execution, which would poison full-cost
+                # estimates of the same (model, shape).
+                self._calibrator.observe(
+                    batch.model, batch.size, profile.sample_shape,
+                    array.config, placed.batch_cycles,
+                )
+            if use_prefix:
+                cycles_saved = (
+                    int(endpoint.prefix_adapter.saved_cycles(batch.size, array.config))
+                    if prefix_hit and array is not None
+                    else 0
+                )
+                self._log_prefix_event(
+                    placed, batch.prefix_key, prefix_hit, cycles_saved
+                )
+            return [
+                CompletedRequest(
+                    request=req,
+                    outputs=out,
+                    shard=placed.shard,
+                    batch_index=batch.index,
+                    batch_size=batch.size,
+                    start=placed.start,
+                    finish=placed.finish,
+                    batch_cycles=placed.batch_cycles,
+                    attempts=placed.attempt + 1,
+                )
+                for req, out in zip(batch.requests, per_request)
+            ]
+
+        return profile, run, commit
 
     # ------------------------------------------------------------------
     # Generation: prefill batches and the continuous-batching decode pool
     # ------------------------------------------------------------------
-    def _execute_prefill(
-        self,
-        batch: Batch,
-        attempt: int = 0,
-        exclude_shard: Optional[int] = None,
-    ) -> List[CompletedRequest]:
-        """Run a generation batch's prompt pass; members join the pool.
+    def _prefill_payload(self, batch: Batch):
+        """Profile, run and commit of a generation batch's prompt pass.
 
-        Prefill batches flow through the same ready/retry machinery as
-        classifier batches (same placement, breaker, park and crash
-        handling); what differs is the payload: the adapter returns each
-        member's first greedy token plus its K/V state, the radix cache
-        (when configured) trims the prompts to their uncached suffix,
-        and the surviving members enter :attr:`_active` for
-        iteration-level decode instead of completing.
+        The adapter returns each member's first greedy token plus its
+        K/V state, the radix cache (when configured) trims the prompts
+        to their uncached suffix, and the surviving members enter
+        :attr:`_active` for iteration-level decode instead of
+        completing.
 
         Members share a prompt *length*, not a prompt.  The radix cache
         is read and fed once per distinct member prompt; the pass starts
         from the shortest cached prefix among them (one miss makes it
         cold), because one stacked suffix needs one suffix length.
         """
-        endpoint = self._endpoints[batch.model]
-        adapter = endpoint.generation_adapter
+        adapter = self._endpoints[batch.model].generation_adapter
         prompts = np.stack([r.inputs for r in batch.requests])
         prompt_len = int(prompts.shape[1])
         use_radix = self.radix_cache is not None
@@ -1864,158 +1819,77 @@ class InferenceEngine:
                 for j in distinct
             )
             resident = tuple(sorted(set().union(*holders)))
-        estimator = (
-            endpoint.cost_model
-            if endpoint.cost_model is not None
-            else self._calibrator.estimate
+        profile = self._profile(
+            batch.model, batch.tenant, batch.size, (prompt_len,), batch.ready_time,
+            batch.prefix_key if use_radix else None, resident,
         )
-        profile = BatchProfile(
-            model=batch.model,
-            tenant=batch.tenant,
-            batch_size=batch.size,
-            sample_shape=(prompt_len,),
-            ready_time=batch.ready_time,
-            estimator=estimator,
-            prefix_key=batch.prefix_key if use_radix else None,
-            resident_shards=resident,
-        )
-        shard, wake = self._select_shard(
-            batch.ready_time, profile, attempt, exclude_shard, batch.index, batch.size
-        )
-        if shard is None:
-            self._requeue(batch, wake, attempt, exclude_shard)
-            return []
-        backend = self.dispatcher.backends[shard]
-        array = self.dispatcher.array_of(shard)
 
-        start = max(batch.ready_time, self.dispatcher.busy_until.get(shard, 0.0))
-        if self.faults is not None:
-            doa = self.faults.crash_covering(shard, start)
-            if doa is not None:
-                self._shard_down(shard, doa)
-                self._attempt_failed(batch, attempt, shard, at=start)
-                return []
-        cycles_before = array.total_cycles if array is not None else 0
-
-        cached_len, cached = 0, None
-        if use_radix:
-            # Cap the usable prefix one short of the prompt: at least
-            # one suffix row must execute to produce the next-token
-            # logits.
-            found = {
-                j: self.radix_cache.lookup(
-                    shard, batch.tenant, batch.model, prompts[j],
-                    max_len=prompt_len - 1,
-                )
-                for j in distinct
-            }
-            cached_len = min(length for length, _ in found.values())
-            if cached_len > 0:
-                cached = [found[j][1] for j in leader]
-
-        namespace = (
-            array.trace.namespace(batch.tenant) if array is not None else nullcontext()
-        )
-        t0 = time.perf_counter()
-        with namespace:
-            first_tokens, state = adapter.prefill(prompts, backend, cached=cached)
-        elapsed_wall = time.perf_counter() - t0
-
-        if array is not None:
-            batch_cycles = array.total_cycles - cycles_before
-            duration = batch_cycles / array.config.clock_hz
-        else:
-            batch_cycles = 0
-            duration = elapsed_wall
-
-        if self.faults is not None:
-            duration *= self.faults.slowdown_factor(shard, start)
-            crash = self.faults.crash_within(shard, start, start + duration)
-            if crash is not None:
-                self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + (
-                    crash.at - start
-                )
-                self._shard_down(shard, crash)
-                self._attempt_failed(batch, attempt, shard, at=crash.at)
-                return []
-
-        finish = start + duration
-        self.dispatcher.busy_until[shard] = finish
-        self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + duration
-        self._health_of(shard).record_success(finish)
-        self._stats_of(shard).observe(
-            batch_cycles, duration,
-            self._estimated_seconds(profile, array, cached_len > 0),
-        )
-        if use_radix:
-            # Donate every distinct prompt's rows back (incremental
-            # capture: a future prompt extending one of them prefills
-            # only its new suffix).
-            for j in distinct:
-                self.radix_cache.insert(
-                    shard, batch.tenant, batch.model, prompts[j],
-                    adapter.capture(state, prompt_len, j),
-                )
-            cycles_saved = 0
-            if cached_len > 0 and array is not None:
-                cycles_saved = int(
-                    adapter.prefill_cycles(batch.size, prompt_len, 0, array.config)
-                    - adapter.prefill_cycles(
-                        batch.size, prompt_len, cached_len, array.config
+        def run(shard, backend):
+            cached_len, cached = 0, None
+            if use_radix:
+                # Cap the usable prefix one short of the prompt: at
+                # least one suffix row must execute to produce the
+                # next-token logits.
+                found = {
+                    j: self.radix_cache.lookup(
+                        shard, batch.tenant, batch.model, prompts[j],
+                        max_len=prompt_len - 1,
                     )
-                )
-            self._prefix_events.append(
-                PrefixEvent(
-                    batch_index=batch.index,
-                    model=batch.model,
-                    tenant=batch.tenant,
-                    shard=shard,
-                    batch_size=batch.size,
-                    prefix_key=batch.prefix_key,
-                    hit=cached_len > 0,
-                    cycles_saved=cycles_saved,
-                )
-            )
-        self._placements.append(
-            PlacementDecision(
-                batch_index=batch.index,
-                model=batch.model,
-                tenant=batch.tenant,
-                batch_size=batch.size,
-                shard=shard,
-                policy=self.placement.name,
-                ready_time=batch.ready_time,
-                start=start,
-                finish=finish,
-                batch_cycles=batch_cycles,
-                attempt=attempt,
-                recovered_from=exclude_shard if attempt > 0 else None,
-            )
-        )
+                    for j in distinct
+                }
+                cached_len = min(length for length, _ in found.values())
+                if cached_len > 0:
+                    cached = [found[j][1] for j in leader]
+            first_tokens, state = adapter.prefill(prompts, backend, cached=cached)
+            return (first_tokens, state, cached_len), cached_len > 0
 
-        completed: List[CompletedRequest] = []
-        states = state.split()
-        for j, request in enumerate(batch.requests):
-            seq = ActiveSequence(
-                request=request,
-                state=states[j],
-                generated=[int(first_tokens[j])],
-                ready_time=finish,
-                first_start=start,
-                batch_cycles=batch_cycles,
-                attempts=attempt + 1,
-                last_shard=shard,
-                last_batch_index=batch.index,
-                last_batch_size=batch.size,
-            )
-            if seq.finished:
-                completed.append(self._retire(seq, finish))
-            else:
-                self._active.append(seq)
-        return completed
+        def commit(placed, result, reused):
+            first_tokens, state, cached_len = result
+            shard, finish = placed.shard, placed.finish
+            if use_radix:
+                # Donate every distinct prompt's rows back (incremental
+                # capture: a future prompt extending one of them
+                # prefills only its new suffix).
+                for j in distinct:
+                    self.radix_cache.insert(
+                        shard, batch.tenant, batch.model, prompts[j],
+                        adapter.capture(state, prompt_len, j),
+                    )
+                array = self.dispatcher.array_of(shard)
+                cycles_saved = 0
+                if reused and array is not None:
+                    cycles_saved = int(
+                        adapter.prefill_cycles(batch.size, prompt_len, 0, array.config)
+                        - adapter.prefill_cycles(
+                            batch.size, prompt_len, cached_len, array.config
+                        )
+                    )
+                self._log_prefix_event(placed, batch.prefix_key, reused, cycles_saved)
+            completed: List[CompletedRequest] = []
+            states = state.split()
+            for j, request in enumerate(batch.requests):
+                seq = ActiveSequence(
+                    request=request,
+                    state=states[j],
+                    generated=[int(first_tokens[j])],
+                    ready_time=finish,
+                    first_start=placed.start,
+                    batch_cycles=placed.batch_cycles,
+                    attempts=placed.attempt + 1,
+                    last_shard=shard,
+                    last_batch_index=batch.index,
+                    last_batch_size=batch.size,
+                )
+                if seq.finished:
+                    completed.append(self._retire(seq, finish))
+                else:
+                    self._active.append(seq)
+            return completed
 
-    def _execute_decode(self) -> List[CompletedRequest]:
-        """One decode iteration: re-form the batch, step, retire.
+        return profile, run, commit
+
+    def _decode_unit(self) -> _WorkUnit:
+        """The work unit of one decode iteration: re-form, step, retire.
 
         The batch is rebuilt from the live pool every iteration — the
         earliest-ready sequence leads, and every compatible sequence
@@ -2029,7 +1903,9 @@ class InferenceEngine:
         The step itself runs on a stacked *copy* of the member caches
         (see :meth:`~repro.serving.generation.GenerationAdapter.decode`),
         so a fault-injected attempt discards cleanly: member state is
-        only extended after the attempt survives every fault check.
+        only extended by the commit, after the attempt survived every
+        fault check.  A park or a failed attempt is absorbed in place —
+        members stay pooled with a new ``ready_time``.
         """
         lead = min(
             self._active, key=lambda s: (s.ready_time, s.request.request_id)
@@ -2043,137 +1919,78 @@ class InferenceEngine:
         ]
         group.sort(key=lambda s: (s.ready_time, s.request.request_id))
         group = group[: self.scheduler.assembler.max_batch_size]
-        ready = max(seq.ready_time for seq in group)
         batch_index = self.scheduler.next_batch_index()
-        endpoint = self._endpoints[lead.request.model]
-        adapter = endpoint.generation_adapter
+        adapter = self._endpoints[lead.request.model].generation_adapter
         size = len(group)
         position = lead.position
-        attempt = min(seq.attempt for seq in group)
-        exclude = next(
-            (s.exclude_shard for s in group if s.exclude_shard is not None), None
-        )
         profile = BatchProfile(
             model=lead.request.model,
             tenant=lead.request.tenant,
             batch_size=size,
             sample_shape=(position,),
-            ready_time=ready,
+            ready_time=max(seq.ready_time for seq in group),
             estimator=lambda p, config: adapter.decode_cycles(
                 p.batch_size, position, config
             ),
         )
-        shard, wake = self._select_shard(
-            ready, profile, attempt, exclude, batch_index, size
-        )
-        if shard is None:
-            # Park in place: members stay pooled and wake when the
-            # earliest breaker re-admits a probe; no retry consumed.
+
+        def run(shard, backend):
+            tokens = np.array([seq.generated[-1] for seq in group], dtype=np.int64)
+            return adapter.decode([seq.state for seq in group], tokens, backend), False
+
+        def commit(placed, result, reused):
+            next_tokens, step_kv = result
+            self._gen_steps.append(
+                DecodeStepRecord(
+                    step_index=batch_index,
+                    model=placed.model,
+                    tenant=placed.tenant,
+                    shard=placed.shard,
+                    batch_size=size,
+                    position=position,
+                    cycles=placed.batch_cycles,
+                    start=placed.start,
+                    finish=placed.finish,
+                    attempt=placed.attempt,
+                )
+            )
+            completed: List[CompletedRequest] = []
+            for j, seq in enumerate(group):
+                for layer in range(seq.state.n_layers):
+                    seq.state.extend(
+                        layer, step_kv[layer][0][j : j + 1], step_kv[layer][1][j : j + 1]
+                    )
+                seq.generated.append(int(next_tokens[j]))
+                seq.ready_time = placed.finish
+                seq.attempt = 0
+                seq.exclude_shard = None
+                seq.batch_cycles += placed.batch_cycles
+                seq.last_shard = placed.shard
+                seq.last_batch_index = batch_index
+                seq.last_batch_size = size
+                if seq.finished:
+                    self._active.remove(seq)
+                    completed.append(self._retire(seq, placed.finish))
+            return completed
+
+        def park(wake):
+            # Members stay pooled and wake when the earliest breaker
+            # re-admits a probe; no retry consumed.
             for seq in group:
                 seq.ready_time = wake
-            return []
-        backend = self.dispatcher.backends[shard]
-        array = self.dispatcher.array_of(shard)
 
-        start = max(ready, self.dispatcher.busy_until.get(shard, 0.0))
-        if self.faults is not None:
-            doa = self.faults.crash_covering(shard, start)
-            if doa is not None:
-                self._shard_down(shard, doa)
-                self._decode_attempt_failed(group, batch_index, shard, at=start)
-                return []
-        cycles_before = array.total_cycles if array is not None else 0
-
-        tokens = np.array([seq.generated[-1] for seq in group], dtype=np.int64)
-        namespace = (
-            array.trace.namespace(lead.request.tenant)
-            if array is not None
-            else nullcontext()
+        return _WorkUnit(
+            profile,
+            batch_index,
+            attempt=min(seq.attempt for seq in group),
+            exclude_shard=next(
+                (s.exclude_shard for s in group if s.exclude_shard is not None), None
+            ),
+            run=run,
+            commit=commit,
+            park=park,
+            fail=lambda shard, at: self._decode_attempt_failed(group, shard, at),
         )
-        t0 = time.perf_counter()
-        with namespace:
-            next_tokens, step_kv = adapter.decode(
-                [seq.state for seq in group], tokens, backend
-            )
-        elapsed_wall = time.perf_counter() - t0
-
-        if array is not None:
-            batch_cycles = array.total_cycles - cycles_before
-            duration = batch_cycles / array.config.clock_hz
-        else:
-            batch_cycles = 0
-            duration = elapsed_wall
-
-        if self.faults is not None:
-            duration *= self.faults.slowdown_factor(shard, start)
-            crash = self.faults.crash_within(shard, start, start + duration)
-            if crash is not None:
-                # The step ran on a scratch copy; dropping step_kv IS
-                # the rollback.  Partial occupancy is charged as wasted
-                # work (the traced cycles already stand).
-                self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + (
-                    crash.at - start
-                )
-                self._shard_down(shard, crash)
-                self._decode_attempt_failed(group, batch_index, shard, at=crash.at)
-                return []
-
-        finish = start + duration
-        self.dispatcher.busy_until[shard] = finish
-        self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + duration
-        self._health_of(shard).record_success(finish)
-        self._stats_of(shard).observe(
-            batch_cycles, duration, self._estimated_seconds(profile, array, False)
-        )
-        self._gen_steps.append(
-            DecodeStepRecord(
-                step_index=batch_index,
-                model=lead.request.model,
-                tenant=lead.request.tenant,
-                shard=shard,
-                batch_size=size,
-                position=position,
-                cycles=batch_cycles,
-                start=start,
-                finish=finish,
-                attempt=attempt,
-            )
-        )
-        self._placements.append(
-            PlacementDecision(
-                batch_index=batch_index,
-                model=lead.request.model,
-                tenant=lead.request.tenant,
-                batch_size=size,
-                shard=shard,
-                policy=self.placement.name,
-                ready_time=ready,
-                start=start,
-                finish=finish,
-                batch_cycles=batch_cycles,
-                attempt=attempt,
-                recovered_from=exclude if attempt > 0 else None,
-            )
-        )
-
-        completed: List[CompletedRequest] = []
-        for j, seq in enumerate(group):
-            for layer in range(seq.state.n_layers):
-                seq.state.extend(
-                    layer, step_kv[layer][0][j : j + 1], step_kv[layer][1][j : j + 1]
-                )
-            seq.generated.append(int(next_tokens[j]))
-            seq.ready_time = finish
-            seq.attempt = 0
-            seq.exclude_shard = None
-            seq.batch_cycles += batch_cycles
-            seq.last_shard = shard
-            seq.last_batch_index = batch_index
-            seq.last_batch_size = size
-            if seq.finished:
-                self._active.remove(seq)
-                completed.append(self._retire(seq, finish))
-        return completed
 
     def _retire(self, seq: ActiveSequence, finish: float) -> CompletedRequest:
         """Turn a finished sequence into its completion record.
@@ -2211,9 +2028,9 @@ class InferenceEngine:
         )
 
     def _decode_attempt_failed(
-        self, group: List[ActiveSequence], batch_index: int, shard: int, at: float
-    ) -> None:
-        """One decode iteration died on ``shard`` at simulated ``at``.
+        self, group: List[ActiveSequence], shard: int, at: float
+    ) -> int:
+        """Absorb a failed decode iteration in place; returns survivors.
 
         The per-sequence analogue of :meth:`_attempt_failed`: each
         member keeps its own attempt counter (reset by every successful
@@ -2224,121 +2041,91 @@ class InferenceEngine:
         with a bumped attempt, a backoff wake time and the failed shard
         excluded from their next placement.
         """
-        self._health_of(shard).record_failure(at)
-        attempt_floor = min(seq.attempt for seq in group)
         survivors = 0
         for seq in group:
             seq.attempts += 1
-            if seq.attempt >= self.retry_policy.max_retries:
+            wake = self._retry_wake(seq.request, seq.attempt, at, shard, seq.attempts)
+            if wake is None:
                 self._active.remove(seq)
-                self._fail_requests(
-                    (seq.request,), "max_retries", at, shard, seq.attempts
-                )
-                continue
-            wake = at + self.retry_policy.backoff(seq.attempt)
-            due = self._effective_deadline(seq.request)
-            if due is not None and wake > due:
-                self._active.remove(seq)
-                self._fail_requests(
-                    (seq.request,), "retry_deadline", at, shard, seq.attempts
-                )
                 continue
             seq.attempt += 1
             seq.ready_time = wake
             seq.exclude_shard = shard
             survivors += 1
-        self._fault_log.append(
-            FaultRecord(
-                kind="crash",
-                shard=shard,
-                batch_index=batch_index,
-                at=at,
-                attempt=attempt_floor,
-                action="retry" if survivors else "abandon",
-                requests=survivors if survivors else len(group),
-            )
-        )
+        return survivors
 
     # ------------------------------------------------------------------
     # Fault handling: failure accounting, retry queue, deadlines
     # ------------------------------------------------------------------
-    def _shard_down(self, shard: int, crash: ShardCrash) -> None:
-        """Hold a crashed shard's horizon through its outage window, so
-        every subsequent placement sees it occupied until recovery."""
+    def _crashed(
+        self, unit: _WorkUnit, shard: int, crash: ShardCrash, at: float
+    ) -> None:
+        """One attempt died on ``shard`` at simulated ``at``.
+
+        Holds the crashed shard's horizon through its outage window (so
+        every subsequent placement sees it occupied until recovery),
+        feeds the shard's breaker, lets the unit absorb the failure —
+        abandon or re-schedule its requests — and logs the outcome.
+        """
         self.dispatcher.busy_until[shard] = max(
             self.dispatcher.busy_until.get(shard, 0.0), crash.until
         )
-
-    def _attempt_failed(
-        self, batch: Batch, attempt: int, shard: int, at: float
-    ) -> None:
-        """One batch attempt died on ``shard`` at simulated ``at``.
-
-        Feeds the shard's breaker, then decides per batch: abandon when
-        the retry budget is spent, shed the requests whose effective
-        deadline precedes the backoff wake time (a doomed retry is
-        dropped, not looped), and re-queue the survivors as a new
-        attempt that will re-place on the remaining healthy shards.
-        Failed attempts record *nothing* in the placement, prefix or
-        calibration logs — those are written exactly once, by the
-        attempt that completes — so retried traffic is never
-        double-attributed.
-        """
         self._health_of(shard).record_failure(at)
-        failed_attempts = attempt + 1
-        if attempt >= self.retry_policy.max_retries:
-            self._fault_log.append(
-                FaultRecord(
-                    kind="crash",
-                    shard=shard,
-                    batch_index=batch.index,
-                    at=at,
-                    attempt=attempt,
-                    action="abandon",
-                    requests=batch.size,
-                )
-            )
-            self._fail_requests(
-                batch.requests, "max_retries", at, shard, failed_attempts
-            )
-            return
-        wake = at + self.retry_policy.backoff(attempt)
-        survivors: List[InferenceRequest] = []
-        for request in batch.requests:
-            due = self._effective_deadline(request)
-            if due is not None and wake > due:
-                self._fail_requests(
-                    (request,), "retry_deadline", at, shard, failed_attempts
-                )
-            else:
-                survivors.append(request)
-        if not survivors:
-            self._fault_log.append(
-                FaultRecord(
-                    kind="crash",
-                    shard=shard,
-                    batch_index=batch.index,
-                    at=at,
-                    attempt=attempt,
-                    action="abandon",
-                    requests=batch.size,
-                )
-            )
-            return
+        survivors = unit.fail(shard, at)
         self._fault_log.append(
             FaultRecord(
                 kind="crash",
                 shard=shard,
-                batch_index=batch.index,
+                batch_index=unit.batch_index,
                 at=at,
-                attempt=attempt,
-                action="retry",
-                requests=len(survivors),
+                attempt=unit.attempt,
+                action="retry" if survivors else "abandon",
+                requests=survivors if survivors else unit.profile.batch_size,
             )
         )
-        self._requeue(
-            replace(batch, requests=tuple(survivors)), wake, attempt + 1, shard
+
+    def _attempt_failed(self, batch: Batch, attempt: int, shard: int, at: float) -> int:
+        """Absorb a failed batch attempt via the retry heap.
+
+        Abandon when the retry budget is spent, shed the requests whose
+        effective deadline precedes the backoff wake time (a doomed
+        retry is dropped, not looped), and re-queue the survivors as a
+        new attempt that will re-place on the remaining healthy shards.
+        Returns the survivor count.
+        """
+        survivors = [
+            request
+            for request in batch.requests
+            if self._retry_wake(request, attempt, at, shard, attempt + 1) is not None
+        ]
+        if survivors:
+            self._requeue(
+                replace(batch, requests=tuple(survivors)),
+                at + self.retry_policy.backoff(attempt), attempt + 1, shard,
+            )
+        return len(survivors)
+
+    def _retry_wake(
+        self, request: InferenceRequest, attempt: int, at: float, shard: int,
+        attempts: int,
+    ) -> Optional[float]:
+        """Backoff wake time of ``request``'s next attempt — or None,
+        after recording it failed: retry budget spent, or the wake
+        would overshoot its effective deadline."""
+        if attempt >= self.retry_policy.max_retries:
+            reason = "max_retries"
+        else:
+            wake = at + self.retry_policy.backoff(attempt)
+            due = self._effective_deadline(request)
+            if due is None or wake <= due:
+                return wake
+            reason = "retry_deadline"
+        self._failed.append(
+            FailureRecord(
+                request=request, reason=reason, at=at, shard=shard, attempts=attempts
+            )
         )
+        return None
 
     def _requeue(
         self, batch: Batch, wake: float, attempt: int, exclude_shard: Optional[int]
@@ -2351,25 +2138,6 @@ class InferenceEngine:
             (wake, self._retry_seq, attempt, exclude_shard, batch),
         )
         self._retry_seq += 1
-
-    def _fail_requests(
-        self,
-        requests: "Iterable[InferenceRequest]",
-        reason: str,
-        at: float,
-        shard: Optional[int],
-        attempts: int,
-    ) -> None:
-        for request in requests:
-            self._failed.append(
-                FailureRecord(
-                    request=request,
-                    reason=reason,
-                    at=at,
-                    shard=shard,
-                    attempts=attempts,
-                )
-            )
 
     def _effective_deadline(self, request: InferenceRequest) -> Optional[float]:
         """Explicit deadline, else arrival + tenant SLO, else None —

@@ -36,7 +36,7 @@ from repro.serving import (
     make_placement_policy,
     workload_cost_model,
 )
-from repro.systolic import SystolicArray, SystolicConfig
+from repro.systolic import SystolicConfig
 
 RNG = np.random.default_rng(11)
 
@@ -96,25 +96,6 @@ class TestClusterSpec:
     def test_spec_backend_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ClusterDispatcher([FloatBackend()], specs=ClusterSpec.homogeneous(SMALL, 2).shards)
-
-    def test_sharded_dispatcher_is_deprecated_but_working(self):
-        # The PR 1 name survives as a true alias of the cluster API,
-        # but constructing it now warns.
-        from repro.serving import ShardedDispatcher
-
-        with pytest.warns(DeprecationWarning, match="ShardedDispatcher"):
-            pool = ShardedDispatcher([FloatBackend(), FloatBackend()])
-        assert isinstance(pool, ClusterDispatcher)
-        assert [pool.acquire()[0] for _ in range(4)] == [0, 1, 0, 1]
-        assert len(pool.shard_views()) == 2
-
-    def test_sharded_dispatcher_from_arrays_warns(self):
-        from repro.serving import ShardedDispatcher
-
-        cfg = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)
-        with pytest.warns(DeprecationWarning, match="ShardedDispatcher"):
-            pool = ShardedDispatcher.from_arrays([SystolicArray(cfg)], 0.25)
-        assert pool.n_shards == 1
 
 
 class TestPolicies:

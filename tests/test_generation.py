@@ -23,11 +23,8 @@ three tiers:
    injects a seeded mid-decode shard crash).
 
 Plus unit/property coverage of the radix prefix index and the
-tenant-scoped, byte-budgeted :class:`~repro.serving.RadixKVCache`, and
-the ``ShardedDispatcher`` deprecation shim.
+tenant-scoped, byte-budgeted :class:`~repro.serving.RadixKVCache`.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -52,7 +49,6 @@ from repro.serving import (
     RadixKVCache,
     RadixPrefixIndex,
     RetryPolicy,
-    ShardedDispatcher,
     ShardSlowdown,
 )
 from repro.systolic import SystolicArray, SystolicConfig
@@ -976,40 +972,3 @@ class TestRadixKVCache:
         for rid, p in zip(ids, (follow_a, follow_b)):
             expect = model.generate(p[None, :], 3, _backend())[0]
             assert np.array_equal(engine.result(rid), expect)
-
-
-# ---------------------------------------------------------------------------
-# 5. ShardedDispatcher deprecation shim
-# ---------------------------------------------------------------------------
-class TestShardedDispatcherShim:
-    def test_warns_and_behaves_like_cluster_dispatcher(self):
-        arrays = [SystolicArray(CONFIG) for _ in range(2)]
-        with pytest.warns(DeprecationWarning, match="ShardedDispatcher"):
-            legacy = ShardedDispatcher.from_arrays(arrays, GRANULARITY)
-        assert isinstance(legacy, ClusterDispatcher)
-        modern = ClusterDispatcher.from_arrays(
-            [SystolicArray(CONFIG) for _ in range(2)], GRANULARITY
-        )
-        assert legacy.n_shards == modern.n_shards
-
-        model = _model()
-        rng = np.random.default_rng(6)
-        rows = rng.integers(0, 16, size=(4, model.seq_len))
-        results = []
-        for pool in (legacy, modern):
-            engine = InferenceEngine(pool, max_batch_size=2, flush_timeout=1e-4)
-            engine.register("bert", model)
-            ids = [engine.submit("bert", row, arrival=i * 1e-5)
-                   for i, row in enumerate(rows)]
-            engine.run()
-            results.append([engine.result(i) for i in ids])
-        for got, expect in zip(*results):
-            assert np.array_equal(got, expect)
-
-    def test_direct_construction_warns_once_per_instance(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ClusterDispatcher.from_arrays([SystolicArray(CONFIG)], GRANULARITY)
-        assert not any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )

@@ -89,11 +89,6 @@ class TestDynamicBatcher:
 
 
 class TestClusterDispatcher:
-    def test_round_robin_order(self):
-        d = ClusterDispatcher(["b0", "b1", "b2"])
-        shards = [d.acquire()[0] for _ in range(6)]
-        assert shards == [0, 1, 2, 0, 1, 2]
-
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             ClusterDispatcher([])
