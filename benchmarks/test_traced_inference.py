@@ -420,7 +420,7 @@ def test_kv_cache_prefix_reuse(print_artifact):
     burst, bit-identical to cold execution.
 
     The production-shaped scenario: a burst of requests sharing a long
-    prompt (28 of 32 tokens) hits one engine with a ``PrefixCache`` and
+    prompt (28 of 32 tokens) hits one engine with a prefix cache and
     one without.  The cached engine executes the first batch cold
     (seeding the cache) and every later batch suffix-only on the shard
     holding the prefix; outputs match element for element, and the
@@ -431,7 +431,7 @@ def test_kv_cache_prefix_reuse(print_artifact):
     from repro.serving import (
         ClusterSpec,
         InferenceEngine,
-        PrefixCache,
+        RadixKVCache,
         TransformerPrefixAdapter,
     )
 
@@ -473,7 +473,7 @@ def test_kv_cache_prefix_reuse(print_artifact):
         return outputs, report
 
     cold_out, cold_report = run_burst(None)
-    warm_out, warm_report = run_burst(PrefixCache())
+    warm_out, warm_report = run_burst(RadixKVCache(namespace="serving.prefix"))
 
     for a, b in zip(cold_out, warm_out):
         assert np.array_equal(a, b), "prefix reuse changed results"
@@ -975,7 +975,7 @@ def test_elastic_runtime_beats_greedy(print_artifact):
         ClusterSpec,
         ElasticConfig,
         InferenceEngine,
-        PrefixCache,
+        RadixKVCache,
         TransformerPrefixAdapter,
         workload_cost_model,
     )
@@ -1005,7 +1005,7 @@ def test_elastic_runtime_beats_greedy(print_artifact):
             max_batch_size=4,
             flush_timeout=1e-7,
             placement=placement,
-            prefix_cache=PrefixCache(shard_budget_bytes=1 << 20),
+            prefix_cache=RadixKVCache(1 << 20, namespace="serving.prefix"),
             elastic=elastic,
         )
         small = TinyBERT(**small_kw, causal=True, seed=0)

@@ -38,11 +38,7 @@ from repro.serving.cluster import ClusterSpec, CostAwarePlacement, workload_cost
 from repro.serving.engine import InferenceEngine
 from repro.serving.faults import FaultPlan
 from repro.serving.generation import GenerationAdapter
-from repro.serving.prefix_cache import (
-    PrefixCache,
-    RadixKVCache,
-    TransformerPrefixAdapter,
-)
+from repro.serving.prefix_cache import RadixKVCache, TransformerPrefixAdapter
 from repro.serving.report import ServingReport
 from repro.serving.tenancy import TenantConfig
 from repro.store import InProcessLRU, get_store, set_store
@@ -119,7 +115,9 @@ def build_engine(
     if tuning.prefix_budget_bytes is not None and any(
         spec.prefix_len is not None for spec in endpoints
     ):
-        prefix_cache = PrefixCache(tuning.prefix_budget_bytes)
+        prefix_cache = RadixKVCache(
+            tuning.prefix_budget_bytes, namespace="serving.prefix"
+        )
     radix_cache = None
     if tuning.radix_budget_bytes is not None and any(
         spec.generation for spec in endpoints

@@ -74,7 +74,7 @@ class TinyBERT(Module):
         ``kv_tap`` (a :class:`repro.nn.executor.KVTap`) records each
         attention layer's merged key/value activations plus the final
         hidden prefix rows during a normal cold pass, at zero extra
-        compute — the payload a :class:`~repro.serving.prefix_cache.PrefixCache`
+        compute — the payload a :class:`~repro.serving.prefix_cache.RadixKVCache`
         entry retains.
         """
         tokens = np.asarray(tokens)

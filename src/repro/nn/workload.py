@@ -76,6 +76,13 @@ class NonlinearOp:
         return MHP_PASSES[self.kind]
 
 
+def _op_cycles(op: object, config: SystolicConfig) -> int:
+    """Total cycles of one inventory entry: every repetition, every MHP pass."""
+    if isinstance(op, GemmOp):
+        return gemm_cycles(config, op.m, op.k, op.n).total * op.count
+    return nonlinear_cycles(config, op.m, op.n).total * op.mhp_passes * op.count
+
+
 @dataclass
 class Workload:
     """An ordered op inventory for one network inference."""
@@ -150,40 +157,14 @@ class Workload:
 
     def gemm_cycle_share(self, config: SystolicConfig) -> float:
         """Fraction of cycles spent in GEMM (power-model phase weight)."""
-        gemm = 0
-        nl = 0
-        for op in self.ops:
-            if isinstance(op, GemmOp):
-                gemm += gemm_cycles(config, op.m, op.k, op.n).total * op.count
-            else:
-                nl += (
-                    nonlinear_cycles(config, op.m, op.n).total
-                    * op.mhp_passes
-                    * op.count
-                )
-        total = gemm + nl
+        gemm = sum(_op_cycles(op, config) for op in self.gemm_ops)
+        total = gemm + sum(_op_cycles(op, config) for op in self.nonlinear_ops)
         return gemm / total if total else 0.0
 
 
 # ---------------------------------------------------------------------------
 # Published architectures
 # ---------------------------------------------------------------------------
-
-
-def _conv_gemm(
-    wl: Workload,
-    spatial: int,
-    in_c: int,
-    out_c: int,
-    kernel: int,
-    stride: int = 1,
-    label: str = "conv",
-) -> int:
-    """Append an im2col conv GEMM; returns the output spatial size."""
-    out_spatial = spatial // stride
-    m = out_spatial * out_spatial
-    wl.add_gemm(m, in_c * kernel * kernel, out_c, label=label)
-    return out_spatial
 
 
 def resnet50_workload(image_size: int = 224, n_classes: int = 1000) -> Workload:
@@ -243,34 +224,50 @@ def resnet50_workload(image_size: int = 224, n_classes: int = 1000) -> Workload:
     return wl
 
 
+def _encoder_ops(
+    batch: int, rows: int, keys: int, dim: int, heads: int, ff_dim: int, n_layers: int
+) -> List[object]:
+    """Op inventory of ``n_layers`` encoder layers, each computing
+    ``rows`` query rows per sample against ``keys`` key/value rows.
+
+    The one shape every transformer inventory and closed form in this
+    module is built from.  The linear projections and the feed-forward
+    fold the batch into single ``(batch * rows)``-row GEMMs, while the
+    attention matmuls (which keep their full ``keys`` reduction axis)
+    and the softmaxes stay per sample and head.  A cold pass over ``T``
+    tokens is ``(T, T)``; a pass reusing ``C`` cached rows is
+    ``(T - C, T)``; a decode step at cache length ``pos`` is
+    ``(1, pos + 1)``.
+    """
+    flat = batch * rows
+    head_dim = dim // heads
+    pairs = batch * heads
+    ops: List[object] = []
+    for layer in range(n_layers):
+        tag = f"l{layer}"
+        ops += [
+            GemmOp(flat, dim, dim, 4, f"{tag}.proj"),
+            GemmOp(rows, head_dim, keys, pairs, f"{tag}.scores"),
+            NonlinearOp("softmax", rows, keys, pairs, f"{tag}.sm"),
+            GemmOp(rows, keys, head_dim, pairs, f"{tag}.ctx"),
+            NonlinearOp("add", flat, dim, 2, f"{tag}.res"),
+            NonlinearOp("layernorm", flat, dim, 2, f"{tag}.ln"),
+            GemmOp(flat, dim, ff_dim, 1, f"{tag}.ff1"),
+            NonlinearOp("gelu", flat, ff_dim, 1, f"{tag}.gelu"),
+            GemmOp(flat, ff_dim, dim, 1, f"{tag}.ff2"),
+        ]
+    return ops
+
+
 def bert_base_workload(seq_len: int = 64) -> Workload:
     """BERT-base (12 layers, hidden 768, heads 12, FF 3072), batch 1.
 
     The default sequence length of 64 matches the op magnitude implied
     by the paper's Table IV (latency × throughput ≈ 5.5 G ops).
     """
-    wl = Workload("bert-base")
-    hidden = 768
-    heads = 12
-    head_dim = hidden // heads
-    ff = 3072
-    for layer in range(12):
-        tag = f"l{layer}"
-        wl.add_gemm(seq_len, hidden, hidden, count=3, label=f"{tag}.qkv")
-        wl.add_gemm(seq_len, head_dim, seq_len, count=heads, label=f"{tag}.scores")
-        wl.add_nonlinear("softmax", seq_len, seq_len, count=heads, label=f"{tag}.sm")
-        wl.add_gemm(seq_len, seq_len, head_dim, count=heads, label=f"{tag}.ctx")
-        wl.add_gemm(seq_len, hidden, hidden, label=f"{tag}.out")
-        wl.add_nonlinear("add", seq_len, hidden, label=f"{tag}.res1")
-        wl.add_nonlinear("layernorm", seq_len, hidden, label=f"{tag}.ln1")
-        wl.add_gemm(seq_len, hidden, ff, label=f"{tag}.ff1")
-        wl.add_nonlinear("gelu", seq_len, ff, label=f"{tag}.gelu")
-        wl.add_gemm(seq_len, ff, hidden, label=f"{tag}.ff2")
-        wl.add_nonlinear("add", seq_len, hidden, label=f"{tag}.res2")
-        wl.add_nonlinear("layernorm", seq_len, hidden, label=f"{tag}.ln2")
-    wl.add_gemm(1, hidden, 2, label="classifier")
-    wl.add_nonlinear("softmax", 1, 2, label="softmax")
-    return wl
+    wl = Workload("bert-base", _encoder_ops(1, seq_len, seq_len, 768, 12, 3072, 12))
+    wl.add_gemm(1, 768, 2, label="classifier")
+    return wl.add_nonlinear("softmax", 1, 2, label="softmax")
 
 
 def gcn_workload(
@@ -299,6 +296,23 @@ def gcn_workload(
     return wl
 
 
+def _traced_cycles(ops: Iterable[object], config: SystolicConfig) -> int:
+    """Cycles the ``ArrayBackend`` traces for ``ops`` — *exactly*.
+
+    Covers precisely the traced operations — the GEMMs and the GELU MHP
+    pass (softmax, layernorm, residuals and the embedding/pool stages
+    run on the CPWL fast path and record no array cycles) — using the
+    same :func:`~repro.systolic.timing.gemm_cycles` /
+    :func:`~repro.systolic.timing.nonlinear_cycles` closed forms the
+    trace records.
+    """
+    return sum(
+        _op_cycles(op, config)
+        for op in ops
+        if isinstance(op, GemmOp) or op.kind == "gelu"
+    )
+
+
 def transformer_serving_workload(
     batch: int,
     seq_len: int,
@@ -310,10 +324,8 @@ def transformer_serving_workload(
 ) -> Workload:
     """Op inventory of one *batched* encoder inference (serving shapes).
 
-    Mirrors how the serving engine executes a stacked batch: the linear
-    projections fold the batch into single ``(batch * seq_len)``-row
-    GEMMs, while the attention matmuls and softmaxes stay per sample
-    and head.  Feed it to
+    Mirrors how the serving engine executes a stacked batch (see
+    :func:`_encoder_ops`).  Feed it to
     :func:`repro.serving.cluster.workload_cost_model` for closed-form
     cost-aware placement of TinyBERT-family endpoints::
 
@@ -322,23 +334,11 @@ def transformer_serving_workload(
         )
         engine.register("bert", model, cost_model=cost)
     """
-    wl = Workload("transformer-batch")
-    rows = batch * seq_len
-    head_dim = dim // heads
-    pairs = batch * heads
-    for layer in range(n_layers):
-        tag = f"l{layer}"
-        wl.add_gemm(rows, dim, dim, count=4, label=f"{tag}.proj")
-        wl.add_gemm(seq_len, head_dim, seq_len, count=pairs, label=f"{tag}.scores")
-        wl.add_nonlinear("softmax", seq_len, seq_len, count=pairs, label=f"{tag}.sm")
-        wl.add_gemm(seq_len, seq_len, head_dim, count=pairs, label=f"{tag}.ctx")
-        wl.add_nonlinear("add", rows, dim, count=2, label=f"{tag}.res")
-        wl.add_nonlinear("layernorm", rows, dim, count=2, label=f"{tag}.ln")
-        wl.add_gemm(rows, dim, ff_dim, label=f"{tag}.ff1")
-        wl.add_nonlinear("gelu", rows, ff_dim, label=f"{tag}.gelu")
-        wl.add_gemm(rows, ff_dim, dim, label=f"{tag}.ff2")
-    wl.add_gemm(batch, dim, n_classes, label="classifier")
-    return wl
+    wl = Workload(
+        "transformer-batch",
+        _encoder_ops(batch, seq_len, seq_len, dim, heads, ff_dim, n_layers),
+    )
+    return wl.add_gemm(batch, dim, n_classes, label="classifier")
 
 
 def transformer_prefix_workload(
@@ -353,13 +353,10 @@ def transformer_prefix_workload(
 ) -> Workload:
     """Op inventory of a batched encoder inference with a cached prefix.
 
-    The warm (prefix-hit) serving path only executes the suffix rows:
-    the Q/K/V/output projections and the feed-forward GEMMs shrink to
-    ``batch * (seq_len - prefix_len)`` rows, the attention matmuls keep
-    their full ``seq_len`` reduction axis but only produce suffix rows,
-    and the softmaxes run once per suffix row.  The classifier still
-    sees every pooled row (the prefix rows come from the cache, not
-    from compute).  Feed to
+    The warm (prefix-hit) serving path only executes the
+    ``seq_len - prefix_len`` suffix rows against the full ``seq_len``
+    key rows.  The classifier still sees every pooled row (the prefix
+    rows come from the cache, not from compute).  Feed to
     :func:`repro.serving.cluster.workload_cost_model` to price hit
     batches for cost-aware placement.
     """
@@ -367,24 +364,11 @@ def transformer_prefix_workload(
         raise ValueError(
             f"prefix_len must be in (0, seq_len), got {prefix_len} of {seq_len}"
         )
-    wl = Workload("transformer-prefix-hit")
-    suffix = seq_len - prefix_len
-    rows = batch * suffix
-    head_dim = dim // heads
-    pairs = batch * heads
-    for layer in range(n_layers):
-        tag = f"l{layer}"
-        wl.add_gemm(rows, dim, dim, count=4, label=f"{tag}.proj")
-        wl.add_gemm(suffix, head_dim, seq_len, count=pairs, label=f"{tag}.scores")
-        wl.add_nonlinear("softmax", suffix, seq_len, count=pairs, label=f"{tag}.sm")
-        wl.add_gemm(suffix, seq_len, head_dim, count=pairs, label=f"{tag}.ctx")
-        wl.add_nonlinear("add", rows, dim, count=2, label=f"{tag}.res")
-        wl.add_nonlinear("layernorm", rows, dim, count=2, label=f"{tag}.ln")
-        wl.add_gemm(rows, dim, ff_dim, label=f"{tag}.ff1")
-        wl.add_nonlinear("gelu", rows, ff_dim, label=f"{tag}.gelu")
-        wl.add_gemm(rows, ff_dim, dim, label=f"{tag}.ff2")
-    wl.add_gemm(batch, dim, n_classes, label="classifier")
-    return wl
+    wl = Workload(
+        "transformer-prefix-hit",
+        _encoder_ops(batch, seq_len - prefix_len, seq_len, dim, heads, ff_dim, n_layers),
+    )
+    return wl.add_gemm(batch, dim, n_classes, label="classifier")
 
 
 def transformer_prefix_savings(
@@ -399,48 +383,19 @@ def transformer_prefix_savings(
 ) -> int:
     """Traced cycles a prefix hit saves, in closed form — *exactly*.
 
-    Covers precisely the operations the ``ArrayBackend`` traces — the
-    projection/attention/feed-forward GEMMs and the GELU MHP pass
-    (softmax, layernorm, residuals and the embedding/pool stages run on
-    the CPWL fast path and record no array cycles) — as the difference
-    between the cold and the suffix-only shapes, using the same
-    :func:`~repro.systolic.timing.gemm_cycles` /
-    :func:`~repro.systolic.timing.nonlinear_cycles` closed forms the
-    trace records.  The property suite asserts
-    ``cold_total_cycles - hit_total_cycles`` equals this value for
-    random shapes and design points.
+    The traced cycles (see :func:`_traced_cycles`) of the cold
+    inventory minus those of the suffix-only one (the classifier GEMM
+    cancels).  The property suite asserts ``cold_total_cycles -
+    hit_total_cycles`` equals this value for random shapes and design
+    points.
     """
-    if not 0 < prefix_len < seq_len:
-        raise ValueError(
-            f"prefix_len must be in (0, seq_len), got {prefix_len} of {seq_len}"
-        )
+    shape = (dim, heads, ff_dim, n_layers)
+    # Built first: it validates ``prefix_len``.
+    hit = transformer_prefix_workload(batch, seq_len, prefix_len, *shape)
     if dim % heads:
         raise ValueError(f"heads ({heads}) must divide dim ({dim})")
-    suffix = seq_len - prefix_len
-    head_dim = dim // heads
-    full_rows = batch * seq_len
-    suffix_rows = batch * suffix
-    pairs = batch * heads
-
-    def gemm(m: int, k: int, n: int) -> int:
-        return gemm_cycles(config, m, k, n).total
-
-    def mhp(m: int, n: int) -> int:
-        return nonlinear_cycles(config, m, n).total
-
-    per_layer = (
-        # Q, K, V and output projections: suffix rows only.
-        4 * (gemm(full_rows, dim, dim) - gemm(suffix_rows, dim, dim))
-        # Attention score rows (one traced GEMM per sample x head).
-        + pairs * (gemm(seq_len, head_dim, seq_len) - gemm(suffix, head_dim, seq_len))
-        # Context rows against the full (cached + fresh) V.
-        + pairs * (gemm(seq_len, seq_len, head_dim) - gemm(suffix, seq_len, head_dim))
-        # Feed-forward GEMMs and the GELU MHP pass.
-        + (gemm(full_rows, dim, ff_dim) - gemm(suffix_rows, dim, ff_dim))
-        + (mhp(full_rows, ff_dim) - mhp(suffix_rows, ff_dim))
-        + (gemm(full_rows, ff_dim, dim) - gemm(suffix_rows, ff_dim, dim))
-    )
-    return n_layers * per_layer
+    cold = transformer_serving_workload(batch, seq_len, *shape)
+    return _traced_cycles(cold.ops, config) - _traced_cycles(hit.ops, config)
 
 
 def transformer_prefill_cycles(
@@ -457,10 +412,8 @@ def transformer_prefill_cycles(
     """Traced cycles of a generation *prefill* pass, in closed form.
 
     Covers exactly the ``ArrayBackend``-traced work of
-    ``TinyBERT.prefill``: per layer the Q/K/V/out projections over the
-    un-cached suffix rows, the per-(sample × head) score and context
-    GEMMs against all ``prompt_len`` key rows, the feed-forward GEMMs
-    and the GELU MHP pass — plus the tied-embedding logits GEMM.
+    ``TinyBERT.prefill``: the un-cached suffix rows against all
+    ``prompt_len`` key rows, plus the tied-embedding logits GEMM.
     ``cached_len = 0`` is a cold prefill; ``0 < cached_len <
     prompt_len`` is a radix-cache hit computing only the suffix.
     """
@@ -470,26 +423,10 @@ def transformer_prefill_cycles(
         )
     if dim % heads:
         raise ValueError(f"heads ({heads}) must divide dim ({dim})")
-    suffix = prompt_len - cached_len
-    head_dim = dim // heads
-    rows = batch * suffix
-    pairs = batch * heads
-
-    def gemm(m: int, k: int, n: int) -> int:
-        return gemm_cycles(config, m, k, n).total
-
-    def mhp(m: int, n: int) -> int:
-        return nonlinear_cycles(config, m, n).total
-
-    per_layer = (
-        4 * gemm(rows, dim, dim)
-        + pairs * gemm(suffix, head_dim, prompt_len)
-        + pairs * gemm(suffix, prompt_len, head_dim)
-        + gemm(rows, dim, ff_dim)
-        + mhp(rows, ff_dim)
-        + gemm(rows, ff_dim, dim)
+    ops = _encoder_ops(
+        batch, prompt_len - cached_len, prompt_len, dim, heads, ff_dim, n_layers
     )
-    return n_layers * per_layer + gemm(batch, dim, vocab)
+    return _traced_cycles(ops + [GemmOp(batch, dim, vocab)], config)
 
 
 def transformer_decode_step_cycles(
@@ -505,37 +442,17 @@ def transformer_decode_step_cycles(
     """Traced cycles of one batched decode step, in closed form.
 
     ``position`` is the K/V cache length *before* the step (the global
-    position of the token being fed), so the attention GEMMs run one
-    query row against ``position + 1`` key/value rows.  Per layer: the
-    four projections over one row per sequence, one score and one
-    context GEMM per (sample × head) pair, the feed-forward GEMMs and
-    the GELU MHP pass; plus the tied-embedding logits GEMM.  The
+    position of the token being fed), so each layer runs one query row
+    against ``position + 1`` key/value rows: a prefill of
+    ``position + 1`` tokens with ``position`` of them cached.  The
     generation test suite asserts per-step traced-cycle deltas equal
     this value exactly.
     """
     if position < 1:
         raise ValueError(f"position must be >= 1 (post-prefill), got {position}")
-    if dim % heads:
-        raise ValueError(f"heads ({heads}) must divide dim ({dim})")
-    keys = position + 1
-    head_dim = dim // heads
-    pairs = batch * heads
-
-    def gemm(m: int, k: int, n: int) -> int:
-        return gemm_cycles(config, m, k, n).total
-
-    def mhp(m: int, n: int) -> int:
-        return nonlinear_cycles(config, m, n).total
-
-    per_layer = (
-        4 * gemm(batch, dim, dim)
-        + pairs * gemm(1, head_dim, keys)
-        + pairs * gemm(1, keys, head_dim)
-        + gemm(batch, dim, ff_dim)
-        + mhp(batch, ff_dim)
-        + gemm(batch, ff_dim, dim)
+    return transformer_prefill_cycles(
+        batch, position + 1, position, dim, heads, ff_dim, n_layers, vocab, config
     )
-    return n_layers * per_layer + gemm(batch, dim, vocab)
 
 
 #: Registry used by the comparison and profiling experiments.

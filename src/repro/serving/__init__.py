@@ -29,9 +29,9 @@ multi-tenant serving system:
   batch, with per-array trace aggregation and per-tenant namespace
   attribution (:class:`~repro.serving.cluster.ClusterDispatcher`);
 * KV-prefix reuse for transformer endpoints
-  (:mod:`repro.serving.prefix_cache`): a
-  :class:`~repro.serving.prefix_cache.PrefixCache` keyed on
-  (tenant, model, prompt digest) retains per-layer K/V activations in
+  (:mod:`repro.serving.prefix_cache`): one
+  :class:`~repro.serving.prefix_cache.RadixKVCache` keyed on
+  (tenant, model, prompt tokens) retains per-layer K/V activations in
   the fixed-point domain under a per-shard byte budget (LRU eviction),
   a :class:`~repro.serving.prefix_cache.TransformerPrefixAdapter`
   runs hit batches suffix-only — bit-identical to cold execution, with
@@ -43,7 +43,7 @@ multi-tenant serving system:
   through the normal batch pipeline, then join an iteration-level
   decode pool whose batch is re-formed every step (finished sequences
   retire, freshly prefilled ones join), with per-step traced-cycle
-  attribution and a tenant-scoped, byte-budgeted
+  attribution and a second instance of the same
   :class:`~repro.serving.prefix_cache.RadixKVCache` reusing the
   longest cached prefix of every prompt;
 * the engine tying admission, scheduler, placement and shards together
@@ -139,9 +139,6 @@ from repro.serving.multiproc import (
     serve_multiproc,
 )
 from repro.serving.prefix_cache import (
-    PREFIX_FABRIC_NAMESPACE,
-    PrefixCache,
-    PrefixEntry,
     PrefixEvent,
     RadixKVCache,
     RadixPrefixIndex,
@@ -206,9 +203,6 @@ __all__ = [
     "merge_reports",
     "partition_cluster",
     "serve_multiproc",
-    "PREFIX_FABRIC_NAMESPACE",
-    "PrefixCache",
-    "PrefixEntry",
     "PrefixEvent",
     "RadixKVCache",
     "RadixPrefixIndex",

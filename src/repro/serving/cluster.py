@@ -584,7 +584,8 @@ class PrefixAffinePlacement(PlacementPolicy):
     placement bit-identically.
 
     The engine wraps its configured policy in this automatically when
-    constructed with a :class:`~repro.serving.prefix_cache.PrefixCache`.
+    constructed with a :class:`~repro.serving.prefix_cache.RadixKVCache`
+    (as its ``prefix_cache`` or its ``radix_cache``).
     """
 
     def __init__(self, inner: "PlacementPolicy"):

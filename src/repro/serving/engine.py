@@ -117,12 +117,7 @@ from repro.serving.cluster import (
 from repro.serving.elastic import ElasticConfig, ScalingEvent, StealEvent
 from repro.serving.faults import FaultPlan, FaultRecord, RetryPolicy, ShardCrash
 from repro.serving.generation import ActiveSequence, DecodeStepRecord
-from repro.serving.prefix_cache import (
-    PrefixCache,
-    PrefixEntry,
-    PrefixEvent,
-    RadixKVCache,
-)
+from repro.serving.prefix_cache import PrefixEvent, RadixKVCache
 from repro.serving.report import ServingReport
 from repro.serving.request import (
     CompletedRequest,
@@ -153,8 +148,7 @@ class ModelEndpoint:
 
     ``prefix_adapter`` opts the endpoint into KV-prefix reuse (see
     :class:`~repro.serving.prefix_cache.TransformerPrefixAdapter`);
-    it is only consulted when the engine carries a
-    :class:`~repro.serving.prefix_cache.PrefixCache`.
+    it is only consulted when the engine carries a ``prefix_cache``.
 
     ``generation_adapter`` opts the endpoint into autoregressive
     decode (see :class:`~repro.serving.generation.GenerationAdapter`):
@@ -242,6 +236,9 @@ class _WorkUnit(NamedTuple):
     fail: Callable[[int, float], int]
     #: Shard a look-ahead round planned this unit onto (None = place now).
     planned_shard: Optional[int] = None
+    #: Prompt a prefix-keyed classifier batch's cache entry is keyed on
+    #: (what a steal migrates); None for every other unit.
+    prefix_tokens: Optional[np.ndarray] = None
 
 
 class InferenceEngine:
@@ -273,17 +270,19 @@ class InferenceEngine:
         Optional iterable of :class:`~repro.serving.tenancy.TenantConfig`
         to pre-register (equivalent to :meth:`register_tenant` calls).
     prefix_cache:
-        Optional :class:`~repro.serving.prefix_cache.PrefixCache`
-        enabling KV-prefix reuse for endpoints registered with a
-        ``prefix_adapter``.  The configured placement policy is then
-        wrapped in
+        Optional :class:`~repro.serving.prefix_cache.RadixKVCache`
+        enabling KV-prefix reuse for classifier endpoints registered
+        with a ``prefix_adapter``: a batch whose whole prompt is cached
+        computes only its suffix rows.  The configured placement policy
+        is then wrapped in
         :class:`~repro.serving.cluster.PrefixAffinePlacement`, so
         batches whose prompt is already resident prefer the holding
         shard; prefix-less traffic is placed exactly as before.
     radix_cache:
-        Optional :class:`~repro.serving.prefix_cache.RadixKVCache`
-        enabling longest-prefix K/V reuse for generation endpoints: a
-        prefill whose prompt extends an already-cached token sequence
+        Optional :class:`~repro.serving.prefix_cache.RadixKVCache` (the
+        same class, its own instance, namespace and budget) enabling
+        longest-prefix K/V reuse for generation endpoints: a prefill
+        whose prompt extends an already-cached token sequence
         recomputes only the new suffix, and retiring sequences donate
         their decode history back to the tree.  Placement is wrapped
         in :class:`~repro.serving.cluster.PrefixAffinePlacement` the
@@ -335,7 +334,7 @@ class InferenceEngine:
         policy: Union[str, SchedulingPolicy] = "weighted_round_robin",
         placement: Union[str, PlacementPolicy] = "round_robin",
         tenants: Optional[Iterable[TenantConfig]] = None,
-        prefix_cache: Optional[PrefixCache] = None,
+        prefix_cache: Optional[RadixKVCache] = None,
         radix_cache: Optional[RadixKVCache] = None,
         faults: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -982,18 +981,21 @@ class InferenceEngine:
         """Placement-time view of a classifier batch.
 
         Carries the batch's prefix key and the shards already holding
-        it exactly when the batch will execute through the prefix cache
-        (``profile.prefix_key is not None`` is that decision).
+        its prompt exactly when the batch will execute through the
+        prefix cache (``profile.prefix_key is not None`` is that
+        decision).
         """
         prefix_key, resident = None, ()
+        adapter = self._endpoints[batch.model].prefix_adapter
         if (
             batch.prefix_key is not None
             and self.prefix_cache is not None
-            and self._endpoints[batch.model].prefix_adapter is not None
+            and adapter is not None
         ):
             prefix_key = batch.prefix_key
             resident = self.prefix_cache.resident_shards(
-                batch.tenant, batch.model, prefix_key
+                batch.tenant, batch.model,
+                adapter.prefix_tokens(batch.requests[0].inputs),
             )
         return self._profile(
             batch.model, batch.tenant, batch.size,
@@ -1403,9 +1405,9 @@ class InferenceEngine:
         """Log a migration off the planned shard; the batch's prefix
         entry (when the planned shard holds one) moves with it."""
         profile, from_shard = unit.profile, unit.planned_shard
-        # ``resident`` implies a prefix-keyed profile (see _batch_profile).
+        # ``resident`` implies a prefix-keyed unit (see _batch_profile).
         migrated = resident and self.prefix_cache.migrate(
-            from_shard, to_shard, profile.tenant, profile.model, profile.prefix_key
+            from_shard, to_shard, profile.tenant, profile.model, unit.prefix_tokens
         )
         self._steals.append(
             StealEvent(
@@ -1688,7 +1690,7 @@ class InferenceEngine:
     ) -> _WorkUnit:
         """The work unit of a scheduler batch: a classifier batch or a
         generation prefill.  Both park and fail through the retry heap."""
-        profile, run, commit = (
+        profile, run, commit, prefix_tokens = (
             self._prefill_payload(batch)
             if self._is_prefill(batch)
             else self._classify_payload(batch)
@@ -1698,14 +1700,20 @@ class InferenceEngine:
             park=lambda wake: self._requeue(batch, wake, attempt, exclude_shard),
             fail=lambda shard, at: self._attempt_failed(batch, attempt, shard, at),
             planned_shard=planned_shard,
+            prefix_tokens=prefix_tokens,
         )
 
     def _classify_payload(self, batch: Batch):
-        """Profile, run and commit of a classifier batch: one stacked
-        ``infer_fn`` call, or the prefix adapter's hit-or-cold pass."""
+        """Profile, run, commit and prefix tokens of a classifier batch:
+        one stacked ``infer_fn`` call, or the prefix adapter's
+        hit-or-cold pass."""
         endpoint = self._endpoints[batch.model]
+        adapter = endpoint.prefix_adapter
         profile = self._batch_profile(batch)
         use_prefix = profile.prefix_key is not None
+        prefix_tokens = (
+            adapter.prefix_tokens(batch.requests[0].inputs) if use_prefix else None
+        )
 
         def run(shard, backend):
             if not (use_prefix or endpoint.batchable):
@@ -1714,35 +1722,27 @@ class InferenceEngine:
                     for r in batch.requests
                 ], False
             stacked = np.stack([r.inputs for r in batch.requests])
-            entry = None
+            hit = False
             if not use_prefix:
                 outputs = endpoint.infer_fn(stacked, backend)
             else:
                 # One cache decision for the whole batch: the batcher
                 # keys groups on the prompt digest, so every request
-                # here shares the prefix the entry is verified against.
-                adapter = endpoint.prefix_adapter
+                # here shares the prompt.  Only the whole prompt counts.
                 cache = self.prefix_cache
-                prefix_tokens = adapter.prefix_tokens(batch.requests[0].inputs)
-                entry = cache.lookup(
-                    shard, batch.tenant, batch.model, batch.prefix_key, prefix_tokens
+                cached_len, payload = cache.lookup(
+                    shard, batch.tenant, batch.model, prefix_tokens
                 )
-                if entry is not None:
-                    outputs = adapter.infer_hit(stacked, entry.payload, backend)
+                hit = cached_len == len(prefix_tokens)
+                if hit:
+                    outputs = adapter.infer_hit(stacked, payload, backend)
                 else:
                     outputs, payload = adapter.infer_cold(stacked, backend)
                     cache.insert(
-                        shard,
-                        PrefixEntry(
-                            tenant=batch.tenant,
-                            model=batch.model,
-                            prefix_key=batch.prefix_key,
-                            prefix_tokens=prefix_tokens,
-                            payload=payload,
-                        ),
+                        shard, batch.tenant, batch.model, prefix_tokens, payload
                     )
             outputs = self._check_batched(endpoint, outputs, batch)
-            return list(outputs), entry is not None
+            return list(outputs), hit
 
         def commit(placed, per_request, prefix_hit):
             array = self.dispatcher.array_of(placed.shard)
@@ -1758,7 +1758,7 @@ class InferenceEngine:
                 )
             if use_prefix:
                 cycles_saved = (
-                    int(endpoint.prefix_adapter.saved_cycles(batch.size, array.config))
+                    int(adapter.saved_cycles(batch.size, array.config))
                     if prefix_hit and array is not None
                     else 0
                 )
@@ -1780,13 +1780,14 @@ class InferenceEngine:
                 for req, out in zip(batch.requests, per_request)
             ]
 
-        return profile, run, commit
+        return profile, run, commit, prefix_tokens
 
     # ------------------------------------------------------------------
     # Generation: prefill batches and the continuous-batching decode pool
     # ------------------------------------------------------------------
     def _prefill_payload(self, batch: Batch):
-        """Profile, run and commit of a generation batch's prompt pass.
+        """Profile, run and commit of a generation batch's prompt pass
+        (a prefill carries no classifier prefix tokens: the 4th is None).
 
         The adapter returns each member's first greedy token plus its
         K/V state, the radix cache (when configured) trims the prompts
@@ -1886,7 +1887,7 @@ class InferenceEngine:
                     self._active.append(seq)
             return completed
 
-        return profile, run, commit
+        return profile, run, commit, None
 
     def _decode_unit(self) -> _WorkUnit:
         """The work unit of one decode iteration: re-form, step, retire.

@@ -25,7 +25,6 @@ survives the fault checks.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -150,12 +149,6 @@ class GenerationAdapter:
     def batch_key(self, prompt: np.ndarray) -> str:
         """Shape key grouping same-length prompts into one prefill."""
         return f"g{int(np.asarray(prompt).shape[-1])}"
-
-    def prompt_key(self, prompt: np.ndarray) -> str:
-        """Content digest of a prompt (equal exactly for equal prompts)."""
-        tokens = np.ascontiguousarray(np.asarray(prompt, dtype=np.int64))
-        digest = hashlib.sha256(tokens.tobytes()).hexdigest()[:32]
-        return f"g{tokens.shape[-1]}-{digest}"
 
     # -- execution -------------------------------------------------------
     def prefill(

@@ -65,7 +65,7 @@ from repro.serving.cluster import (
 from repro.serving.elastic import ElasticConfig
 from repro.serving.engine import InferenceEngine
 from repro.serving.faults import FaultPlan
-from repro.serving.prefix_cache import PrefixCache, TransformerPrefixAdapter
+from repro.serving.prefix_cache import RadixKVCache, TransformerPrefixAdapter
 from repro.serving.report import ServingReport
 from repro.serving.request import FailureRecord, InferenceRequest
 from repro.serving.tenancy import DEFAULT_TENANT, TenantConfig
@@ -237,7 +237,9 @@ def _worker_main(config: WorkerConfig) -> ServingReport:
 
         wants_prefix = any(spec.prefix_len is not None for spec in config.models)
         prefix_cache = (
-            PrefixCache(config.shard_budget_bytes, fabric=fabric)
+            RadixKVCache(
+                config.shard_budget_bytes, namespace="serving.prefix", fabric=fabric
+            )
             if wants_prefix
             else None
         )

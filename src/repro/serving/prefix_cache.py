@@ -2,7 +2,8 @@
 
 Production transformer traffic is dominated by *shared prompts*: many
 requests open with the same system/context tokens and differ only in a
-short suffix.  On the causal encoder
+short suffix, and a conversational follow-up replays its whole
+transcript.  On the causal encoder
 (:class:`~repro.nn.models.bert.TinyBERT` with ``causal=True``) every
 hidden row at every depth is a function of the tokens at or before it,
 so the per-layer key/value activations of a shared prompt are identical
@@ -10,51 +11,46 @@ across requests — computing them once and reusing them is *lossless*.
 
 This module provides the cache side of that reuse:
 
-* :class:`PrefixEntry` — one cached prompt: the verified prefix tokens
-  plus the captured payload (per-layer K/V and final hidden rows, a
-  :class:`~repro.nn.executor.KVTap`), all in the fixed-point domain the
-  backend dequantized onto, frozen read-only.
-* :class:`PrefixCache` — per-shard LRU stores under a *byte budget*:
-  entries live on the shard whose array computed them (activations are
-  format/design-point faithful, and locality is what placement affinity
-  exploits), inserting evicts least-recently-used entries until the
-  budget holds, and an entry larger than the whole budget is rejected
-  outright.  The invariant ``resident_bytes(shard) <= budget`` holds
-  after every operation, which the property suite asserts.
-* :class:`TransformerPrefixAdapter` — the endpoint glue: derives the
-  request prefix key (content digest of the prompt tokens), runs the
-  cold path with K/V capture, runs the hit path via
+* :class:`RadixKVCache` — the one KV-prefix cache.  Payloads
+  (per-layer K/V and, for classifiers, the final hidden rows: a
+  :class:`~repro.nn.executor.KVTap`, in the fixed-point domain the
+  backend dequantized onto, frozen read-only) live in per-shard LRU
+  stores under a *byte budget*, on the shard whose array computed
+  them (activations are format/design-point faithful, and locality is
+  what placement affinity exploits).  The invariant
+  ``resident_bytes(shard) <= budget`` holds after every operation,
+  which the property suite asserts.  Store keys are the *exact token
+  tuples*, and a :class:`RadixPrefixIndex` per ``(shard, tenant,
+  model)`` finds the longest cached prefix of a query.
+* :class:`TransformerPrefixAdapter` — the classifier endpoint glue:
+  derives the request's batch key (content digest of the prompt
+  tokens), runs the cold path with K/V capture, runs the hit path via
   :meth:`~repro.nn.models.bert.TinyBERT.infer_suffix`, and prices the
   skipped work with the exact closed form
   :func:`~repro.nn.workload.transformer_prefix_savings`.
 * :class:`PrefixEvent` — one batch's hit/miss record in the serving
   report.
 
-Keys are content digests, but correctness never rests on the digest:
-a lookup re-verifies the stored prompt tokens against the request's and
-treats any mismatch as a miss (counted as a collision), so a hit is
-*proof* the cached activations belong to this prompt.
-
-Hits and misses never share a batch: the batcher keys groups on
-``(tenant, model, prefix_key)``, so a batch is uniformly one prompt and
-the engine resolves it against the cache exactly once — either every
-request in it reuses the prefix or none does.
+Both kinds of traffic are clients of the same class: a classifier
+batch reuses its fixed-length prompt only when the whole prompt is
+cached; a generation prefill takes whatever prefix of its prompt is
+cached and computes the rest.  Classifier hits and misses never share
+a batch: the batcher keys groups on ``(tenant, model, prefix_key)``,
+so a batch is uniformly one prompt and the engine resolves it against
+the cache exactly once.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.nn.executor import KVTap
 from repro.nn.workload import transformer_prefix_savings
 from repro.store import CacheStore, InProcessLRU
-
-#: Shard-agnostic namespace prefix entries use on a shared fabric store.
-PREFIX_FABRIC_NAMESPACE = "serving.prefix"
 
 
 @dataclass(frozen=True)
@@ -77,302 +73,6 @@ class PrefixEvent:
     cycles_saved: int = 0
 
 
-@dataclass(frozen=True)
-class PrefixEntry:
-    """One cached prompt resident on a shard."""
-
-    tenant: str
-    model: str
-    prefix_key: str
-    prefix_tokens: np.ndarray
-    payload: KVTap
-
-    def __post_init__(self) -> None:
-        # Freeze a private copy, never the caller's array in place.
-        tokens = np.array(self.prefix_tokens, dtype=np.int64, copy=True)
-        tokens.setflags(write=False)
-        object.__setattr__(self, "prefix_tokens", tokens)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes this entry charges against its shard's budget."""
-        return self.prefix_tokens.nbytes + self.payload.nbytes
-
-    def matches(self, prefix_tokens: np.ndarray) -> bool:
-        """True when the stored prompt is exactly ``prefix_tokens``."""
-        return (
-            self.prefix_tokens.shape == prefix_tokens.shape
-            and np.array_equal(self.prefix_tokens, prefix_tokens)
-        )
-
-
-class PrefixCache:
-    """Per-shard LRU of cached prompts under a byte budget.
-
-    Parameters
-    ----------
-    shard_budget_bytes:
-        Eviction budget *per shard*.  Resident bytes on a shard never
-        exceed it: inserting evicts least-recently-used entries first,
-        and an entry that alone exceeds the budget is rejected (counted
-        in :attr:`rejections`), never resident.
-
-    Entries are keyed ``(tenant, prefix of one model's prompt)`` — a
-    tenant never hits another tenant's cache, so prompt reuse cannot
-    leak activations across tenants.
-
-    Storage routes through a :class:`~repro.store.CacheStore`: one
-    byte-budgeted namespace per shard (``serving.prefix.shard<N>``) on
-    a private :class:`~repro.store.InProcessLRU` by default, preserving
-    the historical per-shard LRU semantics bit for bit.  Passing
-    ``fabric`` (typically a shared
-    :class:`~repro.store.FileStore`) adds a second, shard-agnostic
-    tier under :data:`PREFIX_FABRIC_NAMESPACE`: local misses fall
-    through to the fabric (the payload is verified against the request
-    tokens and promoted onto the local shard), and local inserts write
-    through — so a prompt computed by one worker process serves every
-    other worker's first request for it.
-    """
-
-    def __init__(
-        self,
-        shard_budget_bytes: int = 32 << 20,
-        store: Optional[CacheStore] = None,
-        fabric: Optional[CacheStore] = None,
-    ):
-        if shard_budget_bytes < 1:
-            raise ValueError(
-                f"shard_budget_bytes must be >= 1, got {shard_budget_bytes}"
-            )
-        self.shard_budget_bytes = int(shard_budget_bytes)
-        self._store = store if store is not None else InProcessLRU()
-        self._fabric = fabric
-        self._shards_seen: Set[int] = set()
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.evictions = 0
-        self.rejections = 0
-        self.collisions = 0
-        self.migrations = 0
-        self.fabric_hits = 0
-        self.fabric_misses = 0
-
-    @staticmethod
-    def _key(tenant: str, model: str, prefix_key: str) -> tuple:
-        return (tenant, model, prefix_key)
-
-    def _namespace(self, shard: int) -> str:
-        namespace = f"serving.prefix.shard{shard}"
-        if shard not in self._shards_seen:
-            self._store.set_limit(namespace, max_bytes=self.shard_budget_bytes)
-            self._shards_seen.add(shard)
-        return namespace
-
-    @staticmethod
-    def _refreeze(entry: "PrefixEntry") -> "PrefixEntry":
-        """Re-apply read-only flags after deserialization.
-
-        Serialization (fabric round trips) does not preserve numpy's
-        ``writeable=False`` flag; re-freezing keeps the shared-payload
-        immutability contract for promoted entries.
-        """
-        entry.prefix_tokens.setflags(write=False)
-        for layer in entry.payload.layers:
-            layer.k.setflags(write=False)
-            layer.v.setflags(write=False)
-        if entry.payload.final_hidden is not None:
-            entry.payload.final_hidden.setflags(write=False)
-        return entry
-
-    # ------------------------------------------------------------------
-    # Read side
-    # ------------------------------------------------------------------
-    def lookup(
-        self,
-        shard: int,
-        tenant: str,
-        model: str,
-        prefix_key: str,
-        prefix_tokens: np.ndarray,
-    ) -> Optional[PrefixEntry]:
-        """The resident entry for this prompt on ``shard``, or None.
-
-        A hit refreshes the entry's LRU position.  A digest match whose
-        stored tokens differ from ``prefix_tokens`` (a collision) is
-        treated as a miss — reuse is only ever granted against verified
-        token equality (the lookup *peeks* first, so a collision never
-        refreshes the colliding entry's recency).  When a fabric tier
-        is attached, a local miss consults it; a verified fabric hit
-        is promoted onto this shard and served as a hit.
-        """
-        key = self._key(tenant, model, prefix_key)
-        namespace = self._namespace(shard)
-        tokens = np.asarray(prefix_tokens)
-        entry = self._store.get(namespace, key, touch=False)
-        if entry is not None and not entry.matches(tokens):
-            self.collisions += 1
-            entry = None
-        if entry is not None:
-            self._store.touch(namespace, key)
-            self.hits += 1
-            return entry
-        if self._fabric is not None:
-            fabric_entry = self._fabric.get(PREFIX_FABRIC_NAMESPACE, key)
-            if fabric_entry is not None and fabric_entry.matches(tokens):
-                fabric_entry = self._refreeze(fabric_entry)
-                evictions_before = self._store.stats(namespace)["evictions"]
-                self._store.put(
-                    namespace, key, fabric_entry, nbytes=fabric_entry.nbytes
-                )
-                self.evictions += (
-                    self._store.stats(namespace)["evictions"] - evictions_before
-                )
-                self.fabric_hits += 1
-                self.hits += 1
-                return fabric_entry
-            self.fabric_misses += 1
-        self.misses += 1
-        return None
-
-    def resident_shards(
-        self, tenant: str, model: str, prefix_key: str
-    ) -> Tuple[int, ...]:
-        """Shards currently holding this prompt (placement affinity).
-
-        A pure read: LRU order and hit/miss counters are untouched.
-        Fabric-only residency does not count — affinity is about which
-        shard's memory holds the payload.
-        """
-        key = self._key(tenant, model, prefix_key)
-        return tuple(
-            shard
-            for shard in sorted(self._shards_seen)
-            if self._store.contains(self._namespace(shard), key)
-        )
-
-    def resident_bytes(self, shard: int) -> int:
-        """Bytes of cached prompts resident on ``shard`` (<= budget)."""
-        if shard not in self._shards_seen:
-            return 0
-        return self._store.stats(self._namespace(shard))["bytes"]
-
-    def entries(self, shard: int) -> List[PrefixEntry]:
-        """Entries on ``shard`` in LRU → MRU order."""
-        if shard not in self._shards_seen:
-            return []
-        return list(self._store.values(self._namespace(shard)))
-
-    # ------------------------------------------------------------------
-    # Write side
-    # ------------------------------------------------------------------
-    def insert(self, shard: int, entry: PrefixEntry) -> bool:
-        """Make ``entry`` resident on ``shard``; returns False if rejected.
-
-        Evicts least-recently-used entries until the budget holds.  An
-        entry bigger than the whole budget can never fit and is
-        rejected.  Re-inserting an existing key replaces the old entry
-        (its bytes are released first).
-        """
-        size = entry.nbytes
-        if size > self.shard_budget_bytes:
-            self.rejections += 1
-            return False
-        namespace = self._namespace(shard)
-        key = self._key(entry.tenant, entry.model, entry.prefix_key)
-        evictions_before = self._store.stats(namespace)["evictions"]
-        self._store.put(namespace, key, entry, nbytes=size)
-        self.evictions += self._store.stats(namespace)["evictions"] - evictions_before
-        self.insertions += 1
-        if self._fabric is not None:
-            self._fabric.put(PREFIX_FABRIC_NAMESPACE, key, entry, nbytes=size)
-        return True
-
-    def migrate(
-        self,
-        from_shard: int,
-        to_shard: int,
-        tenant: str,
-        model: str,
-        prefix_key: str,
-    ) -> bool:
-        """Move one resident entry between shards through the store.
-
-        Work-stealing calls this when load breaks placement affinity:
-        migrating the payload with the stolen batch preserves the hit
-        on the destination shard instead of forcing a cold recompute.
-        The source entry is released only after the destination
-        accepted it (an entry is never lost to a failed move), and a
-        fabric tier, when attached, is written through so other
-        workers keep seeing the payload.  Returns False when nothing
-        is resident on ``from_shard`` under this key, the shards are
-        equal, or the entry alone exceeds the destination budget.
-        """
-        if from_shard == to_shard:
-            return False
-        key = self._key(tenant, model, prefix_key)
-        source = self._namespace(from_shard)
-        entry = self._store.get(source, key, touch=False)
-        if entry is None:
-            return False
-        size = entry.nbytes
-        if size > self.shard_budget_bytes:
-            self.rejections += 1
-            return False
-        destination = self._namespace(to_shard)
-        evictions_before = self._store.stats(destination)["evictions"]
-        self._store.put(destination, key, entry, nbytes=size)
-        self.evictions += (
-            self._store.stats(destination)["evictions"] - evictions_before
-        )
-        self._store.delete(source, key)
-        self.migrations += 1
-        if self._fabric is not None:
-            self._fabric.put(PREFIX_FABRIC_NAMESPACE, key, entry, nbytes=size)
-        return True
-
-    def clear(self) -> None:
-        """Drop every entry on every shard (counters are kept).
-
-        The fabric tier, when attached, is deliberately left alone: it
-        is shared state owned by the worker pool, not this cache.
-        """
-        for shard in self._shards_seen:
-            self._store.clear(self._namespace(shard))
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def namespace_stats(self) -> Dict[str, Dict[str, int]]:
-        """Store-schema stats of every shard namespace (for reports)."""
-        return {
-            self._namespace(shard): self._store.stats(self._namespace(shard))
-            for shard in sorted(self._shards_seen)
-        }
-
-    def stats(self) -> Dict[str, object]:
-        """Counter snapshot plus per-shard residency."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "rejections": self.rejections,
-            "collisions": self.collisions,
-            "migrations": self.migrations,
-            "fabric_hits": self.fabric_hits,
-            "fabric_misses": self.fabric_misses,
-            "shard_budget_bytes": self.shard_budget_bytes,
-            "resident_bytes": {
-                shard: self.resident_bytes(shard)
-                for shard in sorted(self._shards_seen)
-            },
-            "resident_entries": {
-                shard: self._store.stats(self._namespace(shard))["entries"]
-                for shard in sorted(self._shards_seen)
-            },
-        }
-
 
 class TransformerPrefixAdapter:
     """Endpoint glue between the engine, a causal encoder and the cache.
@@ -391,7 +91,8 @@ class TransformerPrefixAdapter:
 
     Register it together with a cache-equipped engine::
 
-        engine = InferenceEngine(pool, prefix_cache=PrefixCache())
+        cache = RadixKVCache(namespace="serving.prefix")
+        engine = InferenceEngine(pool, prefix_cache=cache)
         engine.register("bert", model,
                         prefix_adapter=TransformerPrefixAdapter(model, 12))
     """
@@ -420,18 +121,16 @@ class TransformerPrefixAdapter:
                 f"expected a ({self.model.seq_len},) token row, "
                 f"got shape {tokens.shape}"
             )
-        # An owning copy, never a view: the cache stores these tokens
-        # for hit verification, and aliasing a caller-reused input
-        # buffer would let later writes corrupt the stored prompt.
+        # An owning copy, never a view of a caller-reused input buffer.
         return np.array(tokens[: self.prefix_len], dtype=np.int64, copy=True)
 
     def request_key(self, inputs: np.ndarray) -> str:
-        """Content digest of the request's prompt (the cache/batch key).
+        """Content digest of the request's prompt (the batch key).
 
-        Digest equality alone never grants reuse — the cache re-verifies
-        token equality on lookup — but it keys batch assembly, so
-        same-prompt requests group together and mixed batches cannot
-        form.
+        It keys batch assembly, so same-prompt requests group together
+        and mixed batches cannot form, and labels the batch's
+        :class:`PrefixEvent`.  It is never a cache key: the cache is
+        keyed on the prompt tokens themselves.
         """
         prefix = self.prefix_tokens(inputs)
         digest = hashlib.sha256(prefix.tobytes()).hexdigest()[:32]
@@ -482,7 +181,7 @@ class RadixPrefixIndex:
 
     The index holds only *which* sequences are cached — payloads live
     in a byte-budgeted :class:`~repro.store.CacheStore` keyed by the
-    exact token tuple, so a digest collision cannot confuse entries.
+    exact token tuple.
     ``longest_match`` walks the query once (O(|query|)) and returns the
     length of the longest *terminal* prefix, which is how conversational
     traffic finds the deepest cached slice of its growing history.
@@ -587,34 +286,59 @@ class RadixPrefixIndex:
 
 
 class RadixKVCache:
-    """Tenant-scoped, byte-budgeted radix cache of decode K/V history.
+    """Tenant-scoped, per-shard LRU of cached K/V rows under a byte budget.
 
-    The generation analogue of :class:`PrefixCache`: payloads are
-    :class:`~repro.nn.executor.KVTap` captures of a sequence's prompt
-    (and, as it generates, its growing history), resident per shard on
-    the :class:`~repro.store.CacheStore` fabric under
-    ``serving.radix.shard<N>`` namespaces.  A per-``(shard, tenant,
-    model)`` :class:`RadixPrefixIndex` finds the longest cached prefix
-    of an incoming prompt, so a conversational follow-up that replays
-    its whole transcript prefills only the new turn.
+    Payloads are :class:`~repro.nn.executor.KVTap` captures of a token
+    sequence — a classifier's shared prompt, or a generating sequence's
+    prompt and, as it generates, its growing history.  A
+    per-``(shard, tenant, model)`` :class:`RadixPrefixIndex` finds the
+    longest cached prefix of a query, so a conversational follow-up
+    that replays its whole transcript prefills only the new turn.
 
-    Store keys are the *exact token tuples*, so lookups need no
-    digest-collision verification; when the budgeted store evicts a
-    payload underneath the index, the lookup heals the stale index
-    entry and retries the next-longest match.
+    Parameters
+    ----------
+    shard_budget_bytes:
+        Eviction budget *per shard*.  Resident bytes on a shard never
+        exceed it: inserting evicts least-recently-used entries first,
+        and an entry that alone exceeds the budget is rejected (counted
+        in :attr:`rejections`), never resident.
+    namespace:
+        Store namespace of this cache: shard ``N`` lives under
+        ``<namespace>.shard<N>``, the shard-agnostic fabric tier under
+        ``<namespace>`` itself.
+    store:
+        The :class:`~repro.store.CacheStore` holding the per-shard
+        namespaces; a private :class:`~repro.store.InProcessLRU` by
+        default.
+    fabric:
+        Optional second tier (typically a shared
+        :class:`~repro.store.FileStore`): a lookup that finds nothing
+        locally reads the exact query through it (a fabric hit is
+        promoted onto the local shard), and inserts write through — so
+        a prompt computed by one worker process serves every other
+        worker's first request for it.
+
+    Entries are keyed ``(tenant, model, exact token tuple)`` — a tenant
+    never hits another tenant's cache, so prompt reuse cannot leak
+    activations across tenants, and a hit needs no further
+    verification.
     """
 
     def __init__(
         self,
         shard_budget_bytes: int = 32 << 20,
+        namespace: str = "serving.radix",
         store: Optional[CacheStore] = None,
+        fabric: Optional[CacheStore] = None,
     ):
         if shard_budget_bytes < 1:
             raise ValueError(
                 f"shard_budget_bytes must be >= 1, got {shard_budget_bytes}"
             )
         self.shard_budget_bytes = int(shard_budget_bytes)
+        self.namespace = namespace
         self._store = store if store is not None else InProcessLRU()
+        self._fabric = fabric
         self._shards_seen: Set[int] = set()
         self._trees: Dict[Tuple[int, str, str], RadixPrefixIndex] = {}
         self.hits = 0
@@ -622,21 +346,58 @@ class RadixKVCache:
         self.insertions = 0
         self.evictions = 0
         self.rejections = 0
+        self.migrations = 0
+        self.fabric_hits = 0
+        self.fabric_misses = 0
 
     @staticmethod
     def _seq(tokens) -> Tuple[int, ...]:
         return tuple(int(t) for t in np.asarray(tokens).reshape(-1))
 
-    @staticmethod
-    def _key(tenant: str, model: str, seq: Tuple[int, ...]) -> tuple:
-        return (tenant, model, seq)
-
     def _namespace(self, shard: int) -> str:
-        namespace = f"serving.radix.shard{shard}"
+        namespace = f"{self.namespace}.shard{shard}"
         if shard not in self._shards_seen:
             self._store.set_limit(namespace, max_bytes=self.shard_budget_bytes)
             self._shards_seen.add(shard)
         return namespace
+
+    @staticmethod
+    def _refreeze(payload: KVTap) -> KVTap:
+        """Re-apply read-only flags after deserialization.
+
+        Serialization (fabric round trips) does not preserve numpy's
+        ``writeable=False`` flag; re-freezing keeps the shared-payload
+        immutability contract for promoted entries.
+        """
+        for layer in payload.layers:
+            layer.k.setflags(write=False)
+            layer.v.setflags(write=False)
+        if payload.final_hidden is not None:
+            payload.final_hidden.setflags(write=False)
+        return payload
+
+    def _admit(
+        self, shard: int, tenant: str, model: str, seq, payload, publish: bool = True
+    ) -> bool:
+        """Make ``payload`` resident on ``shard`` under the byte budget.
+
+        The one budget check: evicts least-recently-used payloads until
+        the entry fits, rejects an entry bigger than the whole budget,
+        keeps the shard's index in step with its store, and (unless the
+        payload just came *from* there) writes through to the fabric.
+        """
+        size = payload.nbytes + 8 * len(seq)
+        if size > self.shard_budget_bytes:
+            self.rejections += 1
+            return False
+        namespace = self._namespace(shard)
+        evictions_before = self._store.stats(namespace)["evictions"]
+        self._store.put(namespace, (tenant, model, seq), payload, nbytes=size)
+        self.evictions += self._store.stats(namespace)["evictions"] - evictions_before
+        self._trees.setdefault((shard, tenant, model), RadixPrefixIndex()).insert(seq)
+        if publish and self._fabric is not None:
+            self._fabric.put(self.namespace, (tenant, model, seq), payload, nbytes=size)
+        return True
 
     # -- read side -------------------------------------------------------
     def lookup(
@@ -653,46 +414,60 @@ class RadixKVCache:
         caps the usable prefix (a prefill must keep at least one
         un-cached row to produce logits).  A hit refreshes the payload's
         LRU recency; an index entry whose payload the store already
-        evicted is removed and the next-longest match is tried.
+        evicted is removed and the next-longest match is tried.  With a
+        fabric tier, a query matching nothing locally is read through
+        it exactly; a fabric hit is promoted here and served as a hit.
         """
-        tree = self._trees.get((shard, tenant, model))
-        if tree is None:
-            self.misses += 1
-            return 0, None
         seq = self._seq(tokens)
-        limit = len(seq) if max_len is None else min(int(max_len), len(seq))
-        namespace = self._namespace(shard)
-        query = seq[:limit]
-        while True:
-            match = tree.longest_match(query)
-            if match == 0:
-                self.misses += 1
-                return 0, None
-            payload = self._store.get(namespace, self._key(tenant, model, seq[:match]))
+        if max_len is not None:
+            seq = seq[: int(max_len)]
+        tree = self._trees.get((shard, tenant, model))
+        match = tree.longest_match(seq) if tree is not None else 0
+        while match:
+            payload = self._store.get(
+                self._namespace(shard), (tenant, model, seq[:match])
+            )
             if payload is not None:
                 self.hits += 1
                 return match, payload
             # Store evicted the payload under the index: heal and retry.
             tree.remove(seq[:match])
-            query = seq[:match]
+            match = tree.longest_match(seq[:match])
+        if self._fabric is not None:
+            payload = self._fabric.get(self.namespace, (tenant, model, seq))
+            if payload is not None:
+                self._admit(
+                    shard, tenant, model, seq, self._refreeze(payload), publish=False
+                )
+                self.fabric_hits += 1
+                self.hits += 1
+                return len(seq), payload
+            self.fabric_misses += 1
+        self.misses += 1
+        return 0, None
 
     def resident_shards(self, tenant: str, model: str, tokens) -> Tuple[int, ...]:
-        """Shards holding *any* cached prefix of ``tokens`` (affinity).
+        """Shards holding a cached prefix of ``tokens`` (placement affinity).
 
-        A pure read on the index: payload LRU order and hit/miss
-        counters are untouched (a stale index entry may count until the
-        next lookup heals it — affinity is a hint, not a contract).
+        A pure read: the longest indexed prefix is confirmed against
+        the store without touching LRU order or any counter, so a
+        payload the store already evicted never attracts a batch.
+        Fabric-only residency does not count — affinity is about which
+        shard's memory holds the payload.
         """
         seq = self._seq(tokens)
-        return tuple(
-            shard
-            for shard in sorted(self._shards_seen)
-            if (tree := self._trees.get((shard, tenant, model))) is not None
-            and tree.longest_match(seq) > 0
-        )
+        shards = []
+        for shard in sorted(self._shards_seen):
+            tree = self._trees.get((shard, tenant, model))
+            match = tree.longest_match(seq) if tree is not None else 0
+            if match and self._store.contains(
+                self._namespace(shard), (tenant, model, seq[:match])
+            ):
+                shards.append(shard)
+        return tuple(shards)
 
     def resident_bytes(self, shard: int) -> int:
-        """Bytes of cached history resident on ``shard`` (<= budget)."""
+        """Bytes of cached rows resident on ``shard`` (<= budget)."""
         if shard not in self._shards_seen:
             return 0
         return self._store.stats(self._namespace(shard))["bytes"]
@@ -703,7 +478,9 @@ class RadixKVCache:
 
         The payload must cover exactly ``len(tokens)`` positions.
         Evicts least-recently-used payloads until the byte budget
-        holds; a payload alone exceeding the budget is rejected.
+        holds; a payload alone exceeding the budget is rejected
+        (returns False).  Re-inserting an existing key replaces the old
+        payload (its bytes are released first).
         """
         seq = self._seq(tokens)
         if payload.prefix_len != len(seq):
@@ -711,23 +488,45 @@ class RadixKVCache:
                 f"payload covers {payload.prefix_len} positions, "
                 f"tokens have {len(seq)}"
             )
-        size = payload.nbytes + 8 * len(seq)
-        if size > self.shard_budget_bytes:
-            self.rejections += 1
+        accepted = self._admit(shard, tenant, model, seq, payload)
+        if accepted:
+            self.insertions += 1
+        return accepted
+
+    def migrate(
+        self, from_shard: int, to_shard: int, tenant: str, model: str, tokens
+    ) -> bool:
+        """Move the entry cached for exactly ``tokens`` between shards.
+
+        Work-stealing calls this when load breaks placement affinity:
+        migrating the payload with the stolen batch preserves the hit
+        on the destination shard instead of forcing a cold recompute.
+        Store entry and index move together, and the source is
+        released only after the destination accepted the entry (an
+        entry is never lost to a failed move).  Returns False when
+        nothing is resident on ``from_shard`` under these tokens, the
+        shards are equal, or the entry alone exceeds the budget.
+        """
+        if from_shard == to_shard:
             return False
-        namespace = self._namespace(shard)
-        evictions_before = self._store.stats(namespace)["evictions"]
-        self._store.put(namespace, self._key(tenant, model, seq), payload, nbytes=size)
-        self.evictions += self._store.stats(namespace)["evictions"] - evictions_before
-        tree = self._trees.setdefault(
-            (shard, tenant, model), RadixPrefixIndex()
-        )
-        tree.insert(seq)
-        self.insertions += 1
+        seq = self._seq(tokens)
+        source = self._namespace(from_shard)
+        payload = self._store.get(source, (tenant, model, seq), touch=False)
+        if payload is None or not self._admit(to_shard, tenant, model, seq, payload):
+            return False
+        self._store.delete(source, (tenant, model, seq))
+        tree = self._trees.get((from_shard, tenant, model))
+        if tree is not None:
+            tree.remove(seq)
+        self.migrations += 1
         return True
 
     def clear(self) -> None:
-        """Drop every payload and index on every shard (counters kept)."""
+        """Drop every payload and index on every shard (counters kept).
+
+        The fabric tier, when attached, is deliberately left alone: it
+        is shared state owned by the worker pool, not this cache.
+        """
         for shard in self._shards_seen:
             self._store.clear(self._namespace(shard))
         self._trees.clear()
@@ -742,19 +541,20 @@ class RadixKVCache:
 
     def stats(self) -> Dict[str, object]:
         """Counter snapshot plus per-shard residency."""
+        shards = sorted(self._shards_seen)
         return {
             "hits": self.hits,
             "misses": self.misses,
             "insertions": self.insertions,
             "evictions": self.evictions,
             "rejections": self.rejections,
+            "migrations": self.migrations,
+            "fabric_hits": self.fabric_hits,
+            "fabric_misses": self.fabric_misses,
             "shard_budget_bytes": self.shard_budget_bytes,
-            "resident_bytes": {
-                shard: self.resident_bytes(shard)
-                for shard in sorted(self._shards_seen)
-            },
+            "resident_bytes": {shard: self.resident_bytes(shard) for shard in shards},
             "resident_entries": {
                 shard: self._store.stats(self._namespace(shard))["entries"]
-                for shard in sorted(self._shards_seen)
+                for shard in shards
             },
         }

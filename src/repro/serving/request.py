@@ -83,7 +83,8 @@ class InferenceRequest:
     prefix_key:
         Content digest of the request's shared prompt, set by the
         engine when its endpoint has a prefix adapter and the engine
-        carries a :class:`~repro.serving.prefix_cache.PrefixCache`.
+        carries a ``prefix_cache``
+        (a :class:`~repro.serving.prefix_cache.RadixKVCache`).
         Batch assembly keys groups on it, so requests with different
         prompts (or none) never share a batch — cache hits and misses
         cannot silently mix.  A generation request carries its prompt

@@ -305,7 +305,7 @@ class StoreConfig:
     knobs (which survive as thin wrappers): :meth:`apply` configures
     the process-global store's namespaces in one call, and the
     constructor-bound sites (:class:`~repro.nn.executor.ParamCache`
-    size, :class:`~repro.serving.prefix_cache.PrefixCache` shard
+    size, :class:`~repro.serving.prefix_cache.RadixKVCache` shard
     budget) read their fields at construction —
     :func:`repro.serving.multiproc.serve_multiproc` threads one
     ``StoreConfig`` through every worker.

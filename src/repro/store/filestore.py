@@ -14,8 +14,9 @@ either the old entry or none, never a partial pickle.
 Keys are hashed (SHA-256 of ``repr(key)``) into file names, but
 correctness never rests on the digest: the data file stores the
 ``(key, value)`` pair and a read verifies key equality, so a hash or
-repr collision degrades to a miss — the same verify-before-trust rule
-the prefix cache applies to prompt digests.
+repr collision degrades to a miss (which is what lets the KV-prefix
+cache key its fabric tier on exact token tuples with no check of its
+own).
 
 Serialization is ``pickle`` by default (plan schedules, prefix
 payloads) or ``json`` (``serializer="json"``) for sites that already

@@ -38,7 +38,7 @@ from repro.serving import (
     LeastLoadedPlacement,
     LookaheadPlacement,
     ModelSpec,
-    PrefixCache,
+    RadixKVCache,
     ShardHealth,
     ShardSlowdown,
     ShardStats,
@@ -302,7 +302,7 @@ class TestWorkStealing:
 
 
 def _hot_prefix_engine(elastic, prefix_len=6):
-    cache = PrefixCache(shard_budget_bytes=1 << 20)
+    cache = RadixKVCache(1 << 20, namespace="serving.prefix")
     engine = InferenceEngine(
         ClusterSpec.heterogeneous(SKEWED_POOL).build(),
         max_batch_size=4,
@@ -375,22 +375,23 @@ class TestAffinityBreak:
     def test_prefix_cache_migrate_moves_exactly_one_entry(self):
         class _Payload:
             nbytes = 64
+            prefix_len = 6
 
-        from repro.serving import PrefixEntry
-
-        cache = PrefixCache(shard_budget_bytes=1 << 12)
-        entry = PrefixEntry(
-            tenant="t", model="m", prefix_key="k",
-            prefix_tokens=np.arange(6), payload=_Payload(),
-        )
-        assert cache.insert(2, entry)
-        assert cache.resident_shards("t", "m", "k") == (2,)
-        assert cache.migrate(2, 0, "t", "m", "k")
-        assert cache.resident_shards("t", "m", "k") == (0,)
+        cache = RadixKVCache(1 << 12, namespace="serving.prefix")
+        tokens, payload = np.arange(6), _Payload()
+        assert cache.insert(2, "t", "m", tokens, payload)
+        assert cache.resident_shards("t", "m", tokens) == (2,)
+        assert cache.migrate(2, 0, "t", "m", tokens)
+        assert cache.resident_shards("t", "m", tokens) == (0,)
         assert cache.migrations == 1
+        # Store and index moved together: the destination serves the
+        # whole prompt, the source index no longer matches any of it.
+        assert cache.lookup(0, "t", "m", tokens) == (6, payload)
+        assert cache.lookup(2, "t", "m", tokens) == (0, None)
+        assert cache.namespace_stats()["serving.prefix.shard2"]["misses"] == 0
         # Self-moves and missing entries are no-ops, not errors.
-        assert not cache.migrate(0, 0, "t", "m", "k")
-        assert not cache.migrate(2, 1, "t", "m", "k")
+        assert not cache.migrate(0, 0, "t", "m", tokens)
+        assert not cache.migrate(2, 1, "t", "m", tokens)
         assert cache.migrations == 1
 
 

@@ -10,9 +10,11 @@ public logs:
   slowdown-stretched window, all-breakers-open park, clean run under a
   slowdown) leaves the same shared post-conditions whatever the kind;
 * the source of ``serving/engine.py`` contains each skeleton call once,
-  so a new kind of work cannot re-grow a private copy.
+  so a new kind of work cannot re-grow a private copy; likewise the
+  KV-prefix cache and the transformer layer inventory exist once.
 """
 
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,6 @@ from repro.serving import (
     FaultPlan,
     GenerationAdapter,
     InferenceEngine,
-    PrefixCache,
     RadixKVCache,
     ShardCrash,
     ShardSlowdown,
@@ -57,7 +58,9 @@ def _engine(kind, n_shards, faults=None, elastic=None):
         pool,
         max_batch_size=2,
         flush_timeout=1e-4,
-        prefix_cache=PrefixCache() if kind == "prefix" else None,
+        prefix_cache=(
+            RadixKVCache(namespace="serving.prefix") if kind == "prefix" else None
+        ),
         radix_cache=RadixKVCache() if generation else None,
         faults=faults,
         elastic=elastic,
@@ -224,4 +227,24 @@ def test_skeleton_exists_once(call):
     assert source.count(call) == 1, (
         f"{call!r} occurs {source.count(call)}x in serving/engine.py; the "
         "execute-and-commit skeleton must exist exactly once"
+    )
+
+
+SINGLE_COPY = (
+    ("repro.serving.prefix_cache", "set_limit("),
+    ("repro.serving.prefix_cache", "def _namespace"),
+    ("repro.serving.prefix_cache", "def resident_bytes"),
+    ("repro.serving.prefix_cache", "def namespace_stats"),
+    ("repro.nn.workload", "def gemm("),
+)
+
+
+@pytest.mark.parametrize("module, marker", SINGLE_COPY)
+def test_no_second_copy(module, marker):
+    """One KV-prefix cache class, one transformer layer inventory: a new
+    kind of traffic or closed form is a client of the existing code, not
+    a fork of it."""
+    source = Path(importlib.import_module(module).__file__).read_text()
+    assert source.count(marker) <= 1, (
+        f"{marker!r} occurs {source.count(marker)}x in {module}"
     )

@@ -44,13 +44,12 @@ from repro.serving import (
     GenerationAdapter,
     GenerationRequest,
     InferenceEngine,
-    PrefixCache,
-    PrefixEntry,
     RadixKVCache,
     RadixPrefixIndex,
     RetryPolicy,
     ShardSlowdown,
 )
+from repro.store import FileStore
 from repro.systolic import SystolicArray, SystolicConfig
 
 CONFIG = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=8)
@@ -816,39 +815,66 @@ class TestRadixKVCache:
         assert not tiny.insert(0, "t", "m", np.arange(8) % 4, huge)
         assert tiny.stats()["rejections"] == 1
 
+    def test_resident_shards_ignores_evicted_payloads(self):
+        """Affinity never points at a shard whose store already evicted
+        the payload, even before a lookup heals the index."""
+        model = _model()
+        a = np.array([0, 1], dtype=np.int64)
+        b = np.array([2, 3], dtype=np.int64)
+        payload = _payload(model, a)
+        cache = RadixKVCache(shard_budget_bytes=payload.nbytes + 16)  # one entry
+        assert cache.insert(0, "t", "m", a, payload)
+        assert cache.insert(0, "t", "m", b, _payload(model, b))  # evicts a
+        assert cache.resident_shards("t", "m", a) == ()
+        assert cache.resident_shards("t", "m", b) == (0,)
+        # A pure read: no counter moved, b's recency untouched.
+        assert cache.stats()["hits"] == cache.stats()["misses"] == 0
+
+    def test_fabric_round_trip_between_caches(self, tmp_path):
+        """An entry inserted through one cache serves a fresh cache on
+        the same fabric: read through, promoted, re-frozen."""
+        model = _model()
+        fabric = FileStore(str(tmp_path))
+        p = np.array([1, 2, 3], dtype=np.int64)
+        first = RadixKVCache(namespace="serving.prefix", fabric=fabric)
+        assert first.insert(0, "t", "m", p, _payload(model, p))
+        second = RadixKVCache(namespace="serving.prefix", fabric=fabric)
+        assert second.resident_shards("t", "m", p) == ()  # fabric-only
+        n, payload = second.lookup(1, "t", "m", p)
+        assert n == 3 and payload.prefix_len == 3
+        assert (second.fabric_hits, second.hits, second.misses) == (1, 1, 0)
+        for layer in payload.layers:
+            assert not layer.k.flags.writeable and not layer.v.flags.writeable
+        assert second.resident_shards("t", "m", p) == (1,)
+        # Now resident: the next lookup never reaches the fabric.
+        assert second.lookup(1, "t", "m", p)[0] == 3
+        assert (second.fabric_hits, second.hits) == (1, 2)
+        # Tenants stay isolated on the fabric too.
+        assert second.lookup(1, "other", "m", p) == (0, None)
+        assert second.fabric_misses == 1
+
+    def test_migrate_moves_store_and_index_together(self):
+        model = _model()
+        cache = RadixKVCache()
+        p = np.array([4, 5, 6], dtype=np.int64)
+        q = np.concatenate([p, [7]])
+        cache.insert(0, "t", "m", p, _payload(model, p))
+        assert cache.migrate(0, 1, "t", "m", p)
+        assert cache.stats()["migrations"] == 1
+        assert cache.stats()["resident_entries"] == {0: 0, 1: 1}
+        assert cache.resident_shards("t", "m", q) == (1,)
+        assert cache.lookup(1, "t", "m", q)[0] == 3
+        assert cache.lookup(0, "t", "m", q) == (0, None)
+        # Only the exact sequence moves, never a longer query's prefix.
+        assert not cache.migrate(1, 0, "t", "m", q)
+        assert cache.resident_shards("t", "m", p) == (1,)
+
     def test_payload_length_must_match_tokens(self):
         model = _model()
         cache = RadixKVCache()
         p = np.array([1, 2, 3], dtype=np.int64)
         with pytest.raises(ValueError, match="positions"):
             cache.insert(0, "t", "m", p, _payload(model, p, upto=2))
-
-    def test_matches_flat_prefix_cache_on_single_prefix_workloads(self):
-        """With whole-prompt entries only, the radix cache makes the
-        same hit/miss decisions as the flat digest-keyed PrefixCache."""
-        model = _model()
-        radix = RadixKVCache()
-        flat = PrefixCache()
-        rng = np.random.default_rng(4)
-        prompts = [_prompts(rng, 1, 4)[0] for _ in range(3)]
-        workload = [prompts[i] for i in (0, 1, 0, 2, 1, 0)]
-        for prompt in workload:
-            key = GenerationAdapter(model).prompt_key(prompt)
-            flat_hit = flat.lookup(0, "t", "m", key, prompt) is not None
-            radix_len, _ = radix.lookup(0, "t", "m", prompt)
-            assert (radix_len == len(prompt)) == flat_hit
-            if not flat_hit:
-                payload = _payload(model, prompt)
-                flat.insert(
-                    0,
-                    PrefixEntry(
-                        tenant="t", model="m", prefix_key=key,
-                        prefix_tokens=prompt, payload=payload,
-                    ),
-                )
-                radix.insert(0, "t", "m", prompt, payload)
-        assert radix.stats()["hits"] == flat.hits
-        assert radix.stats()["misses"] == flat.misses
 
     def test_engine_radix_roundtrip_saves_cycles(self):
         """Second run of the same prompt prefills warm: bit-identical

@@ -20,7 +20,7 @@ from repro.serving import (
     ClusterSpec,
     InferenceEngine,
     ModelSpec,
-    PrefixCache,
+    RadixKVCache,
     ServingReport,
     TransformerPrefixAdapter,
     merge_reports,
@@ -208,7 +208,7 @@ class TestServeMultiproc:
         model = TinyBERT(**MODEL_KWARGS)
         engine = InferenceEngine(
             ClusterSpec.homogeneous(CONFIG, 2).build(),
-            prefix_cache=PrefixCache(),
+            prefix_cache=RadixKVCache(namespace="serving.prefix"),
         )
         engine.register(
             "bert", model, prefix_adapter=TransformerPrefixAdapter(model, PREFIX_LEN)

@@ -24,8 +24,7 @@ from repro.serving import (
     ClusterSpec,
     InferenceEngine,
     PrefixAffinePlacement,
-    PrefixCache,
-    PrefixEntry,
+    RadixKVCache,
     TenantConfig,
     TransformerPrefixAdapter,
 )
@@ -58,22 +57,33 @@ design_points = st.sampled_from(
 )
 
 
+def _cache(budget: int = 32 << 20) -> RadixKVCache:
+    """A classifier-side cache: the one class under the prefix namespace."""
+    return RadixKVCache(budget, namespace="serving.prefix")
+
+
 class _Payload:
     """Stub cache payload of a declared size (eviction tests)."""
 
-    def __init__(self, nbytes: int):
+    def __init__(self, nbytes: int, prefix_len: int):
         self.nbytes = nbytes
+        self.prefix_len = prefix_len
 
 
-def _entry(key: str, nbytes: int, tenant="t", model="m", tokens=None) -> PrefixEntry:
-    tokens = np.arange(4, dtype=np.int64) if tokens is None else tokens
-    return PrefixEntry(
-        tenant=tenant,
-        model=model,
-        prefix_key=key,
-        prefix_tokens=tokens,
-        payload=_Payload(max(0, nbytes - tokens.nbytes)),
-    )
+def _prompt(i: int) -> np.ndarray:
+    """Four-token prompt number ``i`` (distinct ``i`` = distinct prompt)."""
+    return np.array([i, 1, 2, 3], dtype=np.int64)
+
+
+def _charge(tokens, nbytes: int) -> int:
+    """Bytes a stub entry of ``nbytes`` is charged: never below its tokens."""
+    return max(nbytes, tokens.nbytes)
+
+
+def _insert(cache, shard, tokens, nbytes, tenant="t", model="m") -> bool:
+    """Insert a stub entry charged ``_charge(tokens, nbytes)`` bytes."""
+    payload = _Payload(_charge(tokens, nbytes) - tokens.nbytes, len(tokens))
+    return cache.insert(shard, tenant, model, tokens, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +177,16 @@ class TestEvictionBudget:
     @settings(max_examples=60, deadline=None)
     def test_resident_bytes_never_exceed_budget(self, budget, sizes):
         """The eviction-budget invariant holds after every insert."""
-        cache = PrefixCache(shard_budget_bytes=budget)
+        cache = _cache(budget)
         accepted = rejected = 0
         for i, size in enumerate(sizes):
-            ok = cache.insert(0, _entry(f"k{i}", size))
+            ok = _insert(cache, 0, _prompt(i), size)
             assert cache.resident_bytes(0) <= budget
-            assert sum(e.nbytes for e in cache.entries(0)) == cache.resident_bytes(0)
+            assert cache.resident_bytes(0) == sum(
+                _charge(_prompt(j), sizes[j])
+                for j in range(i + 1)
+                if cache.resident_shards("t", "m", _prompt(j))
+            )
             if ok:
                 accepted += 1
                 assert size <= budget
@@ -183,42 +197,37 @@ class TestEvictionBudget:
         assert cache.rejections == rejected
 
     def test_lru_eviction_order(self):
-        cache = PrefixCache(shard_budget_bytes=300)
-        tokens = np.arange(4, dtype=np.int64)
-        for key in ("a", "b", "c"):
-            assert cache.insert(0, _entry(key, 100, tokens=tokens))
+        cache = _cache(300)
+        a, b, c, d = (_prompt(i) for i in range(4))
+        for tokens in (a, b, c):
+            assert _insert(cache, 0, tokens, 100)
         # Touch "a" so "b" is now least recently used.
-        assert cache.lookup(0, "t", "m", "a", tokens) is not None
-        cache.insert(0, _entry("d", 100, tokens=tokens))
-        keys = [e.prefix_key for e in cache.entries(0)]
-        assert "b" not in keys and set(keys) == {"c", "a", "d"}
+        assert cache.lookup(0, "t", "m", a)[1] is not None
+        _insert(cache, 0, d, 100)
+        resident = [
+            name
+            for name, tokens in zip("abcd", (a, b, c, d))
+            if cache.resident_shards("t", "m", tokens)
+        ]
+        assert resident == ["a", "c", "d"]
         assert cache.evictions == 1
         # Evicted prompt is a miss now.
-        assert cache.lookup(0, "t", "m", "b", tokens) is None
+        assert cache.lookup(0, "t", "m", b) == (0, None)
 
     def test_shards_have_independent_budgets(self):
-        cache = PrefixCache(shard_budget_bytes=150)
-        tokens = np.arange(4, dtype=np.int64)
-        assert cache.insert(0, _entry("a", 100, tokens=tokens))
-        assert cache.insert(1, _entry("a", 100, tokens=tokens))
+        cache = _cache(150)
+        tokens = _prompt(0)
+        assert _insert(cache, 0, tokens, 100)
+        assert _insert(cache, 1, tokens, 100)
         assert cache.evictions == 0
-        assert cache.resident_shards("t", "m", "a") == (0, 1)
-
-    def test_digest_collision_is_verified_miss(self):
-        cache = PrefixCache()
-        tokens = np.arange(4, dtype=np.int64)
-        cache.insert(0, _entry("k", 64, tokens=tokens))
-        other = tokens + 1
-        assert cache.lookup(0, "t", "m", "k", other) is None
-        assert cache.collisions == 1
-        assert cache.lookup(0, "t", "m", "k", tokens) is not None
+        assert cache.resident_shards("t", "m", tokens) == (0, 1)
 
     def test_tenants_never_share_entries(self):
-        cache = PrefixCache()
-        tokens = np.arange(4, dtype=np.int64)
-        cache.insert(0, _entry("k", 64, tenant="gold", tokens=tokens))
-        assert cache.lookup(0, "free", "m", "k", tokens) is None
-        assert cache.lookup(0, "gold", "m", "k", tokens) is not None
+        cache = _cache()
+        tokens = _prompt(0)
+        _insert(cache, 0, tokens, 64, tenant="gold")
+        assert cache.lookup(0, "free", "m", tokens) == (0, None)
+        assert cache.lookup(0, "gold", "m", tokens)[0] == len(tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +265,7 @@ class TestEngineIntegration:
         tokens = _tokens_with_prefix(rng, 12, 10, 6)
 
         outputs = {}
-        for label, cache in (("cold", None), ("cached", PrefixCache())):
+        for label, cache in (("cold", None), ("cached", _cache())):
             engine, _ = _make_engine(cache=cache, model=model, prefix_len=6)
             ids = [engine.submit("bert", row) for row in tokens]
             report = engine.run()
@@ -275,7 +284,7 @@ class TestEngineIntegration:
         streams = [
             _tokens_with_prefix(rng, 6, 8, 5) for _ in range(3)  # 3 prompts
         ]
-        engine, _ = _make_engine(cache=PrefixCache(), model=model)
+        engine, _ = _make_engine(cache=_cache(), model=model)
         ids = []
         # Interleave prompts so naive arrival-order batching would mix them.
         for i in range(6):
@@ -298,7 +307,7 @@ class TestEngineIntegration:
         model = _make_model()
         rng = np.random.default_rng(9)
         tokens = _tokens_with_prefix(rng, 16, 8, 5)
-        engine, _ = _make_engine(n_shards=4, cache=PrefixCache(), model=model)
+        engine, _ = _make_engine(n_shards=4, cache=_cache(), model=model)
         assert isinstance(engine.placement, PrefixAffinePlacement)
         for row in tokens:
             engine.submit("bert", row)
@@ -329,7 +338,7 @@ class TestEngineIntegration:
             return engine.run()
 
         cold = run(None)
-        cached = run(PrefixCache())
+        cached = run(_cache())
         assert cached.prefix_hits == 1 and cached.prefix_misses == 1
         assert (
             cold.total_cycles - cached.total_cycles == cached.prefix_cycles_saved
@@ -339,7 +348,7 @@ class TestEngineIntegration:
         """A submit rejected by prefix-key validation must not shift
         the arrival default of later submissions."""
         model = _make_model()
-        engine, _ = _make_engine(cache=PrefixCache(), model=model)
+        engine, _ = _make_engine(cache=_cache(), model=model)
         rng = np.random.default_rng(17)
         engine.submit("bert", rng.integers(0, 16, size=8), arrival=1e-3)
         with pytest.raises(ValueError, match="token row"):
@@ -353,7 +362,7 @@ class TestEngineIntegration:
         assert engine.result(rid) is not None
 
     def test_prefix_adapter_requires_batchable(self):
-        engine, model = _make_engine(cache=PrefixCache())
+        engine, model = _make_engine(cache=_cache())
         with pytest.raises(ValueError, match="batchable"):
             engine.register(
                 "bad", model, batchable=False,
@@ -361,24 +370,18 @@ class TestEngineIntegration:
             )
 
     def test_register_rejects_adapter_wrapping_other_model(self):
-        engine, model = _make_engine(cache=PrefixCache())
+        engine, model = _make_engine(cache=_cache())
         other = _make_model(seed=99)
         with pytest.raises(ValueError, match="different model"):
             engine.register(
                 "bad", model, prefix_adapter=TransformerPrefixAdapter(other, 5)
             )
 
-    def test_prefix_entry_does_not_freeze_caller_tokens(self):
-        tokens = np.arange(4, dtype=np.int64)
-        entry = _entry("k", 64, tokens=tokens)
-        tokens[0] = 7  # caller's array stays writable...
-        assert entry.prefix_tokens[0] == 0  # ...and the entry owns a copy
-
     def test_reset_clears_cache(self):
         model = _make_model()
         rng = np.random.default_rng(13)
         tokens = _tokens_with_prefix(rng, 4, 8, 5)
-        cache = PrefixCache()
+        cache = _cache()
         engine, _ = _make_engine(cache=cache, model=model)
         for row in tokens:
             engine.submit("bert", row)
@@ -415,7 +418,7 @@ class TestServingInvariantFuzz:
         seq_len, prefix_len = 8, 5
         model = _make_model(seq_len=seq_len)
         plain = _make_model(seq_len=seq_len, seed=1)
-        cache = PrefixCache(shard_budget_bytes=budget)
+        cache = _cache(budget)
         pool = ClusterSpec.heterogeneous(
             [
                 SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=8),
