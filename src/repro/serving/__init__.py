@@ -77,9 +77,12 @@ multi-tenant serving system:
   (:class:`~repro.serving.multiproc.WorkerFailedError` when
   supervision is off);
 * serving-level reporting — latency percentiles, throughput,
-  cycles/request, per-shard utilization and the placement-decision
-  log, per-tenant SLO attainment and shed accounting
-  (:mod:`repro.serving.report`).
+  cycles/request, per-shard utilization, per-tenant SLO attainment and
+  shed accounting, all over the run's one ordered event log
+  (:attr:`~repro.serving.report.ServingReport.events`: placements,
+  sheds, cache decisions, failures, faults, breaker transitions,
+  decode steps, steals and scalings, each also readable as a typed
+  view) (:mod:`repro.serving.report`).
 
 See ``examples/serving_demo.py``, ``examples/multitenant_demo.py`` and
 ``examples/heterogeneous_demo.py`` for end-to-end tours, and

@@ -637,8 +637,8 @@ class LookaheadPlacement(PlacementPolicy):
 
     name = "lookahead"
 
-    def __init__(self, occupancy_penalty: float = 0.0):
-        self._greedy = CostAwarePlacement(occupancy_penalty=occupancy_penalty)
+    def __init__(self):
+        self._greedy = CostAwarePlacement()
 
     def place(self, batch: BatchProfile, shards: Sequence[ShardView]) -> int:
         return self._greedy.place(batch, shards)

@@ -103,7 +103,6 @@ from repro.serving.batcher import Batch
 from repro.serving.cluster import (
     BatchProfile,
     BreakerConfig,
-    BreakerTransition,
     CalibratingCostModel,
     ClusterDispatcher,
     LookaheadPlacement,
@@ -128,7 +127,12 @@ from repro.serving.request import (
 )
 from repro.serving.scheduler import SchedulingPolicy, TenantScheduler
 from repro.serving.stats import ShardStats
-from repro.serving.tenancy import DEFAULT_TENANT, TenantConfig, TenantRegistry
+from repro.serving.tenancy import (
+    DEFAULT_TENANT,
+    TenantConfig,
+    TenantRegistry,
+    effective_deadline,
+)
 from repro.store import get_store
 
 
@@ -367,25 +371,24 @@ class InferenceEngine:
         self._next_id = 0
         self._last_arrival = 0.0
         self._calibrator = CalibratingCostModel()
-        self._placements: List[PlacementDecision] = []
-        self._shed: List[ShedRecord] = []
+        # The per-run event log: every placement, shed, prefix, failure,
+        # fault, breaker, decode-step, steal and scaling record, in the
+        # order the engine decides them (see ServingReport.events).
+        self._events: List[object] = []
         self._shard_busy: Dict[int, float] = {}
-        self._prefix_events: List[PrefixEvent] = []
         # Fault tolerance: the plan (None = dormant), the retry budget,
-        # one breaker per shard, the simulated-time retry queue, and
-        # the per-run failure/fault/transition logs.
+        # one breaker per shard and the simulated-time retry queue.
         self.faults = faults
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self._breaker_log: List[BreakerTransition] = []
         self._breaker_config = breaker
         self._health: Dict[int, ShardHealth] = {
-            shard: ShardHealth(shard, breaker, on_transition=self._breaker_log.append)
+            shard: ShardHealth(shard, breaker, on_transition=self._events.append)
             for shard in range(dispatcher.n_shards)
         }
         # Elastic runtime: knobs, the look-ahead planner, the planned
         # (batch, shard) queue of the current scheduling round, the
-        # per-shard live stats (drift feeds stealing), the steal /
-        # scaling event logs, and the autoscaler's windowed signals.
+        # per-shard live stats (drift feeds stealing) and the
+        # autoscaler's windowed signals.
         self.elastic = elastic if elastic is not None else ElasticConfig()
         planner = getattr(self.placement, "inner", self.placement)
         self._lookahead = (
@@ -395,8 +398,6 @@ class InferenceEngine:
         )
         self._planned: Deque[Tuple[Batch, Optional[int]]] = deque()
         self._shard_stats: Dict[int, ShardStats] = {}
-        self._steals: List[StealEvent] = []
-        self._scaling_log: List[ScalingEvent] = []
         self._slo_window: List[bool] = []
         self._window_sheds = 0
         self._last_scale_at: Optional[float] = None
@@ -406,12 +407,9 @@ class InferenceEngine:
         self._retry_queue: List[Tuple[float, int, int, Optional[int], Batch]] = []
         self._retry_seq = 0
         self._work_consumed = 0
-        self._failed: List[FailureRecord] = []
-        self._fault_log: List[FaultRecord] = []
         # Continuous-batching decode pool: sequences between their
         # prefill and their retirement, re-batched every iteration.
         self._active: List[ActiveSequence] = []
-        self._gen_steps: List[DecodeStepRecord] = []
         # Traffic capture: any object with record(request) — typically
         # a repro.autotune.TraceRecorder (duck-typed so serving never
         # imports the autotune layer above it).  Settable after
@@ -755,10 +753,9 @@ class InferenceEngine:
         wall_start = time.perf_counter()
         cycles_before = self.dispatcher.shard_cycles()
         tenant_cycles_before = self.dispatcher.namespace_cycles()
-        # Placement/shed/busy accounting is per run: entries from
-        # caller-driven step() sequences are readable on
-        # :attr:`placement_log` / :attr:`shed_log` until the next run
-        # starts.
+        # The event log and busy accounting are per run: records from
+        # caller-driven step() sequences are readable on :attr:`events`
+        # until the next run starts.
         self._clear_run_logs()
         self._shard_busy = {shard: 0.0 for shard in range(self.dispatcher.n_shards)}
         source = _RequestSource(request_source, self) if request_source is not None else None
@@ -844,18 +841,10 @@ class InferenceEngine:
             wall_seconds=time.perf_counter() - wall_start,
             tenant_cycles=tenant_cycles,
             tenants=self.tenants.configured(),
-            placements=tuple(self._placements),
-            shed=tuple(self._shed),
+            events=self.events,
             shard_busy=dict(self._shard_busy),
             placement_policy=self.placement.name,
-            prefix_events=tuple(self._prefix_events),
             cache_stats=self.cache_stats(),
-            failed=tuple(self._failed),
-            fault_events=tuple(self._fault_log),
-            breaker_transitions=tuple(self._breaker_log),
-            generation_steps=tuple(self._gen_steps),
-            steals=tuple(self._steals),
-            scaling_events=tuple(self._scaling_log),
         )
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
@@ -913,15 +902,13 @@ class InferenceEngine:
             and self.scheduler.tenant_pending(request.tenant)
             >= config.max_queue_depth
         ):
-            self._shed.append(ShedRecord(request, "queue_full", request.arrival))
+            self._events.append(ShedRecord(request, "queue_full", request.arrival))
             self._window_sheds += 1
             return False
         if config.shed_doomed:
-            due = request.deadline
-            if due is None and config.slo_latency is not None:
-                due = request.arrival + config.slo_latency
+            due = effective_deadline(request, self.tenants)
             if due is not None and self._best_case_finish(request) > due:
-                self._shed.append(
+                self._events.append(
                     ShedRecord(request, "deadline_doomed", request.arrival)
                 )
                 self._window_sheds += 1
@@ -1004,34 +991,11 @@ class InferenceEngine:
         )
 
     @property
-    def placement_log(self) -> "tuple[PlacementDecision, ...]":
-        """Placement decisions since the start of the last :meth:`run`."""
-        return tuple(self._placements)
-
-    @property
-    def shed_log(self) -> "tuple[ShedRecord, ...]":
-        """Requests shed since the start of the last :meth:`run`."""
-        return tuple(self._shed)
-
-    @property
-    def prefix_log(self) -> "tuple[PrefixEvent, ...]":
-        """Prefix-cache hit/miss events since the last :meth:`run` start."""
-        return tuple(self._prefix_events)
-
-    @property
-    def failed_log(self) -> "tuple[FailureRecord, ...]":
-        """Admitted requests lost to faults since the last :meth:`run` start."""
-        return tuple(self._failed)
-
-    @property
-    def fault_log(self) -> "tuple[FaultRecord, ...]":
-        """Failed/parked batch attempts since the last :meth:`run` start."""
-        return tuple(self._fault_log)
-
-    @property
-    def breaker_log(self) -> "tuple[BreakerTransition, ...]":
-        """Breaker state changes since the last :meth:`run` start."""
-        return tuple(self._breaker_log)
+    def events(self) -> "tuple[object, ...]":
+        """The event log since the start of the last :meth:`run`: what
+        :attr:`ServingReport.events` will carry, for :meth:`step`-driven
+        callers (filter by record type for one kind)."""
+        return tuple(self._events)
 
     @property
     def shard_health(self) -> Dict[int, ShardHealth]:
@@ -1039,19 +1003,9 @@ class InferenceEngine:
         return dict(self._health)
 
     @property
-    def steal_log(self) -> "tuple[StealEvent, ...]":
-        """Work-stealing migrations since the last :meth:`run` start."""
-        return tuple(self._steals)
-
-    @property
-    def scaling_log(self) -> "tuple[ScalingEvent, ...]":
-        """Autoscaler pool resizes since the last :meth:`run` start."""
-        return tuple(self._scaling_log)
-
-    @property
     def shard_stats(self) -> Dict[int, ShardStats]:
-        """Per-shard live stats (drift EWMA, steal tallies; cumulative
-        across runs, cleared by :meth:`reset`)."""
+        """Per-shard live stats (the drift EWMA stealing reads;
+        cumulative across runs, cleared by :meth:`reset`)."""
         return dict(self._shard_stats)
 
     @property
@@ -1089,7 +1043,7 @@ class InferenceEngine:
         the same instant into a jointly planned round.  Returns the
         completions of the attempt — empty when the attempt failed and
         the batch was re-queued, parked, or abandoned (its requests
-        then appear on :attr:`failed_log`).
+        then appear as :class:`FailureRecord` entries on :attr:`events`).
         """
         sources = self._work_sources()
         if not sources:
@@ -1183,7 +1137,7 @@ class InferenceEngine:
         if not completed or not self.elastic.autoscale:
             return
         for record in completed:
-            due = self._effective_deadline(record.request)
+            due = effective_deadline(record.request, self.tenants)
             self._slo_window.append(due is None or record.finish <= due)
         excess = len(self._slo_window) - self.elastic.autoscale_window
         if excess > 0:
@@ -1204,13 +1158,9 @@ class InferenceEngine:
         return self._results.pop(request_id)
 
     def _clear_run_logs(self) -> None:
-        """Empty the per-run logs and the autoscaler's windowed signals."""
-        for log in (
-            self._placements, self._shed, self._prefix_events, self._failed,
-            self._fault_log, self._breaker_log, self._gen_steps, self._steals,
-            self._scaling_log, self._slo_window,
-        ):
-            log.clear()
+        """Empty the event log and the autoscaler's windowed signals."""
+        self._events.clear()
+        self._slo_window.clear()
         self._window_sheds = 0
 
     def reset(self) -> None:
@@ -1263,7 +1213,7 @@ class InferenceEngine:
         health = self._health.get(shard)
         if health is None:
             health = self._health[shard] = ShardHealth(
-                shard, self._breaker_config, on_transition=self._breaker_log.append
+                shard, self._breaker_config, on_transition=self._events.append
             )
         return health
 
@@ -1292,7 +1242,7 @@ class InferenceEngine:
         offline = self.dispatcher.offline_shards()
         live = [h for shard, h in self._health.items() if shard not in offline]
         wake = min(h.open_until for h in live or self._health.values())
-        self._fault_log.append(
+        self._events.append(
             FaultRecord(
                 kind="all_shards_down",
                 shard=None,
@@ -1409,7 +1359,7 @@ class InferenceEngine:
         migrated = resident and self.prefix_cache.migrate(
             from_shard, to_shard, profile.tenant, profile.model, unit.prefix_tokens
         )
-        self._steals.append(
+        self._events.append(
             StealEvent(
                 batch_index=unit.batch_index,
                 model=profile.model,
@@ -1423,8 +1373,6 @@ class InferenceEngine:
                 cache_migrated=migrated,
             )
         )
-        self._stats_of(from_shard).steals_out += 1
-        self._stats_of(to_shard).steals_in += 1
 
     # ------------------------------------------------------------------
     # SLO-driven autoscaling
@@ -1516,7 +1464,7 @@ class InferenceEngine:
                 return False
             shard = self.dispatcher.add_shard(template)
             self._health_of(shard)
-        self._scaling_log.append(
+        self._events.append(
             ScalingEvent(
                 at=now,
                 action="grow",
@@ -1545,7 +1493,7 @@ class InferenceEngine:
         # (and with it a deterministic pool core) is retired last.
         victim = min(live, key=lambda s: (self._shard_busy.get(s, 0.0), -s))
         self.dispatcher.retire_shard(victim)
-        self._scaling_log.append(
+        self._events.append(
             ScalingEvent(
                 at=now,
                 action="shrink",
@@ -1661,14 +1609,14 @@ class InferenceEngine:
             attempt=unit.attempt,
             recovered_from=unit.exclude_shard if unit.attempt > 0 else None,
         )
-        self._placements.append(placed)
+        self._events.append(placed)
         return unit.commit(placed, result, reused)
 
     def _log_prefix_event(
         self, placed: PlacementDecision, prefix_key: str, hit: bool, cycles_saved: int
     ) -> None:
         """One cache decision (prefix or radix) of a committed batch."""
-        self._prefix_events.append(
+        self._events.append(
             PrefixEvent(
                 batch_index=placed.batch_index,
                 model=placed.model,
@@ -1941,7 +1889,7 @@ class InferenceEngine:
 
         def commit(placed, result, reused):
             next_tokens, step_kv = result
-            self._gen_steps.append(
+            self._events.append(
                 DecodeStepRecord(
                     step_index=batch_index,
                     model=placed.model,
@@ -2073,7 +2021,7 @@ class InferenceEngine:
         )
         self._health_of(shard).record_failure(at)
         survivors = unit.fail(shard, at)
-        self._fault_log.append(
+        self._events.append(
             FaultRecord(
                 kind="crash",
                 shard=shard,
@@ -2117,11 +2065,11 @@ class InferenceEngine:
             reason = "max_retries"
         else:
             wake = at + self.retry_policy.backoff(attempt)
-            due = self._effective_deadline(request)
+            due = effective_deadline(request, self.tenants)
             if due is None or wake <= due:
                 return wake
             reason = "retry_deadline"
-        self._failed.append(
+        self._events.append(
             FailureRecord(
                 request=request, reason=reason, at=at, shard=shard, attempts=attempts
             )
@@ -2139,13 +2087,3 @@ class InferenceEngine:
             (wake, self._retry_seq, attempt, exclude_shard, batch),
         )
         self._retry_seq += 1
-
-    def _effective_deadline(self, request: InferenceRequest) -> Optional[float]:
-        """Explicit deadline, else arrival + tenant SLO, else None —
-        the same resolution the report's SLO accounting applies."""
-        if request.deadline is not None:
-            return request.deadline
-        config = self.tenants.get(request.tenant)
-        if config.slo_latency is not None:
-            return request.arrival + config.slo_latency
-        return None

@@ -55,6 +55,7 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.serving.cluster import (
@@ -402,7 +403,7 @@ def _lost_report(config: WorkerConfig, at: float) -> ServingReport:
         shard_cycles={},
         wall_seconds=0.0,
         placement_policy=config.placement,
-        failed=failed,
+        events=failed,
     )
 
 
@@ -471,11 +472,7 @@ def serve_multiproc(
     :func:`merge_reports`).
     """
     partitions = partition_cluster(cluster, n_workers)
-    offsets: List[int] = []
-    running = 0
-    for partition in partitions:
-        offsets.append(running)
-        running += partition.n_shards
+    offsets = _block_offsets(partitions)
     model_specs = tuple(models)
     configs = [
         WorkerConfig(
@@ -605,6 +602,22 @@ def serve_multiproc(
 # ---------------------------------------------------------------------------
 # Merging
 # ---------------------------------------------------------------------------
+def _block_offsets(partitions: Sequence[ClusterSpec]) -> List[int]:
+    """First cluster shard index of each contiguous partition block."""
+    return list(accumulate((p.n_shards for p in partitions), initial=0))[:-1]
+
+
+def _shift_shards(record, offset: int):
+    """``record`` with whichever shard-index fields it carries moved
+    by ``offset`` (None passes through)."""
+    moved = {
+        name: value + offset
+        for name in ("shard", "from_shard", "to_shard", "recovered_from")
+        if (value := getattr(record, name, None)) is not None
+    }
+    return replace(record, **moved) if moved else record
+
+
 def merge_reports(
     reports: Sequence[ServingReport],
     partitions: Sequence[ClusterSpec],
@@ -615,9 +628,11 @@ def merge_reports(
     Worker-local shard indices shift by the cumulative size of the
     preceding partitions, recovering the declared cluster's numbering.
     Counters merge without loss: ``tenant_cycles``, ``shard_cycles``
-    and shed counts sum exactly; placement, shed and prefix-event logs
-    concatenate in worker order; ``wall_seconds`` is the slowest
-    worker (the fleet ran concurrently).  Request ids stay worker-local
+    and shed counts sum exactly; the event logs concatenate in worker
+    order (so every typed view reads worker order, then log order),
+    each record re-mapped by the one :func:`_shift_shards` rule;
+    ``wall_seconds`` is the slowest worker (the fleet ran
+    concurrently).  Request ids stay worker-local
     (each engine numbers from zero) — batch identity in the merged
     view rests on the now-globally-unique ``(shard, batch_index)``
     pairs, not on request ids.
@@ -630,13 +645,7 @@ def merge_reports(
     reports share an offset (donor + redistribution), their per-shard
     cycle and busy counters sum on the shared shard ids.
 
-    Fault-tolerance state merges the same way: ``failed`` /
-    ``fault_events`` / ``breaker_transitions`` concatenate in worker
-    order with shard ids re-mapped (records with ``shard=None`` pass
-    through), and supervision counters sum.  Elastic-runtime logs do
-    too: ``steals`` re-map both endpoints (``from_shard`` /
-    ``to_shard``) and ``scaling_events`` re-map ``shard``, so the
-    fleet view names shards in cluster numbering.
+    Supervision counters sum.
 
     Per-worker ``cache_stats`` namespaces are qualified as
     ``worker<N>/<namespace>`` — each worker owns a private store (plus
@@ -648,26 +657,11 @@ def merge_reports(
             f"got {len(reports)} reports for {len(partitions)} partitions"
         )
     if offsets is None:
-        resolved_offsets: List[int] = []
-        running = 0
-        for partition in partitions:
-            resolved_offsets.append(running)
-            running += partition.n_shards
-    else:
-        if len(offsets) != len(reports):
-            raise ValueError(
-                f"got {len(offsets)} offsets for {len(reports)} reports"
-            )
-        resolved_offsets = list(offsets)
+        offsets = _block_offsets(partitions)
+    elif len(offsets) != len(reports):
+        raise ValueError(f"got {len(offsets)} offsets for {len(reports)} reports")
     completed: List[object] = []
-    placements: List[object] = []
-    shed: List[object] = []
-    prefix_events: List[object] = []
-    failed: List[object] = []
-    fault_events: List[object] = []
-    breaker_transitions: List[object] = []
-    steals: List[object] = []
-    scaling_events: List[object] = []
+    events: List[object] = []
     shard_cycles: Dict[int, int] = {}
     shard_busy: Dict[int, float] = {}
     tenant_cycles: Dict[str, int] = {}
@@ -676,48 +670,9 @@ def merge_reports(
     wall_seconds = 0.0
     worker_restarts = 0
     worker_redistributions = 0
-    for worker, (report, offset) in enumerate(zip(reports, resolved_offsets)):
-        completed.extend(
-            replace(record, shard=record.shard + offset)
-            for record in report.completed
-        )
-        placements.extend(
-            replace(decision, shard=decision.shard + offset)
-            for decision in report.placements
-        )
-        prefix_events.extend(
-            replace(event, shard=event.shard + offset)
-            for event in report.prefix_events
-        )
-        shed.extend(report.shed)
-        failed.extend(
-            replace(record, shard=record.shard + offset)
-            if record.shard is not None
-            else record
-            for record in report.failed
-        )
-        fault_events.extend(
-            replace(event, shard=event.shard + offset)
-            if event.shard is not None
-            else event
-            for event in report.fault_events
-        )
-        breaker_transitions.extend(
-            replace(transition, shard=transition.shard + offset)
-            for transition in report.breaker_transitions
-        )
-        steals.extend(
-            replace(
-                steal,
-                from_shard=steal.from_shard + offset,
-                to_shard=steal.to_shard + offset,
-            )
-            for steal in report.steals
-        )
-        scaling_events.extend(
-            replace(event, shard=event.shard + offset)
-            for event in report.scaling_events
-        )
+    for worker, (report, offset) in enumerate(zip(reports, offsets)):
+        completed.extend(_shift_shards(record, offset) for record in report.completed)
+        events.extend(_shift_shards(event, offset) for event in report.events)
         for shard, cycles in report.shard_cycles.items():
             shard_cycles[shard + offset] = (
                 shard_cycles.get(shard + offset, 0) + cycles
@@ -739,17 +694,10 @@ def merge_reports(
         wall_seconds=wall_seconds,
         tenant_cycles=tenant_cycles,
         tenants=tenants,
-        placements=tuple(placements),
-        shed=tuple(shed),
+        events=tuple(events),
         shard_busy=shard_busy,
         placement_policy=policy,
-        prefix_events=tuple(prefix_events),
         cache_stats=cache_stats,
-        failed=tuple(failed),
-        fault_events=tuple(fault_events),
-        breaker_transitions=tuple(breaker_transitions),
         worker_restarts=worker_restarts,
         worker_redistributions=worker_redistributions,
-        steals=tuple(steals),
-        scaling_events=tuple(scaling_events),
     )

@@ -14,6 +14,7 @@ double-counted or dropped, even in aggregate-only trace retention.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -26,7 +27,26 @@ from repro.serving.faults import FaultRecord
 from repro.serving.generation import DecodeStepRecord
 from repro.serving.prefix_cache import PrefixEvent
 from repro.serving.request import CompletedRequest, FailureRecord, ShedRecord
-from repro.serving.tenancy import DEFAULT_TENANT, TenantConfig
+from repro.serving.tenancy import DEFAULT_TENANT, TenantConfig, effective_deadline
+
+
+#: The record types of :attr:`ServingReport.events` — the nine frozen
+#: dataclasses the engine logs are the event types.
+EVENT_TYPES = (
+    PlacementDecision, ShedRecord, PrefixEvent, FailureRecord, FaultRecord,
+    BreakerTransition, DecodeStepRecord, StealEvent, ScalingEvent,
+)
+
+
+def _count_by_reason(records) -> Dict[str, int]:
+    """Record counts grouped by their ``reason`` field."""
+    return dict(Counter(record.reason for record in records))
+
+
+def _view(kind: type, doc: str) -> property:
+    """Read-only view of :attr:`ServingReport.events`: the records of
+    one type, in log order."""
+    return property(lambda report: report._events_by_type[kind], doc=doc)
 
 
 @dataclass(frozen=True)
@@ -48,50 +68,33 @@ class ServingReport:
     tenants:
         Scheduling contracts of the tenants known to the engine
         (weights, priorities, SLO targets) for the SLO section.
-    placements:
-        The placement-decision log: one
-        :class:`~repro.serving.cluster.PlacementDecision` per executed
-        batch, in execution order.
-    shed:
-        Requests refused at admission (queue-depth cap or
-        deadline-doomed), never executed.
+    events:
+        The run's one event log: every record the engine wrote, in the
+        order it decided them, each an instance of one of the nine
+        frozen record dataclasses in :data:`EVENT_TYPES`.  Order
+        *across* kinds is meaningful: a batch's steal precedes its
+        fault record, which precedes the retry's placement, which is
+        directly followed by that batch's prefix event or decode step.
+    placements, shed, prefix_events, failed, fault_events,
+    breaker_transitions, generation_steps, steals, scaling_events:
+        Read-only views of :attr:`events` — the records of one type, in
+        log order (one line each where they are defined below).  With
+        :attr:`completed`, ``failed`` partitions the admitted, non-shed
+        requests exactly (the fault-tolerance invariant).
     shard_busy:
         Simulated seconds each shard spent executing during the run
         (keys cover the whole pool, idle shards at 0.0) — the basis of
         :meth:`shard_utilization` and :meth:`imbalance`.
     placement_policy:
         Name of the placement policy that made the decisions.
-    prefix_events:
-        One :class:`~repro.serving.prefix_cache.PrefixEvent` per
-        prefix-keyed batch, in execution order — the basis of the
-        hit/miss counters, cycles-saved totals and per-tenant reuse
-        views.
     cache_stats:
         Snapshot of every cache namespace touched during the run, one
         :meth:`repro.store.CacheStore.stats` dict per namespace (plan
-        caches, approximator tables, prefix shards, param caches) —
-        the unified replacement for the per-module ``*_cache_info``
-        helpers this report used to leave scattered.
-    failed:
-        Admitted requests lost to faults (retry budget exhausted,
-        deadline-doomed retries, lost workers) — together with
-        :attr:`completed` they partition the admitted, non-shed
-        requests exactly (the fault-tolerance invariant).
-    fault_events:
-        The engine's failed/parked-attempt log, one
-        :class:`~repro.serving.faults.FaultRecord` per event.
-    breaker_transitions:
-        Per-shard circuit-breaker state changes, in simulated-time
-        order.
+        caches, approximator tables, prefix shards, param caches).
     worker_restarts, worker_redistributions:
         Supervision actions of a multi-worker run (always 0 for a
         single-engine report): dead workers restarted, and dead
         workers whose requests were re-run on a surviving partition.
-    generation_steps:
-        One :class:`~repro.serving.generation.DecodeStepRecord` per
-        executed decode iteration, in execution order — the basis of
-        the generation section (steps, tokens/sec in simulated time,
-        per-tenant token counts).
     """
 
     completed: Tuple[CompletedRequest, ...]
@@ -99,20 +102,31 @@ class ServingReport:
     wall_seconds: float
     tenant_cycles: Dict[str, int] = field(default_factory=dict)
     tenants: Dict[str, TenantConfig] = field(default_factory=dict)
-    placements: Tuple[PlacementDecision, ...] = ()
-    shed: Tuple[ShedRecord, ...] = ()
+    events: Tuple[object, ...] = ()
     shard_busy: Dict[int, float] = field(default_factory=dict)
     placement_policy: str = "round_robin"
-    prefix_events: Tuple[PrefixEvent, ...] = ()
     cache_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    failed: Tuple[FailureRecord, ...] = ()
-    fault_events: Tuple[FaultRecord, ...] = ()
-    breaker_transitions: Tuple[BreakerTransition, ...] = ()
     worker_restarts: int = 0
     worker_redistributions: int = 0
-    generation_steps: Tuple["DecodeStepRecord", ...] = ()
-    steals: Tuple[StealEvent, ...] = ()
-    scaling_events: Tuple[ScalingEvent, ...] = ()
+
+    # -- the event log's typed views ------------------------------------
+    @cached_property
+    def _events_by_type(self) -> Dict[type, tuple]:
+        """One bucketing pass; reports are immutable so caching is safe."""
+        buckets: Dict[type, list] = {kind: [] for kind in EVENT_TYPES}
+        for event in self.events:
+            buckets[type(event)].append(event)
+        return {kind: tuple(bucket) for kind, bucket in buckets.items()}
+
+    placements = _view(PlacementDecision, "Placement decisions, one per executed batch.")
+    shed = _view(ShedRecord, "Requests refused at admission, never executed.")
+    prefix_events = _view(PrefixEvent, "Cache decisions, one per prefix-keyed batch.")
+    failed = _view(FailureRecord, "Admitted requests lost to faults.")
+    fault_events = _view(FaultRecord, "Failed and parked batch attempts.")
+    breaker_transitions = _view(BreakerTransition, "Per-shard breaker state changes.")
+    generation_steps = _view(DecodeStepRecord, "Decode iterations, one per step.")
+    steals = _view(StealEvent, "Queued batches migrated between shards.")
+    scaling_events = _view(ScalingEvent, "Autoscaler pool resizes.")
 
     # -- request-level views --------------------------------------------
     @property
@@ -186,10 +200,7 @@ class ServingReport:
 
     def shed_by_reason(self) -> Dict[str, int]:
         """Shed counts grouped by admission-control reason."""
-        counts: Dict[str, int] = {}
-        for record in self.shed:
-            counts[record.reason] = counts.get(record.reason, 0) + 1
-        return counts
+        return _count_by_reason(self.shed)
 
     def shard_utilization(self) -> Dict[int, float]:
         """Busy fraction of the run's makespan, per shard.
@@ -366,10 +377,7 @@ class ServingReport:
 
     def failed_by_reason(self) -> Dict[str, int]:
         """Failure counts grouped by reason."""
-        counts: Dict[str, int] = {}
-        for record in self.failed:
-            counts[record.reason] = counts.get(record.reason, 0) + 1
-        return counts
+        return _count_by_reason(self.failed)
 
     @property
     def retries(self) -> int:
@@ -460,10 +468,7 @@ class ServingReport:
 
     def steals_by_reason(self) -> Dict[str, int]:
         """Steal counts grouped by trigger (drift / breaker / affinity)."""
-        counts: Dict[str, int] = {}
-        for steal in self.steals:
-            counts[steal.reason] = counts.get(steal.reason, 0) + 1
-        return counts
+        return _count_by_reason(self.steals)
 
     @property
     def has_elastic_activity(self) -> bool:
@@ -616,22 +621,19 @@ class ServingReport:
             return 0.0
         return float(np.percentile(latencies, q))
 
-    def _effective_deadline(self, record: CompletedRequest) -> Optional[float]:
-        """Request deadline, falling back to arrival + tenant SLO."""
-        if record.request.deadline is not None:
-            return record.request.deadline
-        config = self.tenants.get(record.request.tenant)
-        if config is not None and config.slo_latency is not None:
-            return record.request.arrival + config.slo_latency
-        return None
+    def _deadline_met(self, records) -> List[bool]:
+        """One met/missed flag per deadline-carrying record of
+        ``records`` (see :func:`~repro.serving.tenancy.effective_deadline`)."""
+        return [
+            record.finish <= due
+            for record in records
+            if (due := effective_deadline(record.request, self.tenants)) is not None
+        ]
 
     def deadline_misses(self, tenant: str) -> int:
         """Requests that finished after their effective deadline."""
-        return sum(
-            1
-            for c in self._completed_by_tenant.get(tenant, ())
-            if (due := self._effective_deadline(c)) is not None and c.finish > due
-        )
+        met = self._deadline_met(self._completed_by_tenant.get(tenant, ()))
+        return len(met) - sum(met)
 
     def slo_attainment(self, tenant: str) -> Optional[float]:
         """Fraction of the tenant's requests that met their deadline.
@@ -639,14 +641,8 @@ class ServingReport:
         None when the tenant has no deadline-carrying requests (no
         per-request deadlines and no configured SLO).
         """
-        scored = [
-            c.finish <= due
-            for c in self._completed_by_tenant.get(tenant, ())
-            if (due := self._effective_deadline(c)) is not None
-        ]
-        if not scored:
-            return None
-        return sum(scored) / len(scored)
+        met = self._deadline_met(self._completed_by_tenant.get(tenant, ()))
+        return sum(met) / len(met) if met else None
 
     def objective_section(self) -> Dict[str, object]:
         """Machine-readable run summary for replay scoring.
@@ -668,16 +664,10 @@ class ServingReport:
           simulated time (0.0 without generation traffic);
         * ``total_cycles`` — traced array cycles across all shards.
         """
-        scored = [
-            c.finish <= due
-            for c in self.completed
-            if (due := self._effective_deadline(c)) is not None
-        ]
+        met = self._deadline_met(self.completed)
         offered = self.n_requests + self.shed_count + self.failed_count
         return {
-            "slo_attainment": (
-                sum(scored) / len(scored) if scored else None
-            ),
+            "slo_attainment": sum(met) / len(met) if met else None,
             "shed": self.shed_count,
             "shed_rate": self.shed_count / offered if offered else 0.0,
             "failed": self.failed_count,
@@ -707,24 +697,18 @@ class ServingReport:
                     f"{self.tenant_percentile(tenant, 50.0) * 1e6:,.1f} / "
                     f"{self.tenant_percentile(tenant, 99.0) * 1e6:,.1f} us"
                 )
-            # One pass over the records so the printed miss count and
+            # One list of flags, so the printed miss count and
             # attainment percentage can never disagree.
-            scored = missed = 0
-            for record in records:
-                due = self._effective_deadline(record)
-                if due is not None:
-                    scored += 1
-                    if record.finish > due:
-                        missed += 1
-            if scored:
+            met = self._deadline_met(records)
+            if met:
                 target = (
                     f" (target {config.slo_latency * 1e6:,.1f} us)"
                     if config is not None and config.slo_latency is not None
                     else ""
                 )
                 lines.append(
-                    f"  SLO attainment     : {(scored - missed) / scored:.0%}"
-                    f"{target}, {missed} missed"
+                    f"  SLO attainment     : {sum(met) / len(met):.0%}"
+                    f"{target}, {len(met) - sum(met)} missed"
                 )
         return "\n".join(lines)
 
@@ -762,7 +746,7 @@ class ServingReport:
         # were in play (even on the implicit default tenant).
         if tenant_ids and (
             tenant_ids != [DEFAULT_TENANT]
-            or any(self._effective_deadline(c) is not None for c in self.completed)
+            or self._deadline_met(self.completed)
         ):
             lines.append(self.slo_section())
         lines.append(f"host wall time       : {self.wall_seconds * 1e3:,.1f} ms")

@@ -7,8 +7,8 @@ autoscaler reads per-shard utilization and backlog, and the report
 renders the whole picture for humans.  This module provides both:
 
 * :class:`ShardStats` — the live per-shard accumulator the engine
-  updates after every executed batch (cycles, busy seconds, the
-  drift EWMA steals trigger on);
+  updates after every executed batch (the drift EWMA steals trigger
+  on; cycle, busy and steal tallies are read off the report's log);
 * :func:`cluster_desc` / :func:`render_cluster_desc` — a nested
   ``{type, stats, sinks}`` descriptor tree (cluster → shards → model
   endpoints) built from a finished
@@ -37,23 +37,14 @@ class ShardStats:
     deciding whether a queued batch should migrate.
     """
 
-    __slots__ = (
-        "shard", "batches", "cycles", "busy_seconds",
-        "estimated_seconds", "drift", "steals_in", "steals_out",
-    )
+    __slots__ = ("shard", "batches", "estimated_seconds", "drift")
 
     #: EWMA smoothing weight of the newest observation.
     ALPHA = 0.25
 
     def __init__(self, shard: int) -> None:
         self.shard = shard
-        self.batches = 0
-        self.cycles = 0
-        self.busy_seconds = 0.0
-        self.estimated_seconds = 0.0
-        self.drift = 1.0
-        self.steals_in = 0
-        self.steals_out = 0
+        self.reset()
 
     def observe(
         self,
@@ -61,33 +52,21 @@ class ShardStats:
         duration: float,
         estimated_seconds: Optional[float] = None,
     ) -> None:
-        """Record one executed batch (and its estimate, when priced)."""
+        """Record one executed batch (and its estimate, when priced).
+
+        ``cycles`` is not accumulated: per-shard cycle and busy tallies
+        come from the report's event log (see :func:`cluster_desc`).
+        """
         self.batches += 1
-        self.cycles += int(cycles)
-        self.busy_seconds += float(duration)
         if estimated_seconds is not None and estimated_seconds > 0 and duration > 0:
             self.estimated_seconds += float(estimated_seconds)
             ratio = duration / estimated_seconds
             self.drift += self.ALPHA * (ratio - self.drift)
 
-    def as_stats(self) -> Dict[str, float]:
-        return {
-            "batches": self.batches,
-            "cycles": self.cycles,
-            "busy_s": self.busy_seconds,
-            "drift": self.drift,
-            "steals_in": self.steals_in,
-            "steals_out": self.steals_out,
-        }
-
     def reset(self) -> None:
         self.batches = 0
-        self.cycles = 0
-        self.busy_seconds = 0.0
         self.estimated_seconds = 0.0
         self.drift = 1.0
-        self.steals_in = 0
-        self.steals_out = 0
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +105,7 @@ def cluster_desc(report) -> Dict[str, object]:
 
     steals_out: Dict[int, int] = {}
     steals_in: Dict[int, int] = {}
-    for steal in getattr(report, "steals", ()):
+    for steal in report.steals:
         steals_out[steal.from_shard] = steals_out.get(steal.from_shard, 0) + 1
         steals_in[steal.to_shard] = steals_in.get(steal.to_shard, 0) + 1
 
@@ -165,9 +144,9 @@ def cluster_desc(report) -> Dict[str, object]:
     spread = report.utilization_spread()
     if spread is not None:
         root_stats["util_spread"] = spread
-    if getattr(report, "steals", ()):
+    if report.steals:
         root_stats["steals"] = len(report.steals)
-    if getattr(report, "scaling_events", ()):
+    if report.scaling_events:
         root_stats["scalings"] = len(report.scaling_events)
     return {
         "type": "Cluster",

@@ -82,6 +82,23 @@ class TenantConfig:
             )
 
 
+def effective_deadline(request, tenants) -> Optional[float]:
+    """Explicit deadline, else arrival + the tenant's SLO, else None.
+
+    The one resolution rule admission, retry triage, the autoscaler
+    window and the report's SLO accounting share.  ``tenants`` is
+    anything with ``get(tenant_id)``: the engine's
+    :class:`TenantRegistry` or a report's ``{id: TenantConfig}`` dict
+    (an unknown tenant has no SLO).
+    """
+    if request.deadline is not None:
+        return request.deadline
+    config = tenants.get(request.tenant)
+    if config is not None and config.slo_latency is not None:
+        return request.arrival + config.slo_latency
+    return None
+
+
 class TenantRegistry:
     """Known tenants, with get-or-default semantics.
 

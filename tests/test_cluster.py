@@ -33,6 +33,7 @@ from repro.serving import (
     RoundRobinPlacement,
     ShardSpec,
     ShardView,
+    ShedRecord,
     make_placement_policy,
     workload_cost_model,
 )
@@ -523,8 +524,8 @@ class TestAdmissionControl:
         for row in rows:
             engine.submit("bert", row, arrival=0.0, tenant="capped")
         engine.step()
-        assert len(engine.shed_log) == 2
-        assert {r.reason for r in engine.shed_log} == {"queue_full"}
+        shed = [e for e in engine.events if isinstance(e, ShedRecord)]
+        assert len(shed) == 2 and {r.reason for r in shed} == {"queue_full"}
 
     def test_max_queue_depth_validated(self):
         from repro.serving import TenantConfig

@@ -39,10 +39,12 @@ from repro.serving import (
     LookaheadPlacement,
     ModelSpec,
     RadixKVCache,
+    ScalingEvent,
     ShardHealth,
     ShardSlowdown,
     ShardStats,
     ShardView,
+    StealEvent,
     TransformerPrefixAdapter,
     cluster_desc,
     load_calibration,
@@ -178,8 +180,9 @@ class TestDefaultsPinned:
         report = engine.run()
         assert report.steals == ()
         assert report.scaling_events == ()
-        assert engine.steal_log == ()
-        assert engine.scaling_log == ()
+        assert not any(
+            isinstance(e, (StealEvent, ScalingEvent)) for e in engine.events
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -711,19 +714,47 @@ class TestElasticWiring:
     def test_merge_remaps_steal_and_scaling_shards(self):
         from dataclasses import replace as dc_replace
 
-        from repro.serving import ScalingEvent, StealEvent
+        from repro.serving import (
+            BreakerTransition, DecodeStepRecord, FailureRecord, FaultRecord,
+            PlacementDecision, PrefixEvent, ShedRecord,
+        )
         from repro.serving.multiproc import merge_reports
-        from repro.serving.report import ServingReport
+        from repro.serving.report import EVENT_TYPES, ServingReport
+        from repro.serving.request import InferenceRequest
 
         steal = StealEvent(batch_index=0, model="m", tenant="t",
                            from_shard=0, to_shard=1, at=0.0, reason="drift")
         scaling = ScalingEvent(at=0.0, action="grow", shard=1,
                                reason="slo_attainment", slo_attainment=0.5,
                                shed_rate=0.0)
-        worker = ServingReport(
-            completed=(), shard_cycles={}, wall_seconds=0.0,
-            steals=(steal,), scaling_events=(scaling,),
+        request = InferenceRequest(request_id=0, model="m", inputs=np.zeros(2))
+        placed = PlacementDecision(
+            batch_index=0, model="m", tenant="t", batch_size=1, shard=1,
+            policy="lookahead", ready_time=0.0, start=0.0, finish=1.0,
+            attempt=1, recovered_from=0,
         )
+        prefix = PrefixEvent(batch_index=0, model="m", tenant="t", shard=1,
+                             batch_size=1, prefix_key="k", hit=False)
+        step = DecodeStepRecord(step_index=1, model="m", tenant="t", shard=0,
+                                batch_size=1, position=4, cycles=10,
+                                start=1.0, finish=2.0)
+        crash = FaultRecord(kind="crash", shard=0, batch_index=0, at=0.0,
+                            attempt=0, action="retry", requests=1)
+        park = FaultRecord(kind="all_shards_down", shard=None, batch_index=2,
+                           at=0.0, attempt=0, action="park", requests=1)
+        lost = FailureRecord(request=request, reason="max_retries", at=0.0,
+                             shard=1, attempts=2)
+        unbound = FailureRecord(request=request, reason="worker_lost", at=0.0,
+                                attempts=0)
+        shed = ShedRecord(request, "queue_full", 0.0)
+        tripped = BreakerTransition(shard=0, at=0.0, from_state="closed",
+                                    to_state="open")
+        log = (shed, steal, crash, lost, tripped, park, unbound, placed,
+               prefix, step, scaling)
+        worker = ServingReport(
+            completed=(), shard_cycles={}, wall_seconds=0.0, events=log,
+        )
+        assert {type(event) for event in log} == set(EVENT_TYPES)
         empty = ServingReport(completed=(), shard_cycles={}, wall_seconds=0.0)
         partitions = [
             ClusterSpec.homogeneous(self_config, 2)
@@ -734,6 +765,27 @@ class TestElasticWiring:
             dc_replace(steal, from_shard=2, to_shard=3),
         )
         assert merged.scaling_events == (dc_replace(scaling, shard=3),)
+        # Every kind crosses the merge through the same rule — log order
+        # kept, worker-local shards in cluster numbering, None untouched.
+        assert merged.events == (
+            shed,
+            dc_replace(steal, from_shard=2, to_shard=3),
+            dc_replace(crash, shard=2),
+            dc_replace(lost, shard=3),
+            dc_replace(tripped, shard=2),
+            park,
+            unbound,
+            dc_replace(placed, shard=3, recovered_from=2),
+            dc_replace(prefix, shard=3),
+            dc_replace(step, shard=2),
+            dc_replace(scaling, shard=3),
+        )
+        # The decode step used to be dropped by the merge.
+        assert merged.generation_steps == (dc_replace(step, shard=2),)
+        assert merged.has_generation_activity
+        assert merged.fault_events == (dc_replace(crash, shard=2), park)
+        assert merged.failed == (dc_replace(lost, shard=3), unbound)
+        assert merged.replacements == 1  # shard 3 vs recovered_from 2
 
     def test_tuning_config_elastic_round_trip(self):
         from repro.autotune.tuning import TuningConfig

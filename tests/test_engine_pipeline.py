@@ -9,12 +9,18 @@ public logs:
 * each skeleton exit (dead-on-arrival crash, crash inside the
   slowdown-stretched window, all-breakers-open park, clean run under a
   slowdown) leaves the same shared post-conditions whatever the kind;
+* the one event log tells each batch's story in the order the
+  skeleton decided it, and the report's nine views are that log
+  filtered by record type;
 * the source of ``serving/engine.py`` contains each skeleton call once,
   so a new kind of work cannot re-grow a private copy; likewise the
-  KV-prefix cache and the transformer layer inventory exist once.
+  KV-prefix cache, the transformer layer inventory, the per-run record
+  list and the merge re-mapping rule exist once.
 """
 
 import importlib
+import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +29,26 @@ import pytest
 import repro.serving.engine as engine_module
 from repro.nn.models import TinyBERT
 from repro.serving import (
+    BreakerTransition,
     ClusterDispatcher,
+    DecodeStepRecord,
     ElasticConfig,
+    FailureRecord,
     FaultPlan,
+    FaultRecord,
     GenerationAdapter,
     InferenceEngine,
+    PlacementDecision,
+    PrefixEvent,
     RadixKVCache,
+    ScalingEvent,
     ShardCrash,
     ShardSlowdown,
+    ShedRecord,
+    StealEvent,
     TransformerPrefixAdapter,
 )
+from repro.serving.multiproc import merge_reports
 from repro.systolic import SystolicArray, SystolicConfig
 
 CONFIG = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=8)
@@ -208,6 +224,94 @@ def test_fresh_batch_parks_identically_planned_or_not(lookahead):
     assert report.failed == () and len(report.completed) == len(ids)
 
 
+VIEWS = {
+    "placements": PlacementDecision,
+    "shed": ShedRecord,
+    "prefix_events": PrefixEvent,
+    "failed": FailureRecord,
+    "fault_events": FaultRecord,
+    "breaker_transitions": BreakerTransition,
+    "generation_steps": DecodeStepRecord,
+    "steals": StealEvent,
+    "scaling_events": ScalingEvent,
+}
+# One batch's records, in log order: failed attempts (each optionally
+# preceded by its steal), then at most one surviving placement directly
+# followed by that batch's prefix event or decode step.
+STORY = re.compile(r"(S?F)*(S?P[XD]?)?")
+STORY_LETTER = {
+    StealEvent: "S", FaultRecord: "F", PlacementDecision: "P",
+    PrefixEvent: "X", DecodeStepRecord: "D",
+}
+ALL_ELASTIC = ElasticConfig(
+    lookahead=True, steal=True, autoscale=True,
+    autoscale_window=4, autoscale_cooldown=0.0, min_shards=2,
+)
+
+
+def _index_of(event):
+    return event.step_index if isinstance(event, DecodeStepRecord) else event.batch_index
+
+
+def _staggered_run(kind, seed, faults=None):
+    """Twelve requests in three bursts over a 3-shard pool: chaos +
+    look-ahead + steal + autoscale for classifier kinds, generation +
+    radix for ``decode``."""
+    engine = _engine(kind, 3, faults, None if kind == "decode" else ALL_ELASTIC)
+    rng = np.random.default_rng(seed)
+    for i in range(12):
+        arrival = (i // 4) * 2e-5
+        if kind == "decode":
+            engine.submit_generation("m", rng.integers(0, 16, size=4), 3, arrival=arrival)
+        else:
+            row = rng.integers(0, 16, size=_MODEL.seq_len)
+            row[:4] = (i % 3, 1, 2, 3)  # three prompts -> prefix-affine batches
+            # Every other request carries a tight deadline, so the
+            # autoscaler's attainment window has something to react to.
+            due = arrival + (5e-5 if i % 2 else 1.0)
+            engine.submit("m", row, arrival=arrival, deadline=due)
+    return engine.run()
+
+
+@pytest.mark.parametrize("kind", ["classify", "prefix", "decode"])
+def test_event_log_tells_each_batch_story_in_order(kind):
+    seen = set()
+    for seed in range(4):
+        horizon = max(c.finish for c in _staggered_run(kind, seed).completed)
+        plan = FaultPlan.from_seed(
+            seed, n_shards=3, horizon=horizon, crash_rate=0.7, slowdown_rate=0.7
+        )
+        report = _staggered_run(kind, seed, plan)
+        events = report.events
+        seen.update(type(event) for event in events)
+
+        stories = {}
+        for event in events:
+            if type(event) in STORY_LETTER:
+                stories.setdefault(_index_of(event), []).append(STORY_LETTER[type(event)])
+        assert stories
+        for index, letters in stories.items():
+            assert STORY.fullmatch("".join(letters)), (seed, index, letters)
+        # "Directly followed" holds in the whole log, not just per batch.
+        for before, event in zip(events, events[1:]):
+            if isinstance(event, (PrefixEvent, DecodeStepRecord)):
+                assert isinstance(before, PlacementDecision)
+                assert before.batch_index == _index_of(event)
+
+        # Each view is the log filtered by record type, in log order.
+        for view, record_type in VIEWS.items():
+            assert getattr(report, view) == tuple(
+                event for event in events if type(event) is record_type
+            )
+        assert sum(len(getattr(report, view)) for view in VIEWS) == len(events)
+    # The sweep is not vacuous: the kinds each setup can produce occurred.
+    expected = {PlacementDecision, FaultRecord, BreakerTransition}
+    expected |= {DecodeStepRecord, PrefixEvent} if kind == "decode" else {
+        StealEvent, ScalingEvent
+    }
+    assert expected <= seen
+
+
 SKELETON_CALLS = (
     "crash_covering(",
     "crash_within(",
@@ -248,3 +352,12 @@ def test_no_second_copy(module, marker):
     assert source.count(marker) <= 1, (
         f"{marker!r} occurs {source.count(marker)}x in {module}"
     )
+
+
+def test_one_record_list_and_one_merge_rule():
+    """The engine keeps its per-run records in one list, and
+    ``merge_reports`` re-maps shard indices through one rule."""
+    record_types = "|".join(record_type.__name__ for record_type in VIEWS.values())
+    source = Path(engine_module.__file__).read_text()
+    assert not re.findall(rf"self\._\w+\s*:\s*List\[\"?({record_types})\b", source)
+    assert inspect.getsource(merge_reports).count("replace(") <= 1
