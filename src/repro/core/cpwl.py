@@ -25,12 +25,8 @@ from repro.core.segment_table import (
     SegmentTable,
     build_segment_table,
 )
-from repro.fixedpoint import (
-    QFormat,
-    dequantize,
-    fixed_hadamard_mac,
-    quantize,
-)
+from repro.core.ipf import fetch_parameters
+from repro.fixedpoint import QFormat, fixed_hadamard_mac, quantize
 from repro.fixedpoint.qformat import INT16
 
 
@@ -112,9 +108,9 @@ class CPWLApproximator:
         x = np.asarray(x, dtype=np.float64)
         if self.fmt is None:
             return self.table.evaluate(x)
-        x_raw = quantize(x, self.fmt)
-        y_raw = self.evaluate_raw(x_raw)
-        return dequantize(y_raw, self.fmt)
+        y = self.evaluate_raw(quantize(x, self.fmt, dtype=np.float64))
+        y *= self.fmt.scale
+        return y
 
     def evaluate_raw(self, x_raw: np.ndarray) -> np.ndarray:
         """Evaluate on raw fixed-point inputs, returning raw outputs.
@@ -124,14 +120,13 @@ class CPWLApproximator:
         relative to the saturated domain-origin register — see
         :func:`repro.core.ipf.segment_indices`), gather of quantized
         ``(K, B)``, then the saturating two-term MAC ``y = k*x + b*1``.
+        The output is fresh, in ``x_raw``'s representation (integers or
+        float64 codes, see :mod:`repro.fixedpoint.arithmetic`).
         """
         if self.fmt is None or self.qtable is None:
             raise RuntimeError("evaluate_raw requires a fixed-point format")
-        from repro.core.ipf import segment_indices
-
-        segments = segment_indices(np.asarray(x_raw), self.table, self.fmt)
-        k_raw, b_raw = self.qtable.lookup_raw(segments)
-        return fixed_hadamard_mac(x_raw, k_raw, b_raw, self.fmt)
+        ipf = fetch_parameters(x_raw, self.qtable, self.fmt)
+        return fixed_hadamard_mac(x_raw, ipf.k_raw, ipf.b_raw, self.fmt)
 
     def error_on(self, x: np.ndarray) -> ApproximationError:
         """Error of the (possibly quantized) approximation on samples."""

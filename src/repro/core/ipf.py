@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.segment_table import QuantizedSegmentTable, SegmentTable
-from repro.fixedpoint import QFormat, quantize
+from repro.fixedpoint import QFormat
 
 
 @dataclass(frozen=True)
@@ -63,32 +63,7 @@ def segment_indices(
     valid range.  Non-power-of-two granularities go through the scale
     multiplier, computing the same floor division.
     """
-    x_raw = np.asarray(x_raw, dtype=np.int64)
-    # Both datapaths subtract the *same* domain-origin register: an INT16
-    # value produced by the ordinary quantizer (round half away from
-    # zero, saturating).  Deriving it with a bare ``np.round`` instead
-    # made the shift path disagree with the scale path whenever the
-    # table domain touched (or exceeded) the format's representable
-    # range, because the register cannot hold the unsaturated origin.
-    x_min_raw = int(quantize(table.x_min, fmt))
-    offset = x_raw - x_min_raw
-    if table.shift_path:
-        # Shift amount: index = floor((x - x_min) / 2**log2g)
-        # with x in raw units: (x_raw - x_min_raw) * 2**-F / 2**log2g.
-        log2g = int(np.round(np.log2(table.granularity)))
-        shift = fmt.frac_bits + log2g
-        if shift >= 0:
-            uncapped = offset >> shift
-        else:
-            # Granularity finer than one LSB: scale up (degenerate but legal).
-            uncapped = offset << (-shift)
-    else:
-        # Scale-multiplier path: same floor division computed from the
-        # same saturated origin register, so the two paths always agree.
-        uncapped = np.floor(
-            offset * fmt.scale / table.granularity
-        ).astype(np.int64)
-    return np.clip(uncapped, 0, table.n_segments - 1)
+    return fetch_parameters(x_raw, table.quantized(fmt), fmt).segments
 
 
 def fetch_parameters(
@@ -97,14 +72,29 @@ def fetch_parameters(
     """Run the full IPF event: addressing + parameter gather.
 
     Returns the segment matrix and raw ``(K, B)`` matrices ready for the
-    Matrix Hadamard Product.
+    Matrix Hadamard Product (``x_raw``: integers or float64 codes).
     """
-    segments = segment_indices(x_raw, qtable.table, fmt)
+    table = qtable.table
+    origin, shift = qtable.registers
+    segments = np.asarray(x_raw).astype(np.int64)
+    segments -= origin
+    if shift is None:
+        # Scale-multiplier path: the same floor division computed from
+        # the same saturated origin, so the two paths always agree.
+        segments = np.floor(segments * fmt.scale / table.granularity).astype(np.int64)
+    elif shift >= 0:
+        # index = floor((x - x_min) / 2**log2g), with x in raw units.
+        segments >>= shift
+    else:
+        # Granularity finer than one LSB: scale up (degenerate but legal).
+        segments <<= -shift
+    np.maximum(segments, 0, out=segments)
+    np.minimum(segments, table.n_segments - 1, out=segments)
     k_raw, b_raw = qtable.lookup_raw(segments)
     return IPFResult(
         segments=segments,
         k_raw=k_raw,
         b_raw=b_raw,
-        shift_path=qtable.table.shift_path,
-        elements=int(np.asarray(x_raw).size),
+        shift_path=table.shift_path,
+        elements=segments.size,
     )

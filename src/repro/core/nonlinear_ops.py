@@ -16,6 +16,13 @@ runs the bit-accurate fixed-point pipeline, and returns float results —
 i.e. the value the network would actually see when the op runs on
 ONE-SA.  Passing ``fmt=None`` selects an idealised float CPWL (no
 quantization), which the ablation uses to split error sources.
+
+Inside a fixed-point op a value stays a float64 raw code between array
+events: scale by ``2**frac_bits`` on entry, chain ``round_saturate`` /
+``evaluate_raw`` (a code-by-code product gives one scale back), scale by
+``fmt.scale`` on exit.  Power-of-two scaling commutes exactly with every
+float64 operation used, so each rounding sees bit for bit the operand a
+quantize-dequantize round trip per stage would hand it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.cpwl import CPWLApproximator
-from repro.fixedpoint import QFormat, dequantize, quantize, saturate
+from repro.fixedpoint import QFormat, round_saturate
 from repro.fixedpoint.qformat import INT16
 from repro.store import get_store, register_namespace
 
@@ -79,13 +86,6 @@ def approximator_cache_info() -> "dict[str, int]":
     """Occupancy and capacity of the approximator LRU."""
     stats = get_store().stats(APPROXIMATOR_NAMESPACE)
     return {"size": stats["entries"], "capacity": stats["max_entries"]}
-
-
-def _roundtrip(x: np.ndarray, fmt: Optional[QFormat]) -> np.ndarray:
-    """Quantize-dequantize ``x`` when a fixed-point format is in use."""
-    if fmt is None:
-        return np.asarray(x, dtype=np.float64)
-    return dequantize(quantize(x, fmt), fmt)
 
 
 def cpwl_gelu(
@@ -158,24 +158,34 @@ def cpwl_softmax(
         visible = np.arange(cols) <= row_offset + np.arange(rows)[:, None]
         peak = np.max(np.where(visible, x, -np.inf), axis=-1, keepdims=True)
         shifted = np.where(visible, x - peak, 0.0)
-    shifted = _roundtrip(shifted, fmt)
-    exps = get_approximator("exp", granularity, fmt)(shifted)
+    exp_table = get_approximator("exp", granularity, fmt)
+    recip_table = get_approximator("reciprocal", granularity, fmt)
+    # Guard the reciprocal domain: a denominator this small only occurs
+    # when every exponent underflowed to zero; uniform output is correct.
+    lo = recip_table.table.x_min
+    if fmt is None:
+        exps = np.maximum(exp_table(shifted), 0.0)
+        if row_offset is not None:
+            exps = np.where(visible, exps, 0.0)
+        denom = np.sum(exps, axis=axis, keepdims=True)
+        return exps * np.broadcast_to(recip_table(np.maximum(denom, lo)), x.shape)
+    one = float(1 << fmt.frac_bits)
+    shifted *= one
+    exps = exp_table.evaluate_raw(round_saturate(shifted, fmt))
     # CPWL chords of a convex function overshoot slightly and the capped
     # lower boundary segment can dip below zero; the hardware clamps the
     # exponential to its known non-negative range on writeback.
-    exps = np.maximum(exps, 0.0)
+    np.maximum(exps, 0.0, out=exps)
     if row_offset is not None:
         exps = np.where(visible, exps, 0.0)
-    denom = np.sum(exps, axis=axis, keepdims=True)
-    denom = _roundtrip(denom, fmt)
-    # Guard the reciprocal domain: a denominator this small only occurs
-    # when every exponent underflowed to zero; uniform output is correct.
-    recip_table = get_approximator("reciprocal", granularity, fmt)
-    lo = recip_table.table.x_min
-    safe_denom = np.maximum(denom, lo)
-    inv = recip_table(safe_denom)
+    denom = round_saturate(np.sum(exps, axis=axis, keepdims=True), fmt)
+    np.maximum(denom, lo * one, out=denom)
+    inv = recip_table.evaluate_raw(round_saturate(denom, fmt))
     out = exps * np.broadcast_to(inv, x.shape)
-    return _roundtrip(out, fmt)
+    out *= fmt.scale
+    round_saturate(out, fmt)
+    out *= fmt.scale
+    return out
 
 
 def cpwl_layernorm(
@@ -197,20 +207,38 @@ def cpwl_layernorm(
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[axis]
-    mean = np.sum(x, axis=axis, keepdims=True) / n
-    centered = _roundtrip(x - mean, fmt)
-    squares = _roundtrip(centered * centered, fmt)
-    var = np.sum(squares, axis=axis, keepdims=True) / n
-    var = _roundtrip(var + eps, fmt)
+    centered = x - np.sum(x, axis=axis, keepdims=True) / n
     rsqrt_table = get_approximator("rsqrt", granularity, fmt)
     lo = rsqrt_table.table.x_min
-    inv_std = rsqrt_table(np.maximum(var, lo))
-    normed = _roundtrip(centered * np.broadcast_to(inv_std, x.shape), fmt)
+    if fmt is None:
+        var = np.sum(centered * centered, axis=axis, keepdims=True) / n + eps
+        normed = centered * np.broadcast_to(rsqrt_table(np.maximum(var, lo)), x.shape)
+        if gamma is not None:
+            normed = normed * np.asarray(gamma, dtype=np.float64)
+        if beta is not None:
+            normed = normed + np.asarray(beta, dtype=np.float64)
+        return normed
+    one = float(1 << fmt.frac_bits)
+    centered *= one
+    round_saturate(centered, fmt)
+    squares = centered * centered
+    squares *= fmt.scale
+    round_saturate(squares, fmt)
+    var = np.sum(squares, axis=axis, keepdims=True) / n
+    var += eps * one
+    round_saturate(var, fmt)
+    np.maximum(var, lo * one, out=var)
+    inv_std = rsqrt_table.evaluate_raw(round_saturate(var, fmt))
+    normed = centered * np.broadcast_to(inv_std, x.shape)
+    normed *= fmt.scale
+    round_saturate(normed, fmt)
     if gamma is not None:
         normed = normed * np.asarray(gamma, dtype=np.float64)
     if beta is not None:
-        normed = normed + np.asarray(beta, dtype=np.float64)
-    return _roundtrip(normed, fmt)
+        normed = normed + np.asarray(beta, dtype=np.float64) * one
+    round_saturate(normed, fmt)
+    normed *= fmt.scale
+    return normed
 
 
 def cpwl_rsqrt_range_reduced(
@@ -231,8 +259,13 @@ def cpwl_rsqrt_range_reduced(
     j = np.floor(np.log2(x) / 2.0)
     x_reduced = x / np.power(4.0, j)
     table = get_approximator("rsqrt", granularity, fmt, domain=(1.0, 4.0))
-    y_reduced = table(x_reduced)
-    return _roundtrip(y_reduced * np.power(2.0, -j), fmt)
+    if fmt is None:
+        return table(x_reduced) * np.power(2.0, -j)
+    x_reduced *= float(1 << fmt.frac_bits)
+    y = table.evaluate_raw(round_saturate(x_reduced, fmt)) * np.power(2.0, -j)
+    round_saturate(y, fmt)
+    y *= fmt.scale
+    return y
 
 
 def cpwl_batchnorm(
@@ -255,4 +288,9 @@ def cpwl_batchnorm(
     shape[channel_axis] = -1
     k = np.asarray(scale, dtype=np.float64).reshape(shape)
     b = np.asarray(shift, dtype=np.float64).reshape(shape)
-    return _roundtrip(x * k + b, fmt)
+    out = x * k + b
+    if fmt is not None:
+        out *= float(1 << fmt.frac_bits)
+        round_saturate(out, fmt)
+        out *= fmt.scale
+    return out

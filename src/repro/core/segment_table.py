@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -125,6 +126,24 @@ class QuantizedSegmentTable:
     @property
     def n_segments(self) -> int:
         return self.table.n_segments
+
+    @cached_property
+    def registers(self) -> "tuple[int, Optional[int]]":
+        """``(origin, shift)`` registers of the L3 data-addressing module,
+        constants of the table and format (derived once, not per call).
+
+        Both datapaths subtract the *same* origin: ``x_min`` through the
+        ordinary quantizer (round half away from zero, saturating).  A
+        bare ``np.round`` made the shift path disagree with the scale
+        path whenever the domain touched the format's range: the
+        register cannot hold the unsaturated origin.  ``shift`` is
+        ``frac_bits + log2(granularity)``; ``None`` on the scale path.
+        """
+        origin = int(quantize(self.table.x_min, self.fmt))
+        if not self.table.shift_path:
+            return origin, None
+        log2g = int(np.round(np.log2(self.table.granularity)))
+        return origin, self.fmt.frac_bits + log2g
 
     def lookup_raw(self, segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gather raw INT16 ``(K, B)`` matrices for segment indices."""

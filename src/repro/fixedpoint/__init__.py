@@ -7,7 +7,8 @@ quantization/dequantization with saturation, and the saturating arithmetic
 primitives (add/mul/MAC) that the processing-element model builds on.
 
 The representation convention throughout the package: a *raw* fixed-point
-tensor is a numpy integer array holding the scaled integers; the
+tensor is a numpy integer array holding the scaled integers (on the hot
+paths a float64 array holding them exactly, see :mod:`.arithmetic`); the
 :class:`QFormat` records how to interpret them.  Wider accumulators are
 modelled with int64, matching the multi-layer accumulator inside each PE.
 """
@@ -18,6 +19,7 @@ from repro.fixedpoint.quantize import (
     quantize,
     quantization_error,
     requantize,
+    round_saturate,
 )
 from repro.fixedpoint.arithmetic import (
     accumulator_to_output,
@@ -37,6 +39,7 @@ __all__ = [
     "dequantize",
     "requantize",
     "quantization_error",
+    "round_saturate",
     "saturate",
     "fixed_add",
     "fixed_mul",

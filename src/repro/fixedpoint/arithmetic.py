@@ -3,7 +3,14 @@
 These model the datapath operations available inside a ONE-SA processing
 element: INT16 multiply into a wide product, accumulation in the
 multi-layer accumulator (int64 model), and saturating writeback.  All
-functions operate on *raw* integer arrays (see :mod:`repro.fixedpoint`).
+functions operate on *raw* codes (see :mod:`repro.fixedpoint`).
+
+Results come back in the representation of the operands: integers give
+``fmt.storage_dtype()`` integers, float64 arrays of exact raw integers
+(``quantize(..., dtype=np.float64)``) give float64 codes, so a chain of
+operations never converts in between.  The float64 arithmetic is exact:
+every intermediate is an integer of magnitude at most ``2**53`` (a wider
+format is computed in int64) and the shift is a scaling and a floor.
 """
 
 from __future__ import annotations
@@ -11,18 +18,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fixedpoint.qformat import QFormat
+from repro.fixedpoint.quantize import saturate_codes
 
 
 def saturate(raw: np.ndarray, fmt: QFormat) -> np.ndarray:
     """Clamp raw integers to the representable range of ``fmt``."""
-    clipped = np.clip(np.asarray(raw, dtype=np.int64), fmt.raw_min, fmt.raw_max)
-    return clipped.astype(fmt.storage_dtype())
+    clipped = np.maximum(np.asarray(raw, dtype=np.int64), fmt.raw_min)
+    return np.minimum(clipped, fmt.raw_max).astype(fmt.storage_dtype())
 
 
 def fixed_add(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
     """Saturating addition of two raw tensors in the same format."""
-    total = np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-    return saturate(total, fmt)
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.dtype.kind == "f" or b.dtype.kind == "f":
+        return saturate_codes(np.add(a, b, dtype=np.float64), fmt)
+    return saturate(a.astype(np.int64) + b.astype(np.int64), fmt)
 
 
 def fixed_mul(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
@@ -57,17 +68,23 @@ def accumulator_to_output(acc: np.ndarray, fmt: QFormat) -> np.ndarray:
     """Round and saturate a product-aligned accumulator back to ``fmt``.
 
     Models the writeback from the multi-layer accumulator to the PE
-    output buffer (Fig. 7a).
+    output buffer (Fig. 7a).  A float64 accumulator of exact integers
+    gives float64 codes: ``floor((acc + half) * 2**-frac_bits)`` is the
+    arithmetic shift, and a sum past ``2**53`` saturates either way.
     """
-    acc = np.asarray(acc, dtype=np.int64)
-    half = np.int64(1) << (fmt.frac_bits - 1) if fmt.frac_bits > 0 else np.int64(0)
-    # In-place shift/clip on the freshly allocated sum keeps this
-    # writeback to a minimum of passes — it runs once per GEMM output
-    # element and sits on the serving hot path.
-    rounded = acc + half
+    acc = np.asarray(acc)
+    half = 1 << (fmt.frac_bits - 1) if fmt.frac_bits > 0 else 0
+    # In-place passes on the freshly allocated sum keep this writeback
+    # to a minimum of passes — it runs once per GEMM output element and
+    # sits on the serving hot path.
+    if acc.dtype.kind == "f":
+        rounded = acc + float(half)
+        rounded *= fmt.scale
+        np.floor(rounded, out=rounded)
+        return saturate_codes(rounded, fmt)
+    rounded = np.asarray(acc, dtype=np.int64) + half
     rounded >>= fmt.frac_bits
-    np.clip(rounded, fmt.raw_min, fmt.raw_max, out=rounded)
-    return rounded.astype(fmt.storage_dtype())
+    return saturate(rounded, fmt)
 
 
 def fixed_matmul(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
@@ -76,7 +93,8 @@ def fixed_matmul(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
     This is the vectorised reference for what the systolic array computes
     in GEMM mode: every output element is a dot product accumulated in
     the wide accumulator and saturated once on writeback.  Inputs are raw
-    integers in ``fmt``; the output is raw integers in ``fmt``.
+    codes in ``fmt``; the output is raw codes in ``fmt``, in the
+    representation of the operands (float64 if either is).
 
     Operands may carry leading batch axes: ``(..., M, K) @ (..., K, N)``
     is computed as a stack of independent 2-D GEMMs with numpy's matmul
@@ -85,11 +103,6 @@ def fixed_matmul(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
     result is bit-identical to looping :func:`fixed_matmul` over the
     matrix pairs — the property the serving engine relies on to pack
     concurrent requests into shared GEMM tiles.
-
-    Raw operands may arrive either in the storage integer dtype or as
-    float64 holding exact raw integers (``quantize(..., dtype=
-    np.float64)``); the float64 form feeds the BLAS path without a
-    conversion pass, which the GEMM-heavy backends exploit.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -102,16 +115,13 @@ def fixed_matmul(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
     # Accumulator bound for operands in fmt: every partial sum is an
     # integer of magnitude <= K * (2**(total_bits-1))**2.  While that
     # stays below 2**53, float64 represents every intermediate exactly,
-    # so the GEMM can run on the (much faster) BLAS float path and
-    # convert back losslessly.  Wider formats fall back to int64 matmul.
+    # so the GEMM can run on the (much faster) BLAS float path and write
+    # back losslessly.  Wider formats fall back to int64 matmul.
     acc_bound = a.shape[-1] * (1 << (fmt.total_bits - 1)) ** 2
-    if acc_bound <= 1 << 53:
-        a_f = a if a.dtype == np.float64 else a.astype(np.float64)
-        b_f = b if b.dtype == np.float64 else b.astype(np.float64)
-        acc = (a_f @ b_f).astype(np.int64)
-    else:
-        acc = np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)
-    return accumulator_to_output(acc, fmt)
+    wide = np.float64 if acc_bound <= 1 << 53 else np.int64
+    out = accumulator_to_output(a.astype(wide, copy=False) @ b.astype(wide, copy=False), fmt)
+    floating = a.dtype.kind == "f" or b.dtype.kind == "f"
+    return out.astype(np.float64 if floating else fmt.storage_dtype(), copy=False)
 
 
 def fixed_hadamard_mac(
@@ -123,9 +133,17 @@ def fixed_hadamard_mac(
     executes: ``y = k*x + b*1`` with both products accumulated in the wide
     accumulator before a single rounding/saturating writeback (Fig. 6).
     """
-    x = np.asarray(x, dtype=np.int64)
-    k = np.asarray(k, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    one = np.int64(1) << fmt.frac_bits
-    acc = x * k + b * one
-    return accumulator_to_output(acc, fmt)
+    x = np.asarray(x)
+    k = np.asarray(k)
+    b = np.asarray(b)
+    one = 1 << fmt.frac_bits
+    # The MHP analogue of fixed_matmul's bound: |x*k| + |b|*2**frac_bits.
+    rail = 1 << (fmt.total_bits - 1)
+    wide = np.float64 if rail * rail + rail * one <= 1 << 53 else np.int64
+    acc = (
+        x.astype(wide, copy=False) * k.astype(wide, copy=False)
+        + b.astype(wide, copy=False) * one
+    )
+    floating = "f" in (x.dtype.kind, k.dtype.kind, b.dtype.kind)
+    out = accumulator_to_output(acc, fmt)
+    return out.astype(np.float64 if floating else fmt.storage_dtype(), copy=False)

@@ -46,29 +46,48 @@ def quantize(
     """
     values = np.asarray(values, dtype=np.float64)
     # 0-d inputs decay to numpy scalars under arithmetic, which the
-    # in-place ufunc chain below cannot write into; lift them to 1-d
-    # and restore the shape on return.
+    # in-place kernels below cannot write into; lift them to 1-d and
+    # restore the shape on return.
     scalar_input = values.ndim == 0
-    scaled = np.atleast_1d(values) * (1 << fmt.frac_bits) if scalar_input else (
-        values * (1 << fmt.frac_bits)
-    )
+    raw = (np.atleast_1d(values) if scalar_input else values) * (1 << fmt.frac_bits)
     if rounding == "nearest":
-        # Round half away from zero as trunc(x + copysign(0.5, x)): a
-        # branch-free in-place pass chain (this sits on the quantize-
-        # dequantize hot path of every backend operation).
-        raw = np.copysign(0.5, scaled)
-        raw += scaled
-        np.trunc(raw, out=raw)
+        round_saturate(raw, fmt)
     elif rounding == "floor":
-        raw = np.floor(scaled)
+        np.floor(raw, out=raw)
+        saturate_codes(raw, fmt)
     else:
         raise ValueError(f"unknown rounding mode: {rounding!r}")
-    np.clip(raw, fmt.raw_min, fmt.raw_max, out=raw)
-    if dtype is not None and np.dtype(dtype) == np.float64:
-        return raw.reshape(()) if scalar_input else raw
-    target = fmt.storage_dtype() if dtype is None else np.dtype(dtype)
-    raw = raw.astype(target)
+    if dtype is None or np.dtype(dtype) != np.float64:
+        raw = raw.astype(fmt.storage_dtype() if dtype is None else dtype)
     return raw.reshape(()) if scalar_input else raw
+
+
+def saturate_codes(codes: np.ndarray, fmt: QFormat) -> np.ndarray:
+    """Clamp float64 raw ``codes`` to ``fmt``'s range, in place (two
+    ufunc passes: cheaper than ``np.clip``'s Python-level dispatch on
+    the small arrays of the serving hot path)."""
+    np.maximum(codes, fmt.raw_min, out=codes)
+    np.minimum(codes, fmt.raw_max, out=codes)
+    return codes
+
+
+def round_saturate(codes: np.ndarray, fmt: QFormat) -> np.ndarray:
+    """Round float64 ``codes`` half away from zero and saturate, in place.
+
+    The one rounding kernel of the datapath model: a value scaled by
+    ``2**frac_bits`` goes in, the exact raw integer the saturating
+    writeback stores comes out, in the same float64 array (which the
+    caller must own).
+    """
+    # Half away from zero as trunc(x + copysign(0.5, x)): branch-free.
+    half = np.copysign(0.5, codes)
+    codes += half
+    np.trunc(codes, out=codes)
+    saturate_codes(codes, fmt)
+    # trunc maps (-1, 0) to -0.0; adding +0.0 restores the one zero
+    # integers have, so codes equal the converted integers byte for byte.
+    codes += 0.0
+    return codes
 
 
 def dequantize(raw: ArrayLike, fmt: QFormat) -> np.ndarray:
@@ -92,7 +111,7 @@ def requantize(raw: ArrayLike, src: QFormat, dst: QFormat) -> np.ndarray:
         rescaled = raw << (-shift)
     else:
         rescaled = raw
-    rescaled = np.clip(rescaled, dst.raw_min, dst.raw_max)
+    rescaled = np.minimum(np.maximum(rescaled, dst.raw_min), dst.raw_max)
     return rescaled.astype(dst.storage_dtype())
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core import nonlinear_ops as NL
 from repro.core.functions import get_function
-from repro.fixedpoint import QFormat, dequantize, fixed_matmul, quantize
+from repro.fixedpoint import QFormat, dequantize, fixed_add, fixed_matmul, quantize
 from repro.fixedpoint.qformat import INT16
 from repro.nn.autograd import data_version, version_base
 from repro.nn.functional import im2col
@@ -38,7 +38,7 @@ class ParamCache:
     Serving executes the same layers for every request, and the seed
     re-quantized each layer's weights on every traced call — the last
     repeated per-request quantize cost in steady state.  This bounded
-    LRU keeps the derived form (quantized raw codes, dequantized bias)
+    LRU keeps the derived form (quantized raw codes of weights and biases)
     keyed by the parameter buffer's identity and layout, and guards
     staleness two ways:
 
@@ -507,27 +507,20 @@ class CPWLBackend:
             ),
         )
 
-    def _dequantized_param(self, array: np.ndarray) -> np.ndarray:
-        """A parameter rounded onto the format grid (bias add operand)."""
-        return self.param_cache.get(
-            array, "deq", lambda a: dequantize(quantize(a, self.fmt), self.fmt)
-        )
-
     # -- linear ---------------------------------------------------------
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # One vectorized call covers both the 2-D case and stacked
         # (batched-attention) operands: fixed_matmul broadcasts leading
         # axes and is bit-identical to a Python loop of 2-D GEMMs.  Raw
-        # operands stay in float64 (exact for in-range raw integers) so
-        # the quantize -> BLAS pipeline skips two conversion passes.
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        raw = fixed_matmul(
+        # codes stay in float64 (exact for in-range raw integers) from
+        # the quantize through BLAS and the writeback to the final scale.
+        out = fixed_matmul(
             quantize(a, self.fmt, dtype=np.float64),
             quantize(b, self.fmt, dtype=np.float64),
             self.fmt,
         )
-        return dequantize(raw, self.fmt)
+        out *= self.fmt.scale
+        return out
 
     def linear(self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
         orig_shape = x.shape
@@ -539,14 +532,16 @@ class CPWLBackend:
         # quantizing weight.T per call (and integer-exact accumulation
         # makes the result layout-independent).
         w_raw_t = self._quantized_param(weight).T
-        out = dequantize(self._gemm2d_raw(x_raw, w_raw_t), self.fmt)
-        out += self._dequantized_param(bias)
-        # The INT16 writeback of the bias add.  Both addends sit exactly
-        # on the 2^-frac grid and their float64 sum is exact, so the
-        # quantize-dequantize round trip reduces to range saturation —
-        # a single clip pass, bit-identical to the full round trip.
-        np.clip(out, self.fmt.min_value, self.fmt.max_value, out=out)
+        out = self._bias_writeback(self._gemm2d_raw(x_raw, w_raw_t), bias)
         return out.reshape(orig_shape[:-1] + (weight.shape[0],))
+
+    def _bias_writeback(self, gemm_raw: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """The INT16 writeback of the bias add, scaled back to values:
+        the sum of two raw codes is exact, so the round trip of the sum
+        reduces to range saturation."""
+        out = fixed_add(gemm_raw, self._quantized_param(bias), self.fmt)
+        out *= self.fmt.scale
+        return out
 
     def conv_cols(self, x, kernel, stride, padding, weight_mat, bias):
         """Convolution with quantization *before* the patch unfold.
@@ -567,12 +562,7 @@ class CPWLBackend:
         # buffer, so the parameter cache hits on every call (identity
         # and layout of the view are part of the key).
         w_raw_t = self._quantized_param(weight_mat).T
-        out_raw = self._gemm2d_raw(cols_raw, w_raw_t)
-        out = dequantize(out_raw, self.fmt) + self._dequantized_param(bias)
-        # Bias-add writeback: exact on-grid sum, so saturation suffices
-        # (same argument as in linear()).
-        np.clip(out, self.fmt.min_value, self.fmt.max_value, out=out)
-        return out, out_hw
+        return self._bias_writeback(self._gemm2d_raw(cols_raw, w_raw_t), bias), out_hw
 
     def _gemm2d_raw(self, a_raw: np.ndarray, b_raw: np.ndarray) -> np.ndarray:
         """2-D GEMM on raw operands (hook: ArrayBackend routes + traces)."""
@@ -640,11 +630,7 @@ class ArrayBackend(CPWLBackend):
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.ndim == 2 and b.ndim == 2:
-            result = self.array.gemm_raw(
-                quantize(a, self.fmt, dtype=np.float64),
-                quantize(b, self.fmt, dtype=np.float64),
-            )
-            return dequantize(result.raw, self.fmt)
+            return self.array.matmul(a, b)
         # Batched matmul: the hardware model still issues one traced GEMM
         # per matrix pair — the per-pair events are synthesized from the
         # closed-form cycle model — but the arithmetic runs as a single
@@ -652,11 +638,11 @@ class ArrayBackend(CPWLBackend):
         lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         a_b = np.broadcast_to(a, lead + a.shape[-2:]).reshape((-1,) + a.shape[-2:])
         b_b = np.broadcast_to(b, lead + b.shape[-2:]).reshape((-1,) + b.shape[-2:])
-        result = self.array.gemm_raw_batched(
+        out = self.array.gemm_raw_batched(
             quantize(a_b, self.fmt, dtype=np.float64),
             quantize(b_b, self.fmt, dtype=np.float64),
-        )
-        out = dequantize(result.raw, self.fmt)
+        ).raw
+        out *= self.fmt.scale
         return out.reshape(lead + (a.shape[-2], b.shape[-1]))
 
     def _gemm2d_raw(self, a_raw: np.ndarray, b_raw: np.ndarray) -> np.ndarray:

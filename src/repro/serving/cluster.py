@@ -44,7 +44,7 @@ so a request stream reproduces the same placements every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.systolic.config import SystolicConfig
@@ -705,11 +705,6 @@ def make_placement_policy(
 # ---------------------------------------------------------------------------
 # Cost models
 # ---------------------------------------------------------------------------
-def _cycle_key(config: SystolicConfig) -> SystolicConfig:
-    """Design point with the clock normalised out (cycles don't scale)."""
-    return replace(config, clock_hz=1.0)
-
-
 def config_to_dict(config: SystolicConfig) -> Dict[str, object]:
     """JSON-safe dict of a design point (see :func:`config_from_dict`)."""
     return {
@@ -791,7 +786,7 @@ class CalibratingCostModel:
         """Record the traced cycles of one executed batch."""
         if cycles <= 0 or batch_size <= 0:
             return
-        key = _cycle_key(config)
+        key = config.cycle_key
         self._exact[(model, batch_size, sample_shape, key)] = float(cycles)
         self._per_row.setdefault((model, sample_shape), {})[key] = cycles / batch_size
 
@@ -809,7 +804,7 @@ class CalibratingCostModel:
         self, profile: BatchProfile, config: SystolicConfig
     ) -> Optional[float]:
         """Estimated cycles of ``profile`` on ``config`` (None if unknown)."""
-        key = _cycle_key(config)
+        key = config.cycle_key
         exact = self._exact.get(
             (profile.model, profile.batch_size, profile.sample_shape, key)
         )
@@ -964,7 +959,7 @@ def workload_cost_model(
     cache: Dict[tuple, float] = {}
 
     def estimate(profile: BatchProfile, config: SystolicConfig) -> float:
-        key = (profile.batch_size, profile.sample_shape, _cycle_key(config))
+        key = (profile.batch_size, profile.sample_shape, config.cycle_key)
         if key not in cache:
             workload = builder(profile.batch_size, profile.sample_shape)
             try:

@@ -44,7 +44,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.nonlinear_ops import get_approximator
-from repro.fixedpoint import dequantize, fixed_matmul, quantize
+from repro.fixedpoint import fixed_matmul, quantize
 from repro.systolic.addressing import DataAddressing
 from repro.systolic.buffers import build_hierarchy
 from repro.systolic.config import ONE_SA_PAPER_CONFIG, SystolicConfig
@@ -157,8 +157,7 @@ class SystolicArray:
             ops=schedule.macs,
             breakdown=schedule.breakdown,
         )
-        for _ in range(n_pairs):
-            self.trace.record(event)
+        self.trace.record(event, count=n_pairs)
         per_pair = schedule.breakdown
         total = CycleBreakdown(
             fill=per_pair.fill * n_pairs,
@@ -171,10 +170,13 @@ class SystolicArray:
         )
 
     def matmul(self, a: np.ndarray, b: np.ndarray, label: str = "gemm") -> np.ndarray:
-        """Float convenience wrapper: quantize, run, dequantize."""
+        """Float convenience wrapper: quantize, run (on float64 codes,
+        see :mod:`repro.fixedpoint.arithmetic`), scale back."""
         fmt = self.config.fmt
-        result = self.gemm_raw(quantize(a, fmt), quantize(b, fmt), label=label)
-        return dequantize(result.raw, fmt)
+        a_raw, b_raw = (quantize(m, fmt, dtype=np.float64) for m in (a, b))
+        out = self.gemm_raw(a_raw, b_raw, label=label).raw
+        out *= fmt.scale
+        return out
 
     # ------------------------------------------------------------------
     # Nonlinear operations (the ONE-SA extension)
@@ -290,10 +292,12 @@ class SystolicArray:
     ) -> np.ndarray:
         """Float convenience wrapper around :meth:`apply_nonlinear_raw`."""
         fmt = self.config.fmt
-        result = self.apply_nonlinear_raw(
-            function, quantize(x, fmt), granularity, label=label, domain=domain
-        )
-        return dequantize(result.raw, fmt)
+        x_raw = quantize(x, fmt, dtype=np.float64)
+        out = self.apply_nonlinear_raw(
+            function, x_raw, granularity, label=label, domain=domain
+        ).raw
+        out *= fmt.scale
+        return out
 
     # ------------------------------------------------------------------
     # Introspection

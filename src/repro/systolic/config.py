@@ -21,6 +21,7 @@ derivations that reproduce the paper's Table V exactly for the 8×8 /
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.fixedpoint import QFormat
 from repro.fixedpoint.qformat import INT16
@@ -179,6 +180,13 @@ class SystolicConfig:
     # ------------------------------------------------------------------
     # Cost estimation (consumed by cluster placement)
     # ------------------------------------------------------------------
+    @cached_property
+    def cycle_key(self) -> "SystolicConfig":
+        """This design point with the clock normalised out (cycles do
+        not scale with it): the key of cycle estimates, built once per
+        config object because placement asks for it on every estimate."""
+        return replace(self, clock_hz=1.0)
+
     def estimate_gemm_cycles(self, m_dim: int, k_dim: int, n_dim: int) -> int:
         """Closed-form cycles of ``(M,K) @ (K,N)`` on this design point.
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
+from itertools import repeat
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
@@ -91,23 +92,25 @@ class Trace:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record(self, event: TraceEvent) -> None:
-        """Account one event; append it to the log if retention is on."""
-        self._n_events += 1
-        self._total_cycles += event.cycles
+    def record(self, event: TraceEvent, count: int = 1) -> None:
+        """Account ``count`` occurrences of one event, as ``count`` calls
+        would; a retaining log gains ``count`` references to the event."""
+        cycles = event.cycles * count
+        self._n_events += count
+        self._total_cycles += cycles
         kind = self._cycles_by_kind
-        kind[event.kind] = kind.get(event.kind, 0) + event.cycles
+        kind[event.kind] = kind.get(event.kind, 0) + cycles
         ops = self._ops_by_kind
-        ops[event.kind] = ops.get(event.kind, 0) + event.ops
+        ops[event.kind] = ops.get(event.kind, 0) + event.ops * count
         label = self._cycles_by_label
-        label[event.label] = label.get(event.label, 0) + event.cycles
+        label[event.label] = label.get(event.label, 0) + cycles
         if self._namespace is not None:
             ns = self._cycles_by_namespace
-            ns[self._namespace] = ns.get(self._namespace, 0) + event.cycles
+            ns[self._namespace] = ns.get(self._namespace, 0) + cycles
             ns_labels = self._ns_cycles_by_label.setdefault(self._namespace, {})
-            ns_labels[event.label] = ns_labels.get(event.label, 0) + event.cycles
+            ns_labels[event.label] = ns_labels.get(event.label, 0) + cycles
         if self.retain_events:
-            self.events.append(event)
+            self.events.extend(repeat(event, count))
 
     @contextmanager
     def namespace(self, name: str) -> Iterator["Trace"]:

@@ -111,6 +111,23 @@ class TestIPF:
         assert result.elements == 30
         assert result.shift_path
 
+    @pytest.mark.parametrize("granularity", [0.25, 0.1])
+    def test_fetch_addresses_through_the_tables_own_registers(self, granularity):
+        """The origin and shift registers are constants of (table, fmt):
+        the quantized table holds them, and IPF through them indexes
+        exactly like ``segment_indices``, from integer or float64 codes."""
+        table = build_segment_table("gelu", granularity)
+        qtable = table.quantized(INT16)
+        origin, shift = qtable.registers
+        assert origin == int(quantize(table.x_min, INT16))
+        assert shift == (6 if table.shift_path else None)  # 8 frac bits, g = 2**-2
+        assert qtable.registers is qtable.registers
+        raw = quantize(np.linspace(-9, 9, 257), INT16)
+        expected = segment_indices(raw, table, INT16)
+        assert np.array_equal(fetch_parameters(raw, qtable, INT16).segments, expected)
+        as_codes = raw.astype(np.float64)
+        assert np.array_equal(fetch_parameters(as_codes, qtable, INT16).segments, expected)
+
     def test_fetched_parameters_reconstruct_function(self):
         qtable = build_segment_table("gelu", 0.25).quantized(INT16)
         xs = np.linspace(-3, 3, 64).reshape(8, 8)

@@ -78,6 +78,19 @@ class TestSystolicConfig:
         assert cfg.macs_per_pe == 8
         assert cfg.nonlinear_enabled == ONE_SA_PAPER_CONFIG.nonlinear_enabled
 
+    def test_cycle_key_is_built_once_and_stays_out_of_identity(self):
+        """Placement asks for the clock-free design point on every
+        estimate: one object per config, invisible to ==, hash, replace."""
+        from dataclasses import replace
+
+        config = SystolicConfig(pe_rows=4, pe_cols=4, clock_hz=100e6)
+        twin = SystolicConfig(pe_rows=4, pe_cols=4, clock_hz=100e6)
+        assert config.cycle_key == replace(config, clock_hz=1.0)
+        assert config.cycle_key is config.cycle_key
+        assert config == twin and hash(config) == hash(twin)
+        assert replace(config, clock_hz=250e6).cycle_key == config.cycle_key
+        assert "cycle_key" not in vars(replace(config, macs_per_pe=2))
+
     def test_describe_distinguishes_designs(self):
         assert "ONE-SA" in ONE_SA_PAPER_CONFIG.describe()
         assert ONE_SA_PAPER_CONFIG.describe() != SA_PAPER_CONFIG.describe()

@@ -44,6 +44,28 @@ class TestTrace:
         event = TraceEvent("gemm", "x", cycles=bd.total, ops=1, breakdown=bd)
         assert event.cycles == 6
 
+    @pytest.mark.parametrize("retention", [
+        dict(), dict(max_events=4), dict(retain_events=False),
+    ])
+    def test_record_count_equals_repeated_record(self, retention):
+        """``record(event, count=n)`` leaves every aggregate, namespace
+        and retained event exactly as ``n`` single calls do."""
+        event = TraceEvent("gemm", "attn", cycles=7, ops=30)
+        other = TraceEvent("mhp", "attn.gelu", cycles=3, ops=8)
+        looped, counted = Trace(**retention), Trace(**retention)
+        for trace, batched in ((looped, False), (counted, True)):
+            trace.record(other)
+            with trace.namespace("tenant-a"):
+                if batched:
+                    trace.record(event, count=6)
+                else:
+                    for _ in range(6):
+                        trace.record(event)
+            trace.record(event, count=1)
+        assert vars(counted) == vars(looped)
+        assert len(counted) == 8 and counted.total_cycles == 3 + 7 * 7
+        assert all(kept is event or kept is other for kept in counted.events)
+
 
 class TestSummary:
     def test_quick_report_contains_all_artifacts(self):
