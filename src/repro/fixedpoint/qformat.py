@@ -9,9 +9,27 @@ networks after per-tensor scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+
+def cached_field_hash(self) -> int:
+    """``__hash__`` of the frozen dataclasses that key hot-path dicts (plan
+    cache, calibrator, cost-model memos): the hash of the field values,
+    computed once per object."""
+    try:
+        return self.__dict__["_hash"]
+    except KeyError:
+        value = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        return self.__dict__.setdefault("_hash", value)
+
+
+def state_without_hash(self) -> dict:
+    """``__getstate__`` beside :func:`cached_field_hash`: pickle and copy
+    never carry the cached value, because ``hash(None)`` (a config's
+    ``l3_out_width``) differs between processes before Python 3.12."""
+    return {key: value for key, value in self.__dict__.items() if key != "_hash"}
 
 
 @dataclass(frozen=True)
@@ -29,6 +47,8 @@ class QFormat:
 
     total_bits: int = 16
     frac_bits: int = 8
+    __hash__ = cached_field_hash
+    __getstate__ = state_without_hash
 
     def __post_init__(self) -> None:
         if self.total_bits < 2:

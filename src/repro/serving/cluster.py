@@ -199,31 +199,24 @@ class BatchProfile:
     prefix_key: Optional[str] = None
     resident_shards: Tuple[int, ...] = ()
 
-    def estimate_cycles(self, config: Optional[SystolicConfig]) -> Optional[float]:
-        """Estimated cycles of this batch on ``config`` (None if unknown)."""
-        if config is None or self.estimator is None:
-            return None
-        return self.estimator(self, config)
-
     def service_seconds(
         self, config: Optional[SystolicConfig], clock_hz: Optional[float]
     ) -> Optional[float]:
         """Estimated service time of this batch on a shard of design
         point ``config`` clocked at ``clock_hz`` (None when unpriceable:
         no estimate, or a functional shard without a clock)."""
-        estimate = self.estimate_cycles(config)
-        if estimate is None or not clock_hz:
+        if config is None or not clock_hz or self.estimator is None:
             return None
-        return estimate / clock_hz
+        estimate = self.estimator(self, config)
+        return None if estimate is None else estimate / clock_hz
 
     def services_on(self, views: Sequence[ShardView]) -> Dict[int, float]:
         """Estimated service seconds per view index, priceable views only."""
-        services = {}
-        for view in views:
-            service = self.service_seconds(view.config, view.clock_hz)
-            if service is not None:
-                services[view.index] = service
-        return services
+        return {
+            view.index: service
+            for view in views
+            if (service := self.service_seconds(view.config, view.clock_hz)) is not None
+        }
 
 
 @dataclass(frozen=True)
@@ -408,6 +401,27 @@ class ShardHealth:
 # ---------------------------------------------------------------------------
 # Placement policies
 # ---------------------------------------------------------------------------
+def estimated_finish(
+    view: ShardView, ready: float, horizon: float,
+    services: Dict[int, float], drift: float = 1.0,
+) -> float:
+    """When a unit ready at ``ready`` finishes on ``view``'s shard, busy
+    until ``horizon``, given the unit's :meth:`BatchProfile.services_on`
+    and the shard's actual/estimated service ratio ``drift``: the one ETA
+    rule of greedy placement, look-ahead rounds and steal re-pricing (its
+    pessimism is :class:`CostAwarePlacement`'s)."""
+    service = services.get(view.index)
+    if service is None:
+        service = max(services.values(), default=0.0)
+    if view.breaker == ShardHealth.HALF_OPEN:
+        # A half-open shard is priced as if the probe re-runs
+        # elsewhere (it may well fail): its ETA carries the most
+        # expensive known service on top, so a quarantine-flapping
+        # fast shard stops winning every batch on raw speed.
+        service += max(services.values(), default=0.0)
+    return max(ready, horizon) + service * drift
+
+
 class PlacementPolicy:
     """Decides which shard executes a ready batch.
 
@@ -550,21 +564,21 @@ class CostAwarePlacement(PlacementPolicy):
 
     def place(self, batch: BatchProfile, shards: Sequence[ShardView]) -> int:
         shards = self.admissible(shards)
-        services = batch.services_on(shards)
-        unknown_service = max(services.values(), default=0.0)
+        return self.earliest_finish(batch.ready_time, shards, batch.services_on(shards))
 
-        def finish(view: ShardView) -> Tuple[float, int, float, int]:
-            service = services.get(view.index, unknown_service)
-            # A half-open shard is priced as if the probe re-runs
-            # elsewhere (it may well fail): its ETA carries the most
-            # expensive known service on top, so a quarantine-flapping
-            # fast shard stops winning every batch on raw speed.
-            probing = view.breaker == ShardHealth.HALF_OPEN
-            if probing:
-                service += unknown_service
-            eta = max(batch.ready_time, view.busy_until) + service
-            eta += self.occupancy_penalty * view.backlog_seconds(batch.ready_time)
-            return (eta, 1 if probing else 0, view.busy_until, view.index)
+    def earliest_finish(
+        self, ready: float, shards: Sequence[ShardView], services: Dict[int, float],
+        horizons: Optional[Dict[int, float]] = None,
+    ) -> int:
+        """The shard finishing a unit priced ``services`` first, counting
+        from ``horizons`` (default: each view's own ``busy_until``)."""
+
+        def finish(view: ShardView) -> Tuple[float, bool, float, int]:
+            horizon = view.busy_until if horizons is None else horizons[view.index]
+            eta = estimated_finish(view, ready, horizon, services)
+            if self.occupancy_penalty:
+                eta += self.occupancy_penalty * view.backlog_seconds(ready)
+            return (eta, view.breaker == ShardHealth.HALF_OPEN, horizon, view.index)
 
         return min(shards, key=finish).index
 
@@ -644,11 +658,14 @@ class LookaheadPlacement(PlacementPolicy):
         return self._greedy.place(batch, shards)
 
     def plan(
-        self, batches: Sequence[BatchProfile], shards: Sequence[ShardView]
+        self, batches: Sequence[BatchProfile], shards: Sequence[ShardView],
+        horizons: Optional[Dict[int, float]] = None,
     ) -> List[int]:
-        """Assign every ready batch a shard; returns one index per batch."""
-        candidates = list(self.admissible(shards))
-        horizons = {view.index: view.busy_until for view in candidates}
+        """Assign every ready batch a shard; returns one index per batch.
+        ``horizons`` (shard index -> busy-until, every offered shard)
+        replace the views' own as the round's starting horizons."""
+        candidates = self.admissible(shards)
+        horizons = dict(horizons or {v.index: v.busy_until for v in candidates})
 
         priced = [batch.services_on(candidates) for batch in batches]
         # LPT order: biggest batch (by its best-case service anywhere)
@@ -659,22 +676,13 @@ class LookaheadPlacement(PlacementPolicy):
         )
         assignment: List[int] = [0] * len(batches)
         for i in order:
-            batch, services = batches[i], priced[i]
-            unknown_service = max(services.values(), default=0.0)
-
-            def finish(view: ShardView) -> Tuple[float, int, float, int]:
-                service = services.get(view.index, unknown_service)
-                probing = view.breaker == ShardHealth.HALF_OPEN
-                if probing:
-                    service += unknown_service
-                eta = max(batch.ready_time, horizons[view.index]) + service
-                return (eta, 1 if probing else 0, horizons[view.index], view.index)
-
-            best = min(candidates, key=finish)
-            assignment[i] = best.index
-            horizons[best.index] = max(
-                batch.ready_time, horizons[best.index]
-            ) + services.get(best.index, unknown_service)
+            ready, services = batches[i].ready_time, priced[i]
+            best = assignment[i] = self._greedy.earliest_finish(
+                ready, candidates, services, horizons
+            )
+            horizons[best] = max(ready, horizons[best]) + services.get(
+                best, max(services.values(), default=0.0)
+            )
         return assignment
 
 
@@ -1016,6 +1024,14 @@ class ClusterDispatcher:
                 f"got {len(specs)} shard specs for {len(backends)} backends"
             )
         self.backends: List[object] = list(backends)
+        #: Each shard's static ``(config, clock_hz)``, fixed when it joins
+        #: the pool; ``(None, None)`` for functional backends.
+        self.design_points: List[
+            Tuple[Optional[SystolicConfig], Optional[float]]
+        ] = [
+            (None, None) if array is None else (array.config, array.config.clock_hz)
+            for array in map(self.array_of, range(len(self.backends)))
+        ]
         self.specs: Optional[Tuple[ShardSpec, ...]] = (
             tuple(specs) if specs is not None else None
         )
@@ -1045,13 +1061,11 @@ class ClusterDispatcher:
 
     def config_of(self, shard: int) -> Optional[SystolicConfig]:
         """The shard's design point (None for functional backends)."""
-        array = self.array_of(shard)
-        return None if array is None else array.config
+        return self.design_points[shard][0]
 
     def clock_hz(self, shard: int) -> Optional[float]:
         """Clock of the shard's array (None for functional backends)."""
-        config = self.config_of(shard)
-        return None if config is None else config.clock_hz
+        return self.design_points[shard][1]
 
     # -- elastic pool membership -----------------------------------------
     def add_shard(self, spec: ShardSpec) -> int:
@@ -1064,6 +1078,7 @@ class ClusterDispatcher:
         from repro.systolic.array import SystolicArray
 
         self.backends.append(ArrayBackend(SystolicArray(spec.config), spec.granularity))
+        self.design_points.append((spec.config, spec.config.clock_hz))
         if self.specs is not None:
             self.specs = self.specs + (spec,)
         index = len(self.backends) - 1
@@ -1101,13 +1116,8 @@ class ClusterDispatcher:
         and horizons persist, but no policy may place on them.
         """
         return [
-            ShardView(
-                index=shard,
-                busy_until=self.busy_until.get(shard, 0.0),
-                clock_hz=self.clock_hz(shard),
-                config=self.config_of(shard),
-            )
-            for shard in range(self.n_shards)
+            ShardView(shard, self.busy_until.get(shard, 0.0), clock_hz, config)
+            for shard, (config, clock_hz) in enumerate(self.design_points)
             if shard not in self._offline
         ]
 

@@ -111,6 +111,7 @@ from repro.serving.cluster import (
     PrefixAffinePlacement,
     ShardHealth,
     ShardView,
+    estimated_finish,
     make_placement_policy,
 )
 from repro.serving.elastic import ElasticConfig, ScalingEvent, StealEvent
@@ -396,7 +397,7 @@ class InferenceEngine:
             if isinstance(planner, LookaheadPlacement)
             else LookaheadPlacement()
         )
-        self._planned: Deque[Tuple[Batch, Optional[int]]] = deque()
+        self._planned: Deque[Tuple[Batch, Optional[int], Optional[BatchProfile]]] = deque()
         self._shard_stats: Dict[int, ShardStats] = {}
         self._slo_window: List[bool] = []
         self._window_sheds = 0
@@ -723,7 +724,7 @@ class InferenceEngine:
             len(self._submitted)
             + self._run_buffered
             + self.scheduler.pending
-            + sum(batch.size for batch, _ in self._planned)
+            + sum(batch.size for batch, _, _ in self._planned)
         )
 
     # ------------------------------------------------------------------
@@ -811,7 +812,7 @@ class InferenceEngine:
                 # progress is measured in batches *consumed*, not
                 # requests completed.
                 consumed_before = self._work_consumed
-                completed.extend(self._drain_one())
+                completed.extend(self._drain_one(sources))
                 if self._work_consumed == consumed_before:  # pragma: no cover
                     break  # defensive: ready_at implies a batch
         finally:
@@ -881,7 +882,7 @@ class InferenceEngine:
         ):
             self._admit(request)
         self._submitted.clear()
-        return self._drain_one()
+        return self._drain_one(self._work_sources())
 
     # ------------------------------------------------------------------
     # Admission control
@@ -1028,14 +1029,15 @@ class InferenceEngine:
         """
         times = (
             self._retry_queue[0][0] if self._retry_queue else None,
-            min((seq.ready_time for seq in self._active), default=None),
+            min(seq.ready_time for seq in self._active) if self._active else None,
             self._planned[0][0].ready_time if self._planned else None,
             self.scheduler.earliest_ready(),
         )
         return [(t, source) for source, t in enumerate(times) if t is not None]
 
-    def _drain_one(self) -> List[CompletedRequest]:
-        """Pick the earliest work unit, execute it, store results.
+    def _drain_one(self, sources: "List[Tuple[float, int]]") -> List[CompletedRequest]:
+        """Pick the earliest of ``sources`` (the caller's
+        :meth:`_work_sources`), execute it, store results.
 
         Fresh work is either the next batch a look-ahead round already
         planned or the scheduler's policy-selected ready batch — which,
@@ -1045,10 +1047,10 @@ class InferenceEngine:
         the batch was re-queued, parked, or abandoned (its requests
         then appear as :class:`FailureRecord` entries on :attr:`events`).
         """
-        sources = self._work_sources()
         if not sources:
             return []
         ready, source = min(sources)
+        views = None
         if source == _RETRY:
             _wake, _seq, attempt, exclude, batch = heapq.heappop(self._retry_queue)
             unit = self._batch_unit(batch, attempt=attempt, exclude_shard=exclude)
@@ -1060,18 +1062,23 @@ class InferenceEngine:
                 if batch is None:  # pragma: no cover — ready implies a batch
                     return []
                 if self.elastic.lookahead:
-                    self._plan_round(batch, ready)
+                    views = self._plan_round(batch, ready)
                 else:
-                    self._planned.append((batch, None))
+                    self._planned.append((batch, None, None))
             unit = self._batch_unit(*self._planned.popleft())
         self._work_consumed += 1
-        completed = self._execute(unit)
+        # Nothing commits between planning a round and its first unit, so
+        # that unit is placed on the round's views — unless it is left
+        # over from an earlier round and ready at another instant.
+        if unit.profile.ready_time != ready:
+            views = None
+        completed = self._execute(unit, views)
         for record in completed:
             self._results[record.request.request_id] = record.outputs
         self._note_completions(completed)
         return completed
 
-    def _plan_round(self, first: Batch, ready: float) -> None:
+    def _plan_round(self, first: Batch, ready: float) -> List[ShardView]:
         """Harvest every batch ready at this instant; plan them jointly.
 
         The scheduling round of look-ahead placement: ``first`` (the
@@ -1084,7 +1091,8 @@ class InferenceEngine:
         horizons that already account for the affine assignments.
         Generation prefills are exempt (their profile depends on radix
         state at execution) and keep per-batch placement.  The planned
-        ``(batch, shard)`` pairs queue for execution in plan order.
+        ``(batch, shard, profile)`` triples queue for execution in plan
+        order; returns the views the round was planned on.
         """
         batches = [first]
         while True:
@@ -1096,12 +1104,10 @@ class InferenceEngine:
                 break
             batches.append(batch)
         views = self._available_views(ready)
-        if not views:
-            # Everything will park through the normal placement path.
-            self._planned.extend((batch, None) for batch in batches)
-            return
+        # With no shard available nothing is planned: everything will
+        # park through the normal placement path.
         profiles = [
-            None if self._is_prefill(batch) else self._batch_profile(batch)
+            None if not views or self._is_prefill(batch) else self._batch_profile(batch)
             for batch in batches
         ]
         horizons = {view.index: view.busy_until for view in views}
@@ -1122,15 +1128,13 @@ class InferenceEngine:
                 continue
             plan_indices.append(i)
         if plan_indices:
-            planning_views = [
-                replace(view, busy_until=horizons[view.index]) for view in views
-            ]
             shards = self._lookahead.plan(
-                [profiles[i] for i in plan_indices], planning_views
+                [profiles[i] for i in plan_indices], views, horizons
             )
             for i, shard in zip(plan_indices, shards):
                 assignments[i] = shard
-        self._planned.extend(zip(batches, assignments))
+        self._planned.extend(zip(batches, assignments, profiles))
+        return views
 
     def _note_completions(self, completed: List[CompletedRequest]) -> None:
         """Feed the autoscaler's windowed SLO signal, maybe scale."""
@@ -1228,13 +1232,13 @@ class InferenceEngine:
         """Live shards whose breaker admits work at ``now``, with each
         view carrying its breaker state — so placement can filter open
         shards and price half-open probes pessimistically."""
-        views = []
-        for view in self.dispatcher.shard_views():
-            health = self._health_of(view.index)
-            if not health.available(now):
-                continue
-            views.append(replace(view, breaker=health.state))
-        return views
+        pool = self.dispatcher
+        offline, busy_until = pool.offline_shards(), pool.busy_until
+        return [
+            ShardView(shard, busy_until.get(shard, 0.0), clock_hz, config, health.state)
+            for shard, (config, clock_hz) in enumerate(pool.design_points)
+            if shard not in offline and (health := self._health_of(shard)).available(now)
+        ]
 
     def _all_down(self, unit: _WorkUnit) -> float:
         """Every live breaker is open: log the park, return the wake
@@ -1297,9 +1301,8 @@ class InferenceEngine:
         """
         profile, planned_shard = unit.profile, unit.planned_shard
         ready = profile.ready_time
-        available = {view.index: view for view in views}
         if not self.elastic.steal:
-            if planned_shard in available:
+            if any(view.index == planned_shard for view in views):
                 return planned_shard
             # Breaker opened (or shard retired) under the plan: the
             # batch re-places through the normal policy path.
@@ -1307,29 +1310,25 @@ class InferenceEngine:
 
         # Drift-corrected ETA per candidate: the planned service time,
         # scaled by the shard's measured actual/estimated ratio, on top
-        # of its live horizon.  Half-open probes carry the worst known
-        # service on top (mirroring CostAwarePlacement's pessimism).
+        # of its live horizon.
         services = profile.services_on(views)
-        unknown_service = max(services.values(), default=0.0)
-
-        def eta_of(view: ShardView) -> float:
-            service = services.get(view.index, unknown_service)
-            if view.breaker == ShardHealth.HALF_OPEN:
-                service += unknown_service
-            service *= self._stats_of(view.index).drift
-            return max(ready, view.busy_until) + service
-
-        best = min(views, key=lambda view: (eta_of(view), view.index))
+        etas = {
+            view.index: estimated_finish(
+                view, ready, view.busy_until, services,
+                self._stats_of(view.index).drift,
+            )
+            for view in views
+        }
+        best = min(etas, key=lambda shard: (etas[shard], shard))
         resident = planned_shard in profile.resident_shards
 
-        if planned_shard not in available:
-            self._steal(unit, best.index, "breaker", 0.0, eta_of(best), resident)
-            return best.index
+        if planned_shard not in etas:
+            self._steal(unit, best, "breaker", 0.0, etas[best], resident)
+            return best
 
-        if best.index == planned_shard:
+        if best == planned_shard:
             return planned_shard
-        planned_eta = eta_of(available[planned_shard])
-        best_eta = eta_of(best)
+        planned_eta, best_eta = etas[planned_shard], etas[best]
         factor = (
             self.elastic.affinity_break_factor
             if resident
@@ -1338,10 +1337,10 @@ class InferenceEngine:
         if planned_eta <= factor * best_eta:
             return planned_shard
         self._steal(
-            unit, best.index, "affinity" if resident else "drift",
+            unit, best, "affinity" if resident else "drift",
             planned_eta, best_eta, resident,
         )
-        return best.index
+        return best
 
     def _steal(
         self,
@@ -1509,7 +1508,9 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # The execute-and-commit pipeline (one, for every kind of work)
     # ------------------------------------------------------------------
-    def _execute(self, unit: _WorkUnit) -> List[CompletedRequest]:
+    def _execute(
+        self, unit: _WorkUnit, views: Optional[List[ShardView]] = None
+    ) -> List[CompletedRequest]:
         """Place, run, fault-check and commit one unit of work.
 
         Every classifier batch, generation prefill and decode step goes
@@ -1517,7 +1518,8 @@ class InferenceEngine:
         absorb the outcome (see :class:`_WorkUnit`).  Failed attempts
         record *nothing* in the placement, prefix or calibration logs —
         those are written exactly once, by the attempt that completes —
-        so retried traffic is never double-attributed.
+        so retried traffic is never double-attributed.  ``views`` are
+        the unit's :meth:`_available_views` when the caller holds them.
         """
         profile = unit.profile
         ready = profile.ready_time
@@ -1526,7 +1528,7 @@ class InferenceEngine:
         # (including prefix residency, for affinity) before choosing.
         # With every breaker open the unit parks (no retry consumed)
         # until the earliest quarantine expiry re-admits a probe.
-        healthy = self._available_views(ready)
+        healthy = self._available_views(ready) if views is None else views
         if not healthy:
             unit.park(self._all_down(unit))
             return []
@@ -1633,6 +1635,7 @@ class InferenceEngine:
         self,
         batch: Batch,
         planned_shard: Optional[int] = None,
+        profile: Optional[BatchProfile] = None,
         attempt: int = 0,
         exclude_shard: Optional[int] = None,
     ) -> _WorkUnit:
@@ -1641,7 +1644,7 @@ class InferenceEngine:
         profile, run, commit, prefix_tokens = (
             self._prefill_payload(batch)
             if self._is_prefill(batch)
-            else self._classify_payload(batch)
+            else self._classify_payload(batch, profile)
         )
         return _WorkUnit(
             profile, batch.index, attempt, exclude_shard, run, commit,
@@ -1651,13 +1654,16 @@ class InferenceEngine:
             prefix_tokens=prefix_tokens,
         )
 
-    def _classify_payload(self, batch: Batch):
+    def _classify_payload(self, batch: Batch, profile: Optional[BatchProfile]):
         """Profile, run, commit and prefix tokens of a classifier batch:
         one stacked ``infer_fn`` call, or the prefix adapter's
         hit-or-cold pass."""
         endpoint = self._endpoints[batch.model]
         adapter = endpoint.prefix_adapter
-        profile = self._batch_profile(batch)
+        # A prefix-keyed profile from the look-ahead round is re-read: an
+        # earlier batch of the round may have inserted the prompt since.
+        if profile is None or profile.prefix_key is not None:
+            profile = self._batch_profile(batch)
         use_prefix = profile.prefix_key is not None
         prefix_tokens = (
             adapter.prefix_tokens(batch.requests[0].inputs) if use_prefix else None

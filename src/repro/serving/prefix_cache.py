@@ -352,7 +352,9 @@ class RadixKVCache:
 
     @staticmethod
     def _seq(tokens) -> Tuple[int, ...]:
-        return tuple(int(t) for t in np.asarray(tokens).reshape(-1))
+        # ``tolist`` converts in one C call; ``int`` still truncates a
+        # float-typed row, so keys serialise as ints whatever the dtype.
+        return tuple(map(int, np.asarray(tokens).reshape(-1).tolist()))
 
     def _namespace(self, shard: int) -> str:
         namespace = f"{self.namespace}.shard{shard}"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from repro.fixedpoint import QFormat
-from repro.fixedpoint.qformat import INT16
+from repro.fixedpoint.qformat import INT16, cached_field_hash, state_without_hash
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,8 @@ class SystolicConfig:
     l3_out_width: "int | None" = None
     l3_in_width: int = 16
     segment_capacity: int = 256
+    __hash__ = cached_field_hash
+    __getstate__ = state_without_hash
 
     def __post_init__(self) -> None:
         if self.pe_rows < 1 or self.pe_cols < 1:

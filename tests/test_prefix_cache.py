@@ -229,6 +229,34 @@ class TestEvictionBudget:
         assert cache.lookup(0, "free", "m", tokens) == (0, None)
         assert cache.lookup(0, "gold", "m", tokens)[0] == len(tokens)
 
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            np.arange(8, dtype=np.int32),
+            np.arange(8, dtype=np.int64)[::-1],
+            np.array([2**40, 0, 7], dtype=np.uint64),
+            [3, 1, 4, 1, 5],
+            (9, 2),
+            [],
+            7,
+            np.int64(3),
+            np.arange(6).reshape(2, 3),
+            np.array([1.9, -2.7, 3.0]),  # truncates toward zero, like int()
+            np.array([0.5, 15.999], dtype=np.float32),
+            np.array([True, False]),
+        ],
+        ids=lambda t: f"{type(t).__name__}-{getattr(t, 'dtype', '')}-{np.shape(t)}",
+    )
+    def test_key_is_a_tuple_of_python_ints(self, tokens):
+        """The cache key (which the fabric tier serialises) is the
+        per-element ``int()`` of the flattened tokens, whatever the
+        container or dtype — never numpy scalars, floats or bools."""
+        expected = tuple(int(t) for t in np.asarray(tokens).reshape(-1))
+        key = RadixKVCache._seq(tokens)
+        assert key == expected
+        assert all(type(element) is int for element in key)
+        assert repr(key) == repr(expected)
+
 
 # ---------------------------------------------------------------------------
 # Engine integration: batch purity, affinity, report accounting
