@@ -18,7 +18,6 @@ different execution models:
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -122,88 +121,35 @@ class ParamCache:
         }
 
 
-@dataclass(frozen=True)
-class LayerKV:
-    """One layer's cached key/value prefix rows, ``(P, D)`` each.
+class KVState:
+    """Per-layer key/value rows of a transformer — the one container.
 
-    The arrays hold the backend's *dequantized on-grid* activations —
-    exactly the values the cold path's head split consumes — and are
-    frozen read-only so a consumer cannot corrupt a shared cache entry.
-    """
+    Layer ``i`` holds ``k[i]`` / ``v[i]`` shaped ``(N, T, D)``: the
+    backend's *dequantized on-grid* activations of the first ``T``
+    positions of ``N`` sequences, exactly the values attention's head
+    split consumes (``None`` until the layer's first rows arrive).  A
+    classifier pass also leaves its ``(N, T, D)`` final hidden rows in
+    ``final_hidden``; they complete a later pass's mean-pool.
 
-    k: np.ndarray
-    v: np.ndarray
+    One class plays every role.  Passed as ``kv`` into a model pass it
+    is the *growing state*: each attention layer calls :meth:`extend`
+    with the rows it just projected and attends against the result, so
+    a cold pass, a warm prefill and a decode step are one call starting
+    from a different :attr:`pos`.  Capture costs no extra compute — the
+    rows are activations the pass produced anyway.  :meth:`prefix` cuts
+    a *cache payload* out of it: one sequence's first rows, whose
+    ``nbytes`` is the byte-budget unit of
+    :class:`~repro.serving.prefix_cache.RadixKVCache`.  Per-row /
+    per-pair exactness of the fixed-point pipeline makes those rows
+    identical for every sequence (and every future request) that starts
+    with the same tokens.  :meth:`stack` and :meth:`split` compose and
+    take apart decode batches.
 
-    @property
-    def nbytes(self) -> int:
-        return self.k.nbytes + self.v.nbytes
-
-
-class KVTap:
-    """Per-layer K/V capture for transformer prefix reuse.
-
-    Passed as ``kv_tap`` into a causal model's ``infer``; each attention
-    layer hands it the merged ``(N, T, D)`` key/value activations and
-    the model hands it the final hidden states.  The tap keeps the first
-    ``prefix_len`` rows of sequence 0 — within a prefix-keyed batch all
-    sequences share the prompt, and per-row/per-pair exactness of the
-    fixed-point pipeline makes row 0's activations identical to any
-    other sequence's (and to any future request's) for the same prefix
-    tokens.
-
-    Capture costs no extra compute: the slices are copies of activations
-    the cold pass produced anyway.  The derived parameter arrays the
-    projections used come from the backend's :class:`ParamCache`, so a
-    capture pass and a reuse pass share the same quantized weights.
-    """
-
-    def __init__(self, prefix_len: int):
-        if prefix_len < 1:
-            raise ValueError(f"prefix_len must be >= 1, got {prefix_len}")
-        self.prefix_len = int(prefix_len)
-        self.layers: List[LayerKV] = []
-        self.final_hidden: Optional[np.ndarray] = None
-
-    @staticmethod
-    def _freeze(rows: np.ndarray) -> np.ndarray:
-        # Always a fresh owning copy: a no-copy view of the (N, T, D)
-        # activation would pin the whole batch array alive while the
-        # cache charges only the (P, D) slice against its byte budget.
-        frozen = np.array(rows, copy=True)
-        frozen.setflags(write=False)
-        return frozen
-
-    def capture(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Record one layer's merged K/V (called in layer order)."""
-        p = self.prefix_len
-        self.layers.append(LayerKV(self._freeze(k[0, :p]), self._freeze(v[0, :p])))
-
-    def capture_final(self, hidden: np.ndarray) -> None:
-        """Record the final hidden prefix rows (for pooled readout)."""
-        self.final_hidden = self._freeze(hidden[0, : self.prefix_len])
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes the captured activations occupy (cache budget unit)."""
-        total = sum(layer.nbytes for layer in self.layers)
-        if self.final_hidden is not None:
-            total += self.final_hidden.nbytes
-        return total
-
-
-class DecodeKV:
-    """Growing per-sequence K/V cache for autoregressive decode.
-
-    Where :class:`KVTap` freezes a *shared* prompt prefix (sequence 0
-    of a uniform batch), ``DecodeKV`` holds every sequence's own rows —
-    generated suffixes diverge, so each layer stores full ``(N, T, D)``
-    key/value arrays that grow by one row per decode step.
-
-    The object speaks the ``kv_tap`` capture protocol, so a cold
-    prefill can pass it straight into ``layer.infer(..., kv_tap=state)``
-    and collect the merged activations with zero extra compute.  For a
-    warm prefill, :meth:`seed` stacks one cached :class:`KVTap` payload
-    per sequence before the suffix rows are appended.
+    Held rows are never written in place: :meth:`extend` *rebinds* a
+    layer to a new array.  So a :meth:`fork` (no copy) can be extended
+    without touching the frozen, shared payload it came from, and a
+    pass that ran on a stacked copy (:meth:`stack`) is discarded by
+    dropping the copy.
     """
 
     def __init__(self, n_layers: int):
@@ -212,11 +158,11 @@ class DecodeKV:
         self.n_layers = int(n_layers)
         self.k: List[Optional[np.ndarray]] = [None] * self.n_layers
         self.v: List[Optional[np.ndarray]] = [None] * self.n_layers
-        self._captured = 0
+        self.final_hidden: Optional[np.ndarray] = None
 
     @property
     def pos(self) -> int:
-        """Sequence positions cached so far (0 before any prefill)."""
+        """Sequence positions held so far (0 before any pass)."""
         return 0 if self.k[0] is None else int(self.k[0].shape[1])
 
     @property
@@ -224,91 +170,103 @@ class DecodeKV:
         """Number of sequences the state covers."""
         return 0 if self.k[0] is None else int(self.k[0].shape[0])
 
-    # -- kv_tap protocol (cold prefill) ---------------------------------
-    def capture(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Record one layer's merged ``(N, T, D)`` K/V in layer order."""
-        i = self._captured
-        if i >= self.n_layers:
-            raise ValueError(
-                f"capture called {i + 1} times on a {self.n_layers}-layer state"
-            )
-        self.k[i] = np.array(k, copy=True)
-        self.v[i] = np.array(v, copy=True)
-        self._captured += 1
-
-    def capture_final(self, hidden: np.ndarray) -> None:
-        """Final-hidden capture is a prefix-cache concern; ignore it."""
-
-    # -- warm prefill / incremental append ------------------------------
-    def seed(self, cached: "Sequence[KVTap]", upto: int) -> None:
-        """Start from cached prefixes: one payload per sequence, each
-        cut to its first ``upto`` rows (so members whose caches reach
-        different depths share one suffix length).  The stacked rows
-        are fresh copies; no cache entry is ever aliased writably.
-        """
-        for tap in cached:
-            if len(tap.layers) != self.n_layers:
-                raise ValueError(
-                    f"cached payload has {len(tap.layers)} layers, "
-                    f"state expects {self.n_layers}"
-                )
-        for i in range(self.n_layers):
-            self.k[i] = np.stack([tap.layers[i].k[:upto] for tap in cached])
-            self.v[i] = np.stack([tap.layers[i].v[:upto] for tap in cached])
-        self._captured = self.n_layers
-
-    def extend(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
-        """Append ``(N, S, D)`` suffix rows onto one layer's cache."""
-        if self.k[layer] is None:
-            self.k[layer] = np.array(k_rows, copy=True)
-            self.v[layer] = np.array(v_rows, copy=True)
-            self._captured = max(self._captured, layer + 1)
-        else:
-            self.k[layer] = np.concatenate([self.k[layer], k_rows], axis=1)
-            self.v[layer] = np.concatenate([self.v[layer], v_rows], axis=1)
+    def _arrays(self) -> List[np.ndarray]:
+        return [a for a in (*self.k, *self.v, self.final_hidden) if a is not None]
 
     @property
     def nbytes(self) -> int:
-        total = 0
-        for arr in (*self.k, *self.v):
-            if arr is not None:
-                total += arr.nbytes
-        return total
+        """Bytes the held activations occupy (cache budget unit)."""
+        return sum(a.nbytes for a in self._arrays())
+
+    def extend(
+        self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Append ``(N, S, D)`` rows onto one layer; returns its ``(k, v)``.
+
+        The layer is rebound to a new array (an empty layer adopts the
+        rows as they are), so arrays a fork or a cache entry still
+        holds are never written.  One held sequence under ``N`` new
+        rows — a shared prompt payload — is broadcast across the batch.
+        """
+        held_k, held_v = self.k[layer], self.v[layer]
+        if held_k is not None:
+            n = k_rows.shape[0]
+            if held_k.shape[0] != n:
+                held_k = np.broadcast_to(held_k, (n,) + held_k.shape[1:])
+                held_v = np.broadcast_to(held_v, (n,) + held_v.shape[1:])
+            k_rows = np.concatenate([held_k, k_rows], axis=1)
+            v_rows = np.concatenate([held_v, v_rows], axis=1)
+        self.k[layer], self.v[layer] = k_rows, v_rows
+        return k_rows, v_rows
+
+    def fork(self) -> "KVState":
+        """A state sharing this one's arrays (no copy); extending the
+        fork rebinds the fork's layers only."""
+        out = KVState(self.n_layers)
+        out.k, out.v, out.final_hidden = list(self.k), list(self.v), self.final_hidden
+        return out
+
+    def freeze(self) -> "KVState":
+        """Mark every held array read-only, so a consumer cannot corrupt
+        a shared cache entry (serialization drops the flag: a payload
+        read back from a fabric is frozen again)."""
+        for array in self._arrays():
+            array.setflags(write=False)
+        return self
+
+    def prefix(self, upto: int, index: int = 0) -> "KVState":
+        """Sequence ``index``'s first ``upto`` rows — a cache payload.
+
+        Always fresh owning copies, frozen: a view of the ``(N, T, D)``
+        activation would pin the whole batch array alive while the
+        cache charges only the ``(1, upto, D)`` slice against its byte
+        budget.  Causal rows depend on earlier tokens only, so a row
+        prefix of a payload is itself a payload.
+        """
+        if not 0 < upto <= self.pos:
+            raise ValueError(f"prefix length {upto} must be in (0, {self.pos}]")
+        cut = (slice(index, index + 1), slice(None, upto))
+        out = KVState(self.n_layers)
+        out.k = [np.array(k[cut], copy=True) for k in self.k]
+        out.v = [np.array(v[cut], copy=True) for v in self.v]
+        if self.final_hidden is not None:
+            out.final_hidden = np.array(self.final_hidden[cut], copy=True)
+        return out.freeze()
 
     # -- batch composition (continuous batching) ------------------------
     @classmethod
-    def stack(cls, states: "List[DecodeKV]") -> "DecodeKV":
-        """A batched copy of per-sequence states (same layer count/pos).
+    def stack(
+        cls, states: "Sequence[KVState]", upto: Optional[int] = None
+    ) -> "KVState":
+        """A batched copy of ``states`` cut to their first ``upto`` rows.
 
-        The result owns fresh arrays, so running a decode step on it
-        never mutates the member states — a failed attempt can be
-        discarded without rollback.
+        Without ``upto`` the states must agree on :attr:`pos`; with it,
+        members whose rows reach different depths share one length.
+        The result owns fresh arrays, so running a pass on it never
+        touches the member states — a failed attempt can be discarded
+        without rollback.
         """
         if not states:
             raise ValueError("stack needs at least one state")
         n_layers = states[0].n_layers
-        pos = states[0].pos
-        for s in states[1:]:
-            if s.n_layers != n_layers or s.pos != pos:
-                raise ValueError("stacked states must agree on layers and pos")
+        pos = states[0].pos if upto is None else int(upto)
+        for s in states:
+            if s.n_layers != n_layers:
+                raise ValueError(
+                    f"stacked states must agree on depth, got {s.n_layers} "
+                    f"and {n_layers} layers"
+                )
+            if s.pos < pos or (upto is None and s.pos > pos):
+                raise ValueError(f"stacked state holds {s.pos} rows, need {pos}")
         out = cls(n_layers)
         for i in range(n_layers):
-            out.k[i] = np.concatenate([s.k[i] for s in states], axis=0)
-            out.v[i] = np.concatenate([s.v[i] for s in states], axis=0)
-        out._captured = n_layers
+            out.k[i] = np.concatenate([s.k[i][:, :pos] for s in states], axis=0)
+            out.v[i] = np.concatenate([s.v[i][:, :pos] for s in states], axis=0)
         return out
 
-    def split(self) -> "List[DecodeKV]":
+    def split(self) -> "List[KVState]":
         """Per-sequence copies of a batched state (inverse of stack)."""
-        parts = []
-        for j in range(self.batch):
-            part = DecodeKV(self.n_layers)
-            for i in range(self.n_layers):
-                part.k[i] = np.array(self.k[i][j : j + 1], copy=True)
-                part.v[i] = np.array(self.v[i][j : j + 1], copy=True)
-            part._captured = self.n_layers
-            parts.append(part)
-        return parts
+        return [self.prefix(self.pos, j) for j in range(self.batch)]
 
 
 class FloatBackend:

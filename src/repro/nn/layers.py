@@ -320,8 +320,8 @@ class MultiHeadSelfAttention(Module):
     remaining attention weights are exact zeros, so every output row is
     a function of the tokens at or before it — never of the sequence
     length or of later tokens.  That suffix-independence is what makes
-    cached-prefix reuse (:meth:`infer_suffix`) bit-identical to cold
-    execution.  The training path uses the conventional additive
+    cached-prefix reuse (:meth:`infer` with a ``kv``) bit-identical to
+    cold execution.  The training path uses the conventional additive
     ``-inf``-style mask, which matches only to float precision.
     """
 
@@ -361,81 +361,30 @@ class MultiHeadSelfAttention(Module):
         merged = ctx.transpose(0, 2, 1, 3).reshape(n, t, self.dim)
         return self.out_proj(merged)
 
-    def infer(self, x: np.ndarray, backend, kv_tap=None) -> np.ndarray:
-        """Full-sequence inference; optionally captures K/V on ``kv_tap``.
+    def infer(self, x: np.ndarray, backend, kv=None, index: int = 0) -> np.ndarray:
+        """Attention of the rows ``x`` against everything ``kv`` holds.
 
-        ``kv_tap`` (see :class:`repro.nn.executor.KVTap`) receives the
-        merged ``(N, T, D)`` key/value activations of this layer before
-        the head split — the arrays a prefix cache retains.
+        ``x`` holds the hidden rows of the positions past what layer
+        ``index`` of ``kv`` (a :class:`repro.nn.executor.KVState`)
+        already holds.  Their merged ``(N, S, D)`` key/value
+        activations — the rows a prefix cache retains — are appended
+        onto that layer before the head split, and the queries attend
+        against all of it.  Without a ``kv``, or with an empty one, this
+        is the cold full-sequence pass.  Because the causal mask makes
+        K/V rows functions of their own prefix only, held rows followed
+        by freshly projected ones reproduce the cold path's operands
+        exactly: every new output row is bit-identical to its cold
+        counterpart while the held rows' GEMM work is skipped entirely.
         """
-        n, t, _ = x.shape
         q = self.q_proj.infer(x, backend)
         k = self.k_proj.infer(x, backend)
         v = self.v_proj.infer(x, backend)
-        if kv_tap is not None:
-            kv_tap.capture(k, v)
-        return self._attend(q, k, v, backend, row_offset=0)
-
-    def infer_suffix(
-        self,
-        x_suffix: np.ndarray,
-        k_prefix: np.ndarray,
-        v_prefix: np.ndarray,
-        backend,
-    ) -> np.ndarray:
-        """Incremental attention over the suffix rows of a causal layer.
-
-        ``x_suffix`` holds the hidden rows of positions ``P..T-1``;
-        ``k_prefix``/``v_prefix`` are this layer's cached ``(P, D)``
-        key/value rows of the shared prompt.  Because the causal mask
-        makes K/V rows functions of their own prefix only, concatenating
-        the cached rows with freshly projected suffix rows reproduces
-        the cold path's operands exactly — every suffix output row is
-        bit-identical to its cold counterpart while the prefix rows'
-        GEMM work is skipped entirely.
-        """
-        out, _, _ = self.infer_suffix_kv(x_suffix, k_prefix, v_prefix, backend)
-        return out
-
-    def infer_suffix_kv(
-        self,
-        x_suffix: np.ndarray,
-        k_prefix: np.ndarray,
-        v_prefix: np.ndarray,
-        backend,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """:meth:`infer_suffix` that also returns the suffix K/V rows.
-
-        ``(out, k_s, v_s)`` with ``k_s``/``v_s`` shaped ``(N, S, D)`` —
-        exactly the rows a decode cache appends to stay losslessly
-        aligned with a cold full-sequence pass.  ``k_prefix``/``v_prefix``
-        may be shared ``(P, D)`` rows (prompt reuse) or per-sequence
-        ``(N, P, D)`` caches (autoregressive decode).
-        """
-        if not self.causal:
+        if kv is not None:
+            k, v = kv.extend(index, k, v)
+        row_offset = k.shape[1] - q.shape[1]
+        if row_offset and not self.causal:
             raise ValueError("prefix reuse requires a causal attention layer")
-        n, _, _ = x_suffix.shape
-        p = k_prefix.shape[-2]
-        q = self.q_proj.infer(x_suffix, backend)
-        k_s = self.k_proj.infer(x_suffix, backend)
-        v_s = self.v_proj.infer(x_suffix, backend)
-        k = np.concatenate([np.broadcast_to(k_prefix, (n, p, self.dim)), k_s], axis=1)
-        v = np.concatenate([np.broadcast_to(v_prefix, (n, p, self.dim)), v_s], axis=1)
-        return self._attend(q, k, v, backend, row_offset=p), k_s, v_s
-
-    def decode_step(
-        self,
-        x_step: np.ndarray,
-        k_cache: np.ndarray,
-        v_cache: np.ndarray,
-        backend,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """One-token :meth:`infer_suffix_kv` (suffix length exactly 1)."""
-        if x_step.shape[1] != 1:
-            raise ValueError(
-                f"decode_step takes one row per sequence, got {x_step.shape[1]}"
-            )
-        return self.infer_suffix_kv(x_step, k_cache, v_cache, backend)
+        return self._attend(q, k, v, backend, row_offset)
 
     def _attend(
         self,
@@ -476,7 +425,7 @@ class TransformerEncoderLayer(Module):
     ``causal=True`` makes the attention sub-layer causal; everything
     else in the block (residuals, layernorms, the feed-forward) is
     already per-row, so the whole block then maps row ``i`` from rows
-    ``<= i`` only — the property :meth:`infer_suffix` rides on.
+    ``<= i`` only — the property K/V reuse through :meth:`infer` rides on.
     """
 
     def __init__(
@@ -503,51 +452,13 @@ class TransformerEncoderLayer(Module):
         hidden = self.fc1(x).gelu()
         return self.ln2(x + self.fc2(hidden))
 
-    def infer(self, x: np.ndarray, backend, kv_tap=None) -> np.ndarray:
-        x = self.ln1.infer(x + self.attn.infer(x, backend, kv_tap=kv_tap), backend)
+    def infer(self, x: np.ndarray, backend, kv=None, index: int = 0) -> np.ndarray:
+        """The block's output rows for ``x``, attending against (and
+        appending onto) layer ``index`` of ``kv`` — see
+        :meth:`MultiHeadSelfAttention.infer`."""
+        x = self.ln1.infer(x + self.attn.infer(x, backend, kv, index), backend)
         hidden = backend.gelu(self.fc1.infer(x, backend))
         return self.ln2.infer(x + self.fc2.infer(hidden, backend), backend)
-
-    def infer_suffix(
-        self,
-        x_suffix: np.ndarray,
-        k_prefix: np.ndarray,
-        v_prefix: np.ndarray,
-        backend,
-    ) -> np.ndarray:
-        """The block's suffix rows, reusing this layer's cached K/V."""
-        out, _, _ = self.infer_suffix_kv(x_suffix, k_prefix, v_prefix, backend)
-        return out
-
-    def infer_suffix_kv(
-        self,
-        x_suffix: np.ndarray,
-        k_prefix: np.ndarray,
-        v_prefix: np.ndarray,
-        backend,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """:meth:`infer_suffix` that also returns this layer's new K/V rows."""
-        attn_out, k_s, v_s = self.attn.infer_suffix_kv(
-            x_suffix, k_prefix, v_prefix, backend
-        )
-        x = self.ln1.infer(x_suffix + attn_out, backend)
-        hidden = backend.gelu(self.fc1.infer(x, backend))
-        out = self.ln2.infer(x + self.fc2.infer(hidden, backend), backend)
-        return out, k_s, v_s
-
-    def decode_step(
-        self,
-        x_step: np.ndarray,
-        k_cache: np.ndarray,
-        v_cache: np.ndarray,
-        backend,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """One-token block step against a per-sequence K/V cache."""
-        if x_step.shape[1] != 1:
-            raise ValueError(
-                f"decode_step takes one row per sequence, got {x_step.shape[1]}"
-            )
-        return self.infer_suffix_kv(x_step, k_cache, v_cache, backend)
 
 
 class GraphConv(Module):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.autograd import Tensor
-from repro.nn.executor import DecodeKV, KVTap
+from repro.nn.executor import KVState
 from repro.nn.layers import Embedding, Linear, Module, TransformerEncoderLayer
 
 
@@ -24,8 +24,8 @@ class TinyBERT(Module):
     row-causal: hidden row ``i`` at every depth depends only on tokens
     ``<= i``.  That is the property KV-prefix reuse needs — a request
     sharing a cached prompt can skip the prefix rows of every GEMM and
-    still produce bit-identical outputs via :meth:`infer_suffix`.  The
-    default (bidirectional) model is unchanged.
+    still produce bit-identical outputs via :meth:`infer` with a ``kv``.
+    The default (bidirectional) model is unchanged.
     """
 
     def __init__(
@@ -68,54 +68,66 @@ class TinyBERT(Module):
         pooled = x.mean(axis=1)
         return self.classifier(pooled)
 
-    def infer(self, tokens: np.ndarray, backend, kv_tap=None) -> np.ndarray:
-        """Batched inference; ``kv_tap`` captures per-layer prefix K/V.
+    def _encode(self, tokens: np.ndarray, backend, kv=None) -> np.ndarray:
+        """The one incremental pass: hidden rows of the new ``tokens``.
 
-        ``kv_tap`` (a :class:`repro.nn.executor.KVTap`) records each
-        attention layer's merged key/value activations plus the final
-        hidden prefix rows during a normal cold pass, at zero extra
-        compute — the payload a :class:`~repro.serving.prefix_cache.RadixKVCache`
-        entry retains.
+        ``tokens`` holds the ``(N, S)`` columns at positions ``kv.pos``
+        onward (from 0 without a ``kv``).  They are embedded at those
+        positions and run through every layer; layer ``i`` appends their
+        K/V rows onto ``kv`` and attends against all it then holds.  A
+        cold pass, a classifier prefix hit, a warm prefill and a decode
+        step are this call with ``(S, pos)`` = ``(T, 0)``, ``(T - P, P)``,
+        ``(P - C, C)`` and ``(1, pos)`` — the one shape
+        :mod:`repro.nn.workload` prices them all as.
         """
-        tokens = np.asarray(tokens)
-        x = self.token_emb.infer_indices(tokens) + self.pos_emb.data
-        for layer in self.layers:
-            x = layer.infer(x, backend, kv_tap=kv_tap)
-        if kv_tap is not None:
-            kv_tap.capture_final(x)
-        pooled = x.mean(axis=1)
-        return self.classifier.infer(pooled, backend)
-
-    def infer_suffix(self, tokens: np.ndarray, prefix, backend) -> np.ndarray:
-        """Inference reusing a cached prompt: suffix rows only.
-
-        ``tokens`` is the full ``(N, T)`` batch whose first
-        ``prefix.prefix_len`` columns match the cached prompt;
-        ``prefix`` is a captured :class:`~repro.nn.executor.KVTap` (or
-        any object with ``prefix_len``, per-layer ``layers[i].k/.v``
-        and ``final_hidden``).  Only the suffix rows flow through the
-        encoder — each layer attends against its cached prefix K/V —
-        and the cached final hidden rows complete the mean-pool, so the
-        classifier sees exactly the cold path's pooled activations.
-        Bit-identity with :meth:`infer` is property-tested.
-        """
-        if not self.causal:
-            raise ValueError("prefix reuse requires causal=True")
-        tokens = np.asarray(tokens)
-        p = prefix.prefix_len
-        if not 0 < p < tokens.shape[-1]:
+        pos = 0 if kv is None else kv.pos
+        if kv is not None and kv.n_layers != self.n_layers:
             raise ValueError(
-                f"prefix length {p} must be in (0, {tokens.shape[-1]})"
+                f"K/V state has {kv.n_layers} layers, model has {self.n_layers}"
             )
-        if len(prefix.layers) != len(self.layers) or prefix.final_hidden is None:
-            raise ValueError("prefix payload does not match this model's depth")
-        n = tokens.shape[0]
-        x = self.token_emb.infer_indices(tokens[:, p:]) + self.pos_emb.data[p:]
-        for layer, kv in zip(self.layers, prefix.layers):
-            x = layer.infer_suffix(x, kv.k, kv.v, backend)
-        final_prefix = np.broadcast_to(prefix.final_hidden, (n,) + prefix.final_hidden.shape)
-        full = np.concatenate([final_prefix, x], axis=1)
-        pooled = full.mean(axis=1)
+        if pos and not self.causal:
+            raise ValueError("prefix reuse requires causal=True")
+        if tokens.ndim != 2:
+            raise ValueError(f"token batch must be 2-D, got shape {tokens.shape}")
+        end = pos + tokens.shape[1]
+        if not pos < end <= self.seq_len:
+            raise ValueError(
+                f"positions [{pos}, {end}) must be a non-empty range of the "
+                f"{self.seq_len}-entry position table"
+            )
+        x = self.token_emb.infer_indices(tokens) + self.pos_emb.data[pos:end]
+        for i, layer in enumerate(self.layers):
+            x = layer.infer(x, backend, kv, i)
+        return x
+
+    def infer(self, tokens: np.ndarray, backend, kv=None) -> np.ndarray:
+        """Batched inference of the full ``(N, T)`` batch ``tokens``.
+
+        ``kv`` (a :class:`repro.nn.executor.KVState`) makes the pass
+        incremental.  Empty, it records each attention layer's merged
+        key/value activations plus the final hidden rows during a
+        normal cold pass, at zero extra compute; ``kv.prefix(P)`` is
+        then the payload a
+        :class:`~repro.serving.prefix_cache.RadixKVCache` entry retains.
+        Holding ``P`` positions of a cached prompt (a ``fork()`` of such
+        a payload, whose rows the first ``P`` columns must match), only
+        the suffix rows flow through the encoder — each layer attends
+        against its cached K/V — and the cached final hidden rows
+        complete the mean-pool, so the classifier sees exactly the cold
+        path's pooled activations.  Bit-identity is property-tested.
+        """
+        tokens = np.asarray(tokens)
+        cached = 0 if kv is None else kv.pos
+        if cached and kv.final_hidden is None:
+            raise ValueError("K/V state holds no final hidden rows to pool")
+        x = self._encode(tokens[:, cached:], backend, kv)
+        if kv is not None:
+            if cached:
+                final = kv.final_hidden
+                final = np.broadcast_to(final, x.shape[:1] + final.shape[1:])
+                x = np.concatenate([final, x], axis=1)
+            kv.final_hidden = x
+        pooled = x.mean(axis=1)
         return self.classifier.infer(pooled, backend)
 
     def predict(self, tokens: np.ndarray, backend) -> np.ndarray:
@@ -139,27 +151,22 @@ class TinyBERT(Module):
         the last row's logits — the naive per-token reference that
         :meth:`decode_step` must match bit-for-bit.
         """
-        tokens = np.asarray(tokens)
-        n, t = tokens.shape
-        if not 0 < t <= self.seq_len:
-            raise ValueError(f"sequence length {t} must be in (0, {self.seq_len}]")
-        x = self.token_emb.infer_indices(tokens) + self.pos_emb.data[:t]
-        for layer in self.layers:
-            x = layer.infer(x, backend)
+        x = self._encode(np.asarray(tokens), backend)
         return self.lm_logits(x[:, -1, :], backend)
 
     def prefill(
         self, tokens: np.ndarray, backend, cached=None
-    ) -> "tuple[np.ndarray, DecodeKV]":
+    ) -> "tuple[np.ndarray, KVState]":
         """Process the prompt and return ``(last-row logits, KV state)``.
 
-        ``tokens`` is ``(N, P)``.  ``cached`` holds captured
-        :class:`~repro.nn.executor.KVTap` prefixes: one per sequence,
-        each matching its own row's leading tokens, or a single tap
-        every row shares.  The pass starts from their first ``C`` rows,
-        ``C`` being the shortest payload's length (``0 < C < P``), and
-        computes only the remaining suffix rows — bit-identical to the
-        cold pass because causal K/V rows are suffix-independent.
+        ``tokens`` is ``(N, P)``.  ``cached`` holds
+        :class:`~repro.nn.executor.KVState` payloads: one per sequence,
+        each matching its own row's leading tokens, or a single payload
+        every row shares.  The pass starts from a stacked copy of their
+        first ``C`` rows, ``C`` being the shortest payload's length
+        (``0 < C < P``), and computes only the remaining suffix rows —
+        bit-identical to the cold pass because causal K/V rows are
+        suffix-independent.
         """
         if not self.causal:
             raise ValueError("generation requires causal=True")
@@ -167,32 +174,22 @@ class TinyBERT(Module):
         if tokens.ndim != 2:
             raise ValueError(f"prompt batch must be 2-D, got shape {tokens.shape}")
         n, p = tokens.shape
-        if not 0 < p <= self.seq_len:
-            raise ValueError(f"prompt length {p} must be in (0, {self.seq_len}]")
-        state = DecodeKV(self.n_layers)
         if cached is None:
-            x = self.token_emb.infer_indices(tokens) + self.pos_emb.data[:p]
-            for layer in self.layers:
-                x = layer.infer(x, backend, kv_tap=state)
+            state = KVState(self.n_layers)
         else:
-            taps = [cached] * n if isinstance(cached, KVTap) else list(cached)
-            if len(taps) != n:
+            payloads = [cached] * n if isinstance(cached, KVState) else list(cached)
+            if len(payloads) != n:
                 raise ValueError(
-                    f"got {len(taps)} cached prefixes for {n} sequences"
+                    f"got {len(payloads)} cached prefixes for {n} sequences"
                 )
-            c = min(tap.prefix_len for tap in taps)
+            c = min(payload.pos for payload in payloads)
             if not 0 < c < p:
                 raise ValueError(f"cached prefix length {c} must be in (0, {p})")
-            state.seed(taps, c)
-            x = self.token_emb.infer_indices(tokens[:, c:]) + self.pos_emb.data[c:p]
-            for i, layer in enumerate(self.layers):
-                x, k_s, v_s = layer.infer_suffix_kv(
-                    x, state.k[i], state.v[i], backend
-                )
-                state.extend(i, k_s, v_s)
+            state = KVState.stack(payloads, upto=c)
+        x = self._encode(tokens[:, state.pos :], backend, state)
         return self.lm_logits(x[:, -1, :], backend), state
 
-    def decode_step(self, state: DecodeKV, tokens: np.ndarray, backend) -> np.ndarray:
+    def decode_step(self, state: KVState, tokens: np.ndarray, backend) -> np.ndarray:
         """One decode iteration: feed one token per sequence, get logits.
 
         ``tokens`` is ``(N,)`` — each sequence's latest token, placed at
@@ -205,19 +202,9 @@ class TinyBERT(Module):
         tokens = np.asarray(tokens)
         if tokens.ndim != 1:
             raise ValueError(f"decode tokens must be 1-D, got shape {tokens.shape}")
-        pos = state.pos
-        if pos < 1:
+        if state.pos < 1:
             raise ValueError("decode_step needs a prefilled state")
-        if pos >= self.seq_len:
-            raise ValueError(
-                f"position {pos} exhausts the {self.seq_len}-entry position table"
-            )
-        x = self.token_emb.infer_indices(tokens[:, None]) + self.pos_emb.data[
-            pos : pos + 1
-        ]
-        for i, layer in enumerate(self.layers):
-            x, k_s, v_s = layer.decode_step(x, state.k[i], state.v[i], backend)
-            state.extend(i, k_s, v_s)
+        x = self._encode(tokens[:, None], backend, state)
         return self.lm_logits(x[:, 0, :], backend)
 
     def generate(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.nn.workload import Workload
+from repro.nn.workload import MHP_PASSES, GemmOp, Workload, op_cycles
 from repro.systolic.config import SystolicConfig
 
 #: Per-element cost (MAC-equivalents) of each op kind on a
@@ -42,15 +42,7 @@ CPU_COST_WEIGHTS: Dict[str, float] = {
 #: per computation-PE MAC pair, so composite ops cost their pass count.
 ARRAY_COST_WEIGHTS: Dict[str, float] = {
     "gemm": 1.0,
-    "multiply": 1.0,
-    "add": 1.0,
-    "relu": 1.0,
-    "batchnorm": 1.0,
-    "softmax": 3.0,
-    "layernorm": 4.0,
-    "gelu": 1.0,
-    "tanh": 1.0,
-    "sigmoid": 1.0,
+    **{kind: float(passes) for kind, passes in MHP_PASSES.items()},
 }
 
 
@@ -77,20 +69,9 @@ def op_mix(workload: Workload, weights: Dict[str, float] = None) -> Dict[str, fl
 
 def cycle_mix(workload: Workload, config: SystolicConfig) -> Dict[str, float]:
     """Cycle share per op kind when the workload runs on a design point."""
-    from repro.systolic.timing import gemm_cycles, nonlinear_cycles
-    from repro.nn.workload import GemmOp
-
     cycles: Dict[str, float] = {}
     for op in workload.ops:
-        if isinstance(op, GemmOp):
-            c = gemm_cycles(config, op.m, op.k, op.n).total * op.count
-            cycles["gemm"] = cycles.get("gemm", 0.0) + c
-        else:
-            c = (
-                nonlinear_cycles(config, op.m, op.n).total
-                * op.mhp_passes
-                * op.count
-            )
-            cycles[op.kind] = cycles.get(op.kind, 0.0) + c
+        kind = "gemm" if isinstance(op, GemmOp) else op.kind
+        cycles[kind] = cycles.get(kind, 0.0) + op_cycles(op, config)
     total = sum(cycles.values())
     return {kind: c / total for kind, c in sorted(cycles.items())} if total else {}

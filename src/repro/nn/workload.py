@@ -76,7 +76,7 @@ class NonlinearOp:
         return MHP_PASSES[self.kind]
 
 
-def _op_cycles(op: object, config: SystolicConfig) -> int:
+def op_cycles(op: object, config: SystolicConfig) -> int:
     """Total cycles of one inventory entry: every repetition, every MHP pass."""
     if isinstance(op, GemmOp):
         return gemm_cycles(config, op.m, op.k, op.n).total * op.count
@@ -157,8 +157,8 @@ class Workload:
 
     def gemm_cycle_share(self, config: SystolicConfig) -> float:
         """Fraction of cycles spent in GEMM (power-model phase weight)."""
-        gemm = sum(_op_cycles(op, config) for op in self.gemm_ops)
-        total = gemm + sum(_op_cycles(op, config) for op in self.nonlinear_ops)
+        gemm = sum(op_cycles(op, config) for op in self.gemm_ops)
+        total = gemm + sum(op_cycles(op, config) for op in self.nonlinear_ops)
         return gemm / total if total else 0.0
 
 
@@ -307,7 +307,7 @@ def _traced_cycles(ops: Iterable[object], config: SystolicConfig) -> int:
     trace records.
     """
     return sum(
-        _op_cycles(op, config)
+        op_cycles(op, config)
         for op in ops
         if isinstance(op, GemmOp) or op.kind == "gelu"
     )

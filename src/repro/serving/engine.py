@@ -285,9 +285,10 @@ class InferenceEngine:
         shard; prefix-less traffic is placed exactly as before.
     radix_cache:
         Optional :class:`~repro.serving.prefix_cache.RadixKVCache` (the
-        same class, its own instance, namespace and budget) enabling
-        longest-prefix K/V reuse for generation endpoints: a prefill
-        whose prompt extends an already-cached token sequence
+        same class, its own instance and budget, and a ``namespace=``
+        different from ``prefix_cache``'s — equal ones are rejected)
+        enabling longest-prefix K/V reuse for generation endpoints: a
+        prefill whose prompt extends an already-cached token sequence
         recomputes only the new suffix, and retiring sequences donate
         their decode history back to the tree.  Placement is wrapped
         in :class:`~repro.serving.cluster.PrefixAffinePlacement` the
@@ -359,6 +360,16 @@ class InferenceEngine:
             self.tenants, policy, max_batch_size, flush_timeout
         )
         self.placement = make_placement_policy(placement)
+        if None not in (prefix_cache, radix_cache) and (
+            prefix_cache.namespace == radix_cache.namespace
+        ):
+            # Their shard namespaces would collide: one cache's rows
+            # would overwrite the other's in cache_stats(), and on a
+            # shared store the two would share keys and budgets.
+            raise ValueError(
+                f"prefix_cache and radix_cache share the namespace "
+                f"{prefix_cache.namespace!r}; give each its own namespace="
+            )
         self.prefix_cache = prefix_cache
         self.radix_cache = radix_cache
         if (prefix_cache is not None or radix_cache is not None) and not isinstance(
@@ -1808,7 +1819,7 @@ class InferenceEngine:
                 for j in distinct:
                     self.radix_cache.insert(
                         shard, batch.tenant, batch.model, prompts[j],
-                        adapter.capture(state, prompt_len, j),
+                        state.prefix(prompt_len, j),
                     )
                 array = self.dispatcher.array_of(shard)
                 cycles_saved = 0
@@ -1962,13 +1973,12 @@ class InferenceEngine:
                     np.asarray(seq.generated[:-1], dtype=np.int64),
                 ]
             )
-            adapter = self._endpoints[seq.request.model].generation_adapter
             self.radix_cache.insert(
                 seq.last_shard,
                 seq.request.tenant,
                 seq.request.model,
                 history,
-                adapter.capture(seq.state, seq.state.pos),
+                seq.state.prefix(seq.state.pos),
             )
         return CompletedRequest(
             request=seq.request,

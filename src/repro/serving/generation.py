@@ -17,10 +17,10 @@ request against the model's position table, runs prefill/decode steps,
 and prices both with the closed-form cycle accounting of
 :mod:`repro.nn.workload`.  Its :meth:`GenerationAdapter.decode` is
 *crash-safe by construction*: the step runs on a stacked **copy** of
-the member caches and returns the new K/V rows, so a fault-injected
-attempt can be discarded without rolling anything back — the engine
-appends the rows onto the per-sequence states only after the attempt
-survives the fault checks.
+the member states (:meth:`~repro.nn.executor.KVState.stack`) and
+returns the new K/V rows, so a fault-injected attempt can be discarded
+without rolling anything back — the engine appends the rows onto the
+per-sequence states only after the attempt survives the fault checks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.executor import DecodeKV, KVTap
+from repro.nn.executor import KVState
 from repro.nn.workload import (
     transformer_decode_step_cycles,
     transformer_prefill_cycles,
@@ -93,7 +93,7 @@ class ActiveSequence:
     """
 
     request: InferenceRequest
-    state: DecodeKV
+    state: KVState
     generated: List[int]
     ready_time: float
     first_start: float
@@ -155,8 +155,8 @@ class GenerationAdapter:
         self,
         prompts: np.ndarray,
         backend,
-        cached: Optional[Sequence[KVTap]] = None,
-    ) -> Tuple[np.ndarray, DecodeKV]:
+        cached: Optional[Sequence[KVState]] = None,
+    ) -> Tuple[np.ndarray, KVState]:
         """Run the prompt batch; returns ``(first tokens, stacked state)``.
 
         ``cached`` carries one radix payload per member; the pass starts
@@ -166,7 +166,7 @@ class GenerationAdapter:
         return np.argmax(logits, axis=-1), state
 
     def decode(
-        self, states: List[DecodeKV], tokens: np.ndarray, backend
+        self, states: List[KVState], tokens: np.ndarray, backend
     ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
         """One iteration over a copy of the member caches.
 
@@ -174,21 +174,10 @@ class GenerationAdapter:
         rows shaped ``(B, 1, D)``; the member states are *not* mutated
         — the caller appends row ``j`` to member ``j`` on success.
         """
-        scratch = DecodeKV.stack(states)
+        scratch = KVState.stack(states)
         logits = self.model.decode_step(scratch, np.asarray(tokens), backend)
-        step_kv = [
-            (scratch.k[i][:, -1:], scratch.v[i][:, -1:])
-            for i in range(scratch.n_layers)
-        ]
+        step_kv = [(k[:, -1:], v[:, -1:]) for k, v in zip(scratch.k, scratch.v)]
         return np.argmax(logits, axis=-1), step_kv
-
-    def capture(self, state: DecodeKV, upto: int, index: int = 0) -> KVTap:
-        """Freeze sequence ``index``'s first ``upto`` K/V rows as a cache payload."""
-        tap = KVTap(prefix_len=upto)
-        rows = slice(index, index + 1)
-        for i in range(state.n_layers):
-            tap.capture(state.k[i][rows, :upto], state.v[i][rows, :upto])
-        return tap
 
     # -- closed-form cycle accounting ------------------------------------
     def prefill_cycles(

@@ -13,8 +13,8 @@ This module provides the cache side of that reuse:
 
 * :class:`RadixKVCache` — the one KV-prefix cache.  Payloads
   (per-layer K/V and, for classifiers, the final hidden rows: a
-  :class:`~repro.nn.executor.KVTap`, in the fixed-point domain the
-  backend dequantized onto, frozen read-only) live in per-shard LRU
+  :class:`~repro.nn.executor.KVState` prefix, in the fixed-point domain
+  the backend dequantized onto, frozen read-only) live in per-shard LRU
   stores under a *byte budget*, on the shard whose array computed
   them (activations are format/design-point faithful, and locality is
   what placement affinity exploits).  The invariant
@@ -24,9 +24,10 @@ This module provides the cache side of that reuse:
   model)`` finds the longest cached prefix of a query.
 * :class:`TransformerPrefixAdapter` — the classifier endpoint glue:
   derives the request's batch key (content digest of the prompt
-  tokens), runs the cold path with K/V capture, runs the hit path via
-  :meth:`~repro.nn.models.bert.TinyBERT.infer_suffix`, and prices the
-  skipped work with the exact closed form
+  tokens), runs the cold path with K/V capture, runs the hit path
+  through a fork of the cached payload (both are
+  :meth:`~repro.nn.models.bert.TinyBERT.infer` with a ``kv``), and
+  prices the skipped work with the exact closed form
   :func:`~repro.nn.workload.transformer_prefix_savings`.
 * :class:`PrefixEvent` — one batch's hit/miss record in the serving
   report.
@@ -48,7 +49,7 @@ from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.nn.executor import KVTap
+from repro.nn.executor import KVState
 from repro.nn.workload import transformer_prefix_savings
 from repro.store import CacheStore, InProcessLRU
 
@@ -82,8 +83,7 @@ class TransformerPrefixAdapter:
     model:
         A causal :class:`~repro.nn.models.bert.TinyBERT`-shaped model:
         ``causal=True``, with ``seq_len``/``dim``/``heads``/``ff_dim``/
-        ``n_layers`` attributes, ``infer(tokens, backend, kv_tap=...)``
-        and ``infer_suffix(tokens, payload, backend)``.
+        ``n_layers`` attributes and ``infer(tokens, backend, kv=...)``.
     prefix_len:
         Number of leading tokens that form the shared prompt; requests
         are keyed (and cached) on exactly these.  Must leave at least
@@ -137,15 +137,20 @@ class TransformerPrefixAdapter:
         return f"p{self.prefix_len}-{digest}"
 
     # -- execution ------------------------------------------------------
-    def infer_cold(self, stacked: np.ndarray, backend) -> "tuple[np.ndarray, KVTap]":
-        """Full inference of a miss batch, capturing the prefix payload."""
-        tap = KVTap(self.prefix_len)
-        outputs = np.asarray(self.model.infer(stacked, backend, kv_tap=tap))
-        return outputs, tap
+    def infer_cold(self, stacked: np.ndarray, backend) -> "tuple[np.ndarray, KVState]":
+        """Full inference of a miss batch, capturing the prefix payload.
 
-    def infer_hit(self, stacked: np.ndarray, payload: KVTap, backend) -> np.ndarray:
-        """Suffix-only inference of a hit batch (bit-identical to cold)."""
-        return np.asarray(self.model.infer_suffix(stacked, payload, backend))
+        Within a prefix-keyed batch all sequences share the prompt, so
+        sequence 0's first ``prefix_len`` rows are every member's.
+        """
+        kv = KVState(self.model.n_layers)
+        outputs = np.asarray(self.model.infer(stacked, backend, kv=kv))
+        return outputs, kv.prefix(self.prefix_len)
+
+    def infer_hit(self, stacked: np.ndarray, payload: KVState, backend) -> np.ndarray:
+        """Suffix-only inference of a hit batch (bit-identical to cold);
+        the pass extends a fork, never the shared payload."""
+        return np.asarray(self.model.infer(stacked, backend, kv=payload.fork()))
 
     # -- accounting -----------------------------------------------------
     def saved_cycles(self, batch_size: int, config) -> int:
@@ -288,7 +293,7 @@ class RadixPrefixIndex:
 class RadixKVCache:
     """Tenant-scoped, per-shard LRU of cached K/V rows under a byte budget.
 
-    Payloads are :class:`~repro.nn.executor.KVTap` captures of a token
+    Payloads are :class:`~repro.nn.executor.KVState` prefixes of a token
     sequence — a classifier's shared prompt, or a generating sequence's
     prompt and, as it generates, its growing history.  A
     per-``(shard, tenant, model)`` :class:`RadixPrefixIndex` finds the
@@ -363,21 +368,6 @@ class RadixKVCache:
             self._shards_seen.add(shard)
         return namespace
 
-    @staticmethod
-    def _refreeze(payload: KVTap) -> KVTap:
-        """Re-apply read-only flags after deserialization.
-
-        Serialization (fabric round trips) does not preserve numpy's
-        ``writeable=False`` flag; re-freezing keeps the shared-payload
-        immutability contract for promoted entries.
-        """
-        for layer in payload.layers:
-            layer.k.setflags(write=False)
-            layer.v.setflags(write=False)
-        if payload.final_hidden is not None:
-            payload.final_hidden.setflags(write=False)
-        return payload
-
     def _admit(
         self, shard: int, tenant: str, model: str, seq, payload, publish: bool = True
     ) -> bool:
@@ -409,7 +399,7 @@ class RadixKVCache:
         model: str,
         tokens,
         max_len: Optional[int] = None,
-    ) -> Tuple[int, Optional[KVTap]]:
+    ) -> Tuple[int, Optional[KVState]]:
         """Longest cached prefix of ``tokens`` on ``shard``.
 
         Returns ``(cached_len, payload)`` or ``(0, None)``.  ``max_len``
@@ -438,8 +428,10 @@ class RadixKVCache:
         if self._fabric is not None:
             payload = self._fabric.get(self.namespace, (tenant, model, seq))
             if payload is not None:
+                # Serialization drops numpy's read-only flag; freezing
+                # again keeps promoted entries immutable while shared.
                 self._admit(
-                    shard, tenant, model, seq, self._refreeze(payload), publish=False
+                    shard, tenant, model, seq, payload.freeze(), publish=False
                 )
                 self.fabric_hits += 1
                 self.hits += 1
@@ -475,7 +467,9 @@ class RadixKVCache:
         return self._store.stats(self._namespace(shard))["bytes"]
 
     # -- write side ------------------------------------------------------
-    def insert(self, shard: int, tenant: str, model: str, tokens, payload: KVTap) -> bool:
+    def insert(
+        self, shard: int, tenant: str, model: str, tokens, payload: KVState
+    ) -> bool:
         """Cache ``payload`` as the K/V rows of ``tokens`` on ``shard``.
 
         The payload must cover exactly ``len(tokens)`` positions.
@@ -485,9 +479,9 @@ class RadixKVCache:
         payload (its bytes are released first).
         """
         seq = self._seq(tokens)
-        if payload.prefix_len != len(seq):
+        if payload.pos != len(seq):
             raise ValueError(
-                f"payload covers {payload.prefix_len} positions, "
+                f"payload covers {payload.pos} positions, "
                 f"tokens have {len(seq)}"
             )
         accepted = self._admit(shard, tenant, model, seq, payload)

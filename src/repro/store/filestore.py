@@ -52,6 +52,13 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 _INDEX_NAME = "index.json"
 _LOCK_NAME = ".lock"
 
+#: What reading back an entry file that exists can raise: a torn or
+#: truncated file, or a pickle naming a class this code no longer has.
+_UNREADABLE = (
+    pickle.UnpicklingError, json.JSONDecodeError, EOFError, KeyError,
+    ValueError, TypeError, AttributeError, ModuleNotFoundError,
+)
+
 
 def _key_filename(key, suffix: str) -> str:
     digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:32]
@@ -194,6 +201,18 @@ class FileStore(CacheStore):
                 json.dump({"key": repr(key), "value": value}, handle)
         os.replace(tmp, path)
 
+    def _read(self, path: str) -> Tuple[object, object]:
+        """The stored ``(repr-key, value)`` pair of one entry file;
+        raises ``FileNotFoundError`` or one of ``_UNREADABLE``."""
+        if self.serializer == "pickle":
+            with open(path, "rb") as handle:
+                stored_key, value = pickle.load(handle)
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+            stored_key, value = payload["key"], payload["value"]
+        return stored_key, value
+
     def _load(self, path: str, key) -> Tuple[str, object]:
         """(status, value): ``"hit"``, ``"miss"`` or ``"corrupt"``.
 
@@ -202,18 +221,10 @@ class FileStore(CacheStore):
         longer deserializes is corrupt — the caller quarantines it.
         """
         try:
-            if self.serializer == "pickle":
-                with open(path, "rb") as handle:
-                    stored_key, value = pickle.load(handle)
-            else:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                stored_key, value = payload["key"], payload["value"]
+            stored_key, value = self._read(path)
         except FileNotFoundError:
             return "miss", None
-        except (pickle.UnpicklingError, json.JSONDecodeError, EOFError,
-                KeyError, ValueError, TypeError, AttributeError,
-                ModuleNotFoundError):
+        except _UNREADABLE:
             return "corrupt", None
         if stored_key != repr(key):
             # Digest collision: verified miss, never a wrong value.
@@ -409,19 +420,12 @@ class FileStore(CacheStore):
         return result
 
     def _load_any(self, path: str) -> Tuple[bool, Tuple[object, object]]:
-        """Load (repr-key, value) without a key to verify against."""
+        """Load (repr-key, value) without a key to verify against;
+        an entry :meth:`get` would quarantine is skipped."""
         try:
-            if self.serializer == "pickle":
-                with open(path, "rb") as handle:
-                    stored_key, value = pickle.load(handle)
-            else:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                stored_key, value = payload["key"], payload["value"]
-        except (FileNotFoundError, pickle.UnpicklingError, json.JSONDecodeError,
-                EOFError, KeyError, ValueError):  # pragma: no cover - torn file
+            return True, self._read(path)
+        except (FileNotFoundError, *_UNREADABLE):
             return False, (None, None)
-        return True, (stored_key, value)
 
     def nbytes_of(self, namespace: str, key) -> int:
         fname = _key_filename(key, self._suffix)

@@ -378,7 +378,7 @@ class TestAffinityBreak:
     def test_prefix_cache_migrate_moves_exactly_one_entry(self):
         class _Payload:
             nbytes = 64
-            prefix_len = 6
+            pos = 6
 
         cache = RadixKVCache(1 << 12, namespace="serving.prefix")
         tokens, payload = np.arange(6), _Payload()

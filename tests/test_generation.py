@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.executor import ArrayBackend, CPWLBackend, DecodeKV, KVTap
+from repro.nn.executor import ArrayBackend, CPWLBackend, KVState
 from repro.nn.models import TinyBERT
 from repro.nn.workload import (
     transformer_decode_step_cycles,
@@ -158,8 +158,7 @@ class TestDecodeBitIdentity:
         backend = _backend()
         cold_logits, cold_state = model.prefill(prompt, backend)
 
-        adapter = GenerationAdapter(model)
-        payload = adapter.capture(cold_state, cached_len)
+        payload = cold_state.prefix(cached_len)
         warm_logits, warm_state = model.prefill(prompt, backend, cached=payload)
         assert np.array_equal(cold_logits, warm_logits)
         for i in range(model.n_layers):
@@ -196,7 +195,7 @@ class TestDecodeBitIdentity:
         backend = _backend()
         _, state = model.prefill(_prompts(rng, 3, 4), backend)
         parts = state.split()
-        restacked = DecodeKV.stack(parts)
+        restacked = KVState.stack(parts)
         for i in range(state.n_layers):
             assert np.array_equal(state.k[i], restacked.k[i])
             assert np.array_equal(state.v[i], restacked.v[i])
@@ -261,7 +260,7 @@ class TestCycleAccounting:
         rng = np.random.default_rng(2)
         prompt = _prompts(rng, 2, 6)
         _, state = model.prefill(prompt, backend)
-        payload = GenerationAdapter(model).capture(state, 4)
+        payload = state.prefix(4)
 
         before = array.total_cycles
         model.prefill(prompt, backend, cached=payload)
@@ -756,11 +755,11 @@ class TestRadixPrefixIndex:
 
 
 def _payload(model, prompt_row, upto=None):
-    """A KVTap covering ``prompt_row``'s first ``upto`` positions."""
+    """A payload covering ``prompt_row``'s first ``upto`` positions."""
     backend = _backend()
     _, state = model.prefill(np.asarray(prompt_row)[None, :], backend)
     upto = len(prompt_row) if upto is None else upto
-    return GenerationAdapter(model).capture(state, upto)
+    return state.prefix(upto)
 
 
 class TestRadixKVCache:
@@ -774,12 +773,12 @@ class TestRadixKVCache:
         assert n == 0 and payload is None  # only the full-4 entry exists
         longer = np.array([1, 2, 3, 4, 9, 9], dtype=np.int64)
         n, payload = cache.lookup(0, "t", "m", longer, max_len=5)
-        assert n == 4 and payload.prefix_len == 4
+        assert n == 4 and payload.pos == 4
         # extending the transcript re-captures incrementally
         cache.insert(0, "t", "m", longer, _payload(model, longer))
         evenlonger = np.concatenate([longer, [7]])
         n, payload = cache.lookup(0, "t", "m", evenlonger, max_len=6)
-        assert n == 6 and payload.prefix_len == 6
+        assert n == 6 and payload.pos == 6
         stats = cache.stats()
         assert stats["insertions"] == 2 and stats["hits"] == 2
 
@@ -841,10 +840,10 @@ class TestRadixKVCache:
         second = RadixKVCache(namespace="serving.prefix", fabric=fabric)
         assert second.resident_shards("t", "m", p) == ()  # fabric-only
         n, payload = second.lookup(1, "t", "m", p)
-        assert n == 3 and payload.prefix_len == 3
+        assert n == 3 and payload.pos == 3
         assert (second.fabric_hits, second.hits, second.misses) == (1, 1, 0)
-        for layer in payload.layers:
-            assert not layer.k.flags.writeable and not layer.v.flags.writeable
+        for k, v in zip(payload.k, payload.v):
+            assert not k.flags.writeable and not v.flags.writeable
         assert second.resident_shards("t", "m", p) == (1,)
         # Now resident: the next lookup never reaches the fabric.
         assert second.lookup(1, "t", "m", p)[0] == 3

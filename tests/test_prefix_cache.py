@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.nn.executor import ArrayBackend, CPWLBackend, KVTap
+from repro.nn.executor import ArrayBackend, CPWLBackend, KVState
 from repro.nn.models import TinyBERT
 from repro.nn.workload import transformer_prefix_savings
 from repro.serving import (
@@ -65,9 +65,9 @@ def _cache(budget: int = 32 << 20) -> RadixKVCache:
 class _Payload:
     """Stub cache payload of a declared size (eviction tests)."""
 
-    def __init__(self, nbytes: int, prefix_len: int):
+    def __init__(self, nbytes: int, pos: int):
         self.nbytes = nbytes
-        self.prefix_len = prefix_len
+        self.pos = pos
 
 
 def _prompt(i: int) -> np.ndarray:
@@ -121,12 +121,12 @@ class TestPrefixEquivalence:
         model.infer(tokens[:1], backend)  # warm the CPWL table preload
         array.trace.clear()
 
-        tap = KVTap(prefix_len)
-        cold = model.infer(tokens, backend, kv_tap=tap)
+        kv = KVState(n_layers)
+        cold = model.infer(tokens, backend, kv=kv)
         cold_cycles = array.total_cycles
         array.trace.clear()
 
-        warm = model.infer_suffix(tokens, tap, backend)
+        warm = model.infer(tokens, backend, kv=kv.prefix(prefix_len))
         warm_cycles = array.total_cycles
 
         assert np.array_equal(cold, warm)
@@ -153,17 +153,20 @@ class TestPrefixEquivalence:
         )
         tokens = _tokens_with_prefix(rng, batch, seq_len, prefix_len)
         backend = CPWLBackend(0.25)
-        tap = KVTap(prefix_len)
-        cold = model.infer(tokens, backend, kv_tap=tap)
-        warm = model.infer_suffix(tokens, tap, backend)
+        kv = KVState(n_layers)
+        cold = model.infer(tokens, backend, kv=kv)
+        warm = model.infer(tokens, backend, kv=kv.prefix(prefix_len))
         assert np.array_equal(cold, warm)
 
     def test_prefix_reuse_requires_causal_model(self):
         model = TinyBERT(seq_len=8, causal=False)
         with pytest.raises(ValueError, match="causal"):
             TransformerPrefixAdapter(model, 4)
+        tokens, backend = np.zeros((1, 8), dtype=int), CPWLBackend(0.25)
+        kv = KVState(model.n_layers)
+        model.infer(tokens, backend, kv=kv)  # capture alone is harmless
         with pytest.raises(ValueError, match="causal"):
-            model.infer_suffix(np.zeros((1, 8), dtype=int), KVTap(4), CPWLBackend(0.25))
+            model.infer(tokens, backend, kv=kv.prefix(4))
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +407,20 @@ class TestEngineIntegration:
             engine.register(
                 "bad", model, prefix_adapter=TransformerPrefixAdapter(other, 5)
             )
+
+    def test_two_caches_need_two_namespaces(self):
+        """Both caches under one namespace would report one cache's
+        ``<namespace>.shard<N>`` rows over the other's in
+        ``cache_stats()`` (and share keys and budgets on a shared
+        store), so the engine refuses the pair up front."""
+        with pytest.raises(ValueError, match="prefix_cache and radix_cache"):
+            _make_engine(cache=RadixKVCache(), radix_cache=RadixKVCache())
+        shared = RadixKVCache()
+        with pytest.raises(ValueError, match="serving.radix"):
+            _make_engine(cache=shared, radix_cache=shared)
+        # Distinct namespaces (what docs and build_engine pass) are fine.
+        engine, _ = _make_engine(cache=_cache(), radix_cache=RadixKVCache())
+        assert engine.prefix_cache.namespace != engine.radix_cache.namespace
 
     def test_reset_clears_cache(self):
         model = _make_model()

@@ -18,7 +18,7 @@ from repro.fixedpoint import INT16, dequantize, fixed_matmul, quantize
 from repro.hardware.pareto import pareto_front
 from repro.hardware.power import power_watts
 from repro.hardware.resources import total_resources
-from repro.nn.executor import CPWLBackend, KVTap
+from repro.nn.executor import CPWLBackend, KVState
 from repro.nn.models import TinyBERT
 from repro.nn.workload import (
     GemmOp,
@@ -183,19 +183,19 @@ class TestCausalPrefixProperties:
         backend = CPWLBackend(0.25)
         prefix = rng.integers(0, 16, size=prefix_len)
 
-        taps = []
+        payloads = []
         for _ in range(2):
             suffix = rng.integers(0, 16, size=(2, seq_len - prefix_len))
             tokens = np.concatenate(
                 [np.broadcast_to(prefix, (2, prefix_len)), suffix], axis=1
             )
-            tap = KVTap(prefix_len)
-            model.infer(tokens, backend, kv_tap=tap)
-            taps.append(tap)
-        first, second = taps
-        for a, b in zip(first.layers, second.layers):
-            assert np.array_equal(a.k, b.k)
-            assert np.array_equal(a.v, b.v)
+            kv = KVState(n_layers)
+            model.infer(tokens, backend, kv=kv)
+            payloads.append(kv.prefix(prefix_len))
+        first, second = payloads
+        for i in range(n_layers):
+            assert np.array_equal(first.k[i], second.k[i])
+            assert np.array_equal(first.v[i], second.v[i])
         assert np.array_equal(first.final_hidden, second.final_hidden)
 
     @given(
@@ -223,9 +223,9 @@ class TestCausalPrefixProperties:
             ],
             axis=1,
         )
-        tap = KVTap(prefix_len)
-        cold = model.infer(tokens, backend, kv_tap=tap)
-        warm = model.infer_suffix(tokens, tap, backend)
+        kv = KVState(model.n_layers)
+        cold = model.infer(tokens, backend, kv=kv)
+        warm = model.infer(tokens, backend, kv=kv.prefix(prefix_len))
         assert np.array_equal(cold, warm)
 
     @given(

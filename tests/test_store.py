@@ -370,6 +370,32 @@ class TestFileStore:
         assert store.get(NS, "bad") == [5, 6]
         assert store.stats(NS)["corruptions"] == 1
 
+    @pytest.mark.parametrize(
+        "missing",
+        [b"crepro.nn.executor\nNoSuchPayloadClass\n", b"cno_such_module\nPayload\n"],
+        ids=["class-gone", "module-gone"],
+    )
+    def test_entry_of_a_deleted_class_is_a_miss_everywhere(self, tmp_path, missing):
+        """A fabric outlives the code that wrote it: an entry whose
+        pickle names a class (or module) this code no longer has must
+        read as a quarantined miss through ``get`` and be skipped by
+        ``keys`` / ``values`` — never raise."""
+        store = FileStore(str(tmp_path / "s"))
+        ns_dir = tmp_path / "s" / NS
+        store.put(NS, "good", [1, 2])
+        before = {p for p in ns_dir.iterdir() if p.suffix == ".pkl"}
+        store.put(NS, "gone", [3, 4])
+        (gone_file,) = {p for p in ns_dir.iterdir() if p.suffix == ".pkl"} - before
+        # Protocol-0 pickle of (repr("gone"), <GLOBAL missing name>).
+        gone_file.write_bytes(b"(V'gone'\n" + missing + b"t.")
+        assert store.keys(NS) == [repr("good")]
+        assert store.values(NS) == [[1, 2]]
+        assert store.get(NS, "gone") is None
+        stats = store.stats(NS)
+        assert stats["corruptions"] == 1 and stats["entries"] == 1
+        assert not gone_file.exists()
+        assert store.get(NS, "good") == [1, 2]
+
 
 # ---------------------------------------------------------------------------
 # TieredStore specifics
