@@ -406,6 +406,70 @@ def test_serving_throughput_measurably_up(print_artifact):
     )
 
 
+def test_host_coalescing_counts(print_artifact):
+    """A classifier burst makes far fewer model calls than it has batches.
+
+    256 requests of the serving burst's BERT-tiny on 2 shards are 32
+    simulated batches; registered as a ``Module`` the engine charges each
+    batch by replaying its shape's trace tape and computes rows in
+    stacked host passes (16 tokens per request put 4 batches in a stack),
+    so it calls the model about 10 times where the ``infer_fn=``
+    reference calls it 32 times — for equal outputs and traced cycles.
+    The gate is on counts, which repeat exactly on any runner.
+    """
+    from repro.serving import InferenceEngine, ClusterDispatcher
+
+    class CountedBERT(TinyBERT):
+        calls = 0
+
+        def infer(self, tokens, backend, kv=None):
+            self.calls += 1
+            return super().infer(tokens, backend, kv)
+
+    tokens = np.random.default_rng(4).integers(0, 32, size=(256, 16))
+
+    def serve(eager):
+        model = CountedBERT(
+            vocab=32, seq_len=16, dim=32, heads=4, ff_dim=64, n_layers=2
+        )
+        pool = ClusterDispatcher(
+            [ArrayBackend(SystolicArray(_paper_config()), 0.25) for _ in range(2)]
+        )
+        engine = InferenceEngine(pool, max_batch_size=8, flush_timeout=1e-4)
+        if eager:
+            engine.register("bert", infer_fn=model.infer)
+        else:
+            engine.register("bert", model)
+        ids = [engine.submit("bert", row) for row in tokens]
+        report = engine.run()
+        return [engine.result(i) for i in ids], report, model.calls
+
+    outputs, report, calls = serve(eager=False)
+    eager_outputs, eager_report, eager_calls = serve(eager=True)
+    for ours, theirs in zip(outputs, eager_outputs):
+        assert np.array_equal(ours, theirs)
+    assert report.total_cycles == eager_report.total_cycles
+    assert report.n_batches == eager_report.n_batches == eager_calls == 32
+    print_artifact(
+        "Host coalescing (256 BERT-tiny requests, 2 array shards)\n"
+        f"  batches {report.n_batches}   model calls {calls} "
+        f"(eager reference {eager_calls})   "
+        f"{report.total_cycles} traced cycles, identical"
+    )
+    _update_artifact(
+        host_coalescing={
+            "requests": len(tokens),
+            "batches": report.n_batches,
+            "model_calls": calls,
+            "eager_model_calls": eager_calls,
+            "traced_cycles": int(report.total_cycles),
+        }
+    )
+    assert calls <= report.n_batches // 2, (
+        f"{calls} model calls for {report.n_batches} batches"
+    )
+
+
 def test_placement_cost_aware_beats_round_robin(print_artifact):
     """Cost-aware placement >= 1.3x lower simulated makespan than blind
     round-robin on a skewed heterogeneous 4-shard pool.

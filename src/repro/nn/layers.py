@@ -70,6 +70,17 @@ class Module:
         raise NotImplementedError
 
     def infer(self, x: np.ndarray, backend) -> np.ndarray:
+        """Inference through ``backend``'s primitive operations.
+
+        Contract (the serving engine replays a trace tape on the
+        strength of it; ``tests/test_trace_tape.py`` pins it for every
+        shipped model): the kinds, order and operand *shapes* of the
+        backend operations issued depend on the shape of ``x`` and of
+        any state passed along, never on values — no value-dependent
+        control flow — and row ``i`` of the result depends on row ``i``
+        of ``x`` alone.  A model that cannot promise this is served
+        through ``InferenceEngine.register(name, infer_fn=...)``.
+        """
         raise NotImplementedError
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -1005,8 +1005,8 @@ class ClusterDispatcher:
     backends:
         One inference backend per shard.  Backends exposing an
         ``array`` attribute (the hardware-routed ones) contribute cycle
-        traces and design points; others execute functionally with
-        wall-clock timing.
+        traces and design points; others execute functionally and are
+        charged no simulated time.
     specs:
         Optional :class:`ShardSpec` declarations (kept when the pool
         was built from a :class:`ClusterSpec`).

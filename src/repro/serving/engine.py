@@ -41,6 +41,16 @@ and decode iterations all run through one place → run → fault-check →
 commit skeleton (``InferenceEngine._execute``); a kind supplies only
 its profile, its payload and its commit / park / fail hooks.
 
+**Charged once per batch, computed once per stack.**  What a batch is
+*charged* (traced cycles) depends on operand shapes; what it *computes*
+depends on each request's inputs alone.  For an endpoint registered as a
+batchable :class:`~repro.nn.layers.Module` the engine therefore replays
+a trace tape per batch and takes the batch's rows from one stacked host
+pass shared with later batches (``InferenceEngine._stacked``).  An
+``infer_fn=`` callable, a prefix-keyed batch, a prefill, a decode step
+and an array-less shard execute per batch; reports are bit-identical
+either way.
+
 Batched execution is bit-identical to running every request alone:
 stacking adds rows to the GEMMs and elementwise stages, and every
 output element is still produced by the same saturating fixed-point
@@ -93,12 +103,14 @@ import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import (
     Callable, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union,
 )
 
 import numpy as np
 
+from repro.nn.layers import Module
 from repro.serving.batcher import Batch
 from repro.serving.cluster import (
     BatchProfile,
@@ -209,6 +221,25 @@ class _RequestSource:
 
 #: Work sources in tie-break order (see ``InferenceEngine._work_sources``).
 _RETRY, _DECODE, _PLANNED, _SCHEDULER = range(4)
+
+
+#: Most input elements one stacked host pass holds (64 requests of 8
+#: tokens).  Per-request host cost is flat beyond it and rises again from
+#: cache pressure at 8x this; large models gain nothing past their batch.
+STACK_ELEMENTS = 512
+
+
+class _Stack(NamedTuple):
+    """Compute-once state of one endpoint (``InferenceEngine._stacked``).
+    ``tapes`` live until the name is registered again or the engine
+    reset, the other two for one :meth:`InferenceEngine.run`."""
+
+    #: (batch shape, dtype, array config, who) -> what a batch is charged.
+    tapes: Dict[tuple, list]
+    #: This run's requests nothing has computed yet, in arrival order.
+    ahead: Dict[int, InferenceRequest]
+    #: request id -> (who computed it, its output row), until its unit runs.
+    rows: Dict[int, Tuple[tuple, np.ndarray]]
 
 
 class _WorkUnit(NamedTuple):
@@ -377,6 +408,9 @@ class InferenceEngine:
         ):
             self.placement = PrefixAffinePlacement(self.placement)
         self._endpoints: Dict[str, ModelEndpoint] = {}
+        # Endpoints whose batches replay a tape and share stacked host
+        # passes: exactly those registered as a batchable Module.
+        self._stacks: Dict[str, _Stack] = {}
         self._submitted: List[InferenceRequest] = []
         self._run_buffered = 0  # run()-local feed not yet admitted
         self._results: Dict[int, np.ndarray] = {}
@@ -445,7 +479,10 @@ class InferenceEngine:
         """Register a model endpoint under ``name``.
 
         Pass either ``model`` (an object with ``infer(inputs, backend)``)
-        or an explicit ``infer_fn``.  ``cost_model`` optionally supplies
+        or an explicit ``infer_fn``.  A batchable ``model`` that is a
+        :class:`~repro.nn.layers.Module` promises its contract and is
+        computed in stacks (``_stacked``); an ``infer_fn`` is called once
+        per batch, always.  ``cost_model`` optionally supplies
         closed-form batch-cycle estimates for cost-aware placement (see
         :func:`~repro.serving.cluster.workload_cost_model`); without
         one, estimates come from the engine's calibrating model once
@@ -506,8 +543,12 @@ class InferenceEngine:
                 "prefix_adapter wraps a different model than the one being "
                 "registered; build the adapter from the same model instance"
             )
+        # A name registered again starts from nothing: no tape, no row.
+        self._stacks.pop(name, None)
         if infer_fn is None:
             infer_fn = model.infer  # type: ignore[union-attr]
+            if batchable and isinstance(model, Module):
+                self._stacks[name] = _Stack({}, {}, {})
         self._endpoints[name] = ModelEndpoint(
             name, infer_fn, batchable, cost_model, prefix_adapter, generation_adapter
         )
@@ -786,6 +827,10 @@ class InferenceEngine:
                         self._submitted, key=lambda r: (r.arrival, r.request_id)
                     )
                     self._submitted.clear()
+                    for request in fresh:
+                        stack = self._stacks.get(request.model)
+                        if stack is not None and request.prefix_key is None:
+                            stack.ahead[request.request_id] = request
                     buffer = sorted(
                         buffer[head:] + fresh, key=lambda r: (r.arrival, r.request_id)
                     )
@@ -810,7 +855,8 @@ class InferenceEngine:
                     ready_at is None or next_arrival <= ready_at
                 ):
                     if take_from_buffer:
-                        self._admit(buffer[head])
+                        if not self._admit(buffer[head]):
+                            self._forget(buffer[head])
                         head += 1
                         self._run_buffered = len(buffer) - head
                     else:
@@ -828,6 +874,10 @@ class InferenceEngine:
                     break  # defensive: ready_at implies a batch
         finally:
             self._run_buffered = 0
+            # Weights may change between runs: nothing is kept for the next.
+            for stack in self._stacks.values():
+                stack.ahead.clear()
+                stack.rows.clear()
 
         cycles_after = self.dispatcher.shard_cycles()
         shard_cycles = {
@@ -1193,6 +1243,9 @@ class InferenceEngine:
         self._retry_seq = 0
         self._active.clear()
         self._planned.clear()
+        for stack in self._stacks.values():
+            for part in stack:
+                part.clear()
         self._last_scale_at = None
         for stats in self._shard_stats.values():
             stats.reset()
@@ -1210,14 +1263,14 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     @staticmethod
     def _check_batched(
-        endpoint: ModelEndpoint, outputs: np.ndarray, batch: Batch
+        endpoint: ModelEndpoint, outputs: np.ndarray, size: int
     ) -> np.ndarray:
         """Validate that a stacked inference preserved the batch axis."""
         outputs = np.asarray(outputs)
-        if outputs.ndim < 1 or outputs.shape[0] != batch.size:
+        if outputs.ndim < 1 or outputs.shape[0] != size:
             raise ValueError(
                 f"endpoint {endpoint.name!r} returned output of shape "
-                f"{outputs.shape} for a batch of {batch.size}; a "
+                f"{outputs.shape} for a batch of {size}; a "
                 "batchable infer_fn must preserve the leading batch "
                 "axis (register with batchable=False otherwise)"
             )
@@ -1565,19 +1618,13 @@ class InferenceEngine:
         namespace = (
             array.trace.namespace(profile.tenant) if array is not None else nullcontext()
         )
-        t0 = time.perf_counter()
         with namespace:
             result, reused = unit.run(shard, backend)
-        elapsed_wall = time.perf_counter() - t0
 
-        if array is not None:
-            batch_cycles = array.total_cycles - cycles_before
-            duration = batch_cycles / array.config.clock_hz
-        else:
-            # Functional backends have no cycle model; charge the host
-            # execution time so latency stays meaningful.
-            batch_cycles = 0
-            duration = elapsed_wall
+        # Functional backends have no cycle model and are charged nothing
+        # (never host time: the simulated clock must not read the host's).
+        batch_cycles = array.total_cycles - cycles_before if array is not None else 0
+        duration = batch_cycles / array.config.clock_hz if array is not None else 0.0
 
         if self.faults is not None:
             # A slowdown stretches the timeline (results unchanged); a
@@ -1686,6 +1733,10 @@ class InferenceEngine:
                     np.asarray(endpoint.infer_fn(r.inputs, backend))
                     for r in batch.requests
                 ], False
+            stack = None if use_prefix else self._stacks.get(batch.model)
+            array = self.dispatcher.array_of(shard)
+            if stack is not None and array is not None:
+                return self._stacked(stack, endpoint, batch, backend, array), False
             stacked = np.stack([r.inputs for r in batch.requests])
             hit = False
             if not use_prefix:
@@ -1706,7 +1757,7 @@ class InferenceEngine:
                     cache.insert(
                         shard, batch.tenant, batch.model, prefix_tokens, payload
                     )
-            outputs = self._check_batched(endpoint, outputs, batch)
+            outputs = self._check_batched(endpoint, outputs, batch.size)
             return list(outputs), hit
 
         def commit(placed, per_request, prefix_hit):
@@ -1746,6 +1797,71 @@ class InferenceEngine:
             ]
 
         return profile, run, commit, prefix_tokens
+
+    def _stacked(
+        self, stack: _Stack, endpoint: ModelEndpoint, batch: Batch, backend, array
+    ) -> List[np.ndarray]:
+        """Output rows of a classifier batch: charged once per batch,
+        computed once per stack.
+
+        What the array is charged depends on operand shapes alone (the
+        :meth:`~repro.nn.layers.Module.infer` contract) and each output
+        row on its own request alone.  So the first batch of a shape
+        executes under ``array.capture()``; every later one replays that
+        tape and takes its rows from ``stack.rows``, filled — when one of
+        them is missing — by one ``infer_fn`` call on this shard's own
+        backend, ``array.detached()``, over the missing requests plus the
+        next not-yet-computed ones of the same sample shape, up to
+        :data:`STACK_ELEMENTS` input elements.  A row is used only where
+        the same kind of backend computed it (``who``).
+        """
+        rows, ahead = stack.rows, stack.ahead
+        for request in batch.requests:
+            ahead.pop(request.request_id, None)
+        sample = batch.requests[0].inputs
+        who = (
+            type(backend), type(array), array.config.fmt,
+            getattr(backend, "granularity", None),
+        )
+        key = (batch.size, sample.shape, sample.dtype, array.config, who)
+        tape = stack.tapes.get(key)
+        if tape is None:
+            members = list(batch.requests)
+        else:
+            array.replay(tape)
+            members = [
+                r for r in batch.requests if rows.get(r.request_id, (None,))[0] != who
+            ]
+            if members:
+                room = STACK_ELEMENTS // max(sample.size, 1) - len(members)
+                members += islice(
+                    (
+                        r for r in ahead.values()
+                        if r.inputs.shape == sample.shape
+                        and r.inputs.dtype == sample.dtype
+                    ),
+                    max(room, 0),
+                )
+        if members:
+            with array.capture() if tape is None else array.detached() as captured:
+                outputs = endpoint.infer_fn(
+                    np.stack([r.inputs for r in members]), backend
+                )
+            outputs = self._check_batched(endpoint, outputs, len(members))
+            if tape is None:
+                stack.tapes[key] = captured
+            for request, row in zip(members, outputs):
+                ahead.pop(request.request_id, None)
+                rows[request.request_id] = (who, row)
+        return [rows.pop(r.request_id)[1] for r in batch.requests]
+
+    def _forget(self, request: InferenceRequest) -> None:
+        """A shed or failed request never executes: compute nothing for
+        it, keep nothing computed for it."""
+        stack = self._stacks.get(request.model)
+        if stack is not None:
+            stack.ahead.pop(request.request_id, None)
+            stack.rows.pop(request.request_id, None)
 
     # ------------------------------------------------------------------
     # Generation: prefill batches and the continuous-batching decode pool
@@ -2085,6 +2201,7 @@ class InferenceEngine:
             if due is None or wake <= due:
                 return wake
             reason = "retry_deadline"
+        self._forget(request)
         self._events.append(
             FailureRecord(
                 request=request, reason=reason, at=at, shard=shard, attempts=attempts

@@ -38,12 +38,14 @@ it):
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
 from repro.core.nonlinear_ops import get_approximator
+from repro.core.segment_table import QuantizedSegmentTable
 from repro.fixedpoint import fixed_matmul, quantize
 from repro.systolic.addressing import DataAddressing
 from repro.systolic.buffers import build_hierarchy
@@ -221,16 +223,15 @@ class SystolicArray:
         approx = get_approximator(function, granularity, fmt, domain=domain)
 
         # --- IPF: preload (if needed) + addressing + parameter gather.
-        preloaded = self.addressing.preload(approx.qtable, self.hierarchy["params"])
-        if preloaded:
-            self.trace.record(
-                TraceEvent(
-                    kind="preload",
-                    label=f"{label}.table",
-                    cycles=-(-approx.qtable.n_segments * 2 // self.config.l3_in_width),
-                    ops=approx.qtable.n_segments,
-                )
-            )
+        self._preload(
+            approx.qtable,
+            TraceEvent(
+                kind="preload",
+                label=f"{label}.table",
+                cycles=-(-approx.qtable.n_segments * 2 // self.config.l3_in_width),
+                ops=approx.qtable.n_segments,
+            ),
+        )
         ipf_result, ipf_stats = self.addressing.run(x_raw)
         self.trace.record(
             TraceEvent(
@@ -277,6 +278,20 @@ class SystolicArray:
             streams=streams,
         )
 
+    def _preload(self, qtable: QuantizedSegmentTable, event: TraceEvent) -> None:
+        """Make ``qtable`` resident in the k/b store; ``event`` is
+        recorded only when that took a preload transaction.  A tape keeps
+        the pair, so :meth:`replay` decides on the store it meets."""
+        trace = self.trace
+        tape, trace.tape = trace.tape, None
+        if tape is not None:
+            tape.append((event, qtable))
+        try:
+            if self.addressing.preload(qtable, self.hierarchy["params"]):
+                trace.record(event)
+        finally:
+            trace.tape = tape
+
     def _execute_mhp(self, x_raw, k_raw, b_raw, fused_ipf):
         """MHP execution seam (the equivalence benchmark swaps in the
         seed's per-lane reference here)."""
@@ -298,6 +313,57 @@ class SystolicArray:
         ).raw
         out *= fmt.scale
         return out
+
+    # ------------------------------------------------------------------
+    # What the array is charged, apart from what the host computes
+    # ------------------------------------------------------------------
+    @contextmanager
+    def capture(self) -> Iterator[list]:
+        """Tape the hardware transactions issued inside the block.
+
+        Yields the list being filled, in issue order: ``(event, count)``
+        exactly as :meth:`Trace.record` receives them, and one
+        ``(preload event, segment table)`` pair per nonlinear op whether
+        or not its table was resident.  Operand *values* leave no mark:
+        calls with equal operand shapes on one design point tape equal.
+        """
+        trace = self.trace
+        outer, tape = trace.tape, []
+        trace.tape = tape
+        try:
+            yield tape
+        finally:
+            trace.tape = outer
+            if outer is not None:
+                outer.extend(tape)
+
+    def replay(self, tape: list) -> None:
+        """Charge a tape :meth:`capture` filled to this array, computing nothing.
+
+        Events go through the live trace (open namespace, retention mode)
+        and every table through the live parameter store, so one evicted
+        since — by another model's tables or :meth:`reset` — preloads
+        again exactly where execution would have paid for it.
+        """
+        for event, arg in tape:
+            if isinstance(arg, QuantizedSegmentTable):
+                self._preload(arg, event)
+            else:
+                self.trace.record(event, arg)
+
+    @contextmanager
+    def detached(self) -> Iterator["SystolicArray"]:
+        """Compute without being charged: inside the block the array runs
+        on a scratch trace, buffer hierarchy and addressing unit; on exit
+        (also when the body raises) the real ones are back, every counter
+        as it was."""
+        live = self.trace, self.hierarchy, self.addressing
+        self.trace = Trace(retain_events=False)
+        self.reset()
+        try:
+            yield self
+        finally:
+            self.trace, self.hierarchy, self.addressing = live
 
     # ------------------------------------------------------------------
     # Introspection

@@ -80,6 +80,9 @@ class Trace:
         self.events: "Deque[TraceEvent] | List[TraceEvent]" = (
             deque(maxlen=max_events) if max_events is not None else []
         )
+        #: While a list, every :meth:`record` call is appended to it as
+        #: ``(event, count)`` (see :meth:`SystolicArray.capture`).
+        self.tape: Optional[list] = None
         self._n_events = 0
         self._total_cycles = 0
         self._cycles_by_kind: Dict[str, int] = {}
@@ -95,6 +98,8 @@ class Trace:
     def record(self, event: TraceEvent, count: int = 1) -> None:
         """Account ``count`` occurrences of one event, as ``count`` calls
         would; a retaining log gains ``count`` references to the event."""
+        if self.tape is not None:
+            self.tape.append((event, count))
         cycles = event.cycles * count
         self._n_events += count
         self._total_cycles += cycles

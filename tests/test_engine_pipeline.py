@@ -15,9 +15,15 @@ public logs:
 * the source of ``serving/engine.py`` contains each skeleton call once,
   so a new kind of work cannot re-grow a private copy; likewise the
   KV-prefix cache, the transformer layer inventory, the per-run record
-  list and the merge re-mapping rule exist once.
+  list and the merge re-mapping rule exist once;
+* a classifier batch of a ``Module`` endpoint is *charged* by replaying
+  its shape's trace tape and *computed* as rows of a stacked host pass
+  shared with later batches — and every report, log and output bit
+  equals what the same model gives registered through ``infer_fn=``,
+  which executes per batch.
 """
 
+import dataclasses
 import importlib
 import inspect
 import re
@@ -27,6 +33,16 @@ import numpy as np
 import pytest
 
 import repro.serving.engine as engine_module
+from repro.autotune import (
+    EndpointProfile,
+    TuningConfig,
+    WorkloadCostSpec,
+    build_engine,
+    report_fingerprint,
+    synthesize_trace,
+)
+from repro.nn.executor import ArrayBackend
+from repro.nn.layers import Linear, Module
 from repro.nn.models import TinyBERT
 from repro.serving import (
     BreakerTransition,
@@ -39,6 +55,7 @@ from repro.serving import (
     GenerationAdapter,
     InferenceEngine,
     PlacementDecision,
+    RetryPolicy,
     PrefixEvent,
     RadixKVCache,
     ScalingEvent,
@@ -46,6 +63,7 @@ from repro.serving import (
     ShardSlowdown,
     ShedRecord,
     StealEvent,
+    TenantConfig,
     TransformerPrefixAdapter,
 )
 from repro.serving.multiproc import merge_reports
@@ -318,7 +336,7 @@ SKELETON_CALLS = (
     "slowdown_factor(",
     "record_success(",
     "trace.namespace(",
-    "elapsed_wall =",
+    "unit.run(",
     "PlacementDecision(",
 )
 
@@ -361,3 +379,448 @@ def test_one_record_list_and_one_merge_rule():
     source = Path(engine_module.__file__).read_text()
     assert not re.findall(rf"self\._\w+\s*:\s*List\[\"?({record_types})\b", source)
     assert inspect.getsource(merge_reports).count("replace(") <= 1
+
+
+# ---------------------------------------------------------------------------
+# Compute once per stack, charge once per batch.  The reference is always
+# the same model registered through ``infer_fn=``: one model call per batch.
+# ---------------------------------------------------------------------------
+BIG = SystolicConfig(pe_rows=8, pe_cols=8, macs_per_pe=16, clock_hz=250e6)
+MID = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4, clock_hz=250e6)
+SLOW = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4, clock_hz=100e6)
+TINY = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=2, clock_hz=100e6)
+BERT_COST = WorkloadCostSpec(seq_len=8, dim=8, heads=2, ff_dim=16, n_layers=1)
+
+
+class _CountedBERT(TinyBERT):
+    """The classifier under test; logs the rows of every ``infer`` call
+    and whether the shard's array was taping it."""
+
+    def __init__(self, n_layers=1):
+        super().__init__(
+            vocab=16, seq_len=8, dim=8, heads=2, ff_dim=16, n_layers=n_layers,
+            causal=False, seed=0,
+        )
+        self.calls, self.taped = [], []
+
+    def infer(self, tokens, backend, kv=None):
+        self.calls.append(len(tokens))
+        self.taped.append(backend.array.trace.tape is not None)
+        return super().infer(tokens, backend, kv)
+
+
+class _CountedHead(Module):
+    """One ``Linear(8 -> 4)`` over scaled token rows: the model costs
+    almost nothing, so the serving layer decides everything."""
+
+    def __init__(self):
+        super().__init__()
+        self.fc = Linear(8, 4, np.random.default_rng(0))
+        self.calls = []
+
+    def infer(self, tokens, backend):
+        self.calls.append(len(tokens))
+        return self.fc.infer(np.asarray(tokens, dtype=np.float64) / 16, backend)
+
+
+def _register(engine, name, model, eager, **kwargs):
+    if eager:
+        engine.register(name, infer_fn=model.infer, **kwargs)
+    else:
+        engine.register(name, model, **kwargs)
+
+
+def _replay(trace, tuning, model, eager, cost=None, faults=None):
+    engine = build_engine(tuning, (), tenants=trace.tenants, faults=faults)
+    _register(
+        engine, trace.requests[0].model, model, eager,
+        cost_model=None if cost is None else cost.build(),
+    )
+    for r in trace.requests:
+        engine.submit(
+            r.model, r.inputs_array(), r.arrival,
+            tenant=r.tenant, priority=r.priority, deadline=r.deadline,
+        )
+    return engine.run()
+
+
+def _both(serve):
+    """``serve(model, eager)`` for the stacked engine and its reference."""
+    models = _CountedBERT(), _CountedBERT()
+    return serve(models[0], False), serve(models[1], True), models[0], models[1]
+
+
+def _log(events):
+    """Events in comparable form: a request stands as its id (the
+    requests of two engines hold distinct input arrays)."""
+    return [
+        (type(event).__name__,)
+        + tuple(
+            getattr(event, f.name).request_id
+            if f.name == "request"
+            else getattr(event, f.name)
+            for f in dataclasses.fields(event)
+        )
+        for event in events
+    ]
+
+
+def _assert_same_run(stacked, eager):
+    assert report_fingerprint(stacked) == report_fingerprint(eager)
+    assert _log(stacked.events) == _log(eager.events)
+    assert len(stacked.completed) == len(eager.completed) > 0
+    for ours, theirs in zip(stacked.completed, eager.completed):
+        assert ours.request.request_id == theirs.request.request_id
+        assert ours.outputs.dtype == theirs.outputs.dtype
+        assert np.array_equal(ours.outputs, theirs.outputs)
+
+
+def _bursty(n, seed):
+    return synthesize_trace(
+        "bursty", (EndpointProfile("bert", seq_len=8, vocab=16),), n, n * 2e-5,
+        seed, "bursty", tenants=("tenant-a", "tenant-b"),
+    )
+
+
+def test_stacked_equals_eager_on_a_two_tenant_bursty_trace():
+    trace = _bursty(480, seed=0)
+    tuning = TuningConfig(pool=(BIG, BIG), placement="cost_aware", max_batch_size=8)
+    stacked, eager, model, reference = _both(
+        lambda model, eager: _replay(trace, tuning, model, eager, BERT_COST)
+    )
+    _assert_same_run(stacked, eager)
+    assert reference.calls == [p.batch_size for p in eager.placements]
+    assert len(model.calls) <= stacked.n_batches // 3
+    # Stacks outgrow a batch and stop at the element budget.
+    assert 8 < max(model.calls) <= engine_module.STACK_ELEMENTS // 8
+
+
+def test_stacked_equals_eager_under_overload_on_a_heterogeneous_pool():
+    """The ``admission_flood`` shape: look-ahead rounds, steals, a queue
+    cap that sheds and deadlines that are missed — rows computed on one
+    design point are served from another (values do not depend on it)."""
+    n = 3000
+    trace = synthesize_trace(
+        "flood", (EndpointProfile("head", seq_len=8, vocab=16),), n, n * 9e-9, 0,
+        "skewed", tenants=tuple(f"tenant-{i}" for i in range(8)),
+        deadline_slack=1.3e-6,
+    )
+    tuning = TuningConfig(
+        pool=(BIG, MID, SLOW, TINY), placement="lookahead", steal=True,
+        max_batch_size=4, flush_timeout=2e-7, max_queue_depth=3,
+    )
+    model, reference = _CountedHead(), _CountedHead()
+    stacked = _replay(trace, tuning, model, eager=False)
+    eager = _replay(trace, tuning, reference, eager=True)
+    _assert_same_run(stacked, eager)
+    assert stacked.shed_count > 0
+    assert any(record.deadline_missed for record in stacked.completed)
+    assert len({p.shard for p in stacked.placements}) == 4
+    assert len(model.calls) < len(reference.calls) // 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_equals_eager_under_seeded_faults(seed):
+    trace = _bursty(320, seed)
+    faults = FaultPlan.from_seed(
+        seed, 2, trace.requests[-1].arrival, crash_rate=1.0, slowdown_rate=0.5
+    )
+    tuning = TuningConfig(pool=(BIG, MID), placement="cost_aware", max_batch_size=8)
+    stacked, eager, model, reference = _both(
+        lambda model, eager: _replay(trace, tuning, model, eager, BERT_COST, faults)
+    )
+    _assert_same_run(stacked, eager)
+    assert any(event.action == "retry" for event in stacked.fault_events)
+    assert stacked.breaker_transitions
+    assert len(model.calls) < len(reference.calls)
+
+
+def _small_engine(n_shards=2, max_batch_size=4, **kwargs):
+    pool = ClusterDispatcher.from_arrays(
+        [SystolicArray(CONFIG) for _ in range(n_shards)], GRANULARITY
+    )
+    return InferenceEngine(
+        pool, max_batch_size=max_batch_size, flush_timeout=1e-5, **kwargs
+    )
+
+
+def _burst(engine, rows, spacing=0.0, name="bert", per=4):
+    """Submit ``rows`` (``per`` of them per arrival instant), run, and
+    return the report with the outputs in submission order."""
+    ids = [
+        engine.submit(name, row, arrival=(i // per) * spacing)
+        for i, row in enumerate(rows)
+    ]
+    report = engine.run()
+    return report, [engine.result(i) for i in ids]
+
+
+def test_four_kinds_of_endpoint_share_one_engine():
+    """A ``Module``, a bare callable, a prefix-adapter endpoint and a
+    generation endpoint (whose plain ``submit`` traffic is a ``Module``
+    too): only the ``Module`` batches stack, nobody's results move."""
+
+    def serve(model, eager):
+        engine = _small_engine(
+            prefix_cache=RadixKVCache(namespace="serving.prefix"),
+            radix_cache=RadixKVCache(),
+        )
+        bare = _CountedBERT()
+        _register(engine, "module", model, eager)
+        engine.register("callable", infer_fn=lambda x, backend: bare.infer(x, backend))
+        _register(
+            engine, "prefix", _MODEL, eager,
+            prefix_adapter=TransformerPrefixAdapter(_MODEL, 4),
+        )
+        _register(
+            engine, "chat", _MODEL, eager, generation_adapter=GenerationAdapter(_MODEL)
+        )
+        rng = np.random.default_rng(9)
+        for i in range(96):
+            arrival = (i // 16) * 4e-5
+            name = ("module", "callable", "prefix", "chat")[i % 4]
+            row = rng.integers(0, 16, size=8)
+            if name == "prefix":
+                row[:4] = (i % 3, 1, 2, 3)
+            if name == "chat" and i % 8 == 3:
+                engine.submit_generation(name, row[:4], 3, arrival=arrival)
+            else:
+                engine.submit(name, row, arrival=arrival)
+        return engine.run(), bare
+
+    (stacked, bare), (eager, _), model, reference = _both(serve)
+    _assert_same_run(stacked, eager)
+    assert stacked.generation_steps and any(e.hit for e in stacked.prefix_events)
+    assert len(model.calls) < len(reference.calls)
+    batches = [p for p in stacked.placements if p.model == "callable"]
+    assert bare.calls == [p.batch_size for p in batches]
+
+
+def test_step_driven_stacks_nothing_beyond_the_unit_it_executes():
+    rows = np.random.default_rng(2).integers(0, 16, size=(24, 8))
+
+    def serve(model, eager):
+        engine = _small_engine()
+        _register(engine, "bert", model, eager)
+        ids = [
+            engine.submit("bert", row, arrival=(i // 6) * 1e-5)
+            for i, row in enumerate(rows)
+        ]
+        while engine.step():
+            pass
+        return _log(engine.events), [engine.result(i) for i in ids]
+
+    (log, outputs), (eager_log, eager_outputs), model, reference = _both(serve)
+    assert log == eager_log
+    assert all(np.array_equal(a, b) for a, b in zip(outputs, eager_outputs))
+    # One call per unit, of exactly the unit's rows — some of them replays.
+    assert model.calls == reference.calls
+    assert model.taped.count(True) < len(model.taped)
+
+
+def test_rows_do_not_outlive_the_run_that_computed_them():
+    """Weights may change between runs (``mark_dirty``): the second run
+    computes with the new ones, on tapes the first run captured."""
+    rows = np.random.default_rng(3).integers(0, 16, size=(32, 8))
+
+    def serve(model, eager):
+        engine = _small_engine()
+        _register(engine, "bert", model, eager)
+        first = _burst(engine, rows, spacing=1e-5, per=8)
+        model.classifier.weight.data[...] *= -1.5
+        model.classifier.weight.mark_dirty()
+        return first, _burst(engine, rows, spacing=1e-5, per=8)
+
+    stacked, eager, model, _ = _both(serve)
+    for (report, outputs), (eager_report, eager_outputs) in zip(stacked, eager):
+        _assert_same_run(report, eager_report)
+        assert all(np.array_equal(a, b) for a, b in zip(outputs, eager_outputs))
+    assert not any(np.array_equal(a, b) for a, b in zip(stacked[0][1], stacked[1][1]))
+    # Every shape the second run met was taped by the first.
+    assert not any(model.taped[len(model.taped) // 2 :])
+
+
+class _CountingArray(SystolicArray):
+    def __init__(self, config):
+        super().__init__(config)
+        self.gemm_rows = []
+
+    def gemm_raw(self, a_raw, b_raw, label="gemm"):
+        self.gemm_rows.append(a_raw.shape[0])
+        return super().gemm_raw(a_raw, b_raw, label)
+
+
+class _CountingBackend(ArrayBackend):
+    def __init__(self, array, granularity):
+        super().__init__(array, granularity)
+        self.linears = 0
+
+    def linear(self, x, weight, bias):
+        self.linears += 1
+        return super().linear(x, weight, bias)
+
+
+def test_stacked_rows_are_computed_by_the_shards_own_backend_and_array():
+    """Shards built from subclasses keep computing through them: the
+    stacked pass runs on the executing shard's own backend object, its
+    array detached, never on a stand-in built from the config."""
+    rows = np.random.default_rng(4).integers(0, 16, size=(192, 8))
+
+    def serve(model, eager):
+        pool = ClusterDispatcher(
+            [_CountingBackend(_CountingArray(BIG), GRANULARITY) for _ in range(2)]
+        )
+        engine = InferenceEngine(pool, max_batch_size=8, flush_timeout=1e-5)
+        _register(engine, "bert", model, eager)
+        report, _ = _burst(engine, rows, spacing=2e-6, per=16)
+        return report, pool.backends
+
+    (stacked, ours), (eager, theirs), model, _ = _both(serve)
+    _assert_same_run(stacked, eager)
+    gemms = [sum(len(b.array.gemm_rows) for b in side) for side in (ours, theirs)]
+    linears = [sum(b.linears for b in side) for side in (ours, theirs)]
+    assert 0 < gemms[0] < gemms[1] // 2 and 0 < linears[0] < linears[1] // 2
+    # The subclass saw operands taller than any batch: a stack went through it.
+    tallest = [max(max(b.array.gemm_rows) for b in side) for side in (ours, theirs)]
+    assert tallest[0] > tallest[1] == 8 * 8
+    # ... and its parameter cache served them, under the shard's own name.
+    stats = [stacked.cache_stats[f"nn.params.shard{shard}"] for shard in range(2)]
+    assert [s["misses"] > 0 for s in stats] == [b.linears > 0 for b in ours]
+    assert sum(s["hits"] for s in stats) > 0
+
+
+def test_reregistered_name_is_charged_and_computed_as_the_new_model():
+    rows = np.random.default_rng(5).integers(0, 16, size=(24, 8))
+
+    def serve(_, eager):
+        engine = _small_engine(n_shards=1)
+        runs = []
+        for depth in (1, 2):
+            _register(engine, "bert", _CountedBERT(n_layers=depth), eager)
+            runs.append(_burst(engine, rows)[0])
+        return runs
+
+    stacked, eager, _, _ = _both(serve)
+    for report, eager_report in zip(stacked, eager):
+        _assert_same_run(report, eager_report)
+    assert stacked[1].total_cycles > 1.5 * stacked[0].total_cycles
+
+
+def test_reset_starts_every_shape_from_execution_again():
+    rows = np.random.default_rng(6).integers(0, 16, size=(12, 8))
+    model = _CountedBERT()
+    engine = _small_engine(n_shards=1)
+    engine.register("bert", model)
+    for _ in range(2):
+        _burst(engine, rows)
+        engine.reset()
+    # Three batches of 4 per run: the first executes (taped), the second
+    # replays and computes itself plus the third, the third computes nothing.
+    assert model.calls == [4, 8] * 2
+    assert model.taped == [True, False] * 2
+
+
+@pytest.mark.parametrize("fate", ["shed", "failed"])
+def test_shed_and_failed_requests_leave_the_stack(fate):
+    """Requests that die at t=0 — shed by a queue cap, or abandoned on a
+    crashed shard with no retry budget — are in no later stack: three
+    batches of 4 follow, and nothing is ever computed for the dead."""
+    rows = np.random.default_rng(7).integers(0, 16, size=(24, 8))
+    model = _CountedBERT()
+    if fate == "shed":
+        # 12 arrive at once under a cap of 4: one batch is served, 8 shed.
+        engine = _small_engine(
+            n_shards=1, tenants=[TenantConfig("default", max_queue_depth=4)]
+        )
+        at_zero, dead = 12, (8, 0)
+    else:
+        # The only shard is down when the first batch would start.
+        engine = _small_engine(
+            n_shards=1,
+            faults=FaultPlan(events=(ShardCrash(0, at=0.0, until=5e-4),)),
+            retry_policy=RetryPolicy(max_retries=0),
+        )
+        at_zero, dead = 4, (0, 4)
+    engine.register("bert", model)
+    for row in rows[:at_zero]:
+        engine.submit("bert", row, arrival=0.0)
+    for i, row in enumerate(rows[12:]):
+        engine.submit("bert", row, arrival=2e-3 * (1 + i // 4))
+    report = engine.run()
+    assert (report.shed_count, report.failed_count) == dead
+    assert len(report.completed) == at_zero + 12 - sum(dead)
+    # The first batch served executes; the next computes itself and all
+    # that is still to come — the dead are not among it.
+    assert model.calls == ([4, 12] if fate == "shed" else [4, 8])
+
+
+def test_retry_of_a_crashed_replay_computes_its_rows_again():
+    rows = np.random.default_rng(8).integers(0, 16, size=(32, 8))
+
+    def serve(model, eager, faults=None):
+        engine = _small_engine(max_batch_size=8, faults=faults)
+        _register(engine, "bert", model, eager)
+        return _burst(engine, rows, spacing=1e-5, per=8)
+
+    clean, _ = serve(_CountedBERT(), False)
+    target = clean.placements[2]  # a unit that replays its tape
+    _, plan = _fault_plan(
+        "crash_in_stretched_window", target.shard, target.start,
+        target.finish - target.start,
+    )
+    (stacked, outputs), (eager, _), model, _ = _both(
+        lambda model, eager: serve(model, eager, plan)
+    )
+    _assert_same_run(stacked, eager)
+    assert any(
+        event.action == "retry" and event.batch_index == target.batch_index
+        for event in stacked.fault_events
+    )
+    lone = ArrayBackend(SystolicArray(CONFIG), GRANULARITY)
+    for row, output in zip(rows, outputs):
+        assert np.array_equal(output, model.infer(row[None], lone)[0])
+
+
+def test_functional_backends_are_charged_no_host_time():
+    """Shards without an array have no cycle model: their units take 0
+    simulated seconds, so two replays of one trace report identically
+    (host load used to leak into latency, SLO and fingerprint here)."""
+    from repro.nn.executor import FloatBackend
+
+    rows = np.random.default_rng(1).integers(0, 16, size=(20, 8))
+
+    def serve():
+        engine = InferenceEngine(
+            ClusterDispatcher([FloatBackend(), FloatBackend()]),
+            max_batch_size=4, flush_timeout=1e-5,
+        )
+        engine.register("m", _MODEL)
+        return _burst(engine, rows, spacing=1e-6, name="m", per=5)[0]
+
+    first, second = serve(), serve()
+    assert report_fingerprint(first) == report_fingerprint(second)
+    assert all(p.finish == p.start and p.batch_cycles == 0 for p in first.placements)
+    assert max(first.latencies) <= 2e-5  # flush timeout and queueing only
+
+
+def test_compute_once_adds_no_knob_and_one_call_site():
+    def parameters(function):
+        return list(inspect.signature(function).parameters)
+
+    assert parameters(InferenceEngine.__init__) == [
+        "self", "dispatcher", "max_batch_size", "flush_timeout",
+        "retain_trace_events", "policy", "placement", "tenants", "prefix_cache",
+        "radix_cache", "faults", "retry_policy", "breaker", "elastic", "recorder",
+    ]
+    assert parameters(InferenceEngine.register) == [
+        "self", "name", "model", "infer_fn", "batchable", "cost_model",
+        "prefix_adapter", "generation_adapter",
+    ]
+    assert parameters(InferenceEngine.submit) == [
+        "self", "model", "inputs", "arrival", "tenant", "priority", "deadline",
+    ]
+    source = Path(engine_module.__file__).read_text()
+    # Per request (not batchable), per batch (eager), per stack — no more.
+    assert source.count("endpoint.infer_fn(") <= 3
+    assert source.count("STACK_ELEMENTS = ") == 1
+    assert "environ" not in source
