@@ -680,7 +680,7 @@ def test_multiproc_scaleout_throughput(print_artifact):
     """
     import tempfile
 
-    from repro.serving import ClusterSpec, ModelSpec, serve_multiproc
+    from repro.serving import ClusterSpec, EndpointSpec, serve_multiproc
     from repro.serving.multiproc import partition_cluster
 
     config = _paper_config()
@@ -694,7 +694,7 @@ def test_multiproc_scaleout_throughput(print_artifact):
     # makespan ratio measures shard capacity alone.  (The kv_cache
     # section above owns the prefix-reuse claim; the fabric still
     # shares GEMM/MHP plans and calibration across these workers.)
-    models = [ModelSpec(name="bert", factory=TinyBERT, kwargs=model_kwargs)]
+    models = [EndpointSpec(name="bert", factory=TinyBERT, kwargs=model_kwargs)]
     rng = np.random.default_rng(7)
     # A burst (all arrivals at t=0): the makespan then measures pure
     # service capacity, not the arrival spread of the trace.
@@ -883,7 +883,7 @@ def test_fault_recovery_throughput(print_artifact):
     """
     import tempfile
 
-    from repro.serving import ClusterSpec, FaultPlan, ModelSpec, WorkerDeath
+    from repro.serving import ClusterSpec, EndpointSpec, FaultPlan, WorkerDeath
     from repro.serving import serve_multiproc
 
     config = _paper_config()
@@ -893,7 +893,7 @@ def test_fault_recovery_throughput(print_artifact):
         vocab=32, seq_len=seq_len, dim=32, heads=4, ff_dim=64,
         n_layers=2, causal=True, seed=0,
     )
-    models = [ModelSpec(name="bert", factory=TinyBERT, kwargs=model_kwargs)]
+    models = [EndpointSpec(name="bert", factory=TinyBERT, kwargs=model_kwargs)]
     rng = np.random.default_rng(8)
     requests = [
         {

@@ -18,7 +18,9 @@ from the traffic it actually saw, instead of a human guessing them:
   and admission knobs, cache byte budgets), drawn from a bounded
   :class:`~repro.autotune.tuning.ConfigSpace`;
 * **replay** (:mod:`repro.autotune.replay`) — re-drives a trace
-  through a fresh engine built from a candidate, deterministically:
+  through a fresh engine built from a candidate (through
+  :func:`repro.serving.deploy.assemble_engine`, where
+  :class:`~repro.serving.deploy.EndpointSpec` lives), deterministically:
   same trace + same config ⇒ a bit-identical
   :class:`~repro.serving.report.ServingReport` (pinned via
   :func:`~repro.autotune.replay.report_fingerprint`);

@@ -14,84 +14,36 @@ trace under the same config (and the same optional
 :func:`report_fingerprint` pins as a digest the tests and the search
 drivers can compare.
 
-Endpoints cross process boundaries as :class:`EndpointSpec` values —
-the same factory-plus-kwargs idiom as
-:class:`~repro.serving.multiproc.ModelSpec`, extended with the
-generation flag and a picklable :class:`WorkloadCostSpec` (the
-closed-form transformer cost model ``cost_aware`` placement prices
-batches with; the memoising closure is rebuilt inside the evaluating
-process).
+Endpoints are :class:`~repro.serving.deploy.EndpointSpec` values
+(re-exported here, with :class:`~repro.serving.deploy.WorkloadCostSpec`),
+and :func:`build_engine` only maps a ``TuningConfig`` onto
+:func:`~repro.serving.deploy.assemble_engine` — the one function a
+:func:`~repro.serving.multiproc.serve_multiproc` worker builds its
+engine through too, so a replay and a fleet given the same deployment
+run the same engine.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.autotune.objective import Objective, objective_from_report
 from repro.autotune.trace import TrafficTrace
 from repro.autotune.tuning import TuningConfig
-from repro.serving.cluster import ClusterSpec, CostAwarePlacement, workload_cost_model
+from repro.serving.cluster import ClusterSpec, CostAwarePlacement
+from repro.serving.deploy import (
+    EndpointSpec,
+    WorkloadCostSpec,  # re-exported: callers import both specs from here
+    assemble_engine,
+    private_store,
+)
 from repro.serving.engine import InferenceEngine
 from repro.serving.faults import FaultPlan
-from repro.serving.generation import GenerationAdapter
-from repro.serving.prefix_cache import RadixKVCache, TransformerPrefixAdapter
 from repro.serving.report import ServingReport
 from repro.serving.tenancy import TenantConfig
-from repro.store import InProcessLRU, get_store, set_store
-
-
-@dataclass(frozen=True)
-class WorkloadCostSpec:
-    """Picklable description of a transformer endpoint's cost model.
-
-    Rebuilds :func:`~repro.serving.cluster.workload_cost_model` over
-    :func:`~repro.nn.workload.transformer_serving_workload` inside the
-    evaluating process (the memoised closure itself does not pickle).
-    """
-
-    seq_len: int
-    dim: int
-    heads: int
-    ff_dim: int
-    n_layers: int
-
-    def build(self) -> Callable:
-        from repro.nn.workload import transformer_serving_workload
-
-        return workload_cost_model(
-            lambda batch, shape: transformer_serving_workload(
-                batch,
-                self.seq_len,
-                self.dim,
-                self.heads,
-                self.ff_dim,
-                self.n_layers,
-            )
-        )
-
-
-@dataclass(frozen=True)
-class EndpointSpec:
-    """One replayable endpoint, described by construction.
-
-    ``factory(**kwargs)`` must be importable and deterministic (seeded
-    weight init), so every replay serves bit-identical weights.
-    ``generation=True`` wraps the model in a
-    :class:`~repro.serving.generation.GenerationAdapter`;
-    ``prefix_len`` opts plain-inference traffic into KV-prefix reuse
-    when the candidate config budgets a prefix cache.
-    """
-
-    name: str
-    factory: Callable[..., object]
-    kwargs: Dict[str, object] = field(default_factory=dict)
-    prefix_len: Optional[int] = None
-    generation: bool = False
-    cost: Optional[WorkloadCostSpec] = None
 
 
 def build_engine(
@@ -107,25 +59,15 @@ def build_engine(
     tenant list) are registered up front so the config's
     ``max_queue_depth`` admission cap applies from the first arrival.
     """
-    dispatcher = ClusterSpec.heterogeneous(tuning.pool).build()
     placement = tuning.placement
     if tuning.placement == "cost_aware" and tuning.occupancy_penalty > 0:
         placement = CostAwarePlacement(occupancy_penalty=tuning.occupancy_penalty)
-    prefix_cache = None
-    if tuning.prefix_budget_bytes is not None and any(
-        spec.prefix_len is not None for spec in endpoints
-    ):
-        prefix_cache = RadixKVCache(
-            tuning.prefix_budget_bytes, namespace="serving.prefix"
-        )
-    radix_cache = None
-    if tuning.radix_budget_bytes is not None and any(
-        spec.generation for spec in endpoints
-    ):
-        radix_cache = RadixKVCache(tuning.radix_budget_bytes)
     elastic = tuning.elastic()
-    engine = InferenceEngine(
-        dispatcher,
+    return assemble_engine(
+        ClusterSpec.heterogeneous(tuning.pool),
+        endpoints,
+        prefix_budget_bytes=tuning.prefix_budget_bytes,
+        radix_budget_bytes=tuning.radix_budget_bytes,
         max_batch_size=tuning.max_batch_size,
         flush_timeout=tuning.flush_timeout,
         placement=placement,
@@ -133,27 +75,9 @@ def build_engine(
             TenantConfig(tenant, max_queue_depth=tuning.max_queue_depth)
             for tenant in tenants
         ),
-        prefix_cache=prefix_cache,
-        radix_cache=radix_cache,
         faults=faults,
         elastic=elastic if elastic.enabled else None,
     )
-    for spec in endpoints:
-        model = spec.factory(**dict(spec.kwargs))
-        engine.register(
-            spec.name,
-            model,
-            cost_model=spec.cost.build() if spec.cost is not None else None,
-            prefix_adapter=(
-                TransformerPrefixAdapter(model, spec.prefix_len)
-                if spec.prefix_len is not None and prefix_cache is not None
-                else None
-            ),
-            generation_adapter=(
-                GenerationAdapter(model) if spec.generation else None
-            ),
-        )
-    return engine
 
 
 def replay_trace(
@@ -164,15 +88,12 @@ def replay_trace(
 ) -> ServingReport:
     """Re-drive ``trace`` through a fresh engine built from ``tuning``.
 
-    The process-global store is swapped for a private
-    :class:`~repro.store.InProcessLRU` for the duration (and restored
-    afterwards), so replays never share plan/approximator caches with
-    the caller or each other — a candidate's report depends on the
-    trace and the config, nothing else.
+    Runs under a :func:`~repro.serving.deploy.private_store`, so
+    replays never share plan/approximator caches with the caller or
+    each other — a candidate's report depends on the trace and the
+    config, nothing else.
     """
-    previous = get_store()
-    try:
-        set_store(InProcessLRU())
+    with private_store():
         engine = build_engine(
             tuning, endpoints, tenants=trace.tenants, faults=faults
         )
@@ -198,8 +119,6 @@ def replay_trace(
                     deadline=request.deadline,
                 )
         return engine.run()
-    finally:
-        set_store(previous)
 
 
 def evaluate(

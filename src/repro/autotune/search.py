@@ -14,21 +14,17 @@ Candidate generation is driven entirely by one
 ``numpy.random.default_rng(seed)`` stream and replay is
 deterministic, so a search is reproducible bit for bit — including
 across ``n_workers``: workers only parallelize evaluation (one forked
-process per chunk of candidates, the
-:mod:`~repro.serving.multiproc` spawn/collect pattern), never the
-choice of candidates.  Every scored candidate flows into a
-:class:`~repro.autotune.front.TuningFront` via the existing Pareto
-dominance code; pass a loaded front in to resume a previous run — its
-surviving configs seed the first population and its entries stay in
-the merged result.
+process per chunk of candidates, through the same
+:func:`~repro.serving.deploy.fan_out` a serving fleet spawns its
+workers with), never the choice of candidates.  Every scored candidate
+flows into a :class:`~repro.autotune.front.TuningFront` via the
+existing Pareto dominance code; pass a loaded front in to resume a
+previous run — its surviving configs seed the first population and its
+entries stay in the merged result.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import sys
-import traceback
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -38,6 +34,7 @@ from repro.autotune.objective import Objective, scalar_score
 from repro.autotune.replay import EndpointSpec, evaluate
 from repro.autotune.trace import TrafficTrace
 from repro.autotune.tuning import ConfigSpace, TuningConfig
+from repro.serving.deploy import fan_out
 from repro.serving.faults import FaultPlan
 
 
@@ -65,17 +62,6 @@ def _evaluate_chunk(
     return [evaluate(trace, config, endpoints, faults=faults) for config in configs]
 
 
-def _chunk_entry(payload, conn) -> None:
-    """Process body of one search worker: evaluate, send, exit."""
-    try:
-        conn.send(_evaluate_chunk(*payload))
-    except BaseException:  # pragma: no cover — exercised via subprocess
-        traceback.print_exc(file=sys.stderr)
-        conn.close()
-        os._exit(1)
-    conn.close()
-
-
 def _evaluate_candidates(
     trace: TrafficTrace,
     configs: Sequence[TuningConfig],
@@ -94,42 +80,15 @@ def _evaluate_candidates(
     if n_workers == 1:
         objectives = _evaluate_chunk(trace, configs, endpoints, faults)
     else:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover — non-POSIX fallback
-            ctx = multiprocessing.get_context()
-        procs = []
-        for worker in range(n_workers):
-            chunk = configs[worker::n_workers]
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_chunk_entry,
-                args=((trace, chunk, endpoints, faults), child_conn),
-            )
-            proc.start()
-            child_conn.close()
-            procs.append((proc, parent_conn, len(chunk)))
-        chunks: List[Optional[List[Objective]]] = []
-        for worker, (proc, conn, size) in enumerate(procs):
-            # Read before joining — a result larger than the pipe
-            # buffer would deadlock a join-first collector.
-            result: Optional[List[Objective]] = None
-            try:
-                result = conn.recv()
-            except (EOFError, OSError):
-                result = None
-            finally:
-                conn.close()
-            proc.join()
-            if result is None:
-                raise EvaluationFailedError(
-                    worker, size, proc.exitcode if proc.exitcode is not None else 0
-                )
-            chunks.append(result)
+        chunks = [configs[worker::n_workers] for worker in range(n_workers)]
+        outcomes = fan_out(
+            _evaluate_chunk, [(trace, chunk, endpoints, faults) for chunk in chunks]
+        )
         objectives = [None] * len(configs)
-        for worker, chunk_result in enumerate(chunks):
-            for offset, objective in enumerate(chunk_result):
-                objectives[worker + offset * n_workers] = objective
+        for worker, (scores, exit_code) in enumerate(outcomes):
+            if scores is None:
+                raise EvaluationFailedError(worker, len(chunks[worker]), exit_code)
+            objectives[worker::n_workers] = scores
     return [
         FrontEntry(config=config, objective=objective)
         for config, objective in zip(configs, objectives)

@@ -30,8 +30,8 @@ from repro.systolic.config import SystolicConfig
 _PLACEMENT_CHOICES = ("round_robin", "least_loaded", "cost_aware", "lookahead")
 
 #: Default search range — the pre-elastic trio, so existing seeded
-#: searches draw the same stream; operators add ``"lookahead"`` (and
-#: widen the elastic ranges) explicitly.
+#: searches draw the same stream; operators add ``"lookahead"``
+#: explicitly.
 _BASELINE_PLACEMENTS = ("round_robin", "least_loaded", "cost_aware")
 
 
@@ -187,10 +187,6 @@ class ConfigSpace:
     queue_depths: Tuple[Optional[int], ...] = (None,)
     prefix_budgets: Tuple[Optional[int], ...] = (None,)
     radix_budgets: Tuple[Optional[int], ...] = (None,)
-    steal_choices: Tuple[bool, ...] = (False,)
-    autoscale_choices: Tuple[bool, ...] = (False,)
-    steal_thresholds: Tuple[float, ...] = (1.5,)
-    affinity_break_factors: Tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
         if not self.catalog:
@@ -225,27 +221,6 @@ class ConfigSpace:
             max_queue_depth=_pick(rng, self.queue_depths),
             prefix_budget_bytes=_pick(rng, self.prefix_budgets),
             radix_budget_bytes=_pick(rng, self.radix_budgets),
-            steal=bool(_pick_or_only(rng, self.steal_choices)),
-            autoscale=bool(_pick_or_only(rng, self.autoscale_choices)),
-            steal_drift_threshold=float(
-                _pick_or_only(rng, self.steal_thresholds)
-            ),
-            affinity_break_factor=float(
-                _pick_or_only(rng, self.affinity_break_factors)
-            ),
-        )
-
-    @property
-    def _elastic_searchable(self) -> bool:
-        """Any elastic range wider than its singleton default?"""
-        return any(
-            len(choices) > 1
-            for choices in (
-                self.steal_choices,
-                self.autoscale_choices,
-                self.steal_thresholds,
-                self.affinity_break_factors,
-            )
         )
 
     def mutate(
@@ -253,21 +228,10 @@ class ConfigSpace:
     ) -> TuningConfig:
         """One neighbor hop: re-draw a single knob (or swap one shard).
 
-        The elastic-knob move exists only when an elastic range is
-        wider than its singleton default, so spaces that do not search
-        the elastic runtime draw the exact pre-elastic stream.
+        The elastic-runtime knobs of ``config`` are carried, not
+        searched.
         """
-        move = int(rng.integers(0, 6 if self._elastic_searchable else 5))
-        if move == 5:
-            return replace(
-                config,
-                steal=bool(_pick(rng, self.steal_choices)),
-                autoscale=bool(_pick(rng, self.autoscale_choices)),
-                steal_drift_threshold=float(_pick(rng, self.steal_thresholds)),
-                affinity_break_factor=float(
-                    _pick(rng, self.affinity_break_factors)
-                ),
-            )
+        move = int(rng.integers(0, 5))
         if move == 0:
             # Swap one shard for a catalog neighbor; grow or shrink the
             # pool by one when the bounds allow it.
@@ -316,14 +280,17 @@ class ConfigSpace:
         second: TuningConfig,
         rng: np.random.Generator,
     ) -> TuningConfig:
-        """A child taking the pool from one parent, each knob from either."""
+        """A child taking the pool from one parent, each knob from either
+        (the admission cap, cache budgets and elastic knobs come with the
+        other parent whole)."""
         pool_parent, knob_parent = (
             (first, second) if rng.integers(0, 2) == 0 else (second, first)
         )
         placement = (
             first.placement if rng.integers(0, 2) == 0 else second.placement
         )
-        return TuningConfig(
+        return replace(
+            knob_parent,
             pool=pool_parent.pool,
             placement=placement,
             occupancy_penalty=(
@@ -341,27 +308,12 @@ class ConfigSpace:
                 if rng.integers(0, 2) == 0
                 else second.flush_timeout
             ),
-            max_queue_depth=knob_parent.max_queue_depth,
-            prefix_budget_bytes=knob_parent.prefix_budget_bytes,
-            radix_budget_bytes=knob_parent.radix_budget_bytes,
-            steal=knob_parent.steal,
-            autoscale=knob_parent.autoscale,
-            steal_drift_threshold=knob_parent.steal_drift_threshold,
-            affinity_break_factor=knob_parent.affinity_break_factor,
         )
 
 
 def _pick(rng: np.random.Generator, choices: Sequence):
     """Uniform choice preserving None entries (np.choice would coerce)."""
     return choices[int(rng.integers(0, len(choices)))]
-
-
-def _pick_or_only(rng: np.random.Generator, choices: Sequence):
-    """Like :func:`_pick`, but a singleton range consumes no randomness —
-    the default (elastic-off) space draws the exact pre-elastic stream."""
-    if len(choices) == 1:
-        return choices[0]
-    return _pick(rng, choices)
 
 
 def default_space(

@@ -74,8 +74,7 @@ def set_approximator_cache_capacity(capacity: int = _DEFAULT_CACHE_CAPACITY) -> 
 
     Shrinking below the current occupancy evicts least-recently-used
     tables immediately.  Call with no argument to restore the default.
-    (Thin wrapper over the store namespace budget — see
-    :class:`repro.store.StoreConfig` for the one-object form.)
+    (Thin wrapper over the store namespace budget.)
     """
     if capacity < 1:
         raise ValueError(f"cache capacity must be positive, got {capacity}")

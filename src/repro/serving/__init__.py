@@ -65,6 +65,9 @@ multi-tenant serving system:
   attainment and shed signals with hysteresis, priced by the hardware
   power model; every decision feeds from the per-shard stats
   descriptor tree and lands in the report's elastic section;
+* deployment-as-data (:mod:`repro.serving.deploy`): endpoints described
+  by construction, the one ``assemble_engine`` every front end builds its
+  engine through, and the one child-process ``fan_out``;
 * a multi-worker serving front (:mod:`repro.serving.multiproc`):
   :func:`~repro.serving.multiproc.serve_multiproc` partitions the
   declared cluster into contiguous shard blocks, runs one engine
@@ -132,8 +135,8 @@ from repro.serving.faults import (
     WorkerDeath,
     corrupt_fabric_entries,
 )
+from repro.serving.deploy import EndpointSpec, WorkloadCostSpec, assemble_engine
 from repro.serving.multiproc import (
-    ModelSpec,
     MultiprocResult,
     WorkerConfig,
     WorkerFailedError,
@@ -199,7 +202,9 @@ __all__ = [
     "ShardSlowdown",
     "WorkerDeath",
     "corrupt_fabric_entries",
-    "ModelSpec",
+    "EndpointSpec",
+    "WorkloadCostSpec",
+    "assemble_engine",
     "MultiprocResult",
     "WorkerConfig",
     "WorkerFailedError",

@@ -1,0 +1,236 @@
+"""From a deployment described as data to a running engine, once.
+
+A fleet worker of :func:`~repro.serving.multiproc.serve_multiproc`, a
+candidate replay of :func:`~repro.autotune.replay.replay_trace` and a
+search worker scoring candidates all stand an engine up from picklable
+values.  What that takes exists here exactly once: endpoints described
+by construction (:class:`EndpointSpec`), the engine assembler
+(:func:`assemble_engine` — it alone decides which caches exist), the
+store swap that scopes a run (:func:`private_store`) and the
+child-process fan-out (:func:`fan_out`).  Engine options are forwarded,
+never re-declared: an option added to ``InferenceEngine`` reaches fleets
+and replays with no edit here or in either front end.
+"""
+
+from __future__ import annotations
+
+import inspect
+import multiprocessing
+import os
+import sys
+import traceback
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.serving.cluster import ClusterSpec, workload_cost_model
+from repro.serving.engine import InferenceEngine
+from repro.serving.generation import GenerationAdapter
+from repro.serving.prefix_cache import RadixKVCache, TransformerPrefixAdapter
+from repro.store import CacheStore, InProcessLRU, TieredStore, get_store, set_store
+
+
+@dataclass(frozen=True)
+class WorkloadCostSpec:
+    """Picklable description of a transformer endpoint's cost model.
+
+    Rebuilds :func:`~repro.serving.cluster.workload_cost_model` over
+    :func:`~repro.nn.workload.transformer_serving_workload` inside the
+    evaluating process (the memoised closure itself does not pickle).
+    """
+
+    seq_len: int
+    dim: int
+    heads: int
+    ff_dim: int
+    n_layers: int
+
+    def build(self) -> Callable:
+        from repro.nn.workload import transformer_serving_workload
+
+        return workload_cost_model(
+            lambda batch, shape: transformer_serving_workload(
+                batch, self.seq_len, self.dim, self.heads, self.ff_dim, self.n_layers
+            )
+        )
+
+
+@dataclass(frozen=True)
+class EndpointSpec:
+    """A model endpoint described by construction, not by instance.
+
+    The assembling process rebuilds the model as ``factory(**kwargs)`` —
+    the factory must be importable (a module-level class or function)
+    and the kwargs picklable.  Deterministic factories (seeded weight
+    init) give every worker and every replay bit-identical weights,
+    which is what makes the shared prefix fabric lossless across
+    processes and a replay reproducible.
+
+    ``prefix_len`` opts plain-inference traffic into KV-prefix reuse
+    when the deployment budgets a prefix cache, ``generation=True``
+    wraps the model in a
+    :class:`~repro.serving.generation.GenerationAdapter`, and ``cost``
+    is the closed form ``cost_aware`` placement prices batches with.
+    """
+
+    name: str
+    factory: Callable[..., object]
+    kwargs: Dict[str, object] = field(default_factory=dict)
+    prefix_len: Optional[int] = None
+    generation: bool = False
+    cost: Optional[WorkloadCostSpec] = None
+
+
+def assemble_engine(
+    pool: ClusterSpec,
+    endpoints: Sequence[EndpointSpec],
+    prefix_budget_bytes: Optional[int] = 32 << 20,
+    radix_budget_bytes: Optional[int] = 32 << 20,
+    fabric: Optional[CacheStore] = None,
+    **engine_options,
+) -> InferenceEngine:
+    """Materialise one deployment: pool built, caches made, models registered.
+
+    A cache exists only when its per-shard byte budget is not None
+    *and* an endpoint can use it (``prefix_len`` for the prefix cache,
+    ``generation`` for the radix cache); with a ``fabric`` each cache
+    writes through to, and reads through from, that shared store.
+    ``engine_options`` are :class:`~repro.serving.engine.InferenceEngine`
+    keywords, passed through untouched (``prefix_cache=`` /
+    ``radix_cache=`` are decided here and rejected there as duplicates).
+    """
+    prefix_cache = None
+    if prefix_budget_bytes is not None and any(
+        spec.prefix_len is not None for spec in endpoints
+    ):
+        prefix_cache = RadixKVCache(
+            prefix_budget_bytes, namespace="serving.prefix", fabric=fabric
+        )
+    radix_cache = None
+    if radix_budget_bytes is not None and any(spec.generation for spec in endpoints):
+        radix_cache = RadixKVCache(radix_budget_bytes, fabric=fabric)
+    engine = InferenceEngine(
+        pool.build(),
+        prefix_cache=prefix_cache,
+        radix_cache=radix_cache,
+        **engine_options,
+    )
+    for spec in endpoints:
+        model = spec.factory(**dict(spec.kwargs))
+        engine.register(
+            spec.name,
+            model,
+            cost_model=spec.cost.build() if spec.cost is not None else None,
+            prefix_adapter=(
+                TransformerPrefixAdapter(model, spec.prefix_len)
+                if spec.prefix_len is not None and prefix_cache is not None
+                else None
+            ),
+            generation_adapter=GenerationAdapter(model) if spec.generation else None,
+        )
+    return engine
+
+
+def check_deployment(**options) -> None:
+    """Raise the ``TypeError`` :func:`assemble_engine` would raise for
+    these keywords, building nothing — for a front that assembles in
+    child processes, where a misspelt option would otherwise surface
+    only as a dead worker."""
+    bound = inspect.signature(assemble_engine).bind(None, (), **options)
+    engine_options = bound.arguments.get("engine_options", {})
+    inspect.signature(InferenceEngine).bind(
+        None, prefix_cache=None, radix_cache=None, **engine_options
+    )
+
+
+@contextmanager
+def private_store(fabric: Optional[CacheStore] = None) -> Iterator[None]:
+    """Swap the process-global store for a fresh private one for the
+    duration of the block, and restore the caller's afterwards.
+
+    A run inside the block shares plan / approximator caches with
+    nobody — its report depends on its inputs and nothing else, and an
+    in-process call never leaks state into the caller's store.  With a
+    ``fabric`` the private store is a
+    :class:`~repro.store.TieredStore` over it (local tier first), which
+    is how fleet workers share plans across processes.
+    """
+    previous = get_store()
+    try:
+        local = InProcessLRU()
+        set_store(TieredStore(local, fabric) if fabric is not None else local)
+        yield
+    finally:
+        set_store(previous)
+
+
+def _child_entry(body: Callable, args: tuple, conn) -> None:
+    """Process body of one child: run, send the result, exit.
+
+    An exception prints its traceback to the child's stderr and exits
+    nonzero *without sending*, so the parent sees a clean dead-child
+    signal (EOF + exit code) instead of a hung pipe.  A ``body`` that
+    must die on purpose calls ``os._exit`` itself.
+    """
+    try:
+        conn.send(body(*args))
+    except BaseException:  # pragma: no cover — exercised via subprocess
+        traceback.print_exc(file=sys.stderr)
+        conn.close()
+        os._exit(1)
+    conn.close()
+
+
+def _collect(proc, conn) -> Tuple[Optional[object], int]:
+    """Reap one child: ``(result, exit code)``, result None if it died
+    before sending.
+
+    Polls the pipe *before* joining — a result can be larger than the
+    pipe buffer, so the child may block in ``send`` until the parent
+    reads; joining first would deadlock.  A dead child closes the pipe,
+    which surfaces here as EOF rather than a hang.
+    """
+    result = None
+    try:
+        while result is None:
+            if conn.poll(0.05):
+                result = conn.recv()
+                break
+            if not proc.is_alive():
+                if conn.poll(0):  # pragma: no cover — send/exit race
+                    result = conn.recv()
+                break
+    except (EOFError, OSError):  # pragma: no cover — pipe torn down
+        result = None
+    finally:
+        conn.close()
+    proc.join()
+    return result, proc.exitcode
+
+
+def fan_out(
+    body: Callable, calls: Sequence[tuple]
+) -> List[Tuple[Optional[object], int]]:
+    """Run ``body(*args)`` in one child process per element of ``calls``.
+
+    Children are spawned individually (one ``Process`` + one-shot
+    result pipe each, not a pool; forked on POSIX, so ``body`` and its
+    arguments need not pickle on the way in) and run concurrently.
+    Returns ``(result, exit code)`` per call, in call order; a child
+    that died before sending reads ``(None, nonzero)``.  *Every* child
+    is received from, joined and closed before this returns, so judging
+    the results — raising on the first dead one, say — can never strand
+    a live child blocked in ``send``.
+    """
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover — non-POSIX fallback
+        ctx = multiprocessing.get_context()
+    children = []
+    for args in calls:
+        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_child_entry, args=(body, tuple(args), child_conn))
+        proc.start()
+        child_conn.close()
+        children.append((proc, parent_conn))
+    return [_collect(proc, conn) for proc, conn in children]

@@ -21,19 +21,24 @@ tier of a :class:`~repro.store.TieredStore`:
   already made.
 
 Everything a worker needs crosses the process boundary as one
-picklable :class:`WorkerConfig`; models cross as :class:`ModelSpec`
-(factory + kwargs, rebuilt inside the worker) because live model
-objects and engines do not pickle.  Workers return their
+picklable :class:`WorkerConfig`; models cross as
+:class:`~repro.serving.deploy.EndpointSpec` (factory + kwargs, rebuilt
+inside the worker) because live model objects and engines do not
+pickle.  A worker assembles its engine through
+:func:`~repro.serving.deploy.assemble_engine`, the function a
+:func:`~repro.autotune.replay.replay_trace` candidate is built by, so
+a fleet can set every option a replay can.  Workers return their
 :class:`~repro.serving.report.ServingReport`; :func:`merge_reports`
 re-maps worker-local shard indices onto the global cluster numbering
 and merges the logs so the fleet-level invariants hold exactly:
 merged ``tenant_cycles`` / ``shard_cycles`` / shed counts are the
 element-wise sums of the per-worker reports.
 
-**Failure domains.**  Worker processes are spawned individually (one
-``Process`` + result pipe each, not a pool) so a worker that dies —
-via an injected :class:`~repro.serving.faults.WorkerDeath` or a real
-crash — is *detected by exit code* instead of hanging the front.
+**Failure domains.**  Worker processes are spawned individually
+(:func:`~repro.serving.deploy.fan_out`: one ``Process`` + result pipe
+each, not a pool) so a worker that dies — via an injected
+:class:`~repro.serving.faults.WorkerDeath` or a real crash — is
+*detected by exit code* instead of hanging the front.
 Unsupervised (``supervise=False``), a dead worker raises
 :class:`WorkerFailedError` naming the worker, its shard block and the
 exit code — never a silently partial merge.  Supervised, the front
@@ -50,60 +55,34 @@ the re-run starts from the request list, not from salvage.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import sys
-import traceback
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.serving.cluster import (
     CALIBRATION_NAMESPACE,
     ClusterSpec,
+    make_placement_policy,
     save_calibration,
 )
-from repro.serving.elastic import ElasticConfig
-from repro.serving.engine import InferenceEngine
+from repro.serving.deploy import (
+    EndpointSpec,
+    assemble_engine,
+    check_deployment,
+    fan_out,
+    private_store,
+)
 from repro.serving.faults import FaultPlan
-from repro.serving.prefix_cache import RadixKVCache, TransformerPrefixAdapter
 from repro.serving.report import ServingReport
 from repro.serving.request import FailureRecord, InferenceRequest
 from repro.serving.tenancy import DEFAULT_TENANT, TenantConfig
-from repro.store import (
-    FileStore,
-    InProcessLRU,
-    StoreConfig,
-    TieredStore,
-    get_store,
-    set_store,
-)
+from repro.store import FileStore
 
 
 # ---------------------------------------------------------------------------
 # Crossing the process boundary
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ModelSpec:
-    """A model endpoint described by construction, not by instance.
-
-    Workers rebuild the model as ``factory(**kwargs)`` — the factory
-    must be importable (a module-level class or function), and the
-    kwargs picklable.  Deterministic factories (seeded weight init)
-    give every worker bit-identical weights, which is what makes the
-    shared prefix fabric lossless across processes.
-
-    ``prefix_len`` opts the endpoint into KV-prefix reuse via a
-    :class:`~repro.serving.prefix_cache.TransformerPrefixAdapter`
-    built inside the worker.
-    """
-
-    name: str
-    factory: Callable[..., object]
-    kwargs: Dict[str, object] = field(default_factory=dict)
-    prefix_len: Optional[int] = None
-
-
 @dataclass(frozen=True)
 class WorkerConfig:
     """Everything one worker process needs, in one picklable record.
@@ -111,29 +90,23 @@ class WorkerConfig:
     ``fault_plan`` is the worker's *view* of the run's fault plan —
     shard events already re-mapped into worker-local indices via
     :meth:`~repro.serving.faults.FaultPlan.for_shard_block`, worker and
-    fabric events kept global.  ``shard_offset`` records where the
-    worker's block starts in the declared cluster, for error messages
-    and merge bookkeeping.
+    fabric events kept global.  ``options`` are the keywords of
+    :func:`~repro.serving.deploy.assemble_engine` every worker engine is
+    built with — cache budgets and any
+    :class:`~repro.serving.engine.InferenceEngine` option (values must
+    pickle) — checked here, in the front's process, not in the child.
     """
 
     index: int
     cluster: ClusterSpec
-    models: Tuple[ModelSpec, ...]
+    models: Tuple[EndpointSpec, ...]
     requests: Tuple[dict, ...]
     store_root: Optional[str] = None
-    store_config: Optional[StoreConfig] = None
-    shard_budget_bytes: int = 32 << 20
-    max_batch_size: int = 8
-    flush_timeout: float = 1e-3
-    policy: str = "weighted_round_robin"
-    placement: str = "round_robin"
-    tenants: Tuple[TenantConfig, ...] = ()
-    calibration_name: str = "default"
     fault_plan: Optional[FaultPlan] = None
-    shard_offset: int = 0
-    #: Elastic-runtime knobs every worker engine runs under (None =
-    #: the pinned baseline; the frozen config pickles as-is).
-    elastic: Optional[ElasticConfig] = None
+    options: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_deployment(fabric=None, faults=self.fault_plan, **self.options)
 
 
 class WorkerFailedError(RuntimeError):
@@ -221,136 +194,59 @@ def _worker_main(config: WorkerConfig) -> ServingReport:
     """Run one engine over one partition; the body of a worker process.
 
     Also callable in-process (the single-worker path and the tests use
-    this): the process-global store is swapped for the worker's tiered
-    store for the duration and restored afterwards, so an in-process
-    call never leaks worker state into the caller's store.
+    this): the run happens under a
+    :func:`~repro.serving.deploy.private_store`, so an in-process call
+    never leaks worker state into the caller's store.
     """
-    previous = get_store()
-    fabric: Optional[FileStore] = None
-    try:
-        if config.store_root is not None:
-            fabric = FileStore(config.store_root)
-            set_store(TieredStore(InProcessLRU(), fabric))
-        else:
-            set_store(None)  # a fresh default InProcessLRU
-        if config.store_config is not None:
-            config.store_config.apply()
-
-        wants_prefix = any(spec.prefix_len is not None for spec in config.models)
-        prefix_cache = (
-            RadixKVCache(
-                config.shard_budget_bytes, namespace="serving.prefix", fabric=fabric
-            )
-            if wants_prefix
-            else None
-        )
-        engine = InferenceEngine(
-            config.cluster.build(),
-            max_batch_size=config.max_batch_size,
-            flush_timeout=config.flush_timeout,
-            policy=config.policy,
-            placement=config.placement,
-            tenants=config.tenants,
-            prefix_cache=prefix_cache,
+    fabric = FileStore(config.store_root) if config.store_root is not None else None
+    with private_store(fabric):
+        engine = assemble_engine(
+            config.cluster,
+            config.models,
+            fabric=fabric,
             faults=config.fault_plan,
-            elastic=config.elastic,
+            **config.options,
         )
-        for spec in config.models:
-            model = spec.factory(**dict(spec.kwargs))
-            adapter = (
-                TransformerPrefixAdapter(model, spec.prefix_len)
-                if spec.prefix_len is not None and prefix_cache is not None
-                else None
-            )
-            engine.register(spec.name, model, prefix_adapter=adapter)
-
         if fabric is not None:
-            state = fabric.get(CALIBRATION_NAMESPACE, config.calibration_name)
+            # The slot save_calibration() writes when given no name.
+            state = fabric.get(CALIBRATION_NAMESPACE, "default")
             if state is not None:
                 engine.calibrator.load_dict(state)
-
         report = engine.run(request_source=list(config.requests))
-
         if fabric is not None:
-            save_calibration(
-                engine.calibrator, fabric, name=config.calibration_name
-            )
+            save_calibration(engine.calibrator, fabric)
         return report
-    finally:
-        set_store(previous)
 
 
-def _worker_entry(config: WorkerConfig, conn) -> None:
-    """Process body of one worker: run, send the report, exit.
+def _injected_death(config: WorkerConfig):
+    """The :class:`~repro.serving.faults.WorkerDeath` planned for this
+    worker, or None."""
+    if config.fault_plan is None:
+        return None
+    return config.fault_plan.worker_death(config.index)
+
+
+def _worker_entry(config: WorkerConfig) -> ServingReport:
+    """What one worker process runs (:func:`~repro.serving.deploy.fan_out`
+    sends the report back).
 
     Honors an injected :class:`~repro.serving.faults.WorkerDeath`: the
     worker serves only the requests that arrived before the death
     time, then dies via ``os._exit`` with the injected exit code —
-    *without* sending a report, so the partial work is genuinely lost
+    *without* returning a report, so the partial work is genuinely lost
     with the process (the front recovers from the request list, never
-    from salvage).  Unexpected exceptions print a traceback to the
-    worker's stderr and exit nonzero, so the front sees a clean
-    dead-worker signal instead of a hung pipe.
+    from salvage).
     """
-    death = (
-        config.fault_plan.worker_death(config.index)
-        if config.fault_plan is not None
-        else None
+    death = _injected_death(config)
+    if death is None:
+        return _worker_main(config)
+    served = tuple(
+        request
+        for request in config.requests
+        if float(request.get("arrival", 0.0)) < death.at
     )
-    try:
-        run_config = config
-        if death is not None:
-            served = tuple(
-                request
-                for request in config.requests
-                if float(request.get("arrival", 0.0)) < death.at
-            )
-            run_config = replace(config, requests=served)
-        report = _worker_main(run_config)
-        if death is None:
-            conn.send(report)
-    except BaseException:  # pragma: no cover — exercised via subprocess
-        traceback.print_exc(file=sys.stderr)
-        conn.close()
-        os._exit(1)
-    conn.close()
-    if death is not None:
-        os._exit(death.exit_code)
-
-
-def _spawn(ctx, config: WorkerConfig):
-    """Start one worker process with a one-shot result pipe."""
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_worker_entry, args=(config, child_conn))
-    proc.start()
-    child_conn.close()
-    return proc, parent_conn
-
-
-def _collect(proc, conn) -> Optional[ServingReport]:
-    """Reap one worker: its report, or None if it died before sending.
-
-    Polls the pipe *before* joining — a report can be larger than the
-    pipe buffer, so the child may block in ``send`` until the parent
-    reads; joining first would deadlock.  A dead child closes the pipe,
-    which surfaces here as EOF rather than a hang.
-    """
-    report: Optional[ServingReport] = None
-    try:
-        while report is None:
-            if conn.poll(0.05):
-                report = conn.recv()
-                break
-            if not proc.is_alive():
-                if conn.poll(0):  # pragma: no cover — send/exit race
-                    report = conn.recv()
-                break
-    except (EOFError, OSError):  # pragma: no cover — pipe torn down
-        report = None
-    finally:
-        conn.close()
-    proc.join()
-    return report
+    _worker_main(replace(config, requests=served))
+    os._exit(death.exit_code)
 
 
 def _shift_requests(requests: Sequence[dict], shift: float) -> Tuple[dict, ...]:
@@ -402,7 +298,9 @@ def _lost_report(config: WorkerConfig, at: float) -> ServingReport:
         completed=(),
         shard_cycles={},
         wall_seconds=0.0,
-        placement_policy=config.placement,
+        placement_policy=make_placement_policy(
+            config.options.get("placement", "round_robin")
+        ).name,
         events=failed,
     )
 
@@ -412,21 +310,14 @@ def _lost_report(config: WorkerConfig, at: float) -> ServingReport:
 # ---------------------------------------------------------------------------
 def serve_multiproc(
     cluster: ClusterSpec,
-    models: Sequence[ModelSpec],
+    models: Sequence[EndpointSpec],
     requests: Sequence[dict],
     n_workers: int = 2,
     store_root: Optional[str] = None,
-    store_config: Optional[StoreConfig] = None,
-    shard_budget_bytes: int = 32 << 20,
-    max_batch_size: int = 8,
-    flush_timeout: float = 1e-3,
-    policy: str = "weighted_round_robin",
-    placement: str = "round_robin",
-    tenants: Sequence[TenantConfig] = (),
     fault_plan: Optional[FaultPlan] = None,
     supervise: bool = False,
     max_restarts: int = 1,
-    elastic: Optional[ElasticConfig] = None,
+    **options,
 ) -> MultiprocResult:
     """Serve ``requests`` with ``n_workers`` engine processes.
 
@@ -461,7 +352,12 @@ def serve_multiproc(
       actions land in the merged report's ``worker_restarts`` /
       ``worker_redistributions`` counters.
 
-    ``elastic`` hands every worker engine the same
+    ``options`` go to :func:`~repro.serving.deploy.assemble_engine` in
+    every worker: the per-shard cache budgets (``prefix_budget_bytes``,
+    ``radix_budget_bytes``) and any
+    :class:`~repro.serving.engine.InferenceEngine` option except
+    ``faults`` (that is ``fault_plan``, sliced per worker).  ``elastic=``
+    thus hands every worker engine the same
     :class:`~repro.serving.elastic.ElasticConfig` (look-ahead
     placement, work-stealing, autoscaling — each worker runs the
     elastic loop over its own shard block); the merged report carries
@@ -481,13 +377,6 @@ def serve_multiproc(
             models=model_specs,
             requests=tuple(requests[worker::n_workers]),
             store_root=store_root,
-            store_config=store_config,
-            shard_budget_bytes=shard_budget_bytes,
-            max_batch_size=max_batch_size,
-            flush_timeout=flush_timeout,
-            policy=policy,
-            placement=placement,
-            tenants=tuple(tenants),
             fault_plan=(
                 fault_plan.for_shard_block(
                     offsets[worker], partitions[worker].n_shards
@@ -495,8 +384,7 @@ def serve_multiproc(
                 if fault_plan is not None
                 else None
             ),
-            shard_offset=offsets[worker],
-            elastic=elastic,
+            options=options,
         )
         for worker in range(n_workers)
     ]
@@ -506,28 +394,16 @@ def serve_multiproc(
     if n_workers == 1:
         reports: List[Optional[ServingReport]] = [_worker_main(configs[0])]
     else:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover — non-POSIX fallback
-            ctx = multiprocessing.get_context()
-        procs = [_spawn(ctx, config) for config in configs]
-        reports = []
-        exit_codes = []
-        for proc, conn in procs:
-            reports.append(_collect(proc, conn))
-            exit_codes.append(proc.exitcode if proc.exitcode is not None else 0)
+        outcomes = fan_out(_worker_entry, [(config,) for config in configs])
+        reports = [report for report, _ in outcomes]
         for worker in range(n_workers):
             if reports[worker] is not None:
                 continue
             config = configs[worker]
             if not supervise:
-                shard_block = tuple(
-                    range(
-                        offsets[worker],
-                        offsets[worker] + partitions[worker].n_shards,
-                    )
-                )
-                raise WorkerFailedError(worker, shard_block, exit_codes[worker])
+                start = offsets[worker]
+                shard_block = range(start, start + partitions[worker].n_shards)
+                raise WorkerFailedError(worker, shard_block, outcomes[worker][1])
             # Restart-or-redistribute.  Restarts re-fork the worker on
             # its own block with the death event stripped; past the
             # budget, its requests re-run on a surviving block.
@@ -540,8 +416,9 @@ def serve_multiproc(
                     if config.fault_plan is not None
                     else None
                 )
-                proc, conn = _spawn(ctx, replace(config, fault_plan=stripped))
-                reports[worker] = _collect(proc, conn)
+                [(reports[worker], _)] = fan_out(
+                    _worker_entry, [(replace(config, fault_plan=stripped),)]
+                )
             if reports[worker] is not None:
                 continue
             donor = next(
@@ -553,11 +430,7 @@ def serve_multiproc(
                 None,
             )
             if donor is None:
-                death = (
-                    config.fault_plan.worker_death(worker)
-                    if config.fault_plan is not None
-                    else None
-                )
+                death = _injected_death(config)
                 reports[worker] = _lost_report(
                     config, at=death.at if death is not None else 0.0
                 )
@@ -581,7 +454,6 @@ def serve_multiproc(
                     cluster=partitions[donor],
                     fault_plan=None,
                     requests=_shift_requests(config.requests, handoff),
-                    shard_offset=offsets[donor],
                 )
             )
             merge_offsets[worker] = offsets[donor]

@@ -17,17 +17,15 @@ implementations:
 The process-global default store (:func:`~repro.store.base.get_store`
 / :func:`~repro.store.base.set_store`) backs the module-level cache
 sites in :mod:`repro.core.nonlinear_ops`, :mod:`repro.systolic.gemm`
-and :mod:`repro.systolic.mhp_dataflow`;
-:class:`~repro.store.base.StoreConfig` declares every site's budget in
-one object.  See ``docs/architecture.md`` ("The cache fabric") for the
-namespace map.
+and :mod:`repro.systolic.mhp_dataflow`, each sized by its own
+``set_*_capacity`` function.  See ``docs/architecture.md`` ("The cache
+fabric") for the namespace map.
 """
 
 from repro.store.base import (
     MISSING,
     CacheStore,
     NamespaceLimit,
-    StoreConfig,
     StoreLockTimeout,
     get_store,
     namespace_default,
@@ -42,7 +40,6 @@ __all__ = [
     "MISSING",
     "CacheStore",
     "NamespaceLimit",
-    "StoreConfig",
     "StoreLockTimeout",
     "get_store",
     "set_store",

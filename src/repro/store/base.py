@@ -28,8 +28,8 @@ shareable between worker processes).
 read-through/write-through fabric multi-worker serving uses.
 
 A process-global default store (:func:`get_store` / :func:`set_store`)
-backs the historical module-level caches; :class:`StoreConfig` replaces
-their scattered ``set_*_capacity`` knobs with one declaration.
+backs the historical module-level caches; each cache site's
+``set_*_capacity`` function sizes its own namespace.
 """
 
 from __future__ import annotations
@@ -291,51 +291,3 @@ def set_store(store: Optional[CacheStore]) -> CacheStore:
     global _GLOBAL_STORE
     _GLOBAL_STORE = store
     return get_store()
-
-
-# ---------------------------------------------------------------------------
-# One declaration for every cache site's budget.
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class StoreConfig:
-    """Budgets of all five cache sites in one declaration.
-
-    Replaces the scattered ``set_approximator_cache_capacity`` /
-    ``set_plan_cache_capacity`` / ``set_mhp_plan_cache_capacity``
-    knobs (which survive as thin wrappers): :meth:`apply` configures
-    the process-global store's namespaces in one call, and the
-    constructor-bound sites (:class:`~repro.nn.executor.ParamCache`
-    size, :class:`~repro.serving.prefix_cache.RadixKVCache` shard
-    budget) read their fields at construction —
-    :func:`repro.serving.multiproc.serve_multiproc` threads one
-    ``StoreConfig`` through every worker.
-    """
-
-    approximator_capacity: int = 256
-    gemm_plan_capacity: int = 512
-    mhp_plan_capacity: int = 512
-    param_cache_entries: int = 256
-    prefix_shard_budget_bytes: int = 32 << 20
-
-    def __post_init__(self) -> None:
-        for name in (
-            "approximator_capacity",
-            "gemm_plan_capacity",
-            "mhp_plan_capacity",
-            "param_cache_entries",
-            "prefix_shard_budget_bytes",
-        ):
-            _validate_limit(name, getattr(self, name))
-
-    def apply(self, store: Optional[CacheStore] = None) -> CacheStore:
-        """Configure the global-store namespaces (or ``store``'s) and
-        return the store configured."""
-        from repro.core.nonlinear_ops import APPROXIMATOR_NAMESPACE
-        from repro.systolic.gemm import GEMM_PLAN_NAMESPACE
-        from repro.systolic.mhp_dataflow import MHP_PLAN_NAMESPACE
-
-        target = store if store is not None else get_store()
-        target.set_limit(APPROXIMATOR_NAMESPACE, max_entries=self.approximator_capacity)
-        target.set_limit(GEMM_PLAN_NAMESPACE, max_entries=self.gemm_plan_capacity)
-        target.set_limit(MHP_PLAN_NAMESPACE, max_entries=self.mhp_plan_capacity)
-        return target

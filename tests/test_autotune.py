@@ -64,7 +64,8 @@ from repro.serving import (
     GenerationAdapter,
     InferenceEngine,
 )
-from repro.autotune.search import _chunk_entry
+from repro.autotune.search import _evaluate_chunk
+from repro.serving.deploy import _child_entry
 from repro.serving.faults import FaultPlan
 from repro.store import FileStore, InProcessLRU, get_store, set_store
 from repro.systolic import SystolicConfig
@@ -676,9 +677,11 @@ class TestSearch:
             evolutionary_search(SMALL_TRACE, self.SPACE, ENDPOINTS,
                                 generations=1, population=1, seed=0)
 
-    def test_chunk_entry_delivers_scores_over_the_pipe(self):
+    def test_child_entry_delivers_scores_over_the_pipe(self):
         parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-        _chunk_entry((SMALL_TRACE, [SMALL_CONFIG], ENDPOINTS, None), child_conn)
+        _child_entry(
+            _evaluate_chunk, (SMALL_TRACE, [SMALL_CONFIG], ENDPOINTS, None), child_conn
+        )
         objectives = parent_conn.recv()
         parent_conn.close()
         assert len(objectives) == 1

@@ -22,10 +22,10 @@ from repro.serving import (
     ClusterDispatcher,
     ClusterSpec,
     ElasticConfig,
+    EndpointSpec,
     FabricFault,
     FaultPlan,
     InferenceEngine,
-    ModelSpec,
     RetryPolicy,
     ShardCrash,
     ShardSlowdown,
@@ -334,7 +334,7 @@ class TestWorkerSupervision:
         kw.setdefault("flush_timeout", 1e-4)
         return serve_multiproc(
             ClusterSpec.homogeneous(CONFIG, 2),
-            [ModelSpec(name="bert", factory=TinyBERT, kwargs=MODEL_KWARGS)],
+            [EndpointSpec(name="bert", factory=TinyBERT, kwargs=MODEL_KWARGS)],
             requests,
             **kw,
         )

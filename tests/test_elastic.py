@@ -33,11 +33,11 @@ from repro.serving import (
     ClusterSpec,
     CostAwarePlacement,
     ElasticConfig,
+    EndpointSpec,
     FaultPlan,
     InferenceEngine,
     LeastLoadedPlacement,
     LookaheadPlacement,
-    ModelSpec,
     RadixKVCache,
     ScalingEvent,
     ShardHealth,
@@ -701,7 +701,7 @@ class TestElasticWiring:
         ]
         result = serve_multiproc(
             ClusterSpec.heterogeneous(SKEWED_POOL),
-            [ModelSpec("bert_small", _mp_model)],
+            [EndpointSpec("bert_small", _mp_model)],
             requests,
             n_workers=1,
             store_root=str(tmp_path),

@@ -15,7 +15,9 @@ public logs:
 * the source of ``serving/engine.py`` contains each skeleton call once,
   so a new kind of work cannot re-grow a private copy; likewise the
   KV-prefix cache, the transformer layer inventory, the per-run record
-  list and the merge re-mapping rule exist once;
+  list and the merge re-mapping rule exist once, and so does the path
+  from a deployment described as data to a running engine (one engine
+  construction site, one child-process fan-out, one store swap);
 * a classifier batch of a ``Module`` endpoint is *charged* by replaying
   its shape's trace tape and *computed* as rows of a stacked host pass
   shared with later batches — and every report, log and output bit
@@ -23,6 +25,7 @@ public logs:
   which executes per batch.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -370,6 +373,50 @@ def test_no_second_copy(module, marker):
     assert source.count(marker) <= 1, (
         f"{marker!r} occurs {source.count(marker)}x in {module}"
     )
+
+
+SRC = Path(engine_module.__file__).parents[1]  # src/repro
+
+
+def _functions_under_src():
+    """``(module path, function name, code)`` of every function under
+    ``src/repro``, docstrings stripped (``ast.unparse`` drops comments)."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Module)):
+                if ast.get_docstring(node) is not None:
+                    node.body = node.body[1:] or [ast.Pass()]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                yield str(path.relative_to(SRC)), node.name, ast.unparse(node)
+
+
+def test_one_path_from_deployment_as_data_to_a_running_engine():
+    """A front end that stands an engine up from picklable values is a
+    client of ``repro.serving.deploy``: it does not construct its own
+    engine, fork its own children or swap the global store itself — and
+    the second endpoint-by-construction class stays deleted."""
+    functions = list(_functions_under_src())
+
+    def sites(*markers):
+        return sorted(
+            f"{path}:{name}"
+            for path, name, code in functions
+            if all(marker in code for marker in markers)
+        )
+
+    assert sites("InferenceEngine(") == ["serving/deploy.py:assemble_engine"]
+    assert sites("engine.register(") == ["serving/deploy.py:assemble_engine"]
+    assert sites("get_context(") == ["serving/deploy.py:fan_out"]
+    assert sites(".Pipe(") == ["serving/deploy.py:fan_out"]
+    assert sites("get_store(", "set_store(") == [
+        "serving/deploy.py:private_store",
+        "store/base.py:set_store",  # returns the store now in effect
+    ]
+    deleted = "Model" "Spec"
+    for path in SRC.rglob("*.py"):
+        assert deleted not in path.read_text(), path
 
 
 def test_one_record_list_and_one_merge_rule():

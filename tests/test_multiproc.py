@@ -18,8 +18,8 @@ from repro.nn.models import TinyBERT
 from repro.serving import (
     CALIBRATION_NAMESPACE,
     ClusterSpec,
+    EndpointSpec,
     InferenceEngine,
-    ModelSpec,
     RadixKVCache,
     ServingReport,
     TransformerPrefixAdapter,
@@ -40,7 +40,7 @@ PREFIX_LEN = 5
 
 
 def _model_spec():
-    return ModelSpec(
+    return EndpointSpec(
         name="bert", factory=TinyBERT, kwargs=MODEL_KWARGS, prefix_len=PREFIX_LEN
     )
 

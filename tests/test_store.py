@@ -35,7 +35,6 @@ from repro.store import (
     FileStore,
     InProcessLRU,
     NamespaceLimit,
-    StoreConfig,
     StoreLockTimeout,
     TieredStore,
     get_store,
@@ -213,26 +212,6 @@ class TestGlobalStore:
             assert isinstance(fresh, InProcessLRU) and fresh is not mine
         finally:
             set_store(previous)
-
-    def test_store_config_applies_capacities(self):
-        previous = get_store()
-        try:
-            from repro.core.nonlinear_ops import APPROXIMATOR_NAMESPACE
-            from repro.systolic.gemm import GEMM_PLAN_NAMESPACE
-
-            store = set_store(None)
-            config = StoreConfig(approximator_capacity=7, gemm_plan_capacity=9)
-            assert config.apply() is store
-            assert store.limit(APPROXIMATOR_NAMESPACE).max_entries == 7
-            assert store.limit(GEMM_PLAN_NAMESPACE).max_entries == 9
-        finally:
-            set_store(previous)
-
-    def test_store_config_validates(self):
-        with pytest.raises(ValueError):
-            StoreConfig(approximator_capacity=0)
-        with pytest.raises(ValueError):
-            StoreConfig(prefix_shard_budget_bytes=-5)
 
 
 # ---------------------------------------------------------------------------
