@@ -9,7 +9,10 @@ from the traffic it actually saw, instead of a human guessing them:
   :class:`~repro.autotune.trace.TraceRecorder` attached to a live
   :class:`~repro.serving.engine.InferenceEngine` captures every
   submitted request into a versioned, store-persisted
-  :class:`~repro.autotune.trace.TrafficTrace`;
+  :class:`~repro.autotune.trace.TrafficTrace` of
+  :class:`~repro.serving.request.TracedRequest` rows (the serving
+  layer's request-as-data class, re-exported here: a trace row is
+  servable by every front door as it is);
   :func:`~repro.autotune.trace.synthesize_trace` draws seeded
   bursty/skewed/conversational workloads for what-if studies;
 * **candidates** (:mod:`repro.autotune.tuning`) — a

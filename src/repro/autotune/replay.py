@@ -2,13 +2,13 @@
 
 :func:`replay_trace` stands up a fresh
 :class:`~repro.serving.engine.InferenceEngine` from a
-:class:`~repro.autotune.tuning.TuningConfig`, re-issues every request
-of a :class:`~repro.autotune.trace.TrafficTrace` at its recorded
-arrival time, and runs the discrete-event loop to completion.  The
-engine has no threads and no wall-clock dependencies, every replay
-builds its models from seeded factories, and the process-global cache
-store is swapped for a private one for the duration — so the same
-trace under the same config (and the same optional
+:class:`~repro.autotune.tuning.TuningConfig`, enqueues the requests of
+a :class:`~repro.autotune.trace.TrafficTrace` as they are (a trace row
+*is* a front-door item), and runs the discrete-event loop to
+completion.  The engine has no threads and no wall-clock dependencies,
+every replay builds its models from seeded factories, and the
+process-global cache store is swapped for a private one for the
+duration — so the same trace under the same config (and the same optional
 :class:`~repro.serving.faults.FaultPlan`) produces a bit-identical
 :class:`~repro.serving.report.ServingReport`, which
 :func:`report_fingerprint` pins as a digest the tests and the search
@@ -97,27 +97,7 @@ def replay_trace(
         engine = build_engine(
             tuning, endpoints, tenants=trace.tenants, faults=faults
         )
-        for request in trace.requests:
-            if request.is_generation:
-                engine.submit_generation(
-                    request.model,
-                    request.inputs_array(),
-                    request.max_new_tokens,
-                    request.arrival,
-                    stop_token=request.stop_token,
-                    tenant=request.tenant,
-                    priority=request.priority,
-                    deadline=request.deadline,
-                )
-            else:
-                engine.submit(
-                    request.model,
-                    request.inputs_array(),
-                    request.arrival,
-                    tenant=request.tenant,
-                    priority=request.priority,
-                    deadline=request.deadline,
-                )
+        engine.enqueue(trace.requests)
         return engine.run()
 
 

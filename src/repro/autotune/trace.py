@@ -1,15 +1,16 @@
 """Traffic traces: record serving requests, synthesize workloads, persist.
 
 A :class:`TrafficTrace` is a pure value describing a request stream —
-everything :meth:`~repro.serving.engine.InferenceEngine.submit` /
-:meth:`~repro.serving.engine.InferenceEngine.submit_generation` needs
-to re-drive the exact same traffic, in a versioned JSON-safe format
-(``TRACE_VERSION``) that both store serializers can carry.  Traces
-come from two places:
+a tuple of :class:`~repro.serving.request.TracedRequest` descriptions
+(the serving layer's own request-as-data class, re-exported here), in
+a versioned JSON-safe format (``TRACE_VERSION``) that both store
+serializers can carry.  ``trace.requests`` is servable as it is by
+every front door that takes requests as values.  Traces come from two
+places:
 
 * **capture** — a :class:`TraceRecorder` attached to a live engine
-  (the ``recorder=`` constructor knob) observes every admitted
-  request: tenant, model, input tokens, arrival time, priority,
+  (the ``recorder=`` constructor knob) observes every validated
+  submission: tenant, model, input tokens, arrival time, priority,
   deadline, and — for generation traffic — prompt, token budget and
   stop token;
 * **synthesis** — :func:`synthesize_trace` draws a seeded stream in
@@ -30,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.serving.request import TracedRequest
 from repro.store import register_namespace
 
 #: Schema version stamped into every serialized trace.  Bump on any
@@ -41,104 +43,6 @@ TRACE_VERSION = 1
 TRACE_NAMESPACE = "autotune.traces"
 
 register_namespace(TRACE_NAMESPACE, max_entries=32)
-
-
-@dataclass(frozen=True)
-class TracedRequest:
-    """One recorded submission — enough to re-issue it exactly.
-
-    ``inputs`` holds the token/feature payload as nested lists plus a
-    dtype string (JSON-safe; rebuilt with :meth:`inputs_array`).
-    ``max_new_tokens`` is None for plain inference requests and set for
-    generation requests (where ``inputs`` is the prompt row).
-    """
-
-    model: str
-    inputs: Tuple
-    dtype: str
-    arrival: float
-    tenant: str = "default"
-    priority: Optional[int] = None
-    deadline: Optional[float] = None
-    max_new_tokens: Optional[int] = None
-    stop_token: Optional[int] = None
-
-    @property
-    def is_generation(self) -> bool:
-        return self.max_new_tokens is not None
-
-    def inputs_array(self) -> np.ndarray:
-        """The payload as the ndarray the engine originally saw."""
-        return np.array(self.inputs, dtype=np.dtype(self.dtype))
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "model": self.model,
-            "inputs": _to_jsonable(self.inputs),
-            "dtype": self.dtype,
-            "arrival": self.arrival,
-            "tenant": self.tenant,
-            "priority": self.priority,
-            "deadline": self.deadline,
-            "max_new_tokens": self.max_new_tokens,
-            "stop_token": self.stop_token,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TracedRequest":
-        return cls(
-            model=str(data["model"]),
-            inputs=_to_tuple(data["inputs"]),
-            dtype=str(data["dtype"]),
-            arrival=float(data["arrival"]),
-            tenant=str(data["tenant"]),
-            priority=(
-                None if data["priority"] is None else int(data["priority"])
-            ),
-            deadline=(
-                None if data["deadline"] is None else float(data["deadline"])
-            ),
-            max_new_tokens=(
-                None
-                if data["max_new_tokens"] is None
-                else int(data["max_new_tokens"])
-            ),
-            stop_token=(
-                None if data["stop_token"] is None else int(data["stop_token"])
-            ),
-        )
-
-    @classmethod
-    def from_request(cls, request) -> "TracedRequest":
-        """Capture one live :class:`~repro.serving.request.InferenceRequest`."""
-        generation = request.generation
-        return cls(
-            model=request.model,
-            inputs=_to_tuple(np.asarray(request.inputs).tolist()),
-            dtype=str(np.asarray(request.inputs).dtype),
-            arrival=request.arrival,
-            tenant=request.tenant,
-            priority=request.priority,
-            deadline=request.deadline,
-            max_new_tokens=(
-                None if generation is None else generation.max_new_tokens
-            ),
-            stop_token=(None if generation is None else generation.stop_token),
-        )
-
-
-def _to_tuple(value):
-    """Nested lists → nested tuples (hashable, hypothesis-friendly)."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_to_tuple(item) for item in value)
-    return value
-
-
-def _to_jsonable(value):
-    """Nested tuples → nested lists (what JSON serializers expect)."""
-    if isinstance(value, tuple):
-        return [_to_jsonable(item) for item in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -209,14 +113,16 @@ class TrafficTrace:
 
 
 class TraceRecorder:
-    """Engine hook capturing every admitted request.
+    """Engine hook capturing every validated submission.
 
     Pass one as the engine's ``recorder=`` constructor argument (or set
     ``engine.recorder`` afterwards); the engine calls :meth:`record`
     with each validated :class:`~repro.serving.request.InferenceRequest`
-    at submission time — including requests fed through
-    ``run(request_source=...)``, so a recorder sees exactly the traffic
-    the run served.  :meth:`trace` snapshots the log as an immutable
+    at submission time, through whichever front door it came
+    (``run(request_source=...)`` items included) and *before*
+    admission control: a request the tenant's queue cap sheds later is
+    in the trace, so a replay offers it again and sheds it again.
+    :meth:`trace` snapshots the log as an immutable
     :class:`TrafficTrace`; :meth:`clear` starts a fresh capture.
     """
 
@@ -334,7 +240,7 @@ def synthesize_trace(
         requests.append(
             TracedRequest(
                 model=endpoint.model,
-                inputs=_to_tuple(row.tolist()),
+                inputs=tuple(row.tolist()),
                 dtype=str(row.dtype),
                 arrival=arrival,
                 tenant=tenant,

@@ -4,7 +4,10 @@ This subpackage turns the single-call simulator into a multi-request,
 multi-tenant serving system:
 
 * request/completion/shed records with tenant, priority and deadline
-  fields (:mod:`repro.serving.request`);
+  fields, and the request-as-data class every front door accepts
+  (:class:`~repro.serving.request.TracedRequest`: ``enqueue``,
+  ``run(request_source=)``, ``serve_multiproc`` and trace replay all
+  take it, or a mapping of its fields) (:mod:`repro.serving.request`);
 * deterministic dynamic batching with max-batch-size and flush-timeout
   knobs (:mod:`repro.serving.batcher`) — co-pending requests of the
   same tenant and model are stacked so their GEMMs share tiles, which
@@ -157,6 +160,7 @@ from repro.serving.request import (
     GenerationRequest,
     InferenceRequest,
     ShedRecord,
+    TracedRequest,
 )
 from repro.serving.scheduler import (
     SchedulingPolicy,
@@ -232,6 +236,7 @@ __all__ = [
     "GenerationRequest",
     "InferenceRequest",
     "ShedRecord",
+    "TracedRequest",
     "SchedulingPolicy",
     "StrictPriority",
     "TenantScheduler",

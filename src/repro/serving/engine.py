@@ -104,6 +104,7 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import islice
+from operator import attrgetter
 from typing import (
     Callable, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union,
 )
@@ -134,9 +135,11 @@ from repro.serving.report import ServingReport
 from repro.serving.request import (
     CompletedRequest,
     FailureRecord,
-    GenerationRequest,
     InferenceRequest,
     ShedRecord,
+    TracedRequest,
+    describe_request,
+    generation_of,
 )
 from repro.serving.scheduler import SchedulingPolicy, TenantScheduler
 from repro.serving.stats import ShardStats
@@ -183,39 +186,75 @@ class ModelEndpoint:
     generation_adapter: Optional[object] = None
 
 
-class _RequestSource:
-    """One-item-lookahead wrapper over a streaming request iterable.
+_ARRIVAL_ORDER = attrgetter("arrival", "request_id")
 
-    The lookahead holds the *raw* item: peeking only parses its
-    arrival time, and full coercion (request-id assignment, validation,
-    the engine's last-arrival bookkeeping) happens at :meth:`pop`, when
-    the request is actually admitted — so an item merely peeked at has
-    no side effects on concurrently submitted requests.
+
+class _ArrivalFeed:
+    """Requests on their way to admission, earliest ``(arrival, id)`` first.
+
+    ``fresh`` is what ``submit`` / ``enqueue`` buffered since the feed
+    was last asked — before the run or while a batch was in flight;
+    asking sorts it in, so a whole enqueued list costs one sort and no
+    per-request heap operation.  A run's ``request_source`` is held one
+    *description* ahead: looking at it only reads its arrival, and
+    request-id assignment, validation, the recorder and the engine's
+    last-arrival bookkeeping happen at :meth:`pop`, when the request is
+    actually admitted — so an item merely peeked at has no side effects
+    on concurrently submitted requests.  Buffered goes first on ties.
     """
 
-    _SENTINEL = object()
-
-    def __init__(self, items: Iterable, engine: "InferenceEngine") -> None:
-        self._iter: Iterator = iter(items)
+    def __init__(self, engine: "InferenceEngine") -> None:
         self._engine = engine
-        self._head: object = next(self._iter, self._SENTINEL)
-        self._last_arrival: Optional[float] = None
+        self.fresh: List[InferenceRequest] = []
+        self._due: List[InferenceRequest] = []  # latest first: pop() is O(1)
+        self.stream(())
 
-    def peek_arrival(self) -> Optional[float]:
-        if self._head is self._SENTINEL:
-            return None
-        return self._engine._peek_item_arrival(self._head)
+    def stream(self, source: Iterable, look_ahead: bool = False) -> None:
+        """Begin a run over ``source``; ``stream(())`` ends it, dropping
+        what a raising run left unadmitted."""
+        self._due.clear()
+        self._source: Iterator[TracedRequest] = map(describe_request, source)
+        self._ahead: Optional[TracedRequest] = next(self._source, None)
+        self._streamed_until = 0.0
+        self._look_ahead = look_ahead
+
+    def __len__(self) -> int:
+        return len(self.fresh) + len(self._due)
+
+    def next_arrival(self) -> Optional[float]:
+        """Arrival of the request :meth:`pop` would return, or None."""
+        if self.fresh:
+            fresh = sorted(self.fresh, key=_ARRIVAL_ORDER)
+            self.fresh.clear()
+            for request in fresh if self._look_ahead else ():
+                stack = self._engine._stacks.get(request.model)
+                if stack is not None and request.prefix_key is None:
+                    stack.ahead[request.request_id] = request
+            self._due += fresh
+            self._due.sort(key=_ARRIVAL_ORDER, reverse=True)
+        due = self._due[-1].arrival if self._due else None
+        if self._ahead is None:
+            return due
+        # An omitted arrival defaults like submit()'s, as of this look.
+        streamed = self._ahead.arrival
+        if streamed is None:
+            streamed = self._engine._last_arrival
+        return streamed if due is None or streamed < due else due
 
     def pop(self) -> InferenceRequest:
-        assert self._head is not self._SENTINEL
-        request = self._engine._coerce_source_item(self._head)
-        if self._last_arrival is not None and request.arrival < self._last_arrival:
+        """The request :meth:`next_arrival` announced."""
+        if self._ahead is None or (
+            self._due and self._due[-1].arrival == self.next_arrival()
+        ):
+            return self._due.pop()
+        request = self._engine._request_of(self._ahead)
+        if request.arrival < self._streamed_until:
             raise ValueError(
                 "request_source must be sorted by arrival time: got "
-                f"{request.arrival} after {self._last_arrival}"
+                f"{request.arrival} after {self._streamed_until}"
             )
-        self._last_arrival = request.arrival
-        self._head = next(self._iter, self._SENTINEL)
+        self._streamed_until = request.arrival
+        self._ahead = next(self._source, None)
         return request
 
 
@@ -356,9 +395,9 @@ class InferenceEngine:
         Optional traffic-capture hook — any object with a
         ``record(request)`` method, typically a
         :class:`repro.autotune.TraceRecorder`.  Called once per
-        validated submission (``submit``, ``submit_generation``, and
-        ``run(request_source=...)`` items alike), so the captured
-        trace is exactly the traffic the engine admitted.  Also
+        validated submission, whichever front door it came through and
+        before admission control — so the captured trace is the traffic
+        the engine was *offered*, requests it shed included.  Also
         settable after construction via the ``recorder`` attribute.
     """
 
@@ -411,8 +450,7 @@ class InferenceEngine:
         # Endpoints whose batches replay a tape and share stacked host
         # passes: exactly those registered as a batchable Module.
         self._stacks: Dict[str, _Stack] = {}
-        self._submitted: List[InferenceRequest] = []
-        self._run_buffered = 0  # run()-local feed not yet admitted
+        self._arrivals = _ArrivalFeed(self)
         self._results: Dict[int, np.ndarray] = {}
         self._next_id = 0
         self._last_arrival = 0.0
@@ -603,7 +641,7 @@ class InferenceEngine:
         its next decision point.
         """
         request = self._make_request(model, inputs, arrival, tenant, priority, deadline)
-        self._submitted.append(request)
+        self._arrivals.fresh.append(request)
         return request.request_id
 
     def submit_generation(
@@ -630,17 +668,33 @@ class InferenceEngine:
         tenant, priority and deadline behave exactly as in
         :meth:`submit`.
         """
-        generation = GenerationRequest(
-            prompt=prompt,
-            max_new_tokens=int(max_new_tokens),
-            stop_token=None if stop_token is None else int(stop_token),
-        )
         request = self._make_request(
-            model, generation.prompt, arrival, tenant, priority, deadline,
-            generation=generation,
+            model, prompt, arrival, tenant, priority, deadline,
+            max_new_tokens, stop_token,
         )
-        self._submitted.append(request)
+        self._arrivals.fresh.append(request)
         return request.request_id
+
+    def enqueue(self, requests: Iterable) -> List[int]:
+        """Queue a list of requests given as data; returns their ids.
+
+        Each item is a :class:`~repro.serving.request.TracedRequest` or
+        a mapping of its field names — a trace's rows, a recorder's
+        capture or ``to_dict()`` rows from JSON, generation included.
+        Whoever holds its traffic whole (a replay, a fleet worker) comes
+        through here, not ``run(request_source=)``: only buffered
+        requests feed the stacked host passes' look-ahead.
+        """
+        made = [self._request_of(describe_request(item)) for item in requests]
+        self._arrivals.fresh += made
+        return [request.request_id for request in made]
+
+    def _request_of(self, described: TracedRequest) -> InferenceRequest:
+        return self._make_request(
+            described.model, described.inputs_array(), described.arrival,
+            described.tenant, described.priority, described.deadline,
+            described.max_new_tokens, described.stop_token,
+        )
 
     def _make_request(
         self,
@@ -650,9 +704,11 @@ class InferenceEngine:
         tenant: str,
         priority: Optional[int],
         deadline: Optional[float],
-        generation: Optional[GenerationRequest] = None,
+        max_new_tokens: Optional[int] = None,
+        stop_token: Optional[int] = None,
     ) -> InferenceRequest:
-        """Validate and build one request (shared by submit and source)."""
+        """Validate and build one request — every front door ends here."""
+        generation = generation_of(inputs, max_new_tokens, stop_token)
         if model not in self._endpoints:
             raise KeyError(
                 f"unknown model {model!r}; registered: {sorted(self._endpoints)}"
@@ -674,10 +730,11 @@ class InferenceEngine:
             if adapter is None:
                 raise ValueError(
                     f"model {model!r} was registered without a "
-                    "generation_adapter; submit_generation needs one"
+                    "generation_adapter; a generation request needs one"
                 )
-            adapter.validate(generation.prompt, generation.max_new_tokens)
-            prefix_key = adapter.batch_key(generation.prompt)
+            inputs = generation.prompt
+            adapter.validate(inputs, generation.max_new_tokens)
+            prefix_key = adapter.batch_key(inputs)
         elif self.prefix_cache is not None and endpoint.prefix_adapter is not None:
             # Key the request on its prompt content at admission: batch
             # assembly groups on it, so one batch is one prompt and the
@@ -699,70 +756,12 @@ class InferenceEngine:
             generation=generation,
         )
         self._next_id += 1
-        # Capture after validation succeeded: a recorder sees exactly
-        # the traffic the engine admitted (including request_source
-        # items), never a submission that raised.
+        # Capture after validation succeeded, before admission control:
+        # a recorder sees every request offered (a replay must offer one
+        # shed later again), never a submission that raised.
         if self.recorder is not None:
             self.recorder.record(request)
         return request
-
-    _SOURCE_FIELDS = ("model", "inputs", "arrival", "tenant", "priority", "deadline")
-
-    def _peek_item_arrival(self, item: object) -> float:
-        """Arrival of a raw ``request_source`` item, without admitting it."""
-        if isinstance(item, dict):
-            arrival = item.get("arrival")
-        elif isinstance(item, tuple):
-            arrival = item[2] if len(item) > 2 else None
-        else:
-            arrival = self._raise_bad_source_item(item)
-        # An omitted or explicit-None arrival defaults, like submit().
-        return self._last_arrival if arrival is None else float(arrival)
-
-    @staticmethod
-    def _raise_bad_source_item(item: object) -> None:
-        # InferenceRequest instances are deliberately NOT accepted:
-        # the engine assigns its own request ids, so a caller-built
-        # request's id would silently stop matching result().
-        raise TypeError(
-            "request_source items must be dicts of submit() keywords or "
-            f"(model, inputs[, arrival[, tenant]]) tuples, got {type(item)!r}"
-        )
-
-    def _coerce_source_item(self, item: object) -> InferenceRequest:
-        """Turn one ``request_source`` element into a queued request."""
-        if isinstance(item, dict):
-            unknown = set(item) - set(self._SOURCE_FIELDS)
-            if unknown:
-                raise ValueError(
-                    f"request_source dict has unknown keys {sorted(unknown)}; "
-                    f"allowed: {list(self._SOURCE_FIELDS)}"
-                )
-            kwargs = dict(item)
-        elif isinstance(item, tuple):
-            fields = self._SOURCE_FIELDS[:4]
-            if len(item) > len(fields):
-                raise ValueError(
-                    f"request_source tuple has {len(item)} elements; expected "
-                    f"at most {len(fields)}: {fields} (use a dict for "
-                    "priority/deadline)"
-                )
-            kwargs = dict(zip(fields, item))
-        else:
-            self._raise_bad_source_item(item)
-        missing = {"model", "inputs"} - set(kwargs)
-        if missing:
-            raise ValueError(
-                f"request_source item is missing required {sorted(missing)}: {item!r}"
-            )
-        return self._make_request(
-            model=kwargs.get("model"),
-            inputs=kwargs["inputs"],
-            arrival=kwargs.get("arrival"),
-            tenant=kwargs.get("tenant", DEFAULT_TENANT),
-            priority=kwargs.get("priority"),
-            deadline=kwargs.get("deadline"),
-        )
 
     @property
     def pending(self) -> int:
@@ -773,8 +772,7 @@ class InferenceEngine:
         out of the submission buffer but not yet admitted are counted.
         """
         return (
-            len(self._submitted)
-            + self._run_buffered
+            len(self._arrivals)
             + self.scheduler.pending
             + sum(batch.size for batch, _, _ in self._planned)
         )
@@ -794,11 +792,11 @@ class InferenceEngine:
         normally instead of waiting for the next drain.
 
         ``request_source`` is an optional arrival-sorted iterable of
-        requests (dicts of :meth:`submit` keywords, or
-        ``(model, inputs[, arrival[, tenant]])`` tuples — request ids
-        are engine-assigned, so finished ids are read off the returned
-        report's records); it models streaming request I/O and is
-        interleaved with buffered submissions by arrival time.
+        requests in :meth:`enqueue`'s item format (generation requests
+        included; request ids are engine-assigned, so finished ids are
+        read off the returned report's records).  It models streaming
+        request I/O: items are coerced lazily, one ahead, interleaved
+        with buffered submissions by arrival time.
 
         Returns the serving report for the requests processed by *this*
         call; their outputs become available via :meth:`result`.
@@ -811,56 +809,16 @@ class InferenceEngine:
         # until the next run starts.
         self._clear_run_logs()
         self._shard_busy = {shard: 0.0 for shard in range(self.dispatcher.n_shards)}
-        source = _RequestSource(request_source, self) if request_source is not None else None
-
         completed: List[CompletedRequest] = []
-        buffer: List[InferenceRequest] = []
-        head = 0
+        feed = self._arrivals
         try:
+            feed.stream(() if request_source is None else request_source, True)
             while True:
-                if self._submitted:
-                    # Pick up submissions made since the last decision —
-                    # including any issued while the previous batch was
-                    # in flight — and merge them into the arrival-ordered
-                    # feed.
-                    fresh = sorted(
-                        self._submitted, key=lambda r: (r.arrival, r.request_id)
-                    )
-                    self._submitted.clear()
-                    for request in fresh:
-                        stack = self._stacks.get(request.model)
-                        if stack is not None and request.prefix_key is None:
-                            stack.ahead[request.request_id] = request
-                    buffer = sorted(
-                        buffer[head:] + fresh, key=lambda r: (r.arrival, r.request_id)
-                    )
-                    head = 0
-                    self._run_buffered = len(buffer)
-
                 sources = self._work_sources()
                 ready_at = min(sources)[0] if sources else None
-                feed_arrival = buffer[head].arrival if head < len(buffer) else None
-                source_arrival = None if source is None else source.peek_arrival()
-
-                next_arrival = None
-                take_from_buffer = False
-                if feed_arrival is not None and (
-                    source_arrival is None or feed_arrival <= source_arrival
-                ):
-                    next_arrival, take_from_buffer = feed_arrival, True
-                elif source_arrival is not None:
-                    next_arrival = source_arrival
-
-                if next_arrival is not None and (
-                    ready_at is None or next_arrival <= ready_at
-                ):
-                    if take_from_buffer:
-                        if not self._admit(buffer[head]):
-                            self._forget(buffer[head])
-                        head += 1
-                        self._run_buffered = len(buffer) - head
-                    else:
-                        self._admit(source.pop())  # type: ignore[union-attr]
+                arrival = feed.next_arrival()
+                if arrival is not None and (ready_at is None or arrival <= ready_at):
+                    self._admit(feed.pop())
                     continue
                 if ready_at is None:
                     break
@@ -873,7 +831,7 @@ class InferenceEngine:
                 if self._work_consumed == consumed_before:  # pragma: no cover
                     break  # defensive: ready_at implies a batch
         finally:
-            self._run_buffered = 0
+            feed.stream(())
             # Weights may change between runs: nothing is kept for the next.
             for stack in self._stacks.values():
                 stack.ahead.clear()
@@ -938,17 +896,14 @@ class InferenceEngine:
         :meth:`result` as usual; the returned records carry placement
         and timing.  (:meth:`run` is the drain-and-report flavour.)
         """
-        for request in sorted(
-            self._submitted, key=lambda r: (r.arrival, r.request_id)
-        ):
-            self._admit(request)
-        self._submitted.clear()
+        while self._arrivals.next_arrival() is not None:
+            self._admit(self._arrivals.pop())
         return self._drain_one(self._work_sources())
 
     # ------------------------------------------------------------------
     # Admission control
     # ------------------------------------------------------------------
-    def _admit(self, request: InferenceRequest) -> bool:
+    def _admit(self, request: InferenceRequest) -> None:
         """Admit one request, or shed it per its tenant's contract.
 
         Both gates are evaluated at the request's (simulated) arrival:
@@ -964,19 +919,17 @@ class InferenceEngine:
             and self.scheduler.tenant_pending(request.tenant)
             >= config.max_queue_depth
         ):
-            self._events.append(ShedRecord(request, "queue_full", request.arrival))
-            self._window_sheds += 1
-            return False
+            return self._shed(request, "queue_full")
         if config.shed_doomed:
             due = effective_deadline(request, self.tenants)
             if due is not None and self._best_case_finish(request) > due:
-                self._events.append(
-                    ShedRecord(request, "deadline_doomed", request.arrival)
-                )
-                self._window_sheds += 1
-                return False
+                return self._shed(request, "deadline_doomed")
         self.scheduler.admit(request)
-        return True
+
+    def _shed(self, request: InferenceRequest, reason: str) -> None:
+        self._events.append(ShedRecord(request, reason, request.arrival))
+        self._window_sheds += 1
+        self._forget(request)
 
     def _best_case_finish(self, request: InferenceRequest) -> float:
         """Earliest conceivable finish: run alone, immediately, on the
@@ -1231,8 +1184,7 @@ class InferenceEngine:
     def reset(self) -> None:
         """Drop queued requests, stored results, shard occupancy and
         cached prefixes."""
-        self._submitted.clear()
-        self._run_buffered = 0
+        self._arrivals = _ArrivalFeed(self)
         self.scheduler.reset()
         self.placement.reset()
         self._calibrator.reset()

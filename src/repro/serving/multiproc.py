@@ -24,10 +24,13 @@ Everything a worker needs crosses the process boundary as one
 picklable :class:`WorkerConfig`; models cross as
 :class:`~repro.serving.deploy.EndpointSpec` (factory + kwargs, rebuilt
 inside the worker) because live model objects and engines do not
-pickle.  A worker assembles its engine through
-:func:`~repro.serving.deploy.assemble_engine`, the function a
-:func:`~repro.autotune.replay.replay_trace` candidate is built by, so
-a fleet can set every option a replay can.  Workers return their
+pickle; traffic crosses as
+:class:`~repro.serving.request.TracedRequest` descriptions, coerced and
+given their arrivals once by the front.  A worker assembles its engine
+through :func:`~repro.serving.deploy.assemble_engine` and enqueues its
+list whole, as a :func:`~repro.autotune.replay.replay_trace` candidate
+does, so a fleet can set every option and serve every kind of request
+(generation included) a replay can.  Workers return their
 :class:`~repro.serving.report.ServingReport`; :func:`merge_reports`
 re-maps worker-local shard indices onto the global cluster numbering
 and merges the logs so the fleet-level invariants hold exactly:
@@ -75,8 +78,14 @@ from repro.serving.deploy import (
 )
 from repro.serving.faults import FaultPlan
 from repro.serving.report import ServingReport
-from repro.serving.request import FailureRecord, InferenceRequest
-from repro.serving.tenancy import DEFAULT_TENANT, TenantConfig
+from repro.serving.request import (
+    FailureRecord,
+    InferenceRequest,
+    TracedRequest,
+    describe_request,
+    generation_of,
+)
+from repro.serving.tenancy import TenantConfig
 from repro.store import FileStore
 
 
@@ -90,7 +99,8 @@ class WorkerConfig:
     ``fault_plan`` is the worker's *view* of the run's fault plan —
     shard events already re-mapped into worker-local indices via
     :meth:`~repro.serving.faults.FaultPlan.for_shard_block`, worker and
-    fabric events kept global.  ``options`` are the keywords of
+    fabric events kept global.  ``requests`` are descriptions whose
+    arrivals the front has resolved.  ``options`` are the keywords of
     :func:`~repro.serving.deploy.assemble_engine` every worker engine is
     built with — cache budgets and any
     :class:`~repro.serving.engine.InferenceEngine` option (values must
@@ -100,7 +110,7 @@ class WorkerConfig:
     index: int
     cluster: ClusterSpec
     models: Tuple[EndpointSpec, ...]
-    requests: Tuple[dict, ...]
+    requests: Tuple[TracedRequest, ...]
     store_root: Optional[str] = None
     fault_plan: Optional[FaultPlan] = None
     options: Mapping[str, object] = field(default_factory=dict)
@@ -212,7 +222,8 @@ def _worker_main(config: WorkerConfig) -> ServingReport:
             state = fabric.get(CALIBRATION_NAMESPACE, "default")
             if state is not None:
                 engine.calibrator.load_dict(state)
-        report = engine.run(request_source=list(config.requests))
+        engine.enqueue(config.requests)
+        report = engine.run()
         if fabric is not None:
             save_calibration(engine.calibrator, fabric)
         return report
@@ -241,15 +252,15 @@ def _worker_entry(config: WorkerConfig) -> ServingReport:
     if death is None:
         return _worker_main(config)
     served = tuple(
-        request
-        for request in config.requests
-        if float(request.get("arrival", 0.0)) < death.at
+        request for request in config.requests if request.arrival < death.at
     )
     _worker_main(replace(config, requests=served))
     os._exit(death.exit_code)
 
 
-def _shift_requests(requests: Sequence[dict], shift: float) -> Tuple[dict, ...]:
+def _shift_requests(
+    requests: Sequence[TracedRequest], shift: float
+) -> Tuple[TracedRequest, ...]:
     """Shift arrivals (and absolute deadlines) by ``shift`` seconds.
 
     Used when a dead worker's requests are re-run on a surviving
@@ -258,14 +269,14 @@ def _shift_requests(requests: Sequence[dict], shift: float) -> Tuple[dict, ...]:
     serial reuse honestly priced into the merged timeline.  Deadlines
     shift by the same amount, preserving each request's slack.
     """
-    shifted = []
-    for request in requests:
-        moved = dict(request)
-        moved["arrival"] = float(request.get("arrival", 0.0)) + shift
-        if moved.get("deadline") is not None:
-            moved["deadline"] = float(moved["deadline"]) + shift
-        shifted.append(moved)
-    return tuple(shifted)
+    return tuple(
+        replace(
+            request,
+            arrival=request.arrival + shift,
+            deadline=None if request.deadline is None else request.deadline + shift,
+        )
+        for request in requests
+    )
 
 
 def _lost_report(config: WorkerConfig, at: float) -> ServingReport:
@@ -281,12 +292,15 @@ def _lost_report(config: WorkerConfig, at: float) -> ServingReport:
         FailureRecord(
             request=InferenceRequest(
                 request_id=index,
-                model=str(request["model"]),
-                inputs=request["inputs"],
-                arrival=float(request.get("arrival", 0.0)),
-                tenant=str(request.get("tenant", DEFAULT_TENANT)),
-                priority=request.get("priority"),
-                deadline=request.get("deadline"),
+                model=request.model,
+                inputs=request.inputs_array(),
+                arrival=request.arrival,
+                tenant=request.tenant,
+                priority=request.priority,
+                deadline=request.deadline,
+                generation=generation_of(
+                    request.inputs, request.max_new_tokens, request.stop_token
+                ),
             ),
             reason="worker_lost",
             at=at,
@@ -311,7 +325,7 @@ def _lost_report(config: WorkerConfig, at: float) -> ServingReport:
 def serve_multiproc(
     cluster: ClusterSpec,
     models: Sequence[EndpointSpec],
-    requests: Sequence[dict],
+    requests: Sequence[object],
     n_workers: int = 2,
     store_root: Optional[str] = None,
     fault_plan: Optional[FaultPlan] = None,
@@ -328,10 +342,14 @@ def serve_multiproc(
     the same :class:`~repro.store.FileStore` fabric under its tiered
     store, sharing plans, prompts and calibration across the fleet.
 
-    ``requests`` is an arrival-sorted sequence of request dicts
-    (:meth:`~repro.serving.engine.InferenceEngine.submit` keywords:
-    ``model``, ``inputs``, optionally ``arrival``/``tenant``/
-    ``priority``/``deadline``).  Worker processes fork on POSIX;
+    ``requests`` is an arrival-sorted sequence of
+    :meth:`~repro.serving.engine.InferenceEngine.enqueue` items:
+    :class:`~repro.serving.request.TracedRequest` descriptions (a
+    trace's ``requests``, a recorder's capture) or mappings of their
+    field names, generation included.  An omitted arrival is resolved
+    here, once, before the split: the previous request's in *this*
+    list's order, 0.0 for the first — deliberately what one engine given
+    the whole list would assign.  Worker processes fork on POSIX;
     ``n_workers=1`` runs in-process (no fork), which is also the
     fallback the tests exercise for coverage.  In-process runs honor
     shard-level fault events but not :class:`WorkerDeath` (there is no
@@ -370,12 +388,18 @@ def serve_multiproc(
     partitions = partition_cluster(cluster, n_workers)
     offsets = _block_offsets(partitions)
     model_specs = tuple(models)
+    described: List[TracedRequest] = []
+    for request in map(describe_request, requests):
+        if request.arrival is None:
+            last = described[-1].arrival if described else 0.0
+            request = replace(request, arrival=last)
+        described.append(request)
     configs = [
         WorkerConfig(
             index=worker,
             cluster=partitions[worker],
             models=model_specs,
-            requests=tuple(requests[worker::n_workers]),
+            requests=tuple(described[worker::n_workers]),
             store_root=store_root,
             fault_plan=(
                 fault_plan.for_shard_block(
@@ -435,9 +459,7 @@ def serve_multiproc(
                     config, at=death.at if death is not None else 0.0
                 )
                 continue
-            # The donor block is occupied until its own run's last
-            # completion (including earlier redistributions onto it) —
-            # schedule the re-run strictly after.
+            # Earlier redistributions onto the donor block count too.
             handoff = max(
                 (
                     record.finish

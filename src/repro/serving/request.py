@@ -5,11 +5,18 @@ stacks samples of co-pending requests for the same model along a new
 leading axis before inference, and unpacks the stacked output row by
 row on completion.  Timestamps are simulated seconds on the serving
 clock, so latency accounting is deterministic and reproducible.
+
+A request exists once as *data*: :class:`TracedRequest` is what a
+recorder captures, what a trace stores and — through the one coercion
+:func:`describe_request` — what ``InferenceEngine.enqueue``,
+``run(request_source=)``, ``serve_multiproc`` and ``replay_trace``
+accept; ``submit`` / ``submit_generation`` are its keyword spellings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +59,128 @@ class GenerationRequest:
         object.__setattr__(self, "prompt", prompt)
 
 
+def generation_of(prompt, max_new_tokens, stop_token) -> Optional[GenerationRequest]:
+    """The generation parameters a request's flat fields spell (None
+    without ``max_new_tokens``: plain inference) — the one place a
+    :class:`GenerationRequest` is built."""
+    if max_new_tokens is None:
+        return None
+    return GenerationRequest(prompt, int(max_new_tokens), _optional(int, stop_token))
+
+
+@dataclass(frozen=True)
+class TracedRequest:
+    """One request as data — enough to issue, or re-issue, it exactly.
+
+    ``inputs`` holds the token/feature payload as nested tuples plus a
+    dtype string (JSON-safe; rebuilt with :meth:`inputs_array`).
+    ``max_new_tokens`` is None for plain inference requests and set for
+    generation requests (where ``inputs`` is the prompt row).  An
+    ``arrival`` of None means "with the previous request", resolved by
+    the door that admits it as ``submit()`` resolves its keyword.
+    """
+
+    model: str
+    inputs: Tuple
+    dtype: str
+    arrival: Optional[float]
+    tenant: str = DEFAULT_TENANT
+    priority: Optional[int] = None
+    deadline: Optional[float] = None
+    max_new_tokens: Optional[int] = None
+    stop_token: Optional[int] = None
+
+    @property
+    def is_generation(self) -> bool:
+        return self.max_new_tokens is not None
+
+    def inputs_array(self) -> np.ndarray:
+        """The payload as the ndarray the engine originally saw."""
+        return np.array(self.inputs, dtype=np.dtype(self.dtype))
+
+    def to_dict(self) -> Dict[str, object]:
+        """The JSON-safe row: every field by name, ``inputs`` as lists."""
+        return {**vars(self), "inputs": self.inputs_array().tolist()}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]) -> "TracedRequest":
+        """A description from a mapping of its field names — a
+        :meth:`to_dict` row, or one written by hand: only ``model`` and
+        ``inputs`` (anything ``np.asarray`` takes; ``dtype`` defaults to
+        that array's) are required, the rest default as ``submit()``'s
+        keywords do, also when spelt out as None.  A key that is no
+        field raises: a misspelt ``deadline`` must not serve without one.
+        """
+        allowed = cls.__dataclass_fields__.keys()
+        unknown = data.keys() - allowed
+        if unknown:
+            raise ValueError(
+                f"request has unknown keys {sorted(unknown)}; allowed: {list(allowed)}"
+            )
+        missing = {"model", "inputs"} - data.keys()
+        if missing:
+            raise ValueError(f"request is missing required {sorted(missing)}: {data!r}")
+        inputs = np.asarray(data["inputs"], dtype=data.get("dtype"))
+        return cls(
+            model=str(data["model"]),
+            inputs=_to_tuple(inputs.tolist()),
+            dtype=str(inputs.dtype),
+            arrival=_optional(float, data.get("arrival")),
+            tenant=str(data.get("tenant") or DEFAULT_TENANT),
+            priority=_optional(int, data.get("priority")),
+            deadline=_optional(float, data.get("deadline")),
+            max_new_tokens=_optional(int, data.get("max_new_tokens")),
+            stop_token=_optional(int, data.get("stop_token")),
+        )
+
+    @classmethod
+    def from_request(cls, request: "InferenceRequest") -> "TracedRequest":
+        """Capture one live :class:`InferenceRequest`."""
+        generation = request.generation
+        inputs = np.asarray(request.inputs)
+        return cls(
+            model=request.model,
+            inputs=_to_tuple(inputs.tolist()),
+            dtype=str(inputs.dtype),
+            arrival=request.arrival,
+            tenant=request.tenant,
+            priority=request.priority,
+            deadline=request.deadline,
+            max_new_tokens=(
+                None if generation is None else generation.max_new_tokens
+            ),
+            stop_token=(None if generation is None else generation.stop_token),
+        )
+
+
+def describe_request(item: object) -> TracedRequest:
+    """The one coercion behind every front door that takes requests as
+    values: a :class:`TracedRequest`, or a mapping of its field names.
+    An :class:`InferenceRequest` is deliberately NOT accepted: the
+    engine assigns its own request ids, so a caller-built request's id
+    would silently stop matching ``result()``.
+    """
+    if isinstance(item, TracedRequest):
+        return item
+    if isinstance(item, Mapping):
+        return TracedRequest.from_dict(item)
+    raise TypeError(
+        "a request is a TracedRequest or a mapping of its field names "
+        f"(model, inputs[, arrival, tenant, ...]), got {type(item)!r}"
+    )
+
+
+def _optional(cast, value):
+    return None if value is None else cast(value)
+
+
+def _to_tuple(value):
+    """Nested lists → nested tuples (hashable, hypothesis-friendly)."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_to_tuple(item) for item in value)
+    return value
+
+
 @dataclass(frozen=True)
 class InferenceRequest:
     """One queued inference call.
@@ -91,10 +220,10 @@ class InferenceRequest:
         *length* here instead, so same-length prompts share a prefill.
     generation:
         :class:`GenerationRequest` parameters when this request asks
-        for autoregressive decode (set by
-        :meth:`~repro.serving.engine.InferenceEngine.submit_generation`),
-        else None.  A generation request's ``outputs`` are its
-        generated token row rather than a model-head slice.
+        for autoregressive decode (``max_new_tokens`` was given at the
+        front door it came through), else None.  A generation request's
+        ``outputs`` are its generated token row rather than a model-head
+        slice.
     """
 
     request_id: int

@@ -387,6 +387,35 @@ class TestWorkerSupervision:
         # busy time of the serial re-run.
         assert {c.shard for c in merged.completed} == {0}
 
+    def test_redistribution_keeps_defaulted_arrivals_in_order(self):
+        # ``arrival`` is optional: a request without one arrives with the
+        # previous request *of the caller's list*, resolved once by the
+        # front.  The redistribution shift used to read a missing arrival
+        # as 0.0, handing the donor an unsorted list (ValueError out of
+        # the supervisor).
+        requests = self._requests(8)
+        requests[1]["arrival"] = 1e-4
+        for request in requests[2:]:
+            del request["arrival"]
+        offered = dict(zip((r["inputs"].tobytes() for r in requests),
+                           [0.0] + [1e-4] * 7))
+        plan = FaultPlan(events=(WorkerDeath(worker=1, at=5e-5),))
+        merged = self._serve(requests, fault_plan=plan,
+                             supervise=True, max_restarts=0).merged
+        assert merged.worker_redistributions == 1
+        assert not merged.failed and not merged.shed
+        served = [c.request.inputs.tobytes() for c in merged.completed]
+        assert sorted(served) == sorted(offered)  # each exactly once
+        for record in merged.completed:
+            assert record.request.arrival >= offered[record.request.inputs.tobytes()]
+        # Worker 0 kept its slice where the front put it; worker 1's
+        # re-ran behind everything worker 0 had completed.
+        kept = [c for c in merged.completed if c.request.arrival <= 1e-4]
+        moved = [c for c in merged.completed if c.request.arrival > 1e-4]
+        assert sorted(c.request.arrival for c in kept) == [0.0, 1e-4, 1e-4, 1e-4]
+        assert len(moved) == 4
+        assert min(c.request.arrival for c in moved) > max(c.finish for c in kept)
+
 
 class TestFabricChaos:
     def test_corruption_quarantined_as_misses(self, tmp_path):

@@ -61,19 +61,12 @@ def test_replay_and_fleet_front_run_the_same_engine():
         pool=(BIG, MID, SLOW), placement="cost_aware",
         max_batch_size=4, flush_timeout=1e-4,
     )
-    requests = [
-        dict(
-            model=r.model, inputs=r.inputs_array(), arrival=r.arrival,
-            tenant=r.tenant, priority=r.priority, deadline=r.deadline,
-        )
-        for r in trace.requests
-    ]
 
     def fleet(endpoint):
         return serve_multiproc(
             ClusterSpec.heterogeneous(tuning.pool),
             [endpoint],
-            requests,
+            trace.requests,
             n_workers=1,
             placement="cost_aware",
             max_batch_size=4,

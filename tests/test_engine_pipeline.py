@@ -27,6 +27,7 @@ public logs:
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import re
@@ -378,9 +379,14 @@ def test_no_second_copy(module, marker):
 SRC = Path(engine_module.__file__).parents[1]  # src/repro
 
 
+@functools.lru_cache(maxsize=None)
 def _functions_under_src():
     """``(module path, function name, code)`` of every function under
     ``src/repro``, docstrings stripped (``ast.unparse`` drops comments)."""
+    return tuple(_scan_src())
+
+
+def _scan_src():
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
@@ -392,31 +398,66 @@ def _functions_under_src():
                 yield str(path.relative_to(SRC)), node.name, ast.unparse(node)
 
 
+def _sites(*markers):
+    """``path:function`` of every function whose code has all ``markers``."""
+    return sorted(
+        f"{path}:{name}"
+        for path, name, code in _functions_under_src()
+        if all(marker in code for marker in markers)
+    )
+
+
 def test_one_path_from_deployment_as_data_to_a_running_engine():
     """A front end that stands an engine up from picklable values is a
     client of ``repro.serving.deploy``: it does not construct its own
     engine, fork its own children or swap the global store itself — and
     the second endpoint-by-construction class stays deleted."""
-    functions = list(_functions_under_src())
-
-    def sites(*markers):
-        return sorted(
-            f"{path}:{name}"
-            for path, name, code in functions
-            if all(marker in code for marker in markers)
-        )
-
-    assert sites("InferenceEngine(") == ["serving/deploy.py:assemble_engine"]
-    assert sites("engine.register(") == ["serving/deploy.py:assemble_engine"]
-    assert sites("get_context(") == ["serving/deploy.py:fan_out"]
-    assert sites(".Pipe(") == ["serving/deploy.py:fan_out"]
-    assert sites("get_store(", "set_store(") == [
+    assert _sites("InferenceEngine(") == ["serving/deploy.py:assemble_engine"]
+    assert _sites("engine.register(") == ["serving/deploy.py:assemble_engine"]
+    assert _sites("get_context(") == ["serving/deploy.py:fan_out"]
+    assert _sites(".Pipe(") == ["serving/deploy.py:fan_out"]
+    assert _sites("get_store(", "set_store(") == [
         "serving/deploy.py:private_store",
         "store/base.py:set_store",  # returns the store now in effect
     ]
     deleted = "Model" "Spec"
     for path in SRC.rglob("*.py"):
         assert deleted not in path.read_text(), path
+
+
+def test_one_request_description_through_every_front_door():
+    """A front door that takes requests as values is a client of
+    ``repro.serving.request``: it coerces through the one
+    ``describe_request``, ends in the one ``_make_request``, and keeps no
+    parser, no second item form and no private default of its own."""
+    import repro.autotune
+    import repro.serving
+
+    assert _sites("GenerationRequest(") == ["serving/request.py:generation_of"]
+    assert _sites("InferenceRequest(") == [
+        "serving/engine.py:_make_request",
+        "serving/multiproc.py:_lost_report",
+    ]
+    assert "serving/multiproc.py:_lost_report" in _sites("generation_of(")
+    assert _sites(".submit_generation(") == []
+    # A request's fields are read off a mapping in one function...
+    for field in ("arrival", "deadline", "max_new_tokens"):
+        readers = _sites(f"['{field}']") + _sites(f".get('{field}'")
+        assert set(readers) == {"serving/request.py:from_dict"}, field
+    # ...and the fleet front reads them off descriptions.
+    assert [site for site in _sites("'arrival'") if "multiproc" in site] == []
+    deleted = (
+        "_SOURCE_FIELDS", "_peek_item_arrival", "_coerce_source_item",
+        "_raise_bad_source_item", "_RequestSource", "take_from_buffer",
+    )
+    defined = []
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        assert not [name for name in deleted if name in text], path
+        if "class TracedRequest" in text:
+            defined.append(str(path.relative_to(SRC)))
+    assert defined == ["serving/request.py"]
+    assert repro.autotune.TracedRequest is repro.serving.TracedRequest
 
 
 def test_one_record_list_and_one_merge_rule():

@@ -453,7 +453,7 @@ class TestEngineMultiTenant:
         report = engine.run(
             request_source=[
                 {"model": "bert", "inputs": rows[0], "arrival": None},
-                ("bert", rows[1], None),
+                {"model": "bert", "inputs": rows[1]},
             ]
         )
         assert report.n_requests == 2
@@ -531,13 +531,18 @@ class TestEngineMultiTenant:
     def test_source_rejects_inference_request_instances(self):
         # Caller-built InferenceRequest ids would silently stop
         # matching result() after the engine re-ids them, so the type
-        # is rejected outright — use dicts or tuples.
+        # is rejected outright — and so is the positional tuple the
+        # source once took: an item is a TracedRequest or a mapping.
         engine, _ = self.engine()
-        item = InferenceRequest(
-            request_id=0, model="bert", inputs=RNG.integers(0, 16, size=8)
-        )
-        with pytest.raises(TypeError):
-            engine.run(request_source=[item])
+        row = RNG.integers(0, 16, size=8)
+        for item in (
+            InferenceRequest(request_id=0, model="bert", inputs=row),
+            ("bert", row, 0.0),
+        ):
+            with pytest.raises(TypeError):
+                engine.run(request_source=[item])
+            with pytest.raises(TypeError):
+                engine.enqueue([item])
 
     def test_pending_is_accurate_inside_a_run(self):
         # A callback reading engine.pending mid-run must see requests
@@ -578,11 +583,14 @@ class TestEngineMultiTenant:
                 request_source=[{"model": "bert", "inputs": row, "arrival": -1.0}]
             )
         engine.reset()
-        with pytest.raises(ValueError):  # tuple too long: priority needs a dict
-            engine.run(request_source=[("bert", row, 0.0, "t", 5)])
-        engine.reset()
         with pytest.raises(KeyError):
-            engine.run(request_source=[("nope", row)])
+            engine.run(request_source=[{"model": "nope", "inputs": row}])
+        for missing in ("model", "inputs"):
+            item = {"model": "bert", "inputs": row}
+            del item[missing]
+            engine.reset()
+            with pytest.raises(ValueError, match=missing):
+                engine.run(request_source=[item])
 
     def test_source_dict_rejects_unknown_keys(self):
         engine, _ = self.engine()
@@ -630,8 +638,8 @@ class TestEngineMultiTenant:
             engine.submit("bert", rows[1], arrival=3e-4),
         ]
         source = [
-            ("bert", rows[2], 1e-4),
-            ("bert", rows[3], 2e-4),
+            {"model": "bert", "inputs": rows[2], "arrival": 1e-4},
+            {"model": "bert", "inputs": rows[3], "arrival": 2e-4},
         ]
         report = engine.run(request_source=source)
         assert report.n_requests == 4
