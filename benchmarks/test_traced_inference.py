@@ -1197,7 +1197,7 @@ def test_elastic_runtime_beats_greedy(print_artifact):
 
     greedy_out, greedy_report = run("cost_aware", None)
     elastic_out, elastic_report = run(
-        "lookahead", ElasticConfig(lookahead=True, steal=True)
+        "lookahead", ElasticConfig(steal=True)
     )
 
     # Re-placement must not change arithmetic: request by request,

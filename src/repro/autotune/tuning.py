@@ -93,7 +93,6 @@ class TuningConfig:
     def elastic(self) -> ElasticConfig:
         """The engine-side elastic knobs this candidate deploys with."""
         return ElasticConfig(
-            lookahead=self.placement == "lookahead",
             steal=self.steal,
             autoscale=self.autoscale,
             steal_drift_threshold=self.steal_drift_threshold,

@@ -45,7 +45,9 @@ so a request stream reproduces the same placements every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.systolic.config import SystolicConfig
 
@@ -244,6 +246,42 @@ class PlacementDecision:
     def queue_delay(self) -> float:
         """Time the ready batch waited for its chosen shard."""
         return self.start - self.ready_time
+
+
+class WorkUnit(NamedTuple):
+    """What one kind of work hands the engine's execute-and-commit
+    pipeline, and what every work source's ``pop`` returns.
+
+    The pipeline owns every step the kinds share (place, park, fault
+    checks, timing, the shard-side commit, the placement record); a
+    unit carries only what differs between a classifier batch, a
+    generation prefill and a decode step:
+
+    ``run(shard, backend) -> (result, reused)``
+        The payload.  ``reused`` marks a partial execution (a prefix or
+        radix hit) whose timing must not feed full-cost estimates.
+    ``commit(placed, result, reused) -> completions``
+        What a surviving attempt commits, given its placement record.
+    ``park(wake)`` / ``fail(shard, at) -> survivors``
+        How an all-breakers-open park and a crashed attempt are
+        absorbed: the retry queue for batches, in-place ``ready_time`` /
+        attempt bookkeeping for pooled decode sequences.  ``fail``
+        returns how many requests will retry (0 = abandoned).
+    """
+
+    profile: BatchProfile
+    batch_index: int
+    attempt: int
+    exclude_shard: Optional[int]
+    run: Callable[[int, object], "Tuple[object, bool]"]
+    commit: Callable[[PlacementDecision, object, bool], list]
+    park: Callable[[float], None]
+    fail: Callable[[int, float], int]
+    #: Shard a look-ahead round planned this unit onto (None = place now).
+    planned_shard: Optional[int] = None
+    #: Prompt a prefix-keyed classifier batch's cache entry is keyed on
+    #: (what a steal migrates); None for every other unit.
+    prefix_tokens: Optional[object] = None
 
 
 # ---------------------------------------------------------------------------

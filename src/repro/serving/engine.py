@@ -36,10 +36,19 @@ flight — join their tenant queues without waiting for a drain.  The
 loop is discrete-event over simulated arrival time, so a request
 stream always reproduces the same batches, placements and report.
 
-**One execution pipeline.**  Classifier batches, generation prefills
-and decode iterations all run through one place → run → fault-check →
-commit skeleton (``InferenceEngine._execute``); a kind supplies only
-its profile, its payload and its commit / park / fail hooks.
+**One agenda, one execution pipeline.**  Work reaches the loop from
+four sources, each owning its state in its own module —
+:class:`~repro.serving.faults.RetryQueue`,
+:class:`~repro.serving.generation.DecodePool`,
+:class:`~repro.serving.elastic.ElasticController` (the planned round)
+and :class:`~repro.serving.scheduler.TenantScheduler` — held in one
+tuple in tie-break order and asked the same four things
+(``next_ready()``, ``pop(ready)``, ``len()``, ``reset()``).  The
+:class:`~repro.serving.cluster.WorkUnit` popped — a classifier batch, a
+generation prefill or a decode iteration — runs through one place →
+run → fault-check → commit skeleton (``InferenceEngine._execute``); a
+kind supplies only its profile, its payload and its commit / park /
+fail hooks.
 
 **Charged once per batch, computed once per stack.**  What a batch is
 *charged* (traced cycles) depends on operand shapes; what it *computes*
@@ -98,15 +107,13 @@ degenerates to plain ready-time (FIFO) order.
 
 from __future__ import annotations
 
-import heapq
 import time
-from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 from typing import (
-    Callable, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union,
 )
 
 import numpy as np
@@ -118,23 +125,21 @@ from repro.serving.cluster import (
     BreakerConfig,
     CalibratingCostModel,
     ClusterDispatcher,
-    LookaheadPlacement,
     PlacementDecision,
     PlacementPolicy,
     PrefixAffinePlacement,
     ShardHealth,
     ShardView,
-    estimated_finish,
+    WorkUnit,
     make_placement_policy,
 )
-from repro.serving.elastic import ElasticConfig, ScalingEvent, StealEvent
-from repro.serving.faults import FaultPlan, FaultRecord, RetryPolicy, ShardCrash
-from repro.serving.generation import ActiveSequence, DecodeStepRecord
+from repro.serving.elastic import ElasticConfig, ElasticController
+from repro.serving.faults import FaultPlan, FaultRecord, RetryPolicy, RetryQueue
+from repro.serving.generation import ActiveSequence, DecodePool
 from repro.serving.prefix_cache import PrefixEvent, RadixKVCache
 from repro.serving.report import ServingReport
 from repro.serving.request import (
     CompletedRequest,
-    FailureRecord,
     InferenceRequest,
     ShedRecord,
     TracedRequest,
@@ -150,6 +155,25 @@ from repro.serving.tenancy import (
     effective_deadline,
 )
 from repro.store import get_store
+
+
+#: Most input elements one stacked host pass holds (64 requests of 8
+#: tokens).  Per-request host cost is flat beyond it and rises again from
+#: cache pressure at 8x this; large models gain nothing past their batch.
+STACK_ELEMENTS = 512
+
+
+class _Stack(NamedTuple):
+    """Compute-once state of one endpoint (``InferenceEngine._stacked``).
+    ``tapes`` live until the name is registered again or the engine
+    reset, the other two for one :meth:`InferenceEngine.run`."""
+
+    #: (batch shape, dtype, array config, who) -> what a batch is charged.
+    tapes: Dict[tuple, list]
+    #: This run's requests nothing has computed yet, in arrival order.
+    ahead: Dict[int, InferenceRequest]
+    #: request id -> (who computed it, its output row), until its unit runs.
+    rows: Dict[int, Tuple[tuple, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -176,6 +200,11 @@ class ModelEndpoint:
     :meth:`InferenceEngine.submit_generation`, prefill through the
     normal batch pipeline, then join the engine's continuous-batching
     decode pool.
+
+    ``stack`` is the endpoint's compute-once state — set by the engine
+    for exactly the endpoints registered as a batchable
+    :class:`~repro.nn.layers.Module`, whose batches replay a tape and
+    share stacked host passes; None for every other endpoint.
     """
 
     name: str
@@ -184,6 +213,7 @@ class ModelEndpoint:
     cost_model: Optional[Callable[[BatchProfile, object], float]] = None
     prefix_adapter: Optional[object] = None
     generation_adapter: Optional[object] = None
+    stack: Optional[_Stack] = None
 
 
 _ARRIVAL_ORDER = attrgetter("arrival", "request_id")
@@ -227,7 +257,7 @@ class _ArrivalFeed:
             fresh = sorted(self.fresh, key=_ARRIVAL_ORDER)
             self.fresh.clear()
             for request in fresh if self._look_ahead else ():
-                stack = self._engine._stacks.get(request.model)
+                stack = self._engine._endpoints[request.model].stack
                 if stack is not None and request.prefix_key is None:
                     stack.ahead[request.request_id] = request
             self._due += fresh
@@ -256,64 +286,6 @@ class _ArrivalFeed:
         self._streamed_until = request.arrival
         self._ahead = next(self._source, None)
         return request
-
-
-#: Work sources in tie-break order (see ``InferenceEngine._work_sources``).
-_RETRY, _DECODE, _PLANNED, _SCHEDULER = range(4)
-
-
-#: Most input elements one stacked host pass holds (64 requests of 8
-#: tokens).  Per-request host cost is flat beyond it and rises again from
-#: cache pressure at 8x this; large models gain nothing past their batch.
-STACK_ELEMENTS = 512
-
-
-class _Stack(NamedTuple):
-    """Compute-once state of one endpoint (``InferenceEngine._stacked``).
-    ``tapes`` live until the name is registered again or the engine
-    reset, the other two for one :meth:`InferenceEngine.run`."""
-
-    #: (batch shape, dtype, array config, who) -> what a batch is charged.
-    tapes: Dict[tuple, list]
-    #: This run's requests nothing has computed yet, in arrival order.
-    ahead: Dict[int, InferenceRequest]
-    #: request id -> (who computed it, its output row), until its unit runs.
-    rows: Dict[int, Tuple[tuple, np.ndarray]]
-
-
-class _WorkUnit(NamedTuple):
-    """What one kind of work hands :meth:`InferenceEngine._execute`.
-
-    The pipeline owns every step the kinds share (place, park, fault
-    checks, timing, the shard-side commit, the placement record); a
-    unit carries only what differs between a classifier batch, a
-    generation prefill and a decode step:
-
-    ``run(shard, backend) -> (result, reused)``
-        The payload.  ``reused`` marks a partial execution (a prefix or
-        radix hit) whose timing must not feed full-cost estimates.
-    ``commit(placed, result, reused) -> completions``
-        What a surviving attempt commits, given its placement record.
-    ``park(wake)`` / ``fail(shard, at) -> survivors``
-        How an all-breakers-open park and a crashed attempt are
-        absorbed: the retry heap for batches, in-place ``ready_time`` /
-        attempt bookkeeping for pooled decode sequences.  ``fail``
-        returns how many requests will retry (0 = abandoned).
-    """
-
-    profile: BatchProfile
-    batch_index: int
-    attempt: int
-    exclude_shard: Optional[int]
-    run: Callable[[int, object], "Tuple[object, bool]"]
-    commit: Callable[[PlacementDecision, object, bool], List[CompletedRequest]]
-    park: Callable[[float], None]
-    fail: Callable[[int, float], int]
-    #: Shard a look-ahead round planned this unit onto (None = place now).
-    planned_shard: Optional[int] = None
-    #: Prompt a prefix-keyed classifier batch's cache entry is keyed on
-    #: (what a steal migrates); None for every other unit.
-    prefix_tokens: Optional[np.ndarray] = None
 
 
 class InferenceEngine:
@@ -379,18 +351,12 @@ class InferenceEngine:
         driven by batch outcomes, and placement only sees shards whose
         breaker currently admits work.
     elastic:
-        Optional :class:`~repro.serving.elastic.ElasticConfig` turning
-        on the elastic cluster runtime: look-ahead placement (the
-        whole ready set is planned jointly per scheduling round by
-        :class:`~repro.serving.cluster.LookaheadPlacement` list
-        scheduling), work-stealing (queued-but-unstarted batches are
-        re-priced with per-shard drift at execution time and migrate
-        off overloaded / tripped shards, moving prefix-cache entries
-        through the store fabric when load breaks affinity), and
-        SLO-driven autoscaling (the live pool grows/shrinks from
-        windowed attainment and shed signals, priced by the hardware
-        power model).  The default — everything off — is
-        regression-pinned bit-identical to the pre-elastic engine.
+        Optional :class:`~repro.serving.elastic.ElasticConfig`: the
+        work-stealing and SLO-driven autoscaling knobs of the elastic
+        cluster runtime (see :mod:`repro.serving.elastic`; look-ahead
+        rounds are switched by ``placement="lookahead"``).  The default
+        — everything off — is regression-pinned bit-identical to the
+        pre-elastic engine.
     recorder:
         Optional traffic-capture hook — any object with a
         ``record(request)`` method, typically a
@@ -426,9 +392,6 @@ class InferenceEngine:
         self.tenants = TenantRegistry()
         for config in tenants or ():
             self.tenants.register(config)
-        self.scheduler = TenantScheduler(
-            self.tenants, policy, max_batch_size, flush_timeout
-        )
         self.placement = make_placement_policy(placement)
         if None not in (prefix_cache, radix_cache) and (
             prefix_cache.namespace == radix_cache.namespace
@@ -447,9 +410,6 @@ class InferenceEngine:
         ):
             self.placement = PrefixAffinePlacement(self.placement)
         self._endpoints: Dict[str, ModelEndpoint] = {}
-        # Endpoints whose batches replay a tape and share stacked host
-        # passes: exactly those registered as a batchable Module.
-        self._stacks: Dict[str, _Stack] = {}
         self._arrivals = _ArrivalFeed(self)
         self._results: Dict[int, np.ndarray] = {}
         self._next_id = 0
@@ -460,8 +420,8 @@ class InferenceEngine:
         # order the engine decides them (see ServingReport.events).
         self._events: List[object] = []
         self._shard_busy: Dict[int, float] = {}
-        # Fault tolerance: the plan (None = dormant), the retry budget,
-        # one breaker per shard and the simulated-time retry queue.
+        # Fault tolerance: the plan (None = dormant), the retry budget
+        # and one breaker per shard.
         self.faults = faults
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._breaker_config = breaker
@@ -469,31 +429,41 @@ class InferenceEngine:
             shard: ShardHealth(shard, breaker, on_transition=self._events.append)
             for shard in range(dispatcher.n_shards)
         }
-        # Elastic runtime: knobs, the look-ahead planner, the planned
-        # (batch, shard) queue of the current scheduling round, the
-        # per-shard live stats (drift feeds stealing) and the
-        # autoscaler's windowed signals.
         self.elastic = elastic if elastic is not None else ElasticConfig()
-        planner = getattr(self.placement, "inner", self.placement)
-        self._lookahead = (
-            planner
-            if isinstance(planner, LookaheadPlacement)
-            else LookaheadPlacement()
+        # The agenda: every producer of work, in tie-break order — a
+        # retry tied with anything runs first (strictly older work),
+        # decode iterations beat fresh batches, and a batch a look-ahead
+        # round already planned (older) beats the scheduler.  Each owns
+        # its state and is handed here all it uses of the engine; the
+        # views / profile lambdas resolve their method per call, so one
+        # wrapped on the instance (tests/test_placement_pricing.py)
+        # is the one that runs.
+        log = self._events.append
+        self._controller = ElasticController(
+            self.elastic, self.placement, dispatcher, self.tenants, log,
+            prefix_cache, self._shard_busy,
+            views=lambda now: self._available_views(now),
+            profile_of=lambda batch: (
+                None if self._is_prefill(batch) else self._batch_profile(batch)
+            ),
+            unit_of=self._batch_unit,
         )
-        self._planned: Deque[Tuple[Batch, Optional[int], Optional[BatchProfile]]] = deque()
-        self._shard_stats: Dict[int, ShardStats] = {}
-        self._slo_window: List[bool] = []
-        self._window_sheds = 0
-        self._last_scale_at: Optional[float] = None
-        # Heap of (wake_time, seq, attempt, excluded_shard, batch);
-        # seq breaks wake-time ties deterministically (batches don't
-        # compare) in requeue order.
-        self._retry_queue: List[Tuple[float, int, int, Optional[int], Batch]] = []
-        self._retry_seq = 0
-        self._work_consumed = 0
-        # Continuous-batching decode pool: sequences between their
-        # prefill and their retirement, re-batched every iteration.
-        self._active: List[ActiveSequence] = []
+        self.scheduler = TenantScheduler(
+            self.tenants, policy, max_batch_size, flush_timeout,
+            fresh=self._controller.fresh,
+        )
+        self._retries = RetryQueue(
+            self.retry_policy, self.tenants, dispatcher, self._health_of, log,
+            self._forget, self._batch_unit,
+        )
+        self._decode_pool = DecodePool(
+            self.scheduler,
+            lambda model: self._endpoints[model].generation_adapter,
+            self._retries.wake, radix_cache, log,
+        )
+        self._sources = (
+            self._retries, self._decode_pool, self._controller, self.scheduler
+        )
         # Traffic capture: any object with record(request) — typically
         # a repro.autotune.TraceRecorder (duck-typed so serving never
         # imports the autotune layer above it).  Settable after
@@ -582,13 +552,14 @@ class InferenceEngine:
                 "registered; build the adapter from the same model instance"
             )
         # A name registered again starts from nothing: no tape, no row.
-        self._stacks.pop(name, None)
+        stack = None
         if infer_fn is None:
             infer_fn = model.infer  # type: ignore[union-attr]
             if batchable and isinstance(model, Module):
-                self._stacks[name] = _Stack({}, {}, {})
+                stack = _Stack({}, {}, {})
         self._endpoints[name] = ModelEndpoint(
-            name, infer_fn, batchable, cost_model, prefix_adapter, generation_adapter
+            name, infer_fn, batchable, cost_model, prefix_adapter,
+            generation_adapter, stack,
         )
 
     def register_tenant(
@@ -765,17 +736,14 @@ class InferenceEngine:
 
     @property
     def pending(self) -> int:
-        """Requests admitted or buffered, not yet executed.
+        """Requests buffered, admitted, planned, parked for a retry or
+        mid-generation — everything :meth:`step` still has work for.
 
         Accurate even when read from inside a run (e.g. by an
         ``infer_fn`` callback): requests the scheduler loop has taken
         out of the submission buffer but not yet admitted are counted.
         """
-        return (
-            len(self._arrivals)
-            + self.scheduler.pending
-            + sum(batch.size for batch, _, _ in self._planned)
-        )
+        return len(self._arrivals) + sum(map(len, self._sources))
 
     # ------------------------------------------------------------------
     # Execution: the scheduler loop
@@ -807,35 +775,29 @@ class InferenceEngine:
         # The event log and busy accounting are per run: records from
         # caller-driven step() sequences are readable on :attr:`events`
         # until the next run starts.
-        self._clear_run_logs()
-        self._shard_busy = {shard: 0.0 for shard in range(self.dispatcher.n_shards)}
+        self._events.clear()
+        self._controller.restart_window()
+        self._shard_busy.clear()
+        self._shard_busy.update(dict.fromkeys(range(self.dispatcher.n_shards), 0.0))
         completed: List[CompletedRequest] = []
         feed = self._arrivals
         try:
             feed.stream(() if request_source is None else request_source, True)
             while True:
-                sources = self._work_sources()
-                ready_at = min(sources)[0] if sources else None
+                source, ready_at = self._next_source()
                 arrival = feed.next_arrival()
-                if arrival is not None and (ready_at is None or arrival <= ready_at):
+                if arrival is not None and (source is None or arrival <= ready_at):
                     self._admit(feed.pop())
-                    continue
-                if ready_at is None:
+                elif source is None:
                     break
-                # A drain may legitimately complete nothing — a failed
-                # attempt re-queues its batch for a later wake — so
-                # progress is measured in batches *consumed*, not
-                # requests completed.
-                consumed_before = self._work_consumed
-                completed.extend(self._drain_one(sources))
-                if self._work_consumed == consumed_before:  # pragma: no cover
-                    break  # defensive: ready_at implies a batch
+                else:
+                    # May complete nothing: a failed attempt re-queues
+                    # its batch for a later wake.
+                    completed.extend(self._serve(source, ready_at))
         finally:
             feed.stream(())
             # Weights may change between runs: nothing is kept for the next.
-            for stack in self._stacks.values():
-                stack.ahead.clear()
-                stack.rows.clear()
+            self._clear_stacks(tapes=False)
 
         cycles_after = self.dispatcher.shard_cycles()
         shard_cycles = {
@@ -898,7 +860,8 @@ class InferenceEngine:
         """
         while self._arrivals.next_arrival() is not None:
             self._admit(self._arrivals.pop())
-        return self._drain_one(self._work_sources())
+        source, ready_at = self._next_source()
+        return [] if source is None else self._serve(source, ready_at)
 
     # ------------------------------------------------------------------
     # Admission control
@@ -928,7 +891,7 @@ class InferenceEngine:
 
     def _shed(self, request: InferenceRequest, reason: str) -> None:
         self._events.append(ShedRecord(request, reason, request.arrival))
-        self._window_sheds += 1
+        self._controller.shed()
         self._forget(request)
 
     def _best_case_finish(self, request: InferenceRequest) -> float:
@@ -1021,7 +984,7 @@ class InferenceEngine:
     def shard_stats(self) -> Dict[int, ShardStats]:
         """Per-shard live stats (the drift EWMA stealing reads;
         cumulative across runs, cleared by :meth:`reset`)."""
-        return dict(self._shard_stats)
+        return dict(self._controller.shard_stats)
 
     @property
     def calibrator(self) -> CalibratingCostModel:
@@ -1033,134 +996,31 @@ class InferenceEngine:
         """
         return self._calibrator
 
-    def _work_sources(self) -> "List[Tuple[float, int]]":
-        """``(ready time, source)`` of every source that has work.
+    def _next_source(self):
+        """``(source, ready time)`` of the work to run next — ``(None,
+        None)`` when no source has any.  Earliest ready time wins, and
+        on a tie the source that comes first in ``_sources``."""
+        first = at = None
+        for source in self._sources:
+            ready = source.next_ready()
+            if ready is not None and (at is None or ready < at):
+                first, at = source, ready
+        return first, at
 
-        The source rank breaks ties, so ``min`` picks what runs next:
-        retries tied with anything run first (they are strictly older
-        work), decode iterations beat fresh batches, and a batch a
-        look-ahead round already planned (older) beats the scheduler.
+    def _serve(self, source, ready: float) -> List[CompletedRequest]:
+        """Execute the unit ``source`` has ready at ``ready``, store results.
+
+        Returns the completions of the attempt — empty when the attempt
+        failed and the batch was re-queued, parked, or abandoned (its
+        requests then appear as
+        :class:`~repro.serving.request.FailureRecord` entries on
+        :attr:`events`).
         """
-        times = (
-            self._retry_queue[0][0] if self._retry_queue else None,
-            min(seq.ready_time for seq in self._active) if self._active else None,
-            self._planned[0][0].ready_time if self._planned else None,
-            self.scheduler.earliest_ready(),
-        )
-        return [(t, source) for source, t in enumerate(times) if t is not None]
-
-    def _drain_one(self, sources: "List[Tuple[float, int]]") -> List[CompletedRequest]:
-        """Pick the earliest of ``sources`` (the caller's
-        :meth:`_work_sources`), execute it, store results.
-
-        Fresh work is either the next batch a look-ahead round already
-        planned or the scheduler's policy-selected ready batch — which,
-        under ``elastic.lookahead``, first harvests every batch ready at
-        the same instant into a jointly planned round.  Returns the
-        completions of the attempt — empty when the attempt failed and
-        the batch was re-queued, parked, or abandoned (its requests
-        then appear as :class:`FailureRecord` entries on :attr:`events`).
-        """
-        if not sources:
-            return []
-        ready, source = min(sources)
-        views = None
-        if source == _RETRY:
-            _wake, _seq, attempt, exclude, batch = heapq.heappop(self._retry_queue)
-            unit = self._batch_unit(batch, attempt=attempt, exclude_shard=exclude)
-        elif source == _DECODE:
-            unit = self._decode_unit()
-        else:
-            if source == _SCHEDULER:
-                batch = self.scheduler.pop_ready(ready)
-                if batch is None:  # pragma: no cover — ready implies a batch
-                    return []
-                if self.elastic.lookahead:
-                    views = self._plan_round(batch, ready)
-                else:
-                    self._planned.append((batch, None, None))
-            unit = self._batch_unit(*self._planned.popleft())
-        self._work_consumed += 1
-        # Nothing commits between planning a round and its first unit, so
-        # that unit is placed on the round's views — unless it is left
-        # over from an earlier round and ready at another instant.
-        if unit.profile.ready_time != ready:
-            views = None
-        completed = self._execute(unit, views)
+        completed = self._execute(*source.pop(ready))
         for record in completed:
             self._results[record.request.request_id] = record.outputs
-        self._note_completions(completed)
+        self._controller.completed(completed)
         return completed
-
-    def _plan_round(self, first: Batch, ready: float) -> List[ShardView]:
-        """Harvest every batch ready at this instant; plan them jointly.
-
-        The scheduling round of look-ahead placement: ``first`` (the
-        batch the scheduler just popped) plus every further batch whose
-        ready time has also arrived form one planning set.  Prefix- and
-        radix-resident batches keep their cache affinity (the resident
-        shard, exactly as :class:`PrefixAffinePlacement` would place
-        them — work-stealing may break it later); the rest go through
-        :meth:`LookaheadPlacement.plan` LPT list scheduling over
-        horizons that already account for the affine assignments.
-        Generation prefills are exempt (their profile depends on radix
-        state at execution) and keep per-batch placement.  The planned
-        ``(batch, shard, profile)`` triples queue for execution in plan
-        order; returns the views the round was planned on.
-        """
-        batches = [first]
-        while True:
-            nxt = self.scheduler.earliest_ready()
-            if nxt is None or nxt > ready:
-                break
-            batch = self.scheduler.pop_ready(nxt)
-            if batch is None:  # pragma: no cover — defensive
-                break
-            batches.append(batch)
-        views = self._available_views(ready)
-        # With no shard available nothing is planned: everything will
-        # park through the normal placement path.
-        profiles = [
-            None if not views or self._is_prefill(batch) else self._batch_profile(batch)
-            for batch in batches
-        ]
-        horizons = {view.index: view.busy_until for view in views}
-        assignments: List[Optional[int]] = [None] * len(batches)
-        plan_indices: List[int] = []
-        for i, profile in enumerate(profiles):
-            if profile is None:
-                continue
-            holders = set(profile.resident_shards)
-            resident = [view for view in views if view.index in holders]
-            if resident:
-                best = min(resident, key=lambda v: (horizons[v.index], v.index))
-                assignments[i] = best.index
-                service = profile.service_seconds(best.config, best.clock_hz)
-                horizons[best.index] = max(
-                    profile.ready_time, horizons[best.index]
-                ) + (service or 0.0)
-                continue
-            plan_indices.append(i)
-        if plan_indices:
-            shards = self._lookahead.plan(
-                [profiles[i] for i in plan_indices], views, horizons
-            )
-            for i, shard in zip(plan_indices, shards):
-                assignments[i] = shard
-        self._planned.extend(zip(batches, assignments, profiles))
-        return views
-
-    def _note_completions(self, completed: List[CompletedRequest]) -> None:
-        """Feed the autoscaler's windowed SLO signal, maybe scale."""
-        if not completed or not self.elastic.autoscale:
-            return
-        for record in completed:
-            due = effective_deadline(record.request, self.tenants)
-            self._slo_window.append(due is None or record.finish <= due)
-        excess = len(self._slo_window) - self.elastic.autoscale_window
-        if excess > 0:
-            del self._slo_window[:excess]
-        self._maybe_autoscale(max(record.finish for record in completed))
 
     def result(self, request_id: int, keep: bool = False) -> np.ndarray:
         """Output of a completed request (KeyError if not yet run).
@@ -1175,32 +1035,18 @@ class InferenceEngine:
             return self._results[request_id]
         return self._results.pop(request_id)
 
-    def _clear_run_logs(self) -> None:
-        """Empty the event log and the autoscaler's windowed signals."""
-        self._events.clear()
-        self._slo_window.clear()
-        self._window_sheds = 0
-
     def reset(self) -> None:
         """Drop queued requests, stored results, shard occupancy and
         cached prefixes."""
         self._arrivals = _ArrivalFeed(self)
-        self.scheduler.reset()
+        for source in self._sources:
+            source.reset()
         self.placement.reset()
         self._calibrator.reset()
         self._results.clear()
-        self._clear_run_logs()
+        self._events.clear()
         self._shard_busy.clear()
-        self._retry_queue.clear()
-        self._retry_seq = 0
-        self._active.clear()
-        self._planned.clear()
-        for stack in self._stacks.values():
-            for part in stack:
-                part.clear()
-        self._last_scale_at = None
-        for stats in self._shard_stats.values():
-            stats.reset()
+        self._clear_stacks(tapes=True)
         for health in self._health.values():
             health.reset()
         self._last_arrival = 0.0
@@ -1237,13 +1083,6 @@ class InferenceEngine:
             )
         return health
 
-    def _stats_of(self, shard: int) -> ShardStats:
-        """The shard's live stats accumulator (created on first touch)."""
-        stats = self._shard_stats.get(shard)
-        if stats is None:
-            stats = self._shard_stats[shard] = ShardStats(shard)
-        return stats
-
     def _available_views(self, now: float) -> List[ShardView]:
         """Live shards whose breaker admits work at ``now``, with each
         view carrying its breaker state — so placement can filter open
@@ -1256,7 +1095,7 @@ class InferenceEngine:
             if shard not in offline and (health := self._health_of(shard)).available(now)
         ]
 
-    def _all_down(self, unit: _WorkUnit) -> float:
+    def _all_down(self, unit: WorkUnit) -> float:
         """Every live breaker is open: log the park, return the wake
         time (the earliest quarantine expiry)."""
         offline = self.dispatcher.offline_shards()
@@ -1275,7 +1114,7 @@ class InferenceEngine:
         )
         return wake
 
-    def _select_shard(self, unit: _WorkUnit, healthy: List[ShardView]) -> int:
+    def _select_shard(self, unit: WorkUnit, healthy: List[ShardView]) -> int:
         """Pick the shard a ready unit executes on.
 
         The policy only sees live shards whose breaker admits work at
@@ -1287,7 +1126,7 @@ class InferenceEngine:
         re-placing from scratch.
         """
         if unit.planned_shard is not None and unit.attempt == 0:
-            return self._resolve_planned(unit, healthy)
+            return self._controller.resolve(unit, healthy)
         without = [view for view in healthy if view.index != unit.exclude_shard]
         shard = self.placement.place(unit.profile, without or healthy)
         if not 0 <= shard < self.dispatcher.n_shards:
@@ -1297,241 +1136,18 @@ class InferenceEngine:
             )
         return shard
 
-    def _resolve_planned(self, unit: _WorkUnit, views: List[ShardView]) -> int:
-        """Hold or steal: re-validate a planned placement at execution.
-
-        The look-ahead plan priced the round with calibrated estimates;
-        by the time this batch reaches the head of the queue the world
-        may have moved — the planned shard's breaker may have opened
-        (or the autoscaler retired it), or its measured drift (EWMA of
-        actual vs estimated service) may have blown the estimate.  With
-        ``elastic.steal`` on, the batch is re-priced against every
-        available shard with drift-corrected ETAs and migrates when the
-        planned shard's ETA exceeds the best alternative's by
-        ``steal_drift_threshold`` (``affinity_break_factor`` when the
-        planned shard holds the batch's prefix — the cache entry then
-        migrates through the store fabric with the batch, preserving
-        the hit).  With stealing off, an unavailable planned shard
-        falls back to the configured placement policy; an available one
-        is honored unconditionally.
-        """
-        profile, planned_shard = unit.profile, unit.planned_shard
-        ready = profile.ready_time
-        if not self.elastic.steal:
-            if any(view.index == planned_shard for view in views):
-                return planned_shard
-            # Breaker opened (or shard retired) under the plan: the
-            # batch re-places through the normal policy path.
-            return self.placement.place(profile, views)
-
-        # Drift-corrected ETA per candidate: the planned service time,
-        # scaled by the shard's measured actual/estimated ratio, on top
-        # of its live horizon.
-        services = profile.services_on(views)
-        etas = {
-            view.index: estimated_finish(
-                view, ready, view.busy_until, services,
-                self._stats_of(view.index).drift,
-            )
-            for view in views
-        }
-        best = min(etas, key=lambda shard: (etas[shard], shard))
-        resident = planned_shard in profile.resident_shards
-
-        if planned_shard not in etas:
-            self._steal(unit, best, "breaker", 0.0, etas[best], resident)
-            return best
-
-        if best == planned_shard:
-            return planned_shard
-        planned_eta, best_eta = etas[planned_shard], etas[best]
-        factor = (
-            self.elastic.affinity_break_factor
-            if resident
-            else self.elastic.steal_drift_threshold
-        )
-        if planned_eta <= factor * best_eta:
-            return planned_shard
-        self._steal(
-            unit, best, "affinity" if resident else "drift",
-            planned_eta, best_eta, resident,
-        )
-        return best
-
-    def _steal(
-        self,
-        unit: _WorkUnit,
-        to_shard: int,
-        reason: str,
-        planned_eta: float,
-        stolen_eta: float,
-        resident: bool,
-    ) -> None:
-        """Log a migration off the planned shard; the batch's prefix
-        entry (when the planned shard holds one) moves with it."""
-        profile, from_shard = unit.profile, unit.planned_shard
-        # ``resident`` implies a prefix-keyed unit (see _batch_profile).
-        migrated = resident and self.prefix_cache.migrate(
-            from_shard, to_shard, profile.tenant, profile.model, unit.prefix_tokens
-        )
-        self._events.append(
-            StealEvent(
-                batch_index=unit.batch_index,
-                model=profile.model,
-                tenant=profile.tenant,
-                from_shard=from_shard,
-                to_shard=to_shard,
-                at=profile.ready_time,
-                reason=reason,
-                planned_eta=planned_eta,
-                stolen_eta=stolen_eta,
-                cache_migrated=migrated,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # SLO-driven autoscaling
-    # ------------------------------------------------------------------
-    def _pool_power(self, extra_config: Optional[object] = None) -> float:
-        """Priced power of the live pool (plus a candidate shard)."""
-        from repro.hardware.power import power_watts
-
-        total = 0.0
-        for view in self.dispatcher.shard_views():
-            if view.config is not None:
-                total += power_watts(view.config)
-        if extra_config is not None:
-            total += power_watts(extra_config)
-        return total
-
-    def _power_admits(self, config: Optional[object]) -> bool:
-        """Would adding a shard of ``config`` stay inside the budget?"""
-        budget = self.elastic.power_budget_watts
-        if budget is None or config is None:
-            return True
-        return self._pool_power(extra_config=config) <= budget
-
-    def _maybe_autoscale(self, now: float) -> None:
-        """Evaluate the windowed SLO/shed signals; grow or shrink once.
-
-        Hysteresis is threefold: a full window of completions must have
-        accumulated, ``autoscale_cooldown`` simulated seconds must have
-        passed since the last action, and the grow/shrink attainment
-        thresholds are separated by a dead band.  After any action the
-        window restarts, so one bad burst triggers at most one resize
-        per window.
-        """
-        config = self.elastic
-        if len(self._slo_window) < config.autoscale_window:
-            return
-        if (
-            self._last_scale_at is not None
-            and now - self._last_scale_at < config.autoscale_cooldown
-        ):
-            return
-        attainment = sum(self._slo_window) / len(self._slo_window)
-        shed_rate = self._window_sheds / (
-            self._window_sheds + len(self._slo_window)
-        )
-        acted = False
-        if attainment < config.grow_below_attainment or shed_rate > 0.0:
-            reason = (
-                "slo_attainment"
-                if attainment < config.grow_below_attainment
-                else "shed_rate"
-            )
-            acted = self._grow_pool(now, attainment, shed_rate, reason)
-        elif attainment >= config.shrink_above_attainment and shed_rate == 0.0:
-            acted = self._shrink_pool(now, attainment, shed_rate)
-        if acted:
-            self._last_scale_at = now
-            self._slo_window.clear()
-            self._window_sheds = 0
-
-    def _grow_pool(
-        self, now: float, attainment: float, shed_rate: float, reason: str
-    ) -> bool:
-        """Reactivate a retired shard, or build one from the pool spec.
-
-        Growth is refused at ``max_shards``, when the priced pool power
-        would exceed ``power_budget_watts``, or when there is neither a
-        retired shard to reactivate nor a :class:`ShardSpec` template
-        to clone — so an unbudgeted homogeneous pool can still grow.
-        """
-        config = self.elastic
-        if (
-            config.max_shards is not None
-            and self.dispatcher.n_live_shards >= config.max_shards
-        ):
-            return False
-        offline = sorted(self.dispatcher.offline_shards())
-        if offline:
-            shard = offline[0]
-            if not self._power_admits(self.dispatcher.config_of(shard)):
-                return False
-            self.dispatcher.activate_shard(shard)
-        else:
-            specs = self.dispatcher.specs
-            if not specs:
-                return False
-            template = specs[-1]
-            if not self._power_admits(template.config):
-                return False
-            shard = self.dispatcher.add_shard(template)
-            self._health_of(shard)
-        self._events.append(
-            ScalingEvent(
-                at=now,
-                action="grow",
-                shard=shard,
-                reason=reason,
-                slo_attainment=attainment,
-                shed_rate=shed_rate,
-                pool_power_watts=self._pool_power(),
-            )
-        )
-        return True
-
-    def _shrink_pool(
-        self, now: float, attainment: float, shed_rate: float
-    ) -> bool:
-        """Retire the least-utilized live shard (never below min_shards).
-
-        Retirement is graceful: the shard's horizon, traces and cached
-        prefixes survive — it is only hidden from new placements, and a
-        later grow reactivates it first.
-        """
-        live = sorted(view.index for view in self.dispatcher.shard_views())
-        if len(live) <= self.elastic.min_shards:
-            return False
-        # Least busy this run; ties retire the higher index, so shard 0
-        # (and with it a deterministic pool core) is retired last.
-        victim = min(live, key=lambda s: (self._shard_busy.get(s, 0.0), -s))
-        self.dispatcher.retire_shard(victim)
-        self._events.append(
-            ScalingEvent(
-                at=now,
-                action="shrink",
-                shard=victim,
-                reason="slo_headroom",
-                slo_attainment=attainment,
-                shed_rate=shed_rate,
-                pool_power_watts=self._pool_power(),
-            )
-        )
-        return True
-
     # ------------------------------------------------------------------
     # The execute-and-commit pipeline (one, for every kind of work)
     # ------------------------------------------------------------------
     def _execute(
-        self, unit: _WorkUnit, views: Optional[List[ShardView]] = None
+        self, unit: WorkUnit, views: Optional[List[ShardView]] = None
     ) -> List[CompletedRequest]:
         """Place, run, fault-check and commit one unit of work.
 
         Every classifier batch, generation prefill and decode step goes
         through this skeleton; the unit's hooks supply the payload and
-        absorb the outcome (see :class:`_WorkUnit`).  Failed attempts
+        absorb the outcome (see
+        :class:`~repro.serving.cluster.WorkUnit`).  Failed attempts
         record *nothing* in the placement, prefix or calibration logs —
         those are written exactly once, by the attempt that completes —
         so retried traffic is never double-attributed.  ``views`` are
@@ -1560,7 +1176,7 @@ class InferenceEngine:
                 # would start, so nothing executes — no cycles, no
                 # cache effects — and the shard stays occupied through
                 # its outage window.
-                self._crashed(unit, shard, doa, at=start)
+                self._retries.crashed(unit, shard, doa, at=start)
                 return []
         cycles_before = array.total_cycles if array is not None else 0
 
@@ -1592,21 +1208,14 @@ class InferenceEngine:
                 self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + (
                     crash.at - start
                 )
-                self._crashed(unit, shard, crash, at=crash.at)
+                self._retries.crashed(unit, shard, crash, at=crash.at)
                 return []
 
         finish = start + duration
         self.dispatcher.busy_until[shard] = finish
         self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + duration
         self._health_of(shard).record_success(finish)
-        # The shard's drift EWMA learns from full executions only: a
-        # prefix hit's suffix-only timing would read as phantom speedup
-        # against full-cost estimates (the calibrator excludes hits for
-        # the same reason).
-        estimate = None
-        if self.elastic.enabled and array is not None and not reused:
-            estimate = profile.service_seconds(array.config, array.config.clock_hz)
-        self._stats_of(shard).observe(batch_cycles, duration, estimate)
+        self._controller.observe(shard, profile, array, batch_cycles, duration, reused)
         placed = PlacementDecision(
             batch_index=unit.batch_index,
             model=profile.model,
@@ -1648,18 +1257,18 @@ class InferenceEngine:
         profile: Optional[BatchProfile] = None,
         attempt: int = 0,
         exclude_shard: Optional[int] = None,
-    ) -> _WorkUnit:
+    ) -> WorkUnit:
         """The work unit of a scheduler batch: a classifier batch or a
-        generation prefill.  Both park and fail through the retry heap."""
+        generation prefill.  Both park and fail through the retry queue."""
         profile, run, commit, prefix_tokens = (
             self._prefill_payload(batch)
             if self._is_prefill(batch)
             else self._classify_payload(batch, profile)
         )
-        return _WorkUnit(
+        return WorkUnit(
             profile, batch.index, attempt, exclude_shard, run, commit,
-            park=lambda wake: self._requeue(batch, wake, attempt, exclude_shard),
-            fail=lambda shard, at: self._attempt_failed(batch, attempt, shard, at),
+            park=lambda wake: self._retries.push(batch, wake, attempt, exclude_shard),
+            fail=lambda shard, at: self._retries.failed(batch, attempt, shard, at),
             planned_shard=planned_shard,
             prefix_tokens=prefix_tokens,
         )
@@ -1685,7 +1294,7 @@ class InferenceEngine:
                     np.asarray(endpoint.infer_fn(r.inputs, backend))
                     for r in batch.requests
                 ], False
-            stack = None if use_prefix else self._stacks.get(batch.model)
+            stack = None if use_prefix else endpoint.stack
             array = self.dispatcher.array_of(shard)
             if stack is not None and array is not None:
                 return self._stacked(stack, endpoint, batch, backend, array), False
@@ -1810,10 +1419,18 @@ class InferenceEngine:
     def _forget(self, request: InferenceRequest) -> None:
         """A shed or failed request never executes: compute nothing for
         it, keep nothing computed for it."""
-        stack = self._stacks.get(request.model)
+        stack = self._endpoints[request.model].stack
         if stack is not None:
             stack.ahead.pop(request.request_id, None)
             stack.rows.pop(request.request_id, None)
+
+    def _clear_stacks(self, tapes: bool) -> None:
+        """Drop every endpoint's rows and look-ahead — and, with
+        ``tapes``, what its shapes are charged."""
+        for endpoint in self._endpoints.values():
+            if endpoint.stack is not None:
+                for part in endpoint.stack[0 if tapes else 1 :]:
+                    part.clear()
 
     # ------------------------------------------------------------------
     # Generation: prefill batches and the continuous-batching decode pool
@@ -1824,9 +1441,8 @@ class InferenceEngine:
 
         The adapter returns each member's first greedy token plus its
         K/V state, the radix cache (when configured) trims the prompts
-        to their uncached suffix, and the surviving members enter
-        :attr:`_active` for iteration-level decode instead of
-        completing.
+        to their uncached suffix, and the surviving members enter the
+        decode pool for iteration-level decode instead of completing.
 
         Members share a prompt *length*, not a prompt.  The radix cache
         is read and fed once per distinct member prompt; the pass starts
@@ -1914,261 +1530,9 @@ class InferenceEngine:
                     last_batch_index=batch.index,
                     last_batch_size=batch.size,
                 )
-                if seq.finished:
-                    completed.append(self._retire(seq, finish))
-                else:
-                    self._active.append(seq)
+                done = self._decode_pool.admit(seq)
+                if done is not None:
+                    completed.append(done)
             return completed
 
         return profile, run, commit, None
-
-    def _decode_unit(self) -> _WorkUnit:
-        """The work unit of one decode iteration: re-form, step, retire.
-
-        The batch is rebuilt from the live pool every iteration — the
-        earliest-ready sequence leads, and every compatible sequence
-        (same model, tenant and position; decode batches never mix
-        tenants or models) joins up to the engine's batch-size cap.
-        The iteration starts once every member is ready, so sequences
-        whose prefills finished at different instants merge instead of
-        decoding in isolated lockstep groups.  Prompts MAY differ
-        across members — that is what continuous batching buys.
-
-        The step itself runs on a stacked *copy* of the member caches
-        (see :meth:`~repro.serving.generation.GenerationAdapter.decode`),
-        so a fault-injected attempt discards cleanly: member state is
-        only extended by the commit, after the attempt survived every
-        fault check.  A park or a failed attempt is absorbed in place —
-        members stay pooled with a new ``ready_time``.
-        """
-        lead = min(
-            self._active, key=lambda s: (s.ready_time, s.request.request_id)
-        )
-        group = [
-            seq
-            for seq in self._active
-            if seq.request.model == lead.request.model
-            and seq.request.tenant == lead.request.tenant
-            and seq.position == lead.position
-        ]
-        group.sort(key=lambda s: (s.ready_time, s.request.request_id))
-        group = group[: self.scheduler.assembler.max_batch_size]
-        batch_index = self.scheduler.next_batch_index()
-        adapter = self._endpoints[lead.request.model].generation_adapter
-        size = len(group)
-        position = lead.position
-        profile = BatchProfile(
-            model=lead.request.model,
-            tenant=lead.request.tenant,
-            batch_size=size,
-            sample_shape=(position,),
-            ready_time=max(seq.ready_time for seq in group),
-            estimator=lambda p, config: adapter.decode_cycles(
-                p.batch_size, position, config
-            ),
-        )
-
-        def run(shard, backend):
-            tokens = np.array([seq.generated[-1] for seq in group], dtype=np.int64)
-            return adapter.decode([seq.state for seq in group], tokens, backend), False
-
-        def commit(placed, result, reused):
-            next_tokens, step_kv = result
-            self._events.append(
-                DecodeStepRecord(
-                    step_index=batch_index,
-                    model=placed.model,
-                    tenant=placed.tenant,
-                    shard=placed.shard,
-                    batch_size=size,
-                    position=position,
-                    cycles=placed.batch_cycles,
-                    start=placed.start,
-                    finish=placed.finish,
-                    attempt=placed.attempt,
-                )
-            )
-            completed: List[CompletedRequest] = []
-            for j, seq in enumerate(group):
-                for layer in range(seq.state.n_layers):
-                    seq.state.extend(
-                        layer, step_kv[layer][0][j : j + 1], step_kv[layer][1][j : j + 1]
-                    )
-                seq.generated.append(int(next_tokens[j]))
-                seq.ready_time = placed.finish
-                seq.attempt = 0
-                seq.exclude_shard = None
-                seq.batch_cycles += placed.batch_cycles
-                seq.last_shard = placed.shard
-                seq.last_batch_index = batch_index
-                seq.last_batch_size = size
-                if seq.finished:
-                    self._active.remove(seq)
-                    completed.append(self._retire(seq, placed.finish))
-            return completed
-
-        def park(wake):
-            # Members stay pooled and wake when the earliest breaker
-            # re-admits a probe; no retry consumed.
-            for seq in group:
-                seq.ready_time = wake
-
-        return _WorkUnit(
-            profile,
-            batch_index,
-            attempt=min(seq.attempt for seq in group),
-            exclude_shard=next(
-                (s.exclude_shard for s in group if s.exclude_shard is not None), None
-            ),
-            run=run,
-            commit=commit,
-            park=park,
-            fail=lambda shard, at: self._decode_attempt_failed(group, shard, at),
-        )
-
-    def _retire(self, seq: ActiveSequence, finish: float) -> CompletedRequest:
-        """Turn a finished sequence into its completion record.
-
-        A retiring sequence donates its whole history — prompt plus all
-        generated tokens but the last, exactly the ``state.pos`` K/V
-        rows it holds — to the radix cache, so a follow-up request that
-        replays the transcript prefills only its new suffix.
-        """
-        if self.radix_cache is not None:
-            history = np.concatenate(
-                [
-                    np.asarray(seq.request.inputs, dtype=np.int64),
-                    np.asarray(seq.generated[:-1], dtype=np.int64),
-                ]
-            )
-            self.radix_cache.insert(
-                seq.last_shard,
-                seq.request.tenant,
-                seq.request.model,
-                history,
-                seq.state.prefix(seq.state.pos),
-            )
-        return CompletedRequest(
-            request=seq.request,
-            outputs=np.asarray(seq.generated, dtype=np.int64),
-            shard=seq.last_shard,
-            batch_index=seq.last_batch_index,
-            batch_size=seq.last_batch_size,
-            start=seq.first_start,
-            finish=finish,
-            batch_cycles=seq.batch_cycles,
-            attempts=seq.attempts,
-        )
-
-    def _decode_attempt_failed(
-        self, group: List[ActiveSequence], shard: int, at: float
-    ) -> int:
-        """Absorb a failed decode iteration in place; returns survivors.
-
-        The per-sequence analogue of :meth:`_attempt_failed`: each
-        member keeps its own attempt counter (reset by every successful
-        step), so a freshly joined sequence is not charged for retries
-        an older member already burned.  Members over budget or whose
-        backoff wake would overshoot their effective deadline leave the
-        pool as :class:`FailureRecord` entries; survivors stay pooled
-        with a bumped attempt, a backoff wake time and the failed shard
-        excluded from their next placement.
-        """
-        survivors = 0
-        for seq in group:
-            seq.attempts += 1
-            wake = self._retry_wake(seq.request, seq.attempt, at, shard, seq.attempts)
-            if wake is None:
-                self._active.remove(seq)
-                continue
-            seq.attempt += 1
-            seq.ready_time = wake
-            seq.exclude_shard = shard
-            survivors += 1
-        return survivors
-
-    # ------------------------------------------------------------------
-    # Fault handling: failure accounting, retry queue, deadlines
-    # ------------------------------------------------------------------
-    def _crashed(
-        self, unit: _WorkUnit, shard: int, crash: ShardCrash, at: float
-    ) -> None:
-        """One attempt died on ``shard`` at simulated ``at``.
-
-        Holds the crashed shard's horizon through its outage window (so
-        every subsequent placement sees it occupied until recovery),
-        feeds the shard's breaker, lets the unit absorb the failure —
-        abandon or re-schedule its requests — and logs the outcome.
-        """
-        self.dispatcher.busy_until[shard] = max(
-            self.dispatcher.busy_until.get(shard, 0.0), crash.until
-        )
-        self._health_of(shard).record_failure(at)
-        survivors = unit.fail(shard, at)
-        self._events.append(
-            FaultRecord(
-                kind="crash",
-                shard=shard,
-                batch_index=unit.batch_index,
-                at=at,
-                attempt=unit.attempt,
-                action="retry" if survivors else "abandon",
-                requests=survivors if survivors else unit.profile.batch_size,
-            )
-        )
-
-    def _attempt_failed(self, batch: Batch, attempt: int, shard: int, at: float) -> int:
-        """Absorb a failed batch attempt via the retry heap.
-
-        Abandon when the retry budget is spent, shed the requests whose
-        effective deadline precedes the backoff wake time (a doomed
-        retry is dropped, not looped), and re-queue the survivors as a
-        new attempt that will re-place on the remaining healthy shards.
-        Returns the survivor count.
-        """
-        survivors = [
-            request
-            for request in batch.requests
-            if self._retry_wake(request, attempt, at, shard, attempt + 1) is not None
-        ]
-        if survivors:
-            self._requeue(
-                replace(batch, requests=tuple(survivors)),
-                at + self.retry_policy.backoff(attempt), attempt + 1, shard,
-            )
-        return len(survivors)
-
-    def _retry_wake(
-        self, request: InferenceRequest, attempt: int, at: float, shard: int,
-        attempts: int,
-    ) -> Optional[float]:
-        """Backoff wake time of ``request``'s next attempt — or None,
-        after recording it failed: retry budget spent, or the wake
-        would overshoot its effective deadline."""
-        if attempt >= self.retry_policy.max_retries:
-            reason = "max_retries"
-        else:
-            wake = at + self.retry_policy.backoff(attempt)
-            due = effective_deadline(request, self.tenants)
-            if due is None or wake <= due:
-                return wake
-            reason = "retry_deadline"
-        self._forget(request)
-        self._events.append(
-            FailureRecord(
-                request=request, reason=reason, at=at, shard=shard, attempts=attempts
-            )
-        )
-        return None
-
-    def _requeue(
-        self, batch: Batch, wake: float, attempt: int, exclude_shard: Optional[int]
-    ) -> None:
-        """Queue ``batch`` to re-execute at simulated time ``wake``."""
-        if batch.ready_time != wake:
-            batch = replace(batch, ready_time=wake)
-        heapq.heappush(
-            self._retry_queue,
-            (wake, self._retry_seq, attempt, exclude_shard, batch),
-        )
-        self._retry_seq += 1

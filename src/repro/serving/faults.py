@@ -41,14 +41,21 @@ does not die again).
 simulated time, at most ``max_retries`` re-executions per batch.
 :class:`FaultRecord` is the engine's per-failed-attempt log entry, the
 raw material of :meth:`~repro.serving.report.ServingReport.fault_section`.
+:class:`RetryQueue` is what the engine does about a failed attempt: the
+accounting, the retry-or-abandon decision per request, and the
+simulated-time queue re-executions wait in (one of its work sources).
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
+
+from repro.serving.request import FailureRecord, InferenceRequest
+from repro.serving.tenancy import effective_deadline
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +366,126 @@ class FaultRecord:
     attempt: int
     action: str
     requests: int = 0
+
+
+# ---------------------------------------------------------------------------
+# Failure accounting and the retry queue
+# ---------------------------------------------------------------------------
+class RetryQueue:
+    """Crashed and parked batches, waiting in simulated time to run again.
+
+    One of the engine's work sources (``next_ready`` / ``pop`` / ``len``
+    / ``reset``; a retry tied with anything runs first — it is strictly
+    older work), and where a failed attempt is accounted.  ``health_of``
+    maps a shard to its breaker, ``log`` is the event sink, ``forget``
+    drops what was computed ahead for a request that will never run and
+    ``unit_of(batch, attempt=, exclude_shard=)`` makes a batch's unit.
+    """
+
+    def __init__(
+        self, policy: RetryPolicy, tenants, dispatcher, health_of: Callable,
+        log: Callable, forget: Callable, unit_of: Callable,
+    ) -> None:
+        self.policy = policy
+        self._tenants = tenants
+        self._dispatcher = dispatcher
+        self._health_of = health_of
+        self._log = log
+        self._forget = forget
+        self._unit_of = unit_of
+        # Heap of (wake_time, seq, attempt, excluded_shard, batch); seq
+        # breaks wake-time ties deterministically (batches don't
+        # compare) in requeue order.
+        self._heap: List[tuple] = []
+        self._seq = 0
+
+    def next_ready(self) -> Optional[float]:
+        return self._heap[0][0] if self._heap else None
+
+    def pop(self, ready: float):
+        _wake, _seq, attempt, exclude, batch = heapq.heappop(self._heap)
+        return self._unit_of(batch, attempt=attempt, exclude_shard=exclude), None
+
+    def __len__(self) -> int:
+        return sum(entry[4].size for entry in self._heap)
+
+    def reset(self) -> None:
+        self._heap.clear()
+        self._seq = 0
+
+    def push(
+        self, batch, wake: float, attempt: int, exclude_shard: Optional[int]
+    ) -> None:
+        """Queue ``batch`` to re-execute at simulated time ``wake``."""
+        if batch.ready_time != wake:
+            batch = replace(batch, ready_time=wake)
+        heapq.heappush(self._heap, (wake, self._seq, attempt, exclude_shard, batch))
+        self._seq += 1
+
+    def wake(
+        self, request: InferenceRequest, attempt: int, at: float, shard: int,
+        attempts: int,
+    ) -> Optional[float]:
+        """Backoff wake time of ``request``'s next attempt — or None,
+        after recording it failed: retry budget spent, or the wake
+        would overshoot its effective deadline."""
+        if attempt >= self.policy.max_retries:
+            reason = "max_retries"
+        else:
+            wake = at + self.policy.backoff(attempt)
+            due = effective_deadline(request, self._tenants)
+            if due is None or wake <= due:
+                return wake
+            reason = "retry_deadline"
+        self._forget(request)
+        self._log(
+            FailureRecord(
+                request=request, reason=reason, at=at, shard=shard, attempts=attempts
+            )
+        )
+        return None
+
+    def failed(self, batch, attempt: int, shard: int, at: float) -> int:
+        """Absorb a failed batch attempt.
+
+        Abandon when the retry budget is spent, shed the requests whose
+        effective deadline precedes the backoff wake time (a doomed
+        retry is dropped, not looped), and re-queue the survivors as a
+        new attempt that will re-place on the remaining healthy shards.
+        Returns the survivor count.
+        """
+        survivors = [
+            request
+            for request in batch.requests
+            if self.wake(request, attempt, at, shard, attempt + 1) is not None
+        ]
+        if survivors:
+            self.push(
+                replace(batch, requests=tuple(survivors)),
+                at + self.policy.backoff(attempt), attempt + 1, shard,
+            )
+        return len(survivors)
+
+    def crashed(self, unit, shard: int, crash: ShardCrash, at: float) -> None:
+        """One attempt of ``unit`` died on ``shard`` at simulated ``at``.
+
+        Holds the crashed shard's horizon through its outage window (so
+        every subsequent placement sees it occupied until recovery),
+        feeds the shard's breaker, lets the unit absorb the failure —
+        abandon or re-schedule its requests — and logs the outcome.
+        """
+        busy_until = self._dispatcher.busy_until
+        busy_until[shard] = max(busy_until.get(shard, 0.0), crash.until)
+        self._health_of(shard).record_failure(at)
+        survivors = unit.fail(shard, at)
+        self._log(
+            FaultRecord(
+                kind="crash",
+                shard=shard,
+                batch_index=unit.batch_index,
+                at=at,
+                attempt=unit.attempt,
+                action="retry" if survivors else "abandon",
+                requests=survivors if survivors else unit.profile.batch_size,
+            )
+        )

@@ -19,14 +19,17 @@ and prices both with the closed-form cycle accounting of
 *crash-safe by construction*: the step runs on a stacked **copy** of
 the member states (:meth:`~repro.nn.executor.KVState.stack`) and
 returns the new K/V rows, so a fault-injected attempt can be discarded
-without rolling anything back — the engine appends the rows onto the
+without rolling anything back — the rows are appended onto the
 per-sequence states only after the attempt survives the fault checks.
+
+:class:`DecodePool` is the scheduler-facing half: the live sequences
+and, as one of the engine's work sources, the iteration to run next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +38,8 @@ from repro.nn.workload import (
     transformer_decode_step_cycles,
     transformer_prefill_cycles,
 )
-from repro.serving.request import InferenceRequest
+from repro.serving.cluster import BatchProfile, WorkUnit
+from repro.serving.request import CompletedRequest, InferenceRequest
 
 
 @dataclass(frozen=True)
@@ -209,3 +213,211 @@ class GenerationAdapter:
         return self.prefill_cycles(
             profile.batch_size, int(profile.sample_shape[0]), 0, config
         )
+
+
+class DecodePool:
+    """The continuous-batching decode pool: sequences between their
+    prefill and their retirement, re-batched every iteration.
+
+    One of the engine's work sources (``next_ready`` / ``pop`` / ``len``
+    / ``reset``; a decode iteration tied with a fresh batch runs first).
+    The tenant scheduler supplies the batch-size cap and the engine-wide
+    batch index, ``adapter_of(model)`` the endpoint's
+    :class:`GenerationAdapter`, ``wake`` the retry queue's
+    retry-or-give-up decision; ``log`` is the event sink.
+    """
+
+    def __init__(
+        self, scheduler, adapter_of: Callable, wake: Callable, radix_cache,
+        log: Callable,
+    ) -> None:
+        self._scheduler = scheduler
+        self._adapter_of = adapter_of
+        self._wake = wake
+        self._radix_cache = radix_cache
+        self._log = log
+        self._active: List[ActiveSequence] = []
+
+    def next_ready(self) -> Optional[float]:
+        return min(seq.ready_time for seq in self._active) if self._active else None
+
+    def __len__(self) -> int:
+        return len(self._active)
+
+    def reset(self) -> None:
+        self._active.clear()
+
+    def admit(self, seq: ActiveSequence) -> Optional[CompletedRequest]:
+        """Take a sequence fresh out of its prefill: its completion when
+        the first token already finished it, else None (it is pooled)."""
+        if seq.finished:
+            return self._retire(seq, seq.ready_time)
+        self._active.append(seq)
+        return None
+
+    def pop(self, ready: float):
+        """The work unit of one decode iteration: re-form, step, retire.
+
+        The batch is rebuilt from the live pool every iteration — the
+        earliest-ready sequence leads, and every compatible sequence
+        (same model, tenant and position; decode batches never mix
+        tenants or models) joins up to the scheduler's batch-size cap.
+        The iteration starts once every member is ready, so sequences
+        whose prefills finished at different instants merge instead of
+        decoding in isolated lockstep groups.  Prompts MAY differ
+        across members — that is what continuous batching buys.
+
+        The step itself runs on a stacked *copy* of the member caches
+        (see :meth:`GenerationAdapter.decode`), so a fault-injected
+        attempt discards cleanly: member state is only extended by the
+        commit, after the attempt survived every fault check.  A park or
+        a failed attempt is absorbed in place — members stay pooled with
+        a new ``ready_time``.
+        """
+        lead = min(
+            self._active, key=lambda s: (s.ready_time, s.request.request_id)
+        )
+        group = [
+            seq
+            for seq in self._active
+            if seq.request.model == lead.request.model
+            and seq.request.tenant == lead.request.tenant
+            and seq.position == lead.position
+        ]
+        group.sort(key=lambda s: (s.ready_time, s.request.request_id))
+        group = group[: self._scheduler.assembler.max_batch_size]
+        batch_index = self._scheduler.next_batch_index()
+        adapter = self._adapter_of(lead.request.model)
+        size = len(group)
+        position = lead.position
+        profile = BatchProfile(
+            model=lead.request.model,
+            tenant=lead.request.tenant,
+            batch_size=size,
+            sample_shape=(position,),
+            ready_time=max(seq.ready_time for seq in group),
+            estimator=lambda p, config: adapter.decode_cycles(
+                p.batch_size, position, config
+            ),
+        )
+
+        def run(shard, backend):
+            tokens = np.array([seq.generated[-1] for seq in group], dtype=np.int64)
+            return adapter.decode([seq.state for seq in group], tokens, backend), False
+
+        def commit(placed, result, reused):
+            next_tokens, step_kv = result
+            self._log(
+                DecodeStepRecord(
+                    step_index=batch_index,
+                    model=placed.model,
+                    tenant=placed.tenant,
+                    shard=placed.shard,
+                    batch_size=size,
+                    position=position,
+                    cycles=placed.batch_cycles,
+                    start=placed.start,
+                    finish=placed.finish,
+                    attempt=placed.attempt,
+                )
+            )
+            completed: List[CompletedRequest] = []
+            for j, seq in enumerate(group):
+                for layer in range(seq.state.n_layers):
+                    seq.state.extend(
+                        layer, step_kv[layer][0][j : j + 1], step_kv[layer][1][j : j + 1]
+                    )
+                seq.generated.append(int(next_tokens[j]))
+                seq.ready_time = placed.finish
+                seq.attempt = 0
+                seq.exclude_shard = None
+                seq.batch_cycles += placed.batch_cycles
+                seq.last_shard = placed.shard
+                seq.last_batch_index = batch_index
+                seq.last_batch_size = size
+                if seq.finished:
+                    self._active.remove(seq)
+                    completed.append(self._retire(seq, placed.finish))
+            return completed
+
+        def park(wake):
+            # Members stay pooled and wake when the earliest breaker
+            # re-admits a probe; no retry consumed.
+            for seq in group:
+                seq.ready_time = wake
+
+        unit = WorkUnit(
+            profile,
+            batch_index,
+            attempt=min(seq.attempt for seq in group),
+            exclude_shard=next(
+                (s.exclude_shard for s in group if s.exclude_shard is not None), None
+            ),
+            run=run,
+            commit=commit,
+            park=park,
+            fail=lambda shard, at: self._attempt_failed(group, shard, at),
+        )
+        return unit, None
+
+    def _retire(self, seq: ActiveSequence, finish: float) -> CompletedRequest:
+        """Turn a finished sequence into its completion record.
+
+        A retiring sequence donates its whole history — prompt plus all
+        generated tokens but the last, exactly the ``state.pos`` K/V
+        rows it holds — to the radix cache, so a follow-up request that
+        replays the transcript prefills only its new suffix.
+        """
+        if self._radix_cache is not None:
+            history = np.concatenate(
+                [
+                    np.asarray(seq.request.inputs, dtype=np.int64),
+                    np.asarray(seq.generated[:-1], dtype=np.int64),
+                ]
+            )
+            self._radix_cache.insert(
+                seq.last_shard,
+                seq.request.tenant,
+                seq.request.model,
+                history,
+                seq.state.prefix(seq.state.pos),
+            )
+        return CompletedRequest(
+            request=seq.request,
+            outputs=np.asarray(seq.generated, dtype=np.int64),
+            shard=seq.last_shard,
+            batch_index=seq.last_batch_index,
+            batch_size=seq.last_batch_size,
+            start=seq.first_start,
+            finish=finish,
+            batch_cycles=seq.batch_cycles,
+            attempts=seq.attempts,
+        )
+
+    def _attempt_failed(
+        self, group: List[ActiveSequence], shard: int, at: float
+    ) -> int:
+        """Absorb a failed decode iteration in place; returns survivors.
+
+        The per-sequence analogue of
+        :meth:`~repro.serving.faults.RetryQueue.failed`: each member
+        keeps its own attempt counter (reset by every successful step),
+        so a freshly joined sequence is not charged for retries an older
+        member already burned.  Members over budget or whose backoff
+        wake would overshoot their effective deadline leave the pool as
+        :class:`~repro.serving.request.FailureRecord` entries; survivors
+        stay pooled with a bumped attempt, a backoff wake time and the
+        failed shard excluded from their next placement.
+        """
+        survivors = 0
+        for seq in group:
+            seq.attempts += 1
+            wake = self._wake(seq.request, seq.attempt, at, shard, seq.attempts)
+            if wake is None:
+                self._active.remove(seq)
+                continue
+            seq.attempt += 1
+            seq.ready_time = wake
+            seq.exclude_shard = shard
+            survivors += 1
+        return survivors

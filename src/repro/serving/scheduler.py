@@ -38,7 +38,7 @@ Two policies ship:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.serving.batcher import Batch, BatchAssembler, OpenGroup
 from repro.serving.request import InferenceRequest
@@ -170,7 +170,10 @@ class TenantScheduler:
     The engine drives it as a discrete-event loop: :meth:`admit` any
     time (submission order within one simulated instant is preserved),
     then repeatedly ask :meth:`earliest_ready` for the next decision
-    point and :meth:`pop_ready` for the batch to execute at it.
+    point and :meth:`pop_ready` for the batch to execute at it.  To the
+    engine it is one work source among several — ``next_ready`` /
+    ``pop`` / ``len`` / ``reset`` — and the last in a tie: retries,
+    decode iterations and already-planned batches are older work.
 
     Parameters
     ----------
@@ -182,6 +185,12 @@ class TenantScheduler:
     max_batch_size, flush_timeout:
         Batch-assembly knobs, per (tenant, model) group — see
         :class:`~repro.serving.batcher.BatchAssembler`.
+    fresh:
+        What :meth:`pop` hands a popped batch to:
+        ``fresh(batch, ready, more) -> (work unit, views)``, where
+        ``more(ready)`` pops the next batch also ready by ``ready`` (or
+        returns None).  Only the engine, which executes work units,
+        passes one.
     """
 
     def __init__(
@@ -190,10 +199,12 @@ class TenantScheduler:
         policy: Union[str, SchedulingPolicy] = "weighted_round_robin",
         max_batch_size: int = 8,
         flush_timeout: float = 1e-3,
+        fresh: Optional[Callable] = None,
     ) -> None:
         self.tenants = tenants
         self.policy = make_policy(policy)
         self.assembler = BatchAssembler(max_batch_size, flush_timeout)
+        self._fresh = fresh
         self._n_batches = 0
 
     # ------------------------------------------------------------------
@@ -207,6 +218,9 @@ class TenantScheduler:
     @property
     def pending(self) -> int:
         """Requests admitted and not yet handed out in a batch."""
+        return self.assembler.n_pending
+
+    def __len__(self) -> int:
         return self.assembler.n_pending
 
     def tenant_pending(self, tenant: str) -> int:
@@ -223,6 +237,18 @@ class TenantScheduler:
     def earliest_ready(self) -> Optional[float]:
         """Next simulated time a batch is ready (None when idle)."""
         return self.assembler.earliest_ready()
+
+    next_ready = earliest_ready
+
+    def pop(self, ready: float):
+        """The work unit (and the views it was planned on, if any) of
+        the batch to execute at ``ready``."""
+        return self._fresh(self.pop_ready(ready), ready, self._pop_also_ready)
+
+    def _pop_also_ready(self, ready: float) -> Optional[Batch]:
+        """The next batch that is ready by ``ready`` too, or None."""
+        at = self.assembler.earliest_ready()
+        return None if at is None or at > ready else self.pop_ready(at)
 
     def pop_ready(self, now: float) -> Optional[Batch]:
         """The batch to execute at ``now`` (None if nothing is ready).

@@ -14,6 +14,7 @@ clocks, no flaky timing.
 
 import numpy as np
 import pytest
+from invariants import check_invariants
 
 from repro.nn.executor import ArrayBackend
 from repro.nn.models import TinyBERT
@@ -83,22 +84,6 @@ def _outputs_by_input(report):
         record.request.inputs.tobytes(): record.outputs.tobytes()
         for record in report.completed
     }
-
-
-def _check_invariants(ids, report):
-    """The chaos contract: exactly-once completion and exact counters."""
-    completed_ids = [record.request.request_id for record in report.completed]
-    failed_ids = [record.request.request_id for record in report.failed]
-    shed_ids = [record.request.request_id for record in report.shed]
-    # Exactly once: completed / failed / shed partition the submitted set.
-    assert len(completed_ids) == len(set(completed_ids))
-    assert sorted(completed_ids + failed_ids + shed_ids) == sorted(ids)
-    # Every retry action produced exactly one follow-up attempt: a
-    # completed placement past attempt 0, or another crashed attempt.
-    retry_actions = sum(
-        1 for event in report.fault_events if event.action == "retry"
-    )
-    assert retry_actions == report.retries
 
 
 class TestPlanConstruction:
@@ -180,7 +165,7 @@ class TestCrashRecovery:
         # shard 1.
         plan = FaultPlan(events=(ShardCrash(shard=0, at=0.0, until=2 * horizon),))
         chaos_ids, chaos = _run(_engine(2, faults=plan), tokens)
-        _check_invariants(chaos_ids, chaos)
+        check_invariants(chaos, chaos_ids)
         assert not chaos.failed  # a healthy shard existed throughout
         assert chaos.retries > 0
         assert chaos.recovered_requests > 0
@@ -206,7 +191,7 @@ class TestCrashRecovery:
             _engine(3, faults=plan, retry_policy=RetryPolicy(max_retries=6)),
             tokens,
         )
-        _check_invariants(chaos_ids, chaos)
+        check_invariants(chaos, chaos_ids)
         # Whatever completed is bit-identical to the fault-free run.
         reference = _outputs_by_input(baseline)
         for key, out in _outputs_by_input(chaos).items():
@@ -234,7 +219,7 @@ class TestBreakerLifecycle:
         engine = _engine(1, faults=plan,
                          retry_policy=RetryPolicy(max_retries=10))
         ids, report = _run(engine, _tokens(4))
-        _check_invariants(ids, report)
+        check_invariants(report, ids)
         assert not report.failed
         parks = [e for e in report.fault_events if e.action == "park"]
         assert parks
@@ -256,7 +241,7 @@ class TestBreakerLifecycle:
         engine = _engine(1, faults=plan, breaker=breaker,
                          retry_policy=RetryPolicy(max_retries=10))
         ids, report = _run(engine, _tokens(2))
-        _check_invariants(ids, report)
+        check_invariants(report, ids)
         assert not report.failed
         reopens = [
             t for t in report.breaker_transitions
@@ -284,7 +269,7 @@ class TestRetryBudgets:
         engine = _engine(1, faults=plan,
                          retry_policy=RetryPolicy(max_retries=2))
         ids, report = _run(engine, _tokens(4))
-        _check_invariants(ids, report)
+        check_invariants(report, ids)
         assert not report.completed
         assert report.failed_by_reason() == {"max_retries": 4}
         assert all(r.attempts == 3 for r in report.failed)  # 1 + 2 retries
@@ -303,7 +288,7 @@ class TestRetryBudgets:
                                      backoff_cap=10.0),
         )
         ids, report = _run(engine, _tokens(2), deadline=1.0)
-        _check_invariants(ids, report)
+        check_invariants(report, ids)
         assert not report.completed
         assert report.failed_by_reason() == {"retry_deadline": 2}
         assert all(r.attempts == 1 for r in report.failed)
@@ -317,7 +302,7 @@ class TestSlowdowns:
             ShardSlowdown(shard=0, at=0.0, until=1e6, factor=3.0),
         ))
         chaos_ids, chaos = _run(_engine(1, faults=plan), tokens)
-        _check_invariants(chaos_ids, chaos)
+        check_invariants(chaos, chaos_ids)
         assert not chaos.failed and not chaos.fault_events
         assert _outputs_by_input(baseline) == _outputs_by_input(chaos)
         assert chaos.makespan > baseline.makespan
@@ -481,7 +466,7 @@ class TestElasticChaos:
     neither ever changes arithmetic or double-answers a request."""
 
     ELASTIC = ElasticConfig(
-        lookahead=True, steal=True, autoscale=True,
+        steal=True, autoscale=True,
         autoscale_window=4, autoscale_cooldown=0.0, min_shards=2,
     )
 
@@ -502,7 +487,7 @@ class TestElasticChaos:
             ShardSlowdown(shard=1, at=0.0, until=1e-3, factor=8.0),
         ))
         ids, chaotic = _run(self._elastic_engine(faults=plan), tokens)
-        _check_invariants(ids, chaotic)
+        check_invariants(chaotic, ids)
         healthy_outputs = _outputs_by_input(healthy)
         for inputs, outputs in _outputs_by_input(chaotic).items():
             assert outputs == healthy_outputs[inputs]
@@ -515,9 +500,9 @@ class TestElasticChaos:
             crash_rate=0.6, slowdown_rate=0.6,
         )
         ids, report = _run(self._elastic_engine(faults=plan), tokens)
-        _check_invariants(ids, report)
+        check_invariants(report, ids)
         repeat_ids, repeat = _run(self._elastic_engine(faults=plan), tokens)
-        _check_invariants(repeat_ids, repeat)
+        check_invariants(repeat, repeat_ids)
         assert _outputs_by_input(report) == _outputs_by_input(repeat)
 
     def test_steal_and_scaling_logs_replay_identically(self):
@@ -539,5 +524,5 @@ class TestElasticChaos:
         ))
         tokens = _tokens(20, seed=13)
         ids, report = _run(self._elastic_engine(faults=plan), tokens)
-        _check_invariants(ids, report)
+        check_invariants(report, ids)
         assert len(report.completed) + len(report.failed) == len(ids)

@@ -123,7 +123,6 @@ class TestElasticConfig:
         assert config.describe() == "elastic: off"
 
     def test_enabled_tracks_any_knob(self):
-        assert ElasticConfig(lookahead=True).enabled
         assert ElasticConfig(steal=True).enabled
         assert ElasticConfig(autoscale=True).enabled
 
@@ -145,7 +144,7 @@ class TestElasticConfig:
 
     def test_round_trips_through_dict(self):
         config = ElasticConfig(
-            lookahead=True, steal=True, autoscale=True,
+            steal=True, autoscale=True,
             steal_drift_threshold=1.25, affinity_break_factor=3.0,
             autoscale_window=5, autoscale_cooldown=2e-3,
             min_shards=2, max_shards=6, power_budget_watts=40.0,
@@ -153,9 +152,13 @@ class TestElasticConfig:
         assert ElasticConfig.from_dict(config.to_dict()) == config
         assert ElasticConfig.from_dict({}) == ElasticConfig()
 
+    def test_saved_configs_with_the_retired_lookahead_key_still_load(self):
+        saved = dict(ElasticConfig(steal=True).to_dict(), lookahead=True)
+        assert ElasticConfig.from_dict(saved) == ElasticConfig(steal=True)
+        assert "lookahead" not in ElasticConfig().to_dict()
+
     def test_describe_names_active_behaviors(self):
-        text = ElasticConfig(lookahead=True, steal=True, autoscale=True).describe()
-        assert "lookahead" in text
+        text = ElasticConfig(steal=True, autoscale=True).describe()
         assert "steal" in text
         assert "autoscale" in text
 
@@ -198,7 +201,7 @@ class TestLookaheadPlacement:
     def test_outputs_bit_identical_to_greedy(self):
         greedy_out, _ = self._run(None)
         ahead_out, report = self._run(
-            ElasticConfig(lookahead=True), placement="lookahead"
+            ElasticConfig(), placement="lookahead"
         )
         for a, b in zip(greedy_out, ahead_out):
             assert np.array_equal(a, b), "placement changed results"
@@ -206,10 +209,10 @@ class TestLookaheadPlacement:
 
     def test_plan_is_deterministic(self):
         first_out, first = self._run(
-            ElasticConfig(lookahead=True), placement="lookahead"
+            ElasticConfig(), placement="lookahead"
         )
         second_out, second = self._run(
-            ElasticConfig(lookahead=True), placement="lookahead"
+            ElasticConfig(), placement="lookahead"
         )
         assert report_fingerprint(first) == report_fingerprint(second)
 
@@ -217,7 +220,7 @@ class TestLookaheadPlacement:
         """Joint planning uses shards greedy cost_aware leaves idle."""
         _, greedy = self._run(None)
         _, ahead = self._run(
-            ElasticConfig(lookahead=True), placement="lookahead"
+            ElasticConfig(), placement="lookahead"
         )
         used = lambda report: {
             decision.shard for decision in report.placements
@@ -251,7 +254,7 @@ class TestLookaheadPlacement:
 class TestWorkStealing:
     def test_drift_steal_rescues_a_slowed_shard(self):
         """A slowdown fault inflates drift; queued batches migrate off."""
-        elastic = ElasticConfig(lookahead=True, steal=True)
+        elastic = ElasticConfig(steal=True)
         faults = FaultPlan(events=(
             ShardSlowdown(shard=0, at=0.0, until=1.0, factor=16.0),
         ))
@@ -278,7 +281,7 @@ class TestWorkStealing:
 
     def test_breaker_steal_reroutes_planned_batches(self):
         """A tripped planned shard hands its queue to the live pool."""
-        elastic = ElasticConfig(lookahead=True, steal=True)
+        elastic = ElasticConfig(steal=True)
         faults = FaultPlan(events=(
             ShardSlowdown(shard=0, at=0.0, until=1.0, factor=16.0),
         ))
@@ -293,7 +296,7 @@ class TestWorkStealing:
             assert steal.reason in {"drift", "breaker", "affinity"}
 
     def test_steal_off_honors_the_plan(self):
-        elastic = ElasticConfig(lookahead=True)
+        elastic = ElasticConfig()
         faults = FaultPlan(events=(
             ShardSlowdown(shard=0, at=0.0, until=1.0, factor=16.0),
         ))
@@ -310,8 +313,7 @@ def _hot_prefix_engine(elastic, prefix_len=6):
         ClusterSpec.heterogeneous(SKEWED_POOL).build(),
         max_batch_size=4,
         flush_timeout=1e-7,
-        placement="lookahead" if elastic is not None and elastic.lookahead
-        else "cost_aware",
+        placement="lookahead" if elastic is not None else "cost_aware",
         prefix_cache=cache,
         elastic=elastic,
     )
@@ -344,7 +346,7 @@ def _hot_prefix_burst(engine, repeats=24, seed=11):
 
 class TestAffinityBreak:
     def test_affinity_steal_migrates_the_cache_entry(self):
-        elastic = ElasticConfig(lookahead=True, steal=True,
+        elastic = ElasticConfig(steal=True,
                                 affinity_break_factor=2.0)
         engine, cache = _hot_prefix_engine(elastic)
         ids = _hot_prefix_burst(engine)
@@ -364,7 +366,7 @@ class TestAffinityBreak:
         greedy_ids = _hot_prefix_burst(greedy_engine)
         greedy = greedy_engine.run()
 
-        elastic = ElasticConfig(lookahead=True, steal=True)
+        elastic = ElasticConfig(steal=True)
         engine, _ = _hot_prefix_engine(elastic)
         ids = _hot_prefix_burst(engine)
         report = engine.run()
@@ -503,7 +505,7 @@ class TestStatsTree:
         assert stats.batches == 0
 
     def test_cluster_desc_shape_and_rendering(self):
-        elastic = ElasticConfig(lookahead=True, steal=True)
+        elastic = ElasticConfig(steal=True)
         engine = _engine(placement="lookahead", elastic=elastic)
         _mixed_burst(engine)
         report = engine.run()
@@ -525,7 +527,7 @@ class TestStatsTree:
         assert "makespan_s=" in text
 
     def test_elastic_section_in_summary(self):
-        elastic = ElasticConfig(lookahead=True, steal=True,
+        elastic = ElasticConfig(steal=True,
                                 steal_drift_threshold=1.2)
         faults = FaultPlan(events=(
             ShardSlowdown(shard=0, at=0.0, until=1.0, factor=16.0),
@@ -691,7 +693,7 @@ def _mp_model():
 
 class TestElasticWiring:
     def test_multiproc_carries_elastic_config(self, tmp_path):
-        elastic = ElasticConfig(lookahead=True, steal=True)
+        elastic = ElasticConfig(steal=True)
         rng = np.random.default_rng(7)
         requests = [
             {"model": "bert_small", "inputs": row, "arrival": i * 1e-5}
@@ -800,7 +802,7 @@ class TestElasticWiring:
         restored = TuningConfig.from_dict(config.to_dict())
         assert restored == config
         elastic = restored.elastic()
-        assert elastic.lookahead and elastic.steal
+        assert elastic.steal
         assert elastic.steal_drift_threshold == 1.25
         assert "lookahead" in restored.describe()
         # Pre-elastic snapshots (no elastic keys) still load.
@@ -821,9 +823,8 @@ class TestElasticWiring:
         engine = build_engine(
             tuning, [EndpointSpec("bert_small", _mp_model)]
         )
-        assert engine.elastic.lookahead
         assert engine.elastic.steal
-        assert isinstance(engine._lookahead, LookaheadPlacement)
+        assert isinstance(engine.placement, LookaheadPlacement)
 
     def test_tuning_config_rejects_bad_thresholds(self):
         from repro.autotune.tuning import TuningConfig

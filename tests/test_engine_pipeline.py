@@ -86,7 +86,7 @@ _MODEL = TinyBERT(
 )
 
 
-def _engine(kind, n_shards, faults=None, elastic=None):
+def _engine(kind, n_shards, faults=None, elastic=None, placement="round_robin"):
     """A fresh engine whose unit under test is one batch of two requests."""
     pool = ClusterDispatcher.from_arrays(
         [SystolicArray(CONFIG) for _ in range(n_shards)], GRANULARITY
@@ -102,6 +102,7 @@ def _engine(kind, n_shards, faults=None, elastic=None):
         radix_cache=RadixKVCache() if generation else None,
         faults=faults,
         elastic=elastic,
+        placement=placement,
     )
     if generation:
         engine.register("m", generation_adapter=GenerationAdapter(_MODEL))
@@ -230,7 +231,8 @@ def test_fresh_batch_parks_identically_planned_or_not(lookahead):
     crash = ShardCrash(0, at=0.0, until=OUTAGE)
     engine = _engine(
         "classify", 1, FaultPlan(events=(crash,)),
-        ElasticConfig(lookahead=lookahead, steal=lookahead),
+        ElasticConfig(steal=lookahead),
+        "lookahead" if lookahead else "round_robin",
     )
     ids = _submit(engine, "classify", n_batches=2)
     report = engine.run()
@@ -266,7 +268,7 @@ STORY_LETTER = {
     PrefixEvent: "X", DecodeStepRecord: "D",
 }
 ALL_ELASTIC = ElasticConfig(
-    lookahead=True, steal=True, autoscale=True,
+    steal=True, autoscale=True,
     autoscale_window=4, autoscale_cooldown=0.0, min_shards=2,
 )
 
@@ -279,7 +281,10 @@ def _staggered_run(kind, seed, faults=None):
     """Twelve requests in three bursts over a 3-shard pool: chaos +
     look-ahead + steal + autoscale for classifier kinds, generation +
     radix for ``decode``."""
-    engine = _engine(kind, 3, faults, None if kind == "decode" else ALL_ELASTIC)
+    engine = (
+        _engine(kind, 3, faults) if kind == "decode"
+        else _engine(kind, 3, faults, ALL_ELASTIC, "lookahead")
+    )
     rng = np.random.default_rng(seed)
     for i in range(12):
         arrival = (i // 4) * 2e-5
@@ -912,3 +917,113 @@ def test_compute_once_adds_no_knob_and_one_call_site():
     assert source.count("endpoint.infer_fn(") <= 3
     assert source.count("STACK_ELEMENTS = ") == 1
     assert "environ" not in source
+
+
+# ---------------------------------------------------------------------------
+# One agenda: four work sources behind one call signature, one pick.
+# ---------------------------------------------------------------------------
+def test_a_batch_parked_for_its_retry_is_pending():
+    """The only shard is down when the batch would start: the attempt
+    fails, nothing completes — and the batch waits in the retry queue."""
+    crash = ShardCrash(0, at=0.0, until=OUTAGE)
+    engine = _engine("classify", 1, FaultPlan(events=(crash,)))
+    ids = _submit(engine, "classify")
+    assert engine.step() == []
+    assert [event.action for event in engine.events if isinstance(event, FaultRecord)] == ["retry"]
+    assert engine.pending == len(ids)
+
+
+def test_a_sequence_in_the_decode_pool_is_pending():
+    engine = _engine("decode", 1)
+    ids = _submit(engine, "decode")
+    assert engine.step() == []  # the prefill: first tokens, no completion
+    assert engine.pending == len(ids)
+    while engine.pending:
+        engine.step()
+    assert all(len(engine.result(i)) == 3 for i in ids)
+
+
+def _offer_bursts(engine, kind):
+    rng = np.random.default_rng(3)
+    for i in range(12):
+        arrival = (i // 4) * 2e-5
+        if kind == "decode":
+            engine.submit_generation("m", rng.integers(0, 16, size=4), 3, arrival=arrival)
+        else:
+            engine.submit("m", rng.integers(0, 16, size=_MODEL.seq_len), arrival=arrival)
+    return engine
+
+
+@pytest.mark.parametrize("kind", ["classify", "decode"])
+def test_stepping_while_pending_serves_what_run_serves(kind):
+    """``while engine.pending: engine.step()`` is the documented
+    step-driven loop: under seeded faults it must not stop while a batch
+    waits for its retry or a sequence is mid-decode."""
+    horizon = max(c.finish for c in _offer_bursts(_engine(kind, 3), kind).run().completed)
+    plan = FaultPlan.from_seed(2, n_shards=3, horizon=horizon, crash_rate=1.0)
+    ran = _offer_bursts(_engine(kind, 3, plan), kind).run()
+    assert any(event.action == "retry" for event in ran.fault_events)
+
+    engine = _offer_bursts(_engine(kind, 3, plan), kind)
+    stepped = []
+    while engine.pending:
+        stepped += engine.step()
+    assert len(stepped) == len(ran.completed) == 12
+
+    def by_id(records):
+        return sorted(records, key=lambda record: record.request.request_id)
+
+    for ours, theirs in zip(by_id(stepped), by_id(ran.completed)):
+        assert ours.request.request_id == theirs.request.request_id
+        assert np.array_equal(ours.outputs, theirs.outputs)
+        assert (ours.start, ours.finish) == (theirs.start, theirs.finish)
+    assert _log(engine.events) == _log(ran.events)
+
+
+def test_one_agenda_of_work_sources():
+    """A producer of work is a member of ``InferenceEngine._sources``
+    that owns its state in its own module; the engine asks each member
+    the same questions in one place and keeps none of their state."""
+    import repro.serving.elastic as elastic_module
+    import repro.serving.faults as faults_module
+    import repro.serving.generation as generation_module
+
+    deleted = ("_work_sources", "_drain_one", "_work_consumed", "_RETRY")
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        assert not [name for name in deleted if name in text], path
+    # One pick: the sources' ready times are read, and compared, once.
+    assert _sites(".next_ready(") == ["serving/engine.py:_next_source"]
+    sources = [
+        faults_module.RetryQueue, generation_module.DecodePool,
+        elastic_module.ElasticController, engine_module.TenantScheduler,
+    ]
+    for source in sources:
+        assert all(
+            callable(getattr(source, name))
+            for name in ("next_ready", "pop", "__len__", "reset")
+        ), source
+    engine = _engine("classify", 1)
+    assert [type(source) for source in engine._sources] == sources
+    # ``pending`` and ``reset()`` walk the tuple; they name no queue.
+    walkers = {
+        name: code for path, name, code in _functions_under_src()
+        if path == "serving/engine.py" and name in ("pending", "reset")
+    }
+    assert len(walkers) == 2
+    for code in walkers.values():
+        assert "self._sources" in code
+        assert not re.findall(r"_retries|_decode_pool|_controller|scheduler", code)
+    # Each record, and the retry heap's entries, are built where they
+    # are defined — not in the engine.
+    assert {site.split(":")[0] for site in _sites("StealEvent(")} == {"serving/elastic.py"}
+    assert {site.split(":")[0] for site in _sites("ScalingEvent(")} == {"serving/elastic.py"}
+    assert {site.split(":")[0] for site in _sites("DecodeStepRecord(")} == {
+        "serving/generation.py"
+    }
+    assert [site for site in _sites("heappush(") if "serving/" in site] == [
+        "serving/faults.py:push"
+    ]
+    source = Path(engine_module.__file__).read_text()
+    assert "heapq" not in source and "deque" not in source
+    assert "lookahead" not in {f.name for f in dataclasses.fields(ElasticConfig)}

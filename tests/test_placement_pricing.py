@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serving.engine as engine_module
+import repro.serving.faults as faults_module
 from repro.nn.models import TinyBERT
 from repro.nn.workload import transformer_serving_workload
 from repro.serving import (
@@ -63,7 +64,7 @@ _MODEL = TinyBERT(**BERT_KW, causal=True, seed=0)
 _COST = workload_cost_model(
     lambda batch, shape: transformer_serving_workload(batch, 8, 8, 2, 16, 1)
 )
-LOOKAHEAD = ElasticConfig(lookahead=True, steal=True)
+LOOKAHEAD = ElasticConfig(steal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ class TestViewsMatchReference:
         """The ``TestElasticChaos`` sweep: crashes and slowdowns under
         look-ahead, stealing and autoscaling together."""
         elastic = ElasticConfig(
-            lookahead=True, steal=True, autoscale=True,
+            steal=True, autoscale=True,
             autoscale_window=4, autoscale_cooldown=0.0, min_shards=2,
         )
         plan = FaultPlan.from_seed(
@@ -329,7 +330,7 @@ class TestRoundHandOff:
         quarantine ends between the two instants, so the views differ."""
         engine = _engine(
             pool=(MID, MID), max_batch_size=1, flush_timeout=0.0,
-            placement="lookahead", elastic=ElasticConfig(lookahead=True),
+            placement="lookahead", elastic=ElasticConfig(),
             breaker=BreakerConfig(quarantine=1e-4),
         )
         seen = _watch(engine)
@@ -450,7 +451,7 @@ def test_no_replace_on_a_shard_view_per_executed_unit(monkeypatch):
         return real_replace(obj, **changes)
 
     monkeypatch.setattr(dataclasses, "replace", counting_replace)
-    monkeypatch.setattr(engine_module, "replace", counting_replace)
+    monkeypatch.setattr(faults_module, "replace", counting_replace)
     plan = FaultPlan(events=(ShardCrash(shard=0, at=0.0, until=2e-5),))
     engine = _engine(faults=plan, placement="lookahead", elastic=LOOKAHEAD)
     ids = _lookahead_burst(engine)
@@ -480,7 +481,7 @@ def test_prefix_keyed_batch_rereads_residency_at_execution():
         ClusterSpec.heterogeneous((MID, MID)).build(),
         max_batch_size=2, flush_timeout=1e-4, placement="lookahead",
         prefix_cache=RadixKVCache(1 << 20, namespace="serving.prefix"),
-        elastic=ElasticConfig(lookahead=True),
+        elastic=ElasticConfig(),
     )
     engine.register(
         "bert", _MODEL, cost_model=_COST,
