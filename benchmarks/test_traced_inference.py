@@ -470,6 +470,87 @@ def test_host_coalescing_counts(print_artifact):
     )
 
 
+def test_generation_coalescing_counts(print_artifact):
+    """A conversational replay makes far fewer model calls than it has
+    prefills and decode steps.
+
+    360 generation requests (8-token prompts, 8 new tokens) on 2 shards
+    are some 500 simulated units.  Registered as a ``Module`` the engine
+    charges every unit after the first of its shape by replaying a trace
+    tape and reads its tokens off transcripts — one lockstep prefill +
+    decode loop over up to 64 stacked prompts — so it calls the model at
+    most a third as often as the ``infer_fn=`` + ``generation_adapter=``
+    reference, which calls it once per unit, for equal tokens and traced
+    cycles.  The gate is on counts, which repeat exactly on any runner.
+    """
+    from repro.autotune import EndpointProfile, synthesize_trace
+    from repro.serving import (
+        ClusterDispatcher, GenerationAdapter, InferenceEngine, RadixKVCache,
+    )
+
+    class CountedChat(TinyBERT):
+        calls = 0
+
+        def prefill(self, tokens, backend, cached=None):
+            self.calls += 1
+            return super().prefill(tokens, backend, cached=cached)
+
+        def decode_step(self, state, tokens, backend):
+            self.calls += 1
+            return super().decode_step(state, tokens, backend)
+
+    trace = synthesize_trace(
+        "chat", (EndpointProfile("chat", seq_len=8, vocab=16, max_new_tokens=8),),
+        360, 360 * 1e-4, 0, "conversational", tenants=("tenant-a", "tenant-b"),
+    )
+
+    def serve(eager):
+        model = CountedChat(
+            vocab=16, seq_len=16, dim=8, heads=2, ff_dim=16, n_layers=1, causal=True
+        )
+        pool = ClusterDispatcher(
+            [ArrayBackend(SystolicArray(_paper_config()), 0.25) for _ in range(2)]
+        )
+        engine = InferenceEngine(
+            pool, max_batch_size=8, placement="cost_aware", radix_cache=RadixKVCache()
+        )
+        adapter = GenerationAdapter(model)
+        if eager:
+            engine.register("chat", infer_fn=model.infer, generation_adapter=adapter)
+        else:
+            engine.register("chat", model, generation_adapter=adapter)
+        ids = engine.enqueue(trace.requests)
+        report = engine.run()
+        return [engine.result(i) for i in ids], report, model.calls
+
+    outputs, report, calls = serve(eager=False)
+    eager_outputs, eager_report, eager_calls = serve(eager=True)
+    for ours, theirs in zip(outputs, eager_outputs):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    assert report.total_cycles == eager_report.total_cycles
+    units = len(report.placements)
+    assert units == len(eager_report.placements) == eager_calls
+    print_artifact(
+        "Generation coalescing (360 conversational requests, 2 array shards)\n"
+        f"  units {units} ({units - len(report.generation_steps)} prefills + "
+        f"{len(report.generation_steps)} decode steps)   model calls {calls} "
+        f"(eager reference {eager_calls})   {report.generated_tokens} tokens, "
+        f"{report.total_cycles} traced cycles, identical"
+    )
+    _update_artifact(
+        generation_coalescing={
+            "requests": len(trace.requests),
+            "units": units,
+            "decode_steps": len(report.generation_steps),
+            "tokens": int(report.generated_tokens),
+            "model_calls": calls,
+            "eager_model_calls": eager_calls,
+            "traced_cycles": int(report.total_cycles),
+        }
+    )
+    assert calls <= units // 3, f"{calls} model calls for {units} units"
+
+
 def test_placement_cost_aware_beats_round_robin(print_artifact):
     """Cost-aware placement >= 1.3x lower simulated makespan than blind
     round-robin on a skewed heterogeneous 4-shard pool.

@@ -265,8 +265,18 @@ class KVState:
         return out
 
     def split(self) -> "List[KVState]":
-        """Per-sequence copies of a batched state (inverse of stack)."""
-        return [self.prefix(self.pos, j) for j in range(self.batch)]
+        """Per-sequence views of a batched state (inverse of stack; no
+        copy — a member keeps the batch arrays alive, and extending it
+        rebinds its own layers only)."""
+        parts = []
+        for j in range(self.batch):
+            part = KVState(self.n_layers)
+            part.k = [k[j : j + 1] for k in self.k]
+            part.v = [v[j : j + 1] for v in self.v]
+            if self.final_hidden is not None:
+                part.final_hidden = self.final_hidden[j : j + 1]
+            parts.append(part)
+        return parts
 
 
 class FloatBackend:

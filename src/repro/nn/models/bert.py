@@ -210,7 +210,7 @@ class TinyBERT(Module):
     def generate(
         self,
         tokens: np.ndarray,
-        max_new_tokens: int,
+        max_new_tokens,
         backend,
         stop_token=None,
     ) -> "list[np.ndarray]":
@@ -222,32 +222,50 @@ class TinyBERT(Module):
         each sequence alone), so a stopped row keeps decoding until the
         whole batch finishes — its extra tokens are simply dropped.
         """
+        return self.transcribe(tokens, max_new_tokens, backend, stop_token)[0]
+
+    def transcribe(
+        self,
+        tokens: np.ndarray,
+        max_new_tokens,
+        backend,
+        stop_token=None,
+    ) -> "tuple[list[np.ndarray], KVState]":
+        """:meth:`generate`, keeping the K/V state: ``(rows, state)``.
+
+        ``max_new_tokens`` and ``stop_token`` are one value for the batch
+        or one per row (a ``None`` stop never fires).  ``state`` holds
+        the rows of the prompt and of every step fed back — for each
+        sequence at least its prompt plus all generated tokens but the
+        last, which is what a decode pool or a radix cache keeps of it.
+        """
         if not self.causal:
             raise ValueError("generation requires causal=True")
         tokens = np.asarray(tokens)
-        if max_new_tokens < 1:
-            raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
         n, p = tokens.shape
-        if p + max_new_tokens > self.seq_len:
+        limits = np.broadcast_to(np.asarray(max_new_tokens, dtype=np.int64), (n,))
+        if limits.min() < 1:
+            raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
+        if p + limits.max() > self.seq_len:
             raise ValueError(
                 f"prompt ({p}) + max_new_tokens ({max_new_tokens}) exceeds "
                 f"the {self.seq_len}-entry position table"
             )
+        if stop_token is None or np.ndim(stop_token) == 0:
+            stop_token = [stop_token] * n
+        # Token ids are >= 0, so -1 is the stop that never fires.
+        stops = np.array([-1 if stop is None else stop for stop in stop_token])
         logits, state = self.prefill(tokens, backend)
-        steps = [np.argmax(logits, axis=-1)]
-        for _ in range(max_new_tokens - 1):
-            if stop_token is not None and all(
-                any(int(s[j]) == stop_token for s in steps) for j in range(n)
-            ):
+        steps = []
+        lengths = limits.copy()
+        live = np.ones(n, dtype=bool)  # rows still generating
+        while True:
+            steps.append(np.argmax(logits, axis=-1))
+            stopped = live & (steps[-1] == stops)
+            lengths[stopped] = len(steps)
+            live &= ~stopped & (len(steps) < limits)
+            if not live.any():
                 break
             logits = self.decode_step(state, steps[-1], backend)
-            steps.append(np.argmax(logits, axis=-1))
         stacked = np.stack(steps, axis=1)
-        results = []
-        for row in stacked:
-            if stop_token is not None:
-                hits = np.nonzero(row == stop_token)[0]
-                if hits.size:
-                    row = row[: hits[0] + 1]
-            results.append(row)
-        return results
+        return [row[:length] for row, length in zip(stacked, lengths)], state

@@ -50,15 +50,18 @@ run → fault-check → commit skeleton (``InferenceEngine._execute``); a
 kind supplies only its profile, its payload and its commit / park /
 fail hooks.
 
-**Charged once per batch, computed once per stack.**  What a batch is
+**Charged once per unit, computed once per stack.**  What a unit is
 *charged* (traced cycles) depends on operand shapes; what it *computes*
 depends on each request's inputs alone.  For an endpoint registered as a
-batchable :class:`~repro.nn.layers.Module` the engine therefore replays
-a trace tape per batch and takes the batch's rows from one stacked host
-pass shared with later batches (``InferenceEngine._stacked``).  An
-``infer_fn=`` callable, a prefix-keyed batch, a prefill, a decode step
-and an array-less shard execute per batch; reports are bit-identical
-either way.
+batchable :class:`~repro.nn.layers.Module` every unit therefore goes
+through the same two helpers (:class:`_Stack`): it replays its shape's
+trace tape, and takes its rows from one stacked host pass shared with
+later units — output rows for a classifier batch, whole *transcripts*
+(greedy tokens plus K/V rows, from one lockstep prefill + decode loop)
+for a prefill and the decode iterations after it.  An ``infer_fn=``
+callable, a prefix-keyed batch, an array-less shard and generation on a
+pool whose shards do not all compute alike execute per unit; reports are
+bit-identical either way.
 
 Batched execution is bit-identical to running every request alone:
 stacking adds rows to the GEMMs and elementwise stages, and every
@@ -113,7 +116,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
 )
 
 import numpy as np
@@ -163,17 +166,119 @@ from repro.store import get_store
 STACK_ELEMENTS = 512
 
 
-class _Stack(NamedTuple):
-    """Compute-once state of one endpoint (``InferenceEngine._stacked``).
-    ``tapes`` live until the name is registered again or the engine
-    reset, the other two for one :meth:`InferenceEngine.run`."""
+def _kind(request: InferenceRequest) -> tuple:
+    """Requests of one kind stack into one host pass."""
+    inputs = request.inputs
+    return inputs.shape, inputs.dtype, request.generation is None
 
-    #: (batch shape, dtype, array config, who) -> what a batch is charged.
-    tapes: Dict[tuple, list]
-    #: This run's requests nothing has computed yet, in arrival order.
-    ahead: Dict[int, InferenceRequest]
-    #: request id -> (who computed it, its output row), until its unit runs.
-    rows: Dict[int, Tuple[tuple, np.ndarray]]
+
+def _who(backend, array) -> tuple:
+    """What decides the values a shard computes (its design point's
+    geometry and clock decide only what it is charged)."""
+    return (
+        type(backend), type(array), array.config.fmt,
+        getattr(backend, "granularity", None),
+    )
+
+
+class _Stack:
+    """Compute-once state of one endpoint: every unit of it — classifier
+    batch, prefill, decode iteration — is *charged* through
+    :meth:`charge` and *filled* through :meth:`take` (:meth:`once`).
+
+    ``tapes`` live until the name is registered again or the engine
+    reset, the other two for one :meth:`InferenceEngine.run`.
+    """
+
+    def __init__(self) -> None:
+        #: (unit shape ..., array config, who) -> what such a unit is charged.
+        self.tapes: Dict[tuple, list] = {}
+        #: This run's requests nothing has computed yet, in arrival order.
+        self.ahead: Dict[int, InferenceRequest] = {}
+        #: request id -> (who computed it, its row): a classifier's output
+        #: row until its batch runs, a generation request's transcript
+        #: until it retires.
+        self.rows: Dict[int, Tuple[tuple, object]] = {}
+
+    def once(
+        self, requests, key: tuple, who: tuple, array,
+        execute: Callable, compute: Callable, read: Callable = list,
+    ):
+        """What ``execute()`` returns for the unit of ``requests`` — charged
+        once per unit, computed once per stack.
+
+        ``key`` is the unit's shape, ``compute(members)`` gives the rows
+        of any requests of one kind and ``read(rows)`` turns the unit's
+        own into its result.  A unit whose rows are at hand is charged by
+        replaying its shape's tape and computes nothing; any other —
+        the first of its shape, or one with nobody to share a stack with
+        — executes, exactly as it would without all this.
+        """
+        for request in requests:
+            # Its own unit runs now: it is nobody's look-ahead any more.
+            self.ahead.pop(request.request_id, None)
+        rows = self.take(requests, who, array, compute) if key in self.tapes else None
+        if rows is None:
+            return self.charge(key, array, execute)
+        self.charge(key, array)
+        return read(rows)
+
+    def charge(self, key: tuple, array, execute: Optional[Callable] = None):
+        """Charge ``array`` one unit of shape ``key``: by executing it
+        (``execute()``'s result is returned), else by replaying the
+        shape's tape.
+
+        What a unit is charged depends on operand shapes alone (the
+        :meth:`~repro.nn.layers.Module.infer` contract), so the first
+        execution of a shape runs under ``array.capture()`` and its tape
+        is what every replay charges.
+        """
+        tape = self.tapes.get(key)
+        if execute is None:
+            return array.replay(tape)
+        if tape is not None:
+            return execute()
+        with array.capture() as tape:
+            result = execute()
+        self.tapes[key] = tape
+        return result
+
+    def take(
+        self, requests, who: tuple, array, compute: Callable
+    ) -> Optional[list]:
+        """The rows of ``requests``, each computed at most once.
+
+        A row depends on its own request alone, so what ``rows`` lacks is
+        filled by one ``compute(members)`` call per kind of request, on
+        this shard's own backend with the array ``detached()``, over the
+        missing requests plus the next not-yet-computed ones of their
+        kind, up to :data:`STACK_ELEMENTS` input elements.  A row is used
+        only where the same kind of backend computed it (``who``).  None
+        when a row is missing and nobody ahead shares the pass: a stack
+        of one unit saves nothing over executing the unit (a lockstep
+        pass makes as many model calls as the units it spans — more,
+        when decode groups merge).
+        """
+        rows, missing = self.rows, {}
+        for request in requests:
+            if rows.get(request.request_id, (None,))[0] != who:
+                missing.setdefault(_kind(request), []).append(request)
+        for kind, members in missing.items():
+            room = STACK_ELEMENTS // max(members[0].inputs.size, 1) - len(members)
+            ahead = list(
+                islice(
+                    (r for r in self.ahead.values() if _kind(r) == kind), max(room, 0)
+                )
+            )
+            if not ahead:
+                return None
+            members += ahead
+            with array.detached():
+                computed = compute(members)
+            for request, row in zip(members, computed):
+                self.ahead.pop(request.request_id, None)
+                rows[request.request_id] = (who, row)
+        return [rows[request.request_id][1] for request in requests]
 
 
 @dataclass(frozen=True)
@@ -203,7 +308,7 @@ class ModelEndpoint:
 
     ``stack`` is the endpoint's compute-once state — set by the engine
     for exactly the endpoints registered as a batchable
-    :class:`~repro.nn.layers.Module`, whose batches replay a tape and
+    :class:`~repro.nn.layers.Module`, whose units replay a tape and
     share stacked host passes; None for every other endpoint.
     """
 
@@ -258,7 +363,11 @@ class _ArrivalFeed:
             self.fresh.clear()
             for request in fresh if self._look_ahead else ():
                 stack = self._engine._endpoints[request.model].stack
-                if stack is not None and request.prefix_key is None:
+                # A prefix-keyed classifier batch executes through its
+                # adapter; a generation request's key is its prompt length.
+                if stack is not None and (
+                    request.prefix_key is None or request.generation is not None
+                ):
                     stack.ahead[request.request_id] = request
             self._due += fresh
             self._due.sort(key=_ARRIVAL_ORDER, reverse=True)
@@ -459,7 +568,10 @@ class InferenceEngine:
         self._decode_pool = DecodePool(
             self.scheduler,
             lambda model: self._endpoints[model].generation_adapter,
-            self._retries.wake, radix_cache, log,
+            lambda model, shard, backend: self._compute_once(
+                self._endpoints[model], shard, backend, lockstep=True
+            ),
+            self._retries.wake, self._forget, radix_cache, log,
         )
         self._sources = (
             self._retries, self._decode_pool, self._controller, self.scheduler
@@ -489,8 +601,10 @@ class InferenceEngine:
         Pass either ``model`` (an object with ``infer(inputs, backend)``)
         or an explicit ``infer_fn``.  A batchable ``model`` that is a
         :class:`~repro.nn.layers.Module` promises its contract and is
-        computed in stacks (``_stacked``); an ``infer_fn`` is called once
-        per batch, always.  ``cost_model`` optionally supplies
+        computed in stacks (:class:`_Stack`), generation included; an
+        ``infer_fn`` is called once per batch, and its
+        ``generation_adapter`` once per prefill and decode step, always.
+        ``cost_model`` optionally supplies
         closed-form batch-cycle estimates for cost-aware placement (see
         :func:`~repro.serving.cluster.workload_cost_model`); without
         one, estimates come from the engine's calibrating model once
@@ -556,7 +670,7 @@ class InferenceEngine:
         if infer_fn is None:
             infer_fn = model.infer  # type: ignore[union-attr]
             if batchable and isinstance(model, Module):
-                stack = _Stack({}, {}, {})
+                stack = _Stack()
         self._endpoints[name] = ModelEndpoint(
             name, infer_fn, batchable, cost_model, prefix_adapter,
             generation_adapter, stack,
@@ -1197,11 +1311,11 @@ class InferenceEngine:
         if self.faults is not None:
             # A slowdown stretches the timeline (results unchanged); a
             # crash striking inside the stretched window kills the
-            # attempt: the result is discarded (a decode step ran on a
-            # scratch copy, so dropping it IS the rollback), the partial
-            # occupancy is charged as wasted work (the traced cycles
-            # already stand), and the shard is held busy through its
-            # outage.
+            # attempt: the result is discarded (a decode step wrote into
+            # nothing its members hold, so dropping it IS the rollback),
+            # the partial occupancy is charged as wasted work (the traced
+            # cycles already stand), and the shard is held busy through
+            # its outage.
             duration *= self.faults.slowdown_factor(shard, start)
             crash = self.faults.crash_within(shard, start, start + duration)
             if crash is not None:
@@ -1294,10 +1408,9 @@ class InferenceEngine:
                     np.asarray(endpoint.infer_fn(r.inputs, backend))
                     for r in batch.requests
                 ], False
-            stack = None if use_prefix else endpoint.stack
-            array = self.dispatcher.array_of(shard)
-            if stack is not None and array is not None:
-                return self._stacked(stack, endpoint, batch, backend, array), False
+            once = None if use_prefix else self._compute_once(endpoint, shard, backend)
+            if once is not None:
+                return self._stacked(once, endpoint, batch, backend), False
             stacked = np.stack([r.inputs for r in batch.requests])
             hit = False
             if not use_prefix:
@@ -1359,66 +1472,55 @@ class InferenceEngine:
 
         return profile, run, commit, prefix_tokens
 
+    def _compute_once(
+        self, endpoint: ModelEndpoint, shard: int, backend, lockstep: bool = False
+    ) -> Optional[tuple]:
+        """``(stack, array, who)`` when ``endpoint``'s units on ``shard``
+        are charged by tape and computed in stacks, None when they
+        execute per unit.
+
+        A generation unit (``lockstep``) continues from K/V rows earlier
+        units computed, wherever they ran: its transcript stands for them
+        only while every shard of the pool computes alike.
+        """
+        array = self.dispatcher.array_of(shard)
+        if endpoint.stack is None or array is None:
+            return None
+        who = _who(backend, array)
+        pool = self.dispatcher
+        if lockstep and any(
+            (other := pool.array_of(index)) is None
+            or _who(pool.backends[index], other) != who
+            for index in range(pool.n_shards)
+        ):
+            return None
+        return endpoint.stack, array, who
+
     def _stacked(
-        self, stack: _Stack, endpoint: ModelEndpoint, batch: Batch, backend, array
+        self, once: tuple, endpoint: ModelEndpoint, batch: Batch, backend
     ) -> List[np.ndarray]:
         """Output rows of a classifier batch: charged once per batch,
-        computed once per stack.
-
-        What the array is charged depends on operand shapes alone (the
-        :meth:`~repro.nn.layers.Module.infer` contract) and each output
-        row on its own request alone.  So the first batch of a shape
-        executes under ``array.capture()``; every later one replays that
-        tape and takes its rows from ``stack.rows``, filled — when one of
-        them is missing — by one ``infer_fn`` call on this shard's own
-        backend, ``array.detached()``, over the missing requests plus the
-        next not-yet-computed ones of the same sample shape, up to
-        :data:`STACK_ELEMENTS` input elements.  A row is used only where
-        the same kind of backend computed it (``who``).
-        """
-        rows, ahead = stack.rows, stack.ahead
-        for request in batch.requests:
-            ahead.pop(request.request_id, None)
+        computed once per stack (:class:`_Stack`)."""
+        stack, array, who = once
         sample = batch.requests[0].inputs
-        who = (
-            type(backend), type(array), array.config.fmt,
-            getattr(backend, "granularity", None),
-        )
+
+        def infer(members):
+            outputs = endpoint.infer_fn(np.stack([r.inputs for r in members]), backend)
+            return list(self._check_batched(endpoint, outputs, len(members)))
+
         key = (batch.size, sample.shape, sample.dtype, array.config, who)
-        tape = stack.tapes.get(key)
-        if tape is None:
-            members = list(batch.requests)
-        else:
-            array.replay(tape)
-            members = [
-                r for r in batch.requests if rows.get(r.request_id, (None,))[0] != who
-            ]
-            if members:
-                room = STACK_ELEMENTS // max(sample.size, 1) - len(members)
-                members += islice(
-                    (
-                        r for r in ahead.values()
-                        if r.inputs.shape == sample.shape
-                        and r.inputs.dtype == sample.dtype
-                    ),
-                    max(room, 0),
-                )
-        if members:
-            with array.capture() if tape is None else array.detached() as captured:
-                outputs = endpoint.infer_fn(
-                    np.stack([r.inputs for r in members]), backend
-                )
-            outputs = self._check_batched(endpoint, outputs, len(members))
-            if tape is None:
-                stack.tapes[key] = captured
-            for request, row in zip(members, outputs):
-                ahead.pop(request.request_id, None)
-                rows[request.request_id] = (who, row)
-        return [rows.pop(r.request_id)[1] for r in batch.requests]
+        outputs = stack.once(
+            batch.requests, key, who, array, lambda: infer(batch.requests), infer
+        )
+        # A unit pops its rows when it runs: a crashed attempt's retry
+        # computes them again.
+        for request in batch.requests:
+            stack.rows.pop(request.request_id, None)
+        return outputs
 
     def _forget(self, request: InferenceRequest) -> None:
-        """A shed or failed request never executes: compute nothing for
-        it, keep nothing computed for it."""
+        """A shed or failed request never executes and a retired one is
+        through: compute nothing for it, keep nothing computed for it."""
         stack = self._endpoints[request.model].stack
         if stack is not None:
             stack.ahead.pop(request.request_id, None)
@@ -1428,9 +1530,12 @@ class InferenceEngine:
         """Drop every endpoint's rows and look-ahead — and, with
         ``tapes``, what its shapes are charged."""
         for endpoint in self._endpoints.values():
-            if endpoint.stack is not None:
-                for part in endpoint.stack[0 if tapes else 1 :]:
-                    part.clear()
+            stack = endpoint.stack
+            if stack is not None:
+                stack.ahead.clear()
+                stack.rows.clear()
+                if tapes:
+                    stack.tapes.clear()
 
     # ------------------------------------------------------------------
     # Generation: prefill batches and the continuous-batching decode pool
@@ -1439,17 +1544,22 @@ class InferenceEngine:
         """Profile, run and commit of a generation batch's prompt pass
         (a prefill carries no classifier prefix tokens: the 4th is None).
 
-        The adapter returns each member's first greedy token plus its
-        K/V state, the radix cache (when configured) trims the prompts
-        to their uncached suffix, and the surviving members enter the
-        decode pool for iteration-level decode instead of completing.
+        The pass yields each member's first greedy token plus its K/V
+        state — executed through the adapter (the radix cache, when
+        configured, trims the prompts to their uncached suffix), or,
+        where the endpoint computes once per stack and the
+        ``(batch, prompt_len, cached_len)`` shape was taped before,
+        replayed and read off the members' transcripts — and the
+        surviving members enter the decode pool for iteration-level
+        decode instead of completing.
 
         Members share a prompt *length*, not a prompt.  The radix cache
         is read and fed once per distinct member prompt; the pass starts
         from the shortest cached prefix among them (one miss makes it
         cold), because one stacked suffix needs one suffix length.
         """
-        adapter = self._endpoints[batch.model].generation_adapter
+        endpoint = self._endpoints[batch.model]
+        adapter = endpoint.generation_adapter
         prompts = np.stack([r.inputs for r in batch.requests])
         prompt_len = int(prompts.shape[1])
         use_radix = self.radix_cache is not None
@@ -1490,11 +1600,29 @@ class InferenceEngine:
                 cached_len = min(length for length, _ in found.values())
                 if cached_len > 0:
                     cached = [found[j][1] for j in leader]
-            first_tokens, state = adapter.prefill(prompts, backend, cached=cached)
-            return (first_tokens, state, cached_len), cached_len > 0
+
+            def prefill():
+                first_tokens, state = adapter.prefill(prompts, backend, cached=cached)
+                return first_tokens, state.split()
+
+            once = self._compute_once(endpoint, shard, backend, lockstep=True)
+            if once is None:
+                result = prefill()
+            else:
+                stack, array, who = once
+                key = ("prefill", batch.size, prompt_len, cached_len, array.config, who)
+                result = stack.once(
+                    batch.requests, key, who, array, prefill,
+                    lambda members: adapter.transcribe(members, backend),
+                    lambda transcripts: (
+                        [t.tokens[0] for t in transcripts],
+                        [t.state for t in transcripts],
+                    ),
+                )
+            return (*result, cached_len), cached_len > 0
 
         def commit(placed, result, reused):
-            first_tokens, state, cached_len = result
+            first_tokens, states, cached_len = result
             shard, finish = placed.shard, placed.finish
             if use_radix:
                 # Donate every distinct prompt's rows back (incremental
@@ -1503,7 +1631,7 @@ class InferenceEngine:
                 for j in distinct:
                     self.radix_cache.insert(
                         shard, batch.tenant, batch.model, prompts[j],
-                        state.prefix(prompt_len, j),
+                        states[j].prefix(prompt_len),
                     )
                 array = self.dispatcher.array_of(shard)
                 cycles_saved = 0
@@ -1516,7 +1644,6 @@ class InferenceEngine:
                     )
                 self._log_prefix_event(placed, batch.prefix_key, reused, cycles_saved)
             completed: List[CompletedRequest] = []
-            states = state.split()
             for j, request in enumerate(batch.requests):
                 seq = ActiveSequence(
                     request=request,

@@ -13,23 +13,28 @@ behind the longest request.  Members of one prefill leave it at one
 position and one ready time, so they also decode together.
 
 :class:`GenerationAdapter` is the model-facing half: it validates the
-request against the model's position table, runs prefill/decode steps,
+request against the model's position table, runs prefill/decode steps
+— or, in one lockstep pass, a whole :class:`Transcript` per request —
 and prices both with the closed-form cycle accounting of
-:mod:`repro.nn.workload`.  Its :meth:`GenerationAdapter.decode` is
-*crash-safe by construction*: the step runs on a stacked **copy** of
-the member states (:meth:`~repro.nn.executor.KVState.stack`) and
-returns the new K/V rows, so a fault-injected attempt can be discarded
-without rolling anything back — the rows are appended onto the
-per-sequence states only after the attempt survives the fault checks.
+:mod:`repro.nn.workload`.
 
 :class:`DecodePool` is the scheduler-facing half: the live sequences
 and, as one of the engine's work sources, the iteration to run next.
+A sequence carries its K/V state with a *cursor*
+(:attr:`ActiveSequence.position`): the state may hold rows past it (a
+transcript holds them all), and a step is *crash-safe by cursor* — it
+reads the first ``position`` rows and writes into nothing the members
+hold, so a fault-injected attempt is discarded by not advancing them.
+Where the endpoint computes once per stack (see
+:mod:`repro.serving.engine`), an iteration of a shape seen before
+replays its tape and reads its tokens off the members' transcripts: it
+stacks nothing and calls no model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,13 +92,23 @@ class DecodeStepRecord:
         return self.batch_size
 
 
+class Transcript(NamedTuple):
+    """Everything one generation request will produce, computed ahead."""
+
+    #: Its greedy tokens, cut at ``max_new_tokens`` / the first stop token.
+    tokens: List[int]
+    #: Its K/V rows: the prompt and every token above but the last (at least).
+    state: KVState
+
+
 @dataclass
 class ActiveSequence:
     """A generation request between its prefill and its retirement.
 
-    Mutable by design: the decode loop appends K/V rows and tokens
-    after each successful iteration, and the fault path bumps
-    ``attempt``/``ready_time`` in place.
+    Mutable by design: the decode loop rebinds ``state`` and appends a
+    token after each successful iteration, and the fault path bumps
+    ``attempt``/``ready_time`` in place.  ``state`` holds this one
+    sequence's rows, at least the first :attr:`position` of them.
     """
 
     request: InferenceRequest
@@ -111,8 +126,9 @@ class ActiveSequence:
 
     @property
     def position(self) -> int:
-        """K/V rows cached so far (the next token's global position)."""
-        return self.state.pos
+        """K/V rows committed so far (the next token's global position):
+        the prompt and every generated token but the last."""
+        return len(self.request.inputs) + len(self.generated) - 1
 
     @property
     def finished(self) -> bool:
@@ -170,18 +186,36 @@ class GenerationAdapter:
         return np.argmax(logits, axis=-1), state
 
     def decode(
-        self, states: List[KVState], tokens: np.ndarray, backend
-    ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
-        """One iteration over a copy of the member caches.
+        self, states: List[KVState], tokens: np.ndarray, backend, position: int
+    ) -> Tuple[np.ndarray, List[KVState]]:
+        """One iteration over a copy of the members' first ``position``
+        rows (a member may hold more: its cursor decides, not its state).
 
-        Returns ``(next tokens, per-layer (k_rows, v_rows))`` with the
-        rows shaped ``(B, 1, D)``; the member states are *not* mutated
-        — the caller appends row ``j`` to member ``j`` on success.
+        Returns ``(next tokens, per-member states)``: member ``j``'s
+        state as of after the step — views of the stepped copy, one row
+        longer.  The states passed in are *not* touched, so the caller
+        hands each member its new state only on success.
         """
-        scratch = KVState.stack(states)
+        scratch = KVState.stack(states, upto=position)
         logits = self.model.decode_step(scratch, np.asarray(tokens), backend)
-        step_kv = [(k[:, -1:], v[:, -1:]) for k, v in zip(scratch.k, scratch.v)]
-        return np.argmax(logits, axis=-1), step_kv
+        return np.argmax(logits, axis=-1), scratch.split()
+
+    def transcribe(
+        self, requests: Sequence[InferenceRequest], backend
+    ) -> List[Transcript]:
+        """The transcripts of same-length-prompt ``requests``, from one
+        lockstep prefill + decode loop over their stacked prompts (rows
+        are independent, so each equals what the request's own prefill
+        and decode steps produce, in whatever company they run)."""
+        limits = [r.generation.max_new_tokens for r in requests]
+        stops = [r.generation.stop_token for r in requests]
+        rows, state = self.model.transcribe(
+            np.stack([r.inputs for r in requests]), limits, backend, stops
+        )
+        return [
+            Transcript(row.tolist(), member)
+            for row, member in zip(rows, state.split())
+        ]
 
     # -- closed-form cycle accounting ------------------------------------
     def prefill_cycles(
@@ -223,17 +257,22 @@ class DecodePool:
     / ``reset``; a decode iteration tied with a fresh batch runs first).
     The tenant scheduler supplies the batch-size cap and the engine-wide
     batch index, ``adapter_of(model)`` the endpoint's
-    :class:`GenerationAdapter`, ``wake`` the retry queue's
-    retry-or-give-up decision; ``log`` is the event sink.
+    :class:`GenerationAdapter`, ``once_of(model, shard, backend)`` its
+    compute-once state there (None = execute per unit), ``wake`` the
+    retry queue's retry-or-give-up decision and ``forget(request)`` drops
+    what is held for a request that left the pool; ``log`` is the event
+    sink.
     """
 
     def __init__(
-        self, scheduler, adapter_of: Callable, wake: Callable, radix_cache,
-        log: Callable,
+        self, scheduler, adapter_of: Callable, once_of: Callable, wake: Callable,
+        forget: Callable, radix_cache, log: Callable,
     ) -> None:
         self._scheduler = scheduler
         self._adapter_of = adapter_of
+        self._once_of = once_of
         self._wake = wake
+        self._forget = forget
         self._radix_cache = radix_cache
         self._log = log
         self._active: List[ActiveSequence] = []
@@ -267,12 +306,18 @@ class DecodePool:
         decoding in isolated lockstep groups.  Prompts MAY differ
         across members — that is what continuous batching buys.
 
-        The step itself runs on a stacked *copy* of the member caches
-        (see :meth:`GenerationAdapter.decode`), so a fault-injected
-        attempt discards cleanly: member state is only extended by the
-        commit, after the attempt survived every fault check.  A park or
-        a failed attempt is absorbed in place — members stay pooled with
-        a new ``ready_time``.
+        The step reads the members' first ``position`` rows and writes
+        into nothing they hold (see :meth:`GenerationAdapter.decode`), so
+        a fault-injected attempt discards cleanly: a member's cursor and
+        state only move at the commit, after the attempt survived every
+        fault check.  A park or a failed attempt is absorbed in place —
+        members stay pooled with a new ``ready_time``.
+
+        Where the endpoint computes once per stack, the iteration is
+        charged and filled by the same two helpers as a classifier batch
+        and a prefill: the first iteration of a ``(batch, position)``
+        executes for real, taped; every later one replays the tape and
+        takes each member's next token and state from its transcript.
         """
         lead = min(
             self._active, key=lambda s: (s.ready_time, s.request.request_id)
@@ -302,11 +347,28 @@ class DecodePool:
         )
 
         def run(shard, backend):
-            tokens = np.array([seq.generated[-1] for seq in group], dtype=np.int64)
-            return adapter.decode([seq.state for seq in group], tokens, backend), False
+            def step():
+                tokens = np.array([seq.generated[-1] for seq in group], dtype=np.int64)
+                return adapter.decode(
+                    [seq.state for seq in group], tokens, backend, position
+                )
+
+            once = self._once_of(lead.request.model, shard, backend)
+            if once is None:
+                return step(), False
+            stack, array, who = once
+            key = ("decode", size, position, array.config, who)
+            return stack.once(
+                [seq.request for seq in group], key, who, array, step,
+                lambda members: adapter.transcribe(members, backend),
+                lambda transcripts: (
+                    [t.tokens[len(seq.generated)] for t, seq in zip(transcripts, group)],
+                    [t.state for t in transcripts],
+                ),
+            ), False
 
         def commit(placed, result, reused):
-            next_tokens, step_kv = result
+            next_tokens, states = result
             self._log(
                 DecodeStepRecord(
                     step_index=batch_index,
@@ -322,12 +384,9 @@ class DecodePool:
                 )
             )
             completed: List[CompletedRequest] = []
-            for j, seq in enumerate(group):
-                for layer in range(seq.state.n_layers):
-                    seq.state.extend(
-                        layer, step_kv[layer][0][j : j + 1], step_kv[layer][1][j : j + 1]
-                    )
-                seq.generated.append(int(next_tokens[j]))
+            for seq, token, state in zip(group, next_tokens, states):
+                seq.state = state
+                seq.generated.append(int(token))
                 seq.ready_time = placed.finish
                 seq.attempt = 0
                 seq.exclude_shard = None
@@ -364,8 +423,8 @@ class DecodePool:
         """Turn a finished sequence into its completion record.
 
         A retiring sequence donates its whole history — prompt plus all
-        generated tokens but the last, exactly the ``state.pos`` K/V
-        rows it holds — to the radix cache, so a follow-up request that
+        generated tokens but the last, exactly the ``position`` K/V rows
+        it committed — to the radix cache, so a follow-up request that
         replays the transcript prefills only its new suffix.
         """
         if self._radix_cache is not None:
@@ -380,8 +439,9 @@ class DecodePool:
                 seq.request.tenant,
                 seq.request.model,
                 history,
-                seq.state.prefix(seq.state.pos),
+                seq.state.prefix(seq.position),
             )
+        self._forget(seq.request)
         return CompletedRequest(
             request=seq.request,
             outputs=np.asarray(seq.generated, dtype=np.int64),

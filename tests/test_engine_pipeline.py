@@ -22,7 +22,12 @@ public logs:
   its shape's trace tape and *computed* as rows of a stacked host pass
   shared with later batches — and every report, log and output bit
   equals what the same model gives registered through ``infer_fn=``,
-  which executes per batch.
+  which executes per batch;
+* a generation prefill and every decode iteration go through the same
+  two helpers — charged by tape, their tokens read off transcripts one
+  lockstep pass computed for up to 64 requests — and equal the same
+  model behind ``infer_fn=`` + ``generation_adapter=``, which executes
+  per unit; no transcript outlives its request.
 """
 
 import ast
@@ -39,6 +44,7 @@ import pytest
 import repro.serving.engine as engine_module
 from repro.autotune import (
     EndpointProfile,
+    EndpointSpec,
     TuningConfig,
     WorkloadCostSpec,
     build_engine,
@@ -70,7 +76,9 @@ from repro.serving import (
     TenantConfig,
     TransformerPrefixAdapter,
 )
+from repro.serving.generation import ActiveSequence
 from repro.serving.multiproc import merge_reports
+from repro.serving.request import CompletedRequest
 from repro.systolic import SystolicArray, SystolicConfig
 
 CONFIG = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=8)
@@ -912,11 +920,52 @@ def test_compute_once_adds_no_knob_and_one_call_site():
     assert parameters(InferenceEngine.submit) == [
         "self", "model", "inputs", "arrival", "tenant", "priority", "deadline",
     ]
+    assert parameters(InferenceEngine.submit_generation) == [
+        "self", "model", "prompt", "max_new_tokens", "arrival", "stop_token",
+        "tenant", "priority", "deadline",
+    ]
+    assert parameters(GenerationAdapter.__init__) == ["self", "model"]
+
+    def fields(record_type):
+        return [field.name for field in dataclasses.fields(record_type)]
+
+    assert fields(TuningConfig) == [
+        "pool", "placement", "occupancy_penalty", "max_batch_size", "flush_timeout",
+        "max_queue_depth", "prefix_budget_bytes", "radix_budget_bytes", "steal",
+        "autoscale", "steal_drift_threshold", "affinity_break_factor",
+    ]
+    assert fields(EndpointSpec) == [
+        "name", "factory", "kwargs", "prefix_len", "generation", "cost",
+    ]
     source = Path(engine_module.__file__).read_text()
     # Per request (not batchable), per batch (eager), per stack — no more.
     assert source.count("endpoint.infer_fn(") <= 3
     assert source.count("STACK_ELEMENTS = ") == 1
-    assert "environ" not in source
+    # One mechanism: whatever kind of unit is charged by tape, it is taped
+    # and replayed in one place (``_Stack.charge``).
+    assert _sites(".capture()") == ["serving/engine.py:charge"]
+    assert [s for s in _sites(".replay(") if s.startswith("serving/")] == [
+        "serving/engine.py:charge"
+    ]
+    serving = {
+        path.name: path.read_text() for path in (SRC / "serving").glob("*.py")
+    }
+    assert "environ" not in serving["engine.py"] + serving["generation.py"]
+    # A transcript is the stack's, not the report's: what a sequence, a
+    # decode step and a completion carry is what they carried before.
+    assert fields(ActiveSequence) == [
+        "request", "state", "generated", "ready_time", "first_start",
+        "batch_cycles", "attempts", "attempt", "exclude_shard", "last_shard",
+        "last_batch_index", "last_batch_size",
+    ]
+    assert fields(DecodeStepRecord) == [
+        "step_index", "model", "tenant", "shard", "batch_size", "position",
+        "cycles", "start", "finish", "attempt",
+    ]
+    assert fields(CompletedRequest) == [
+        "request", "outputs", "shard", "batch_index", "batch_size", "start",
+        "finish", "batch_cycles", "attempts",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1027,3 +1076,400 @@ def test_one_agenda_of_work_sources():
     source = Path(engine_module.__file__).read_text()
     assert "heapq" not in source and "deque" not in source
     assert "lookahead" not in {f.name for f in dataclasses.fields(ElasticConfig)}
+
+
+# ---------------------------------------------------------------------------
+# Generate once per stack, charge once per step.  The reference is the same
+# model through ``infer_fn=`` + ``generation_adapter=``: one model call per
+# prefill and per decode step.
+# ---------------------------------------------------------------------------
+class _CountedChat(TinyBERT):
+    """The generator under test; logs every ``prefill`` / ``decode_step``."""
+
+    def __init__(self):
+        super().__init__(
+            vocab=16, seq_len=16, dim=8, heads=2, ff_dim=16, n_layers=1,
+            causal=True, seed=0,
+        )
+        self.calls, self.taped, self.warm = [], [], 0
+
+    def _log(self, method, tokens, backend):
+        self.calls.append((method, len(tokens)))
+        self.taped.append(backend.array.trace.tape is not None)
+
+    def prefill(self, tokens, backend, cached=None):
+        self._log("prefill", tokens, backend)
+        self.warm += cached is not None
+        return super().prefill(tokens, backend, cached=cached)
+
+    def decode_step(self, state, tokens, backend):
+        self._log("decode_step", tokens, backend)
+        return super().decode_step(state, tokens, backend)
+
+
+CHAT = TuningConfig(pool=(BIG, BIG), placement="cost_aware", max_batch_size=8)
+
+
+def _chat_engine(model, eager, tuning=CHAT, tenants=(), radix=True, **kwargs):
+    pool = ClusterDispatcher.from_arrays(
+        [SystolicArray(config) for config in tuning.pool], GRANULARITY
+    )
+    engine = InferenceEngine(
+        pool, max_batch_size=tuning.max_batch_size, flush_timeout=tuning.flush_timeout,
+        placement=tuning.placement,
+        tenants=[t if isinstance(t, TenantConfig) else TenantConfig(t) for t in tenants],
+        radix_cache=RadixKVCache() if radix else None,
+        **kwargs,
+    )
+    _register(engine, "chat", model, eager, generation_adapter=GenerationAdapter(model))
+    return engine
+
+
+def _conversational(n, seed):
+    return synthesize_trace(
+        "chat",
+        (EndpointProfile("chat", seq_len=8, vocab=16, max_new_tokens=8),),
+        n, n * 1e-4, seed, "conversational", tenants=("tenant-a", "tenant-b"),
+    )
+
+
+def _both_chat(serve):
+    models = _CountedChat(), _CountedChat()
+    return serve(models[0], False), serve(models[1], True), models[0], models[1]
+
+
+def _serve_chat(trace, door="enqueue", **kwargs):
+    """``serve(model, eager)`` replaying ``trace`` through one front door."""
+
+    def serve(model, eager):
+        engine = _chat_engine(model, eager, tenants=trace.tenants, **kwargs)
+        if door == "source":
+            return engine.run(request_source=trace.requests)
+        engine.enqueue(trace.requests)
+        if door == "enqueue":
+            return engine.run()
+        completed = []
+        while engine.pending:
+            completed += engine.step()
+        return engine.events, completed
+
+    return serve
+
+
+def test_generation_stacked_equals_eager_on_a_two_tenant_conversational_trace():
+    trace = _conversational(360, seed=0)
+    stacked, eager, model, reference = _both_chat(_serve_chat(trace))
+    _assert_same_run(stacked, eager)
+    units = len(eager.placements)
+    assert len(reference.calls) == units == len(stacked.placements)
+    assert len(model.calls) <= units // 3
+    # Lockstep passes outgrow a batch and stop at the element budget.
+    assert 8 < max(rows for _, rows in model.calls) <= engine_module.STACK_ELEMENTS // 8
+    assert len(stacked.generation_steps) == len(eager.generation_steps) > 0
+
+
+def _transcript_replaying_waves(model, waves=12, per=4):
+    """Requests as data: every wave sends ``per`` fresh 4-token prompts and,
+    a little later, one follow-up per prompt of the wave before — prompt,
+    all it generated, one new token — so (radix on) follow-ups prefill warm
+    at the depth their predecessor retired.  ``max_new_tokens`` is mixed and
+    the stop token fires for some."""
+    rng = np.random.default_rng(11)
+    lone = ArrayBackend(SystolicArray(BIG), GRANULARITY)
+    stop = 6  # one of the two tokens this model mostly says
+    requests, previous = [], []
+    for wave in range(waves):
+        at = wave * 4e-4
+        for prompt, said in previous:
+            follow = np.concatenate([prompt, said, rng.integers(0, 16, size=9)])[:9]
+            requests.append(dict(model="chat", inputs=follow, arrival=at + 2e-4,
+                                 max_new_tokens=2, stop_token=stop))
+        previous = []
+        for j in range(per):
+            prompt = rng.integers(0, 16, size=4)
+            limit = 3 + j % 2
+            requests.append(dict(model="chat", inputs=prompt, arrival=at,
+                                 max_new_tokens=limit, stop_token=stop))
+            said = model.generate(prompt[None], limit, lone, stop_token=stop)[0]
+            previous.append((prompt, said))
+    return sorted(requests, key=lambda r: r["arrival"])
+
+
+def test_generation_stacked_equals_eager_with_warm_prefills_limits_and_stops():
+    requests = _transcript_replaying_waves(_CountedChat())
+
+    def serve(model, eager):
+        engine = _chat_engine(model, eager)
+        engine.enqueue(requests)
+        return engine.run()
+
+    stacked, eager, model, reference = _both_chat(serve)
+    _assert_same_run(stacked, eager)
+    # Every radix hit is a warm prefill on the reference; here the first of a
+    # (batch, prompt, cached) shape runs from its cached rows, later ones replay.
+    hits = sum(event.hit for event in stacked.prefix_events)
+    assert 0 < model.warm < reference.warm == hits
+    limits = {r.request.request_id: r.request.generation.max_new_tokens for r in stacked.completed}
+    lengths = {r.request.request_id: len(r.outputs) for r in stacked.completed}
+    assert any(lengths[i] < limits[i] for i in limits)  # a stop fired
+    assert len(set(limits.values())) == 3
+    assert len(model.calls) < len(reference.calls) == len(eager.placements)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generation_stacked_equals_eager_under_seeded_faults(seed):
+    trace = _conversational(96, seed)
+    faults = FaultPlan.from_seed(
+        seed, 2, trace.requests[-1].arrival, crash_rate=4.0, slowdown_rate=0.5
+    )
+    stacked, eager, model, reference = _both_chat(
+        _serve_chat(trace, faults=faults)
+    )
+    _assert_same_run(stacked, eager)
+    # A decode iteration crashed mid-flight and its retry ran elsewhere.
+    assert any(
+        step.attempt > 0 for step in stacked.generation_steps
+    ), "no decode step was retried"
+    retried = {s.step_index for s in stacked.generation_steps if s.attempt > 0}
+    assert any(
+        p.batch_index in retried and p.recovered_from not in (None, p.shard)
+        for p in stacked.placements
+    )
+    assert len(model.calls) < len(reference.calls)
+
+
+def test_generation_stacked_equals_eager_on_an_unequal_pool():
+    """Geometry and clock decide what a unit is charged, not what it
+    computes: transcripts serve both shards of a ``(BIG, MID)`` pool."""
+    trace = _conversational(120, seed=1)
+    # Round robin: a sequence changes shard from one unit to the next.
+    tuning = dataclasses.replace(CHAT, pool=(BIG, MID), placement="round_robin")
+    stacked, eager, model, reference = _both_chat(_serve_chat(trace, tuning=tuning))
+    _assert_same_run(stacked, eager)
+    assert len({p.shard for p in stacked.placements}) == 2
+    assert len(model.calls) < len(reference.calls) // 2
+
+
+@pytest.mark.parametrize("door", ["step", "source"])
+def test_generation_without_look_ahead_still_equals_eager(door):
+    """``step()``-driven serving and a streamed ``request_source`` feed no
+    look-ahead, and a lockstep pass over one unit's sequences alone makes
+    as many model calls as the units it spans (more, when groups merge):
+    such a unit computes alone — the reference's calls exactly, the
+    replayed ones detached."""
+    trace = _conversational(64, seed=2)
+    stacked, eager, model, reference = _both_chat(_serve_chat(trace, door=door))
+    if door == "source":
+        _assert_same_run(stacked, eager)
+    else:
+        (log, completed), (eager_log, eager_completed) = stacked, eager
+        assert _log(log) == _log(eager_log)
+        assert len(completed) == len(eager_completed) == 64
+        for ours, theirs in zip(completed, eager_completed):
+            assert ours.outputs.dtype == theirs.outputs.dtype
+            assert np.array_equal(ours.outputs, theirs.outputs)
+    assert model.calls == reference.calls
+    assert 0 < model.taped.count(True) < len(model.taped)
+
+
+# -- nothing stale, generation edition ---------------------------------------
+def _prompts(n, seed, length=4):
+    return np.random.default_rng(seed).integers(0, 16, size=(n, length))
+
+
+def _chat_burst(engine, prompts, spacing=0.0, per=4, new=4, start=0.0):
+    """Submit ``prompts`` (``per`` of them per arrival instant), run, and
+    return the report with the outputs in submission order."""
+    ids = [
+        engine.submit_generation("chat", p, new, arrival=start + (i // per) * spacing)
+        for i, p in enumerate(prompts)
+    ]
+    report = engine.run()
+    return report, [engine.result(i) for i in ids if i in engine._results]
+
+
+def _small_chat(model, eager=False, n_shards=1, **kwargs):
+    tuning = TuningConfig(
+        pool=(CONFIG,) * n_shards, max_batch_size=4, flush_timeout=1e-5
+    )
+    return _chat_engine(model, eager, tuning=tuning, **kwargs)
+
+
+def _unswept(engine):
+    """Disable the end-of-run sweep: what the stack holds after the run
+    is then what retirement, shedding and failure left behind."""
+    engine._clear_stacks = lambda tapes: None
+    return engine._endpoints["chat"].stack
+
+
+@pytest.mark.parametrize("fate", ["shed", "failed"])
+def test_shed_and_failed_generation_requests_leave_the_stack(fate):
+    """Generation requests that die at t=0 are in no later lockstep pass
+    (three prefills of 4 follow), and no transcript outlives its request."""
+    prompts = _prompts(24, seed=7)
+    model = _CountedChat()
+    if fate == "shed":
+        engine = _small_chat(model, tenants=[TenantConfig("default", max_queue_depth=4)])
+        at_zero, dead = 12, (8, 0)
+    else:
+        engine = _small_chat(
+            model,
+            faults=FaultPlan(events=(ShardCrash(0, at=0.0, until=5e-4),)),
+            retry_policy=RetryPolicy(max_retries=0),
+        )
+        at_zero, dead = 4, (0, 4)
+    stack = _unswept(engine)
+    for prompt in prompts[:at_zero]:
+        engine.submit_generation("chat", prompt, 4, arrival=0.0)
+    for i, prompt in enumerate(prompts[12:]):
+        engine.submit_generation("chat", prompt, 4, arrival=2e-3 * (1 + i // 4))
+    report = engine.run()
+    assert (report.shed_count, report.failed_count) == dead
+    assert len(report.completed) == at_zero + 12 - sum(dead)
+    # The first group served executes, unit by unit; the next one's prefill
+    # replays and transcribes itself and all that is still to come.
+    ahead = 12 if fate == "shed" else 8
+    assert model.calls == (
+        [("prefill", 4)] + [("decode_step", 4)] * 3
+        + [("prefill", ahead)] + [("decode_step", ahead)] * 3
+    )
+    assert not stack.rows and not stack.ahead
+
+
+def test_a_sequence_dropped_mid_decode_releases_its_transcript():
+    prompts = _prompts(16, seed=8)
+
+    def engine_with(faults):
+        return _small_chat(
+            _CountedChat(), faults=faults, retry_policy=RetryPolicy(max_retries=0)
+        )
+
+    clean, _ = _chat_burst(engine_with(None), prompts, spacing=2e-3)
+    target = clean.generation_steps[-2]  # a replayed step of the last group
+    crash = ShardCrash(target.shard, at=target.start, until=target.start + OUTAGE)
+    engine = engine_with(FaultPlan(events=(crash,)))
+    stack = _unswept(engine)
+    held = []
+    failed = engine._decode_pool._attempt_failed
+
+    def watched(group, shard, at):
+        held.append([seq.request.request_id in stack.rows for seq in group])
+        return failed(group, shard, at)
+
+    engine._decode_pool._attempt_failed = watched
+    report, _ = _chat_burst(engine, prompts, spacing=2e-3)
+    assert report.failed_count == 4 and len(report.completed) == 12
+    assert held == [[True] * 4]  # dropped holding transcripts ...
+    assert not stack.rows  # ... which went with them
+
+
+def test_a_generation_name_registered_again_starts_from_nothing():
+    prompts = _prompts(12, seed=5)
+
+    def serve(_, eager):
+        engine = _small_chat(_CountedChat(), eager)  # replaced right below
+        runs = []
+        for depth in (1, 2):
+            model = TinyBERT(
+                vocab=16, seq_len=16, dim=8, heads=2, ff_dim=16, n_layers=depth,
+                causal=True, seed=0,
+            )
+            _register(
+                engine, "chat", model, eager, generation_adapter=GenerationAdapter(model)
+            )
+            engine.radix_cache.clear()  # K/V rows of the model before
+            runs.append(_chat_burst(engine, prompts, spacing=1e-3)[0])
+        return runs
+
+    stacked, eager, _, _ = _both_chat(serve)
+    for report, eager_report in zip(stacked, eager):
+        _assert_same_run(report, eager_report)
+    assert stacked[1].total_cycles > 1.5 * stacked[0].total_cycles
+
+
+def test_reset_starts_every_generation_shape_from_execution_again():
+    prompts = _prompts(12, seed=6)
+    model = _CountedChat()
+    engine = _small_chat(model)
+    for _ in range(2):
+        _chat_burst(engine, prompts, spacing=1e-3)
+        engine.reset()
+    # Three prefills of 4 per run: the first group executes unit by unit
+    # (taped), the second's prefill replays and transcribes itself plus the
+    # third; nothing else calls the model.
+    once = (
+        [("prefill", 4)] + [("decode_step", 4)] * 3
+        + [("prefill", 8)] + [("decode_step", 8)] * 3
+    )
+    assert model.calls == once * 2
+    assert model.taped == ([True] * 4 + [False] * 4) * 2
+
+
+def test_transcripts_do_not_outlive_the_run_that_computed_them():
+    """Weights may change between runs: the second run generates with the
+    new ones, on tapes the first captured."""
+    prompts = _prompts(16, seed=3)
+
+    def serve(model, eager):
+        engine = _small_chat(model, eager, radix=False)
+        first = _chat_burst(engine, prompts, spacing=1e-3)
+        model.token_emb.table.data[...] = np.roll(model.token_emb.table.data, 1, axis=0)
+        model.token_emb.table.mark_dirty()
+        return first, _chat_burst(engine, prompts, spacing=1e-3, start=1.0)
+
+    stacked, eager, model, _ = _both_chat(serve)
+    for (report, outputs), (eager_report, eager_outputs) in zip(stacked, eager):
+        _assert_same_run(report, eager_report)
+        assert all(np.array_equal(a, b) for a, b in zip(outputs, eager_outputs))
+    assert not all(np.array_equal(a, b) for a, b in zip(stacked[0][1], stacked[1][1]))
+    assert not any(model.taped[len(model.taped) // 2 :])
+
+
+def test_a_run_that_raises_leaves_no_transcript_behind():
+    engine = _small_chat(_CountedChat())
+    stack = engine._endpoints["chat"].stack
+    insert, held = engine.radix_cache.insert, []
+
+    def thirteenth(*args):
+        # 4 prompts + 4 histories of the first group, 4 prompts of the second:
+        # the next donation is the second group's first retirement.
+        held.append(len(stack.rows))
+        if len(held) == 13:
+            raise RuntimeError("boom")
+        return insert(*args)
+
+    engine.radix_cache.insert = thirteenth
+    with pytest.raises(RuntimeError, match="boom"):
+        _chat_burst(engine, _prompts(12, seed=4), spacing=1e-3)
+    assert held[-1] == 8  # the second group's transcripts and the third's
+    assert not stack.rows and not stack.ahead
+
+
+def test_generation_on_shards_that_compute_differently_executes_per_unit():
+    """A decode step continues from K/V rows earlier units computed,
+    wherever they ran.  Where shards differ in format or granularity a
+    transcript computed on one is not what the pool's units produce
+    between them: generation executes per unit, exactly as the reference
+    does (classifier rows, which have no history, still stack per shard)."""
+    trace = _conversational(64, seed=4)
+
+    def serve(model, eager):
+        pool = ClusterDispatcher(
+            [ArrayBackend(SystolicArray(BIG), g) for g in (GRANULARITY, 2 * GRANULARITY)]
+        )
+        engine = InferenceEngine(pool, max_batch_size=8, radix_cache=RadixKVCache())
+        _register(engine, "chat", model, eager, generation_adapter=GenerationAdapter(model))
+        engine.enqueue(trace.requests)
+        return engine.run()
+
+    stacked, eager, model, reference = _both_chat(serve)
+    _assert_same_run(stacked, eager)
+    assert len({p.shard for p in stacked.placements}) == 2
+    assert model.calls == reference.calls
+    # ... and it matters: the two shards do not generate alike.
+    lone = [ArrayBackend(SystolicArray(BIG), g) for g in (GRANULARITY, 2 * GRANULARITY)]
+    prompts = np.stack([r.request.inputs for r in stacked.completed])
+    assert any(
+        not np.array_equal(a, b)
+        for a, b in zip(*(model.generate(prompts, 8, backend) for backend in lone))
+    )

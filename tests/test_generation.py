@@ -189,6 +189,45 @@ class TestDecodeBitIdentity:
         expect = free[: hits[0] + 1] if hits.size else free
         assert np.array_equal(stopped, expect)
 
+    @given(
+        limits=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+        stops=st.lists(st.sampled_from([None, 6, 9, 12]), min_size=5, max_size=5),
+        prompt_len=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_lockstep_with_per_row_limits_and_stops_matches_one_at_a_time(
+        self, limits, stops, prompt_len, seed
+    ):
+        """One lockstep run whose rows each have their own
+        ``max_new_tokens`` / ``stop_token`` gives every row what it
+        generates alone, and keeps the K/V rows a decode pool would hold."""
+        model = _model()
+        prompts = _prompts(np.random.default_rng(seed), len(limits), prompt_len)
+        stops = stops[: len(limits)]
+        backend = _backend()
+        rows, state = model.transcribe(prompts, limits, backend, stops)
+        steps = 0
+        for j, row in enumerate(rows):
+            alone, kept = model.transcribe(
+                prompts[j : j + 1], limits[j], backend, stops[j]
+            )
+            assert row.dtype == alone[0].dtype and np.array_equal(row, alone[0])
+            assert len(row) == limits[j] or row[-1] == stops[j]
+            assert stops[j] not in row[:-1].tolist()
+            # Prompt plus every generated token but the last, row for row.
+            held = prompt_len + len(row) - 1
+            assert kept.pos == held <= state.pos
+            for i in range(model.n_layers):
+                assert np.array_equal(state.k[i][j, :held], kept.k[i][0])
+                assert np.array_equal(state.v[i][j, :held], kept.v[i][0])
+            steps = max(steps, len(row))
+        # The batch stops as soon as its last row does.
+        assert state.pos == prompt_len + steps - 1
+        assert [r.tolist() for r in model.generate(prompts, limits, backend, stops)] == [
+            r.tolist() for r in rows
+        ]
+
     def test_stack_split_roundtrip(self):
         model = _model()
         rng = np.random.default_rng(0)
@@ -314,11 +353,11 @@ class RecordingAdapter(GenerationAdapter):
         )
         return super().prefill(prompts, backend, cached=cached)
 
-    def decode(self, states, tokens, backend):
+    def decode(self, states, tokens, backend, position):
         self.decode_batches.append(
             {"size": len(states), "positions": {s.pos for s in states}}
         )
-        return super().decode(states, tokens, backend)
+        return super().decode(states, tokens, backend, position)
 
 
 def _gen_engine(n_shards=2, adapter=None, model=None, **kw):
@@ -329,8 +368,13 @@ def _gen_engine(n_shards=2, adapter=None, model=None, **kw):
     kw.setdefault("max_batch_size", 4)
     kw.setdefault("flush_timeout", 1e-4)
     engine = InferenceEngine(pool, **kw)
-    adapter = adapter if adapter is not None else GenerationAdapter(model)
-    engine.register("gen", generation_adapter=adapter)
+    if adapter is None:
+        adapter = GenerationAdapter(model)
+        engine.register("gen", generation_adapter=adapter)
+    else:
+        # A spy sees each unit execute only on the per-unit reference; a
+        # ``Module`` endpoint replays units and computes them in stacks.
+        engine.register("gen", infer_fn=model.infer, generation_adapter=adapter)
     return engine, adapter, model
 
 
