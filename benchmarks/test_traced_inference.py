@@ -415,9 +415,13 @@ def test_host_coalescing_counts(print_artifact):
     stacked host passes (16 tokens per request put 4 batches in a stack),
     so it calls the model about 10 times where the ``infer_fn=``
     reference calls it 32 times — for equal outputs and traced cycles.
-    The gate is on counts, which repeat exactly on any runner.
+    A second engine assembled from the same ``EndpointSpec`` finds every
+    shape's tape on the spec and only computes stacks (8 calls).
+    The gates are on counts, which repeat exactly on any runner.
     """
-    from repro.serving import InferenceEngine, ClusterDispatcher
+    from repro.serving import ClusterSpec, EndpointSpec, InferenceEngine
+    from repro.serving.deploy import assemble_engine
+    from repro.serving.engine import STACK_ELEMENTS
 
     class CountedBERT(TinyBERT):
         calls = 0
@@ -427,33 +431,42 @@ def test_host_coalescing_counts(print_artifact):
             return super().infer(tokens, backend, kv)
 
     tokens = np.random.default_rng(4).integers(0, 32, size=(256, 16))
+    models = []
+
+    def counted(**kwargs):
+        models.append(CountedBERT(**kwargs))
+        return models[-1]
+
+    spec = EndpointSpec(
+        "bert", counted,
+        dict(vocab=32, seq_len=16, dim=32, heads=4, ff_dim=64, n_layers=2),
+    )
+    pool = ClusterSpec.homogeneous(_paper_config(), 2, 0.25)
 
     def serve(eager):
-        model = CountedBERT(
-            vocab=32, seq_len=16, dim=32, heads=4, ff_dim=64, n_layers=2
-        )
-        pool = ClusterDispatcher(
-            [ArrayBackend(SystolicArray(_paper_config()), 0.25) for _ in range(2)]
-        )
-        engine = InferenceEngine(pool, max_batch_size=8, flush_timeout=1e-4)
         if eager:
-            engine.register("bert", infer_fn=model.infer)
+            engine = InferenceEngine(pool.build(), max_batch_size=8, flush_timeout=1e-4)
+            engine.register("bert", infer_fn=counted(**spec.kwargs).infer)
         else:
-            engine.register("bert", model)
+            engine = assemble_engine(pool, [spec], max_batch_size=8, flush_timeout=1e-4)
         ids = [engine.submit("bert", row) for row in tokens]
         report = engine.run()
-        return [engine.result(i) for i in ids], report, model.calls
+        return [engine.result(i) for i in ids], report, models[-1].calls
 
     outputs, report, calls = serve(eager=False)
+    # Engines of one spec share its tapes: the second executes no shape
+    # for the first time, it only computes stacks.
+    again_outputs, again_report, again_calls = serve(eager=False)
     eager_outputs, eager_report, eager_calls = serve(eager=True)
-    for ours, theirs in zip(outputs, eager_outputs):
-        assert np.array_equal(ours, theirs)
-    assert report.total_cycles == eager_report.total_cycles
+    for ours, again, theirs in zip(outputs, again_outputs, eager_outputs):
+        assert np.array_equal(ours, theirs) and np.array_equal(again, theirs)
+    assert report.total_cycles == again_report.total_cycles == eager_report.total_cycles
     assert report.n_batches == eager_report.n_batches == eager_calls == 32
+    stacks = -(-tokens.size // STACK_ELEMENTS)
     print_artifact(
         "Host coalescing (256 BERT-tiny requests, 2 array shards)\n"
-        f"  batches {report.n_batches}   model calls {calls} "
-        f"(eager reference {eager_calls})   "
+        f"  batches {report.n_batches}   model calls {calls}, {again_calls} on a "
+        f"second engine of the same spec (eager reference {eager_calls})   "
         f"{report.total_cycles} traced cycles, identical"
     )
     _update_artifact(
@@ -461,12 +474,16 @@ def test_host_coalescing_counts(print_artifact):
             "requests": len(tokens),
             "batches": report.n_batches,
             "model_calls": calls,
+            "second_replay_model_calls": again_calls,
             "eager_model_calls": eager_calls,
             "traced_cycles": int(report.total_cycles),
         }
     )
     assert calls <= report.n_batches // 2, (
         f"{calls} model calls for {report.n_batches} batches"
+    )
+    assert again_calls <= stacks, (
+        f"{again_calls} model calls on the second engine for {stacks} stacks"
     )
 
 
@@ -481,12 +498,17 @@ def test_generation_coalescing_counts(print_artifact):
     decode loop over up to 64 stacked prompts — so it calls the model at
     most a third as often as the ``infer_fn=`` + ``generation_adapter=``
     reference, which calls it once per unit, for equal tokens and traced
-    cycles.  The gate is on counts, which repeat exactly on any runner.
+    cycles.  A second engine assembled from the same ``EndpointSpec``
+    finds every shape's tape on the spec and makes lockstep passes only
+    (6 passes of 1 prefill + 7 decode steps).  The gates are on counts,
+    which repeat exactly on any runner.
     """
     from repro.autotune import EndpointProfile, synthesize_trace
     from repro.serving import (
-        ClusterDispatcher, GenerationAdapter, InferenceEngine, RadixKVCache,
+        ClusterSpec, EndpointSpec, GenerationAdapter, InferenceEngine, RadixKVCache,
     )
+    from repro.serving.deploy import assemble_engine
+    from repro.serving.engine import STACK_ELEMENTS
 
     class CountedChat(TinyBERT):
         calls = 0
@@ -499,41 +521,57 @@ def test_generation_coalescing_counts(print_artifact):
             self.calls += 1
             return super().decode_step(state, tokens, backend)
 
+    new_tokens = 8
     trace = synthesize_trace(
-        "chat", (EndpointProfile("chat", seq_len=8, vocab=16, max_new_tokens=8),),
+        "chat",
+        (EndpointProfile("chat", seq_len=8, vocab=16, max_new_tokens=new_tokens),),
         360, 360 * 1e-4, 0, "conversational", tenants=("tenant-a", "tenant-b"),
     )
+    models = []
+
+    def counted(**kwargs):
+        models.append(CountedChat(**kwargs))
+        return models[-1]
+
+    spec = EndpointSpec(
+        "chat", counted,
+        dict(vocab=16, seq_len=16, dim=8, heads=2, ff_dim=16, n_layers=1, causal=True),
+        generation=True,
+    )
+    pool = ClusterSpec.homogeneous(_paper_config(), 2, 0.25)
+    options = dict(max_batch_size=8, placement="cost_aware")
 
     def serve(eager):
-        model = CountedChat(
-            vocab=16, seq_len=16, dim=8, heads=2, ff_dim=16, n_layers=1, causal=True
-        )
-        pool = ClusterDispatcher(
-            [ArrayBackend(SystolicArray(_paper_config()), 0.25) for _ in range(2)]
-        )
-        engine = InferenceEngine(
-            pool, max_batch_size=8, placement="cost_aware", radix_cache=RadixKVCache()
-        )
-        adapter = GenerationAdapter(model)
         if eager:
-            engine.register("chat", infer_fn=model.infer, generation_adapter=adapter)
+            engine = InferenceEngine(pool.build(), radix_cache=RadixKVCache(), **options)
+            model = counted(**spec.kwargs)
+            engine.register(
+                "chat", infer_fn=model.infer, generation_adapter=GenerationAdapter(model)
+            )
         else:
-            engine.register("chat", model, generation_adapter=adapter)
+            engine = assemble_engine(pool, [spec], **options)
         ids = engine.enqueue(trace.requests)
         report = engine.run()
-        return [engine.result(i) for i in ids], report, model.calls
+        return [engine.result(i) for i in ids], report, models[-1].calls
 
     outputs, report, calls = serve(eager=False)
+    # Engines of one spec share its tapes: the second executes no shape
+    # for the first time, it only makes lockstep passes.
+    again_outputs, again_report, again_calls = serve(eager=False)
     eager_outputs, eager_report, eager_calls = serve(eager=True)
-    for ours, theirs in zip(outputs, eager_outputs):
+    for ours, again, theirs in zip(outputs, again_outputs, eager_outputs):
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
-    assert report.total_cycles == eager_report.total_cycles
+        assert again.dtype == theirs.dtype and np.array_equal(again, theirs)
+    assert report.total_cycles == again_report.total_cycles == eager_report.total_cycles
     units = len(report.placements)
     assert units == len(eager_report.placements) == eager_calls
+    prompt_elements = sum(r.inputs_array().size for r in trace.requests)
+    lockstep = -(-prompt_elements // STACK_ELEMENTS) * new_tokens
     print_artifact(
         "Generation coalescing (360 conversational requests, 2 array shards)\n"
         f"  units {units} ({units - len(report.generation_steps)} prefills + "
-        f"{len(report.generation_steps)} decode steps)   model calls {calls} "
+        f"{len(report.generation_steps)} decode steps)   model calls {calls}, "
+        f"{again_calls} on a second engine of the same spec "
         f"(eager reference {eager_calls})   {report.generated_tokens} tokens, "
         f"{report.total_cycles} traced cycles, identical"
     )
@@ -544,11 +582,15 @@ def test_generation_coalescing_counts(print_artifact):
             "decode_steps": len(report.generation_steps),
             "tokens": int(report.generated_tokens),
             "model_calls": calls,
+            "second_replay_model_calls": again_calls,
             "eager_model_calls": eager_calls,
             "traced_cycles": int(report.total_cycles),
         }
     )
     assert calls <= units // 3, f"{calls} model calls for {units} units"
+    assert again_calls <= lockstep, (
+        f"{again_calls} model calls on the second engine for {lockstep} lockstep ones"
+    )
 
 
 def test_placement_cost_aware_beats_round_robin(print_artifact):

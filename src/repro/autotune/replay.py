@@ -92,6 +92,13 @@ def replay_trace(
     replays never share plan/approximator caches with the caller or
     each other — a candidate's report depends on the trace and the
     config, nothing else.
+
+    Replays given the same :class:`~repro.serving.deploy.EndpointSpec`
+    *object* do share its trace tapes, and only those: a unit of a shape
+    an earlier replay executed is charged by replaying that tape from
+    the first unit on.  No report can see it — a replayed unit records
+    the events an executed one records — so the fingerprint is the one
+    a freshly constructed equal spec gives.
     """
     with private_store():
         engine = build_engine(

@@ -167,7 +167,7 @@ def cpwl_softmax(
         if row_offset is not None:
             exps = np.where(visible, exps, 0.0)
         denom = np.sum(exps, axis=axis, keepdims=True)
-        return exps * np.broadcast_to(recip_table(np.maximum(denom, lo)), x.shape)
+        return exps * recip_table(np.maximum(denom, lo))
     one = float(1 << fmt.frac_bits)
     shifted *= one
     exps = exp_table.evaluate_raw(round_saturate(shifted, fmt))
@@ -180,7 +180,7 @@ def cpwl_softmax(
     denom = round_saturate(np.sum(exps, axis=axis, keepdims=True), fmt)
     np.maximum(denom, lo * one, out=denom)
     inv = recip_table.evaluate_raw(round_saturate(denom, fmt))
-    out = exps * np.broadcast_to(inv, x.shape)
+    out = exps * inv
     out *= fmt.scale
     round_saturate(out, fmt)
     out *= fmt.scale
@@ -211,7 +211,7 @@ def cpwl_layernorm(
     lo = rsqrt_table.table.x_min
     if fmt is None:
         var = np.sum(centered * centered, axis=axis, keepdims=True) / n + eps
-        normed = centered * np.broadcast_to(rsqrt_table(np.maximum(var, lo)), x.shape)
+        normed = centered * rsqrt_table(np.maximum(var, lo))
         if gamma is not None:
             normed = normed * np.asarray(gamma, dtype=np.float64)
         if beta is not None:
@@ -228,7 +228,7 @@ def cpwl_layernorm(
     round_saturate(var, fmt)
     np.maximum(var, lo * one, out=var)
     inv_std = rsqrt_table.evaluate_raw(round_saturate(var, fmt))
-    normed = centered * np.broadcast_to(inv_std, x.shape)
+    normed = centered * inv_std
     normed *= fmt.scale
     round_saturate(normed, fmt)
     if gamma is not None:

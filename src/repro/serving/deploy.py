@@ -14,6 +14,7 @@ and replays with no edit here or in either front end.
 
 from __future__ import annotations
 
+import copy
 import inspect
 import multiprocessing
 import os
@@ -80,6 +81,42 @@ class EndpointSpec:
     generation: bool = False
     cost: Optional[WorkloadCostSpec] = None
 
+    @property
+    def tapes(self) -> Dict[tuple, list]:
+        """What the shapes of this deployment's units are charged, as far
+        as any engine assembled from this very object has met them —
+        ``(unit shape ..., array config, who) -> trace tape``.
+
+        :func:`assemble_engine` lends the mapping to the endpoint's
+        engine, which fills it; the next engine built from the same
+        object replays those shapes from its first unit instead of
+        executing each once more.  A tape is a function of its key and
+        of the model's structure, so the memo is kept beside a snapshot
+        of what builds the model and starts over when the description no
+        longer equals it (``kwargs`` is a mutable dict).  Nothing else
+        evicts it: it holds one tape per design point per unit shape the
+        model can form, however many engines were assembled.  It is not
+        a field: an equal-but-distinct spec shares nothing, and ``==``,
+        ``repr``, ``hash``, pickle and copy never see it.
+        """
+        described = (self.factory, self.kwargs, self.prefix_len, self.generation)
+        snapshot, tapes = self.__dict__.get("_memo", (None, None))
+        try:
+            stale = snapshot != described
+        except ValueError:  # an array among the kwargs: equal to nothing
+            stale = True
+        if stale:
+            # kwargs by value; the factory by reference (a bound method
+            # never equals its deep copy).
+            kwargs = copy.deepcopy(self.kwargs)
+            snapshot = (self.factory, kwargs, self.prefix_len, self.generation)
+            tapes = {}
+            self.__dict__["_memo"] = snapshot, tapes
+        return tapes
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key != "_memo"}
+
 
 def assemble_engine(
     pool: ClusterSpec,
@@ -128,6 +165,7 @@ def assemble_engine(
             ),
             generation_adapter=GenerationAdapter(model) if spec.generation else None,
         )
+        engine.share_tapes(spec.name, spec.tapes)
     return engine
 
 

@@ -186,8 +186,12 @@ class _Stack:
     batch, prefill, decode iteration — is *charged* through
     :meth:`charge` and *filled* through :meth:`take` (:meth:`once`).
 
-    ``tapes`` live until the name is registered again or the engine
-    reset, the other two for one :meth:`InferenceEngine.run`.
+    ``tapes`` lives until the name is registered again or the engine
+    reset — both *rebind* it to a new mapping and never empty the old
+    one, which may be the deployment description's memo
+    (:meth:`InferenceEngine.share_tapes`): filled here, owned there, it
+    outlives the engine.  The other two live for one
+    :meth:`InferenceEngine.run`.
     """
 
     def __init__(self) -> None:
@@ -665,7 +669,8 @@ class InferenceEngine:
                 "prefix_adapter wraps a different model than the one being "
                 "registered; build the adapter from the same model instance"
             )
-        # A name registered again starts from nothing: no tape, no row.
+        # A name registered again starts from nothing: no tape, no row (and
+        # a mapping lent to the old registration is left as it is).
         stack = None
         if infer_fn is None:
             infer_fn = model.infer  # type: ignore[union-attr]
@@ -675,6 +680,25 @@ class InferenceEngine:
             name, infer_fn, batchable, cost_model, prefix_adapter,
             generation_adapter, stack,
         )
+
+    def share_tapes(self, name: str, tapes: Dict[tuple, list]) -> None:
+        """Charge endpoint ``name`` from ``tapes`` — a mapping the caller
+        owns and may lend to every engine serving the same model.
+
+        What a unit is charged depends on its shape, the design point and
+        the kind of backend (the key) and on the model's structure; a
+        caller that knows two engines were built from one description
+        (:func:`~repro.serving.deploy.assemble_engine`, from one
+        :class:`~repro.serving.deploy.EndpointSpec`) lends both the same
+        mapping, and a shape either has executed is replayed by the other
+        from its first unit.  The engine fills the mapping and never
+        empties it: :meth:`reset` and registering the name again go back
+        to a private one.  No effect on an endpoint that executes per
+        unit (``infer_fn=``, not a ``Module``).
+        """
+        stack = self._endpoints[name].stack
+        if stack is not None:
+            stack.tapes = tapes
 
     def register_tenant(
         self,
@@ -1534,8 +1558,8 @@ class InferenceEngine:
             if stack is not None:
                 stack.ahead.clear()
                 stack.rows.clear()
-                if tapes:
-                    stack.tapes.clear()
+                if tapes:  # rebound, not cleared: a lent one stays the lender's
+                    stack.tapes = {}
 
     # ------------------------------------------------------------------
     # Generation: prefill batches and the continuous-batching decode pool

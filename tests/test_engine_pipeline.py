@@ -821,6 +821,98 @@ def test_reset_starts_every_shape_from_execution_again():
     assert model.taped == [True, False] * 2
 
 
+def _assembled(model_type, tuning, generation=False):
+    """A spec of ``model_type`` plus ``build()``, which assembles one more
+    engine from it and returns ``(engine, its model)``."""
+    made = []
+
+    def factory():
+        made.append(model_type())
+        return made[-1]
+
+    name = "chat" if generation else "bert"
+    spec = EndpointSpec(name, factory, generation=generation)
+    return spec, lambda: (build_engine(tuning, (spec,)), made[-1])
+
+
+SMALL = TuningConfig(pool=(CONFIG,), max_batch_size=4, flush_timeout=1e-5)
+
+
+def test_reset_leaves_a_lent_mapping_to_its_lender():
+    """Engines assembled from one spec charge from its memo: ``reset()``
+    and re-registration put an engine back on a mapping of its own and
+    empty nothing its siblings, or an engine built later, replay."""
+    rows = np.random.default_rng(6).integers(0, 16, size=(12, 8))
+    spec, build = _assembled(_CountedBERT, SMALL)
+    (first, model), (second, sibling) = build(), build()
+    reference, expected = _burst(first, rows)
+    assert model.calls == [4, 8] and model.taped == [True, False]
+    tapes = dict(spec.tapes)
+    first.reset()
+    assert spec.tapes == tapes
+    third, late = build()
+    for engine, counted in ((second, sibling), (third, late)):
+        report, outputs = _burst(engine, rows)
+        # One stack of all three batches; nothing executes under a tape.
+        assert counted.calls == [12] and counted.taped == [False]
+        assert report.shard_cycles == reference.shard_cycles
+        assert np.array_equal(outputs, expected)
+    # The reset engine, and a name registered again by hand, start from
+    # execution like any engine nothing was lent to.
+    for registered_again in (False, True):
+        first.reset()
+        if registered_again:
+            first.register("bert", model)
+        model.calls.clear(), model.taped.clear()
+        # (Request ids run on over a reset: compare what they do not name.)
+        report, outputs = _burst(first, rows)
+        assert model.calls == [4, 8] and model.taped == [True, False]
+        assert report.shard_cycles == reference.shard_cycles
+        assert np.array_equal(outputs, expected)
+    assert spec.tapes == tapes
+
+
+def test_reset_leaves_a_lent_generation_mapping_to_its_lender():
+    prompts = _prompts(12, seed=6)
+    spec, build = _assembled(_CountedChat, SMALL, generation=True)
+    (first, model), (second, sibling) = build(), build()
+    reference, expected = _chat_burst(first, prompts, spacing=1e-3)
+    assert model.taped == [True] * 4 + [False] * 4
+    tapes = dict(spec.tapes)
+    first.reset()
+    assert spec.tapes == tapes
+    third, late = build()
+    for engine, counted in ((second, sibling), (third, late)):
+        report, outputs = _chat_burst(engine, prompts, spacing=1e-3)
+        # One lockstep pass over all twelve prompts, detached.
+        assert counted.calls == [("prefill", 12)] + [("decode_step", 12)] * 3
+        assert not any(counted.taped)
+        assert report.shard_cycles == reference.shard_cycles
+        assert np.array_equal(outputs, expected)
+    model.calls.clear(), model.taped.clear()
+    report, outputs = _chat_burst(first, prompts, spacing=1e-3)
+    assert model.taped == [True] * 4 + [False] * 4
+    assert report.shard_cycles == reference.shard_cycles
+    assert np.array_equal(outputs, expected)
+    assert spec.tapes == tapes
+
+
+def test_tapes_are_lent_in_one_place_and_kept_in_no_registry():
+    """The hand-over is ``assemble_engine``'s alone, the memo the spec
+    object's alone: no module-level mapping, no store namespace."""
+    assert _sites(".share_tapes(") == ["serving/deploy.py:assemble_engine"]
+    for path in SRC.rglob("*.py"):
+        module = ast.parse(path.read_text())
+        assigned = [
+            ast.unparse(node)
+            for node in module.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and "tape" in ast.unparse(node).lower()
+        ]
+        assert assigned == [], path
+    assert "tape" not in (SRC / "store" / "base.py").read_text().lower()
+
+
 @pytest.mark.parametrize("fate", ["shed", "failed"])
 def test_shed_and_failed_requests_leave_the_stack(fate):
     """Requests that die at t=0 — shed by a queue cap, or abandoned on a
