@@ -26,9 +26,11 @@ The seed path is reproduced faithfully on top of today's modules:
   the storage-integer array that ``fixed_matmul`` then converted back
   to float64) in front of every GEMM *and* every nonlinear op, so the
   reference runs on integer codes throughout;
-* the MHP executed **lane by lane** and its data-rearrange streams
-  **materialized** on every nonlinear op (the seed built them
-  unconditionally and never consumed them).
+* every nonlinear op run as the **structural chain** — data addressing
+  batch by batch, the data-rearrange streams **materialized** (the seed
+  built them unconditionally and never consumed them), the MHP **lane
+  by lane** — where today's path charges the same events from the shape
+  and gathers the values from the approximator's code table.
 
 A ``BENCH_traced.json`` perf-trajectory artifact is written to the
 repository root so CI can accumulate the measurements across PRs.
@@ -44,12 +46,14 @@ import numpy as np
 from hostbench.child import make_calibration
 from hostbench.run import at_reference_speed
 
+from repro.core.nonlinear_ops import get_approximator
 from repro.fixedpoint import dequantize
 from repro.nn.executor import ArrayBackend
 from repro.nn.models import TinyBERT
 from repro.systolic import ExecutionResult, SystolicArray, SystolicConfig
 from repro.systolic.gemm import execute_gemm_per_tile
 from repro.systolic.mhp_dataflow import execute_mhp_per_lane
+from repro.systolic.rearrange import rearrange_for_mhp
 from repro.systolic.trace import TraceEvent
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -98,8 +102,62 @@ def _seed_quantize(values, fmt):
     return raw.astype(fmt.storage_dtype()).reshape(values.shape)
 
 
-class _SeedArray(SystolicArray):
-    """SystolicArray with the seed's per-tile GEMM / per-lane MHP."""
+class _ChainArray(SystolicArray):
+    """SystolicArray whose nonlinear ops run the structural chain the
+    shape-charged events stand for: the table preload, data addressing
+    batch by batch through its FIFOs, the rearranged streams
+    materialized (the seed built them unconditionally and never consumed
+    them) and the MHP lane by lane."""
+
+    def apply_nonlinear_raw(
+        self, function, x_raw, granularity, label=None, fused_ipf=True, domain=None,
+    ):
+        fmt = self.config.fmt
+        label = label or function
+        x_raw = np.atleast_2d(np.asarray(x_raw))
+        qtable = get_approximator(function, granularity, fmt, domain=domain).qtable
+        if self.addressing.preload(qtable, self.hierarchy["params"]):
+            self.trace.record(
+                TraceEvent(
+                    kind="preload",
+                    label=f"{label}.table",
+                    cycles=-(-qtable.n_segments * 2 // self.config.l3_in_width),
+                    ops=qtable.n_segments,
+                )
+            )
+        ipf, stats = self.addressing.run(x_raw)
+        self.trace.record(
+            TraceEvent(
+                kind="ipf",
+                label=f"{label}.ipf",
+                cycles=0 if fused_ipf else stats.cycles,
+                ops=stats.elements,
+            )
+        )
+        streams = rearrange_for_mhp(
+            x_raw, ipf.k_raw, ipf.b_raw, self.config.pe_rows, 1 << fmt.frac_bits,
+            port_width=self.config.l3_in_width,
+        )
+        out, schedule = execute_mhp_per_lane(
+            self.config, x_raw, ipf.k_raw, ipf.b_raw, fused_ipf=fused_ipf
+        )
+        self.trace.record(
+            TraceEvent(
+                kind="mhp",
+                label=f"{label}.mhp",
+                cycles=schedule.breakdown.total,
+                ops=schedule.elements,
+                breakdown=schedule.breakdown,
+            )
+        )
+        return ExecutionResult(
+            kind="mhp", raw=out, breakdown=schedule.breakdown, schedule=schedule,
+            streams=streams,
+        )
+
+
+class _SeedArray(_ChainArray):
+    """The structural nonlinear chain plus the seed's per-tile GEMM."""
 
     def gemm_raw(self, a_raw, b_raw, label="gemm"):
         out, schedule = execute_gemm_per_tile(
@@ -117,15 +175,6 @@ class _SeedArray(SystolicArray):
         return ExecutionResult(
             kind="gemm", raw=out, breakdown=schedule.breakdown, schedule=schedule
         )
-
-    def _execute_mhp(self, x_raw, k_raw, b_raw, fused_ipf):
-        return execute_mhp_per_lane(
-            self.config, x_raw, k_raw, b_raw, fused_ipf=fused_ipf
-        )
-
-    def apply_nonlinear_raw(self, function, x_raw, granularity, **kw):
-        kw["materialize_streams"] = True  # the seed always built streams
-        return super().apply_nonlinear_raw(function, x_raw, granularity, **kw)
 
     def apply_nonlinear(self, function, x, granularity, label=None, domain=None):
         # Integer codes in, integer codes out: the fixed-point ops follow
@@ -591,6 +640,109 @@ def test_generation_coalescing_counts(print_artifact):
     assert again_calls <= lockstep, (
         f"{again_calls} model calls on the second engine for {lockstep} lockstep ones"
     )
+
+
+def test_nonlinear_code_table(print_artifact, monkeypatch):
+    """A ``model_forward``-shaped forward computes its nonlinear ops from
+    code tables: once every approximator it uses has been fed a table's
+    worth of elements, a forward calls neither stage of the IPF -> MHP
+    chain nor the structural addressing walk, and it is charged exactly
+    the structural chain's cycles (``_ChainArray``) for bit-identical
+    outputs.
+
+    The first forward builds the tables of the ops fed 2**16 elements in
+    one call; the rest get theirs over a long run, which the warm-up
+    stands in for by feeding each every code once.  How long that run
+    is, per approximator, is recorded.  The gates are on counts, which
+    repeat exactly on any runner.
+    """
+    import collections
+    import sys
+
+    from hostbench.workloads import model_forward
+    from repro.core.cpwl import CPWLApproximator
+    from repro.core.nonlinear_ops import clear_approximator_cache
+    from repro.systolic.addressing import DataAddressing
+
+    workload = model_forward(0, 0.2)
+    config = workload.backend.array.config
+
+    def forward(array_cls):
+        backend = ArrayBackend(array_cls(config), 0.25)
+        outputs = (
+            workload.bert.infer(workload.tokens, backend),
+            workload.block.infer(workload.images, backend),
+        )
+        return outputs, backend.array.trace
+
+    clear_approximator_cache()
+    fed = collections.Counter()
+    evaluate = CPWLApproximator.evaluate_raw
+
+    def feeding(self, x_raw):
+        fed[self] += np.asarray(x_raw).size
+        return evaluate(self, x_raw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CPWLApproximator, "evaluate_raw", feeding)
+        forward(SystolicArray)
+    tables = {}
+    for approx, elements in fed.items():
+        entries = 1 << approx.fmt.total_bits
+        built_cold = approx.code_table is not None
+        if not built_cold:
+            approx.evaluate_raw(np.arange(approx.fmt.raw_min, approx.fmt.raw_max + 1))
+        tables[f"{approx.function.name}[{approx.table.x_min}, {approx.table.x_max}]"] = {
+            "elements_per_forward": elements,
+            "forwards_to_table": -(-entries // elements),
+            "built_by_first_forward": built_cold,
+        }
+
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in ("fetch_parameters", "fixed_hadamard_mac"):
+            original = getattr(sys.modules["repro.core.cpwl"], name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("repro") and vars(module).get(name) is original:
+                    patch.setattr(module, name, counted(name, original))
+        patch.setattr(DataAddressing, "run", counted("DataAddressing.run", DataAddressing.run))
+        outputs, trace = forward(SystolicArray)
+        chain_calls = {
+            name: calls[name]
+            for name in ("fetch_parameters", "fixed_hadamard_mac", "DataAddressing.run")
+        }
+    reference, reference_trace = forward(_ChainArray)
+    for ours, theirs in zip(outputs, reference):
+        assert np.array_equal(ours, theirs), "code tables changed an output"
+    assert trace.cycles_by_kind() == reference_trace.cycles_by_kind()
+    assert trace.total_cycles == reference_trace.total_cycles
+    nonlinear_ops = trace.ops_by_kind()["mhp"]
+    print_artifact(
+        "Nonlinear ops from code tables (model_forward shapes, one forward)\n"
+        + "\n".join(
+            f"  {name:<24s} {row['elements_per_forward']:>9,} elements/forward   "
+            f"table after {row['forwards_to_table']} forward(s)"
+            for name, row in tables.items()
+        )
+        + f"\n  after warm-up: chain calls {chain_calls}\n"
+        f"  {trace.total_cycles:,} traced cycles, equal to the structural chain's"
+    )
+    _update_artifact(
+        nonlinear_code_table={
+            "approximators": tables,
+            "chain_calls_after_warmup": chain_calls,
+            "mhp_elements": int(nonlinear_ops),
+            "traced_cycles": int(trace.total_cycles),
+        }
+    )
+    assert not any(chain_calls.values()), f"chain ran after warm-up: {chain_calls}"
 
 
 def test_placement_cost_aware_beats_round_robin(print_artifact):

@@ -19,7 +19,19 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 _SQRT_2 = math.sqrt(2.0)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The Gauss error function, element-wise: ``math.erf`` per element.
+
+    Not ``scipy.special.erf``: importing SciPy after NumPy costs
+    0.21-0.22 s and 26 MB of peak RSS in every process that builds a
+    GELU table, and the two GELUs differ by at most 4.5e-16 (on N(0, 9)
+    samples), which no quantized segment table sees.  Per element it is
+    about 4.5x SciPy's cost (83 vs 18 ns), which training pays.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = map(math.erf, x.ravel().tolist())
+    return np.fromiter(flat, np.float64, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -55,15 +67,7 @@ class NonlinearFunction:
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact GELU using the Gauss error function."""
     x = np.asarray(x, dtype=np.float64)
-    # erf via vectorized math.erf is slow; use tanh-free exact formula
-    # through numpy's erf if available, else the tanh approximation that
-    # BERT itself ships with.
-    try:
-        from scipy.special import erf  # scipy is available offline
-
-        return 0.5 * x * (1.0 + erf(x / _SQRT_2))
-    except ImportError:  # pragma: no cover - scipy is an install guarantee
-        return 0.5 * x * (1.0 + np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x**3)))
+    return 0.5 * x * (1.0 + erf(x / _SQRT_2))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

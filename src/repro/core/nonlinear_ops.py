@@ -22,7 +22,9 @@ events: scale by ``2**frac_bits`` on entry, chain ``round_saturate`` /
 ``evaluate_raw`` (a code-by-code product gives one scale back), scale by
 ``fmt.scale`` on exit.  Power-of-two scaling commutes exactly with every
 float64 operation used, so each rounding sees bit for bit the operand a
-quantize-dequantize round trip per stage would hand it.
+quantize-dequantize round trip per stage would hand it.  Later stages
+write into arrays earlier ones allocated, so an op holds no full-size
+array beyond its codes and its output.
 """
 
 from __future__ import annotations
@@ -180,11 +182,11 @@ def cpwl_softmax(
     denom = round_saturate(np.sum(exps, axis=axis, keepdims=True), fmt)
     np.maximum(denom, lo * one, out=denom)
     inv = recip_table.evaluate_raw(round_saturate(denom, fmt))
-    out = exps * inv
-    out *= fmt.scale
-    round_saturate(out, fmt)
-    out *= fmt.scale
-    return out
+    exps *= inv
+    exps *= fmt.scale
+    round_saturate(exps, fmt)
+    exps *= fmt.scale
+    return exps
 
 
 def cpwl_layernorm(
@@ -228,13 +230,13 @@ def cpwl_layernorm(
     round_saturate(var, fmt)
     np.maximum(var, lo * one, out=var)
     inv_std = rsqrt_table.evaluate_raw(round_saturate(var, fmt))
-    normed = centered * inv_std
+    normed = np.multiply(centered, inv_std, out=squares)
     normed *= fmt.scale
     round_saturate(normed, fmt)
     if gamma is not None:
-        normed = normed * np.asarray(gamma, dtype=np.float64)
+        normed *= np.asarray(gamma, dtype=np.float64)
     if beta is not None:
-        normed = normed + np.asarray(beta, dtype=np.float64) * one
+        normed += np.asarray(beta, dtype=np.float64) * one
     round_saturate(normed, fmt)
     normed *= fmt.scale
     return normed
@@ -287,7 +289,8 @@ def cpwl_batchnorm(
     shape[channel_axis] = -1
     k = np.asarray(scale, dtype=np.float64).reshape(shape)
     b = np.asarray(shift, dtype=np.float64).reshape(shape)
-    out = x * k + b
+    out = x * k
+    out += b
     if fmt is not None:
         out *= float(1 << fmt.frac_bits)
         round_saturate(out, fmt)

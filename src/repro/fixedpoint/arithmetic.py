@@ -73,15 +73,21 @@ def accumulator_to_output(acc: np.ndarray, fmt: QFormat) -> np.ndarray:
     arithmetic shift, and a sum past ``2**53`` saturates either way.
     """
     acc = np.asarray(acc)
-    half = 1 << (fmt.frac_bits - 1) if fmt.frac_bits > 0 else 0
-    # In-place passes on the freshly allocated sum keep this writeback
-    # to a minimum of passes — it runs once per GEMM output element and
-    # sits on the serving hot path.
     if acc.dtype.kind == "f":
-        rounded = acc + float(half)
-        rounded *= fmt.scale
-        np.floor(rounded, out=rounded)
-        return saturate_codes(rounded, fmt)
+        acc = np.array(acc, dtype=np.float64)  # rounded in place: own it
+    return _writeback(acc, fmt)
+
+
+def _writeback(acc: np.ndarray, fmt: QFormat) -> np.ndarray:
+    """:func:`accumulator_to_output` on an accumulator the caller just
+    allocated: the GEMM and MHP writebacks round their float64 sum in
+    place, so they allocate nothing on writeback."""
+    half = 1 << (fmt.frac_bits - 1) if fmt.frac_bits > 0 else 0
+    if acc.dtype.kind == "f":
+        acc += float(half)
+        acc *= fmt.scale
+        np.floor(acc, out=acc)
+        return saturate_codes(acc, fmt)
     rounded = np.asarray(acc, dtype=np.int64) + half
     rounded >>= fmt.frac_bits
     return saturate(rounded, fmt)
@@ -119,7 +125,7 @@ def fixed_matmul(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
     # back losslessly.  Wider formats fall back to int64 matmul.
     acc_bound = a.shape[-1] * (1 << (fmt.total_bits - 1)) ** 2
     wide = np.float64 if acc_bound <= 1 << 53 else np.int64
-    out = accumulator_to_output(a.astype(wide, copy=False) @ b.astype(wide, copy=False), fmt)
+    out = _writeback(a.astype(wide, copy=False) @ b.astype(wide, copy=False), fmt)
     floating = a.dtype.kind == "f" or b.dtype.kind == "f"
     return out.astype(np.float64 if floating else fmt.storage_dtype(), copy=False)
 
@@ -145,5 +151,5 @@ def fixed_hadamard_mac(
         + b.astype(wide, copy=False) * one
     )
     floating = "f" in (x.dtype.kind, k.dtype.kind, b.dtype.kind)
-    out = accumulator_to_output(acc, fmt)
+    out = _writeback(acc, fmt)
     return out.astype(np.float64 if floating else fmt.storage_dtype(), copy=False)

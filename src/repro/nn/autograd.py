@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core.functions import gelu as _gelu_fn
+from repro.core.functions import erf
 
 ArrayLike = Union[float, int, np.ndarray, "Tensor"]
 
@@ -363,15 +363,11 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def gelu(self) -> "Tensor":
-        out_data = _gelu_fn(self.data)
         x = self.data
+        erf_x = erf(x / _SQRT_2)
+        out_data = 0.5 * x * (1.0 + erf_x)  # repro.core.functions.gelu
         # d/dx GELU = Phi(x) + x * phi(x)
-        try:
-            from scipy.special import erf
-
-            cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
-        except ImportError:  # pragma: no cover
-            cdf = 0.5 * (1.0 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x**3)))
+        cdf = 0.5 * (1.0 + erf_x)
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x**2)
         local = cdf + x * pdf
 

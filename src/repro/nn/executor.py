@@ -24,8 +24,9 @@ import numpy as np
 
 from repro.core import nonlinear_ops as NL
 from repro.core.functions import get_function
-from repro.fixedpoint import QFormat, dequantize, fixed_add, fixed_matmul, quantize
+from repro.fixedpoint import QFormat, dequantize, fixed_matmul, quantize
 from repro.fixedpoint.qformat import INT16
+from repro.fixedpoint.quantize import saturate_codes
 from repro.nn.autograd import data_version, version_base
 from repro.nn.functional import im2col
 from repro.store import CacheStore, InProcessLRU
@@ -506,10 +507,12 @@ class CPWLBackend:
     def _bias_writeback(self, gemm_raw: np.ndarray, bias: np.ndarray) -> np.ndarray:
         """The INT16 writeback of the bias add, scaled back to values:
         the sum of two raw codes is exact, so the round trip of the sum
-        reduces to range saturation."""
-        out = fixed_add(gemm_raw, self._quantized_param(bias), self.fmt)
-        out *= self.fmt.scale
-        return out
+        reduces to range saturation.  ``gemm_raw`` is the float64 codes
+        the GEMM just allocated, so the add happens in them."""
+        gemm_raw += self._quantized_param(bias)
+        saturate_codes(gemm_raw, self.fmt)
+        gemm_raw *= self.fmt.scale
+        return gemm_raw
 
     def conv_cols(self, x, kernel, stride, padding, weight_mat, bias):
         """Convolution with quantization *before* the patch unfold.

@@ -79,8 +79,9 @@ class DataAddressing:
 
         Functionally identical to :func:`repro.core.ipf.fetch_parameters`;
         additionally models the FIFO staging batch by batch and reports
-        cycle count (``ceil(elements / port_width)`` plus the three-stage
-        pipeline latency) and capping statistics.
+        cycle count (:meth:`cycles`) and capping statistics.  The array
+        charges the same cycles from the shape alone; this walk is the
+        structural reference the traced-inference benchmark runs.
         """
         if self.params is None:
             raise RuntimeError("no segment table preloaded into the k/b buffers")
@@ -109,7 +110,6 @@ class DataAddressing:
         table = self.params.table
         capped_low = int(np.count_nonzero(segments == 0))
         capped_high = int(np.count_nonzero(segments == table.n_segments - 1))
-        cycles = -(-n // self.port_width) + 3  # pipeline depth 3 (Fig. 5)
         stats = AddressingStats(
             elements=n,
             capped_low=capped_low,
@@ -120,6 +120,11 @@ class DataAddressing:
                 self.k_fifo.high_water,
                 self.reg_fifo.high_water,
             ),
-            cycles=cycles,
+            cycles=self.cycles(n),
         )
         return result, stats
+
+    def cycles(self, elements: int) -> int:
+        """Cycles to stream ``elements`` through the module: one port-wide
+        batch per cycle plus the three-stage pipeline latency (Fig. 5)."""
+        return -(-elements // self.port_width) + 3

@@ -26,6 +26,13 @@ it):
 * batched (stacked) GEMMs execute as a single N-D ``fixed_matmul``
   with the per-pair trace events synthesized from the closed-form
   cycle model (:meth:`gemm_raw_batched`);
+* a nonlinear op is charged from its shape (preload, addressing and
+  MHP events in closed form) and computed from the approximator's code
+  table — one gather per element once the table exists
+  (:meth:`repro.core.cpwl.CPWLApproximator.evaluate_raw`); the
+  structural chain (``DataAddressing.run``,
+  :func:`~repro.systolic.mhp_dataflow.execute_mhp_per_lane`) is the
+  equivalence reference, as the per-tile loop is for GEMMs;
 * the data-rearrange pass on the nonlinear path is metadata-only: its
   relocation cost rides the MHP event (no separate trace entry, as in
   the seed; :func:`repro.systolic.rearrange.rearrange_cycles` gives
@@ -44,6 +51,7 @@ from typing import Dict, Iterator, Optional
 
 import numpy as np
 
+from repro.core.ipf import fetch_parameters
 from repro.core.nonlinear_ops import get_approximator
 from repro.core.segment_table import QuantizedSegmentTable
 from repro.fixedpoint import fixed_matmul, quantize
@@ -51,7 +59,7 @@ from repro.systolic.addressing import DataAddressing
 from repro.systolic.buffers import build_hierarchy
 from repro.systolic.config import ONE_SA_PAPER_CONFIG, SystolicConfig
 from repro.systolic.gemm import GemmSchedule, execute_gemm, plan_gemm
-from repro.systolic.mhp_dataflow import MHPSchedule, execute_mhp
+from repro.systolic.mhp_dataflow import plan_mhp
 from repro.systolic.rearrange import rearrange_for_mhp
 from repro.systolic.timing import CycleBreakdown, effective_out_width
 from repro.systolic.trace import Trace, TraceEvent
@@ -193,14 +201,16 @@ class SystolicArray:
         domain: "tuple[float, float] | None" = None,
         materialize_streams: bool = False,
     ) -> ExecutionResult:
-        """Run one nonlinear op as the full IPF → rearrange → MHP chain.
+        """Run one nonlinear op as the IPF → rearrange → MHP chain.
 
-        The chain exercises the microarchitecture modules (data
-        addressing with the shift/scale path, the k/b parameter store,
-        the data-rearrange pass and the diagonal MHP lanes); the result
-        is bit-identical to
-        :meth:`repro.core.cpwl.CPWLApproximator.evaluate_raw`, which the
-        test suite asserts.
+        Every event is charged from the operand's shape alone: the table
+        preload (when the k/b store does not hold it), the addressing
+        pass (``DataAddressing.cycles``) and the MHP schedule.  The
+        values are :meth:`repro.core.cpwl.CPWLApproximator.evaluate_raw`
+        — a gather from the approximator's code table once it has one —
+        bit for bit what the structural chain (:meth:`DataAddressing.run`,
+        :func:`~repro.systolic.mhp_dataflow.execute_mhp_per_lane`)
+        computes.
 
         The rearrange pass is metadata-only on the hot path: its
         relocation cost rides the MHP event (no separate trace entry,
@@ -220,9 +230,10 @@ class SystolicArray:
         fmt = self.config.fmt
         label = label or function
         x_raw = np.atleast_2d(np.asarray(x_raw))
+        m_dim, n_dim = x_raw.shape
         approx = get_approximator(function, granularity, fmt, domain=domain)
 
-        # --- IPF: preload (if needed) + addressing + parameter gather.
+        # --- IPF: table preload (if not resident) and the addressing pass.
         self._preload(
             approx.qtable,
             TraceEvent(
@@ -232,13 +243,12 @@ class SystolicArray:
                 ops=approx.qtable.n_segments,
             ),
         )
-        ipf_result, ipf_stats = self.addressing.run(x_raw)
         self.trace.record(
             TraceEvent(
                 kind="ipf",
                 label=f"{label}.ipf",
-                cycles=0 if fused_ipf else ipf_stats.cycles,
-                ops=ipf_stats.elements,
+                cycles=0 if fused_ipf else self.addressing.cycles(x_raw.size),
+                ops=x_raw.size,
             )
         )
 
@@ -248,19 +258,19 @@ class SystolicArray:
         streams = None
         if materialize_streams:
             one_raw = 1 << fmt.frac_bits
+            ipf = fetch_parameters(x_raw, approx.qtable, fmt)
             streams = rearrange_for_mhp(
                 x_raw,
-                ipf_result.k_raw,
-                ipf_result.b_raw,
+                ipf.k_raw,
+                ipf.b_raw,
                 self.config.pe_rows,
                 one_raw,
                 port_width=self.config.l3_in_width,
             )
 
         # --- MHP on the diagonal computation PEs.
-        out, schedule = self._execute_mhp(
-            x_raw, ipf_result.k_raw, ipf_result.b_raw, fused_ipf
-        )
+        schedule = plan_mhp(self.config, m_dim, n_dim, fused_ipf=fused_ipf)
+        out = approx.evaluate_raw(x_raw)
         self.trace.record(
             TraceEvent(
                 kind="mhp",
@@ -291,11 +301,6 @@ class SystolicArray:
                 trace.record(event)
         finally:
             trace.tape = tape
-
-    def _execute_mhp(self, x_raw, k_raw, b_raw, fused_ipf):
-        """MHP execution seam (the equivalence benchmark swaps in the
-        seed's per-lane reference here)."""
-        return execute_mhp(self.config, x_raw, k_raw, b_raw, fused_ipf=fused_ipf)
 
     def apply_nonlinear(
         self,

@@ -398,7 +398,7 @@ def test_ops_write_into_nothing_they_do_not_own(make_backend):
     first = run_all()  # builds tables and fills the parameter cache
     cached = [backend._quantized_param(array) for array in (w, bias, filters, bias[:4])]
     assert backend.param_cache.stats()["entries"] == len(cached)
-    tables = []
+    tables, code_tables = [], []
     for name, domain in (
         ("gelu", None), ("tanh", None), ("sigmoid", None), ("exp", None),
         ("reciprocal", None), ("rsqrt", None), ("rsqrt", (1.0, 4.0)),
@@ -409,15 +409,20 @@ def test_ops_write_into_nothing_they_do_not_own(make_backend):
             approx.table.slopes, approx.table.intercepts,
             approx.qtable.slopes_raw, approx.qtable.intercepts_raw,
         ]
+        # Every code once: a table's worth of traffic, so the second
+        # run computes each op from its code table, born read-only.
+        approx.evaluate_raw(np.arange(INT16.raw_min, INT16.raw_max + 1))
+        code_tables.append(approx.code_table)
+    assert not any(table.flags.writeable for table in code_tables)
     for array in tables:
         array.setflags(write=False)
-    snapshot = [array.tobytes() for array in tables + cached]
+    snapshot = [array.tobytes() for array in tables + code_tables + cached]
     try:
         second = run_all()
     finally:
         for array in tables:
             array.setflags(write=True)
-    assert [array.tobytes() for array in tables + cached] == snapshot
+    assert [array.tobytes() for array in tables + code_tables + cached] == snapshot
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
     # No result aliases an input or a cached array.
     for out in second:
