@@ -46,11 +46,12 @@ class TuningConfig:
     the cache budgets size the per-shard prefix cache and the radix KV
     cache when the replayed models opt into them (None = feature off).
 
-    The elastic-runtime knobs (``steal``, ``autoscale`` and their
-    thresholds) feed an :class:`~repro.serving.elastic.ElasticConfig`
-    the replay harness hands the engine; ``placement="lookahead"``
-    turns on joint per-round list scheduling.  All default off, so an
-    untuned config replays the pinned baseline bit-identically.
+    The elastic-runtime switches (``steal``, ``autoscale``) feed an
+    :class:`~repro.serving.elastic.ElasticConfig` the replay harness
+    hands the engine (their thresholds are constants of
+    :mod:`repro.serving.elastic`); ``placement="lookahead"`` turns on
+    joint per-round list scheduling.  All default off, so an untuned
+    config replays the pinned baseline bit-identically.
     """
 
     pool: Tuple[SystolicConfig, ...]
@@ -63,8 +64,6 @@ class TuningConfig:
     radix_budget_bytes: Optional[int] = None
     steal: bool = False
     autoscale: bool = False
-    steal_drift_threshold: float = 1.5
-    affinity_break_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if not self.pool:
@@ -82,9 +81,6 @@ class TuningConfig:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
-        # Threshold bounds are ElasticConfig's contract; fail at
-        # construction, not at replay time.
-        self.elastic()
 
     @property
     def n_shards(self) -> int:
@@ -92,12 +88,7 @@ class TuningConfig:
 
     def elastic(self) -> ElasticConfig:
         """The engine-side elastic knobs this candidate deploys with."""
-        return ElasticConfig(
-            steal=self.steal,
-            autoscale=self.autoscale,
-            steal_drift_threshold=self.steal_drift_threshold,
-            affinity_break_factor=self.affinity_break_factor,
-        )
+        return ElasticConfig(steal=self.steal, autoscale=self.autoscale)
 
     def describe(self) -> str:
         """One line: pool grids, placement and batch knobs."""
@@ -112,9 +103,8 @@ class TuningConfig:
             f"[{grids}] placement={placement} "
             f"batch<= {self.max_batch_size} flush={self.flush_timeout:g}s"
         )
-        elastic = self.elastic()
-        if elastic.steal or elastic.autoscale:
-            line += " " + elastic.describe()
+        if self.steal or self.autoscale:
+            line += " " + self.elastic().describe()
         return line
 
     def to_dict(self) -> Dict[str, object]:
@@ -129,14 +119,13 @@ class TuningConfig:
             "radix_budget_bytes": self.radix_budget_bytes,
             "steal": self.steal,
             "autoscale": self.autoscale,
-            "steal_drift_threshold": self.steal_drift_threshold,
-            "affinity_break_factor": self.affinity_break_factor,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TuningConfig":
-        # Elastic knobs are read with defaults so pre-elastic snapshots
-        # (recorded fronts, saved Pareto members) keep loading.
+        # Elastic switches are read with defaults so pre-elastic
+        # snapshots (recorded fronts, saved Pareto members) keep loading;
+        # keys of knobs that became constants are ignored.
         return cls(
             pool=tuple(config_from_dict(item) for item in data["pool"]),
             placement=str(data["placement"]),
@@ -160,8 +149,6 @@ class TuningConfig:
             ),
             steal=bool(data.get("steal", False)),
             autoscale=bool(data.get("autoscale", False)),
-            steal_drift_threshold=float(data.get("steal_drift_threshold", 1.5)),
-            affinity_break_factor=float(data.get("affinity_break_factor", 2.0)),
         )
 
 
@@ -227,8 +214,7 @@ class ConfigSpace:
     ) -> TuningConfig:
         """One neighbor hop: re-draw a single knob (or swap one shard).
 
-        The elastic-runtime knobs of ``config`` are carried, not
-        searched.
+        The elastic switches of ``config`` are carried, not searched.
         """
         move = int(rng.integers(0, 5))
         if move == 0:
@@ -280,8 +266,8 @@ class ConfigSpace:
         rng: np.random.Generator,
     ) -> TuningConfig:
         """A child taking the pool from one parent, each knob from either
-        (the admission cap, cache budgets and elastic knobs come with the
-        other parent whole)."""
+        (the admission cap, cache budgets and elastic switches come with
+        the other parent whole)."""
         pool_parent, knob_parent = (
             (first, second) if rng.integers(0, 2) == 0 else (second, first)
         )

@@ -187,12 +187,6 @@ class BatchNorm2d(Module):
             1, -1, 1, 1
         )
 
-    def folded_affine(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-channel ``(scale, shift)`` with running stats folded in."""
-        scale = self.gamma.data / np.sqrt(self.running_var + self.eps)
-        shift = self.beta.data - self.running_mean * scale
-        return scale, shift
-
     def infer(self, x: np.ndarray, backend) -> np.ndarray:
         return backend.batchnorm_stats(
             x,

@@ -99,7 +99,6 @@ from repro.serving.batcher import Batch, BatchAssembler, DynamicBatcher
 from repro.serving.cluster import (
     CALIBRATION_NAMESPACE,
     BatchProfile,
-    BreakerConfig,
     BreakerTransition,
     CalibratingCostModel,
     ClusterDispatcher,
@@ -132,7 +131,6 @@ from repro.serving.faults import (
     FabricFault,
     FaultPlan,
     FaultRecord,
-    RetryPolicy,
     ShardCrash,
     ShardSlowdown,
     WorkerDeath,
@@ -195,13 +193,11 @@ __all__ = [
     "CALIBRATION_NAMESPACE",
     "save_calibration",
     "load_calibration",
-    "BreakerConfig",
     "BreakerTransition",
     "ShardHealth",
     "FabricFault",
     "FaultPlan",
     "FaultRecord",
-    "RetryPolicy",
     "ShardCrash",
     "ShardSlowdown",
     "WorkerDeath",

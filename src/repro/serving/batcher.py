@@ -68,10 +68,6 @@ class Batch:
     def size(self) -> int:
         return len(self.requests)
 
-    @property
-    def oldest_arrival(self) -> float:
-        return self.requests[0].arrival
-
 
 class DynamicBatcher:
     """Plans batches from a request stream with size/timeout knobs.

@@ -287,34 +287,16 @@ class WorkUnit(NamedTuple):
 # ---------------------------------------------------------------------------
 # Shard health: the closed -> open -> half-open circuit breaker
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Knobs of one shard's circuit breaker.
-
-    ``failure_threshold`` consecutive failures open the breaker for
-    ``quarantine`` simulated seconds; after the quarantine the shard is
-    *half-open* — one probe batch is admitted, and a probe failure
-    re-opens with the quarantine multiplied by ``quarantine_factor``
-    (capped at ``quarantine_cap``), while a success closes the breaker
-    and resets the quarantine.
-    """
-
-    failure_threshold: int = 1
-    quarantine: float = 1e-3
-    quarantine_factor: float = 2.0
-    quarantine_cap: float = 1e-1
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if self.quarantine <= 0 or self.quarantine_cap <= 0:
-            raise ValueError("quarantine durations must be positive")
-        if self.quarantine_factor < 1.0:
-            raise ValueError(
-                f"quarantine_factor must be >= 1, got {self.quarantine_factor}"
-            )
+#: Simulated seconds a shard is quarantined after its first failure: ten
+#: first-retry backoffs (``faults.BACKOFF_BASE``), so the retry of a
+#: batch that just failed here re-places elsewhere instead of probing.
+QUARANTINE = 1e-3
+#: A failed re-admission probe multiplies the quarantine by this (and a
+#: success divides it back), so a flapping shard is probed ever less often.
+QUARANTINE_FACTOR = 2.0
+#: The quarantine never grows past this (a hundred times the base): a
+#: shard that recovers is re-probed within a tenth of a second.
+QUARANTINE_CAP = 1e-1
 
 
 @dataclass(frozen=True)
@@ -333,7 +315,10 @@ class ShardHealth:
     States (:attr:`state`): ``"closed"`` (healthy, admits batches),
     ``"open"`` (quarantined until :attr:`open_until`; placement filters
     the shard out), ``"half_open"`` (quarantine elapsed; the next batch
-    is the re-admission probe).  Transitions are driven by the engine
+    is the re-admission probe).  One failure opens the breaker for the
+    current quarantine (:data:`QUARANTINE` at first); a failed probe
+    re-opens it for :data:`QUARANTINE_FACTOR` times as long, capped at
+    :data:`QUARANTINE_CAP`.  Transitions are driven by the engine
     calling :meth:`record_failure` / :meth:`record_success` and by
     :meth:`available` observing simulated time pass :attr:`open_until`
     — all in simulated time, so health trajectories are deterministic.
@@ -346,17 +331,14 @@ class ShardHealth:
     def __init__(
         self,
         shard: int,
-        config: Optional[BreakerConfig] = None,
         on_transition: Optional[Callable[[BreakerTransition], None]] = None,
     ) -> None:
         self.shard = shard
-        self.config = config if config is not None else BreakerConfig()
         self.state = self.CLOSED
         self.open_until = 0.0
-        self.consecutive_failures = 0
         self.failures = 0
         self.successes = 0
-        self._quarantine = self.config.quarantine
+        self._quarantine = QUARANTINE
         self._on_transition = on_transition
 
     def _transition(self, to_state: str, at: float) -> None:
@@ -384,19 +366,14 @@ class ShardHealth:
     def record_failure(self, now: float) -> None:
         """One failed attempt on this shard at simulated ``now``."""
         self.failures += 1
-        self.consecutive_failures += 1
         if self.state == self.HALF_OPEN:
             # Failed probe: back to quarantine, doubled (capped).
             self._quarantine = min(
-                self._quarantine * self.config.quarantine_factor,
-                self.config.quarantine_cap,
+                self._quarantine * QUARANTINE_FACTOR, QUARANTINE_CAP
             )
             self.open_until = now + self._quarantine
             self._transition(self.OPEN, now)
-        elif (
-            self.state == self.CLOSED
-            and self.consecutive_failures >= self.config.failure_threshold
-        ):
+        elif self.state == self.CLOSED:
             self.open_until = now + self._quarantine
             self._transition(self.OPEN, now)
         elif self.state == self.OPEN and now + self._quarantine > self.open_until:
@@ -415,10 +392,7 @@ class ShardHealth:
         a few clean successes.
         """
         self.successes += 1
-        self.consecutive_failures = 0
-        self._quarantine = max(
-            self.config.quarantine, self._quarantine / self.config.quarantine_factor
-        )
+        self._quarantine = max(QUARANTINE, self._quarantine / QUARANTINE_FACTOR)
         if self.state != self.CLOSED:
             self._transition(self.CLOSED, now)
 
@@ -430,10 +404,9 @@ class ShardHealth:
     def reset(self) -> None:
         self.state = self.CLOSED
         self.open_until = 0.0
-        self.consecutive_failures = 0
         self.failures = 0
         self.successes = 0
-        self._quarantine = self.config.quarantine
+        self._quarantine = QUARANTINE
 
 
 # ---------------------------------------------------------------------------

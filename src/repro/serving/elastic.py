@@ -11,22 +11,23 @@ to the pre-elastic engine):
   instead of committed one by one at the greedy earliest finish;
 * **work-stealing / re-placement** (``steal=True``) — a planned batch
   whose shard has drifted (actual traced cycles diverged from the
-  calibrated estimate beyond ``steal_drift_threshold``) or whose
+  calibrated estimate beyond :data:`STEAL_DRIFT_THRESHOLD`) or whose
   breaker opened is re-priced at execution time and migrates to the
   shard that now finishes it earliest; prefix-cache affinity is
   consulted, and when affinity and load conflict beyond
-  ``affinity_break_factor`` the cache *entry* migrates through the
+  :data:`AFFINITY_BREAK_FACTOR` the cache *entry* migrates through the
   store fabric instead of pinning the batch;
 * **SLO-driven autoscaling** (``autoscale=True``) — the live pool grows
   / shrinks from windowed SLO-attainment and shed-rate signals with
-  hysteresis, priced by the hardware power model so the autotuner can
-  search the knobs.
+  hysteresis, within the operator's shard-count and power limits.
 
-:class:`ElasticController` runs all three for the engine and owns their
-state: the planned round (one of the engine's work sources), the
-per-shard drift statistics and the autoscaler's window.  Every decision
-leaves an event record (:class:`StealEvent`, :class:`ScalingEvent`)
-surfaced in :meth:`~repro.serving.report.ServingReport.elastic_section`.
+The thresholds are module constants, not knobs: nothing searches them
+and no deployment has needed another value.  :class:`ElasticController`
+runs all three behaviors for the engine and owns their state: the
+planned round (one of the engine's work sources), the per-shard drift
+statistics and the autoscaler's window.  Every decision leaves an event
+record (:class:`StealEvent`, :class:`ScalingEvent`) surfaced in
+:meth:`~repro.serving.report.ServingReport.elastic_section`.
 """
 
 from __future__ import annotations
@@ -48,9 +49,32 @@ from repro.serving.stats import ShardStats
 from repro.serving.tenancy import effective_deadline
 
 
+#: Steal a planned batch when its shard's drift-corrected ETA exceeds the
+#: best alternative's by more than this factor: 50% worse, so a drift
+#: EWMA wobbling around 1 never moves work, and a real straggler does.
+STEAL_DRIFT_THRESHOLD = 1.5
+#: A prefix-resident batch leaves its shard (the cache entry migrating
+#: through the fabric) only past this factor: higher than the drift
+#: threshold, since staying keeps a cache hit a move must pay to carry.
+AFFINITY_BREAK_FACTOR = 2.0
+#: Completions per SLO/shed evaluation window: one burst of a few late
+#: requests reads as a rate, not as a single late request.
+AUTOSCALE_WINDOW = 8
+#: Grow the pool when windowed SLO attainment falls below this ...
+GROW_BELOW_ATTAINMENT = 0.9
+#: ... shrink it when attainment is at/above this and nothing was shed;
+#: the gap between the two is the hysteresis dead band.
+SHRINK_ABOVE_ATTAINMENT = 0.98
+#: Simulated seconds between scaling actions (hysteresis): a burst shorter
+#: than a millisecond resizes the pool at most once, whatever its windows
+#: read.
+AUTOSCALE_COOLDOWN = 1e-3
+
+
 @dataclass(frozen=True)
 class ElasticConfig:
-    """Elastic-runtime knobs (everything off = the pinned baseline).
+    """Elastic-runtime switches and limits (everything off = the pinned
+    baseline).
 
     Attributes
     ----------
@@ -59,23 +83,6 @@ class ElasticConfig:
         migrate them off drifted / tripped shards.
     autoscale:
         Grow/shrink the live pool from windowed SLO and shed signals.
-    steal_drift_threshold:
-        Re-place a planned batch when its shard's drift-corrected ETA
-        exceeds the best alternative's by more than this factor
-        (``1.5`` = 50% worse before a steal triggers).
-    affinity_break_factor:
-        A prefix-resident batch abandons its resident shard (migrating
-        the cache entry through the fabric) when the resident ETA
-        exceeds the best alternative's by more than this factor.
-    autoscale_window:
-        Completions per SLO/shed evaluation window.
-    grow_below_attainment:
-        Grow the pool when windowed SLO attainment falls below this.
-    shrink_above_attainment:
-        Shrink the pool when windowed attainment is at/above this
-        *and* the windowed shed rate is zero.
-    autoscale_cooldown:
-        Simulated seconds between scaling actions (hysteresis).
     min_shards / max_shards:
         Live-pool size bounds the autoscaler honors.  ``max_shards``
         of ``None`` means "never beyond the declared pool + template
@@ -89,42 +96,11 @@ class ElasticConfig:
 
     steal: bool = False
     autoscale: bool = False
-    steal_drift_threshold: float = 1.5
-    affinity_break_factor: float = 2.0
-    autoscale_window: int = 8
-    grow_below_attainment: float = 0.9
-    shrink_above_attainment: float = 0.98
-    autoscale_cooldown: float = 1e-3
     min_shards: int = 1
     max_shards: Optional[int] = None
     power_budget_watts: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.steal_drift_threshold < 1.0:
-            raise ValueError(
-                f"steal_drift_threshold must be >= 1, got "
-                f"{self.steal_drift_threshold}"
-            )
-        if self.affinity_break_factor < 1.0:
-            raise ValueError(
-                f"affinity_break_factor must be >= 1, got "
-                f"{self.affinity_break_factor}"
-            )
-        if self.autoscale_window < 1:
-            raise ValueError(
-                f"autoscale_window must be >= 1, got {self.autoscale_window}"
-            )
-        if not 0.0 <= self.grow_below_attainment <= 1.0:
-            raise ValueError("grow_below_attainment must be in [0, 1]")
-        if not 0.0 <= self.shrink_above_attainment <= 1.0:
-            raise ValueError("shrink_above_attainment must be in [0, 1]")
-        if self.grow_below_attainment > self.shrink_above_attainment:
-            raise ValueError(
-                "grow_below_attainment must not exceed shrink_above_attainment "
-                "(the hysteresis band would be inverted)"
-            )
-        if self.autoscale_cooldown < 0:
-            raise ValueError("autoscale_cooldown must be >= 0")
         if self.min_shards < 1:
             raise ValueError(f"min_shards must be >= 1, got {self.min_shards}")
         if self.max_shards is not None and self.max_shards < self.min_shards:
@@ -144,21 +120,15 @@ class ElasticConfig:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ElasticConfig":
         """Missing keys take their defaults; keys that are no field
-        (``lookahead``, retired for ``placement="lookahead"``) are
-        ignored, so saved configs keep loading."""
+        (``lookahead``, retired for ``placement="lookahead"``, and the
+        thresholds that became module constants) are ignored, so saved
+        configs keep loading."""
         return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
     def describe(self) -> str:
         if not self.enabled:
             return "elastic: off"
-        parts = []
-        if self.steal:
-            parts.append(f"steal(drift>{self.steal_drift_threshold:g}x)")
-        if self.autoscale:
-            parts.append(
-                f"autoscale(window={self.autoscale_window}, "
-                f"slo<{self.grow_below_attainment:g})"
-            )
+        parts = [name for name in ("steal", "autoscale") if getattr(self, name)]
         return "elastic: " + " + ".join(parts)
 
 
@@ -368,8 +338,8 @@ class ElasticController:
         ``steal`` on, the batch is re-priced against every available
         shard with drift-corrected ETAs and migrates when the planned
         shard's ETA exceeds the best alternative's by
-        ``steal_drift_threshold`` (``affinity_break_factor`` when the
-        planned shard holds the batch's prefix — the cache entry then
+        :data:`STEAL_DRIFT_THRESHOLD` (:data:`AFFINITY_BREAK_FACTOR` when
+        the planned shard holds the batch's prefix — the cache entry then
         migrates through the store fabric with the batch, preserving
         the hit).  With stealing off, an unavailable planned shard
         falls back to the configured placement policy; an available one
@@ -405,11 +375,7 @@ class ElasticController:
         if best == planned_shard:
             return planned_shard
         planned_eta, best_eta = etas[planned_shard], etas[best]
-        factor = (
-            self.config.affinity_break_factor
-            if resident
-            else self.config.steal_drift_threshold
-        )
+        factor = AFFINITY_BREAK_FACTOR if resident else STEAL_DRIFT_THRESHOLD
         if planned_eta <= factor * best_eta:
             return planned_shard
         self._steal(
@@ -463,7 +429,7 @@ class ElasticController:
         for record in records:
             due = effective_deadline(record.request, self._tenants)
             self._slo_window.append(due is None or record.finish <= due)
-        excess = len(self._slo_window) - self.config.autoscale_window
+        excess = len(self._slo_window) - AUTOSCALE_WINDOW
         if excess > 0:
             del self._slo_window[:excess]
         self._maybe_autoscale(max(record.finish for record in records))
@@ -490,19 +456,19 @@ class ElasticController:
     def _maybe_autoscale(self, now: float) -> None:
         """Evaluate the windowed SLO/shed signals; grow or shrink once.
 
-        Hysteresis is threefold: a full window of completions must have
-        accumulated, ``autoscale_cooldown`` simulated seconds must have
-        passed since the last action, and the grow/shrink attainment
-        thresholds are separated by a dead band.  After any action the
-        window restarts, so one bad burst triggers at most one resize
-        per window.
+        Hysteresis is threefold: a full window of
+        :data:`AUTOSCALE_WINDOW` completions must have accumulated,
+        :data:`AUTOSCALE_COOLDOWN` simulated seconds must have passed
+        since the last action, and the grow/shrink attainment thresholds
+        are separated by a dead band.  After any action the window
+        restarts, so one bad burst triggers at most one resize per
+        window.
         """
-        config = self.config
-        if len(self._slo_window) < config.autoscale_window:
+        if len(self._slo_window) < AUTOSCALE_WINDOW:
             return
         if (
             self._last_scale_at is not None
-            and now - self._last_scale_at < config.autoscale_cooldown
+            and now - self._last_scale_at < AUTOSCALE_COOLDOWN
         ):
             return
         attainment = sum(self._slo_window) / len(self._slo_window)
@@ -510,14 +476,14 @@ class ElasticController:
             self._window_sheds + len(self._slo_window)
         )
         acted = False
-        if attainment < config.grow_below_attainment or shed_rate > 0.0:
+        if attainment < GROW_BELOW_ATTAINMENT or shed_rate > 0.0:
             reason = (
                 "slo_attainment"
-                if attainment < config.grow_below_attainment
+                if attainment < GROW_BELOW_ATTAINMENT
                 else "shed_rate"
             )
             acted = self._grow_pool(now, attainment, shed_rate, reason)
-        elif attainment >= config.shrink_above_attainment and shed_rate == 0.0:
+        elif attainment >= SHRINK_ABOVE_ATTAINMENT and shed_rate == 0.0:
             acted = self._shrink_pool(now, attainment, shed_rate)
         if acted:
             self._last_scale_at = now

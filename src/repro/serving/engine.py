@@ -125,7 +125,6 @@ from repro.nn.layers import Module
 from repro.serving.batcher import Batch
 from repro.serving.cluster import (
     BatchProfile,
-    BreakerConfig,
     CalibratingCostModel,
     ClusterDispatcher,
     PlacementDecision,
@@ -137,7 +136,7 @@ from repro.serving.cluster import (
     make_placement_policy,
 )
 from repro.serving.elastic import ElasticConfig, ElasticController
-from repro.serving.faults import FaultPlan, FaultRecord, RetryPolicy, RetryQueue
+from repro.serving.faults import FaultPlan, FaultRecord, RetryQueue
 from repro.serving.generation import ActiveSequence, DecodePool
 from repro.serving.prefix_cache import PrefixEvent, RadixKVCache
 from repro.serving.report import ServingReport
@@ -453,16 +452,11 @@ class InferenceEngine:
         shard crashes and slowdowns into the discrete-event clock.
         Without one the fault path is fully dormant: no failures, no
         retries, and the run is bit-identical to pre-fault engines.
-    retry_policy:
-        Backoff/budget for re-executing batches whose shard faulted
-        (see :class:`~repro.serving.faults.RetryPolicy`; a default
-        policy applies when faults are enabled without one).
-    breaker:
-        Per-shard circuit-breaker knobs
-        (:class:`~repro.serving.cluster.BreakerConfig`); every shard
+        Batches whose shard faulted re-execute under the fixed retry
+        budget and backoff of :mod:`repro.serving.faults`; every shard
         gets an independent :class:`~repro.serving.cluster.ShardHealth`
-        driven by batch outcomes, and placement only sees shards whose
-        breaker currently admits work.
+        breaker driven by batch outcomes, and placement only sees shards
+        whose breaker currently admits work.
     elastic:
         Optional :class:`~repro.serving.elastic.ElasticConfig`: the
         work-stealing and SLO-driven autoscaling knobs of the elastic
@@ -492,8 +486,6 @@ class InferenceEngine:
         prefix_cache: Optional[RadixKVCache] = None,
         radix_cache: Optional[RadixKVCache] = None,
         faults: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        breaker: Optional[BreakerConfig] = None,
         elastic: Optional[ElasticConfig] = None,
         recorder: Optional[object] = None,
     ):
@@ -533,13 +525,11 @@ class InferenceEngine:
         # order the engine decides them (see ServingReport.events).
         self._events: List[object] = []
         self._shard_busy: Dict[int, float] = {}
-        # Fault tolerance: the plan (None = dormant), the retry budget
-        # and one breaker per shard.
+        # Fault tolerance: the plan (None = dormant) and one breaker per
+        # shard.
         self.faults = faults
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self._breaker_config = breaker
         self._health: Dict[int, ShardHealth] = {
-            shard: ShardHealth(shard, breaker, on_transition=self._events.append)
+            shard: ShardHealth(shard, on_transition=self._events.append)
             for shard in range(dispatcher.n_shards)
         }
         self.elastic = elastic if elastic is not None else ElasticConfig()
@@ -566,8 +556,8 @@ class InferenceEngine:
             fresh=self._controller.fresh,
         )
         self._retries = RetryQueue(
-            self.retry_policy, self.tenants, dispatcher, self._health_of, log,
-            self._forget, self._batch_unit,
+            self.tenants, dispatcher, self._health_of, log, self._forget,
+            self._batch_unit,
         )
         self._decode_pool = DecodePool(
             self.scheduler,
@@ -1217,7 +1207,7 @@ class InferenceEngine:
         health = self._health.get(shard)
         if health is None:
             health = self._health[shard] = ShardHealth(
-                shard, self._breaker_config, on_transition=self._events.append
+                shard, on_transition=self._events.append
             )
         return health
 

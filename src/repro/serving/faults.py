@@ -37,10 +37,11 @@ worker's local block, :meth:`FaultPlan.without_worker_death` strips a
 death event before the supervisor restarts its worker (so the restart
 does not die again).
 
-:class:`RetryPolicy` bounds recovery: capped exponential backoff in
-simulated time, at most ``max_retries`` re-executions per batch.
-:class:`FaultRecord` is the engine's per-failed-attempt log entry, the
-raw material of :meth:`~repro.serving.report.ServingReport.fault_section`.
+Recovery is bounded by fixed constants: capped exponential
+:func:`backoff` in simulated time, at most :data:`MAX_RETRIES`
+re-executions per request.  :class:`FaultRecord` is the engine's
+per-failed-attempt log entry, the raw material of
+:meth:`~repro.serving.report.ServingReport.fault_section`.
 :class:`RetryQueue` is what the engine does about a failed attempt: the
 accounting, the retry-or-abandon decision per request, and the
 simulated-time queue re-executions wait in (one of its work sources).
@@ -309,36 +310,26 @@ def corrupt_fabric_entries(plan: FaultPlan, root: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Retry policy
+# The retry budget
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff for failed batch attempts.
+#: Re-executions a request gets before it is reported failed
+#: (``"max_retries"``): each re-places away from the shard that just
+#: failed it, and on a pool that stays dead the request fails after four
+#: attempts instead of looping.
+MAX_RETRIES = 3
+#: Simulated delay before the first retry: a tenth of the breaker's base
+#: quarantine, so the retry finds the failed shard still quarantined.
+BACKOFF_BASE = 1e-4
+#: Each further failed attempt doubles the delay ...
+BACKOFF_FACTOR = 2.0
+#: ... up to ten milliseconds, a hundred times the base.
+BACKOFF_CAP = 1e-2
 
-    ``backoff(attempt)`` is the simulated delay before re-queueing the
-    batch whose 0-based ``attempt`` just failed:
-    ``min(base * factor**attempt, cap)``.  After ``max_retries``
-    re-executions the batch is abandoned and its requests reported
-    failed (reason ``"max_retries"``).
-    """
 
-    max_retries: int = 3
-    backoff_base: float = 1e-4
-    backoff_factor: float = 2.0
-    backoff_cap: float = 1e-2
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base <= 0 or self.backoff_cap <= 0:
-            raise ValueError("backoff base and cap must be positive")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-
-    def backoff(self, attempt: int) -> float:
-        return min(self.backoff_base * self.backoff_factor**attempt, self.backoff_cap)
+def backoff(attempt: int) -> float:
+    """Simulated delay before re-queueing a batch whose 0-based
+    ``attempt`` just failed: capped exponential backoff."""
+    return min(BACKOFF_BASE * BACKOFF_FACTOR**attempt, BACKOFF_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +374,9 @@ class RetryQueue:
     """
 
     def __init__(
-        self, policy: RetryPolicy, tenants, dispatcher, health_of: Callable,
-        log: Callable, forget: Callable, unit_of: Callable,
+        self, tenants, dispatcher, health_of: Callable, log: Callable,
+        forget: Callable, unit_of: Callable,
     ) -> None:
-        self.policy = policy
         self._tenants = tenants
         self._dispatcher = dispatcher
         self._health_of = health_of
@@ -429,10 +419,10 @@ class RetryQueue:
         """Backoff wake time of ``request``'s next attempt — or None,
         after recording it failed: retry budget spent, or the wake
         would overshoot its effective deadline."""
-        if attempt >= self.policy.max_retries:
+        if attempt >= MAX_RETRIES:
             reason = "max_retries"
         else:
-            wake = at + self.policy.backoff(attempt)
+            wake = at + backoff(attempt)
             due = effective_deadline(request, self._tenants)
             if due is None or wake <= due:
                 return wake
@@ -462,7 +452,7 @@ class RetryQueue:
         if survivors:
             self.push(
                 replace(batch, requests=tuple(survivors)),
-                at + self.policy.backoff(attempt), attempt + 1, shard,
+                at + backoff(attempt), attempt + 1, shard,
             )
         return len(survivors)
 

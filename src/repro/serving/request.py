@@ -340,8 +340,8 @@ class FailureRecord:
         The failed :class:`InferenceRequest`; its id never yields an
         output from :meth:`~repro.serving.engine.InferenceEngine.result`.
     reason:
-        ``"max_retries"`` (the batch exhausted its
-        :class:`~repro.serving.faults.RetryPolicy` budget),
+        ``"max_retries"`` (the request used up the
+        :data:`~repro.serving.faults.MAX_RETRIES` retry budget),
         ``"retry_deadline"`` (the backoff wake time already exceeded
         the request's effective deadline — a doomed retry is dropped,
         not looped), or ``"worker_lost"`` (the worker process serving

@@ -206,12 +206,6 @@ class SystolicConfig:
         """The same estimate on this design point's clock."""
         return self.estimate_gemm_cycles(m_dim, k_dim, n_dim) / self.clock_hz
 
-    def estimate_nonlinear_cycles(self, m_dim: int, n_dim: int) -> int:
-        """Closed-form cycles of one fused nonlinear pass (ONE-SA only)."""
-        from repro.systolic.timing import nonlinear_cycles
-
-        return nonlinear_cycles(self, m_dim, n_dim).total
-
     def with_size(self, pe_dim: int, macs_per_pe: "int | None" = None) -> "SystolicConfig":
         """Derive a new design point with a different grid / MAC count."""
         return replace(

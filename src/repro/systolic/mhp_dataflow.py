@@ -116,20 +116,6 @@ def plan_mhp(
     return schedule
 
 
-def clear_mhp_plan_cache() -> None:
-    """Drop all cached MHP schedules and reset the hit counters."""
-    store = get_store()
-    store.clear(MHP_PLAN_NAMESPACE)
-    store.reset_stats(MHP_PLAN_NAMESPACE)
-
-
-def set_mhp_plan_cache_capacity(capacity: int = _DEFAULT_PLAN_CACHE_CAPACITY) -> None:
-    """Bound the MHP plan LRU at ``capacity`` entries."""
-    if capacity < 1:
-        raise ValueError(f"cache capacity must be positive, got {capacity}")
-    get_store().set_limit(MHP_PLAN_NAMESPACE, max_entries=int(capacity))
-
-
 def mhp_plan_cache_info() -> Dict[str, int]:
     """Occupancy, capacity and hit/miss counters of the MHP plan LRU.
 

@@ -14,12 +14,12 @@ clocks, no flaky timing.
 
 import numpy as np
 import pytest
+from chaos_plans import retry_spending_outage
 from invariants import check_invariants
 
 from repro.nn.executor import ArrayBackend
 from repro.nn.models import TinyBERT
 from repro.serving import (
-    BreakerConfig,
     ClusterDispatcher,
     ClusterSpec,
     ElasticConfig,
@@ -27,7 +27,6 @@ from repro.serving import (
     FabricFault,
     FaultPlan,
     InferenceEngine,
-    RetryPolicy,
     ShardCrash,
     ShardSlowdown,
     WorkerDeath,
@@ -35,6 +34,8 @@ from repro.serving import (
     corrupt_fabric_entries,
     serve_multiproc,
 )
+from repro.serving.cluster import QUARANTINE, QUARANTINE_FACTOR
+from repro.serving.faults import MAX_RETRIES, backoff
 from repro.store import FileStore, InProcessLRU, StoreLockTimeout, TieredStore
 from repro.systolic import SystolicArray, SystolicConfig
 
@@ -53,16 +54,10 @@ def _pool(n_shards):
     )
 
 
-def _engine(n_shards, faults=None, retry_policy=None, breaker=None, **kw):
+def _engine(n_shards, faults=None, **kw):
     kw.setdefault("max_batch_size", 4)
     kw.setdefault("flush_timeout", 1e-4)
-    engine = InferenceEngine(
-        _pool(n_shards),
-        faults=faults,
-        retry_policy=retry_policy,
-        breaker=breaker,
-        **kw,
-    )
+    engine = InferenceEngine(_pool(n_shards), faults=faults, **kw)
     engine.register("bert", TinyBERT(**MODEL_KWARGS))
     return engine
 
@@ -71,8 +66,8 @@ def _tokens(n, seed=0):
     return np.random.default_rng(seed).integers(0, 16, size=(n, 8))
 
 
-def _run(engine, tokens, **submit_kw):
-    ids = [engine.submit("bert", row, arrival=i * 1e-5, **submit_kw)
+def _run(engine, tokens, spacing=1e-5, **submit_kw):
+    ids = [engine.submit("bert", row, arrival=i * spacing, **submit_kw)
            for i, row in enumerate(tokens)]
     return ids, engine.run()
 
@@ -108,15 +103,10 @@ class TestPlanConstruction:
             FaultPlan.from_seed(0, n_shards=1, horizon=0.0)
 
     def test_retry_policy_backoff_capped(self):
-        policy = RetryPolicy(backoff_base=1e-4, backoff_factor=2.0,
-                             backoff_cap=3e-4)
-        assert policy.backoff(0) == 1e-4
-        assert policy.backoff(1) == 2e-4
-        assert policy.backoff(10) == 3e-4  # capped, never unbounded
-        with pytest.raises(ValueError, match="max_retries"):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError, match="backoff_factor"):
-            RetryPolicy(backoff_factor=0.5)
+        assert backoff(0) == 1e-4
+        assert backoff(1) == 2e-4
+        assert backoff(6) == 6.4e-3
+        assert backoff(7) == backoff(50) == 1e-2  # capped, never unbounded
 
     def test_for_shard_block_remaps_and_drops(self):
         plan = FaultPlan(events=(
@@ -187,10 +177,7 @@ class TestCrashRecovery:
             seed, n_shards=3, horizon=horizon,
             crash_rate=0.9, slowdown_rate=0.5, max_slowdown=3.0,
         )
-        chaos_ids, chaos = _run(
-            _engine(3, faults=plan, retry_policy=RetryPolicy(max_retries=6)),
-            tokens,
-        )
+        chaos_ids, chaos = _run(_engine(3, faults=plan), tokens)
         check_invariants(chaos, chaos_ids)
         # Whatever completed is bit-identical to the fault-free run.
         reference = _outputs_by_input(baseline)
@@ -216,8 +203,7 @@ class TestBreakerLifecycle:
         # retry parks until the quarantine expires, and the half-open
         # probe (after the outage) succeeds and closes the breaker.
         plan = FaultPlan(events=(ShardCrash(shard=0, at=0.0, until=5e-4),))
-        engine = _engine(1, faults=plan,
-                         retry_policy=RetryPolicy(max_retries=10))
+        engine = _engine(1, faults=plan)
         ids, report = _run(engine, _tokens(4))
         check_invariants(report, ids)
         assert not report.failed
@@ -232,22 +218,30 @@ class TestBreakerLifecycle:
         # A crashed shard parks work until its outage ends (the DOA
         # handler holds busy_until through the window), so a *second*
         # overlapping outage is what kills the re-admission probe: the
-        # re-open must then quarantine for twice as long (capped).
-        breaker = BreakerConfig(quarantine=1e-4, quarantine_cap=1e-1)
+        # re-open must then quarantine for twice as long (capped).  The
+        # first outage outlasts the 1 ms base quarantine; the second
+        # covers the probe the expiry admits.
         plan = FaultPlan(events=(
-            ShardCrash(shard=0, at=0.0, until=2.5e-4),
-            ShardCrash(shard=0, at=2e-4, until=6e-4),
+            ShardCrash(shard=0, at=0.0, until=2.5e-3),
+            ShardCrash(shard=0, at=2e-3, until=6e-3),
         ))
-        engine = _engine(1, faults=plan, breaker=breaker,
-                         retry_policy=RetryPolicy(max_retries=10))
+        engine = _engine(1, faults=plan)
         ids, report = _run(engine, _tokens(2))
         check_invariants(report, ids)
         assert not report.failed
+        transitions = report.breaker_transitions
         reopens = [
-            t for t in report.breaker_transitions
+            t for t in transitions
             if t.from_state == "half_open" and t.to_state == "open"
         ]
         assert reopens  # at least one probe failed inside the outage
+        # Opened for QUARANTINE at the first failure, re-opened for twice
+        # that at the failed probe.
+        opened = [t.at for t in transitions if t.to_state == "open"]
+        expiries = [t.at for t in transitions if t.to_state == "half_open"]
+        assert [e - o for o, e in zip(opened, expiries)] == pytest.approx(
+            [QUARANTINE, QUARANTINE_FACTOR * QUARANTINE]
+        )
         health = engine.shard_health[0]
         assert health.state == "closed"  # recovered by the end
         assert health.failures >= 2
@@ -261,18 +255,12 @@ class TestRetryBudgets:
         # landing inside a dead window: the budget must bound the loop
         # and report every request failed — termination is the meat of
         # this test.
-        plan = FaultPlan(events=(
-            ShardCrash(shard=0, at=0.0, until=1.0),
-            ShardCrash(shard=0, at=0.5, until=2.0),
-            ShardCrash(shard=0, at=1.5, until=3.0),
-        ))
-        engine = _engine(1, faults=plan,
-                         retry_policy=RetryPolicy(max_retries=2))
+        engine = _engine(1, faults=retry_spending_outage())
         ids, report = _run(engine, _tokens(4))
         check_invariants(report, ids)
         assert not report.completed
         assert report.failed_by_reason() == {"max_retries": 4}
-        assert all(r.attempts == 3 for r in report.failed)  # 1 + 2 retries
+        assert all(r.attempts == MAX_RETRIES + 1 for r in report.failed)
         abandons = [e for e in report.fault_events if e.action == "abandon"]
         assert abandons
         assert "failed requests" in report.fault_section()
@@ -280,14 +268,11 @@ class TestRetryBudgets:
     def test_doomed_retry_is_shed_not_looped(self):
         # A request whose deadline precedes the backoff wake time is
         # failed immediately ("retry_deadline"), not retried into a
-        # guaranteed miss.
+        # guaranteed miss.  The batch flushes and dies at 1e-4; its
+        # retry would wake backoff(0) later, past the 1.5e-4 deadline.
         plan = FaultPlan(events=(ShardCrash(shard=0, at=0.0, until=1e6),))
-        engine = _engine(
-            1, faults=plan,
-            retry_policy=RetryPolicy(max_retries=3, backoff_base=10.0,
-                                     backoff_cap=10.0),
-        )
-        ids, report = _run(engine, _tokens(2), deadline=1.0)
+        engine = _engine(1, faults=plan)
+        ids, report = _run(engine, _tokens(2), deadline=1.5e-4)
         check_invariants(report, ids)
         assert not report.completed
         assert report.failed_by_reason() == {"retry_deadline": 2}
@@ -465,29 +450,30 @@ class TestElasticChaos:
     contract — re-placement moves work and resizing moves capacity,
     neither ever changes arithmetic or double-answers a request."""
 
-    ELASTIC = ElasticConfig(
-        steal=True, autoscale=True,
-        autoscale_window=4, autoscale_cooldown=0.0, min_shards=2,
-    )
+    ELASTIC = ElasticConfig(steal=True, autoscale=True, min_shards=2)
+    #: Arrivals 0.1 ms apart, and plans on the same scale: a run of 20
+    #: requests then spans two 8-completion autoscaler windows more than
+    #: the 1 ms cooldown apart, so the pool shrinks twice, to min_shards.
+    SPACING = 1e-4
 
     def _elastic_engine(self, faults=None):
         return _engine(
-            4,
-            faults=faults,
-            placement="lookahead",
-            breaker=BreakerConfig(failure_threshold=1),
-            elastic=self.ELASTIC,
+            4, faults=faults, placement="lookahead", elastic=self.ELASTIC
         )
+
+    def _run(self, tokens, faults=None):
+        return _run(self._elastic_engine(faults), tokens, spacing=self.SPACING)
 
     def test_elastic_outputs_match_healthy_run_under_faults(self):
         tokens = _tokens(24, seed=5)
-        _, healthy = _run(self._elastic_engine(), tokens)
+        _, healthy = self._run(tokens)
         plan = FaultPlan(events=(
-            ShardCrash(shard=0, at=0.0, until=5e-4),
-            ShardSlowdown(shard=1, at=0.0, until=1e-3, factor=8.0),
+            ShardCrash(shard=0, at=0.0, until=5e-3),
+            ShardSlowdown(shard=1, at=0.0, until=1e-2, factor=8.0),
         ))
-        ids, chaotic = _run(self._elastic_engine(faults=plan), tokens)
+        ids, chaotic = self._run(tokens, plan)
         check_invariants(chaotic, ids)
+        assert chaotic.retries > 0 and len(chaotic.scaling_events) == 2
         healthy_outputs = _outputs_by_input(healthy)
         for inputs, outputs in _outputs_by_input(chaotic).items():
             assert outputs == healthy_outputs[inputs]
@@ -496,23 +482,24 @@ class TestElasticChaos:
     def test_seeded_sweep_with_all_elastic_knobs(self, seed):
         tokens = _tokens(20, seed=seed)
         plan = FaultPlan.from_seed(
-            seed, n_shards=4, horizon=1e-3,
+            seed, n_shards=4, horizon=1e-2,
             crash_rate=0.6, slowdown_rate=0.6,
         )
-        ids, report = _run(self._elastic_engine(faults=plan), tokens)
+        ids, report = self._run(tokens, plan)
         check_invariants(report, ids)
-        repeat_ids, repeat = _run(self._elastic_engine(faults=plan), tokens)
+        repeat_ids, repeat = self._run(tokens, plan)
         check_invariants(repeat, repeat_ids)
         assert _outputs_by_input(report) == _outputs_by_input(repeat)
 
     def test_steal_and_scaling_logs_replay_identically(self):
         plan = FaultPlan(events=(
-            ShardSlowdown(shard=0, at=0.0, until=1e-3, factor=8.0),
+            ShardSlowdown(shard=0, at=0.0, until=1e-2, factor=8.0),
         ))
-        tokens = _tokens(16, seed=9)
-        _, first = _run(self._elastic_engine(faults=plan), tokens)
-        _, second = _run(self._elastic_engine(faults=plan), tokens)
+        tokens = _tokens(20, seed=9)
+        _, first = self._run(tokens, plan)
+        _, second = self._run(tokens, plan)
         assert first.steals == second.steals
+        assert len(first.scaling_events) == 2
         assert first.scaling_events == second.scaling_events
 
     def test_autoscaler_never_strands_work_when_shards_crash(self):
@@ -520,9 +507,11 @@ class TestElasticChaos:
         batches must still drain (the all-down wake ignores retired
         shards, not crashed ones)."""
         plan = FaultPlan(events=(
-            ShardCrash(shard=1, at=0.0, until=3e-4),
+            ShardCrash(shard=1, at=0.0, until=3e-3),
         ))
         tokens = _tokens(20, seed=13)
-        ids, report = _run(self._elastic_engine(faults=plan), tokens)
+        ids, report = self._run(tokens, plan)
         check_invariants(report, ids)
         assert len(report.completed) + len(report.failed) == len(ids)
+        assert report.retries > 0
+        assert [e.action for e in report.scaling_events] == ["shrink", "shrink"]

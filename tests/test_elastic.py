@@ -20,6 +20,10 @@ The load-bearing contracts:
   version-stamped store fabric.
 """
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,7 +32,6 @@ from repro.nn.models import TinyBERT
 from repro.nn.workload import transformer_serving_workload
 from repro.serving import (
     BatchProfile,
-    BreakerConfig,
     CalibratingCostModel,
     ClusterSpec,
     CostAwarePlacement,
@@ -54,6 +57,7 @@ from repro.serving import (
     workload_cost_model,
 )
 from repro.store import FileStore, InProcessLRU, TieredStore
+from repro.serving.elastic import AUTOSCALE_COOLDOWN, STEAL_DRIFT_THRESHOLD
 from repro.systolic import SystolicConfig
 
 # The skewed heterogeneous pool of the placement benchmarks: ~160x
@@ -127,6 +131,8 @@ class TestElasticConfig:
         assert ElasticConfig(autoscale=True).enabled
 
     @pytest.mark.parametrize("bad", [
+        # Thresholds that became module constants: a caller still passing
+        # one is refused outright, not run at the constant's value.
         dict(steal_drift_threshold=0.5),
         dict(affinity_break_factor=0.0),
         dict(autoscale_window=0),
@@ -139,14 +145,13 @@ class TestElasticConfig:
         dict(power_budget_watts=0.0),
     ])
     def test_validation(self, bad):
-        with pytest.raises(ValueError):
+        fields = {field.name for field in dataclasses.fields(ElasticConfig)}
+        with pytest.raises(ValueError if set(bad) <= fields else TypeError):
             ElasticConfig(**bad)
 
     def test_round_trips_through_dict(self):
         config = ElasticConfig(
             steal=True, autoscale=True,
-            steal_drift_threshold=1.25, affinity_break_factor=3.0,
-            autoscale_window=5, autoscale_cooldown=2e-3,
             min_shards=2, max_shards=6, power_budget_watts=40.0,
         )
         assert ElasticConfig.from_dict(config.to_dict()) == config
@@ -272,7 +277,7 @@ class TestWorkStealing:
             "no steal off the slowed shard"
         )
         for steal in drift_steals:
-            assert steal.planned_eta > steal.stolen_eta
+            assert steal.planned_eta > STEAL_DRIFT_THRESHOLD * steal.stolen_eta
         # Stealing moved work, never changed bits.
         for a, b in zip(base_out, _outputs(engine, ids)):
             assert np.array_equal(a, b)
@@ -285,8 +290,7 @@ class TestWorkStealing:
         faults = FaultPlan(events=(
             ShardSlowdown(shard=0, at=0.0, until=1.0, factor=16.0),
         ))
-        engine = _engine(placement="lookahead", elastic=elastic, faults=faults,
-                         breaker=BreakerConfig(failure_threshold=1))
+        engine = _engine(placement="lookahead", elastic=elastic, faults=faults)
         ids = _mixed_burst(engine, n_small=24)
         report = engine.run()
         assert len(report.completed) + len(report.failed) == len(ids)
@@ -346,8 +350,7 @@ def _hot_prefix_burst(engine, repeats=24, seed=11):
 
 class TestAffinityBreak:
     def test_affinity_steal_migrates_the_cache_entry(self):
-        elastic = ElasticConfig(steal=True,
-                                affinity_break_factor=2.0)
+        elastic = ElasticConfig(steal=True)
         engine, cache = _hot_prefix_engine(elastic)
         ids = _hot_prefix_burst(engine)
         report = engine.run()
@@ -403,7 +406,9 @@ class TestAffinityBreak:
 # ---------------------------------------------------------------------------
 # SLO-driven autoscaling
 # ---------------------------------------------------------------------------
-def _autoscale_engine(n_shards, elastic, deadline=None, n_requests=16):
+def _autoscale_engine(n_shards, elastic, deadline=None, n_requests=16, spacing=1e-4):
+    """Arrivals ``spacing`` apart: at the default 0.1 ms a trace of 16+
+    requests spans several 8-completion windows and 1 ms cooldowns."""
     config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)
     engine = InferenceEngine(
         ClusterSpec.homogeneous(config, n_shards).build(),
@@ -418,8 +423,8 @@ def _autoscale_engine(n_shards, elastic, deadline=None, n_requests=16):
     rng = np.random.default_rng(2)
     ids = [
         engine.submit(
-            "bert_small", row, arrival=i * 1e-6,
-            deadline=None if deadline is None else i * 1e-6 + deadline,
+            "bert_small", row, arrival=i * spacing,
+            deadline=None if deadline is None else i * spacing + deadline,
         )
         for i, row in enumerate(
             rng.integers(0, 16, size=(n_requests, SMALL_KW["seq_len"]))
@@ -429,8 +434,7 @@ def _autoscale_engine(n_shards, elastic, deadline=None, n_requests=16):
 
 
 class TestAutoscaling:
-    GROW = ElasticConfig(autoscale=True, autoscale_window=4,
-                         autoscale_cooldown=0.0, max_shards=3)
+    GROW = ElasticConfig(autoscale=True, max_shards=3)
 
     def test_grows_on_missed_slos(self):
         engine, ids = _autoscale_engine(1, self.GROW, deadline=1e-9)
@@ -446,24 +450,21 @@ class TestAutoscaling:
     def test_max_shards_caps_growth(self):
         engine, _ = _autoscale_engine(1, self.GROW, deadline=1e-9,
                                       n_requests=64)
-        engine.run()
-        assert engine.dispatcher.n_live_shards <= 3
+        report = engine.run()
+        # Grown to the cap early; the missed windows after it grow nothing.
+        assert [e.action for e in report.scaling_events] == ["grow", "grow"]
+        assert report.scaling_events[-1].at < report.makespan / 2
+        assert engine.dispatcher.n_live_shards == 3
 
     def test_power_budget_refuses_growth(self):
-        budgeted = ElasticConfig(
-            autoscale=True, autoscale_window=4, autoscale_cooldown=0.0,
-            power_budget_watts=1e-9,
-        )
+        budgeted = ElasticConfig(autoscale=True, power_budget_watts=1e-9)
         engine, _ = _autoscale_engine(1, budgeted, deadline=1e-9)
         report = engine.run()
         assert report.scaling_events == ()
         assert engine.dispatcher.n_live_shards == 1
 
     def test_shrinks_on_headroom_but_never_below_min(self):
-        relaxed = ElasticConfig(
-            autoscale=True, autoscale_window=4, autoscale_cooldown=0.0,
-            min_shards=2,
-        )
+        relaxed = ElasticConfig(autoscale=True, min_shards=2)
         engine, ids = _autoscale_engine(3, relaxed, n_requests=32)
         report = engine.run()
         shrinks = [e for e in report.scaling_events if e.action == "shrink"]
@@ -473,12 +474,15 @@ class TestAutoscaling:
         assert len(report.completed) == len(ids)
 
     def test_cooldown_is_hysteresis(self):
-        lazy = ElasticConfig(
-            autoscale=True, autoscale_window=4, autoscale_cooldown=1e6,
-        )
-        engine, _ = _autoscale_engine(3, lazy, n_requests=32)
+        """Four full windows inside one cooldown resize the pool once;
+        the same requests spread past it shrink it twice."""
+        lazy = ElasticConfig(autoscale=True)
+        engine, _ = _autoscale_engine(3, lazy, n_requests=32, spacing=1e-6)
         report = engine.run()
-        assert len(report.scaling_events) <= 1
+        assert report.makespan < AUTOSCALE_COOLDOWN
+        assert len(report.scaling_events) == 1
+        engine, _ = _autoscale_engine(3, lazy, n_requests=32)
+        assert len(engine.run().scaling_events) == 2
 
     def test_outputs_unchanged_by_scaling(self):
         baseline, base_ids = _autoscale_engine(1, None, deadline=1e-9)
@@ -527,8 +531,7 @@ class TestStatsTree:
         assert "makespan_s=" in text
 
     def test_elastic_section_in_summary(self):
-        elastic = ElasticConfig(steal=True,
-                                steal_drift_threshold=1.2)
+        elastic = ElasticConfig(steal=True)
         faults = FaultPlan(events=(
             ShardSlowdown(shard=0, at=0.0, until=1.0, factor=16.0),
         ))
@@ -589,8 +592,7 @@ class TestBreakerFilteredBeforeRanking:
         faults = FaultPlan.from_seed(
             3, n_shards=4, horizon=5e-4, crash_rate=0.9, slowdown_rate=0.5
         )
-        engine = _engine(faults=faults,
-                         breaker=BreakerConfig(failure_threshold=1))
+        engine = _engine(faults=faults)
         ids = _mixed_burst(engine, n_small=24)
         report = engine.run()
         completed = {r.request.request_id for r in report.completed}
@@ -797,18 +799,16 @@ class TestElasticWiring:
                                                 macs_per_pe=4),),
             placement="lookahead",
             steal=True,
-            steal_drift_threshold=1.25,
         )
         restored = TuningConfig.from_dict(config.to_dict())
         assert restored == config
         elastic = restored.elastic()
-        assert elastic.steal
-        assert elastic.steal_drift_threshold == 1.25
+        assert elastic == ElasticConfig(steal=True)
         assert "lookahead" in restored.describe()
         # Pre-elastic snapshots (no elastic keys) still load.
         legacy = {k: v for k, v in config.to_dict().items()
                   if k in TuningConfig(pool=(self_config,)).to_dict()
-                  and not k.startswith(("steal", "autoscale", "affinity"))}
+                  and not k.startswith(("steal", "autoscale"))}
         legacy["placement"] = "cost_aware"
         loaded = TuningConfig.from_dict(legacy)
         assert not loaded.elastic().enabled
@@ -826,11 +826,29 @@ class TestElasticWiring:
         assert engine.elastic.steal
         assert isinstance(engine.placement, LookaheadPlacement)
 
-    def test_tuning_config_rejects_bad_thresholds(self):
+    def test_saved_configs_naming_retired_thresholds_still_load(self):
+        """Dicts and fronts saved while the thresholds were fields load;
+        the thresholds they name are ignored for the module constants."""
+        from repro.autotune.front import TuningFront
         from repro.autotune.tuning import TuningConfig
 
-        with pytest.raises(ValueError):
-            TuningConfig(
-                pool=(SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4),),
-                steal_drift_threshold=0.5,
-            )
+        retired = dict(steal_drift_threshold=1.25, affinity_break_factor=3.0,
+                       autoscale_window=4)
+        pool = (SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4),)
+        tuning = TuningConfig(pool=pool, placement="lookahead", steal=True)
+        assert TuningConfig.from_dict(dict(tuning.to_dict(), **retired)) == tuning
+        elastic = ElasticConfig(autoscale=True, min_shards=2)
+        assert ElasticConfig.from_dict(dict(elastic.to_dict(), **retired)) == elastic
+        assert not set(retired) & (set(tuning.to_dict()) | set(elastic.to_dict()))
+
+        # A front the pre-change code wrote (each config carries the
+        # thresholds at their defaults).
+        path = Path(__file__).parent / "data" / "front_with_elastic_thresholds.json"
+        saved = json.loads(path.read_text())
+        assert all("steal_drift_threshold" in e["config"] for e in saved["entries"])
+        front = TuningFront.from_dict(saved)
+        assert [entry.config for entry in front.entries] == [
+            tuning, TuningConfig(pool=pool * 2, autoscale=True)
+        ]
+        assert front.evaluated == 5
+        assert TuningFront.from_dict(front.to_dict()) == front

@@ -40,7 +40,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from chaos_plans import retry_spending_outage
 
+import repro.serving as serving_package
 import repro.serving.engine as engine_module
 from repro.autotune import (
     EndpointProfile,
@@ -65,7 +67,6 @@ from repro.serving import (
     GenerationAdapter,
     InferenceEngine,
     PlacementDecision,
-    RetryPolicy,
     PrefixEvent,
     RadixKVCache,
     ScalingEvent,
@@ -76,6 +77,7 @@ from repro.serving import (
     TenantConfig,
     TransformerPrefixAdapter,
 )
+from repro.serving.faults import MAX_RETRIES
 from repro.serving.generation import ActiveSequence
 from repro.serving.multiproc import merge_reports
 from repro.serving.request import CompletedRequest
@@ -275,10 +277,7 @@ STORY_LETTER = {
     StealEvent: "S", FaultRecord: "F", PlacementDecision: "P",
     PrefixEvent: "X", DecodeStepRecord: "D",
 }
-ALL_ELASTIC = ElasticConfig(
-    steal=True, autoscale=True,
-    autoscale_window=4, autoscale_cooldown=0.0, min_shards=2,
-)
+ALL_ELASTIC = ElasticConfig(steal=True, autoscale=True, min_shards=2)
 
 
 def _index_of(event):
@@ -915,9 +914,10 @@ def test_tapes_are_lent_in_one_place_and_kept_in_no_registry():
 
 @pytest.mark.parametrize("fate", ["shed", "failed"])
 def test_shed_and_failed_requests_leave_the_stack(fate):
-    """Requests that die at t=0 — shed by a queue cap, or abandoned on a
-    crashed shard with no retry budget — are in no later stack: three
-    batches of 4 follow, and nothing is ever computed for the dead."""
+    """Requests that die early — shed by a queue cap at t=0, or abandoned
+    on a shard that crashes on every attempt the retry budget allows —
+    are in no later stack: three batches of 4 follow, and nothing is ever
+    computed for the dead."""
     rows = np.random.default_rng(7).integers(0, 16, size=(24, 8))
     model = _CountedBERT()
     if fate == "shed":
@@ -927,20 +927,17 @@ def test_shed_and_failed_requests_leave_the_stack(fate):
         )
         at_zero, dead = 12, (8, 0)
     else:
-        # The only shard is down when the first batch would start.
-        engine = _small_engine(
-            n_shards=1,
-            faults=FaultPlan(events=(ShardCrash(0, at=0.0, until=5e-4),)),
-            retry_policy=RetryPolicy(max_retries=0),
-        )
+        # The only shard is down whenever the first batch tries to run.
+        engine = _small_engine(n_shards=1, faults=retry_spending_outage())
         at_zero, dead = 4, (0, 4)
     engine.register("bert", model)
     for row in rows[:at_zero]:
         engine.submit("bert", row, arrival=0.0)
-    for i, row in enumerate(rows[12:]):
-        engine.submit("bert", row, arrival=2e-3 * (1 + i // 4))
+    for i, row in enumerate(rows[12:]):  # after the outage
+        engine.submit("bert", row, arrival=2e-2 * (1 + i // 4))
     report = engine.run()
     assert (report.shed_count, report.failed_count) == dead
+    assert report.failed_by_reason() == ({"max_retries": 4} if dead[1] else {})
     assert len(report.completed) == at_zero + 12 - sum(dead)
     # The first batch served executes; the next computes itself and all
     # that is still to come — the dead are not among it.
@@ -1003,7 +1000,7 @@ def test_compute_once_adds_no_knob_and_one_call_site():
     assert parameters(InferenceEngine.__init__) == [
         "self", "dispatcher", "max_batch_size", "flush_timeout",
         "retain_trace_events", "policy", "placement", "tenants", "prefix_cache",
-        "radix_cache", "faults", "retry_policy", "breaker", "elastic", "recorder",
+        "radix_cache", "faults", "elastic", "recorder",
     ]
     assert parameters(InferenceEngine.register) == [
         "self", "name", "model", "infer_fn", "batchable", "cost_model",
@@ -1024,8 +1021,15 @@ def test_compute_once_adds_no_knob_and_one_call_site():
     assert fields(TuningConfig) == [
         "pool", "placement", "occupancy_penalty", "max_batch_size", "flush_timeout",
         "max_queue_depth", "prefix_budget_bytes", "radix_budget_bytes", "steal",
-        "autoscale", "steal_drift_threshold", "affinity_break_factor",
+        "autoscale",
     ]
+    assert fields(ElasticConfig) == [
+        "steal", "autoscale", "min_shards", "max_shards", "power_budget_watts",
+    ]
+    # The breaker and the retry budget are constants, not config classes.
+    for retired in ("BreakerConfig", "RetryPolicy"):
+        assert not hasattr(serving_package, retired)
+        assert retired not in serving_package.__all__
     assert fields(EndpointSpec) == [
         "name", "factory", "kwargs", "prefix_len", "generation", "cost",
     ]
@@ -1396,7 +1400,7 @@ def _unswept(engine):
 
 @pytest.mark.parametrize("fate", ["shed", "failed"])
 def test_shed_and_failed_generation_requests_leave_the_stack(fate):
-    """Generation requests that die at t=0 are in no later lockstep pass
+    """Generation requests that die early are in no later lockstep pass
     (three prefills of 4 follow), and no transcript outlives its request."""
     prompts = _prompts(24, seed=7)
     model = _CountedChat()
@@ -1404,19 +1408,16 @@ def test_shed_and_failed_generation_requests_leave_the_stack(fate):
         engine = _small_chat(model, tenants=[TenantConfig("default", max_queue_depth=4)])
         at_zero, dead = 12, (8, 0)
     else:
-        engine = _small_chat(
-            model,
-            faults=FaultPlan(events=(ShardCrash(0, at=0.0, until=5e-4),)),
-            retry_policy=RetryPolicy(max_retries=0),
-        )
+        engine = _small_chat(model, faults=retry_spending_outage())
         at_zero, dead = 4, (0, 4)
     stack = _unswept(engine)
     for prompt in prompts[:at_zero]:
         engine.submit_generation("chat", prompt, 4, arrival=0.0)
-    for i, prompt in enumerate(prompts[12:]):
-        engine.submit_generation("chat", prompt, 4, arrival=2e-3 * (1 + i // 4))
+    for i, prompt in enumerate(prompts[12:]):  # after the outage
+        engine.submit_generation("chat", prompt, 4, arrival=2e-2 * (1 + i // 4))
     report = engine.run()
     assert (report.shed_count, report.failed_count) == dead
+    assert report.failed_by_reason() == ({"max_retries": 4} if dead[1] else {})
     assert len(report.completed) == at_zero + 12 - sum(dead)
     # The first group served executes, unit by unit; the next one's prefill
     # replays and transcribes itself and all that is still to come.
@@ -1432,14 +1433,11 @@ def test_a_sequence_dropped_mid_decode_releases_its_transcript():
     prompts = _prompts(16, seed=8)
 
     def engine_with(faults):
-        return _small_chat(
-            _CountedChat(), faults=faults, retry_policy=RetryPolicy(max_retries=0)
-        )
+        return _small_chat(_CountedChat(), faults=faults)
 
     clean, _ = _chat_burst(engine_with(None), prompts, spacing=2e-3)
     target = clean.generation_steps[-2]  # a replayed step of the last group
-    crash = ShardCrash(target.shard, at=target.start, until=target.start + OUTAGE)
-    engine = engine_with(FaultPlan(events=(crash,)))
+    engine = engine_with(retry_spending_outage(target.shard, target.start))
     stack = _unswept(engine)
     held = []
     failed = engine._decode_pool._attempt_failed
@@ -1450,8 +1448,10 @@ def test_a_sequence_dropped_mid_decode_releases_its_transcript():
 
     engine._decode_pool._attempt_failed = watched
     report, _ = _chat_burst(engine, prompts, spacing=2e-3)
-    assert report.failed_count == 4 and len(report.completed) == 12
-    assert held == [[True] * 4]  # dropped holding transcripts ...
+    assert report.failed_by_reason() == {"max_retries": 4}
+    assert len(report.completed) == 12
+    # Every attempt held the transcripts; the last dropped them ...
+    assert held == [[True] * 4] * (MAX_RETRIES + 1)
     assert not stack.rows  # ... which went with them
 
 

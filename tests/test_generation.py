@@ -28,6 +28,7 @@ tenant-scoped, byte-budgeted :class:`~repro.serving.RadixKVCache`.
 
 import numpy as np
 import pytest
+from chaos_plans import retry_spending_outage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,9 +47,9 @@ from repro.serving import (
     InferenceEngine,
     RadixKVCache,
     RadixPrefixIndex,
-    RetryPolicy,
     ShardSlowdown,
 )
+from repro.serving.faults import MAX_RETRIES
 from repro.store import FileStore
 from repro.systolic import SystolicArray, SystolicConfig
 
@@ -667,9 +668,7 @@ class TestGenerationChaos:
         plan = FaultPlan.from_seed(
             11, n_shards=2, horizon=2e-3, crash_rate=1.0, slowdown_rate=0.5
         )
-        engine, _, _ = _gen_engine(
-            model=model, faults=plan, retry_policy=RetryPolicy(max_retries=3)
-        )
+        engine, _, _ = _gen_engine(model=model, faults=plan)
         rng = np.random.default_rng(3)
         ids = [
             engine.submit_generation(
@@ -693,10 +692,9 @@ class TestGenerationChaos:
         )
 
     def test_decode_retry_budget_exhaustion_fails_cleanly(self):
-        """A crash inside a decode step with a zero retry budget: the
-        sequence lands in the failure ledger, never silently lost."""
-        from repro.serving.faults import ShardCrash
-
+        """A crash inside a decode step, then on every retry the budget
+        allows: the sequence lands in the failure ledger, never silently
+        lost."""
         model = _model()
         prompt = np.array([1, 2, 3], dtype=np.int64)
         # Dry run to learn where the first decode iteration falls...
@@ -706,21 +704,17 @@ class TestGenerationChaos:
         first = clean.generation_steps[0]
         strike = (first.start + first.finish) / 2.0
 
-        # ...then strike exactly there with no budget to recover.
-        plan = FaultPlan(events=(ShardCrash(shard=0, at=strike, until=1.0),))
+        # ...then strike exactly there, and again on every retry.
         engine, _, _ = _gen_engine(
-            n_shards=1, model=model,
-            faults=plan, retry_policy=RetryPolicy(max_retries=0),
+            n_shards=1, model=model, faults=retry_spending_outage(0, strike)
         )
         ids = [engine.submit_generation("gen", prompt, 3, arrival=0.0)]
         report = engine.run()
         assert not report.completed
         assert {f.request.request_id for f in report.failed} == set(ids)
         assert all(f.reason == "max_retries" for f in report.failed)
-        assert any(
-            r.kind == "crash" and r.action == "abandon"
-            for r in report.fault_events
-        )
+        crashes = [r.action for r in report.fault_events if r.kind == "crash"]
+        assert crashes == ["retry"] * MAX_RETRIES + ["abandon"]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from repro.nn.models import TinyBERT
 from repro.nn.workload import transformer_serving_workload
 from repro.serving import (
     BatchProfile,
-    BreakerConfig,
     ClusterSpec,
     ElasticConfig,
     FaultPlan,
@@ -45,7 +44,6 @@ from repro.serving import (
     InferenceEngine,
     LookaheadPlacement,
     RadixKVCache,
-    RetryPolicy,
     ShardCrash,
     ShardSlowdown,
     ShardView,
@@ -128,7 +126,7 @@ class TestViewsMatchReference:
         re-closes it."""
         plan = FaultPlan(events=(ShardCrash(shard=0, at=0.0, until=5e-4),))
         engine = _engine(
-            pool=(MID,), faults=plan, retry_policy=RetryPolicy(max_retries=10),
+            pool=(MID,), faults=plan,
             placement="lookahead" if lookahead else "cost_aware",
             elastic=LOOKAHEAD if lookahead else None,
         )
@@ -148,13 +146,10 @@ class TestViewsMatchReference:
     def test_failed_probe_reopens(self):
         """Two overlapping outages: the probe dies, quarantine doubles."""
         plan = FaultPlan(events=(
-            ShardCrash(shard=0, at=0.0, until=2.5e-4),
-            ShardCrash(shard=0, at=2e-4, until=6e-4),
+            ShardCrash(shard=0, at=0.0, until=2.5e-3),
+            ShardCrash(shard=0, at=2e-3, until=6e-3),
         ))
-        engine = _engine(
-            pool=(MID,), faults=plan, retry_policy=RetryPolicy(max_retries=10),
-            breaker=BreakerConfig(quarantine=1e-4, quarantine_cap=1e-1),
-        )
+        engine = _engine(pool=(MID,), faults=plan)
         seen = _watch(engine)
         ids = _submit_rows(engine, 2)
         report = engine.run()
@@ -167,32 +162,28 @@ class TestViewsMatchReference:
     @pytest.mark.parametrize("seed", range(4))
     def test_seeded_chaos_with_every_elastic_knob(self, seed):
         """The ``TestElasticChaos`` sweep: crashes and slowdowns under
-        look-ahead, stealing and autoscaling together."""
-        elastic = ElasticConfig(
-            steal=True, autoscale=True,
-            autoscale_window=4, autoscale_cooldown=0.0, min_shards=2,
-        )
+        look-ahead, stealing and autoscaling together, on its time scale
+        (arrivals 0.1 ms apart: the pool shrinks twice)."""
+        elastic = ElasticConfig(steal=True, autoscale=True, min_shards=2)
         plan = FaultPlan.from_seed(
-            seed, n_shards=4, horizon=1e-3, crash_rate=0.6, slowdown_rate=0.6
+            seed, n_shards=4, horizon=1e-2, crash_rate=0.6, slowdown_rate=0.6
         )
         engine = _engine(
             pool=(MID,) * 4, faults=plan, placement="lookahead", elastic=elastic,
-            breaker=BreakerConfig(failure_threshold=1), cost_model=None,
+            cost_model=None,
         )
         seen = _watch(engine)
-        ids = _submit_rows(engine, 20, seed=seed)
+        ids = _submit_rows(engine, 20, spacing=1e-4, seed=seed)
         report = engine.run()
         assert len(report.completed) + len(report.failed) == len(ids)
         assert len(seen) >= len(report.placements) > 0
+        assert report.scaling_events
 
     def test_autoscaler_retires_reactivates_and_adds_shards(self):
         """Headroom shrinks the pool, then hopeless deadlines grow it
         back past its original size: offline shards leave the views,
         re-activated and freshly added ones join them."""
-        elastic = ElasticConfig(
-            autoscale=True, autoscale_window=4, autoscale_cooldown=0.0,
-            min_shards=1, max_shards=4,
-        )
+        elastic = ElasticConfig(autoscale=True, min_shards=1, max_shards=4)
         engine = _engine(
             pool=(MID,) * 3, max_batch_size=1, flush_timeout=1e-7,
             placement="cost_aware", elastic=elastic,
@@ -200,7 +191,7 @@ class TestViewsMatchReference:
         seen = _watch(engine)
         rows = np.random.default_rng(2).integers(0, 16, size=(64, 8))
         for i, row in enumerate(rows):
-            arrival = i * 1e-6
+            arrival = i * 1e-4  # 8-completion windows, 1 ms cooldowns
             engine.submit(
                 "bert", row, arrival=arrival,
                 deadline=None if i < 24 else arrival + 1e-9,
@@ -287,22 +278,20 @@ class TestViewsMatchReference:
 class TestRoundHandOff:
     @staticmethod
     def _run(rebuild):
+        # Times on the scale of the 1 ms base quarantine, so shard 0's
+        # breaker opens, expires and probes within the burst.
         plan = FaultPlan(events=(
-            ShardCrash(shard=0, at=0.0, until=3e-4),
-            ShardSlowdown(shard=1, at=0.0, until=1e-3, factor=8.0),
+            ShardCrash(shard=0, at=0.0, until=1.5e-3),
+            ShardSlowdown(shard=1, at=0.0, until=5e-3, factor=8.0),
         ))
-        engine = _engine(
-            faults=plan, placement="lookahead", elastic=LOOKAHEAD,
-            breaker=BreakerConfig(failure_threshold=1, quarantine=2e-4),
-            retry_policy=RetryPolicy(max_retries=10),
-        )
+        engine = _engine(faults=plan, placement="lookahead", elastic=LOOKAHEAD)
         built = []
         available = engine._available_views
         engine._available_views = lambda now: built.append(now) or available(now)
         if rebuild:
             execute = engine._execute
             engine._execute = lambda unit, views=None: execute(unit)
-        ids = _submit_rows(engine, 32, spacing=2e-5, seed=3)
+        ids = _submit_rows(engine, 32, spacing=1e-4, seed=3)
         report = engine.run()
         return report, [engine.result(i) for i in ids if i in engine._results], built
 
@@ -331,22 +320,21 @@ class TestRoundHandOff:
         engine = _engine(
             pool=(MID, MID), max_batch_size=1, flush_timeout=0.0,
             placement="lookahead", elastic=ElasticConfig(),
-            breaker=BreakerConfig(quarantine=1e-4),
         )
         seen = _watch(engine)
         rows = np.random.default_rng(1).integers(0, 16, size=(4, 8))
         late = []
 
         def infer(inputs, backend):
-            if not late:  # the first batch, in flight at 2e-4:
-                # shard 1 reports a failure dated 5e-5 (open until 1.5e-4)
-                # and a request arrives dated 1e-4.
-                engine.shard_health[1].record_failure(5e-5)
-                late.append(engine.submit("bert", rows[3], arrival=1e-4))
+            if not late:  # the first batch, in flight at 2e-3:
+                # shard 1 reports a failure dated 5e-4 (open until 1.5e-3)
+                # and a request arrives dated 1e-3.
+                engine.shard_health[1].record_failure(5e-4)
+                late.append(engine.submit("bert", rows[3], arrival=1e-3))
             return _MODEL.infer(inputs, backend)
 
         engine.register("bert", infer_fn=infer, cost_model=_COST)
-        ids = [engine.submit("bert", row, arrival=2e-4) for row in rows[:3]]
+        ids = [engine.submit("bert", row, arrival=2e-3) for row in rows[:3]]
         report = engine.run()
         assert len(report.completed) == len(ids) + 1
         decisions = [
@@ -355,10 +343,10 @@ class TestRoundHandOff:
         ]
         both, probing = [(0, "closed"), (1, "closed")], [(0, "closed"), (1, "half_open")]
         assert decisions == [
-            (2e-4, both),     # round 1's first unit, on the round's views
-            (2e-4, probing),  # round 1's second: NOT round 2's [(0, closed)]
-            (2e-4, both),     # ...its probe re-closed shard 1
-            (1e-4, both),     # round 2's batch, by then a leftover itself
+            (2e-3, both),     # round 1's first unit, on the round's views
+            (2e-3, probing),  # round 1's second: NOT round 2's [(0, closed)]
+            (2e-3, both),     # ...its probe re-closed shard 1
+            (1e-3, both),     # round 2's batch, by then a leftover itself
         ]
 
 
