@@ -461,11 +461,12 @@ def test_host_coalescing_counts(print_artifact):
     256 requests of the serving burst's BERT-tiny on 2 shards are 32
     simulated batches; registered as a ``Module`` the engine charges each
     batch by replaying its shape's trace tape and computes rows in
-    stacked host passes (16 tokens per request put 4 batches in a stack),
-    so it calls the model about 10 times where the ``infer_fn=``
-    reference calls it 32 times — for equal outputs and traced cycles.
-    A second engine assembled from the same ``EndpointSpec`` finds every
-    shape's tape on the spec and only computes stacks (8 calls).
+    stacked host passes (the burst's 4,096 tokens fill one stack), so it
+    calls the model twice — the first batch executes, one stack computes
+    the rest — where the ``infer_fn=`` reference calls it 32 times, for
+    equal outputs and traced cycles.  A second engine assembled from the
+    same ``EndpointSpec`` finds every shape's tape on the spec and only
+    computes the stack (1 call).
     The gates are on counts, which repeat exactly on any runner.
     """
     from repro.serving import ClusterSpec, EndpointSpec, InferenceEngine
@@ -544,13 +545,13 @@ def test_generation_coalescing_counts(print_artifact):
     are some 500 simulated units.  Registered as a ``Module`` the engine
     charges every unit after the first of its shape by replaying a trace
     tape and reads its tokens off transcripts — one lockstep prefill +
-    decode loop over up to 64 stacked prompts — so it calls the model at
-    most a third as often as the ``infer_fn=`` + ``generation_adapter=``
-    reference, which calls it once per unit, for equal tokens and traced
-    cycles.  A second engine assembled from the same ``EndpointSpec``
-    finds every shape's tape on the spec and makes lockstep passes only
-    (6 passes of 1 prefill + 7 decode steps).  The gates are on counts,
-    which repeat exactly on any runner.
+    decode loop over up to 512 stacked 8-token prompts — so it calls the
+    model at most a third as often as the ``infer_fn=`` +
+    ``generation_adapter=`` reference, which calls it once per unit, for
+    equal tokens and traced cycles.  A second engine assembled from the
+    same ``EndpointSpec`` finds every shape's tape on the spec and makes
+    lockstep passes only (one pass of 1 prefill + 7 decode steps).  The
+    gates are on counts, which repeat exactly on any runner.
     """
     from repro.autotune import EndpointProfile, synthesize_trace
     from repro.serving import (
@@ -640,6 +641,81 @@ def test_generation_coalescing_counts(print_artifact):
     assert again_calls <= lockstep, (
         f"{again_calls} model calls on the second engine for {lockstep} lockstep ones"
     )
+
+
+def test_replay_counts_at_the_hostbench_shapes(print_artifact):
+    """Two replays of one spec at hostbench's three serving shapes (seed 0,
+    ``--scale 0.2``) — what every timed repetition after the first is.
+
+    The second replay finds every shape's tape on the spec, so its model
+    calls are stacked passes only: ``ceil(elements / STACK_ELEMENTS)`` on
+    the 3,200-request bursty trace, exactly one lockstep pass (1 prefill
+    + 7 decode steps) over the 72 conversational prompts, and at most
+    ``ceil(elements / STACK_ELEMENTS)`` on the flood, which computes rows
+    for requests it sheds later.  The gates are on counts, which repeat
+    exactly on any runner.
+    """
+    import collections
+    import dataclasses
+
+    from hostbench.workloads import WORKLOADS
+    from repro.autotune import replay_trace, report_fingerprint
+    from repro.serving.engine import STACK_ELEMENTS
+
+    calls = collections.Counter()
+
+    def counted(factory):
+        class Counted(factory):
+            def infer(self, tokens, backend, *args):
+                calls["infer"] += 1
+                calls["rows"] += len(tokens)
+                return super().infer(tokens, backend, *args)
+
+            def prefill(self, tokens, backend, cached=None):
+                calls["prefill"] += 1
+                return super().prefill(tokens, backend, cached=cached)
+
+            def decode_step(self, state, tokens, backend):
+                calls["decode_step"] += 1
+                return super().decode_step(state, tokens, backend)
+
+        return Counted
+
+    recorded = {}
+    for name in ("classify_bursty", "generate_chat", "admission_flood"):
+        workload = WORKLOADS[name](0, 0.2)
+        spec = dataclasses.replace(
+            workload.endpoint, factory=counted(workload.endpoint.factory)
+        )
+        replays = []
+        for _ in range(2):
+            calls.clear()
+            report = replay_trace(workload.trace, workload.tuning, (spec,))
+            replays.append((dict(calls), report))
+        (first, report), (second, again) = replays
+        assert report_fingerprint(report) == report_fingerprint(again)
+        elements = sum(r.inputs_array().size for r in workload.trace.requests)
+        recorded[name] = {
+            "requests": len(workload.trace.requests),
+            "completed": len(report.completed),
+            "stacks": -(-elements // STACK_ELEMENTS),
+            "model_calls": sum(first.get(k, 0) for k in ("infer", "prefill", "decode_step")),
+            "second_replay": second,
+        }
+    print_artifact(
+        "Model calls of two replays of one spec (hostbench shapes, seed 0, scale 0.2)\n"
+        + "\n".join(
+            f"  {name:<16s} {row['requests']:>6,} requests: {row['model_calls']} calls, "
+            f"then {row['second_replay']} (input fills {row['stacks']} stack(s))"
+            for name, row in recorded.items()
+        )
+    )
+    _update_artifact(replay_model_calls=recorded)
+    bursty, chat, flood = recorded.values()
+    assert bursty["second_replay"]["infer"] == bursty["stacks"]
+    assert bursty["second_replay"]["rows"] == bursty["requests"]
+    assert chat["second_replay"] == {"prefill": 1, "decode_step": 7}
+    assert flood["second_replay"]["infer"] <= flood["stacks"]
 
 
 def test_nonlinear_code_table(print_artifact, monkeypatch):

@@ -16,6 +16,7 @@ scale), layernorm = 4 (square, rsqrt, scale, affine), batchnorm = 1
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
@@ -398,6 +399,12 @@ def transformer_prefix_savings(
     return _traced_cycles(cold.ops, config) - _traced_cycles(hit.ops, config)
 
 
+#: Prices :func:`transformer_prefill_cycles` keeps: a 16-position model at
+#: batch <= 8 has 8 x (136 prefill + 15 decode) shapes per design point.
+PRICE_CACHE_SIZE = 8192
+
+
+@functools.lru_cache(maxsize=PRICE_CACHE_SIZE)
 def transformer_prefill_cycles(
     batch: int,
     prompt_len: int,
@@ -416,6 +423,7 @@ def transformer_prefill_cycles(
     ``prompt_len`` key rows, plus the tied-embedding logits GEMM.
     ``cached_len = 0`` is a cold prefill; ``0 < cached_len <
     prompt_len`` is a radix-cache hit computing only the suffix.
+    Memoised: a pure function of its ints and the frozen ``config``.
     """
     if not 0 <= cached_len < prompt_len:
         raise ValueError(

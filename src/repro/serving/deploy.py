@@ -15,6 +15,7 @@ and replays with no edit here or in either front end.
 from __future__ import annotations
 
 import copy
+import functools
 import inspect
 import multiprocessing
 import os
@@ -30,6 +31,9 @@ from repro.serving.generation import GenerationAdapter
 from repro.serving.prefix_cache import RadixKVCache, TransformerPrefixAdapter
 from repro.store import CacheStore, InProcessLRU, TieredStore, get_store, set_store
 
+#: Cost models kept, one per ``WorkloadCostSpec`` value (deployments here use one).
+COST_MODELS = 16
+
 
 @dataclass(frozen=True)
 class WorkloadCostSpec:
@@ -37,7 +41,8 @@ class WorkloadCostSpec:
 
     Rebuilds :func:`~repro.serving.cluster.workload_cost_model` over
     :func:`~repro.nn.workload.transformer_serving_workload` inside the
-    evaluating process (the memoised closure itself does not pickle).
+    evaluating process (the memoised closure itself does not pickle),
+    once per spec *value*: equal specs share one memo of pure estimates.
     """
 
     seq_len: int
@@ -46,6 +51,7 @@ class WorkloadCostSpec:
     ff_dim: int
     n_layers: int
 
+    @functools.lru_cache(maxsize=COST_MODELS)
     def build(self) -> Callable:
         from repro.nn.workload import transformer_serving_workload
 

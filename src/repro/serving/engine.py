@@ -159,10 +159,12 @@ from repro.serving.tenancy import (
 from repro.store import get_store
 
 
-#: Most input elements one stacked host pass holds (64 requests of 8
-#: tokens).  Per-request host cost is flat beyond it and rises again from
-#: cache pressure at 8x this; large models gain nothing past their batch.
-STACK_ELEMENTS = 512
+#: Most input elements one stacked host pass holds (512 requests of 8
+#: tokens).  A seq-8 TinyBERT ``infer`` costs 135 / 27 / 19 / 14.5 / 13.4 /
+#: 13.2 us per request at 8 / 64 / 128 / 256 / 512 / 1,024 requests; on a
+#: bursty replay 2x this was 1-5% faster for +3 MB of peak RSS and 8x it
+#: slower for +18 MB.  A large model gains nothing past its batch.
+STACK_ELEMENTS = 4096
 
 
 def _kind(request: InferenceRequest) -> tuple:

@@ -34,7 +34,7 @@ stacks nothing and calls no model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,8 +153,6 @@ class GenerationAdapter:
         if not getattr(model, "causal", False):
             raise ValueError("generation requires a causal model")
         self.model = model
-        self._prefill_cycles: Dict[tuple, int] = {}
-        self._decode_cycles: Dict[tuple, int] = {}
 
     # -- request validation / batching key ------------------------------
     def validate(self, prompt: np.ndarray, max_new_tokens: int) -> None:
@@ -217,30 +215,23 @@ class GenerationAdapter:
             for row, member in zip(rows, state.split())
         ]
 
-    # -- closed-form cycle accounting ------------------------------------
+    # -- closed-form cycle accounting (memoised where defined) -----------
     def prefill_cycles(
         self, batch: int, prompt_len: int, cached_len: int, config
     ) -> int:
-        """Traced cycles of a prefill (memoized closed form)."""
-        key = (batch, prompt_len, cached_len, config)
-        if key not in self._prefill_cycles:
-            m = self.model
-            self._prefill_cycles[key] = transformer_prefill_cycles(
-                batch, prompt_len, cached_len,
-                m.dim, m.heads, m.ff_dim, m.n_layers, m.vocab, config,
-            )
-        return self._prefill_cycles[key]
+        """Traced cycles of a prefill."""
+        m = self.model
+        return transformer_prefill_cycles(
+            batch, prompt_len, cached_len,
+            m.dim, m.heads, m.ff_dim, m.n_layers, m.vocab, config,
+        )
 
     def decode_cycles(self, batch: int, position: int, config) -> int:
-        """Traced cycles of one decode iteration (memoized closed form)."""
-        key = (batch, position, config)
-        if key not in self._decode_cycles:
-            m = self.model
-            self._decode_cycles[key] = transformer_decode_step_cycles(
-                batch, position,
-                m.dim, m.heads, m.ff_dim, m.n_layers, m.vocab, config,
-            )
-        return self._decode_cycles[key]
+        """Traced cycles of one decode iteration."""
+        m = self.model
+        return transformer_decode_step_cycles(
+            batch, position, m.dim, m.heads, m.ff_dim, m.n_layers, m.vocab, config
+        )
 
     def cost_model(self, profile, config) -> int:
         """Cost hook for placement: price the profile as a cold prefill."""

@@ -16,7 +16,10 @@ both clients of it.  These tests pin what that buys:
   ``EndpointSpec``: engines assembled from one spec object share trace
   tapes — and no report can tell, whatever the kind of endpoint, pool or
   fault plan — while an equal-but-distinct spec, a pickled or copied
-  one, or one whose ``kwargs`` changed shares nothing.
+  one, or one whose ``kwargs`` changed shares nothing;
+* what a shape is *priced* is memoised where the closed form is defined
+  (per ``WorkloadCostSpec`` value, and process-wide for generation), so
+  any later engine prices without building an op inventory.
 """
 
 import copy
@@ -29,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.nn.workload as workload_module
 from repro.autotune import (
     EndpointProfile,
     TuningConfig,
@@ -38,6 +42,7 @@ from repro.autotune import (
     synthesize_trace,
 )
 from repro.nn.models import TinyBERT
+from repro.nn.workload import transformer_prefill_cycles
 from repro.serving import (
     ClusterSpec,
     EndpointSpec,
@@ -46,6 +51,7 @@ from repro.serving import (
     WorkloadCostSpec,
     serve_multiproc,
 )
+from repro.serving.cluster import BatchProfile
 from repro.serving.deploy import fan_out
 from repro.systolic import SystolicConfig
 
@@ -345,3 +351,54 @@ def test_any_number_of_replays_on_one_spec_give_one_fingerprint(shape):
         for _ in range(replays)
     }
     assert prints == {report_fingerprint(replay_trace(trace, tuning, (make(),)))}
+
+
+# ---------------------------------------------------------------------------
+# Prices outlive the engine: memoised where the closed form is defined.
+# ---------------------------------------------------------------------------
+def _costed_classifier():
+    return dataclasses.replace(
+        _classifier(),
+        cost=WorkloadCostSpec(seq_len=8, dim=8, heads=2, ff_dim=16, n_layers=1),
+    )
+
+
+@pytest.mark.parametrize("make", [_chat, _costed_classifier])
+def test_a_second_engine_prices_every_shape_without_an_op_inventory(make, monkeypatch):
+    """A price is a pure function of a shape and a frozen config: a
+    second engine — here from an equal-but-distinct spec, so nothing is
+    lent through the spec object — gets every price the first one asked
+    for, equal, without building an op inventory or summing one."""
+    transformer_prefill_cycles.cache_clear()
+    WorkloadCostSpec.build.cache_clear()
+    built = []
+    for name in ("_encoder_ops", "_traced_cycles"):
+        original = getattr(workload_module, name)
+        monkeypatch.setattr(
+            workload_module, name,
+            lambda *args, _name=name, _f=original: built.append(_name) or _f(*args),
+        )
+    prices = []
+    service_seconds = BatchProfile.service_seconds
+
+    def priced(profile, config, clock_hz):
+        seconds = service_seconds(profile, config, clock_hz)
+        prices.append((profile.batch_size, profile.sample_shape, config, seconds))
+        return seconds
+
+    monkeypatch.setattr(BatchProfile, "service_seconds", priced)
+    specs = make(), make()
+    trace = _traffic(specs[0], 96, seed=4)
+    runs = []
+    for spec in specs:
+        built.clear()
+        prices.clear()
+        report = replay_trace(trace, TUNING, (spec,))
+        runs.append((list(built), list(prices), report_fingerprint(report)))
+    (built_first, first, print_first), (built_again, again, print_again) = runs
+    assert built_first and built_again == []
+    assert again == first and any(seconds for *_, seconds in first)
+    assert print_again == print_first
+    if specs[0].cost is not None:
+        assert specs[0].cost is not specs[1].cost
+        assert specs[0].cost.build() is specs[1].cost.build()
