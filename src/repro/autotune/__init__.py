@@ -2,7 +2,7 @@
 
 This subpackage closes the loop between the serving stack and the
 paper's design-space machinery — the serving system picks its own
-pool composition, placement policy, cache budgets and batching knobs
+pool composition, placement policy and batching knobs
 from the traffic it actually saw, instead of a human guessing them:
 
 * **traces** (:mod:`repro.autotune.trace`) — a
@@ -18,7 +18,8 @@ from the traffic it actually saw, instead of a human guessing them:
 * **candidates** (:mod:`repro.autotune.tuning`) — a
   :class:`~repro.autotune.tuning.TuningConfig` is one deployment as
   data (shard design points, placement + occupancy penalty, batch
-  and admission knobs, cache byte budgets), drawn from a bounded
+  and admission knobs, cache byte budgets); pool, placement and batch
+  knobs are drawn from a bounded
   :class:`~repro.autotune.tuning.ConfigSpace`;
 * **replay** (:mod:`repro.autotune.replay`) — re-drives a trace
   through a fresh engine built from a candidate (through
@@ -82,7 +83,7 @@ from repro.autotune.trace import (
     save_trace,
     synthesize_trace,
 )
-from repro.autotune.tuning import ConfigSpace, TuningConfig, default_space
+from repro.autotune.tuning import ConfigSpace, TuningConfig
 
 __all__ = [
     "TRACE_NAMESPACE",
@@ -96,7 +97,6 @@ __all__ = [
     "synthesize_trace",
     "ConfigSpace",
     "TuningConfig",
-    "default_space",
     "Objective",
     "objective_from_report",
     "pool_cost",

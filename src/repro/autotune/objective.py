@@ -84,9 +84,6 @@ class Objective:
     #: Requests that failed (fault injection) during the replay.
     failed: int = 0
 
-    def as_tuple(self):
-        return (self.cost, self.slo_attainment, self.p99, self.tokens_per_sec)
-
     def to_dict(self) -> Dict[str, float]:
         return {
             "cost": self.cost,

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.request import TracedRequest
+from repro.serving.request import TracedRequest, resolve_arrivals
 from repro.store import register_namespace
 
 #: Schema version stamped into every serialized trace.  Bump on any
@@ -51,7 +51,9 @@ class TrafficTrace:
 
     ``seed`` records provenance for synthesized traces (None for
     captured ones); ``requests`` are sorted by arrival at construction
-    so the trace is directly feedable to a discrete-event run.
+    so the trace is directly feedable to a discrete-event run.  An
+    omitted arrival is written out first, as every door resolves it
+    (:func:`~repro.serving.request.resolve_arrivals`).
     """
 
     name: str
@@ -60,22 +62,15 @@ class TrafficTrace:
     version: int = TRACE_VERSION
 
     def __post_init__(self) -> None:
-        arrivals = [r.arrival for r in self.requests]
+        requests = resolve_arrivals(self.requests)
+        arrivals = [r.arrival for r in requests]
         if arrivals != sorted(arrivals):
-            object.__setattr__(
-                self,
-                "requests",
-                tuple(sorted(self.requests, key=lambda r: r.arrival)),
-            )
+            requests.sort(key=lambda r: r.arrival)
+        object.__setattr__(self, "requests", tuple(requests))
 
     @property
     def n_requests(self) -> int:
         return len(self.requests)
-
-    @property
-    def models(self) -> List[str]:
-        """Distinct endpoint names the trace touches, sorted."""
-        return sorted({r.model for r in self.requests})
 
     @property
     def tenants(self) -> List[str]:
@@ -204,6 +199,11 @@ def synthesize_trace(
     if shape == "skewed":
         weights = weights**2
     weights = weights / weights.sum()
+    # The draw ``rng.choice(len(endpoints), p=weights)`` makes (one
+    # ``rng.random()`` on the normalised CDF), without re-validating
+    # ``p`` per request.
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
 
     if shape == "bursty":
         n_bursts = max(1, n_requests // 8)
@@ -222,7 +222,7 @@ def synthesize_trace(
     sessions: Dict[int, np.ndarray] = {}
     requests: List[TracedRequest] = []
     for index in range(n_requests):
-        endpoint = endpoints[int(rng.choice(len(endpoints), p=weights))]
+        endpoint = endpoints[int(cdf.searchsorted(rng.random(), side="right"))]
         tenant = str(tenants[int(rng.integers(0, len(tenants)))])
         if shape == "conversational":
             # A session's next turn keeps the first half of its prompt
@@ -241,7 +241,7 @@ def synthesize_trace(
             TracedRequest(
                 model=endpoint.model,
                 inputs=tuple(row.tolist()),
-                dtype=str(row.dtype),
+                dtype="int64",  # the dtype of ``rng.integers`` rows
                 arrival=arrival,
                 tenant=tenant,
                 deadline=(

@@ -82,10 +82,6 @@ class TuningConfig:
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
 
-    @property
-    def n_shards(self) -> int:
-        return len(self.pool)
-
     def elastic(self) -> ElasticConfig:
         """The engine-side elastic knobs this candidate deploys with."""
         return ElasticConfig(steal=self.steal, autoscale=self.autoscale)
@@ -161,7 +157,9 @@ class ConfigSpace:
     1..``max_shards`` of them.  The remaining ranges enumerate the
     discrete values each knob may take — discrete on purpose, so the
     space is seed-reproducible and mutation is a neighbor hop, not a
-    float perturbation that never revisits a value.
+    float perturbation that never revisits a value.  The admission cap,
+    the cache budgets and the elastic switches are not searched: a
+    sampled config leaves them at their :class:`TuningConfig` defaults.
     """
 
     catalog: Tuple[SystolicConfig, ...]
@@ -170,9 +168,6 @@ class ConfigSpace:
     occupancy_penalties: Tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
     batch_sizes: Tuple[int, ...] = (2, 4, 8)
     flush_timeouts: Tuple[float, ...] = (1e-4, 1e-3)
-    queue_depths: Tuple[Optional[int], ...] = (None,)
-    prefix_budgets: Tuple[Optional[int], ...] = (None,)
-    radix_budgets: Tuple[Optional[int], ...] = (None,)
 
     def __post_init__(self) -> None:
         if not self.catalog:
@@ -204,9 +199,6 @@ class ConfigSpace:
             ),
             max_batch_size=int(_pick(rng, self.batch_sizes)),
             flush_timeout=float(_pick(rng, self.flush_timeouts)),
-            max_queue_depth=_pick(rng, self.queue_depths),
-            prefix_budget_bytes=_pick(rng, self.prefix_budgets),
-            radix_budget_bytes=_pick(rng, self.radix_budgets),
         )
 
     def mutate(
@@ -297,12 +289,7 @@ class ConfigSpace:
 
 
 def _pick(rng: np.random.Generator, choices: Sequence):
-    """Uniform choice preserving None entries (np.choice would coerce)."""
+    """Uniform choice by one ``rng.integers`` draw (the stream seeded
+    searches are pinned to; ``rng.choice`` would coerce the values)."""
     return choices[int(rng.integers(0, len(choices)))]
 
-
-def default_space(
-    catalog: Sequence[SystolicConfig], max_shards: int = 4
-) -> ConfigSpace:
-    """A :class:`ConfigSpace` over ``catalog`` with the stock knob ranges."""
-    return ConfigSpace(catalog=tuple(catalog), max_shards=max_shards)

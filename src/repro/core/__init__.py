@@ -8,9 +8,9 @@ This subpackage implements the paper's primary contribution (Section III):
   granularities (:mod:`repro.core.segment_table`);
 * the CPWL approximation engine with error analysis
   (:mod:`repro.core.cpwl`);
-* the two architecture-level events the array executes:
-  Intermediate Parameter Fetching (:mod:`repro.core.ipf`) and the
-  Matrix Hadamard Product (:mod:`repro.core.mhp`);
+* Intermediate Parameter Fetching (:mod:`repro.core.ipf`), the first
+  of the two architecture-level events the array executes (the Matrix
+  Hadamard Product is :func:`repro.fixedpoint.fixed_hadamard_mac`);
 * composite operations (softmax, layer normalization, batch
   normalization) decomposed into CPWL primitives plus linear reductions
   (:mod:`repro.core.nonlinear_ops`);
@@ -26,9 +26,7 @@ from repro.core.functions import (
 from repro.core.segment_table import SegmentTable, build_segment_table
 from repro.core.cpwl import CPWLApproximator, approximation_error
 from repro.core.ipf import IPFResult, fetch_parameters, segment_indices
-from repro.core.mhp import matrix_hadamard_product
 from repro.core.nonlinear_ops import (
-    approximator_cache_info,
     clear_approximator_cache,
     cpwl_batchnorm,
     cpwl_gelu,
@@ -37,7 +35,6 @@ from repro.core.nonlinear_ops import (
     cpwl_sigmoid,
     cpwl_softmax,
     cpwl_tanh,
-    set_approximator_cache_capacity,
 )
 from repro.core.granularity import (
     GranularityChoice,
@@ -57,7 +54,6 @@ __all__ = [
     "IPFResult",
     "segment_indices",
     "fetch_parameters",
-    "matrix_hadamard_product",
     "cpwl_gelu",
     "cpwl_relu",
     "cpwl_sigmoid",
@@ -65,9 +61,7 @@ __all__ = [
     "cpwl_softmax",
     "cpwl_layernorm",
     "cpwl_batchnorm",
-    "approximator_cache_info",
     "clear_approximator_cache",
-    "set_approximator_cache_capacity",
     "GranularityChoice",
     "recommend_granularity",
     "sweep_granularity",

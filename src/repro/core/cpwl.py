@@ -111,11 +111,6 @@ class CPWLApproximator:
         self.code_table: Optional[np.ndarray] = None
         self._evaluated = 0
 
-    @property
-    def granularity(self) -> float:
-        """Segment length of the underlying table."""
-        return self.table.granularity
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the approximation, returning float values.
 

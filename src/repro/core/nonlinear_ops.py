@@ -71,24 +71,6 @@ def clear_approximator_cache() -> None:
     get_store().clear(APPROXIMATOR_NAMESPACE)
 
 
-def set_approximator_cache_capacity(capacity: int = _DEFAULT_CACHE_CAPACITY) -> None:
-    """Bound the approximator LRU at ``capacity`` entries.
-
-    Shrinking below the current occupancy evicts least-recently-used
-    tables immediately.  Call with no argument to restore the default.
-    (Thin wrapper over the store namespace budget.)
-    """
-    if capacity < 1:
-        raise ValueError(f"cache capacity must be positive, got {capacity}")
-    get_store().set_limit(APPROXIMATOR_NAMESPACE, max_entries=int(capacity))
-
-
-def approximator_cache_info() -> "dict[str, int]":
-    """Occupancy and capacity of the approximator LRU."""
-    stats = get_store().stats(APPROXIMATOR_NAMESPACE)
-    return {"size": stats["entries"], "capacity": stats["max_entries"]}
-
-
 def cpwl_gelu(
     x: np.ndarray, granularity: float, fmt: Optional[QFormat] = INT16
 ) -> np.ndarray:

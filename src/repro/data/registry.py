@@ -133,10 +133,3 @@ def get_task(name: str, seed: int = 0):
         known = ", ".join(sorted(TASK_REGISTRY))
         raise KeyError(f"unknown task {name!r}; known: {known}") from None
     return spec.build(seed)
-
-
-def tasks_for_family(family: str) -> Dict[str, TaskSpec]:
-    """The registered tasks of one network family, in Table III order."""
-    return {
-        name: spec for name, spec in TASK_REGISTRY.items() if spec.family == family
-    }

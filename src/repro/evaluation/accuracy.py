@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.granularity import PAPER_GRANULARITIES
-from repro.data.registry import TASK_REGISTRY, TaskSpec, tasks_for_family
+from repro.data.registry import TASK_REGISTRY, TaskSpec
 from repro.evaluation.reporting import delta_percent, format_table
 from repro.nn.executor import CPWLBackend, QuantizedFloatBackend
 from repro.nn.models import GCN, SmallResNet, TinyBERT

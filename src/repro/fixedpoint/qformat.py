@@ -91,11 +91,6 @@ class QFormat:
         """Largest representable real value."""
         return self.raw_max * self.scale
 
-    @property
-    def resolution(self) -> float:
-        """Alias of :attr:`scale`: the quantization step."""
-        return self.scale
-
     def storage_dtype(self) -> np.dtype:
         """Smallest numpy signed integer dtype that holds raw values."""
         if self.total_bits <= 8:

@@ -80,9 +80,6 @@ class ArrayResources:
             round(self.bram), round(self.lut), round(self.ff), round(self.dsp)
         )
 
-    def as_dict(self) -> dict:
-        return {"bram": self.bram, "lut": self.lut, "ff": self.ff, "dsp": self.dsp}
-
 
 def pe_resources(macs_per_pe: int, nonlinear: bool = True) -> ArrayResources:
     """Resource cost of one processing element.
@@ -184,14 +181,3 @@ def total_resources(config: SystolicConfig) -> ArrayResources:
     total = total + fabric_resources(config.n_pes)
     return total.rounded()
 
-
-def resource_ratio(
-    one_sa: ArrayResources, sa: ArrayResources
-) -> dict:
-    """Per-class ratio ONE-SA / SA (the parenthesised rows of Table II)."""
-    return {
-        "bram": one_sa.bram / sa.bram if sa.bram else float("inf"),
-        "lut": one_sa.lut / sa.lut if sa.lut else float("inf"),
-        "ff": one_sa.ff / sa.ff if sa.ff else float("inf"),
-        "dsp": one_sa.dsp / sa.dsp if sa.dsp else float("inf"),
-    }

@@ -126,9 +126,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
@@ -412,9 +409,6 @@ class Tensor:
                 self._accumulate(grad / np.maximum(self.data, 1e-12))
 
         return self._make(out_data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        return self**0.5
 
     # ------------------------------------------------------------------
     # Composite ops

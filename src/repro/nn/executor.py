@@ -107,9 +107,6 @@ class ParamCache:
         self.misses += 1
         return value
 
-    def clear(self) -> None:
-        self._store.clear(self.NAMESPACE)
-
     def stats(self) -> Dict[str, object]:
         """Uniform cache-stats view (dirty-aware hits, store occupancy)."""
         store_stats = self._store.stats(self.NAMESPACE)

@@ -111,44 +111,6 @@ def conv2d(
     return x._make(out_data, (x, weight, bias), backward)
 
 
-def max_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
-    """Max pooling over non-overlapping (or strided) square windows."""
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    strides = x.data.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x.data,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
-    flat = windows.reshape(n, c, out_h, out_w, kernel * kernel)
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        grad_input = np.zeros_like(x.data)
-        ki, kj = np.divmod(arg, kernel)
-        n_idx, c_idx, oh_idx, ow_idx = np.indices(arg.shape)
-        rows = oh_idx * stride + ki
-        cols_ = ow_idx * stride + kj
-        np.add.at(grad_input, (n_idx, c_idx, rows, cols_), grad)
-        x._accumulate(grad_input)
-
-    return x._make(out_data, (x,), backward)
-
-
 def avg_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
     """Average pooling over square windows."""
     stride = stride or kernel

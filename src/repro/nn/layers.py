@@ -245,21 +245,6 @@ class Tanh(Module):
         return backend.tanh(x)
 
 
-class MaxPool2d(Module):
-    def __init__(self, kernel: int = 2, stride: Optional[int] = None):
-        super().__init__()
-        self.kernel = kernel
-        self.stride = stride or kernel
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel, self.stride)
-
-    def infer(self, x: np.ndarray, backend) -> np.ndarray:
-        # Pooling is a comparison tree, not arithmetic; it runs on the
-        # scalar path in both the paper's baseline and ONE-SA.
-        return F.max_pool2d(Tensor(x), self.kernel, self.stride).data
-
-
 class AvgPool2d(Module):
     def __init__(self, kernel: int = 2, stride: Optional[int] = None):
         super().__init__()
@@ -447,10 +432,6 @@ class TransformerEncoderLayer(Module):
         self.fc1 = Linear(dim, ff_dim, rng)
         self.fc2 = Linear(ff_dim, dim, rng)
         self.ln2 = LayerNorm(dim)
-
-    @property
-    def causal(self) -> bool:
-        return self.attn.causal
 
     def forward(self, x: Tensor) -> Tensor:
         x = self.ln1(x + self.attn(x))

@@ -18,7 +18,6 @@ from repro.nn.layers import (
     Conv2d,
     Flatten,
     Linear,
-    MaxPool2d,
     Module,
     ReLU,
 )
@@ -125,8 +124,7 @@ class SmallResNet(Module):
 
     Architecture: conv stem → two residual blocks (the second downsamples)
     → global average pool → linear classifier.  Logits are returned; the
-    loss applies softmax, and the inference path exposes
-    ``predict_proba`` for the end-to-end softmax-on-array check.
+    loss applies softmax.
     """
 
     def __init__(
@@ -160,10 +158,6 @@ class SmallResNet(Module):
         out = self.block2.infer(out, backend)
         out = self.flatten.infer(self.pool.infer(out, backend), backend)
         return self.fc.infer(out, backend)
-
-    def predict_proba(self, x: np.ndarray, backend) -> np.ndarray:
-        """Class probabilities with the softmax also on the backend."""
-        return backend.softmax(self.infer(x, backend), axis=-1)
 
     def predict(self, x: np.ndarray, backend) -> np.ndarray:
         """Hard class predictions."""

@@ -242,11 +242,6 @@ class PlacementDecision:
     #: decision is a retry re-placement (None on first attempts).
     recovered_from: Optional[int] = None
 
-    @property
-    def queue_delay(self) -> float:
-        """Time the ready batch waited for its chosen shard."""
-        return self.start - self.ready_time
-
 
 class WorkUnit(NamedTuple):
     """What one kind of work hands the engine's execute-and-commit
@@ -1074,10 +1069,6 @@ class ClusterDispatcher:
         """The shard's design point (None for functional backends)."""
         return self.design_points[shard][0]
 
-    def clock_hz(self, shard: int) -> Optional[float]:
-        """Clock of the shard's array (None for functional backends)."""
-        return self.design_points[shard][1]
-
     # -- elastic pool membership -----------------------------------------
     def add_shard(self, spec: ShardSpec) -> int:
         """Grow the pool by one shard built from ``spec``; its index.
@@ -1131,25 +1122,6 @@ class ClusterDispatcher:
             for shard, (config, clock_hz) in enumerate(self.design_points)
             if shard not in self._offline
         ]
-
-    def describe(self) -> str:
-        """One line per shard: design point and clock."""
-        lines = []
-        for shard in range(self.n_shards):
-            config = self.config_of(shard)
-            name = (
-                self.specs[shard].name
-                if self.specs is not None and self.specs[shard].name
-                else f"shard{shard}"
-            )
-            if config is None:
-                kind = type(self.backends[shard]).__name__
-                lines.append(f"{name}: functional backend ({kind})")
-            else:
-                lines.append(
-                    f"{name}: {config.describe()} @ {config.clock_hz / 1e6:.0f} MHz"
-                )
-        return "\n".join(lines)
 
     def shard_cycles(self) -> Dict[int, int]:
         """Aggregate traced cycles per hardware-routed shard."""

@@ -84,6 +84,7 @@ from repro.serving.request import (
     TracedRequest,
     describe_request,
     generation_of,
+    resolve_arrivals,
 )
 from repro.serving.tenancy import TenantConfig
 from repro.store import FileStore
@@ -388,12 +389,7 @@ def serve_multiproc(
     partitions = partition_cluster(cluster, n_workers)
     offsets = _block_offsets(partitions)
     model_specs = tuple(models)
-    described: List[TracedRequest] = []
-    for request in map(describe_request, requests):
-        if request.arrival is None:
-            last = described[-1].arrival if described else 0.0
-            request = replace(request, arrival=last)
-        described.append(request)
+    described = resolve_arrivals(map(describe_request, requests))
     configs = [
         WorkerConfig(
             index=worker,

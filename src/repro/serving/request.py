@@ -15,8 +15,8 @@ accept; ``submit`` / ``submit_generation`` are its keyword spellings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -89,10 +89,6 @@ class TracedRequest:
     deadline: Optional[float] = None
     max_new_tokens: Optional[int] = None
     stop_token: Optional[int] = None
-
-    @property
-    def is_generation(self) -> bool:
-        return self.max_new_tokens is not None
 
     def inputs_array(self) -> np.ndarray:
         """The payload as the ndarray the engine originally saw."""
@@ -168,6 +164,20 @@ def describe_request(item: object) -> TracedRequest:
         "a request is a TracedRequest or a mapping of its field names "
         f"(model, inputs[, arrival, tenant, ...]), got {type(item)!r}"
     )
+
+
+def resolve_arrivals(requests: Iterable[TracedRequest]) -> List[TracedRequest]:
+    """``requests`` in their order, an omitted arrival written out as the
+    previous request's (0.0 for the first) — what one engine given the
+    whole list in this order assigns."""
+    resolved: List[TracedRequest] = []
+    last = 0.0
+    for request in requests:
+        if request.arrival is None:
+            request = replace(request, arrival=last)
+        last = request.arrival
+        resolved.append(request)
+    return resolved
 
 
 def _optional(cast, value):
@@ -278,11 +288,6 @@ class CompletedRequest:
     def latency(self) -> float:
         """Arrival-to-completion time in simulated seconds."""
         return self.finish - self.request.arrival
-
-    @property
-    def queue_delay(self) -> float:
-        """Time spent waiting for batching and a free shard."""
-        return self.start - self.request.arrival
 
     @property
     def deadline_missed(self) -> bool:

@@ -215,11 +215,6 @@ class TenantScheduler:
         self.tenants.get(request.tenant)  # materialise the tenant
         self.assembler.admit(request)
 
-    @property
-    def pending(self) -> int:
-        """Requests admitted and not yet handed out in a batch."""
-        return self.assembler.n_pending
-
     def __len__(self) -> int:
         return self.assembler.n_pending
 

@@ -15,7 +15,7 @@ SLO — one implicit tenant behaves exactly like no tenancy at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 #: Tenant id used when a request is submitted without one.
 DEFAULT_TENANT = "default"
@@ -131,9 +131,3 @@ class TenantRegistry:
 
     def __contains__(self, tenant_id: str) -> bool:
         return tenant_id in self._tenants
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tenants)
-
-    def __len__(self) -> int:
-        return len(self._tenants)

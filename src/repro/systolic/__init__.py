@@ -31,11 +31,6 @@ from repro.systolic.timing import (
     peak_gnfs,
 )
 from repro.systolic.array import ExecutionResult, SystolicArray
-from repro.systolic.gemm import (
-    clear_plan_cache,
-    plan_cache_info,
-    set_plan_cache_capacity,
-)
 from repro.systolic.trace import Trace, TraceEvent
 
 __all__ = [
@@ -50,7 +45,4 @@ __all__ = [
     "nonlinear_cycles",
     "peak_gops",
     "peak_gnfs",
-    "clear_plan_cache",
-    "plan_cache_info",
-    "set_plan_cache_capacity",
 ]

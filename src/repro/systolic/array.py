@@ -75,10 +75,6 @@ class ExecutionResult:
     schedule: object = None
     streams: object = None  # RearrangedOperands when materialized
 
-    @property
-    def cycles(self) -> int:
-        return self.breakdown.total
-
 
 class SystolicArray:
     """Functional + cycle-accounted model of one (ONE-)SA instance.
@@ -89,7 +85,7 @@ class SystolicArray:
         The design point.  Nonlinear operations require
         ``config.nonlinear_enabled`` (the ONE-SA datapath); a plain SA
         configuration raises on them, mirroring real hardware.
-    retain_trace_events, max_trace_events:
+    retain_trace_events:
         Trace retention mode (see :class:`~repro.systolic.trace.Trace`).
         The default keeps the full event log; serving pools flip their
         shard arrays to aggregate-only so memory stays bounded over
@@ -100,7 +96,6 @@ class SystolicArray:
         self,
         config: SystolicConfig = ONE_SA_PAPER_CONFIG,
         retain_trace_events: bool = True,
-        max_trace_events: Optional[int] = None,
     ) -> None:
         self.config = config
         self.hierarchy = build_hierarchy(config)
@@ -108,9 +103,7 @@ class SystolicArray:
             config.fmt,
             port_width=effective_out_width(config),
         )
-        self.trace = Trace(
-            retain_events=retain_trace_events, max_events=max_trace_events
-        )
+        self.trace = Trace(retain_events=retain_trace_events)
 
     # ------------------------------------------------------------------
     # Linear operations

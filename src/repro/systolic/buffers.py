@@ -55,13 +55,6 @@ class Fifo:
         self.pops += 1
         return self._items.popleft()
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def empty(self) -> bool:
-        return not self._items
-
 
 @dataclass
 class Buffer:

@@ -202,10 +202,6 @@ class SystolicConfig:
 
         return gemm_cycles(self, m_dim, k_dim, n_dim).total
 
-    def estimate_gemm_seconds(self, m_dim: int, k_dim: int, n_dim: int) -> float:
-        """The same estimate on this design point's clock."""
-        return self.estimate_gemm_cycles(m_dim, k_dim, n_dim) / self.clock_hz
-
     def with_size(self, pe_dim: int, macs_per_pe: "int | None" = None) -> "SystolicConfig":
         """Derive a new design point with a different grid / MAC count."""
         return replace(

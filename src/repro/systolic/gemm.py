@@ -37,7 +37,7 @@ reference the test suite pins the refactor against).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -60,11 +60,6 @@ class GemmTile:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.row_end - self.row_start, self.col_end - self.col_start)
-
-    @property
-    def elements(self) -> int:
-        rows, cols = self.shape
-        return rows * cols
 
 
 class GemmTiling:
@@ -114,12 +109,6 @@ class GemmTiling:
     def __iter__(self) -> Iterator[GemmTile]:
         for index in range(len(self)):
             yield self._make(index)
-
-    def __repr__(self) -> str:
-        return (
-            f"GemmTiling({self.tiles_m}x{self.tiles_n} tiles of "
-            f"{self.tile_rows}x{self.tile_cols} over {self.m_dim}x{self.n_dim})"
-        )
 
 
 @dataclass(frozen=True)
@@ -217,31 +206,6 @@ def plan_gemm(
     if use_cache:
         store.put(GEMM_PLAN_NAMESPACE, key, schedule)
     return schedule
-
-
-def clear_plan_cache() -> None:
-    """Drop all cached schedules and reset the hit counters."""
-    store = get_store()
-    store.clear(GEMM_PLAN_NAMESPACE)
-    store.reset_stats(GEMM_PLAN_NAMESPACE)
-
-
-def set_plan_cache_capacity(capacity: int = _DEFAULT_PLAN_CACHE_CAPACITY) -> None:
-    """Bound the plan LRU at ``capacity`` entries (evicts LRU overflow)."""
-    if capacity < 1:
-        raise ValueError(f"cache capacity must be positive, got {capacity}")
-    get_store().set_limit(GEMM_PLAN_NAMESPACE, max_entries=int(capacity))
-
-
-def plan_cache_info() -> Dict[str, int]:
-    """Occupancy, capacity and hit/miss counters of the plan LRU."""
-    stats = get_store().stats(GEMM_PLAN_NAMESPACE)
-    return {
-        "size": stats["entries"],
-        "capacity": stats["max_entries"],
-        "hits": stats["hits"],
-        "misses": stats["misses"],
-    }
 
 
 def _validate_operands(a_raw: np.ndarray, b_raw: np.ndarray) -> tuple[int, int, int]:

@@ -8,14 +8,14 @@ computes all outputs assigned to lane ``i``; PEs ``(i, j), i != j``
 only register and forward.
 
 This module builds the MHP schedule (lane assignment, stream lengths,
-PE-role map), the bit-accurate functional execution, and the naive-MHP
+PE-role map), the lane-by-lane functional execution, and the naive-MHP
 baseline used by the dataflow ablation (all PEs compute, paying the
 reuse-less operand delivery).
 
 Like the GEMM planner, :func:`plan_mhp` serves repeated shapes from a
 bounded LRU and derives the lane assignment lazily — a schedule is pure
 analytic metadata until a consumer actually asks for the row lists.
-Functional execution is one whole-operand
+The array computes an MHP as one whole-operand
 :func:`fixed_hadamard_mac`: each output element is computed by exactly
 one diagonal PE independently of every other, so the reassembled
 per-lane result equals the whole-matrix call bit for bit
@@ -26,7 +26,7 @@ reference).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -116,23 +116,6 @@ def plan_mhp(
     return schedule
 
 
-def mhp_plan_cache_info() -> Dict[str, int]:
-    """Occupancy, capacity and hit/miss counters of the MHP plan LRU.
-
-    Hit/miss counters arrived with the unified store stats — the GEMM
-    planner's twin helper and this one now read the same
-    :meth:`~repro.store.CacheStore.stats` schema instead of keeping
-    duplicated module-level counters.
-    """
-    stats = get_store().stats(MHP_PLAN_NAMESPACE)
-    return {
-        "size": stats["entries"],
-        "capacity": stats["max_entries"],
-        "hits": stats["hits"],
-        "misses": stats["misses"],
-    }
-
-
 def _validate_mhp_operands(
     x_raw: np.ndarray, k_raw: np.ndarray, b_raw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,27 +128,6 @@ def _validate_mhp_operands(
             f"{k_raw.shape}, {b_raw.shape}"
         )
     return x_raw, k_raw, b_raw
-
-
-def execute_mhp(
-    config: SystolicConfig,
-    x_raw: np.ndarray,
-    k_raw: np.ndarray,
-    b_raw: np.ndarray,
-    fused_ipf: bool = True,
-) -> tuple[np.ndarray, MHPSchedule]:
-    """Run ``Y = X ⊙ K + B`` bit-accurately with its schedule.
-
-    Each diagonal lane processes its assigned rows independently, so the
-    whole-matrix :func:`fixed_hadamard_mac` equals the reassembled
-    per-lane execution (:func:`execute_mhp_per_lane`), which the tests
-    verify.
-    """
-    x_raw, k_raw, b_raw = _validate_mhp_operands(x_raw, k_raw, b_raw)
-    m_dim, n_dim = x_raw.shape
-    schedule = plan_mhp(config, m_dim, n_dim, fused_ipf=fused_ipf)
-    out = fixed_hadamard_mac(x_raw, k_raw, b_raw, config.fmt)
-    return out, schedule
 
 
 def execute_mhp_per_lane(

@@ -45,10 +45,6 @@ class PEStats:
     active_cycles: int = 0
     idle_cycles: int = 0
 
-    def utilization(self) -> float:
-        total = self.active_cycles + self.idle_cycles
-        return self.active_cycles / total if total else 0.0
-
 
 @dataclass
 class ProcessingElement:

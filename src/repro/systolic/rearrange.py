@@ -7,9 +7,9 @@ stream, and each ``x`` with the constant ``1`` into the input stream, so
 the existing two channels carry all three operands and every computation
 PE executes a two-term dot product per output element.
 
-Functional interleaving lives in :func:`repro.core.mhp.rearranged_streams`;
-this module adds addressing order (which row of the array each element
-is routed to) and the cycle cost of the relocation pass.
+This module builds the two streams, the addressing order (which row of
+the array each element is routed to) and the cycle cost of the
+relocation pass.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.core.mhp import rearranged_streams
 
 
 @dataclass(frozen=True)
@@ -108,16 +106,3 @@ def rearrange_for_mhp(
         cycles=cycles,
     )
 
-
-def deinterleave(stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of the rearrangement: split an interleaved stream.
-
-    Used by tests to verify the relocation is value-preserving
-    (``deinterleave(interleave(a, b)) == (a, b)``).
-    """
-    stream = np.atleast_2d(np.asarray(stream))
-    if stream.shape[-1] % 2:
-        raise ValueError("interleaved stream must have even length")
-    first = stream[..., 0::2]
-    second = stream[..., 1::2]
-    return first, second

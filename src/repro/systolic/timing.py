@@ -211,9 +211,3 @@ def nonlinear_throughput_gnfs(
     breakdown = nonlinear_cycles(config, m_dim, n_dim, fused_ipf=fused_ipf)
     return m_dim * n_dim / breakdown.seconds(config.clock_hz) / 1e9
 
-
-def gemm_utilization(config: SystolicConfig, m_dim: int, k_dim: int, n_dim: int) -> float:
-    """MAC-array utilization of a GEMM (achieved / peak)."""
-    breakdown = gemm_cycles(config, m_dim, k_dim, n_dim)
-    ideal = m_dim * k_dim * n_dim / config.macs_per_cycle
-    return ideal / breakdown.total if breakdown.total else 0.0

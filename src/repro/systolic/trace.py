@@ -26,8 +26,6 @@ Retention modes
 * ``retain_events=True`` (default) — every :class:`TraceEvent` stays in
   :attr:`Trace.events` for post-hoc inspection (the examples and the
   Fig.-1-style breakdowns want the full log).
-* ``retain_events=True, max_events=N`` — keep only the most recent ``N``
-  events; aggregates remain exact over the *whole* history.
 * ``retain_events=False`` — aggregate-only: nothing is appended to
   ``events`` and memory stays constant no matter how many operations
   run.  The serving engine puts its shard arrays in this mode by
@@ -36,11 +34,10 @@ Retention modes
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from itertools import repeat
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.systolic.timing import CycleBreakdown
 
@@ -64,22 +61,13 @@ class Trace:
     retain_events:
         Keep the per-event log in :attr:`events`.  When False the trace
         is aggregate-only (bounded memory; ``events`` stays empty).
-    max_events:
-        With ``retain_events=True``, cap the retained log at the most
-        recent ``max_events`` entries.  Aggregates always cover every
-        event ever recorded, retained or not.
+        Aggregates always cover every event ever recorded, retained or
+        not.
     """
 
-    def __init__(
-        self, retain_events: bool = True, max_events: Optional[int] = None
-    ) -> None:
-        if max_events is not None and max_events < 1:
-            raise ValueError(f"max_events must be positive or None, got {max_events}")
+    def __init__(self, retain_events: bool = True) -> None:
         self.retain_events = retain_events
-        self.max_events = max_events
-        self.events: "Deque[TraceEvent] | List[TraceEvent]" = (
-            deque(maxlen=max_events) if max_events is not None else []
-        )
+        self.events: List[TraceEvent] = []
         #: While a list, every :meth:`record` call is appended to it as
         #: ``(event, count)`` (see :meth:`SystolicArray.capture`).
         self.tape: Optional[list] = None
@@ -134,33 +122,14 @@ class Trace:
         finally:
             self._namespace = previous
 
-    def configure(
-        self,
-        retain_events: Optional[bool] = None,
-        max_events: "Optional[int] | str" = "unchanged",
-    ) -> None:
+    def configure(self, retain_events: bool) -> None:
         """Switch retention mode in place.
 
         Aggregates are untouched, and events already retained stay in
         the log (turning retention off only stops *future* appends —
-        nothing a caller collected is destroyed; a tighter
-        ``max_events`` trims to the most recent entries).  Omitted
-        arguments keep their current setting; pass ``max_events=None``
-        explicitly to lift an existing bound.
+        nothing a caller collected is destroyed).
         """
-        if retain_events is not None:
-            self.retain_events = retain_events
-        if max_events != "unchanged":
-            if max_events is not None and max_events < 1:
-                raise ValueError(
-                    f"max_events must be positive or None, got {max_events}"
-                )
-            self.max_events = max_events
-        existing: Iterable[TraceEvent] = self.events
-        if self.max_events is not None:
-            self.events = deque(existing, maxlen=self.max_events)
-        else:
-            self.events = list(existing)
+        self.retain_events = retain_events
 
     # ------------------------------------------------------------------
     # Aggregate views (O(1) / O(distinct keys), never O(events))

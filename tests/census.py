@@ -1,0 +1,203 @@
+"""Census by execution: which functions of ``src/repro`` only tests reach.
+
+    PYTHONPATH=src python tests/census.py          # the table
+    PYTHONPATH=src python tests/census.py --rows   # ... and every unreached function
+
+Two passes, each in its own process under a ``sys.setprofile`` hook
+that records every code object called:
+
+* **workloads** — hostbench's four workloads at seed 0 and scale 0.2
+  (``warm``, ``repetition``, ``summarize``, ``verify``, ``approx_err``,
+  as one measurement process calls them), every
+  example's ``main()`` (``run_all_experiments.py`` with ``--quick``)
+  and the bench tier (``pytest -m bench benchmarks``);
+* **tests** — the rest of tier-1 (``pytest -m "not bench" tests
+  hostbench``).
+
+Every function and method defined at module or class level under
+``src/repro`` is then *reached* (the workloads pass called it),
+*tests-only* (only the tests pass did) or *never*.  Nested functions
+count with the function that defines them.
+
+Child processes are not followed: code that runs only inside a
+``deploy.fan_out`` / ``serve_multiproc`` worker or a hostbench
+measurement process reads as unreached.  ``BENCH_traced.json``, which
+the bench tier rewrites, is put back as it was.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Set, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+EXAMPLES = ROOT / "examples"
+
+Key = Tuple[str, int, str]  # (path under src/repro, first line, name)
+
+
+class Function(NamedTuple):
+    path: str
+    qualname: str
+    first: int
+    lines: int
+
+
+def defined_functions() -> Dict[Key, Function]:
+    """Every module- or class-level ``def`` under ``src/repro``, keyed
+    as its code object reports itself (a decorated function's code
+    starts at its first decorator)."""
+    found: Dict[Key, Function] = {}
+
+    def visit(node: ast.AST, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(path, first, child.name)] = Function(
+                    path, prefix + child.name, first, child.end_lineno - first + 1
+                )
+
+    for file in sorted(SRC.rglob("*.py")):
+        path = file.relative_to(SRC).as_posix()
+        visit(ast.parse(file.read_text(), str(file)), path, "")
+    return found
+
+
+def _called_keys(codes) -> List[Key]:
+    prefix = str(SRC) + os.sep
+    return [
+        (code.co_filename[len(prefix):].replace(os.sep, "/"),
+         code.co_firstlineno, code.co_name)
+        for code in codes
+        if code.co_filename.startswith(prefix)
+    ]
+
+
+def _pytest(*args: str) -> None:
+    import pytest
+
+    pytest.main(["-q", "-p", "no:cacheprovider", *args])
+
+
+def _run_workloads() -> None:
+    import numpy as np
+
+    from hostbench.workloads import WORKLOADS
+
+    for make in WORKLOADS.values():
+        workload = make(0, 0.2)
+        workload.warm()
+        outcome = workload.repetition()
+        workload.summarize(outcome)
+        workload.verify(outcome, np.random.default_rng(0))
+        workload.approx_err(np.random.default_rng(1))
+    for example in sorted(EXAMPLES.glob("*.py")):
+        sys.argv = [str(example), "--quick"]
+        runpy.run_path(str(example), run_name="census")["main"]()
+    _pytest("-m", "bench", str(ROOT / "benchmarks"))
+
+
+def _run_tests() -> None:
+    _pytest("-m", "not bench", str(ROOT / "tests"), str(ROOT / "hostbench"))
+
+
+PASSES = {"workloads": _run_workloads, "tests": _run_tests}
+
+
+def run_pass(name: str, out: Path) -> None:
+    """Run one pass under the profiler; write the called keys to ``out``."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(EXAMPLES)]
+    seen: Set[object] = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    bench = ROOT / "BENCH_traced.json"
+    kept = bench.read_bytes()
+    sys.setprofile(profile)
+    try:
+        PASSES[name]()
+    finally:
+        sys.setprofile(None)
+        bench.write_bytes(kept)
+    out.write_text(json.dumps(_called_keys(seen)))
+
+
+def census() -> Dict[str, List[Function]]:
+    called: Dict[str, Set[Key]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in PASSES:
+            out = Path(tmp) / f"{name}.json"
+            subprocess.run(
+                [sys.executable, __file__, "--pass", name, str(out)],
+                cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
+            )
+            called[name] = {tuple(key) for key in json.loads(out.read_text())}
+    kinds: Dict[str, List[Function]] = {"reached": [], "tests-only": [], "never": []}
+    for key, function in defined_functions().items():
+        if key in called["workloads"]:
+            kinds["reached"].append(function)
+        elif key in called["tests"]:
+            kinds["tests-only"].append(function)
+        else:
+            kinds["never"].append(function)
+    return kinds
+
+
+def render(kinds: Dict[str, List[Function]], rows: bool) -> str:
+    table: Dict[str, Dict[str, List[int]]] = defaultdict(
+        lambda: {kind: [0, 0] for kind in kinds}
+    )
+    for kind, functions in kinds.items():
+        for function in functions:
+            package = function.path.split("/")[0].removesuffix(".py")
+            for key in (package, "total"):
+                table[key][kind][0] += 1
+                table[key][kind][1] += function.lines
+    header = f"{'package':<12}" + "".join(
+        f"{kind + ' fns':>16}{'lines':>8}" for kind in kinds
+    )
+    lines = [header]
+    for package in sorted(table, key=lambda p: (p == "total", p)):
+        lines.append(
+            f"{package:<12}"
+            + "".join(f"{n:>16}{loc:>8}" for n, loc in table[package].values())
+        )
+    if rows:
+        for kind in ("tests-only", "never"):
+            lines += ["", f"{kind}:"]
+            lines += [
+                f"  {f.path}:{f.first}  {f.qualname}  ({f.lines} lines)"
+                for f in sorted(kinds[kind], key=lambda f: (f.path, f.first))
+            ]
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--rows", action="store_true", help="list unreached functions")
+    parser.add_argument("--pass", dest="pass_", nargs=2, metavar=("NAME", "OUT"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.pass_:
+        run_pass(args.pass_[0], Path(args.pass_[1]))
+        return 0
+    print(render(census(), args.rows))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

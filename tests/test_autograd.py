@@ -207,16 +207,6 @@ class TestFunctionalGrads:
                 Tensor(np.zeros(2)),
             )
 
-    def test_maxpool_grad(self):
-        rng = np.random.default_rng(12)
-        x_data = rng.normal(size=(1, 2, 4, 4))
-        x = Tensor(x_data.copy(), requires_grad=True)
-        F.max_pool2d(x, 2).sum().backward()
-        num = numerical_grad(
-            lambda arr: float(F.max_pool2d(Tensor(arr), 2).sum().data), x_data.copy()
-        )
-        assert np.allclose(x.grad, num, atol=1e-4)
-
     def test_avgpool_grad(self):
         rng = np.random.default_rng(13)
         x_data = rng.normal(size=(1, 2, 4, 4))

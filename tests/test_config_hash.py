@@ -30,7 +30,7 @@ from repro.fixedpoint import QFormat
 from repro.serving import BatchProfile, CalibratingCostModel
 from repro.store import FileStore
 from repro.systolic import SystolicConfig
-from repro.systolic.gemm import GEMM_PLAN_NAMESPACE, clear_plan_cache, plan_gemm
+from repro.systolic.gemm import GEMM_PLAN_NAMESPACE, plan_gemm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 KWARGS = dict(pe_rows=4, pe_cols=4, macs_per_pe=8, clock_hz=125e6)
@@ -68,12 +68,14 @@ class TestEqualConfigsShareEntries:
         assert len({a, b, a.cycle_key, b.cycle_key}) == 2
 
     def test_plan_cache_entry_found_through_an_equal_config(self):
-        clear_plan_cache()
-        first = plan_gemm(_config(), 16, 8, 12)
-        assert plan_gemm(_config(), 16, 8, 12) is first
         from repro.store import get_store
 
-        assert get_store().stats(GEMM_PLAN_NAMESPACE)["hits"] == 1
+        store = get_store()
+        store.clear(GEMM_PLAN_NAMESPACE)
+        store.reset_stats(GEMM_PLAN_NAMESPACE)
+        first = plan_gemm(_config(), 16, 8, 12)
+        assert plan_gemm(_config(), 16, 8, 12) is first
+        assert store.stats(GEMM_PLAN_NAMESPACE)["hits"] == 1
 
     def test_calibrator_observation_found_through_an_equal_config(self):
         model = CalibratingCostModel()

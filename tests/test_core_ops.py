@@ -16,7 +16,6 @@ from repro.core import (
     cpwl_softmax,
     cpwl_tanh,
     fetch_parameters,
-    matrix_hadamard_product,
     segment_indices,
 )
 from repro.core.granularity import (
@@ -25,15 +24,15 @@ from repro.core.granularity import (
     sweep_granularity,
     table_pressure,
 )
-from repro.core.mhp import rearranged_streams
 from repro.core.nonlinear_ops import (
-    approximator_cache_info,
+    APPROXIMATOR_NAMESPACE,
     clear_approximator_cache,
     cpwl_rsqrt_range_reduced,
     get_approximator,
-    set_approximator_cache_capacity,
 )
-from repro.fixedpoint import INT16, dequantize, quantize
+from repro.fixedpoint import INT16, dequantize, fixed_hadamard_mac, quantize
+from repro.store import get_store
+from repro.systolic.rearrange import rearrange_for_mhp
 
 
 class TestSegmentIndices:
@@ -133,28 +132,19 @@ class TestIPF:
         xs = np.linspace(-3, 3, 64).reshape(8, 8)
         x_raw = quantize(xs, INT16)
         result = fetch_parameters(x_raw, qtable, INT16)
-        y = matrix_hadamard_product(x_raw, result.k_raw, result.b_raw, INT16)
+        y = fixed_hadamard_mac(x_raw, result.k_raw, result.b_raw, INT16)
         from repro.core.functions import gelu
 
         assert np.allclose(dequantize(y, INT16), gelu(xs), atol=0.05)
 
 
 class TestMHP:
-    def test_float_mode(self):
-        x = np.array([[1.0, 2.0]])
-        k = np.array([[3.0, 0.5]])
-        b = np.array([[0.0, -1.0]])
-        assert np.allclose(matrix_hadamard_product(x, k, b), [[3.0, 0.0]])
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            matrix_hadamard_product(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
-
     def test_rearranged_streams_preserve_values(self):
         x = np.arange(6.0).reshape(2, 3)
         k = x * 2
         b = x + 1
-        inp, wgt = rearranged_streams(x, k, b)
+        streams = rearrange_for_mhp(x, k, b, pe_rows=2, one_raw=1)
+        inp, wgt = streams.input_stream, streams.weight_stream
         assert inp.shape == (2, 6)
         # Two-term dot products of adjacent pairs reproduce the MHP.
         pairs_in = inp.reshape(2, 3, 2)
@@ -303,22 +293,29 @@ class TestGranularity:
 class TestApproximatorLRU:
     """The table cache is bounded: serving traffic must not leak."""
 
+    def setup_method(self):
+        self.store = get_store()
+        self.limit = self.store.limit(APPROXIMATOR_NAMESPACE)
+
     def teardown_method(self):
-        set_approximator_cache_capacity()  # restore the default
+        self.store.set_limit(APPROXIMATOR_NAMESPACE, max_entries=self.limit.max_entries)
         clear_approximator_cache()
+
+    def set_capacity(self, capacity):
+        self.store.set_limit(APPROXIMATOR_NAMESPACE, max_entries=capacity)
 
     def test_capacity_bounds_occupancy(self):
         clear_approximator_cache()
-        set_approximator_cache_capacity(4)
+        self.set_capacity(4)
         for g in (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7):
             get_approximator("gelu", g)
-        info = approximator_cache_info()
-        assert info["size"] <= 4
-        assert info["capacity"] == 4
+        info = self.store.stats(APPROXIMATOR_NAMESPACE)
+        assert info["entries"] <= 4
+        assert info["max_entries"] == 4
 
     def test_least_recently_used_is_evicted(self):
         clear_approximator_cache()
-        set_approximator_cache_capacity(2)
+        self.set_capacity(2)
         a = get_approximator("gelu", 0.25)
         b = get_approximator("tanh", 0.25)
         assert get_approximator("gelu", 0.25) is a  # refresh gelu
@@ -328,12 +325,12 @@ class TestApproximatorLRU:
 
     def test_shrinking_capacity_evicts_immediately(self):
         clear_approximator_cache()
-        set_approximator_cache_capacity(8)
+        self.set_capacity(8)
         for g in (0.25, 0.5, 1.0):
             get_approximator("gelu", g)
-        set_approximator_cache_capacity(1)
-        assert approximator_cache_info()["size"] == 1
+        self.set_capacity(1)
+        assert self.store.stats(APPROXIMATOR_NAMESPACE)["entries"] == 1
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
-            set_approximator_cache_capacity(0)
+            self.set_capacity(0)

@@ -171,13 +171,15 @@ class TestMHPCycleSim:
             sim.run_mhp(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
 
     def test_agreement_with_vectorized_dataflow(self):
-        """Cycle sim and the fast lane-based executor must agree."""
-        from repro.systolic.mhp_dataflow import execute_mhp
+        """Cycle sim, the lane-based reference and the whole-operand MAC
+        the array computes an MHP with must agree."""
+        from repro.systolic.mhp_dataflow import execute_mhp_per_lane
 
         rng = np.random.default_rng(8)
         x = quantize(rng.normal(size=(10, 4)), INT16)
         k = quantize(rng.normal(size=(10, 4)), INT16)
         b = quantize(rng.normal(size=(10, 4)), INT16)
-        fast, _ = execute_mhp(cfg(), x, k, b)
         slow = CycleSimulator(cfg()).run_mhp(x, k, b)
-        assert np.array_equal(fast, slow.output)
+        lanes, _ = execute_mhp_per_lane(cfg(), x, k, b)
+        assert np.array_equal(slow.output, fixed_hadamard_mac(x, k, b, INT16))
+        assert np.array_equal(lanes, slow.output)

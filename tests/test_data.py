@@ -10,7 +10,6 @@ from repro.data import (
     make_image_task,
     make_sequence_task,
 )
-from repro.data.registry import tasks_for_family
 
 
 class TestImageTask:
@@ -84,8 +83,8 @@ class TestRegistry:
         assert len(TASK_REGISTRY) == 12
 
     def test_four_per_family(self):
-        for family in ("cnn", "bert", "gcn"):
-            assert len(tasks_for_family(family)) == 4
+        families = [spec.family for spec in TASK_REGISTRY.values()]
+        assert all(families.count(f) == 4 for f in ("cnn", "bert", "gcn"))
 
     def test_get_task_builds(self):
         t = get_task("qmnist")
@@ -101,7 +100,8 @@ class TestRegistry:
 
     def test_difficulty_ordering_in_registry(self):
         """Within each family, paper baselines order the difficulty."""
-        cnn = tasks_for_family("cnn")
-        assert cnn["qmnist"].paper_baseline > cnn["cifar100"].paper_baseline
-        bert = tasks_for_family("bert")
-        assert bert["sst2"].paper_baseline > bert["cola"].paper_baseline
+        tasks = TASK_REGISTRY
+        assert tasks["qmnist"].family == tasks["cifar100"].family == "cnn"
+        assert tasks["qmnist"].paper_baseline > tasks["cifar100"].paper_baseline
+        assert tasks["sst2"].family == tasks["cola"].family == "bert"
+        assert tasks["sst2"].paper_baseline > tasks["cola"].paper_baseline

@@ -6,13 +6,13 @@ import pytest
 from repro.nn.autograd import Tensor
 from repro.nn.executor import CPWLBackend, FloatBackend, QuantizedFloatBackend
 from repro.nn.layers import (
+    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Flatten,
     GELU,
     LayerNorm,
     Linear,
-    MaxPool2d,
     Module,
     MultiHeadSelfAttention,
     ReLU,
@@ -63,7 +63,7 @@ class TestLayersAgree:
             assert_forward_infer_agree(layer, RNG.normal(size=(4, 4)))
 
     def test_pool_flatten_sequential(self):
-        model = Sequential(MaxPool2d(2), Flatten())
+        model = Sequential(AvgPool2d(2), Flatten())
         assert_forward_infer_agree(model, RNG.normal(size=(2, 3, 4, 4)))
 
     def test_attention(self):

@@ -239,7 +239,7 @@ class TestTenantScheduler:
             scheduler.admit(req(i, tenant="busy"))
         order = self.drain_tenants(scheduler)
         assert order == ["busy", "busy"]
-        assert scheduler.pending == 0
+        assert len(scheduler) == 0
         assert scheduler.pop_ready(0.0) is None
 
     def test_wrr_interleaves_by_weight(self):

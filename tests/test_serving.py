@@ -100,7 +100,7 @@ class TestClusterDispatcher:
         )
         assert d.n_shards == 2
         assert d.array_of(0) is not d.array_of(1)
-        assert d.clock_hz(0) == cfg.clock_hz
+        assert d.config_of(0).clock_hz == cfg.clock_hz
         assert d.shard_cycles() == {0: 0, 1: 0}
 
     def test_functional_backends_have_no_cycles(self):

@@ -537,22 +537,24 @@ class TestLRUMatchesHistoricalCaches:
 class TestRefactoredSites:
     def test_plan_cache_identity_preserved(self):
         from repro.systolic import SystolicConfig
-        from repro.systolic.gemm import clear_plan_cache, plan_cache_info, plan_gemm
+        from repro.systolic.gemm import GEMM_PLAN_NAMESPACE, plan_gemm
 
-        clear_plan_cache()
+        store = get_store()
+        store.clear(GEMM_PLAN_NAMESPACE)
         config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)
         first = plan_gemm(config, 16, 16, 16)
         second = plan_gemm(config, 16, 16, 16)
         assert first is second  # zero-copy, by reference
-        info = plan_cache_info()
-        assert info["hits"] >= 1 and info["size"] >= 1
-        clear_plan_cache()
-        info = plan_cache_info()
-        assert info["size"] == 0 and info["hits"] == 0
+        info = store.stats(GEMM_PLAN_NAMESPACE)
+        assert info["hits"] >= 1 and info["entries"] >= 1
+        store.clear(GEMM_PLAN_NAMESPACE)
+        store.reset_stats(GEMM_PLAN_NAMESPACE)
+        info = store.stats(GEMM_PLAN_NAMESPACE)
+        assert info["entries"] == 0 and info["hits"] == 0
 
     def test_approximator_cache_identity_preserved(self):
         from repro.core.nonlinear_ops import (
-            approximator_cache_info,
+            APPROXIMATOR_NAMESPACE,
             clear_approximator_cache,
             get_approximator,
         )
@@ -560,7 +562,7 @@ class TestRefactoredSites:
         clear_approximator_cache()
         first = get_approximator("gelu", 0.25)
         assert get_approximator("gelu", 0.25) is first
-        assert approximator_cache_info()["size"] == 1
+        assert get_store().stats(APPROXIMATOR_NAMESPACE)["entries"] == 1
 
     def test_param_cache_private_store(self):
         from repro.nn.executor import ParamCache

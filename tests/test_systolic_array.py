@@ -10,9 +10,9 @@ from repro.systolic import ONE_SA_PAPER_CONFIG, SystolicArray, SystolicConfig
 from repro.systolic.addressing import DataAddressing
 from repro.systolic.buffers import ParameterStore
 from repro.systolic.gemm import execute_gemm, plan_gemm
-from repro.systolic.mhp_dataflow import execute_mhp, naive_mhp_cycles, plan_mhp
+from repro.systolic.mhp_dataflow import execute_mhp_per_lane, naive_mhp_cycles, plan_mhp
 from repro.systolic.pe import PEMode
-from repro.systolic.rearrange import deinterleave, rearrange_for_mhp
+from repro.systolic.rearrange import rearrange_for_mhp
 
 
 def small_config(**kw):
@@ -138,12 +138,15 @@ class TestMHPSchedule:
         x = quantize(rng.normal(size=(10, 6)), INT16)
         k = quantize(rng.normal(size=(10, 6)), INT16)
         b = quantize(rng.normal(size=(10, 6)), INT16)
-        out, _ = execute_mhp(small_config(), x, k, b)
+        out, schedule = execute_mhp_per_lane(small_config(), x, k, b)
         assert np.array_equal(out, fixed_hadamard_mac(x, k, b, INT16))
+        assert schedule.breakdown == plan_mhp(small_config(), 10, 6).breakdown
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            execute_mhp(small_config(), np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
+            execute_mhp_per_lane(
+                small_config(), np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2))
+            )
 
     def test_naive_dataflow_slower(self):
         """The ablation baseline: naive MHP ignores the MAC count."""
@@ -167,12 +170,10 @@ class TestRearrange:
         k = quantize(rng.normal(size=(5, 4)), INT16)
         b = quantize(rng.normal(size=(5, 4)), INT16)
         out = rearrange_for_mhp(x, k, b, pe_rows=4, one_raw=256)
-        xs, ones = deinterleave(out.input_stream)
-        ks, bs = deinterleave(out.weight_stream)
-        assert np.array_equal(xs, x)
-        assert np.all(ones == 256)
-        assert np.array_equal(ks, k)
-        assert np.array_equal(bs, b)
+        assert np.array_equal(out.input_stream[:, 0::2], x)
+        assert np.all(out.input_stream[:, 1::2] == 256)
+        assert np.array_equal(out.weight_stream[:, 0::2], k)
+        assert np.array_equal(out.weight_stream[:, 1::2], b)
 
     def test_row_assignment_round_robin(self):
         out = rearrange_for_mhp(
@@ -185,10 +186,6 @@ class TestRearrange:
             np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), pe_rows=4, one_raw=256
         )
         assert out.cycles == -(-64 // 16)
-
-    def test_odd_stream_rejected(self):
-        with pytest.raises(ValueError):
-            deinterleave(np.zeros((2, 3)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from repro.systolic.timing import (
     effective_out_width,
     gemm_cycles,
     gemm_throughput_gops,
-    gemm_utilization,
     nonlinear_cycles,
     nonlinear_throughput_gnfs,
     peak_gnfs,
@@ -49,13 +48,13 @@ class TestGemmCycles:
         assert 0.80 <= bd.drain_fraction <= 0.90
 
     def test_large_matrix_high_utilization_at_paper_point(self):
-        util = gemm_utilization(cfg(8, 16), 512, 512, 512)
-        assert util > 0.95
+        c = cfg(8, 16)
+        assert gemm_throughput_gops(c, 512, 512, 512) / peak_gops(c) > 0.95
 
     def test_big_array_drain_bound_on_512(self):
         """The 512-dim curve falls below max on the largest array (Fig. 8a)."""
-        util = gemm_utilization(cfg(16, 16), 512, 512, 512)
-        assert util < 0.7
+        c = cfg(16, 16)
+        assert gemm_throughput_gops(c, 512, 512, 512) / peak_gops(c) < 0.7
 
     def test_cycles_scale_down_with_macs(self):
         slow = gemm_cycles(cfg(8, 2), 256, 256, 256).total

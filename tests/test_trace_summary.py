@@ -45,7 +45,7 @@ class TestTrace:
         assert event.cycles == 6
 
     @pytest.mark.parametrize("retention", [
-        dict(), dict(max_events=4), dict(retain_events=False),
+        dict(), dict(retain_events=False),
     ])
     def test_record_count_equals_repeated_record(self, retention):
         """``record(event, count=n)`` leaves every aggregate, namespace

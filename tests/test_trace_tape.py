@@ -156,14 +156,10 @@ def _account(trace):
     }
 
 
-RETENTION = (
-    dict(retain_trace_events=True),
-    dict(retain_trace_events=True, max_trace_events=5),
-    dict(retain_trace_events=False),
-)
+RETENTION = (dict(retain_trace_events=True), dict(retain_trace_events=False))
 
 
-@pytest.mark.parametrize("retention", RETENTION, ids=("all", "last5", "none"))
+@pytest.mark.parametrize("retention", RETENTION, ids=("all", "none"))
 @pytest.mark.parametrize("config", DESIGN_POINTS, ids=("8x8x16", "4x4x4"))
 def test_replay_equals_execution(config, retention):
     tokens = _tokens(np.random.default_rng(7))

@@ -263,7 +263,7 @@ def test_a_mapping_defaults_like_submit_keywords():
     row = np.arange(8, dtype=np.int32)
     described = TracedRequest.from_dict({"model": "bert", "inputs": row})
     assert described == TracedRequest("bert", tuple(range(8)), "int32", None)
-    assert described.tenant == "default" and not described.is_generation
+    assert described.tenant == "default" and described.max_new_tokens is None
     assert np.array_equal(described.inputs_array(), row)
     assert described.inputs_array().dtype == row.dtype
     spelt_out = dict(described.to_dict(), max_new_tokens=3, stop_token=None)
