@@ -956,7 +956,7 @@ def test_kv_cache_prefix_reuse(print_artifact):
             ClusterSpec.homogeneous(config, 2).build(),
             max_batch_size=8,
             flush_timeout=1e-4,
-            prefix_cache=cache,
+            radix_cache=cache,
         )
         adapter = (
             TransformerPrefixAdapter(model, prefix_len) if cache is not None else None
@@ -973,7 +973,7 @@ def test_kv_cache_prefix_reuse(print_artifact):
         return outputs, report
 
     cold_out, cold_report = run_burst(None)
-    warm_out, warm_report = run_burst(RadixKVCache(namespace="serving.prefix"))
+    warm_out, warm_report = run_burst(RadixKVCache())
 
     for a, b in zip(cold_out, warm_out):
         assert np.array_equal(a, b), "prefix reuse changed results"
@@ -1505,7 +1505,7 @@ def test_elastic_runtime_beats_greedy(print_artifact):
             max_batch_size=4,
             flush_timeout=1e-7,
             placement=placement,
-            prefix_cache=RadixKVCache(1 << 20, namespace="serving.prefix"),
+            radix_cache=RadixKVCache(1 << 20),
             elastic=elastic,
         )
         small = TinyBERT(**small_kw, causal=True, seed=0)

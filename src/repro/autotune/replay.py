@@ -54,8 +54,8 @@ def build_engine(
 ) -> InferenceEngine:
     """Materialise one candidate deployment, models registered.
 
-    The prefix/radix caches exist only when the config budgets them
-    *and* an endpoint can use them; ``tenants`` (typically the trace's
+    The K/V cache exists only when the config budgets it *and* an
+    endpoint can use it; ``tenants`` (typically the trace's
     tenant list) are registered up front so the config's
     ``max_queue_depth`` admission cap applies from the first arrival.
     """
@@ -66,7 +66,6 @@ def build_engine(
     return assemble_engine(
         ClusterSpec.heterogeneous(tuning.pool),
         endpoints,
-        prefix_budget_bytes=tuning.prefix_budget_bytes,
         radix_budget_bytes=tuning.radix_budget_bytes,
         max_batch_size=tuning.max_batch_size,
         flush_timeout=tuning.flush_timeout,

@@ -4,8 +4,8 @@ A :class:`TuningConfig` is everything the replay harness needs to
 stand up a candidate deployment — pool composition (a tuple of
 :class:`~repro.systolic.config.SystolicConfig` design points),
 placement policy plus the ``cost_aware`` occupancy penalty, batcher
-knobs, admission caps and cache byte budgets — as a frozen, JSON-safe
-value (design points serialize through the existing
+knobs, admission caps and the K/V cache byte budget — as a frozen,
+JSON-safe value (design points serialize through the existing
 :func:`~repro.serving.cluster.config_to_dict`).  Two replays of the
 same trace under equal configs are bit-identical, which is what makes
 search results comparable and fronts resumable.
@@ -43,8 +43,8 @@ class TuningConfig:
     placement (it is the
     :class:`~repro.serving.cluster.CostAwarePlacement` knob);
     ``max_queue_depth`` caps every tenant's queue (None = uncapped);
-    the cache budgets size the per-shard prefix cache and the radix KV
-    cache when the replayed models opt into them (None = feature off).
+    ``radix_budget_bytes`` sizes the per-shard K/V cache when the
+    replayed models opt into it (None = feature off).
 
     The elastic-runtime switches (``steal``, ``autoscale``) feed an
     :class:`~repro.serving.elastic.ElasticConfig` the replay harness
@@ -60,7 +60,6 @@ class TuningConfig:
     max_batch_size: int = 8
     flush_timeout: float = 1e-3
     max_queue_depth: Optional[int] = None
-    prefix_budget_bytes: Optional[int] = None
     radix_budget_bytes: Optional[int] = None
     steal: bool = False
     autoscale: bool = False
@@ -111,7 +110,6 @@ class TuningConfig:
             "max_batch_size": self.max_batch_size,
             "flush_timeout": self.flush_timeout,
             "max_queue_depth": self.max_queue_depth,
-            "prefix_budget_bytes": self.prefix_budget_bytes,
             "radix_budget_bytes": self.radix_budget_bytes,
             "steal": self.steal,
             "autoscale": self.autoscale,
@@ -121,7 +119,8 @@ class TuningConfig:
     def from_dict(cls, data: Dict[str, object]) -> "TuningConfig":
         # Elastic switches are read with defaults so pre-elastic
         # snapshots (recorded fronts, saved Pareto members) keep loading;
-        # keys of knobs that became constants are ignored.
+        # keys of retired knobs (thresholds that became constants, the
+        # second cache budget ``prefix_budget_bytes``) are ignored.
         return cls(
             pool=tuple(config_from_dict(item) for item in data["pool"]),
             placement=str(data["placement"]),
@@ -132,11 +131,6 @@ class TuningConfig:
                 None
                 if data["max_queue_depth"] is None
                 else int(data["max_queue_depth"])
-            ),
-            prefix_budget_bytes=(
-                None
-                if data["prefix_budget_bytes"] is None
-                else int(data["prefix_budget_bytes"])
             ),
             radix_budget_bytes=(
                 None
@@ -158,7 +152,7 @@ class ConfigSpace:
     discrete values each knob may take — discrete on purpose, so the
     space is seed-reproducible and mutation is a neighbor hop, not a
     float perturbation that never revisits a value.  The admission cap,
-    the cache budgets and the elastic switches are not searched: a
+    the cache budget and the elastic switches are not searched: a
     sampled config leaves them at their :class:`TuningConfig` defaults.
     """
 
@@ -258,7 +252,7 @@ class ConfigSpace:
         rng: np.random.Generator,
     ) -> TuningConfig:
         """A child taking the pool from one parent, each knob from either
-        (the admission cap, cache budgets and elastic switches come with
+        (the admission cap, cache budget and elastic switches come with
         the other parent whole)."""
         pool_parent, knob_parent = (
             (first, second) if rng.integers(0, 2) == 0 else (second, first)

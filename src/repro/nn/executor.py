@@ -29,7 +29,7 @@ from repro.fixedpoint.qformat import INT16
 from repro.fixedpoint.quantize import saturate_codes
 from repro.nn.autograd import data_version, version_base
 from repro.nn.functional import im2col
-from repro.store import CacheStore, InProcessLRU
+from repro.store import InProcessLRU
 
 
 class ParamCache:
@@ -54,24 +54,23 @@ class ParamCache:
     Derived arrays are marked read-only so a consumer cannot mutate a
     cached value in place.
 
-    Storage routes through a :class:`~repro.store.CacheStore`
-    namespace — by default a private
+    Storage is a namespace of a private
     :class:`~repro.store.InProcessLRU`, so each backend keeps its own
-    entry budget exactly as before.  The staleness *policy* (weakref
-    identity + dirty counter) stays here: it is meaningful only within
-    one process, which is also why the keys (``id``, data pointers)
-    make this cache in-process by construction — a shared file-backed
-    store would be validating another process's pointers.
+    entry budget.  The staleness *policy* (weakref identity + dirty
+    counter) stays here: it is meaningful only within one process,
+    which is also why the keys (``id``, data pointers) make this cache
+    in-process by construction — a shared file-backed store would be
+    validating another process's pointers.
     """
 
     #: Store namespace parameter derivations live under.
     NAMESPACE = "nn.params"
 
-    def __init__(self, maxsize: int = 256, store: Optional[CacheStore] = None):
+    def __init__(self, maxsize: int = 256):
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._store = store if store is not None else InProcessLRU()
+        self._store = InProcessLRU()
         self._store.set_limit(self.NAMESPACE, max_entries=maxsize)
         self.hits = 0
         self.misses = 0

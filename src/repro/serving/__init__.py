@@ -46,9 +46,10 @@ multi-tenant serving system:
   through the normal batch pipeline, then join an iteration-level
   decode pool whose batch is re-formed every step (finished sequences
   retire, freshly prefilled ones join), with per-step traced-cycle
-  attribution and a second instance of the same
-  :class:`~repro.serving.prefix_cache.RadixKVCache` reusing the
-  longest cached prefix of every prompt;
+  attribution, the same
+  :class:`~repro.serving.prefix_cache.RadixKVCache` instance (one per
+  engine, one budget) reusing the longest cached prefix of every
+  prompt;
 * the engine tying admission, scheduler, placement and shards together
   (:mod:`repro.serving.engine`), now fault-tolerant: per-shard
   circuit breakers (:class:`~repro.serving.cluster.ShardHealth`),

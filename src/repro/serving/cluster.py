@@ -604,8 +604,7 @@ class PrefixAffinePlacement(PlacementPolicy):
     placement bit-identically.
 
     The engine wraps its configured policy in this automatically when
-    constructed with a :class:`~repro.serving.prefix_cache.RadixKVCache`
-    (as its ``prefix_cache`` or its ``radix_cache``).
+    constructed with a ``radix_cache``.
     """
 
     def __init__(self, inner: "PlacementPolicy"):
@@ -1137,8 +1136,8 @@ class ClusterDispatcher:
 
         The engine executes every batch inside the owning tenant's
         namespace (see :meth:`repro.systolic.trace.Trace.namespace`),
-        so this is the pool-wide per-tenant cycle account — available
-        even in aggregate-only retention mode.
+        so this is the pool-wide per-tenant cycle account, read off the
+        trace aggregates.
         """
         totals: Dict[str, int] = {}
         for shard in range(self.n_shards):

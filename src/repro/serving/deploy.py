@@ -74,7 +74,7 @@ class EndpointSpec:
     processes and a replay reproducible.
 
     ``prefix_len`` opts plain-inference traffic into KV-prefix reuse
-    when the deployment budgets a prefix cache, ``generation=True``
+    when the deployment budgets a K/V cache, ``generation=True``
     wraps the model in a
     :class:`~repro.serving.generation.GenerationAdapter`, and ``cost``
     is the closed form ``cost_aware`` placement prices batches with.
@@ -127,34 +127,27 @@ class EndpointSpec:
 def assemble_engine(
     pool: ClusterSpec,
     endpoints: Sequence[EndpointSpec],
-    prefix_budget_bytes: Optional[int] = 32 << 20,
     radix_budget_bytes: Optional[int] = 32 << 20,
     fabric: Optional[CacheStore] = None,
     **engine_options,
 ) -> InferenceEngine:
     """Materialise one deployment: pool built, caches made, models registered.
 
-    A cache exists only when its per-shard byte budget is not None
-    *and* an endpoint can use it (``prefix_len`` for the prefix cache,
-    ``generation`` for the radix cache); with a ``fabric`` each cache
-    writes through to, and reads through from, that shared store.
-    ``engine_options`` are :class:`~repro.serving.engine.InferenceEngine`
-    keywords, passed through untouched (``prefix_cache=`` /
-    ``radix_cache=`` are decided here and rejected there as duplicates).
+    The one K/V cache exists only when its per-shard byte budget is not
+    None *and* an endpoint can use it (``prefix_len`` or
+    ``generation``); with a ``fabric`` it writes through to, and reads
+    through from, that shared store.  ``engine_options`` are
+    :class:`~repro.serving.engine.InferenceEngine` keywords, passed
+    through untouched (``radix_cache=`` is decided here and rejected
+    there as a duplicate).
     """
-    prefix_cache = None
-    if prefix_budget_bytes is not None and any(
-        spec.prefix_len is not None for spec in endpoints
-    ):
-        prefix_cache = RadixKVCache(
-            prefix_budget_bytes, namespace="serving.prefix", fabric=fabric
-        )
     radix_cache = None
-    if radix_budget_bytes is not None and any(spec.generation for spec in endpoints):
+    if radix_budget_bytes is not None and any(
+        spec.prefix_len is not None or spec.generation for spec in endpoints
+    ):
         radix_cache = RadixKVCache(radix_budget_bytes, fabric=fabric)
     engine = InferenceEngine(
         pool.build(),
-        prefix_cache=prefix_cache,
         radix_cache=radix_cache,
         **engine_options,
     )
@@ -166,7 +159,7 @@ def assemble_engine(
             cost_model=spec.cost.build() if spec.cost is not None else None,
             prefix_adapter=(
                 TransformerPrefixAdapter(model, spec.prefix_len)
-                if spec.prefix_len is not None and prefix_cache is not None
+                if spec.prefix_len is not None and radix_cache is not None
                 else None
             ),
             generation_adapter=GenerationAdapter(model) if spec.generation else None,
@@ -183,7 +176,7 @@ def check_deployment(**options) -> None:
     bound = inspect.signature(assemble_engine).bind(None, (), **options)
     engine_options = bound.arguments.get("engine_options", {})
     inspect.signature(InferenceEngine).bind(
-        None, prefix_cache=None, radix_cache=None, **engine_options
+        None, radix_cache=None, **engine_options
     )
 
 

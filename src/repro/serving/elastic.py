@@ -150,8 +150,7 @@ class StealEvent:
     #: time — the imbalance the steal removed.
     planned_eta: float = 0.0
     stolen_eta: float = 0.0
-    #: True when a prefix/radix cache entry moved through the fabric
-    #: along with the batch.
+    #: True when a K/V cache entry moved along with the batch.
     cache_migrated: bool = False
 
 
@@ -192,7 +191,7 @@ class ElasticController:
 
     def __init__(
         self, config: ElasticConfig, placement: PlacementPolicy, dispatcher,
-        tenants, log: Callable, prefix_cache, shard_busy: Dict[int, float],
+        tenants, log: Callable, kv_cache, shard_busy: Dict[int, float],
         views: Callable, profile_of: Callable, unit_of: Callable,
     ) -> None:
         self.config = config
@@ -204,7 +203,7 @@ class ElasticController:
         self._dispatcher = dispatcher
         self._tenants = tenants
         self._log = log
-        self._prefix_cache = prefix_cache
+        self._kv_cache = kv_cache
         self._shard_busy = shard_busy
         self._views = views
         self._profile_of = profile_of
@@ -396,8 +395,8 @@ class ElasticController:
         """Log a migration off the planned shard; the batch's prefix
         entry (when the planned shard holds one) moves with it."""
         profile, from_shard = unit.profile, unit.planned_shard
-        # ``resident`` implies a prefix-keyed unit, hence a prefix cache.
-        migrated = resident and self._prefix_cache.migrate(
+        # ``resident`` implies a prefix-keyed unit, hence a K/V cache.
+        migrated = resident and self._kv_cache.migrate(
             from_shard, to_shard, profile.tenant, profile.model, unit.prefix_tokens
         )
         self._log(

@@ -70,20 +70,14 @@ dot product — the equivalence the test suite asserts per backend.
 Tenancy never changes results either: it only partitions batches and
 orders them, which the same tests pin down.
 
-**Memory contract.**  A serving process is long-lived, so the engine
-puts every hardware shard's trace into *aggregate-only* mode at
-construction (see :class:`~repro.systolic.trace.Trace`): per-request
-cycle accounting reads the O(1) streaming aggregates and no further
-per-event log accumulates (events a trace already retained are left
-in place), keeping shard memory constant over arbitrarily long
+**Memory contract.**  A serving process is long-lived.  A shard's
+trace keeps no per-event log, only O(1) streaming aggregates (see
+:class:`~repro.systolic.trace.Trace`), which per-request cycle
+accounting reads, so shard memory stays constant over arbitrarily long
 request streams.  Per-tenant attribution costs O(tenants x labels),
 not O(events): each batch executes inside its tenant's trace
 namespace.  Request outputs are handed over exactly once by
-:meth:`InferenceEngine.result` and released.  Pass
-``retain_trace_events=True`` to keep the full per-event logs instead
-(for Fig.-1-style op-mix breakdowns of a serving run); memory then
-grows with the number of traced operations until
-:meth:`InferenceEngine.reset`.
+:meth:`InferenceEngine.result` and released.
 
 Typical multi-tenant use::
 
@@ -302,7 +296,7 @@ class ModelEndpoint:
 
     ``prefix_adapter`` opts the endpoint into KV-prefix reuse (see
     :class:`~repro.serving.prefix_cache.TransformerPrefixAdapter`);
-    it is only consulted when the engine carries a ``prefix_cache``.
+    it is only consulted when the engine carries a ``radix_cache``.
 
     ``generation_adapter`` opts the endpoint into autoregressive
     decode (see :class:`~repro.serving.generation.GenerationAdapter`):
@@ -412,11 +406,6 @@ class InferenceEngine:
     max_batch_size, flush_timeout:
         Batch-assembly knobs, applied per (tenant, model) group (see
         :class:`~repro.serving.batcher.BatchAssembler`).
-    retain_trace_events:
-        False (default) flips every hardware shard's trace to
-        aggregate-only mode so serving memory stays bounded; True keeps
-        the full per-event logs on the shard arrays (see the module
-        docstring's memory contract).
     policy:
         Tenant arbitration when several tenants have batches ready at
         the same instant: ``"weighted_round_robin"`` (default),
@@ -430,25 +419,18 @@ class InferenceEngine:
     tenants:
         Optional iterable of :class:`~repro.serving.tenancy.TenantConfig`
         to pre-register (equivalent to :meth:`register_tenant` calls).
-    prefix_cache:
-        Optional :class:`~repro.serving.prefix_cache.RadixKVCache`
-        enabling KV-prefix reuse for classifier endpoints registered
-        with a ``prefix_adapter``: a batch whose whole prompt is cached
-        computes only its suffix rows.  The configured placement policy
-        is then wrapped in
-        :class:`~repro.serving.cluster.PrefixAffinePlacement`, so
-        batches whose prompt is already resident prefer the holding
-        shard; prefix-less traffic is placed exactly as before.
     radix_cache:
-        Optional :class:`~repro.serving.prefix_cache.RadixKVCache` (the
-        same class, its own instance and budget, and a ``namespace=``
-        different from ``prefix_cache``'s — equal ones are rejected)
-        enabling longest-prefix K/V reuse for generation endpoints: a
-        prefill whose prompt extends an already-cached token sequence
-        recomputes only the new suffix, and retiring sequences donate
-        their decode history back to the tree.  Placement is wrapped
-        in :class:`~repro.serving.cluster.PrefixAffinePlacement` the
-        same way ``prefix_cache`` wraps it.
+        Optional :class:`~repro.serving.prefix_cache.RadixKVCache`, the
+        engine's one K/V cache, under one per-shard budget for both
+        kinds of client.  A classifier endpoint registered with a
+        ``prefix_adapter`` computes only its suffix rows when the whole
+        prompt is cached.  A generation prefill whose prompt extends a
+        cached token sequence recomputes only the new suffix, and
+        retiring sequences donate their decode history back to the
+        tree.  The configured placement policy is then wrapped in
+        :class:`~repro.serving.cluster.PrefixAffinePlacement`, so units
+        whose prompt is already resident prefer the holding shard;
+        prefix-less traffic is placed exactly as before.
     faults:
         Optional :class:`~repro.serving.faults.FaultPlan` injecting
         shard crashes and slowdowns into the discrete-event clock.
@@ -481,38 +463,21 @@ class InferenceEngine:
         dispatcher: ClusterDispatcher,
         max_batch_size: int = 8,
         flush_timeout: float = 1e-3,
-        retain_trace_events: bool = False,
         policy: Union[str, SchedulingPolicy] = "weighted_round_robin",
         placement: Union[str, PlacementPolicy] = "round_robin",
         tenants: Optional[Iterable[TenantConfig]] = None,
-        prefix_cache: Optional[RadixKVCache] = None,
         radix_cache: Optional[RadixKVCache] = None,
         faults: Optional[FaultPlan] = None,
         elastic: Optional[ElasticConfig] = None,
         recorder: Optional[object] = None,
     ):
         self.dispatcher = dispatcher
-        for shard in range(dispatcher.n_shards):
-            array = dispatcher.array_of(shard)
-            if array is not None:
-                array.trace.configure(retain_events=retain_trace_events)
         self.tenants = TenantRegistry()
         for config in tenants or ():
             self.tenants.register(config)
         self.placement = make_placement_policy(placement)
-        if None not in (prefix_cache, radix_cache) and (
-            prefix_cache.namespace == radix_cache.namespace
-        ):
-            # Their shard namespaces would collide: one cache's rows
-            # would overwrite the other's in cache_stats(), and on a
-            # shared store the two would share keys and budgets.
-            raise ValueError(
-                f"prefix_cache and radix_cache share the namespace "
-                f"{prefix_cache.namespace!r}; give each its own namespace="
-            )
-        self.prefix_cache = prefix_cache
         self.radix_cache = radix_cache
-        if (prefix_cache is not None or radix_cache is not None) and not isinstance(
+        if radix_cache is not None and not isinstance(
             self.placement, PrefixAffinePlacement
         ):
             self.placement = PrefixAffinePlacement(self.placement)
@@ -546,7 +511,7 @@ class InferenceEngine:
         log = self._events.append
         self._controller = ElasticController(
             self.elastic, self.placement, dispatcher, self.tenants, log,
-            prefix_cache, self._shard_busy,
+            radix_cache, self._shard_busy,
             views=lambda now: self._available_views(now),
             profile_of=lambda batch: (
                 None if self._is_prefill(batch) else self._batch_profile(batch)
@@ -608,7 +573,7 @@ class InferenceEngine:
         (see
         :class:`~repro.serving.prefix_cache.TransformerPrefixAdapter`)
         opts the endpoint into KV-prefix reuse; it takes effect when
-        the engine was constructed with a ``prefix_cache`` and requires
+        the engine was constructed with a ``radix_cache`` and requires
         a batchable endpoint (the adapter runs the stacked batch
         itself).
 
@@ -616,8 +581,8 @@ class InferenceEngine:
         :class:`~repro.serving.generation.GenerationAdapter`) opts the
         endpoint into autoregressive decode via
         :meth:`submit_generation`.  It is mutually exclusive with
-        ``prefix_adapter`` (generation has its own prefix reuse, the
-        engine-level ``radix_cache``), supplies the endpoint's cost
+        ``prefix_adapter`` (a generation prefill reads and feeds the
+        engine's ``radix_cache`` without one), supplies the endpoint's cost
         model when none is given, and can stand in for ``model`` /
         ``infer_fn`` — plain :meth:`submit` traffic then runs the
         wrapped model's ``infer``.
@@ -836,7 +801,7 @@ class InferenceEngine:
             inputs = generation.prompt
             adapter.validate(inputs, generation.max_new_tokens)
             prefix_key = adapter.batch_key(inputs)
-        elif self.prefix_cache is not None and endpoint.prefix_adapter is not None:
+        elif self.radix_cache is not None and endpoint.prefix_adapter is not None:
             # Key the request on its prompt content at admission: batch
             # assembly groups on it, so one batch is one prompt and the
             # cache decision at execution applies to the whole batch.
@@ -964,13 +929,11 @@ class InferenceEngine:
 
         One :meth:`repro.store.CacheStore.stats` dict per namespace:
         the process-global store's namespaces (approximator tables,
-        GEMM/MHP plan caches, calibration snapshots), the prefix
+        GEMM/MHP plan caches, calibration snapshots), the K/V
         cache's per-shard stores, and each shard backend's parameter
         cache (under ``nn.params.shard<N>``).
         """
         stats: Dict[str, Dict[str, int]] = dict(get_store().stats())
-        if self.prefix_cache is not None:
-            stats.update(self.prefix_cache.namespace_stats())
         if self.radix_cache is not None:
             stats.update(self.radix_cache.namespace_stats())
         for shard, backend in enumerate(self.dispatcher.backends):
@@ -1084,11 +1047,11 @@ class InferenceEngine:
         adapter = self._endpoints[batch.model].prefix_adapter
         if (
             batch.prefix_key is not None
-            and self.prefix_cache is not None
+            and self.radix_cache is not None
             and adapter is not None
         ):
             prefix_key = batch.prefix_key
-            resident = self.prefix_cache.resident_shards(
+            resident = self.radix_cache.resident_shards(
                 batch.tenant, batch.model,
                 adapter.prefix_tokens(batch.requests[0].inputs),
             )
@@ -1180,8 +1143,6 @@ class InferenceEngine:
         for health in self._health.values():
             health.reset()
         self._last_arrival = 0.0
-        if self.prefix_cache is not None:
-            self.prefix_cache.clear()
         if self.radix_cache is not None:
             self.radix_cache.clear()
         self.dispatcher.reset()
@@ -1311,8 +1272,7 @@ class InferenceEngine:
         cycles_before = array.total_cycles if array is not None else 0
 
         # Attribute everything the unit records to its tenant's trace
-        # namespace — per-tenant cycle accounting that works even in
-        # aggregate-only retention mode.
+        # namespace: per-tenant cycle accounting from aggregates alone.
         namespace = (
             array.trace.namespace(profile.tenant) if array is not None else nullcontext()
         )
@@ -1435,7 +1395,7 @@ class InferenceEngine:
                 # One cache decision for the whole batch: the batcher
                 # keys groups on the prompt digest, so every request
                 # here shares the prompt.  Only the whole prompt counts.
-                cache = self.prefix_cache
+                cache = self.radix_cache
                 cached_len, payload = cache.lookup(
                     shard, batch.tenant, batch.model, prefix_tokens
                 )

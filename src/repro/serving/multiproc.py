@@ -12,7 +12,7 @@ tier of a :class:`~repro.store.TieredStore`:
 * GEMM/MHP **plan caches** and the approximator table namespace write
   through to the fabric, so a layer shape planned by one worker is a
   fabric hit (not a rebuild) everywhere else;
-* the **prefix cache** writes computed prompts through and promotes
+* the **K/V cache** writes computed prompts through and promotes
   fabric hits onto the local shard, so one worker's cold pass serves
   every other worker's first request for that prompt;
 * **calibration** snapshots persist under
@@ -103,7 +103,7 @@ class WorkerConfig:
     fabric events kept global.  ``requests`` are descriptions whose
     arrivals the front has resolved.  ``options`` are the keywords of
     :func:`~repro.serving.deploy.assemble_engine` every worker engine is
-    built with — cache budgets and any
+    built with — the cache budget and any
     :class:`~repro.serving.engine.InferenceEngine` option (values must
     pickle) — checked here, in the front's process, not in the child.
     """
@@ -372,8 +372,8 @@ def serve_multiproc(
       ``worker_redistributions`` counters.
 
     ``options`` go to :func:`~repro.serving.deploy.assemble_engine` in
-    every worker: the per-shard cache budgets (``prefix_budget_bytes``,
-    ``radix_budget_bytes``) and any
+    every worker: the per-shard K/V cache budget (``radix_budget_bytes``)
+    and any
     :class:`~repro.serving.engine.InferenceEngine` option except
     ``faults`` (that is ``fault_plan``, sliced per worker).  ``elastic=``
     thus hands every worker engine the same

@@ -32,10 +32,13 @@ This module provides the cache side of that reuse:
 * :class:`PrefixEvent` — one batch's hit/miss record in the serving
   report.
 
-Both kinds of traffic are clients of the same class: a classifier
-batch reuses its fixed-length prompt only when the whole prompt is
-cached; a generation prefill takes whatever prefix of its prompt is
-cached and computes the rest.  Classifier hits and misses never share
+Both kinds of traffic are clients of one cache instance under one
+per-shard budget: a classifier batch reuses its fixed-length prompt
+only when the whole prompt is cached; a generation prefill takes
+whatever prefix of its prompt is cached and computes the rest.  A model
+is one kind or the other (``register`` refuses both adapters on one
+endpoint), so one ``(shard, tenant, model)`` tree only ever holds one
+kind of payload.  Classifier hits and misses never share
 a batch: the batcher keys groups on ``(tenant, model, prefix_key)``,
 so a batch is uniformly one prompt and the engine resolves it against
 the cache exactly once.
@@ -91,8 +94,7 @@ class TransformerPrefixAdapter:
 
     Register it together with a cache-equipped engine::
 
-        cache = RadixKVCache(namespace="serving.prefix")
-        engine = InferenceEngine(pool, prefix_cache=cache)
+        engine = InferenceEngine(pool, radix_cache=RadixKVCache())
         engine.register("bert", model,
                         prefix_adapter=TransformerPrefixAdapter(model, 12))
     """
@@ -307,14 +309,6 @@ class RadixKVCache:
         exceed it: inserting evicts least-recently-used entries first,
         and an entry that alone exceeds the budget is rejected (counted
         in :attr:`rejections`), never resident.
-    namespace:
-        Store namespace of this cache: shard ``N`` lives under
-        ``<namespace>.shard<N>``, the shard-agnostic fabric tier under
-        ``<namespace>`` itself.
-    store:
-        The :class:`~repro.store.CacheStore` holding the per-shard
-        namespaces; a private :class:`~repro.store.InProcessLRU` by
-        default.
     fabric:
         Optional second tier (typically a shared
         :class:`~repro.store.FileStore`): a lookup that finds nothing
@@ -326,14 +320,18 @@ class RadixKVCache:
     Entries are keyed ``(tenant, model, exact token tuple)`` — a tenant
     never hits another tenant's cache, so prompt reuse cannot leak
     activations across tenants, and a hit needs no further
-    verification.
+    verification.  Payloads live in a private
+    :class:`~repro.store.InProcessLRU`: shard ``N`` under
+    ``serving.radix.shard<N>``, the shard-agnostic fabric tier under
+    :attr:`NAMESPACE` itself.
     """
+
+    #: Store namespace of the cache (an engine has one, so one name).
+    NAMESPACE = "serving.radix"
 
     def __init__(
         self,
         shard_budget_bytes: int = 32 << 20,
-        namespace: str = "serving.radix",
-        store: Optional[CacheStore] = None,
         fabric: Optional[CacheStore] = None,
     ):
         if shard_budget_bytes < 1:
@@ -341,8 +339,7 @@ class RadixKVCache:
                 f"shard_budget_bytes must be >= 1, got {shard_budget_bytes}"
             )
         self.shard_budget_bytes = int(shard_budget_bytes)
-        self.namespace = namespace
-        self._store = store if store is not None else InProcessLRU()
+        self._store = InProcessLRU()
         self._fabric = fabric
         self._shards_seen: Set[int] = set()
         self._trees: Dict[Tuple[int, str, str], RadixPrefixIndex] = {}
@@ -362,7 +359,7 @@ class RadixKVCache:
         return tuple(map(int, np.asarray(tokens).reshape(-1).tolist()))
 
     def _namespace(self, shard: int) -> str:
-        namespace = f"{self.namespace}.shard{shard}"
+        namespace = f"{self.NAMESPACE}.shard{shard}"
         if shard not in self._shards_seen:
             self._store.set_limit(namespace, max_bytes=self.shard_budget_bytes)
             self._shards_seen.add(shard)
@@ -388,7 +385,7 @@ class RadixKVCache:
         self.evictions += self._store.stats(namespace)["evictions"] - evictions_before
         self._trees.setdefault((shard, tenant, model), RadixPrefixIndex()).insert(seq)
         if publish and self._fabric is not None:
-            self._fabric.put(self.namespace, (tenant, model, seq), payload, nbytes=size)
+            self._fabric.put(self.NAMESPACE, (tenant, model, seq), payload, nbytes=size)
         return True
 
     # -- read side -------------------------------------------------------
@@ -426,7 +423,7 @@ class RadixKVCache:
             tree.remove(seq[:match])
             match = tree.longest_match(seq[:match])
         if self._fabric is not None:
-            payload = self._fabric.get(self.namespace, (tenant, model, seq))
+            payload = self._fabric.get(self.NAMESPACE, (tenant, model, seq))
             if payload is not None:
                 # Serialization drops numpy's read-only flag; freezing
                 # again keeps promoted entries immutable while shared.

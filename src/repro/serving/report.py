@@ -9,7 +9,7 @@ trace namespaces), deadline misses and SLO attainment.
 The tenant cycle account is exact: every batch executes inside its
 tenant's trace namespace, so :attr:`ServingReport.tenant_cycles` sums
 to :attr:`ServingReport.total_cycles` — cycles are attributed, never
-double-counted or dropped, even in aggregate-only trace retention.
+double-counted or dropped, from the trace aggregates alone.
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ class InferenceRequest:
     prefix_key:
         Content digest of the request's shared prompt, set by the
         engine when its endpoint has a prefix adapter and the engine
-        carries a ``prefix_cache``
+        carries a ``radix_cache``
         (a :class:`~repro.serving.prefix_cache.RadixKVCache`).
         Batch assembly keys groups on it, so requests with different
         prompts (or none) never share a batch — cache hits and misses

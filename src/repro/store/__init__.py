@@ -17,9 +17,9 @@ implementations:
 The process-global default store (:func:`~repro.store.base.get_store`
 / :func:`~repro.store.base.set_store`) backs the module-level cache
 sites in :mod:`repro.core.nonlinear_ops`, :mod:`repro.systolic.gemm`
-and :mod:`repro.systolic.mhp_dataflow`, each sized by its own
-``set_*_capacity`` function.  See ``docs/architecture.md`` ("The cache
-fabric") for the namespace map.
+and :mod:`repro.systolic.mhp_dataflow`, each sized by the budget it
+declares once with :func:`~repro.store.base.register_namespace`.  See
+``docs/architecture.md`` ("The cache fabric") for the namespace map.
 """
 
 from repro.store.base import (

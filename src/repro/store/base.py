@@ -8,7 +8,7 @@ set, trapped inside one Python process.  :class:`CacheStore` is the one
 interface they now share:
 
 * **namespaces** partition one store into independent LRU domains
-  (``"systolic.gemm_plans"``, ``"serving.prefix.shard0"``, ...); keys
+  (``"systolic.gemm_plans"``, ``"serving.radix.shard0"``, ...); keys
   never collide across namespaces and budgets apply per namespace;
 * **budgets** bound each namespace by entry count and/or bytes
   (:class:`NamespaceLimit`); inserting evicts least-recently-used
@@ -28,8 +28,8 @@ shareable between worker processes).
 read-through/write-through fabric multi-worker serving uses.
 
 A process-global default store (:func:`get_store` / :func:`set_store`)
-backs the historical module-level caches; each cache site's
-``set_*_capacity`` function sizes its own namespace.
+backs the module-level caches; each cache site sizes its own namespace
+once, at import, with :func:`register_namespace`.
 """
 
 from __future__ import annotations

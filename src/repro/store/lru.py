@@ -164,8 +164,7 @@ class InProcessLRU(CacheStore):
     ) -> None:
         ns = self._ns(namespace)
         ns.limit = NamespaceLimit(max_entries=max_entries, max_bytes=max_bytes)
-        # A shrink below current occupancy evicts immediately, exactly
-        # like the historical set_*_capacity functions.
+        # A shrink below current occupancy evicts immediately.
         limit = ns.limit
         while ns.entries and (
             (limit.max_entries is not None and ns.stats.entries > limit.max_entries)

@@ -85,25 +85,16 @@ class SystolicArray:
         The design point.  Nonlinear operations require
         ``config.nonlinear_enabled`` (the ONE-SA datapath); a plain SA
         configuration raises on them, mirroring real hardware.
-    retain_trace_events:
-        Trace retention mode (see :class:`~repro.systolic.trace.Trace`).
-        The default keeps the full event log; serving pools flip their
-        shard arrays to aggregate-only so memory stays bounded over
-        arbitrarily long request streams.
     """
 
-    def __init__(
-        self,
-        config: SystolicConfig = ONE_SA_PAPER_CONFIG,
-        retain_trace_events: bool = True,
-    ) -> None:
+    def __init__(self, config: SystolicConfig = ONE_SA_PAPER_CONFIG) -> None:
         self.config = config
         self.hierarchy = build_hierarchy(config)
         self.addressing = DataAddressing(
             config.fmt,
             port_width=effective_out_width(config),
         )
-        self.trace = Trace(retain_events=retain_trace_events)
+        self.trace = Trace()
 
     # ------------------------------------------------------------------
     # Linear operations
@@ -338,8 +329,8 @@ class SystolicArray:
     def replay(self, tape: list) -> None:
         """Charge a tape :meth:`capture` filled to this array, computing nothing.
 
-        Events go through the live trace (open namespace, retention mode)
-        and every table through the live parameter store, so one evicted
+        Events go through the live trace (open namespace, open tape) and
+        every table through the live parameter store, so one evicted
         since — by another model's tables or :meth:`reset` — preloads
         again exactly where execution would have paid for it.
         """
@@ -356,7 +347,7 @@ class SystolicArray:
         (also when the body raises) the real ones are back, every counter
         as it was."""
         live = self.trace, self.hierarchy, self.addressing
-        self.trace = Trace(retain_events=False)
+        self.trace = Trace()
         self.reset()
         try:
             yield self
@@ -390,10 +381,7 @@ class SystolicArray:
         }
 
     def reset(self) -> None:
-        """Clear the trace and buffer accounting between experiments.
-
-        The trace's retention mode is preserved.
-        """
+        """Clear the trace and buffer accounting between experiments."""
         self.trace.clear()
         self.hierarchy = build_hierarchy(self.config)
         self.addressing = DataAddressing(

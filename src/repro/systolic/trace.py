@@ -12,32 +12,26 @@ read ``total_cycles`` per request without re-scanning its history.
 Label namespaces
 ----------------
 A trace can attribute cycles to a *namespace* — e.g. the serving
-engine's tenant executing the current batch — without retaining a
-single event: :meth:`Trace.namespace` is a context manager that tags
-every event recorded inside it, and the per-namespace aggregates
-(:meth:`cycles_by_namespace`, and per-label within a namespace via
-``cycles_by_label(namespace=...)``) are maintained streaming exactly
-like the global ones.  Memory is bounded by
-``distinct namespaces x distinct labels``, never by event count, so
-aggregate-only retention and tenant attribution compose.
+engine's tenant executing the current batch: :meth:`Trace.namespace` is
+a context manager that tags every event recorded inside it, and the
+per-namespace aggregates (:meth:`cycles_by_namespace`, and per-label
+within a namespace via ``cycles_by_label(namespace=...)``) are
+maintained streaming exactly like the global ones.
 
-Retention modes
----------------
-* ``retain_events=True`` (default) — every :class:`TraceEvent` stays in
-  :attr:`Trace.events` for post-hoc inspection (the examples and the
-  Fig.-1-style breakdowns want the full log).
-* ``retain_events=False`` — aggregate-only: nothing is appended to
-  ``events`` and memory stays constant no matter how many operations
-  run.  The serving engine puts its shard arrays in this mode by
-  default.
+Memory
+------
+A trace keeps aggregates only, so its memory is bounded by
+``distinct namespaces x distinct labels``, never by event count.  The
+ordered ``(event, count)`` log of a stretch of work is what
+:meth:`~repro.systolic.array.SystolicArray.capture` tapes, for whoever
+needs one.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import repeat
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.systolic.timing import CycleBreakdown
 
@@ -54,20 +48,9 @@ class TraceEvent:
 
 
 class Trace:
-    """Ordered event log with O(1) streaming aggregates.
+    """O(1) streaming aggregates of the events recorded on an array."""
 
-    Parameters
-    ----------
-    retain_events:
-        Keep the per-event log in :attr:`events`.  When False the trace
-        is aggregate-only (bounded memory; ``events`` stays empty).
-        Aggregates always cover every event ever recorded, retained or
-        not.
-    """
-
-    def __init__(self, retain_events: bool = True) -> None:
-        self.retain_events = retain_events
-        self.events: List[TraceEvent] = []
+    def __init__(self) -> None:
         #: While a list, every :meth:`record` call is appended to it as
         #: ``(event, count)`` (see :meth:`SystolicArray.capture`).
         self.tape: Optional[list] = None
@@ -85,7 +68,7 @@ class Trace:
     # ------------------------------------------------------------------
     def record(self, event: TraceEvent, count: int = 1) -> None:
         """Account ``count`` occurrences of one event, as ``count`` calls
-        would; a retaining log gains ``count`` references to the event."""
+        would."""
         if self.tape is not None:
             self.tape.append((event, count))
         cycles = event.cycles * count
@@ -102,8 +85,6 @@ class Trace:
             ns[self._namespace] = ns.get(self._namespace, 0) + cycles
             ns_labels = self._ns_cycles_by_label.setdefault(self._namespace, {})
             ns_labels[event.label] = ns_labels.get(event.label, 0) + cycles
-        if self.retain_events:
-            self.events.extend(repeat(event, count))
 
     @contextmanager
     def namespace(self, name: str) -> Iterator["Trace"]:
@@ -112,8 +93,7 @@ class Trace:
         Nested namespaces replace each other (the innermost wins), and
         recording outside any namespace touches only the global
         aggregates.  The serving engine wraps each batch execution in
-        the owning tenant's namespace so aggregate-only traces can
-        still attribute cycles per tenant.
+        the owning tenant's namespace to attribute cycles per tenant.
         """
         previous = self._namespace
         self._namespace = name
@@ -121,15 +101,6 @@ class Trace:
             yield self
         finally:
             self._namespace = previous
-
-    def configure(self, retain_events: bool) -> None:
-        """Switch retention mode in place.
-
-        Aggregates are untouched, and events already retained stay in
-        the log (turning retention off only stops *future* appends —
-        nothing a caller collected is destroyed).
-        """
-        self.retain_events = retain_events
 
     # ------------------------------------------------------------------
     # Aggregate views (O(1) / O(distinct keys), never O(events))
@@ -161,19 +132,8 @@ class Trace:
         """Aggregate cycles per namespace (see :meth:`namespace`)."""
         return dict(self._cycles_by_namespace)
 
-    @property
-    def events_recorded(self) -> int:
-        """Events accounted since the last clear (retained or not)."""
-        return self._n_events
-
-    @property
-    def events_retained(self) -> int:
-        """Events currently held in the log."""
-        return len(self.events)
-
     def clear(self) -> None:
-        """Drop the log and zero every aggregate (retention mode kept)."""
-        self.events.clear()
+        """Zero every aggregate (an open namespace or tape stays open)."""
         self._n_events = 0
         self._total_cycles = 0
         self._cycles_by_kind.clear()
@@ -183,5 +143,5 @@ class Trace:
         self._ns_cycles_by_label.clear()
 
     def __len__(self) -> int:
-        """Number of events *recorded* (see :attr:`events_retained`)."""
+        """Number of events recorded since the last :meth:`clear`."""
         return self._n_events

@@ -429,7 +429,7 @@ class TestReplayDeterminism:
         )
         config = TuningConfig(
             pool=(MID,), max_batch_size=2, flush_timeout=1e-4,
-            prefix_budget_bytes=1 << 16,
+            radix_budget_bytes=1 << 16,
         )
         report = replay_trace(trace, config, endpoints)
         assert report.n_requests == 6
@@ -530,6 +530,8 @@ class TestTuningConfig:
         # sha256 recorded while the space also drew the admission cap and
         # both cache budgets from single-value ranges: ``rng.integers(0,
         # 1)`` consumes no bits, so removing those ranges kept the stream.
+        # Rows are serialised as they were then: with the retired
+        # ``prefix_budget_bytes`` key, which no space ever set.
         digest = hashlib.sha256()
         for space in (
             ConfigSpace(catalog=CATALOG),
@@ -544,7 +546,10 @@ class TestTuningConfig:
                     first = space.mutate(first, rng)
                     second = space.crossover(first, second, rng)
                     walk += [first, second]
-                rows = [config.to_dict() for config in walk]
+                rows = [
+                    dict(config.to_dict(), prefix_budget_bytes=None)
+                    for config in walk
+                ]
                 digest.update(json.dumps(
                     [rows, int(rng.integers(0, 2**62))], sort_keys=True
                 ).encode())

@@ -233,19 +233,30 @@ def test_array_charges_the_structural_chain_and_computes_its_values(shape, fused
     config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)
     fast, reference = SystolicArray(config), SystolicArray(config)
     rng = np.random.default_rng(shape[0])
-    for function, domain in (("gelu", None), ("relu", (-8.125, 8.125)), ("gelu", None)):
-        _tabulated(function, 0.25, domain=domain)  # the gather path
-        x = round_saturate(rng.normal(size=shape) * 900.0, INT16)
-        got = fast.apply_nonlinear_raw(
-            function, x, 0.25, fused_ipf=fused_ipf, domain=domain
-        ).raw
-        want = _structural(reference, function, x, 0.25, fused_ipf, domain)
-        assert got.tobytes() == want.tobytes()
-    assert [
-        (e.kind, e.label, e.cycles, e.ops, e.breakdown) for e in fast.trace.events
-    ] == [
-        (e.kind, e.label, e.cycles, e.ops, e.breakdown) for e in reference.trace.events
-    ]
+    with fast.capture() as fast_tape, reference.capture() as reference_tape:
+        for function, domain in (("gelu", None), ("relu", (-8.125, 8.125)), ("gelu", None)):
+            _tabulated(function, 0.25, domain=domain)  # the gather path
+            x = round_saturate(rng.normal(size=shape) * 900.0, INT16)
+            got = fast.apply_nonlinear_raw(
+                function, x, 0.25, fused_ipf=fused_ipf, domain=domain
+            ).raw
+            want = _structural(reference, function, x, 0.25, fused_ipf, domain)
+            assert got.tobytes() == want.tobytes()
+    # Event for event (kind, label, cycles, ops, breakdown) and count;
+    # the array tapes a preload pair whether or not it preloaded, so
+    # preloads compare by what the traces were charged.
+    issued = [entry for entry in fast_tape if entry[0].kind != "preload"]
+    assert [e.kind for e, _ in issued] == ["ipf", "mhp"] * 3
+    assert issued == [entry for entry in reference_tape if entry[0].kind != "preload"]
+    assert _charged(fast.trace) == _charged(reference.trace)
+    assert fast.trace.cycles_by_kind()["preload"] > 0
+
+
+def _charged(trace):
+    return (
+        len(trace), trace.total_cycles, trace.cycles_by_kind(), trace.ops_by_kind(),
+        trace.cycles_by_label(),
+    )
 
 
 def _one_shot_round_saturate(codes, fmt):

@@ -176,7 +176,7 @@ def _traffic(spec, n, seed):
 
 TUNING = TuningConfig(
     pool=(BIG, MID), placement="cost_aware", max_batch_size=8,
-    prefix_budget_bytes=1 << 20, radix_budget_bytes=1 << 20,
+    radix_budget_bytes=1 << 20,
 )
 
 

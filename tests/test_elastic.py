@@ -312,13 +312,13 @@ class TestWorkStealing:
 
 
 def _hot_prefix_engine(elastic, prefix_len=6):
-    cache = RadixKVCache(1 << 20, namespace="serving.prefix")
+    cache = RadixKVCache(1 << 20)
     engine = InferenceEngine(
         ClusterSpec.heterogeneous(SKEWED_POOL).build(),
         max_batch_size=4,
         flush_timeout=1e-7,
         placement="lookahead" if elastic is not None else "cost_aware",
-        prefix_cache=cache,
+        radix_cache=cache,
         elastic=elastic,
     )
     model = TinyBERT(**SMALL_KW, causal=True, seed=0)
@@ -385,7 +385,7 @@ class TestAffinityBreak:
             nbytes = 64
             pos = 6
 
-        cache = RadixKVCache(1 << 12, namespace="serving.prefix")
+        cache = RadixKVCache(1 << 12)
         tokens, payload = np.arange(6), _Payload()
         assert cache.insert(2, "t", "m", tokens, payload)
         assert cache.resident_shards("t", "m", tokens) == (2,)
@@ -396,7 +396,7 @@ class TestAffinityBreak:
         # whole prompt, the source index no longer matches any of it.
         assert cache.lookup(0, "t", "m", tokens) == (6, payload)
         assert cache.lookup(2, "t", "m", tokens) == (0, None)
-        assert cache.namespace_stats()["serving.prefix.shard2"]["misses"] == 0
+        assert cache.namespace_stats()["serving.radix.shard2"]["misses"] == 0
         # Self-moves and missing entries are no-ops, not errors.
         assert not cache.migrate(0, 0, "t", "m", tokens)
         assert not cache.migrate(2, 1, "t", "m", tokens)

@@ -53,7 +53,7 @@ from repro.autotune import (
     report_fingerprint,
     synthesize_trace,
 )
-from repro.nn.executor import ArrayBackend
+from repro.nn.executor import ArrayBackend, ParamCache
 from repro.nn.layers import Linear, Module
 from repro.nn.models import TinyBERT
 from repro.serving import (
@@ -80,8 +80,10 @@ from repro.serving import (
 from repro.serving.faults import MAX_RETRIES
 from repro.serving.generation import ActiveSequence
 from repro.serving.multiproc import merge_reports
+from repro.serving.deploy import assemble_engine
 from repro.serving.request import CompletedRequest
 from repro.systolic import SystolicArray, SystolicConfig
+from repro.systolic.trace import Trace
 
 CONFIG = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=8)
 GRANULARITY = 0.25
@@ -106,10 +108,7 @@ def _engine(kind, n_shards, faults=None, elastic=None, placement="round_robin"):
         pool,
         max_batch_size=2,
         flush_timeout=1e-4,
-        prefix_cache=(
-            RadixKVCache(namespace="serving.prefix") if kind == "prefix" else None
-        ),
-        radix_cache=RadixKVCache() if generation else None,
+        radix_cache=RadixKVCache() if generation or kind == "prefix" else None,
         faults=faults,
         elastic=elastic,
         placement=placement,
@@ -664,10 +663,7 @@ def test_four_kinds_of_endpoint_share_one_engine():
     too): only the ``Module`` batches stack, nobody's results move."""
 
     def serve(model, eager):
-        engine = _small_engine(
-            prefix_cache=RadixKVCache(namespace="serving.prefix"),
-            radix_cache=RadixKVCache(),
-        )
+        engine = _small_engine(radix_cache=RadixKVCache())
         bare = _CountedBERT()
         _register(engine, "module", model, eager)
         engine.register("callable", infer_fn=lambda x, backend: bare.infer(x, backend))
@@ -1002,9 +998,8 @@ def test_compute_once_adds_no_knob_and_one_call_site():
         return list(inspect.signature(function).parameters)
 
     assert parameters(InferenceEngine.__init__) == [
-        "self", "dispatcher", "max_batch_size", "flush_timeout",
-        "retain_trace_events", "policy", "placement", "tenants", "prefix_cache",
-        "radix_cache", "faults", "elastic", "recorder",
+        "self", "dispatcher", "max_batch_size", "flush_timeout", "policy",
+        "placement", "tenants", "radix_cache", "faults", "elastic", "recorder",
     ]
     assert parameters(InferenceEngine.register) == [
         "self", "name", "model", "infer_fn", "batchable", "cost_model",
@@ -1024,8 +1019,7 @@ def test_compute_once_adds_no_knob_and_one_call_site():
 
     assert fields(TuningConfig) == [
         "pool", "placement", "occupancy_penalty", "max_batch_size", "flush_timeout",
-        "max_queue_depth", "prefix_budget_bytes", "radix_budget_bytes", "steal",
-        "autoscale",
+        "max_queue_depth", "radix_budget_bytes", "steal", "autoscale",
     ]
     assert fields(ElasticConfig) == [
         "steal", "autoscale", "min_shards", "max_shards", "power_budget_watts",
@@ -1066,6 +1060,27 @@ def test_compute_once_adds_no_knob_and_one_call_site():
         "request", "outputs", "shard", "batch_index", "batch_size", "start",
         "finish", "batch_cycles", "attempts",
     ]
+
+
+def test_one_kv_cache_and_one_record_of_array_work():
+    """An engine has one K/V cache with one budget, and array work has
+    one per-event record — the tape ``capture()`` fills — so no knob
+    chooses between copies of either."""
+
+    def parameters(function):
+        return list(inspect.signature(function).parameters)
+
+    assert parameters(RadixKVCache.__init__) == ["self", "shard_budget_bytes", "fabric"]
+    assert RadixKVCache.NAMESPACE == "serving.radix"
+    assert parameters(ParamCache.__init__) == ["self", "maxsize"]
+    assert parameters(assemble_engine) == [
+        "pool", "endpoints", "radix_budget_bytes", "fabric", "engine_options",
+    ]
+    assert parameters(SystolicArray.__init__) == ["self", "config"]
+    assert parameters(Trace.__init__) == ["self"]
+    for retired in ("configure", "events", "events_recorded", "events_retained"):
+        assert not hasattr(Trace, retired)
+        assert not hasattr(Trace(), retired)
 
 
 # ---------------------------------------------------------------------------

@@ -873,9 +873,9 @@ class TestRadixKVCache:
         model = _model()
         fabric = FileStore(str(tmp_path))
         p = np.array([1, 2, 3], dtype=np.int64)
-        first = RadixKVCache(namespace="serving.prefix", fabric=fabric)
+        first = RadixKVCache(fabric=fabric)
         assert first.insert(0, "t", "m", p, _payload(model, p))
-        second = RadixKVCache(namespace="serving.prefix", fabric=fabric)
+        second = RadixKVCache(fabric=fabric)
         assert second.resident_shards("t", "m", p) == ()  # fabric-only
         n, payload = second.lookup(1, "t", "m", p)
         assert n == 3 and payload.pos == 3

@@ -208,7 +208,7 @@ class TestServeMultiproc:
         model = TinyBERT(**MODEL_KWARGS)
         engine = InferenceEngine(
             ClusterSpec.homogeneous(CONFIG, 2).build(),
-            prefix_cache=RadixKVCache(namespace="serving.prefix"),
+            radix_cache=RadixKVCache(),
         )
         engine.register(
             "bert", model, prefix_adapter=TransformerPrefixAdapter(model, PREFIX_LEN)

@@ -212,7 +212,7 @@ class TestViewsMatchReference:
         engine = InferenceEngine(
             ClusterSpec.heterogeneous(SKEWED_POOL).build(),
             max_batch_size=4, flush_timeout=1e-7, placement="lookahead",
-            prefix_cache=RadixKVCache(1 << 20, namespace="serving.prefix"),
+            radix_cache=RadixKVCache(1 << 20),
             elastic=LOOKAHEAD,
         )
         engine.register(
@@ -468,7 +468,7 @@ def test_prefix_keyed_batch_rereads_residency_at_execution():
     engine = InferenceEngine(
         ClusterSpec.heterogeneous((MID, MID)).build(),
         max_batch_size=2, flush_timeout=1e-4, placement="lookahead",
-        prefix_cache=RadixKVCache(1 << 20, namespace="serving.prefix"),
+        radix_cache=RadixKVCache(1 << 20),
         elastic=ElasticConfig(),
     )
     engine.register(

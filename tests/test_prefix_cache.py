@@ -21,7 +21,9 @@ from repro.nn.executor import ArrayBackend, CPWLBackend, KVState
 from repro.nn.models import TinyBERT
 from repro.nn.workload import transformer_prefix_savings
 from repro.serving import (
+    DEFAULT_TENANT,
     ClusterSpec,
+    GenerationAdapter,
     InferenceEngine,
     PrefixAffinePlacement,
     RadixKVCache,
@@ -58,8 +60,8 @@ design_points = st.sampled_from(
 
 
 def _cache(budget: int = 32 << 20) -> RadixKVCache:
-    """A classifier-side cache: the one class under the prefix namespace."""
-    return RadixKVCache(budget, namespace="serving.prefix")
+    """The engine's one K/V cache, here serving a classifier."""
+    return RadixKVCache(budget)
 
 
 class _Payload:
@@ -278,7 +280,7 @@ def _make_engine(n_shards=2, cache=None, model=None, prefix_len=5, **kw):
         ClusterSpec.homogeneous(config, n_shards).build(),
         max_batch_size=kw.pop("max_batch_size", 4),
         flush_timeout=kw.pop("flush_timeout", 1e-4),
-        prefix_cache=cache,
+        radix_cache=cache,
         **kw,
     )
     adapter = (
@@ -408,19 +410,52 @@ class TestEngineIntegration:
                 "bad", model, prefix_adapter=TransformerPrefixAdapter(other, 5)
             )
 
-    def test_two_caches_need_two_namespaces(self):
-        """Both caches under one namespace would report one cache's
-        ``<namespace>.shard<N>`` rows over the other's in
-        ``cache_stats()`` (and share keys and budgets on a shared
-        store), so the engine refuses the pair up front."""
-        with pytest.raises(ValueError, match="prefix_cache and radix_cache"):
-            _make_engine(cache=RadixKVCache(), radix_cache=RadixKVCache())
-        shared = RadixKVCache()
-        with pytest.raises(ValueError, match="serving.radix"):
-            _make_engine(cache=shared, radix_cache=shared)
-        # Distinct namespaces (what docs and build_engine pass) are fine.
-        engine, _ = _make_engine(cache=_cache(), radix_cache=RadixKVCache())
-        assert engine.prefix_cache.namespace != engine.radix_cache.namespace
+    def test_one_cache_serves_both_kinds_under_one_budget(self):
+        """A classifier prompt and generation prompts share one cache and
+        its per-shard budget: both kinds hit, an insert of one kind
+        evicts the other's entry, and no output moves."""
+        rng = np.random.default_rng(0)
+        prompt, chat_prompt = rng.integers(0, 16, 5), rng.integers(0, 16, 4)
+        rows = [np.concatenate([prompt, rng.integers(0, 16, 3)]) for _ in range(3)]
+        follow_up = np.concatenate([chat_prompt, rng.integers(0, 16, 3)])
+
+        class _Spy(RadixKVCache):
+            """Records, per insert, whether the classifier prompt was
+            resident before and after it."""
+
+            def __init__(self, budget):
+                super().__init__(budget)
+                self.inserts = []
+
+            def insert(self, shard, tenant, model, tokens, payload):
+                before = self.resident_shards(DEFAULT_TENANT, "bert", prompt)
+                accepted = super().insert(shard, tenant, model, tokens, payload)
+                after = self.resident_shards(DEFAULT_TENANT, "bert", prompt)
+                self.inserts.append((model, before, after))
+                return accepted
+
+        def serve(cache):
+            # 1,500 bytes per shard: the classifier prompt's payload
+            # (1,000) fits beside no generation payload (544-1,088).
+            engine, _ = _make_engine(n_shards=1, cache=cache, flush_timeout=1e-5)
+            chat = _make_model(seq_len=16, seed=1)
+            engine.register("chat", chat, generation_adapter=GenerationAdapter(chat))
+            ids = [engine.submit("bert", rows[0], 0.0), engine.submit("bert", rows[1], 1e-3)]
+            ids.append(engine.submit_generation("chat", chat_prompt, 3, 2e-3))
+            ids.append(engine.submit_generation("chat", follow_up, 2, 4e-3))
+            ids.append(engine.submit("bert", rows[2], 6e-3))
+            report = engine.run()
+            return report, [engine.result(i) for i in ids]
+
+        cache = _Spy(1500)
+        report, outputs = serve(cache)
+        hits = {(event.model, event.hit) for event in report.prefix_events}
+        assert {("bert", True), ("chat", True)} <= hits
+        assert ("chat", (0,), ()) in cache.inserts  # a prefill evicted the prompt
+        assert cache.evictions >= 2
+        _, expected = serve(None)
+        for got, want in zip(outputs, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_reset_clears_cache(self):
         model = _make_model()
@@ -474,7 +509,7 @@ class TestServingInvariantFuzz:
             pool,
             max_batch_size=max_batch,
             flush_timeout=1e-4,
-            prefix_cache=cache,
+            radix_cache=cache,
         )
         engine.register(
             "bert", model, prefix_adapter=TransformerPrefixAdapter(model, prefix_len)

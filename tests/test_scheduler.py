@@ -378,9 +378,8 @@ class TestEngineMultiTenant:
         assert sum(report.tenant_cycles.values()) == report.total_cycles
         assert report.tenant_cycles["alice"] > 0
         assert report.tenant_cycles["bob"] > 0
-        # Trace stays aggregate-only (bounded memory) yet attributable.
+        # Attributable from the trace aggregates alone.
         trace = pool.array_of(0).trace
-        assert trace.events_retained == 0
         assert set(trace.cycles_by_namespace()) == {"alice", "bob"}
         # Bit-identical to the single-tenant run of the same requests.
         for request_id, expected in zip(ids, reference):
@@ -674,7 +673,7 @@ class TestTraceNamespaces:
         return TraceEvent(kind="gemm", label=label, cycles=cycles, ops=1)
 
     def test_namespace_attribution(self):
-        trace = Trace(retain_events=False)
+        trace = Trace()
         trace.record(self.event(5))  # outside any namespace
         with trace.namespace("a"):
             trace.record(self.event(7, label="x"))
@@ -688,7 +687,6 @@ class TestTraceNamespaces:
         assert trace.cycles_by_label(namespace="ghost") == {}
         # Global label aggregates are unchanged by namespacing.
         assert trace.cycles_by_label() == {"l": 5, "x": 10, "y": 2}
-        assert trace.events_retained == 0
 
     def test_nested_namespaces_innermost_wins(self):
         trace = Trace()

@@ -8,12 +8,14 @@ pass; these tests pin the three pieces that rests on:
 
 * **shapes only**: for every shipped model two value draws of one input
   shape tape equal — the ``Module.infer`` contract;
-* **replay == execution** in every aggregate the trace keeps, in all
-  three retention modes, under namespaces, and in parameter-store
-  traffic when tables of two models evict each other;
+* **replay == execution** in every aggregate the trace keeps and, taped,
+  entry for entry, under namespaces, and in parameter-store traffic
+  when tables of two models evict each other;
 * **detached leaves no mark** on trace, parameter store, addressing
   unit or FIFOs — also when the body raises.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -121,15 +123,37 @@ def test_tape_depends_on_shapes_never_on_values(case, seeds):
         assert _readable(tapes[0]) == _readable(tapes[1])
 
 
+def _scan(tape):
+    """The trace aggregates a tape stands for, every pair charged (a
+    preload pair counts once)."""
+    totals = {"events": 0, "cycles": 0, "kind": {}, "ops": {}, "label": {}}
+    for event, arg in tape:
+        count = 1 if isinstance(arg, QuantizedSegmentTable) else arg
+        totals["events"] += count
+        totals["cycles"] += event.cycles * count
+        for key, field, value in (
+            ("kind", event.kind, event.cycles),
+            ("ops", event.kind, event.ops),
+            ("label", event.label, event.cycles),
+        ):
+            totals[key][field] = totals[key].get(field, 0) + value * count
+    return totals
+
+
 def test_tape_holds_what_trace_record_received():
-    """Entry for entry the tape is the trace's own event log — plus the
+    """Entry for entry the tape is what the trace recorded — plus the
     preload pair of a nonlinear op whose table was already resident."""
     array = SystolicArray(DESIGN_POINTS[0])
     backend = ArrayBackend(array, GRANULARITY)
     x = np.random.default_rng(0).normal(size=(4, 8))
     with array.capture() as cold:
         backend.gelu(LINEAR.infer(x, backend))
-    assert [event for event, _ in cold] == list(array.trace.events)
+    trace = array.trace
+    assert _scan(cold) == {
+        "events": len(trace), "cycles": trace.total_cycles,
+        "kind": trace.cycles_by_kind(), "ops": trace.ops_by_kind(),
+        "label": trace.cycles_by_label(),
+    }
     assert [e.kind for e, _ in cold] == ["gemm", "preload", "ipf", "mhp"]
     assert isinstance(cold[1][1], QuantizedSegmentTable)
     with array.capture() as warm:
@@ -151,37 +175,36 @@ def _account(trace):
         "cycles_by_label": trace.cycles_by_label(),
         "cycles_by_namespace": namespaces,
         "ns_cycles_by_label": {ns: trace.cycles_by_label(ns) for ns in namespaces},
-        "events_recorded": trace.events_recorded,
-        "events": list(trace.events),
+        "events": len(trace),
     }
 
 
-RETENTION = (dict(retain_trace_events=True), dict(retain_trace_events=False))
-
-
-@pytest.mark.parametrize("retention", RETENTION, ids=("all", "none"))
+@pytest.mark.parametrize("taped", (True, False), ids=("all", "none"))
 @pytest.mark.parametrize("config", DESIGN_POINTS, ids=("8x8x16", "4x4x4"))
-def test_replay_equals_execution(config, retention):
+def test_replay_equals_execution(config, taped):
+    """Every event taped, or none: a tape is the only per-event log."""
     tokens = _tokens(np.random.default_rng(7))
 
     def serve(array, issue):
-        # Twice under one tenant, once under another, once under none:
-        # only the first pass finds the GELU table missing.
-        for namespace in ("tenant-a", "tenant-a", "tenant-b"):
-            with array.trace.namespace(namespace):
-                issue(array)
-        issue(array)
-        return _account(array.trace)
+        with array.capture() if taped else nullcontext([]) as log:
+            # Twice under one tenant, once under another, once under
+            # none: only the first pass finds the GELU table missing.
+            for namespace in ("tenant-a", "tenant-a", "tenant-b"):
+                with array.trace.namespace(namespace):
+                    issue(array)
+            issue(array)
+        assert bool(log) == taped
+        return dict(_account(array.trace), log=_readable(log))
 
     scratch = SystolicArray(config)
     with scratch.capture() as tape:
         BERT.infer(tokens, ArrayBackend(scratch, GRANULARITY))
 
     executed = serve(
-        SystolicArray(config, **retention),
+        SystolicArray(config),
         lambda array: BERT.infer(tokens, ArrayBackend(array, GRANULARITY)),
     )
-    replayed = serve(SystolicArray(config, **retention), lambda array: array.replay(tape))
+    replayed = serve(SystolicArray(config), lambda array: array.replay(tape))
     assert replayed == executed
     assert executed["cycles_by_kind"]["preload"] > 0
     assert set(executed["cycles_by_namespace"]) == {"tenant-a", "tenant-b"}

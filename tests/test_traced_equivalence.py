@@ -178,6 +178,11 @@ class TestMhpEquivalence:
         assert np.array_equal(all_rows, np.arange(10))
 
 
+def _expanded(tape):
+    """A GEMM tape as one event per recorded occurrence."""
+    return [event for event, count in tape for _ in range(count)]
+
+
 class TestBatchedArrayBackendEquivalence:
     def _backends(self):
         config = small_config()
@@ -192,10 +197,12 @@ class TestBatchedArrayBackendEquivalence:
         a = rng.normal(size=(6, 5, 7))
         b = rng.normal(size=(6, 7, 4))
 
-        out_batched = batched.matmul(a, b)
-        out_looped = np.stack(
-            [looped.matmul(a[i], b[i]) for i in range(a.shape[0])]
-        )
+        with batched.array.capture() as tape_batched:
+            out_batched = batched.matmul(a, b)
+        with looped.array.capture() as tape_looped:
+            out_looped = np.stack(
+                [looped.matmul(a[i], b[i]) for i in range(a.shape[0])]
+            )
         assert np.array_equal(out_batched, out_looped)
 
         # Trace content must be identical: same event count, same
@@ -205,7 +212,10 @@ class TestBatchedArrayBackendEquivalence:
         assert t_batched.total_cycles == t_looped.total_cycles
         assert t_batched.cycles_by_kind() == t_looped.cycles_by_kind()
         assert t_batched.ops_by_kind() == t_looped.ops_by_kind()
-        for eb, el in zip(t_batched.events, t_looped.events):
+        events_batched = _expanded(tape_batched)
+        events_looped = _expanded(tape_looped)
+        assert len(events_batched) == len(events_looped) == 6
+        for eb, el in zip(events_batched, events_looped):
             assert (eb.kind, eb.cycles, eb.ops) == (el.kind, el.cycles, el.ops)
             assert eb.breakdown == el.breakdown
 
@@ -310,10 +320,10 @@ class TestTraceAggregateMode:
         return TraceEvent(kind, label, cycles=cycles, ops=ops)
 
     def test_aggregate_only_is_memory_bounded(self):
-        trace = Trace(retain_events=False)
+        trace = Trace()
         for i in range(10_000):
             trace.record(self._event(cycles=i % 7, ops=1))
-        assert trace.events_retained == 0
+        assert not hasattr(trace, "events")  # no log to grow
         assert len(trace) == 10_000
         assert trace.total_cycles == sum(i % 7 for i in range(10_000))
         assert trace.ops_by_kind() == {"gemm": 10_000}
@@ -321,9 +331,10 @@ class TestTraceAggregateMode:
     def test_aggregates_match_event_scan(self):
         trace = Trace()
         rng = np.random.default_rng(10)
+        events = []
         for _ in range(200):
             kind = ("gemm", "mhp", "ipf")[int(rng.integers(3))]
-            trace.record(
+            events.append(
                 self._event(
                     kind=kind,
                     label=f"{kind}.x",
@@ -331,48 +342,42 @@ class TestTraceAggregateMode:
                     ops=int(rng.integers(1, 500)),
                 )
             )
-        assert trace.total_cycles == sum(e.cycles for e in trace.events)
-        by_kind = {}
-        for e in trace.events:
+            trace.record(events[-1])
+        assert trace.total_cycles == sum(e.cycles for e in events)
+        by_kind, ops_by_kind, by_label = {}, {}, {}
+        for e in events:
             by_kind[e.kind] = by_kind.get(e.kind, 0) + e.cycles
+            ops_by_kind[e.kind] = ops_by_kind.get(e.kind, 0) + e.ops
+            by_label[e.label] = by_label.get(e.label, 0) + e.cycles
         assert trace.cycles_by_kind() == by_kind
-
-    def test_configure_switches_modes_in_place(self):
-        trace = Trace()
-        for _ in range(5):
-            trace.record(self._event())
-        trace.configure(retain_events=False)
-        # Already-collected events survive the switch; only future
-        # appends stop.
-        assert trace.events_retained == 5
-        trace.record(self._event())
-        assert trace.events_retained == 5
-        assert trace.total_cycles == 60
-        trace.configure(retain_events=True)
-        trace.record(self._event())
-        trace.record(self._event())
-        trace.record(self._event())
-        assert trace.events_retained == 8
-        assert trace.total_cycles == 90
+        assert trace.ops_by_kind() == ops_by_kind
+        assert trace.cycles_by_label() == by_label
+        assert len(trace) == len(events)
 
     def test_clear_preserves_mode(self):
-        trace = Trace(retain_events=False)
-        trace.record(self._event())
-        trace.clear()
-        assert trace.total_cycles == 0
-        assert len(trace) == 0
-        trace.record(self._event())
-        assert trace.events_retained == 0
+        """``clear`` zeroes the aggregates; an open namespace and an open
+        tape go on receiving what is recorded after it."""
+        trace = Trace()
+        trace.tape = tape = []
+        with trace.namespace("tenant"):
+            trace.record(self._event())
+            trace.clear()
+            assert trace.total_cycles == 0
+            assert len(trace) == 0
+            assert trace.cycles_by_namespace() == {}
+            trace.record(self._event(cycles=4))
+        assert trace.cycles_by_namespace() == {"tenant": 4}
+        assert [count for _, count in tape] == [1, 1]
 
     def test_array_o1_aggregates_follow_mode(self):
-        array = SystolicArray(small_config(), retain_trace_events=False)
+        array = SystolicArray(small_config())
         array.matmul(np.ones((8, 8)), np.ones((8, 8)))
         array.apply_nonlinear("gelu", np.zeros((4, 4)), 0.25)
         assert array.total_cycles > 0
-        assert array.trace.events_retained == 0
+        assert len(array.trace) == 4  # gemm, preload, ipf, mhp
         summary = array.utilization_summary()
         assert sum(summary.values()) == pytest.approx(1.0)
         array.reset()
         assert array.total_cycles == 0
         array.matmul(np.ones((4, 4)), np.ones((4, 4)))
-        assert array.trace.events_retained == 0  # mode survives reset
+        assert len(array.trace) == 1
