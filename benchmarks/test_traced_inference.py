@@ -643,7 +643,7 @@ def test_generation_coalescing_counts(print_artifact):
     )
 
 
-def test_replay_counts_at_the_hostbench_shapes(print_artifact):
+def test_replay_counts_at_the_hostbench_shapes(print_artifact, monkeypatch):
     """Two replays of one spec at hostbench's three serving shapes (seed 0,
     ``--scale 0.2``) — what every timed repetition after the first is.
 
@@ -652,17 +652,39 @@ def test_replay_counts_at_the_hostbench_shapes(print_artifact):
     the 3,200-request bursty trace, exactly one lockstep pass (1 prefill
     + 7 decode steps) over the 72 conversational prompts, and at most
     ``ceil(elements / STACK_ELEMENTS)`` on the flood, which computes rows
-    for requests it sheds later.  The gates are on counts, which repeat
-    exactly on any runner.
+    for requests it sheds later.
+
+    Approximators are memoised per process, so from cold (the memo
+    emptied before each shape) the first replay constructs every one it
+    uses and the second none.  Their code tables outlive the replay too,
+    so a shape replays on until one replay runs the IPF -> MHP chain not
+    once; how many replays that takes is recorded and gated (the bursty
+    trace's third, the conversational one, which feeds each approximator
+    well under a table's worth per replay, within 40).  The gates are on
+    counts, which repeat exactly on any runner.
     """
     import collections
     import dataclasses
+    import sys
 
     from hostbench.workloads import WORKLOADS
     from repro.autotune import replay_trace, report_fingerprint
+    from repro.core.cpwl import CPWLApproximator
+    from repro.core.nonlinear_ops import get_approximator
     from repro.serving.engine import STACK_ELEMENTS
 
-    calls = collections.Counter()
+    calls, cpwl_work = collections.Counter(), collections.Counter()
+    cpwl = sys.modules["repro.core.cpwl"]
+    chain = cpwl.fetch_parameters
+    init = CPWLApproximator.__init__
+
+    def counting_chain(*args, **kwargs):
+        cpwl_work["chain_calls"] += 1
+        return chain(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        cpwl_work["approximators"] += 1
+        init(self, *args, **kwargs)
 
     def counted(factory):
         class Counted(factory):
@@ -681,32 +703,49 @@ def test_replay_counts_at_the_hostbench_shapes(print_artifact):
 
         return Counted
 
+    def replay(workload, spec):
+        calls.clear(), cpwl_work.clear()
+        report = replay_trace(workload.trace, workload.tuning, (spec,))
+        return dict(calls), dict(cpwl_work), report
+
     recorded = {}
-    for name in ("classify_bursty", "generate_chat", "admission_flood"):
-        workload = WORKLOADS[name](0, 0.2)
-        spec = dataclasses.replace(
-            workload.endpoint, factory=counted(workload.endpoint.factory)
-        )
-        replays = []
-        for _ in range(2):
-            calls.clear()
-            report = replay_trace(workload.trace, workload.tuning, (spec,))
-            replays.append((dict(calls), report))
-        (first, report), (second, again) = replays
-        assert report_fingerprint(report) == report_fingerprint(again)
-        elements = sum(r.inputs_array().size for r in workload.trace.requests)
-        recorded[name] = {
-            "requests": len(workload.trace.requests),
-            "completed": len(report.completed),
-            "stacks": -(-elements // STACK_ELEMENTS),
-            "model_calls": sum(first.get(k, 0) for k in ("infer", "prefill", "decode_step")),
-            "second_replay": second,
-        }
+    with monkeypatch.context() as patch:
+        patch.setattr(cpwl, "fetch_parameters", counting_chain)
+        patch.setattr(CPWLApproximator, "__init__", counting_init)
+        for name in ("classify_bursty", "generate_chat", "admission_flood"):
+            workload = WORKLOADS[name](0, 0.2)
+            spec = dataclasses.replace(
+                workload.endpoint, factory=counted(workload.endpoint.factory)
+            )
+            get_approximator.cache_clear()
+            (first, work, report), (second, work_again, again) = (
+                replay(workload, spec) for _ in range(2)
+            )
+            assert report_fingerprint(report) == report_fingerprint(again)
+            elements = sum(r.inputs_array().size for r in workload.trace.requests)
+            recorded[name] = {
+                "requests": len(workload.trace.requests),
+                "completed": len(report.completed),
+                "stacks": -(-elements // STACK_ELEMENTS),
+                "model_calls": sum(
+                    first.get(k, 0) for k in ("infer", "prefill", "decode_step")
+                ),
+                "cpwl": work,
+                "second_replay": second,
+                "second_replay_cpwl": work_again,
+            }
+            replays = 2
+            while work_again.get("chain_calls") and replays < 100:
+                work_again = replay(workload, spec)[1]
+                replays += 1
+            recorded[name]["replays_to_no_chain_calls"] = replays
     print_artifact(
-        "Model calls of two replays of one spec (hostbench shapes, seed 0, scale 0.2)\n"
+        "Two replays of one spec (hostbench shapes, seed 0, scale 0.2)\n"
         + "\n".join(
-            f"  {name:<16s} {row['requests']:>6,} requests: {row['model_calls']} calls, "
-            f"then {row['second_replay']} (input fills {row['stacks']} stack(s))"
+            f"  {name:<16s} {row['requests']:>6,} requests: {row['model_calls']} calls "
+            f"{row['cpwl']}, then {row['second_replay']} {row['second_replay_cpwl']} "
+            f"(input fills {row['stacks']} stack(s)); no chain call from replay "
+            f"{row['replays_to_no_chain_calls']} on"
             for name, row in recorded.items()
         )
     )
@@ -716,6 +755,12 @@ def test_replay_counts_at_the_hostbench_shapes(print_artifact):
     assert bursty["second_replay"]["rows"] == bursty["requests"]
     assert chat["second_replay"] == {"prefill": 1, "decode_step": 7}
     assert flood["second_replay"]["infer"] <= flood["stacks"]
+    # Approximators and their tables outlive a replay.
+    assert bursty["cpwl"]["approximators"] == chat["cpwl"]["approximators"] == 4
+    assert "approximators" not in bursty["second_replay_cpwl"]
+    assert "approximators" not in chat["second_replay_cpwl"]
+    assert bursty["replays_to_no_chain_calls"] <= 3
+    assert chat["replays_to_no_chain_calls"] <= 40
 
 
 def test_nonlinear_code_table(print_artifact, monkeypatch):
@@ -737,7 +782,7 @@ def test_nonlinear_code_table(print_artifact, monkeypatch):
 
     from hostbench.workloads import model_forward
     from repro.core.cpwl import CPWLApproximator
-    from repro.core.nonlinear_ops import clear_approximator_cache
+    from repro.core.nonlinear_ops import get_approximator
     from repro.systolic.addressing import DataAddressing
 
     workload = model_forward(0, 0.2)
@@ -751,7 +796,7 @@ def test_nonlinear_code_table(print_artifact, monkeypatch):
         )
         return outputs, backend.array.trace
 
-    clear_approximator_cache()
+    get_approximator.cache_clear()
     fed = collections.Counter()
     evaluate = CPWLApproximator.evaluate_raw
 

@@ -38,7 +38,6 @@ from repro.serving.deploy import (
     EndpointSpec,
     WorkloadCostSpec,  # re-exported: callers import both specs from here
     assemble_engine,
-    private_store,
 )
 from repro.serving.engine import InferenceEngine
 from repro.serving.faults import FaultPlan
@@ -87,24 +86,22 @@ def replay_trace(
 ) -> ServingReport:
     """Re-drive ``trace`` through a fresh engine built from ``tuning``.
 
-    Runs under a :func:`~repro.serving.deploy.private_store`, so
-    replays never share plan/approximator caches with the caller or
-    each other — a candidate's report depends on the trace and the
-    config, nothing else.
+    A candidate's report depends on the trace and the config, nothing
+    else.  The engine is new, so its K/V and parameter caches start
+    empty; what replays do share is pure — GEMM / MHP plans and CPWL
+    approximators, memoised per process where they are defined — so it
+    can move host time, never a report.
 
     Replays given the same :class:`~repro.serving.deploy.EndpointSpec`
-    *object* do share its trace tapes, and only those: a unit of a shape
-    an earlier replay executed is charged by replaying that tape from
-    the first unit on.  No report can see it — a replayed unit records
-    the events an executed one records — so the fingerprint is the one
-    a freshly constructed equal spec gives.
+    *object* also share its trace tapes: a unit of a shape an earlier
+    replay executed is charged by replaying that tape from the first
+    unit on.  No report can see it — a replayed unit records the events
+    an executed one records — so the fingerprint is the one a freshly
+    constructed equal spec gives.
     """
-    with private_store():
-        engine = build_engine(
-            tuning, endpoints, tenants=trace.tenants, faults=faults
-        )
-        engine.enqueue(trace.requests)
-        return engine.run()
+    engine = build_engine(tuning, endpoints, tenants=trace.tenants, faults=faults)
+    engine.enqueue(trace.requests)
+    return engine.run()
 
 
 def evaluate(

@@ -27,7 +27,6 @@ from repro.core.segment_table import SegmentTable, build_segment_table
 from repro.core.cpwl import CPWLApproximator, approximation_error
 from repro.core.ipf import IPFResult, fetch_parameters, segment_indices
 from repro.core.nonlinear_ops import (
-    clear_approximator_cache,
     cpwl_batchnorm,
     cpwl_gelu,
     cpwl_layernorm,
@@ -61,7 +60,6 @@ __all__ = [
     "cpwl_softmax",
     "cpwl_layernorm",
     "cpwl_batchnorm",
-    "clear_approximator_cache",
     "GranularityChoice",
     "recommend_granularity",
     "sweep_granularity",

@@ -36,10 +36,13 @@ from repro.fixedpoint.quantize import strips
 #: pass over that many codes, so by then the chain has cost as much as
 #: the table will, and paying for it then never costs more than twice
 #: the cheaper of always and never tabulating (the ski-rental rule).
-#: Building at construction instead costs a hostbench ``generate_chat``
-#: repetition, whose private store rebuilds all four approximators and
-#: feeds none of them 2**16 elements, 15-22% (24.7 -> 28.3 ms median of
-#: 40, three runs each; a table fills in 1.1-2.0 ms).
+#: Approximators are per-process memos, so a serving process builds a
+#: table once either way (building at construction moved a hostbench
+#: ``generate_chat`` repetition by less than its noise, ~29-34 ms median
+#: of 40 in three processes each); what building at construction costs
+#: is the approximator that sees little traffic: 64 of them fed 1,024
+#: codes each took 8-12 ms under the rule and 124-136 ms built at
+#: construction on a 2-core x86 host (a table fills in 1.1-2.0 ms).
 TABLE_MAX_BITS = 16
 
 

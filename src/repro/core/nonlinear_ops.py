@@ -29,6 +29,7 @@ array beyond its codes and its output.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -36,18 +37,25 @@ import numpy as np
 from repro.core.cpwl import CPWLApproximator
 from repro.fixedpoint import QFormat, round_saturate
 from repro.fixedpoint.qformat import INT16
-from repro.store import get_store, register_namespace
 
-# Built approximators live in the process-global cache store, keyed by
-# (function, granularity, fmt, domain) under this namespace.  Under
-# serving traffic every distinct combination would otherwise stay
-# resident forever — a slow leak — so the namespace is bounded (LRU
-# eviction).  The default capacity is generous enough that
-# single-experiment runs (granularity sweeps, the full test suite)
-# never evict.
-APPROXIMATOR_NAMESPACE = "core.approximators"
-_DEFAULT_CACHE_CAPACITY = 256
-register_namespace(APPROXIMATOR_NAMESPACE, max_entries=_DEFAULT_CACHE_CAPACITY)
+#: Approximators kept per process.  One is a pure function of (function,
+#: granularity, format, domain), so, like the (K, B) tables the array
+#: preloads into its L3 parameter store once, it is built once and
+#: reused: its code table (``CPWLApproximator.code_table``) then
+#: amortises over every op the process runs, replays included.  The
+#: bound stops a granularity / format sweep from growing the memo
+#: without limit; no single experiment comes near it.
+APPROXIMATORS = 256
+
+
+@functools.lru_cache(maxsize=APPROXIMATORS)
+def _approximator(
+    name: str,
+    granularity: float,
+    fmt: Optional[QFormat],
+    domain: Optional[tuple[float, float]],
+) -> CPWLApproximator:
+    return CPWLApproximator(name, granularity, fmt=fmt, domain=domain)
 
 
 def get_approximator(
@@ -56,19 +64,15 @@ def get_approximator(
     fmt: Optional[QFormat] = INT16,
     domain: Optional[tuple[float, float]] = None,
 ) -> CPWLApproximator:
-    """Cached CPWL approximator (tables are preloaded once, like L3)."""
-    key = (name, float(granularity), fmt, domain)
-    store = get_store()
-    approx = store.get(APPROXIMATOR_NAMESPACE, key)
-    if approx is None:
-        approx = CPWLApproximator(name, granularity, fmt=fmt, domain=domain)
-        store.put(APPROXIMATOR_NAMESPACE, key, approx)
-    return approx
+    """Memoised CPWL approximator (tables are preloaded once, like L3).
+
+    ``get_approximator.cache_info()`` / ``cache_clear()`` inspect and
+    empty the memo."""
+    return _approximator(name, float(granularity), fmt, domain)
 
 
-def clear_approximator_cache() -> None:
-    """Drop all cached tables (tests use this to control memory)."""
-    get_store().clear(APPROXIMATOR_NAMESPACE)
+get_approximator.cache_info = _approximator.cache_info
+get_approximator.cache_clear = _approximator.cache_clear
 
 
 def cpwl_gelu(

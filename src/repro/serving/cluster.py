@@ -930,10 +930,8 @@ def save_calibration(
     snapshot survives the process and is visible to every worker; the
     default process-global store makes it an in-process checkpoint.
     The payload is the JSON-safe :meth:`CalibratingCostModel.to_dict`
-    snapshot, so both store serializers can carry it.  The entry is
-    version-stamped with :attr:`CalibratingCostModel.version` so a
-    :class:`~repro.store.tiered.TieredStore` read revalidates a stale
-    local copy against a fresher snapshot another worker saved.
+    snapshot, so both store serializers can carry it, version-stamped
+    with :attr:`CalibratingCostModel.version`.
     """
     if store is None:
         from repro.store import get_store

@@ -5,11 +5,10 @@ candidate replay of :func:`~repro.autotune.replay.replay_trace` and a
 search worker scoring candidates all stand an engine up from picklable
 values.  What that takes exists here exactly once: endpoints described
 by construction (:class:`EndpointSpec`), the engine assembler
-(:func:`assemble_engine` — it alone decides which caches exist), the
-store swap that scopes a run (:func:`private_store`) and the
-child-process fan-out (:func:`fan_out`).  Engine options are forwarded,
-never re-declared: an option added to ``InferenceEngine`` reaches fleets
-and replays with no edit here or in either front end.
+(:func:`assemble_engine` — it alone decides which caches exist) and
+the child-process fan-out (:func:`fan_out`).  Engine options are
+forwarded, never re-declared: an option added to ``InferenceEngine``
+reaches fleets and replays with no edit here or in either front end.
 """
 
 from __future__ import annotations
@@ -21,15 +20,14 @@ import multiprocessing
 import os
 import sys
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.serving.cluster import ClusterSpec, workload_cost_model
 from repro.serving.engine import InferenceEngine
 from repro.serving.generation import GenerationAdapter
 from repro.serving.prefix_cache import RadixKVCache, TransformerPrefixAdapter
-from repro.store import CacheStore, InProcessLRU, TieredStore, get_store, set_store
+from repro.store import CacheStore
 
 #: Cost models kept, one per ``WorkloadCostSpec`` value (deployments here use one).
 COST_MODELS = 16
@@ -178,27 +176,6 @@ def check_deployment(**options) -> None:
     inspect.signature(InferenceEngine).bind(
         None, radix_cache=None, **engine_options
     )
-
-
-@contextmanager
-def private_store(fabric: Optional[CacheStore] = None) -> Iterator[None]:
-    """Swap the process-global store for a fresh private one for the
-    duration of the block, and restore the caller's afterwards.
-
-    A run inside the block shares plan / approximator caches with
-    nobody — its report depends on its inputs and nothing else, and an
-    in-process call never leaks state into the caller's store.  With a
-    ``fabric`` the private store is a
-    :class:`~repro.store.TieredStore` over it (local tier first), which
-    is how fleet workers share plans across processes.
-    """
-    previous = get_store()
-    try:
-        local = InProcessLRU()
-        set_store(TieredStore(local, fabric) if fabric is not None else local)
-        yield
-    finally:
-        set_store(previous)
 
 
 def _child_entry(body: Callable, args: tuple, conn) -> None:

@@ -150,7 +150,6 @@ from repro.serving.tenancy import (
     TenantRegistry,
     effective_deadline,
 )
-from repro.store import get_store
 
 
 #: Most input elements one stacked host pass holds (512 requests of 8
@@ -925,15 +924,11 @@ class InferenceEngine:
         )
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Unified stats of every cache namespace this engine touches.
-
-        One :meth:`repro.store.CacheStore.stats` dict per namespace:
-        the process-global store's namespaces (approximator tables,
-        GEMM/MHP plan caches, calibration snapshots), the K/V
-        cache's per-shard stores, and each shard backend's parameter
-        cache (under ``nn.params.shard<N>``).
-        """
-        stats: Dict[str, Dict[str, int]] = dict(get_store().stats())
+        """Stats of the caches this engine owns, one
+        :meth:`repro.store.CacheStore.stats` dict per namespace: the K/V
+        cache's per-shard stores and each shard backend's parameter cache
+        (under ``nn.params.shard<N>``)."""
+        stats: Dict[str, Dict[str, int]] = {}
         if self.radix_cache is not None:
             stats.update(self.radix_cache.namespace_stats())
         for shard, backend in enumerate(self.dispatcher.backends):

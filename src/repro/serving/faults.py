@@ -25,10 +25,10 @@ domains of the stack:
 * :class:`FabricFault` — a shared-store failure: ``"corrupt"`` entries
   (torn/garbage data files, applied by :func:`corrupt_fabric_entries`)
   or a ``"lock_timeout"`` (a stuck lock holder; tests inject it by
-  actually holding the namespace lock).  The store layer degrades
-  instead of failing: :class:`~repro.store.FileStore` quarantines
-  corrupt entries as misses, :class:`~repro.store.TieredStore` drops
-  to local-only mode on :class:`~repro.store.StoreLockTimeout`.
+  actually holding the namespace lock).  :class:`~repro.store.FileStore`
+  quarantines corrupt entries as misses; a lock held past the store's
+  ``lock_timeout`` raises :class:`~repro.store.StoreLockTimeout` to the
+  caller.
 
 Plans are frozen, picklable (they cross the worker process boundary
 inside :class:`~repro.serving.multiproc.WorkerConfig`) and composable:

@@ -6,12 +6,9 @@ all mutate one pool's state.  This module scales the serving front
 *out* instead of up: the declared :class:`~repro.serving.cluster.ClusterSpec`
 is partitioned into contiguous shard blocks, one worker process runs a
 full engine over each block, and the workers share a cache **fabric** —
-a :class:`~repro.store.FileStore` every worker mounts as the second
-tier of a :class:`~repro.store.TieredStore`:
+a :class:`~repro.store.FileStore` at ``store_root`` — for what is worth
+sharing:
 
-* GEMM/MHP **plan caches** and the approximator table namespace write
-  through to the fabric, so a layer shape planned by one worker is a
-  fabric hit (not a rebuild) everywhere else;
 * the **K/V cache** writes computed prompts through and promotes
   fabric hits onto the local shard, so one worker's cold pass serves
   every other worker's first request for that prompt;
@@ -19,6 +16,11 @@ tier of a :class:`~repro.store.TieredStore`:
   :data:`~repro.serving.cluster.CALIBRATION_NAMESPACE`, so a worker
   (or a later run) prices placements from observations the fleet has
   already made.
+
+GEMM / MHP plans and CPWL approximators are not shared: each is a pure
+function of its key, memoised per process where it is defined, and
+rebuilding one costs less than one fabric read.  Forked workers inherit
+the parent's memos.
 
 Everything a worker needs crosses the process boundary as one
 picklable :class:`WorkerConfig`; models cross as
@@ -74,7 +76,6 @@ from repro.serving.deploy import (
     assemble_engine,
     check_deployment,
     fan_out,
-    private_store,
 )
 from repro.serving.faults import FaultPlan
 from repro.serving.report import ServingReport
@@ -202,32 +203,26 @@ def partition_cluster(cluster: ClusterSpec, n_workers: int) -> List[ClusterSpec]
 # The worker body
 # ---------------------------------------------------------------------------
 def _worker_main(config: WorkerConfig) -> ServingReport:
-    """Run one engine over one partition; the body of a worker process.
-
-    Also callable in-process (the single-worker path and the tests use
-    this): the run happens under a
-    :func:`~repro.serving.deploy.private_store`, so an in-process call
-    never leaks worker state into the caller's store.
-    """
+    """Run one engine over one partition; the body of a worker process
+    (also called in-process: the single-worker path and the tests)."""
     fabric = FileStore(config.store_root) if config.store_root is not None else None
-    with private_store(fabric):
-        engine = assemble_engine(
-            config.cluster,
-            config.models,
-            fabric=fabric,
-            faults=config.fault_plan,
-            **config.options,
-        )
-        if fabric is not None:
-            # The slot save_calibration() writes when given no name.
-            state = fabric.get(CALIBRATION_NAMESPACE, "default")
-            if state is not None:
-                engine.calibrator.load_dict(state)
-        engine.enqueue(config.requests)
-        report = engine.run()
-        if fabric is not None:
-            save_calibration(engine.calibrator, fabric)
-        return report
+    engine = assemble_engine(
+        config.cluster,
+        config.models,
+        fabric=fabric,
+        faults=config.fault_plan,
+        **config.options,
+    )
+    if fabric is not None:
+        # The slot save_calibration() writes when given no name.
+        state = fabric.get(CALIBRATION_NAMESPACE, "default")
+        if state is not None:
+            engine.calibrator.load_dict(state)
+    engine.enqueue(config.requests)
+    report = engine.run()
+    if fabric is not None:
+        save_calibration(engine.calibrator, fabric)
+    return report
 
 
 def _injected_death(config: WorkerConfig):
@@ -340,8 +335,8 @@ def serve_multiproc(
     (:func:`partition_cluster`), requests round-robin over workers
     (``requests[i::n_workers]``, preserving each worker's arrival
     order), and — when ``store_root`` is given — every worker mounts
-    the same :class:`~repro.store.FileStore` fabric under its tiered
-    store, sharing plans, prompts and calibration across the fleet.
+    the same :class:`~repro.store.FileStore` fabric, sharing prompts and
+    calibration across the fleet.
 
     ``requests`` is an arrival-sorted sequence of
     :meth:`~repro.serving.engine.InferenceEngine.enqueue` items:

@@ -88,9 +88,9 @@ class ServingReport:
     placement_policy:
         Name of the placement policy that made the decisions.
     cache_stats:
-        Snapshot of every cache namespace touched during the run, one
-        :meth:`repro.store.CacheStore.stats` dict per namespace (plan
-        caches, approximator tables, prefix shards, param caches).
+        Snapshot of the engine's caches after the run, one
+        :meth:`repro.store.CacheStore.stats` dict per namespace (K/V
+        cache shards, parameter caches).
     worker_restarts, worker_redistributions:
         Supervision actions of a multi-worker run (always 0 for a
         single-engine report): dead workers restarted, and dead
@@ -347,10 +347,9 @@ class ServingReport:
     def cache_section(self) -> str:
         """Cache-fabric block of the summary: one line per namespace.
 
-        Every cache in the run — plan caches, approximator tables,
-        per-shard prefix stores, parameter caches — reports through the
-        same store-stats schema, so the section is a uniform table
-        instead of per-subsystem formats.
+        Every cache the engine owns — per-shard K/V stores, parameter
+        caches — reports through the same store-stats schema, so the
+        section is a uniform table instead of per-subsystem formats.
         """
         if not self.cache_stats:
             return "cache fabric         : (no cache activity recorded)"

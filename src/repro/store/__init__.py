@@ -1,25 +1,22 @@
-"""Unified cache fabric: one store interface across every reuse site.
+"""Unified cache fabric: one store interface for state that is not pure.
 
 :class:`~repro.store.base.CacheStore` is the contract (namespaced
-get/put/evict under entry/byte budgets with uniform stats), with three
+get/put/evict under entry/byte budgets with uniform stats), with two
 implementations:
 
 * :class:`~repro.store.lru.InProcessLRU` — the default; per-process
   bounded LRU dicts, bit-identical to the historical private caches;
 * :class:`~repro.store.filestore.FileStore` — on-disk, lock-guarded,
-  shareable between worker processes (pickle or JSON serialization);
-* :class:`~repro.store.tiered.TieredStore` — a local tier over a
-  shared fabric tier (read-through with promotion, write-through),
-  degrading to local-only operation when the shared tier's lock times
-  out (:class:`~repro.store.base.StoreLockTimeout`) so one wedged
-  fabric lock never stalls a serving worker.
+  shareable between worker processes (pickle or JSON serialization).
 
 The process-global default store (:func:`~repro.store.base.get_store`
-/ :func:`~repro.store.base.set_store`) backs the module-level cache
-sites in :mod:`repro.core.nonlinear_ops`, :mod:`repro.systolic.gemm`
-and :mod:`repro.systolic.mhp_dataflow`, each sized by the budget it
-declares once with :func:`~repro.store.base.register_namespace`.  See
-``docs/architecture.md`` ("The cache fabric") for the namespace map.
+/ :func:`~repro.store.base.set_store`) holds what the persistence
+functions save when given no store: traffic traces, tuning fronts and
+calibration snapshots, each namespace sized by the budget it declares
+once with :func:`~repro.store.base.register_namespace`.  Pure values —
+GEMM / MHP plans, CPWL approximators — are memoised where they are
+defined instead.  See ``docs/architecture.md`` ("The cache fabric") for
+the namespace map.
 """
 
 from repro.store.base import (
@@ -34,7 +31,6 @@ from repro.store.base import (
 )
 from repro.store.filestore import FileStore
 from repro.store.lru import InProcessLRU
-from repro.store.tiered import TieredStore
 
 __all__ = [
     "MISSING",
@@ -47,5 +43,4 @@ __all__ = [
     "namespace_default",
     "InProcessLRU",
     "FileStore",
-    "TieredStore",
 ]

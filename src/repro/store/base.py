@@ -1,14 +1,13 @@
-"""The cache-store contract every reuse site routes through.
+"""The cache-store contract the stateful reuse sites route through.
 
-Before this subsystem, each reuse mechanism in the repo — CPWL
-approximator tables, GEMM/MHP plan schedules, quantized parameter
-derivations, KV-prefix payloads, cost-model calibration — was a private
-``OrderedDict`` with its own eviction loop, capacity knob and counter
-set, trapped inside one Python process.  :class:`CacheStore` is the one
-interface they now share:
+Quantized parameter derivations, K/V prefix payloads, cost-model
+calibration, traffic traces and tuning fronts each need a bounded,
+inspectable and sometimes shared home.  :class:`CacheStore` is the one
+interface they share (pure values — GEMM / MHP plans, CPWL
+approximators — are memoised where they are defined instead):
 
 * **namespaces** partition one store into independent LRU domains
-  (``"systolic.gemm_plans"``, ``"serving.radix.shard0"``, ...); keys
+  (``"serving.radix.shard0"``, ``"nn.params"``, ...); keys
   never collide across namespaces and budgets apply per namespace;
 * **budgets** bound each namespace by entry count and/or bytes
   (:class:`NamespaceLimit`); inserting evicts least-recently-used
@@ -23,13 +22,12 @@ interface they now share:
 Two backends ship: :class:`~repro.store.lru.InProcessLRU` (the default;
 per-process, zero-copy, bit-identical to the pre-store caches) and
 :class:`~repro.store.filestore.FileStore` (on-disk, lock-guarded,
-shareable between worker processes).
-:class:`~repro.store.tiered.TieredStore` composes the two into the
-read-through/write-through fabric multi-worker serving uses.
+shareable between worker processes — the fleet's fabric).
 
 A process-global default store (:func:`get_store` / :func:`set_store`)
-backs the module-level caches; each cache site sizes its own namespace
-once, at import, with :func:`register_namespace`.
+is where the persistence functions save when given no store; each
+namespace's owner sizes it once, at import, with
+:func:`register_namespace`.
 """
 
 from __future__ import annotations
@@ -46,10 +44,9 @@ class StoreLockTimeout(TimeoutError):
     """A bounded lock acquisition on a shared store gave up.
 
     Raised by :class:`~repro.store.filestore.FileStore` when another
-    process holds a namespace lock past the store's ``lock_timeout``.
-    :class:`~repro.store.tiered.TieredStore` catches it and degrades to
-    local-only operation instead of letting one wedged fabric lock
-    stall a serving worker indefinitely.
+    process holds a namespace lock past the store's ``lock_timeout``, so
+    one wedged fabric lock fails a caller instead of stalling it
+    indefinitely.
     """
 
 
@@ -175,12 +172,9 @@ class CacheStore:
       re-putting an existing key replaces it (old bytes released
       first) at most-recently-used position.
     * *Mutable* entries may carry a **version stamp** (``put(...,
-      version=N)``, a writer-monotonic integer); :meth:`version_of`
-      reads it back.  Versions exist for read-through invalidation:
-      :class:`~repro.store.tiered.TieredStore` revalidates a local hit
-      against the shared tier's version and re-reads when the shared
-      copy is newer.  Unversioned entries (``version=None``, the
-      default) keep the historical never-revalidate behavior.
+      version=N)``, a writer-monotonic integer); a backend that keeps
+      it (:class:`~repro.store.filestore.FileStore`) answers
+      :meth:`version_of` with it, and ``None`` for unversioned entries.
     * :meth:`contains` / :meth:`keys` / :meth:`values` are pure reads:
       no recency effect, no counter effect.
     * Namespaces are fully isolated: keys, budgets, eviction and stats
@@ -265,13 +259,11 @@ _GLOBAL_STORE: Optional[CacheStore] = None
 
 
 def get_store() -> CacheStore:
-    """The process-global store backing the module-level cache sites.
+    """The process-global store the persistence functions default to.
 
     Defaults to a fresh :class:`~repro.store.lru.InProcessLRU` on first
-    use — per-process and bit-identical to the historical private
-    caches.  :func:`set_store` swaps in a different backend (e.g. a
-    :class:`~repro.store.tiered.TieredStore` over a shared
-    :class:`~repro.store.filestore.FileStore` in a serving worker).
+    use.  :func:`set_store` swaps in a different backend (e.g. a shared
+    :class:`~repro.store.filestore.FileStore`).
     """
     global _GLOBAL_STORE
     if _GLOBAL_STORE is None:

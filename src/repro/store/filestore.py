@@ -80,8 +80,8 @@ class FileStore(CacheStore):
         Seconds a namespace-lock acquisition may wait before raising
         :class:`~repro.store.base.StoreLockTimeout` (``None`` blocks
         indefinitely — the historical behavior).  Bounded by default so
-        a worker wedged while holding a fabric lock degrades the fleet
-        to local caching instead of freezing it.
+        a worker wedged while holding a fabric lock makes the others
+        fail loudly instead of freezing them.
 
     **Corruption containment**: a data file that no longer
     deserializes (torn write survived a crash, external truncation,

@@ -4,15 +4,16 @@ One :class:`InProcessLRU` holds any number of namespaces, each an
 ``OrderedDict`` evicting least-recently-used entries under the
 namespace's :class:`~repro.store.base.NamespaceLimit`.  Values are
 stored by reference — zero copies, identity-preserving — which is what
-makes the refactored cache sites *bit-identical* to their pre-store
-selves: a ``plan_gemm`` repeat returns the same schedule object, a
-parameter-cache hit the same frozen array.
+makes the cache sites *bit-identical* to their pre-store selves: a
+parameter-cache hit returns the same frozen array.
 
 The eviction policy replicates the historical caches exactly: a new
 entry is rejected only when it alone exceeds the byte budget, an
 existing key is replaced in place (old bytes released first), and LRU
 entries evict until both the entry and byte budgets hold — the
-incoming entry, at MRU position, is never the one evicted.
+incoming entry, at MRU position, is never the one evicted.  Version
+stamps are not kept (:meth:`~repro.store.base.CacheStore.version_of`
+answers ``None``): only a store shared between processes needs them.
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ class _Namespace:
     __slots__ = ("entries", "limit", "stats")
 
     def __init__(self, limit: NamespaceLimit) -> None:
-        # key -> (value, nbytes, version)
-        self.entries: "OrderedDict[object, Tuple[object, int, Optional[int]]]" = (
-            OrderedDict()
-        )
+        # key -> (value, nbytes)
+        self.entries: "OrderedDict[object, Tuple[object, int]]" = OrderedDict()
         self.limit = limit
         self.stats = NamespaceStats()
 
@@ -88,15 +87,11 @@ class InProcessLRU(CacheStore):
             ns.stats.bytes -= old[1]
             ns.stats.entries -= 1
         self._evict_for(ns, incoming_bytes=nbytes)
-        ns.entries[key] = (value, nbytes, version)
+        ns.entries[key] = (value, nbytes)
         ns.stats.bytes += nbytes
         ns.stats.entries += 1
         ns.stats.insertions += 1
         return True
-
-    def version_of(self, namespace: str, key) -> Optional[int]:
-        entry = self._ns(namespace).entries.get(key)
-        return None if entry is None else entry[2]
 
     def _evict_for(self, ns: _Namespace, incoming_bytes: int) -> None:
         """Evict LRU entries until budgets hold with one entry of
@@ -112,7 +107,7 @@ class InProcessLRU(CacheStore):
                 and ns.stats.bytes + incoming_bytes > limit.max_bytes
             )
         ):
-            _, (_, evicted_bytes, _) = ns.entries.popitem(last=False)
+            _, (_, evicted_bytes) = ns.entries.popitem(last=False)
             ns.stats.bytes -= evicted_bytes
             ns.stats.entries -= 1
             ns.stats.evictions += 1
@@ -170,7 +165,7 @@ class InProcessLRU(CacheStore):
             (limit.max_entries is not None and ns.stats.entries > limit.max_entries)
             or (limit.max_bytes is not None and ns.stats.bytes > limit.max_bytes)
         ):
-            _, (_, evicted_bytes, _) = ns.entries.popitem(last=False)
+            _, (_, evicted_bytes) = ns.entries.popitem(last=False)
             ns.stats.bytes -= evicted_bytes
             ns.stats.entries -= 1
             ns.stats.evictions += 1

@@ -13,8 +13,9 @@ baseline used by the dataflow ablation (all PEs compute, paying the
 reuse-less operand delivery).
 
 Like the GEMM planner, :func:`plan_mhp` serves repeated shapes from a
-bounded LRU and derives the lane assignment lazily — a schedule is pure
-analytic metadata until a consumer actually asks for the row lists.
+bounded per-process memo and derives the lane assignment lazily — a
+schedule is pure analytic metadata until a consumer actually asks for
+the row lists.
 The array computes an MHP as one whole-operand
 :func:`fixed_hadamard_mac`: each output element is computed by exactly
 one diagonal PE independently of every other, so the reassembled
@@ -25,13 +26,13 @@ reference).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from repro.fixedpoint import fixed_hadamard_mac
-from repro.store import get_store, register_namespace
 from repro.systolic.config import SystolicConfig
 from repro.systolic.pe import PEMode
 from repro.systolic.timing import CycleBreakdown, nonlinear_cycles
@@ -82,13 +83,22 @@ class MHPSchedule:
         return PEMode.COMPUTATION if row == col else PEMode.TRANSMISSION
 
 
-# ---------------------------------------------------------------------------
-# Plan cache (same bounded-LRU policy as repro.systolic.gemm, served by
-# the same process-global cache store under its own namespace).
-# ---------------------------------------------------------------------------
-MHP_PLAN_NAMESPACE = "systolic.mhp_plans"
-_DEFAULT_PLAN_CACHE_CAPACITY = 512
-register_namespace(MHP_PLAN_NAMESPACE, max_entries=_DEFAULT_PLAN_CACHE_CAPACITY)
+#: MHP plans kept per process: pure functions of ``(config, M, N,
+#: fused_ipf)``, memoised and bounded for the reasons
+#: :data:`repro.systolic.gemm.GEMM_PLANS` gives.
+MHP_PLANS = 512
+
+
+@functools.lru_cache(maxsize=MHP_PLANS)
+def _mhp_plan(
+    config: SystolicConfig, m_dim: int, n_dim: int, fused_ipf: bool
+) -> MHPSchedule:
+    return MHPSchedule(
+        config=config,
+        m_dim=m_dim,
+        n_dim=n_dim,
+        breakdown=nonlinear_cycles(config, m_dim, n_dim, fused_ipf=fused_ipf),
+    )
 
 
 def plan_mhp(
@@ -98,22 +108,14 @@ def plan_mhp(
     fused_ipf: bool = True,
     use_cache: bool = True,
 ) -> MHPSchedule:
-    """Build (or fetch) the MHP schedule for an ``M x N`` element matrix."""
-    if use_cache:
-        key = (config, m_dim, n_dim, fused_ipf)
-        store = get_store()
-        schedule = store.get(MHP_PLAN_NAMESPACE, key)
-        if schedule is not None:
-            return schedule
-    schedule = MHPSchedule(
-        config=config,
-        m_dim=m_dim,
-        n_dim=n_dim,
-        breakdown=nonlinear_cycles(config, m_dim, n_dim, fused_ipf=fused_ipf),
-    )
-    if use_cache:
-        store.put(MHP_PLAN_NAMESPACE, key, schedule)
-    return schedule
+    """Build (or fetch) the MHP schedule for an ``M x N`` element matrix
+    (memoised like :func:`~repro.systolic.gemm.plan_gemm`)."""
+    build = _mhp_plan if use_cache else _mhp_plan.__wrapped__
+    return build(config, m_dim, n_dim, fused_ipf)
+
+
+plan_mhp.cache_info = _mhp_plan.cache_info
+plan_mhp.cache_clear = _mhp_plan.cache_clear
 
 
 def _validate_mhp_operands(

@@ -36,7 +36,7 @@ from repro.serving import (
 )
 from repro.serving.cluster import QUARANTINE, QUARANTINE_FACTOR
 from repro.serving.faults import MAX_RETRIES, backoff
-from repro.store import FileStore, InProcessLRU, StoreLockTimeout, TieredStore
+from repro.store import FileStore
 from repro.systolic import SystolicArray, SystolicConfig
 
 pytestmark = pytest.mark.chaos
@@ -407,40 +407,6 @@ class TestFabricChaos:
         # namespace.
         assert fresh.put("serving.plans", "k0", {"plan": "rebuilt"})
         assert fresh.get("serving.plans", "k0") == {"plan": "rebuilt"}
-
-    def test_lock_timeout_degrades_tiered_to_local(self, tmp_path):
-        import fcntl
-        import os
-
-        root = str(tmp_path / "fabric")
-        shared = FileStore(root, lock_timeout=0.05)
-        tiered = TieredStore(InProcessLRU(), shared)
-        tiered.put("ns", "warm", 1)  # healthy write-through
-        # Wedge the namespace lock from "another worker".
-        lock_path = os.path.join(root, "ns", ".lock")
-        holder = open(lock_path, "a+")
-        fcntl.flock(holder.fileno(), fcntl.LOCK_EX)
-        try:
-            with pytest.raises(StoreLockTimeout):
-                shared.get("ns", "warm")
-            # The tiered store degrades instead of raising: local tier
-            # keeps serving, shared-tier ops are skipped.
-            assert tiered.get("ns", "warm") == 1  # local hit
-            assert tiered.put("ns", "fresh", 2)
-            assert tiered.degraded
-            assert tiered.degraded_ops >= 1
-            assert tiered.get("ns", "fresh") == 2
-        finally:
-            fcntl.flock(holder.fileno(), fcntl.LOCK_UN)
-            holder.close()
-        # Degraded mode latches across the lock release until recover().
-        skipped = tiered.degraded_ops
-        tiered.put("ns", "while-degraded", 3)
-        assert tiered.degraded_ops > skipped
-        assert shared.get("ns", "while-degraded") is None  # never written
-        assert tiered.recover()
-        tiered.put("ns", "after-recovery", 4)
-        assert shared.get("ns", "after-recovery") == 4  # write-through is back
 
 
 class TestElasticChaos:

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import nonlinear_ops as NL
-from repro.core.nonlinear_ops import clear_approximator_cache, get_approximator
+from repro.core.nonlinear_ops import get_approximator
 from repro.fixedpoint import (
     INT16,
     INT32,
@@ -369,7 +369,7 @@ def test_ops_write_into_nothing_they_do_not_own(make_backend):
     """In-place scaling is reserved for arrays an op allocated itself:
     cached parameter codes, segment tables and caller inputs survive
     every backend op byte for byte (and frozen, a write would raise)."""
-    clear_approximator_cache()
+    get_approximator.cache_clear()
     backend = make_backend()
     rng = np.random.default_rng(3)
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.autotune import EndpointProfile, EndpointSpec, TuningConfig, replay_trace
+from repro.autotune import report_fingerprint
 from repro.autotune import synthesize_trace
 from repro.core import cpwl
 from repro.core.cpwl import CPWLApproximator
@@ -30,7 +31,6 @@ from repro.fixedpoint.quantize import STRIP_ELEMENTS
 from repro.nn.executor import ArrayBackend
 from repro.nn.models import TinyBERT
 from repro.nn.models.resnet import BottleneckBlock
-from repro.serving.deploy import private_store
 from repro.systolic import SystolicArray, SystolicConfig
 from repro.systolic.mhp_dataflow import execute_mhp_per_lane
 from repro.systolic.trace import TraceEvent
@@ -147,42 +147,76 @@ def _spy_builds(monkeypatch):
     return elements, builds
 
 
+TINY = dict(vocab=16, dim=8, heads=2, ff_dim=16, n_layers=1, seed=0)
+REPLAY_TUNING = TuningConfig(pool=(BIG, BIG), placement="cost_aware", max_batch_size=8)
+
+
+def _bursty_trace():
+    return synthesize_trace(
+        "bert", (EndpointProfile("bert", seq_len=8, vocab=16),),
+        1600, 1600 * 2e-5, 1, "bursty", tenants=("tenant-a", "tenant-b"),
+    )
+
+
 def test_a_replay_builds_only_the_tables_its_traffic_amortises(monkeypatch):
-    """A conversational generation replay (``generate_chat``'s shapes)
-    evaluates every approximator well under a table's worth of elements,
-    so its private store builds none; a classifier replay builds exactly
-    the tables of the approximators its traffic took past 2**16."""
+    """From cold approximators, a conversational generation replay
+    (``generate_chat``'s shapes) evaluates every approximator well under
+    a table's worth of elements, so it builds none; a classifier replay
+    builds exactly the tables of the approximators its traffic took past
+    2**16."""
     elements, builds = _spy_builds(monkeypatch)
-    kwargs = dict(vocab=16, dim=8, heads=2, ff_dim=16, n_layers=1, seed=0)
-    tuning = TuningConfig(pool=(BIG, BIG), placement="cost_aware", max_batch_size=8)
     chat = synthesize_trace(
         "chat", (EndpointProfile("chat", seq_len=8, vocab=16, max_new_tokens=8),),
         72, 72e-4, 1, "conversational", tenants=("tenant-a", "tenant-b"),
     )
+    get_approximator.cache_clear()
     replay_trace(
-        chat, tuning,
-        (EndpointSpec("chat", TinyBERT, dict(kwargs, seq_len=16, causal=True), generation=True),),
+        chat, REPLAY_TUNING,
+        (EndpointSpec("chat", TinyBERT, dict(TINY, seq_len=16, causal=True), generation=True),),
     )
     assert elements and max(elements.values()) < 1 << 16
     assert not sum(builds.values())
 
     elements.clear()
-    bursty = synthesize_trace(
-        "bert", (EndpointProfile("bert", seq_len=8, vocab=16),),
-        1600, 1600 * 2e-5, 1, "bursty", tenants=("tenant-a", "tenant-b"),
+    get_approximator.cache_clear()
+    replay_trace(
+        _bursty_trace(), REPLAY_TUNING, (EndpointSpec("bert", TinyBERT, dict(TINY, seq_len=8)),)
     )
-    replay_trace(bursty, tuning, (EndpointSpec("bert", TinyBERT, dict(kwargs, seq_len=8)),))
     amortised = {a for a, n in elements.items() if n >= 1 << 16}
     assert amortised and amortised != set(elements)
     assert {a for a in elements if builds[a]} == amortised
     assert all(builds[a] == 1 for a in amortised)
 
 
-def test_a_forward_builds_each_table_once_per_store(monkeypatch):
-    """``model_forward``'s shapes: the first forward in a store builds
+def test_a_second_replay_builds_no_approximator_and_no_table(monkeypatch):
+    """Approximators are memoised per process, so their tables outlive a
+    replay: the second replay of one bursty classifier trace constructs
+    no approximator and builds no table."""
+    _, builds = _spy_builds(monkeypatch)
+    constructed = collections.Counter()
+    init = CPWLApproximator.__init__
+
+    def counting_init(self, name, *args, **kwargs):
+        constructed[name] += 1
+        init(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(CPWLApproximator, "__init__", counting_init)
+    trace = _bursty_trace()
+    spec = EndpointSpec("bert", TinyBERT, dict(TINY, seq_len=8))
+    get_approximator.cache_clear()
+    first = replay_trace(trace, REPLAY_TUNING, (spec,))
+    assert sum(constructed.values()) == 4 and sum(builds.values()) >= 1
+    constructed.clear(), builds.clear()
+    second = replay_trace(trace, REPLAY_TUNING, (spec,))
+    assert not constructed and not sum(builds.values())
+    assert report_fingerprint(second) == report_fingerprint(first)
+
+
+def test_a_forward_builds_each_table_once_per_process(monkeypatch):
+    """``model_forward``'s shapes: the first forward in a process builds
     the tables of the ops that evaluate 2**16 elements in one call (GELU,
-    the softmax exponential, ReLU), a second builds nothing, and a fresh
-    store builds them again."""
+    the softmax exponential, ReLU), a second builds nothing — on a new
+    array too — and emptying the approximator memo builds them again."""
     elements, builds = _spy_builds(monkeypatch)
     rng = np.random.default_rng(0)
     bert = TinyBERT(vocab=32, seq_len=64, dim=128, heads=4, ff_dim=512, n_layers=2, seed=0)
@@ -191,13 +225,13 @@ def test_a_forward_builds_each_table_once_per_store(monkeypatch):
     images = rng.normal(size=(16, 128, 8, 8))
     built = []
     for _ in range(2):
-        with private_store():
+        get_approximator.cache_clear()
+        for _ in range(2):
             backend = ArrayBackend(SystolicArray(BIG), 0.25)
-            for _ in range(2):
-                builds.clear()
-                bert.infer(tokens, backend)
-                block.infer(images, backend)
-                built.append(sorted(a.function.name for a, n in builds.items() if n))
+            builds.clear()
+            bert.infer(tokens, backend)
+            block.infer(images, backend)
+            built.append(sorted(a.function.name for a, n in builds.items() if n))
     assert built == [["exp", "gelu", "relu"], [], ["exp", "gelu", "relu"], []]
 
 

@@ -1,6 +1,6 @@
 """The cached field hash of ``SystolicConfig`` / ``QFormat`` is safe.
 
-Configs key the plan cache, the calibrating cost model and the
+Configs key the plan memo, the calibrating cost model and the
 cost-model memos, so their hash is computed once per object and kept on
 the instance.  These tests pin what makes that safe:
 
@@ -10,7 +10,7 @@ the instance.  These tests pin what makes that safe:
   ``copy`` / ``deepcopy`` and ``pickle`` all yield objects that hash
   afresh — checked where it matters, in a **fresh interpreter**, because
   ``l3_out_width=None`` is hashed and ``hash(None)`` differs between
-  processes before Python 3.12 (``FileStore`` persists schedules that
+  processes before Python 3.12 (a ``FileStore`` can persist values that
   hold a config; ``serve_multiproc`` ships configs to workers);
 * the field hash really runs at most once per object.
 """
@@ -30,9 +30,10 @@ from repro.fixedpoint import QFormat
 from repro.serving import BatchProfile, CalibratingCostModel
 from repro.store import FileStore
 from repro.systolic import SystolicConfig
-from repro.systolic.gemm import GEMM_PLAN_NAMESPACE, plan_gemm
+from repro.systolic.gemm import plan_gemm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCHEDULES = "test.schedules"
 KWARGS = dict(pe_rows=4, pe_cols=4, macs_per_pe=8, clock_hz=125e6)
 
 
@@ -68,14 +69,10 @@ class TestEqualConfigsShareEntries:
         assert len({a, b, a.cycle_key, b.cycle_key}) == 2
 
     def test_plan_cache_entry_found_through_an_equal_config(self):
-        from repro.store import get_store
-
-        store = get_store()
-        store.clear(GEMM_PLAN_NAMESPACE)
-        store.reset_stats(GEMM_PLAN_NAMESPACE)
+        plan_gemm.cache_clear()
         first = plan_gemm(_config(), 16, 8, 12)
         assert plan_gemm(_config(), 16, 8, 12) is first
-        assert store.stats(GEMM_PLAN_NAMESPACE)["hits"] == 1
+        assert plan_gemm.cache_info().hits == 1
 
     def test_calibrator_observation_found_through_an_equal_config(self):
         model = CalibratingCostModel()
@@ -148,9 +145,7 @@ class TestCachedValueStaysHome:
         config = _config()
         schedule = plan_gemm(config, 16, 8, 12, use_cache=False)
         assert hash(config) == hash(schedule.config)
-        FileStore(str(tmp_path)).put(
-            GEMM_PLAN_NAMESPACE, (config, 16, 8, 12), schedule
-        )
+        FileStore(str(tmp_path)).put(SCHEDULES, (config, 16, 8, 12), schedule)
         code = (
             "import sys\n"
             "from repro.fixedpoint import QFormat\n"
@@ -158,7 +153,7 @@ class TestCachedValueStaysHome:
             "from repro.systolic import SystolicConfig\n"
             f"local = SystolicConfig(fmt=QFormat(16, 8), **{KWARGS!r})\n"
             "store = FileStore(sys.argv[1])\n"
-            f"schedule = store.get({GEMM_PLAN_NAMESPACE!r}, (local, 16, 8, 12))\n"
+            f"schedule = store.get({SCHEDULES!r}, (local, 16, 8, 12))\n"
             "assert schedule is not None, 'equal key missed the fabric entry'\n"
             "assert '_hash' not in vars(schedule.config)\n"
             "assert {local: 'found'}[schedule.config] == 'found'\n"

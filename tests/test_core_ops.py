@@ -25,13 +25,11 @@ from repro.core.granularity import (
     table_pressure,
 )
 from repro.core.nonlinear_ops import (
-    APPROXIMATOR_NAMESPACE,
-    clear_approximator_cache,
+    APPROXIMATORS,
     cpwl_rsqrt_range_reduced,
     get_approximator,
 )
 from repro.fixedpoint import INT16, dequantize, fixed_hadamard_mac, quantize
-from repro.store import get_store
 from repro.systolic.rearrange import rearrange_for_mhp
 
 
@@ -282,55 +280,37 @@ class TestGranularity:
         assert total == g + e
 
     def test_approximator_cache_reuse(self):
-        clear_approximator_cache()
+        get_approximator.cache_clear()
         a1 = get_approximator("gelu", 0.25)
         a2 = get_approximator("gelu", 0.25)
         assert a1 is a2
-        clear_approximator_cache()
+        # Keys are normalised: an int granularity and keyword arguments
+        # find the same entry.
+        assert get_approximator("gelu", 1) is get_approximator("gelu", 1.0, fmt=INT16)
+        get_approximator.cache_clear()
         assert get_approximator("gelu", 0.25) is not a1
 
 
 class TestApproximatorLRU:
-    """The table cache is bounded: serving traffic must not leak."""
-
-    def setup_method(self):
-        self.store = get_store()
-        self.limit = self.store.limit(APPROXIMATOR_NAMESPACE)
+    """The approximator memo is bounded: serving traffic must not leak."""
 
     def teardown_method(self):
-        self.store.set_limit(APPROXIMATOR_NAMESPACE, max_entries=self.limit.max_entries)
-        clear_approximator_cache()
-
-    def set_capacity(self, capacity):
-        self.store.set_limit(APPROXIMATOR_NAMESPACE, max_entries=capacity)
+        get_approximator.cache_clear()
 
     def test_capacity_bounds_occupancy(self):
-        clear_approximator_cache()
-        self.set_capacity(4)
-        for g in (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7):
-            get_approximator("gelu", g)
-        info = self.store.stats(APPROXIMATOR_NAMESPACE)
-        assert info["entries"] <= 4
-        assert info["max_entries"] == 4
+        get_approximator.cache_clear()
+        for i in range(APPROXIMATORS + 8):
+            get_approximator("relu", 0.25 + i / 1024)
+        info = get_approximator.cache_info()
+        assert info.maxsize == APPROXIMATORS
+        assert info.currsize == APPROXIMATORS
 
     def test_least_recently_used_is_evicted(self):
-        clear_approximator_cache()
-        self.set_capacity(2)
+        get_approximator.cache_clear()
         a = get_approximator("gelu", 0.25)
         b = get_approximator("tanh", 0.25)
         assert get_approximator("gelu", 0.25) is a  # refresh gelu
-        get_approximator("sigmoid", 0.25)  # evicts tanh (LRU)
+        for i in range(APPROXIMATORS - 1):  # evicts tanh (LRU), keeps gelu
+            get_approximator("relu", 0.25 + i / 1024)
         assert get_approximator("gelu", 0.25) is a
         assert get_approximator("tanh", 0.25) is not b
-
-    def test_shrinking_capacity_evicts_immediately(self):
-        clear_approximator_cache()
-        self.set_capacity(8)
-        for g in (0.25, 0.5, 1.0):
-            get_approximator("gelu", g)
-        self.set_capacity(1)
-        assert self.store.stats(APPROXIMATOR_NAMESPACE)["entries"] == 1
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            self.set_capacity(0)

@@ -31,6 +31,7 @@ from repro.autotune.replay import report_fingerprint
 from repro.nn.models import TinyBERT
 from repro.nn.workload import transformer_serving_workload
 from repro.serving import (
+    CALIBRATION_NAMESPACE,
     BatchProfile,
     CalibratingCostModel,
     ClusterSpec,
@@ -56,7 +57,7 @@ from repro.serving import (
     serve_multiproc,
     workload_cost_model,
 )
-from repro.store import FileStore, InProcessLRU, TieredStore
+from repro.store import FileStore
 from repro.serving.elastic import AUTOSCALE_COOLDOWN, STEAL_DRIFT_THRESHOLD
 from repro.systolic import SystolicConfig
 
@@ -643,15 +644,16 @@ class TestCrossWorkerCalibrationStaleness:
                             sample_shape=(8,), ready_time=0.0)
 
     def test_version_stamped_snapshot_revalidates(self, tmp_path):
-        fabric = FileStore(str(tmp_path))
-        worker_a = TieredStore(InProcessLRU(), fabric)
-        worker_b = TieredStore(InProcessLRU(), fabric)
+        # Each worker's view of the fleet fabric is its own FileStore on
+        # the shared root, and every load reads the fabric itself.
+        worker_a = FileStore(str(tmp_path))
+        worker_b = FileStore(str(tmp_path))
 
         calibrator = CalibratingCostModel()
         calibrator.observe("m", 2, (8,), self.CONFIG, 1000)
         save_calibration(calibrator, worker_a, name="fleet")
 
-        # Worker B loads and caches the v1 snapshot locally.
+        # Worker B loads the v1 snapshot.
         stale = load_calibration(worker_b, name="fleet")
         assert stale.estimate(self._profile(), self.CONFIG) == 1000
 
@@ -660,30 +662,10 @@ class TestCrossWorkerCalibrationStaleness:
         assert calibrator.version == 2
         save_calibration(calibrator, worker_a, name="fleet")
 
-        # Without read-through invalidation B would keep serving its
-        # locally cached v1 copy forever — the stale-calibration bug.
+        # B's next load sees A's newer snapshot, never a stale copy.
+        assert worker_b.version_of(CALIBRATION_NAMESPACE, "fleet") == 2
         fresh = load_calibration(worker_b, name="fleet")
         assert fresh.estimate(self._profile(batch=4), self.CONFIG) == 2000
-
-    def test_unversioned_entries_keep_local_hits(self, tmp_path):
-        fabric = FileStore(str(tmp_path))
-        tiered = TieredStore(InProcessLRU(), fabric)
-        tiered.put("ns", "k", {"v": 1})
-        fabric.put("ns", "k", {"v": 2})
-        # No version stamp: the local copy stays authoritative (plan
-        # caches are immutable by key, revalidating them would be waste).
-        assert tiered.get("ns", "k") == {"v": 1}
-
-    def test_versioned_entries_reread_newer_shared(self, tmp_path):
-        fabric = FileStore(str(tmp_path))
-        tiered = TieredStore(InProcessLRU(), fabric)
-        tiered.put("ns", "k", {"v": 1}, version=1)
-        fabric.put("ns", "k", {"v": 2}, version=2)
-        assert tiered.get("ns", "k") == {"v": 2}
-        assert tiered.version_of("ns", "k") == 2
-        # Equal-or-older shared versions do not disturb the local copy.
-        fabric.put("ns", "k", {"v": 0}, version=2)
-        assert tiered.get("ns", "k") == {"v": 2}
 
 
 # ---------------------------------------------------------------------------

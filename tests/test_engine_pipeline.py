@@ -421,19 +421,45 @@ def _sites(*markers):
 def test_one_path_from_deployment_as_data_to_a_running_engine():
     """A front end that stands an engine up from picklable values is a
     client of ``repro.serving.deploy``: it does not construct its own
-    engine, fork its own children or swap the global store itself — and
+    engine, fork its own children or swap the global store at all — and
     the second endpoint-by-construction class stays deleted."""
     assert _sites("InferenceEngine(") == ["serving/deploy.py:assemble_engine"]
     assert _sites("engine.register(") == ["serving/deploy.py:assemble_engine"]
     assert _sites("get_context(") == ["serving/deploy.py:fan_out"]
     assert _sites(".Pipe(") == ["serving/deploy.py:fan_out"]
     assert _sites("get_store(", "set_store(") == [
-        "serving/deploy.py:private_store",
         "store/base.py:set_store",  # returns the store now in effect
     ]
     deleted = "Model" "Spec"
     for path in SRC.rglob("*.py"):
         assert deleted not in path.read_text(), path
+
+
+def test_pure_values_are_memoised_where_they_are_defined():
+    """Plans and approximators are bounded per-process memos at their
+    definitions, and the process store is reached only by the functions
+    that persist traces, fronts and calibration when given no store."""
+    first_line = {name: code.splitlines()[0] for _, name, code in _functions_under_src()}
+    assert first_line["_approximator"] == "@functools.lru_cache(maxsize=APPROXIMATORS)"
+    assert first_line["_gemm_plan"] == "@functools.lru_cache(maxsize=GEMM_PLANS)"
+    assert first_line["_mhp_plan"] == "@functools.lru_cache(maxsize=MHP_PLANS)"
+    assert _sites("get_store(") == [
+        "autotune/front.py:load_front",
+        "autotune/front.py:save_front",
+        "autotune/trace.py:load_trace",
+        "autotune/trace.py:save_trace",
+        "serving/cluster.py:load_calibration",
+        "serving/cluster.py:save_calibration",
+        "store/base.py:get_store",
+        "store/base.py:set_store",
+    ]
+    assert not (SRC / "store" / "tiered.py").exists()
+    registering = sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if "register_namespace(" in path.read_text()
+    )
+    assert registering == ["autotune/front.py", "autotune/trace.py", "store/base.py"]
 
 
 def test_one_request_description_through_every_front_door():

@@ -14,6 +14,7 @@ calibrator must start from the first worker's observations.
 import numpy as np
 import pytest
 
+from repro.autotune import report_fingerprint
 from repro.nn.models import TinyBERT
 from repro.serving import (
     CALIBRATION_NAMESPACE,
@@ -28,6 +29,7 @@ from repro.serving import (
     serve_multiproc,
 )
 from repro.serving.multiproc import WorkerConfig, _worker_main
+from repro.serving.request import describe_request, resolve_arrivals
 from repro.store import FileStore, get_store
 from repro.systolic import SystolicConfig
 
@@ -226,6 +228,32 @@ class TestServeMultiproc:
         assert set(actual) == set(expected)
         for key, outputs in actual.items():
             np.testing.assert_array_equal(outputs, expected[key])
+
+    def test_fabric_holds_no_plans_or_approximators(self, tmp_path):
+        """Plans and approximators are memoised per process, never written
+        to the fabric; the fleet's report is the in-process run's."""
+        root = tmp_path / "fabric"
+        cluster = ClusterSpec.homogeneous(CONFIG, 2)
+        spec = EndpointSpec(name="bert", factory=TinyBERT, kwargs=MODEL_KWARGS)
+        requests = _requests(8)
+        fleet = serve_multiproc(
+            cluster, [spec], requests, n_workers=2, store_root=str(root)
+        )
+        assert [path.name for path in root.iterdir()] == [CALIBRATION_NAMESPACE]
+
+        parts = partition_cluster(cluster, 2)
+        described = resolve_arrivals(map(describe_request, requests))
+        in_process = merge_reports(
+            [
+                _worker_main(WorkerConfig(
+                    index=worker, cluster=parts[worker], models=(spec,),
+                    requests=tuple(described[worker::2]),
+                ))
+                for worker in range(2)
+            ],
+            parts,
+        )
+        assert report_fingerprint(fleet.merged) == report_fingerprint(in_process)
 
     def test_merge_reports_length_mismatch_rejected(self):
         cluster = ClusterSpec.homogeneous(CONFIG, 2)

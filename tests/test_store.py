@@ -1,8 +1,9 @@
 """Cache-store contract suite: every backend, one behaviour.
 
-The five refactored cache sites (approximator tables, GEMM/MHP plans,
-parameter derivations, KV-prefix payloads, calibration snapshots) rely
-on the exact semantics pinned here:
+The store's cache sites (parameter derivations, K/V prefix payloads,
+calibration snapshots, traces and fronts) rely on the exact semantics
+pinned here, and the memoised pure values (GEMM / MHP plans, CPWL
+approximators) on the last class:
 
 * LRU order and recency: hits refresh, peeks (``touch=False``) don't,
   eviction takes the least-recently-used entry first;
@@ -36,7 +37,6 @@ from repro.store import (
     InProcessLRU,
     NamespaceLimit,
     StoreLockTimeout,
-    TieredStore,
     get_store,
     namespace_default,
     register_namespace,
@@ -49,12 +49,7 @@ OTHER = "test.other"
 
 @pytest.fixture(params=["lru", "file"])
 def store(request, tmp_path):
-    """Each contract test runs against every single-tier backend.
-
-    TieredStore deliberately departs from single-tier budget contracts
-    (its ``set_limit`` bounds the local tier only, and ``contains``
-    consults both tiers), so it gets its own suite below.
-    """
+    """Each contract test runs against every backend."""
     if request.param == "lru":
         return InProcessLRU()
     return FileStore(str(tmp_path / "store"))
@@ -377,79 +372,6 @@ class TestFileStore:
 
 
 # ---------------------------------------------------------------------------
-# TieredStore specifics
-# ---------------------------------------------------------------------------
-class TestTieredStore:
-    def _tiered(self, tmp_path):
-        shared = FileStore(str(tmp_path / "shared"))
-        return TieredStore(InProcessLRU(), shared), shared
-
-    def test_read_through_promotes(self, tmp_path):
-        tiered, shared = self._tiered(tmp_path)
-        shared.put(NS, "k", "fabric-value", nbytes=11)
-        assert tiered.get(NS, "k") == "fabric-value"
-        # Promoted: now a local hit with the declared byte charge.
-        assert tiered.local.get(NS, "k") == "fabric-value"
-        assert tiered.local.nbytes_of(NS, "k") == 11
-
-    def test_write_through_reaches_both_tiers(self, tmp_path):
-        tiered, shared = self._tiered(tmp_path)
-        tiered.put(NS, "k", [1, 2])
-        assert tiered.local.contains(NS, "k")
-        assert shared.get(NS, "k") == [1, 2]
-
-    def test_local_budget_does_not_shrink_fabric(self, tmp_path):
-        tiered, shared = self._tiered(tmp_path)
-        tiered.set_limit(NS, max_entries=1)
-        tiered.put(NS, "a", 1)
-        tiered.put(NS, "b", 2)  # evicts "a" locally only
-        assert not tiered.local.contains(NS, "a")
-        assert shared.contains(NS, "a")
-        assert tiered.get(NS, "a") == 1  # read-through recovers it
-
-    def test_hit_in_either_tier_counts_as_hit(self, tmp_path):
-        tiered, shared = self._tiered(tmp_path)
-        shared.put(NS, "k", 1)
-        tiered.get(NS, "k")  # shared hit
-        tiered.get(NS, "k")  # local hit after promotion
-        tiered.get(NS, "absent")
-        stats = tiered.stats(NS)
-        assert stats["hits"] == 2
-        assert stats["misses"] == 1
-
-    def test_recover_on_healthy_store_is_noop(self, tmp_path):
-        tiered, shared = self._tiered(tmp_path)
-        tiered.put(NS, "k", 1)
-        assert not tiered.degraded
-        assert tiered.recover() is False  # nothing to recover from
-        assert tiered.get(NS, "k") == 1
-        assert shared.get(NS, "k") == 1  # write-through unaffected
-
-    def test_degraded_mode_counts_every_skipped_shared_op(self, tmp_path):
-        class _Wedged(InProcessLRU):
-            """Shared tier whose every lock acquisition times out."""
-
-            def get(self, *a, **kw):
-                raise StoreLockTimeout("wedged")
-
-            def put(self, *a, **kw):
-                raise StoreLockTimeout("wedged")
-
-        tiered = TieredStore(InProcessLRU(), _Wedged())
-        # First shared-tier touch latches degraded; the call still
-        # completes against the local tier.
-        assert tiered.put(NS, "k", 1)
-        assert tiered.degraded
-        assert tiered.degraded_ops == 1
-        # Subsequent ops never touch the shared tier again.
-        assert tiered.get(NS, "k") == 1  # local hit, no shared call
-        tiered.put(NS, "k2", 2)
-        assert tiered.degraded_ops == 2
-        assert tiered.get(NS, "absent", default="d") == "d"
-        assert tiered.degraded_ops == 3
-
-
-# ---------------------------------------------------------------------------
 # Property test: the default backend is bit-identical to the historical
 # OrderedDict caches.
 # ---------------------------------------------------------------------------
@@ -537,32 +459,27 @@ class TestLRUMatchesHistoricalCaches:
 class TestRefactoredSites:
     def test_plan_cache_identity_preserved(self):
         from repro.systolic import SystolicConfig
-        from repro.systolic.gemm import GEMM_PLAN_NAMESPACE, plan_gemm
+        from repro.systolic.gemm import plan_gemm
 
-        store = get_store()
-        store.clear(GEMM_PLAN_NAMESPACE)
+        plan_gemm.cache_clear()
         config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)
         first = plan_gemm(config, 16, 16, 16)
         second = plan_gemm(config, 16, 16, 16)
         assert first is second  # zero-copy, by reference
-        info = store.stats(GEMM_PLAN_NAMESPACE)
-        assert info["hits"] >= 1 and info["entries"] >= 1
-        store.clear(GEMM_PLAN_NAMESPACE)
-        store.reset_stats(GEMM_PLAN_NAMESPACE)
-        info = store.stats(GEMM_PLAN_NAMESPACE)
-        assert info["entries"] == 0 and info["hits"] == 0
+        info = plan_gemm.cache_info()
+        assert info.hits == 1 and info.currsize == 1
+        plan_gemm.cache_clear()
+        info = plan_gemm.cache_info()
+        assert info.currsize == 0 and info.hits == 0
+        assert plan_gemm(config, 16, 16, 16) is not first
 
     def test_approximator_cache_identity_preserved(self):
-        from repro.core.nonlinear_ops import (
-            APPROXIMATOR_NAMESPACE,
-            clear_approximator_cache,
-            get_approximator,
-        )
+        from repro.core.nonlinear_ops import get_approximator
 
-        clear_approximator_cache()
+        get_approximator.cache_clear()
         first = get_approximator("gelu", 0.25)
         assert get_approximator("gelu", 0.25) is first
-        assert get_store().stats(APPROXIMATOR_NAMESPACE)["entries"] == 1
+        assert get_approximator.cache_info().currsize == 1
 
     def test_param_cache_private_store(self):
         from repro.nn.executor import ParamCache

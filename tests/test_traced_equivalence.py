@@ -14,15 +14,13 @@ from repro.fixedpoint import INT16, fixed_hadamard_mac, quantize
 from repro.nn.executor import ArrayBackend
 from repro.systolic import SystolicArray, SystolicConfig
 from repro.systolic.cycle_sim import CycleSimulator
-from repro.store import get_store
 from repro.systolic.gemm import (
-    GEMM_PLAN_NAMESPACE,
+    GEMM_PLANS,
     execute_gemm,
     execute_gemm_per_tile,
     plan_gemm,
 )
 from repro.systolic.mhp_dataflow import (
-    MHP_PLAN_NAMESPACE,
     execute_mhp_per_lane,
     plan_mhp,
 )
@@ -77,23 +75,19 @@ class TestWholeMatrixGemmEquivalence:
 
 class TestGemmPlanCache:
     def setup_method(self):
-        self.store = get_store()
-        self.limit = self.store.limit(GEMM_PLAN_NAMESPACE)
-        self.store.clear(GEMM_PLAN_NAMESPACE)
-        self.store.reset_stats(GEMM_PLAN_NAMESPACE)
+        plan_gemm.cache_clear()
 
     def teardown_method(self):
-        self.store.clear(GEMM_PLAN_NAMESPACE)
-        self.store.set_limit(GEMM_PLAN_NAMESPACE, max_entries=self.limit.max_entries)
+        plan_gemm.cache_clear()
 
     def test_repeat_shapes_hit_cache(self):
         config = small_config()
         first = plan_gemm(config, 64, 32, 16)
         again = plan_gemm(config, 64, 32, 16)
         assert again is first  # steady-state planning is a dict hit
-        info = self.store.stats(GEMM_PLAN_NAMESPACE)
-        assert info["hits"] >= 1
-        assert info["entries"] == 1
+        info = plan_gemm.cache_info()
+        assert info.hits == 1
+        assert info.currsize == 1
 
     def test_distinct_configs_do_not_collide(self):
         sq = plan_gemm(small_config(), 8, 8, 8)
@@ -110,16 +104,16 @@ class TestGemmPlanCache:
 
     def test_capacity_bounds_occupancy(self):
         config = small_config()
-        self.store.set_limit(GEMM_PLAN_NAMESPACE, max_entries=4)
-        for m in range(1, 11):
+        first = plan_gemm(config, 1, 8, 8)
+        for m in range(2, GEMM_PLANS + 11):
             plan_gemm(config, m, 8, 8)
-        assert self.store.stats(GEMM_PLAN_NAMESPACE)["entries"] == 4
+        info = plan_gemm.cache_info()
+        assert info.maxsize == info.currsize == GEMM_PLANS
         # Least-recently-used shapes were evicted, the newest retained.
-        assert plan_gemm(config, 10, 8, 8) is plan_gemm(config, 10, 8, 8)
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            self.store.set_limit(GEMM_PLAN_NAMESPACE, max_entries=0)
+        newest = plan_gemm(config, GEMM_PLANS + 10, 8, 8)
+        assert plan_gemm(config, GEMM_PLANS + 10, 8, 8) is newest
+        assert plan_gemm.cache_info().hits == 2
+        assert plan_gemm(config, 1, 8, 8) is not first
 
 
 class TestLazyTileEnumeration:
@@ -168,9 +162,12 @@ class TestMhpEquivalence:
 
     def test_mhp_plan_cache_hit(self):
         config = small_config()
+        plan_mhp.cache_clear()
         first = plan_mhp(config, 12, 12)
         assert plan_mhp(config, 12, 12) is first
-        assert get_store().stats(MHP_PLAN_NAMESPACE)["entries"] >= 1
+        assert plan_mhp(config, 12, 12, fused_ipf=True) is first
+        info = plan_mhp.cache_info()
+        assert info.hits == 2 and info.currsize == 1
 
     def test_lazy_lane_rows_cover_rows(self):
         schedule = plan_mhp(small_config(), 10, 5, use_cache=False)

@@ -42,7 +42,6 @@ from repro.serving import (
     WorkloadCostSpec,
     serve_multiproc,
 )
-from repro.serving.deploy import private_store
 from repro.systolic import SystolicArray, SystolicConfig
 
 BIG = SystolicConfig(pe_rows=8, pe_cols=8, macs_per_pe=16, clock_hz=250e6)
@@ -147,9 +146,8 @@ def test_one_trace_serves_identically_through_every_door(endpoints):
         assert replayed.generation_steps and replayed.prefix_events
         _assert_tokens_are_recompute_per_token(replayed)
 
-    with private_store():
-        engine = build_engine(TUNING, endpoints, tenants=trace.tenants)
-        streamed = engine.run(request_source=trace.requests)
+    engine = build_engine(TUNING, endpoints, tenants=trace.tenants)
+    streamed = engine.run(request_source=trace.requests)
     fleet = _fleet(endpoints, trace.requests)
 
     for served in (streamed, fleet):
@@ -217,11 +215,10 @@ def test_a_lost_worker_reports_generation_requests_failed():
 def test_a_capture_and_its_json_rows_are_servable_as_they_are():
     trace = _trace((CLASSIFIER, CHAT), n=24)
     recorder = TraceRecorder()
-    with private_store():
-        engine = build_engine(TUNING, (CLASSIFIER, CHAT), tenants=trace.tenants)
-        engine.recorder = recorder
-        ids = engine.enqueue(trace.requests)
-        first = engine.run()
+    engine = build_engine(TUNING, (CLASSIFIER, CHAT), tenants=trace.tenants)
+    engine.recorder = recorder
+    ids = engine.enqueue(trace.requests)
+    first = engine.run()
     assert ids == list(range(trace.n_requests))
     captured = recorder.trace()
     assert captured.requests == trace.requests
@@ -230,9 +227,8 @@ def test_a_capture_and_its_json_rows_are_servable_as_they_are():
     assert report_fingerprint(fleet) == report_fingerprint(first)
 
     rows = json.loads(json.dumps([r.to_dict() for r in captured.requests]))
-    with private_store():
-        engine = build_engine(TUNING, (CLASSIFIER, CHAT), tenants=trace.tenants)
-        streamed = engine.run(request_source=rows)
+    engine = build_engine(TUNING, (CLASSIFIER, CHAT), tenants=trace.tenants)
+    streamed = engine.run(request_source=rows)
     assert report_fingerprint(streamed) == report_fingerprint(first)
     _assert_same_rows(streamed, first)
 
@@ -245,12 +241,11 @@ def test_recorder_captures_validated_submissions_shed_ones_included():
     )
     rows = np.random.default_rng(5).integers(0, 16, size=(12, 8))
     recorder = TraceRecorder()
-    with private_store():
-        engine = build_engine(tuning, (CLASSIFIER,), tenants=("default",))
-        engine.recorder = recorder
-        for row in rows:
-            engine.submit("bert", row, arrival=0.0)
-        live = engine.run()
+    engine = build_engine(tuning, (CLASSIFIER,), tenants=("default",))
+    engine.recorder = recorder
+    for row in rows:
+        engine.submit("bert", row, arrival=0.0)
+    live = engine.run()
     shed = sorted(record.request.request_id for record in live.shed)
     assert shed and len(recorder) == len(rows) == len(live.completed) + len(shed)
 
