@@ -21,15 +21,12 @@ from typing import Dict, Iterable, Optional, Tuple
 from repro.autotune.objective import Objective, scalar_score
 from repro.autotune.tuning import TuningConfig
 from repro.hardware.pareto import pareto_front
-from repro.store import register_namespace
 
 #: Schema version stamped into every serialized front.
 FRONT_VERSION = 1
 
 #: Store namespace holding persisted fronts (one entry per front name).
 FRONT_NAMESPACE = "autotune.fronts"
-
-register_namespace(FRONT_NAMESPACE, max_entries=32)
 
 #: The four dominance axes, all expressed as minimization (the
 #: convention :func:`repro.hardware.pareto.pareto_front` uses):
@@ -176,25 +173,18 @@ class TuningFront:
         )
 
 
-def save_front(front: TuningFront, store=None, name: Optional[str] = None) -> None:
-    """Persist ``front`` on a cache store (JSON-safe payload).
+def save_front(front: TuningFront, store, name: Optional[str] = None) -> None:
+    """Persist ``front`` on ``store`` (JSON-safe payload).
 
     Keyed by ``name`` (default: the trace name), so one fabric can
     hold fronts for many traces side by side.
     """
-    if store is None:
-        from repro.store import get_store
-
-        store = get_store()
     store.put(FRONT_NAMESPACE, name or front.trace_name, front.to_dict())
 
 
-def load_front(name: str, store=None) -> Optional[TuningFront]:
-    """Restore a :func:`save_front` snapshot, or None if absent."""
-    if store is None:
-        from repro.store import get_store
-
-        store = get_store()
+def load_front(name: str, store) -> Optional[TuningFront]:
+    """Restore a :func:`save_front` snapshot from ``store``, or None if
+    absent."""
     data = store.get(FRONT_NAMESPACE, name)
     if data is None:
         return None

@@ -6,9 +6,8 @@
 a :class:`~repro.autotune.trace.TrafficTrace` as they are (a trace row
 *is* a front-door item), and runs the discrete-event loop to
 completion.  The engine has no threads and no wall-clock dependencies,
-every replay builds its models from seeded factories, and the
-process-global cache store is swapped for a private one for the
-duration — so the same trace under the same config (and the same optional
+every replay builds its models from seeded factories and its caches
+afresh — so the same trace under the same config (and the same optional
 :class:`~repro.serving.faults.FaultPlan`) produces a bit-identical
 :class:`~repro.serving.report.ServingReport`, which
 :func:`report_fingerprint` pins as a digest the tests and the search

@@ -18,10 +18,9 @@ places:
   ``conversational``), so the autotuner can be exercised on traffic
   the serving stack has never actually seen.
 
-Traces persist as namespaces on the :mod:`repro.store` fabric
-(:func:`save_trace` / :func:`load_trace` under
-:data:`TRACE_NAMESPACE`), so a trace recorded by one process — or one
-serving worker — is replayable by any other.
+Traces persist on a :mod:`repro.store` fabric (:func:`save_trace` /
+:func:`load_trace` under :data:`TRACE_NAMESPACE`), so a trace recorded
+by one process — or one serving worker — is replayable by any other.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.serving.request import TracedRequest, resolve_arrivals
-from repro.store import register_namespace
 
 #: Schema version stamped into every serialized trace.  Bump on any
 #: field change; ``TrafficTrace.from_dict`` refuses versions it does
@@ -41,8 +39,6 @@ TRACE_VERSION = 1
 
 #: Store namespace holding persisted traces (one entry per trace name).
 TRACE_NAMESPACE = "autotune.traces"
-
-register_namespace(TRACE_NAMESPACE, max_entries=32)
 
 
 @dataclass(frozen=True)
@@ -259,28 +255,20 @@ def synthesize_trace(
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
-def save_trace(trace: TrafficTrace, store=None) -> None:
-    """Persist ``trace`` under its name on a cache store.
+def save_trace(trace: TrafficTrace, store) -> None:
+    """Persist ``trace`` under its name on ``store``.
 
-    With a :class:`repro.store.FileStore` fabric the trace survives the
-    process and is loadable by any worker; the default process-global
-    store makes it an in-process snapshot.  The payload is the
+    On a :class:`repro.store.FileStore` fabric the trace survives the
+    process and is loadable by any worker.  The payload is the
     JSON-safe :meth:`TrafficTrace.to_dict` form, so both store
     serializers can carry it.
     """
-    if store is None:
-        from repro.store import get_store
-
-        store = get_store()
     store.put(TRACE_NAMESPACE, trace.name, trace.to_dict())
 
 
-def load_trace(name: str, store=None) -> Optional[TrafficTrace]:
-    """Restore a :func:`save_trace` snapshot, or None if absent."""
-    if store is None:
-        from repro.store import get_store
-
-        store = get_store()
+def load_trace(name: str, store) -> Optional[TrafficTrace]:
+    """Restore a :func:`save_trace` snapshot from ``store``, or None if
+    absent."""
     data = store.get(TRACE_NAMESPACE, name)
     if data is None:
         return None

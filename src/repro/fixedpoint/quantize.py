@@ -19,6 +19,10 @@ ArrayLike = Union[float, int, np.ndarray]
 #: 0.30, 2**14 0.27, 2**15 0.26, 2**16 0.27, 2**17 0.27, one shot 0.28.
 STRIP_ELEMENTS = 1 << 15
 
+#: The rounding offset of :func:`round_saturate`: the largest double
+#: below 0.5.
+_HALF = float(np.nextafter(0.5, 0.0))
+
 
 def strips(array: np.ndarray) -> Iterator[np.ndarray]:
     """Views that cover ``array`` once, each of at most
@@ -115,8 +119,11 @@ def round_saturate(codes: np.ndarray, fmt: QFormat) -> np.ndarray:
         for strip in strips(codes):
             round_saturate(strip, fmt)
         return codes
-    # Half away from zero as trunc(x + copysign(0.5, x)): branch-free.
-    half = np.copysign(0.5, codes)
+    # Half away from zero as trunc(x + copysign(h, x)): branch-free.  h
+    # is the double just below 0.5: with 0.5 itself, |x| = 0.5 - 2**-54
+    # sums to 1.0 and rounds away from zero, while a true tie k + 0.5
+    # still sums past k + 1 for every |x| < 2**52.
+    half = np.copysign(_HALF, codes)
     codes += half
     np.trunc(codes, out=codes)
     saturate_codes(codes, fmt)

@@ -76,8 +76,8 @@ multi-tenant serving system:
   :func:`~repro.serving.multiproc.serve_multiproc` partitions the
   declared cluster into contiguous shard blocks, runs one engine
   process per block over a shared :class:`repro.store.FileStore`
-  cache fabric (plans, prompts and calibration cross the process
-  boundary through it), and merges the per-worker reports into one
+  cache fabric (prompts and calibration cross the process boundary
+  through it), and merges the per-worker reports into one
   fleet view with exact counter sums — with worker supervision:
   dead workers are detected by exit code and either restarted or
   their requests redistributed onto surviving shard blocks

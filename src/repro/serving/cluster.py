@@ -836,15 +836,6 @@ class CalibratingCostModel:
     # The engine passes the estimator around as a plain callable.
     __call__ = estimate
 
-    @property
-    def version(self) -> int:
-        """Monotonic refinement stamp: the number of distinct
-        observations held.  Deterministic under a ``to_dict`` round
-        trip (the snapshot replays exactly these observations), so two
-        workers comparing versions through the store fabric agree on
-        which snapshot is fresher."""
-        return len(self._exact)
-
     def reset(self) -> None:
         self._exact.clear()
         self._per_row.clear()
@@ -921,35 +912,25 @@ CALIBRATION_NAMESPACE = "serving.calibration"
 
 def save_calibration(
     calibrator: CalibratingCostModel,
-    store=None,
+    store,
     name: str = "default",
 ) -> None:
-    """Persist ``calibrator`` state into a cache store namespace.
+    """Persist ``calibrator`` state on ``store``.
 
-    With a shared backend (a :class:`repro.store.FileStore` fabric) the
-    snapshot survives the process and is visible to every worker; the
-    default process-global store makes it an in-process checkpoint.
-    The payload is the JSON-safe :meth:`CalibratingCostModel.to_dict`
-    snapshot, so both store serializers can carry it, version-stamped
-    with :attr:`CalibratingCostModel.version`.
+    On a shared :class:`repro.store.FileStore` fabric the snapshot
+    survives the process and is visible to every worker.  The payload
+    is the JSON-safe :meth:`CalibratingCostModel.to_dict` snapshot, so
+    both store serializers can carry it.
     """
-    if store is None:
-        from repro.store import get_store
-
-        store = get_store()
-    store.put(CALIBRATION_NAMESPACE, name, calibrator.to_dict(),
-              version=calibrator.version)
+    store.put(CALIBRATION_NAMESPACE, name, calibrator.to_dict())
 
 
 def load_calibration(
-    store=None,
+    store,
     name: str = "default",
 ) -> Optional[CalibratingCostModel]:
-    """Restore a :func:`save_calibration` snapshot, or None if absent."""
-    if store is None:
-        from repro.store import get_store
-
-        store = get_store()
+    """Restore a :func:`save_calibration` snapshot from ``store``, or
+    None if absent."""
     data = store.get(CALIBRATION_NAMESPACE, name)
     if data is None:
         return None

@@ -27,7 +27,7 @@ from repro.serving.cluster import ClusterSpec, workload_cost_model
 from repro.serving.engine import InferenceEngine
 from repro.serving.generation import GenerationAdapter
 from repro.serving.prefix_cache import RadixKVCache, TransformerPrefixAdapter
-from repro.store import CacheStore
+from repro.store import FileStore
 
 #: Cost models kept, one per ``WorkloadCostSpec`` value (deployments here use one).
 COST_MODELS = 16
@@ -126,7 +126,7 @@ def assemble_engine(
     pool: ClusterSpec,
     endpoints: Sequence[EndpointSpec],
     radix_budget_bytes: Optional[int] = 32 << 20,
-    fabric: Optional[CacheStore] = None,
+    fabric: Optional[FileStore] = None,
     **engine_options,
 ) -> InferenceEngine:
     """Materialise one deployment: pool built, caches made, models registered.

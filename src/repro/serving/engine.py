@@ -925,7 +925,7 @@ class InferenceEngine:
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Stats of the caches this engine owns, one
-        :meth:`repro.store.CacheStore.stats` dict per namespace: the K/V
+        :meth:`repro.store.InProcessLRU.stats` dict per namespace: the K/V
         cache's per-shard stores and each shard backend's parameter cache
         (under ``nn.params.shard<N>``)."""
         stats: Dict[str, Dict[str, int]] = {}

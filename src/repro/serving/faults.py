@@ -292,9 +292,9 @@ def corrupt_fabric_entries(plan: FaultPlan, root: str) -> int:
 
     Overwrites every data file in each faulted namespace with garbage
     bytes (a torn write / bad sector stand-in), returning the number of
-    files corrupted.  The index is left intact — exactly the dangerous
-    shape: the index says the entry exists, the payload is unreadable —
-    which :class:`~repro.store.FileStore` must quarantine as misses.
+    files corrupted.  Each file still says its entry exists while its
+    payload is unreadable — the dangerous shape, which
+    :class:`~repro.store.FileStore` must quarantine as misses.
     """
     corrupted = 0
     for fault in plan.fabric_faults("corrupt"):
@@ -302,7 +302,7 @@ def corrupt_fabric_entries(plan: FaultPlan, root: str) -> int:
         if not os.path.isdir(ns_dir):
             continue
         for name in sorted(os.listdir(ns_dir)):
-            if name.endswith((".pkl", ".json")) and name != "index.json":
+            if name.endswith((".pkl", ".json")):
                 with open(os.path.join(ns_dir, name), "wb") as handle:
                     handle.write(b"\x00corrupt\x00")
                 corrupted += 1

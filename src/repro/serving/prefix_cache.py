@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.nn.executor import KVState
 from repro.nn.workload import transformer_prefix_savings
-from repro.store import CacheStore, InProcessLRU
+from repro.store import FileStore, InProcessLRU
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ class RadixPrefixIndex:
     """Path-compressed trie over token sequences (longest-prefix match).
 
     The index holds only *which* sequences are cached — payloads live
-    in a byte-budgeted :class:`~repro.store.CacheStore` keyed by the
+    in a byte-budgeted :class:`~repro.store.InProcessLRU` keyed by the
     exact token tuple.
     ``longest_match`` walks the query once (O(|query|)) and returns the
     length of the longest *terminal* prefix, which is how conversational
@@ -332,7 +332,7 @@ class RadixKVCache:
     def __init__(
         self,
         shard_budget_bytes: int = 32 << 20,
-        fabric: Optional[CacheStore] = None,
+        fabric: Optional[FileStore] = None,
     ):
         if shard_budget_bytes < 1:
             raise ValueError(
@@ -385,7 +385,7 @@ class RadixKVCache:
         self.evictions += self._store.stats(namespace)["evictions"] - evictions_before
         self._trees.setdefault((shard, tenant, model), RadixPrefixIndex()).insert(seq)
         if publish and self._fabric is not None:
-            self._fabric.put(self.NAMESPACE, (tenant, model, seq), payload, nbytes=size)
+            self._fabric.put(self.NAMESPACE, (tenant, model, seq), payload)
         return True
 
     # -- read side -------------------------------------------------------

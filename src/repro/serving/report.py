@@ -89,7 +89,7 @@ class ServingReport:
         Name of the placement policy that made the decisions.
     cache_stats:
         Snapshot of the engine's caches after the run, one
-        :meth:`repro.store.CacheStore.stats` dict per namespace (K/V
+        :meth:`repro.store.InProcessLRU.stats` dict per namespace (K/V
         cache shards, parameter caches).
     worker_restarts, worker_redistributions:
         Supervision actions of a multi-worker run (always 0 for a

@@ -1,46 +1,19 @@
-"""Unified cache fabric: one store interface for state that is not pure.
+"""Homes for the state that is not pure.
 
-:class:`~repro.store.base.CacheStore` is the contract (namespaced
-get/put/evict under entry/byte budgets with uniform stats), with two
-implementations:
-
-* :class:`~repro.store.lru.InProcessLRU` — the default; per-process
-  bounded LRU dicts, bit-identical to the historical private caches;
+* :class:`~repro.store.lru.InProcessLRU` — per-process, per-namespace
+  bounded LRU dicts with uniform stats: the parameter caches and the
+  K/V cache's per-shard stores;
 * :class:`~repro.store.filestore.FileStore` — on-disk, lock-guarded,
-  shareable between worker processes (pickle or JSON serialization).
+  one file per key, shareable between worker processes (pickle or JSON
+  serialization): the fleet's fabric, and where traces, tuning fronts
+  and calibration snapshots persist.
 
-The process-global default store (:func:`~repro.store.base.get_store`
-/ :func:`~repro.store.base.set_store`) holds what the persistence
-functions save when given no store: traffic traces, tuning fronts and
-calibration snapshots, each namespace sized by the budget it declares
-once with :func:`~repro.store.base.register_namespace`.  Pure values —
-GEMM / MHP plans, CPWL approximators — are memoised where they are
-defined instead.  See ``docs/architecture.md`` ("The cache fabric") for
-the namespace map.
+Pure values — GEMM / MHP plans, CPWL approximators — are memoised
+where they are defined instead.  See ``docs/architecture.md`` ("The
+cache fabric") for the namespace map.
 """
 
-from repro.store.base import (
-    MISSING,
-    CacheStore,
-    NamespaceLimit,
-    StoreLockTimeout,
-    get_store,
-    namespace_default,
-    register_namespace,
-    set_store,
-)
-from repro.store.filestore import FileStore
-from repro.store.lru import InProcessLRU
+from repro.store.filestore import FileStore, StoreLockTimeout
+from repro.store.lru import MISSING, InProcessLRU
 
-__all__ = [
-    "MISSING",
-    "CacheStore",
-    "NamespaceLimit",
-    "StoreLockTimeout",
-    "get_store",
-    "set_store",
-    "register_namespace",
-    "namespace_default",
-    "InProcessLRU",
-    "FileStore",
-]
+__all__ = ["MISSING", "StoreLockTimeout", "InProcessLRU", "FileStore"]

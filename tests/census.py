@@ -19,10 +19,16 @@ Every function and method defined at module or class level under
 *tests-only* (only the tests pass did) or *never*.  Nested functions
 count with the function that defines them.
 
-Child processes are not followed: code that runs only inside a
-``deploy.fan_out`` / ``serve_multiproc`` worker or a hostbench
-measurement process reads as unreached.  ``BENCH_traced.json``, which
-the bench tier rewrites, is put back as it was.
+Forked ``multiprocessing`` children are followed: a child keeps the
+parent's profiler hook, and a ``multiprocessing.util.Finalize``
+installed after the fork writes what the child called to a per-pid
+file as it exits, which the pass merges (so ``deploy.fan_out`` /
+``serve_multiproc`` workers count).  A child killed on purpose — an
+injected worker death leaves through ``os._exit`` — runs no finalizer
+and its record is lost; a child started any other way (a hostbench
+measurement process is a fresh interpreter) is not followed.
+``BENCH_traced.json``, which the bench tier rewrites, is put back as it
+was.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import multiprocessing.util
 import os
 import runpy
 import subprocess
@@ -117,14 +124,30 @@ PASSES = {"workloads": _run_workloads, "tests": _run_tests}
 
 
 def run_pass(name: str, out: Path) -> None:
-    """Run one pass under the profiler; write the called keys to ``out``."""
+    """Run one pass under the profiler; write the called keys to ``out``,
+    merged with those of every forked child that exited normally."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(EXAMPLES)]
     seen: Set[object] = set()
+    children = out.parent / f"{out.stem}.children"
+    children.mkdir()
 
     def profile(frame, event, arg):
         if event == "call":
             seen.add(frame.f_code)
 
+    def write_child_record() -> None:
+        sys.setprofile(None)
+        record = children / f"{os.getpid()}.json"
+        record.write_text(json.dumps(_called_keys(seen)))
+
+    def after_fork(_) -> None:
+        # The child inherited ``seen`` and the hook; it leaves through
+        # os._exit after multiprocessing's exit finalizers, not atexit.
+        multiprocessing.util.Finalize(None, write_child_record, exitpriority=0)
+
+    # The registry holds ``after_fork`` weakly: it lives as long as
+    # this frame, which spans the pass.
+    multiprocessing.util.register_after_fork(after_fork, after_fork)
     bench = ROOT / "BENCH_traced.json"
     kept = bench.read_bytes()
     sys.setprofile(profile)
@@ -133,7 +156,10 @@ def run_pass(name: str, out: Path) -> None:
     finally:
         sys.setprofile(None)
         bench.write_bytes(kept)
-    out.write_text(json.dumps(_called_keys(seen)))
+    called = set(_called_keys(seen))
+    for record in children.glob("*.json"):
+        called.update(tuple(key) for key in json.loads(record.read_text()))
+    out.write_text(json.dumps(sorted(called)))
 
 
 def census() -> Dict[str, List[Function]]:

@@ -67,7 +67,7 @@ from repro.serving import (
 from repro.autotune.search import _evaluate_chunk
 from repro.serving.deploy import _child_entry
 from repro.serving.faults import FaultPlan
-from repro.store import FileStore, InProcessLRU, get_store, set_store
+from repro.store import FileStore
 from repro.systolic import SystolicConfig
 
 MODEL_KWARGS = dict(
@@ -193,19 +193,6 @@ class TestTraceRoundTrip:
     def test_load_missing_trace_is_none(self):
         with tempfile.TemporaryDirectory() as root:
             assert load_trace("absent", store=FileStore(root)) is None
-
-    def test_save_load_on_process_global_store(self):
-        trace = TrafficTrace(
-            name="global", requests=(TracedRequest("b", (1,), "int64", 0.0),)
-        )
-        previous = get_store()
-        try:
-            set_store(InProcessLRU())
-            save_trace(trace)
-            assert load_trace("global") == trace
-            assert load_trace("absent") is None
-        finally:
-            set_store(previous)
 
 
 class TestRecorder:
@@ -672,19 +659,6 @@ class TestFront:
             save_front(front, store=store, name="alias")
             assert load_front("alias", store=store) == front
             assert load_front("absent", store=store) is None
-
-    def test_save_load_on_process_global_store(self):
-        front = TuningFront.from_entries(
-            "glob", (self._entry(1.0, 0.9, 1e-4, 3.0),), evaluated=1
-        )
-        previous = get_store()
-        try:
-            set_store(InProcessLRU())
-            save_front(front)
-            assert load_front("glob") == front
-            assert load_front("absent") is None
-        finally:
-            set_store(previous)
 
     def test_version_mismatch_rejected(self):
         data = TuningFront.from_entries("t", ()).to_dict()

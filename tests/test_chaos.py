@@ -12,6 +12,8 @@ test is exactly as reproducible as a healthy run: no sleeps, no real
 clocks, no flaky timing.
 """
 
+import os
+
 import numpy as np
 import pytest
 from chaos_plans import retry_spending_outage
@@ -36,7 +38,7 @@ from repro.serving import (
 )
 from repro.serving.cluster import QUARANTINE, QUARANTINE_FACTOR
 from repro.serving.faults import MAX_RETRIES, backoff
-from repro.store import FileStore
+from repro.store import MISSING, FileStore
 from repro.systolic import SystolicArray, SystolicConfig
 
 pytestmark = pytest.mark.chaos
@@ -399,13 +401,13 @@ class TestFabricChaos:
         assert corrupt_fabric_entries(plan, root) == 3
         fresh = FileStore(root)  # a different worker's view of the root
         for i in range(3):
-            assert fresh.get("serving.plans", f"k{i}") is None
-        stats = fresh.stats("serving.plans")
-        assert stats["corruptions"] == 3
-        assert stats["entries"] == 0  # quarantined out of the index
+            assert fresh.get("serving.plans", f"k{i}", default=MISSING) is MISSING
+        # Each read quarantined its entry: the three data files are gone.
+        ns_dir = os.path.join(root, "serving.plans")
+        assert [name for name in os.listdir(ns_dir) if name.endswith(".pkl")] == []
         # The namespace still works — corruption cost misses, not the
         # namespace.
-        assert fresh.put("serving.plans", "k0", {"plan": "rebuilt"})
+        fresh.put("serving.plans", "k0", {"plan": "rebuilt"})
         assert fresh.get("serving.plans", "k0") == {"plan": "rebuilt"}
 
 

@@ -50,7 +50,11 @@ from repro.autotune import (
     TuningConfig,
     WorkloadCostSpec,
     build_engine,
+    load_front,
+    load_trace,
     report_fingerprint,
+    save_front,
+    save_trace,
     synthesize_trace,
 )
 from repro.nn.executor import ArrayBackend, ParamCache
@@ -76,6 +80,8 @@ from repro.serving import (
     StealEvent,
     TenantConfig,
     TransformerPrefixAdapter,
+    load_calibration,
+    save_calibration,
 )
 from repro.serving.faults import MAX_RETRIES
 from repro.serving.generation import ActiveSequence
@@ -421,15 +427,12 @@ def _sites(*markers):
 def test_one_path_from_deployment_as_data_to_a_running_engine():
     """A front end that stands an engine up from picklable values is a
     client of ``repro.serving.deploy``: it does not construct its own
-    engine, fork its own children or swap the global store at all — and
-    the second endpoint-by-construction class stays deleted."""
+    engine or fork its own children — and the second
+    endpoint-by-construction class stays deleted."""
     assert _sites("InferenceEngine(") == ["serving/deploy.py:assemble_engine"]
     assert _sites("engine.register(") == ["serving/deploy.py:assemble_engine"]
     assert _sites("get_context(") == ["serving/deploy.py:fan_out"]
     assert _sites(".Pipe(") == ["serving/deploy.py:fan_out"]
-    assert _sites("get_store(", "set_store(") == [
-        "store/base.py:set_store",  # returns the store now in effect
-    ]
     deleted = "Model" "Spec"
     for path in SRC.rglob("*.py"):
         assert deleted not in path.read_text(), path
@@ -437,29 +440,25 @@ def test_one_path_from_deployment_as_data_to_a_running_engine():
 
 def test_pure_values_are_memoised_where_they_are_defined():
     """Plans and approximators are bounded per-process memos at their
-    definitions, and the process store is reached only by the functions
-    that persist traces, fronts and calibration when given no store."""
+    definitions; there is no process-global store, no namespace
+    registry and no abstract store class, so persisting a trace, a
+    front or a calibration snapshot names its store."""
+
     first_line = {name: code.splitlines()[0] for _, name, code in _functions_under_src()}
     assert first_line["_approximator"] == "@functools.lru_cache(maxsize=APPROXIMATORS)"
     assert first_line["_gemm_plan"] == "@functools.lru_cache(maxsize=GEMM_PLANS)"
     assert first_line["_mhp_plan"] == "@functools.lru_cache(maxsize=MHP_PLANS)"
-    assert _sites("get_store(") == [
-        "autotune/front.py:load_front",
-        "autotune/front.py:save_front",
-        "autotune/trace.py:load_trace",
-        "autotune/trace.py:save_trace",
-        "serving/cluster.py:load_calibration",
-        "serving/cluster.py:save_calibration",
-        "store/base.py:get_store",
-        "store/base.py:set_store",
-    ]
+    for persist in (save_trace, load_trace, save_front, load_front,
+                    save_calibration, load_calibration):
+        store = inspect.signature(persist).parameters["store"]
+        assert store.default is inspect.Parameter.empty, persist.__name__
     assert not (SRC / "store" / "tiered.py").exists()
-    registering = sorted(
-        str(path.relative_to(SRC))
-        for path in SRC.rglob("*.py")
-        if "register_namespace(" in path.read_text()
-    )
-    assert registering == ["autotune/front.py", "autotune/trace.py", "store/base.py"]
+    assert not (SRC / "store" / "base.py").exists()
+    deleted = ("get" "_store", "set" "_store", "register" "_namespace",
+               "namespace" "_default", "Cache" "Store")
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        assert not [name for name in deleted if name in text], path
 
 
 def test_one_request_description_through_every_front_door():
@@ -935,7 +934,8 @@ def test_tapes_are_lent_in_one_place_and_kept_in_no_registry():
             and "tape" in ast.unparse(node).lower()
         ]
         assert assigned == [], path
-    assert "tape" not in (SRC / "store" / "base.py").read_text().lower()
+    for path in (SRC / "store").glob("*.py"):
+        assert "tape" not in path.read_text().lower(), path
 
 
 @pytest.mark.parametrize("fate", ["shed", "failed"])

@@ -1,8 +1,10 @@
 """Unit tests for the fixed-point substrate."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fixedpoint import (
@@ -103,6 +105,30 @@ class TestQuantize:
     def test_roundtrip_error_within_half_lsb(self, value):
         err = abs(float(dequantize(quantize(value, INT16), INT16)) - value)
         assert err <= INT16.scale / 2 + 1e-12
+
+    @pytest.mark.parametrize("code", [0.49999999999999994, -0.49999999999999994])
+    def test_just_below_half_rounds_toward_zero(self, code):
+        # code + 0.5 rounds up to 1.0 in float64; half away from zero
+        # still has to give 0.
+        assert quantize(np.array([code / 256]), INT16)[0] == 0
+
+    @given(
+        st.integers(min_value=-(1 << 14), max_value=(1 << 14)),
+        st.integers(min_value=-4, max_value=4),
+    )
+    @example(k=0, ulps=-1)
+    @example(k=-1, ulps=1)
+    @settings(max_examples=200, deadline=None)
+    def test_near_half_matches_exact_half_away_from_zero(self, k, ulps):
+        # Floats within a few ulps of k + 0.5 against exact rational
+        # rounding: floor(|x| + 1/2) with the sign of x.
+        code = k + 0.5
+        step = np.inf if ulps > 0 else -np.inf
+        for _ in range(abs(ulps)):
+            code = float(np.nextafter(code, step))
+        exact = Fraction(code)
+        expected = int(abs(exact) + Fraction(1, 2)) * (1 if exact >= 0 else -1)
+        assert quantize(np.array([code / 256]), INT16)[0] == expected
 
 
 class TestRequantize:

@@ -30,7 +30,7 @@ from repro.serving import (
 )
 from repro.serving.multiproc import WorkerConfig, _worker_main
 from repro.serving.request import describe_request, resolve_arrivals
-from repro.store import FileStore, get_store
+from repro.store import FileStore
 from repro.systolic import SystolicConfig
 
 CONFIG = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=8)
@@ -92,19 +92,6 @@ class TestPartitioning:
 
 
 class TestWorkerMain:
-    def test_in_process_worker_restores_global_store(self, tmp_path):
-        before = get_store()
-        config = WorkerConfig(
-            index=0,
-            cluster=ClusterSpec.homogeneous(CONFIG, 1),
-            models=(_model_spec(),),
-            requests=tuple(_requests(4)),
-            store_root=str(tmp_path / "fabric"),
-        )
-        report = _worker_main(config)
-        assert get_store() is before  # no worker state leaked
-        assert report.n_requests == 4
-
     def test_sequential_workers_share_prefix_fabric(self, tmp_path):
         root = str(tmp_path / "fabric")
         requests = _requests(4)

@@ -1,28 +1,25 @@
-"""Cache-store contract suite: every backend, one behaviour.
+"""Store suite: the two backends and the sites that use them.
 
-The store's cache sites (parameter derivations, K/V prefix payloads,
-calibration snapshots, traces and fronts) rely on the exact semantics
-pinned here, and the memoised pure values (GEMM / MHP plans, CPWL
-approximators) on the last class:
-
-* LRU order and recency: hits refresh, peeks (``touch=False``) don't,
-  eviction takes the least-recently-used entry first;
-* budgets: entry-count and byte budgets evict until both hold, an
-  entry alone exceeding the byte budget is rejected, replacing a key
-  releases its old bytes first;
-* namespace isolation: keys, budgets, eviction and stats of one
-  namespace never leak into another;
-* FileStore durability: values round-trip bit-exactly through both
-  serializers, concurrent writer processes never corrupt the index,
-  and a filename collision degrades to a verified miss;
+* both backends: values round-trip, a cached ``None`` is told apart
+  from a miss through ``MISSING``, and namespaces never share keys;
+* InProcessLRU (the parameter caches and the K/V cache's shard
+  stores): LRU order and recency — hits refresh, peeks
+  (``touch=False``) don't, eviction takes the least-recently-used
+  entry first — and budgets: entry-count and byte budgets evict until
+  both hold, an entry alone exceeding the byte budget is rejected,
+  replacing a key releases its old bytes first, budgets and counters
+  are per namespace;
+* FileStore (the fleet's fabric, one file per key): values round-trip
+  bit-exactly through both serializers, concurrent writer processes
+  publish every entry whole, a filename collision degrades to a
+  verified miss, a held lock times out, and an unreadable entry is
+  quarantined as a miss;
 * the property suite replays random operation sequences against a
   reference OrderedDict model — the historical cache implementation —
-  so the InProcessLRU default stays bit-identical to the pre-store
-  caches.
+  so InProcessLRU stays bit-identical to the pre-store caches.
 """
 
 import multiprocessing
-import pickle
 from collections import OrderedDict
 
 import numpy as np
@@ -30,18 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.store import (
-    MISSING,
-    CacheStore,
-    FileStore,
-    InProcessLRU,
-    NamespaceLimit,
-    StoreLockTimeout,
-    get_store,
-    namespace_default,
-    register_namespace,
-    set_store,
-)
+from repro.store import MISSING, FileStore, InProcessLRU, StoreLockTimeout
 
 NS = "test.namespace"
 OTHER = "test.other"
@@ -49,49 +35,76 @@ OTHER = "test.other"
 
 @pytest.fixture(params=["lru", "file"])
 def store(request, tmp_path):
-    """Each contract test runs against every backend."""
+    """A backend: every test runs on each one it names (both by default)."""
     if request.param == "lru":
         return InProcessLRU()
     return FileStore(str(tmp_path / "store"))
+
+
+#: Runs a contract test on the in-process backend only: budgets, LRU
+#: order, deletion and counters are InProcessLRU's alone.
+lru_only = pytest.mark.parametrize("store", ["lru"], indirect=True)
 
 
 class TestContract:
     def test_get_put_roundtrip(self, store):
         assert store.get(NS, "k") is None
         assert store.get(NS, "k", default=42) == 42
-        assert store.put(NS, "k", {"v": 1})
+        store.put(NS, "k", {"v": 1})
         assert store.get(NS, "k") == {"v": 1}
-        assert store.contains(NS, "k")
-        assert not store.contains(NS, "absent")
 
     def test_cached_none_distinguishable_via_sentinel(self, store):
         store.put(NS, "k", None)
         assert store.get(NS, "k", default=MISSING) is None
         assert store.get(NS, "absent", default=MISSING) is MISSING
 
+    def test_namespace_isolation(self, store):
+        store.put(NS, "k", "ns")
+        store.put(OTHER, "k", "other")
+        assert store.get(NS, "k") == "ns"
+        assert store.get(OTHER, "k") == "other"
+
+    @lru_only
+    def test_budgets_and_counters_are_per_namespace(self, store):
+        store.set_limit(NS, max_entries=1)
+        store.put(NS, "k", "ns")
+        store.put(OTHER, "k", "other")
+        store.put(NS, "k2", "ns2")  # evicts within NS only
+        assert store.get(OTHER, "k") == "other"
+        assert store.stats(OTHER)["entries"] == 1
+        assert store.stats(NS)["entries"] == 1
+        assert store.stats(NS)["evictions"] == 1
+        assert store.stats(OTHER)["evictions"] == 0
+
+    @lru_only
     def test_lru_order_and_hit_refresh(self, store):
+        store.set_limit(NS, max_entries=3)
         for key in ("a", "b", "c"):
             store.put(NS, key, key.upper())
-        assert store.values(NS) == ["A", "B", "C"]  # LRU -> MRU
-        store.get(NS, "a")  # hit refreshes recency
-        assert store.values(NS) == ["B", "C", "A"]
+        store.get(NS, "a")  # hit refreshes recency: "b" is now LRU
+        store.put(NS, "d", "D")
+        assert [store.contains(NS, key) for key in "abcd"] == [True, False, True, True]
 
+    @lru_only
     def test_peek_does_not_refresh(self, store):
+        store.set_limit(NS, max_entries=2)
         for key in ("a", "b"):
             store.put(NS, key, key)
-        store.get(NS, "a", touch=False)
-        assert store.values(NS) == ["a", "b"]
-        store.touch(NS, "a")  # explicit touch does
-        assert store.values(NS) == ["b", "a"]
+        store.get(NS, "a", touch=False)  # "a" stays LRU
+        store.put(NS, "c", "c")
+        assert not store.contains(NS, "a")
+        assert store.contains(NS, "b") and store.contains(NS, "c")
 
+    @lru_only
     def test_entry_budget_evicts_lru_first(self, store):
         store.set_limit(NS, max_entries=2)
         store.put(NS, "a", 1)
         store.put(NS, "b", 2)
         store.put(NS, "c", 3)
         assert not store.contains(NS, "a")
-        assert store.values(NS) == [2, 3]
+        assert store.get(NS, "b") == 2 and store.get(NS, "c") == 3
 
+    @lru_only
     def test_byte_budget_evicts_until_fit(self, store):
         store.set_limit(NS, max_bytes=100)
         store.put(NS, "a", "a", nbytes=40)
@@ -102,6 +115,7 @@ class TestContract:
         assert stats["bytes"] == 80
         assert stats["evictions"] == 1
 
+    @lru_only
     def test_oversized_entry_rejected(self, store):
         store.set_limit(NS, max_bytes=100)
         store.put(NS, "small", 1, nbytes=60)
@@ -110,6 +124,7 @@ class TestContract:
         assert store.contains(NS, "small")  # nothing was evicted for it
         assert store.stats(NS)["rejections"] == 1
 
+    @lru_only
     def test_replace_releases_old_bytes(self, store):
         store.set_limit(NS, max_bytes=100)
         store.put(NS, "a", 1, nbytes=80)
@@ -119,40 +134,30 @@ class TestContract:
         assert stats["bytes"] == 90
         assert stats["evictions"] == 0
 
+    @lru_only
     def test_set_limit_shrink_evicts_immediately(self, store):
         for i in range(4):
             store.put(NS, i, i)
         store.set_limit(NS, max_entries=2)
         assert store.stats(NS)["entries"] == 2
-        assert store.values(NS) == [2, 3]
+        assert [store.contains(NS, i) for i in range(4)] == [False, False, True, True]
 
-    def test_namespace_isolation(self, store):
-        store.set_limit(NS, max_entries=1)
-        store.put(NS, "k", "ns")
-        store.put(OTHER, "k", "other")
-        store.put(NS, "k2", "ns2")  # evicts within NS only
-        assert store.get(OTHER, "k") == "other"
-        assert store.stats(OTHER)["entries"] == 1
-        assert store.stats(NS)["entries"] == 1
-
+    @lru_only
     def test_delete_and_clear(self, store):
         store.put(NS, "a", 1, nbytes=10)
         store.put(NS, "b", 2, nbytes=10)
         assert store.delete(NS, "a")
         assert not store.delete(NS, "a")
+        assert store.stats(NS)["bytes"] == 10
         store.get(NS, "b")
         store.clear(NS)
         stats = store.stats(NS)
         assert stats["entries"] == 0
         assert stats["bytes"] == 0
         assert stats["hits"] == 1  # counters survive clear
-        assert store.nbytes_of(NS, "b") == 0
+        assert not store.contains(NS, "b")
 
-    def test_nbytes_of(self, store):
-        store.put(NS, "a", 1, nbytes=17)
-        assert store.nbytes_of(NS, "a") == 17
-        assert store.nbytes_of(NS, "absent") == 0
-
+    @lru_only
     def test_stats_counters(self, store):
         store.put(NS, "a", 1)
         store.get(NS, "a")
@@ -161,11 +166,9 @@ class TestContract:
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         assert stats["insertions"] == 1
-        store.reset_stats(NS)
-        stats = store.stats(NS)
-        assert stats["hits"] == stats["misses"] == stats["insertions"] == 0
-        assert stats["entries"] == 1  # occupancy survives the reset
+        assert stats["entries"] == 1
 
+    @lru_only
     def test_stats_all_namespaces(self, store):
         store.put(NS, "a", 1)
         store.put(OTHER, "b", 2)
@@ -173,40 +176,13 @@ class TestContract:
         assert NS in all_stats and OTHER in all_stats
         assert all_stats[NS]["entries"] == 1
 
+    @lru_only
     def test_limit_validation(self, store):
         with pytest.raises(ValueError):
             store.set_limit(NS, max_entries=0)
         with pytest.raises(ValueError):
             store.set_limit(NS, max_bytes=-1)
-
-
-class TestRegisteredDefaults:
-    def test_registered_default_applies_to_fresh_store(self):
-        register_namespace("test.registered", max_entries=2)
-        try:
-            store = InProcessLRU()
-            assert store.limit("test.registered") == NamespaceLimit(max_entries=2)
-            for i in range(3):
-                store.put("test.registered", i, i)
-            assert store.stats("test.registered")["entries"] == 2
-        finally:
-            register_namespace("test.registered")  # back to unbounded
-
-    def test_unregistered_namespace_unbounded(self):
-        assert namespace_default("test.never.registered") == NamespaceLimit()
-
-
-class TestGlobalStore:
-    def test_set_store_swaps_and_none_restores_default(self):
-        previous = get_store()
-        try:
-            mine = InProcessLRU()
-            assert set_store(mine) is mine
-            assert get_store() is mine
-            fresh = set_store(None)
-            assert isinstance(fresh, InProcessLRU) and fresh is not mine
-        finally:
-            set_store(previous)
+        assert store.stats(NS)["max_entries"] is None  # nothing half-applied
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +194,17 @@ def _hammer_filestore(args):
     store = FileStore(root)
     for i in range(20):
         key = ("w", worker, i)
-        store.put("shared.ns", key, {"worker": worker, "i": i}, nbytes=8)
+        store.put("shared.ns", key, {"worker": worker, "i": i})
     hits = sum(
         1
         for i in range(20)
         if store.get("shared.ns", ("w", worker, i)) is not None
     )
     return hits
+
+
+def _data_files(ns_dir):
+    return {p for p in ns_dir.iterdir() if p.suffix == ".pkl"}
 
 
 class TestFileStore:
@@ -247,10 +227,12 @@ class TestFileStore:
 
     def test_persistence_across_instances(self, tmp_path):
         root = str(tmp_path / "s")
-        FileStore(root).put(NS, "k", [1, 2, 3], nbytes=24)
+        FileStore(root).put(NS, "k", [1, 2, 3])
         reopened = FileStore(root)
         assert reopened.get(NS, "k") == [1, 2, 3]
-        assert reopened.nbytes_of(NS, "k") == 24
+        reopened.put(NS, "k", [4])  # replaces in place: still one file
+        assert FileStore(root).get(NS, "k") == [4]
+        assert len(_data_files(tmp_path / "s" / NS)) == 1
 
     def test_filename_collision_is_verified_miss(self, tmp_path, monkeypatch):
         import repro.store.filestore as filestore_module
@@ -268,6 +250,8 @@ class TestFileStore:
         assert store.get(NS, "second") == "value-two"
 
     def test_concurrent_writers_keep_index_consistent(self, tmp_path):
+        """The namespace directory is the index: after four writer
+        processes, it holds exactly their 80 files, each whole."""
         root = str(tmp_path / "shared")
         FileStore(root)  # create the root
         try:
@@ -277,22 +261,13 @@ class TestFileStore:
         with ctx.Pool(4) as pool:
             hits = pool.map(_hammer_filestore, [(root, w) for w in range(4)])
         assert hits == [20, 20, 20, 20]
+        assert len(_data_files(tmp_path / "shared" / "shared.ns")) == 80
+        assert not list((tmp_path / "shared" / "shared.ns").glob("*.tmp"))
         store = FileStore(root)
-        stats = store.stats("shared.ns")
-        assert stats["entries"] == 80
-        assert stats["bytes"] == 80 * 8
-        # Every entry wrote atomically: all values load and verify.
-        assert len(store.values("shared.ns")) == 80
-
-    def test_eviction_removes_data_files(self, tmp_path):
-        store = FileStore(str(tmp_path / "s"))
-        store.set_limit(NS, max_entries=2)
-        for i in range(5):
-            store.put(NS, i, i)
-        assert store.values(NS) == [3, 4]
-        ns_dir = tmp_path / "s" / NS
-        data_files = [p for p in ns_dir.iterdir() if p.suffix == ".pkl"]
-        assert len(data_files) == 2
+        for worker in range(4):
+            for i in range(20):
+                value = store.get("shared.ns", ("w", worker, i))
+                assert value == {"worker": worker, "i": i}
 
     def test_lock_timeout_must_be_positive_or_none(self, tmp_path):
         with pytest.raises(ValueError, match="lock_timeout"):
@@ -325,24 +300,19 @@ class TestFileStore:
         store = FileStore(str(tmp_path / "s"))
         ns_dir = tmp_path / "s" / NS
         store.put(NS, "good", [1, 2])
-        before = {p for p in ns_dir.iterdir() if p.suffix == ".pkl"}
+        before = _data_files(ns_dir)
         store.put(NS, "bad", [3, 4])
-        (bad_file,) = {
-            p for p in ns_dir.iterdir() if p.suffix == ".pkl"
-        } - before
+        (bad_file,) = _data_files(ns_dir) - before
         bad_file.write_bytes(b"\x00not a pickle\x00")
         # Corrupt bytes load as a miss, and the entry is quarantined:
-        # counter bumped, file and index entry removed.
+        # its file is removed.
         assert store.get(NS, "bad", default="fallback") == "fallback"
-        stats = store.stats(NS)
-        assert stats["corruptions"] == 1
-        assert stats["entries"] == 1
         assert not bad_file.exists()
+        assert _data_files(ns_dir) == before
         assert store.get(NS, "good") == [1, 2]  # neighbours untouched
         # The slot is reusable after quarantine.
         store.put(NS, "bad", [5, 6])
         assert store.get(NS, "bad") == [5, 6]
-        assert store.stats(NS)["corruptions"] == 1
 
     @pytest.mark.parametrize(
         "missing",
@@ -352,22 +322,18 @@ class TestFileStore:
     def test_entry_of_a_deleted_class_is_a_miss_everywhere(self, tmp_path, missing):
         """A fabric outlives the code that wrote it: an entry whose
         pickle names a class (or module) this code no longer has must
-        read as a quarantined miss through ``get`` and be skipped by
-        ``keys`` / ``values`` — never raise."""
+        read as a quarantined miss — never raise."""
         store = FileStore(str(tmp_path / "s"))
         ns_dir = tmp_path / "s" / NS
         store.put(NS, "good", [1, 2])
-        before = {p for p in ns_dir.iterdir() if p.suffix == ".pkl"}
+        before = _data_files(ns_dir)
         store.put(NS, "gone", [3, 4])
-        (gone_file,) = {p for p in ns_dir.iterdir() if p.suffix == ".pkl"} - before
+        (gone_file,) = _data_files(ns_dir) - before
         # Protocol-0 pickle of (repr("gone"), <GLOBAL missing name>).
         gone_file.write_bytes(b"(V'gone'\n" + missing + b"t.")
-        assert store.keys(NS) == [repr("good")]
-        assert store.values(NS) == [[1, 2]]
         assert store.get(NS, "gone") is None
-        stats = store.stats(NS)
-        assert stats["corruptions"] == 1 and stats["entries"] == 1
         assert not gone_file.exists()
+        assert store.get(NS, "gone", default=MISSING) is MISSING
         assert store.get(NS, "good") == [1, 2]
 
 
@@ -449,7 +415,8 @@ class TestLRUMatchesHistoricalCaches:
             else:
                 reference.delete(op[1])
                 store.delete(NS, op[1])
-            assert store.keys(NS) == list(reference.entries)
+            # LRU -> MRU order, read off the namespace's own OrderedDict.
+            assert list(store._namespaces[NS].entries) == list(reference.entries)
             assert store.stats(NS)["bytes"] == reference.bytes
 
 
