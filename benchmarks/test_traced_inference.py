@@ -116,7 +116,7 @@ class _ChainArray(SystolicArray):
         label = label or function
         x_raw = np.atleast_2d(np.asarray(x_raw))
         qtable = get_approximator(function, granularity, fmt, domain=domain).qtable
-        if self.addressing.preload(qtable, self.hierarchy["params"]):
+        if self.addressing.preload(qtable, self.params):
             self.trace.record(
                 TraceEvent(
                     kind="preload",

@@ -14,8 +14,10 @@ composite op becomes a short program of
 Every function takes float activations, quantizes to the datapath format,
 runs the bit-accurate fixed-point pipeline, and returns float results —
 i.e. the value the network would actually see when the op runs on
-ONE-SA.  Passing ``fmt=None`` selects an idealised float CPWL (no
-quantization), which the ablation uses to split error sources.
+ONE-SA.  The single-table ops (``cpwl_gelu`` and its kin,
+``cpwl_rsqrt_range_reduced``) also take ``fmt=None``, an idealised
+float CPWL (no quantization) that splits error sources; the composite
+softmax, layernorm and batchnorm run in a fixed-point format only.
 
 Inside a fixed-point op a value stays a float64 raw code between array
 events: scale by ``2**frac_bits`` on entry, chain ``round_saturate`` /
@@ -118,7 +120,7 @@ def cpwl_tanh(
 def cpwl_softmax(
     x: np.ndarray,
     granularity: float,
-    fmt: Optional[QFormat] = INT16,
+    fmt: QFormat = INT16,
     axis: int = -1,
     row_offset: Optional[int] = None,
 ) -> np.ndarray:
@@ -131,9 +133,9 @@ def cpwl_softmax(
     ``row_offset`` selects the causal form over the last axis of
     ``(..., R, T)`` scores: row ``i`` is a softmax over its first
     ``row_offset + i + 1`` entries and the rest are exact zeros, all
-    rows in one pass.  With a fixed-point ``fmt`` every ``exp`` output
-    sits on the format grid, so the row sum is exact in float64 whatever
-    its order and the pass is bit-identical to one call per row slice.
+    rows in one pass.  Every ``exp`` output sits on the format grid, so
+    the row sum is exact in float64 whatever its order and the pass is
+    bit-identical to one call per row slice.
     """
     x = np.asarray(x, dtype=np.float64)
     if row_offset is None:
@@ -150,12 +152,6 @@ def cpwl_softmax(
     # Guard the reciprocal domain: a denominator this small only occurs
     # when every exponent underflowed to zero; uniform output is correct.
     lo = recip_table.table.x_min
-    if fmt is None:
-        exps = np.maximum(exp_table(shifted), 0.0)
-        if row_offset is not None:
-            exps = np.where(visible, exps, 0.0)
-        denom = np.sum(exps, axis=axis, keepdims=True)
-        return exps * recip_table(np.maximum(denom, lo))
     one = float(1 << fmt.frac_bits)
     shifted *= one
     exps = exp_table.evaluate_raw(round_saturate(shifted, fmt))
@@ -180,7 +176,7 @@ def cpwl_layernorm(
     granularity: float,
     gamma: Optional[np.ndarray] = None,
     beta: Optional[np.ndarray] = None,
-    fmt: Optional[QFormat] = INT16,
+    fmt: QFormat = INT16,
     axis: int = -1,
     eps: float = 1e-5,
 ) -> np.ndarray:
@@ -197,14 +193,6 @@ def cpwl_layernorm(
     centered = x - np.sum(x, axis=axis, keepdims=True) / n
     rsqrt_table = get_approximator("rsqrt", granularity, fmt)
     lo = rsqrt_table.table.x_min
-    if fmt is None:
-        var = np.sum(centered * centered, axis=axis, keepdims=True) / n + eps
-        normed = centered * rsqrt_table(np.maximum(var, lo))
-        if gamma is not None:
-            normed = normed * np.asarray(gamma, dtype=np.float64)
-        if beta is not None:
-            normed = normed + np.asarray(beta, dtype=np.float64)
-        return normed
     one = float(1 << fmt.frac_bits)
     centered *= one
     round_saturate(centered, fmt)
@@ -259,7 +247,7 @@ def cpwl_batchnorm(
     x: np.ndarray,
     scale: np.ndarray,
     shift: np.ndarray,
-    fmt: Optional[QFormat] = INT16,
+    fmt: QFormat = INT16,
     channel_axis: int = 1,
 ) -> np.ndarray:
     """Inference-time batch normalization as a single MHP.
@@ -277,8 +265,7 @@ def cpwl_batchnorm(
     b = np.asarray(shift, dtype=np.float64).reshape(shape)
     out = x * k
     out += b
-    if fmt is not None:
-        out *= float(1 << fmt.frac_bits)
-        round_saturate(out, fmt)
-        out *= fmt.scale
+    out *= float(1 << fmt.frac_bits)
+    round_saturate(out, fmt)
+    out *= fmt.scale
     return out

@@ -372,6 +372,13 @@ def transformer_prefix_workload(
     return wl.add_gemm(batch, dim, n_classes, label="classifier")
 
 
+#: Prices :func:`transformer_prefill_cycles` and
+#: :func:`transformer_prefix_savings` each keep: a 16-position model at
+#: batch <= 8 has 8 x (136 prefill + 15 decode) shapes per design point.
+PRICE_CACHE_SIZE = 8192
+
+
+@functools.lru_cache(maxsize=PRICE_CACHE_SIZE)
 def transformer_prefix_savings(
     batch: int,
     seq_len: int,
@@ -397,11 +404,6 @@ def transformer_prefix_savings(
         raise ValueError(f"heads ({heads}) must divide dim ({dim})")
     cold = transformer_serving_workload(batch, seq_len, *shape)
     return _traced_cycles(cold.ops, config) - _traced_cycles(hit.ops, config)
-
-
-#: Prices :func:`transformer_prefill_cycles` keeps: a 16-position model at
-#: batch <= 8 has 8 x (136 prefill + 15 decode) shapes per design point.
-PRICE_CACHE_SIZE = 8192
 
 
 @functools.lru_cache(maxsize=PRICE_CACHE_SIZE)

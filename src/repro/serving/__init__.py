@@ -149,7 +149,6 @@ from repro.serving.multiproc import (
 from repro.serving.prefix_cache import (
     PrefixEvent,
     RadixKVCache,
-    RadixPrefixIndex,
     TransformerPrefixAdapter,
 )
 from repro.serving.report import ServingReport
@@ -214,7 +213,6 @@ __all__ = [
     "serve_multiproc",
     "PrefixEvent",
     "RadixKVCache",
-    "RadixPrefixIndex",
     "TransformerPrefixAdapter",
     "ElasticConfig",
     "ScalingEvent",

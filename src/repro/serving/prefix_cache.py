@@ -20,8 +20,9 @@ This module provides the cache side of that reuse:
   what placement affinity exploits).  The invariant
   ``resident_bytes(shard) <= budget`` holds after every operation,
   which the property suite asserts.  Store keys are the *exact token
-  tuples*, and a :class:`RadixPrefixIndex` per ``(shard, tenant,
-  model)`` finds the longest cached prefix of a query.
+  tuples*, and they are the index: the longest cached prefix of a
+  query is its longest prefix whose key the shard's store holds, so
+  lookup and placement affinity read the one record eviction updates.
 * :class:`TransformerPrefixAdapter` — the classifier endpoint glue:
   derives the request's batch key (content digest of the prompt
   tokens), runs the cold path with K/V capture, runs the hit path
@@ -37,11 +38,11 @@ per-shard budget: a classifier batch reuses its fixed-length prompt
 only when the whole prompt is cached; a generation prefill takes
 whatever prefix of its prompt is cached and computes the rest.  A model
 is one kind or the other (``register`` refuses both adapters on one
-endpoint), so one ``(shard, tenant, model)`` tree only ever holds one
-kind of payload.  Classifier hits and misses never share
-a batch: the batcher keys groups on ``(tenant, model, prefix_key)``,
-so a batch is uniformly one prompt and the engine resolves it against
-the cache exactly once.
+endpoint), so one ``(shard, tenant, model)`` key family only ever holds
+one kind of payload.  Classifier hits and misses never share a batch:
+the batcher keys groups on ``(tenant, model, prefix_key)``, so a batch
+is uniformly one prompt and the engine resolves it against the cache
+exactly once.
 """
 
 from __future__ import annotations
@@ -112,7 +113,6 @@ class TransformerPrefixAdapter:
             )
         self.model = model
         self.prefix_len = int(prefix_len)
-        self._savings: Dict[object, int] = {}
 
     # -- keying ---------------------------------------------------------
     def prefix_tokens(self, inputs: np.ndarray) -> np.ndarray:
@@ -157,139 +157,11 @@ class TransformerPrefixAdapter:
     # -- accounting -----------------------------------------------------
     def saved_cycles(self, batch_size: int, config) -> int:
         """Exact traced cycles a hit of ``batch_size`` skips on ``config``."""
-        key = (batch_size, config)
-        if key not in self._savings:
-            self._savings[key] = transformer_prefix_savings(
-                batch_size,
-                self.model.seq_len,
-                self.prefix_len,
-                self.model.dim,
-                self.model.heads,
-                self.model.ff_dim,
-                self.model.n_layers,
-                config,
-            )
-        return self._savings[key]
-
-
-class _RadixNode:
-    """One node of a path-compressed token trie."""
-
-    __slots__ = ("edges", "terminal")
-
-    def __init__(self):
-        # first token of the edge label -> (label tuple, child node)
-        self.edges: Dict[int, Tuple[Tuple[int, ...], "_RadixNode"]] = {}
-        self.terminal = False
-
-
-class RadixPrefixIndex:
-    """Path-compressed trie over token sequences (longest-prefix match).
-
-    The index holds only *which* sequences are cached — payloads live
-    in a byte-budgeted :class:`~repro.store.InProcessLRU` keyed by the
-    exact token tuple.
-    ``longest_match`` walks the query once (O(|query|)) and returns the
-    length of the longest *terminal* prefix, which is how conversational
-    traffic finds the deepest cached slice of its growing history.
-    """
-
-    def __init__(self):
-        self._root = _RadixNode()
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __contains__(self, tokens) -> bool:
-        seq = tuple(tokens)
-        return self.longest_match(seq) == len(seq) and len(seq) > 0
-
-    def insert(self, tokens) -> bool:
-        """Mark ``tokens`` cached; returns False if already present."""
-        seq = tuple(int(t) for t in tokens)
-        if not seq:
-            raise ValueError("cannot index an empty token sequence")
-        node, i = self._root, 0
-        n = len(seq)
-        while i < n:
-            edge = node.edges.get(seq[i])
-            if edge is None:
-                child = _RadixNode()
-                child.terminal = True
-                node.edges[seq[i]] = (seq[i:], child)
-                self._size += 1
-                return True
-            label, child = edge
-            common = 0
-            limit = min(len(label), n - i)
-            while common < limit and label[common] == seq[i + common]:
-                common += 1
-            if common == len(label):
-                node, i = child, i + common
-                continue
-            # Split the edge at the divergence (or containment) point.
-            mid = _RadixNode()
-            node.edges[seq[i]] = (label[:common], mid)
-            mid.edges[label[common]] = (label[common:], child)
-            if i + common == n:
-                mid.terminal = True
-            else:
-                leaf = _RadixNode()
-                leaf.terminal = True
-                mid.edges[seq[i + common]] = (seq[i + common :], leaf)
-            self._size += 1
-            return True
-        if node.terminal:
-            return False
-        node.terminal = True
-        self._size += 1
-        return True
-
-    def longest_match(self, tokens) -> int:
-        """Length of the longest indexed prefix of ``tokens`` (0 = none)."""
-        seq = tuple(tokens)
-        node, i, best = self._root, 0, 0
-        n = len(seq)
-        while i < n:
-            edge = node.edges.get(seq[i])
-            if edge is None:
-                break
-            label, child = edge
-            if len(label) > n - i or label != seq[i : i + len(label)]:
-                break
-            i += len(label)
-            node = child
-            if node.terminal:
-                best = i
-        return best
-
-    def remove(self, tokens) -> bool:
-        """Unmark ``tokens``; prunes empty branches.  False if absent."""
-        seq = tuple(int(t) for t in tokens)
-        path = []  # (parent, first_token_of_edge)
-        node, i = self._root, 0
-        n = len(seq)
-        while i < n:
-            edge = node.edges.get(seq[i])
-            if edge is None:
-                return False
-            label, child = edge
-            if label != seq[i : i + len(label)]:
-                return False
-            path.append((node, seq[i]))
-            node, i = child, i + len(label)
-        if i != n or not node.terminal:
-            return False
-        node.terminal = False
-        self._size -= 1
-        # Prune now-useless leaves back up the walked path.
-        for parent, first in reversed(path):
-            label, child = parent.edges[first]
-            if child.terminal or child.edges:
-                break
-            del parent.edges[first]
-        return True
+        model = self.model
+        return transformer_prefix_savings(
+            batch_size, model.seq_len, self.prefix_len, model.dim,
+            model.heads, model.ff_dim, model.n_layers, config,
+        )
 
 
 class RadixKVCache:
@@ -297,10 +169,10 @@ class RadixKVCache:
 
     Payloads are :class:`~repro.nn.executor.KVState` prefixes of a token
     sequence — a classifier's shared prompt, or a generating sequence's
-    prompt and, as it generates, its growing history.  A
-    per-``(shard, tenant, model)`` :class:`RadixPrefixIndex` finds the
-    longest cached prefix of a query, so a conversational follow-up
-    that replays its whole transcript prefills only the new turn.
+    prompt and, as it generates, its growing history.  A lookup finds
+    the longest prefix of a query whose exact key the shard's store
+    holds, so a conversational follow-up that replays its whole
+    transcript prefills only the new turn.
 
     Parameters
     ----------
@@ -323,7 +195,8 @@ class RadixKVCache:
     verification.  Payloads live in a private
     :class:`~repro.store.InProcessLRU`: shard ``N`` under
     ``serving.radix.shard<N>``, the shard-agnostic fabric tier under
-    :attr:`NAMESPACE` itself.
+    :attr:`NAMESPACE` itself.  That store is the one record of
+    residency: :meth:`lookup` and :meth:`resident_shards` both ask it.
     """
 
     #: Store namespace of the cache (an engine has one, so one name).
@@ -342,11 +215,13 @@ class RadixKVCache:
         self._store = InProcessLRU()
         self._fabric = fabric
         self._shards_seen: Set[int] = set()
-        self._trees: Dict[Tuple[int, str, str], RadixPrefixIndex] = {}
+        # Key lengths ever admitted per (shard, tenant, model): which
+        # prefixes of a query are worth probing.  Evictions leave them
+        # behind, so they bound a search and never answer residency.
+        self._lengths: Dict[Tuple[int, str, str], Set[int]] = {}
         self.hits = 0
         self.misses = 0
         self.insertions = 0
-        self.evictions = 0
         self.rejections = 0
         self.migrations = 0
         self.fabric_hits = 0
@@ -365,6 +240,20 @@ class RadixKVCache:
             self._shards_seen.add(shard)
         return namespace
 
+    def _resident_len(self, shard: int, tenant: str, model: str, seq) -> int:
+        """Length of the longest prefix of ``seq`` resident on ``shard``
+        under its exact key (0: none).  A pure read of the store."""
+        lengths = self._lengths.get((shard, tenant, model))
+        if not lengths:
+            return 0
+        namespace = self._namespace(shard)
+        for n in sorted(lengths, reverse=True):
+            if n <= len(seq) and self._store.contains(
+                namespace, (tenant, model, seq[:n])
+            ):
+                return n
+        return 0
+
     def _admit(
         self, shard: int, tenant: str, model: str, seq, payload, publish: bool = True
     ) -> bool:
@@ -372,18 +261,17 @@ class RadixKVCache:
 
         The one budget check: evicts least-recently-used payloads until
         the entry fits, rejects an entry bigger than the whole budget,
-        keeps the shard's index in step with its store, and (unless the
-        payload just came *from* there) writes through to the fabric.
+        and (unless the payload just came *from* there) writes through
+        to the fabric.
         """
         size = payload.nbytes + 8 * len(seq)
         if size > self.shard_budget_bytes:
             self.rejections += 1
             return False
-        namespace = self._namespace(shard)
-        evictions_before = self._store.stats(namespace)["evictions"]
-        self._store.put(namespace, (tenant, model, seq), payload, nbytes=size)
-        self.evictions += self._store.stats(namespace)["evictions"] - evictions_before
-        self._trees.setdefault((shard, tenant, model), RadixPrefixIndex()).insert(seq)
+        self._store.put(
+            self._namespace(shard), (tenant, model, seq), payload, nbytes=size
+        )
+        self._lengths.setdefault((shard, tenant, model), set()).add(len(seq))
         if publish and self._fabric is not None:
             self._fabric.put(self.NAMESPACE, (tenant, model, seq), payload)
         return True
@@ -402,26 +290,19 @@ class RadixKVCache:
         Returns ``(cached_len, payload)`` or ``(0, None)``.  ``max_len``
         caps the usable prefix (a prefill must keep at least one
         un-cached row to produce logits).  A hit refreshes the payload's
-        LRU recency; an index entry whose payload the store already
-        evicted is removed and the next-longest match is tried.  With a
-        fabric tier, a query matching nothing locally is read through
-        it exactly; a fabric hit is promoted here and served as a hit.
+        LRU recency.  With a fabric tier, a query matching nothing
+        locally is read through it exactly; a fabric hit is promoted
+        here and served as a hit.
         """
         seq = self._seq(tokens)
         if max_len is not None:
             seq = seq[: int(max_len)]
-        tree = self._trees.get((shard, tenant, model))
-        match = tree.longest_match(seq) if tree is not None else 0
-        while match:
-            payload = self._store.get(
+        match = self._resident_len(shard, tenant, model, seq)
+        if match:
+            self.hits += 1
+            return match, self._store.get(
                 self._namespace(shard), (tenant, model, seq[:match])
             )
-            if payload is not None:
-                self.hits += 1
-                return match, payload
-            # Store evicted the payload under the index: heal and retry.
-            tree.remove(seq[:match])
-            match = tree.longest_match(seq[:match])
         if self._fabric is not None:
             payload = self._fabric.get(self.NAMESPACE, (tenant, model, seq))
             if payload is not None:
@@ -440,22 +321,17 @@ class RadixKVCache:
     def resident_shards(self, tenant: str, model: str, tokens) -> Tuple[int, ...]:
         """Shards holding a cached prefix of ``tokens`` (placement affinity).
 
-        A pure read: the longest indexed prefix is confirmed against
-        the store without touching LRU order or any counter, so a
-        payload the store already evicted never attracts a batch.
-        Fabric-only residency does not count — affinity is about which
-        shard's memory holds the payload.
+        A pure read of the same record :meth:`lookup` serves from, with
+        no effect on LRU order or any counter: a shard is listed exactly
+        when a lookup there would hit.  Fabric-only residency does not
+        count — affinity is about which shard's memory holds the payload.
         """
         seq = self._seq(tokens)
-        shards = []
-        for shard in sorted(self._shards_seen):
-            tree = self._trees.get((shard, tenant, model))
-            match = tree.longest_match(seq) if tree is not None else 0
-            if match and self._store.contains(
-                self._namespace(shard), (tenant, model, seq[:match])
-            ):
-                shards.append(shard)
-        return tuple(shards)
+        return tuple(
+            shard
+            for shard in sorted(self._shards_seen)
+            if self._resident_len(shard, tenant, model, seq)
+        )
 
     def resident_bytes(self, shard: int) -> int:
         """Bytes of cached rows resident on ``shard`` (<= budget)."""
@@ -494,11 +370,10 @@ class RadixKVCache:
         Work-stealing calls this when load breaks placement affinity:
         migrating the payload with the stolen batch preserves the hit
         on the destination shard instead of forcing a cold recompute.
-        Store entry and index move together, and the source is
-        released only after the destination accepted the entry (an
-        entry is never lost to a failed move).  Returns False when
-        nothing is resident on ``from_shard`` under these tokens, the
-        shards are equal, or the entry alone exceeds the budget.
+        The source is released only after the destination accepted the
+        entry (an entry is never lost to a failed move).  Returns False
+        when nothing is resident on ``from_shard`` under these tokens,
+        the shards are equal, or the entry alone exceeds the budget.
         """
         if from_shard == to_shard:
             return False
@@ -508,23 +383,24 @@ class RadixKVCache:
         if payload is None or not self._admit(to_shard, tenant, model, seq, payload):
             return False
         self._store.delete(source, (tenant, model, seq))
-        tree = self._trees.get((from_shard, tenant, model))
-        if tree is not None:
-            tree.remove(seq)
         self.migrations += 1
         return True
 
     def clear(self) -> None:
-        """Drop every payload and index on every shard (counters kept).
+        """Drop every payload on every shard (counters kept).
 
         The fabric tier, when attached, is deliberately left alone: it
         is shared state owned by the worker pool, not this cache.
         """
         for shard in self._shards_seen:
             self._store.clear(self._namespace(shard))
-        self._trees.clear()
 
     # -- introspection ---------------------------------------------------
+    @property
+    def evictions(self) -> int:
+        """Payloads the shard stores evicted to keep their budgets."""
+        return sum(stats["evictions"] for stats in self.namespace_stats().values())
+
     def namespace_stats(self) -> Dict[str, Dict[str, int]]:
         """Store-schema stats of every shard namespace (for reports)."""
         return {

@@ -7,8 +7,9 @@ Implements the ONE-SA microarchitecture of Sections III-B and IV:
 * :mod:`repro.systolic.pe` — processing element with the C1/C2 control
   logics that switch it between GEMM, computation-PE and
   transmission-PE behaviour (Fig. 7);
-* :mod:`repro.systolic.buffers` — L1/L2/L3 buffers and FIFOs with
-  capacity accounting (Table V geometry);
+* :mod:`repro.systolic.buffers` — the L3 ``(k, b)`` parameter store
+  and the addressing FIFOs, with capacity accounting (the Table V
+  buffer geometry itself is :mod:`repro.systolic.config`);
 * :mod:`repro.systolic.addressing` — the L3 data-addressing module
   (Fig. 5);
 * :mod:`repro.systolic.rearrange` — the data-rearrange module (Fig. 6);

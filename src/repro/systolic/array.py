@@ -56,7 +56,7 @@ from repro.core.nonlinear_ops import get_approximator
 from repro.core.segment_table import QuantizedSegmentTable
 from repro.fixedpoint import fixed_matmul, quantize
 from repro.systolic.addressing import DataAddressing
-from repro.systolic.buffers import build_hierarchy
+from repro.systolic.buffers import ParameterStore
 from repro.systolic.config import ONE_SA_PAPER_CONFIG, SystolicConfig
 from repro.systolic.gemm import GemmSchedule, execute_gemm, plan_gemm
 from repro.systolic.mhp_dataflow import plan_mhp
@@ -89,12 +89,8 @@ class SystolicArray:
 
     def __init__(self, config: SystolicConfig = ONE_SA_PAPER_CONFIG) -> None:
         self.config = config
-        self.hierarchy = build_hierarchy(config)
-        self.addressing = DataAddressing(
-            config.fmt,
-            port_width=effective_out_width(config),
-        )
         self.trace = Trace()
+        self.reset()
 
     # ------------------------------------------------------------------
     # Linear operations
@@ -281,7 +277,7 @@ class SystolicArray:
         if tape is not None:
             tape.append((event, qtable))
         try:
-            if self.addressing.preload(qtable, self.hierarchy["params"]):
+            if self.addressing.preload(qtable, self.params):
                 trace.record(event)
         finally:
             trace.tape = tape
@@ -343,16 +339,16 @@ class SystolicArray:
     @contextmanager
     def detached(self) -> Iterator["SystolicArray"]:
         """Compute without being charged: inside the block the array runs
-        on a scratch trace, buffer hierarchy and addressing unit; on exit
+        on a scratch trace, parameter store and addressing unit; on exit
         (also when the body raises) the real ones are back, every counter
         as it was."""
-        live = self.trace, self.hierarchy, self.addressing
+        live = self.trace, self.params, self.addressing
         self.trace = Trace()
         self.reset()
         try:
             yield self
         finally:
-            self.trace, self.hierarchy, self.addressing = live
+            self.trace, self.params, self.addressing = live
 
     # ------------------------------------------------------------------
     # Introspection
@@ -381,9 +377,11 @@ class SystolicArray:
         }
 
     def reset(self) -> None:
-        """Clear the trace and buffer accounting between experiments."""
+        """Clear the trace, the k/b parameter store and the addressing
+        unit between experiments."""
         self.trace.clear()
-        self.hierarchy = build_hierarchy(self.config)
+        #: The L3 ``(k, b)`` store the nonlinear path preloads into.
+        self.params = ParameterStore(self.config.segment_capacity)
         self.addressing = DataAddressing(
             self.config.fmt,
             port_width=effective_out_width(self.config),

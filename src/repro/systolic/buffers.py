@@ -1,23 +1,20 @@
-"""Buffer and FIFO models of the three-level memory hierarchy.
+"""The k/b parameter store and FIFOs ONE-SA adds to the L3 level.
 
 The classic systolic array (Fig. 2) has an L3 buffer per stream (input,
 weight, output), an L2 bank per array edge lane and an L1 register file
-per PE.  ONE-SA extends the L3 buffers with the data-addressing module
-(:mod:`repro.systolic.addressing`) and the k/b parameter store.
-
-These classes carry *capacity accounting*: they track occupancy in
-elements, raise on overflow, and count total traffic so the cycle-level
-simulator and the tests can verify that the dataflow respects the
-Table V buffer geometry.
+per PE; their sizes are :class:`~repro.systolic.config.SystolicConfig`
+geometry (Table V), which the cycle model reads.  ONE-SA extends the L3
+level with the data-addressing module (:mod:`repro.systolic.addressing`),
+whose :class:`Fifo` stages, and the :class:`ParameterStore` holding the
+CPWL ``(k, b)`` tables.  Both carry *capacity accounting*: they track
+occupancy, raise on overflow and count traffic.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, List, Optional
-
-import numpy as np
+from typing import Deque
 
 
 class BufferOverflowError(RuntimeError):
@@ -54,56 +51,6 @@ class Fifo:
             raise IndexError(f"FIFO {self.name!r} underflow")
         self.pops += 1
         return self._items.popleft()
-
-
-@dataclass
-class Buffer:
-    """A capacity-checked scratch buffer holding fixed-point elements.
-
-    ``capacity_elements`` is derived from the byte geometry in
-    :class:`~repro.systolic.config.SystolicConfig`.  ``load``/``read``
-    model whole-row transactions (the granularity the dataflow schedules
-    use); traffic counters accumulate element counts for the energy and
-    bandwidth accounting.
-    """
-
-    name: str
-    capacity_elements: int
-    occupancy: int = 0
-    loads: int = 0
-    reads: int = 0
-    elements_in: int = 0
-    elements_out: int = 0
-    high_water: int = 0
-
-    def load(self, n_elements: int) -> None:
-        """Account an ``n_elements``-element write into the buffer."""
-        if n_elements < 0:
-            raise ValueError("n_elements must be non-negative")
-        if self.occupancy + n_elements > self.capacity_elements:
-            raise BufferOverflowError(
-                f"buffer {self.name!r}: load of {n_elements} exceeds capacity "
-                f"{self.capacity_elements} (occupancy {self.occupancy})"
-            )
-        self.occupancy += n_elements
-        self.loads += 1
-        self.elements_in += n_elements
-        self.high_water = max(self.high_water, self.occupancy)
-
-    def read(self, n_elements: int) -> None:
-        """Account an ``n_elements``-element read (and drain) out."""
-        if n_elements > self.occupancy:
-            raise BufferOverflowError(
-                f"buffer {self.name!r}: read of {n_elements} exceeds occupancy "
-                f"{self.occupancy}"
-            )
-        self.occupancy -= n_elements
-        self.reads += 1
-        self.elements_out += n_elements
-
-    def drain(self) -> None:
-        """Empty the buffer (end of a tile's lifetime)."""
-        self.occupancy = 0
 
 
 @dataclass
@@ -147,37 +94,3 @@ class ParameterStore:
         self.resident[table_id] = n_segments
         self.preloaded_segments += n_segments
         return True
-
-
-def build_hierarchy(config) -> dict:
-    """Instantiate the full buffer hierarchy for a design point.
-
-    Returns a dict with the three L3 buffers, the L2 bank lists and the
-    per-PE L1 entries, all sized per :class:`SystolicConfig`.
-    """
-    eb = config.element_bytes
-    l3_capacity = config.l3_bytes // eb
-    l2_capacity = config.l2_bytes // eb
-    l1_capacity = config.l1_bytes // eb
-    hierarchy = {
-        "l3": {
-            name: Buffer(f"L3.{name}", l3_capacity)
-            for name in ("input", "weight", "output")
-        },
-        # Input banks sit on the row lanes; weight and output banks on
-        # the column lanes (identical counts on square grids).
-        "l2": {
-            name: [
-                Buffer(f"L2.{name}[{i}]", l2_capacity)
-                for i in range(
-                    config.pe_rows if name == "input" else config.pe_cols
-                )
-            ]
-            for name in ("input", "weight", "output")
-        },
-        "l1": [
-            Buffer(f"L1[{i}]", l1_capacity) for i in range(config.n_pes)
-        ],
-        "params": ParameterStore(config.segment_capacity),
-    }
-    return hierarchy

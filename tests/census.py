@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/census.py          # the table
     PYTHONPATH=src python tests/census.py --rows   # ... and every unreached function
+    PYTHONPATH=src python tests/census.py --lines  # statements no workload executes
 
 Two passes, each in its own process under a ``sys.setprofile`` hook
 that records every code object called:
@@ -18,6 +19,16 @@ Every function and method defined at module or class level under
 ``src/repro`` is then *reached* (the workloads pass called it),
 *tests-only* (only the tests pass did) or *never*.  Nested functions
 count with the function that defines them.
+
+``--lines`` runs the same two passes at statement level instead: a
+``sys.settrace`` hook that traces only frames of ``src/repro`` code
+records every line executed.  For each function the workloads pass
+executes, it lists the statements of that function (nested functions
+included) that no workload executes, ``raise`` statements left out,
+and marks with ``t`` those the tests pass executes.  A statement is one
+whose first line carries bytecode, so ``try:`` and docstrings are not.
+Statements that run only when timing says so (a fabric lock's wait
+loop under contention) can move between runs.
 
 Forked ``multiprocessing`` children are followed: a child keeps the
 parent's profiler hook, and a ``multiprocessing.util.Finalize``
@@ -44,7 +55,7 @@ import sys
 import tempfile
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -60,25 +71,67 @@ class Function(NamedTuple):
     lines: int
 
 
-def defined_functions() -> Dict[Key, Function]:
-    """Every module- or class-level ``def`` under ``src/repro``, keyed
-    as its code object reports itself (a decorated function's code
-    starts at its first decorator)."""
-    found: Dict[Key, Function] = {}
+def _definitions() -> Iterator[Tuple[Function, ast.AST, str]]:
+    """Every module- or class-level ``def`` under ``src/repro``, with
+    its node and the source of its file."""
 
-    def visit(node: ast.AST, path: str, prefix: str) -> None:
+    def visit(node: ast.AST, path: str, prefix: str, source: str):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, path, f"{prefix}{child.name}.")
+                yield from visit(child, path, f"{prefix}{child.name}.", source)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[(path, first, child.name)] = Function(
+                function = Function(
                     path, prefix + child.name, first, child.end_lineno - first + 1
                 )
+                yield function, child, source
 
     for file in sorted(SRC.rglob("*.py")):
+        source = file.read_text()
         path = file.relative_to(SRC).as_posix()
-        visit(ast.parse(file.read_text(), str(file)), path, "")
+        yield from visit(ast.parse(source, str(file)), path, "", source)
+
+
+def defined_functions() -> Dict[Key, Function]:
+    """Every definition of :func:`_definitions`, keyed as its code
+    object reports itself (a decorated function's code starts at its
+    first decorator)."""
+    return {
+        (function.path, function.first, node.name): function
+        for function, node, _ in _definitions()
+    }
+
+
+def _code_lines(source: str) -> Set[int]:
+    """Lines of ``source`` that carry bytecode, nested code included."""
+    lines: Set[int] = set()
+    codes = [compile(source, "<census>", "exec")]
+    while codes:
+        code = codes.pop()
+        lines.update(line for *_, line in code.co_lines() if line)
+        codes.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return lines
+
+
+def defined_statements() -> Dict[Function, List[Tuple[int, str]]]:
+    """Per definition, the ``(line, source)`` of every statement in it
+    (nested functions included) whose first line carries bytecode,
+    except ``raise``: an error path is not a fork a workload should
+    reach."""
+    found: Dict[Function, List[Tuple[int, str]]] = {}
+    files: Dict[str, Tuple[Set[int], List[str]]] = {}
+    for function, node, source in _definitions():
+        if function.path not in files:
+            files[function.path] = _code_lines(source), source.splitlines()
+        code_lines, text = files[function.path]
+        found[function] = sorted(
+            (stmt.lineno, text[stmt.lineno - 1].strip())
+            for body in node.body
+            for stmt in ast.walk(body)
+            if isinstance(stmt, ast.stmt)
+            and not isinstance(stmt, ast.Raise)
+            and stmt.lineno in code_lines
+        )
     return found
 
 
@@ -123,22 +176,47 @@ def _run_tests() -> None:
 PASSES = {"workloads": _run_workloads, "tests": _run_tests}
 
 
-def run_pass(name: str, out: Path) -> None:
-    """Run one pass under the profiler; write the called keys to ``out``,
-    merged with those of every forked child that exited normally."""
+def _line_keys(lines) -> List[Tuple[str, int]]:
+    prefix = str(SRC) + os.sep
+    return [
+        (filename[len(prefix):].replace(os.sep, "/"), line)
+        for filename, line in lines
+    ]
+
+
+def run_pass(name: str, out: Path, lines: bool = False) -> None:
+    """Run one pass under the profiler (``lines``: the line tracer);
+    write the called keys (executed lines) to ``out``, merged with those
+    of every forked child that exited normally."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(EXAMPLES)]
     seen: Set[object] = set()
     children = out.parent / f"{out.stem}.children"
     children.mkdir()
+    prefix = str(SRC) + os.sep
 
     def profile(frame, event, arg):
         if event == "call":
             seen.add(frame.f_code)
 
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
+
+    def trace(frame, event, arg):
+        # Only src/repro frames get a local tracer, so only their lines
+        # cost a Python call each.
+        if frame.f_code.co_filename.startswith(prefix):
+            return trace_lines(frame, "line", arg)
+        return None
+
+    keys = _line_keys if lines else _called_keys
+    hook = sys.settrace if lines else sys.setprofile
+
     def write_child_record() -> None:
-        sys.setprofile(None)
+        hook(None)
         record = children / f"{os.getpid()}.json"
-        record.write_text(json.dumps(_called_keys(seen)))
+        record.write_text(json.dumps(keys(seen)))
 
     def after_fork(_) -> None:
         # The child inherited ``seen`` and the hook; it leaves through
@@ -150,28 +228,35 @@ def run_pass(name: str, out: Path) -> None:
     multiprocessing.util.register_after_fork(after_fork, after_fork)
     bench = ROOT / "BENCH_traced.json"
     kept = bench.read_bytes()
-    sys.setprofile(profile)
+    hook(trace if lines else profile)
     try:
         PASSES[name]()
     finally:
-        sys.setprofile(None)
+        hook(None)
         bench.write_bytes(kept)
-    called = set(_called_keys(seen))
+    called = set(keys(seen))
     for record in children.glob("*.json"):
         called.update(tuple(key) for key in json.loads(record.read_text()))
     out.write_text(json.dumps(sorted(called)))
 
 
-def census() -> Dict[str, List[Function]]:
-    called: Dict[str, Set[Key]] = {}
+def run_passes(lines: bool = False) -> Dict[str, Set[tuple]]:
+    """Both passes, each in a fresh process: name -> recorded keys."""
+    called: Dict[str, Set[tuple]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in PASSES:
             out = Path(tmp) / f"{name}.json"
             subprocess.run(
-                [sys.executable, __file__, "--pass", name, str(out)],
+                [sys.executable, __file__, "--pass", name, str(out)]
+                + ["--lines"] * lines,
                 cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
             )
             called[name] = {tuple(key) for key in json.loads(out.read_text())}
+    return called
+
+
+def census() -> Dict[str, List[Function]]:
+    called = run_passes()
     kinds: Dict[str, List[Function]] = {"reached": [], "tests-only": [], "never": []}
     for key, function in defined_functions().items():
         if key in called["workloads"]:
@@ -212,16 +297,50 @@ def render(kinds: Dict[str, List[Function]], rows: bool) -> str:
     return "\n".join(lines)
 
 
+def render_lines(executed: Dict[str, Set[tuple]]) -> str:
+    """Statements no workload executes, per function a workload runs."""
+    ran: Dict[str, Dict[str, Set[int]]] = {}
+    for name, keys in executed.items():
+        ran[name] = defaultdict(set)
+        for path, line in keys:
+            ran[name][path].add(line)
+    blocks, missed, marked = [], 0, 0
+    for function, statements in defined_statements().items():
+        by_workloads = ran["workloads"][function.path]
+        by_tests = ran["tests"][function.path]
+        unrun = [(line, src) for line, src in statements if line not in by_workloads]
+        if not unrun or len(unrun) == len(statements):
+            continue
+        blocks.append(
+            f"{function.path}::{function.qualname}  "
+            f"({len(unrun)} of {len(statements)} statements)"
+        )
+        for line, src in unrun:
+            blocks.append(f"  {line:>5} {'t' if line in by_tests else ' '} {src}")
+        missed += len(unrun)
+        marked += sum(line in by_tests for line, _ in unrun)
+    header = (
+        "statements no workload executes, in functions a workload runs: "
+        f"{missed} ({marked} marked t: tier-1 executes them)"
+    )
+    return "\n".join([header, ""] + blocks)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rows", action="store_true", help="list unreached functions")
+    parser.add_argument("--lines", action="store_true",
+                        help="list statements no workload executes instead")
     parser.add_argument("--pass", dest="pass_", nargs=2, metavar=("NAME", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.pass_:
-        run_pass(args.pass_[0], Path(args.pass_[1]))
+        run_pass(args.pass_[0], Path(args.pass_[1]), lines=args.lines)
         return 0
-    print(render(census(), args.rows))
+    if args.lines:
+        print(render_lines(run_passes(lines=True)))
+    else:
+        print(render(census(), args.rows))
     return 0
 
 

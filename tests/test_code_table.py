@@ -240,7 +240,7 @@ def _structural(array, function, x_raw, granularity, fused_ipf, domain=None):
     batch by batch, lane-by-lane MHP — charged as the seed charged it."""
     approx = get_approximator(function, granularity, array.config.fmt, domain=domain)
     qtable = approx.qtable
-    if array.addressing.preload(qtable, array.hierarchy["params"]):
+    if array.addressing.preload(qtable, array.params):
         cycles = -(-qtable.n_segments * 2 // array.config.l3_in_width)
         array.trace.record(_event("preload", f"{function}.table", cycles, qtable.n_segments))
     ipf, stats = array.addressing.run(x_raw)

@@ -455,6 +455,20 @@ class TestAutoscaling:
         assert [e.action for e in report.scaling_events] == ["grow", "grow"]
         assert report.scaling_events[-1].at < report.makespan / 2
         assert engine.dispatcher.n_live_shards == 3
+        # The report renders the block: a tally, then one line per event.
+        lines = report.elastic_section().split("\n")
+        final = report.scaling_events[-1].pool_power_watts
+        assert lines[0] == (
+            f"autoscaling          : 2 grow / 0 shrink (final pool power {final:.2f} W)"
+        )
+        for line, event in zip(lines[1:3], report.scaling_events):
+            assert line == (
+                f"  grow   shard {event.shard} at {event.at * 1e6:,.1f} us "
+                f"(slo_attainment; slo {event.slo_attainment:.0%}, "
+                f"shed {event.shed_rate:.0%})"
+            )
+        assert lines[3] == "cluster stats        :"
+        assert report.elastic_section() in report.summary()
 
     def test_power_budget_refuses_growth(self):
         budgeted = ElasticConfig(autoscale=True, power_budget_watts=1e-9)

@@ -29,7 +29,7 @@ tenant-scoped, byte-budgeted :class:`~repro.serving.RadixKVCache`.
 import numpy as np
 import pytest
 from chaos_plans import retry_spending_outage
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn.executor import ArrayBackend, CPWLBackend, KVState
@@ -46,7 +46,6 @@ from repro.serving import (
     GenerationRequest,
     InferenceEngine,
     RadixKVCache,
-    RadixPrefixIndex,
     ShardSlowdown,
 )
 from repro.serving.faults import MAX_RETRIES
@@ -718,78 +717,105 @@ class TestGenerationChaos:
 
 
 # ---------------------------------------------------------------------------
-# 4. Radix prefix index + RadixKVCache
+# 4. RadixKVCache: the store's own keys are the prefix index
 # ---------------------------------------------------------------------------
-class TestRadixPrefixIndex:
-    def test_insert_and_longest_match(self):
-        tree = RadixPrefixIndex()
-        assert tree.insert([1, 2, 3])
-        assert not tree.insert([1, 2, 3])  # already terminal
-        assert tree.insert([1, 2])  # boundary split
-        assert tree.insert([1, 2, 3, 4, 5])
-        assert tree.longest_match([1, 2, 3, 4, 5, 6]) == 5
-        assert tree.longest_match([1, 2, 3, 9]) == 3
-        assert tree.longest_match([1, 2, 9]) == 2
-        assert tree.longest_match([1, 9]) == 0
-        assert tree.longest_match([9]) == 0
-        assert len(tree) == 3
+def _rows(n):
+    """A one-layer payload covering ``n`` positions: 32 bytes of K/V per
+    position, so 40 cache bytes per position with its token key."""
+    kv = KVState(1)
+    kv.extend(0, np.zeros((1, n, 2)), np.zeros((1, n, 2)))
+    return kv.freeze()
 
-    def test_remove_prunes(self):
-        tree = RadixPrefixIndex()
-        tree.insert([1, 2, 3])
-        tree.insert([1, 2])
-        assert tree.remove([1, 2, 3])
-        assert not tree.remove([1, 2, 3])  # already gone
-        assert tree.longest_match([1, 2, 3]) == 2
-        assert tree.remove([1, 2])
-        assert tree.longest_match([1, 2, 3]) == 0
-        assert len(tree) == 0
 
-    @given(
-        seqs=st.lists(
-            st.lists(st.integers(0, 3), min_size=1, max_size=6),
-            min_size=1, max_size=12,
+def _lru_admit(store, seq, budget):
+    """Reference LRU (a dict, oldest first) admitting ``seq`` as
+    :class:`RadixKVCache` does: replace, then evict oldest until it fits."""
+    store.pop(seq, None)
+    while sum(store.values()) + 40 * len(seq) > budget:
+        del store[next(iter(store))]
+    store[seq] = 40 * len(seq)
+
+
+def _longest_key(store, seq):
+    return max((len(key) for key in store if seq[: len(key)] == key), default=0)
+
+
+_TOKENS = st.lists(st.integers(0, 1), min_size=1, max_size=5)
+_MATCH_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 1), _TOKENS),
+        st.tuples(
+            st.just("lookup"), st.integers(0, 1),
+            st.lists(st.integers(0, 1), min_size=1, max_size=7),
+            st.none() | st.integers(1, 6),
         ),
-        query=st.lists(st.integers(0, 3), min_size=1, max_size=8),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_longest_match_equals_brute_force(self, seqs, query):
-        """The tree agrees with the obvious O(N*M) scan, always."""
-        tree = RadixPrefixIndex()
-        inserted = set()
-        for seq in seqs:
-            tree.insert(seq)
-            inserted.add(tuple(seq))
-        brute = max(
-            (len(s) for s in inserted if tuple(query[: len(s)]) == s),
-            default=0,
-        )
-        assert tree.longest_match(query) == brute
-        # containment round-trip
-        for s in inserted:
-            assert s in tree and tree.longest_match(list(s)) == len(s)
+    ),
+    max_size=30,
+)
 
-    @given(
-        seqs=st.lists(
-            st.lists(st.integers(0, 2), min_size=1, max_size=5),
-            min_size=1, max_size=8,
+
+_CACHE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 1), _TOKENS),
+        st.tuples(
+            st.just("lookup"), st.integers(0, 1),
+            st.lists(st.integers(0, 1), min_size=1, max_size=7),
+            st.none() | st.integers(1, 6),
         ),
-        drop=st.integers(0, 7),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_remove_restores_brute_force(self, seqs, drop):
-        tree = RadixPrefixIndex()
-        kept = set()
-        for seq in seqs:
-            tree.insert(seq)
-            kept.add(tuple(seq))
-        victim = sorted(kept)[drop % len(kept)]
-        assert tree.remove(list(victim))
-        kept.discard(victim)
-        for s in sorted(kept):
-            assert tree.longest_match(list(s)) == len(s)
-        assert victim not in tree
-        assert len(tree) == len(kept)
+        st.tuples(st.just("migrate"), st.integers(0, 1), _TOKENS),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=30,
+)
+
+
+def _replay_against_reference(ops, budget):
+    """Run ``ops`` on a two-shard :class:`RadixKVCache` and on reference
+    LRUs side by side: ``lookup`` serves the longest resident prefix (at
+    most ``max_len``), ``resident_shards`` lists exactly the shards where
+    that prefix is non-empty, and resident bytes match."""
+    cache = RadixKVCache(shard_budget_bytes=budget)
+    shards = ({}, {})
+    queries = set()
+    for kind, *args in ops:
+        tokens = ()
+        if kind == "insert":
+            shard, tokens = args
+            assert cache.insert(shard, "t", "m", tokens, _rows(len(tokens)))
+            _lru_admit(shards[shard], tuple(tokens), budget)
+        elif kind == "lookup":
+            shard, tokens, max_len = args
+            seq = tuple(tokens)[:max_len]
+            expected = _longest_key(shards[shard], seq)
+            n, payload = cache.lookup(shard, "t", "m", tokens, max_len=max_len)
+            assert n == expected
+            if expected:
+                assert payload.pos == expected
+                key = seq[:expected]
+                shards[shard][key] = shards[shard].pop(key)  # LRU touch
+            else:
+                assert payload is None
+        elif kind == "migrate":
+            source, tokens = args
+            seq = tuple(tokens)
+            moved = cache.migrate(source, 1 - source, "t", "m", tokens)
+            assert moved == (seq in shards[source])
+            if moved:
+                del shards[source][seq]
+                _lru_admit(shards[1 - source], seq, budget)
+        else:
+            cache.clear()
+            for store in shards:
+                store.clear()
+        queries.add(tuple(tokens))
+        for query in queries:
+            resident = tuple(
+                shard for shard in (0, 1)
+                if _longest_key(shards[shard], query)
+            )
+            assert cache.resident_shards("t", "m", query) == resident
+        for shard, store in enumerate(shards):
+            assert cache.resident_bytes(shard) == sum(store.values()) <= budget
 
 
 def _payload(model, prompt_row, upto=None):
@@ -801,6 +827,52 @@ def _payload(model, prompt_row, upto=None):
 
 
 class TestRadixKVCache:
+    def test_lookup_finds_the_longest_resident_key(self):
+        cache = RadixKVCache()
+        for tokens in ([1, 2, 3], [1, 2, 3], [1, 2], [1, 2, 3, 4, 5]):
+            assert cache.insert(0, "t", "m", tokens, _rows(len(tokens)))
+        assert cache.stats()["resident_entries"] == {0: 3}  # a re-insert replaces
+        for query, expected in (
+            ([1, 2, 3, 4, 5, 6], 5), ([1, 2, 3, 9], 3), ([1, 2, 9], 2),
+            ([1, 9], 0), ([9], 0),
+        ):
+            n, payload = cache.lookup(0, "t", "m", query)
+            assert n == expected
+            assert (payload is None) if not n else payload.pos == n
+        assert cache.lookup(0, "t", "m", [1, 2, 3, 4, 5, 6], max_len=4)[0] == 3
+
+    def test_evicted_longer_entry_leaves_shorter_prefix_resident(self):
+        """Residency and lookup read one record: once the longer entry
+        of a family is evicted, the shorter resident prefix both
+        attracts the batch and serves it."""
+        cache = RadixKVCache(shard_budget_bytes=40 * (5 + 3))  # the first two
+        assert cache.insert(0, "t", "m", [1, 2, 3, 4, 5], _rows(5))
+        assert cache.insert(0, "t", "m", [1, 2, 3], _rows(3))
+        assert cache.insert(0, "t", "m", [7, 7, 7, 7, 7], _rows(5))  # evicts the first
+        assert cache.evictions == 1
+        query = [1, 2, 3, 4, 5, 6]
+        assert cache.resident_shards("t", "m", query) == (0,)
+        n, payload = cache.lookup(0, "t", "m", query)
+        assert n == 3 and payload.pos == 3
+        assert cache.namespace_stats()["serving.radix.shard0"]["misses"] == 0
+
+    @given(ops=_MATCH_OPS)
+    @settings(max_examples=80, deadline=None)
+    def test_longest_lookup_equals_brute_force(self, ops):
+        """With a budget that holds every insert, ``lookup`` serves the
+        longest inserted prefix of the query."""
+        _replay_against_reference(ops, budget=40 * 5 * (len(ops) + 1))
+
+    @given(ops=_CACHE_OPS)
+    @example(ops=[  # the longer entry of a resident family is evicted
+        ("insert", 0, [0, 0, 0, 0, 0]), ("insert", 0, [0]), ("insert", 0, [1, 1]),
+    ])
+    @settings(max_examples=80, deadline=None)
+    def test_lookup_and_residency_equal_brute_force(self, ops):
+        """Under evictions, migrations and clears, lookup and residency
+        match a reference LRU."""
+        _replay_against_reference(ops, budget=40 * 6)
+
     def test_longest_prefix_lookup_and_incremental_capture(self):
         model = _model()
         cache = RadixKVCache()
@@ -843,7 +915,7 @@ class TestRadixKVCache:
         assert cache.insert(0, "t", "m", a, _payload(model, a))
         assert cache.insert(0, "t", "m", b, _payload(model, b))  # evicts a
         assert cache.stats()["evictions"] >= 1
-        # The stale index entry heals at lookup: a misses, b hits.
+        # The evicted entry is gone from the one record: a misses, b hits.
         assert cache.lookup(0, "t", "m", np.concatenate([a, [9]]))[0] == 0
         assert cache.lookup(0, "t", "m", np.concatenate([b, [9]]))[0] == 2
         # An entry that can never fit is rejected outright.
@@ -854,7 +926,7 @@ class TestRadixKVCache:
 
     def test_resident_shards_ignores_evicted_payloads(self):
         """Affinity never points at a shard whose store already evicted
-        the payload, even before a lookup heals the index."""
+        the payload."""
         model = _model()
         a = np.array([0, 1], dtype=np.int64)
         b = np.array([2, 3], dtype=np.int64)

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.systolic.buffers import (
-    Buffer,
-    BufferOverflowError,
-    Fifo,
-    ParameterStore,
-    build_hierarchy,
-)
+from repro.systolic import SystolicArray
+from repro.systolic.buffers import BufferOverflowError, Fifo, ParameterStore
 from repro.systolic.config import ONE_SA_PAPER_CONFIG, SA_PAPER_CONFIG, SystolicConfig
 
 
@@ -57,10 +52,6 @@ class TestSystolicConfig:
         assert cfg.n_l2_banks == 4 + 2 * 8
         assert cfg.l2_bytes == 2 * 8 * 16 * 2
         assert cfg.l3_bytes == 8 * 16 * 2 + 32
-        h = build_hierarchy(cfg)
-        assert len(h["l2"]["input"]) == 4
-        assert len(h["l2"]["weight"]) == 8
-        assert len(h["l2"]["output"]) == 8
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -102,37 +93,6 @@ class TestSystolicConfig:
 
 
 class TestBuffers:
-    def test_buffer_load_read_cycle(self):
-        buf = Buffer("t", 100)
-        buf.load(60)
-        assert buf.occupancy == 60
-        buf.read(50)
-        assert buf.occupancy == 10
-        assert buf.elements_in == 60
-        assert buf.elements_out == 50
-        assert buf.high_water == 60
-
-    def test_buffer_overflow(self):
-        buf = Buffer("t", 10)
-        with pytest.raises(BufferOverflowError):
-            buf.load(11)
-
-    def test_buffer_underflow(self):
-        buf = Buffer("t", 10)
-        buf.load(2)
-        with pytest.raises(BufferOverflowError):
-            buf.read(3)
-
-    def test_buffer_drain(self):
-        buf = Buffer("t", 10)
-        buf.load(5)
-        buf.drain()
-        assert buf.occupancy == 0
-
-    def test_negative_load_rejected(self):
-        with pytest.raises(ValueError):
-            Buffer("t", 10).load(-1)
-
     def test_fifo_order(self):
         fifo = Fifo("f", 4)
         for i in range(3):
@@ -174,15 +134,21 @@ class TestParameterStore:
 
 class TestHierarchy:
     def test_build_hierarchy_structure(self):
-        h = build_hierarchy(ONE_SA_PAPER_CONFIG)
-        assert set(h["l3"]) == {"input", "weight", "output"}
-        assert len(h["l2"]["input"]) == 8
-        assert len(h["l1"]) == 64
-        assert h["params"].capacity_segments == ONE_SA_PAPER_CONFIG.segment_capacity
+        """The array holds the k/b store sized by the design point, and
+        ``reset()`` hands it an empty one."""
+        array = SystolicArray(ONE_SA_PAPER_CONFIG)
+        params = array.params
+        assert isinstance(params, ParameterStore)
+        assert params.capacity_segments == ONE_SA_PAPER_CONFIG.segment_capacity
+        params.ensure("gelu@0.25", 64)
+        array.reset()
+        assert array.params is not params and array.params.resident == {}
 
     def test_hierarchy_capacities_match_config(self):
-        cfg = ONE_SA_PAPER_CONFIG
-        h = build_hierarchy(cfg)
-        assert h["l3"]["input"].capacity_elements == cfg.l3_bytes // 2
-        assert h["l2"]["weight"][0].capacity_elements == cfg.l2_bytes // 2
-        assert h["l1"][0].capacity_elements == cfg.l1_bytes // 2
+        for capacity in (32, 64, 256):
+            cfg = SystolicConfig(segment_capacity=capacity)
+            params = SystolicArray(cfg).params
+            assert params.capacity_segments == capacity
+            assert params.ensure("fits", capacity)
+            with pytest.raises(BufferOverflowError):
+                params.ensure("too_big", capacity + 1)

@@ -222,7 +222,7 @@ def test_replay_preloads_on_every_table_swap_and_after_reset():
     x = rng.normal(size=(4, 8))
 
     def store_of(array):
-        params = array.hierarchy["params"]
+        params = array.params
         return dict(params.resident), params.swaps, params.preloaded_segments
 
     scratch = SystolicArray(config)
@@ -242,7 +242,7 @@ def test_replay_preloads_on_every_table_swap_and_after_reset():
             assert store_of(replayed) == store_of(executed)
         # 4 preloads in 5 turns (the repeated turn alone finds its table
         # resident), the first of them into an empty store.
-        assert executed.hierarchy["params"].swaps == 3
+        assert executed.params.swaps == 3
         assert executed.trace.ops_by_kind()["preload"] == 4 * 64
         executed.reset()
         replayed.reset()
@@ -250,17 +250,16 @@ def test_replay_preloads_on_every_table_swap_and_after_reset():
 
 def _marks(array):
     """Every counter ``detached()`` promises to leave alone."""
-    params = array.hierarchy["params"]
+    params = array.params
     addressing = array.addressing
     return (
         _account(array.trace),
-        id(array.trace), id(array.hierarchy), id(addressing), id(addressing.params),
+        id(array.trace), id(params), id(addressing), id(addressing.params),
         dict(params.resident), params.swaps, params.preloaded_segments,
         [
             (fifo.pushes, fifo.pops, fifo.high_water)
             for fifo in (addressing.c_fifo, addressing.k_fifo, addressing.reg_fifo)
         ],
-        [(buffer.loads, buffer.reads) for buffer in array.hierarchy["l3"].values()],
     )
 
 
