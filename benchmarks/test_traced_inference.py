@@ -1518,7 +1518,6 @@ def test_elastic_runtime_beats_greedy(print_artifact):
     from repro.nn.workload import transformer_serving_workload
     from repro.serving import (
         ClusterSpec,
-        ElasticConfig,
         InferenceEngine,
         RadixKVCache,
         TransformerPrefixAdapter,
@@ -1544,14 +1543,14 @@ def test_elastic_runtime_beats_greedy(print_artifact):
             )
         )
 
-    def run(placement, elastic):
+    def run(placement, steal):
         engine = InferenceEngine(
             ClusterSpec.heterogeneous(pool_configs).build(),
             max_batch_size=4,
             flush_timeout=1e-7,
             placement=placement,
             radix_cache=RadixKVCache(1 << 20),
-            elastic=elastic,
+            steal=steal,
         )
         small = TinyBERT(**small_kw, causal=True, seed=0)
         engine.register(
@@ -1591,10 +1590,8 @@ def test_elastic_runtime_beats_greedy(print_artifact):
         outputs = {i: engine.result(i, keep=True) for i in ids}
         return outputs, report
 
-    greedy_out, greedy_report = run("cost_aware", None)
-    elastic_out, elastic_report = run(
-        "lookahead", ElasticConfig(steal=True)
-    )
+    greedy_out, greedy_report = run("cost_aware", False)
+    elastic_out, elastic_report = run("lookahead", True)
 
     # Re-placement must not change arithmetic: request by request,
     # outputs are bit-identical across the two runs.

@@ -60,7 +60,6 @@ def build_engine(
     placement = tuning.placement
     if tuning.placement == "cost_aware" and tuning.occupancy_penalty > 0:
         placement = CostAwarePlacement(occupancy_penalty=tuning.occupancy_penalty)
-    elastic = tuning.elastic()
     return assemble_engine(
         ClusterSpec.heterogeneous(tuning.pool),
         endpoints,
@@ -73,7 +72,7 @@ def build_engine(
             for tenant in tenants
         ),
         faults=faults,
-        elastic=elastic if elastic.enabled else None,
+        steal=tuning.steal,
     )
 
 

@@ -127,9 +127,6 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self._log)
 
-    def clear(self) -> None:
-        self._log.clear()
-
     def trace(self, name: Optional[str] = None) -> TrafficTrace:
         return TrafficTrace(
             name=name if name is not None else self.name,

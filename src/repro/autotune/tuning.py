@@ -24,7 +24,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.serving.cluster import config_from_dict, config_to_dict
-from repro.serving.elastic import ElasticConfig
 from repro.systolic.config import SystolicConfig
 
 _PLACEMENT_CHOICES = ("round_robin", "least_loaded", "cost_aware", "lookahead")
@@ -44,14 +43,15 @@ class TuningConfig:
     :class:`~repro.serving.cluster.CostAwarePlacement` knob);
     ``max_queue_depth`` caps every tenant's queue (None = uncapped);
     ``radix_budget_bytes`` sizes the per-shard K/V cache when the
-    replayed models opt into it (None = feature off).
+    replayed models opt into it (None = feature off).  Values the
+    engine would refuse are refused here, at construction, so a saved
+    front never holds a config that only fails when replayed.
 
-    The elastic-runtime switches (``steal``, ``autoscale``) feed an
-    :class:`~repro.serving.elastic.ElasticConfig` the replay harness
-    hands the engine (their thresholds are constants of
-    :mod:`repro.serving.elastic`); ``placement="lookahead"`` turns on
-    joint per-round list scheduling.  All default off, so an untuned
-    config replays the pinned baseline bit-identically.
+    ``steal`` is the engine's work-stealing switch (its thresholds are
+    constants of :mod:`repro.serving.elastic`);
+    ``placement="lookahead"`` turns on joint per-round list scheduling.
+    Both default off, so an untuned config replays the pinned baseline
+    bit-identically.
     """
 
     pool: Tuple[SystolicConfig, ...]
@@ -62,7 +62,6 @@ class TuningConfig:
     max_queue_depth: Optional[int] = None
     radix_budget_bytes: Optional[int] = None
     steal: bool = False
-    autoscale: bool = False
 
     def __post_init__(self) -> None:
         if not self.pool:
@@ -80,10 +79,18 @@ class TuningConfig:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
-
-    def elastic(self) -> ElasticConfig:
-        """The engine-side elastic knobs this candidate deploys with."""
-        return ElasticConfig(steal=self.steal, autoscale=self.autoscale)
+        if self.flush_timeout < 0:
+            raise ValueError(
+                f"flush_timeout must be >= 0, got {self.flush_timeout}"
+            )
+        if self.max_queue_depth is not None and self.max_queue_depth < 1:
+            raise ValueError(
+                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
+            )
+        if self.radix_budget_bytes is not None and self.radix_budget_bytes < 1:
+            raise ValueError(
+                f"radix_budget_bytes must be >= 1, got {self.radix_budget_bytes}"
+            )
 
     def describe(self) -> str:
         """One line: pool grids, placement and batch knobs."""
@@ -98,8 +105,8 @@ class TuningConfig:
             f"[{grids}] placement={placement} "
             f"batch<= {self.max_batch_size} flush={self.flush_timeout:g}s"
         )
-        if self.steal or self.autoscale:
-            line += " " + self.elastic().describe()
+        if self.steal:
+            line += " elastic: steal"
         return line
 
     def to_dict(self) -> Dict[str, object]:
@@ -112,15 +119,15 @@ class TuningConfig:
             "max_queue_depth": self.max_queue_depth,
             "radix_budget_bytes": self.radix_budget_bytes,
             "steal": self.steal,
-            "autoscale": self.autoscale,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TuningConfig":
-        # Elastic switches are read with defaults so pre-elastic
-        # snapshots (recorded fronts, saved Pareto members) keep loading;
-        # keys of retired knobs (thresholds that became constants, the
-        # second cache budget ``prefix_budget_bytes``) are ignored.
+        # ``steal`` is read with a default so pre-elastic snapshots
+        # (recorded fronts, saved Pareto members) keep loading; keys of
+        # retired knobs (thresholds that became constants, the retired
+        # pool-resizing switch, the second cache budget
+        # ``prefix_budget_bytes``) are ignored.
         return cls(
             pool=tuple(config_from_dict(item) for item in data["pool"]),
             placement=str(data["placement"]),
@@ -138,7 +145,6 @@ class TuningConfig:
                 else int(data["radix_budget_bytes"])
             ),
             steal=bool(data.get("steal", False)),
-            autoscale=bool(data.get("autoscale", False)),
         )
 
 
@@ -152,7 +158,7 @@ class ConfigSpace:
     discrete values each knob may take — discrete on purpose, so the
     space is seed-reproducible and mutation is a neighbor hop, not a
     float perturbation that never revisits a value.  The admission cap,
-    the cache budget and the elastic switches are not searched: a
+    the cache budget and the steal switch are not searched: a
     sampled config leaves them at their :class:`TuningConfig` defaults.
     """
 
@@ -200,7 +206,7 @@ class ConfigSpace:
     ) -> TuningConfig:
         """One neighbor hop: re-draw a single knob (or swap one shard).
 
-        The elastic switches of ``config`` are carried, not searched.
+        The steal switch of ``config`` is carried, not searched.
         """
         move = int(rng.integers(0, 5))
         if move == 0:
@@ -252,7 +258,7 @@ class ConfigSpace:
         rng: np.random.Generator,
     ) -> TuningConfig:
         """A child taking the pool from one parent, each knob from either
-        (the admission cap, cache budget and elastic switches come with
+        (the admission cap, cache budget and steal switch come with
         the other parent whole)."""
         pool_parent, knob_parent = (
             (first, second) if rng.integers(0, 2) == 0 else (second, first)

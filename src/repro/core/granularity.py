@@ -22,7 +22,6 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.cpwl import CPWLApproximator
-from repro.core.segment_table import build_segment_table
 from repro.fixedpoint import QFormat
 from repro.fixedpoint.qformat import INT16
 
@@ -109,21 +108,3 @@ def recommend_granularity(
             f"{max_error} within {l3_budget_bytes} B for {function!r}"
         )
     return max(feasible, key=lambda c: c.granularity)
-
-
-def table_pressure(
-    functions: Sequence[str],
-    granularity: float,
-    fmt: Optional[QFormat] = INT16,
-) -> int:
-    """Total k/b storage (bytes) to keep tables for ``functions`` resident.
-
-    Used by the executor to decide whether a model's full set of
-    nonlinearities fits the L3 parameter store at once or tables must be
-    swapped between layers (which the timing model charges as extra L3
-    preload traffic).
-    """
-    total = 0
-    for name in functions:
-        total += build_segment_table(name, granularity).storage_bytes
-    return total

@@ -4,7 +4,8 @@ ONE-SA (and the conventional systolic array it extends) computes in INT16
 fixed point: the paper quantizes both the networks and the array datapath to
 INT16 (Section V-A).  This subpackage provides the Q-format descriptor,
 quantization/dequantization with saturation, and the saturating arithmetic
-primitives (add/mul/MAC) that the processing-element model builds on.
+(saturation, accumulator writeback, GEMM and Hadamard MAC) that the
+processing-element model builds on.
 
 The representation convention throughout the package: a *raw* fixed-point
 tensor is a numpy integer array holding the scaled integers (on the hot
@@ -17,17 +18,12 @@ from repro.fixedpoint.qformat import INT16, INT32, QFormat
 from repro.fixedpoint.quantize import (
     dequantize,
     quantize,
-    quantization_error,
-    requantize,
     round_saturate,
 )
 from repro.fixedpoint.arithmetic import (
     accumulator_to_output,
-    fixed_add,
     fixed_hadamard_mac,
-    fixed_mac,
     fixed_matmul,
-    fixed_mul,
     saturate,
 )
 
@@ -37,13 +33,8 @@ __all__ = [
     "INT32",
     "quantize",
     "dequantize",
-    "requantize",
-    "quantization_error",
     "round_saturate",
     "saturate",
-    "fixed_add",
-    "fixed_mul",
-    "fixed_mac",
     "fixed_matmul",
     "fixed_hadamard_mac",
     "accumulator_to_output",

@@ -27,43 +27,6 @@ def saturate(raw: np.ndarray, fmt: QFormat) -> np.ndarray:
     return np.minimum(clipped, fmt.raw_max).astype(fmt.storage_dtype())
 
 
-def fixed_add(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
-    """Saturating addition of two raw tensors in the same format."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.dtype.kind == "f" or b.dtype.kind == "f":
-        return saturate_codes(np.add(a, b, dtype=np.float64), fmt)
-    return saturate(a.astype(np.int64) + b.astype(np.int64), fmt)
-
-
-def fixed_mul(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
-    """Saturating multiply of two raw tensors in the same format.
-
-    The exact product carries ``2 * frac_bits`` fractional bits; the
-    result is rounded back to ``frac_bits`` and saturated, matching a
-    single-MAC multiply with immediate writeback.
-    """
-    product = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
-    half = np.int64(1) << (fmt.frac_bits - 1) if fmt.frac_bits > 0 else np.int64(0)
-    rounded = (product + half) >> fmt.frac_bits
-    return saturate(rounded, fmt)
-
-
-def fixed_mac(
-    acc: np.ndarray, a: np.ndarray, b: np.ndarray, fmt: QFormat
-) -> np.ndarray:
-    """One multiply-accumulate step: ``acc + a * b``.
-
-    ``acc`` is held in the wide accumulator format (product-aligned,
-    ``2 * frac_bits`` fractional bits, int64 storage).  No intermediate
-    saturation is applied — the hardware accumulator carries guard bits —
-    so only the final writeback (via :func:`accumulator_to_output`)
-    saturates.
-    """
-    product = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
-    return np.asarray(acc, dtype=np.int64) + product
-
-
 def accumulator_to_output(acc: np.ndarray, fmt: QFormat) -> np.ndarray:
     """Round and saturate a product-aligned accumulator back to ``fmt``.
 

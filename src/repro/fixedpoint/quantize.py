@@ -136,34 +136,3 @@ def round_saturate(codes: np.ndarray, fmt: QFormat) -> np.ndarray:
 def dequantize(raw: ArrayLike, fmt: QFormat) -> np.ndarray:
     """Convert raw fixed-point integers back to real values."""
     return np.asarray(raw, dtype=np.float64) * fmt.scale
-
-
-def requantize(raw: ArrayLike, src: QFormat, dst: QFormat) -> np.ndarray:
-    """Re-scale raw integers from one Q-format to another with saturation.
-
-    This models the shift-and-saturate stage between the PE accumulator
-    (a wide product-aligned format) and the INT16 output buffer.
-    """
-    raw = np.asarray(raw, dtype=np.int64)
-    shift = src.frac_bits - dst.frac_bits
-    if shift > 0:
-        # Round-to-nearest on the discarded bits (add half then shift).
-        half = np.int64(1) << (shift - 1)
-        rescaled = (raw + half) >> shift
-    elif shift < 0:
-        rescaled = raw << (-shift)
-    else:
-        rescaled = raw
-    rescaled = np.minimum(np.maximum(rescaled, dst.raw_min), dst.raw_max)
-    return rescaled.astype(dst.storage_dtype())
-
-
-def quantization_error(values: ArrayLike, fmt: QFormat) -> float:
-    """Maximum absolute round-trip error of ``values`` under ``fmt``.
-
-    Useful for choosing fractional-bit budgets: for in-range values the
-    error is bounded by half an LSB under nearest rounding.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    round_trip = dequantize(quantize(values, fmt), fmt)
-    return float(np.max(np.abs(round_trip - values))) if values.size else 0.0

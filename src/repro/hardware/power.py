@@ -115,10 +115,3 @@ def phase_weighted_activity(
         + idle_share * idle_activity
     )
     return weighted / shares
-
-
-def energy_joules(config: SystolicConfig, seconds: float, activity: float) -> float:
-    """Energy of an execution window at the given average activity."""
-    if seconds < 0:
-        raise ValueError("seconds must be non-negative")
-    return power_watts(config, activity=activity) * seconds

@@ -429,9 +429,3 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     logp = logits.log_softmax(axis=-1)
     picked = logp[np.arange(labels.shape[0]), labels]
     return -picked.mean()
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = pred - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()

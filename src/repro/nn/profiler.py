@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.nn.workload import MHP_PASSES, GemmOp, Workload, op_cycles
-from repro.systolic.config import SystolicConfig
+from repro.nn.workload import MHP_PASSES, Workload
 
 #: Per-element cost (MAC-equivalents) of each op kind on a
 #: general-purpose processor.  GEMM cost is per MAC.
@@ -65,13 +64,3 @@ def op_mix(workload: Workload, weights: Dict[str, float] = None) -> Dict[str, fl
     if not total:
         return {}
     return {kind: cost / total for kind, cost in sorted(costs.items())}
-
-
-def cycle_mix(workload: Workload, config: SystolicConfig) -> Dict[str, float]:
-    """Cycle share per op kind when the workload runs on a design point."""
-    cycles: Dict[str, float] = {}
-    for op in workload.ops:
-        kind = "gemm" if isinstance(op, GemmOp) else op.kind
-        cycles[kind] = cycles.get(kind, 0.0) + op_cycles(op, config)
-    total = sum(cycles.values())
-    return {kind: c / total for kind, c in sorted(cycles.items())} if total else {}

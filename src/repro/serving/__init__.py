@@ -64,11 +64,10 @@ multi-tenant serving system:
   (:class:`~repro.serving.cluster.LookaheadPlacement` list scheduling),
   work-stealing re-prices queued-but-unstarted batches at execution
   time — migrating them (and, when prefix affinity breaks, the cache
-  *entry* through the fabric) off drifted or tripped shards — and an
-  SLO-driven autoscaler grows/shrinks the live pool from windowed
-  attainment and shed signals with hysteresis, priced by the hardware
-  power model; every decision feeds from the per-shard stats
-  descriptor tree and lands in the report's elastic section;
+  *entry* through the fabric) off drifted or tripped shards; the
+  pool itself is fixed when the engine is built, and every steal feeds
+  from the per-shard stats descriptor tree and lands in the report's
+  elastic section;
 * deployment-as-data (:mod:`repro.serving.deploy`): endpoints described
   by construction, the one ``assemble_engine`` every front end builds its
   engine through, and the one child-process ``fan_out``;
@@ -88,7 +87,7 @@ multi-tenant serving system:
   shed accounting, all over the run's one ordered event log
   (:attr:`~repro.serving.report.ServingReport.events`: placements,
   sheds, cache decisions, failures, faults, breaker transitions,
-  decode steps, steals and scalings, each also readable as a typed
+  decode steps and steals, each also readable as a typed
   view) (:mod:`repro.serving.report`).
 
 See ``examples/serving_demo.py``, ``examples/multitenant_demo.py`` and
@@ -121,7 +120,7 @@ from repro.serving.cluster import (
     save_calibration,
     workload_cost_model,
 )
-from repro.serving.elastic import ElasticConfig, ScalingEvent, StealEvent
+from repro.serving.elastic import StealEvent
 from repro.serving.engine import InferenceEngine, ModelEndpoint
 from repro.serving.generation import (
     ActiveSequence,
@@ -214,8 +213,6 @@ __all__ = [
     "PrefixEvent",
     "RadixKVCache",
     "TransformerPrefixAdapter",
-    "ElasticConfig",
-    "ScalingEvent",
     "StealEvent",
     "ShardStats",
     "cluster_desc",

@@ -130,7 +130,7 @@ class ClusterSpec:
             ArrayBackend(SystolicArray(spec.config), spec.granularity)
             for spec in self.shards
         ]
-        return ClusterDispatcher(backends, specs=self.shards)
+        return ClusterDispatcher(backends)
 
     def describe(self) -> str:
         """One line per shard: name and design point."""
@@ -990,41 +990,23 @@ class ClusterDispatcher:
         One inference backend per shard.  Backends exposing an
         ``array`` attribute (the hardware-routed ones) contribute cycle
         traces and design points; others execute functionally and are
-        charged no simulated time.
-    specs:
-        Optional :class:`ShardSpec` declarations (kept when the pool
-        was built from a :class:`ClusterSpec`).
+        charged no simulated time.  The pool is fixed at construction.
     """
 
-    def __init__(
-        self,
-        backends: Sequence[object],
-        specs: Optional[Sequence[ShardSpec]] = None,
-    ):
+    def __init__(self, backends: Sequence[object]):
         if not backends:
             raise ValueError("dispatcher needs at least one backend shard")
-        if specs is not None and len(specs) != len(backends):
-            raise ValueError(
-                f"got {len(specs)} shard specs for {len(backends)} backends"
-            )
         self.backends: List[object] = list(backends)
-        #: Each shard's static ``(config, clock_hz)``, fixed when it joins
-        #: the pool; ``(None, None)`` for functional backends.
+        #: Each shard's static ``(config, clock_hz)``; ``(None, None)``
+        #: for functional backends.
         self.design_points: List[
             Tuple[Optional[SystolicConfig], Optional[float]]
         ] = [
             (None, None) if array is None else (array.config, array.config.clock_hz)
             for array in map(self.array_of, range(len(self.backends)))
         ]
-        self.specs: Optional[Tuple[ShardSpec, ...]] = (
-            tuple(specs) if specs is not None else None
-        )
         #: Simulated time each shard finishes everything placed on it.
         self.busy_until: Dict[int, float] = {}
-        #: Shards retired by the autoscaler: kept in the pool (their
-        #: traces and in-flight horizons survive) but hidden from
-        #: :meth:`shard_views`, so placement never offers them.
-        self._offline: set = set()
 
     @classmethod
     def from_arrays(
@@ -1047,58 +1029,11 @@ class ClusterDispatcher:
         """The shard's design point (None for functional backends)."""
         return self.design_points[shard][0]
 
-    # -- elastic pool membership -----------------------------------------
-    def add_shard(self, spec: ShardSpec) -> int:
-        """Grow the pool by one shard built from ``spec``; its index.
-
-        The new shard joins live: it appears in the next
-        :meth:`shard_views` snapshot with an empty busy horizon.
-        """
-        from repro.nn.executor import ArrayBackend
-        from repro.systolic.array import SystolicArray
-
-        self.backends.append(ArrayBackend(SystolicArray(spec.config), spec.granularity))
-        self.design_points.append((spec.config, spec.config.clock_hz))
-        if self.specs is not None:
-            self.specs = self.specs + (spec,)
-        index = len(self.backends) - 1
-        self._offline.discard(index)
-        return index
-
-    def retire_shard(self, index: int) -> None:
-        """Take a shard offline: hidden from placement, state kept.
-
-        In-flight work (the busy horizon) is unaffected — retirement
-        only stops *new* placements, so draining is graceful.
-        """
-        if not 0 <= index < self.n_shards:
-            raise ValueError(f"no shard {index} in a {self.n_shards}-shard pool")
-        self._offline.add(index)
-
-    def activate_shard(self, index: int) -> None:
-        """Bring a retired shard back into placement rotation."""
-        if not 0 <= index < self.n_shards:
-            raise ValueError(f"no shard {index} in a {self.n_shards}-shard pool")
-        self._offline.discard(index)
-
-    def offline_shards(self) -> frozenset:
-        """Indices currently hidden from placement."""
-        return frozenset(self._offline)
-
-    @property
-    def n_live_shards(self) -> int:
-        return self.n_shards - len(self._offline)
-
     def shard_views(self) -> List[ShardView]:
-        """Pool state snapshot for a placement decision.
-
-        Retired (offline) shards are omitted: they exist, their traces
-        and horizons persist, but no policy may place on them.
-        """
+        """Pool state snapshot for a placement decision."""
         return [
             ShardView(shard, self.busy_until.get(shard, 0.0), clock_hz, config)
             for shard, (config, clock_hz) in enumerate(self.design_points)
-            if shard not in self._offline
         ]
 
     def shard_cycles(self) -> Dict[int, int]:
@@ -1128,12 +1063,9 @@ class ClusterDispatcher:
         return totals
 
     def reset(self) -> None:
-        """Clear traces, busy horizons and offline marks.  Shards the
-        autoscaler added stay in the pool (membership is state, not
-        statistics) but re-enter live."""
+        """Clear traces and busy horizons."""
         for shard in range(self.n_shards):
             array = self.array_of(shard)
             if array is not None:
                 array.reset()
         self.busy_until.clear()
-        self._offline.clear()

@@ -1,7 +1,7 @@
-"""The elastic cluster runtime: knobs, controller and event records.
+"""The elastic cluster runtime: controller and steal records.
 
-The elastic runtime is three engine behaviors layered over placement,
-all off by default (the defaults are regression-pinned bit-identical
+The elastic runtime is two engine behaviors layered over placement,
+both off by default (the defaults are regression-pinned bit-identical
 to the pre-elastic engine):
 
 * **look-ahead placement** (``placement="lookahead"`` — the placement
@@ -16,24 +16,22 @@ to the pre-elastic engine):
   shard that now finishes it earliest; prefix-cache affinity is
   consulted, and when affinity and load conflict beyond
   :data:`AFFINITY_BREAK_FACTOR` the cache *entry* migrates through the
-  store fabric instead of pinning the batch;
-* **SLO-driven autoscaling** (``autoscale=True``) — the live pool grows
-  / shrinks from windowed SLO-attainment and shed-rate signals with
-  hysteresis, within the operator's shard-count and power limits.
+  store fabric instead of pinning the batch.
 
-The thresholds are module constants, not knobs: nothing searches them
-and no deployment has needed another value.  :class:`ElasticController`
-runs all three behaviors for the engine and owns their state: the
-planned round (one of the engine's work sources), the per-shard drift
-statistics and the autoscaler's window.  Every decision leaves an event
-record (:class:`StealEvent`, :class:`ScalingEvent`) surfaced in
+The pool itself is fixed when the engine is built: shards, design
+points and breakers never come or go during a run.  The thresholds are
+module constants, not knobs: nothing searches them and no deployment
+has needed another value.  :class:`ElasticController` runs both
+behaviors for the engine and owns their state: the planned round (one
+of the engine's work sources) and the per-shard drift statistics.
+Every steal leaves a :class:`StealEvent` record, surfaced in
 :meth:`~repro.serving.report.ServingReport.elastic_section`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.serving.cluster import (
@@ -44,9 +42,7 @@ from repro.serving.cluster import (
     WorkUnit,
     estimated_finish,
 )
-from repro.serving.request import CompletedRequest
 from repro.serving.stats import ShardStats
-from repro.serving.tenancy import effective_deadline
 
 
 #: Steal a planned batch when its shard's drift-corrected ETA exceeds the
@@ -57,81 +53,6 @@ STEAL_DRIFT_THRESHOLD = 1.5
 #: through the fabric) only past this factor: higher than the drift
 #: threshold, since staying keeps a cache hit a move must pay to carry.
 AFFINITY_BREAK_FACTOR = 2.0
-#: Completions per SLO/shed evaluation window: one burst of a few late
-#: requests reads as a rate, not as a single late request.
-AUTOSCALE_WINDOW = 8
-#: Grow the pool when windowed SLO attainment falls below this ...
-GROW_BELOW_ATTAINMENT = 0.9
-#: ... shrink it when attainment is at/above this and nothing was shed;
-#: the gap between the two is the hysteresis dead band.
-SHRINK_ABOVE_ATTAINMENT = 0.98
-#: Simulated seconds between scaling actions (hysteresis): a burst shorter
-#: than a millisecond resizes the pool at most once, whatever its windows
-#: read.
-AUTOSCALE_COOLDOWN = 1e-3
-
-
-@dataclass(frozen=True)
-class ElasticConfig:
-    """Elastic-runtime switches and limits (everything off = the pinned
-    baseline).
-
-    Attributes
-    ----------
-    steal:
-        Re-price queued-but-unstarted batches at execution time and
-        migrate them off drifted / tripped shards.
-    autoscale:
-        Grow/shrink the live pool from windowed SLO and shed signals.
-    min_shards / max_shards:
-        Live-pool size bounds the autoscaler honors.  ``max_shards``
-        of ``None`` means "never beyond the declared pool + template
-        growth limit" (the engine caps growth at the pool it can
-        build).
-    power_budget_watts:
-        Refuse growth that would push the live pool's priced power
-        (:func:`repro.hardware.power.power_watts` per shard) past this
-        budget (``None`` = unbudgeted).
-    """
-
-    steal: bool = False
-    autoscale: bool = False
-    min_shards: int = 1
-    max_shards: Optional[int] = None
-    power_budget_watts: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.min_shards < 1:
-            raise ValueError(f"min_shards must be >= 1, got {self.min_shards}")
-        if self.max_shards is not None and self.max_shards < self.min_shards:
-            raise ValueError("max_shards must be >= min_shards")
-        if self.power_budget_watts is not None and self.power_budget_watts <= 0:
-            raise ValueError("power_budget_watts must be positive")
-
-    @property
-    def enabled(self) -> bool:
-        """Stealing or autoscaling on?  (Look-ahead rounds are switched
-        by the placement policy.)  False = the pinned baseline."""
-        return self.steal or self.autoscale
-
-    def to_dict(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ElasticConfig":
-        """Missing keys take their defaults; keys that are no field
-        (``lookahead``, retired for ``placement="lookahead"``, and the
-        thresholds that became module constants) are ignored, so saved
-        configs keep loading."""
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
-
-    def describe(self) -> str:
-        if not self.enabled:
-            return "elastic: off"
-        parts = [name for name in ("steal", "autoscale") if getattr(self, name)]
-        return "elastic: " + " + ".join(parts)
-
-
 @dataclass(frozen=True)
 class StealEvent:
     """One queued-but-unstarted batch migrated between shards."""
@@ -154,24 +75,6 @@ class StealEvent:
     cache_migrated: bool = False
 
 
-@dataclass(frozen=True)
-class ScalingEvent:
-    """One autoscaler pool-resize decision."""
-
-    at: float
-    #: ``"grow"`` (shard added or reactivated) or ``"shrink"``
-    #: (shard retired from placement rotation).
-    action: str
-    shard: int
-    #: The windowed signal that triggered the action.
-    reason: str
-    #: Windowed SLO attainment / shed rate at the decision.
-    slo_attainment: float
-    shed_rate: float
-    #: Priced power of the live pool *after* the action.
-    pool_power_watts: float = 0.0
-
-
 class ElasticController:
     """Runs the elastic runtime for one engine and owns its state.
 
@@ -183,28 +86,24 @@ class ElasticController:
     from :class:`~repro.serving.cluster.PrefixAffinePlacement` — is a
     :class:`~repro.serving.cluster.LookaheadPlacement`.
 
-    ``log`` is the event sink, ``shard_busy`` the run's busy seconds per
-    shard, ``views(now)`` the shards whose breaker admits work,
+    ``steal`` switches work-stealing on, ``log`` is the event sink,
+    ``views(now)`` the shards whose breaker admits work,
     ``profile_of(batch)`` a batch's placement profile (None for a
     generation prefill) and ``unit_of(batch, shard, profile)`` its unit.
     """
 
     def __init__(
-        self, config: ElasticConfig, placement: PlacementPolicy, dispatcher,
-        tenants, log: Callable, kv_cache, shard_busy: Dict[int, float],
+        self, steal: bool, placement: PlacementPolicy, log: Callable, kv_cache,
         views: Callable, profile_of: Callable, unit_of: Callable,
     ) -> None:
-        self.config = config
+        self.steal = steal
         self._placement = placement
         planner = getattr(placement, "inner", placement)
         self._planner = planner if isinstance(planner, LookaheadPlacement) else None
-        # Drift is priced under look-ahead rounds, stealing or autoscaling.
-        self._prices_drift = self._planner is not None or config.enabled
-        self._dispatcher = dispatcher
-        self._tenants = tenants
+        # Drift is priced under look-ahead rounds or stealing.
+        self._prices_drift = self._planner is not None or steal
         self._log = log
         self._kv_cache = kv_cache
-        self._shard_busy = shard_busy
         self._views = views
         self._profile_of = profile_of
         self._unit_of = unit_of
@@ -212,9 +111,6 @@ class ElasticController:
         #: Per-shard live stats (the drift EWMA stealing reads;
         #: cumulative across runs, cleared by :meth:`reset`).
         self.shard_stats: Dict[int, ShardStats] = {}
-        self._slo_window: List[bool] = []
-        self._window_sheds = 0
-        self._last_scale_at: Optional[float] = None
 
     # ------------------------------------------------------------------
     # The planned round, as a work source
@@ -230,15 +126,8 @@ class ElasticController:
 
     def reset(self) -> None:
         self._planned.clear()
-        self.restart_window()
-        self._last_scale_at = None
         for stats in self.shard_stats.values():
             stats.reset()
-
-    def restart_window(self) -> None:
-        """Empty the autoscaler's windowed signals: a new run, or a resize."""
-        self._slo_window.clear()
-        self._window_sheds = 0
 
     def fresh(self, first, ready: float, more: Callable[[float], object]):
         """The unit (and views) of a batch the scheduler just popped.
@@ -331,8 +220,8 @@ class ElasticController:
 
         The look-ahead plan priced the round with calibrated estimates;
         by the time this batch reaches the head of the queue the world
-        may have moved — the planned shard's breaker may have opened
-        (or the autoscaler retired it), or its measured drift (EWMA of
+        may have moved — the planned shard's breaker may have opened,
+        or its measured drift (EWMA of
         actual vs estimated service) may have blown the estimate.  With
         ``steal`` on, the batch is re-priced against every available
         shard with drift-corrected ETAs and migrates when the planned
@@ -346,11 +235,11 @@ class ElasticController:
         """
         profile, planned_shard = unit.profile, unit.planned_shard
         ready = profile.ready_time
-        if not self.config.steal:
+        if not self.steal:
             if any(view.index == planned_shard for view in views):
                 return planned_shard
-            # Breaker opened (or shard retired) under the plan: the
-            # batch re-places through the normal policy path.
+            # Breaker opened under the plan: the batch re-places
+            # through the normal policy path.
             return self._placement.place(profile, views)
 
         # Drift-corrected ETA per candidate: the planned service time,
@@ -411,147 +300,5 @@ class ElasticController:
                 planned_eta=planned_eta,
                 stolen_eta=stolen_eta,
                 cache_migrated=migrated,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # SLO-driven autoscaling
-    # ------------------------------------------------------------------
-    def shed(self) -> None:
-        """One request was shed at admission (feeds the shed rate)."""
-        self._window_sheds += 1
-
-    def completed(self, records: List[CompletedRequest]) -> None:
-        """Feed the autoscaler's windowed SLO signal, maybe scale."""
-        if not records or not self.config.autoscale:
-            return
-        for record in records:
-            due = effective_deadline(record.request, self._tenants)
-            self._slo_window.append(due is None or record.finish <= due)
-        excess = len(self._slo_window) - AUTOSCALE_WINDOW
-        if excess > 0:
-            del self._slo_window[:excess]
-        self._maybe_autoscale(max(record.finish for record in records))
-
-    def _pool_power(self, extra_config: Optional[object] = None) -> float:
-        """Priced power of the live pool (plus a candidate shard)."""
-        from repro.hardware.power import power_watts
-
-        total = 0.0
-        for view in self._dispatcher.shard_views():
-            if view.config is not None:
-                total += power_watts(view.config)
-        if extra_config is not None:
-            total += power_watts(extra_config)
-        return total
-
-    def _power_admits(self, config: Optional[object]) -> bool:
-        """Would adding a shard of ``config`` stay inside the budget?"""
-        budget = self.config.power_budget_watts
-        if budget is None or config is None:
-            return True
-        return self._pool_power(extra_config=config) <= budget
-
-    def _maybe_autoscale(self, now: float) -> None:
-        """Evaluate the windowed SLO/shed signals; grow or shrink once.
-
-        Hysteresis is threefold: a full window of
-        :data:`AUTOSCALE_WINDOW` completions must have accumulated,
-        :data:`AUTOSCALE_COOLDOWN` simulated seconds must have passed
-        since the last action, and the grow/shrink attainment thresholds
-        are separated by a dead band.  After any action the window
-        restarts, so one bad burst triggers at most one resize per
-        window.
-        """
-        if len(self._slo_window) < AUTOSCALE_WINDOW:
-            return
-        if (
-            self._last_scale_at is not None
-            and now - self._last_scale_at < AUTOSCALE_COOLDOWN
-        ):
-            return
-        attainment = sum(self._slo_window) / len(self._slo_window)
-        shed_rate = self._window_sheds / (
-            self._window_sheds + len(self._slo_window)
-        )
-        acted = False
-        if attainment < GROW_BELOW_ATTAINMENT or shed_rate > 0.0:
-            reason = (
-                "slo_attainment"
-                if attainment < GROW_BELOW_ATTAINMENT
-                else "shed_rate"
-            )
-            acted = self._grow_pool(now, attainment, shed_rate, reason)
-        elif attainment >= SHRINK_ABOVE_ATTAINMENT and shed_rate == 0.0:
-            acted = self._shrink_pool(now, attainment, shed_rate)
-        if acted:
-            self._last_scale_at = now
-            self.restart_window()
-
-    def _grow_pool(
-        self, now: float, attainment: float, shed_rate: float, reason: str
-    ) -> bool:
-        """Reactivate a retired shard, or build one from the pool spec.
-
-        Growth is refused at ``max_shards``, when the priced pool power
-        would exceed ``power_budget_watts``, or when there is neither a
-        retired shard to reactivate nor a
-        :class:`~repro.serving.cluster.ShardSpec` template to clone —
-        so an unbudgeted homogeneous pool can still grow.
-        """
-        config, pool = self.config, self._dispatcher
-        if config.max_shards is not None and pool.n_live_shards >= config.max_shards:
-            return False
-        offline = sorted(pool.offline_shards())
-        if offline:
-            shard = offline[0]
-            if not self._power_admits(pool.config_of(shard)):
-                return False
-            pool.activate_shard(shard)
-        else:
-            specs = pool.specs
-            if not specs:
-                return False
-            template = specs[-1]
-            if not self._power_admits(template.config):
-                return False
-            shard = pool.add_shard(template)
-        self._log_scaling(now, "grow", shard, reason, attainment, shed_rate)
-        return True
-
-    def _shrink_pool(
-        self, now: float, attainment: float, shed_rate: float
-    ) -> bool:
-        """Retire the least-utilized live shard (never below min_shards).
-
-        Retirement is graceful: the shard's horizon, traces and cached
-        prefixes survive — it is only hidden from new placements, and a
-        later grow reactivates it first.
-        """
-        live = sorted(view.index for view in self._dispatcher.shard_views())
-        if len(live) <= self.config.min_shards:
-            return False
-        # Least busy this run; ties retire the higher index, so shard 0
-        # (and with it a deterministic pool core) is retired last.
-        victim = min(live, key=lambda s: (self._shard_busy.get(s, 0.0), -s))
-        self._dispatcher.retire_shard(victim)
-        self._log_scaling(
-            now, "shrink", victim, "slo_headroom", attainment, shed_rate
-        )
-        return True
-
-    def _log_scaling(
-        self, now: float, action: str, shard: int, reason: str,
-        attainment: float, shed_rate: float,
-    ) -> None:
-        self._log(
-            ScalingEvent(
-                at=now,
-                action=action,
-                shard=shard,
-                reason=reason,
-                slo_attainment=attainment,
-                shed_rate=shed_rate,
-                pool_power_watts=self._pool_power(),
             )
         )

@@ -129,7 +129,7 @@ from repro.serving.cluster import (
     WorkUnit,
     make_placement_policy,
 )
-from repro.serving.elastic import ElasticConfig, ElasticController
+from repro.serving.elastic import ElasticController
 from repro.serving.faults import FaultPlan, FaultRecord, RetryQueue
 from repro.serving.generation import ActiveSequence, DecodePool
 from repro.serving.prefix_cache import PrefixEvent, RadixKVCache
@@ -440,13 +440,14 @@ class InferenceEngine:
         gets an independent :class:`~repro.serving.cluster.ShardHealth`
         breaker driven by batch outcomes, and placement only sees shards
         whose breaker currently admits work.
-    elastic:
-        Optional :class:`~repro.serving.elastic.ElasticConfig`: the
-        work-stealing and SLO-driven autoscaling knobs of the elastic
-        cluster runtime (see :mod:`repro.serving.elastic`; look-ahead
-        rounds are switched by ``placement="lookahead"``).  The default
-        — everything off — is regression-pinned bit-identical to the
-        pre-elastic engine.
+    steal:
+        Re-price a look-ahead-planned batch when it reaches the head of
+        the queue and migrate it off a drifted or tripped shard (see
+        :mod:`repro.serving.elastic`; look-ahead rounds are switched by
+        ``placement="lookahead"``).  Off by default, which is
+        regression-pinned bit-identical to the pre-elastic engine.  The
+        pool itself is fixed at construction: no shard joins or leaves
+        while the engine serves.
     recorder:
         Optional traffic-capture hook — any object with a
         ``record(request)`` method, typically a
@@ -467,7 +468,7 @@ class InferenceEngine:
         tenants: Optional[Iterable[TenantConfig]] = None,
         radix_cache: Optional[RadixKVCache] = None,
         faults: Optional[FaultPlan] = None,
-        elastic: Optional[ElasticConfig] = None,
+        steal: bool = False,
         recorder: Optional[object] = None,
     ):
         self.dispatcher = dispatcher
@@ -487,7 +488,7 @@ class InferenceEngine:
         self._last_arrival = 0.0
         self._calibrator = CalibratingCostModel()
         # The per-run event log: every placement, shed, prefix, failure,
-        # fault, breaker, decode-step, steal and scaling record, in the
+        # fault, breaker, decode-step and steal record, in the
         # order the engine decides them (see ServingReport.events).
         self._events: List[object] = []
         self._shard_busy: Dict[int, float] = {}
@@ -498,7 +499,6 @@ class InferenceEngine:
             shard: ShardHealth(shard, on_transition=self._events.append)
             for shard in range(dispatcher.n_shards)
         }
-        self.elastic = elastic if elastic is not None else ElasticConfig()
         # The agenda: every producer of work, in tie-break order — a
         # retry tied with anything runs first (strictly older work),
         # decode iterations beat fresh batches, and a batch a look-ahead
@@ -509,8 +509,7 @@ class InferenceEngine:
         # is the one that runs.
         log = self._events.append
         self._controller = ElasticController(
-            self.elastic, self.placement, dispatcher, self.tenants, log,
-            radix_cache, self._shard_busy,
+            steal, self.placement, log, radix_cache,
             views=lambda now: self._available_views(now),
             profile_of=lambda batch: (
                 None if self._is_prefill(batch) else self._batch_profile(batch)
@@ -522,7 +521,7 @@ class InferenceEngine:
             fresh=self._controller.fresh,
         )
         self._retries = RetryQueue(
-            self.tenants, dispatcher, self._health_of, log, self._forget,
+            self.tenants, dispatcher, self._health.__getitem__, log, self._forget,
             self._batch_unit,
         )
         self._decode_pool = DecodePool(
@@ -870,7 +869,6 @@ class InferenceEngine:
         # caller-driven step() sequences are readable on :attr:`events`
         # until the next run starts.
         self._events.clear()
-        self._controller.restart_window()
         self._shard_busy.clear()
         self._shard_busy.update(dict.fromkeys(range(self.dispatcher.n_shards), 0.0))
         completed: List[CompletedRequest] = []
@@ -979,7 +977,6 @@ class InferenceEngine:
 
     def _shed(self, request: InferenceRequest, reason: str) -> None:
         self._events.append(ShedRecord(request, reason, request.arrival))
-        self._controller.shed()
         self._forget(request)
 
     def _best_case_finish(self, request: InferenceRequest) -> float:
@@ -1107,7 +1104,6 @@ class InferenceEngine:
         completed = self._execute(*source.pop(ready))
         for record in completed:
             self._results[record.request.request_id] = record.outputs
-        self._controller.completed(completed)
         return completed
 
     def result(self, request_id: int, keep: bool = False) -> np.ndarray:
@@ -1160,33 +1156,21 @@ class InferenceEngine:
             )
         return outputs
 
-    def _health_of(self, shard: int) -> ShardHealth:
-        """The shard's breaker (created lazily for autoscaler-added shards)."""
-        health = self._health.get(shard)
-        if health is None:
-            health = self._health[shard] = ShardHealth(
-                shard, on_transition=self._events.append
-            )
-        return health
-
     def _available_views(self, now: float) -> List[ShardView]:
-        """Live shards whose breaker admits work at ``now``, with each
-        view carrying its breaker state — so placement can filter open
-        shards and price half-open probes pessimistically."""
-        pool = self.dispatcher
-        offline, busy_until = pool.offline_shards(), pool.busy_until
+        """Shards whose breaker admits work at ``now``, with each view
+        carrying its breaker state — so placement can filter open shards
+        and price half-open probes pessimistically."""
+        busy_until = self.dispatcher.busy_until
         return [
             ShardView(shard, busy_until.get(shard, 0.0), clock_hz, config, health.state)
-            for shard, (config, clock_hz) in enumerate(pool.design_points)
-            if shard not in offline and (health := self._health_of(shard)).available(now)
+            for shard, (config, clock_hz) in enumerate(self.dispatcher.design_points)
+            if (health := self._health[shard]).available(now)
         ]
 
     def _all_down(self, unit: WorkUnit) -> float:
-        """Every live breaker is open: log the park, return the wake
-        time (the earliest quarantine expiry)."""
-        offline = self.dispatcher.offline_shards()
-        live = [h for shard, h in self._health.items() if shard not in offline]
-        wake = min(h.open_until for h in live or self._health.values())
+        """Every breaker is open: log the park, return the wake time
+        (the earliest quarantine expiry)."""
+        wake = min(h.open_until for h in self._health.values())
         self._events.append(
             FaultRecord(
                 kind="all_shards_down",
@@ -1203,7 +1187,7 @@ class InferenceEngine:
     def _select_shard(self, unit: WorkUnit, healthy: List[ShardView]) -> int:
         """Pick the shard a ready unit executes on.
 
-        The policy only sees live shards whose breaker admits work at
+        The policy only sees shards whose breaker admits work at
         the ready time (each view carries its breaker state, so
         half-open probes are priced pessimistically); a retry
         additionally avoids the shard of its failed attempt whenever an
@@ -1299,7 +1283,7 @@ class InferenceEngine:
         finish = start + duration
         self.dispatcher.busy_until[shard] = finish
         self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + duration
-        self._health_of(shard).record_success(finish)
+        self._health[shard].record_success(finish)
         self._controller.observe(shard, profile, array, batch_cycles, duration, reused)
         placed = PlacementDecision(
             batch_index=unit.batch_index,

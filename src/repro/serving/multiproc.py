@@ -370,12 +370,11 @@ def serve_multiproc(
     every worker: the per-shard K/V cache budget (``radix_budget_bytes``)
     and any
     :class:`~repro.serving.engine.InferenceEngine` option except
-    ``faults`` (that is ``fault_plan``, sliced per worker).  ``elastic=``
-    thus hands every worker engine the same
-    :class:`~repro.serving.elastic.ElasticConfig` (look-ahead
-    placement, work-stealing, autoscaling — each worker runs the
-    elastic loop over its own shard block); the merged report carries
-    the fleet's steal and scaling logs in cluster shard numbering.
+    ``faults`` (that is ``fault_plan``, sliced per worker).
+    ``placement="lookahead"`` and ``steal=True`` thus turn on the
+    elastic runtime in every worker engine, each over its own shard
+    block; the merged report carries the fleet's steal log in cluster
+    shard numbering.
 
     Returns per-worker reports plus the merged fleet report; merged
     counters are exact sums of the per-worker ones (see

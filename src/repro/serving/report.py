@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.serving.cluster import BreakerTransition, PlacementDecision
-from repro.serving.elastic import ScalingEvent, StealEvent
+from repro.serving.elastic import StealEvent
 from repro.serving.faults import FaultRecord
 from repro.serving.generation import DecodeStepRecord
 from repro.serving.prefix_cache import PrefixEvent
@@ -30,11 +30,11 @@ from repro.serving.request import CompletedRequest, FailureRecord, ShedRecord
 from repro.serving.tenancy import DEFAULT_TENANT, TenantConfig, effective_deadline
 
 
-#: The record types of :attr:`ServingReport.events` — the nine frozen
+#: The record types of :attr:`ServingReport.events` — the eight frozen
 #: dataclasses the engine logs are the event types.
 EVENT_TYPES = (
     PlacementDecision, ShedRecord, PrefixEvent, FailureRecord, FaultRecord,
-    BreakerTransition, DecodeStepRecord, StealEvent, ScalingEvent,
+    BreakerTransition, DecodeStepRecord, StealEvent,
 )
 
 
@@ -70,13 +70,13 @@ class ServingReport:
         (weights, priorities, SLO targets) for the SLO section.
     events:
         The run's one event log: every record the engine wrote, in the
-        order it decided them, each an instance of one of the nine
+        order it decided them, each an instance of one of the eight
         frozen record dataclasses in :data:`EVENT_TYPES`.  Order
         *across* kinds is meaningful: a batch's steal precedes its
         fault record, which precedes the retry's placement, which is
         directly followed by that batch's prefix event or decode step.
     placements, shed, prefix_events, failed, fault_events,
-    breaker_transitions, generation_steps, steals, scaling_events:
+    breaker_transitions, generation_steps, steals:
         Read-only views of :attr:`events` — the records of one type, in
         log order (one line each where they are defined below).  With
         :attr:`completed`, ``failed`` partitions the admitted, non-shed
@@ -126,7 +126,6 @@ class ServingReport:
     breaker_transitions = _view(BreakerTransition, "Per-shard breaker state changes.")
     generation_steps = _view(DecodeStepRecord, "Decode iterations, one per step.")
     steals = _view(StealEvent, "Queued batches migrated between shards.")
-    scaling_events = _view(ScalingEvent, "Autoscaler pool resizes.")
 
     # -- request-level views --------------------------------------------
     @property
@@ -471,11 +470,11 @@ class ServingReport:
 
     @property
     def has_elastic_activity(self) -> bool:
-        return bool(self.steals or self.scaling_events)
+        return bool(self.steals)
 
     def elastic_section(self) -> str:
-        """Elastic-runtime block: steals, scalings, and the per-shard /
-        per-model stats descriptor tree all three decisions read."""
+        """Elastic-runtime block: steals, and the per-shard / per-model
+        stats descriptor tree stealing reads."""
         from repro.serving.stats import cluster_desc, render_cluster_desc
 
         lines = []
@@ -489,21 +488,6 @@ class ServingReport:
                 f"work stealing        : {self.steal_count} batches re-placed "
                 f"({reasons}; {migrated} cache migrations)"
             )
-        if self.scaling_events:
-            grows = sum(1 for e in self.scaling_events if e.action == "grow")
-            shrinks = len(self.scaling_events) - grows
-            lines.append(
-                f"autoscaling          : {grows} grow / {shrinks} shrink "
-                f"(final pool power "
-                f"{self.scaling_events[-1].pool_power_watts:.2f} W)"
-            )
-            for event in self.scaling_events:
-                lines.append(
-                    f"  {event.action:<6s} shard {event.shard} at "
-                    f"{event.at * 1e6:,.1f} us ({event.reason}; "
-                    f"slo {event.slo_attainment:.0%}, "
-                    f"shed {event.shed_rate:.0%})"
-                )
         tree = render_cluster_desc(cluster_desc(self))
         lines.append("cluster stats        :")
         lines.extend("  " + line for line in tree.split("\n"))

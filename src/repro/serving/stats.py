@@ -1,9 +1,8 @@
 """Per-shard / per-model stats descriptor tree feeding elastic decisions.
 
-The elastic runtime needs one telemetry shape three consumers agree
-on: look-ahead placement and work-stealing read per-shard drift (how
-far actual traced cycles run from calibrated estimates), the
-autoscaler reads per-shard utilization and backlog, and the report
+The elastic runtime needs one telemetry shape two consumers agree on:
+look-ahead placement and work-stealing read per-shard drift (how far
+actual traced cycles run from calibrated estimates), and the report
 renders the whole picture for humans.  This module provides both:
 
 * :class:`ShardStats` — the live per-shard accumulator the engine
@@ -83,8 +82,8 @@ def render_stats(stats: Dict[str, object]) -> str:
 def cluster_desc(report) -> Dict[str, object]:
     """The cluster's ``{type, name, stats, sinks}`` descriptor tree.
 
-    Root: pool-wide aggregates (makespan, utilization spread, steal /
-    scaling counts).  Sinks: one node per shard that did or could do
+    Root: pool-wide aggregates (makespan, utilization spread, steal
+    count).  Sinks: one node per shard that did or could do
     work, each carrying its utilization, busy seconds, traced cycles
     and placement count, with one leaf per model endpoint the shard
     served (batch and cycle share).
@@ -146,8 +145,6 @@ def cluster_desc(report) -> Dict[str, object]:
         root_stats["util_spread"] = spread
     if report.steals:
         root_stats["steals"] = len(report.steals)
-    if report.scaling_events:
-        root_stats["scalings"] = len(report.scaling_events)
     return {
         "type": "Cluster",
         "name": report.placement_policy,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.autograd import Tensor, cross_entropy, mse_loss
+from repro.nn.autograd import Tensor, cross_entropy
 from repro.nn import functional as F
 
 
@@ -164,11 +164,6 @@ class TestLosses:
             lambda arr: float(cross_entropy(Tensor(arr), labels).data), x.copy()
         )
         assert np.allclose(t.grad, num, atol=1e-4)
-
-    def test_mse(self):
-        pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        loss = mse_loss(pred, np.array([0.0, 0.0]))
-        assert loss.item() == pytest.approx(2.5)
 
 
 class TestFunctionalGrads:

@@ -240,14 +240,6 @@ class TestRecorder:
         assert len(recorder) == 3
         assert recorder.trace("streamed").name == "streamed"
 
-    def test_clear_resets_log(self):
-        recorder = TraceRecorder()
-        engine = self._engine(recorder)
-        engine.submit("bert", np.zeros(8, dtype=np.int64), 0.0)
-        assert len(recorder) == 1
-        recorder.clear()
-        assert len(recorder) == 0
-
     def test_captured_trace_replays(self):
         recorder = TraceRecorder()
         engine = self._engine(recorder)
@@ -518,7 +510,8 @@ class TestTuningConfig:
         # both cache budgets from single-value ranges: ``rng.integers(0,
         # 1)`` consumes no bits, so removing those ranges kept the stream.
         # Rows are serialised as they were then: with the retired
-        # ``prefix_budget_bytes`` key, which no space ever set.
+        # ``prefix_budget_bytes`` key and the retired pool-resizing
+        # switch, which no space ever set.
         digest = hashlib.sha256()
         for space in (
             ConfigSpace(catalog=CATALOG),
@@ -534,7 +527,7 @@ class TestTuningConfig:
                     second = space.crossover(first, second, rng)
                     walk += [first, second]
                 rows = [
-                    dict(config.to_dict(), prefix_budget_bytes=None)
+                    dict(config.to_dict(), autoscale=False, prefix_budget_bytes=None)
                     for config in walk
                 ]
                 digest.update(json.dumps(
@@ -553,6 +546,16 @@ class TestTuningConfig:
             TuningConfig(pool=(MID,), occupancy_penalty=-1.0)
         with pytest.raises(ValueError, match="max_batch_size"):
             TuningConfig(pool=(MID,), max_batch_size=0)
+        # Values the engine refuses are refused here too, not at replay.
+        with pytest.raises(ValueError, match="flush_timeout must be >= 0"):
+            TuningConfig(pool=(MID,), flush_timeout=-1e-3)
+        with pytest.raises(ValueError, match="max_queue_depth must be >= 1"):
+            TuningConfig(pool=(MID,), max_queue_depth=0)
+        with pytest.raises(ValueError, match="radix_budget_bytes must be >= 1"):
+            TuningConfig(pool=(MID,), radix_budget_bytes=0)
+        saved = dict(TuningConfig(pool=(MID,)).to_dict(), max_queue_depth=0)
+        with pytest.raises(ValueError, match="max_queue_depth must be >= 1"):
+            TuningConfig.from_dict(saved)
 
     def test_space_validation_errors(self):
         with pytest.raises(ValueError, match="catalog"):

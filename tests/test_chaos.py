@@ -24,7 +24,6 @@ from repro.nn.models import TinyBERT
 from repro.serving import (
     ClusterDispatcher,
     ClusterSpec,
-    ElasticConfig,
     EndpointSpec,
     FabricFault,
     FaultPlan,
@@ -412,22 +411,17 @@ class TestFabricChaos:
 
 
 class TestElasticChaos:
-    """The elastic runtime under fire: with look-ahead, stealing and
-    autoscaling all on, seeded crashes and slowdowns must not breach
-    the exactly-once, bit-identical completion-or-reported-failure
-    contract — re-placement moves work and resizing moves capacity,
-    neither ever changes arithmetic or double-answers a request."""
+    """The elastic runtime under fire: with look-ahead and stealing both
+    on, seeded crashes and slowdowns must not breach the exactly-once,
+    bit-identical completion-or-reported-failure contract — re-placement
+    moves work, it never changes arithmetic or double-answers a
+    request."""
 
-    ELASTIC = ElasticConfig(steal=True, autoscale=True, min_shards=2)
-    #: Arrivals 0.1 ms apart, and plans on the same scale: a run of 20
-    #: requests then spans two 8-completion autoscaler windows more than
-    #: the 1 ms cooldown apart, so the pool shrinks twice, to min_shards.
+    #: Arrivals 0.1 ms apart, and plans on the same scale.
     SPACING = 1e-4
 
     def _elastic_engine(self, faults=None):
-        return _engine(
-            4, faults=faults, placement="lookahead", elastic=self.ELASTIC
-        )
+        return _engine(4, faults=faults, placement="lookahead", steal=True)
 
     def _run(self, tokens, faults=None):
         return _run(self._elastic_engine(faults), tokens, spacing=self.SPACING)
@@ -441,7 +435,7 @@ class TestElasticChaos:
         ))
         ids, chaotic = self._run(tokens, plan)
         check_invariants(chaotic, ids)
-        assert chaotic.retries > 0 and len(chaotic.scaling_events) == 2
+        assert chaotic.retries > 0
         healthy_outputs = _outputs_by_input(healthy)
         for inputs, outputs in _outputs_by_input(chaotic).items():
             assert outputs == healthy_outputs[inputs]
@@ -460,26 +454,14 @@ class TestElasticChaos:
         assert _outputs_by_input(report) == _outputs_by_input(repeat)
 
     def test_steal_and_scaling_logs_replay_identically(self):
+        """The steal log replays exactly.  The requests arrive as one
+        burst, so look-ahead rounds plan several batches at once and the
+        slowed shard's planned batches are stolen."""
         plan = FaultPlan(events=(
             ShardSlowdown(shard=0, at=0.0, until=1e-2, factor=8.0),
         ))
         tokens = _tokens(20, seed=9)
-        _, first = self._run(tokens, plan)
-        _, second = self._run(tokens, plan)
+        _, first = _run(self._elastic_engine(plan), tokens, spacing=0.0)
+        _, second = _run(self._elastic_engine(plan), tokens, spacing=0.0)
+        assert first.steals
         assert first.steals == second.steals
-        assert len(first.scaling_events) == 2
-        assert first.scaling_events == second.scaling_events
-
-    def test_autoscaler_never_strands_work_when_shards_crash(self):
-        """Shrinking under headroom + a crash on a survivor: parked
-        batches must still drain (the all-down wake ignores retired
-        shards, not crashed ones)."""
-        plan = FaultPlan(events=(
-            ShardCrash(shard=1, at=0.0, until=3e-3),
-        ))
-        tokens = _tokens(20, seed=13)
-        ids, report = self._run(tokens, plan)
-        check_invariants(report, ids)
-        assert len(report.completed) + len(report.failed) == len(ids)
-        assert report.retries > 0
-        assert [e.action for e in report.scaling_events] == ["shrink", "shrink"]

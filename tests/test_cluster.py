@@ -18,14 +18,13 @@ import numpy as np
 import pytest
 
 from repro.nn.autograd import Tensor, bump_data_version, data_version
-from repro.nn.executor import ArrayBackend, CPWLBackend, FloatBackend
+from repro.nn.executor import ArrayBackend, CPWLBackend
 from repro.nn.models import TinyBERT
 from repro.nn.training import SGD
 from repro.nn.workload import Workload
 from repro.serving import (
     BatchProfile,
     CalibratingCostModel,
-    ClusterDispatcher,
     ClusterSpec,
     CostAwarePlacement,
     InferenceEngine,
@@ -76,7 +75,6 @@ class TestClusterSpec:
         pool = spec.build()
         assert pool.n_shards == 3
         assert all(pool.config_of(s) == SMALL for s in range(3))
-        assert pool.specs == spec.shards
 
     def test_heterogeneous_design_points(self):
         spec = ClusterSpec.heterogeneous([BIG, SMALL, SLOW])
@@ -92,10 +90,6 @@ class TestClusterSpec:
     def test_bad_granularity_rejected(self):
         with pytest.raises(ValueError):
             ShardSpec(SMALL, granularity=0.0)
-
-    def test_spec_backend_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterDispatcher([FloatBackend()], specs=ClusterSpec.homogeneous(SMALL, 2).shards)
 
 
 class TestPolicies:

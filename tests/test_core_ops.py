@@ -22,7 +22,6 @@ from repro.core.granularity import (
     PAPER_GRANULARITIES,
     recommend_granularity,
     sweep_granularity,
-    table_pressure,
 )
 from repro.core.nonlinear_ops import (
     APPROXIMATORS,
@@ -284,12 +283,6 @@ class TestGranularity:
     def test_l3_budget_excludes_large_tables(self):
         choices = sweep_granularity("gelu", (0.1,), l3_budget_bytes=100)
         assert not choices[0].fits_l3
-
-    def test_table_pressure_sums_tables(self):
-        total = table_pressure(["gelu", "exp"], 0.25)
-        g = build_segment_table("gelu", 0.25).storage_bytes
-        e = build_segment_table("exp", 0.25).storage_bytes
-        assert total == g + e
 
     def test_approximator_cache_reuse(self):
         get_approximator.cache_clear()

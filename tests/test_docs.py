@@ -2,13 +2,16 @@
 
 Keeps ``docs/*.md`` and the READMEs from rotting: every relative link
 must point at a real file, every fenced ``python`` block must at least
-compile against current syntax, and blocks written as interpreter
-sessions (``>>>``) are executed as doctests against the live package —
-so an API rename breaks CI here instead of silently breaking the docs.
+compile against current syntax, every name it imports ``from repro…``
+must exist, and blocks written as interpreter sessions (``>>>``) are
+executed as doctests against the live package — so an API rename or
+removal breaks CI here instead of silently breaking the docs.
 Fast (no benchmarks), part of the tier-1 ``-m "not bench"`` run.
 """
 
+import ast
 import doctest
+import importlib
 import re
 from pathlib import Path
 
@@ -66,6 +69,41 @@ def test_python_fences_compile(path):
             compile(body, f"{path.name}[fence {i}]", "exec")
         except SyntaxError as exc:  # pragma: no cover - failure path
             pytest.fail(f"{path.name} fence {i} does not compile: {exc}")
+
+
+def repro_imports(path):
+    """``(module, name)`` for every name a fenced python block of
+    ``path`` imports ``from repro…`` (doctest prompts stripped)."""
+    parser = doctest.DocTestParser()
+    for body in python_fences(path):
+        if ">>>" in body:
+            body = "".join(example.source for example in parser.get_examples(body))
+        for node in ast.walk(ast.parse(body)):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "repro":
+                for alias in node.names:
+                    yield node.module, alias.name
+
+
+def _resolves(module, name):
+    """Would ``from module import name`` succeed?"""
+    try:
+        return hasattr(importlib.import_module(module), name) or bool(
+            importlib.import_module(f"{module}.{name}")
+        )
+    except ImportError:
+        return False
+
+
+@pytest.mark.parametrize("path", DOC_FILES, ids=doc_ids)
+def test_fenced_repro_imports_resolve(path):
+    missing = [
+        f"from {module} import {name}"
+        for module, name in repro_imports(path)
+        if not _resolves(module, name)
+    ]
+    assert not missing, f"{path.name}: fenced imports that fail: {missing}"
+    if path.name == "serving.md":
+        assert any(repro_imports(path))  # the check actually found imports
 
 
 @pytest.mark.parametrize("path", DOC_FILES, ids=doc_ids)

@@ -1,10 +1,10 @@
-"""Elastic cluster runtime: look-ahead placement, stealing, autoscaling.
+"""Elastic cluster runtime: look-ahead placement and work-stealing.
 
 The load-bearing contracts:
 
-* **defaults are the baseline** — an engine with every elastic knob
-  off produces a report bit-identical (fingerprint-equal) to one built
-  without an :class:`ElasticConfig` at all;
+* **defaults are the baseline** — ``steal=True`` moves only batches a
+  look-ahead round planned, so under any other placement it produces a
+  report bit-identical (fingerprint-equal) to the default engine's;
 * **look-ahead placement moves work, never changes arithmetic** —
   outputs match greedy placement bit-for-bit, plans are deterministic,
   and the skewed pool stops funnelling into the fastest shard;
@@ -12,8 +12,6 @@ The load-bearing contracts:
   drifted / tripped shards, migrating prefix-cache entries through the
   store fabric when affinity breaks — and every completed request is
   still answered exactly once with baseline-identical bits;
-* **the autoscaler** grows on missed SLOs, shrinks on headroom, honors
-  min/max bounds, hysteresis and the priced power budget;
 * the satellite regressions: open-breaker shards are filtered *before*
   cost ranking, equal-cost ties break by shard index everywhere, and a
   stale cross-worker calibration snapshot revalidates through the
@@ -35,14 +33,12 @@ from repro.serving import (
     CalibratingCostModel,
     ClusterSpec,
     CostAwarePlacement,
-    ElasticConfig,
     EndpointSpec,
     FaultPlan,
     InferenceEngine,
     LeastLoadedPlacement,
     LookaheadPlacement,
     RadixKVCache,
-    ScalingEvent,
     ShardHealth,
     ShardSlowdown,
     ShardStats,
@@ -57,7 +53,7 @@ from repro.serving import (
     workload_cost_model,
 )
 from repro.store import FileStore
-from repro.serving.elastic import AUTOSCALE_COOLDOWN, STEAL_DRIFT_THRESHOLD
+from repro.serving.elastic import STEAL_DRIFT_THRESHOLD
 from repro.systolic import SystolicConfig
 
 # The skewed heterogeneous pool of the placement benchmarks: ~160x
@@ -82,14 +78,11 @@ def _cost(kw):
     )
 
 
-def _engine(pool=SKEWED_POOL, placement="cost_aware", elastic=None, **kw):
+def _engine(pool=SKEWED_POOL, placement="cost_aware", **kw):
     kw.setdefault("max_batch_size", 4)
     kw.setdefault("flush_timeout", 1e-4)
     engine = InferenceEngine(
-        ClusterSpec.heterogeneous(pool).build(),
-        placement=placement,
-        elastic=elastic,
-        **kw,
+        ClusterSpec.heterogeneous(pool).build(), placement=placement, **kw
     )
     engine.register(
         "bert_small", TinyBERT(**SMALL_KW, seed=0), cost_model=_cost(SMALL_KW)
@@ -118,115 +111,54 @@ def _outputs(engine, ids):
 
 
 # ---------------------------------------------------------------------------
-# Knobs
-# ---------------------------------------------------------------------------
-class TestElasticConfig:
-    def test_defaults_are_off(self):
-        config = ElasticConfig()
-        assert not config.enabled
-        assert config.describe() == "elastic: off"
-
-    def test_enabled_tracks_any_knob(self):
-        assert ElasticConfig(steal=True).enabled
-        assert ElasticConfig(autoscale=True).enabled
-
-    @pytest.mark.parametrize("bad", [
-        # Thresholds that became module constants: a caller still passing
-        # one is refused outright, not run at the constant's value.
-        dict(steal_drift_threshold=0.5),
-        dict(affinity_break_factor=0.0),
-        dict(autoscale_window=0),
-        dict(grow_below_attainment=1.5),
-        dict(shrink_above_attainment=-0.1),
-        dict(grow_below_attainment=0.95, shrink_above_attainment=0.9),
-        dict(autoscale_cooldown=-1.0),
-        dict(min_shards=0),
-        dict(min_shards=3, max_shards=2),
-        dict(power_budget_watts=0.0),
-    ])
-    def test_validation(self, bad):
-        fields = {field.name for field in dataclasses.fields(ElasticConfig)}
-        with pytest.raises(ValueError if set(bad) <= fields else TypeError):
-            ElasticConfig(**bad)
-
-    def test_round_trips_through_dict(self):
-        config = ElasticConfig(
-            steal=True, autoscale=True,
-            min_shards=2, max_shards=6, power_budget_watts=40.0,
-        )
-        assert ElasticConfig.from_dict(config.to_dict()) == config
-        assert ElasticConfig.from_dict({}) == ElasticConfig()
-
-    def test_saved_configs_with_the_retired_lookahead_key_still_load(self):
-        saved = dict(ElasticConfig(steal=True).to_dict(), lookahead=True)
-        assert ElasticConfig.from_dict(saved) == ElasticConfig(steal=True)
-        assert "lookahead" not in ElasticConfig().to_dict()
-
-    def test_describe_names_active_behaviors(self):
-        text = ElasticConfig(steal=True, autoscale=True).describe()
-        assert "steal" in text
-        assert "autoscale" in text
-
-
-# ---------------------------------------------------------------------------
 # Defaults pinned bit-identical
 # ---------------------------------------------------------------------------
 class TestDefaultsPinned:
     def test_elastic_off_is_fingerprint_identical_to_baseline(self):
-        """ElasticConfig() == no elastic config at all, bit for bit."""
+        """Stealing re-places only planned batches: without look-ahead
+        rounds ``steal=True`` is the default engine, bit for bit."""
         reports = []
-        for elastic in (None, ElasticConfig()):
-            engine = _engine(elastic=elastic)
+        for steal in (False, True):
+            engine = _engine(steal=steal)
             _mixed_burst(engine)
             reports.append(engine.run())
         assert report_fingerprint(reports[0]) == report_fingerprint(reports[1])
         assert not reports[1].has_elastic_activity
 
     def test_elastic_off_logs_stay_empty(self):
-        engine = _engine(elastic=ElasticConfig())
+        engine = _engine(steal=False)
         _mixed_burst(engine)
         report = engine.run()
         assert report.steals == ()
-        assert report.scaling_events == ()
-        assert not any(
-            isinstance(e, (StealEvent, ScalingEvent)) for e in engine.events
-        )
+        assert not any(isinstance(e, StealEvent) for e in engine.events)
 
 
 # ---------------------------------------------------------------------------
 # Look-ahead placement
 # ---------------------------------------------------------------------------
 class TestLookaheadPlacement:
-    def _run(self, elastic, placement="cost_aware"):
-        engine = _engine(placement=placement, elastic=elastic)
+    def _run(self, placement="cost_aware"):
+        engine = _engine(placement=placement)
         ids = _mixed_burst(engine)
         report = engine.run()
         return _outputs(engine, ids), report
 
     def test_outputs_bit_identical_to_greedy(self):
-        greedy_out, _ = self._run(None)
-        ahead_out, report = self._run(
-            ElasticConfig(), placement="lookahead"
-        )
+        greedy_out, _ = self._run()
+        ahead_out, report = self._run(placement="lookahead")
         for a, b in zip(greedy_out, ahead_out):
             assert np.array_equal(a, b), "placement changed results"
         assert report.n_requests == 20
 
     def test_plan_is_deterministic(self):
-        first_out, first = self._run(
-            ElasticConfig(), placement="lookahead"
-        )
-        second_out, second = self._run(
-            ElasticConfig(), placement="lookahead"
-        )
+        first_out, first = self._run(placement="lookahead")
+        second_out, second = self._run(placement="lookahead")
         assert report_fingerprint(first) == report_fingerprint(second)
 
     def test_lookahead_spreads_the_skewed_pool(self):
         """Joint planning uses shards greedy cost_aware leaves idle."""
-        _, greedy = self._run(None)
-        _, ahead = self._run(
-            ElasticConfig(), placement="lookahead"
-        )
+        _, greedy = self._run()
+        _, ahead = self._run(placement="lookahead")
         used = lambda report: {
             decision.shard for decision in report.placements
         }
@@ -259,7 +191,6 @@ class TestLookaheadPlacement:
 class TestWorkStealing:
     def test_drift_steal_rescues_a_slowed_shard(self):
         """A slowdown fault inflates drift; queued batches migrate off."""
-        elastic = ElasticConfig(steal=True)
         faults = FaultPlan(events=(
             ShardSlowdown(shard=0, at=0.0, until=1.0, factor=16.0),
         ))
@@ -267,7 +198,7 @@ class TestWorkStealing:
         ids = _mixed_burst(baseline, n_small=24)
         base_out = (baseline.run(), _outputs(baseline, ids))[1]
 
-        engine = _engine(placement="lookahead", elastic=elastic, faults=faults)
+        engine = _engine(placement="lookahead", steal=True, faults=faults)
         ids = _mixed_burst(engine, n_small=24)
         report = engine.run()
         assert len(report.completed) == len(ids)
@@ -286,11 +217,10 @@ class TestWorkStealing:
 
     def test_breaker_steal_reroutes_planned_batches(self):
         """A tripped planned shard hands its queue to the live pool."""
-        elastic = ElasticConfig(steal=True)
         faults = FaultPlan(events=(
             ShardSlowdown(shard=0, at=0.0, until=1.0, factor=16.0),
         ))
-        engine = _engine(placement="lookahead", elastic=elastic, faults=faults)
+        engine = _engine(placement="lookahead", steal=True, faults=faults)
         ids = _mixed_burst(engine, n_small=24)
         report = engine.run()
         assert len(report.completed) + len(report.failed) == len(ids)
@@ -300,26 +230,25 @@ class TestWorkStealing:
             assert steal.reason in {"drift", "breaker", "affinity"}
 
     def test_steal_off_honors_the_plan(self):
-        elastic = ElasticConfig()
         faults = FaultPlan(events=(
             ShardSlowdown(shard=0, at=0.0, until=1.0, factor=16.0),
         ))
-        engine = _engine(placement="lookahead", elastic=elastic, faults=faults)
+        engine = _engine(placement="lookahead", faults=faults)
         ids = _mixed_burst(engine, n_small=24)
         report = engine.run()
         assert report.steals == ()
         assert len(report.completed) == len(ids)
 
 
-def _hot_prefix_engine(elastic, prefix_len=6):
+def _hot_prefix_engine(steal, prefix_len=6):
     cache = RadixKVCache(1 << 20)
     engine = InferenceEngine(
         ClusterSpec.heterogeneous(SKEWED_POOL).build(),
         max_batch_size=4,
         flush_timeout=1e-7,
-        placement="lookahead" if elastic is not None else "cost_aware",
+        placement="lookahead" if steal else "cost_aware",
         radix_cache=cache,
-        elastic=elastic,
+        steal=steal,
     )
     model = TinyBERT(**SMALL_KW, causal=True, seed=0)
     engine.register(
@@ -350,8 +279,7 @@ def _hot_prefix_burst(engine, repeats=24, seed=11):
 
 class TestAffinityBreak:
     def test_affinity_steal_migrates_the_cache_entry(self):
-        elastic = ElasticConfig(steal=True)
-        engine, cache = _hot_prefix_engine(elastic)
+        engine, cache = _hot_prefix_engine(steal=True)
         ids = _hot_prefix_burst(engine)
         report = engine.run()
         assert len(report.completed) == len(ids)
@@ -365,12 +293,11 @@ class TestAffinityBreak:
     def test_affinity_break_beats_pinned_greedy(self):
         """The pathology the elastic runtime exists to fix: entry
         migration off the cold shard beats affinity-pinned greedy."""
-        greedy_engine, _ = _hot_prefix_engine(None)
+        greedy_engine, _ = _hot_prefix_engine(steal=False)
         greedy_ids = _hot_prefix_burst(greedy_engine)
         greedy = greedy_engine.run()
 
-        elastic = ElasticConfig(steal=True)
-        engine, _ = _hot_prefix_engine(elastic)
+        engine, _ = _hot_prefix_engine(steal=True)
         ids = _hot_prefix_burst(engine)
         report = engine.run()
 
@@ -404,110 +331,6 @@ class TestAffinityBreak:
 
 
 # ---------------------------------------------------------------------------
-# SLO-driven autoscaling
-# ---------------------------------------------------------------------------
-def _autoscale_engine(n_shards, elastic, deadline=None, n_requests=16, spacing=1e-4):
-    """Arrivals ``spacing`` apart: at the default 0.1 ms a trace of 16+
-    requests spans several 8-completion windows and 1 ms cooldowns."""
-    config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)
-    engine = InferenceEngine(
-        ClusterSpec.homogeneous(config, n_shards).build(),
-        max_batch_size=1,
-        flush_timeout=1e-7,
-        placement="cost_aware",
-        elastic=elastic,
-    )
-    engine.register(
-        "bert_small", TinyBERT(**SMALL_KW, seed=0), cost_model=_cost(SMALL_KW)
-    )
-    rng = np.random.default_rng(2)
-    ids = [
-        engine.submit(
-            "bert_small", row, arrival=i * spacing,
-            deadline=None if deadline is None else i * spacing + deadline,
-        )
-        for i, row in enumerate(
-            rng.integers(0, 16, size=(n_requests, SMALL_KW["seq_len"]))
-        )
-    ]
-    return engine, ids
-
-
-class TestAutoscaling:
-    GROW = ElasticConfig(autoscale=True, max_shards=3)
-
-    def test_grows_on_missed_slos(self):
-        engine, ids = _autoscale_engine(1, self.GROW, deadline=1e-9)
-        report = engine.run()
-        grows = [e for e in report.scaling_events if e.action == "grow"]
-        assert grows, "every deadline missed yet the pool never grew"
-        assert grows[0].reason == "slo_attainment"
-        assert grows[0].slo_attainment < 0.9
-        assert grows[0].pool_power_watts > 0
-        assert engine.dispatcher.n_live_shards > 1
-        assert len(report.completed) == len(ids)
-
-    def test_max_shards_caps_growth(self):
-        engine, _ = _autoscale_engine(1, self.GROW, deadline=1e-9,
-                                      n_requests=64)
-        report = engine.run()
-        # Grown to the cap early; the missed windows after it grow nothing.
-        assert [e.action for e in report.scaling_events] == ["grow", "grow"]
-        assert report.scaling_events[-1].at < report.makespan / 2
-        assert engine.dispatcher.n_live_shards == 3
-        # The report renders the block: a tally, then one line per event.
-        lines = report.elastic_section().split("\n")
-        final = report.scaling_events[-1].pool_power_watts
-        assert lines[0] == (
-            f"autoscaling          : 2 grow / 0 shrink (final pool power {final:.2f} W)"
-        )
-        for line, event in zip(lines[1:3], report.scaling_events):
-            assert line == (
-                f"  grow   shard {event.shard} at {event.at * 1e6:,.1f} us "
-                f"(slo_attainment; slo {event.slo_attainment:.0%}, "
-                f"shed {event.shed_rate:.0%})"
-            )
-        assert lines[3] == "cluster stats        :"
-        assert report.elastic_section() in report.summary()
-
-    def test_power_budget_refuses_growth(self):
-        budgeted = ElasticConfig(autoscale=True, power_budget_watts=1e-9)
-        engine, _ = _autoscale_engine(1, budgeted, deadline=1e-9)
-        report = engine.run()
-        assert report.scaling_events == ()
-        assert engine.dispatcher.n_live_shards == 1
-
-    def test_shrinks_on_headroom_but_never_below_min(self):
-        relaxed = ElasticConfig(autoscale=True, min_shards=2)
-        engine, ids = _autoscale_engine(3, relaxed, n_requests=32)
-        report = engine.run()
-        shrinks = [e for e in report.scaling_events if e.action == "shrink"]
-        assert shrinks, "full attainment with 3 shards never shrank"
-        assert all(e.reason == "slo_headroom" for e in shrinks)
-        assert engine.dispatcher.n_live_shards >= 2
-        assert len(report.completed) == len(ids)
-
-    def test_cooldown_is_hysteresis(self):
-        """Four full windows inside one cooldown resize the pool once;
-        the same requests spread past it shrink it twice."""
-        lazy = ElasticConfig(autoscale=True)
-        engine, _ = _autoscale_engine(3, lazy, n_requests=32, spacing=1e-6)
-        report = engine.run()
-        assert report.makespan < AUTOSCALE_COOLDOWN
-        assert len(report.scaling_events) == 1
-        engine, _ = _autoscale_engine(3, lazy, n_requests=32)
-        assert len(engine.run().scaling_events) == 2
-
-    def test_outputs_unchanged_by_scaling(self):
-        baseline, base_ids = _autoscale_engine(1, None, deadline=1e-9)
-        baseline.run()
-        engine, ids = _autoscale_engine(1, self.GROW, deadline=1e-9)
-        engine.run()
-        for a, b in zip(_outputs(baseline, base_ids), _outputs(engine, ids)):
-            assert np.array_equal(a, b), "autoscaling changed results"
-
-
-# ---------------------------------------------------------------------------
 # Stats descriptor tree + report rendering
 # ---------------------------------------------------------------------------
 class TestStatsTree:
@@ -523,8 +346,7 @@ class TestStatsTree:
         assert stats.batches == 0
 
     def test_cluster_desc_shape_and_rendering(self):
-        elastic = ElasticConfig(steal=True)
-        engine = _engine(placement="lookahead", elastic=elastic)
+        engine = _engine(placement="lookahead", steal=True)
         _mixed_burst(engine)
         report = engine.run()
         desc = cluster_desc(report)
@@ -545,20 +367,27 @@ class TestStatsTree:
         assert "makespan_s=" in text
 
     def test_elastic_section_in_summary(self):
-        elastic = ElasticConfig(steal=True)
         faults = FaultPlan(events=(
             ShardSlowdown(shard=0, at=0.0, until=1.0, factor=16.0),
         ))
-        engine = _engine(placement="lookahead", elastic=elastic, faults=faults)
+        engine = _engine(placement="lookahead", steal=True, faults=faults)
         _mixed_burst(engine, n_small=24)
         report = engine.run()
         assert report.has_elastic_activity
-        section = report.elastic_section()
-        assert "work stealing" in section
-        assert "shard" in section
-        assert report.steal_count == len(report.steals)
-        by_reason = report.steals_by_reason()
-        assert sum(by_reason.values()) == report.steal_count
+        assert report.steal_count == len(report.steals) == 3
+        assert report.steals_by_reason() == {"drift": 3}
+        # The section: the steal tally, then the stats tree line for line.
+        lines = report.elastic_section().split("\n")
+        assert lines[:2] == [
+            "work stealing        : 3 batches re-placed (drift 3; 0 cache migrations)",
+            "cluster stats        :",
+        ]
+        tree = render_cluster_desc(cluster_desc(report)).split("\n")
+        assert lines[2:] == ["  " + line for line in tree]
+        assert tree[0] == (
+            "lookahead (batches=7; makespan_s=0.0001499; shards=4; steals=3; "
+            "util_spread=inf)"
+        )
         assert report.elastic_section() in report.summary()
 
 
@@ -690,7 +519,6 @@ def _mp_model():
 
 class TestElasticWiring:
     def test_multiproc_carries_elastic_config(self, tmp_path):
-        elastic = ElasticConfig(steal=True)
         rng = np.random.default_rng(7)
         requests = [
             {"model": "bert_small", "inputs": row, "arrival": i * 1e-5}
@@ -705,7 +533,7 @@ class TestElasticWiring:
             n_workers=1,
             store_root=str(tmp_path),
             placement="lookahead",
-            elastic=elastic,
+            steal=True,
         )
         assert result.merged.n_requests == 8
         assert result.merged.placement_policy == "lookahead"
@@ -723,9 +551,6 @@ class TestElasticWiring:
 
         steal = StealEvent(batch_index=0, model="m", tenant="t",
                            from_shard=0, to_shard=1, at=0.0, reason="drift")
-        scaling = ScalingEvent(at=0.0, action="grow", shard=1,
-                               reason="slo_attainment", slo_attainment=0.5,
-                               shed_rate=0.0)
         request = InferenceRequest(request_id=0, model="m", inputs=np.zeros(2))
         placed = PlacementDecision(
             batch_index=0, model="m", tenant="t", batch_size=1, shard=1,
@@ -749,7 +574,7 @@ class TestElasticWiring:
         tripped = BreakerTransition(shard=0, at=0.0, from_state="closed",
                                     to_state="open")
         log = (shed, steal, crash, lost, tripped, park, unbound, placed,
-               prefix, step, scaling)
+               prefix, step)
         worker = ServingReport(
             completed=(), shard_cycles={}, wall_seconds=0.0, events=log,
         )
@@ -763,7 +588,6 @@ class TestElasticWiring:
         assert merged.steals == (
             dc_replace(steal, from_shard=2, to_shard=3),
         )
-        assert merged.scaling_events == (dc_replace(scaling, shard=3),)
         # Every kind crosses the merge through the same rule — log order
         # kept, worker-local shards in cluster numbering, None untouched.
         assert merged.events == (
@@ -777,7 +601,6 @@ class TestElasticWiring:
             dc_replace(placed, shard=3, recovered_from=2),
             dc_replace(prefix, shard=3),
             dc_replace(step, shard=2),
-            dc_replace(scaling, shard=3),
         )
         # The decode step used to be dropped by the merge.
         assert merged.generation_steps == (dc_replace(step, shard=2),)
@@ -797,16 +620,14 @@ class TestElasticWiring:
         )
         restored = TuningConfig.from_dict(config.to_dict())
         assert restored == config
-        elastic = restored.elastic()
-        assert elastic == ElasticConfig(steal=True)
+        assert restored.steal
         assert "lookahead" in restored.describe()
-        # Pre-elastic snapshots (no elastic keys) still load.
-        legacy = {k: v for k, v in config.to_dict().items()
-                  if k in TuningConfig(pool=(self_config,)).to_dict()
-                  and not k.startswith(("steal", "autoscale"))}
+        assert "elastic: steal" in restored.describe()
+        # Pre-elastic snapshots (no steal key) still load.
+        legacy = {k: v for k, v in config.to_dict().items() if k != "steal"}
         legacy["placement"] = "cost_aware"
         loaded = TuningConfig.from_dict(legacy)
-        assert not loaded.elastic().enabled
+        assert loaded == TuningConfig(pool=(self_config,), placement="cost_aware")
 
     def test_replay_build_engine_passes_elastic(self):
         from repro.autotune.replay import EndpointSpec, build_engine
@@ -818,12 +639,13 @@ class TestElasticWiring:
         engine = build_engine(
             tuning, [EndpointSpec("bert_small", _mp_model)]
         )
-        assert engine.elastic.steal
+        assert engine._controller.steal
         assert isinstance(engine.placement, LookaheadPlacement)
 
     def test_saved_configs_naming_retired_thresholds_still_load(self):
         """Dicts and fronts saved while the thresholds were fields load;
-        the thresholds they name are ignored for the module constants."""
+        the thresholds they name are ignored for the module constants,
+        and a saved pool-resizing switch is ignored: the pool is fixed."""
         from repro.autotune.front import TuningFront
         from repro.autotune.tuning import TuningConfig
 
@@ -832,18 +654,17 @@ class TestElasticWiring:
         pool = (SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4),)
         tuning = TuningConfig(pool=pool, placement="lookahead", steal=True)
         assert TuningConfig.from_dict(dict(tuning.to_dict(), **retired)) == tuning
-        elastic = ElasticConfig(autoscale=True, min_shards=2)
-        assert ElasticConfig.from_dict(dict(elastic.to_dict(), **retired)) == elastic
-        assert not set(retired) & (set(tuning.to_dict()) | set(elastic.to_dict()))
+        assert not set(retired) & set(tuning.to_dict())
 
         # A front the pre-change code wrote (each config carries the
         # thresholds at their defaults).
         path = Path(__file__).parent / "data" / "front_with_elastic_thresholds.json"
         saved = json.loads(path.read_text())
         assert all("steal_drift_threshold" in e["config"] for e in saved["entries"])
+        assert saved["entries"][1]["config"]["autoscale"] is True
         front = TuningFront.from_dict(saved)
         assert [entry.config for entry in front.entries] == [
-            tuning, TuningConfig(pool=pool * 2, autoscale=True)
+            tuning, TuningConfig(pool=pool * 2)
         ]
         assert front.evaluated == 5
         assert TuningFront.from_dict(front.to_dict()) == front

@@ -64,7 +64,6 @@ from repro.serving import (
     BreakerTransition,
     ClusterDispatcher,
     DecodeStepRecord,
-    ElasticConfig,
     FailureRecord,
     FaultPlan,
     FaultRecord,
@@ -73,7 +72,6 @@ from repro.serving import (
     PlacementDecision,
     PrefixEvent,
     RadixKVCache,
-    ScalingEvent,
     ShardCrash,
     ShardSlowdown,
     ShedRecord,
@@ -104,7 +102,7 @@ _MODEL = TinyBERT(
 )
 
 
-def _engine(kind, n_shards, faults=None, elastic=None, placement="round_robin"):
+def _engine(kind, n_shards, faults=None, steal=False, placement="round_robin"):
     """A fresh engine whose unit under test is one batch of two requests."""
     pool = ClusterDispatcher.from_arrays(
         [SystolicArray(CONFIG) for _ in range(n_shards)], GRANULARITY
@@ -116,7 +114,7 @@ def _engine(kind, n_shards, faults=None, elastic=None, placement="round_robin"):
         flush_timeout=1e-4,
         radix_cache=RadixKVCache() if generation or kind == "prefix" else None,
         faults=faults,
-        elastic=elastic,
+        steal=steal,
         placement=placement,
     )
     if generation:
@@ -246,7 +244,7 @@ def test_fresh_batch_parks_identically_planned_or_not(lookahead):
     crash = ShardCrash(0, at=0.0, until=OUTAGE)
     engine = _engine(
         "classify", 1, FaultPlan(events=(crash,)),
-        ElasticConfig(steal=lookahead),
+        lookahead,
         "lookahead" if lookahead else "round_robin",
     )
     ids = _submit(engine, "classify", n_batches=2)
@@ -272,7 +270,6 @@ VIEWS = {
     "breaker_transitions": BreakerTransition,
     "generation_steps": DecodeStepRecord,
     "steals": StealEvent,
-    "scaling_events": ScalingEvent,
 }
 # One batch's records, in log order: failed attempts (each optionally
 # preceded by its steal), then at most one surviving placement directly
@@ -282,8 +279,6 @@ STORY_LETTER = {
     StealEvent: "S", FaultRecord: "F", PlacementDecision: "P",
     PrefixEvent: "X", DecodeStepRecord: "D",
 }
-ALL_ELASTIC = ElasticConfig(steal=True, autoscale=True, min_shards=2)
-
 
 def _index_of(event):
     return event.step_index if isinstance(event, DecodeStepRecord) else event.batch_index
@@ -291,11 +286,11 @@ def _index_of(event):
 
 def _staggered_run(kind, seed, faults=None):
     """Twelve requests in three bursts over a 3-shard pool: chaos +
-    look-ahead + steal + autoscale for classifier kinds, generation +
-    radix for ``decode``."""
+    look-ahead + steal for classifier kinds, generation + radix for
+    ``decode``."""
     engine = (
         _engine(kind, 3, faults) if kind == "decode"
-        else _engine(kind, 3, faults, ALL_ELASTIC, "lookahead")
+        else _engine(kind, 3, faults, True, "lookahead")
     )
     rng = np.random.default_rng(seed)
     for i in range(12):
@@ -305,8 +300,8 @@ def _staggered_run(kind, seed, faults=None):
         else:
             row = rng.integers(0, 16, size=_MODEL.seq_len)
             row[:4] = (i % 3, 1, 2, 3)  # three prompts -> prefix-affine batches
-            # Every other request carries a tight deadline, so the
-            # autoscaler's attainment window has something to react to.
+            # Every other request carries a tight deadline, so retry
+            # triage has doomed retries to drop.
             due = arrival + (5e-5 if i % 2 else 1.0)
             engine.submit("m", row, arrival=arrival, deadline=due)
     return engine.run()
@@ -345,9 +340,12 @@ def test_event_log_tells_each_batch_story_in_order(kind):
         assert sum(len(getattr(report, view)) for view in VIEWS) == len(events)
     # The sweep is not vacuous: the kinds each setup can produce occurred.
     expected = {PlacementDecision, FaultRecord, BreakerTransition}
-    expected |= {DecodeStepRecord, PrefixEvent} if kind == "decode" else {
-        StealEvent, ScalingEvent
-    }
+    # The prefix sweep steals nothing; it pins the prefix events instead.
+    expected |= {
+        "classify": {StealEvent},
+        "prefix": {PrefixEvent},
+        "decode": {DecodeStepRecord, PrefixEvent},
+    }[kind]
     assert expected <= seen
 
 
@@ -1025,7 +1023,7 @@ def test_compute_once_adds_no_knob_and_one_call_site():
 
     assert parameters(InferenceEngine.__init__) == [
         "self", "dispatcher", "max_batch_size", "flush_timeout", "policy",
-        "placement", "tenants", "radix_cache", "faults", "elastic", "recorder",
+        "placement", "tenants", "radix_cache", "faults", "steal", "recorder",
     ]
     assert parameters(InferenceEngine.register) == [
         "self", "name", "model", "infer_fn", "batchable", "cost_model",
@@ -1045,10 +1043,7 @@ def test_compute_once_adds_no_knob_and_one_call_site():
 
     assert fields(TuningConfig) == [
         "pool", "placement", "occupancy_penalty", "max_batch_size", "flush_timeout",
-        "max_queue_depth", "radix_budget_bytes", "steal", "autoscale",
-    ]
-    assert fields(ElasticConfig) == [
-        "steal", "autoscale", "min_shards", "max_shards", "power_budget_watts",
+        "max_queue_depth", "radix_budget_bytes", "steal",
     ]
     # The breaker and the retry budget are constants, not config classes.
     for retired in ("BreakerConfig", "RetryPolicy"):
@@ -1207,7 +1202,6 @@ def test_one_agenda_of_work_sources():
     # Each record, and the retry heap's entries, are built where they
     # are defined — not in the engine.
     assert {site.split(":")[0] for site in _sites("StealEvent(")} == {"serving/elastic.py"}
-    assert {site.split(":")[0] for site in _sites("ScalingEvent(")} == {"serving/elastic.py"}
     assert {site.split(":")[0] for site in _sites("DecodeStepRecord(")} == {
         "serving/generation.py"
     }
@@ -1216,7 +1210,6 @@ def test_one_agenda_of_work_sources():
     ]
     source = Path(engine_module.__file__).read_text()
     assert "heapq" not in source and "deque" not in source
-    assert "lookahead" not in {f.name for f in dataclasses.fields(ElasticConfig)}
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,9 @@ from repro.fixedpoint import (
     QFormat,
     accumulator_to_output,
     dequantize,
-    fixed_add,
     fixed_hadamard_mac,
-    fixed_mac,
     fixed_matmul,
-    fixed_mul,
-    quantization_error,
     quantize,
-    requantize,
     saturate,
 )
 
@@ -89,16 +84,8 @@ class TestQuantize:
         assert raw[0] == INT16.raw_max
         assert raw[1] == INT16.raw_min
 
-    def test_quantization_error_bound(self):
-        rng = np.random.default_rng(0)
-        values = rng.uniform(-100, 100, size=1000)
-        assert quantization_error(values, INT16) <= INT16.scale / 2 + 1e-12
-
     def test_scalar_input(self):
         assert quantize(1.0, INT16) == 256
-
-    def test_empty_input(self):
-        assert quantization_error(np.array([]), INT16) == 0.0
 
     @given(st.floats(min_value=-127, max_value=127, allow_nan=False))
     @settings(max_examples=100, deadline=None)
@@ -131,50 +118,10 @@ class TestQuantize:
         assert quantize(np.array([code / 256]), INT16)[0] == expected
 
 
-class TestRequantize:
-    def test_identity(self):
-        raw = np.array([100, -200], dtype=np.int16)
-        assert np.array_equal(requantize(raw, INT16, INT16), raw)
-
-    def test_downshift_rounds(self):
-        wide = QFormat(32, 16)
-        raw = np.array([1 << 15], dtype=np.int64)  # 0.5 in Q32.16
-        out = requantize(raw, wide, INT16)
-        assert dequantize(out, INT16) == pytest.approx(0.5)
-
-    def test_upshift(self):
-        narrow = QFormat(16, 4)
-        raw = np.array([16], dtype=np.int16)  # 1.0 in Q16.4
-        out = requantize(raw, narrow, INT16)
-        assert dequantize(out, INT16) == pytest.approx(1.0)
-
-    def test_saturates_on_narrow(self):
-        wide = QFormat(32, 8)
-        raw = np.array([1 << 24], dtype=np.int64)  # 65536.0
-        out = requantize(raw, wide, INT16)
-        assert out[0] == INT16.raw_max
-
-
 class TestArithmetic:
     def test_saturate_clamps(self):
         out = saturate(np.array([40000, -40000, 5]), INT16)
         assert list(out) == [32767, -32768, 5]
-
-    def test_fixed_add_matches_float(self):
-        a = quantize(np.array([1.5, -2.0]), INT16)
-        b = quantize(np.array([0.25, 0.5]), INT16)
-        out = dequantize(fixed_add(a, b, INT16), INT16)
-        assert np.allclose(out, [1.75, -1.5])
-
-    def test_fixed_add_saturates(self):
-        a = quantize(np.array([127.0]), INT16)
-        out = fixed_add(a, a, INT16)
-        assert out[0] == INT16.raw_max
-
-    def test_fixed_mul_matches_float(self):
-        a = quantize(np.array([1.5]), INT16)
-        b = quantize(np.array([2.0]), INT16)
-        assert dequantize(fixed_mul(a, b, INT16), INT16)[0] == pytest.approx(3.0)
 
     def test_mac_accumulates_wide(self):
         acc = np.zeros(1, dtype=np.int64)
@@ -182,8 +129,8 @@ class TestArithmetic:
         b = quantize(np.array([100.0]), INT16)
         # One product is 10000 — far over INT16 range — but the wide
         # accumulator must carry it without saturation.
-        acc = fixed_mac(acc, a, b, INT16)
-        acc = fixed_mac(acc, quantize(np.array([-100.0]), INT16), b, INT16)
+        acc += a.astype(np.int64) * b
+        acc += quantize(np.array([-100.0]), INT16).astype(np.int64) * b
         out = accumulator_to_output(acc, INT16)
         assert dequantize(out, INT16)[0] == pytest.approx(0.0)
 

@@ -40,7 +40,6 @@ from repro.nn.workload import (
 )
 from repro.serving import (
     ClusterDispatcher,
-    ElasticConfig,
     FaultPlan,
     GenerationAdapter,
     GenerationRequest,
@@ -608,7 +607,7 @@ class TestContinuousBatching:
         generation traffic alone — and stays at 1 without a fault."""
         def drift_after_one_request(faults):
             engine, _, _ = _gen_engine(
-                n_shards=1, elastic=ElasticConfig(steal=True), faults=faults
+                n_shards=1, steal=True, faults=faults
             )
             engine.submit_generation("gen", np.array([1, 2, 3], dtype=np.int64), 6)
             engine.run()

@@ -13,7 +13,7 @@ from repro.hardware import (
     total_resources,
 )
 from repro.hardware.pareto import is_on_front
-from repro.hardware.power import energy_joules, phase_weighted_activity
+from repro.hardware.power import phase_weighted_activity
 from repro.hardware.resources import fabric_resources
 from repro.systolic.config import SystolicConfig
 
@@ -198,11 +198,6 @@ class TestPower:
 
     def test_zero_shares(self):
         assert phase_weighted_activity(design(8), 0.0, 0.0) == 0.0
-
-    def test_energy(self):
-        assert energy_joules(design(8), 2.0, 0.85) == pytest.approx(2 * 7.61)
-        with pytest.raises(ValueError):
-            energy_joules(design(8), -1.0, 0.5)
 
 
 class TestPareto:

@@ -10,9 +10,8 @@ decision, so this file keeps the construction it replaced as the
 
 * the engine's views equal ``dispatcher.shard_views()`` +
   ``replace(view, breaker=...)`` field for field — with breakers
-  tripping and re-closing, the autoscaler retiring, re-activating and
-  adding shards, multi-batch look-ahead rounds over a prefix cache, and
-  generation over a radix cache;
+  tripping and re-closing, multi-batch look-ahead rounds over a prefix
+  cache, and generation over a radix cache;
 * executing a round's first unit on the planned-on views logs the same
   events, in the same order, as rebuilding them;
 * ``plan`` given horizons equals ``plan`` over views copied with those
@@ -38,7 +37,6 @@ from repro.nn.workload import transformer_serving_workload
 from repro.serving import (
     BatchProfile,
     ClusterSpec,
-    ElasticConfig,
     FaultPlan,
     GenerationAdapter,
     InferenceEngine,
@@ -62,7 +60,6 @@ _MODEL = TinyBERT(**BERT_KW, causal=True, seed=0)
 _COST = workload_cost_model(
     lambda batch, shape: transformer_serving_workload(batch, 8, 8, 2, 16, 1)
 )
-LOOKAHEAD = ElasticConfig(steal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +68,9 @@ LOOKAHEAD = ElasticConfig(steal=True)
 def reference_views(engine, now):
     """Copy the dispatcher's snapshot, one ``replace`` per admitted shard."""
     views = []
+    health_of = engine.shard_health
     for view in engine.dispatcher.shard_views():
-        health = engine._health_of(view.index)
+        health = health_of[view.index]
         if not health.available(now):
             continue
         views.append(dataclasses.replace(view, breaker=health.state))
@@ -128,7 +126,7 @@ class TestViewsMatchReference:
         engine = _engine(
             pool=(MID,), faults=plan,
             placement="lookahead" if lookahead else "cost_aware",
-            elastic=LOOKAHEAD if lookahead else None,
+            steal=lookahead,
         )
         seen = _watch(engine)
         ids = _submit_rows(engine, 4)
@@ -162,14 +160,13 @@ class TestViewsMatchReference:
     @pytest.mark.parametrize("seed", range(4))
     def test_seeded_chaos_with_every_elastic_knob(self, seed):
         """The ``TestElasticChaos`` sweep: crashes and slowdowns under
-        look-ahead, stealing and autoscaling together, on its time scale
-        (arrivals 0.1 ms apart: the pool shrinks twice)."""
-        elastic = ElasticConfig(steal=True, autoscale=True, min_shards=2)
+        look-ahead and stealing together, on its time scale (arrivals
+        0.1 ms apart)."""
         plan = FaultPlan.from_seed(
             seed, n_shards=4, horizon=1e-2, crash_rate=0.6, slowdown_rate=0.6
         )
         engine = _engine(
-            pool=(MID,) * 4, faults=plan, placement="lookahead", elastic=elastic,
+            pool=(MID,) * 4, faults=plan, placement="lookahead", steal=True,
             cost_model=None,
         )
         seen = _watch(engine)
@@ -177,34 +174,6 @@ class TestViewsMatchReference:
         report = engine.run()
         assert len(report.completed) + len(report.failed) == len(ids)
         assert len(seen) >= len(report.placements) > 0
-        assert report.scaling_events
-
-    def test_autoscaler_retires_reactivates_and_adds_shards(self):
-        """Headroom shrinks the pool, then hopeless deadlines grow it
-        back past its original size: offline shards leave the views,
-        re-activated and freshly added ones join them."""
-        elastic = ElasticConfig(autoscale=True, min_shards=1, max_shards=4)
-        engine = _engine(
-            pool=(MID,) * 3, max_batch_size=1, flush_timeout=1e-7,
-            placement="cost_aware", elastic=elastic,
-        )
-        seen = _watch(engine)
-        rows = np.random.default_rng(2).integers(0, 16, size=(64, 8))
-        for i, row in enumerate(rows):
-            arrival = i * 1e-4  # 8-completion windows, 1 ms cooldowns
-            engine.submit(
-                "bert", row, arrival=arrival,
-                deadline=None if i < 24 else arrival + 1e-9,
-            )
-        report = engine.run()
-        assert len(report.completed) == len(rows)
-        actions = [(e.action, e.shard) for e in report.scaling_events]
-        retired = {shard for action, shard in actions if action == "shrink"}
-        grown = [shard for action, shard in actions if action == "grow"]
-        assert retired and retired & set(grown), "no retired shard came back"
-        assert any(shard >= 3 for shard in grown), "no shard was added"
-        offered = [tuple(v.index for v in views) for _, views in seen]
-        assert min(map(len, offered)) < 3 < max(map(len, offered))
 
     def test_lookahead_rounds_over_a_prefix_cache(self):
         """Several batches per round, a hot prompt whose residency moves
@@ -213,7 +182,7 @@ class TestViewsMatchReference:
             ClusterSpec.heterogeneous(SKEWED_POOL).build(),
             max_batch_size=4, flush_timeout=1e-7, placement="lookahead",
             radix_cache=RadixKVCache(1 << 20),
-            elastic=LOOKAHEAD,
+            steal=True,
         )
         engine.register(
             "bert", _MODEL, cost_model=_COST,
@@ -284,7 +253,7 @@ class TestRoundHandOff:
             ShardCrash(shard=0, at=0.0, until=1.5e-3),
             ShardSlowdown(shard=1, at=0.0, until=5e-3, factor=8.0),
         ))
-        engine = _engine(faults=plan, placement="lookahead", elastic=LOOKAHEAD)
+        engine = _engine(faults=plan, placement="lookahead", steal=True)
         built = []
         available = engine._available_views
         engine._available_views = lambda now: built.append(now) or available(now)
@@ -319,7 +288,7 @@ class TestRoundHandOff:
         quarantine ends between the two instants, so the views differ."""
         engine = _engine(
             pool=(MID, MID), max_batch_size=1, flush_timeout=0.0,
-            placement="lookahead", elastic=ElasticConfig(),
+            placement="lookahead",
         )
         seen = _watch(engine)
         rows = np.random.default_rng(1).integers(0, 16, size=(4, 8))
@@ -441,7 +410,7 @@ def test_no_replace_on_a_shard_view_per_executed_unit(monkeypatch):
     monkeypatch.setattr(dataclasses, "replace", counting_replace)
     monkeypatch.setattr(faults_module, "replace", counting_replace)
     plan = FaultPlan(events=(ShardCrash(shard=0, at=0.0, until=2e-5),))
-    engine = _engine(faults=plan, placement="lookahead", elastic=LOOKAHEAD)
+    engine = _engine(faults=plan, placement="lookahead", steal=True)
     ids = _lookahead_burst(engine)
     report = engine.run()
     assert len(report.completed) == len(ids) and report.retries > 0
@@ -450,7 +419,7 @@ def test_no_replace_on_a_shard_view_per_executed_unit(monkeypatch):
 
 
 def test_one_batch_profile_per_prefix_less_batch():
-    engine = _engine(placement="lookahead", elastic=LOOKAHEAD)
+    engine = _engine(placement="lookahead", steal=True)
     built = []
     batch_profile = engine._batch_profile
     engine._batch_profile = lambda batch: built.append(batch.index) or batch_profile(batch)
@@ -469,7 +438,6 @@ def test_prefix_keyed_batch_rereads_residency_at_execution():
         ClusterSpec.heterogeneous((MID, MID)).build(),
         max_batch_size=2, flush_timeout=1e-4, placement="lookahead",
         radix_cache=RadixKVCache(1 << 20),
-        elastic=ElasticConfig(),
     )
     engine.register(
         "bert", _MODEL, cost_model=_COST,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.profiler import ARRAY_COST_WEIGHTS, CPU_COST_WEIGHTS, cycle_mix, op_mix
+from repro.nn.profiler import ARRAY_COST_WEIGHTS, CPU_COST_WEIGHTS, op_mix
 from repro.nn.workload import (
     GemmOp,
     NonlinearOp,
@@ -125,8 +125,3 @@ class TestProfiler:
         arr = op_mix(resnet50_workload(image_size=32), ARRAY_COST_WEIGHTS)
         assert arr["gemm"] > cpu["gemm"]
         assert arr["batchnorm"] < cpu["batchnorm"]
-
-    def test_cycle_mix_on_design_point(self):
-        mix = cycle_mix(bert_base_workload(), ONE_SA_PAPER_CONFIG)
-        assert sum(mix.values()) == pytest.approx(1.0)
-        assert mix["gemm"] > 0.5
