@@ -50,7 +50,7 @@ from repro.core.nonlinear_ops import get_approximator
 from repro.fixedpoint import dequantize
 from repro.nn.executor import ArrayBackend
 from repro.nn.models import TinyBERT
-from repro.systolic import ExecutionResult, SystolicArray, SystolicConfig
+from repro.systolic import SystolicArray, SystolicConfig
 from repro.systolic.gemm import execute_gemm_per_tile
 from repro.systolic.mhp_dataflow import execute_mhp_per_lane
 from repro.systolic.rearrange import rearrange_for_mhp
@@ -134,7 +134,7 @@ class _ChainArray(SystolicArray):
                 ops=stats.elements,
             )
         )
-        streams = rearrange_for_mhp(
+        rearrange_for_mhp(
             x_raw, ipf.k_raw, ipf.b_raw, self.config.pe_rows, 1 << fmt.frac_bits,
             port_width=self.config.l3_in_width,
         )
@@ -150,10 +150,7 @@ class _ChainArray(SystolicArray):
                 breakdown=schedule.breakdown,
             )
         )
-        return ExecutionResult(
-            kind="mhp", raw=out, breakdown=schedule.breakdown, schedule=schedule,
-            streams=streams,
-        )
+        return out
 
 
 class _SeedArray(_ChainArray):
@@ -172,19 +169,17 @@ class _SeedArray(_ChainArray):
                 breakdown=schedule.breakdown,
             )
         )
-        return ExecutionResult(
-            kind="gemm", raw=out, breakdown=schedule.breakdown, schedule=schedule
-        )
+        return out
 
     def apply_nonlinear(self, function, x, granularity, label=None, domain=None):
         # Integer codes in, integer codes out: the fixed-point ops follow
         # their operands' representation, so this keeps the whole IPF ->
         # MHP chain on the seed's integer-materializing path.
         fmt = self.config.fmt
-        result = self.apply_nonlinear_raw(
+        out = self.apply_nonlinear_raw(
             function, _seed_quantize(x, fmt), granularity, label=label, domain=domain
         )
-        return dequantize(result.raw, fmt)
+        return dequantize(out, fmt)
 
 
 class _SeedBackend(ArrayBackend):
@@ -214,10 +209,10 @@ class _SeedBackend(ArrayBackend):
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.ndim == 2 and b.ndim == 2:
-            result = self.array.gemm_raw(
+            out = self.array.gemm_raw(
                 _seed_quantize(a, self.fmt), _seed_quantize(b, self.fmt)
             )
-            return dequantize(result.raw, self.fmt)
+            return dequantize(out, self.fmt)
         lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         a_b = np.broadcast_to(a, lead + a.shape[-2:]).reshape((-1,) + a.shape[-2:])
         b_b = np.broadcast_to(b, lead + b.shape[-2:]).reshape((-1,) + b.shape[-2:])

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.hardware.pareto import is_on_front, pareto_front
+from repro.hardware.pareto import pareto_front
 from repro.hardware.power import phase_weighted_activity, power_watts
 from repro.systolic.config import SystolicConfig
 from repro.systolic.timing import gemm_cycles, nonlinear_cycles

@@ -62,11 +62,6 @@ class QFormat:
             )
 
     @property
-    def int_bits(self) -> int:
-        """Number of integer (magnitude) bits, excluding the sign bit."""
-        return self.total_bits - self.frac_bits - 1
-
-    @property
     def scale(self) -> float:
         """Value of one least-significant bit (2**-frac_bits)."""
         return 2.0 ** -self.frac_bits
@@ -81,16 +76,6 @@ class QFormat:
         """Largest representable raw integer."""
         return (1 << (self.total_bits - 1)) - 1
 
-    @property
-    def min_value(self) -> float:
-        """Smallest representable real value."""
-        return self.raw_min * self.scale
-
-    @property
-    def max_value(self) -> float:
-        """Largest representable real value."""
-        return self.raw_max * self.scale
-
     def storage_dtype(self) -> np.dtype:
         """Smallest numpy signed integer dtype that holds raw values."""
         if self.total_bits <= 8:
@@ -100,24 +85,6 @@ class QFormat:
         if self.total_bits <= 32:
             return np.dtype(np.int32)
         return np.dtype(np.int64)
-
-    def accumulator(self, extra_bits: int = 16) -> "QFormat":
-        """Wider format used by the PE multi-layer accumulator.
-
-        The hardware accumulates products (which are ``2 * total_bits``
-        wide before truncation) into a guard-banded register; modelling it
-        as ``total_bits + extra_bits`` wide with the same binary point as
-        a *product* (``2 * frac_bits``) matches how the multi-layer
-        accumulator in Fig. 7 chains its adder tree.
-        """
-        return QFormat(self.total_bits + extra_bits, 2 * self.frac_bits)
-
-    def describe(self) -> str:
-        """Human-readable summary, e.g. ``'Q16.8 [-128.0, 127.996]'``."""
-        return (
-            f"Q{self.total_bits}.{self.frac_bits} "
-            f"[{self.min_value}, {self.max_value}]"
-        )
 
 
 #: The paper's default datapath precision (INT16, Section V-A).

@@ -48,13 +48,14 @@ def strips(array: np.ndarray) -> Iterator[np.ndarray]:
 def quantize(
     values: ArrayLike,
     fmt: QFormat,
-    rounding: str = "nearest",
     dtype: "np.dtype | type | None" = None,
 ) -> np.ndarray:
     """Quantize real ``values`` to raw fixed-point integers.
 
-    Values outside the representable range saturate to the format limits,
-    matching the saturating writeback of the PE output buffer.
+    Values round half away from zero (the HLS default of the paper's
+    toolchain) and values outside the representable range saturate to
+    the format limits, matching the saturating writeback of the PE
+    output buffer.
 
     Parameters
     ----------
@@ -62,9 +63,6 @@ def quantize(
         Scalar or array of real numbers.
     fmt:
         Target fixed-point format.
-    rounding:
-        ``'nearest'`` (round half away from zero, the HLS default used by
-        the paper's toolchain) or ``'floor'`` (truncation).
     dtype:
         Output dtype.  ``None`` (default) uses ``fmt.storage_dtype()``.
         Passing ``np.float64`` returns the *same raw integers* held in
@@ -84,13 +82,7 @@ def quantize(
     # restore the shape on return.
     scalar_input = values.ndim == 0
     raw = (np.atleast_1d(values) if scalar_input else values) * (1 << fmt.frac_bits)
-    if rounding == "nearest":
-        round_saturate(raw, fmt)
-    elif rounding == "floor":
-        np.floor(raw, out=raw)
-        saturate_codes(raw, fmt)
-    else:
-        raise ValueError(f"unknown rounding mode: {rounding!r}")
+    round_saturate(raw, fmt)
     if dtype is None or np.dtype(dtype) != np.float64:
         raw = raw.astype(fmt.storage_dtype() if dtype is None else dtype)
     return raw.reshape(()) if scalar_input else raw

@@ -33,15 +33,6 @@ class FPGADevice:
             and resources.dsp <= self.dsp
         )
 
-    def utilization(self, resources: ArrayResources) -> dict:
-        """Fractional utilization per resource class."""
-        return {
-            "lut": resources.lut / self.lut,
-            "ff": resources.ff / self.ff,
-            "bram": resources.bram / self.bram_36k,
-            "dsp": resources.dsp / self.dsp,
-        }
-
 
 #: The paper's target part (Virtex-7 datasheet DS180).
 VIRTEX7_XC7VX485T = FPGADevice(

@@ -41,20 +41,3 @@ def pareto_front(
             front.append(item)
     return front
 
-
-def is_on_front(
-    point: T,
-    points: Iterable[T],
-    objectives: Sequence[Callable[[T], float]],
-) -> bool:
-    """Whether ``point`` is Pareto-optimal within ``points``."""
-    mine = tuple(obj(point) for obj in objectives)
-    for other in points:
-        theirs = tuple(obj(other) for obj in objectives)
-        if theirs == mine:
-            continue
-        if all(t <= m for t, m in zip(theirs, mine)) and any(
-            t < m for t, m in zip(theirs, mine)
-        ):
-            return False
-    return True

@@ -608,14 +608,14 @@ class ArrayBackend(CPWLBackend):
         out = self.array.gemm_raw_batched(
             quantize(a_b, self.fmt, dtype=np.float64),
             quantize(b_b, self.fmt, dtype=np.float64),
-        ).raw
+        )
         out *= self.fmt.scale
         return out.reshape(lead + (a.shape[-2], b.shape[-1]))
 
     def _gemm2d_raw(self, a_raw: np.ndarray, b_raw: np.ndarray) -> np.ndarray:
         # Route linear/conv GEMMs through the array so they land in the
         # trace exactly like the seed's dispatch did.
-        return self.array.gemm_raw(a_raw, b_raw).raw
+        return self.array.gemm_raw(a_raw, b_raw)
 
     def gelu(self, x: np.ndarray) -> np.ndarray:
         return self._scalar_on_array("gelu", x)

@@ -266,22 +266,6 @@ class Flatten(Module):
         return x.reshape(x.shape[0], -1)
 
 
-class Sequential(Module):
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.modules = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self.modules:
-            x = module(x)
-        return x
-
-    def infer(self, x: np.ndarray, backend) -> np.ndarray:
-        for module in self.modules:
-            x = module.infer(x, backend)
-        return x
-
-
 class Embedding(Module):
     """Token embedding table."""
 

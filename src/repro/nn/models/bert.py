@@ -144,16 +144,6 @@ class TinyBERT(Module):
         """
         return backend.matmul(np.asarray(hidden), self.token_emb.table.data.T)
 
-    def infer_logits(self, tokens: np.ndarray, backend) -> np.ndarray:
-        """Full-sequence next-token logits (the recompute reference).
-
-        Runs the whole ``(N, T)`` batch through every layer and reads
-        the last row's logits — the naive per-token reference that
-        :meth:`decode_step` must match bit-for-bit.
-        """
-        x = self._encode(np.asarray(tokens), backend)
-        return self.lm_logits(x[:, -1, :], backend)
-
     def prefill(
         self, tokens: np.ndarray, backend, cached=None
     ) -> "tuple[np.ndarray, KVState]":

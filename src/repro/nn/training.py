@@ -16,29 +16,6 @@ from repro.nn.autograd import Tensor, cross_entropy
 from repro.nn.layers import Module
 
 
-class SGD:
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: List[Tensor], lr: float = 0.1, momentum: float = 0.9):
-        self.params = params
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            v *= self.momentum
-            v -= self.lr * p.grad
-            p.data += v
-            p.mark_dirty()  # invalidate cached quantized forms
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-
 class Adam:
     """Adam optimizer (Kingma & Ba) with bias correction."""
 

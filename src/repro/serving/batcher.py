@@ -1,15 +1,14 @@
 """Dynamic batching of queued inference requests.
 
-Batches group requests *per (tenant, model, prefix-key)* in arrival
-order — one batch never mixes tenants, so its traced cycles attribute
-to exactly one tenant, and never mixes prompt prefixes, so a
-prefix-cache decision applies to the whole batch (hits and misses
-cannot silently share one stacked inference).  Requests without a
-prefix key (``prefix_key=None``, every endpoint without a prefix
-adapter) group exactly as before.  Generation requests use the same
-slot for a *shape* key (their prompt length), so one prefill stacks
-distinct same-length prompts.  An open batch flushes when either knob
-fires:
+Batches group requests *per (tenant, model, prefix-key, sample
+shape)* in arrival order — one batch never mixes tenants, so its traced
+cycles attribute to exactly one tenant, never mixes prompt prefixes, so
+a prefix-cache decision applies to the whole batch (hits and misses
+cannot silently share one stacked inference), and never mixes sample
+shapes, which cannot stack into one array.  Requests without a prefix
+key (``prefix_key=None``, every endpoint without a prefix adapter)
+group on the other three.  Generation requests use the prefix slot for
+their prompt length.  An open batch flushes when either knob fires:
 
 * **max_batch_size** — the batch is full the moment the Nth request
   joins; it becomes ready at that request's arrival time;
@@ -41,21 +40,29 @@ from repro.serving.request import InferenceRequest
 from repro.serving.tenancy import DEFAULT_TENANT
 
 
-def _flush_order(timer: "Tuple[float, Tuple[str, str, Optional[str]]]"):
+#: A batch's group: ``(tenant, model, prefix_key, sample shape)``.
+GroupKey = Tuple[str, str, Optional[str], Tuple[int, ...]]
+
+
+def _group_key(request: InferenceRequest) -> GroupKey:
+    return (request.tenant, request.model, request.prefix_key, request.inputs.shape)
+
+
+def _flush_order(timer: "Tuple[float, GroupKey]"):
     """Total order for expiring flush timers.
 
     Deadline first, then the group key with ``prefix_key=None`` sorted
     before real keys (``None`` and ``str`` do not compare directly);
     prefix-less groups keep the exact pre-prefix ordering.
     """
-    when, (tenant, model, prefix_key) = timer
-    return (when, tenant, model, prefix_key is not None, prefix_key or "")
+    when, (tenant, model, prefix_key, shape) = timer
+    return (when, tenant, model, prefix_key is not None, prefix_key or "", shape)
 
 
 @dataclass(frozen=True)
 class Batch:
-    """A group of same-tenant, same-model, same-prefix requests
-    executed as one stacked inference."""
+    """A group of same-tenant, same-model, same-prefix, same-shape
+    requests executed as one stacked inference."""
 
     index: int
     model: str
@@ -92,12 +99,11 @@ class DynamicBatcher:
 
     def plan(self, requests: Sequence[InferenceRequest]) -> List[Batch]:
         """Group ``requests`` into batches, ordered by ready time."""
-        Key = Tuple[str, str, Optional[str]]  # (tenant, model, prefix_key)
-        pending: Dict[Key, List[InferenceRequest]] = {}
-        deadline: Dict[Key, float] = {}
+        pending: Dict[GroupKey, List[InferenceRequest]] = {}
+        deadline: Dict[GroupKey, float] = {}
         batches: List[Batch] = []
 
-        def flush(key: Key, at: float) -> None:
+        def flush(key: GroupKey, at: float) -> None:
             group = pending.pop(key, [])
             deadline.pop(key, None)
             if group:
@@ -129,7 +135,7 @@ class DynamicBatcher:
             for when, key in expired:
                 flush(key, at=when)
 
-            key = (req.tenant, req.model, req.prefix_key)
+            key = _group_key(req)
             group = pending.setdefault(key, [])
             group.append(req)
             if len(group) == 1:
@@ -149,7 +155,8 @@ class DynamicBatcher:
 
 @dataclass
 class OpenGroup:
-    """One in-assembly batch of a ``(tenant, model, prefix_key)`` group.
+    """One in-assembly batch of a ``(tenant, model, prefix_key, shape)``
+    group (its key is its first request's, :func:`_group_key`).
 
     ``closed_at`` is set the moment the group stops accepting requests
     — at the size-capping request's arrival when it fills, or at its
@@ -179,7 +186,7 @@ class BatchAssembler:
     """Incremental batch assembly with the :class:`DynamicBatcher` rules.
 
     Requests are admitted one at a time into at most one *open* group
-    per ``(tenant, model)`` pair; a group that reaches
+    per group key; a group that reaches
     ``max_batch_size`` closes immediately (ready at the filling
     arrival) and the next same-key request starts a fresh group, while
     a partial group becomes ready ``flush_timeout`` after its oldest
@@ -204,7 +211,7 @@ class BatchAssembler:
             raise ValueError(f"flush_timeout must be >= 0, got {flush_timeout}")
         self.max_batch_size = int(max_batch_size)
         self.flush_timeout = float(flush_timeout)
-        self._open: Dict[Tuple[str, str, Optional[str]], OpenGroup] = {}
+        self._open: Dict[GroupKey, OpenGroup] = {}
         self._closed: Dict[int, OpenGroup] = {}  # seq -> group, insertion order
         self._seq = 0
         self._n_pending = 0
@@ -232,18 +239,18 @@ class BatchAssembler:
 
     def _close(self, group: OpenGroup, at: float) -> None:
         group.closed_at = at
-        del self._open[(group.tenant, group.model, group.prefix_key)]
+        del self._open[_group_key(group.requests[0])]
         self._closed[group.seq] = group
 
     def admit(self, request: InferenceRequest) -> None:
-        """Add one request to its (tenant, model, prefix) group (O(1)).
+        """Add one request to its group (O(1)).
 
         A same-key group whose flush deadline already passed (strictly
         before this arrival) is sealed first, exactly as
         :meth:`DynamicBatcher.plan` fires expired timers before a new
         request joins — the request then opens a fresh group.
         """
-        key = (request.tenant, request.model, request.prefix_key)
+        key = _group_key(request)
         group = self._open.get(key)
         if group is not None and group.ready_time(self.flush_timeout) < request.arrival:
             self._close(group, at=group.ready_time(self.flush_timeout))
@@ -287,7 +294,7 @@ class BatchAssembler:
         if group.closed_at is not None:
             del self._closed[group.seq]
         else:
-            del self._open[(group.tenant, group.model, group.prefix_key)]
+            del self._open[_group_key(group.requests[0])]
         self._n_pending -= group.size
         remaining = self._pending_by_tenant.get(group.tenant, 0) - group.size
         if remaining > 0:

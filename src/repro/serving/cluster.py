@@ -1025,10 +1025,6 @@ class ClusterDispatcher:
         """The shard's systolic array, if it is hardware-routed."""
         return getattr(self.backends[shard], "array", None)
 
-    def config_of(self, shard: int) -> Optional[SystolicConfig]:
-        """The shard's design point (None for functional backends)."""
-        return self.design_points[shard][0]
-
     def shard_views(self) -> List[ShardView]:
         """Pool state snapshot for a placement decision."""
         return [

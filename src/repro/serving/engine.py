@@ -403,7 +403,8 @@ class InferenceEngine:
     dispatcher:
         The shard pool batches execute on.
     max_batch_size, flush_timeout:
-        Batch-assembly knobs, applied per (tenant, model) group (see
+        Batch-assembly knobs, applied per (tenant, model, prefix,
+        shape) group (see
         :class:`~repro.serving.batcher.BatchAssembler`).
     policy:
         Tenant arbitration when several tenants have batches ready at
@@ -777,6 +778,11 @@ class InferenceEngine:
             raise KeyError(
                 f"unknown model {model!r}; registered: {sorted(self._endpoints)}"
             )
+        if not tenant:  # TenantConfig's rule, before run() meets it
+            raise ValueError("tenant_id must be a non-empty string")
+        values = np.asarray(inputs)
+        if values.dtype.kind in "fc" and np.isnan(values).any():
+            raise ValueError(f"inputs for {model!r} contain NaN")
         if arrival is None:
             arrival = self._last_arrival
         arrival = float(arrival)

@@ -31,14 +31,13 @@ from repro.systolic.timing import (
     peak_gops,
     peak_gnfs,
 )
-from repro.systolic.array import ExecutionResult, SystolicArray
+from repro.systolic.array import SystolicArray
 from repro.systolic.trace import Trace, TraceEvent
 
 __all__ = [
     "SystolicConfig",
     "ONE_SA_PAPER_CONFIG",
     "SystolicArray",
-    "ExecutionResult",
     "CycleBreakdown",
     "Trace",
     "TraceEvent",

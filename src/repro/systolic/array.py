@@ -36,9 +36,11 @@ it):
 * the data-rearrange pass on the nonlinear path is metadata-only: its
   relocation cost rides the MHP event (no separate trace entry, as in
   the seed; :func:`repro.systolic.rearrange.rearrange_cycles` gives
-  the isolated closed form) and the actual interleaved streams are
-  only built on request (``materialize_streams=True``, used by the
-  dataflow tests);
+  the isolated closed form) and the interleaved streams are never built
+  (:func:`repro.systolic.rearrange.rearrange_for_mhp` builds them for
+  the dataflow tests);
+* the ``*_raw`` operations return the output codes alone: what an op
+  cost is on the trace, the one record of array work;
 * trace aggregates (:attr:`total_cycles`, utilization) are maintained
   streaming, so consulting them is O(1) regardless of history length.
 """
@@ -46,34 +48,20 @@ it):
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 import numpy as np
 
-from repro.core.ipf import fetch_parameters
 from repro.core.nonlinear_ops import get_approximator
 from repro.core.segment_table import QuantizedSegmentTable
 from repro.fixedpoint import fixed_matmul, quantize
 from repro.systolic.addressing import DataAddressing
 from repro.systolic.buffers import ParameterStore
 from repro.systolic.config import ONE_SA_PAPER_CONFIG, SystolicConfig
-from repro.systolic.gemm import GemmSchedule, execute_gemm, plan_gemm
+from repro.systolic.gemm import execute_gemm, plan_gemm
 from repro.systolic.mhp_dataflow import plan_mhp
-from repro.systolic.rearrange import rearrange_for_mhp
-from repro.systolic.timing import CycleBreakdown, effective_out_width
+from repro.systolic.timing import effective_out_width
 from repro.systolic.trace import Trace, TraceEvent
-
-
-@dataclass(frozen=True)
-class ExecutionResult:
-    """Result of one operation on the array."""
-
-    kind: str
-    raw: np.ndarray
-    breakdown: CycleBreakdown
-    schedule: object = None
-    streams: object = None  # RearrangedOperands when materialized
 
 
 class SystolicArray:
@@ -97,8 +85,8 @@ class SystolicArray:
     # ------------------------------------------------------------------
     def gemm_raw(
         self, a_raw: np.ndarray, b_raw: np.ndarray, label: str = "gemm"
-    ) -> ExecutionResult:
-        """Bit-accurate GEMM on raw fixed-point operands."""
+    ) -> np.ndarray:
+        """Bit-accurate GEMM on raw fixed-point operands: the output codes."""
         out, schedule = execute_gemm(self.config, a_raw, b_raw)
         self.trace.record(
             TraceEvent(
@@ -109,13 +97,11 @@ class SystolicArray:
                 breakdown=schedule.breakdown,
             )
         )
-        return ExecutionResult(
-            kind="gemm", raw=out, breakdown=schedule.breakdown, schedule=schedule
-        )
+        return out
 
     def gemm_raw_batched(
         self, a_raw: np.ndarray, b_raw: np.ndarray, label: str = "gemm"
-    ) -> ExecutionResult:
+    ) -> np.ndarray:
         """Bit-accurate stacked GEMM: ``(B, M, K) @ (B, K, N)``.
 
         The hardware model still issues one GEMM per matrix pair — the
@@ -148,23 +134,14 @@ class SystolicArray:
             breakdown=schedule.breakdown,
         )
         self.trace.record(event, count=n_pairs)
-        per_pair = schedule.breakdown
-        total = CycleBreakdown(
-            fill=per_pair.fill * n_pairs,
-            compute=per_pair.compute * n_pairs,
-            drain=per_pair.drain * n_pairs,
-            overhead=per_pair.overhead * n_pairs,
-        )
-        return ExecutionResult(
-            kind="gemm", raw=out, breakdown=total, schedule=schedule
-        )
+        return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray, label: str = "gemm") -> np.ndarray:
         """Float convenience wrapper: quantize, run (on float64 codes,
         see :mod:`repro.fixedpoint.arithmetic`), scale back."""
         fmt = self.config.fmt
         a_raw, b_raw = (quantize(m, fmt, dtype=np.float64) for m in (a, b))
-        out = self.gemm_raw(a_raw, b_raw, label=label).raw
+        out = self.gemm_raw(a_raw, b_raw, label=label)
         out *= fmt.scale
         return out
 
@@ -179,8 +156,7 @@ class SystolicArray:
         label: Optional[str] = None,
         fused_ipf: bool = True,
         domain: "tuple[float, float] | None" = None,
-        materialize_streams: bool = False,
-    ) -> ExecutionResult:
+    ) -> np.ndarray:
         """Run one nonlinear op as the IPF → rearrange → MHP chain.
 
         Every event is charged from the operand's shape alone: the table
@@ -192,15 +168,14 @@ class SystolicArray:
         :func:`~repro.systolic.mhp_dataflow.execute_mhp_per_lane`)
         computes.
 
-        The rearrange pass is metadata-only on the hot path: its
-        relocation cost rides the MHP event (no separate trace entry,
-        matching the seed accounting;
-        :func:`~repro.systolic.rearrange.rearrange_cycles` is the
-        isolated closed form) and the interleaved ``(x, 1)`` /
+        The rearrange pass is metadata-only: its relocation cost rides
+        the MHP event (no separate trace entry, matching the seed
+        accounting; :func:`~repro.systolic.rearrange.rearrange_cycles`
+        is the isolated closed form) and the interleaved ``(x, 1)`` /
         ``(k, b)`` streams are pure routing — the MHP consumes the raw
-        operands — so they are only constructed when
-        ``materialize_streams=True`` and returned on
-        ``ExecutionResult.streams``.
+        operands — so they are never built here
+        (:func:`~repro.systolic.rearrange.rearrange_for_mhp` builds them).
+        Returns the output codes.
         """
         if not self.config.nonlinear_enabled:
             raise RuntimeError(
@@ -232,22 +207,6 @@ class SystolicArray:
             )
         )
 
-        # --- Rearrange: pair (k, b) and (x, 1) streams.  Metadata-only
-        # on the hot path; the full interleaved streams are dead weight
-        # unless a dataflow consumer asks for them.
-        streams = None
-        if materialize_streams:
-            one_raw = 1 << fmt.frac_bits
-            ipf = fetch_parameters(x_raw, approx.qtable, fmt)
-            streams = rearrange_for_mhp(
-                x_raw,
-                ipf.k_raw,
-                ipf.b_raw,
-                self.config.pe_rows,
-                one_raw,
-                port_width=self.config.l3_in_width,
-            )
-
         # --- MHP on the diagonal computation PEs.
         schedule = plan_mhp(self.config, m_dim, n_dim, fused_ipf=fused_ipf)
         out = approx.evaluate_raw(x_raw)
@@ -260,13 +219,7 @@ class SystolicArray:
                 breakdown=schedule.breakdown,
             )
         )
-        return ExecutionResult(
-            kind="mhp",
-            raw=out,
-            breakdown=schedule.breakdown,
-            schedule=schedule,
-            streams=streams,
-        )
+        return out
 
     def _preload(self, qtable: QuantizedSegmentTable, event: TraceEvent) -> None:
         """Make ``qtable`` resident in the k/b store; ``event`` is
@@ -295,7 +248,7 @@ class SystolicArray:
         x_raw = quantize(x, fmt, dtype=np.float64)
         out = self.apply_nonlinear_raw(
             function, x_raw, granularity, label=label, domain=domain
-        ).raw
+        )
         out *= fmt.scale
         return out
 

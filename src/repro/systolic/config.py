@@ -202,15 +202,6 @@ class SystolicConfig:
 
         return gemm_cycles(self, m_dim, k_dim, n_dim).total
 
-    def with_size(self, pe_dim: int, macs_per_pe: "int | None" = None) -> "SystolicConfig":
-        """Derive a new design point with a different grid / MAC count."""
-        return replace(
-            self,
-            pe_rows=pe_dim,
-            pe_cols=pe_dim,
-            macs_per_pe=self.macs_per_pe if macs_per_pe is None else macs_per_pe,
-        )
-
     def describe(self) -> str:
         """Short human-readable design-point label, e.g. ``'8x8x16'``."""
         kind = "ONE-SA" if self.nonlinear_enabled else "SA"

@@ -22,8 +22,8 @@ Two hot-path properties matter for serving throughput:
   approximators) — steady-state planning is a dict hit.
 * **Tiles are enumerated lazily.**  :class:`GemmSchedule.tiles` is a
   :class:`GemmTiling` sequence that *derives* each
-  :class:`GemmTile` analytically; consumers that only need counts or
-  traffic totals never force an O(tiles) allocation.
+  :class:`GemmTile` analytically; consumers that only need the tile
+  count never force an O(tiles) allocation.
 
 Functional execution is one whole-operand :func:`fixed_matmul` call:
 every output element is a single dot product with one saturating
@@ -56,18 +56,13 @@ class GemmTile:
     col_end: int
     index: int
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.row_end - self.row_start, self.col_end - self.col_start)
-
 
 class GemmTiling:
     """Lazy row-major tile enumeration of one GEMM's output.
 
-    Behaves like an immutable sequence of :class:`GemmTile` — ``len``,
-    iteration, indexing and slicing all work — but each tile is derived
-    from the geometry on demand, so holding a tiling costs O(1) memory
-    no matter how many tiles the schedule has.
+    Has a ``len`` and iterates :class:`GemmTile` in row-major order,
+    each derived from the geometry on demand, so holding a tiling costs
+    O(1) memory no matter how many tiles the schedule has.
     """
 
     __slots__ = ("m_dim", "n_dim", "tile_rows", "tile_cols", "tiles_m", "tiles_n")
@@ -95,16 +90,6 @@ class GemmTiling:
             index=index,
         )
 
-    def __getitem__(self, index):
-        n = len(self)
-        if isinstance(index, slice):
-            return [self._make(i) for i in range(*index.indices(n))]
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(f"tile index {index} out of range for {n} tiles")
-        return self._make(index)
-
     def __iter__(self) -> Iterator[GemmTile]:
         for index in range(len(self)):
             yield self._make(index)
@@ -114,8 +99,8 @@ class GemmTiling:
 class GemmSchedule:
     """Complete schedule of one GEMM on a design point.
 
-    The schedule is pure analytic metadata — tile geometry, cycle
-    breakdown, traffic totals — so instances are immutable and shared
+    The schedule is pure analytic metadata — tile geometry and cycle
+    breakdown — so instances are immutable and shared
     freely through the plan cache.
     """
 
@@ -133,32 +118,9 @@ class GemmSchedule:
         )
 
     @property
-    def n_tiles(self) -> int:
-        """Number of output tiles without enumerating them."""
-        return len(self.tiles)  # GemmTiling.__len__ is O(1)
-
-    @property
     def macs(self) -> int:
         """Total multiply-accumulate operations."""
         return self.m_dim * self.k_dim * self.n_dim
-
-    @property
-    def input_traffic(self) -> int:
-        """Operand elements streamed from L3 (A once per tile row pass,
-        B once per tile).
-
-        Output tiles are ``pe_rows x pe_cols``, so A is re-streamed once
-        per tile *column* (``ceil(N / pe_cols)`` passes) and B once per
-        tile *row* (``ceil(M / pe_rows)`` passes).
-        """
-        tiles_n = -(-self.n_dim // self.config.pe_cols)
-        tiles_m = -(-self.m_dim // self.config.pe_rows)
-        return tiles_n * self.m_dim * self.k_dim + tiles_m * self.k_dim * self.n_dim
-
-    @property
-    def output_traffic(self) -> int:
-        """Result elements drained to the L3 output buffer."""
-        return self.m_dim * self.n_dim
 
 
 #: Plans kept per process.  A plan is a pure function of ``(config, M,

@@ -7,8 +7,8 @@ instead routes each operand stream through *transmission* PEs to the
 computes all outputs assigned to lane ``i``; PEs ``(i, j), i != j``
 only register and forward.
 
-This module builds the MHP schedule (lane assignment, stream lengths,
-PE-role map), the lane-by-lane functional execution, and the naive-MHP
+This module builds the MHP schedule (lane assignment and cycle
+breakdown), the lane-by-lane functional execution, and the naive-MHP
 baseline used by the dataflow ablation (all PEs compute, paying the
 reuse-less operand delivery).
 
@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.fixedpoint import fixed_hadamard_mac
 from repro.systolic.config import SystolicConfig
-from repro.systolic.pe import PEMode
 from repro.systolic.timing import CycleBreakdown, nonlinear_cycles
 
 
@@ -62,25 +61,6 @@ class MHPSchedule:
     @property
     def elements(self) -> int:
         return self.m_dim * self.n_dim
-
-    @property
-    def computation_pes(self) -> int:
-        """Active (diagonal) PEs during this MHP."""
-        return self.config.pe_rows
-
-    @property
-    def transmission_pes(self) -> int:
-        """PEs demoted to pure operand routing."""
-        return self.config.n_pes - self.config.pe_rows
-
-    @property
-    def stream_elements_per_channel(self) -> int:
-        """Interleaved stream length per input channel (2 per output)."""
-        return 2 * self.elements
-
-    def pe_role(self, row: int, col: int) -> PEMode:
-        """Role of PE ``(row, col)`` during the MHP (Fig. 4, marks 3/4)."""
-        return PEMode.COMPUTATION if row == col else PEMode.TRANSMISSION
 
 
 #: MHP plans kept per process: pure functions of ``(config, M, N,

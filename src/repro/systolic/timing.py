@@ -72,7 +72,7 @@ class CycleBreakdown:
         return self.total / clock_hz
 
     def merged(self, other: "CycleBreakdown") -> "CycleBreakdown":
-        """Sequential composition of two operations."""
+        """Composition of two operations run one after the other."""
         return CycleBreakdown(
             fill=self.fill + other.fill,
             compute=self.compute + other.compute,

@@ -3,6 +3,7 @@
     PYTHONPATH=src python tests/census.py          # the table
     PYTHONPATH=src python tests/census.py --rows   # ... and every unreached function
     PYTHONPATH=src python tests/census.py --lines  # statements no workload executes
+    PYTHONPATH=src python tests/census.py --rows --max-unreached 1000  # the ratchet
 
 Two passes, each in its own process under a ``sys.setprofile`` hook
 that records every code object called:
@@ -40,6 +41,9 @@ and its record is lost; a child started any other way (a hostbench
 measurement process is a fresh interpreter) is not followed.
 ``BENCH_traced.json``, which the bench tier rewrites, is put back as it
 was.
+
+``--max-unreached LINES`` makes the census a ratchet: it exits 1 when
+the tests-only and never lines together exceed ``LINES``.
 """
 
 from __future__ import annotations
@@ -331,6 +335,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rows", action="store_true", help="list unreached functions")
     parser.add_argument("--lines", action="store_true",
                         help="list statements no workload executes instead")
+    parser.add_argument("--max-unreached", type=int, metavar="LINES",
+                        help="exit 1 when tests-only + never lines exceed LINES")
     parser.add_argument("--pass", dest="pass_", nargs=2, metavar=("NAME", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -339,8 +345,15 @@ def main(argv=None) -> int:
         return 0
     if args.lines:
         print(render_lines(run_passes(lines=True)))
-    else:
-        print(render(census(), args.rows))
+        return 0
+    kinds = census()
+    print(render(kinds, args.rows))
+    unreached = sum(f.lines for kind in ("tests-only", "never") for f in kinds[kind])
+    if args.max_unreached is not None and unreached > args.max_unreached:
+        print(f"\n{unreached} tests-only + never lines exceed --max-unreached "
+              f"{args.max_unreached}: delete what only tests reach, or raise the "
+              "number in a declared change")
+        return 1
     return 0
 
 

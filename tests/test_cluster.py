@@ -20,7 +20,7 @@ import pytest
 from repro.nn.autograd import Tensor, bump_data_version, data_version
 from repro.nn.executor import ArrayBackend, CPWLBackend
 from repro.nn.models import TinyBERT
-from repro.nn.training import SGD
+from repro.nn.training import Adam
 from repro.nn.workload import Workload
 from repro.serving import (
     BatchProfile,
@@ -74,13 +74,13 @@ class TestClusterSpec:
         spec = ClusterSpec.homogeneous(SMALL, 3, granularity=0.25)
         pool = spec.build()
         assert pool.n_shards == 3
-        assert all(pool.config_of(s) == SMALL for s in range(3))
+        assert [config for config, _ in pool.design_points] == [SMALL] * 3
 
     def test_heterogeneous_design_points(self):
         spec = ClusterSpec.heterogeneous([BIG, SMALL, SLOW])
         pool = spec.build()
-        assert [pool.config_of(s) for s in range(3)] == [BIG, SMALL, SLOW]
-        assert pool.config_of(2).clock_hz == 50e6
+        assert [config for config, _ in pool.design_points] == [BIG, SMALL, SLOW]
+        assert pool.design_points[2][0].clock_hz == 50e6
         assert "50 MHz" in spec.describe()
 
     def test_empty_cluster_rejected(self):
@@ -564,7 +564,7 @@ class TestQuantizedWeightCache:
         # One visible training step: gradients flow, weights move.
         from repro.nn.autograd import cross_entropy
 
-        optimizer = SGD(model.parameters(), lr=0.5)
+        optimizer = Adam(model.parameters(), lr=0.5)
         logits = model.forward(tokens)
         loss = cross_entropy(logits, np.zeros(2, dtype=int))
         loss.backward()

@@ -273,7 +273,7 @@ def test_array_charges_the_structural_chain_and_computes_its_values(shape, fused
             x = round_saturate(rng.normal(size=shape) * 900.0, INT16)
             got = fast.apply_nonlinear_raw(
                 function, x, 0.25, fused_ipf=fused_ipf, domain=domain
-            ).raw
+            )
             want = _structural(reference, function, x, 0.25, fused_ipf, domain)
             assert got.tobytes() == want.tobytes()
     # Event for event (kind, label, cycles, ops, breakdown) and count;

@@ -17,6 +17,16 @@ from repro.fixedpoint import (
     quantize,
     saturate,
 )
+from repro.fixedpoint.quantize import STRIP_ELEMENTS
+
+
+def _near_half(k: int, ulps: int) -> float:
+    """The value whose code lies ``ulps`` ulps from ``k + 0.5``."""
+    code = k + 0.5
+    step = np.inf if ulps > 0 else -np.inf
+    for _ in range(abs(ulps)):
+        code = float(np.nextafter(code, step))
+    return code / 256
 
 
 class TestQFormat:
@@ -28,26 +38,16 @@ class TestQFormat:
         fmt = QFormat(16, 8)
         assert fmt.raw_min == -32768
         assert fmt.raw_max == 32767
-        assert fmt.min_value == -128.0
-        assert fmt.max_value == pytest.approx(127.99609375)
 
     def test_scale(self):
         assert QFormat(16, 8).scale == 1 / 256
         assert QFormat(16, 0).scale == 1.0
-
-    def test_int_bits(self):
-        assert QFormat(16, 8).int_bits == 7
 
     def test_storage_dtype(self):
         assert QFormat(8, 4).storage_dtype() == np.int8
         assert QFormat(16, 8).storage_dtype() == np.int16
         assert QFormat(32, 16).storage_dtype() == np.int32
         assert QFormat(48, 16).storage_dtype() == np.int64
-
-    def test_accumulator_format(self):
-        acc = INT16.accumulator()
-        assert acc.total_bits == 32
-        assert acc.frac_bits == 16
 
     def test_invalid_formats_rejected(self):
         with pytest.raises(ValueError):
@@ -56,9 +56,6 @@ class TestQFormat:
             QFormat(16, 16)
         with pytest.raises(ValueError):
             QFormat(16, -1)
-
-    def test_describe_mentions_format(self):
-        assert "Q16.8" in INT16.describe()
 
 
 class TestQuantize:
@@ -70,14 +67,6 @@ class TestQuantize:
         # 0.001953125 is half an LSB: rounds away from zero.
         raw = quantize(np.array([1 / 512]), INT16)
         assert raw[0] == 1
-
-    def test_rounding_floor(self):
-        raw = quantize(np.array([0.9 / 256]), INT16, rounding="floor")
-        assert raw[0] == 0
-
-    def test_unknown_rounding_rejected(self):
-        with pytest.raises(ValueError):
-            quantize(np.array([1.0]), INT16, rounding="stochastic")
 
     def test_saturation(self):
         raw = quantize(np.array([1e6, -1e6]), INT16)
@@ -109,13 +98,50 @@ class TestQuantize:
     def test_near_half_matches_exact_half_away_from_zero(self, k, ulps):
         # Floats within a few ulps of k + 0.5 against exact rational
         # rounding: floor(|x| + 1/2) with the sign of x.
-        code = k + 0.5
-        step = np.inf if ulps > 0 else -np.inf
-        for _ in range(abs(ulps)):
-            code = float(np.nextafter(code, step))
+        code = _near_half(k, ulps) * 256
         exact = Fraction(code)
         expected = int(abs(exact) + Fraction(1, 2)) * (1 if exact >= 0 else -1)
         assert quantize(np.array([code / 256]), INT16)[0] == expected
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.builds(
+                    _near_half,
+                    st.integers(min_value=-(1 << 15) - 4, max_value=1 << 15),
+                    st.integers(min_value=-4, max_value=4),
+                ),
+                st.floats(min_value=128.0, max_value=1e300).flatmap(
+                    lambda v: st.sampled_from([v, -v])
+                ),
+                st.sampled_from([np.inf, -np.inf, 0.0, -0.0]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=64,
+        ),
+        st.sampled_from(["short", "long", "rows", "strided", "transposed"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_float64_codes_equal_the_integer_codes(self, values, layout):
+        # The hot paths quantize to float64 codes; they must be the
+        # integer codes byte for byte, with no -0.0, on every layout the
+        # strip path (arrays past STRIP_ELEMENTS) walks.
+        x = np.asarray(values)
+        if layout != "short":
+            x = np.resize(x, 6 * (STRIP_ELEMENTS // 3 + 7))
+        if layout in ("rows", "strided", "transposed"):
+            x = x.reshape(-1, 6)
+        if layout == "strided":
+            x = x[:, ::2]
+        elif layout == "transposed":
+            x = x.T
+        with np.errstate(over="ignore"):  # past 2**1016 a code is inf: saturated
+            codes = quantize(x, INT16, dtype=np.float64)
+            integers = quantize(x, INT16)
+        assert codes.dtype == np.float64 and codes.shape == x.shape
+        assert codes.tobytes() == integers.astype(np.float64).tobytes()
+        assert not np.signbit(codes[codes == 0]).any()
 
 
 class TestArithmetic:

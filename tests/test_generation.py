@@ -82,7 +82,8 @@ def _recompute_generate(model, prompt_row, max_new, backend, stop_token=None):
     tokens = list(int(t) for t in prompt_row)
     out = []
     for _ in range(max_new):
-        logits = model.infer_logits(np.array([tokens], dtype=np.int64), backend)
+        hidden = model._encode(np.array([tokens], dtype=np.int64), backend)
+        logits = model.lm_logits(hidden[:, -1, :], backend)
         nxt = int(np.argmax(logits, axis=-1)[0])
         out.append(nxt)
         tokens.append(nxt)

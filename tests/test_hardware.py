@@ -12,7 +12,6 @@ from repro.hardware import (
     power_watts,
     total_resources,
 )
-from repro.hardware.pareto import is_on_front
 from repro.hardware.power import phase_weighted_activity
 from repro.hardware.resources import fabric_resources
 from repro.systolic.config import SystolicConfig
@@ -149,11 +148,6 @@ class TestDevice:
         EXPERIMENTS.md) — the model must flag that."""
         assert not VIRTEX7_XC7VX485T.fits(total_resources(design(16)))
 
-    def test_utilization_fractions(self):
-        util = VIRTEX7_XC7VX485T.utilization(total_resources(design(8)))
-        assert 0 < util["lut"] < 1
-        assert 0 < util["dsp"] < 1
-
 
 class TestPower:
     def test_anchor_reproduced(self):
@@ -213,8 +207,3 @@ class TestPareto:
 
     def test_empty(self):
         assert pareto_front([], (lambda p: p,)) == []
-
-    def test_is_on_front(self):
-        points = [(1, 10), (2, 5), (4, 1)]
-        assert is_on_front((2, 5), points, (lambda p: p[0], lambda p: p[1]))
-        assert not is_on_front((3, 6), points + [(3, 6)], (lambda p: p[0], lambda p: p[1]))

@@ -134,7 +134,8 @@ class TestOneIncrementalPass:
         assert cycles == transformer_prefill_cycles(
             batch, SEQ_LEN, 0, *shape, model.vocab, CONFIG
         )
-        assert np.array_equal(cold_logits, model.infer_logits(tokens, backend))
+        full = model._encode(tokens, backend)  # the whole-sequence recompute
+        assert np.array_equal(cold_logits, model.lm_logits(full[:, -1, :], backend))
         cached = [cold_state.prefix(split, j) for j in range(batch)]
         (warm_logits, warm_state), cycles = cycles_of(
             lambda: model.prefill(tokens, backend, cached=cached)
@@ -389,6 +390,6 @@ def test_one_loop_over_the_layers():
         )
     ]
     assert sorted(looping) == ["_encode", "forward"]
-    for name in ("infer", "infer_logits", "prefill", "decode_step"):
+    for name in ("infer", "prefill", "decode_step"):
         assert "self._encode(" in inspect.getsource(getattr(TinyBERT, name))
     assert not hasattr(TinyBERT, "infer_suffix")

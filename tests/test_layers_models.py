@@ -16,12 +16,11 @@ from repro.nn.layers import (
     Module,
     MultiHeadSelfAttention,
     ReLU,
-    Sequential,
     TransformerEncoderLayer,
 )
 from repro.nn.models import GCN, SmallResNet, TinyBERT
 from repro.nn.models.gcn import normalized_adjacency
-from repro.nn.training import Adam, SGD, accuracy, train_classifier, train_gcn
+from repro.nn.training import Adam, accuracy, train_classifier, train_gcn
 
 RNG = np.random.default_rng(0)
 FLOAT = FloatBackend()
@@ -63,8 +62,10 @@ class TestLayersAgree:
             assert_forward_infer_agree(layer, RNG.normal(size=(4, 4)))
 
     def test_pool_flatten_sequential(self):
-        model = Sequential(AvgPool2d(2), Flatten())
-        assert_forward_infer_agree(model, RNG.normal(size=(2, 3, 4, 4)))
+        x = RNG.normal(size=(2, 3, 4, 4))
+        pool = AvgPool2d(2)
+        assert_forward_infer_agree(pool, x)
+        assert_forward_infer_agree(Flatten(), pool.infer(x, FLOAT))
 
     def test_attention(self):
         layer = MultiHeadSelfAttention(16, 4, RNG)
@@ -81,15 +82,17 @@ class TestLayersAgree:
 
 class TestModuleMechanics:
     def test_parameters_recursive(self):
-        model = Sequential(Linear(4, 8, RNG), ReLU(), Linear(8, 2, RNG))
+        model = Module()
+        model.layers = [Linear(4, 8, RNG), ReLU(), Linear(8, 2, RNG)]
         assert len(model.parameters()) == 4
 
     def test_train_eval_propagates(self):
-        model = Sequential(BatchNorm2d(2))
+        model = Module()
+        model.layers = [BatchNorm2d(2)]
         model.eval()
-        assert not model.modules[0].training
+        assert not model.layers[0].training
         model.train()
-        assert model.modules[0].training
+        assert model.layers[0].training
 
     def test_zero_grad(self):
         layer = Linear(3, 2, RNG)
@@ -153,21 +156,6 @@ class TestModels:
 
 
 class TestTraining:
-    def test_sgd_reduces_loss(self):
-        layer = Linear(4, 1, np.random.default_rng(1))
-        opt = SGD(layer.parameters(), lr=0.05)
-        x = RNG.normal(size=(32, 4))
-        target = x @ np.array([[1.0], [2.0], [-1.0], [0.5]])
-        losses = []
-        for _ in range(50):
-            opt.zero_grad()
-            pred = layer.forward(Tensor(x))
-            loss = ((pred - Tensor(target)) ** 2).mean()
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
-        assert losses[-1] < 0.1 * losses[0]
-
     def test_adam_reduces_loss(self):
         layer = Linear(4, 1, np.random.default_rng(2))
         opt = Adam(layer.parameters(), lr=0.05)

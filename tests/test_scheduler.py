@@ -37,12 +37,12 @@ RNG = np.random.default_rng(7)
 
 def req(
     i, model="m", arrival=0.0, tenant="default", priority=0, deadline=None,
-    prefix_key=None,
+    prefix_key=None, shape=(1,),
 ):
     return InferenceRequest(
         request_id=i,
         model=model,
-        inputs=np.zeros(1),
+        inputs=np.zeros(shape),
         arrival=arrival,
         tenant=tenant,
         priority=priority,
@@ -99,9 +99,9 @@ class TestBatchAssembler:
 
     def test_matches_dynamic_batcher_on_random_streams(self):
         rng = np.random.default_rng(3)
-        for trial in range(5):
-            n = int(rng.integers(5, 30))
-            arrivals = np.sort(rng.uniform(0, 1.0, size=n))
+        for trial in range(6):  # the last stream mixes two sample shapes
+            n = int(rng.integers(5, 30)) if trial < 5 else 40
+            arrivals = np.sort(rng.uniform(0, 1.0 if trial < 5 else 0.1, size=n))
             requests = [
                 req(
                     i,
@@ -109,6 +109,7 @@ class TestBatchAssembler:
                     arrival=float(arrivals[i]),
                     tenant=rng.choice(["a", "b"]),
                     prefix_key=[None, "p1", "p2"][int(rng.integers(0, 3))],
+                    shape=(1 + i % 2,) if trial == 5 else (1,),
                 )
                 for i in range(n)
             ]
@@ -121,10 +122,12 @@ class TestBatchAssembler:
             incremental = self.drain(assembler)
 
             def key(b):
+                assert len({r.inputs.shape for r in b.requests}) == 1
                 return (
                     b.tenant,
                     b.model,
                     b.prefix_key,
+                    b.requests[0].inputs.shape,
                     tuple(r.request_id for r in b.requests),
                     round(b.ready_time, 12),
                 )

@@ -21,6 +21,7 @@ from repro.serving import (
     InferenceEngine,
     InferenceRequest,
     ClusterDispatcher,
+    TracedRequest,
 )
 from repro.systolic import SystolicArray, SystolicConfig
 
@@ -100,7 +101,7 @@ class TestClusterDispatcher:
         )
         assert d.n_shards == 2
         assert d.array_of(0) is not d.array_of(1)
-        assert d.config_of(0).clock_hz == cfg.clock_hz
+        assert d.design_points[0][0].clock_hz == cfg.clock_hz
         assert d.shard_cycles() == {0: 0, 1: 0}
 
     def test_functional_backends_have_no_cycles(self):
@@ -283,6 +284,51 @@ class TestEngineMechanics:
         assert np.array_equal(engine.result(request_id), kept)  # released here
         with pytest.raises(KeyError):
             engine.result(request_id)
+
+    def test_sample_shapes_of_one_model_batch_apart(self):
+        # An (8,) and a (6,) token row at one arrival cannot stack into
+        # one array: each gets its own batch and equals its lone run.
+        cfg = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)
+        model = tiny_bert()
+        engine = InferenceEngine(
+            ClusterDispatcher.from_arrays([SystolicArray(cfg)], 0.25)
+        )
+        engine.register("bert", model)
+        rows = [RNG.integers(0, 16, size=8), RNG.integers(0, 16, size=6)]
+        ids = [engine.submit("bert", row, arrival=0.0) for row in rows]
+        report = engine.run()
+        assert report.n_batches == 2
+        assert engine.pending == 0
+        for request_id, row in zip(ids, rows):
+            alone = model.infer(row[None], ArrayBackend(SystolicArray(cfg), 0.25))[0]
+            assert np.array_equal(engine.result(request_id), alone)
+
+    @pytest.mark.parametrize("door", ["submit", "enqueue"])
+    @pytest.mark.parametrize(
+        "model, inputs, tenant",
+        [
+            ("bert", np.arange(8), ""),
+            ("double", np.array([1.0, np.nan]), "default"),
+        ],
+        ids=["empty-tenant", "nan-input"],
+    )
+    def test_front_door_rejects_what_run_cannot_serve(self, door, model, inputs, tenant):
+        engine = InferenceEngine(ClusterDispatcher([CPWLBackend(0.25)]))
+        engine.register("bert", tiny_bert())
+        engine.register("double", infer_fn=lambda x, backend: 2.0 * x)
+        served = engine.submit(model, np.zeros_like(inputs, dtype=inputs.dtype) + 1)
+        with pytest.raises(ValueError):
+            if door == "submit":
+                engine.submit(model, inputs, tenant=tenant)
+            else:
+                engine.enqueue([TracedRequest(
+                    model, tuple(inputs.tolist()), str(inputs.dtype), None, tenant
+                )])
+        assert engine.pending == 1
+        later = engine.submit(model, np.zeros_like(inputs) + 2)
+        report = engine.run()
+        assert len(report.completed) == 2
+        assert engine.result(served) is not None and engine.result(later) is not None
 
 
 class TestServingTraceMemoryContract:

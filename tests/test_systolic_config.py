@@ -63,12 +63,6 @@ class TestSystolicConfig:
         with pytest.raises(ValueError):
             SystolicConfig(l3_out_width=0)
 
-    def test_with_size_derives_new_point(self):
-        cfg = ONE_SA_PAPER_CONFIG.with_size(4, 8)
-        assert cfg.pe_rows == 4
-        assert cfg.macs_per_pe == 8
-        assert cfg.nonlinear_enabled == ONE_SA_PAPER_CONFIG.nonlinear_enabled
-
     def test_cycle_key_is_built_once_and_stays_out_of_identity(self):
         """Placement asks for the clock-free design point on every
         estimate: one object per config, invisible to ==, hash, replace."""

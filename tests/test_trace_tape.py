@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.segment_table import QuantizedSegmentTable
 from repro.nn.executor import ArrayBackend, KVState
-from repro.nn.layers import GELU, Linear, Sequential, Tanh
+from repro.nn.layers import GELU, Linear, Module, Tanh
 from repro.nn.models import TinyBERT
 from repro.nn.models.resnet import BottleneckBlock, SmallResNet
 from repro.systolic import SystolicArray, SystolicConfig
@@ -210,14 +210,25 @@ def test_replay_equals_execution(config, taped):
     assert set(executed["cycles_by_namespace"]) == {"tenant-a", "tenant-b"}
 
 
+class _Head(Module):
+    """A linear layer, then a scalar nonlinearity on the array."""
+
+    def __init__(self, linear, activation):
+        super().__init__()
+        self.linear, self.activation = linear, activation
+
+    def infer(self, x, backend):
+        return self.activation.infer(self.linear.infer(x, backend), backend)
+
+
 def test_replay_preloads_on_every_table_swap_and_after_reset():
     """Two models whose tables cannot both be resident preload on every
     swap — replayed exactly as executed — and again after ``reset()``."""
     config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4, segment_capacity=64)
     rng = np.random.default_rng(11)
     models = (
-        Sequential(Linear(8, 8, rng), GELU()),
-        Sequential(Linear(8, 8, rng), Tanh()),
+        _Head(Linear(8, 8, rng), GELU()),
+        _Head(Linear(8, 8, rng), Tanh()),
     )
     x = rng.normal(size=(4, 8))
 
@@ -267,7 +278,7 @@ def test_detached_computes_and_leaves_no_mark():
     array = SystolicArray(DESIGN_POINTS[1])
     backend = ArrayBackend(array, GRANULARITY)
     x = np.random.default_rng(5).normal(size=(4, 8))
-    model = Sequential(LINEAR, Tanh())
+    model = _Head(LINEAR, Tanh())
     backend.gelu(x)  # something on every counter, and a table to keep
     before = _marks(array)
     expected = model.infer(x, ArrayBackend(SystolicArray(DESIGN_POINTS[1]), GRANULARITY))

@@ -10,6 +10,8 @@ per-lane / per-pair references.
 import numpy as np
 import pytest
 
+from repro.core.ipf import fetch_parameters
+from repro.core.nonlinear_ops import get_approximator
 from repro.fixedpoint import INT16, fixed_hadamard_mac, quantize
 from repro.nn.executor import ArrayBackend
 from repro.systolic import SystolicArray, SystolicConfig
@@ -59,8 +61,7 @@ class TestWholeMatrixGemmEquivalence:
         assert np.array_equal(out_whole, out_tiled)
         assert out_whole.dtype == out_tiled.dtype
         assert sched_whole.breakdown == sched_tiled.breakdown
-        assert sched_whole.n_tiles == len(sched_tiled.tiles)
-        assert sched_whole.input_traffic == sched_tiled.input_traffic
+        assert len(sched_whole.tiles) == len(sched_tiled.tiles)
 
     def test_saturating_operands_still_identical(self):
         # Drive the accumulator into saturation territory: whole-matrix
@@ -117,21 +118,10 @@ class TestGemmPlanCache:
 
 
 class TestLazyTileEnumeration:
-    def test_len_iter_getitem_agree(self):
-        schedule = plan_gemm(small_config(), 10, 8, 6, use_cache=False)
-        tiles = schedule.tiles
-        assert len(tiles) == schedule.n_tiles == 6
-        listed = list(tiles)
-        assert [t.index for t in listed] == list(range(6))
-        for i, tile in enumerate(listed):
-            assert tiles[i] == tile
-        assert tiles[-1] == listed[-1]
-        assert tiles[1:3] == listed[1:3]
-
-    def test_out_of_range_raises(self):
-        tiles = plan_gemm(small_config(), 8, 8, 8, use_cache=False).tiles
-        with pytest.raises(IndexError):
-            tiles[len(tiles)]
+    def test_len_and_iter_agree(self):
+        tiles = plan_gemm(small_config(), 10, 8, 6, use_cache=False).tiles
+        assert len(tiles) == 6
+        assert [t.index for t in tiles] == list(range(6))
 
     def test_tiles_cover_output_exactly_once(self):
         schedule = plan_gemm(rect_config(), 7, 4, 11, use_cache=False)
@@ -143,8 +133,7 @@ class TestLazyTileEnumeration:
     def test_enumeration_is_allocation_free_metadata(self):
         # A huge schedule must be cheap to *hold*; only iteration pays.
         schedule = plan_gemm(small_config(), 4096, 4096, 4096, use_cache=False)
-        assert schedule.n_tiles == 1024 * 1024
-        assert schedule.tiles[12345].index == 12345
+        assert len(schedule.tiles) == 1024 * 1024
 
 
 class TestMhpEquivalence:
@@ -232,9 +221,10 @@ class TestBatchedArrayBackendEquivalence:
         rng = np.random.default_rng(4)
         a = quantize(rng.normal(size=(3, 4, 4)), INT16)
         b = quantize(rng.normal(size=(3, 4, 4)), INT16)
-        result = array.gemm_raw_batched(a, b)
-        single = array.gemm_raw(a[0], b[0])
-        assert result.breakdown.total == 3 * single.breakdown.total
+        array.gemm_raw_batched(a, b)
+        batched = array.total_cycles
+        array.gemm_raw(a[0], b[0])
+        assert batched == 3 * (array.total_cycles - batched)
 
     def test_batched_rejects_bad_shapes(self):
         array = SystolicArray(small_config())
@@ -279,30 +269,21 @@ class TestCycleSimCrossCheck:
 
 
 class TestRearrangeMetadataOnly:
-    def test_hot_path_builds_no_streams(self):
-        array = SystolicArray(small_config())
-        x = quantize(np.random.default_rng(8).normal(size=(6, 6)), INT16)
-        result = array.apply_nonlinear_raw("gelu", x, 0.25)
-        assert result.streams is None
-
-    def test_flag_materializes_streams(self):
-        array = SystolicArray(small_config())
-        rng = np.random.default_rng(9)
-        x = quantize(rng.normal(size=(6, 6)), INT16)
-        plain = array.apply_nonlinear_raw("gelu", x, 0.25)
-        streamed = array.apply_nonlinear_raw(
-            "gelu", x, 0.25, materialize_streams=True
+    def test_streams_carry_the_operands(self):
+        config = small_config()
+        x = quantize(np.random.default_rng(9).normal(size=(6, 6)), INT16)
+        ipf = fetch_parameters(x, get_approximator("gelu", 0.25, INT16).qtable, INT16)
+        streams = rearrange_for_mhp(
+            x, ipf.k_raw, ipf.b_raw, config.pe_rows, 1 << INT16.frac_bits,
+            port_width=config.l3_in_width,
         )
-        assert np.array_equal(plain.raw, streamed.raw)
-        assert streamed.streams is not None
         # The materialized pass agrees with the closed-form cycle cost
-        # and carries the operands losslessly.
-        assert streamed.streams.cycles == rearrange_cycles(
-            6, 6, port_width=array.config.l3_in_width
-        )
-        stream = streamed.streams.input_stream
-        assert np.array_equal(stream[:, 0::2], x)
-        assert np.all(stream[:, 1::2] == 1 << INT16.frac_bits)
+        # the MHP event carries and holds the operands losslessly.
+        assert streams.cycles == rearrange_cycles(6, 6, port_width=config.l3_in_width)
+        assert np.array_equal(streams.input_stream[:, 0::2], x)
+        assert np.all(streams.input_stream[:, 1::2] == 1 << INT16.frac_bits)
+        assert np.array_equal(streams.weight_stream[:, 0::2], ipf.k_raw)
+        assert np.array_equal(streams.weight_stream[:, 1::2], ipf.b_raw)
 
     def test_rearrange_cycles_matches_constructed(self):
         out = rearrange_for_mhp(

@@ -1,5 +1,7 @@
 """Workload descriptor and profiler tests (Fig. 1 / Table IV substrate)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,7 @@ class TestWorkloadTiming:
     def test_latency_improves_with_macs(self):
         wl = bert_base_workload()
         fast = wl.latency_seconds(ONE_SA_PAPER_CONFIG)
-        slow = wl.latency_seconds(ONE_SA_PAPER_CONFIG.with_size(8, 4))
+        slow = wl.latency_seconds(replace(ONE_SA_PAPER_CONFIG, macs_per_pe=4))
         assert fast < slow
 
 
