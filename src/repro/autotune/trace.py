@@ -110,7 +110,7 @@ class TraceRecorder:
     ``engine.recorder`` afterwards); the engine calls :meth:`record`
     with each validated :class:`~repro.serving.request.InferenceRequest`
     at submission time, through whichever front door it came
-    (``run(request_source=...)`` items included) and *before*
+    (``submit``, ``submit_generation`` or ``enqueue``) and *before*
     admission control: a request the tenant's queue cap sheds later is
     in the trace, so a replay offers it again and sheds it again.
     :meth:`trace` snapshots the log as an immutable

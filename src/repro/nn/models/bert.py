@@ -16,6 +16,19 @@ from repro.nn.executor import KVState
 from repro.nn.layers import Embedding, Linear, Module, TransformerEncoderLayer
 
 
+def check_token_ids(tokens: np.ndarray, vocab: int) -> None:
+    """Reject token ids that are not integers in ``[0, vocab)``: an
+    embedding lookup would read a negative id off the table's end, and
+    fail on one past it or on a float."""
+    if tokens.dtype.kind not in "iu":
+        raise ValueError(f"token ids must be integers, got {tokens.dtype}")
+    if tokens.size and not 0 <= tokens.min() <= tokens.max() < vocab:
+        raise ValueError(
+            f"token ids must be in [0, {vocab}), got "
+            f"[{tokens.min()}, {tokens.max()}]"
+        )
+
+
 class TinyBERT(Module):
     """Encoder-only classifier for integer token sequences ``(N, T)``.
 
@@ -95,6 +108,7 @@ class TinyBERT(Module):
                 f"positions [{pos}, {end}) must be a non-empty range of the "
                 f"{self.seq_len}-entry position table"
             )
+        check_token_ids(tokens, self.vocab)
         x = self.token_emb.infer_indices(tokens) + self.pos_emb.data[pos:end]
         for i, layer in enumerate(self.layers):
             x = layer.infer(x, backend, kv, i)

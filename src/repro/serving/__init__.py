@@ -6,8 +6,8 @@ multi-tenant serving system:
 * request/completion/shed records with tenant, priority and deadline
   fields, and the request-as-data class every front door accepts
   (:class:`~repro.serving.request.TracedRequest`: ``enqueue``,
-  ``run(request_source=)``, ``serve_multiproc`` and trace replay all
-  take it, or a mapping of its fields) (:mod:`repro.serving.request`);
+  ``serve_multiproc`` and trace replay all take it, or a mapping of its
+  fields) (:mod:`repro.serving.request`);
 * deterministic dynamic batching with max-batch-size and flush-timeout
   knobs (:mod:`repro.serving.batcher`) — co-pending requests of the
   same tenant and model are stacked so their GEMMs share tiles, which

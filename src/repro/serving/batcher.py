@@ -311,11 +311,3 @@ class BatchAssembler:
             tenant=group.tenant,
             prefix_key=group.prefix_key,
         )
-
-    def clear(self) -> None:
-        """Drop every admitted-but-unpopped request."""
-        self._open.clear()
-        self._closed.clear()
-        self._n_pending = 0
-        self._pending_by_tenant.clear()
-        self._earliest = None

@@ -396,13 +396,6 @@ class ShardHealth:
         """The quarantine the *next* breaker opening would impose."""
         return self._quarantine
 
-    def reset(self) -> None:
-        self.state = self.CLOSED
-        self.open_until = 0.0
-        self.failures = 0
-        self.successes = 0
-        self._quarantine = QUARANTINE
-
 
 # ---------------------------------------------------------------------------
 # Placement policies
@@ -455,9 +448,6 @@ class PlacementPolicy:
         healthy = [view for view in shards if view.breaker != ShardHealth.OPEN]
         return healthy if healthy else shards
 
-    def reset(self) -> None:
-        """Forget accumulated state (new serving epoch)."""
-
 
 class RoundRobinPlacement(PlacementPolicy):
     """The historical default: a counter over the pool, blind to load.
@@ -482,9 +472,6 @@ class RoundRobinPlacement(PlacementPolicy):
         pos = self._next % len(shards)
         self._next = (pos + 1) % len(shards)
         return shards[pos].index
-
-    def reset(self) -> None:
-        self._next = 0
 
 
 class LeastLoadedPlacement(PlacementPolicy):
@@ -622,9 +609,6 @@ class PrefixAffinePlacement(PlacementPolicy):
                 ).index
         return self.inner.place(batch, shards)
 
-    def reset(self) -> None:
-        self.inner.reset()
-
 
 class LookaheadPlacement(PlacementPolicy):
     """Joint list scheduling of the *entire ready set* per round.
@@ -693,7 +677,6 @@ class LookaheadPlacement(PlacementPolicy):
 
 _PLACEMENTS = {
     "round_robin": RoundRobinPlacement,
-    "rr": RoundRobinPlacement,
     "least_loaded": LeastLoadedPlacement,
     "cost_aware": CostAwarePlacement,
     "lookahead": LookaheadPlacement,
@@ -711,7 +694,7 @@ def make_placement_policy(
     except KeyError:
         raise ValueError(
             f"unknown placement policy {policy!r}; "
-            f"available: {sorted(set(_PLACEMENTS))}"
+            f"available: {sorted(_PLACEMENTS)}"
         ) from None
 
 
@@ -836,10 +819,6 @@ class CalibratingCostModel:
     # The engine passes the estimator around as a plain callable.
     __call__ = estimate
 
-    def reset(self) -> None:
-        self._exact.clear()
-        self._per_row.clear()
-
     # -- persistence -----------------------------------------------------
     #: Schema version of :meth:`to_dict` payloads.
     STATE_VERSION = 1
@@ -878,7 +857,7 @@ class CalibratingCostModel:
         """Restore a :meth:`to_dict` snapshot into this instance.
 
         Replays the stored observations in order on top of any current
-        state (call :meth:`reset` first for an exact restore).
+        state (:meth:`from_dict` restores into a fresh model).
         """
         version = data.get("version")
         if version != self.STATE_VERSION:
@@ -1057,11 +1036,3 @@ class ClusterDispatcher:
             for name, cycles in array.trace.cycles_by_namespace().items():
                 totals[name] = totals.get(name, 0) + cycles
         return totals
-
-    def reset(self) -> None:
-        """Clear traces and busy horizons."""
-        for shard in range(self.n_shards):
-            array = self.array_of(shard)
-            if array is not None:
-                array.reset()
-        self.busy_until.clear()

@@ -79,7 +79,7 @@ class ElasticController:
     """Runs the elastic runtime for one engine and owns its state.
 
     As one of the engine's work sources (``next_ready`` / ``pop`` /
-    ``len`` / ``reset``) it is the planned round: the ``(batch, shard,
+    ``len``) it is the planned round: the ``(batch, shard,
     profile)`` triples a look-ahead round assigned and nothing executed
     yet, a FIFO in plan order; a planned batch (older) tied with a fresh
     one runs first.  Rounds are planned iff ``placement`` — unwrapped
@@ -109,7 +109,7 @@ class ElasticController:
         self._unit_of = unit_of
         self._planned: Deque[Tuple[object, Optional[int], Optional[BatchProfile]]] = deque()
         #: Per-shard live stats (the drift EWMA stealing reads;
-        #: cumulative across runs, cleared by :meth:`reset`).
+        #: cumulative over the engine's runs).
         self.shard_stats: Dict[int, ShardStats] = {}
 
     # ------------------------------------------------------------------
@@ -123,11 +123,6 @@ class ElasticController:
 
     def __len__(self) -> int:
         return sum(batch.size for batch, _, _ in self._planned)
-
-    def reset(self) -> None:
-        self._planned.clear()
-        for stats in self.shard_stats.values():
-            stats.reset()
 
     def fresh(self, first, ready: float, more: Callable[[float], object]):
         """The unit (and views) of a batch the scheduler just popped.

@@ -30,11 +30,11 @@ reasons in the report.
 **Admission is decoupled from execution.**  :meth:`submit` only queues;
 the scheduler loop inside :meth:`run` (or a caller-driven
 :meth:`step` sequence) interleaves admission with batch execution, so
-new requests — from the submission buffer, from a streaming
-``request_source``, or submitted by callbacks while a batch is in
-flight — join their tenant queues without waiting for a drain.  The
-loop is discrete-event over simulated arrival time, so a request
-stream always reproduces the same batches, placements and report.
+new requests — buffered before the run or submitted by callbacks while
+a batch is in flight — join their tenant queues without waiting for a
+drain.  The loop is discrete-event over simulated arrival time, so a
+request stream always reproduces the same batches, placements and
+report.
 
 **One agenda, one execution pipeline.**  Work reaches the loop from
 four sources, each owning its state in its own module —
@@ -42,8 +42,8 @@ four sources, each owning its state in its own module —
 :class:`~repro.serving.generation.DecodePool`,
 :class:`~repro.serving.elastic.ElasticController` (the planned round)
 and :class:`~repro.serving.scheduler.TenantScheduler` — held in one
-tuple in tie-break order and asked the same four things
-(``next_ready()``, ``pop(ready)``, ``len()``, ``reset()``).  The
+tuple in tie-break order and asked the same three things
+(``next_ready()``, ``pop(ready)``, ``len()``).  The
 :class:`~repro.serving.cluster.WorkUnit` popped — a classifier batch, a
 generation prefill or a decode iteration — runs through one place →
 run → fault-check → commit skeleton (``InferenceEngine._execute``); a
@@ -110,7 +110,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+    Callable, Dict, Iterable, List, Optional, Tuple, Union,
 )
 
 import numpy as np
@@ -138,7 +138,6 @@ from repro.serving.request import (
     CompletedRequest,
     InferenceRequest,
     ShedRecord,
-    TracedRequest,
     describe_request,
     generation_of,
 )
@@ -180,9 +179,9 @@ class _Stack:
     batch, prefill, decode iteration — is *charged* through
     :meth:`charge` and *filled* through :meth:`take` (:meth:`once`).
 
-    ``tapes`` lives until the name is registered again or the engine
-    reset — both *rebind* it to a new mapping and never empty the old
-    one, which may be the deployment description's memo
+    ``tapes`` lives until the name is registered again, which *rebinds*
+    it to a new mapping and never empties the old one, which may be the
+    deployment description's memo
     (:meth:`InferenceEngine.share_tapes`): filled here, owned there, it
     outlives the engine.  The other two live for one
     :meth:`InferenceEngine.run`.
@@ -328,28 +327,18 @@ class _ArrivalFeed:
     ``fresh`` is what ``submit`` / ``enqueue`` buffered since the feed
     was last asked — before the run or while a batch was in flight;
     asking sorts it in, so a whole enqueued list costs one sort and no
-    per-request heap operation.  A run's ``request_source`` is held one
-    *description* ahead: looking at it only reads its arrival, and
-    request-id assignment, validation, the recorder and the engine's
-    last-arrival bookkeeping happen at :meth:`pop`, when the request is
-    actually admitted — so an item merely peeked at has no side effects
-    on concurrently submitted requests.  Buffered goes first on ties.
+    per-request heap operation.  While ``lending`` — for the length of
+    an :meth:`InferenceEngine.run`, which clears the stacks after — each
+    request sorted in joins its endpoint's stack look-ahead; a
+    :meth:`InferenceEngine.step` loop lends none, since nothing clears
+    its stacks.
     """
 
     def __init__(self, engine: "InferenceEngine") -> None:
         self._engine = engine
         self.fresh: List[InferenceRequest] = []
         self._due: List[InferenceRequest] = []  # latest first: pop() is O(1)
-        self.stream(())
-
-    def stream(self, source: Iterable, look_ahead: bool = False) -> None:
-        """Begin a run over ``source``; ``stream(())`` ends it, dropping
-        what a raising run left unadmitted."""
-        self._due.clear()
-        self._source: Iterator[TracedRequest] = map(describe_request, source)
-        self._ahead: Optional[TracedRequest] = next(self._source, None)
-        self._streamed_until = 0.0
-        self._look_ahead = look_ahead
+        self.lending = False
 
     def __len__(self) -> int:
         return len(self.fresh) + len(self._due)
@@ -359,7 +348,7 @@ class _ArrivalFeed:
         if self.fresh:
             fresh = sorted(self.fresh, key=_ARRIVAL_ORDER)
             self.fresh.clear()
-            for request in fresh if self._look_ahead else ():
+            for request in fresh if self.lending else ():
                 stack = self._engine._endpoints[request.model].stack
                 # A prefix-keyed classifier batch executes through its
                 # adapter; a generation request's key is its prompt length.
@@ -369,30 +358,11 @@ class _ArrivalFeed:
                     stack.ahead[request.request_id] = request
             self._due += fresh
             self._due.sort(key=_ARRIVAL_ORDER, reverse=True)
-        due = self._due[-1].arrival if self._due else None
-        if self._ahead is None:
-            return due
-        # An omitted arrival defaults like submit()'s, as of this look.
-        streamed = self._ahead.arrival
-        if streamed is None:
-            streamed = self._engine._last_arrival
-        return streamed if due is None or streamed < due else due
+        return self._due[-1].arrival if self._due else None
 
     def pop(self) -> InferenceRequest:
         """The request :meth:`next_arrival` announced."""
-        if self._ahead is None or (
-            self._due and self._due[-1].arrival == self.next_arrival()
-        ):
-            return self._due.pop()
-        request = self._engine._request_of(self._ahead)
-        if request.arrival < self._streamed_until:
-            raise ValueError(
-                "request_source must be sorted by arrival time: got "
-                f"{request.arrival} after {self._streamed_until}"
-            )
-        self._streamed_until = request.arrival
-        self._ahead = next(self._source, None)
-        return request
+        return self._due.pop()
 
 
 class InferenceEngine:
@@ -648,9 +618,9 @@ class InferenceEngine:
         :class:`~repro.serving.deploy.EndpointSpec`) lends both the same
         mapping, and a shape either has executed is replayed by the other
         from its first unit.  The engine fills the mapping and never
-        empties it: :meth:`reset` and registering the name again go back
-        to a private one.  No effect on an endpoint that executes per
-        unit (``infer_fn=``, not a ``Module``).
+        empties it: registering the name again goes back to a private
+        one.  No effect on an endpoint that executes per unit
+        (``infer_fn=``, not a ``Module``).
         """
         stack = self._endpoints[name].stack
         if stack is not None:
@@ -746,20 +716,19 @@ class InferenceEngine:
         Each item is a :class:`~repro.serving.request.TracedRequest` or
         a mapping of its field names — a trace's rows, a recorder's
         capture or ``to_dict()`` rows from JSON, generation included.
-        Whoever holds its traffic whole (a replay, a fleet worker) comes
-        through here, not ``run(request_source=)``: only buffered
-        requests feed the stacked host passes' look-ahead.
+        A replay and a fleet worker hand over their traffic whole here;
+        an item that fails validation raises and queues none of the list.
         """
-        made = [self._request_of(describe_request(item)) for item in requests]
+        made = [
+            self._make_request(
+                item.model, item.inputs_array(), item.arrival, item.tenant,
+                item.priority, item.deadline, item.max_new_tokens,
+                item.stop_token,
+            )
+            for item in map(describe_request, requests)
+        ]
         self._arrivals.fresh += made
         return [request.request_id for request in made]
-
-    def _request_of(self, described: TracedRequest) -> InferenceRequest:
-        return self._make_request(
-            described.model, described.inputs_array(), described.arrival,
-            described.tenant, described.priority, described.deadline,
-            described.max_new_tokens, described.stop_token,
-        )
 
     def _make_request(
         self,
@@ -802,8 +771,9 @@ class InferenceEngine:
                     f"model {model!r} was registered without a "
                     "generation_adapter; a generation request needs one"
                 )
+            # The prompt as offered: its int64 copy would pass a float row.
+            adapter.validate(values, generation.max_new_tokens)
             inputs = generation.prompt
-            adapter.validate(inputs, generation.max_new_tokens)
             prefix_key = adapter.batch_key(inputs)
         elif self.radix_cache is not None and endpoint.prefix_adapter is not None:
             # Key the request on its prompt content at admission: batch
@@ -847,23 +817,18 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Execution: the scheduler loop
     # ------------------------------------------------------------------
-    def run(self, request_source: Optional[Iterable] = None) -> ServingReport:
+    def run(self) -> ServingReport:
         """Serve until every queue is drained, then report.
 
         The discrete-event scheduler loop alternates admission and
-        execution: at each step it either admits the next request whose
-        arrival precedes the earliest ready batch (from the submission
-        buffer or ``request_source``), or pops the policy-selected
-        ready batch and executes it — so requests that arrive while an
-        earlier batch occupies a shard are batched and scheduled
-        normally instead of waiting for the next drain.
-
-        ``request_source`` is an optional arrival-sorted iterable of
-        requests in :meth:`enqueue`'s item format (generation requests
-        included; request ids are engine-assigned, so finished ids are
-        read off the returned report's records).  It models streaming
-        request I/O: items are coerced lazily, one ahead, interleaved
-        with buffered submissions by arrival time.
+        execution: at each step it either admits the next buffered
+        request whose arrival precedes the earliest ready batch, or pops
+        the policy-selected ready batch and executes it — so requests
+        that arrive while an earlier batch occupies a shard are batched
+        and scheduled normally instead of waiting for the next drain.
+        Traffic comes in through :meth:`submit`,
+        :meth:`submit_generation` and :meth:`enqueue`, before the run or
+        from code executing while a batch is in flight.
 
         Returns the serving report for the requests processed by *this*
         call; their outputs become available via :meth:`result`.
@@ -879,8 +844,8 @@ class InferenceEngine:
         self._shard_busy.update(dict.fromkeys(range(self.dispatcher.n_shards), 0.0))
         completed: List[CompletedRequest] = []
         feed = self._arrivals
+        feed.lending = True
         try:
-            feed.stream(() if request_source is None else request_source, True)
             while True:
                 source, ready_at = self._next_source()
                 arrival = feed.next_arrival()
@@ -893,9 +858,11 @@ class InferenceEngine:
                     # its batch for a later wake.
                     completed.extend(self._serve(source, ready_at))
         finally:
-            feed.stream(())
+            # A raising run drops what it took from the buffer unadmitted.
+            feed.lending = False
+            feed._due.clear()
             # Weights may change between runs: nothing is kept for the next.
-            self._clear_stacks(tapes=False)
+            self._clear_stacks()
 
         cycles_after = self.dispatcher.shard_cycles()
         shard_cycles = {
@@ -1074,7 +1041,7 @@ class InferenceEngine:
     @property
     def shard_stats(self) -> Dict[int, ShardStats]:
         """Per-shard live stats (the drift EWMA stealing reads;
-        cumulative across runs, cleared by :meth:`reset`)."""
+        cumulative over the engine's runs)."""
         return dict(self._controller.shard_stats)
 
     @property
@@ -1118,31 +1085,11 @@ class InferenceEngine:
         By default the output is handed over exactly once and released,
         so a long-lived engine does not accumulate every response it
         has ever produced; pass ``keep=True`` to leave it retrievable
-        (it then stays resident until fetched without ``keep`` or
-        :meth:`reset`).
+        (it then stays resident until fetched without ``keep``).
         """
         if keep:
             return self._results[request_id]
         return self._results.pop(request_id)
-
-    def reset(self) -> None:
-        """Drop queued requests, stored results, shard occupancy and
-        cached prefixes."""
-        self._arrivals = _ArrivalFeed(self)
-        for source in self._sources:
-            source.reset()
-        self.placement.reset()
-        self._calibrator.reset()
-        self._results.clear()
-        self._events.clear()
-        self._shard_busy.clear()
-        self._clear_stacks(tapes=True)
-        for health in self._health.values():
-            health.reset()
-        self._last_arrival = 0.0
-        if self.radix_cache is not None:
-            self.radix_cache.clear()
-        self.dispatcher.reset()
 
     # ------------------------------------------------------------------
     # Internals
@@ -1487,16 +1434,13 @@ class InferenceEngine:
             stack.ahead.pop(request.request_id, None)
             stack.rows.pop(request.request_id, None)
 
-    def _clear_stacks(self, tapes: bool) -> None:
-        """Drop every endpoint's rows and look-ahead — and, with
-        ``tapes``, what its shapes are charged."""
+    def _clear_stacks(self) -> None:
+        """Drop every endpoint's rows and look-ahead (its tapes stay)."""
         for endpoint in self._endpoints.values():
             stack = endpoint.stack
             if stack is not None:
                 stack.ahead.clear()
                 stack.rows.clear()
-                if tapes:  # rebound, not cleared: a lent one stays the lender's
-                    stack.tapes = {}
 
     # ------------------------------------------------------------------
     # Generation: prefill batches and the continuous-batching decode pool

@@ -365,8 +365,8 @@ class FaultRecord:
 class RetryQueue:
     """Crashed and parked batches, waiting in simulated time to run again.
 
-    One of the engine's work sources (``next_ready`` / ``pop`` / ``len``
-    / ``reset``; a retry tied with anything runs first — it is strictly
+    One of the engine's work sources (``next_ready`` / ``pop`` /
+    ``len``; a retry tied with anything runs first — it is strictly
     older work), and where a failed attempt is accounted.  ``health_of``
     maps a shard to its breaker, ``log`` is the event sink, ``forget``
     drops what was computed ahead for a request that will never run and
@@ -398,10 +398,6 @@ class RetryQueue:
 
     def __len__(self) -> int:
         return sum(entry[4].size for entry in self._heap)
-
-    def reset(self) -> None:
-        self._heap.clear()
-        self._seq = 0
 
     def push(
         self, batch, wake: float, attempt: int, exclude_shard: Optional[int]

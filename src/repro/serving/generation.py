@@ -39,6 +39,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.executor import KVState
+from repro.nn.models.bert import check_token_ids
 from repro.nn.workload import (
     transformer_decode_step_cycles,
     transformer_prefill_cycles,
@@ -156,8 +157,11 @@ class GenerationAdapter:
 
     # -- request validation / batching key ------------------------------
     def validate(self, prompt: np.ndarray, max_new_tokens: int) -> None:
-        """Reject a request the model's position table cannot hold."""
-        p = int(np.asarray(prompt).shape[-1])
+        """Reject a request the model's position table or vocabulary
+        cannot hold."""
+        prompt = np.asarray(prompt)
+        check_token_ids(prompt, self.model.vocab)
+        p = int(prompt.shape[-1])
         if p + max_new_tokens > self.model.seq_len:
             raise ValueError(
                 f"prompt ({p}) + max_new_tokens ({max_new_tokens}) exceeds "
@@ -244,8 +248,8 @@ class DecodePool:
     """The continuous-batching decode pool: sequences between their
     prefill and their retirement, re-batched every iteration.
 
-    One of the engine's work sources (``next_ready`` / ``pop`` / ``len``
-    / ``reset``; a decode iteration tied with a fresh batch runs first).
+    One of the engine's work sources (``next_ready`` / ``pop`` /
+    ``len``; a decode iteration tied with a fresh batch runs first).
     The tenant scheduler supplies the batch-size cap and the engine-wide
     batch index, ``adapter_of(model)`` the endpoint's
     :class:`GenerationAdapter`, ``once_of(model, shard, backend)`` its
@@ -273,9 +277,6 @@ class DecodePool:
 
     def __len__(self) -> int:
         return len(self._active)
-
-    def reset(self) -> None:
-        self._active.clear()
 
     def admit(self, seq: ActiveSequence) -> Optional[CompletedRequest]:
         """Take a sequence fresh out of its prefill: its completion when

@@ -386,15 +386,6 @@ class RadixKVCache:
         self.migrations += 1
         return True
 
-    def clear(self) -> None:
-        """Drop every payload on every shard (counters kept).
-
-        The fabric tier, when attached, is deliberately left alone: it
-        is shared state owned by the worker pool, not this cache.
-        """
-        for shard in self._shards_seen:
-            self._store.clear(self._namespace(shard))
-
     # -- introspection ---------------------------------------------------
     @property
     def evictions(self) -> int:

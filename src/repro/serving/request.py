@@ -9,8 +9,8 @@ clock, so latency accounting is deterministic and reproducible.
 A request exists once as *data*: :class:`TracedRequest` is what a
 recorder captures, what a trace stores and — through the one coercion
 :func:`describe_request` — what ``InferenceEngine.enqueue``,
-``run(request_source=)``, ``serve_multiproc`` and ``replay_trace``
-accept; ``submit`` / ``submit_generation`` are its keyword spellings.
+``serve_multiproc`` and ``replay_trace`` accept; ``submit`` /
+``submit_generation`` are its keyword spellings.
 """
 
 from __future__ import annotations

@@ -82,9 +82,6 @@ class SchedulingPolicy:
         non-empty, sorted by tenant id)."""
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Forget accumulated arbitration state (new serving epoch)."""
-
 
 class WeightedRoundRobin(SchedulingPolicy):
     """Smooth weighted round-robin over contending tenants.
@@ -120,9 +117,6 @@ class WeightedRoundRobin(SchedulingPolicy):
         assert best is not None
         self._credit[best.tenant_id] -= total
         return best.tenant_id
-
-    def reset(self) -> None:
-        self._credit.clear()
 
 
 class StrictPriority(SchedulingPolicy):
@@ -172,7 +166,7 @@ class TenantScheduler:
     then repeatedly ask :meth:`earliest_ready` for the next decision
     point and :meth:`pop_ready` for the batch to execute at it.  To the
     engine it is one work source among several — ``next_ready`` /
-    ``pop`` / ``len`` / ``reset`` — and the last in a tie: retries,
+    ``pop`` / ``len`` — and the last in a tie: retries,
     decode iterations and already-planned batches are older work.
 
     Parameters
@@ -326,9 +320,4 @@ class TenantScheduler:
             )
         winner = self.policy.select(candidates)
         return self._pick(by_tenant[winner])
-
-    def reset(self) -> None:
-        """Drop queued work and arbitration state (tenants survive)."""
-        self.assembler.clear()
-        self.policy.reset()
         self._n_batches = 0

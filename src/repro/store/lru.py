@@ -144,12 +144,6 @@ class InProcessLRU:
         ns.bytes -= entry[1]
         return True
 
-    def clear(self, namespace: str) -> None:
-        """Drop every entry of ``namespace``; counters are kept."""
-        ns = self._ns(namespace)
-        ns.entries.clear()
-        ns.bytes = 0
-
     def set_limit(
         self,
         namespace: str,

@@ -11,7 +11,7 @@ The two load-bearing contracts are property-based:
   equal :func:`report_fingerprint` digests (hypothesis over fault
   seeds).
 
-Around those: recorder capture (including ``request_source`` traffic),
+Around those: recorder capture (through every front door),
 synthesis shapes, config-space operators, search determinism and its
 independence from ``n_workers``, front dominance/resume/persistence,
 the ``cost_aware`` occupancy-penalty knob (pinned no-op at 0.0, load
@@ -227,7 +227,7 @@ class TestRecorder:
         gen = trace.requests[2]
         assert gen.max_new_tokens == 4 and gen.stop_token == 3
 
-    def test_captures_request_source_traffic(self):
+    def test_captures_enqueued_traffic(self):
         recorder = TraceRecorder()
         engine = self._engine(recorder)
         rows = [
@@ -235,10 +235,11 @@ class TestRecorder:
              "arrival": i * 1e-5}
             for i in range(3)
         ]
-        report = engine.run(request_source=iter(rows))
+        engine.enqueue(iter(rows))
+        report = engine.run()
         assert report.n_requests == 3
         assert len(recorder) == 3
-        assert recorder.trace("streamed").name == "streamed"
+        assert recorder.trace("enqueued").name == "enqueued"
 
     def test_captured_trace_replays(self):
         recorder = TraceRecorder()

@@ -94,7 +94,6 @@ class TestClusterSpec:
 
 class TestPolicies:
     def test_make_placement_policy_names(self):
-        assert isinstance(make_placement_policy("rr"), RoundRobinPlacement)
         assert isinstance(make_placement_policy("round_robin"), RoundRobinPlacement)
         assert isinstance(make_placement_policy("least_loaded"), LeastLoadedPlacement)
         assert isinstance(make_placement_policy("cost_aware"), CostAwarePlacement)
@@ -103,12 +102,10 @@ class TestPolicies:
         with pytest.raises(ValueError):
             make_placement_policy("random")
 
-    def test_round_robin_cycles_and_resets(self):
+    def test_round_robin_cycles(self):
         policy = RoundRobinPlacement()
         shards = [view(0), view(1), view(2)]
         assert [policy.place(profile(), shards) for _ in range(5)] == [0, 1, 2, 0, 1]
-        policy.reset()
-        assert policy.place(profile(), shards) == 0
 
     def test_least_loaded_picks_smallest_backlog(self):
         policy = LeastLoadedPlacement()
@@ -350,7 +347,8 @@ class TestEnginePlacement:
         def placements_of(seed):
             rng = np.random.default_rng(seed)
             engine = build_engine([BIG, SMALL, SLOW, SMALL], "cost_aware")
-            report = engine.run(request_source=random_stream(rng, n=20))
+            engine.enqueue(random_stream(rng, n=20))
+            report = engine.run()
             return [
                 (d.batch_index, d.shard, d.start, d.finish)
                 for d in report.placements
@@ -412,16 +410,6 @@ class TestEnginePlacement:
         engine.submit("bert", RNG.integers(0, 16, size=8))
         with pytest.raises(ValueError, match="returned shard"):
             engine.run()
-
-    def test_engine_reset_restarts_placement_state(self):
-        engine = build_engine([SMALL, SMALL], "round_robin")
-        engine.submit("bert", RNG.integers(0, 16, size=8))
-        engine.run()
-        engine.reset()
-        assert engine.dispatcher.busy_until == {}
-        engine.submit("bert", RNG.integers(0, 16, size=8))
-        report = engine.run()
-        assert report.completed[0].shard == 0  # counter restarted
 
 
 class TestAdmissionControl:

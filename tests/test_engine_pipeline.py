@@ -829,20 +829,6 @@ def test_reregistered_name_is_charged_and_computed_as_the_new_model():
     assert stacked[1].total_cycles > 1.5 * stacked[0].total_cycles
 
 
-def test_reset_starts_every_shape_from_execution_again():
-    rows = np.random.default_rng(6).integers(0, 16, size=(12, 8))
-    model = _CountedBERT()
-    engine = _small_engine(n_shards=1)
-    engine.register("bert", model)
-    for _ in range(2):
-        _burst(engine, rows)
-        engine.reset()
-    # Three batches of 4 per run: the first executes (taped), the second
-    # replays and computes itself plus the third, the third computes nothing.
-    assert model.calls == [4, 8] * 2
-    assert model.taped == [True, False] * 2
-
-
 def _assembled(model_type, tuning, generation=False):
     """A spec of ``model_type`` plus ``build()``, which assembles one more
     engine from it and returns ``(engine, its model)``."""
@@ -860,17 +846,19 @@ def _assembled(model_type, tuning, generation=False):
 SMALL = TuningConfig(pool=(CONFIG,), max_batch_size=4, flush_timeout=1e-5)
 
 
-def test_reset_leaves_a_lent_mapping_to_its_lender():
-    """Engines assembled from one spec charge from its memo: ``reset()``
-    and re-registration put an engine back on a mapping of its own and
-    empty nothing its siblings, or an engine built later, replay."""
+def test_reregistration_leaves_a_lent_mapping_to_its_lender():
+    """Engines assembled from one spec charge from its memo:
+    re-registration puts an engine back on a mapping of its own and
+    empties nothing its siblings, or an engine built later, replay."""
     rows = np.random.default_rng(6).integers(0, 16, size=(12, 8))
     spec, build = _assembled(_CountedBERT, SMALL)
     (first, model), (second, sibling) = build(), build()
     reference, expected = _burst(first, rows)
+    # Three batches of 4: the first executes (taped), the second
+    # replays and computes itself plus the third, the third computes nothing.
     assert model.calls == [4, 8] and model.taped == [True, False]
     tapes = dict(spec.tapes)
-    first.reset()
+    first.register("bert", model)
     assert spec.tapes == tapes
     third, late = build()
     for engine, counted in ((second, sibling), (third, late)):
@@ -879,29 +867,25 @@ def test_reset_leaves_a_lent_mapping_to_its_lender():
         assert counted.calls == [12] and counted.taped == [False]
         assert report.shard_cycles == reference.shard_cycles
         assert np.array_equal(outputs, expected)
-    # The reset engine, and a name registered again by hand, start from
-    # execution like any engine nothing was lent to.
-    for registered_again in (False, True):
-        first.reset()
-        if registered_again:
-            first.register("bert", model)
-        model.calls.clear(), model.taped.clear()
-        # (Request ids run on over a reset: compare what they do not name.)
-        report, outputs = _burst(first, rows)
-        assert model.calls == [4, 8] and model.taped == [True, False]
-        assert report.shard_cycles == reference.shard_cycles
-        assert np.array_equal(outputs, expected)
+    # A name registered again by hand starts from execution like any
+    # engine nothing was lent to.
+    fourth, again = build()
+    fourth.register("bert", again)
+    report, outputs = _burst(fourth, rows)
+    assert again.calls == [4, 8] and again.taped == [True, False]
+    assert report.shard_cycles == reference.shard_cycles
+    assert np.array_equal(outputs, expected)
     assert spec.tapes == tapes
 
 
-def test_reset_leaves_a_lent_generation_mapping_to_its_lender():
+def test_reregistration_leaves_a_lent_generation_mapping_to_its_lender():
     prompts = _prompts(12, seed=6)
     spec, build = _assembled(_CountedChat, SMALL, generation=True)
     (first, model), (second, sibling) = build(), build()
     reference, expected = _chat_burst(first, prompts, spacing=1e-3)
     assert model.taped == [True] * 4 + [False] * 4
     tapes = dict(spec.tapes)
-    first.reset()
+    first.register("chat", model, generation_adapter=GenerationAdapter(model))
     assert spec.tapes == tapes
     third, late = build()
     for engine, counted in ((second, sibling), (third, late)):
@@ -911,9 +895,16 @@ def test_reset_leaves_a_lent_generation_mapping_to_its_lender():
         assert not any(counted.taped)
         assert report.shard_cycles == reference.shard_cycles
         assert np.array_equal(outputs, expected)
-    model.calls.clear(), model.taped.clear()
-    report, outputs = _chat_burst(first, prompts, spacing=1e-3)
-    assert model.taped == [True] * 4 + [False] * 4
+    fourth, again = build()
+    fourth.register("chat", again, generation_adapter=GenerationAdapter(again))
+    report, outputs = _chat_burst(fourth, prompts, spacing=1e-3)
+    # Three prefills of 4: the first group executes unit by unit (taped),
+    # the second's prefill replays and transcribes itself plus the third.
+    assert again.calls == (
+        [("prefill", 4)] + [("decode_step", 4)] * 3
+        + [("prefill", 8)] + [("decode_step", 8)] * 3
+    )
+    assert again.taped == [True] * 4 + [False] * 4
     assert report.shard_cycles == reference.shard_cycles
     assert np.array_equal(outputs, expected)
     assert spec.tapes == tapes
@@ -1037,6 +1028,30 @@ def test_compute_once_adds_no_knob_and_one_call_site():
         "tenant", "priority", "deadline",
     ]
     assert parameters(GenerationAdapter.__init__) == ["self", "model"]
+    # Traffic comes in through the buffered doors; a clean state is a new
+    # engine, so nothing it is built from resets or clears.
+    assert parameters(InferenceEngine.run) == ["self"]
+    import repro.serving.cluster as cluster
+    import repro.serving.scheduler as scheduler
+    from repro.serving.batcher import BatchAssembler
+    from repro.store import InProcessLRU
+
+    engine = _small_engine()
+    policies = [
+        cls for module in (cluster, scheduler) for cls in vars(module).values()
+        if isinstance(cls, type)
+        and issubclass(cls, (cluster.PlacementPolicy, scheduler.SchedulingPolicy))
+    ]
+    assert len(policies) == 9
+    for owner in (
+        engine, *engine._sources, *policies, ClusterDispatcher,
+        cluster.CalibratingCostModel, cluster.ShardHealth,
+    ):
+        assert not hasattr(owner, "reset"), owner
+    for owner in (RadixKVCache, InProcessLRU, BatchAssembler):
+        assert not hasattr(owner, "clear"), owner
+    with pytest.raises(ValueError):
+        cluster.make_placement_policy("rr")
 
     def fields(record_type):
         return [field.name for field in dataclasses.fields(record_type)]
@@ -1186,19 +1201,17 @@ def test_one_agenda_of_work_sources():
     for source in sources:
         assert all(
             callable(getattr(source, name))
-            for name in ("next_ready", "pop", "__len__", "reset")
+            for name in ("next_ready", "pop", "__len__")
         ), source
     engine = _engine("classify", 1)
     assert [type(source) for source in engine._sources] == sources
-    # ``pending`` and ``reset()`` walk the tuple; they name no queue.
-    walkers = {
-        name: code for path, name, code in _functions_under_src()
-        if path == "serving/engine.py" and name in ("pending", "reset")
-    }
-    assert len(walkers) == 2
-    for code in walkers.values():
-        assert "self._sources" in code
-        assert not re.findall(r"_retries|_decode_pool|_controller|scheduler", code)
+    # ``pending`` walks the tuple; it names no queue.
+    (code,) = [
+        code for path, name, code in _functions_under_src()
+        if path == "serving/engine.py" and name == "pending"
+    ]
+    assert "self._sources" in code
+    assert not re.findall(r"_retries|_decode_pool|_controller|scheduler", code)
     # Each record, and the retry heap's entries, are built where they
     # are defined — not in the engine.
     assert {site.split(":")[0] for site in _sites("StealEvent(")} == {"serving/elastic.py"}
@@ -1277,8 +1290,6 @@ def _serve_chat(trace, door="enqueue", **kwargs):
 
     def serve(model, eager):
         engine = _chat_engine(model, eager, tenants=trace.tenants, **kwargs)
-        if door == "source":
-            return engine.run(request_source=trace.requests)
         engine.enqueue(trace.requests)
         if door == "enqueue":
             return engine.run()
@@ -1386,24 +1397,19 @@ def test_generation_stacked_equals_eager_on_an_unequal_pool():
     assert len(model.calls) < len(reference.calls) // 2
 
 
-@pytest.mark.parametrize("door", ["step", "source"])
-def test_generation_without_look_ahead_still_equals_eager(door):
-    """``step()``-driven serving and a streamed ``request_source`` feed no
-    look-ahead, and a lockstep pass over one unit's sequences alone makes
-    as many model calls as the units it spans (more, when groups merge):
-    such a unit computes alone — the reference's calls exactly, the
-    replayed ones detached."""
+def test_generation_without_look_ahead_still_equals_eager():
+    """``step()``-driven serving feeds no look-ahead, and a lockstep pass
+    over one unit's sequences alone makes as many model calls as the units
+    it spans (more, when groups merge): such a unit computes alone — the
+    reference's calls exactly, the replayed ones detached."""
     trace = _conversational(64, seed=2)
-    stacked, eager, model, reference = _both_chat(_serve_chat(trace, door=door))
-    if door == "source":
-        _assert_same_run(stacked, eager)
-    else:
-        (log, completed), (eager_log, eager_completed) = stacked, eager
-        assert _log(log) == _log(eager_log)
-        assert len(completed) == len(eager_completed) == 64
-        for ours, theirs in zip(completed, eager_completed):
-            assert ours.outputs.dtype == theirs.outputs.dtype
-            assert np.array_equal(ours.outputs, theirs.outputs)
+    stacked, eager, model, reference = _both_chat(_serve_chat(trace, door="step"))
+    (log, completed), (eager_log, eager_completed) = stacked, eager
+    assert _log(log) == _log(eager_log)
+    assert len(completed) == len(eager_completed) == 64
+    for ours, theirs in zip(completed, eager_completed):
+        assert ours.outputs.dtype == theirs.outputs.dtype
+        assert np.array_equal(ours.outputs, theirs.outputs)
     assert model.calls == reference.calls
     assert 0 < model.taped.count(True) < len(model.taped)
 
@@ -1434,7 +1440,7 @@ def _small_chat(model, eager=False, n_shards=1, **kwargs):
 def _unswept(engine):
     """Disable the end-of-run sweep: what the stack holds after the run
     is then what retirement, shedding and failure left behind."""
-    engine._clear_stacks = lambda tapes: None
+    engine._clear_stacks = lambda: None
     return engine._endpoints["chat"].stack
 
 
@@ -1499,7 +1505,8 @@ def test_a_generation_name_registered_again_starts_from_nothing():
     prompts = _prompts(12, seed=5)
 
     def serve(_, eager):
-        engine = _small_chat(_CountedChat(), eager)  # replaced right below
+        # No radix cache: it would serve the first model's K/V rows.
+        engine = _small_chat(_CountedChat(), eager, radix=False)  # replaced below
         runs = []
         for depth in (1, 2):
             model = TinyBERT(
@@ -1509,7 +1516,6 @@ def test_a_generation_name_registered_again_starts_from_nothing():
             _register(
                 engine, "chat", model, eager, generation_adapter=GenerationAdapter(model)
             )
-            engine.radix_cache.clear()  # K/V rows of the model before
             runs.append(_chat_burst(engine, prompts, spacing=1e-3)[0])
         return runs
 
@@ -1517,24 +1523,6 @@ def test_a_generation_name_registered_again_starts_from_nothing():
     for report, eager_report in zip(stacked, eager):
         _assert_same_run(report, eager_report)
     assert stacked[1].total_cycles > 1.5 * stacked[0].total_cycles
-
-
-def test_reset_starts_every_generation_shape_from_execution_again():
-    prompts = _prompts(12, seed=6)
-    model = _CountedChat()
-    engine = _small_chat(model)
-    for _ in range(2):
-        _chat_burst(engine, prompts, spacing=1e-3)
-        engine.reset()
-    # Three prefills of 4 per run: the first group executes unit by unit
-    # (taped), the second's prefill replays and transcribes itself plus the
-    # third; nothing else calls the model.
-    once = (
-        [("prefill", 4)] + [("decode_step", 4)] * 3
-        + [("prefill", 8)] + [("decode_step", 8)] * 3
-    )
-    assert model.calls == once * 2
-    assert model.taped == ([True] * 4 + [False] * 4) * 2
 
 
 def test_transcripts_do_not_outlive_the_run_that_computed_them():

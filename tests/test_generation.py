@@ -763,7 +763,6 @@ _CACHE_OPS = st.lists(
             st.none() | st.integers(1, 6),
         ),
         st.tuples(st.just("migrate"), st.integers(0, 1), _TOKENS),
-        st.tuples(st.just("clear")),
     ),
     max_size=30,
 )
@@ -795,7 +794,7 @@ def _replay_against_reference(ops, budget):
                 shards[shard][key] = shards[shard].pop(key)  # LRU touch
             else:
                 assert payload is None
-        elif kind == "migrate":
+        else:
             source, tokens = args
             seq = tuple(tokens)
             moved = cache.migrate(source, 1 - source, "t", "m", tokens)
@@ -803,10 +802,6 @@ def _replay_against_reference(ops, budget):
             if moved:
                 del shards[source][seq]
                 _lru_admit(shards[1 - source], seq, budget)
-        else:
-            cache.clear()
-            for store in shards:
-                store.clear()
         queries.add(tuple(tokens))
         for query in queries:
             resident = tuple(

@@ -202,7 +202,8 @@ class TestServeMultiproc:
         engine.register(
             "bert", model, prefix_adapter=TransformerPrefixAdapter(model, PREFIX_LEN)
         )
-        reference = engine.run(request_source=list(requests))
+        engine.enqueue(requests)
+        reference = engine.run()
 
         def outputs_by_input(report):
             return {

@@ -457,19 +457,6 @@ class TestEngineIntegration:
         for got, want in zip(outputs, expected):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    def test_reset_clears_cache(self):
-        model = _make_model()
-        rng = np.random.default_rng(13)
-        tokens = _tokens_with_prefix(rng, 4, 8, 5)
-        cache = _cache()
-        engine, _ = _make_engine(cache=cache, model=model)
-        for row in tokens:
-            engine.submit("bert", row)
-        engine.run()
-        assert any(cache.resident_bytes(s) for s in range(2))
-        engine.reset()
-        assert all(cache.resident_bytes(s) == 0 for s in range(2))
-
 
 # ---------------------------------------------------------------------------
 # Serving-invariant fuzz: scheduler x cluster x cache

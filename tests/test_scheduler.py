@@ -452,12 +452,11 @@ class TestEngineMultiTenant:
     def test_source_accepts_explicit_none_arrival(self):
         engine, _ = self.engine()
         rows = RNG.integers(0, 16, size=(2, 8))
-        report = engine.run(
-            request_source=[
-                {"model": "bert", "inputs": rows[0], "arrival": None},
-                {"model": "bert", "inputs": rows[1]},
-            ]
-        )
+        engine.enqueue([
+            {"model": "bert", "inputs": rows[0], "arrival": None},
+            {"model": "bert", "inputs": rows[1]},
+        ])
+        report = engine.run()
         assert report.n_requests == 2
         assert all(c.request.arrival == 0.0 for c in report.completed)
 
@@ -510,31 +509,11 @@ class TestEngineMultiTenant:
         for request_id in first + later:
             assert engine.result(request_id) is not None
 
-    def test_run_with_streaming_request_source(self):
-        engine, _ = self.engine()
-        tokens = RNG.integers(0, 16, size=(6, 8))
-
-        def stream():
-            for i, row in enumerate(tokens):
-                yield {
-                    "model": "bert",
-                    "inputs": row,
-                    "arrival": i * 1e-5,
-                    "tenant": "streamer",
-                }
-
-        report = engine.run(request_source=stream())
-        assert report.n_requests == 6
-        assert report.tenant_ids == ["streamer"]
-        served = sorted(c.request.request_id for c in report.completed)
-        for request_id in served:
-            assert engine.result(request_id) is not None
-
     def test_source_rejects_inference_request_instances(self):
         # Caller-built InferenceRequest ids would silently stop
         # matching result() after the engine re-ids them, so the type
-        # is rejected outright — and so is the positional tuple the
-        # source once took: an item is a TracedRequest or a mapping.
+        # is rejected outright — and so is a positional tuple: an item
+        # is a TracedRequest or a mapping.
         engine, _ = self.engine()
         row = RNG.integers(0, 16, size=8)
         for item in (
@@ -542,9 +521,8 @@ class TestEngineMultiTenant:
             ("bert", row, 0.0),
         ):
             with pytest.raises(TypeError):
-                engine.run(request_source=[item])
-            with pytest.raises(TypeError):
                 engine.enqueue([item])
+            assert engine.pending == 0
 
     def test_pending_is_accurate_inside_a_run(self):
         # A callback reading engine.pending mid-run must see requests
@@ -567,85 +545,46 @@ class TestEngineMultiTenant:
         assert seen[0] == 1  # the future request is still counted
         assert engine.pending == 0
 
-    def test_request_source_must_be_time_sorted(self):
-        engine, _ = self.engine()
-        rows = RNG.integers(0, 16, size=(2, 8))
-        bad = [
-            {"model": "bert", "inputs": rows[0], "arrival": 1.0},
-            {"model": "bert", "inputs": rows[1], "arrival": 0.5},
-        ]
-        with pytest.raises(ValueError):
-            engine.run(request_source=bad)
-
-    def test_request_source_items_validated_like_submit(self):
+    def test_source_items_validated_like_submit(self):
         engine, _ = self.engine()
         row = RNG.integers(0, 16, size=8)
         with pytest.raises(ValueError):
-            engine.run(
-                request_source=[{"model": "bert", "inputs": row, "arrival": -1.0}]
-            )
-        engine.reset()
+            engine.enqueue([{"model": "bert", "inputs": row, "arrival": -1.0}])
         with pytest.raises(KeyError):
-            engine.run(request_source=[{"model": "nope", "inputs": row}])
+            engine.enqueue([{"model": "nope", "inputs": row}])
         for missing in ("model", "inputs"):
             item = {"model": "bert", "inputs": row}
             del item[missing]
-            engine.reset()
             with pytest.raises(ValueError, match=missing):
-                engine.run(request_source=[item])
+                engine.enqueue([item])
+        assert engine.pending == 0
 
     def test_source_dict_rejects_unknown_keys(self):
         engine, _ = self.engine()
         row = RNG.integers(0, 16, size=8)
         with pytest.raises(ValueError, match="dealine"):
-            engine.run(
-                request_source=[
-                    {"model": "bert", "inputs": row, "dealine": 1e-3}  # typo
-                ]
-            )
-
-    def test_source_lookahead_does_not_shift_default_arrivals(self):
-        # Regression: peeking a future stream item (arrival 9.0) must
-        # not contaminate the default arrival of a request submitted by
-        # a callback while the first batch is in flight.
-        pool = array_pool(1)
-        engine = InferenceEngine(pool, max_batch_size=1, flush_timeout=0.0)
-        model = tiny_bert()
-        engine.register("probe", model)
-        follow = {}
-
-        def submitting_infer(x, backend):
-            if "id" not in follow:
-                follow["id"] = engine.submit("probe", x[0])  # default arrival
-            return model.infer(x, backend)
-
-        engine.register("bert", infer_fn=submitting_infer)
-        rows = RNG.integers(0, 16, size=(2, 8))
-        report = engine.run(
-            request_source=[
-                {"model": "bert", "inputs": rows[0], "arrival": 0.0},
-                {"model": "bert", "inputs": rows[1], "arrival": 9.0},
-            ]
-        )
-        records = {c.request.request_id: c for c in report.completed}
-        assert follow["id"] in records
-        assert records[follow["id"]].request.arrival == 0.0
-        assert records[follow["id"]].finish < 9.0  # served before the late item
+            engine.enqueue([{"model": "bert", "inputs": row, "dealine": 1e-3}])  # typo
+        assert engine.pending == 0
 
     def test_source_interleaves_with_buffered_submissions(self):
         engine, _ = self.engine()
         rows = RNG.integers(0, 16, size=(4, 8))
-        buffered = [
+        submitted = [
             engine.submit("bert", rows[0], arrival=0.0),
             engine.submit("bert", rows[1], arrival=3e-4),
         ]
-        source = [
+        enqueued = engine.enqueue([
             {"model": "bert", "inputs": rows[2], "arrival": 1e-4},
             {"model": "bert", "inputs": rows[3], "arrival": 2e-4},
-        ]
-        report = engine.run(request_source=source)
+        ])
+        report = engine.run()
         assert report.n_requests == 4
-        for request_id in buffered:
+        # Admitted by arrival, whichever door each came through.
+        admitted = sorted(report.completed, key=lambda c: c.request.arrival)
+        assert [c.request.request_id for c in admitted] == [
+            submitted[0], *enqueued, submitted[1]
+        ]
+        for request_id in submitted + enqueued:
             assert engine.result(request_id) is not None
 
     def test_report_names_only_this_runs_tenants(self):

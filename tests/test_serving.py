@@ -18,6 +18,7 @@ from repro.nn.models import GCN, SmallResNet, TinyBERT
 from repro.nn.models.gcn import normalized_adjacency
 from repro.serving import (
     DynamicBatcher,
+    GenerationAdapter,
     InferenceEngine,
     InferenceRequest,
     ClusterDispatcher,
@@ -255,12 +256,12 @@ class TestEngineMechanics:
         sizes = sorted(c.batch_size for c in report.completed)
         assert sizes == [1, 2, 2]
 
-    def test_pending_and_reset(self):
+    def test_pending_counts_buffered_requests(self):
         engine = InferenceEngine(ClusterDispatcher([FloatBackend()]))
         engine.register("bert", tiny_bert())
         engine.submit("bert", RNG.integers(0, 16, size=8))
         assert engine.pending == 1
-        engine.reset()
+        engine.run()
         assert engine.pending == 0
 
     def test_two_runs_accumulate_results(self):
@@ -329,6 +330,61 @@ class TestEngineMechanics:
         report = engine.run()
         assert len(report.completed) == 2
         assert engine.result(served) is not None and engine.result(later) is not None
+
+
+class TestTokenIds:
+    """A token id outside ``[0, vocab)`` or a float token row is refused
+    with a ValueError: never served as another token, never an IndexError
+    from the embedding lookup."""
+
+    BAD = [
+        np.array([-1] + [0] * 7),  # an embedding lookup reads the last row
+        np.array([16] + [0] * 7),  # one past the table
+        np.full(8, 2.0),
+    ]
+    IDS = ["negative", "vocab", "float"]
+
+    @staticmethod
+    def _model():
+        return TinyBERT(vocab=16, seq_len=8, causal=True)
+
+    @staticmethod
+    def _backend():
+        return ArrayBackend(SystolicArray(SystolicConfig(pe_rows=4, pe_cols=4)), 0.25)
+
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
+    def test_model_rejects_the_row(self, bad):
+        model, backend = self._model(), self._backend()
+        valid = np.arange(8)
+        with pytest.raises(ValueError, match="token ids"):
+            model.infer(np.stack([valid, bad]), backend)
+        with pytest.raises(ValueError, match="token ids"):
+            model.prefill(bad[None, :4], backend)
+        _, state = model.prefill(valid[None, :4], backend)
+        with pytest.raises(ValueError, match="token ids"):
+            model.decode_step(state, bad[:1], backend)
+
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
+    def test_engine_run_raises_a_value_error(self, bad):
+        engine = InferenceEngine(ClusterDispatcher([self._backend()]))
+        engine.register("bert", self._model())
+        engine.submit("bert", np.arange(8), arrival=0.0)
+        engine.submit("bert", bad, arrival=0.0)  # co-batched with the valid one
+        with pytest.raises(ValueError, match="token ids"):
+            engine.run()
+
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
+    def test_generation_prompt_is_refused_at_the_door(self, bad):
+        engine = InferenceEngine(ClusterDispatcher([self._backend()]))
+        engine.register("gen", generation_adapter=GenerationAdapter(self._model()))
+        engine.submit_generation("gen", np.arange(4), 2)
+        with pytest.raises(ValueError, match="token ids"):
+            engine.submit_generation("gen", bad[:4], 2)
+        row = {"model": "gen", "inputs": bad[:4], "max_new_tokens": 2}
+        with pytest.raises(ValueError, match="token ids"):
+            engine.enqueue([row])
+        assert engine.pending == 1
+        assert len(engine.run().completed) == 1
 
 
 class TestServingTraceMemoryContract:

@@ -1,13 +1,14 @@
 """Traffic as data: one request description through every front door.
 
 ``repro.serving.request.TracedRequest`` is what a recorder captures, a
-trace stores, and ``enqueue`` / ``run(request_source=)`` /
-``serve_multiproc`` / ``replay_trace`` accept (or a mapping of its field
-names).  These tests pin what that buys:
+trace stores, and ``enqueue`` / ``serve_multiproc`` / ``replay_trace``
+accept (or a mapping of its field names); ``submit`` /
+``submit_generation`` are its keyword spellings.  These tests pin what
+that buys:
 
 * the same trace — classification, generation, or both on one engine —
-  serves identically through the replay front, a streaming
-  ``request_source`` and an in-process fleet;
+  serves identically through the replay front, the keyword doors and an
+  in-process fleet;
 * a forked fleet serves generation traffic exactly once, also through a
   worker death and the redistribution that follows;
 * a recorder's capture and ``to_dict()`` rows from JSON are servable
@@ -147,10 +148,21 @@ def test_one_trace_serves_identically_through_every_door(endpoints):
         _assert_tokens_are_recompute_per_token(replayed)
 
     engine = build_engine(TUNING, endpoints, tenants=trace.tenants)
-    streamed = engine.run(request_source=trace.requests)
+    for r in trace.requests:
+        when = dict(
+            arrival=r.arrival, tenant=r.tenant, priority=r.priority, deadline=r.deadline
+        )
+        if r.max_new_tokens is None:
+            engine.submit(r.model, r.inputs_array(), **when)
+        else:
+            engine.submit_generation(
+                r.model, r.inputs_array(), r.max_new_tokens,
+                stop_token=r.stop_token, **when,
+            )
+    submitted = engine.run()
     fleet = _fleet(endpoints, trace.requests)
 
-    for served in (streamed, fleet):
+    for served in (submitted, fleet):
         assert report_fingerprint(served) == report_fingerprint(replayed)
         _assert_same_rows(served, replayed)
 
@@ -228,9 +240,10 @@ def test_a_capture_and_its_json_rows_are_servable_as_they_are():
 
     rows = json.loads(json.dumps([r.to_dict() for r in captured.requests]))
     engine = build_engine(TUNING, (CLASSIFIER, CHAT), tenants=trace.tenants)
-    streamed = engine.run(request_source=rows)
-    assert report_fingerprint(streamed) == report_fingerprint(first)
-    _assert_same_rows(streamed, first)
+    engine.enqueue(rows)
+    served = engine.run()
+    assert report_fingerprint(served) == report_fingerprint(first)
+    _assert_same_rows(served, first)
 
 
 def test_recorder_captures_validated_submissions_shed_ones_included():
