@@ -37,6 +37,8 @@ repository root so CI can accumulate the measurements across PRs.
 """
 
 import json
+import multiprocessing
+import os
 import statistics
 import time
 from pathlib import Path
@@ -638,6 +640,37 @@ def test_generation_coalescing_counts(print_artifact):
     )
 
 
+class _ForkCounter:
+    """Named counts that a forked child (an engine's stack helper) adds
+    to as well: one anonymous shared mapping, made before the replays,
+    under one lock, with this process's counts and its children's apart."""
+
+    def __init__(self, *names):
+        self.names, self.pid = names, os.getpid()
+        self._cells = multiprocessing.Array("q", 2 * len(names))
+
+    def add(self, name, n=1):
+        cell = 2 * self.names.index(name) + (os.getpid() != self.pid)
+        with self._cells.get_lock():
+            self._cells[cell] += n
+
+    def clear(self):
+        with self._cells.get_lock():
+            self._cells[:] = [0] * len(self._cells)
+
+    def counts(self, side=None):
+        """Nonzero counts, like a ``Counter``: of both processes, or of
+        ``side`` 0 (this one) or 1 (its children) alone."""
+        with self._cells.get_lock():
+            cells = self._cells[:]
+        sides = (0, 1) if side is None else (side,)
+        counts = {
+            name: sum(cells[2 * i + j] for j in sides)
+            for i, name in enumerate(self.names)
+        }
+        return {name: n for name, n in counts.items() if n}
+
+
 def test_replay_counts_at_the_hostbench_shapes(print_artifact, monkeypatch):
     """Two replays of one spec at hostbench's three serving shapes (seed 0,
     ``--scale 0.2``) — what every timed repetition after the first is.
@@ -656,9 +689,10 @@ def test_replay_counts_at_the_hostbench_shapes(print_artifact, monkeypatch):
     once; how many replays that takes is recorded and gated (the bursty
     trace's third, the conversational one, which feeds each approximator
     well under a table's worth per replay, within 40).  The gates are on
-    counts, which repeat exactly on any runner.
+    counts, which repeat exactly on any runner.  Calls made in an engine's
+    stack helper process count: how the second replay's model calls and
+    rows split between this process and the helper is recorded.
     """
-    import collections
     import dataclasses
     import sys
 
@@ -668,32 +702,34 @@ def test_replay_counts_at_the_hostbench_shapes(print_artifact, monkeypatch):
     from repro.core.nonlinear_ops import get_approximator
     from repro.serving.engine import STACK_ELEMENTS
 
-    calls, cpwl_work = collections.Counter(), collections.Counter()
+    model_calls = ("infer", "prefill", "decode_step")
+    calls = _ForkCounter(*model_calls, "rows")
+    cpwl_work = _ForkCounter("approximators", "chain_calls")
     cpwl = sys.modules["repro.core.cpwl"]
     chain = cpwl.fetch_parameters
     init = CPWLApproximator.__init__
 
     def counting_chain(*args, **kwargs):
-        cpwl_work["chain_calls"] += 1
+        cpwl_work.add("chain_calls")
         return chain(*args, **kwargs)
 
     def counting_init(self, *args, **kwargs):
-        cpwl_work["approximators"] += 1
+        cpwl_work.add("approximators")
         init(self, *args, **kwargs)
 
     def counted(factory):
         class Counted(factory):
             def infer(self, tokens, backend, *args):
-                calls["infer"] += 1
-                calls["rows"] += len(tokens)
+                calls.add("infer")
+                calls.add("rows", len(tokens))
                 return super().infer(tokens, backend, *args)
 
             def prefill(self, tokens, backend, cached=None):
-                calls["prefill"] += 1
+                calls.add("prefill")
                 return super().prefill(tokens, backend, cached=cached)
 
             def decode_step(self, state, tokens, backend):
-                calls["decode_step"] += 1
+                calls.add("decode_step")
                 return super().decode_step(state, tokens, backend)
 
         return Counted
@@ -701,7 +737,8 @@ def test_replay_counts_at_the_hostbench_shapes(print_artifact, monkeypatch):
     def replay(workload, spec):
         calls.clear(), cpwl_work.clear()
         report = replay_trace(workload.trace, workload.tuning, (spec,))
-        return dict(calls), dict(cpwl_work), report
+        split = {"parent": calls.counts(0), "helper": calls.counts(1)}
+        return calls.counts(), cpwl_work.counts(), report, split
 
     recorded = {}
     with monkeypatch.context() as patch:
@@ -713,7 +750,7 @@ def test_replay_counts_at_the_hostbench_shapes(print_artifact, monkeypatch):
                 workload.endpoint, factory=counted(workload.endpoint.factory)
             )
             get_approximator.cache_clear()
-            (first, work, report), (second, work_again, again) = (
+            (first, work, report, _), (second, work_again, again, split) = (
                 replay(workload, spec) for _ in range(2)
             )
             assert report_fingerprint(report) == report_fingerprint(again)
@@ -722,11 +759,10 @@ def test_replay_counts_at_the_hostbench_shapes(print_artifact, monkeypatch):
                 "requests": len(workload.trace.requests),
                 "completed": len(report.completed),
                 "stacks": -(-elements // STACK_ELEMENTS),
-                "model_calls": sum(
-                    first.get(k, 0) for k in ("infer", "prefill", "decode_step")
-                ),
+                "model_calls": sum(first.get(k, 0) for k in model_calls),
                 "cpwl": work,
                 "second_replay": second,
+                "second_replay_split": split,
                 "second_replay_cpwl": work_again,
             }
             replays = 2

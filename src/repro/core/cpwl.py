@@ -112,7 +112,7 @@ class CPWLApproximator:
         #: Output code of every input code (see :meth:`evaluate_raw`),
         #: read-only; ``None`` until built.
         self.code_table: Optional[np.ndarray] = None
-        self._evaluated = 0
+        self.evaluated = 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the approximation, returning float values.
@@ -169,8 +169,8 @@ class CPWLApproximator:
         """The code table, built on the call that brings the elements
         evaluated up to its size (never for a wider format)."""
         if self.code_table is None and self.fmt.total_bits <= TABLE_MAX_BITS:
-            self._evaluated += elements
-            if self._evaluated >= 1 << self.fmt.total_bits:
+            self.evaluated += elements
+            if self.evaluated >= 1 << self.fmt.total_bits:
                 # Indexed by code: negative codes count from the end.
                 codes = np.arange(self.fmt.raw_min, self.fmt.raw_max + 1)
                 table = np.empty(codes.size, self.fmt.storage_dtype())

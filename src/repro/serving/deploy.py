@@ -6,9 +6,9 @@ search worker scoring candidates all stand an engine up from picklable
 values.  What that takes exists here exactly once: endpoints described
 by construction (:class:`EndpointSpec`), the engine assembler
 (:func:`assemble_engine` — it alone decides which caches exist) and
-the child-process fan-out (:func:`fan_out`).  Engine options are
-forwarded, never re-declared: an option added to ``InferenceEngine``
-reaches fleets and replays with no edit here or in either front end.
+the child start and fan-out (:func:`start_child`, :func:`fan_out`).
+Engine options are forwarded, never re-declared: an option added to
+``InferenceEngine`` reaches fleets and replays with no edit here or in a front end.
 """
 
 from __future__ import annotations
@@ -222,29 +222,33 @@ def _collect(proc, conn) -> Tuple[Optional[object], int]:
     return result, proc.exitcode
 
 
+def start_child(target: Callable, args: tuple):
+    """``target(*args, pipe)`` started in a child, forked on POSIX (nothing
+    need pickle): ``(process, its one-way pipe's read end)``.  The one
+    way this package starts a child (:func:`fan_out`, an engine's helper)."""
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover — non-POSIX fallback
+        ctx = multiprocessing.get_context()
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=target, args=(*args, child_conn))
+    proc.start()
+    child_conn.close()
+    return proc, parent_conn
+
+
 def fan_out(
     body: Callable, calls: Sequence[tuple]
 ) -> List[Tuple[Optional[object], int]]:
     """Run ``body(*args)`` in one child process per element of ``calls``.
 
-    Children are spawned individually (one ``Process`` + one-shot
-    result pipe each, not a pool; forked on POSIX, so ``body`` and its
-    arguments need not pickle on the way in) and run concurrently.
+    Children are spawned individually (one :func:`start_child` each, not
+    a pool) and run concurrently.
     Returns ``(result, exit code)`` per call, in call order; a child
     that died before sending reads ``(None, nonzero)``.  *Every* child
     is received from, joined and closed before this returns, so judging
     the results — raising on the first dead one, say — can never strand
     a live child blocked in ``send``.
     """
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover — non-POSIX fallback
-        ctx = multiprocessing.get_context()
-    children = []
-    for args in calls:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_child_entry, args=(body, tuple(args), child_conn))
-        proc.start()
-        child_conn.close()
-        children.append((proc, parent_conn))
+    children = [start_child(_child_entry, (body, tuple(args))) for args in calls]
     return [_collect(proc, conn) for proc, conn in children]

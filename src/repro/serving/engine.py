@@ -58,10 +58,12 @@ through the same two helpers (:class:`_Stack`): it replays its shape's
 trace tape, and takes its rows from one stacked host pass shared with
 later units — output rows for a classifier batch, whole *transcripts*
 (greedy tokens plus K/V rows, from one lockstep prefill + decode loop)
-for a prefill and the decode iterations after it.  An ``infer_fn=``
-callable, a prefix-keyed batch, an array-less shard and generation on a
-pool whose shards do not all compute alike execute per unit; reports are
-bit-identical either way.
+for a prefill and the decode iterations after it.  In a
+:meth:`InferenceEngine.run` on two CPUs, a forked helper process
+computes the classifier stacks after the first while this one serves.
+An ``infer_fn=`` callable, a prefix-keyed batch, an array-less shard and
+generation on a pool whose shards do not all compute alike execute per
+unit; reports are bit-identical either way.
 
 Batched execution is bit-identical to running every request alone:
 stacking adds rows to the GEMMs and elementwise stages, and every
@@ -104,6 +106,7 @@ degenerates to plain ready-time (FIFO) order.
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -115,6 +118,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.nonlinear_ops import credit, evaluated
 from repro.nn.layers import Module
 from repro.serving.batcher import Batch
 from repro.serving.cluster import (
@@ -183,11 +187,11 @@ class _Stack:
     it to a new mapping and never empties the old one, which may be the
     deployment description's memo
     (:meth:`InferenceEngine.share_tapes`): filled here, owned there, it
-    outlives the engine.  The other two live for one
-    :meth:`InferenceEngine.run`.
+    outlives the engine.  The rest, a helper process included, lives
+    for one :meth:`InferenceEngine.run`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, forks: list) -> None:
         #: (unit shape ..., array config, who) -> what such a unit is charged.
         self.tapes: Dict[tuple, list] = {}
         #: This run's requests nothing has computed yet, in arrival order.
@@ -196,9 +200,11 @@ class _Stack:
         #: row until its batch runs, a generation request's transcript
         #: until it retires.
         self.rows: Dict[int, Tuple[tuple, object]] = {}
+        #: This run's helper (process, pipe, who, backend), what it owes, forks.
+        self.helper, self.owed, self.forks = None, {}, forks
 
     def once(
-        self, requests, key: tuple, who: tuple, array,
+        self, requests, key: tuple, who: tuple, backend,
         execute: Callable, compute: Callable, read: Callable = list,
     ):
         """What ``execute()`` returns for the unit of ``requests`` — charged
@@ -214,10 +220,10 @@ class _Stack:
         for request in requests:
             # Its own unit runs now: it is nobody's look-ahead any more.
             self.ahead.pop(request.request_id, None)
-        rows = self.take(requests, who, array, compute) if key in self.tapes else None
+        rows = self.take(requests, who, backend, compute) if key in self.tapes else None
         if rows is None:
-            return self.charge(key, array, execute)
-        self.charge(key, array)
+            return self.charge(key, backend.array, execute)
+        self.charge(key, backend.array)
         return read(rows)
 
     def charge(self, key: tuple, array, execute: Optional[Callable] = None):
@@ -241,23 +247,29 @@ class _Stack:
         return result
 
     def take(
-        self, requests, who: tuple, array, compute: Callable
+        self, requests, who: tuple, backend, compute: Callable
     ) -> Optional[list]:
         """The rows of ``requests``, each computed at most once.
 
         A row depends on its own request alone, so what ``rows`` lacks is
         filled by one ``compute(members)`` call per kind of request, on
-        this shard's own backend with the array ``detached()``, over the
+        this shard's own backend with its array ``detached()``, over the
         missing requests plus the next not-yet-computed ones of their
         kind, up to :data:`STACK_ELEMENTS` input elements.  A row is used
         only where the same kind of backend computed it (``who``).  None
         when a row is missing and nobody ahead shares the pass: a stack
         of one unit saves nothing over executing the unit (a lockstep
         pass makes as many model calls as the units it spans — more,
-        when decode groups merge).
+        when decode groups merge).  The first classifier stack leaving
+        more of its kind ahead forks the engine's one helper for those
+        (:func:`_helper`): a row it owes is read off its pipe, one it
+        never sends is computed as above.
         """
         rows, missing = self.rows, {}
         for request in requests:
+            while request.request_id in self.owed and self._receive():
+                pass
+            self.ahead.pop(request.request_id, None)  # put back if it died
             if rows.get(request.request_id, (None,))[0] != who:
                 missing.setdefault(_kind(request), []).append(request)
         for kind, members in missing.items():
@@ -270,12 +282,62 @@ class _Stack:
             if not ahead:
                 return None
             members += ahead
-            with array.detached():
+            with backend.array.detached():
                 computed = compute(members)
             for request, row in zip(members, computed):
                 self.ahead.pop(request.request_id, None)
                 rows[request.request_id] = (who, row)
+            if kind[2] and not self.forks:  # a classifier's, and no helper yet
+                self._fork(kind, who, backend, compute)
         return [rows[request.request_id][1] for request in requests]
+
+    def _fork(self, kind: tuple, who: tuple, backend, compute: Callable) -> None:
+        """Hand the rest of ``kind``'s look-ahead to a helper forked now (the
+        parameters it reads are cached) if the process may use two CPUs."""
+        rest = [r for r in self.ahead.values() if _kind(r) == kind]
+        if rest and len(getattr(os, "sched_getaffinity", lambda _: ())(0)) > 1:
+            from repro.serving.deploy import start_child  # deploy imports us
+            self.helper = (*start_child(_helper, (rest, backend, compute)), who, backend)
+            self.owed = {r.request_id: self.ahead.pop(r.request_id) for r in rest}
+            self.forks.append(self)
+
+    def _receive(self) -> bool:
+        """Take the helper's next stack of rows and counts; once it has sent
+        all or died, reap it and make what it owes look-ahead again: False."""
+        process, pipe, who, backend = self.helper
+        try:
+            ids, stacked, counts = pipe.recv()
+        except (EOFError, OSError):
+            pipe.close()
+            process.join()
+            self.ahead.update(self.owed)
+            self.owed.clear()
+            return False
+        backend.param_cache.hits += counts.pop("hits")
+        backend.param_cache.misses += counts.pop("misses")
+        credit(counts)
+        for request_id, row in zip(ids, stacked):
+            if self.owed.pop(request_id, None) is not None:
+                self.rows[request_id] = who, row
+        return True
+
+
+def _helper(requests: list, backend, compute: Callable, pipe) -> None:
+    """Body of a forked helper: per :data:`STACK_ELEMENTS` stack of
+    ``requests``, send their ids, rows (one array) and cache-count gains.
+    A failure ends it silently: the parent computes, or raises, instead."""
+    cache = backend.param_cache
+    counts = lambda: {"hits": cache.hits, "misses": cache.misses, **evaluated()}
+    per = STACK_ELEMENTS // max(requests[0].inputs.size, 1)
+    try:
+        with backend.array.detached():
+            for start in range(0, len(requests), per):
+                members, before = requests[start:start + per], counts()
+                stacked = np.stack(compute(members))
+                added = {key: n - before.get(key, 0) for key, n in counts().items()}
+                pipe.send(([r.request_id for r in members], stacked, added))
+    except Exception:
+        pass
 
 
 @dataclass(frozen=True)
@@ -453,6 +515,7 @@ class InferenceEngine:
         ):
             self.placement = PrefixAffinePlacement(self.placement)
         self._endpoints: Dict[str, ModelEndpoint] = {}
+        self._forks: List[_Stack] = []  # the one with a live helper, if any
         self._arrivals = _ArrivalFeed(self)
         self._results: Dict[int, np.ndarray] = {}
         self._next_id = 0
@@ -601,7 +664,7 @@ class InferenceEngine:
         if infer_fn is None:
             infer_fn = model.infer  # type: ignore[union-attr]
             if batchable and isinstance(model, Module):
-                stack = _Stack()
+                stack = _Stack(self._forks)
         self._endpoints[name] = ModelEndpoint(
             name, infer_fn, batchable, cost_model, prefix_adapter,
             generation_adapter, stack,
@@ -1418,7 +1481,7 @@ class InferenceEngine:
 
         key = (batch.size, sample.shape, sample.dtype, array.config, who)
         outputs = stack.once(
-            batch.requests, key, who, array, lambda: infer(batch.requests), infer
+            batch.requests, key, who, backend, lambda: infer(batch.requests), infer
         )
         # A unit pops its rows when it runs: a crashed attempt's retry
         # computes them again.
@@ -1432,10 +1495,15 @@ class InferenceEngine:
         stack = self._endpoints[request.model].stack
         if stack is not None:
             stack.ahead.pop(request.request_id, None)
+            stack.owed.pop(request.request_id, None)
             stack.rows.pop(request.request_id, None)
 
     def _clear_stacks(self) -> None:
-        """Drop every endpoint's rows and look-ahead (its tapes stay)."""
+        """Reap the helper; drop every endpoint's rows and look-ahead (tapes stay)."""
+        while self._forks:
+            stack = self._forks.pop()
+            while stack._receive():
+                pass
         for endpoint in self._endpoints.values():
             stack = endpoint.stack
             if stack is not None:
@@ -1517,7 +1585,7 @@ class InferenceEngine:
                 stack, array, who = once
                 key = ("prefill", batch.size, prompt_len, cached_len, array.config, who)
                 result = stack.once(
-                    batch.requests, key, who, array, prefill,
+                    batch.requests, key, who, backend, prefill,
                     lambda members: adapter.transcribe(members, backend),
                     lambda transcripts: (
                         [t.tokens[0] for t in transcripts],

@@ -351,7 +351,7 @@ class DecodePool:
             stack, array, who = once
             key = ("decode", size, position, array.config, who)
             return stack.once(
-                [seq.request for seq in group], key, who, array, step,
+                [seq.request for seq in group], key, who, backend, step,
                 lambda members: adapter.transcribe(members, backend),
                 lambda transcripts: (
                     [t.tokens[len(seq.generated)] for t, seq in zip(transcripts, group)],

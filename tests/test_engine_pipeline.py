@@ -35,7 +35,10 @@ import dataclasses
 import functools
 import importlib
 import inspect
+import multiprocessing
+import os
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,7 @@ import pytest
 from chaos_plans import retry_spending_outage
 
 import repro.serving as serving_package
+import repro.serving.deploy as deploy_module
 import repro.serving.engine as engine_module
 from repro.autotune import (
     EndpointProfile,
@@ -426,11 +430,16 @@ def test_one_path_from_deployment_as_data_to_a_running_engine():
     """A front end that stands an engine up from picklable values is a
     client of ``repro.serving.deploy``: it does not construct its own
     engine or fork its own children — and the second
-    endpoint-by-construction class stays deleted."""
+    endpoint-by-construction class stays deleted.  A child starts in one
+    place, for a fan-out and for an engine's stack helper alike."""
     assert _sites("InferenceEngine(") == ["serving/deploy.py:assemble_engine"]
     assert _sites("engine.register(") == ["serving/deploy.py:assemble_engine"]
-    assert _sites("get_context(") == ["serving/deploy.py:fan_out"]
-    assert _sites(".Pipe(") == ["serving/deploy.py:fan_out"]
+    assert _sites("get_context(") == ["serving/deploy.py:start_child"]
+    assert _sites(".Pipe(") == ["serving/deploy.py:start_child"]
+    assert _sites("start_child(") == [
+        "serving/deploy.py:fan_out", "serving/deploy.py:start_child",
+        "serving/engine.py:_fork",
+    ]
     deleted = "Model" "Spec"
     for path in SRC.rglob("*.py"):
         assert deleted not in path.read_text(), path
@@ -516,20 +525,41 @@ BERT_COST = WorkloadCostSpec(seq_len=8, dim=8, heads=2, ff_dim=16, n_layers=1)
 STACK_AND_A_HALF = 3 * engine_module.STACK_ELEMENTS // (2 * 8)
 
 
+class _SharedLog:
+    """A list of ints that a forked child (an engine's stack helper)
+    appends to as well: one anonymous shared mapping, made before any run,
+    under one lock.  Calling it gives the entries so far."""
+
+    def __init__(self, capacity=1 << 14):
+        self._cells = multiprocessing.Array("q", capacity + 1)  # [0]: length
+
+    def append(self, value):
+        with self._cells.get_lock():
+            n = self._cells[0] = self._cells[0] + 1
+            self._cells[n] = value
+
+    def __call__(self):
+        with self._cells.get_lock():
+            return list(self._cells[1 : self._cells[0] + 1])
+
+
 class _CountedBERT(TinyBERT):
     """The classifier under test; logs the rows of every ``infer`` call
-    and whether the shard's array was taping it."""
+    and whether the shard's array was taping it, in whichever process."""
 
     def __init__(self, n_layers=1):
         super().__init__(
             vocab=16, seq_len=8, dim=8, heads=2, ff_dim=16, n_layers=n_layers,
             causal=False, seed=0,
         )
-        self.calls, self.taped = [], []
+        self._calls, self._taped = _SharedLog(), _SharedLog()
+
+    calls = property(lambda self: self._calls())
+    taped = property(lambda self: [bool(taped) for taped in self._taped()])
 
     def infer(self, tokens, backend, kv=None):
-        self.calls.append(len(tokens))
-        self.taped.append(backend.array.trace.tape is not None)
+        self._calls.append(len(tokens))
+        self._taped.append(backend.array.trace.tape is not None)
         return super().infer(tokens, backend, kv)
 
 
@@ -540,10 +570,12 @@ class _CountedHead(Module):
     def __init__(self):
         super().__init__()
         self.fc = Linear(8, 4, np.random.default_rng(0))
-        self.calls = []
+        self._calls = _SharedLog()
+
+    calls = property(lambda self: self._calls())
 
     def infer(self, tokens, backend):
-        self.calls.append(len(tokens))
+        self._calls.append(len(tokens))
         return self.fc.infer(np.asarray(tokens, dtype=np.float64) / 16, backend)
 
 
@@ -765,20 +797,24 @@ def test_rows_do_not_outlive_the_run_that_computed_them():
 class _CountingArray(SystolicArray):
     def __init__(self, config):
         super().__init__(config)
-        self.gemm_rows = []
+        self._gemm_rows = _SharedLog()
+
+    gemm_rows = property(lambda self: self._gemm_rows())
 
     def gemm_raw(self, a_raw, b_raw, label="gemm"):
-        self.gemm_rows.append(a_raw.shape[0])
+        self._gemm_rows.append(a_raw.shape[0])
         return super().gemm_raw(a_raw, b_raw, label)
 
 
 class _CountingBackend(ArrayBackend):
     def __init__(self, array, granularity):
         super().__init__(array, granularity)
-        self.linears = 0
+        self._linears = _SharedLog()
+
+    linears = property(lambda self: len(self._linears()))
 
     def linear(self, x, weight, bias):
-        self.linears += 1
+        self._linears.append(1)
         return super().linear(x, weight, bias)
 
 
@@ -810,6 +846,187 @@ def test_stacked_rows_are_computed_by_the_shards_own_backend_and_array():
     stats = [stacked.cache_stats[f"nn.params.shard{shard}"] for shard in range(2)]
     assert [s["misses"] > 0 for s in stats] == [b.linears > 0 for b in ours]
     assert sum(s["hits"] for s in stats) > 0
+
+
+# ---------------------------------------------------------------------------
+# The stack helper: in a run, a forked process computes the rest of the
+# look-ahead after the first classifier stack.  Every case equals the same
+# traffic served in-process (the process allowed one CPU), leaves no child
+# behind, and its reports hold the run invariants (conftest.py).
+# ---------------------------------------------------------------------------
+#: 8-token requests for the parent's stack and two of the helper's.
+THREE_STACKS = 3 * engine_module.STACK_ELEMENTS // 8
+BURSTY = TuningConfig(pool=(BIG, BIG), placement="cost_aware", max_batch_size=8)
+
+
+def _cpus(monkeypatch, n):
+    """Let the process run on ``n`` CPUs; returns the list of helper
+    processes started from now on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(n)), raising=False)
+    started, start_child = [], deploy_module.start_child
+
+    def spy(*args):
+        child = start_child(*args)
+        started.append(child[0])
+        return child
+
+    monkeypatch.setattr(deploy_module, "start_child", spy)
+    return started
+
+
+def _in_process(trace, tuning, model_type, monkeypatch):
+    _cpus(monkeypatch, 1)
+    return _replay(trace, tuning, model_type(), eager=False)
+
+
+class _DiesInHelper(_CountedBERT):
+    """Ends a forked child on its second ``infer`` there, so a helper dies
+    after sending its first stack: SIGKILLed, or by raising.  Logs the
+    rows a child computed."""
+
+    def __init__(self, death):
+        super().__init__()
+        self.death, self.parent, self.child_calls = death, os.getpid(), 0
+        self._child_rows = _SharedLog()
+
+    def infer(self, tokens, backend, kv=None):
+        if os.getpid() != self.parent:
+            self.child_calls += 1
+            if self.child_calls == 2 and self.death == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if self.child_calls == 2:
+                raise RuntimeError("the helper's model failed")
+            self._child_rows.append(len(tokens))
+        return super().infer(tokens, backend, kv)
+
+
+@pytest.mark.parametrize("death", ("sigkill", "raise"))
+def test_a_dead_helper_leaves_what_it_owes_to_the_parent(death, monkeypatch, capfd):
+    trace = _bursty(THREE_STACKS, seed=1)
+    alone = _in_process(trace, BURSTY, _CountedBERT, monkeypatch)
+    started = _cpus(monkeypatch, 2)
+    model = _DiesInHelper(death)
+    dead = _replay(trace, BURSTY, model, eager=False)
+    _assert_same_run(dead, alone)
+    exit_code = -signal.SIGKILL if death == "sigkill" else 0
+    assert [child.exitcode for child in started] == [exit_code]
+    assert "Traceback" not in capfd.readouterr().err
+    # Its first stack arrived; the parent computed the second's rows.
+    assert model._child_rows() == [engine_module.STACK_ELEMENTS // 8]
+    assert sum(model.calls) > THREE_STACKS
+    assert multiprocessing.active_children() == []
+
+
+def test_a_run_that_raises_reaps_its_helper(monkeypatch):
+    """The run raising mid-way leaves no child behind, and the engine
+    serves the next run as an in-process one would."""
+    trace = _bursty(THREE_STACKS, seed=2)
+    middle = trace.requests[len(trace.requests) // 2].arrival
+
+    def boom(inputs, backend):
+        raise RuntimeError("boom")
+
+    def serve(cpus):
+        started = _cpus(monkeypatch, cpus)
+        engine = _small_engine(max_batch_size=8)
+        engine.register("bert", _CountedBERT())
+        engine.register("boom", infer_fn=boom)
+        for r in trace.requests:
+            engine.submit("bert", r.inputs_array(), r.arrival, tenant=r.tenant)
+        engine.submit("boom", trace.requests[0].inputs_array(), middle)
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.run()
+        assert multiprocessing.active_children() == []
+        ids = [
+            engine.submit("bert", r.inputs_array(), r.arrival, tenant=r.tenant)
+            for r in trace.requests
+        ]
+        report = engine.run()
+        return report, [engine.result(i) for i in ids], started
+
+    alone, alone_outputs, _ = serve(1)
+    helped, outputs, started = serve(2)
+    _assert_same_run(helped, alone)
+    assert all(np.array_equal(a, b) for a, b in zip(outputs, alone_outputs))
+    assert len(started) == 2 and all(child.exitcode == 0 for child in started)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_cpu_starts_no_helper(monkeypatch):
+    trace = _bursty(THREE_STACKS, seed=3)
+    started = _cpus(monkeypatch, 1)
+    alone = _replay(trace, BURSTY, _CountedBERT(), eager=False)
+    assert started == []
+    helped_by = _cpus(monkeypatch, 2)
+    helped = _replay(trace, BURSTY, _CountedBERT(), eager=False)
+    assert len(helped_by) == 1
+    _assert_same_run(helped, alone)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_step_loop_starts_no_helper(monkeypatch):
+    rows = np.random.default_rng(7).integers(0, 16, size=(STACK_AND_A_HALF, 8))
+    started = _cpus(monkeypatch, 2)
+
+    def serve(step):
+        engine = _small_engine(max_batch_size=8)
+        engine.register("bert", _CountedBERT())
+        ids = [
+            engine.submit("bert", row, arrival=(i // 16) * 2e-6)
+            for i, row in enumerate(rows)
+        ]
+        if step:
+            while engine.pending:
+                engine.step()
+            assert started == []
+        else:
+            engine.run()
+            assert len(started) == 1
+        return _log(engine.events), [engine.result(i) for i in ids]
+
+    (log, outputs), (run_log, run_outputs) = serve(step=True), serve(step=False)
+    assert log == run_log
+    assert all(np.array_equal(a, b) for a, b in zip(outputs, run_outputs))
+    assert multiprocessing.active_children() == []
+
+
+def test_rows_of_shed_requests_are_dropped_never_served(monkeypatch):
+    """The ``admission_flood`` shape: a request shed while the helper owes
+    its row is forgotten, and its row is dropped when it arrives."""
+    n = 3000
+    trace = synthesize_trace(
+        "flood", (EndpointProfile("head", seq_len=8, vocab=16),), n, n * 9e-9, 0,
+        "skewed", tenants=tuple(f"tenant-{i}" for i in range(8)),
+        deadline_slack=1.3e-6,
+    )
+    tuning = TuningConfig(
+        pool=(BIG, MID, SLOW, TINY), placement="lookahead", steal=True,
+        max_batch_size=4, flush_timeout=2e-7, max_queue_depth=3,
+    )
+    alone = _in_process(trace, tuning, _CountedHead, monkeypatch)
+    started = _cpus(monkeypatch, 2)
+    forgotten, owed_when_forgotten = set(), []
+    forget, receive = InferenceEngine._forget, engine_module._Stack._receive
+
+    def spying_forget(self, request):
+        stack = self._endpoints[request.model].stack
+        owed_when_forgotten.append(request.request_id in stack.owed)
+        forgotten.add(request.request_id)
+        forget(self, request)
+
+    def checked_receive(self):
+        more = receive(self)
+        assert forgotten.isdisjoint(self.rows) and forgotten.isdisjoint(self.owed)
+        return more
+
+    monkeypatch.setattr(InferenceEngine, "_forget", spying_forget)
+    monkeypatch.setattr(engine_module._Stack, "_receive", checked_receive)
+    helped = _replay(trace, tuning, _CountedHead(), eager=False)
+    _assert_same_run(helped, alone)
+    assert helped.shed_count > 0 and len(started) == 1
+    assert {record.request.request_id for record in helped.shed} == forgotten
+    assert any(owed_when_forgotten)
+    assert multiprocessing.active_children() == []
 
 
 def test_reregistered_name_is_charged_and_computed_as_the_new_model():
