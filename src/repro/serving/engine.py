@@ -59,8 +59,8 @@ trace tape, and takes its rows from one stacked host pass shared with
 later units — output rows for a classifier batch, whole *transcripts*
 (greedy tokens plus K/V rows, from one lockstep prefill + decode loop)
 for a prefill and the decode iterations after it.  In a
-:meth:`InferenceEngine.run` on two CPUs, a forked helper process
-computes the classifier stacks after the first while this one serves.
+:meth:`InferenceEngine.run` given a spare CPU (:func:`_spare_cpu`), a
+forked helper computes the classifier stacks after the first meanwhile.
 An ``infer_fn=`` callable, a prefix-keyed batch, an array-less shard and
 generation on a pool whose shards do not all compute alike execute per
 unit; reports are bit-identical either way.
@@ -108,10 +108,12 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from itertools import islice
+from multiprocessing import active_children, parent_process
 from operator import attrgetter
+from pathlib import Path
 from typing import (
     Callable, Dict, Iterable, List, Optional, Tuple, Union,
 )
@@ -162,11 +164,33 @@ from repro.serving.tenancy import (
 #: slower for +18 MB.  A large model gains nothing past its batch.
 STACK_ELEMENTS = 4096
 
+#: Seconds after which a silent stack helper is stuck (a stack takes ms).
+HELPER_SILENCE_S = 60.0
+#: A process's cgroup CPU quota and period: v2, else v1 ("max", -1: none).
+CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
 
 def _kind(request: InferenceRequest) -> tuple:
     """Requests of one kind stack into one host pass."""
     inputs = request.inputs
     return inputs.shape, inputs.dtype, request.generation is None
+
+
+def _spare_cpu() -> bool:
+    """Whether a stack helper gets a CPU of its own: this process is no
+    forked worker (whose siblings may fill the CPUs), has no live child,
+    and its affinity and cgroup CPU quota both allow two CPUs."""
+    cpus = len(getattr(os, "sched_getaffinity", lambda _: ())(0))
+    for paths in CPU_QUOTA_FILES:
+        with suppress(OSError, ValueError):
+            quota, period = " ".join(Path(path).read_text() for path in paths).split()
+            if quota not in ("max", "-1"):
+                cpus = min(cpus, int(quota) / int(period))
+            break
+    return cpus >= 2 and parent_process() is None and not active_children()
 
 
 def _who(backend, array) -> tuple:
@@ -187,11 +211,11 @@ class _Stack:
     it to a new mapping and never empties the old one, which may be the
     deployment description's memo
     (:meth:`InferenceEngine.share_tapes`): filled here, owned there, it
-    outlives the engine.  The rest, a helper process included, lives
+    outlives the engine.  The rest, its helper process included, lives
     for one :meth:`InferenceEngine.run`.
     """
 
-    def __init__(self, forks: list) -> None:
+    def __init__(self) -> None:
         #: (unit shape ..., array config, who) -> what such a unit is charged.
         self.tapes: Dict[tuple, list] = {}
         #: This run's requests nothing has computed yet, in arrival order.
@@ -200,8 +224,8 @@ class _Stack:
         #: row until its batch runs, a generation request's transcript
         #: until it retires.
         self.rows: Dict[int, Tuple[tuple, object]] = {}
-        #: This run's helper (process, pipe, who, backend), what it owes, forks.
-        self.helper, self.owed, self.forks = None, {}, forks
+        #: This run's helper (process, pipe, who, backend), what it owes by id.
+        self.helper, self.owed = None, {}
 
     def once(
         self, requests, key: tuple, who: tuple, backend,
@@ -261,9 +285,9 @@ class _Stack:
         of one unit saves nothing over executing the unit (a lockstep
         pass makes as many model calls as the units it spans — more,
         when decode groups merge).  The first classifier stack leaving
-        more of its kind ahead forks the engine's one helper for those
-        (:func:`_helper`): a row it owes is read off its pipe, one it
-        never sends is computed as above.
+        more of its kind ahead forks a helper for those, given a spare
+        CPU (:func:`_spare_cpu`, :func:`_helper`): a row it owes is read
+        off its pipe, one it never sends is computed as above.
         """
         rows, missing = self.rows, {}
         for request in requests:
@@ -287,25 +311,27 @@ class _Stack:
             for request, row in zip(members, computed):
                 self.ahead.pop(request.request_id, None)
                 rows[request.request_id] = (who, row)
-            if kind[2] and not self.forks:  # a classifier's, and no helper yet
+            if kind[2] and self.helper is None:  # a classifier's, none forked yet
                 self._fork(kind, who, backend, compute)
         return [rows[request.request_id][1] for request in requests]
 
     def _fork(self, kind: tuple, who: tuple, backend, compute: Callable) -> None:
         """Hand the rest of ``kind``'s look-ahead to a helper forked now (the
-        parameters it reads are cached) if the process may use two CPUs."""
+        parameters it reads are cached) if it gets a CPU of its own."""
         rest = [r for r in self.ahead.values() if _kind(r) == kind]
-        if rest and len(getattr(os, "sched_getaffinity", lambda _: ())(0)) > 1:
+        if rest and _spare_cpu():
             from repro.serving.deploy import start_child  # deploy imports us
             self.helper = (*start_child(_helper, (rest, backend, compute)), who, backend)
             self.owed = {r.request_id: self.ahead.pop(r.request_id) for r in rest}
-            self.forks.append(self)
 
     def _receive(self) -> bool:
         """Take the helper's next stack of rows and counts; once it has sent
-        all or died, reap it and make what it owes look-ahead again: False."""
+        all, died or stayed silent :data:`HELPER_SILENCE_S` (it is killed),
+        reap it and make what it owes look-ahead again: False."""
         process, pipe, who, backend = self.helper
         try:
+            if not pipe.poll(HELPER_SILENCE_S):
+                process.kill()
             ids, stacked, counts = pipe.recv()
         except (EOFError, OSError):
             pipe.close()
@@ -515,7 +541,6 @@ class InferenceEngine:
         ):
             self.placement = PrefixAffinePlacement(self.placement)
         self._endpoints: Dict[str, ModelEndpoint] = {}
-        self._forks: List[_Stack] = []  # the one with a live helper, if any
         self._arrivals = _ArrivalFeed(self)
         self._results: Dict[int, np.ndarray] = {}
         self._next_id = 0
@@ -664,7 +689,7 @@ class InferenceEngine:
         if infer_fn is None:
             infer_fn = model.infer  # type: ignore[union-attr]
             if batchable and isinstance(model, Module):
-                stack = _Stack(self._forks)
+                stack = _Stack()
         self._endpoints[name] = ModelEndpoint(
             name, infer_fn, batchable, cost_model, prefix_adapter,
             generation_adapter, stack,
@@ -1499,14 +1524,17 @@ class InferenceEngine:
             stack.rows.pop(request.request_id, None)
 
     def _clear_stacks(self) -> None:
-        """Reap the helper; drop every endpoint's rows and look-ahead (tapes stay)."""
-        while self._forks:
-            stack = self._forks.pop()
-            while stack._receive():
-                pass
+        """Reap every helper; drop every endpoint's rows and look-ahead
+        (tapes stay).  A helper still owed rows is left by a raising run:
+        nothing reads its rows or counts, so it is killed, not waited for."""
         for endpoint in self._endpoints.values():
             stack = endpoint.stack
             if stack is not None:
+                if stack.owed:
+                    stack.helper[0].kill()
+                while stack.helper and stack._receive():
+                    pass
+                stack.helper = None
                 stack.ahead.clear()
                 stack.rows.clear()
 

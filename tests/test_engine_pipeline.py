@@ -39,6 +39,7 @@ import multiprocessing
 import os
 import re
 import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -860,9 +861,10 @@ BURSTY = TuningConfig(pool=(BIG, BIG), placement="cost_aware", max_batch_size=8)
 
 
 def _cpus(monkeypatch, n):
-    """Let the process run on ``n`` CPUs; returns the list of helper
-    processes started from now on."""
+    """Let the process run on ``n`` CPUs under no CPU quota; returns the
+    list of helper processes started from now on."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(n)), raising=False)
+    monkeypatch.setattr(engine_module, "CPU_QUOTA_FILES", ())
     started, start_child = [], deploy_module.start_child
 
     def spy(*args):
@@ -881,8 +883,9 @@ def _in_process(trace, tuning, model_type, monkeypatch):
 
 class _DiesInHelper(_CountedBERT):
     """Ends a forked child on its second ``infer`` there, so a helper dies
-    after sending its first stack: SIGKILLed, or by raising.  Logs the
-    rows a child computed."""
+    after sending its first stack: SIGKILLed, by raising, or it hangs
+    (sleeps ``HANG_S``) until killed.  Logs the rows a child computed.
+    A helper forked after ``death`` is set to None lives."""
 
     def __init__(self, death):
         super().__init__()
@@ -894,21 +897,32 @@ class _DiesInHelper(_CountedBERT):
             self.child_calls += 1
             if self.child_calls == 2 and self.death == "sigkill":
                 os.kill(os.getpid(), signal.SIGKILL)
-            if self.child_calls == 2:
+            if self.child_calls == 2 and self.death == "hang":
+                time.sleep(HANG_S)
+            if self.child_calls == 2 and self.death == "raise":
                 raise RuntimeError("the helper's model failed")
             self._child_rows.append(len(tokens))
         return super().infer(tokens, backend, kv)
 
 
-@pytest.mark.parametrize("death", ("sigkill", "raise"))
+#: How long a hanging helper sleeps: longer than any wait a test allows.
+HANG_S = 30.0
+
+
+@pytest.mark.parametrize("death", ("sigkill", "raise", "hang"))
 def test_a_dead_helper_leaves_what_it_owes_to_the_parent(death, monkeypatch, capfd):
+    """A helper that dies, raises or stays silent past
+    ``HELPER_SILENCE_S`` (killed then) leaves its rows to the parent."""
     trace = _bursty(THREE_STACKS, seed=1)
     alone = _in_process(trace, BURSTY, _CountedBERT, monkeypatch)
     started = _cpus(monkeypatch, 2)
+    monkeypatch.setattr(engine_module, "HELPER_SILENCE_S", 2.0)
     model = _DiesInHelper(death)
+    start = time.perf_counter()
     dead = _replay(trace, BURSTY, model, eager=False)
+    assert time.perf_counter() - start < HANG_S / 2
     _assert_same_run(dead, alone)
-    exit_code = -signal.SIGKILL if death == "sigkill" else 0
+    exit_code = 0 if death == "raise" else -signal.SIGKILL
     assert [child.exitcode for child in started] == [exit_code]
     assert "Traceback" not in capfd.readouterr().err
     # Its first stack arrived; the parent computed the second's rows.
@@ -918,10 +932,12 @@ def test_a_dead_helper_leaves_what_it_owes_to_the_parent(death, monkeypatch, cap
 
 
 def test_a_run_that_raises_reaps_its_helper(monkeypatch):
-    """The run raising mid-way leaves no child behind, and the engine
-    serves the next run as an in-process one would."""
+    """The run raising mid-way kills its helper, still owed rows, rather
+    than wait for it (here it hangs), leaves no child behind, and the
+    engine serves the next run as an in-process one would."""
     trace = _bursty(THREE_STACKS, seed=2)
-    middle = trace.requests[len(trace.requests) // 2].arrival
+    # Early in the helper's first stack: its second (it hangs there) is owed.
+    middle = trace.requests[engine_module.STACK_ELEMENTS // 8 + 8].arrival
 
     def boom(inputs, backend):
         raise RuntimeError("boom")
@@ -929,14 +945,18 @@ def test_a_run_that_raises_reaps_its_helper(monkeypatch):
     def serve(cpus):
         started = _cpus(monkeypatch, cpus)
         engine = _small_engine(max_batch_size=8)
-        engine.register("bert", _CountedBERT())
+        model = _DiesInHelper("hang")
+        engine.register("bert", model)
         engine.register("boom", infer_fn=boom)
         for r in trace.requests:
             engine.submit("bert", r.inputs_array(), r.arrival, tenant=r.tenant)
         engine.submit("boom", trace.requests[0].inputs_array(), middle)
+        start = time.perf_counter()
         with pytest.raises(RuntimeError, match="boom"):
             engine.run()
+        assert time.perf_counter() - start < HANG_S / 2
         assert multiprocessing.active_children() == []
+        model.death = None
         ids = [
             engine.submit("bert", r.inputs_array(), r.arrival, tenant=r.tenant)
             for r in trace.requests
@@ -948,19 +968,66 @@ def test_a_run_that_raises_reaps_its_helper(monkeypatch):
     helped, outputs, started = serve(2)
     _assert_same_run(helped, alone)
     assert all(np.array_equal(a, b) for a, b in zip(outputs, alone_outputs))
-    assert len(started) == 2 and all(child.exitcode == 0 for child in started)
+    assert [child.exitcode for child in started] == [-signal.SIGKILL, 0]
     assert multiprocessing.active_children() == []
 
 
-def test_one_cpu_starts_no_helper(monkeypatch):
+@pytest.mark.parametrize("limit", ("affinity", "cgroup v2 quota", "cgroup v1 quota"))
+def test_one_cpu_starts_no_helper(limit, tmp_path, monkeypatch):
+    """One CPU, by affinity or by a CPU quota the affinity does not show."""
     trace = _bursty(THREE_STACKS, seed=3)
-    started = _cpus(monkeypatch, 1)
+    started = _cpus(monkeypatch, 1 if limit == "affinity" else 4)
+    if limit != "affinity":
+        _quota(monkeypatch, tmp_path, limit, "100000", "100000")
     alone = _replay(trace, BURSTY, _CountedBERT(), eager=False)
     assert started == []
     helped_by = _cpus(monkeypatch, 2)
     helped = _replay(trace, BURSTY, _CountedBERT(), eager=False)
     assert len(helped_by) == 1
     _assert_same_run(helped, alone)
+    assert multiprocessing.active_children() == []
+
+
+def _quota(monkeypatch, tmp_path, version, quota, period):
+    """Make the process see a cgroup ``version`` CPU quota."""
+    if "v2" in version:
+        (tmp_path / "cpu.max").write_text(f"{quota} {period}\n")
+        files = ((tmp_path / "cpu.max",),)
+    else:
+        (tmp_path / "quota").write_text(f"{quota}\n")
+        (tmp_path / "period").write_text(f"{period}\n")
+        files = ((tmp_path / "missing-v2",), (tmp_path / "quota", tmp_path / "period"))
+    monkeypatch.setattr(engine_module, "CPU_QUOTA_FILES", files)
+
+
+@pytest.mark.parametrize("version, quota, spare", [
+    ("v2", "max", True), ("v2", "200000", True), ("v2", "150000", False),
+    ("v1", "-1", True), ("v1", "400000", True), ("v1", "50000", False),
+])
+def test_a_cpu_quota_below_two_cpus_leaves_no_spare_cpu(
+    version, quota, spare, tmp_path, monkeypatch
+):
+    _cpus(monkeypatch, 4)
+    _quota(monkeypatch, tmp_path, version, quota, "100000")
+    assert engine_module._spare_cpu() is spare
+    _cpus(monkeypatch, 1)
+    assert engine_module._spare_cpu() is False
+
+
+def test_a_forked_worker_starts_no_helper(monkeypatch):
+    """A fleet or search worker's siblings may fill the CPUs: an engine in
+    a ``fan_out`` child computes in-process, as one on one CPU would."""
+    trace = _bursty(THREE_STACKS, seed=4)
+    alone = _in_process(trace, BURSTY, _CountedBERT, monkeypatch)
+    started = _cpus(monkeypatch, 2)
+
+    def worker():
+        return _replay(trace, BURSTY, _CountedBERT(), eager=False), len(started)
+
+    [((in_worker, helpers), exit_code)] = deploy_module.fan_out(worker, [()])
+    # The worker started; it started no helper of its own.
+    assert exit_code == 0 and len(started) == 1 and helpers == 0
+    _assert_same_run(in_worker, alone)
     assert multiprocessing.active_children() == []
 
 
