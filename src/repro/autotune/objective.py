@@ -21,8 +21,8 @@ sides of the paper's trade-off:
 lower-is-better number the search drivers rank by (and the bench
 gates): ``cost x p99 / (slo_attainment x served_fraction)`` — a
 deployment is better when it is cheaper, faster at the tail, or
-answers more of its traffic within deadline.  Shed and failed
-requests shrink the served fraction, so refusing traffic can never
+answers more of its traffic within deadline.  Shed requests shrink the
+served fraction, so refusing traffic can never
 read as "fast and cheap".  The Pareto front keeps the full four axes;
 the scalar only orders candidates inside one search round.
 """
@@ -81,8 +81,6 @@ class Objective:
     n_requests: int = 0
     #: Requests refused at admission during the replay.
     shed: int = 0
-    #: Requests that failed (fault injection) during the replay.
-    failed: int = 0
 
     def to_dict(self) -> Dict[str, float]:
         return {
@@ -92,7 +90,6 @@ class Objective:
             "tokens_per_sec": self.tokens_per_sec,
             "n_requests": self.n_requests,
             "shed": self.shed,
-            "failed": self.failed,
         }
 
     @classmethod
@@ -104,7 +101,6 @@ class Objective:
             tokens_per_sec=float(data["tokens_per_sec"]),
             n_requests=int(data.get("n_requests", 0)),
             shed=int(data.get("shed", 0)),
-            failed=int(data.get("failed", 0)),
         )
 
 
@@ -119,7 +115,6 @@ def objective_from_report(report, pool: Sequence[SystolicConfig]) -> "Objective"
         tokens_per_sec=float(section["tokens_per_second"]),
         n_requests=int(section["n_requests"]),
         shed=int(section["shed"]),
-        failed=int(section["failed"]),
     )
 
 
@@ -129,11 +124,11 @@ def scalar_score(objective: Objective) -> float:
     ``cost x p99 / (slo_attainment x served_fraction)`` — dimensions:
     watt-equivalents x seconds per unit of honored demand ("how much
     hardware-time does a met deadline cost here").  The served
-    fraction counts shed and failed requests against the config, and
+    fraction counts shed requests against the config, and
     the floors keep an all-shedding replay (empty percentiles) from
     scoring as free.
     """
-    total = objective.n_requests + objective.shed + objective.failed
+    total = objective.n_requests + objective.shed
     if total and objective.n_requests == 0:
         # Nothing served: the percentiles are empty, not excellent.
         return float("inf")

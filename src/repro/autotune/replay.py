@@ -7,8 +7,7 @@ a :class:`~repro.autotune.trace.TrafficTrace` as they are (a trace row
 *is* a front-door item), and runs the discrete-event loop to
 completion.  The engine has no threads and no wall-clock dependencies,
 every replay builds its models from seeded factories and its caches
-afresh — so the same trace under the same config (and the same optional
-:class:`~repro.serving.faults.FaultPlan`) produces a bit-identical
+afresh — so the same trace under the same config produces a bit-identical
 :class:`~repro.serving.report.ServingReport`, which
 :func:`report_fingerprint` pins as a digest the tests and the search
 drivers can compare.
@@ -25,7 +24,7 @@ run the same engine.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from repro.serving.deploy import (
     assemble_engine,
 )
 from repro.serving.engine import InferenceEngine
-from repro.serving.faults import FaultPlan
 from repro.serving.report import ServingReport
 from repro.serving.tenancy import TenantConfig
 
@@ -48,7 +46,6 @@ def build_engine(
     tuning: TuningConfig,
     endpoints: Sequence[EndpointSpec],
     tenants: Sequence[str] = (),
-    faults: Optional[FaultPlan] = None,
 ) -> InferenceEngine:
     """Materialise one candidate deployment, models registered.
 
@@ -71,7 +68,6 @@ def build_engine(
             TenantConfig(tenant, max_queue_depth=tuning.max_queue_depth)
             for tenant in tenants
         ),
-        faults=faults,
         steal=tuning.steal,
     )
 
@@ -80,7 +76,6 @@ def replay_trace(
     trace: TrafficTrace,
     tuning: TuningConfig,
     endpoints: Sequence[EndpointSpec],
-    faults: Optional[FaultPlan] = None,
 ) -> ServingReport:
     """Re-drive ``trace`` through a fresh engine built from ``tuning``.
 
@@ -97,7 +92,7 @@ def replay_trace(
     an executed one records — so the fingerprint is the one a freshly
     constructed equal spec gives.
     """
-    engine = build_engine(tuning, endpoints, tenants=trace.tenants, faults=faults)
+    engine = build_engine(tuning, endpoints, tenants=trace.tenants)
     engine.enqueue(trace.requests)
     return engine.run()
 
@@ -106,10 +101,9 @@ def evaluate(
     trace: TrafficTrace,
     tuning: TuningConfig,
     endpoints: Sequence[EndpointSpec],
-    faults: Optional[FaultPlan] = None,
 ) -> Objective:
     """Replay and score: the candidate's objective tuple."""
-    report = replay_trace(trace, tuning, endpoints, faults=faults)
+    report = replay_trace(trace, tuning, endpoints)
     return objective_from_report(report, tuning.pool)
 
 
@@ -118,8 +112,8 @@ def report_fingerprint(report: ServingReport) -> str:
 
     Two reports share a fingerprint iff their completions (ids,
     timing, shard, and output *bits*), placement log, shed/failure
-    records, per-shard and per-tenant cycle counters, fault events and
-    decode steps are identical — the "bit-identical replay" contract
+    records, per-shard and per-tenant cycle counters and decode steps
+    are identical — the "bit-identical replay" contract
     in one comparable value.  Host wall time is excluded (it is
     measured, not modelled).
     """
@@ -156,14 +150,11 @@ def report_fingerprint(report: ServingReport) -> str:
             decision.ready_time,
             decision.start,
             decision.finish,
-            decision.attempt,
         )
     for shed in report.shed:
         feed(shed.request.request_id, shed.reason, shed.at)
     for failure in report.failed:
         feed(failure.request.request_id, failure.reason, failure.at)
-    for event in report.fault_events:
-        feed(event.kind, event.shard, event.batch_index, event.at, event.action)
     for step in report.generation_steps:
         feed(
             step.step_index,

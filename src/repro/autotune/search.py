@@ -35,7 +35,6 @@ from repro.autotune.replay import EndpointSpec, evaluate
 from repro.autotune.trace import TrafficTrace
 from repro.autotune.tuning import ConfigSpace, TuningConfig
 from repro.serving.deploy import fan_out
-from repro.serving.faults import FaultPlan
 
 
 class EvaluationFailedError(RuntimeError):
@@ -55,18 +54,16 @@ def _evaluate_chunk(
     trace: TrafficTrace,
     configs: Sequence[TuningConfig],
     endpoints: Sequence[EndpointSpec],
-    faults: Optional[FaultPlan],
 ) -> List[Objective]:
     """Score a chunk of candidates, in order (worker body, also the
     in-process path)."""
-    return [evaluate(trace, config, endpoints, faults=faults) for config in configs]
+    return [evaluate(trace, config, endpoints) for config in configs]
 
 
 def _evaluate_candidates(
     trace: TrafficTrace,
     configs: Sequence[TuningConfig],
     endpoints: Sequence[EndpointSpec],
-    faults: Optional[FaultPlan] = None,
     n_workers: int = 1,
 ) -> List[FrontEntry]:
     """Score every candidate, fanning chunks out across processes.
@@ -78,11 +75,11 @@ def _evaluate_candidates(
     """
     n_workers = max(1, min(int(n_workers), len(configs)))
     if n_workers == 1:
-        objectives = _evaluate_chunk(trace, configs, endpoints, faults)
+        objectives = _evaluate_chunk(trace, configs, endpoints)
     else:
         chunks = [configs[worker::n_workers] for worker in range(n_workers)]
         outcomes = fan_out(
-            _evaluate_chunk, [(trace, chunk, endpoints, faults) for chunk in chunks]
+            _evaluate_chunk, [(trace, chunk, endpoints) for chunk in chunks]
         )
         objectives = [None] * len(configs)
         for worker, (scores, exit_code) in enumerate(outcomes):
@@ -102,7 +99,6 @@ def random_search(
     n_candidates: int,
     seed: int,
     n_workers: int = 1,
-    faults: Optional[FaultPlan] = None,
     front: Optional[TuningFront] = None,
 ) -> TuningFront:
     """Score ``n_candidates`` uniform seeded draws; return the front.
@@ -114,9 +110,7 @@ def random_search(
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
     rng = np.random.default_rng(seed)
     configs = [space.sample(rng) for _ in range(n_candidates)]
-    entries = _evaluate_candidates(
-        trace, configs, endpoints, faults=faults, n_workers=n_workers
-    )
+    entries = _evaluate_candidates(trace, configs, endpoints, n_workers=n_workers)
     if front is None:
         front = TuningFront.from_entries(trace.name, (), evaluated=0)
     return front.merge(entries, evaluated=len(entries))
@@ -130,7 +124,6 @@ def evolutionary_search(
     population: int,
     seed: int,
     n_workers: int = 1,
-    faults: Optional[FaultPlan] = None,
     front: Optional[TuningFront] = None,
 ) -> TuningFront:
     """Mutation/crossover loop over ``generations`` populations.
@@ -156,9 +149,7 @@ def evolutionary_search(
 
     scored: List[FrontEntry] = []
     for _ in range(generations):
-        entries = _evaluate_candidates(
-            trace, pool, endpoints, faults=faults, n_workers=n_workers
-        )
+        entries = _evaluate_candidates(trace, pool, endpoints, n_workers=n_workers)
         front = front.merge(entries, evaluated=len(entries))
         scored.extend(entries)
         parents = sorted(scored, key=lambda entry: scalar_score(entry.objective))

@@ -240,8 +240,7 @@ class KVState:
         Without ``upto`` the states must agree on :attr:`pos`; with it,
         members whose rows reach different depths share one length.
         The result owns fresh arrays, so running a pass on it never
-        touches the member states — a failed attempt can be discarded
-        without rollback.
+        touches the member states.
         """
         if not states:
             raise ValueError("stack needs at least one state")

@@ -51,12 +51,7 @@ multi-tenant serving system:
   engine, one budget) reusing the longest cached prefix of every
   prompt;
 * the engine tying admission, scheduler, placement and shards together
-  (:mod:`repro.serving.engine`), now fault-tolerant: per-shard
-  circuit breakers (:class:`~repro.serving.cluster.ShardHealth`),
-  deadline-aware batch retry with capped exponential backoff in
-  simulated time, and re-placement of failed batches onto healthy
-  shards — driven by a seeded, reproducible fault plan
-  (:mod:`repro.serving.faults`);
+  (:mod:`repro.serving.engine`);
 * the elastic cluster runtime (:mod:`repro.serving.elastic`,
   :mod:`repro.serving.stats`), all off by default and regression-pinned
   bit-identical when off: look-ahead placement plans each scheduling
@@ -64,8 +59,7 @@ multi-tenant serving system:
   (:class:`~repro.serving.cluster.LookaheadPlacement` list scheduling),
   work-stealing re-prices queued-but-unstarted batches at execution
   time — migrating them (and, when prefix affinity breaks, the cache
-  *entry* through the fabric) off drifted or tripped shards; the
-  pool itself is fixed when the engine is built, and every steal feeds
+  *entry* through the fabric) off drifted shards; the pool itself is fixed when the engine is built, and every steal feeds
   from the per-shard stats descriptor tree and lands in the report's
   elastic section;
 * deployment-as-data (:mod:`repro.serving.deploy`): endpoints described
@@ -78,17 +72,18 @@ multi-tenant serving system:
   cache fabric (prompts and calibration cross the process boundary
   through it), and merges the per-worker reports into one
   fleet view with exact counter sums — with worker supervision:
-  dead workers are detected by exit code and either restarted or
-  their requests redistributed onto surviving shard blocks
+  dead workers (a real crash, or a seeded
+  :class:`~repro.serving.faults.WorkerDeath`) are detected by exit
+  code and either restarted or their requests redistributed onto
+  surviving shard blocks
   (:class:`~repro.serving.multiproc.WorkerFailedError` when
   supervision is off);
 * serving-level reporting — latency percentiles, throughput,
   cycles/request, per-shard utilization, per-tenant SLO attainment and
   shed accounting, all over the run's one ordered event log
   (:attr:`~repro.serving.report.ServingReport.events`: placements,
-  sheds, cache decisions, failures, faults, breaker transitions,
-  decode steps and steals, each also readable as a typed
-  view) (:mod:`repro.serving.report`).
+  sheds, cache decisions, lost requests, decode steps and steals, each
+  also readable as a typed view) (:mod:`repro.serving.report`).
 
 See ``examples/serving_demo.py``, ``examples/multitenant_demo.py`` and
 ``examples/heterogeneous_demo.py`` for end-to-end tours, and
@@ -99,7 +94,6 @@ from repro.serving.batcher import Batch, BatchAssembler, DynamicBatcher
 from repro.serving.cluster import (
     CALIBRATION_NAMESPACE,
     BatchProfile,
-    BreakerTransition,
     CalibratingCostModel,
     ClusterDispatcher,
     ClusterSpec,
@@ -110,7 +104,6 @@ from repro.serving.cluster import (
     PlacementPolicy,
     PrefixAffinePlacement,
     RoundRobinPlacement,
-    ShardHealth,
     ShardSpec,
     ShardView,
     config_from_dict,
@@ -127,15 +120,7 @@ from repro.serving.generation import (
     DecodeStepRecord,
     GenerationAdapter,
 )
-from repro.serving.faults import (
-    FabricFault,
-    FaultPlan,
-    FaultRecord,
-    ShardCrash,
-    ShardSlowdown,
-    WorkerDeath,
-    corrupt_fabric_entries,
-)
+from repro.serving.faults import FaultPlan, WorkerDeath
 from repro.serving.deploy import EndpointSpec, WorkloadCostSpec, assemble_engine
 from repro.serving.multiproc import (
     MultiprocResult,
@@ -192,15 +177,8 @@ __all__ = [
     "CALIBRATION_NAMESPACE",
     "save_calibration",
     "load_calibration",
-    "BreakerTransition",
-    "ShardHealth",
-    "FabricFault",
     "FaultPlan",
-    "FaultRecord",
-    "ShardCrash",
-    "ShardSlowdown",
     "WorkerDeath",
-    "corrupt_fabric_entries",
     "EndpointSpec",
     "WorkloadCostSpec",
     "assemble_engine",

@@ -152,19 +152,13 @@ class ShardView:
     ``busy_until`` is the simulated time the shard finishes everything
     already placed on it (the discrete-event backlog horizon);
     ``config``/``clock_hz`` are ``None`` for functional (untraced)
-    backends, which have no cycle model.  ``breaker`` is the shard's
-    circuit-breaker state at the decision instant (``"closed"`` /
-    ``"half_open"`` / ``"open"``): cost-ranking policies filter
-    ``"open"`` shards out before pricing and treat ``"half_open"``
-    shards pessimistically, so a flapping fast shard no longer
-    re-captures every batch the instant its quarantine elapses.
+    backends, which have no cycle model.
     """
 
     index: int
     busy_until: float
     clock_hz: Optional[float] = None
     config: Optional[SystolicConfig] = None
-    breaker: str = "closed"
 
     def backlog_seconds(self, now: float) -> float:
         """Seconds of already-placed work outstanding at ``now``."""
@@ -235,166 +229,33 @@ class PlacementDecision:
     start: float
     finish: float
     batch_cycles: int = 0
-    #: 0-based execution attempt (0 = first placement; > 0 = a retry
-    #: after earlier attempts failed on faulted shards).
-    attempt: int = 0
-    #: Shard of the immediately preceding failed attempt, when this
-    #: decision is a retry re-placement (None on first attempts).
-    recovered_from: Optional[int] = None
 
 
 class WorkUnit(NamedTuple):
     """What one kind of work hands the engine's execute-and-commit
     pipeline, and what every work source's ``pop`` returns.
 
-    The pipeline owns every step the kinds share (place, park, fault
-    checks, timing, the shard-side commit, the placement record); a
-    unit carries only what differs between a classifier batch, a
-    generation prefill and a decode step:
+    The pipeline owns every step the kinds share (place, timing, the
+    shard-side commit, the placement record); a unit carries only what
+    differs between a classifier batch, a generation prefill and a
+    decode step:
 
     ``run(shard, backend) -> (result, reused)``
         The payload.  ``reused`` marks a partial execution (a prefix or
         radix hit) whose timing must not feed full-cost estimates.
     ``commit(placed, result, reused) -> completions``
-        What a surviving attempt commits, given its placement record.
-    ``park(wake)`` / ``fail(shard, at) -> survivors``
-        How an all-breakers-open park and a crashed attempt are
-        absorbed: the retry queue for batches, in-place ``ready_time`` /
-        attempt bookkeeping for pooled decode sequences.  ``fail``
-        returns how many requests will retry (0 = abandoned).
+        What the executed unit commits, given its placement record.
     """
 
     profile: BatchProfile
     batch_index: int
-    attempt: int
-    exclude_shard: Optional[int]
     run: Callable[[int, object], "Tuple[object, bool]"]
     commit: Callable[[PlacementDecision, object, bool], list]
-    park: Callable[[float], None]
-    fail: Callable[[int, float], int]
     #: Shard a look-ahead round planned this unit onto (None = place now).
     planned_shard: Optional[int] = None
     #: Prompt a prefix-keyed classifier batch's cache entry is keyed on
     #: (what a steal migrates); None for every other unit.
     prefix_tokens: Optional[object] = None
-
-
-# ---------------------------------------------------------------------------
-# Shard health: the closed -> open -> half-open circuit breaker
-# ---------------------------------------------------------------------------
-#: Simulated seconds a shard is quarantined after its first failure: ten
-#: first-retry backoffs (``faults.BACKOFF_BASE``), so the retry of a
-#: batch that just failed here re-places elsewhere instead of probing.
-QUARANTINE = 1e-3
-#: A failed re-admission probe multiplies the quarantine by this (and a
-#: success divides it back), so a flapping shard is probed ever less often.
-QUARANTINE_FACTOR = 2.0
-#: The quarantine never grows past this (a hundred times the base): a
-#: shard that recovers is re-probed within a tenth of a second.
-QUARANTINE_CAP = 1e-1
-
-
-@dataclass(frozen=True)
-class BreakerTransition:
-    """One breaker state change, for the report's fault section."""
-
-    shard: int
-    at: float
-    from_state: str
-    to_state: str
-
-
-class ShardHealth:
-    """Per-shard failure tracking with a circuit breaker.
-
-    States (:attr:`state`): ``"closed"`` (healthy, admits batches),
-    ``"open"`` (quarantined until :attr:`open_until`; placement filters
-    the shard out), ``"half_open"`` (quarantine elapsed; the next batch
-    is the re-admission probe).  One failure opens the breaker for the
-    current quarantine (:data:`QUARANTINE` at first); a failed probe
-    re-opens it for :data:`QUARANTINE_FACTOR` times as long, capped at
-    :data:`QUARANTINE_CAP`.  Transitions are driven by the engine
-    calling :meth:`record_failure` / :meth:`record_success` and by
-    :meth:`available` observing simulated time pass :attr:`open_until`
-    — all in simulated time, so health trajectories are deterministic.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(
-        self,
-        shard: int,
-        on_transition: Optional[Callable[[BreakerTransition], None]] = None,
-    ) -> None:
-        self.shard = shard
-        self.state = self.CLOSED
-        self.open_until = 0.0
-        self.failures = 0
-        self.successes = 0
-        self._quarantine = QUARANTINE
-        self._on_transition = on_transition
-
-    def _transition(self, to_state: str, at: float) -> None:
-        if to_state == self.state:
-            return
-        if self._on_transition is not None:
-            self._on_transition(
-                BreakerTransition(
-                    shard=self.shard, at=at, from_state=self.state, to_state=to_state
-                )
-            )
-        self.state = to_state
-
-    def available(self, now: float) -> bool:
-        """Can a batch be placed here at ``now``?
-
-        Lazily performs the open -> half-open transition when the
-        quarantine has elapsed, so the first placement query past
-        :attr:`open_until` admits the probe batch.
-        """
-        if self.state == self.OPEN and now >= self.open_until:
-            self._transition(self.HALF_OPEN, self.open_until)
-        return self.state != self.OPEN
-
-    def record_failure(self, now: float) -> None:
-        """One failed attempt on this shard at simulated ``now``."""
-        self.failures += 1
-        if self.state == self.HALF_OPEN:
-            # Failed probe: back to quarantine, doubled (capped).
-            self._quarantine = min(
-                self._quarantine * QUARANTINE_FACTOR, QUARANTINE_CAP
-            )
-            self.open_until = now + self._quarantine
-            self._transition(self.OPEN, now)
-        elif self.state == self.CLOSED:
-            self.open_until = now + self._quarantine
-            self._transition(self.OPEN, now)
-        elif self.state == self.OPEN and now + self._quarantine > self.open_until:
-            # A straggler failure while already quarantined (a batch
-            # placed before the breaker opened): extend, don't shorten.
-            self.open_until = now + self._quarantine
-
-    def record_success(self, now: float) -> None:
-        """One completed batch on this shard at simulated ``now``.
-
-        A successful probe closes the breaker but only *decays* the
-        quarantine one factor step toward its base instead of resetting
-        it outright: a flapping shard (fail, recover, fail, ...) keeps
-        an escalated quarantine across flaps, while a genuinely
-        recovered shard works its way back to the base quarantine over
-        a few clean successes.
-        """
-        self.successes += 1
-        self._quarantine = max(QUARANTINE, self._quarantine / QUARANTINE_FACTOR)
-        if self.state != self.CLOSED:
-            self._transition(self.CLOSED, now)
-
-    @property
-    def quarantine(self) -> float:
-        """The quarantine the *next* breaker opening would impose."""
-        return self._quarantine
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +273,6 @@ def estimated_finish(
     service = services.get(view.index)
     if service is None:
         service = max(services.values(), default=0.0)
-    if view.breaker == ShardHealth.HALF_OPEN:
-        # A half-open shard is priced as if the probe re-runs
-        # elsewhere (it may well fail): its ETA carries the most
-        # expensive known service on top, so a quarantine-flapping
-        # fast shard stops winning every batch on raw speed.
-        service += max(services.values(), default=0.0)
     return max(ready, horizon) + service * drift
 
 
@@ -434,19 +289,6 @@ class PlacementPolicy:
 
     def place(self, batch: BatchProfile, shards: Sequence[ShardView]) -> int:
         raise NotImplementedError
-
-    @staticmethod
-    def admissible(shards: Sequence[ShardView]) -> Sequence[ShardView]:
-        """Candidates with open-breaker shards filtered out.
-
-        Cost ranking must never price a quarantined shard — an open
-        fast shard would otherwise win on estimated finish time the
-        instant it is offered.  When *every* shard is open the original
-        list is returned unchanged (the engine parks batches before it
-        ever offers an all-open pool, so this is pure defense).
-        """
-        healthy = [view for view in shards if view.breaker != ShardHealth.OPEN]
-        return healthy if healthy else shards
 
 
 class RoundRobinPlacement(PlacementPolicy):
@@ -466,9 +308,8 @@ class RoundRobinPlacement(PlacementPolicy):
     def place(self, batch: BatchProfile, shards: Sequence[ShardView]) -> int:
         # Index into the *views* rather than returning the counter
         # directly: over the full pool the two are identical (view i
-        # has index i, preserving the pinned i % n mapping), but when
-        # the engine health-filters the candidate list the counter must
-        # cycle over the shards actually offered.
+        # has index i, preserving the pinned i % n mapping), and a
+        # caller offering a subset is cycled over the shards offered.
         pos = self._next % len(shards)
         self._next = (pos + 1) % len(shards)
         return shards[pos].index
@@ -489,29 +330,15 @@ class LeastLoadedPlacement(PlacementPolicy):
     name = "least_loaded"
 
     def place(self, batch: BatchProfile, shards: Sequence[ShardView]) -> int:
-        shards = self.admissible(shards)
         in_cycles = all(s.clock_hz for s in shards)
 
-        def backlog(view: ShardView) -> float:
-            return (
+        def occupancy(view: ShardView) -> Tuple[float, int]:
+            backlog = (
                 view.backlog_cycles(batch.ready_time)
                 if in_cycles
                 else view.backlog_seconds(batch.ready_time)
             )
-
-        # A half-open shard is a re-admission probe, not a healthy
-        # candidate: charge it the pool's deepest backlog on top of its
-        # own, so it only wins (and gets probed) once the healthy pool
-        # is at least that busy — never instantly on an idle fast shard.
-        worst = max((backlog(view) for view in shards), default=0.0)
-
-        def occupancy(view: ShardView) -> Tuple[float, int, int]:
-            probing = view.breaker == ShardHealth.HALF_OPEN
-            return (
-                backlog(view) + (worst if probing else 0.0),
-                1 if probing else 0,
-                view.index,
-            )
+            return backlog, view.index
 
         return min(shards, key=occupancy).index
 
@@ -556,7 +383,6 @@ class CostAwarePlacement(PlacementPolicy):
             self.name = f"cost_aware(occ={self.occupancy_penalty:g})"
 
     def place(self, batch: BatchProfile, shards: Sequence[ShardView]) -> int:
-        shards = self.admissible(shards)
         return self.earliest_finish(batch.ready_time, shards, batch.services_on(shards))
 
     def earliest_finish(
@@ -566,12 +392,12 @@ class CostAwarePlacement(PlacementPolicy):
         """The shard finishing a unit priced ``services`` first, counting
         from ``horizons`` (default: each view's own ``busy_until``)."""
 
-        def finish(view: ShardView) -> Tuple[float, bool, float, int]:
+        def finish(view: ShardView) -> Tuple[float, float, int]:
             horizon = view.busy_until if horizons is None else horizons[view.index]
             eta = estimated_finish(view, ready, horizon, services)
             if self.occupancy_penalty:
                 eta += self.occupancy_penalty * view.backlog_seconds(ready)
-            return (eta, view.breaker == ShardHealth.HALF_OPEN, horizon, view.index)
+            return (eta, horizon, view.index)
 
         return min(shards, key=finish).index
 
@@ -632,8 +458,8 @@ class LookaheadPlacement(PlacementPolicy):
     runs, so outputs stay bit-identical to per-batch placement on
     format-uniform pools.
 
-    :meth:`place` (single-batch calls: retries, decode steps, parked
-    re-admissions) degenerates to greedy cost_aware against the live
+    :meth:`place` (single-batch calls: decode steps, generation
+    prefills) degenerates to greedy cost_aware against the live
     horizons — exactly the behavior look-ahead improves on, applied
     only where there is no ready *set* to plan over.
     """
@@ -653,10 +479,9 @@ class LookaheadPlacement(PlacementPolicy):
         """Assign every ready batch a shard; returns one index per batch.
         ``horizons`` (shard index -> busy-until, every offered shard)
         replace the views' own as the round's starting horizons."""
-        candidates = self.admissible(shards)
-        horizons = dict(horizons or {v.index: v.busy_until for v in candidates})
+        horizons = dict(horizons or {v.index: v.busy_until for v in shards})
 
-        priced = [batch.services_on(candidates) for batch in batches]
+        priced = [batch.services_on(shards) for batch in batches]
         # LPT order: biggest batch (by its best-case service anywhere)
         # first; ties keep submission order for determinism.
         order = sorted(
@@ -667,7 +492,7 @@ class LookaheadPlacement(PlacementPolicy):
         for i in order:
             ready, services = batches[i].ready_time, priced[i]
             best = assignment[i] = self._greedy.earliest_finish(
-                ready, candidates, services, horizons
+                ready, shards, services, horizons
             )
             horizons[best] = max(ready, horizons[best]) + services.get(
                 best, max(services.values(), default=0.0)

@@ -11,15 +11,15 @@ to the pre-elastic engine):
   instead of committed one by one at the greedy earliest finish;
 * **work-stealing / re-placement** (``steal=True``) — a planned batch
   whose shard has drifted (actual traced cycles diverged from the
-  calibrated estimate beyond :data:`STEAL_DRIFT_THRESHOLD`) or whose
-  breaker opened is re-priced at execution time and migrates to the
-  shard that now finishes it earliest; prefix-cache affinity is
+  calibrated estimate beyond :data:`STEAL_DRIFT_THRESHOLD`) is
+  re-priced at execution time and migrates to the shard that now
+  finishes it earliest; prefix-cache affinity is
   consulted, and when affinity and load conflict beyond
   :data:`AFFINITY_BREAK_FACTOR` the cache *entry* migrates through the
   store fabric instead of pinning the batch.
 
-The pool itself is fixed when the engine is built: shards, design
-points and breakers never come or go during a run.  The thresholds are
+The pool itself is fixed when the engine is built: shards and design
+points never come or go during a run.  The thresholds are
 module constants, not knobs: nothing searches them and no deployment
 has needed another value.  :class:`ElasticController` runs both
 behaviors for the engine and owns their state: the planned round (one
@@ -64,8 +64,8 @@ class StealEvent:
     to_shard: int
     at: float
     #: Why the batch moved: ``"drift"`` (calibrated estimate proved
-    #: wrong), ``"breaker"`` (planned shard's breaker opened) or
-    #: ``"affinity"`` (prefix affinity broken by load, entry migrated).
+    #: wrong) or ``"affinity"`` (prefix affinity broken by load, entry
+    #: migrated).
     reason: str
     #: ETA on the planned shard vs on the shard stolen to, at decision
     #: time — the imbalance the steal removed.
@@ -87,7 +87,7 @@ class ElasticController:
     :class:`~repro.serving.cluster.LookaheadPlacement`.
 
     ``steal`` switches work-stealing on, ``log`` is the event sink,
-    ``views(now)`` the shards whose breaker admits work,
+    ``views()`` the pool's shard views,
     ``profile_of(batch)`` a batch's placement profile (None for a
     generation prefill) and ``unit_of(batch, shard, profile)`` its unit.
     """
@@ -97,7 +97,6 @@ class ElasticController:
         views: Callable, profile_of: Callable, unit_of: Callable,
     ) -> None:
         self.steal = steal
-        self._placement = placement
         planner = getattr(placement, "inner", placement)
         self._planner = planner if isinstance(planner, LookaheadPlacement) else None
         # Drift is priced under look-ahead rounds or stealing.
@@ -131,15 +130,14 @@ class ElasticController:
         every further batch ``more(ready)`` yields (ready at the same
         instant) is harvested, the round is planned jointly and queued,
         and the queue's head executes.  Nothing commits between planning
-        a round and its first unit, so that unit is placed on the views
-        the round was planned on — unless it is left over from an
-        earlier round and ready at another instant.
+        a round and executing the queue's head (this round's first unit,
+        or one left over from an earlier round), so it is placed on the
+        views the round was planned on.
         """
         if self._planner is None:
             return self._unit_of(first), None
         views = self._plan_round(first, ready, more)
-        unit = self._unit_of(*self._planned.popleft())
-        return unit, views if unit.profile.ready_time == ready else None
+        return self._unit_of(*self._planned.popleft()), views
 
     def _plan_round(self, first, ready: float, more) -> List[ShardView]:
         """Harvest every batch ready at this instant; plan them jointly.
@@ -158,10 +156,8 @@ class ElasticController:
         batches = [first]
         while (batch := more(ready)) is not None:
             batches.append(batch)
-        views = self._views(ready)
-        # With no shard available nothing is planned: everything will
-        # park through the normal placement path.
-        profiles = [self._profile_of(batch) if views else None for batch in batches]
+        views = self._views()
+        profiles = [self._profile_of(batch) for batch in batches]
         horizons = {view.index: view.busy_until for view in views}
         assignments: List[Optional[int]] = [None] * len(batches)
         plan_indices: List[int] = []
@@ -214,28 +210,21 @@ class ElasticController:
         """Hold or steal: re-validate a planned placement at execution.
 
         The look-ahead plan priced the round with calibrated estimates;
-        by the time this batch reaches the head of the queue the world
-        may have moved — the planned shard's breaker may have opened,
-        or its measured drift (EWMA of
-        actual vs estimated service) may have blown the estimate.  With
-        ``steal`` on, the batch is re-priced against every available
-        shard with drift-corrected ETAs and migrates when the planned
+        by the time this batch reaches the head of the queue the planned
+        shard's measured drift (EWMA of actual vs estimated service) may
+        have blown the estimate.  With
+        ``steal`` on, the batch is re-priced against every shard with
+        drift-corrected ETAs and migrates when the planned
         shard's ETA exceeds the best alternative's by
         :data:`STEAL_DRIFT_THRESHOLD` (:data:`AFFINITY_BREAK_FACTOR` when
         the planned shard holds the batch's prefix — the cache entry then
         migrates through the store fabric with the batch, preserving
-        the hit).  With stealing off, an unavailable planned shard
-        falls back to the configured placement policy; an available one
-        is honored unconditionally.
+        the hit).  With stealing off the plan is honored unconditionally.
         """
         profile, planned_shard = unit.profile, unit.planned_shard
         ready = profile.ready_time
         if not self.steal:
-            if any(view.index == planned_shard for view in views):
-                return planned_shard
-            # Breaker opened under the plan: the batch re-places
-            # through the normal policy path.
-            return self._placement.place(profile, views)
+            return planned_shard
 
         # Drift-corrected ETA per candidate: the planned service time,
         # scaled by the shard's measured actual/estimated ratio, on top
@@ -250,10 +239,6 @@ class ElasticController:
         }
         best = min(etas, key=lambda shard: (etas[shard], shard))
         resident = planned_shard in profile.resident_shards
-
-        if planned_shard not in etas:
-            self._steal(unit, best, "breaker", 0.0, etas[best], resident)
-            return best
 
         if best == planned_shard:
             return planned_shard

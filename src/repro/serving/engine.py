@@ -37,8 +37,7 @@ request stream always reproduces the same batches, placements and
 report.
 
 **One agenda, one execution pipeline.**  Work reaches the loop from
-four sources, each owning its state in its own module —
-:class:`~repro.serving.faults.RetryQueue`,
+three sources, each owning its state in its own module —
 :class:`~repro.serving.generation.DecodePool`,
 :class:`~repro.serving.elastic.ElasticController` (the planned round)
 and :class:`~repro.serving.scheduler.TenantScheduler` — held in one
@@ -46,9 +45,8 @@ tuple in tie-break order and asked the same three things
 (``next_ready()``, ``pop(ready)``, ``len()``).  The
 :class:`~repro.serving.cluster.WorkUnit` popped — a classifier batch, a
 generation prefill or a decode iteration — runs through one place →
-run → fault-check → commit skeleton (``InferenceEngine._execute``); a
-kind supplies only its profile, its payload and its commit / park /
-fail hooks.
+run → commit skeleton (``InferenceEngine._execute``); a kind supplies
+only its profile, its payload and its commit hook.
 
 **Charged once per unit, computed once per stack.**  What a unit is
 *charged* (traced cycles) depends on operand shapes; what it *computes*
@@ -106,6 +104,7 @@ degenerates to plain ready-time (FIFO) order.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import nullcontext, suppress
@@ -130,13 +129,11 @@ from repro.serving.cluster import (
     PlacementDecision,
     PlacementPolicy,
     PrefixAffinePlacement,
-    ShardHealth,
     ShardView,
     WorkUnit,
     make_placement_policy,
 )
 from repro.serving.elastic import ElasticController
-from repro.serving.faults import FaultPlan, FaultRecord, RetryQueue
 from repro.serving.generation import ActiveSequence, DecodePool
 from repro.serving.prefix_cache import PrefixEvent, RadixKVCache
 from repro.serving.report import ServingReport
@@ -489,19 +486,9 @@ class InferenceEngine:
         :class:`~repro.serving.cluster.PrefixAffinePlacement`, so units
         whose prompt is already resident prefer the holding shard;
         prefix-less traffic is placed exactly as before.
-    faults:
-        Optional :class:`~repro.serving.faults.FaultPlan` injecting
-        shard crashes and slowdowns into the discrete-event clock.
-        Without one the fault path is fully dormant: no failures, no
-        retries, and the run is bit-identical to pre-fault engines.
-        Batches whose shard faulted re-execute under the fixed retry
-        budget and backoff of :mod:`repro.serving.faults`; every shard
-        gets an independent :class:`~repro.serving.cluster.ShardHealth`
-        breaker driven by batch outcomes, and placement only sees shards
-        whose breaker currently admits work.
     steal:
         Re-price a look-ahead-planned batch when it reaches the head of
-        the queue and migrate it off a drifted or tripped shard (see
+        the queue and migrate it off a drifted shard (see
         :mod:`repro.serving.elastic`; look-ahead rounds are switched by
         ``placement="lookahead"``).  Off by default, which is
         regression-pinned bit-identical to the pre-elastic engine.  The
@@ -526,7 +513,6 @@ class InferenceEngine:
         placement: Union[str, PlacementPolicy] = "round_robin",
         tenants: Optional[Iterable[TenantConfig]] = None,
         radix_cache: Optional[RadixKVCache] = None,
-        faults: Optional[FaultPlan] = None,
         steal: bool = False,
         recorder: Optional[object] = None,
     ):
@@ -546,30 +532,21 @@ class InferenceEngine:
         self._next_id = 0
         self._last_arrival = 0.0
         self._calibrator = CalibratingCostModel()
-        # The per-run event log: every placement, shed, prefix, failure,
-        # fault, breaker, decode-step and steal record, in the
-        # order the engine decides them (see ServingReport.events).
+        # The per-run event log: every placement, shed, prefix, decode-step
+        # and steal record, in the order the engine decides them (see
+        # ServingReport.events).
         self._events: List[object] = []
         self._shard_busy: Dict[int, float] = {}
-        # Fault tolerance: the plan (None = dormant) and one breaker per
-        # shard.
-        self.faults = faults
-        self._health: Dict[int, ShardHealth] = {
-            shard: ShardHealth(shard, on_transition=self._events.append)
-            for shard in range(dispatcher.n_shards)
-        }
-        # The agenda: every producer of work, in tie-break order — a
-        # retry tied with anything runs first (strictly older work),
-        # decode iterations beat fresh batches, and a batch a look-ahead
-        # round already planned (older) beats the scheduler.  Each owns
-        # its state and is handed here all it uses of the engine; the
-        # views / profile lambdas resolve their method per call, so one
-        # wrapped on the instance (tests/test_placement_pricing.py)
-        # is the one that runs.
+        # The agenda: every producer of work, in tie-break order — decode
+        # iterations beat fresh batches, and a batch a look-ahead round
+        # already planned (older) beats the scheduler.  Each owns its
+        # state and is handed here all it uses of the engine; the profile
+        # lambda resolves its method per call, so one wrapped on the
+        # instance (tests/test_placement_pricing.py) is the one that runs.
         log = self._events.append
         self._controller = ElasticController(
             steal, self.placement, log, radix_cache,
-            views=lambda now: self._available_views(now),
+            views=dispatcher.shard_views,
             profile_of=lambda batch: (
                 None if self._is_prefill(batch) else self._batch_profile(batch)
             ),
@@ -579,21 +556,15 @@ class InferenceEngine:
             self.tenants, policy, max_batch_size, flush_timeout,
             fresh=self._controller.fresh,
         )
-        self._retries = RetryQueue(
-            self.tenants, dispatcher, self._health.__getitem__, log, self._forget,
-            self._batch_unit,
-        )
         self._decode_pool = DecodePool(
             self.scheduler,
             lambda model: self._endpoints[model].generation_adapter,
             lambda model, shard, backend: self._compute_once(
                 self._endpoints[model], shard, backend, lockstep=True
             ),
-            self._retries.wake, self._forget, radix_cache, log,
+            self._forget, radix_cache, log,
         )
-        self._sources = (
-            self._retries, self._decode_pool, self._controller, self.scheduler
-        )
+        self._sources = (self._decode_pool, self._controller, self.scheduler)
         # Traffic capture: any object with record(request) — typically
         # a repro.autotune.TraceRecorder (duck-typed so serving never
         # imports the autotune layer above it).  Settable after
@@ -843,8 +814,12 @@ class InferenceEngine:
         if arrival is None:
             arrival = self._last_arrival
         arrival = float(arrival)
-        if arrival < 0:
-            raise ValueError(f"arrival must be >= 0, got {arrival}")
+        if not (math.isfinite(arrival) and arrival >= 0):
+            raise ValueError(f"arrival must be finite and >= 0, got {arrival}")
+        if deadline is not None:
+            deadline = float(deadline)
+            if math.isnan(deadline):
+                raise ValueError("deadline must not be NaN")
         endpoint = self._endpoints[model]
         prefix_key = None
         if generation is not None:
@@ -879,7 +854,7 @@ class InferenceEngine:
             arrival=arrival,
             tenant=tenant,
             priority=None if priority is None else int(priority),
-            deadline=None if deadline is None else float(deadline),
+            deadline=deadline,
             prefix_key=prefix_key,
             generation=generation,
         )
@@ -893,8 +868,8 @@ class InferenceEngine:
 
     @property
     def pending(self) -> int:
-        """Requests buffered, admitted, planned, parked for a retry or
-        mid-generation — everything :meth:`step` still has work for.
+        """Requests buffered, admitted, planned or mid-generation —
+        everything :meth:`step` still has work for.
 
         Accurate even when read from inside a run (e.g. by an
         ``infer_fn`` callback): requests the scheduler loop has taken
@@ -942,8 +917,8 @@ class InferenceEngine:
                 elif source is None:
                     break
                 else:
-                    # May complete nothing: a failed attempt re-queues
-                    # its batch for a later wake.
+                    # May complete nothing: a prefill or a decode step
+                    # leaves its sequences in the decode pool.
                     completed.extend(self._serve(source, ready_at))
         finally:
             # A raising run drops what it took from the buffer unadmitted.
@@ -1122,11 +1097,6 @@ class InferenceEngine:
         return tuple(self._events)
 
     @property
-    def shard_health(self) -> Dict[int, ShardHealth]:
-        """The per-shard breakers (live objects; read-only use intended)."""
-        return dict(self._health)
-
-    @property
     def shard_stats(self) -> Dict[int, ShardStats]:
         """Per-shard live stats (the drift EWMA stealing reads;
         cumulative over the engine's runs)."""
@@ -1154,14 +1124,8 @@ class InferenceEngine:
         return first, at
 
     def _serve(self, source, ready: float) -> List[CompletedRequest]:
-        """Execute the unit ``source`` has ready at ``ready``, store results.
-
-        Returns the completions of the attempt — empty when the attempt
-        failed and the batch was re-queued, parked, or abandoned (its
-        requests then appear as
-        :class:`~repro.serving.request.FailureRecord` entries on
-        :attr:`events`).
-        """
+        """Execute the unit ``source`` has ready at ``ready``, store results;
+        returns its completions."""
         completed = self._execute(*source.pop(ready))
         for record in completed:
             self._results[record.request.request_id] = record.outputs
@@ -1197,49 +1161,15 @@ class InferenceEngine:
             )
         return outputs
 
-    def _available_views(self, now: float) -> List[ShardView]:
-        """Shards whose breaker admits work at ``now``, with each view
-        carrying its breaker state — so placement can filter open shards
-        and price half-open probes pessimistically."""
-        busy_until = self.dispatcher.busy_until
-        return [
-            ShardView(shard, busy_until.get(shard, 0.0), clock_hz, config, health.state)
-            for shard, (config, clock_hz) in enumerate(self.dispatcher.design_points)
-            if (health := self._health[shard]).available(now)
-        ]
-
-    def _all_down(self, unit: WorkUnit) -> float:
-        """Every breaker is open: log the park, return the wake time
-        (the earliest quarantine expiry)."""
-        wake = min(h.open_until for h in self._health.values())
-        self._events.append(
-            FaultRecord(
-                kind="all_shards_down",
-                shard=None,
-                batch_index=unit.batch_index,
-                at=unit.profile.ready_time,
-                attempt=unit.attempt,
-                action="park",
-                requests=unit.profile.batch_size,
-            )
-        )
-        return wake
-
-    def _select_shard(self, unit: WorkUnit, healthy: List[ShardView]) -> int:
+    def _select_shard(self, unit: WorkUnit, views: List[ShardView]) -> int:
         """Pick the shard a ready unit executes on.
 
-        The policy only sees shards whose breaker admits work at
-        the ready time (each view carries its breaker state, so
-        half-open probes are priced pessimistically); a retry
-        additionally avoids the shard of its failed attempt whenever an
-        alternative exists.  A look-ahead-planned first attempt
-        re-validates (and possibly steals) its planned shard instead of
-        re-placing from scratch.
+        A look-ahead-planned unit re-validates (and possibly steals) its
+        planned shard instead of re-placing from scratch.
         """
-        if unit.planned_shard is not None and unit.attempt == 0:
-            return self._controller.resolve(unit, healthy)
-        without = [view for view in healthy if view.index != unit.exclude_shard]
-        shard = self.placement.place(unit.profile, without or healthy)
+        if unit.planned_shard is not None:
+            return self._controller.resolve(unit, views)
+        shard = self.placement.place(unit.profile, views)
         if not 0 <= shard < self.dispatcher.n_shards:
             raise ValueError(
                 f"placement policy {self.placement.name!r} returned shard "
@@ -1253,42 +1183,26 @@ class InferenceEngine:
     def _execute(
         self, unit: WorkUnit, views: Optional[List[ShardView]] = None
     ) -> List[CompletedRequest]:
-        """Place, run, fault-check and commit one unit of work.
+        """Place, run and commit one unit of work.
 
         Every classifier batch, generation prefill and decode step goes
-        through this skeleton; the unit's hooks supply the payload and
-        absorb the outcome (see
-        :class:`~repro.serving.cluster.WorkUnit`).  Failed attempts
-        record *nothing* in the placement, prefix or calibration logs —
-        those are written exactly once, by the attempt that completes —
-        so retried traffic is never double-attributed.  ``views`` are
-        the unit's :meth:`_available_views` when the caller holds them.
+        through this skeleton; the unit supplies the payload and commits
+        the outcome (see :class:`~repro.serving.cluster.WorkUnit`).
+        ``views`` are the pool's :meth:`~repro.serving.cluster.ClusterDispatcher.shard_views`
+        when the caller holds them.
         """
         profile = unit.profile
         ready = profile.ready_time
         # Placement happens at ready time, so the policy sees every
         # shard's busy horizon and the unit's shape/cost profile
         # (including prefix residency, for affinity) before choosing.
-        # With every breaker open the unit parks (no retry consumed)
-        # until the earliest quarantine expiry re-admits a probe.
-        healthy = self._available_views(ready) if views is None else views
-        if not healthy:
-            unit.park(self._all_down(unit))
-            return []
-        shard = self._select_shard(unit, healthy)
+        shard = self._select_shard(
+            unit, self.dispatcher.shard_views() if views is None else views
+        )
         backend = self.dispatcher.backends[shard]
         array = self.dispatcher.array_of(shard)
 
         start = max(ready, self.dispatcher.busy_until.get(shard, 0.0))
-        if self.faults is not None:
-            doa = self.faults.crash_covering(shard, start)
-            if doa is not None:
-                # Dead on arrival: the shard is down when the unit
-                # would start, so nothing executes — no cycles, no
-                # cache effects — and the shard stays occupied through
-                # its outage window.
-                self._retries.crashed(unit, shard, doa, at=start)
-                return []
         cycles_before = array.total_cycles if array is not None else 0
 
         # Attribute everything the unit records to its tenant's trace
@@ -1304,27 +1218,9 @@ class InferenceEngine:
         batch_cycles = array.total_cycles - cycles_before if array is not None else 0
         duration = batch_cycles / array.config.clock_hz if array is not None else 0.0
 
-        if self.faults is not None:
-            # A slowdown stretches the timeline (results unchanged); a
-            # crash striking inside the stretched window kills the
-            # attempt: the result is discarded (a decode step wrote into
-            # nothing its members hold, so dropping it IS the rollback),
-            # the partial occupancy is charged as wasted work (the traced
-            # cycles already stand), and the shard is held busy through
-            # its outage.
-            duration *= self.faults.slowdown_factor(shard, start)
-            crash = self.faults.crash_within(shard, start, start + duration)
-            if crash is not None:
-                self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + (
-                    crash.at - start
-                )
-                self._retries.crashed(unit, shard, crash, at=crash.at)
-                return []
-
         finish = start + duration
         self.dispatcher.busy_until[shard] = finish
         self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + duration
-        self._health[shard].record_success(finish)
         self._controller.observe(shard, profile, array, batch_cycles, duration, reused)
         placed = PlacementDecision(
             batch_index=unit.batch_index,
@@ -1337,8 +1233,6 @@ class InferenceEngine:
             start=start,
             finish=finish,
             batch_cycles=batch_cycles,
-            attempt=unit.attempt,
-            recovered_from=unit.exclude_shard if unit.attempt > 0 else None,
         )
         self._events.append(placed)
         return unit.commit(placed, result, reused)
@@ -1365,20 +1259,16 @@ class InferenceEngine:
         batch: Batch,
         planned_shard: Optional[int] = None,
         profile: Optional[BatchProfile] = None,
-        attempt: int = 0,
-        exclude_shard: Optional[int] = None,
     ) -> WorkUnit:
         """The work unit of a scheduler batch: a classifier batch or a
-        generation prefill.  Both park and fail through the retry queue."""
+        generation prefill."""
         profile, run, commit, prefix_tokens = (
             self._prefill_payload(batch)
             if self._is_prefill(batch)
             else self._classify_payload(batch, profile)
         )
         return WorkUnit(
-            profile, batch.index, attempt, exclude_shard, run, commit,
-            park=lambda wake: self._retries.push(batch, wake, attempt, exclude_shard),
-            fail=lambda shard, at: self._retries.failed(batch, attempt, shard, at),
+            profile, batch.index, run, commit,
             planned_shard=planned_shard,
             prefix_tokens=prefix_tokens,
         )
@@ -1461,7 +1351,6 @@ class InferenceEngine:
                     start=placed.start,
                     finish=placed.finish,
                     batch_cycles=placed.batch_cycles,
-                    attempts=placed.attempt + 1,
                 )
                 for req, out in zip(batch.requests, per_request)
             ]
@@ -1508,15 +1397,14 @@ class InferenceEngine:
         outputs = stack.once(
             batch.requests, key, who, backend, lambda: infer(batch.requests), infer
         )
-        # A unit pops its rows when it runs: a crashed attempt's retry
-        # computes them again.
+        # A unit pops its rows when it runs.
         for request in batch.requests:
             stack.rows.pop(request.request_id, None)
         return outputs
 
     def _forget(self, request: InferenceRequest) -> None:
-        """A shed or failed request never executes and a retired one is
-        through: compute nothing for it, keep nothing computed for it."""
+        """A shed request never executes and a retired one is through:
+        compute nothing for it, keep nothing computed for it."""
         stack = self._endpoints[request.model].stack
         if stack is not None:
             stack.ahead.pop(request.request_id, None)
@@ -1653,7 +1541,6 @@ class InferenceEngine:
                     ready_time=finish,
                     first_start=placed.start,
                     batch_cycles=placed.batch_cycles,
-                    attempts=placed.attempt + 1,
                     last_shard=shard,
                     last_batch_index=batch.index,
                     last_batch_size=batch.size,

@@ -22,9 +22,8 @@ and prices both with the closed-form cycle accounting of
 and, as one of the engine's work sources, the iteration to run next.
 A sequence carries its K/V state with a *cursor*
 (:attr:`ActiveSequence.position`): the state may hold rows past it (a
-transcript holds them all), and a step is *crash-safe by cursor* — it
-reads the first ``position`` rows and writes into nothing the members
-hold, so a fault-injected attempt is discarded by not advancing them.
+transcript holds them all), and a step reads the first ``position``
+rows and writes into nothing the members hold.
 Where the endpoint computes once per stack (see
 :mod:`repro.serving.engine`), an iteration of a shape seen before
 replays its tape and reads its tokens off the members' transcripts: it
@@ -71,9 +70,6 @@ class DecodeStepRecord:
         Traced array cycles the iteration cost.
     start, finish:
         Simulated execution window.
-    attempt:
-        0 for a first try; > 0 when the iteration was re-placed after
-        shard faults.
     """
 
     step_index: int
@@ -85,7 +81,6 @@ class DecodeStepRecord:
     cycles: int
     start: float
     finish: float
-    attempt: int = 0
 
     @property
     def tokens(self) -> int:
@@ -106,10 +101,10 @@ class Transcript(NamedTuple):
 class ActiveSequence:
     """A generation request between its prefill and its retirement.
 
-    Mutable by design: the decode loop rebinds ``state`` and appends a
-    token after each successful iteration, and the fault path bumps
-    ``attempt``/``ready_time`` in place.  ``state`` holds this one
-    sequence's rows, at least the first :attr:`position` of them.
+    Mutable by design: the decode loop rebinds ``state``, appends a
+    token and moves ``ready_time`` after each iteration.  ``state``
+    holds this one sequence's rows, at least the first
+    :attr:`position` of them.
     """
 
     request: InferenceRequest
@@ -118,9 +113,6 @@ class ActiveSequence:
     ready_time: float
     first_start: float
     batch_cycles: int
-    attempts: int = 1
-    attempt: int = 0
-    exclude_shard: Optional[int] = None
     last_shard: int = 0
     last_batch_index: int = 0
     last_batch_size: int = 1
@@ -253,20 +245,18 @@ class DecodePool:
     The tenant scheduler supplies the batch-size cap and the engine-wide
     batch index, ``adapter_of(model)`` the endpoint's
     :class:`GenerationAdapter`, ``once_of(model, shard, backend)`` its
-    compute-once state there (None = execute per unit), ``wake`` the
-    retry queue's retry-or-give-up decision and ``forget(request)`` drops
-    what is held for a request that left the pool; ``log`` is the event
-    sink.
+    compute-once state there (None = execute per unit) and
+    ``forget(request)`` drops what is held for a request that left the
+    pool; ``log`` is the event sink.
     """
 
     def __init__(
-        self, scheduler, adapter_of: Callable, once_of: Callable, wake: Callable,
+        self, scheduler, adapter_of: Callable, once_of: Callable,
         forget: Callable, radix_cache, log: Callable,
     ) -> None:
         self._scheduler = scheduler
         self._adapter_of = adapter_of
         self._once_of = once_of
-        self._wake = wake
         self._forget = forget
         self._radix_cache = radix_cache
         self._log = log
@@ -299,11 +289,8 @@ class DecodePool:
         across members — that is what continuous batching buys.
 
         The step reads the members' first ``position`` rows and writes
-        into nothing they hold (see :meth:`GenerationAdapter.decode`), so
-        a fault-injected attempt discards cleanly: a member's cursor and
-        state only move at the commit, after the attempt survived every
-        fault check.  A park or a failed attempt is absorbed in place —
-        members stay pooled with a new ``ready_time``.
+        into nothing they hold (see :meth:`GenerationAdapter.decode`): a
+        member's cursor and state only move at the commit.
 
         Where the endpoint computes once per stack, the iteration is
         charged and filled by the same two helpers as a classifier batch
@@ -372,7 +359,6 @@ class DecodePool:
                     cycles=placed.batch_cycles,
                     start=placed.start,
                     finish=placed.finish,
-                    attempt=placed.attempt,
                 )
             )
             completed: List[CompletedRequest] = []
@@ -380,8 +366,6 @@ class DecodePool:
                 seq.state = state
                 seq.generated.append(int(token))
                 seq.ready_time = placed.finish
-                seq.attempt = 0
-                seq.exclude_shard = None
                 seq.batch_cycles += placed.batch_cycles
                 seq.last_shard = placed.shard
                 seq.last_batch_index = batch_index
@@ -391,25 +375,7 @@ class DecodePool:
                     completed.append(self._retire(seq, placed.finish))
             return completed
 
-        def park(wake):
-            # Members stay pooled and wake when the earliest breaker
-            # re-admits a probe; no retry consumed.
-            for seq in group:
-                seq.ready_time = wake
-
-        unit = WorkUnit(
-            profile,
-            batch_index,
-            attempt=min(seq.attempt for seq in group),
-            exclude_shard=next(
-                (s.exclude_shard for s in group if s.exclude_shard is not None), None
-            ),
-            run=run,
-            commit=commit,
-            park=park,
-            fail=lambda shard, at: self._attempt_failed(group, shard, at),
-        )
-        return unit, None
+        return WorkUnit(profile, batch_index, run, commit), None
 
     def _retire(self, seq: ActiveSequence, finish: float) -> CompletedRequest:
         """Turn a finished sequence into its completion record.
@@ -443,33 +409,4 @@ class DecodePool:
             start=seq.first_start,
             finish=finish,
             batch_cycles=seq.batch_cycles,
-            attempts=seq.attempts,
         )
-
-    def _attempt_failed(
-        self, group: List[ActiveSequence], shard: int, at: float
-    ) -> int:
-        """Absorb a failed decode iteration in place; returns survivors.
-
-        The per-sequence analogue of
-        :meth:`~repro.serving.faults.RetryQueue.failed`: each member
-        keeps its own attempt counter (reset by every successful step),
-        so a freshly joined sequence is not charged for retries an older
-        member already burned.  Members over budget or whose backoff
-        wake would overshoot their effective deadline leave the pool as
-        :class:`~repro.serving.request.FailureRecord` entries; survivors
-        stay pooled with a bumped attempt, a backoff wake time and the
-        failed shard excluded from their next placement.
-        """
-        survivors = 0
-        for seq in group:
-            seq.attempts += 1
-            wake = self._wake(seq.request, seq.attempt, at, shard, seq.attempts)
-            if wake is None:
-                self._active.remove(seq)
-                continue
-            seq.attempt += 1
-            seq.ready_time = wake
-            seq.exclude_shard = shard
-            survivors += 1
-        return survivors

@@ -98,10 +98,8 @@ from repro.store import FileStore
 class WorkerConfig:
     """Everything one worker process needs, in one picklable record.
 
-    ``fault_plan`` is the worker's *view* of the run's fault plan —
-    shard events already re-mapped into worker-local indices via
-    :meth:`~repro.serving.faults.FaultPlan.for_shard_block`, worker and
-    fabric events kept global.  ``requests`` are descriptions whose
+    ``fault_plan`` is the run's plan of worker deaths (worker indices
+    are global); the worker honors its own.  ``requests`` are descriptions whose
     arrivals the front has resolved.  ``options`` are the keywords of
     :func:`~repro.serving.deploy.assemble_engine` every worker engine is
     built with — the cache budget and any
@@ -118,7 +116,7 @@ class WorkerConfig:
     options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_deployment(fabric=None, faults=self.fault_plan, **self.options)
+        check_deployment(fabric=None, **self.options)
 
 
 class WorkerFailedError(RuntimeError):
@@ -210,7 +208,6 @@ def _worker_main(config: WorkerConfig) -> ServingReport:
         config.cluster,
         config.models,
         fabric=fabric,
-        faults=config.fault_plan,
         **config.options,
     )
     if fabric is not None:
@@ -300,7 +297,6 @@ def _lost_report(config: WorkerConfig, at: float) -> ServingReport:
             ),
             reason="worker_lost",
             at=at,
-            attempts=0,
         )
         for index, request in enumerate(config.requests)
     )
@@ -347,13 +343,12 @@ def serve_multiproc(
     list's order, 0.0 for the first — deliberately what one engine given
     the whole list would assign.  Worker processes fork on POSIX;
     ``n_workers=1`` runs in-process (no fork), which is also the
-    fallback the tests exercise for coverage.  In-process runs honor
-    shard-level fault events but not :class:`WorkerDeath` (there is no
-    process to kill).
+    fallback the tests exercise for coverage.
 
-    ``fault_plan`` injects faults: shard events are sliced per worker
-    block (:meth:`~repro.serving.faults.FaultPlan.for_shard_block`),
-    worker-death events are honored by the worker processes.  When a
+    ``fault_plan`` schedules :class:`~repro.serving.faults.WorkerDeath`
+    events, honored by the worker processes; a death naming no worker
+    of the fleet, or any death when ``n_workers=1`` (there is no process
+    to kill), raises ``ValueError`` before anything starts.  When a
     worker dies:
 
     * ``supervise=False`` — raise :class:`WorkerFailedError`;
@@ -369,8 +364,7 @@ def serve_multiproc(
     ``options`` go to :func:`~repro.serving.deploy.assemble_engine` in
     every worker: the per-shard K/V cache budget (``radix_budget_bytes``)
     and any
-    :class:`~repro.serving.engine.InferenceEngine` option except
-    ``faults`` (that is ``fault_plan``, sliced per worker).
+    :class:`~repro.serving.engine.InferenceEngine` option.
     ``placement="lookahead"`` and ``steal=True`` thus turn on the
     elastic runtime in every worker engine, each over its own shard
     block; the merged report carries the fleet's steal log in cluster
@@ -381,6 +375,16 @@ def serve_multiproc(
     :func:`merge_reports`).
     """
     partitions = partition_cluster(cluster, n_workers)
+    for death in fault_plan.events if fault_plan is not None else ():
+        if n_workers == 1 or death.worker >= n_workers:
+            raise ValueError(
+                f"cannot kill worker {death.worker}: "
+                + (
+                    "n_workers=1 serves in-process"
+                    if n_workers == 1
+                    else f"the fleet's workers are 0..{n_workers - 1}"
+                )
+            )
     offsets = _block_offsets(partitions)
     model_specs = tuple(models)
     described = resolve_arrivals(map(describe_request, requests))
@@ -391,13 +395,7 @@ def serve_multiproc(
             models=model_specs,
             requests=tuple(described[worker::n_workers]),
             store_root=store_root,
-            fault_plan=(
-                fault_plan.for_shard_block(
-                    offsets[worker], partitions[worker].n_shards
-                )
-                if fault_plan is not None
-                else None
-            ),
+            fault_plan=fault_plan,
             options=options,
         )
         for worker in range(n_workers)
@@ -496,7 +494,7 @@ def _shift_shards(record, offset: int):
     by ``offset`` (None passes through)."""
     moved = {
         name: value + offset
-        for name in ("shard", "from_shard", "to_shard", "recovered_from")
+        for name in ("shard", "from_shard", "to_shard")
         if (value := getattr(record, name, None)) is not None
     }
     return replace(record, **moved) if moved else record

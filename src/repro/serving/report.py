@@ -21,20 +21,20 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.serving.cluster import BreakerTransition, PlacementDecision
+from repro.serving.cluster import PlacementDecision
 from repro.serving.elastic import StealEvent
-from repro.serving.faults import FaultRecord
 from repro.serving.generation import DecodeStepRecord
 from repro.serving.prefix_cache import PrefixEvent
 from repro.serving.request import CompletedRequest, FailureRecord, ShedRecord
 from repro.serving.tenancy import DEFAULT_TENANT, TenantConfig, effective_deadline
 
 
-#: The record types of :attr:`ServingReport.events` — the eight frozen
-#: dataclasses the engine logs are the event types.
+#: The record types of :attr:`ServingReport.events` — the six frozen
+#: dataclasses the engine and the multi-worker front log are the event
+#: types.
 EVENT_TYPES = (
-    PlacementDecision, ShedRecord, PrefixEvent, FailureRecord, FaultRecord,
-    BreakerTransition, DecodeStepRecord, StealEvent,
+    PlacementDecision, ShedRecord, PrefixEvent, FailureRecord,
+    DecodeStepRecord, StealEvent,
 )
 
 
@@ -70,17 +70,17 @@ class ServingReport:
         (weights, priorities, SLO targets) for the SLO section.
     events:
         The run's one event log: every record the engine wrote, in the
-        order it decided them, each an instance of one of the eight
+        order it decided them, each an instance of one of the six
         frozen record dataclasses in :data:`EVENT_TYPES`.  Order
         *across* kinds is meaningful: a batch's steal precedes its
-        fault record, which precedes the retry's placement, which is
-        directly followed by that batch's prefix event or decode step.
-    placements, shed, prefix_events, failed, fault_events,
-    breaker_transitions, generation_steps, steals:
+        placement, which is directly followed by that batch's prefix
+        event or decode step.
+    placements, shed, prefix_events, failed, generation_steps, steals:
         Read-only views of :attr:`events` — the records of one type, in
         log order (one line each where they are defined below).  With
         :attr:`completed`, ``failed`` partitions the admitted, non-shed
-        requests exactly (the fault-tolerance invariant).
+        requests exactly (only a multi-worker run whose supervision
+        gave up can fail one).
     shard_busy:
         Simulated seconds each shard spent executing during the run
         (keys cover the whole pool, idle shards at 0.0) — the basis of
@@ -121,9 +121,7 @@ class ServingReport:
     placements = _view(PlacementDecision, "Placement decisions, one per executed batch.")
     shed = _view(ShedRecord, "Requests refused at admission, never executed.")
     prefix_events = _view(PrefixEvent, "Cache decisions, one per prefix-keyed batch.")
-    failed = _view(FailureRecord, "Admitted requests lost to faults.")
-    fault_events = _view(FaultRecord, "Failed and parked batch attempts.")
-    breaker_transitions = _view(BreakerTransition, "Per-shard breaker state changes.")
+    failed = _view(FailureRecord, "Admitted requests lost with a dead worker.")
     generation_steps = _view(DecodeStepRecord, "Decode iterations, one per step.")
     steals = _view(StealEvent, "Queued batches migrated between shards.")
 
@@ -367,10 +365,10 @@ class ServingReport:
             )
         return "\n".join(lines)
 
-    # -- fault-tolerance views --------------------------------------------
+    # -- worker-supervision views ---------------------------------------
     @property
     def failed_count(self) -> int:
-        """Admitted requests lost to faults during this run."""
+        """Admitted requests lost with a dead worker during this run."""
         return len(self.failed)
 
     def failed_by_reason(self) -> Dict[str, int]:
@@ -378,79 +376,20 @@ class ServingReport:
         return _count_by_reason(self.failed)
 
     @property
-    def retries(self) -> int:
-        """Batch executions past the first attempt (successful or not):
-        completed re-placements plus repeat crashes."""
-        return sum(1 for p in self.placements if p.attempt > 0) + sum(
-            1 for e in self.fault_events if e.kind == "crash" and e.attempt > 0
-        )
-
-    @property
-    def replacements(self) -> int:
-        """Retried batches that completed on a *different* shard than
-        the one their previous attempt failed on."""
-        return sum(
-            1
-            for p in self.placements
-            if p.recovered_from is not None and p.shard != p.recovered_from
-        )
-
-    @property
-    def recovered_requests(self) -> int:
-        """Requests that completed after at least one failed attempt."""
-        return sum(1 for c in self.completed if c.attempts > 1)
-
-    @property
     def has_fault_activity(self) -> bool:
-        return bool(
-            self.fault_events
-            or self.failed
-            or self.breaker_transitions
-            or self.worker_restarts
-            or self.worker_redistributions
-        )
+        return bool(self.failed or self.worker_restarts or self.worker_redistributions)
 
     def fault_section(self) -> str:
-        """Fault-tolerance block of the summary.
-
-        Counts faulted attempts by kind and action, retry/re-placement
-        and recovery totals, failed requests by reason, breaker
-        transitions per shard, and worker supervision actions.
-        """
-        crashes = [e for e in self.fault_events if e.kind == "crash"]
-        parks = [e for e in self.fault_events if e.action == "park"]
+        """Worker-supervision block of the summary: failed requests by
+        reason and the supervisor's restarts and redistributions."""
+        reasons = ", ".join(
+            f"{reason} {count}"
+            for reason, count in sorted(self.failed_by_reason().items())
+        )
         lines = [
-            f"faults               : {len(crashes)} failed attempts, "
-            f"{len(parks)} parked (all shards down)"
+            f"failed requests      : {self.failed_count}"
+            + (f" ({reasons})" if reasons else "")
         ]
-        lines.append(
-            f"  retries            : {self.retries} "
-            f"({self.replacements} re-placed on another shard)"
-        )
-        lines.append(
-            f"  recovered requests : {self.recovered_requests} "
-            f"(completed after a failed attempt)"
-        )
-        if self.failed:
-            reasons = ", ".join(
-                f"{reason} {count}"
-                for reason, count in sorted(self.failed_by_reason().items())
-            )
-            lines.append(f"  failed requests    : {self.failed_count} ({reasons})")
-        if self.breaker_transitions:
-            per_shard: Dict[int, int] = {}
-            opened = 0
-            for transition in self.breaker_transitions:
-                per_shard[transition.shard] = per_shard.get(transition.shard, 0) + 1
-                if transition.to_state == "open":
-                    opened += 1
-            shards = ", ".join(
-                f"shard {shard} x{count}" for shard, count in sorted(per_shard.items())
-            )
-            lines.append(
-                f"  breaker            : {len(self.breaker_transitions)} "
-                f"transitions ({opened} opens; {shards})"
-            )
         if self.worker_restarts or self.worker_redistributions:
             lines.append(
                 f"  supervision        : {self.worker_restarts} worker "
@@ -465,7 +404,7 @@ class ServingReport:
         return len(self.steals)
 
     def steals_by_reason(self) -> Dict[str, int]:
-        """Steal counts grouped by trigger (drift / breaker / affinity)."""
+        """Steal counts grouped by trigger (drift / affinity)."""
         return _count_by_reason(self.steals)
 
     @property

@@ -268,10 +268,6 @@ class CompletedRequest:
     batch_cycles:
         Cycles the whole batch spent on the shard's array (0 for
         backends without a cycle model).
-    attempts:
-        Execution attempts the request's batch took to complete (1 =
-        first try; > 1 means the batch was retried after shard faults
-        and this completion came from a re-placement).
     """
 
     request: InferenceRequest
@@ -282,7 +278,6 @@ class CompletedRequest:
     start: float
     finish: float
     batch_cycles: int = 0
-    attempts: int = 1
 
     @property
     def latency(self) -> float:
@@ -330,37 +325,26 @@ class ShedRecord:
 
 @dataclass(frozen=True)
 class FailureRecord:
-    """An *admitted* request the engine could not complete.
+    """An *admitted* request a multi-worker run could not complete.
 
     Distinct from :class:`ShedRecord` (refused at admission, never
-    owed an answer): a failed request was admitted, executed at least
-    once, and lost to faults — the fault-tolerance invariant demands
-    every admitted request end up in exactly one of
+    owed an answer): a failed request was admitted and lost with the
+    worker process serving it — supervision neither restarted that
+    worker nor found a surviving one to re-run it on.  Every admitted
+    request ends up in exactly one of
     :attr:`~repro.serving.report.ServingReport.completed` or
     :attr:`~repro.serving.report.ServingReport.failed`.
 
     Attributes
     ----------
     request:
-        The failed :class:`InferenceRequest`; its id never yields an
-        output from :meth:`~repro.serving.engine.InferenceEngine.result`.
+        The failed :class:`InferenceRequest`; it never yields an output.
     reason:
-        ``"max_retries"`` (the request used up the
-        :data:`~repro.serving.faults.MAX_RETRIES` retry budget),
-        ``"retry_deadline"`` (the backoff wake time already exceeded
-        the request's effective deadline — a doomed retry is dropped,
-        not looped), or ``"worker_lost"`` (the worker process serving
-        it died and supervision did not re-run it).
+        ``"worker_lost"``.
     at:
         Simulated time the failure was decided.
-    shard:
-        Shard of the last failed attempt (None when not shard-bound).
-    attempts:
-        Execution attempts consumed before giving up.
     """
 
     request: InferenceRequest
     reason: str
     at: float
-    shard: "int | None" = None
-    attempts: int = 1

@@ -166,8 +166,8 @@ class TenantScheduler:
     then repeatedly ask :meth:`earliest_ready` for the next decision
     point and :meth:`pop_ready` for the batch to execute at it.  To the
     engine it is one work source among several — ``next_ready`` /
-    ``pop`` / ``len`` — and the last in a tie: retries,
-    decode iterations and already-planned batches are older work.
+    ``pop`` / ``len`` — and the last in a tie: decode iterations and
+    already-planned batches are older work.
 
     Parameters
     ----------

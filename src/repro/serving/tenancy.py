@@ -85,8 +85,8 @@ class TenantConfig:
 def effective_deadline(request, tenants) -> Optional[float]:
     """Explicit deadline, else arrival + the tenant's SLO, else None.
 
-    The one resolution rule admission, retry triage and the report's
-    SLO accounting share.  ``tenants`` is
+    The one resolution rule admission and the report's SLO accounting
+    share.  ``tenants`` is
     anything with ``get(tenant_id)``: the engine's
     :class:`TenantRegistry` or a report's ``{id: TenantConfig}`` dict
     (an unknown tenant has no SLO).

@@ -12,21 +12,10 @@ every run of every suite; ``tests/conftest.py`` calls it on each report
   on a shard;
 * **causality** — ``ready_time <= start <= finish`` on every placement,
   ``arrival <= start <= finish`` on every completion;
-* **busy time reconciles** — a shard's ``shard_busy`` is the sum of its
-  committed durations plus the partial occupancy of attempts that
-  crashed mid-flight on it (zero on a shard that logged no crash, and
-  never more than the shard's span);
-* **cycles reconcile** — ``tenant_cycles`` sums to ``total_cycles``;
-* **a retry is one more attempt** — every ``"retry"`` action at attempt
-  *a* of a batch is followed by exactly one attempt *a + 1* of it (a
-  placement, or another crash), and no attempt past the first comes
-  from anything else.  A decode iteration re-forms under a new batch
-  index after a failure, so in a run with generation traffic a retry
-  and its follow-up may carry different indices (their requests are
-  still held to exactly-once).
+* **busy time reconciles** — on every shard, ``shard_busy`` is the sum
+  of its committed durations (to float rounding of the sum);
+* **cycles reconcile** — ``tenant_cycles`` sums to ``total_cycles``.
 """
-
-from collections import Counter
 
 import pytest
 
@@ -46,7 +35,6 @@ def check_invariants(report, ids=None):
     for record in report.completed:
         assert record.request.arrival <= record.start <= record.finish, record
 
-    crashes = [e for e in report.fault_events if e.kind == "crash"]
     for shard in {placed.shard for placed in placements} | set(report.shard_busy):
         on_shard = sorted(
             (p.start, p.finish) for p in placements if p.shard == shard
@@ -55,30 +43,9 @@ def check_invariants(report, ids=None):
             assert start >= finish, f"two units overlap on shard {shard}"
         if shard not in report.shard_busy:
             continue  # a merged report keeps no busy time for the shard
-        busy = report.shard_busy[shard]
         committed = sum(finish - start for start, finish in on_shard)
-        crashed_at = [e.at for e in crashes if e.shard == shard]
-        if not crashed_at:
-            assert busy == pytest.approx(committed, rel=1e-9, abs=1e-15)
-        else:
-            span = max(crashed_at + [finish for _, finish in on_shard])
-            assert committed * (1 - 1e-9) <= busy <= span * (1 + 1e-9)
+        assert report.shard_busy[shard] == pytest.approx(
+            committed, rel=1e-9, abs=1e-15
+        ), f"busy time of shard {shard} does not reconcile"
 
     assert sum(report.tenant_cycles.values()) == report.total_cycles
-
-    attempts = Counter(
-        (event.batch_index, event.attempt) for event in list(placements) + crashes
-    )
-    generation = bool(report.generation_steps) or any(
-        record.request.generation is not None
-        for record in report.completed + report.failed
-    )
-    retried = Counter(
-        (event.batch_index, event.attempt + 1)
-        for event in report.fault_events
-        if event.action == "retry"
-    )
-    for key in {key for key in attempts.keys() | retried.keys() if key[1] > 0}:
-        assert attempts[key] == retried[key] == 1 or (
-            generation and attempts[key] + retried[key] == 1
-        ), (key, attempts[key], retried[key])

@@ -6,10 +6,8 @@ The two load-bearing contracts are property-based:
   save→load round trip on a JSON :class:`~repro.store.FileStore`
   fabric unchanged (hypothesis over request contents);
 * **bit-identical replay** — the same trace under the same
-  :class:`TuningConfig` and the same seeded
-  :class:`~repro.serving.faults.FaultPlan` produces reports with
-  equal :func:`report_fingerprint` digests (hypothesis over fault
-  seeds).
+  :class:`TuningConfig` produces reports with equal
+  :func:`report_fingerprint` digests (hypothesis over trace seeds).
 
 Around those: recorder capture (through every front door),
 synthesis shapes, config-space operators, search determinism and its
@@ -66,7 +64,6 @@ from repro.serving import (
 )
 from repro.autotune.search import _evaluate_chunk
 from repro.serving.deploy import _child_entry
-from repro.serving.faults import FaultPlan
 from repro.store import FileStore
 from repro.systolic import SystolicConfig
 
@@ -358,13 +355,13 @@ class TestSynthesis:
 class TestReplayDeterminism:
     @given(st.integers(0, 10_000))
     @settings(max_examples=5, deadline=None)
-    def test_replay_twice_bit_identical_under_faults(self, fault_seed):
-        faults = FaultPlan.from_seed(
-            fault_seed, n_shards=len(SMALL_CONFIG.pool),
-            horizon=SMALL_TRACE.horizon + 1e-3,
+    def test_replay_twice_bit_identical(self, trace_seed):
+        trace = synthesize_trace(
+            "small", (EndpointProfile("bert", seq_len=8),), n_requests=8,
+            horizon=1e-4, seed=trace_seed, shape="bursty", deadline_slack=1e-3,
         )
-        first = replay_trace(SMALL_TRACE, SMALL_CONFIG, ENDPOINTS, faults=faults)
-        second = replay_trace(SMALL_TRACE, SMALL_CONFIG, ENDPOINTS, faults=faults)
+        first = replay_trace(trace, SMALL_CONFIG, ENDPOINTS)
+        second = replay_trace(trace, SMALL_CONFIG, ENDPOINTS)
         assert report_fingerprint(first) == report_fingerprint(second)
 
     def test_replay_completes_the_trace(self):
@@ -387,16 +384,6 @@ class TestReplayDeterminism:
         assert (report_fingerprint(report)
                 == report_fingerprint(
                     replay_trace(trace, config, ENDPOINTS + GEN_ENDPOINTS)))
-
-    def test_crash_heavy_faults_stay_deterministic(self):
-        faults = FaultPlan.from_seed(
-            5, n_shards=2, horizon=SMALL_TRACE.horizon + 2e-5,
-            crash_rate=1.0, slowdown_rate=1.0,
-        )
-        first = replay_trace(SMALL_TRACE, SMALL_CONFIG, ENDPOINTS, faults=faults)
-        second = replay_trace(SMALL_TRACE, SMALL_CONFIG, ENDPOINTS, faults=faults)
-        assert len(first.fault_events) > 0
-        assert report_fingerprint(first) == report_fingerprint(second)
 
     def test_prefix_cache_replay_path(self):
         endpoints = (
@@ -604,7 +591,7 @@ class TestObjective:
     def test_objective_round_trips(self):
         objective = Objective(
             cost=12.5, slo_attainment=0.75, p99=3e-4, tokens_per_sec=100.0,
-            n_requests=9, shed=2, failed=1,
+            n_requests=9, shed=2,
         )
         assert Objective.from_dict(
             json.loads(json.dumps(objective.to_dict()))
@@ -749,7 +736,7 @@ class TestSearch:
     def test_child_entry_delivers_scores_over_the_pipe(self):
         parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
         _child_entry(
-            _evaluate_chunk, (SMALL_TRACE, [SMALL_CONFIG], ENDPOINTS, None), child_conn
+            _evaluate_chunk, (SMALL_TRACE, [SMALL_CONFIG], ENDPOINTS), child_conn
         )
         objectives = parent_conn.recv()
         parent_conn.close()

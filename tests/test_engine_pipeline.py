@@ -2,15 +2,15 @@
 
 ``InferenceEngine`` runs every kind of work — a plain classifier batch,
 a prefix-keyed classifier batch, a generation prefill, a decode step —
-through a single place -> run -> fault -> commit skeleton.  These tests
-hold that skeleton to one contract for all four kinds, reading only the
+through a single place -> run -> commit skeleton.  These tests hold
+that skeleton to one contract for all four kinds, reading only the
 public logs:
 
-* each skeleton exit (dead-on-arrival crash, crash inside the
-  slowdown-stretched window, all-breakers-open park, clean run under a
-  slowdown) leaves the same shared post-conditions whatever the kind;
+* a unit leaves the same shared post-conditions whatever its kind:
+  one placement and at most one cache record per unit, busy time that
+  is the sum of its committed durations;
 * the one event log tells each batch's story in the order the
-  skeleton decided it, and the report's nine views are that log
+  skeleton decided it, and the report's six views are that log
   filtered by record type;
 * the source of ``serving/engine.py`` contains each skeleton call once,
   so a new kind of work cannot re-grow a private copy; likewise the
@@ -44,7 +44,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from chaos_plans import retry_spending_outage
 
 import repro.serving as serving_package
 import repro.serving.deploy as deploy_module
@@ -66,27 +65,23 @@ from repro.nn.executor import ArrayBackend, ParamCache
 from repro.nn.layers import Linear, Module
 from repro.nn.models import TinyBERT
 from repro.serving import (
-    BreakerTransition,
     ClusterDispatcher,
     DecodeStepRecord,
     FailureRecord,
-    FaultPlan,
-    FaultRecord,
     GenerationAdapter,
     InferenceEngine,
     PlacementDecision,
     PrefixEvent,
     RadixKVCache,
-    ShardCrash,
-    ShardSlowdown,
     ShedRecord,
     StealEvent,
     TenantConfig,
     TransformerPrefixAdapter,
     load_calibration,
     save_calibration,
+    workload_cost_model,
 )
-from repro.serving.faults import MAX_RETRIES
+from repro.nn.workload import transformer_serving_workload
 from repro.serving.generation import ActiveSequence
 from repro.serving.multiproc import merge_reports
 from repro.serving.deploy import assemble_engine
@@ -96,21 +91,22 @@ from repro.systolic.trace import Trace
 
 CONFIG = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=8)
 GRANULARITY = 0.25
-OUTAGE = 5e-4  # shorter than the default 1e-3 breaker quarantine
-SLOWDOWN = 3.0
 
 KINDS = ("classify", "prefix", "prefill", "decode")
-EXITS = ("doa", "crash_in_stretched_window", "park", "slowdown")
 
 _MODEL = TinyBERT(
     vocab=16, seq_len=8, dim=8, heads=2, ff_dim=16, n_layers=1, causal=True, seed=0
 )
 
 
-def _engine(kind, n_shards, faults=None, steal=False, placement="round_robin"):
+def _engine(
+    kind, n_shards, steal=False, placement="round_robin", configs=None,
+    cost_model=None,
+):
     """A fresh engine whose unit under test is one batch of two requests."""
     pool = ClusterDispatcher.from_arrays(
-        [SystolicArray(CONFIG) for _ in range(n_shards)], GRANULARITY
+        [SystolicArray(config) for config in configs or (CONFIG,) * n_shards],
+        GRANULARITY,
     )
     generation = kind in ("prefill", "decode")
     engine = InferenceEngine(
@@ -118,16 +114,18 @@ def _engine(kind, n_shards, faults=None, steal=False, placement="round_robin"):
         max_batch_size=2,
         flush_timeout=1e-4,
         radix_cache=RadixKVCache() if generation or kind == "prefix" else None,
-        faults=faults,
         steal=steal,
         placement=placement,
     )
     if generation:
         engine.register("m", generation_adapter=GenerationAdapter(_MODEL))
     elif kind == "prefix":
-        engine.register("m", _MODEL, prefix_adapter=TransformerPrefixAdapter(_MODEL, 4))
+        engine.register(
+            "m", _MODEL, cost_model=cost_model,
+            prefix_adapter=TransformerPrefixAdapter(_MODEL, 4),
+        )
     else:
-        engine.register("m", _MODEL)
+        engine.register("m", _MODEL, cost_model=cost_model)
     return engine
 
 
@@ -145,125 +143,38 @@ def _submit(engine, kind, n_batches=1):
     return ids
 
 
-def _run(kind, n_shards, faults=None):
-    engine = _engine(kind, n_shards, faults)
+def _run(kind, n_shards):
+    engine = _engine(kind, n_shards)
     ids = _submit(engine, kind)
     report = engine.run()
     return engine, report, [engine.result(i) for i in ids]
 
 
-def _fault_plan(exit_, shard, start, duration):
-    """The plan that drives the unit starting at ``start`` out ``exit_``."""
-    stretch = ShardSlowdown(shard, at=start, until=start + duration / 2, factor=SLOWDOWN)
-    if exit_ == "slowdown":
-        return None, FaultPlan(events=(stretch,))
-    if exit_ == "crash_in_stretched_window":
-        # Past the unstretched finish, inside the stretched one.
-        at = start + 2 * duration
-        crash = ShardCrash(shard, at=at, until=at + OUTAGE)
-        return crash, FaultPlan(events=(stretch, crash))
-    crash = ShardCrash(shard, at=start, until=start + OUTAGE)
-    return crash, FaultPlan(events=(crash,))
-
-
-@pytest.mark.parametrize("exit_", EXITS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_skeleton_contract(kind, exit_):
-    # The park needs every breaker open at the retry's wake time: a
-    # one-shard pool, where the default backoff (1e-4) lands inside the
-    # default quarantine (1e-3).
-    n_shards = 1 if exit_ == "park" else 2
-    _, clean, expected = _run(kind, n_shards)
-    target_index = 1 if kind == "decode" else 0
-    target = next(p for p in clean.placements if p.batch_index == target_index)
-    duration = target.finish - target.start
-    crash, plan = _fault_plan(exit_, target.shard, target.start, duration)
-
-    engine, report, outputs = _run(kind, n_shards, plan)
-
-    # Outputs are bit-identical to the fault-free run; nothing was lost.
-    assert report.failed == ()
-    for got, want in zip(outputs, expected):
+def test_skeleton_contract(kind):
+    """A unit of any kind commits once: one placement, at most one cache
+    record, its duration on its shard's busy time — and runs the same
+    whichever engine runs it."""
+    engine, report, outputs = _run(kind, 2)
+    _, again, repeated = _run(kind, 2)
+    for got, want in zip(outputs, repeated):
         assert np.array_equal(got, want)
+    assert report.events == again.events and report.failed == ()
 
-    # The placement and prefix logs are written exactly once per unit of
-    # committed work, and only by the attempt that survived.
     placements = report.placements
     indices = [p.batch_index for p in placements]
-    assert len(set(indices)) == len(indices) == len(clean.placements)
-    assert len(report.prefix_events) == len(clean.prefix_events)
-    retried = [p for p in placements if p.attempt > 0]
-
-    wasted = {shard: 0.0 for shard in report.shard_busy}
-    if crash is None:
-        # Clean run under a slowdown: the timeline stretches, nothing else.
-        assert report.fault_events == () and retried == []
-        slowed = next(p for p in placements if p.batch_index == target_index)
-        assert slowed.shard == target.shard and slowed.start == target.start
-        assert slowed.batch_cycles == target.batch_cycles
-        assert slowed.finish - slowed.start == pytest.approx(SLOWDOWN * duration)
-        assert all(record.attempts == 1 for record in report.completed)
-    else:
-        failed_at = target.start if exit_ != "crash_in_stretched_window" else crash.at
-        first = report.fault_events[0]
-        assert (first.kind, first.action, first.shard) == ("crash", "retry", crash.shard)
-        assert (first.batch_index, first.attempt) == (target_index, 0)
-        assert first.at == failed_at and first.requests == target.batch_size
-        # A dead-on-arrival unit is charged nothing; one killed mid-run
-        # is charged its partial occupancy up to the crash.
-        wasted[crash.shard] = failed_at - target.start
-
-        (survivor,) = retried
-        assert survivor.attempt == 1 and survivor.recovered_from == crash.shard
-        if kind != "decode":  # a decode retry re-forms under a new index
-            assert survivor.batch_index == target_index
-        if exit_ == "park":
-            # Every breaker was open at the retry's wake: the unit parked
-            # until the quarantine expired — and consumed no retry.
-            park = report.fault_events[1]
-            assert (park.kind, park.action, park.shard) == ("all_shards_down", "park", None)
-            assert park.attempt == 1 and park.requests == target.batch_size
-            assert survivor.ready_time == target.start + 1e-3
-            assert len(report.fault_events) == 2
-        else:
-            assert survivor.shard != crash.shard
-            assert len(report.fault_events) == 1
-        assert max(record.attempts for record in report.completed) == 2
-
-        # The crashed shard is held busy through its outage.
-        assert engine.dispatcher.busy_until[crash.shard] >= crash.until
-        assert not any(
-            p.shard == crash.shard and crash.at <= p.start < crash.until
-            for p in placements
-        )
-
+    assert len(set(indices)) == len(indices) > 0
+    cached = [event.batch_index for event in report.prefix_events]
+    assert len(set(cached)) == len(cached) and set(cached) <= set(indices)
     for shard, busy in report.shard_busy.items():
-        committed = sum(p.finish - p.start for p in placements if p.shard == shard)
-        assert busy == pytest.approx(committed + wasted[shard], rel=1e-9, abs=1e-15)
-
-
-@pytest.mark.parametrize("lookahead", [False, True])
-def test_fresh_batch_parks_identically_planned_or_not(lookahead):
-    """A look-ahead-planned batch whose shard went down after the plan
-    was made parks through the same code as any other unit."""
-    crash = ShardCrash(0, at=0.0, until=OUTAGE)
-    engine = _engine(
-        "classify", 1, FaultPlan(events=(crash,)),
-        lookahead,
-        "lookahead" if lookahead else "round_robin",
-    )
-    ids = _submit(engine, "classify", n_batches=2)
-    report = engine.run()
-    # Batch 0 dies on arrival and opens the only breaker; batch 1 (ready
-    # at the same instant, already planned under look-ahead) parks.
-    crashed, parked = report.fault_events[:2]
-    assert (crashed.kind, crashed.batch_index) == ("crash", 0)
-    assert (parked.kind, parked.action, parked.shard) == ("all_shards_down", "park", None)
-    assert (parked.batch_index, parked.attempt, parked.requests) == (1, 0, 2)
-    assert parked.at == 0.0
-    first_try = next(p for p in report.placements if p.batch_index == 1)
-    assert first_try.attempt == 0  # the park consumed no retry
-    assert report.failed == () and len(report.completed) == len(ids)
+        committed = [p for p in placements if p.shard == shard]
+        assert busy == pytest.approx(
+            sum(p.finish - p.start for p in committed), rel=1e-9, abs=1e-15
+        )
+        if committed:
+            assert engine.dispatcher.busy_until[shard] == max(
+                p.finish for p in committed
+            )
 
 
 VIEWS = {
@@ -271,31 +182,41 @@ VIEWS = {
     "shed": ShedRecord,
     "prefix_events": PrefixEvent,
     "failed": FailureRecord,
-    "fault_events": FaultRecord,
-    "breaker_transitions": BreakerTransition,
     "generation_steps": DecodeStepRecord,
     "steals": StealEvent,
 }
-# One batch's records, in log order: failed attempts (each optionally
-# preceded by its steal), then at most one surviving placement directly
-# followed by that batch's prefix event or decode step.
-STORY = re.compile(r"(S?F)*(S?P[XD]?)?")
+# One batch's records, in log order: its steal, if any, then its
+# placement directly followed by that batch's prefix event or decode step.
+STORY = re.compile(r"S?P[XD]?")
 STORY_LETTER = {
-    StealEvent: "S", FaultRecord: "F", PlacementDecision: "P",
-    PrefixEvent: "X", DecodeStepRecord: "D",
+    StealEvent: "S", PlacementDecision: "P", PrefixEvent: "X",
+    DecodeStepRecord: "D",
 }
+# Shard 0 of the staggered runs' pool priced 64x cheaper than it runs:
+# look-ahead rounds plan onto it, it drifts slow, and planned batches
+# are stolen off it.
+_FAST_CONFIG = dataclasses.replace(CONFIG, clock_hz=2 * CONFIG.clock_hz)
+_PRICED = workload_cost_model(
+    lambda batch, shape: transformer_serving_workload(batch, 8, 8, 2, 16, 1)
+)
+_MISPRICED = lambda profile, config: _PRICED(profile, config) / (
+    64.0 if config == CONFIG else 1.0
+)
 
 def _index_of(event):
     return event.step_index if isinstance(event, DecodeStepRecord) else event.batch_index
 
 
-def _staggered_run(kind, seed, faults=None):
-    """Twelve requests in three bursts over a 3-shard pool: chaos +
-    look-ahead + steal for classifier kinds, generation + radix for
-    ``decode``."""
+def _staggered_run(kind, seed):
+    """Twelve requests in three bursts over a 3-shard pool: look-ahead +
+    steal off a drifting shard for classifier kinds, generation + radix
+    for ``decode``."""
     engine = (
-        _engine(kind, 3, faults) if kind == "decode"
-        else _engine(kind, 3, faults, True, "lookahead")
+        _engine(kind, 3) if kind == "decode"
+        else _engine(
+            kind, 3, True, "lookahead", (CONFIG, _FAST_CONFIG, _FAST_CONFIG),
+            _MISPRICED,
+        )
     )
     rng = np.random.default_rng(seed)
     for i in range(12):
@@ -305,10 +226,7 @@ def _staggered_run(kind, seed, faults=None):
         else:
             row = rng.integers(0, 16, size=_MODEL.seq_len)
             row[:4] = (i % 3, 1, 2, 3)  # three prompts -> prefix-affine batches
-            # Every other request carries a tight deadline, so retry
-            # triage has doomed retries to drop.
-            due = arrival + (5e-5 if i % 2 else 1.0)
-            engine.submit("m", row, arrival=arrival, deadline=due)
+            engine.submit("m", row, arrival=arrival)
     return engine.run()
 
 
@@ -316,11 +234,7 @@ def _staggered_run(kind, seed, faults=None):
 def test_event_log_tells_each_batch_story_in_order(kind):
     seen = set()
     for seed in range(4):
-        horizon = max(c.finish for c in _staggered_run(kind, seed).completed)
-        plan = FaultPlan.from_seed(
-            seed, n_shards=3, horizon=horizon, crash_rate=0.7, slowdown_rate=0.7
-        )
-        report = _staggered_run(kind, seed, plan)
+        report = _staggered_run(kind, seed)
         events = report.events
         seen.update(type(event) for event in events)
 
@@ -344,7 +258,7 @@ def test_event_log_tells_each_batch_story_in_order(kind):
             )
         assert sum(len(getattr(report, view)) for view in VIEWS) == len(events)
     # The sweep is not vacuous: the kinds each setup can produce occurred.
-    expected = {PlacementDecision, FaultRecord, BreakerTransition}
+    expected = {PlacementDecision}
     # The prefix sweep steals nothing; it pins the prefix events instead.
     expected |= {
         "classify": {StealEvent},
@@ -355,10 +269,6 @@ def test_event_log_tells_each_batch_story_in_order(kind):
 
 
 SKELETON_CALLS = (
-    "crash_covering(",
-    "crash_within(",
-    "slowdown_factor(",
-    "record_success(",
     "trace.namespace(",
     "unit.run(",
     "PlacementDecision(",
@@ -368,7 +278,7 @@ SKELETON_CALLS = (
 @pytest.mark.parametrize("call", SKELETON_CALLS)
 def test_skeleton_exists_once(call):
     """A new kind of work supplies hooks to ``_execute``; it does not
-    get its own copy of the place/fault/commit skeleton."""
+    get its own copy of the place/run/commit skeleton."""
     source = Path(engine_module.__file__).read_text()
     assert source.count(call) == 1, (
         f"{call!r} occurs {source.count(call)}x in serving/engine.py; the "
@@ -587,8 +497,8 @@ def _register(engine, name, model, eager, **kwargs):
         engine.register(name, model, **kwargs)
 
 
-def _replay(trace, tuning, model, eager, cost=None, faults=None):
-    engine = build_engine(tuning, (), tenants=trace.tenants, faults=faults)
+def _replay(trace, tuning, model, eager, cost=None):
+    engine = build_engine(tuning, (), tenants=trace.tenants)
     _register(
         engine, trace.requests[0].model, model, eager,
         cost_model=None if cost is None else cost.build(),
@@ -675,22 +585,6 @@ def test_stacked_equals_eager_under_overload_on_a_heterogeneous_pool():
     assert any(record.deadline_missed for record in stacked.completed)
     assert len({p.shard for p in stacked.placements}) == 4
     assert len(model.calls) < len(reference.calls) // 2
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_stacked_equals_eager_under_seeded_faults(seed):
-    trace = _bursty(320, seed)
-    faults = FaultPlan.from_seed(
-        seed, 2, trace.requests[-1].arrival, crash_rate=1.0, slowdown_rate=0.5
-    )
-    tuning = TuningConfig(pool=(BIG, MID), placement="cost_aware", max_batch_size=8)
-    stacked, eager, model, reference = _both(
-        lambda model, eager: _replay(trace, tuning, model, eager, BERT_COST, faults)
-    )
-    _assert_same_run(stacked, eager)
-    assert any(event.action == "retry" for event in stacked.fault_events)
-    assert stacked.breaker_transitions
-    assert len(model.calls) < len(reference.calls)
 
 
 def _small_engine(n_shards=2, max_batch_size=4, **kwargs):
@@ -1211,63 +1105,26 @@ def test_tapes_are_lent_in_one_place_and_kept_in_no_registry():
         assert "tape" not in path.read_text().lower(), path
 
 
-@pytest.mark.parametrize("fate", ["shed", "failed"])
-def test_shed_and_failed_requests_leave_the_stack(fate):
-    """Requests that die early — shed by a queue cap at t=0, or abandoned
-    on a shard that crashes on every attempt the retry budget allows —
-    are in no later stack: three batches of 4 follow, and nothing is ever
-    computed for the dead."""
+def test_shed_requests_leave_the_stack():
+    """Requests shed by a queue cap at t=0 are in no later stack: three
+    batches of 4 follow, and nothing is ever computed for the shed."""
     rows = np.random.default_rng(7).integers(0, 16, size=(24, 8))
     model = _CountedBERT()
-    if fate == "shed":
-        # 12 arrive at once under a cap of 4: one batch is served, 8 shed.
-        engine = _small_engine(
-            n_shards=1, tenants=[TenantConfig("default", max_queue_depth=4)]
-        )
-        at_zero, dead = 12, (8, 0)
-    else:
-        # The only shard is down whenever the first batch tries to run.
-        engine = _small_engine(n_shards=1, faults=retry_spending_outage())
-        at_zero, dead = 4, (0, 4)
+    # 12 arrive at once under a cap of 4: one batch is served, 8 shed.
+    engine = _small_engine(
+        n_shards=1, tenants=[TenantConfig("default", max_queue_depth=4)]
+    )
     engine.register("bert", model)
-    for row in rows[:at_zero]:
+    for row in rows[:12]:
         engine.submit("bert", row, arrival=0.0)
-    for i, row in enumerate(rows[12:]):  # after the outage
+    for i, row in enumerate(rows[12:]):
         engine.submit("bert", row, arrival=2e-2 * (1 + i // 4))
     report = engine.run()
-    assert (report.shed_count, report.failed_count) == dead
-    assert report.failed_by_reason() == ({"max_retries": 4} if dead[1] else {})
-    assert len(report.completed) == at_zero + 12 - sum(dead)
+    assert (report.shed_count, report.failed_count) == (8, 0)
+    assert len(report.completed) == 16
     # The first batch served executes; the next computes itself and all
-    # that is still to come — the dead are not among it.
-    assert model.calls == ([4, 12] if fate == "shed" else [4, 8])
-
-
-def test_retry_of_a_crashed_replay_computes_its_rows_again():
-    rows = np.random.default_rng(8).integers(0, 16, size=(32, 8))
-
-    def serve(model, eager, faults=None):
-        engine = _small_engine(max_batch_size=8, faults=faults)
-        _register(engine, "bert", model, eager)
-        return _burst(engine, rows, spacing=1e-5, per=8)
-
-    clean, _ = serve(_CountedBERT(), False)
-    target = clean.placements[2]  # a unit that replays its tape
-    _, plan = _fault_plan(
-        "crash_in_stretched_window", target.shard, target.start,
-        target.finish - target.start,
-    )
-    (stacked, outputs), (eager, _), model, _ = _both(
-        lambda model, eager: serve(model, eager, plan)
-    )
-    _assert_same_run(stacked, eager)
-    assert any(
-        event.action == "retry" and event.batch_index == target.batch_index
-        for event in stacked.fault_events
-    )
-    lone = ArrayBackend(SystolicArray(CONFIG), GRANULARITY)
-    for row, output in zip(rows, outputs):
-        assert np.array_equal(output, model.infer(row[None], lone)[0])
+    # that is still to come — the shed are not among it.
+    assert model.calls == [4, 12]
 
 
 def test_functional_backends_are_charged_no_host_time():
@@ -1298,7 +1155,7 @@ def test_compute_once_adds_no_knob_and_one_call_site():
 
     assert parameters(InferenceEngine.__init__) == [
         "self", "dispatcher", "max_batch_size", "flush_timeout", "policy",
-        "placement", "tenants", "radix_cache", "faults", "steal", "recorder",
+        "placement", "tenants", "radix_cache", "steal", "recorder",
     ]
     assert parameters(InferenceEngine.register) == [
         "self", "name", "model", "infer_fn", "batchable", "cost_model",
@@ -1329,7 +1186,7 @@ def test_compute_once_adds_no_knob_and_one_call_site():
     assert len(policies) == 9
     for owner in (
         engine, *engine._sources, *policies, ClusterDispatcher,
-        cluster.CalibratingCostModel, cluster.ShardHealth,
+        cluster.CalibratingCostModel,
     ):
         assert not hasattr(owner, "reset"), owner
     for owner in (RadixKVCache, InProcessLRU, BatchAssembler):
@@ -1344,8 +1201,8 @@ def test_compute_once_adds_no_knob_and_one_call_site():
         "pool", "placement", "occupancy_penalty", "max_batch_size", "flush_timeout",
         "max_queue_depth", "radix_budget_bytes", "steal",
     ]
-    # The breaker and the retry budget are constants, not config classes.
-    for retired in ("BreakerConfig", "RetryPolicy"):
+    # No breaker or retry budget is left to configure.
+    for retired in ("BreakerConfig", "RetryPolicy", "ShardHealth", "ShardCrash"):
         assert not hasattr(serving_package, retired)
         assert retired not in serving_package.__all__
     assert fields(EndpointSpec) == [
@@ -1365,20 +1222,19 @@ def test_compute_once_adds_no_knob_and_one_call_site():
         path.name: path.read_text() for path in (SRC / "serving").glob("*.py")
     }
     assert "environ" not in serving["engine.py"] + serving["generation.py"]
-    # A transcript is the stack's, not the report's: what a sequence, a
-    # decode step and a completion carry is what they carried before.
+    # A transcript is the stack's, not the report's: a sequence, a decode
+    # step and a completion carry no row of it.
     assert fields(ActiveSequence) == [
         "request", "state", "generated", "ready_time", "first_start",
-        "batch_cycles", "attempts", "attempt", "exclude_shard", "last_shard",
-        "last_batch_index", "last_batch_size",
+        "batch_cycles", "last_shard", "last_batch_index", "last_batch_size",
     ]
     assert fields(DecodeStepRecord) == [
         "step_index", "model", "tenant", "shard", "batch_size", "position",
-        "cycles", "start", "finish", "attempt",
+        "cycles", "start", "finish",
     ]
     assert fields(CompletedRequest) == [
         "request", "outputs", "shard", "batch_index", "batch_size", "start",
-        "finish", "batch_cycles", "attempts",
+        "finish", "batch_cycles",
     ]
 
 
@@ -1404,19 +1260,8 @@ def test_one_kv_cache_and_one_record_of_array_work():
 
 
 # ---------------------------------------------------------------------------
-# One agenda: four work sources behind one call signature, one pick.
+# One agenda: three work sources behind one call signature, one pick.
 # ---------------------------------------------------------------------------
-def test_a_batch_parked_for_its_retry_is_pending():
-    """The only shard is down when the batch would start: the attempt
-    fails, nothing completes — and the batch waits in the retry queue."""
-    crash = ShardCrash(0, at=0.0, until=OUTAGE)
-    engine = _engine("classify", 1, FaultPlan(events=(crash,)))
-    ids = _submit(engine, "classify")
-    assert engine.step() == []
-    assert [event.action for event in engine.events if isinstance(event, FaultRecord)] == ["retry"]
-    assert engine.pending == len(ids)
-
-
 def test_a_sequence_in_the_decode_pool_is_pending():
     engine = _engine("decode", 1)
     ids = _submit(engine, "decode")
@@ -1441,14 +1286,11 @@ def _offer_bursts(engine, kind):
 @pytest.mark.parametrize("kind", ["classify", "decode"])
 def test_stepping_while_pending_serves_what_run_serves(kind):
     """``while engine.pending: engine.step()`` is the documented
-    step-driven loop: under seeded faults it must not stop while a batch
-    waits for its retry or a sequence is mid-decode."""
-    horizon = max(c.finish for c in _offer_bursts(_engine(kind, 3), kind).run().completed)
-    plan = FaultPlan.from_seed(2, n_shards=3, horizon=horizon, crash_rate=1.0)
-    ran = _offer_bursts(_engine(kind, 3, plan), kind).run()
-    assert any(event.action == "retry" for event in ran.fault_events)
+    step-driven loop: it must not stop while a sequence is mid-decode or
+    a later burst has yet to arrive."""
+    ran = _offer_bursts(_engine(kind, 3), kind).run()
 
-    engine = _offer_bursts(_engine(kind, 3, plan), kind)
+    engine = _offer_bursts(_engine(kind, 3), kind)
     stepped = []
     while engine.pending:
         stepped += engine.step()
@@ -1469,7 +1311,6 @@ def test_one_agenda_of_work_sources():
     that owns its state in its own module; the engine asks each member
     the same questions in one place and keeps none of their state."""
     import repro.serving.elastic as elastic_module
-    import repro.serving.faults as faults_module
     import repro.serving.generation as generation_module
 
     deleted = ("_work_sources", "_drain_one", "_work_consumed", "_RETRY")
@@ -1479,8 +1320,8 @@ def test_one_agenda_of_work_sources():
     # One pick: the sources' ready times are read, and compared, once.
     assert _sites(".next_ready(") == ["serving/engine.py:_next_source"]
     sources = [
-        faults_module.RetryQueue, generation_module.DecodePool,
-        elastic_module.ElasticController, engine_module.TenantScheduler,
+        generation_module.DecodePool, elastic_module.ElasticController,
+        engine_module.TenantScheduler,
     ]
     for source in sources:
         assert all(
@@ -1496,15 +1337,11 @@ def test_one_agenda_of_work_sources():
     ]
     assert "self._sources" in code
     assert not re.findall(r"_retries|_decode_pool|_controller|scheduler", code)
-    # Each record, and the retry heap's entries, are built where they
-    # are defined — not in the engine.
+    # Each record is built where it is defined — not in the engine.
     assert {site.split(":")[0] for site in _sites("StealEvent(")} == {"serving/elastic.py"}
     assert {site.split(":")[0] for site in _sites("DecodeStepRecord(")} == {
         "serving/generation.py"
     }
-    assert [site for site in _sites("heappush(") if "serving/" in site] == [
-        "serving/faults.py:push"
-    ]
     source = Path(engine_module.__file__).read_text()
     assert "heapq" not in source and "deque" not in source
 
@@ -1647,28 +1484,6 @@ def test_generation_stacked_equals_eager_with_warm_prefills_limits_and_stops():
     assert len(model.calls) < len(reference.calls) == len(eager.placements)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_generation_stacked_equals_eager_under_seeded_faults(seed):
-    trace = _conversational(96, seed)
-    faults = FaultPlan.from_seed(
-        seed, 2, trace.requests[-1].arrival, crash_rate=4.0, slowdown_rate=0.5
-    )
-    stacked, eager, model, reference = _both_chat(
-        _serve_chat(trace, faults=faults)
-    )
-    _assert_same_run(stacked, eager)
-    # A decode iteration crashed mid-flight and its retry ran elsewhere.
-    assert any(
-        step.attempt > 0 for step in stacked.generation_steps
-    ), "no decode step was retried"
-    retried = {s.step_index for s in stacked.generation_steps if s.attempt > 0}
-    assert any(
-        p.batch_index in retried and p.recovered_from not in (None, p.shard)
-        for p in stacked.placements
-    )
-    assert len(model.calls) < len(reference.calls)
-
-
 def test_generation_stacked_equals_eager_on_an_unequal_pool():
     """Geometry and clock decide what a unit is charged, not what it
     computes: transcripts serve both shards of a ``(BIG, MID)`` pool."""
@@ -1728,61 +1543,27 @@ def _unswept(engine):
     return engine._endpoints["chat"].stack
 
 
-@pytest.mark.parametrize("fate", ["shed", "failed"])
-def test_shed_and_failed_generation_requests_leave_the_stack(fate):
-    """Generation requests that die early are in no later lockstep pass
+def test_shed_generation_requests_leave_the_stack():
+    """Generation requests shed at t=0 are in no later lockstep pass
     (three prefills of 4 follow), and no transcript outlives its request."""
     prompts = _prompts(24, seed=7)
     model = _CountedChat()
-    if fate == "shed":
-        engine = _small_chat(model, tenants=[TenantConfig("default", max_queue_depth=4)])
-        at_zero, dead = 12, (8, 0)
-    else:
-        engine = _small_chat(model, faults=retry_spending_outage())
-        at_zero, dead = 4, (0, 4)
+    engine = _small_chat(model, tenants=[TenantConfig("default", max_queue_depth=4)])
     stack = _unswept(engine)
-    for prompt in prompts[:at_zero]:
+    for prompt in prompts[:12]:
         engine.submit_generation("chat", prompt, 4, arrival=0.0)
-    for i, prompt in enumerate(prompts[12:]):  # after the outage
+    for i, prompt in enumerate(prompts[12:]):
         engine.submit_generation("chat", prompt, 4, arrival=2e-2 * (1 + i // 4))
     report = engine.run()
-    assert (report.shed_count, report.failed_count) == dead
-    assert report.failed_by_reason() == ({"max_retries": 4} if dead[1] else {})
-    assert len(report.completed) == at_zero + 12 - sum(dead)
+    assert (report.shed_count, report.failed_count) == (8, 0)
+    assert len(report.completed) == 16
     # The first group served executes, unit by unit; the next one's prefill
     # replays and transcribes itself and all that is still to come.
-    ahead = 12 if fate == "shed" else 8
     assert model.calls == (
         [("prefill", 4)] + [("decode_step", 4)] * 3
-        + [("prefill", ahead)] + [("decode_step", ahead)] * 3
+        + [("prefill", 12)] + [("decode_step", 12)] * 3
     )
     assert not stack.rows and not stack.ahead
-
-
-def test_a_sequence_dropped_mid_decode_releases_its_transcript():
-    prompts = _prompts(16, seed=8)
-
-    def engine_with(faults):
-        return _small_chat(_CountedChat(), faults=faults)
-
-    clean, _ = _chat_burst(engine_with(None), prompts, spacing=2e-3)
-    target = clean.generation_steps[-2]  # a replayed step of the last group
-    engine = engine_with(retry_spending_outage(target.shard, target.start))
-    stack = _unswept(engine)
-    held = []
-    failed = engine._decode_pool._attempt_failed
-
-    def watched(group, shard, at):
-        held.append([seq.request.request_id in stack.rows for seq in group])
-        return failed(group, shard, at)
-
-    engine._decode_pool._attempt_failed = watched
-    report, _ = _chat_burst(engine, prompts, spacing=2e-3)
-    assert report.failed_by_reason() == {"max_retries": 4}
-    assert len(report.completed) == 12
-    # Every attempt held the transcripts; the last dropped them ...
-    assert held == [[True] * 4] * (MAX_RETRIES + 1)
-    assert not stack.rows  # ... which went with them
 
 
 def test_a_generation_name_registered_again_starts_from_nothing():

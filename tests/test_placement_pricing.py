@@ -8,18 +8,19 @@ views, and ranks through one ETA rule.  None of that may change a
 decision, so this file keeps the construction it replaced as the
 **reference** and compares at every decision of seeded runs:
 
-* the engine's views equal ``dispatcher.shard_views()`` +
-  ``replace(view, breaker=...)`` field for field — with breakers
-  tripping and re-closing, multi-batch look-ahead rounds over a prefix
-  cache, and generation over a radix cache;
-* executing a round's first unit on the planned-on views logs the same
+* the views a unit is placed on equal a fresh
+  ``dispatcher.shard_views()`` snapshot field for field — through
+  look-ahead rounds handing their views to the unit executed next
+  (a leftover from an earlier round included), steals, multi-batch
+  rounds over a prefix cache, and generation over a radix cache;
+* executing the queue's head on the planned-on views logs the same
   events, in the same order, as rebuilding them;
 * ``plan`` given horizons equals ``plan`` over views copied with those
   horizons (the old call shape, still accepted);
 * structural guards in the style of ``test_engine_pipeline.py``: no
   ``dataclasses.replace`` on a ``ShardView`` per executed unit, one
   ``_batch_profile`` per prefix-less batch (a prefix-keyed one is
-  re-read at execution), one copy of the half-open surcharge.
+  re-read at execution), one ETA rule.
 """
 
 import dataclasses
@@ -31,19 +32,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serving.engine as engine_module
-import repro.serving.faults as faults_module
 from repro.nn.models import TinyBERT
 from repro.nn.workload import transformer_serving_workload
 from repro.serving import (
     BatchProfile,
+    ClusterDispatcher,
     ClusterSpec,
-    FaultPlan,
     GenerationAdapter,
     InferenceEngine,
     LookaheadPlacement,
     RadixKVCache,
-    ShardCrash,
-    ShardSlowdown,
     ShardView,
     TransformerPrefixAdapter,
     workload_cost_model,
@@ -60,40 +58,28 @@ _MODEL = TinyBERT(**BERT_KW, causal=True, seed=0)
 _COST = workload_cost_model(
     lambda batch, shape: transformer_serving_workload(batch, 8, 8, 2, 16, 1)
 )
+# The SLOW shard priced 64x cheaper than it runs: look-ahead rounds plan
+# work onto it, it drifts slow against its estimates, and bursts steal.
+_MISPRICED = lambda profile, config: _COST(profile, config) / (
+    64.0 if config == SLOW else 1.0
+)
 
 
 # ---------------------------------------------------------------------------
-# The reference: the view construction this file pins the engine against
+# The reference: a fresh snapshot of the pool at the decision
 # ---------------------------------------------------------------------------
-def reference_views(engine, now):
-    """Copy the dispatcher's snapshot, one ``replace`` per admitted shard."""
-    views = []
-    health_of = engine.shard_health
-    for view in engine.dispatcher.shard_views():
-        health = health_of[view.index]
-        if not health.available(now):
-            continue
-        views.append(dataclasses.replace(view, breaker=health.state))
-    return views
-
-
 def _watch(engine):
-    """Compare the engine's views with the reference at every decision
-    (a placement or an all-breakers-open park); returns what was seen."""
+    """Compare the views every placement decision is made on with a fresh
+    ``dispatcher.shard_views()``; returns what was seen."""
     seen = []
-    select, all_down = engine._select_shard, engine._all_down
+    select = engine._select_shard
 
-    def checked_select(unit, healthy):
-        assert healthy == reference_views(engine, unit.profile.ready_time)
-        seen.append((unit, healthy))
-        return select(unit, healthy)
+    def checked_select(unit, views):
+        assert views == engine.dispatcher.shard_views()
+        seen.append((unit, views))
+        return select(unit, views)
 
-    def checked_all_down(unit):
-        assert reference_views(engine, unit.profile.ready_time) == []
-        seen.append((unit, []))
-        return all_down(unit)
-
-    engine._select_shard, engine._all_down = checked_select, checked_all_down
+    engine._select_shard = checked_select
     return seen
 
 
@@ -117,63 +103,18 @@ def _submit_rows(engine, n, spacing=1e-5, seed=0, **kw):
 # Views equal the reference at every decision
 # ---------------------------------------------------------------------------
 class TestViewsMatchReference:
-    @pytest.mark.parametrize("lookahead", [False, True], ids=["greedy", "lookahead"])
-    def test_breaker_trips_probes_and_recloses(self, lookahead):
-        """The ``test_chaos.py`` breaker-lifecycle plan: a dead-on-arrival
-        crash opens the only shard, work parks, the half-open probe
-        re-closes it."""
-        plan = FaultPlan(events=(ShardCrash(shard=0, at=0.0, until=5e-4),))
-        engine = _engine(
-            pool=(MID,), faults=plan,
-            placement="lookahead" if lookahead else "cost_aware",
-            steal=lookahead,
-        )
-        seen = _watch(engine)
-        ids = _submit_rows(engine, 4)
-        report = engine.run()
-        assert len(report.completed) == len(ids)
-        states = [(t.from_state, t.to_state) for t in report.breaker_transitions]
-        assert states == [
-            ("closed", "open"), ("open", "half_open"), ("half_open", "closed")
-        ]
-        assert [] in [views for _, views in seen]  # a park was checked
-        assert {v.breaker for _, views in seen for v in views} == {
-            "closed", "half_open"
-        }
-
-    def test_failed_probe_reopens(self):
-        """Two overlapping outages: the probe dies, quarantine doubles."""
-        plan = FaultPlan(events=(
-            ShardCrash(shard=0, at=0.0, until=2.5e-3),
-            ShardCrash(shard=0, at=2e-3, until=6e-3),
-        ))
-        engine = _engine(pool=(MID,), faults=plan)
-        seen = _watch(engine)
-        ids = _submit_rows(engine, 2)
-        report = engine.run()
-        assert len(report.completed) == len(ids)
-        assert ("half_open", "open") in [
-            (t.from_state, t.to_state) for t in report.breaker_transitions
-        ]
-        assert len(seen) > len(report.placements)  # failed attempts too
-
     @pytest.mark.parametrize("seed", range(4))
-    def test_seeded_chaos_with_every_elastic_knob(self, seed):
-        """The ``TestElasticChaos`` sweep: crashes and slowdowns under
-        look-ahead and stealing together, on its time scale (arrivals
-        0.1 ms apart)."""
-        plan = FaultPlan.from_seed(
-            seed, n_shards=4, horizon=1e-2, crash_rate=0.6, slowdown_rate=0.6
-        )
+    def test_seeded_bursts_with_every_elastic_knob(self, seed):
+        """Look-ahead and stealing together on a shard that drifts slow,
+        one burst."""
         engine = _engine(
-            pool=(MID,) * 4, faults=plan, placement="lookahead", steal=True,
-            cost_model=None,
+            placement="lookahead", steal=True, cost_model=_MISPRICED,
         )
         seen = _watch(engine)
-        ids = _submit_rows(engine, 20, spacing=1e-4, seed=seed)
+        ids = _submit_rows(engine, 20, spacing=0.0, seed=seed)
         report = engine.run()
-        assert len(report.completed) + len(report.failed) == len(ids)
-        assert len(seen) >= len(report.placements) > 0
+        assert len(report.completed) == len(ids) and report.steals
+        assert len(seen) == len(report.placements) > 0
 
     def test_lookahead_rounds_over_a_prefix_cache(self):
         """Several batches per round, a hot prompt whose residency moves
@@ -246,46 +187,41 @@ class TestViewsMatchReference:
 # ---------------------------------------------------------------------------
 class TestRoundHandOff:
     @staticmethod
-    def _run(rebuild):
-        # Times on the scale of the 1 ms base quarantine, so shard 0's
-        # breaker opens, expires and probes within the burst.
-        plan = FaultPlan(events=(
-            ShardCrash(shard=0, at=0.0, until=1.5e-3),
-            ShardSlowdown(shard=1, at=0.0, until=5e-3, factor=8.0),
-        ))
-        engine = _engine(faults=plan, placement="lookahead", steal=True)
+    def _run(rebuild, monkeypatch):
+        engine = _engine(placement="lookahead", steal=True, cost_model=_MISPRICED)
         built = []
-        available = engine._available_views
-        engine._available_views = lambda now: built.append(now) or available(now)
+        snapshot = ClusterDispatcher.shard_views
+        monkeypatch.setattr(
+            ClusterDispatcher, "shard_views",
+            lambda pool: built.append(pool) or snapshot(pool),
+        )
         if rebuild:
             execute = engine._execute
             engine._execute = lambda unit, views=None: execute(unit)
-        ids = _submit_rows(engine, 32, spacing=1e-4, seed=3)
+        ids = _submit_rows(engine, 32, spacing=0.0, seed=3)
         report = engine.run()
+        monkeypatch.undo()
         return report, [engine.result(i) for i in ids if i in engine._results], built
 
-    def test_same_events_as_rebuilding_the_views(self):
-        """Every record — placements, steals, faults and the open ->
-        half-open ``BreakerTransition`` that building views can log —
-        lands once, at the same place in the event log."""
-        handed, handed_out, handed_builds = self._run(rebuild=False)
-        rebuilt, rebuilt_out, rebuilt_builds = self._run(rebuild=True)
+    def test_same_events_as_rebuilding_the_views(self, monkeypatch):
+        """Every record — placements and the steals re-pricing reads the
+        views for — lands once, at the same place in the event log."""
+        handed, handed_out, handed_builds = self._run(False, monkeypatch)
+        rebuilt, rebuilt_out, rebuilt_builds = self._run(True, monkeypatch)
         assert handed.events == rebuilt.events
         assert all(np.array_equal(a, b) for a, b in zip(handed_out, rebuilt_out))
         kinds = {type(event).__name__ for event in handed.events}
-        assert {"PlacementDecision", "BreakerTransition", "FaultRecord"} <= kinds
-        assert ("open", "half_open") in [
-            (t.from_state, t.to_state) for t in handed.breaker_transitions
-        ]
+        assert {"PlacementDecision", "StealEvent"} <= kinds
         # The hand-off is what saves the second construction per round.
         assert len(handed_builds) < len(rebuilt_builds)
 
-    def test_a_leftover_from_an_earlier_round_rebuilds(self):
+    def test_a_leftover_from_an_earlier_round_is_placed_on_current_views(self):
         """A request submitted mid-run with an *earlier* arrival starts a
         new round while the previous round's batches still queue: the
-        unit executed next is the old round's, ready at another instant,
-        and must not be placed on the new round's views.  Here shard 1's
-        quarantine ends between the two instants, so the views differ."""
+        unit executed next is the old round's, ready at another instant.
+        Nothing commits between planning the new round and executing it,
+        so the views handed to it are the pool as it stands — here with
+        the first batch's horizon on shard 0."""
         engine = _engine(
             pool=(MID, MID), max_batch_size=1, flush_timeout=0.0,
             placement="lookahead",
@@ -296,9 +232,6 @@ class TestRoundHandOff:
 
         def infer(inputs, backend):
             if not late:  # the first batch, in flight at 2e-3:
-                # shard 1 reports a failure dated 5e-4 (open until 1.5e-3)
-                # and a request arrives dated 1e-3.
-                engine.shard_health[1].record_failure(5e-4)
                 late.append(engine.submit("bert", rows[3], arrival=1e-3))
             return _MODEL.infer(inputs, backend)
 
@@ -306,17 +239,10 @@ class TestRoundHandOff:
         ids = [engine.submit("bert", row, arrival=2e-3) for row in rows[:3]]
         report = engine.run()
         assert len(report.completed) == len(ids) + 1
-        decisions = [
-            (unit.profile.ready_time, [(v.index, v.breaker) for v in views])
-            for unit, views in seen
-        ]
-        both, probing = [(0, "closed"), (1, "closed")], [(0, "closed"), (1, "half_open")]
-        assert decisions == [
-            (2e-3, both),     # round 1's first unit, on the round's views
-            (2e-3, probing),  # round 1's second: NOT round 2's [(0, closed)]
-            (2e-3, both),     # ...its probe re-closed shard 1
-            (1e-3, both),     # round 2's batch, by then a leftover itself
-        ]
+        ready = [unit.profile.ready_time for unit, _ in seen]
+        assert ready == [2e-3, 2e-3, 2e-3, 1e-3]
+        busy = [[view.busy_until > 2e-3 for view in views] for _, views in seen]
+        assert busy[:2] == [[False, False], [True, False]]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +264,6 @@ def _rounds(draw):
                 busy_until=draw(_TIMES),
                 clock_hz=None if config is None else config.clock_hz,
                 config=config,
-                breaker=draw(st.sampled_from(["closed", "closed", "half_open", "open"])),
             )
         )
     # Cycles per (batch size, design point); a missing pair is unpriced.
@@ -408,14 +333,11 @@ def test_no_replace_on_a_shard_view_per_executed_unit(monkeypatch):
         return real_replace(obj, **changes)
 
     monkeypatch.setattr(dataclasses, "replace", counting_replace)
-    monkeypatch.setattr(faults_module, "replace", counting_replace)
-    plan = FaultPlan(events=(ShardCrash(shard=0, at=0.0, until=2e-5),))
-    engine = _engine(faults=plan, placement="lookahead", steal=True)
+    engine = _engine(placement="lookahead", steal=True, cost_model=_MISPRICED)
     ids = _lookahead_burst(engine)
     report = engine.run()
-    assert len(report.completed) == len(ids) and report.retries > 0
-    # The retry path still copies its Batch; no view is ever copied.
-    assert "Batch" in copies and "ShardView" not in copies
+    assert len(report.completed) == len(ids) and report.steals
+    assert "ShardView" not in copies
 
 
 def test_one_batch_profile_per_prefix_less_batch():
@@ -461,16 +383,10 @@ def test_prefix_keyed_batch_rereads_residency_at_execution():
     assert built == [0, 1, 0, 1]  # planned once, re-read once, each
 
 
-def test_half_open_surcharge_exists_once():
+def test_one_eta_rule():
     """Greedy placement, look-ahead rounds and steal re-pricing rank by
-    one ETA rule; a new ranking site calls it instead of re-growing the
-    surcharge."""
+    one ETA rule; a new ranking site calls it instead of growing its own."""
     serving = Path(engine_module.__file__).parent
     sources = {path.name: path.read_text() for path in serving.glob("*.py")}
-    surcharges = {
-        name: source.count("service +=") for name, source in sources.items()
-        if "service +=" in source
-    }
-    assert surcharges == {"cluster.py": 1}
     assert sum(s.count("def estimated_finish(") for s in sources.values()) == 1
     assert "replace(view" not in sources["engine.py"]

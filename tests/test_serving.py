@@ -332,6 +332,44 @@ class TestEngineMechanics:
         assert engine.result(served) is not None and engine.result(later) is not None
 
 
+class TestNonFiniteTimes:
+    """A NaN arrival used to be accepted and crash ``run()`` with an
+    AttributeError; an infinite one served with ``makespan=inf`` and
+    ``p99=nan``; a NaN deadline was silently never missed.  Every front
+    door refuses them with a ValueError and queues nothing."""
+
+    BAD = [
+        dict(arrival=float("nan")),
+        dict(arrival=float("inf")),
+        dict(arrival=float("-inf")),
+        dict(arrival=0.0, deadline=float("nan")),
+    ]
+    IDS = ["nan-arrival", "inf-arrival", "minus-inf-arrival", "nan-deadline"]
+
+    @pytest.mark.parametrize("door", ["submit", "submit_generation", "enqueue"])
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
+    def test_refused_at_every_door(self, door, bad):
+        engine = InferenceEngine(ClusterDispatcher([CPWLBackend(0.25)]))
+        engine.register("bert", tiny_bert())
+        engine.register(
+            "gen",
+            generation_adapter=GenerationAdapter(TinyBERT(vocab=16, seq_len=8, causal=True)),
+        )
+        engine.submit("bert", np.arange(8), arrival=1e-6, deadline=1.0)
+        with pytest.raises(ValueError, match="arrival|deadline"):
+            if door == "submit":
+                engine.submit("bert", np.arange(8), **bad)
+            elif door == "submit_generation":
+                engine.submit_generation("gen", np.arange(4), 2, **bad)
+            else:  # a list with one bad item queues none of it
+                good = {"model": "bert", "inputs": np.arange(8), "arrival": 2e-6}
+                engine.enqueue([good, dict(good, **bad)])
+        assert engine.pending == 1
+        report = engine.run()
+        assert len(report.completed) == 1
+        assert np.isfinite(report.makespan) and np.isfinite(report.p99)
+
+
 class TestTokenIds:
     """A token id outside ``[0, vocab)`` or a float token row is refused
     with a ValueError: never served as another token, never an IndexError
