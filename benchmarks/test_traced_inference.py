@@ -1105,8 +1105,6 @@ def test_multiproc_scaleout_throughput(print_artifact):
     run concurrently), so the ideal ratio on an even split is 2x and
     the 1.5x gate leaves room for batching-edge effects only.
     """
-    import tempfile
-
     from repro.serving import ClusterSpec, EndpointSpec, serve_multiproc
     from repro.serving.multiproc import partition_cluster
 
@@ -1119,8 +1117,7 @@ def test_multiproc_scaleout_throughput(print_artifact):
     )
     # No prefix endpoint here: every batch then costs the same, so the
     # makespan ratio measures shard capacity alone.  (The kv_cache
-    # section above owns the prefix-reuse claim; the fabric still
-    # shares GEMM/MHP plans and calibration across these workers.)
+    # section above owns the prefix-reuse claim.)
     models = [EndpointSpec(name="bert", factory=TinyBERT, kwargs=model_kwargs)]
     rng = np.random.default_rng(7)
     # A burst (all arrivals at t=0): the makespan then measures pure
@@ -1136,17 +1133,9 @@ def test_multiproc_scaleout_throughput(print_artifact):
 
     # Baseline: one worker owning one shard block serves the full trace.
     single_block = partition_cluster(cluster, 2)[0]
-    with tempfile.TemporaryDirectory() as root:
-        single = serve_multiproc(
-            single_block, models, requests, n_workers=1,
-            store_root=f"{root}/fabric",
-        )
+    single = serve_multiproc(single_block, models, requests, n_workers=1)
     # Fleet: two workers, one block each, the trace split round-robin.
-    with tempfile.TemporaryDirectory() as root:
-        fleet = serve_multiproc(
-            cluster, models, requests, n_workers=2,
-            store_root=f"{root}/fabric",
-        )
+    fleet = serve_multiproc(cluster, models, requests, n_workers=2)
 
     # Scale-out must not change arithmetic: every request's output is
     # bit-identical to the single-worker run's.
@@ -1186,8 +1175,7 @@ def test_multiproc_scaleout_throughput(print_artifact):
     _update_artifact(multiproc=results)
 
     print_artifact(
-        "Multi-worker scale-out (32 requests, 2 workers x 1 shard, "
-        "shared fabric)\n"
+        "Multi-worker scale-out (32 requests, 2 workers x 1 shard)\n"
         f"  1 worker  makespan {single_span * 1e6:9.1f} us   "
         f"{single_rps:10.0f} req/s\n"
         f"  2 workers makespan {fleet_span * 1e6:9.1f} us   "
@@ -1308,8 +1296,6 @@ def test_fault_recovery_throughput(print_artifact):
     the merged makespan) isolates the capacity claim from host
     scheduling noise, exactly as in the scale-out benchmark above.
     """
-    import tempfile
-
     from repro.serving import ClusterSpec, EndpointSpec, FaultPlan, WorkerDeath
     from repro.serving import serve_multiproc
 
@@ -1332,14 +1318,12 @@ def test_fault_recovery_throughput(print_artifact):
     ]
 
     def run(fault_plan):
-        with tempfile.TemporaryDirectory() as root:
-            return serve_multiproc(
-                cluster, models, requests, n_workers=2,
-                store_root=f"{root}/fabric",
-                fault_plan=fault_plan,
-                supervise=True,
-                max_restarts=0,  # straight to redistribution
-            )
+        return serve_multiproc(
+            cluster, models, requests, n_workers=2,
+            fault_plan=fault_plan,
+            supervise=True,
+            max_restarts=0,  # straight to redistribution
+        )
 
     healthy = run(None)
     crashed = run(FaultPlan(events=(WorkerDeath(worker=1, at=1e-4),)))
@@ -1541,7 +1525,7 @@ def test_elastic_runtime_beats_greedy(print_artifact):
     batches at ~3x the fast shards' service time while those shards sit
     idle.  The elastic runtime re-prices queued-but-unstarted batches
     at execution time: once a fast shard frees, the affinity-break test
-    fires, the prefix entry migrates through the store fabric, and the
+    fires, the prefix entry migrates with the batch, and the
     remaining stream drains at fast-shard hit cost.  Placement moves
     work between shards, never changes arithmetic, so every request's
     output stays bit-identical to the greedy run's.

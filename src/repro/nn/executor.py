@@ -205,8 +205,7 @@ class KVState:
 
     def freeze(self) -> "KVState":
         """Mark every held array read-only, so a consumer cannot corrupt
-        a shared cache entry (serialization drops the flag: a payload
-        read back from a fabric is frozen again)."""
+        a shared cache entry."""
         for array in self._arrays():
             array.setflags(write=False)
         return self

@@ -59,7 +59,7 @@ multi-tenant serving system:
   (:class:`~repro.serving.cluster.LookaheadPlacement` list scheduling),
   work-stealing re-prices queued-but-unstarted batches at execution
   time — migrating them (and, when prefix affinity breaks, the cache
-  *entry* through the fabric) off drifted shards; the pool itself is fixed when the engine is built, and every steal feeds
+  *entry* between shards) off drifted shards; the pool itself is fixed when the engine is built, and every steal feeds
   from the per-shard stats descriptor tree and lands in the report's
   elastic section;
 * deployment-as-data (:mod:`repro.serving.deploy`): endpoints described
@@ -68,9 +68,8 @@ multi-tenant serving system:
 * a multi-worker serving front (:mod:`repro.serving.multiproc`):
   :func:`~repro.serving.multiproc.serve_multiproc` partitions the
   declared cluster into contiguous shard blocks, runs one engine
-  process per block over a shared :class:`repro.store.FileStore`
-  cache fabric (prompts and calibration cross the process boundary
-  through it), and merges the per-worker reports into one
+  process per block (workers share nothing but their request lists),
+  and merges the per-worker reports into one
   fleet view with exact counter sums — with worker supervision:
   dead workers (a real crash, or a seeded
   :class:`~repro.serving.faults.WorkerDeath`) are detected by exit
@@ -92,7 +91,6 @@ See ``examples/serving_demo.py``, ``examples/multitenant_demo.py`` and
 
 from repro.serving.batcher import Batch, BatchAssembler, DynamicBatcher
 from repro.serving.cluster import (
-    CALIBRATION_NAMESPACE,
     BatchProfile,
     CalibratingCostModel,
     ClusterDispatcher,
@@ -108,9 +106,7 @@ from repro.serving.cluster import (
     ShardView,
     config_from_dict,
     config_to_dict,
-    load_calibration,
     make_placement_policy,
-    save_calibration,
     workload_cost_model,
 )
 from repro.serving.elastic import StealEvent
@@ -174,9 +170,6 @@ __all__ = [
     "PrefixAffinePlacement",
     "config_to_dict",
     "config_from_dict",
-    "CALIBRATION_NAMESPACE",
-    "save_calibration",
-    "load_calibration",
     "FaultPlan",
     "WorkerDeath",
     "EndpointSpec",

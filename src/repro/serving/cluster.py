@@ -644,102 +644,6 @@ class CalibratingCostModel:
     # The engine passes the estimator around as a plain callable.
     __call__ = estimate
 
-    # -- persistence -----------------------------------------------------
-    #: Schema version of :meth:`to_dict` payloads.
-    STATE_VERSION = 1
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe snapshot of the calibration state.
-
-        Serialize it (``json.dumps``) next to the serving process's
-        other state so a restarted engine prices placements from day
-        one instead of re-learning every (model, shape, design point)
-        from scratch::
-
-            state = engine.calibrator.to_dict()
-            ...                       # persist, restart
-            engine.calibrator.load_dict(state)
-
-        Observations are stored in insertion order, so a round trip
-        reproduces estimates *exactly* — including the insertion-order
-        dependent cross-config scaling path.
-        """
-        return {
-            "version": self.STATE_VERSION,
-            "observations": [
-                {
-                    "model": model,
-                    "batch_size": batch_size,
-                    "sample_shape": list(shape),
-                    "config": config_to_dict(key),
-                    "cycles": cycles,
-                }
-                for (model, batch_size, shape, key), cycles in self._exact.items()
-            ],
-        }
-
-    def load_dict(self, data: Dict[str, object]) -> None:
-        """Restore a :meth:`to_dict` snapshot into this instance.
-
-        Replays the stored observations in order on top of any current
-        state (:meth:`from_dict` restores into a fresh model).
-        """
-        version = data.get("version")
-        if version != self.STATE_VERSION:
-            raise ValueError(
-                f"unsupported calibration-state version {version!r}; "
-                f"expected {self.STATE_VERSION}"
-            )
-        for obs in data["observations"]:
-            self.observe(
-                str(obs["model"]),
-                int(obs["batch_size"]),
-                tuple(int(d) for d in obs["sample_shape"]),
-                config_from_dict(obs["config"]),
-                obs["cycles"],
-            )
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CalibratingCostModel":
-        """A fresh model restored from a :meth:`to_dict` snapshot."""
-        model = cls()
-        model.load_dict(data)
-        return model
-
-
-# ---------------------------------------------------------------------------
-# Calibration persistence via the cache store
-# ---------------------------------------------------------------------------
-#: Store namespace holding serialized calibration snapshots.
-CALIBRATION_NAMESPACE = "serving.calibration"
-
-
-def save_calibration(
-    calibrator: CalibratingCostModel,
-    store,
-    name: str = "default",
-) -> None:
-    """Persist ``calibrator`` state on ``store``.
-
-    On a shared :class:`repro.store.FileStore` fabric the snapshot
-    survives the process and is visible to every worker.  The payload
-    is the JSON-safe :meth:`CalibratingCostModel.to_dict` snapshot, so
-    both store serializers can carry it.
-    """
-    store.put(CALIBRATION_NAMESPACE, name, calibrator.to_dict())
-
-
-def load_calibration(
-    store,
-    name: str = "default",
-) -> Optional[CalibratingCostModel]:
-    """Restore a :func:`save_calibration` snapshot from ``store``, or
-    None if absent."""
-    data = store.get(CALIBRATION_NAMESPACE, name)
-    if data is None:
-        return None
-    return CalibratingCostModel.from_dict(data)
-
 
 def workload_cost_model(
     builder: Callable[[int, Tuple[int, ...]], object],

@@ -27,7 +27,6 @@ from repro.serving.cluster import ClusterSpec, workload_cost_model
 from repro.serving.engine import InferenceEngine
 from repro.serving.generation import GenerationAdapter
 from repro.serving.prefix_cache import RadixKVCache, TransformerPrefixAdapter
-from repro.store import FileStore
 
 #: Cost models kept, one per ``WorkloadCostSpec`` value (deployments here use one).
 COST_MODELS = 16
@@ -68,8 +67,7 @@ class EndpointSpec:
     the factory must be importable (a module-level class or function)
     and the kwargs picklable.  Deterministic factories (seeded weight
     init) give every worker and every replay bit-identical weights,
-    which is what makes the shared prefix fabric lossless across
-    processes and a replay reproducible.
+    which is what makes a fleet and a replay reproducible.
 
     ``prefix_len`` opts plain-inference traffic into KV-prefix reuse
     when the deployment budgets a K/V cache, ``generation=True``
@@ -126,15 +124,13 @@ def assemble_engine(
     pool: ClusterSpec,
     endpoints: Sequence[EndpointSpec],
     radix_budget_bytes: Optional[int] = 32 << 20,
-    fabric: Optional[FileStore] = None,
     **engine_options,
 ) -> InferenceEngine:
     """Materialise one deployment: pool built, caches made, models registered.
 
     The one K/V cache exists only when its per-shard byte budget is not
     None *and* an endpoint can use it (``prefix_len`` or
-    ``generation``); with a ``fabric`` it writes through to, and reads
-    through from, that shared store.  ``engine_options`` are
+    ``generation``).  ``engine_options`` are
     :class:`~repro.serving.engine.InferenceEngine` keywords, passed
     through untouched (``radix_cache=`` is decided here and rejected
     there as a duplicate).
@@ -143,7 +139,7 @@ def assemble_engine(
     if radix_budget_bytes is not None and any(
         spec.prefix_len is not None or spec.generation for spec in endpoints
     ):
-        radix_cache = RadixKVCache(radix_budget_bytes, fabric=fabric)
+        radix_cache = RadixKVCache(radix_budget_bytes)
     engine = InferenceEngine(
         pool.build(),
         radix_cache=radix_cache,

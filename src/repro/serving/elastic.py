@@ -15,8 +15,9 @@ to the pre-elastic engine):
   re-priced at execution time and migrates to the shard that now
   finishes it earliest; prefix-cache affinity is
   consulted, and when affinity and load conflict beyond
-  :data:`AFFINITY_BREAK_FACTOR` the cache *entry* migrates through the
-  store fabric instead of pinning the batch.
+  :data:`AFFINITY_BREAK_FACTOR` the cache *entry* migrates with the
+  batch (:meth:`~repro.serving.prefix_cache.RadixKVCache.migrate`)
+  instead of pinning it.
 
 The pool itself is fixed when the engine is built: shards and design
 points never come or go during a run.  The thresholds are
@@ -50,7 +51,7 @@ from repro.serving.stats import ShardStats
 #: EWMA wobbling around 1 never moves work, and a real straggler does.
 STEAL_DRIFT_THRESHOLD = 1.5
 #: A prefix-resident batch leaves its shard (the cache entry migrating
-#: through the fabric) only past this factor: higher than the drift
+#: with it) only past this factor: higher than the drift
 #: threshold, since staying keeps a cache hit a move must pay to carry.
 AFFINITY_BREAK_FACTOR = 2.0
 @dataclass(frozen=True)
@@ -218,8 +219,8 @@ class ElasticController:
         shard's ETA exceeds the best alternative's by
         :data:`STEAL_DRIFT_THRESHOLD` (:data:`AFFINITY_BREAK_FACTOR` when
         the planned shard holds the batch's prefix — the cache entry then
-        migrates through the store fabric with the batch, preserving
-        the hit).  With stealing off the plan is honored unconditionally.
+        moves to the new shard's store with the batch, preserving the
+        hit).  With stealing off the plan is honored unconditionally.
         """
         profile, planned_shard = unit.profile, unit.planned_shard
         ready = profile.ready_time

@@ -1102,16 +1102,6 @@ class InferenceEngine:
         cumulative over the engine's runs)."""
         return dict(self._controller.shard_stats)
 
-    @property
-    def calibrator(self) -> CalibratingCostModel:
-        """The engine's calibrating cost model.
-
-        Persist it across restarts via
-        :meth:`~repro.serving.cluster.CalibratingCostModel.to_dict` /
-        :meth:`~repro.serving.cluster.CalibratingCostModel.load_dict`.
-        """
-        return self._calibrator
-
     def _next_source(self):
         """``(source, ready time)`` of the work to run next — ``(None,
         None)`` when no source has any.  Earliest ready time wins, and

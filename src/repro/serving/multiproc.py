@@ -1,26 +1,18 @@
-"""Multi-worker serving over one cluster and a shared cache fabric.
+"""Multi-worker serving over one cluster.
 
 One :class:`~repro.serving.engine.InferenceEngine` is single-process by
 design — the discrete-event loop, the batcher and the placement policy
 all mutate one pool's state.  This module scales the serving front
 *out* instead of up: the declared :class:`~repro.serving.cluster.ClusterSpec`
-is partitioned into contiguous shard blocks, one worker process runs a
-full engine over each block, and the workers share a cache **fabric** —
-a :class:`~repro.store.FileStore` at ``store_root`` — for what is worth
-sharing:
-
-* the **K/V cache** writes computed prompts through and promotes
-  fabric hits onto the local shard, so one worker's cold pass serves
-  every other worker's first request for that prompt;
-* **calibration** snapshots persist under
-  :data:`~repro.serving.cluster.CALIBRATION_NAMESPACE`, so a worker
-  (or a later run) prices placements from observations the fleet has
-  already made.
-
-GEMM / MHP plans and CPWL approximators are not shared: each is a pure
-function of its key, memoised per process where it is defined, and
-rebuilding one costs less than one fabric read.  Forked workers inherit
-the parent's memos.
+is partitioned into contiguous shard blocks and one worker process runs
+a full engine over each block.  Workers share nothing but their request
+lists: a worker's K/V cache and calibrator live and die with its
+engine, its requests go in and its report comes back, so a fleet run
+is a function of its inputs — the merge of its workers run one by one
+in-process, however the processes interleave.  GEMM / MHP plans and
+CPWL approximators are pure functions of their keys, memoised per
+process where they are defined; forked workers inherit the parent's
+memos.
 
 Everything a worker needs crosses the process boundary as one
 picklable :class:`WorkerConfig`; models cross as
@@ -65,12 +57,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.serving.cluster import (
-    CALIBRATION_NAMESPACE,
-    ClusterSpec,
-    make_placement_policy,
-    save_calibration,
-)
+from repro.serving.cluster import ClusterSpec, make_placement_policy
 from repro.serving.deploy import (
     EndpointSpec,
     assemble_engine,
@@ -88,7 +75,6 @@ from repro.serving.request import (
     resolve_arrivals,
 )
 from repro.serving.tenancy import TenantConfig
-from repro.store import FileStore
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +97,11 @@ class WorkerConfig:
     cluster: ClusterSpec
     models: Tuple[EndpointSpec, ...]
     requests: Tuple[TracedRequest, ...]
-    store_root: Optional[str] = None
     fault_plan: Optional[FaultPlan] = None
     options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_deployment(fabric=None, **self.options)
+        check_deployment(**self.options)
 
 
 class WorkerFailedError(RuntimeError):
@@ -203,23 +188,9 @@ def partition_cluster(cluster: ClusterSpec, n_workers: int) -> List[ClusterSpec]
 def _worker_main(config: WorkerConfig) -> ServingReport:
     """Run one engine over one partition; the body of a worker process
     (also called in-process: the single-worker path and the tests)."""
-    fabric = FileStore(config.store_root) if config.store_root is not None else None
-    engine = assemble_engine(
-        config.cluster,
-        config.models,
-        fabric=fabric,
-        **config.options,
-    )
-    if fabric is not None:
-        # The slot save_calibration() writes when given no name.
-        state = fabric.get(CALIBRATION_NAMESPACE, "default")
-        if state is not None:
-            engine.calibrator.load_dict(state)
+    engine = assemble_engine(config.cluster, config.models, **config.options)
     engine.enqueue(config.requests)
-    report = engine.run()
-    if fabric is not None:
-        save_calibration(engine.calibrator, fabric)
-    return report
+    return engine.run()
 
 
 def _injected_death(config: WorkerConfig):
@@ -319,7 +290,6 @@ def serve_multiproc(
     models: Sequence[EndpointSpec],
     requests: Sequence[object],
     n_workers: int = 2,
-    store_root: Optional[str] = None,
     fault_plan: Optional[FaultPlan] = None,
     supervise: bool = False,
     max_restarts: int = 1,
@@ -328,11 +298,10 @@ def serve_multiproc(
     """Serve ``requests`` with ``n_workers`` engine processes.
 
     The cluster splits into contiguous shard blocks
-    (:func:`partition_cluster`), requests round-robin over workers
+    (:func:`partition_cluster`) and requests round-robin over workers
     (``requests[i::n_workers]``, preserving each worker's arrival
-    order), and — when ``store_root`` is given — every worker mounts
-    the same :class:`~repro.store.FileStore` fabric, sharing prompts and
-    calibration across the fleet.
+    order).  Workers share nothing else, so the merged report is the
+    same whichever worker process runs first.
 
     ``requests`` is an arrival-sorted sequence of
     :meth:`~repro.serving.engine.InferenceEngine.enqueue` items:
@@ -394,7 +363,6 @@ def serve_multiproc(
             cluster=partitions[worker],
             models=model_specs,
             requests=tuple(described[worker::n_workers]),
-            store_root=store_root,
             fault_plan=fault_plan,
             options=options,
         )
@@ -530,9 +498,8 @@ def merge_reports(
     Supervision counters sum.
 
     Per-worker ``cache_stats`` namespaces are qualified as
-    ``worker<N>/<namespace>`` — each worker owns a private store (plus
-    its view of the fabric), so same-named namespaces are distinct
-    caches, not one cache to sum.
+    ``worker<N>/<namespace>`` — each worker owns a private store, so
+    same-named namespaces are distinct caches, not one cache to sum.
     """
     if len(reports) != len(partitions):
         raise ValueError(

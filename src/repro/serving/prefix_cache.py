@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.nn.executor import KVState
 from repro.nn.workload import transformer_prefix_savings
-from repro.store import FileStore, InProcessLRU
+from repro.store import InProcessLRU
 
 
 @dataclass(frozen=True)
@@ -181,39 +181,26 @@ class RadixKVCache:
         exceed it: inserting evicts least-recently-used entries first,
         and an entry that alone exceeds the budget is rejected (counted
         in :attr:`rejections`), never resident.
-    fabric:
-        Optional second tier (typically a shared
-        :class:`~repro.store.FileStore`): a lookup that finds nothing
-        locally reads the exact query through it (a fabric hit is
-        promoted onto the local shard), and inserts write through — so
-        a prompt computed by one worker process serves every other
-        worker's first request for it.
 
     Entries are keyed ``(tenant, model, exact token tuple)`` — a tenant
     never hits another tenant's cache, so prompt reuse cannot leak
     activations across tenants, and a hit needs no further
     verification.  Payloads live in a private
-    :class:`~repro.store.InProcessLRU`: shard ``N`` under
-    ``serving.radix.shard<N>``, the shard-agnostic fabric tier under
-    :attr:`NAMESPACE` itself.  That store is the one record of
+    :class:`~repro.store.InProcessLRU`, shard ``N`` under
+    ``serving.radix.shard<N>``.  That store is the one record of
     residency: :meth:`lookup` and :meth:`resident_shards` both ask it.
     """
 
     #: Store namespace of the cache (an engine has one, so one name).
     NAMESPACE = "serving.radix"
 
-    def __init__(
-        self,
-        shard_budget_bytes: int = 32 << 20,
-        fabric: Optional[FileStore] = None,
-    ):
+    def __init__(self, shard_budget_bytes: int = 32 << 20):
         if shard_budget_bytes < 1:
             raise ValueError(
                 f"shard_budget_bytes must be >= 1, got {shard_budget_bytes}"
             )
         self.shard_budget_bytes = int(shard_budget_bytes)
         self._store = InProcessLRU()
-        self._fabric = fabric
         self._shards_seen: Set[int] = set()
         # Key lengths ever admitted per (shard, tenant, model): which
         # prefixes of a query are worth probing.  Evictions leave them
@@ -224,8 +211,6 @@ class RadixKVCache:
         self.insertions = 0
         self.rejections = 0
         self.migrations = 0
-        self.fabric_hits = 0
-        self.fabric_misses = 0
 
     @staticmethod
     def _seq(tokens) -> Tuple[int, ...]:
@@ -254,15 +239,11 @@ class RadixKVCache:
                 return n
         return 0
 
-    def _admit(
-        self, shard: int, tenant: str, model: str, seq, payload, publish: bool = True
-    ) -> bool:
+    def _admit(self, shard: int, tenant: str, model: str, seq, payload) -> bool:
         """Make ``payload`` resident on ``shard`` under the byte budget.
 
         The one budget check: evicts least-recently-used payloads until
-        the entry fits, rejects an entry bigger than the whole budget,
-        and (unless the payload just came *from* there) writes through
-        to the fabric.
+        the entry fits, and rejects an entry bigger than the whole budget.
         """
         size = payload.nbytes + 8 * len(seq)
         if size > self.shard_budget_bytes:
@@ -272,8 +253,6 @@ class RadixKVCache:
             self._namespace(shard), (tenant, model, seq), payload, nbytes=size
         )
         self._lengths.setdefault((shard, tenant, model), set()).add(len(seq))
-        if publish and self._fabric is not None:
-            self._fabric.put(self.NAMESPACE, (tenant, model, seq), payload)
         return True
 
     # -- read side -------------------------------------------------------
@@ -290,9 +269,7 @@ class RadixKVCache:
         Returns ``(cached_len, payload)`` or ``(0, None)``.  ``max_len``
         caps the usable prefix (a prefill must keep at least one
         un-cached row to produce logits).  A hit refreshes the payload's
-        LRU recency.  With a fabric tier, a query matching nothing
-        locally is read through it exactly; a fabric hit is promoted
-        here and served as a hit.
+        LRU recency.
         """
         seq = self._seq(tokens)
         if max_len is not None:
@@ -303,18 +280,6 @@ class RadixKVCache:
             return match, self._store.get(
                 self._namespace(shard), (tenant, model, seq[:match])
             )
-        if self._fabric is not None:
-            payload = self._fabric.get(self.NAMESPACE, (tenant, model, seq))
-            if payload is not None:
-                # Serialization drops numpy's read-only flag; freezing
-                # again keeps promoted entries immutable while shared.
-                self._admit(
-                    shard, tenant, model, seq, payload.freeze(), publish=False
-                )
-                self.fabric_hits += 1
-                self.hits += 1
-                return len(seq), payload
-            self.fabric_misses += 1
         self.misses += 1
         return 0, None
 
@@ -323,8 +288,7 @@ class RadixKVCache:
 
         A pure read of the same record :meth:`lookup` serves from, with
         no effect on LRU order or any counter: a shard is listed exactly
-        when a lookup there would hit.  Fabric-only residency does not
-        count — affinity is about which shard's memory holds the payload.
+        when a lookup there would hit.
         """
         seq = self._seq(tokens)
         return tuple(
@@ -409,8 +373,6 @@ class RadixKVCache:
             "evictions": self.evictions,
             "rejections": self.rejections,
             "migrations": self.migrations,
-            "fabric_hits": self.fabric_hits,
-            "fabric_misses": self.fabric_misses,
             "shard_budget_bytes": self.shard_budget_bytes,
             "resident_bytes": {shard: self.resident_bytes(shard) for shard in shards},
             "resident_entries": {

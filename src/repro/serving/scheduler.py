@@ -320,4 +320,3 @@ class TenantScheduler:
             )
         winner = self.policy.select(candidates)
         return self._pick(by_tenant[winner])
-        self._n_batches = 0

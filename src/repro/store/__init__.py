@@ -4,9 +4,8 @@
   bounded LRU dicts with uniform stats: the parameter caches and the
   K/V cache's per-shard stores;
 * :class:`~repro.store.filestore.FileStore` — on-disk, lock-guarded,
-  one file per key, shareable between worker processes (pickle or JSON
-  serialization): the fleet's fabric, and where traces, tuning fronts
-  and calibration snapshots persist.
+  one file per key, shareable between processes (pickle or JSON
+  serialization): where traffic traces and tuning fronts persist.
 
 Pure values — GEMM / MHP plans, CPWL approximators — are memoised
 where they are defined instead.  See ``docs/architecture.md`` ("The

@@ -12,8 +12,8 @@ unpublished ``.tmp`` file.  Every read and write holds an exclusive
 Keys are hashed (SHA-256 of ``repr(key)``) into file names, but
 correctness never rests on the digest: the data file stores the
 ``(repr(key), value)`` pair and a read verifies it, so a hash or repr
-collision degrades to a miss (which is what lets the K/V cache key its
-fabric tier on exact token tuples with no check of its own).
+collision degrades to a miss, so a caller can key entries on exact
+values with no check of its own.
 
 Serialization is ``pickle`` by default (K/V payloads) or ``json``
 (``serializer="json"``) for values that already speak the
@@ -49,7 +49,7 @@ class StoreLockTimeout(TimeoutError):
     """A bounded lock acquisition on a shared store gave up.
 
     Raised by :class:`FileStore` when another process holds a namespace
-    lock past the store's ``lock_timeout``, so one wedged fabric lock
+    lock past the store's ``lock_timeout``, so one wedged store lock
     fails a caller instead of stalling it indefinitely.
     """
 
@@ -65,15 +65,15 @@ class FileStore:
     Parameters
     ----------
     root:
-        Store directory (created if missing).  Point several worker
-        processes at the same root and they share one cache fabric.
+        Store directory (created if missing).  Several processes may
+        open the same root and share its entries.
     serializer:
         ``"pickle"`` (default, arbitrary Python values) or ``"json"``
         (JSON-safe values only — the ``to_dict`` idiom).
     lock_timeout:
         Seconds a namespace-lock acquisition may wait before raising
         :class:`StoreLockTimeout` (``None`` blocks indefinitely).
-        Bounded by default so a worker wedged while holding a fabric
+        Bounded by default so a process wedged while holding a store
         lock makes the others fail loudly instead of freezing them.
 
     **Corruption containment**: a data file that no longer

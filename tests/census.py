@@ -28,7 +28,7 @@ executes, it lists the statements of that function (nested functions
 included) that no workload executes, ``raise`` statements left out,
 and marks with ``t`` those the tests pass executes.  A statement is one
 whose first line carries bytecode, so ``try:`` and docstrings are not.
-Statements that run only when timing says so (a fabric lock's wait
+Statements that run only when timing says so (a store lock's wait
 loop under contention) can move between runs.
 
 Forked ``multiprocessing`` children are followed: a child keeps the

@@ -4,7 +4,7 @@ The two load-bearing contracts are property-based:
 
 * **lossless persistence** — any :class:`TrafficTrace` survives a
   save→load round trip on a JSON :class:`~repro.store.FileStore`
-  fabric unchanged (hypothesis over request contents);
+  unchanged (hypothesis over request contents);
 * **bit-identical replay** — the same trace under the same
   :class:`TuningConfig` produces reports with equal
   :func:`report_fingerprint` digests (hypothesis over trace seeds).

@@ -5,8 +5,8 @@ admitted request either completes exactly once, bit-identical to a
 healthy run, or is reported failed with a reason** — a dead worker is
 detected by exit code, then restarted or its requests redistributed,
 never silently dropped.  A plan that cannot be honoured is refused
-before anything starts.  The fabric the workers share survives a torn
-write as misses.
+before anything starts.  A ``FileStore`` survives a torn write as
+misses.
 
 Everything runs in simulated time off deterministic plans: no sleeps,
 no real clocks, no flaky timing.
@@ -195,7 +195,7 @@ class TestWorkerSupervision:
 class TestFabricChaos:
     def test_corruption_quarantined_as_misses(self, tmp_path):
         """A torn write (garbage bytes where a pickle was) read by
-        another worker's view of the fabric is a miss, and quarantined."""
+        another process's view of the store is a miss, and quarantined."""
         root = str(tmp_path / "fabric")
         store = FileStore(root)
         for i in range(3):

@@ -209,36 +209,6 @@ class TestCostModels:
         # Bigger array, same workload: fewer cycles.
         assert estimator(profile(batch=2), BIG) < cycles
 
-    def test_calibrator_round_trips_through_dict(self):
-        """Serialized calibration state restores estimates exactly —
-        the piece that lets calibration survive engine restarts."""
-        import json
-
-        model = CalibratingCostModel()
-        model.observe("bert", 4, (8,), SMALL, 1000)
-        model.observe("bert", 2, (8,), BIG, 300)
-        model.observe("resnet", 1, (3, 8, 8), SMALL, 5000)
-
-        state = model.to_dict()
-        # JSON-safe: survives an actual dump/load cycle.
-        state = json.loads(json.dumps(state))
-        restored = CalibratingCostModel.from_dict(state)
-
-        probes = [
-            (profile("bert", 4, (8,)), SMALL),      # exact
-            (profile("bert", 8, (8,)), SMALL),      # per-row scaling
-            (profile("bert", 2, (8,)), BIG),        # exact on other config
-            (profile("bert", 3, (8,)), BIG),        # per-row on other config
-            (profile("resnet", 1, (3, 8, 8)), BIG), # cross-config proxy
-            (profile("ghost", 1, (8,)), SMALL),     # unknown stays unknown
-        ]
-        for batch_profile, config in probes:
-            assert restored.estimate(batch_profile, config) == model.estimate(
-                batch_profile, config
-            )
-        # A second round trip is a fixed point (insertion order kept).
-        assert restored.to_dict() == model.to_dict()
-
     def test_calibrator_config_dict_round_trip(self):
         from repro.serving import config_from_dict, config_to_dict
 
@@ -247,22 +217,6 @@ class TestCostModels:
             l3_out_width=3, clock_hz=123e6,
         )):
             assert config_from_dict(config_to_dict(config)) == config
-
-    def test_calibrator_rejects_unknown_state_version(self):
-        with pytest.raises(ValueError, match="version"):
-            CalibratingCostModel.from_dict({"version": 99, "observations": []})
-
-    def test_engine_exposes_calibrator_for_persistence(self):
-        engine = build_engine([SMALL], "cost_aware")
-        rng = np.random.default_rng(0)
-        for row in rng.integers(0, 16, size=(4, 8)):
-            engine.submit("bert", row)
-        engine.run()
-        state = engine.calibrator.to_dict()
-        assert state["observations"], "run produced no calibration"
-        fresh = CalibratingCostModel.from_dict(state)
-        probe = profile("bert", 2, (8,))
-        assert fresh.estimate(probe, SMALL) == engine.calibrator.estimate(probe, SMALL)
 
     def test_workload_cost_model_gemm_only_on_plain_sa(self):
         plain = SystolicConfig(

@@ -140,7 +140,7 @@ class TestCachedValueStaysHome:
         _fresh_interpreter(code, path)
 
     def test_filestore_schedule_into_a_fresh_interpreter(self, tmp_path):
-        """The fabric path: a ``GemmSchedule`` (which holds its config)
+        """The store path: a ``GemmSchedule`` (which holds its config)
         persisted by one process is looked up by another."""
         config = _config()
         schedule = plan_gemm(config, 16, 8, 12, use_cache=False)
@@ -154,7 +154,7 @@ class TestCachedValueStaysHome:
             f"local = SystolicConfig(fmt=QFormat(16, 8), **{KWARGS!r})\n"
             "store = FileStore(sys.argv[1])\n"
             f"schedule = store.get({SCHEDULES!r}, (local, 16, 8, 12))\n"
-            "assert schedule is not None, 'equal key missed the fabric entry'\n"
+            "assert schedule is not None, 'equal key missed the store entry'\n"
             "assert '_hash' not in vars(schedule.config)\n"
             "assert {local: 'found'}[schedule.config] == 'found'\n"
             "assert schedule.breakdown.total > 0\n"

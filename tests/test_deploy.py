@@ -126,8 +126,9 @@ def test_unknown_option_fails_in_the_front_not_in_a_worker():
             ClusterSpec.homogeneous(MID, 2), [ENDPOINT], [], n_workers=2,
             max_batch=4,
         )
-    # The caches are the assembler's decision; the fault plan and the
-    # fabric are the front's (``fault_plan=`` / ``store_root=``).
+    # The caches are the assembler's decision and the fault plan is the
+    # front's (``fault_plan=``); no worker shares a store, so nothing
+    # takes a ``fabric=``.
     for owned in ("prefix_cache", "faults", "fabric"):
         with pytest.raises(TypeError, match=owned):
             serve_multiproc(

@@ -9,12 +9,11 @@ The load-bearing contracts:
   outputs match greedy placement bit-for-bit, plans are deterministic,
   and the skewed pool stops funnelling into the fastest shard;
 * **work-stealing re-places queued-but-unstarted batches** off
-  drifted shards, migrating prefix-cache entries through the store
-  fabric when affinity breaks — and every completed request is still
-  answered exactly once with baseline-identical bits;
-* the satellite regressions: equal-cost ties break by shard index
-  everywhere, and a stale cross-worker calibration snapshot revalidates
-  through the store fabric.
+  drifted shards, migrating prefix-cache entries between shards when
+  affinity breaks — and every completed request is still answered
+  exactly once with baseline-identical bits;
+* the satellite regression: equal-cost ties break by shard index
+  everywhere.
 """
 
 import json
@@ -28,7 +27,6 @@ from repro.nn.models import TinyBERT
 from repro.nn.workload import transformer_serving_workload
 from repro.serving import (
     BatchProfile,
-    CalibratingCostModel,
     ClusterSpec,
     CostAwarePlacement,
     EndpointSpec,
@@ -41,13 +39,10 @@ from repro.serving import (
     StealEvent,
     TransformerPrefixAdapter,
     cluster_desc,
-    load_calibration,
     render_cluster_desc,
-    save_calibration,
     serve_multiproc,
     workload_cost_model,
 )
-from repro.store import FileStore
 from repro.serving.elastic import STEAL_DRIFT_THRESHOLD
 from repro.systolic import SystolicConfig
 
@@ -418,41 +413,6 @@ class TestDeterministicTieBreaks:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: stale cross-worker calibration
-# ---------------------------------------------------------------------------
-class TestCrossWorkerCalibrationStaleness:
-    CONFIG = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)
-
-    def _profile(self, model="m", batch=2):
-        return BatchProfile(model=model, tenant="t", batch_size=batch,
-                            sample_shape=(8,), ready_time=0.0)
-
-    def test_version_stamped_snapshot_revalidates(self, tmp_path):
-        # Each worker's view of the fleet fabric is its own FileStore on
-        # the shared root, and every load reads the fabric itself: the
-        # snapshot (stamped with its schema version) is one file, which
-        # each save replaces whole.
-        worker_a = FileStore(str(tmp_path))
-        worker_b = FileStore(str(tmp_path))
-
-        calibrator = CalibratingCostModel()
-        calibrator.observe("m", 2, (8,), self.CONFIG, 1000)
-        save_calibration(calibrator, worker_a, name="fleet")
-
-        # Worker B loads the first snapshot.
-        stale = load_calibration(worker_b, name="fleet")
-        assert stale.estimate(self._profile(), self.CONFIG) == 1000
-
-        # Worker A learns more and saves again.
-        calibrator.observe("m", 4, (8,), self.CONFIG, 2000)
-        save_calibration(calibrator, worker_a, name="fleet")
-
-        # B's next load sees A's newer snapshot, never a stale copy.
-        fresh = load_calibration(worker_b, name="fleet")
-        assert fresh.estimate(self._profile(batch=4), self.CONFIG) == 2000
-
-
-# ---------------------------------------------------------------------------
 # Multi-worker + autotune wiring
 # ---------------------------------------------------------------------------
 def _mp_model():
@@ -460,7 +420,7 @@ def _mp_model():
 
 
 class TestElasticWiring:
-    def test_multiproc_carries_elastic_config(self, tmp_path):
+    def test_multiproc_carries_elastic_config(self):
         rng = np.random.default_rng(7)
         requests = [
             {"model": "bert_small", "inputs": row, "arrival": i * 1e-5}
@@ -473,7 +433,6 @@ class TestElasticWiring:
             [EndpointSpec("bert_small", _mp_model)],
             requests,
             n_workers=1,
-            store_root=str(tmp_path),
             placement="lookahead",
             steal=True,
         )
@@ -512,9 +471,8 @@ class TestElasticWiring:
         assert {type(event) for event in log} == set(EVENT_TYPES)
         empty = ServingReport(completed=(), shard_cycles={}, wall_seconds=0.0)
         partitions = [
-            ClusterSpec.homogeneous(self_config, 2)
-            for self_config in (TestCrossWorkerCalibrationStaleness.CONFIG,) * 2
-        ]
+            ClusterSpec.homogeneous(SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4), 2)
+        ] * 2
         merged = merge_reports([empty, worker], partitions)
         assert merged.steals == (
             dc_replace(steal, from_shard=2, to_shard=3),

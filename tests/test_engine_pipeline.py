@@ -77,8 +77,6 @@ from repro.serving import (
     StealEvent,
     TenantConfig,
     TransformerPrefixAdapter,
-    load_calibration,
-    save_calibration,
     workload_cost_model,
 )
 from repro.nn.workload import transformer_serving_workload
@@ -359,17 +357,18 @@ def test_one_path_from_deployment_as_data_to_a_running_engine():
 def test_pure_values_are_memoised_where_they_are_defined():
     """Plans and approximators are bounded per-process memos at their
     definitions; there is no process-global store, no namespace
-    registry and no abstract store class, so persisting a trace, a
-    front or a calibration snapshot names its store."""
+    registry and no abstract store class, so persisting a trace or a
+    front names its store; calibration is not persisted at all."""
 
     first_line = {name: code.splitlines()[0] for _, name, code in _functions_under_src()}
     assert first_line["_approximator"] == "@functools.lru_cache(maxsize=APPROXIMATORS)"
     assert first_line["_gemm_plan"] == "@functools.lru_cache(maxsize=GEMM_PLANS)"
     assert first_line["_mhp_plan"] == "@functools.lru_cache(maxsize=MHP_PLANS)"
-    for persist in (save_trace, load_trace, save_front, load_front,
-                    save_calibration, load_calibration):
+    for persist in (save_trace, load_trace, save_front, load_front):
         store = inspect.signature(persist).parameters["store"]
         assert store.default is inspect.Parameter.empty, persist.__name__
+    for retired in ("save_calibration", "load_calibration", "CALIBRATION_NAMESPACE"):
+        assert not hasattr(serving_package, retired)
     assert not (SRC / "store" / "tiered.py").exists()
     assert not (SRC / "store" / "base.py").exists()
     deleted = ("get" "_store", "set" "_store", "register" "_namespace",
@@ -1246,11 +1245,11 @@ def test_one_kv_cache_and_one_record_of_array_work():
     def parameters(function):
         return list(inspect.signature(function).parameters)
 
-    assert parameters(RadixKVCache.__init__) == ["self", "shard_budget_bytes", "fabric"]
+    assert parameters(RadixKVCache.__init__) == ["self", "shard_budget_bytes"]
     assert RadixKVCache.NAMESPACE == "serving.radix"
     assert parameters(ParamCache.__init__) == ["self", "maxsize"]
     assert parameters(assemble_engine) == [
-        "pool", "endpoints", "radix_budget_bytes", "fabric", "engine_options",
+        "pool", "endpoints", "radix_budget_bytes", "engine_options",
     ]
     assert parameters(SystolicArray.__init__) == ["self", "config"]
     assert parameters(Trace.__init__) == ["self"]

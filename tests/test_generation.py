@@ -43,7 +43,6 @@ from repro.serving import (
     InferenceEngine,
     RadixKVCache,
 )
-from repro.store import FileStore
 from repro.systolic import SystolicArray, SystolicConfig
 
 CONFIG = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=8)
@@ -879,29 +878,6 @@ class TestRadixKVCache:
         assert cache.resident_shards("t", "m", b) == (0,)
         # A pure read: no counter moved, b's recency untouched.
         assert cache.stats()["hits"] == cache.stats()["misses"] == 0
-
-    def test_fabric_round_trip_between_caches(self, tmp_path):
-        """An entry inserted through one cache serves a fresh cache on
-        the same fabric: read through, promoted, re-frozen."""
-        model = _model()
-        fabric = FileStore(str(tmp_path))
-        p = np.array([1, 2, 3], dtype=np.int64)
-        first = RadixKVCache(fabric=fabric)
-        assert first.insert(0, "t", "m", p, _payload(model, p))
-        second = RadixKVCache(fabric=fabric)
-        assert second.resident_shards("t", "m", p) == ()  # fabric-only
-        n, payload = second.lookup(1, "t", "m", p)
-        assert n == 3 and payload.pos == 3
-        assert (second.fabric_hits, second.hits, second.misses) == (1, 1, 0)
-        for k, v in zip(payload.k, payload.v):
-            assert not k.flags.writeable and not v.flags.writeable
-        assert second.resident_shards("t", "m", p) == (1,)
-        # Now resident: the next lookup never reaches the fabric.
-        assert second.lookup(1, "t", "m", p)[0] == 3
-        assert (second.fabric_hits, second.hits) == (1, 2)
-        # Tenants stay isolated on the fabric too.
-        assert second.lookup(1, "other", "m", p) == (0, None)
-        assert second.fabric_misses == 1
 
     def test_migrate_moves_store_and_index_together(self):
         model = _model()

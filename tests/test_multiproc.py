@@ -1,14 +1,14 @@
-"""Multi-worker serving: partitioning, merged-report invariants, the
-shared cache fabric, and bit-identity against single-engine serving.
+"""Multi-worker serving: partitioning, merged-report invariants, and
+bit-identity against single-engine serving and against the workers run
+one by one in-process.
 
 The merge invariants are exact, not approximate: summed tenant cycles,
 shard cycles and shed counts of the per-worker reports equal the
 merged report's, and worker-local shard indices map injectively onto
-the declared cluster's numbering.  The fabric tests run workers
-*sequentially in-process* (two `_worker_main` calls over one store
-root) so cross-process reuse is observable deterministically: the
-second worker's first prompt lookup must be a fabric hit, and its
-calibrator must start from the first worker's observations.
+the declared cluster's numbering.  Workers share nothing but their
+request lists, so a fleet's merged report is a function of its inputs:
+the same prompt reaching two workers is computed on both, whichever
+process gets there first.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ import pytest
 from repro.autotune import report_fingerprint
 from repro.nn.models import TinyBERT
 from repro.serving import (
-    CALIBRATION_NAMESPACE,
     ClusterSpec,
     EndpointSpec,
     InferenceEngine,
@@ -30,7 +29,6 @@ from repro.serving import (
 )
 from repro.serving.multiproc import WorkerConfig, _worker_main
 from repro.serving.request import describe_request, resolve_arrivals
-from repro.store import FileStore
 from repro.systolic import SystolicConfig
 
 CONFIG = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=8)
@@ -92,40 +90,6 @@ class TestPartitioning:
 
 
 class TestWorkerMain:
-    def test_sequential_workers_share_prefix_fabric(self, tmp_path):
-        root = str(tmp_path / "fabric")
-        requests = _requests(4)
-        base = WorkerConfig(
-            index=0,
-            cluster=ClusterSpec.homogeneous(CONFIG, 1),
-            models=(_model_spec(),),
-            requests=tuple(requests),
-            store_root=root,
-        )
-        first = _worker_main(base)
-        assert first.prefix_misses >= 1  # cold: computed and written through
-
-        second = _worker_main(base)
-        # The second worker's store is fresh, so a local hit is
-        # impossible — its prompt must come off the shared fabric.
-        assert second.prefix_misses == 0
-        assert second.prefix_hits >= 1
-
-    def test_sequential_workers_share_calibration(self, tmp_path):
-        root = str(tmp_path / "fabric")
-        config = WorkerConfig(
-            index=0,
-            cluster=ClusterSpec.homogeneous(CONFIG, 1),
-            models=(_model_spec(),),
-            requests=tuple(_requests(4)),
-            store_root=root,
-        )
-        _worker_main(config)
-        fabric = FileStore(root)
-        state = fabric.get(CALIBRATION_NAMESPACE, "default")
-        assert state is not None
-        assert state["observations"]  # the run's traced batches persisted
-
     def test_worker_without_fabric_runs_isolated(self):
         config = WorkerConfig(
             index=0,
@@ -139,28 +103,16 @@ class TestWorkerMain:
 
 
 class TestServeMultiproc:
-    def test_single_worker_path_runs_in_process(self, tmp_path):
+    def test_single_worker_path_runs_in_process(self):
         cluster = ClusterSpec.homogeneous(CONFIG, 2)
-        result = serve_multiproc(
-            cluster,
-            [_model_spec()],
-            _requests(6),
-            n_workers=1,
-            store_root=str(tmp_path / "fabric"),
-        )
+        result = serve_multiproc(cluster, [_model_spec()], _requests(6), n_workers=1)
         assert len(result.reports) == 1
         assert result.merged.n_requests == 6
 
-    def test_two_workers_merge_invariants_exact(self, tmp_path):
+    def test_two_workers_merge_invariants_exact(self):
         cluster = ClusterSpec.homogeneous(CONFIG, 2)
         requests = _requests(8)
-        result = serve_multiproc(
-            cluster,
-            [_model_spec()],
-            requests,
-            n_workers=2,
-            store_root=str(tmp_path / "fabric"),
-        )
+        result = serve_multiproc(cluster, [_model_spec()], requests, n_workers=2)
         merged, reports = result.merged, result.reports
         assert merged.n_requests == sum(r.n_requests for r in reports) == 8
 
@@ -183,16 +135,10 @@ class TestServeMultiproc:
         assert any(name.startswith("worker0/") for name in merged.cache_stats)
         assert any(name.startswith("worker1/") for name in merged.cache_stats)
 
-    def test_multiproc_outputs_bit_identical_to_single_engine(self, tmp_path):
+    def test_multiproc_outputs_bit_identical_to_single_engine(self):
         cluster = ClusterSpec.homogeneous(CONFIG, 2)
         requests = _requests(8, shared_prefix=True)
-        result = serve_multiproc(
-            cluster,
-            [_model_spec()],
-            requests,
-            n_workers=2,
-            store_root=str(tmp_path / "fabric"),
-        )
+        result = serve_multiproc(cluster, [_model_spec()], requests, n_workers=2)
 
         model = TinyBERT(**MODEL_KWARGS)
         engine = InferenceEngine(
@@ -217,17 +163,26 @@ class TestServeMultiproc:
         for key, outputs in actual.items():
             np.testing.assert_array_equal(outputs, expected[key])
 
-    def test_fabric_holds_no_plans_or_approximators(self, tmp_path):
-        """Plans and approximators are memoised per process, never written
-        to the fabric; the fleet's report is the in-process run's."""
-        root = tmp_path / "fabric"
-        cluster = ClusterSpec.homogeneous(CONFIG, 2)
-        spec = EndpointSpec(name="bert", factory=TinyBERT, kwargs=MODEL_KWARGS)
-        requests = _requests(8)
-        fleet = serve_multiproc(
-            cluster, [spec], requests, n_workers=2, store_root=str(root)
+    @pytest.mark.parametrize("kind", ["plain", "prefix", "generation"])
+    def test_fleet_equals_in_process_workers(self, kind):
+        """Workers share nothing, so a fleet's report is the merge of its
+        workers run one by one in-process — also when one prompt reaches
+        both: worker 0 serves A then X, worker 1 B then A."""
+        spec = EndpointSpec(
+            name="bert", factory=TinyBERT, kwargs=MODEL_KWARGS,
+            prefix_len=PREFIX_LEN if kind == "prefix" else None,
+            generation=kind == "generation",
         )
-        assert [path.name for path in root.iterdir()] == [CALIBRATION_NAMESPACE]
+        a, b, x = np.random.default_rng(3).integers(0, 16, size=(3, 8))
+        extra = {"max_new_tokens": 3} if kind == "generation" else {}
+        requests = [
+            {"model": "bert", "inputs": tokens[: 5 if extra else 8],
+             "arrival": at, **extra}
+            for tokens, at in ((a, 0.0), (b, 0.0), (x, 1e-3), (a, 1e-3))
+        ]
+        cluster = ClusterSpec.homogeneous(CONFIG, 2)
+        options = {"flush_timeout": 1e-6}
+        fleet = serve_multiproc(cluster, [spec], requests, n_workers=2, **options)
 
         parts = partition_cluster(cluster, 2)
         described = resolve_arrivals(map(describe_request, requests))
@@ -235,7 +190,7 @@ class TestServeMultiproc:
             [
                 _worker_main(WorkerConfig(
                     index=worker, cluster=parts[worker], models=(spec,),
-                    requests=tuple(described[worker::2]),
+                    requests=tuple(described[worker::2]), options=options,
                 ))
                 for worker in range(2)
             ],

@@ -253,9 +253,9 @@ class TestEvictionBudget:
         ids=lambda t: f"{type(t).__name__}-{getattr(t, 'dtype', '')}-{np.shape(t)}",
     )
     def test_key_is_a_tuple_of_python_ints(self, tokens):
-        """The cache key (which the fabric tier serialises) is the
-        per-element ``int()`` of the flattened tokens, whatever the
-        container or dtype — never numpy scalars, floats or bools."""
+        """The cache key is the per-element ``int()`` of the flattened
+        tokens, whatever the container or dtype — never numpy scalars,
+        floats or bools."""
         expected = tuple(int(t) for t in np.asarray(tokens).reshape(-1))
         key = RadixKVCache._seq(tokens)
         assert key == expected

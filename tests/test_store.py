@@ -9,7 +9,7 @@
   both hold, an entry alone exceeding the byte budget is rejected,
   replacing a key releases its old bytes first, budgets and counters
   are per namespace;
-* FileStore (the fleet's fabric, one file per key): values round-trip
+* FileStore (where traces and fronts persist, one file per key): values round-trip
   bit-exactly through both serializers, concurrent writer processes
   publish every entry whole, a filename collision degrades to a
   verified miss, a held lock times out, and an unreadable entry is
@@ -314,7 +314,7 @@ class TestFileStore:
         ids=["class-gone", "module-gone"],
     )
     def test_entry_of_a_deleted_class_is_a_miss_everywhere(self, tmp_path, missing):
-        """A fabric outlives the code that wrote it: an entry whose
+        """A store outlives the code that wrote it: an entry whose
         pickle names a class (or module) this code no longer has must
         read as a quarantined miss — never raise."""
         store = FileStore(str(tmp_path / "s"))
@@ -449,36 +449,3 @@ class TestRefactoredSites:
         stats = cache.stats()
         assert stats["max_entries"] == 2
         assert stats["entries"] == 0
-
-    def test_calibration_roundtrip_through_filestore(self, tmp_path):
-        from repro.serving import (
-            CalibratingCostModel,
-            load_calibration,
-            save_calibration,
-        )
-        from repro.systolic import SystolicConfig
-
-        config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)
-        calibrator = CalibratingCostModel()
-        calibrator.observe("bert", 4, (8,), config, 1234)
-        fabric = FileStore(str(tmp_path / "fabric"), serializer="json")
-        save_calibration(calibrator, fabric)
-        restored = load_calibration(fabric)
-        from repro.serving.cluster import BatchProfile
-
-        profile = BatchProfile(
-            model="bert",
-            batch_size=4,
-            sample_shape=(8,),
-            tenant="default",
-            ready_time=0.0,
-        )
-        assert restored.estimate(profile, config) == calibrator.estimate(
-            profile, config
-        )
-
-    def test_load_calibration_absent_returns_none(self, tmp_path):
-        from repro.serving import load_calibration
-
-        fabric = FileStore(str(tmp_path / "fabric"))
-        assert load_calibration(fabric) is None
