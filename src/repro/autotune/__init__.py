@@ -36,22 +36,15 @@ from the traffic it actually saw, instead of a human guessing them:
   every scored candidate through the existing
   :func:`~repro.hardware.pareto.pareto_front` dominance code;
 * **the front** (:mod:`repro.autotune.front`) — the surviving
-  cost-vs-SLO trade-offs as a persisted, resumable
-  :class:`~repro.autotune.front.TuningFront` artifact.
+  cost-vs-SLO trade-offs as a resumable
+  :class:`~repro.autotune.front.TuningFront` value.
 
 See ``docs/autotuning.md`` for the operator guide and
 ``examples/autotune_demo.py`` for the record → search → re-serve
 round trip.
 """
 
-from repro.autotune.front import (
-    FRONT_NAMESPACE,
-    FRONT_VERSION,
-    FrontEntry,
-    TuningFront,
-    load_front,
-    save_front,
-)
+from repro.autotune.front import FrontEntry, TuningFront
 from repro.autotune.objective import (
     Objective,
     objective_from_report,
@@ -111,10 +104,6 @@ __all__ = [
     "EvaluationFailedError",
     "evolutionary_search",
     "random_search",
-    "FRONT_NAMESPACE",
-    "FRONT_VERSION",
     "FrontEntry",
     "TuningFront",
-    "load_front",
-    "save_front",
 ]

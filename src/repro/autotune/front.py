@@ -1,32 +1,25 @@
-"""The search's product: a persisted, resumable cost-vs-SLO Pareto front.
+"""The search's product: a resumable cost-vs-SLO Pareto front.
 
 A :class:`TuningFront` holds the non-dominated
 ``(TuningConfig, Objective)`` pairs a search has found for one trace,
 pruned by the paper's own dominance code
 (:func:`repro.hardware.pareto.pareto_front`) over four axes —
 minimize cost and p99, maximize SLO attainment and token throughput.
-Fronts are JSON-safe values persisted on the :mod:`repro.store`
-fabric (:func:`save_front` / :func:`load_front` under
-:data:`FRONT_NAMESPACE`), and :meth:`TuningFront.merge` folds new
-survivors into an existing front — so a later search run resumes
-where the last one stopped instead of re-discovering it.
+:meth:`TuningFront.merge` folds new survivors into an existing front,
+so a search given a front (``random_search(front=)`` /
+``evolutionary_search(front=)``) resumes where the last one stopped
+instead of re-discovering it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.autotune.objective import Objective, scalar_score
 from repro.autotune.tuning import TuningConfig
 from repro.hardware.pareto import pareto_front
-
-#: Schema version stamped into every serialized front.
-FRONT_VERSION = 1
-
-#: Store namespace holding persisted fronts (one entry per front name).
-FRONT_NAMESPACE = "autotune.fronts"
 
 #: The four dominance axes, all expressed as minimization (the
 #: convention :func:`repro.hardware.pareto.pareto_front` uses):
@@ -51,19 +44,6 @@ class FrontEntry:
         """The entry's scalar rank (see
         :func:`~repro.autotune.objective.scalar_score`)."""
         return scalar_score(self.objective)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "config": self.config.to_dict(),
-            "objective": self.objective.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FrontEntry":
-        return cls(
-            config=TuningConfig.from_dict(data["config"]),
-            objective=Objective.from_dict(data["objective"]),
-        )
 
 
 def _dedupe(entries: Iterable[FrontEntry]) -> Tuple[FrontEntry, ...]:
@@ -91,7 +71,6 @@ class TuningFront:
     trace_name: str
     entries: Tuple[FrontEntry, ...]
     evaluated: int = 0
-    version: int = FRONT_VERSION
 
     @classmethod
     def from_entries(
@@ -112,9 +91,9 @@ class TuningFront:
     def merge(self, entries: Iterable[FrontEntry], evaluated: int = 0) -> "TuningFront":
         """Fold newly scored candidates in; dominated entries fall off.
 
-        This is how runs resume: load the persisted front, search some
-        more, merge, save.  ``evaluated`` adds the number of *new*
-        replays the entries came from.
+        This is how runs resume: a search given a front merges what it
+        scores into it.  ``evaluated`` adds the number of *new* replays
+        the entries came from.
         """
         return TuningFront.from_entries(
             self.trace_name,
@@ -146,46 +125,3 @@ class TuningFront:
                 f"score {entry.score:.3e}  {entry.config.describe()}"
             )
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "version": self.version,
-            "trace_name": self.trace_name,
-            "evaluated": self.evaluated,
-            "entries": [entry.to_dict() for entry in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TuningFront":
-        version = int(data["version"])
-        if version != FRONT_VERSION:
-            raise ValueError(
-                f"front version {version} is not supported "
-                f"(this build reads version {FRONT_VERSION})"
-            )
-        return cls(
-            trace_name=str(data["trace_name"]),
-            evaluated=int(data["evaluated"]),
-            entries=tuple(
-                FrontEntry.from_dict(item) for item in data["entries"]
-            ),
-            version=version,
-        )
-
-
-def save_front(front: TuningFront, store, name: Optional[str] = None) -> None:
-    """Persist ``front`` on ``store`` (JSON-safe payload).
-
-    Keyed by ``name`` (default: the trace name), so one fabric can
-    hold fronts for many traces side by side.
-    """
-    store.put(FRONT_NAMESPACE, name or front.trace_name, front.to_dict())
-
-
-def load_front(name: str, store) -> Optional[TuningFront]:
-    """Restore a :func:`save_front` snapshot from ``store``, or None if
-    absent."""
-    data = store.get(FRONT_NAMESPACE, name)
-    if data is None:
-        return None
-    return TuningFront.from_dict(data)

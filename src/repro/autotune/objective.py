@@ -92,17 +92,6 @@ class Objective:
             "shed": self.shed,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "Objective":
-        return cls(
-            cost=float(data["cost"]),
-            slo_attainment=float(data["slo_attainment"]),
-            p99=float(data["p99"]),
-            tokens_per_sec=float(data["tokens_per_sec"]),
-            n_requests=int(data.get("n_requests", 0)),
-            shed=int(data.get("shed", 0)),
-        )
-
 
 def objective_from_report(report, pool: Sequence[SystolicConfig]) -> "Objective":
     """Price ``pool`` and read the replayed report's quality numbers."""

@@ -18,8 +18,8 @@ process per chunk of candidates, through the same
 :func:`~repro.serving.deploy.fan_out` a serving fleet spawns its
 workers with), never the choice of candidates.  Every scored candidate
 flows into a :class:`~repro.autotune.front.TuningFront` via the
-existing Pareto dominance code; pass a loaded front in to resume a
-previous run — its surviving configs seed the first population and its
+existing Pareto dominance code; pass a run's front in to resume
+it — its surviving configs seed the first population and its
 entries stay in the merged result.
 """
 

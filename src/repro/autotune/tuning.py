@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.cluster import config_from_dict, config_to_dict
+from repro.serving.cluster import config_to_dict
 from repro.systolic.config import SystolicConfig
 
 _PLACEMENT_CHOICES = ("round_robin", "least_loaded", "cost_aware", "lookahead")
@@ -120,32 +120,6 @@ class TuningConfig:
             "radix_budget_bytes": self.radix_budget_bytes,
             "steal": self.steal,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TuningConfig":
-        # ``steal`` is read with a default so pre-elastic snapshots
-        # (recorded fronts, saved Pareto members) keep loading; keys of
-        # retired knobs (thresholds that became constants, the retired
-        # pool-resizing switch, the second cache budget
-        # ``prefix_budget_bytes``) are ignored.
-        return cls(
-            pool=tuple(config_from_dict(item) for item in data["pool"]),
-            placement=str(data["placement"]),
-            occupancy_penalty=float(data["occupancy_penalty"]),
-            max_batch_size=int(data["max_batch_size"]),
-            flush_timeout=float(data["flush_timeout"]),
-            max_queue_depth=(
-                None
-                if data["max_queue_depth"] is None
-                else int(data["max_queue_depth"])
-            ),
-            radix_budget_bytes=(
-                None
-                if data["radix_budget_bytes"] is None
-                else int(data["radix_budget_bytes"])
-            ),
-            steal=bool(data.get("steal", False)),
-        )
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,6 @@ from repro.serving.cluster import (
     RoundRobinPlacement,
     ShardSpec,
     ShardView,
-    config_from_dict,
     config_to_dict,
     make_placement_policy,
     workload_cost_model,
@@ -169,7 +168,6 @@ __all__ = [
     "workload_cost_model",
     "PrefixAffinePlacement",
     "config_to_dict",
-    "config_from_dict",
     "FaultPlan",
     "WorkerDeath",
     "EndpointSpec",

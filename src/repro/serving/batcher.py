@@ -214,18 +214,12 @@ class BatchAssembler:
         self._open: Dict[GroupKey, OpenGroup] = {}
         self._closed: Dict[int, OpenGroup] = {}  # seq -> group, insertion order
         self._seq = 0
-        self._n_pending = 0
         self._pending_by_tenant: Dict[str, int] = {}
         # Cached min ready time over all groups.  Admission only ever
         # adds a group or *lowers* one's ready time (closing on fill),
         # so the cache updates in O(1) per admit; a pop recomputes it
         # (O(groups), once per executed batch).
         self._earliest: Optional[float] = None
-
-    @property
-    def n_pending(self) -> int:
-        """Requests admitted and not yet popped."""
-        return self._n_pending
 
     def pending_of(self, tenant: str) -> int:
         """Requests of one tenant admitted and not yet popped (O(1)).
@@ -265,7 +259,6 @@ class BatchAssembler:
             self._seq += 1
             self._open[key] = group
         group.requests.append(request)
-        self._n_pending += 1
         self._pending_by_tenant[request.tenant] = (
             self._pending_by_tenant.get(request.tenant, 0) + 1
         )
@@ -295,7 +288,6 @@ class BatchAssembler:
             del self._closed[group.seq]
         else:
             del self._open[_group_key(group.requests[0])]
-        self._n_pending -= group.size
         remaining = self._pending_by_tenant.get(group.tenant, 0) - group.size
         if remaining > 0:
             self._pending_by_tenant[group.tenant] = remaining

@@ -527,7 +527,8 @@ def make_placement_policy(
 # Cost models
 # ---------------------------------------------------------------------------
 def config_to_dict(config: SystolicConfig) -> Dict[str, object]:
-    """JSON-safe dict of a design point (see :func:`config_from_dict`)."""
+    """JSON-safe dict of a design point (part of
+    :meth:`~repro.autotune.tuning.TuningConfig.to_dict`)."""
     return {
         "pe_rows": config.pe_rows,
         "pe_cols": config.pe_cols,
@@ -542,26 +543,6 @@ def config_to_dict(config: SystolicConfig) -> Dict[str, object]:
             "frac_bits": config.fmt.frac_bits,
         },
     }
-
-
-def config_from_dict(data: Dict[str, object]) -> SystolicConfig:
-    """Rebuild a design point serialized by :func:`config_to_dict`."""
-    from repro.fixedpoint import QFormat
-
-    fmt = data.get("fmt", {})
-    return SystolicConfig(
-        pe_rows=int(data["pe_rows"]),
-        pe_cols=int(data["pe_cols"]),
-        macs_per_pe=int(data["macs_per_pe"]),
-        clock_hz=float(data["clock_hz"]),
-        fmt=QFormat(int(fmt["total_bits"]), int(fmt["frac_bits"])),
-        nonlinear_enabled=bool(data["nonlinear_enabled"]),
-        l3_out_width=(
-            None if data["l3_out_width"] is None else int(data["l3_out_width"])
-        ),
-        l3_in_width=int(data["l3_in_width"]),
-        segment_capacity=int(data["segment_capacity"]),
-    )
 
 
 class CalibratingCostModel:

@@ -79,12 +79,12 @@ class StealEvent:
 class ElasticController:
     """Runs the elastic runtime for one engine and owns its state.
 
-    As one of the engine's work sources (``next_ready`` / ``pop`` /
-    ``len``) it is the planned round: the ``(batch, shard,
-    profile)`` triples a look-ahead round assigned and nothing executed
-    yet, a FIFO in plan order; a planned batch (older) tied with a fresh
-    one runs first.  Rounds are planned iff ``placement`` — unwrapped
-    from :class:`~repro.serving.cluster.PrefixAffinePlacement` — is a
+    As one of the engine's work sources (``next_ready`` / ``pop``) it
+    is the planned round: the ``(batch, shard, profile)`` triples a
+    look-ahead round assigned and nothing executed yet, a FIFO in plan
+    order; a planned batch (older) tied with a fresh one runs first.
+    Rounds are planned iff ``placement`` — unwrapped from
+    :class:`~repro.serving.cluster.PrefixAffinePlacement` — is a
     :class:`~repro.serving.cluster.LookaheadPlacement`.
 
     ``steal`` switches work-stealing on, ``log`` is the event sink,
@@ -120,9 +120,6 @@ class ElasticController:
 
     def pop(self, ready: float):
         return self._unit_of(*self._planned.popleft()), None
-
-    def __len__(self) -> int:
-        return sum(batch.size for batch, _, _ in self._planned)
 
     def fresh(self, first, ready: float, more: Callable[[float], object]):
         """The unit (and views) of a batch the scheduler just popped.

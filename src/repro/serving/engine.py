@@ -28,21 +28,20 @@ never executed; they surface as
 reasons in the report.
 
 **Admission is decoupled from execution.**  :meth:`submit` only queues;
-the scheduler loop inside :meth:`run` (or a caller-driven
-:meth:`step` sequence) interleaves admission with batch execution, so
-new requests — buffered before the run or submitted by callbacks while
-a batch is in flight — join their tenant queues without waiting for a
-drain.  The loop is discrete-event over simulated arrival time, so a
-request stream always reproduces the same batches, placements and
-report.
+the scheduler loop inside :meth:`run` interleaves admission with batch
+execution, so new requests — buffered before the run or submitted by
+callbacks while a batch is in flight — join their tenant queues without
+waiting for a drain.  The loop is discrete-event over simulated arrival
+time, so a request stream always reproduces the same batches,
+placements and report.
 
 **One agenda, one execution pipeline.**  Work reaches the loop from
 three sources, each owning its state in its own module —
 :class:`~repro.serving.generation.DecodePool`,
 :class:`~repro.serving.elastic.ElasticController` (the planned round)
 and :class:`~repro.serving.scheduler.TenantScheduler` — held in one
-tuple in tie-break order and asked the same three things
-(``next_ready()``, ``pop(ready)``, ``len()``).  The
+tuple in tie-break order and asked the same two things
+(``next_ready()``, ``pop(ready)``).  The
 :class:`~repro.serving.cluster.WorkUnit` popped — a classifier batch, a
 generation prefill or a decode iteration — runs through one place →
 run → commit skeleton (``InferenceEngine._execute``); a kind supplies
@@ -143,6 +142,7 @@ from repro.serving.request import (
     ShedRecord,
     describe_request,
     generation_of,
+    optional_int,
 )
 from repro.serving.scheduler import SchedulingPolicy, TenantScheduler
 from repro.serving.stats import ShardStats
@@ -412,28 +412,22 @@ class _ArrivalFeed:
     ``fresh`` is what ``submit`` / ``enqueue`` buffered since the feed
     was last asked — before the run or while a batch was in flight;
     asking sorts it in, so a whole enqueued list costs one sort and no
-    per-request heap operation.  While ``lending`` — for the length of
-    an :meth:`InferenceEngine.run`, which clears the stacks after — each
-    request sorted in joins its endpoint's stack look-ahead; a
-    :meth:`InferenceEngine.step` loop lends none, since nothing clears
-    its stacks.
+    per-request heap operation.  Only :meth:`InferenceEngine.run` asks,
+    and it clears the stacks after, so each request sorted in joins its
+    endpoint's stack look-ahead.
     """
 
     def __init__(self, engine: "InferenceEngine") -> None:
         self._engine = engine
         self.fresh: List[InferenceRequest] = []
         self._due: List[InferenceRequest] = []  # latest first: pop() is O(1)
-        self.lending = False
-
-    def __len__(self) -> int:
-        return len(self.fresh) + len(self._due)
 
     def next_arrival(self) -> Optional[float]:
         """Arrival of the request :meth:`pop` would return, or None."""
         if self.fresh:
             fresh = sorted(self.fresh, key=_ARRIVAL_ORDER)
             self.fresh.clear()
-            for request in fresh if self.lending else ():
+            for request in fresh:
                 stack = self._engine._endpoints[request.model].stack
                 # A prefix-keyed classifier batch executes through its
                 # adapter; a generation request's key is its prompt length.
@@ -729,10 +723,9 @@ class InferenceEngine:
         still answered but counts as a miss in the report's SLO
         accounting.
 
-        Submission is pure admission: it can be called before a run,
-        between :meth:`step` calls, or from code executing while a
-        batch is in flight; the scheduler loop picks the request up at
-        its next decision point.
+        Submission is pure admission: it can be called before a run or
+        from code executing while a batch is in flight; the scheduler
+        loop picks the request up at its next decision point.
         """
         request = self._make_request(model, inputs, arrival, tenant, priority, deadline)
         self._arrivals.fresh.append(request)
@@ -802,6 +795,7 @@ class InferenceEngine:
     ) -> InferenceRequest:
         """Validate and build one request — every front door ends here."""
         generation = generation_of(inputs, max_new_tokens, stop_token)
+        priority = optional_int("priority", priority)
         if model not in self._endpoints:
             raise KeyError(
                 f"unknown model {model!r}; registered: {sorted(self._endpoints)}"
@@ -835,7 +829,7 @@ class InferenceEngine:
                     "generation_adapter; a generation request needs one"
                 )
             # The prompt as offered: its int64 copy would pass a float row.
-            adapter.validate(values, generation.max_new_tokens)
+            adapter.validate(values, generation.max_new_tokens, generation.stop_token)
             inputs = generation.prompt
             prefix_key = adapter.batch_key(inputs)
         elif self.radix_cache is not None and endpoint.prefix_adapter is not None:
@@ -853,7 +847,7 @@ class InferenceEngine:
             inputs=np.asarray(inputs),
             arrival=arrival,
             tenant=tenant,
-            priority=None if priority is None else int(priority),
+            priority=priority,
             deadline=deadline,
             prefix_key=prefix_key,
             generation=generation,
@@ -865,17 +859,6 @@ class InferenceEngine:
         if self.recorder is not None:
             self.recorder.record(request)
         return request
-
-    @property
-    def pending(self) -> int:
-        """Requests buffered, admitted, planned or mid-generation —
-        everything :meth:`step` still has work for.
-
-        Accurate even when read from inside a run (e.g. by an
-        ``infer_fn`` callback): requests the scheduler loop has taken
-        out of the submission buffer but not yet admitted are counted.
-        """
-        return len(self._arrivals) + sum(map(len, self._sources))
 
     # ------------------------------------------------------------------
     # Execution: the scheduler loop
@@ -899,15 +882,12 @@ class InferenceEngine:
         wall_start = time.perf_counter()
         cycles_before = self.dispatcher.shard_cycles()
         tenant_cycles_before = self.dispatcher.namespace_cycles()
-        # The event log and busy accounting are per run: records from
-        # caller-driven step() sequences are readable on :attr:`events`
-        # until the next run starts.
+        # The event log and busy accounting are per run.
         self._events.clear()
         self._shard_busy.clear()
         self._shard_busy.update(dict.fromkeys(range(self.dispatcher.n_shards), 0.0))
         completed: List[CompletedRequest] = []
         feed = self._arrivals
-        feed.lending = True
         try:
             while True:
                 source, ready_at = self._next_source()
@@ -919,10 +899,11 @@ class InferenceEngine:
                 else:
                     # May complete nothing: a prefill or a decode step
                     # leaves its sequences in the decode pool.
-                    completed.extend(self._serve(source, ready_at))
+                    for record in self._execute(*source.pop(ready_at)):
+                        self._results[record.request.request_id] = record.outputs
+                        completed.append(record)
         finally:
             # A raising run drops what it took from the buffer unadmitted.
-            feed.lending = False
             feed._due.clear()
             # Weights may change between runs: nothing is kept for the next.
             self._clear_stacks()
@@ -970,20 +951,6 @@ class InferenceEngine:
             if param_cache is not None:
                 stats[f"nn.params.shard{shard}"] = param_cache.stats()
         return stats
-
-    def step(self) -> List[CompletedRequest]:
-        """Admit everything buffered, execute at most one ready batch.
-
-        The caller-driven flavour of the scheduler loop: interleave
-        :meth:`submit` and :meth:`step` to model request admission
-        while earlier batches are in flight.  Outputs are stored for
-        :meth:`result` as usual; the returned records carry placement
-        and timing.  (:meth:`run` is the drain-and-report flavour.)
-        """
-        while self._arrivals.next_arrival() is not None:
-            self._admit(self._arrivals.pop())
-        source, ready_at = self._next_source()
-        return [] if source is None else self._serve(source, ready_at)
 
     # ------------------------------------------------------------------
     # Admission control
@@ -1092,8 +1059,8 @@ class InferenceEngine:
     @property
     def events(self) -> "tuple[object, ...]":
         """The event log since the start of the last :meth:`run`: what
-        :attr:`ServingReport.events` will carry, for :meth:`step`-driven
-        callers (filter by record type for one kind)."""
+        :attr:`ServingReport.events` carries (filter by record type for
+        one kind)."""
         return tuple(self._events)
 
     @property
@@ -1112,14 +1079,6 @@ class InferenceEngine:
             if ready is not None and (at is None or ready < at):
                 first, at = source, ready
         return first, at
-
-    def _serve(self, source, ready: float) -> List[CompletedRequest]:
-        """Execute the unit ``source`` has ready at ``ready``, store results;
-        returns its completions."""
-        completed = self._execute(*source.pop(ready))
-        for record in completed:
-            self._results[record.request.request_id] = record.outputs
-        return completed
 
     def result(self, request_id: int, keep: bool = False) -> np.ndarray:
         """Output of a completed request (KeyError if not yet run).

@@ -148,11 +148,18 @@ class GenerationAdapter:
         self.model = model
 
     # -- request validation / batching key ------------------------------
-    def validate(self, prompt: np.ndarray, max_new_tokens: int) -> None:
+    def validate(
+        self, prompt: np.ndarray, max_new_tokens: int, stop_token: Optional[int]
+    ) -> None:
         """Reject a request the model's position table or vocabulary
-        cannot hold."""
+        cannot hold, or a stop token the model can never emit."""
         prompt = np.asarray(prompt)
         check_token_ids(prompt, self.model.vocab)
+        if stop_token is not None and not 0 <= stop_token < self.model.vocab:
+            raise ValueError(
+                f"stop_token must be a token id in [0, {self.model.vocab}), "
+                f"got {stop_token}"
+            )
         p = int(prompt.shape[-1])
         if p + max_new_tokens > self.model.seq_len:
             raise ValueError(
@@ -240,8 +247,8 @@ class DecodePool:
     """The continuous-batching decode pool: sequences between their
     prefill and their retirement, re-batched every iteration.
 
-    One of the engine's work sources (``next_ready`` / ``pop`` /
-    ``len``; a decode iteration tied with a fresh batch runs first).
+    One of the engine's work sources (``next_ready`` / ``pop``; a
+    decode iteration tied with a fresh batch runs first).
     The tenant scheduler supplies the batch-size cap and the engine-wide
     batch index, ``adapter_of(model)`` the endpoint's
     :class:`GenerationAdapter`, ``once_of(model, shard, backend)`` its
@@ -264,9 +271,6 @@ class DecodePool:
 
     def next_ready(self) -> Optional[float]:
         return min(seq.ready_time for seq in self._active) if self._active else None
-
-    def __len__(self) -> int:
-        return len(self._active)
 
     def admit(self, seq: ActiveSequence) -> Optional[CompletedRequest]:
         """Take a sequence fresh out of its prefill: its completion when

@@ -15,6 +15,7 @@ recorder captures, what a trace stores and — through the one coercion
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -65,7 +66,11 @@ def generation_of(prompt, max_new_tokens, stop_token) -> Optional[GenerationRequ
     :class:`GenerationRequest` is built."""
     if max_new_tokens is None:
         return None
-    return GenerationRequest(prompt, int(max_new_tokens), _optional(int, stop_token))
+    return GenerationRequest(
+        prompt,
+        optional_int("max_new_tokens", max_new_tokens),
+        optional_int("stop_token", stop_token),
+    )
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,10 @@ class TracedRequest:
             dtype=str(inputs.dtype),
             arrival=_optional(float, data.get("arrival")),
             tenant=str(data.get("tenant") or DEFAULT_TENANT),
-            priority=_optional(int, data.get("priority")),
+            priority=optional_int("priority", data.get("priority")),
             deadline=_optional(float, data.get("deadline")),
-            max_new_tokens=_optional(int, data.get("max_new_tokens")),
-            stop_token=_optional(int, data.get("stop_token")),
+            max_new_tokens=optional_int("max_new_tokens", data.get("max_new_tokens")),
+            stop_token=optional_int("stop_token", data.get("stop_token")),
         )
 
     @classmethod
@@ -182,6 +187,18 @@ def resolve_arrivals(requests: Iterable[TracedRequest]) -> List[TracedRequest]:
 
 def _optional(cast, value):
     return None if value is None else cast(value)
+
+
+def optional_int(name: str, value) -> Optional[int]:
+    """``value`` as an int, or None: an integral number passes (``3.0``
+    as 3); a bool or a fraction raises ValueError, never truncates."""
+    if value is None:
+        return None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) or float(value).is_integer()
+    ):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _to_tuple(value):

@@ -166,7 +166,7 @@ class TenantScheduler:
     then repeatedly ask :meth:`earliest_ready` for the next decision
     point and :meth:`pop_ready` for the batch to execute at it.  To the
     engine it is one work source among several — ``next_ready`` /
-    ``pop`` / ``len`` — and the last in a tie: decode iterations and
+    ``pop`` — and the last in a tie: decode iterations and
     already-planned batches are older work.
 
     Parameters
@@ -208,9 +208,6 @@ class TenantScheduler:
         """Queue one request under its tenant (any time, in-flight ok)."""
         self.tenants.get(request.tenant)  # materialise the tenant
         self.assembler.admit(request)
-
-    def __len__(self) -> int:
-        return self.assembler.n_pending
 
     def tenant_pending(self, tenant: str) -> int:
         """One tenant's queued (admitted, unexecuted) request count.

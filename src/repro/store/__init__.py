@@ -5,7 +5,7 @@
   K/V cache's per-shard stores;
 * :class:`~repro.store.filestore.FileStore` — on-disk, lock-guarded,
   one file per key, shareable between processes (pickle or JSON
-  serialization): where traffic traces and tuning fronts persist.
+  serialization): where traffic traces persist.
 
 Pure values — GEMM / MHP plans, CPWL approximators — are memoised
 where they are defined instead.  See ``docs/architecture.md`` ("The

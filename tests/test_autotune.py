@@ -11,7 +11,7 @@ The two load-bearing contracts are property-based:
 
 Around those: recorder capture (through every front door),
 synthesis shapes, config-space operators, search determinism and its
-independence from ``n_workers``, front dominance/resume/persistence,
+independence from ``n_workers``, front dominance and resume,
 the ``cost_aware`` occupancy-penalty knob (pinned no-op at 0.0, load
 spreading above it), and the report's machine-readable
 ``objective_section``.
@@ -42,14 +42,12 @@ from repro.autotune import (
     WorkloadCostSpec,
     evaluate,
     evolutionary_search,
-    load_front,
     load_trace,
     objective_from_report,
     pool_cost,
     random_search,
     replay_trace,
     report_fingerprint,
-    save_front,
     save_trace,
     scalar_score,
     shard_cost,
@@ -472,10 +470,11 @@ class TestTuningConfig:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_sampled_configs_round_trip_json(self, seed):
+        # ``to_dict`` is the key fronts dedupe on: it survives JSON unchanged.
         space = ConfigSpace(catalog=CATALOG)
         config = space.sample(np.random.default_rng(seed))
         data = json.loads(json.dumps(config.to_dict()))
-        assert TuningConfig.from_dict(data) == config
+        assert data == config.to_dict()
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -541,9 +540,6 @@ class TestTuningConfig:
             TuningConfig(pool=(MID,), max_queue_depth=0)
         with pytest.raises(ValueError, match="radix_budget_bytes must be >= 1"):
             TuningConfig(pool=(MID,), radix_budget_bytes=0)
-        saved = dict(TuningConfig(pool=(MID,)).to_dict(), max_queue_depth=0)
-        with pytest.raises(ValueError, match="max_queue_depth must be >= 1"):
-            TuningConfig.from_dict(saved)
 
     def test_space_validation_errors(self):
         with pytest.raises(ValueError, match="catalog"):
@@ -593,9 +589,7 @@ class TestObjective:
             cost=12.5, slo_attainment=0.75, p99=3e-4, tokens_per_sec=100.0,
             n_requests=9, shed=2,
         )
-        assert Objective.from_dict(
-            json.loads(json.dumps(objective.to_dict()))
-        ) == objective
+        assert Objective(**json.loads(json.dumps(objective.to_dict()))) == objective
 
     def test_scalar_score_orders_honestly(self):
         served = Objective(10.0, 1.0, 1e-4, 0.0, n_requests=10)
@@ -639,24 +633,6 @@ class TestFront:
         with pytest.raises(ValueError, match="empty"):
             TuningFront.from_entries("t", ()).best()
 
-    def test_save_load_round_trip_on_filestore(self):
-        front = TuningFront.from_entries(
-            "t", (self._entry(1.0, 0.9, 1e-4, 3.0),), evaluated=4
-        )
-        with tempfile.TemporaryDirectory() as root:
-            store = FileStore(root, serializer="json")
-            save_front(front, store=store)
-            assert load_front("t", store=store) == front
-            save_front(front, store=store, name="alias")
-            assert load_front("alias", store=store) == front
-            assert load_front("absent", store=store) is None
-
-    def test_version_mismatch_rejected(self):
-        data = TuningFront.from_entries("t", ()).to_dict()
-        data["version"] = 999
-        with pytest.raises(ValueError, match="version 999"):
-            TuningFront.from_dict(data)
-
     def test_describe_reports_survivors(self):
         front = TuningFront.from_entries(
             "demo", (self._entry(1.0, 0.9, 1e-4, 3.0),), evaluated=7
@@ -678,7 +654,7 @@ class TestSearch:
                           n_candidates=3, seed=11)
             for _ in range(2)
         ]
-        assert runs[0].to_dict() == runs[1].to_dict()
+        assert runs[0] == runs[1]
         assert runs[0].evaluated == 3
         assert runs[0].n_entries >= 1
 
@@ -687,7 +663,7 @@ class TestSearch:
                                n_candidates=4, seed=5, n_workers=1)
         fanned = random_search(SMALL_TRACE, self.SPACE, ENDPOINTS,
                                n_candidates=4, seed=5, n_workers=2)
-        assert serial.to_dict() == fanned.to_dict()
+        assert serial == fanned
 
     def test_resume_accumulates_into_the_front(self):
         first = random_search(SMALL_TRACE, self.SPACE, ENDPOINTS,
@@ -710,7 +686,7 @@ class TestSearch:
             SMALL_TRACE, self.SPACE, ENDPOINTS,
             generations=2, population=3, seed=4,
         )
-        assert front.to_dict() == again.to_dict()
+        assert front == again
 
     def test_evolutionary_resume_seeds_population(self):
         first = random_search(SMALL_TRACE, self.SPACE, ENDPOINTS,

@@ -16,9 +16,6 @@ The load-bearing contracts:
   everywhere.
 """
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -493,25 +490,15 @@ class TestElasticWiring:
         assert merged.has_generation_activity
         assert merged.failed == (lost,)
 
-    def test_tuning_config_elastic_round_trip(self):
+    def test_tuning_config_describes_elastic_steal(self):
         from repro.autotune.tuning import TuningConfig
 
-        config = TuningConfig(
-            pool=(self_config := SystolicConfig(pe_rows=4, pe_cols=4,
-                                                macs_per_pe=4),),
-            placement="lookahead",
-            steal=True,
-        )
-        restored = TuningConfig.from_dict(config.to_dict())
-        assert restored == config
-        assert restored.steal
-        assert "lookahead" in restored.describe()
-        assert "elastic: steal" in restored.describe()
-        # Pre-elastic snapshots (no steal key) still load.
-        legacy = {k: v for k, v in config.to_dict().items() if k != "steal"}
-        legacy["placement"] = "cost_aware"
-        loaded = TuningConfig.from_dict(legacy)
-        assert loaded == TuningConfig(pool=(self_config,), placement="cost_aware")
+        pool = (SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4),)
+        config = TuningConfig(pool=pool, placement="lookahead", steal=True)
+        assert config.to_dict()["steal"] is True
+        assert "lookahead" in config.describe()
+        assert "elastic: steal" in config.describe()
+        assert "steal" not in TuningConfig(pool=pool, placement="cost_aware").describe()
 
     def test_replay_build_engine_passes_elastic(self):
         from repro.autotune.replay import EndpointSpec, build_engine
@@ -525,30 +512,3 @@ class TestElasticWiring:
         )
         assert engine._controller.steal
         assert isinstance(engine.placement, LookaheadPlacement)
-
-    def test_saved_configs_naming_retired_thresholds_still_load(self):
-        """Dicts and fronts saved while the thresholds were fields load;
-        the thresholds they name are ignored for the module constants,
-        and a saved pool-resizing switch is ignored: the pool is fixed."""
-        from repro.autotune.front import TuningFront
-        from repro.autotune.tuning import TuningConfig
-
-        retired = dict(steal_drift_threshold=1.25, affinity_break_factor=3.0,
-                       autoscale_window=4)
-        pool = (SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4),)
-        tuning = TuningConfig(pool=pool, placement="lookahead", steal=True)
-        assert TuningConfig.from_dict(dict(tuning.to_dict(), **retired)) == tuning
-        assert not set(retired) & set(tuning.to_dict())
-
-        # A front the pre-change code wrote (each config carries the
-        # thresholds at their defaults).
-        path = Path(__file__).parent / "data" / "front_with_elastic_thresholds.json"
-        saved = json.loads(path.read_text())
-        assert all("steal_drift_threshold" in e["config"] for e in saved["entries"])
-        assert saved["entries"][1]["config"]["autoscale"] is True
-        front = TuningFront.from_dict(saved)
-        assert [entry.config for entry in front.entries] == [
-            tuning, TuningConfig(pool=pool * 2)
-        ]
-        assert front.evaluated == 5
-        assert TuningFront.from_dict(front.to_dict()) == front

@@ -45,19 +45,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.autotune as autotune_package
 import repro.serving as serving_package
 import repro.serving.deploy as deploy_module
 import repro.serving.engine as engine_module
 from repro.autotune import (
     EndpointProfile,
     EndpointSpec,
+    FrontEntry,
+    Objective,
     TuningConfig,
+    TuningFront,
     WorkloadCostSpec,
     build_engine,
-    load_front,
     load_trace,
     report_fingerprint,
-    save_front,
     save_trace,
     synthesize_trace,
 )
@@ -357,18 +359,24 @@ def test_one_path_from_deployment_as_data_to_a_running_engine():
 def test_pure_values_are_memoised_where_they_are_defined():
     """Plans and approximators are bounded per-process memos at their
     definitions; there is no process-global store, no namespace
-    registry and no abstract store class, so persisting a trace or a
-    front names its store; calibration is not persisted at all."""
+    registry and no abstract store class, so persisting a trace names
+    its store; calibration and fronts are not persisted at all."""
 
     first_line = {name: code.splitlines()[0] for _, name, code in _functions_under_src()}
     assert first_line["_approximator"] == "@functools.lru_cache(maxsize=APPROXIMATORS)"
     assert first_line["_gemm_plan"] == "@functools.lru_cache(maxsize=GEMM_PLANS)"
     assert first_line["_mhp_plan"] == "@functools.lru_cache(maxsize=MHP_PLANS)"
-    for persist in (save_trace, load_trace, save_front, load_front):
+    for persist in (save_trace, load_trace):
         store = inspect.signature(persist).parameters["store"]
         assert store.default is inspect.Parameter.empty, persist.__name__
     for retired in ("save_calibration", "load_calibration", "CALIBRATION_NAMESPACE"):
         assert not hasattr(serving_package, retired)
+    front_format = ("save_front", "load_front", "FRONT_NAMESPACE", "FRONT_VERSION",
+                    "config_from_dict")
+    for package in (autotune_package, serving_package):
+        assert not [name for name in front_format if hasattr(package, name)]
+    for cls in (TuningFront, FrontEntry, Objective, TuningConfig):
+        assert not hasattr(cls, "from_dict"), cls
     assert not (SRC / "store" / "tiered.py").exists()
     assert not (SRC / "store" / "base.py").exists()
     deleted = ("get" "_store", "set" "_store", "register" "_namespace",
@@ -644,28 +652,6 @@ def test_four_kinds_of_endpoint_share_one_engine():
     assert bare.calls == [p.batch_size for p in batches]
 
 
-def test_step_driven_stacks_nothing_beyond_the_unit_it_executes():
-    rows = np.random.default_rng(2).integers(0, 16, size=(24, 8))
-
-    def serve(model, eager):
-        engine = _small_engine()
-        _register(engine, "bert", model, eager)
-        ids = [
-            engine.submit("bert", row, arrival=(i // 6) * 1e-5)
-            for i, row in enumerate(rows)
-        ]
-        while engine.step():
-            pass
-        return _log(engine.events), [engine.result(i) for i in ids]
-
-    (log, outputs), (eager_log, eager_outputs), model, reference = _both(serve)
-    assert log == eager_log
-    assert all(np.array_equal(a, b) for a, b in zip(outputs, eager_outputs))
-    # One call per unit, of exactly the unit's rows — some of them replays.
-    assert model.calls == reference.calls
-    assert model.taped.count(True) < len(model.taped)
-
-
 def test_rows_do_not_outlive_the_run_that_computed_them():
     """Weights may change between runs (``mark_dirty``): the second run
     computes with the new ones, on tapes the first run captured."""
@@ -921,32 +907,6 @@ def test_a_forked_worker_starts_no_helper(monkeypatch):
     # The worker started; it started no helper of its own.
     assert exit_code == 0 and len(started) == 1 and helpers == 0
     _assert_same_run(in_worker, alone)
-    assert multiprocessing.active_children() == []
-
-
-def test_a_step_loop_starts_no_helper(monkeypatch):
-    rows = np.random.default_rng(7).integers(0, 16, size=(STACK_AND_A_HALF, 8))
-    started = _cpus(monkeypatch, 2)
-
-    def serve(step):
-        engine = _small_engine(max_batch_size=8)
-        engine.register("bert", _CountedBERT())
-        ids = [
-            engine.submit("bert", row, arrival=(i // 16) * 2e-6)
-            for i, row in enumerate(rows)
-        ]
-        if step:
-            while engine.pending:
-                engine.step()
-            assert started == []
-        else:
-            engine.run()
-            assert len(started) == 1
-        return _log(engine.events), [engine.result(i) for i in ids]
-
-    (log, outputs), (run_log, run_outputs) = serve(step=True), serve(step=False)
-    assert log == run_log
-    assert all(np.array_equal(a, b) for a, b in zip(outputs, run_outputs))
     assert multiprocessing.active_children() == []
 
 
@@ -1261,56 +1221,13 @@ def test_one_kv_cache_and_one_record_of_array_work():
 # ---------------------------------------------------------------------------
 # One agenda: three work sources behind one call signature, one pick.
 # ---------------------------------------------------------------------------
-def test_a_sequence_in_the_decode_pool_is_pending():
-    engine = _engine("decode", 1)
-    ids = _submit(engine, "decode")
-    assert engine.step() == []  # the prefill: first tokens, no completion
-    assert engine.pending == len(ids)
-    while engine.pending:
-        engine.step()
-    assert all(len(engine.result(i)) == 3 for i in ids)
-
-
-def _offer_bursts(engine, kind):
-    rng = np.random.default_rng(3)
-    for i in range(12):
-        arrival = (i // 4) * 2e-5
-        if kind == "decode":
-            engine.submit_generation("m", rng.integers(0, 16, size=4), 3, arrival=arrival)
-        else:
-            engine.submit("m", rng.integers(0, 16, size=_MODEL.seq_len), arrival=arrival)
-    return engine
-
-
-@pytest.mark.parametrize("kind", ["classify", "decode"])
-def test_stepping_while_pending_serves_what_run_serves(kind):
-    """``while engine.pending: engine.step()`` is the documented
-    step-driven loop: it must not stop while a sequence is mid-decode or
-    a later burst has yet to arrive."""
-    ran = _offer_bursts(_engine(kind, 3), kind).run()
-
-    engine = _offer_bursts(_engine(kind, 3), kind)
-    stepped = []
-    while engine.pending:
-        stepped += engine.step()
-    assert len(stepped) == len(ran.completed) == 12
-
-    def by_id(records):
-        return sorted(records, key=lambda record: record.request.request_id)
-
-    for ours, theirs in zip(by_id(stepped), by_id(ran.completed)):
-        assert ours.request.request_id == theirs.request.request_id
-        assert np.array_equal(ours.outputs, theirs.outputs)
-        assert (ours.start, ours.finish) == (theirs.start, theirs.finish)
-    assert _log(engine.events) == _log(ran.events)
-
-
 def test_one_agenda_of_work_sources():
     """A producer of work is a member of ``InferenceEngine._sources``
     that owns its state in its own module; the engine asks each member
     the same questions in one place and keeps none of their state."""
     import repro.serving.elastic as elastic_module
     import repro.serving.generation as generation_module
+    from repro.serving.batcher import BatchAssembler
 
     deleted = ("_work_sources", "_drain_one", "_work_consumed", "_RETRY")
     for path in SRC.rglob("*.py"):
@@ -1322,20 +1239,15 @@ def test_one_agenda_of_work_sources():
         generation_module.DecodePool, elastic_module.ElasticController,
         engine_module.TenantScheduler,
     ]
+    # A work source is exactly ``next_ready()`` + ``pop(ready)``; only
+    # ``run()`` drives the engine, so nothing counts a source's work.
     for source in sources:
-        assert all(
-            callable(getattr(source, name))
-            for name in ("next_ready", "pop", "__len__")
-        ), source
+        assert callable(source.next_ready) and callable(source.pop), source
+        assert not hasattr(source, "__len__"), source
+    assert not hasattr(BatchAssembler, "n_pending")
+    assert not hasattr(InferenceEngine, "step") and not hasattr(InferenceEngine, "pending")
     engine = _engine("classify", 1)
     assert [type(source) for source in engine._sources] == sources
-    # ``pending`` walks the tuple; it names no queue.
-    (code,) = [
-        code for path, name, code in _functions_under_src()
-        if path == "serving/engine.py" and name == "pending"
-    ]
-    assert "self._sources" in code
-    assert not re.findall(r"_retries|_decode_pool|_controller|scheduler", code)
     # Each record is built where it is defined — not in the engine.
     assert {site.split(":")[0] for site in _sites("StealEvent(")} == {"serving/elastic.py"}
     assert {site.split(":")[0] for site in _sites("DecodeStepRecord(")} == {
@@ -1405,18 +1317,13 @@ def _both_chat(serve):
     return serve(models[0], False), serve(models[1], True), models[0], models[1]
 
 
-def _serve_chat(trace, door="enqueue", **kwargs):
-    """``serve(model, eager)`` replaying ``trace`` through one front door."""
+def _serve_chat(trace, **kwargs):
+    """``serve(model, eager)`` replaying ``trace`` through ``enqueue``."""
 
     def serve(model, eager):
         engine = _chat_engine(model, eager, tenants=trace.tenants, **kwargs)
         engine.enqueue(trace.requests)
-        if door == "enqueue":
-            return engine.run()
-        completed = []
-        while engine.pending:
-            completed += engine.step()
-        return engine.events, completed
+        return engine.run()
 
     return serve
 
@@ -1493,23 +1400,6 @@ def test_generation_stacked_equals_eager_on_an_unequal_pool():
     _assert_same_run(stacked, eager)
     assert len({p.shard for p in stacked.placements}) == 2
     assert len(model.calls) < len(reference.calls) // 2
-
-
-def test_generation_without_look_ahead_still_equals_eager():
-    """``step()``-driven serving feeds no look-ahead, and a lockstep pass
-    over one unit's sequences alone makes as many model calls as the units
-    it spans (more, when groups merge): such a unit computes alone — the
-    reference's calls exactly, the replayed ones detached."""
-    trace = _conversational(64, seed=2)
-    stacked, eager, model, reference = _both_chat(_serve_chat(trace, door="step"))
-    (log, completed), (eager_log, eager_completed) = stacked, eager
-    assert _log(log) == _log(eager_log)
-    assert len(completed) == len(eager_completed) == 64
-    for ours, theirs in zip(completed, eager_completed):
-        assert ours.outputs.dtype == theirs.outputs.dtype
-        assert np.array_equal(ours.outputs, theirs.outputs)
-    assert model.calls == reference.calls
-    assert 0 < model.taped.count(True) < len(model.taped)
 
 
 # -- nothing stale, generation edition ---------------------------------------

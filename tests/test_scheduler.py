@@ -138,7 +138,7 @@ class TestBatchAssembler:
         assembler = BatchAssembler(max_batch_size=2, flush_timeout=1.0)
         for i in range(3):
             assembler.admit(req(i, arrival=0.0))
-        assert assembler.n_pending == 3
+        assert assembler.pending_of("default") == 3
         assert assembler.earliest_ready() == 0.0  # the full pair
         batches = self.drain(assembler)
         assert [b.size for b in batches] == [2, 1]
@@ -242,7 +242,7 @@ class TestTenantScheduler:
             scheduler.admit(req(i, tenant="busy"))
         order = self.drain_tenants(scheduler)
         assert order == ["busy", "busy"]
-        assert len(scheduler) == 0
+        assert scheduler.next_ready() is None
         assert scheduler.pop_ready(0.0) is None
 
     def test_wrr_interleaves_by_weight(self):
@@ -489,23 +489,25 @@ class TestEngineMultiTenant:
         for request_id, row in zip(ids, tokens):
             assert engine.result(request_id) is not None
 
-    def test_submit_while_in_flight_via_step(self):
-        engine, _ = self.engine()
+    def test_submit_while_in_flight_via_run(self):
+        # Code running while the first batch executes submits more; the
+        # same run admits and serves it — submission never waits for a
+        # drain.
+        engine = InferenceEngine(array_pool(1), max_batch_size=2, flush_timeout=1e-4)
+        model = tiny_bert()
         tokens = RNG.integers(0, 16, size=(6, 8))
+        later = []
+
+        def submitting_infer(x, backend):
+            if not later:
+                later.extend(engine.submit("bert", row) for row in tokens[2:])
+            return model.infer(x, backend)
+
+        engine.register("bert", infer_fn=submitting_infer)
         first = [engine.submit("bert", row) for row in tokens[:2]]
-        records = engine.step()
-        assert [c.request.request_id for c in records] == first
-        # The first batch has executed; admit more and keep stepping —
-        # submission never had to wait for a drain.
-        later = [engine.submit("bert", row) for row in tokens[2:]]
-        assert engine.pending == 4
-        served = []
-        while True:
-            records = engine.step()
-            if not records:
-                break
-            served.extend(c.request.request_id for c in records)
-        assert sorted(served) == later
+        served = [c.request.request_id for c in engine.run().completed]
+        assert len(later) == 4
+        assert served[:2] == first and sorted(served[2:]) == later
         for request_id in first + later:
             assert engine.result(request_id) is not None
 
@@ -522,28 +524,7 @@ class TestEngineMultiTenant:
         ):
             with pytest.raises(TypeError):
                 engine.enqueue([item])
-            assert engine.pending == 0
-
-    def test_pending_is_accurate_inside_a_run(self):
-        # A callback reading engine.pending mid-run must see requests
-        # still waiting in the loop's admission feed (arrival 5.0 is
-        # buffered, not yet admitted, while the first batch executes).
-        pool = array_pool(1)
-        engine = InferenceEngine(pool, max_batch_size=2, flush_timeout=1e-4)
-        model = tiny_bert()
-        seen = []
-
-        def probing_infer(x, backend):
-            seen.append(engine.pending)
-            return model.infer(x, backend)
-
-        engine.register("bert", infer_fn=probing_infer)
-        rows = RNG.integers(0, 16, size=(2, 8))
-        engine.submit("bert", rows[0], arrival=0.0)
-        engine.submit("bert", rows[1], arrival=5.0)  # far future: stays buffered
-        engine.run()
-        assert seen[0] == 1  # the future request is still counted
-        assert engine.pending == 0
+        assert not engine.run().completed
 
     def test_source_items_validated_like_submit(self):
         engine, _ = self.engine()
@@ -557,14 +538,14 @@ class TestEngineMultiTenant:
             del item[missing]
             with pytest.raises(ValueError, match=missing):
                 engine.enqueue([item])
-        assert engine.pending == 0
+        assert not engine.run().completed
 
     def test_source_dict_rejects_unknown_keys(self):
         engine, _ = self.engine()
         row = RNG.integers(0, 16, size=8)
         with pytest.raises(ValueError, match="dealine"):
             engine.enqueue([{"model": "bert", "inputs": row, "dealine": 1e-3}])  # typo
-        assert engine.pending == 0
+        assert not engine.run().completed
 
     def test_source_interleaves_with_buffered_submissions(self):
         engine, _ = self.engine()
@@ -589,11 +570,11 @@ class TestEngineMultiTenant:
 
     def test_report_names_only_this_runs_tenants(self):
         # Regression: namespaces persist on the shard traces, but a
-        # run's report must not list tenants served in earlier steps
-        # or runs with a zero cycle delta.
+        # run's report must not list tenants served in earlier runs
+        # with a zero cycle delta.
         engine, _ = self.engine()
         engine.submit("bert", RNG.integers(0, 16, size=8), tenant="early")
-        assert engine.step()  # "early" served outside any run()
+        assert engine.run().tenant_ids == ["early"]
         engine.submit("bert", RNG.integers(0, 16, size=8), tenant="late")
         report = engine.run()
         assert report.tenant_ids == ["late"]

@@ -256,14 +256,6 @@ class TestEngineMechanics:
         sizes = sorted(c.batch_size for c in report.completed)
         assert sizes == [1, 2, 2]
 
-    def test_pending_counts_buffered_requests(self):
-        engine = InferenceEngine(ClusterDispatcher([FloatBackend()]))
-        engine.register("bert", tiny_bert())
-        engine.submit("bert", RNG.integers(0, 16, size=8))
-        assert engine.pending == 1
-        engine.run()
-        assert engine.pending == 0
-
     def test_two_runs_accumulate_results(self):
         engine = InferenceEngine(ClusterDispatcher([FloatBackend()]))
         engine.register("bert", tiny_bert())
@@ -299,7 +291,6 @@ class TestEngineMechanics:
         ids = [engine.submit("bert", row, arrival=0.0) for row in rows]
         report = engine.run()
         assert report.n_batches == 2
-        assert engine.pending == 0
         for request_id, row in zip(ids, rows):
             alone = model.infer(row[None], ArrayBackend(SystolicArray(cfg), 0.25))[0]
             assert np.array_equal(engine.result(request_id), alone)
@@ -325,7 +316,6 @@ class TestEngineMechanics:
                 engine.enqueue([TracedRequest(
                     model, tuple(inputs.tolist()), str(inputs.dtype), None, tenant
                 )])
-        assert engine.pending == 1
         later = engine.submit(model, np.zeros_like(inputs) + 2)
         report = engine.run()
         assert len(report.completed) == 2
@@ -364,7 +354,6 @@ class TestNonFiniteTimes:
             else:  # a list with one bad item queues none of it
                 good = {"model": "bert", "inputs": np.arange(8), "arrival": 2e-6}
                 engine.enqueue([good, dict(good, **bad)])
-        assert engine.pending == 1
         report = engine.run()
         assert len(report.completed) == 1
         assert np.isfinite(report.makespan) and np.isfinite(report.p99)
@@ -421,8 +410,66 @@ class TestTokenIds:
         row = {"model": "gen", "inputs": bad[:4], "max_new_tokens": 2}
         with pytest.raises(ValueError, match="token ids"):
             engine.enqueue([row])
-        assert engine.pending == 1
         assert len(engine.run().completed) == 1
+
+
+class TestRequestFields:
+    """Fields a request can carry wrongly are refused at every door that
+    takes them, with a ValueError, before the engine queues anything or
+    spends a request id.  ``max_new_tokens``, ``stop_token`` and
+    ``priority`` used to be truncated (2.5 new tokens served 2, ``True``
+    served 1, a 3.7 stop token stopped on 3, priority 1.5 ran at 1); an
+    integral float still passes as its int.  A stop token outside
+    ``[0, vocab)`` can never be emitted and used to be accepted (``-1`` is
+    also ``TinyBERT.transcribe``'s own "no stop token" sentinel)."""
+
+    FIELDS = {"max_new_tokens": (2.5, True), "stop_token": (3.7, True, 16, 99, -1),
+              "priority": (1.5, True)}
+    CASES = [
+        (door, field, value)
+        for field, values in FIELDS.items()
+        for value in values
+        for door in ("submit", "submit_generation", "enqueue")
+        if field == "priority" or door != "submit"
+    ]
+
+    @staticmethod
+    def _engine():
+        engine = InferenceEngine(ClusterDispatcher([CPWLBackend(0.25)]))
+        engine.register("bert", tiny_bert())
+        engine.register(
+            "gen",
+            generation_adapter=GenerationAdapter(TinyBERT(vocab=16, seq_len=8, causal=True)),
+        )
+        return engine
+
+    @staticmethod
+    def _offer(engine, door, **fields):
+        if door == "submit":
+            return engine.submit("bert", np.arange(8), **fields)
+        fields = {"max_new_tokens": 2, **fields}
+        if door == "submit_generation":
+            return engine.submit_generation("gen", np.arange(4), **fields)
+        return engine.enqueue([dict(model="gen", inputs=np.arange(4), **fields)])[0]
+
+    @pytest.mark.parametrize("door, field, value", CASES)
+    def test_refused_at_every_door(self, door, field, value):
+        engine = self._engine()
+        with pytest.raises(ValueError, match=field):
+            self._offer(engine, door, **{field: value})
+        served = self._offer(engine, door)
+        assert served == 0
+        assert [c.request.request_id for c in engine.run().completed] == [served]
+
+    @pytest.mark.parametrize("door", ["submit_generation", "enqueue"])
+    def test_an_integral_float_passes_as_its_int(self, door):
+        engine = self._engine()
+        self._offer(engine, door, max_new_tokens=3.0, stop_token=np.float64(15.0),
+                    priority=2.0)
+        (record,) = engine.run().completed
+        values = (record.request.generation.max_new_tokens,
+                  record.request.generation.stop_token, record.request.priority)
+        assert values == (3, 15, 2) and all(type(value) is int for value in values)
 
 
 class TestServingTraceMemoryContract:
