@@ -1409,7 +1409,6 @@ def test_autotune_search_beats_default(print_artifact):
         scalar_score,
     )
     from repro.serving import ClusterSpec, InferenceEngine
-    from repro.store import FileStore
 
     pool_configs = (
         SystolicConfig(pe_rows=8, pe_cols=8, macs_per_pe=16, clock_hz=250e6),
@@ -1456,9 +1455,8 @@ def test_autotune_search_beats_default(print_artifact):
     import tempfile
 
     with tempfile.TemporaryDirectory() as root:
-        store = FileStore(f"{root}/fabric", serializer="json")
-        save_trace(recorder.trace(), store=store)
-        trace = load_trace("skewed_pool", store=store)
+        save_trace(recorder.trace(), f"{root}/skewed_pool.json")
+        trace = load_trace(f"{root}/skewed_pool.json")
     assert trace.n_requests == 32
 
     space = ConfigSpace(

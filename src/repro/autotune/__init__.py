@@ -8,7 +8,7 @@ from the traffic it actually saw, instead of a human guessing them:
 * **traces** (:mod:`repro.autotune.trace`) — a
   :class:`~repro.autotune.trace.TraceRecorder` attached to a live
   :class:`~repro.serving.engine.InferenceEngine` captures every
-  submitted request into a versioned, store-persisted
+  submitted request into a versioned, file-persisted
   :class:`~repro.autotune.trace.TrafficTrace` of
   :class:`~repro.serving.request.TracedRequest` rows (the serving
   layer's request-as-data class, re-exported here: a trace row is
@@ -66,7 +66,6 @@ from repro.autotune.search import (
     random_search,
 )
 from repro.autotune.trace import (
-    TRACE_NAMESPACE,
     TRACE_VERSION,
     EndpointProfile,
     TracedRequest,
@@ -79,7 +78,6 @@ from repro.autotune.trace import (
 from repro.autotune.tuning import ConfigSpace, TuningConfig
 
 __all__ = [
-    "TRACE_NAMESPACE",
     "TRACE_VERSION",
     "EndpointProfile",
     "TracedRequest",

@@ -13,7 +13,6 @@ instead of re-discovering it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -52,9 +51,8 @@ def _dedupe(entries: Iterable[FrontEntry]) -> Tuple[FrontEntry, ...]:
     seen = set()
     unique = []
     for entry in entries:
-        key = json.dumps(entry.config.to_dict(), sort_keys=True)
-        if key not in seen:
-            seen.add(key)
+        if entry.config not in seen:
+            seen.add(entry.config)
             unique.append(entry)
     return tuple(unique)
 

@@ -3,10 +3,9 @@
 A :class:`TrafficTrace` is a pure value describing a request stream —
 a tuple of :class:`~repro.serving.request.TracedRequest` descriptions
 (the serving layer's own request-as-data class, re-exported here), in
-a versioned JSON-safe format (``TRACE_VERSION``) that both store
-serializers can carry.  ``trace.requests`` is servable as it is by
-every front door that takes requests as values.  Traces come from two
-places:
+a versioned JSON-safe format (``TRACE_VERSION``).  ``trace.requests``
+is servable as it is by every front door that takes requests as
+values.  Traces come from two places:
 
 * **capture** — a :class:`TraceRecorder` attached to a live engine
   (the ``recorder=`` constructor knob) observes every validated
@@ -18,13 +17,16 @@ places:
   ``conversational``), so the autotuner can be exercised on traffic
   the serving stack has never actually seen.
 
-Traces persist on a :mod:`repro.store` fabric (:func:`save_trace` /
-:func:`load_trace` under :data:`TRACE_NAMESPACE`), so a trace recorded
-by one process — or one serving worker — is replayable by any other.
+A trace persists as one JSON file at a path the caller names
+(:func:`save_trace` / :func:`load_trace`), so a trace recorded by one
+process — or one serving worker — is replayable by any other.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,9 +38,6 @@ from repro.serving.request import TracedRequest, resolve_arrivals
 #: field change; ``TrafficTrace.from_dict`` refuses versions it does
 #: not understand instead of guessing.
 TRACE_VERSION = 1
-
-#: Store namespace holding persisted traces (one entry per trace name).
-TRACE_NAMESPACE = "autotune.traces"
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class TraceRecorder:
     admission control: a request the tenant's queue cap sheds later is
     in the trace, so a replay offers it again and sheds it again.
     :meth:`trace` snapshots the log as an immutable
-    :class:`TrafficTrace`; :meth:`clear` starts a fresh capture.
+    :class:`TrafficTrace`; a fresh capture is a new recorder.
     """
 
     def __init__(self, name: str = "captured") -> None:
@@ -252,21 +251,31 @@ def synthesize_trace(
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
-def save_trace(trace: TrafficTrace, store) -> None:
-    """Persist ``trace`` under its name on ``store``.
+def save_trace(trace: TrafficTrace, path) -> None:
+    """Write ``trace`` as one JSON file at ``path``.
 
-    On a :class:`repro.store.FileStore` fabric the trace survives the
-    process and is loadable by any worker.  The payload is the
-    JSON-safe :meth:`TrafficTrace.to_dict` form, so both store
-    serializers can carry it.
+    The :meth:`TrafficTrace.to_dict` form goes to a uniquely named temp
+    file beside ``path`` and is published with ``os.replace``: a reader
+    sees the old file or the new one whole, and two writers never share
+    a temp file.
     """
-    store.put(TRACE_NAMESPACE, trace.name, trace.to_dict())
+    directory = os.path.dirname(os.path.abspath(path))
+    handle, temp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w") as out:
+            json.dump(trace.to_dict(), out)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
-def load_trace(name: str, store) -> Optional[TrafficTrace]:
-    """Restore a :func:`save_trace` snapshot from ``store``, or None if
-    absent."""
-    data = store.get(TRACE_NAMESPACE, name)
-    if data is None:
-        return None
-    return TrafficTrace.from_dict(data)
+def load_trace(path) -> TrafficTrace:
+    """Read a :func:`save_trace` file back.
+
+    A missing file raises ``FileNotFoundError``, a damaged one
+    ``json.JSONDecodeError`` and an unknown version ``ValueError``; the
+    file is never touched.
+    """
+    with open(path) as source:
+        return TrafficTrace.from_dict(json.load(source))

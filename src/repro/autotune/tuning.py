@@ -5,10 +5,9 @@ stand up a candidate deployment — pool composition (a tuple of
 :class:`~repro.systolic.config.SystolicConfig` design points),
 placement policy plus the ``cost_aware`` occupancy penalty, batcher
 knobs, admission caps and the K/V cache byte budget — as a frozen,
-JSON-safe value (design points serialize through the existing
-:func:`~repro.serving.cluster.config_to_dict`).  Two replays of the
-same trace under equal configs are bit-identical, which is what makes
-search results comparable and fronts resumable.
+hashable value (a front dedupes on the config itself).  Two replays of
+the same trace under equal configs are bit-identical, which is what
+makes search results comparable and fronts resumable.
 
 A :class:`ConfigSpace` bounds the search: a catalog of shard design
 points plus discrete knob ranges, with seeded ``sample`` /
@@ -19,11 +18,11 @@ evolutionary drivers in :mod:`repro.autotune.search`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.cluster import config_to_dict
+from repro.serving.request import optional_int
 from repro.systolic.config import SystolicConfig
 
 _PLACEMENT_CHOICES = ("round_robin", "least_loaded", "cost_aware", "lookahead")
@@ -66,6 +65,11 @@ class TuningConfig:
     def __post_init__(self) -> None:
         if not self.pool:
             raise ValueError("a tuning config needs at least one shard")
+        object.__setattr__(
+            self,
+            "max_queue_depth",
+            optional_int("max_queue_depth", self.max_queue_depth),
+        )
         if self.placement not in _PLACEMENT_CHOICES:
             raise ValueError(
                 f"unknown placement {self.placement!r}; "
@@ -108,18 +112,6 @@ class TuningConfig:
         if self.steal:
             line += " elastic: steal"
         return line
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "pool": [config_to_dict(config) for config in self.pool],
-            "placement": self.placement,
-            "occupancy_penalty": self.occupancy_penalty,
-            "max_batch_size": self.max_batch_size,
-            "flush_timeout": self.flush_timeout,
-            "max_queue_depth": self.max_queue_depth,
-            "radix_budget_bytes": self.radix_budget_bytes,
-            "steal": self.steal,
-        }
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,6 @@ from repro.serving.cluster import (
     RoundRobinPlacement,
     ShardSpec,
     ShardView,
-    config_to_dict,
     make_placement_policy,
     workload_cost_model,
 )
@@ -167,7 +166,6 @@ __all__ = [
     "make_placement_policy",
     "workload_cost_model",
     "PrefixAffinePlacement",
-    "config_to_dict",
     "FaultPlan",
     "WorkerDeath",
     "EndpointSpec",

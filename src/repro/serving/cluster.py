@@ -526,25 +526,6 @@ def make_placement_policy(
 # ---------------------------------------------------------------------------
 # Cost models
 # ---------------------------------------------------------------------------
-def config_to_dict(config: SystolicConfig) -> Dict[str, object]:
-    """JSON-safe dict of a design point (part of
-    :meth:`~repro.autotune.tuning.TuningConfig.to_dict`)."""
-    return {
-        "pe_rows": config.pe_rows,
-        "pe_cols": config.pe_cols,
-        "macs_per_pe": config.macs_per_pe,
-        "clock_hz": config.clock_hz,
-        "nonlinear_enabled": config.nonlinear_enabled,
-        "l3_out_width": config.l3_out_width,
-        "l3_in_width": config.l3_in_width,
-        "segment_capacity": config.segment_capacity,
-        "fmt": {
-            "total_bits": config.fmt.total_bits,
-            "frac_bits": config.fmt.frac_bits,
-        },
-    }
-
-
 class CalibratingCostModel:
     """Batch-cycle estimator from cycles the engine has already traced.
 

@@ -728,7 +728,7 @@ class InferenceEngine:
         loop picks the request up at its next decision point.
         """
         request = self._make_request(model, inputs, arrival, tenant, priority, deadline)
-        self._arrivals.fresh.append(request)
+        self._accept([request])
         return request.request_id
 
     def submit_generation(
@@ -759,7 +759,7 @@ class InferenceEngine:
             model, prompt, arrival, tenant, priority, deadline,
             max_new_tokens, stop_token,
         )
-        self._arrivals.fresh.append(request)
+        self._accept([request])
         return request.request_id
 
     def enqueue(self, requests: Iterable) -> List[int]:
@@ -769,17 +769,17 @@ class InferenceEngine:
         a mapping of its field names — a trace's rows, a recorder's
         capture or ``to_dict()`` rows from JSON, generation included.
         A replay and a fleet worker hand over their traffic whole here;
-        an item that fails validation raises and queues none of the list.
+        an item that fails validation raises and leaves the engine as it
+        was: none of the list is queued, recorded or given an id.
         """
-        made = [
-            self._make_request(
+        made: List[InferenceRequest] = []
+        for item in map(describe_request, requests):
+            made.append(self._make_request(
                 item.model, item.inputs_array(), item.arrival, item.tenant,
                 item.priority, item.deadline, item.max_new_tokens,
-                item.stop_token,
-            )
-            for item in map(describe_request, requests)
-        ]
-        self._arrivals.fresh += made
+                item.stop_token, after=made[-1] if made else None,
+            ))
+        self._accept(made)
         return [request.request_id for request in made]
 
     def _make_request(
@@ -792,8 +792,14 @@ class InferenceEngine:
         deadline: Optional[float],
         max_new_tokens: Optional[int] = None,
         stop_token: Optional[int] = None,
+        after: Optional[InferenceRequest] = None,
     ) -> InferenceRequest:
-        """Validate and build one request — every front door ends here."""
+        """Validate and build one request — every front door ends here.
+
+        Touches no engine state: the id and the default arrival follow
+        ``after`` (a request built earlier in the same list, not yet
+        accepted) or else the engine's last accepted request.
+        """
         generation = generation_of(inputs, max_new_tokens, stop_token)
         priority = optional_int("priority", priority)
         if model not in self._endpoints:
@@ -806,7 +812,7 @@ class InferenceEngine:
         if values.dtype.kind in "fc" and np.isnan(values).any():
             raise ValueError(f"inputs for {model!r} contain NaN")
         if arrival is None:
-            arrival = self._last_arrival
+            arrival = self._last_arrival if after is None else after.arrival
         arrival = float(arrival)
         if not (math.isfinite(arrival) and arrival >= 0):
             raise ValueError(f"arrival must be finite and >= 0, got {arrival}")
@@ -820,8 +826,7 @@ class InferenceEngine:
             # Generation requests carry a prompt-*length* key: batch
             # assembly groups on it, so one prefill stacks distinct
             # same-shape prompts (all np.stack needs) into one array
-            # pass.  Validation happens before any engine state is
-            # touched.
+            # pass.
             adapter = endpoint.generation_adapter
             if adapter is None:
                 raise ValueError(
@@ -836,13 +841,10 @@ class InferenceEngine:
             # Key the request on its prompt content at admission: batch
             # assembly groups on it, so one batch is one prompt and the
             # cache decision at execution applies to the whole batch.
-            # May raise on malformed inputs — before any engine state
-            # (the arrival bookkeeping below) is touched, so a failed
-            # submit leaves the engine unchanged.
+            # May raise on malformed inputs.
             prefix_key = endpoint.prefix_adapter.request_key(inputs)
-        self._last_arrival = arrival
-        request = InferenceRequest(
-            request_id=self._next_id,
+        return InferenceRequest(
+            request_id=self._next_id if after is None else after.request_id + 1,
             model=model,
             inputs=np.asarray(inputs),
             arrival=arrival,
@@ -852,13 +854,22 @@ class InferenceEngine:
             prefix_key=prefix_key,
             generation=generation,
         )
-        self._next_id += 1
-        # Capture after validation succeeded, before admission control:
-        # a recorder sees every request offered (a replay must offer one
-        # shed later again), never a submission that raised.
+
+    def _accept(self, made: List[InferenceRequest]) -> None:
+        """Queue requests :meth:`_make_request` built.  Ids, the default
+        arrival and the recorder move only here, once a whole front-door
+        call has validated, so one that raises leaves the engine as it
+        was."""
+        if not made:
+            return
+        self._next_id = made[-1].request_id + 1
+        self._last_arrival = made[-1].arrival
+        # Capture before admission control: a recorder sees every
+        # request offered (a replay must offer one shed later again).
         if self.recorder is not None:
-            self.recorder.record(request)
-        return request
+            for request in made:
+                self.recorder.record(request)
+        self._arrivals.fresh += made
 
     # ------------------------------------------------------------------
     # Execution: the scheduler loop

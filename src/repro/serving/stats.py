@@ -28,10 +28,10 @@ class ShardStats:
     ``drift`` is an exponentially weighted moving average of
     ``actual / estimated`` service seconds over the shard's executed
     batches — 1.0 means the calibrated cost model prices this shard
-    perfectly, 2.0 means work takes twice the estimate (a slowdown
-    fault, thermal throttling, a stale calibration).  It is a ratio of
-    *seconds*, not cycles, so an injected slowdown — which stretches
-    the timeline while the traced cycle count stands — registers.
+    perfectly, 2.0 means work takes twice the estimate (a cost model
+    that misprices the shard, a stale calibration).  It is a ratio of
+    *seconds*, not cycles: the time a batch took on the shard's
+    timeline against the time its estimate priced.
     Work-stealing scales a planned shard's ETA by its drift before
     deciding whether a queued batch should migrate.
     """

@@ -75,6 +75,13 @@ class TenantConfig:
                 f"tenant {self.tenant_id!r} slo_latency must be > 0, "
                 f"got {self.slo_latency}"
             )
+        from repro.serving.request import optional_int  # request imports us
+
+        object.__setattr__(
+            self,
+            "max_queue_depth",
+            optional_int("max_queue_depth", self.max_queue_depth),
+        )
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError(
                 f"tenant {self.tenant_id!r} max_queue_depth must be >= 1, "

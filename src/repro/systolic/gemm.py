@@ -125,10 +125,10 @@ class GemmSchedule:
 
 #: Plans kept per process.  A plan is a pure function of ``(config, M,
 #: K, N)``, so it is memoised where it is defined and never shared: on a
-#: 2-core x86 host a cold build takes 3-6 us and one ``FileStore`` read
-#: 190-280 us.  Serving repeats a handful of shapes; the bound only stops
-#: a shape-churning design-space sweep from growing the memo without
-#: limit.
+#: 2-core x86 host a cold build takes 3-6 us and reading a pickled plan
+#: back from disk 190-280 us.  Serving repeats a handful of shapes; the
+#: bound only stops a shape-churning design-space sweep from growing the
+#: memo without limit.
 GEMM_PLANS = 512
 
 

@@ -5,14 +5,11 @@ admitted request either completes exactly once, bit-identical to a
 healthy run, or is reported failed with a reason** — a dead worker is
 detected by exit code, then restarted or its requests redistributed,
 never silently dropped.  A plan that cannot be honoured is refused
-before anything starts.  A ``FileStore`` survives a torn write as
-misses.
+before anything starts.
 
 Everything runs in simulated time off deterministic plans: no sleeps,
 no real clocks, no flaky timing.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -26,7 +23,6 @@ from repro.serving import (
     WorkerFailedError,
     serve_multiproc,
 )
-from repro.store import MISSING, FileStore
 from repro.systolic import SystolicConfig
 
 pytestmark = pytest.mark.chaos
@@ -191,27 +187,3 @@ class TestWorkerSupervision:
         with pytest.raises(ValueError, match="finite at >= 0"):
             FaultPlan(events=(WorkerDeath(worker=1, at=-1.0),))
 
-
-class TestFabricChaos:
-    def test_corruption_quarantined_as_misses(self, tmp_path):
-        """A torn write (garbage bytes where a pickle was) read by
-        another process's view of the store is a miss, and quarantined."""
-        root = str(tmp_path / "fabric")
-        store = FileStore(root)
-        for i in range(3):
-            store.put("serving.plans", f"k{i}", {"plan": i})
-        ns_dir = os.path.join(root, "serving.plans")
-        data = [name for name in os.listdir(ns_dir) if name.endswith(".pkl")]
-        assert len(data) == 3
-        for name in data:
-            with open(os.path.join(ns_dir, name), "wb") as handle:
-                handle.write(b"\x00corrupt\x00")
-        fresh = FileStore(root)  # a different worker's view of the root
-        for i in range(3):
-            assert fresh.get("serving.plans", f"k{i}", default=MISSING) is MISSING
-        # Each read quarantined its entry: the three data files are gone.
-        assert [name for name in os.listdir(ns_dir) if name.endswith(".pkl")] == []
-        # The namespace still works — corruption cost misses, not the
-        # namespace.
-        fresh.put("serving.plans", "k0", {"plan": "rebuilt"})
-        assert fresh.get("serving.plans", "k0") == {"plan": "rebuilt"}

@@ -465,6 +465,12 @@ class TestAdmissionControl:
 
         with pytest.raises(ValueError):
             TenantConfig("bad", max_queue_depth=0)
+        # 1.5 used to act as a cap of 2, True as a cap of 1.
+        for depth in (1.5, True):
+            with pytest.raises(ValueError, match="max_queue_depth must be an integer"):
+                TenantConfig("bad", max_queue_depth=depth)
+        config = TenantConfig("ok", max_queue_depth=3.0)
+        assert config.max_queue_depth == 3 and type(config.max_queue_depth) is int
 
 
 class TestQuantizedWeightCache:

@@ -10,8 +10,8 @@ the instance.  These tests pin what makes that safe:
   ``copy`` / ``deepcopy`` and ``pickle`` all yield objects that hash
   afresh — checked where it matters, in a **fresh interpreter**, because
   ``l3_out_width=None`` is hashed and ``hash(None)`` differs between
-  processes before Python 3.12 (a ``FileStore`` can persist values that
-  hold a config; ``serve_multiproc`` ships configs to workers);
+  processes before Python 3.12 (``serve_multiproc`` ships configs to
+  workers);
 * the field hash really runs at most once per object.
 """
 
@@ -28,12 +28,10 @@ import pytest
 import repro.fixedpoint.qformat as qformat_module
 from repro.fixedpoint import QFormat
 from repro.serving import BatchProfile, CalibratingCostModel
-from repro.store import FileStore
 from repro.systolic import SystolicConfig
 from repro.systolic.gemm import plan_gemm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SCHEDULES = "test.schedules"
 KWARGS = dict(pe_rows=4, pe_cols=4, macs_per_pe=8, clock_hz=125e6)
 
 
@@ -138,28 +136,6 @@ class TestCachedValueStaysHome:
             "assert hash(loaded) == hash(local)\n"
         )
         _fresh_interpreter(code, path)
-
-    def test_filestore_schedule_into_a_fresh_interpreter(self, tmp_path):
-        """The store path: a ``GemmSchedule`` (which holds its config)
-        persisted by one process is looked up by another."""
-        config = _config()
-        schedule = plan_gemm(config, 16, 8, 12, use_cache=False)
-        assert hash(config) == hash(schedule.config)
-        FileStore(str(tmp_path)).put(SCHEDULES, (config, 16, 8, 12), schedule)
-        code = (
-            "import sys\n"
-            "from repro.fixedpoint import QFormat\n"
-            "from repro.store import FileStore\n"
-            "from repro.systolic import SystolicConfig\n"
-            f"local = SystolicConfig(fmt=QFormat(16, 8), **{KWARGS!r})\n"
-            "store = FileStore(sys.argv[1])\n"
-            f"schedule = store.get({SCHEDULES!r}, (local, 16, 8, 12))\n"
-            "assert schedule is not None, 'equal key missed the store entry'\n"
-            "assert '_hash' not in vars(schedule.config)\n"
-            "assert {local: 'found'}[schedule.config] == 'found'\n"
-            "assert schedule.breakdown.total > 0\n"
-        )
-        _fresh_interpreter(code, tmp_path)
 
 
 class TestHashedOnce:

@@ -495,7 +495,7 @@ class TestElasticWiring:
 
         pool = (SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4),)
         config = TuningConfig(pool=pool, placement="lookahead", steal=True)
-        assert config.to_dict()["steal"] is True
+        assert config.steal is True
         assert "lookahead" in config.describe()
         assert "elastic: steal" in config.describe()
         assert "steal" not in TuningConfig(pool=pool, placement="cost_aware").describe()

@@ -49,6 +49,7 @@ import repro.autotune as autotune_package
 import repro.serving as serving_package
 import repro.serving.deploy as deploy_module
 import repro.serving.engine as engine_module
+import repro.store as store_package
 from repro.autotune import (
     EndpointProfile,
     EndpointSpec,
@@ -359,16 +360,23 @@ def test_one_path_from_deployment_as_data_to_a_running_engine():
 def test_pure_values_are_memoised_where_they_are_defined():
     """Plans and approximators are bounded per-process memos at their
     definitions; there is no process-global store, no namespace
-    registry and no abstract store class, so persisting a trace names
-    its store; calibration and fronts are not persisted at all."""
+    registry and no abstract store class.  The one store is in-process:
+    a trace persists as one JSON file at a path its caller names, and
+    calibration and fronts are not persisted at all.  A tuning config
+    is its own dedupe key, with no hand-written dict form."""
 
     first_line = {name: code.splitlines()[0] for _, name, code in _functions_under_src()}
     assert first_line["_approximator"] == "@functools.lru_cache(maxsize=APPROXIMATORS)"
     assert first_line["_gemm_plan"] == "@functools.lru_cache(maxsize=GEMM_PLANS)"
     assert first_line["_mhp_plan"] == "@functools.lru_cache(maxsize=MHP_PLANS)"
     for persist in (save_trace, load_trace):
-        store = inspect.signature(persist).parameters["store"]
-        assert store.default is inspect.Parameter.empty, persist.__name__
+        path = inspect.signature(persist).parameters["path"]
+        assert path.default is inspect.Parameter.empty, persist.__name__
+        assert "store" not in inspect.signature(persist).parameters
+    assert not [name for name in ("FileStore", "StoreLockTimeout")
+                if hasattr(store_package, name)]
+    assert not hasattr(serving_package, "config_to_dict")
+    assert not hasattr(TuningConfig, "to_dict")
     for retired in ("save_calibration", "load_calibration", "CALIBRATION_NAMESPACE"):
         assert not hasattr(serving_package, retired)
     front_format = ("save_front", "load_front", "FRONT_NAMESPACE", "FRONT_VERSION",

@@ -14,7 +14,8 @@ that buys:
 * a recorder's capture and ``to_dict()`` rows from JSON are servable
   with no conversion code;
 * the recorder sees *validated submissions*: a request the queue cap
-  sheds is in the trace, and a replay sheds it again.
+  sheds is in the trace, and a replay sheds it again; a list that
+  fails validation is neither recorded nor numbered.
 """
 
 import json
@@ -265,6 +266,26 @@ def test_recorder_captures_validated_submissions_shed_ones_included():
     replayed = replay_trace(recorder.trace(), tuning, (CLASSIFIER,))
     assert sorted(r.request.request_id for r in replayed.shed) == shed
     assert report_fingerprint(replayed) == report_fingerprint(live)
+
+
+def test_a_list_that_fails_validation_leaves_the_engine_as_it_was():
+    """``enqueue`` checks the whole list before it numbers, records or
+    queues any of it: a bad row used to leave the rows before it in the
+    recorder and move the next id and the default arrival."""
+    recorder = TraceRecorder()
+    engine = build_engine(TUNING, (CLASSIFIER,), tenants=("default",))
+    engine.recorder = recorder
+    row = list(range(8))
+    with pytest.raises(ValueError, match="arrival must be finite"):
+        engine.enqueue([
+            {"model": "bert", "inputs": row, "arrival": 5.0},
+            {"model": "bert", "inputs": row, "arrival": -1.0},
+        ])
+    assert len(recorder) == 0
+    assert engine.submit("bert", np.array(row)) == 0
+    (record,) = engine.run().completed
+    assert record.request.arrival == 0.0
+    assert len(recorder) == 1
 
 
 def test_a_mapping_defaults_like_submit_keywords():
