@@ -66,7 +66,6 @@ HOST_CEILING_FACTOR = 2.0
 PLACEMENT_GATE = 1.3
 KV_CACHE_GATE = 2.0
 MULTIPROC_GATE = 1.5
-FAULT_RECOVERY_GATE = 0.4
 GENERATION_GATE = 2.0
 AUTOTUNE_GATE = 1.3
 ELASTIC_GATE = 1.5
@@ -1091,25 +1090,21 @@ def test_kv_cache_prefix_reuse(print_artifact):
 
 
 def test_multiproc_scaleout_throughput(print_artifact):
-    """Two worker processes over a 2-shard cluster sustain >= 1.5x the
-    simulated throughput of one worker owning a single shard, with
-    bit-identical outputs and exact merged accounting.
+    """One engine over a 2-shard cluster sustains >= 1.5x the simulated
+    throughput of one engine over a single shard, with bit-identical
+    outputs.
 
-    The scale-out claim: a fleet worker owns its shard block outright,
-    so adding a worker adds its block's full capacity.  Throughput is
-    simulated requests-per-second (the cycle model's makespan), which
-    isolates the capacity claim from host scheduling noise — on the
-    single-core CI runner the two forked workers time-slice one CPU,
-    but each one's *simulated* clock only advances with its own
-    shards' work.  The fleet makespan is the slowest worker's (they
-    run concurrently), so the ideal ratio on an even split is 2x and
-    the 1.5x gate leaves room for batching-edge effects only.
+    The scale-out claim: the engine places every batch on a shard of its
+    pool, so adding a shard adds that shard's full capacity.  Throughput
+    is simulated requests-per-second (the cycle model's makespan), which
+    isolates the capacity claim from host scheduling noise.  The 32
+    requests form four equal batches that round-robin placement deals
+    two to a shard, so the ideal ratio is 2x and the 1.5x gate leaves
+    room for batching-edge effects only.
     """
-    from repro.serving import ClusterSpec, EndpointSpec, serve_multiproc
-    from repro.serving.multiproc import partition_cluster
+    from repro.serving import ClusterSpec, EndpointSpec, assemble_engine
 
     config = _paper_config()
-    cluster = ClusterSpec.homogeneous(config, 2)
     seq_len = 16
     model_kwargs = dict(
         vocab=32, seq_len=seq_len, dim=32, heads=4, ff_dim=64,
@@ -1131,58 +1126,54 @@ def test_multiproc_scaleout_throughput(print_artifact):
         for _ in range(32)
     ]
 
-    # Baseline: one worker owning one shard block serves the full trace.
-    single_block = partition_cluster(cluster, 2)[0]
-    single = serve_multiproc(single_block, models, requests, n_workers=1)
-    # Fleet: two workers, one block each, the trace split round-robin.
-    fleet = serve_multiproc(cluster, models, requests, n_workers=2)
+    def serve(n_shards):
+        engine = assemble_engine(ClusterSpec.homogeneous(config, n_shards), models)
+        engine.enqueue(requests)
+        return engine.run()
+
+    single = serve(1)
+    pool = serve(2)
 
     # Scale-out must not change arithmetic: every request's output is
-    # bit-identical to the single-worker run's.
+    # bit-identical to the single-shard run's.
     single_outputs = {
         record.request.inputs.tobytes(): record.outputs
-        for record in single.merged.completed
+        for record in single.completed
     }
-    for record in fleet.merged.completed:
+    for record in pool.completed:
         assert np.array_equal(
             record.outputs, single_outputs[record.request.inputs.tobytes()]
         ), "scale-out changed results"
+    assert pool.n_requests == 32
+    assert {record.shard for record in pool.completed} == {0, 1}
 
-    # Exact merged accounting across the fleet.
-    assert fleet.merged.n_requests == 32
-    assert fleet.merged.total_cycles == sum(
-        r.total_cycles for r in fleet.reports
-    )
-    assert fleet.merged.shed_count == sum(r.shed_count for r in fleet.reports)
-
-    single_span = single.merged.makespan
-    fleet_span = max(report.makespan for report in fleet.reports)
+    single_span = single.makespan
+    pool_span = pool.makespan
     single_rps = 32 / single_span
-    fleet_rps = 32 / fleet_span
-    ratio = fleet_rps / single_rps
+    pool_rps = 32 / pool_span
+    ratio = pool_rps / single_rps
     results = {
         "design_point": config.describe(),
         "requests": 32,
-        "workers": 2,
-        "shards_per_worker": 1,
-        "single_worker_makespan_us": single_span * 1e6,
-        "fleet_makespan_us": fleet_span * 1e6,
-        "single_worker_rps": single_rps,
-        "fleet_rps": fleet_rps,
+        "shards": 2,
+        "one_shard_makespan_us": single_span * 1e6,
+        "two_shard_makespan_us": pool_span * 1e6,
+        "one_shard_rps": single_rps,
+        "two_shard_rps": pool_rps,
         "speedup": ratio,
         "gate": MULTIPROC_GATE,
     }
-    _update_artifact(multiproc=results)
+    _update_artifact(scaleout=results)
 
     print_artifact(
-        "Multi-worker scale-out (32 requests, 2 workers x 1 shard)\n"
-        f"  1 worker  makespan {single_span * 1e6:9.1f} us   "
+        "Scale-out on one engine (32 requests, 1 vs 2 shards)\n"
+        f"  1 shard  makespan {single_span * 1e6:9.1f} us   "
         f"{single_rps:10.0f} req/s\n"
-        f"  2 workers makespan {fleet_span * 1e6:9.1f} us   "
-        f"{fleet_rps:10.0f} req/s   {ratio:4.2f}x"
+        f"  2 shards makespan {pool_span * 1e6:9.1f} us   "
+        f"{pool_rps:10.0f} req/s   {ratio:4.2f}x"
     )
     assert ratio >= MULTIPROC_GATE, (
-        f"2-worker fleet only {ratio:.2f}x single-worker throughput "
+        f"2-shard engine only {ratio:.2f}x single-shard throughput "
         f"(< {MULTIPROC_GATE}x gate)"
     )
 
@@ -1236,7 +1227,7 @@ def test_generation_continuous_batching(print_artifact):
     for a, b in zip(serial_out, batched_out):
         assert np.array_equal(a, b), "continuous batching changed tokens"
     assert len(batched_report.completed) == n_requests
-    assert not batched_report.failed and not batched_report.shed
+    assert not batched_report.shed
 
     # The decode pool actually merged independent sequences.
     steps = batched_report.generation_steps
@@ -1278,104 +1269,6 @@ def test_generation_continuous_batching(print_artifact):
     assert ratio >= GENERATION_GATE, (
         f"continuous batching only {ratio:.2f}x one-at-a-time "
         f"traced-cycle throughput (< {GENERATION_GATE}x gate)"
-    )
-
-
-def test_fault_recovery_throughput(print_artifact):
-    """A supervised 2-worker fleet that loses one worker mid-run and
-    redistributes its requests still completes every request with
-    bit-identical outputs at >= 0.4x the no-fault simulated throughput.
-
-    The recovery claim: killing worker 1 (nonzero exit before it
-    delivers a report) with the restart budget exhausted forces the
-    supervisor down the redistribution path — the dead worker's
-    requests re-run on the survivor's shard block, time-shifted behind
-    its existing work.  Half the fleet's capacity is gone, so the
-    ideal throughput ratio is 0.5x; the 0.4x gate leaves room for
-    batching-edge effects only.  Simulated throughput (requests over
-    the merged makespan) isolates the capacity claim from host
-    scheduling noise, exactly as in the scale-out benchmark above.
-    """
-    from repro.serving import ClusterSpec, EndpointSpec, FaultPlan, WorkerDeath
-    from repro.serving import serve_multiproc
-
-    config = _paper_config()
-    cluster = ClusterSpec.homogeneous(config, 2)
-    seq_len = 16
-    model_kwargs = dict(
-        vocab=32, seq_len=seq_len, dim=32, heads=4, ff_dim=64,
-        n_layers=2, causal=True, seed=0,
-    )
-    models = [EndpointSpec(name="bert", factory=TinyBERT, kwargs=model_kwargs)]
-    rng = np.random.default_rng(8)
-    requests = [
-        {
-            "model": "bert",
-            "inputs": rng.integers(0, 32, size=seq_len),
-            "arrival": 0.0,
-        }
-        for _ in range(32)
-    ]
-
-    def run(fault_plan):
-        return serve_multiproc(
-            cluster, models, requests, n_workers=2,
-            fault_plan=fault_plan,
-            supervise=True,
-            max_restarts=0,  # straight to redistribution
-        )
-
-    healthy = run(None)
-    crashed = run(FaultPlan(events=(WorkerDeath(worker=1, at=1e-4),)))
-
-    # Exactly-once completion under the crash: every submitted request
-    # completes, none fail, none duplicate.
-    assert crashed.merged.n_requests == 32
-    assert crashed.merged.failed_count == 0
-    assert crashed.merged.worker_redistributions == 1
-    assert crashed.merged.worker_restarts == 0
-
-    # Recovery must not change arithmetic: outputs bit-identical to the
-    # no-fault fleet, request by request.
-    healthy_outputs = {
-        record.request.inputs.tobytes(): record.outputs
-        for record in healthy.merged.completed
-    }
-    for record in crashed.merged.completed:
-        assert np.array_equal(
-            record.outputs, healthy_outputs[record.request.inputs.tobytes()]
-        ), "fault recovery changed results"
-
-    healthy_rps = 32 / healthy.merged.makespan
-    crashed_rps = 32 / crashed.merged.makespan
-    ratio = crashed_rps / healthy_rps
-    results = {
-        "design_point": config.describe(),
-        "requests": 32,
-        "workers": 2,
-        "killed_worker": 1,
-        "redistributions": crashed.merged.worker_redistributions,
-        "healthy_makespan_us": healthy.merged.makespan * 1e6,
-        "crashed_makespan_us": crashed.merged.makespan * 1e6,
-        "healthy_rps": healthy_rps,
-        "crashed_rps": crashed_rps,
-        "throughput_ratio": ratio,
-        "gate": FAULT_RECOVERY_GATE,
-    }
-    _update_artifact(fault_recovery=results)
-
-    print_artifact(
-        "Fault recovery (32 requests, 2 workers, worker 1 killed, "
-        "redistributed)\n"
-        f"  no fault  makespan {healthy.merged.makespan * 1e6:9.1f} us   "
-        f"{healthy_rps:10.0f} req/s\n"
-        f"  recovered makespan {crashed.merged.makespan * 1e6:9.1f} us   "
-        f"{crashed_rps:10.0f} req/s   {ratio:4.2f}x"
-        + "\n" + crashed.merged.fault_section()
-    )
-    assert ratio >= FAULT_RECOVERY_GATE, (
-        f"recovered fleet only {ratio:.2f}x no-fault throughput "
-        f"(< {FAULT_RECOVERY_GATE}x gate)"
     )
 
 

@@ -15,10 +15,8 @@ drivers can compare.
 Endpoints are :class:`~repro.serving.deploy.EndpointSpec` values
 (re-exported here, with :class:`~repro.serving.deploy.WorkloadCostSpec`),
 and :func:`build_engine` only maps a ``TuningConfig`` onto
-:func:`~repro.serving.deploy.assemble_engine` — the one function a
-:func:`~repro.serving.multiproc.serve_multiproc` worker builds its
-engine through too, so a replay and a fleet given the same deployment
-run the same engine.
+:func:`~repro.serving.deploy.assemble_engine`, the one function every
+engine built from a deployment description goes through.
 """
 
 from __future__ import annotations
@@ -111,7 +109,7 @@ def report_fingerprint(report: ServingReport) -> str:
     """A digest over everything a replay determines.
 
     Two reports share a fingerprint iff their completions (ids,
-    timing, shard, and output *bits*), placement log, shed/failure
+    timing, shard, and output *bits*), placement log, shed
     records, per-shard and per-tenant cycle counters and decode steps
     are identical — the "bit-identical replay" contract
     in one comparable value.  Host wall time is excluded (it is
@@ -153,8 +151,6 @@ def report_fingerprint(report: ServingReport) -> str:
         )
     for shed in report.shed:
         feed(shed.request.request_id, shed.reason, shed.at)
-    for failure in report.failed:
-        feed(failure.request.request_id, failure.reason, failure.at)
     for step in report.generation_steps:
         feed(
             step.step_index,

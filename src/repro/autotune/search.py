@@ -14,9 +14,8 @@ Candidate generation is driven entirely by one
 ``numpy.random.default_rng(seed)`` stream and replay is
 deterministic, so a search is reproducible bit for bit — including
 across ``n_workers``: workers only parallelize evaluation (one forked
-process per chunk of candidates, through the same
-:func:`~repro.serving.deploy.fan_out` a serving fleet spawns its
-workers with), never the choice of candidates.  Every scored candidate
+process per chunk of candidates, through
+:func:`~repro.serving.deploy.fan_out`), never the choice of candidates.  Every scored candidate
 flows into a :class:`~repro.autotune.front.TuningFront` via the
 existing Pareto dominance code; pass a run's front in to resume
 it — its surviving configs seed the first population and its

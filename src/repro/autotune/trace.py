@@ -19,7 +19,7 @@ values.  Traces come from two places:
 
 A trace persists as one JSON file at a path the caller names
 (:func:`save_trace` / :func:`load_trace`), so a trace recorded by one
-process — or one serving worker — is replayable by any other.
+process is replayable by any other.
 """
 
 from __future__ import annotations

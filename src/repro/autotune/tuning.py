@@ -22,6 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.serving.batcher import batch_knobs
 from repro.serving.request import optional_int
 from repro.systolic.config import SystolicConfig
 
@@ -79,14 +80,9 @@ class TuningConfig:
             raise ValueError(
                 f"occupancy_penalty must be >= 0, got {self.occupancy_penalty}"
             )
-        if self.max_batch_size < 1:
-            raise ValueError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.flush_timeout < 0:
-            raise ValueError(
-                f"flush_timeout must be >= 0, got {self.flush_timeout}"
-            )
+        size, timeout = batch_knobs(self.max_batch_size, self.flush_timeout)
+        object.__setattr__(self, "max_batch_size", size)
+        object.__setattr__(self, "flush_timeout", timeout)
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"

@@ -5,9 +5,9 @@ multi-tenant serving system:
 
 * request/completion/shed records with tenant, priority and deadline
   fields, and the request-as-data class every front door accepts
-  (:class:`~repro.serving.request.TracedRequest`: ``enqueue``,
-  ``serve_multiproc`` and trace replay all take it, or a mapping of its
-  fields) (:mod:`repro.serving.request`);
+  (:class:`~repro.serving.request.TracedRequest`: ``enqueue`` and
+  trace replay both take it, or a mapping of its fields)
+  (:mod:`repro.serving.request`);
 * deterministic dynamic batching with max-batch-size and flush-timeout
   knobs (:mod:`repro.serving.batcher`) — co-pending requests of the
   same tenant and model are stacked so their GEMMs share tiles, which
@@ -65,23 +65,11 @@ multi-tenant serving system:
 * deployment-as-data (:mod:`repro.serving.deploy`): endpoints described
   by construction, the one ``assemble_engine`` every front end builds its
   engine through, and the one child-process ``fan_out``;
-* a multi-worker serving front (:mod:`repro.serving.multiproc`):
-  :func:`~repro.serving.multiproc.serve_multiproc` partitions the
-  declared cluster into contiguous shard blocks, runs one engine
-  process per block (workers share nothing but their request lists),
-  and merges the per-worker reports into one
-  fleet view with exact counter sums — with worker supervision:
-  dead workers (a real crash, or a seeded
-  :class:`~repro.serving.faults.WorkerDeath`) are detected by exit
-  code and either restarted or their requests redistributed onto
-  surviving shard blocks
-  (:class:`~repro.serving.multiproc.WorkerFailedError` when
-  supervision is off);
 * serving-level reporting — latency percentiles, throughput,
   cycles/request, per-shard utilization, per-tenant SLO attainment and
   shed accounting, all over the run's one ordered event log
   (:attr:`~repro.serving.report.ServingReport.events`: placements,
-  sheds, cache decisions, lost requests, decode steps and steals, each
+  sheds, cache decisions, decode steps and steals, each
   also readable as a typed view) (:mod:`repro.serving.report`).
 
 See ``examples/serving_demo.py``, ``examples/multitenant_demo.py`` and
@@ -114,16 +102,7 @@ from repro.serving.generation import (
     DecodeStepRecord,
     GenerationAdapter,
 )
-from repro.serving.faults import FaultPlan, WorkerDeath
 from repro.serving.deploy import EndpointSpec, WorkloadCostSpec, assemble_engine
-from repro.serving.multiproc import (
-    MultiprocResult,
-    WorkerConfig,
-    WorkerFailedError,
-    merge_reports,
-    partition_cluster,
-    serve_multiproc,
-)
 from repro.serving.prefix_cache import (
     PrefixEvent,
     RadixKVCache,
@@ -132,7 +111,6 @@ from repro.serving.prefix_cache import (
 from repro.serving.report import ServingReport
 from repro.serving.request import (
     CompletedRequest,
-    FailureRecord,
     GenerationRequest,
     InferenceRequest,
     ShedRecord,
@@ -166,17 +144,9 @@ __all__ = [
     "make_placement_policy",
     "workload_cost_model",
     "PrefixAffinePlacement",
-    "FaultPlan",
-    "WorkerDeath",
     "EndpointSpec",
     "WorkloadCostSpec",
     "assemble_engine",
-    "MultiprocResult",
-    "WorkerConfig",
-    "WorkerFailedError",
-    "merge_reports",
-    "partition_cluster",
-    "serve_multiproc",
     "PrefixEvent",
     "RadixKVCache",
     "TransformerPrefixAdapter",
@@ -191,7 +161,6 @@ __all__ = [
     "GenerationAdapter",
     "ServingReport",
     "CompletedRequest",
-    "FailureRecord",
     "GenerationRequest",
     "InferenceRequest",
     "ShedRecord",

@@ -33,10 +33,11 @@ rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.serving.request import InferenceRequest
+from repro.serving.request import InferenceRequest, optional_int
 from repro.serving.tenancy import DEFAULT_TENANT
 
 
@@ -76,6 +77,18 @@ class Batch:
         return len(self.requests)
 
 
+def batch_knobs(max_batch_size, flush_timeout) -> Tuple[int, float]:
+    """The two batching knobs, checked: a whole ``max_batch_size`` >= 1
+    (``4.0`` as 4; a bool or a fraction raises, never truncates) and a
+    finite ``flush_timeout`` >= 0.  Raises ``ValueError`` otherwise."""
+    size = optional_int("max_batch_size", max_batch_size)
+    if size is None or size < 1:
+        raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
+    if not (flush_timeout >= 0 and math.isfinite(flush_timeout)):
+        raise ValueError(f"flush_timeout must be >= 0 and finite, got {flush_timeout}")
+    return size, float(flush_timeout)
+
+
 class DynamicBatcher:
     """Plans batches from a request stream with size/timeout knobs.
 
@@ -90,12 +103,9 @@ class DynamicBatcher:
     """
 
     def __init__(self, max_batch_size: int = 8, flush_timeout: float = 1e-3):
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if flush_timeout < 0:
-            raise ValueError(f"flush_timeout must be >= 0, got {flush_timeout}")
-        self.max_batch_size = int(max_batch_size)
-        self.flush_timeout = float(flush_timeout)
+        self.max_batch_size, self.flush_timeout = batch_knobs(
+            max_batch_size, flush_timeout
+        )
 
     def plan(self, requests: Sequence[InferenceRequest]) -> List[Batch]:
         """Group ``requests`` into batches, ordered by ready time."""
@@ -205,12 +215,9 @@ class BatchAssembler:
     """
 
     def __init__(self, max_batch_size: int = 8, flush_timeout: float = 1e-3):
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if flush_timeout < 0:
-            raise ValueError(f"flush_timeout must be >= 0, got {flush_timeout}")
-        self.max_batch_size = int(max_batch_size)
-        self.flush_timeout = float(flush_timeout)
+        self.max_batch_size, self.flush_timeout = batch_knobs(
+            max_batch_size, flush_timeout
+        )
         self._open: Dict[GroupKey, OpenGroup] = {}
         self._closed: Dict[int, OpenGroup] = {}  # seq -> group, insertion order
         self._seq = 0

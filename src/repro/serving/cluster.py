@@ -117,10 +117,6 @@ class ClusterSpec:
         """One shard per design point in ``configs``."""
         return cls(tuple(ShardSpec(config, granularity) for config in configs))
 
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
     def build(self) -> "ClusterDispatcher":
         """Materialise the pool: one ``SystolicArray`` backend per shard."""
         from repro.nn.executor import ArrayBackend

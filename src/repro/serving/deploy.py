@@ -1,21 +1,19 @@
 """From a deployment described as data to a running engine, once.
 
-A fleet worker of :func:`~repro.serving.multiproc.serve_multiproc`, a
-candidate replay of :func:`~repro.autotune.replay.replay_trace` and a
-search worker scoring candidates all stand an engine up from picklable
+A candidate replay of :func:`~repro.autotune.replay.replay_trace` and a
+search worker scoring candidates both stand an engine up from picklable
 values.  What that takes exists here exactly once: endpoints described
 by construction (:class:`EndpointSpec`), the engine assembler
 (:func:`assemble_engine` — it alone decides which caches exist) and
 the child start and fan-out (:func:`start_child`, :func:`fan_out`).
 Engine options are forwarded, never re-declared: an option added to
-``InferenceEngine`` reaches fleets and replays with no edit here or in a front end.
+``InferenceEngine`` reaches replays with no edit here or in a front end.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-import inspect
 import multiprocessing
 import os
 import sys
@@ -66,8 +64,8 @@ class EndpointSpec:
     The assembling process rebuilds the model as ``factory(**kwargs)`` —
     the factory must be importable (a module-level class or function)
     and the kwargs picklable.  Deterministic factories (seeded weight
-    init) give every worker and every replay bit-identical weights,
-    which is what makes a fleet and a replay reproducible.
+    init) give every replay and every search worker bit-identical
+    weights, which is what makes a replay reproducible.
 
     ``prefix_len`` opts plain-inference traffic into KV-prefix reuse
     when the deployment budgets a K/V cache, ``generation=True``
@@ -160,18 +158,6 @@ def assemble_engine(
         )
         engine.share_tapes(spec.name, spec.tapes)
     return engine
-
-
-def check_deployment(**options) -> None:
-    """Raise the ``TypeError`` :func:`assemble_engine` would raise for
-    these keywords, building nothing — for a front that assembles in
-    child processes, where a misspelt option would otherwise surface
-    only as a dead worker."""
-    bound = inspect.signature(assemble_engine).bind(None, (), **options)
-    engine_options = bound.arguments.get("engine_options", {})
-    inspect.signature(InferenceEngine).bind(
-        None, radix_cache=None, **engine_options
-    )
 
 
 def _child_entry(body: Callable, args: tuple, conn) -> None:

@@ -768,7 +768,7 @@ class InferenceEngine:
         Each item is a :class:`~repro.serving.request.TracedRequest` or
         a mapping of its field names — a trace's rows, a recorder's
         capture or ``to_dict()`` rows from JSON, generation included.
-        A replay and a fleet worker hand over their traffic whole here;
+        A replay hands over its traffic whole here;
         an item that fails validation raises and leaves the engine as it
         was: none of the list is queued, recorded or given an id.
         """

@@ -25,16 +25,14 @@ from repro.serving.cluster import PlacementDecision
 from repro.serving.elastic import StealEvent
 from repro.serving.generation import DecodeStepRecord
 from repro.serving.prefix_cache import PrefixEvent
-from repro.serving.request import CompletedRequest, FailureRecord, ShedRecord
+from repro.serving.request import CompletedRequest, ShedRecord
 from repro.serving.tenancy import DEFAULT_TENANT, TenantConfig, effective_deadline
 
 
-#: The record types of :attr:`ServingReport.events` — the six frozen
-#: dataclasses the engine and the multi-worker front log are the event
-#: types.
+#: The record types of :attr:`ServingReport.events` — the five frozen
+#: dataclasses the engine logs are the event types.
 EVENT_TYPES = (
-    PlacementDecision, ShedRecord, PrefixEvent, FailureRecord,
-    DecodeStepRecord, StealEvent,
+    PlacementDecision, ShedRecord, PrefixEvent, DecodeStepRecord, StealEvent,
 )
 
 
@@ -70,17 +68,14 @@ class ServingReport:
         (weights, priorities, SLO targets) for the SLO section.
     events:
         The run's one event log: every record the engine wrote, in the
-        order it decided them, each an instance of one of the six
+        order it decided them, each an instance of one of the five
         frozen record dataclasses in :data:`EVENT_TYPES`.  Order
         *across* kinds is meaningful: a batch's steal precedes its
         placement, which is directly followed by that batch's prefix
         event or decode step.
-    placements, shed, prefix_events, failed, generation_steps, steals:
+    placements, shed, prefix_events, generation_steps, steals:
         Read-only views of :attr:`events` — the records of one type, in
-        log order (one line each where they are defined below).  With
-        :attr:`completed`, ``failed`` partitions the admitted, non-shed
-        requests exactly (only a multi-worker run whose supervision
-        gave up can fail one).
+        log order (one line each where they are defined below).
     shard_busy:
         Simulated seconds each shard spent executing during the run
         (keys cover the whole pool, idle shards at 0.0) — the basis of
@@ -91,10 +86,6 @@ class ServingReport:
         Snapshot of the engine's caches after the run, one
         :meth:`repro.store.InProcessLRU.stats` dict per namespace (K/V
         cache shards, parameter caches).
-    worker_restarts, worker_redistributions:
-        Supervision actions of a multi-worker run (always 0 for a
-        single-engine report): dead workers restarted, and dead
-        workers whose requests were re-run on a surviving partition.
     """
 
     completed: Tuple[CompletedRequest, ...]
@@ -106,8 +97,6 @@ class ServingReport:
     shard_busy: Dict[int, float] = field(default_factory=dict)
     placement_policy: str = "round_robin"
     cache_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    worker_restarts: int = 0
-    worker_redistributions: int = 0
 
     # -- the event log's typed views ------------------------------------
     @cached_property
@@ -121,7 +110,6 @@ class ServingReport:
     placements = _view(PlacementDecision, "Placement decisions, one per executed batch.")
     shed = _view(ShedRecord, "Requests refused at admission, never executed.")
     prefix_events = _view(PrefixEvent, "Cache decisions, one per prefix-keyed batch.")
-    failed = _view(FailureRecord, "Admitted requests lost with a dead worker.")
     generation_steps = _view(DecodeStepRecord, "Decode iterations, one per step.")
     steals = _view(StealEvent, "Queued batches migrated between shards.")
 
@@ -365,37 +353,10 @@ class ServingReport:
             )
         return "\n".join(lines)
 
-    # -- worker-supervision views ---------------------------------------
-    @property
-    def failed_count(self) -> int:
-        """Admitted requests lost with a dead worker during this run."""
-        return len(self.failed)
-
-    def failed_by_reason(self) -> Dict[str, int]:
-        """Failure counts grouped by reason."""
-        return _count_by_reason(self.failed)
-
-    @property
-    def has_fault_activity(self) -> bool:
-        return bool(self.failed or self.worker_restarts or self.worker_redistributions)
-
-    def fault_section(self) -> str:
-        """Worker-supervision block of the summary: failed requests by
-        reason and the supervisor's restarts and redistributions."""
-        reasons = ", ".join(
-            f"{reason} {count}"
-            for reason, count in sorted(self.failed_by_reason().items())
-        )
-        lines = [
-            f"failed requests      : {self.failed_count}"
-            + (f" ({reasons})" if reasons else "")
-        ]
-        if self.worker_restarts or self.worker_redistributions:
-            lines.append(
-                f"  supervision        : {self.worker_restarts} worker "
-                f"restart(s), {self.worker_redistributions} redistribution(s)"
-            )
-        return "\n".join(lines)
+    #: Admitted requests the run did not complete.  Always 0: one
+    #: engine completes or sheds every request it admits.  Kept because
+    #: callers read it beside :attr:`shed_count`.
+    failed_count = 0
 
     # -- elastic-runtime views --------------------------------------------
     @property
@@ -577,9 +538,9 @@ class ServingReport:
           completed requests that met their effective deadline
           (explicit deadline, else tenant SLO), across tenants; None
           when nothing carried a deadline;
-        * ``shed`` / ``failed`` / ``n_requests`` — refused, lost and
-          completed counts; ``shed_rate`` is shed over everything the
-          run was asked to serve;
+        * ``shed`` / ``n_requests`` — refused and completed counts;
+          ``shed_rate`` is shed over everything the run was asked to
+          serve;
         * ``p50`` / ``p99`` — request latency percentiles, simulated
           seconds;
         * ``tokens_per_second`` — generated-token throughput in
@@ -587,12 +548,11 @@ class ServingReport:
         * ``total_cycles`` — traced array cycles across all shards.
         """
         met = self._deadline_met(self.completed)
-        offered = self.n_requests + self.shed_count + self.failed_count
+        offered = self.n_requests + self.shed_count
         return {
             "slo_attainment": sum(met) / len(met) if met else None,
             "shed": self.shed_count,
             "shed_rate": self.shed_count / offered if offered else 0.0,
-            "failed": self.failed_count,
             "n_requests": self.n_requests,
             "p50": self.p50,
             "p99": self.p99,
@@ -659,8 +619,6 @@ class ServingReport:
             lines.append(self.cache_section())
         if self.has_generation_activity:
             lines.append(self.generation_section())
-        if self.has_fault_activity:
-            lines.append(self.fault_section())
         if self.has_elastic_activity:
             lines.append(self.elastic_section())
         tenant_ids = self.tenant_ids

@@ -8,9 +8,9 @@ clock, so latency accounting is deterministic and reproducible.
 
 A request exists once as *data*: :class:`TracedRequest` is what a
 recorder captures, what a trace stores and — through the one coercion
-:func:`describe_request` — what ``InferenceEngine.enqueue``,
-``serve_multiproc`` and ``replay_trace`` accept; ``submit`` /
-``submit_generation`` are its keyword spellings.
+:func:`describe_request` — what ``InferenceEngine.enqueue`` and
+``replay_trace`` accept; ``submit`` / ``submit_generation`` are its
+keyword spellings.
 """
 
 from __future__ import annotations
@@ -333,33 +333,6 @@ class ShedRecord:
     at:
         Simulated time of the admission decision (the request's
         arrival, in the discrete-event loop).
-    """
-
-    request: InferenceRequest
-    reason: str
-    at: float
-
-
-@dataclass(frozen=True)
-class FailureRecord:
-    """An *admitted* request a multi-worker run could not complete.
-
-    Distinct from :class:`ShedRecord` (refused at admission, never
-    owed an answer): a failed request was admitted and lost with the
-    worker process serving it — supervision neither restarted that
-    worker nor found a surviving one to re-run it on.  Every admitted
-    request ends up in exactly one of
-    :attr:`~repro.serving.report.ServingReport.completed` or
-    :attr:`~repro.serving.report.ServingReport.failed`.
-
-    Attributes
-    ----------
-    request:
-        The failed :class:`InferenceRequest`; it never yields an output.
-    reason:
-        ``"worker_lost"``.
-    at:
-        Simulated time the failure was decided.
     """
 
     request: InferenceRequest

@@ -20,6 +20,7 @@ derivations that reproduce the paper's Table V exactly for the 8×8 /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -85,8 +86,8 @@ class SystolicConfig:
             )
         if self.macs_per_pe < 1:
             raise ValueError("macs_per_pe must be positive")
-        if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
+        if not (self.clock_hz > 0 and math.isfinite(self.clock_hz)):
+            raise ValueError(f"clock_hz must be positive and finite, got {self.clock_hz}")
         if self.l3_out_width is not None and self.l3_out_width < 1:
             raise ValueError("l3_out_width must be positive or None (auto)")
         if self.l3_in_width < 1:

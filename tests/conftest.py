@@ -1,10 +1,11 @@
 """Suite-wide fixtures.
 
 Every ``ServingReport`` an in-process ``InferenceEngine.run`` returns,
-in any test under ``tests/`` — the serving, chaos, elastic, generation,
+in any test under ``tests/`` — the serving, elastic, generation,
 traffic, deploy and pipeline suites among them, whichever marker
 selected the test — is held to the run-level invariants of
-``tests/invariants.py``.  (Engines in forked workers inherit the check.)
+``tests/invariants.py``.  (Engines in forked search workers inherit the
+check.)
 
 Every test starts with the tape memo of its module's ``EndpointSpec``
 constants empty, so each meets its shapes by executing them and no

@@ -57,7 +57,9 @@ from repro.autotune import (
 )
 from repro.nn.models import TinyBERT
 from repro.serving import (
+    BatchAssembler,
     ClusterSpec,
+    DynamicBatcher,
     CostAwarePlacement,
     GenerationAdapter,
     InferenceEngine,
@@ -580,6 +582,32 @@ class TestTuningConfig:
         config = TuningConfig(pool=(MID,), max_queue_depth=3.0)
         assert config.max_queue_depth == 3 and type(config.max_queue_depth) is int
 
+    @pytest.mark.parametrize("door", ["TuningConfig", "BatchAssembler", "DynamicBatcher"])
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            (dict(max_batch_size=2.5), "max_batch_size must be an integer"),
+            (dict(max_batch_size=True), "max_batch_size must be an integer"),
+            (dict(flush_timeout=float("nan")), "flush_timeout must be >= 0 and finite"),
+            (dict(flush_timeout=float("inf")), "flush_timeout must be >= 0 and finite"),
+        ],
+        ids=["fractional-size", "bool-size", "nan-timeout", "inf-timeout"],
+    )
+    def test_batch_knobs_are_refused_not_truncated(self, door, knobs, message):
+        """Every door that builds a batcher refuses what ``int()`` would
+        truncate (2.5 to a cap of 2, ``True`` to 1) and a timeout that is
+        not a finite number, which would otherwise fail inside ``run()``."""
+        make = {
+            "TuningConfig": lambda **kw: TuningConfig(pool=(MID,), **kw),
+            "BatchAssembler": BatchAssembler,
+            "DynamicBatcher": DynamicBatcher,
+        }[door]
+        with pytest.raises(ValueError, match=message):
+            make(**knobs)
+        whole = make(max_batch_size=4.0, flush_timeout=0)
+        assert whole.max_batch_size == 4 and type(whole.max_batch_size) is int
+        assert whole.flush_timeout == 0.0
+
     def test_space_validation_errors(self):
         with pytest.raises(ValueError, match="catalog"):
             ConfigSpace(catalog=())
@@ -600,7 +628,7 @@ class TestObjective:
         section = report.objective_section()
         assert section["n_requests"] == report.n_requests
         assert section["shed"] == report.shed_count
-        assert section["failed"] == report.failed_count
+        assert "failed" not in section  # one engine completes or sheds
         assert section["p99"] == report.p99
         assert section["total_cycles"] == report.total_cycles
         assert 0.0 <= section["slo_attainment"] <= 1.0

@@ -1,17 +1,14 @@
 """One path from deployment-as-data to a running engine.
 
 ``repro.serving.deploy`` holds the one endpoint-by-construction class,
-the one engine assembler and the one child-process fan-out; the fleet
-front (``serve_multiproc``) and the replay front (``replay_trace``) are
-both clients of it.  These tests pin what that buys:
+the one engine assembler and the one child-process fan-out; the replay
+front (``replay_trace``) and the search workers are its clients.  These
+tests pin what that buys:
 
-* the two fronts, given the same deployment and the same traffic, run
-  the same engine — equal report fingerprints, including under a
-  closed-form cost model a fleet worker could not hold before;
+* an endpoint's closed-form cost model reaches the engine it is
+  assembled into: without it the same replay is another run;
 * the fan-out collects *every* child before its caller judges any, so a
   dead child never strands a live one blocked in ``send``;
-* an option the engine does not know fails in the front's process, not
-  as a dead worker;
 * what a deployment's shapes are charged is memoised on its
   ``EndpointSpec``: engines assembled from one spec object share trace
   tapes — and no report can tell, whatever the kind of endpoint or
@@ -43,13 +40,7 @@ from repro.autotune import (
 )
 from repro.nn.models import TinyBERT
 from repro.nn.workload import transformer_prefill_cycles
-from repro.serving import (
-    ClusterSpec,
-    EndpointSpec,
-    TenantConfig,
-    WorkloadCostSpec,
-    serve_multiproc,
-)
+from repro.serving import EndpointSpec, WorkloadCostSpec
 from repro.serving.cluster import BatchProfile
 from repro.serving.deploy import fan_out
 from repro.systolic import SystolicConfig
@@ -68,7 +59,7 @@ ENDPOINT = EndpointSpec(
 )
 
 
-def test_replay_and_fleet_front_run_the_same_engine():
+def test_an_endpoint_without_its_closed_form_cost_is_another_run():
     n = 200
     trace = synthesize_trace(
         "bursty", (EndpointProfile("bert", seq_len=8, vocab=16),), n, n * 1e-6,
@@ -78,28 +69,14 @@ def test_replay_and_fleet_front_run_the_same_engine():
         pool=(BIG, MID, SLOW), placement="cost_aware",
         max_batch_size=4, flush_timeout=1e-4,
     )
-
-    def fleet(endpoint):
-        return serve_multiproc(
-            ClusterSpec.heterogeneous(tuning.pool),
-            [endpoint],
-            trace.requests,
-            n_workers=1,
-            placement="cost_aware",
-            max_batch_size=4,
-            flush_timeout=1e-4,
-            tenants=[TenantConfig(tenant) for tenant in trace.tenants],
-        ).merged
-
-    served = fleet(ENDPOINT)
+    served = replay_trace(trace, tuning, (ENDPOINT,))
     assert served.n_requests == n
-    assert report_fingerprint(served) == report_fingerprint(
-        replay_trace(trace, tuning, (ENDPOINT,))
-    )
-    # The worker priced batches with the closed form it was handed, not
+    # The engine priced batches with the closed form it was handed, not
     # with the calibrator's fallback: without it the run is another run.
     unpriced = dataclasses.replace(ENDPOINT, cost=None)
-    assert report_fingerprint(fleet(unpriced)) != report_fingerprint(served)
+    assert report_fingerprint(
+        replay_trace(trace, tuning, (unpriced,))
+    ) != report_fingerprint(served)
 
 
 def _die_or_deliver(index, size):
@@ -117,24 +94,6 @@ def test_fan_out_collects_every_child_before_its_caller_judges_any():
     )
     assert first is None and first_code != 0
     assert second == bytes(size) and second_code == 0
-    assert multiprocessing.active_children() == []
-
-
-def test_unknown_option_fails_in_the_front_not_in_a_worker():
-    with pytest.raises(TypeError, match="max_batch"):
-        serve_multiproc(
-            ClusterSpec.homogeneous(MID, 2), [ENDPOINT], [], n_workers=2,
-            max_batch=4,
-        )
-    # The caches are the assembler's decision and the fault plan is the
-    # front's (``fault_plan=``); no worker shares a store, so nothing
-    # takes a ``fabric=``.
-    for owned in ("prefix_cache", "faults", "fabric"):
-        with pytest.raises(TypeError, match=owned):
-            serve_multiproc(
-                ClusterSpec.homogeneous(MID, 2), [ENDPOINT], [], n_workers=2,
-                **{owned: None},
-            )
     assert multiprocessing.active_children() == []
 
 

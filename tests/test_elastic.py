@@ -26,7 +26,6 @@ from repro.serving import (
     BatchProfile,
     ClusterSpec,
     CostAwarePlacement,
-    EndpointSpec,
     InferenceEngine,
     LeastLoadedPlacement,
     LookaheadPlacement,
@@ -37,7 +36,6 @@ from repro.serving import (
     TransformerPrefixAdapter,
     cluster_desc,
     render_cluster_desc,
-    serve_multiproc,
     workload_cost_model,
 )
 from repro.serving.elastic import STEAL_DRIFT_THRESHOLD
@@ -410,86 +408,13 @@ class TestDeterministicTieBreaks:
 
 
 # ---------------------------------------------------------------------------
-# Multi-worker + autotune wiring
+# Autotune wiring
 # ---------------------------------------------------------------------------
-def _mp_model():
+def _small_bert():
     return TinyBERT(**SMALL_KW, seed=0)
 
 
 class TestElasticWiring:
-    def test_multiproc_carries_elastic_config(self):
-        rng = np.random.default_rng(7)
-        requests = [
-            {"model": "bert_small", "inputs": row, "arrival": i * 1e-5}
-            for i, row in enumerate(
-                rng.integers(0, 16, size=(8, SMALL_KW["seq_len"]))
-            )
-        ]
-        result = serve_multiproc(
-            ClusterSpec.heterogeneous(SKEWED_POOL),
-            [EndpointSpec("bert_small", _mp_model)],
-            requests,
-            n_workers=1,
-            placement="lookahead",
-            steal=True,
-        )
-        assert result.merged.n_requests == 8
-        assert result.merged.placement_policy == "lookahead"
-
-    def test_merge_remaps_steal_and_scaling_shards(self):
-        from dataclasses import replace as dc_replace
-
-        from repro.serving import (
-            DecodeStepRecord, FailureRecord, PlacementDecision, PrefixEvent,
-            ShedRecord,
-        )
-        from repro.serving.multiproc import merge_reports
-        from repro.serving.report import EVENT_TYPES, ServingReport
-        from repro.serving.request import InferenceRequest
-
-        steal = StealEvent(batch_index=0, model="m", tenant="t",
-                           from_shard=0, to_shard=1, at=0.0, reason="drift")
-        request = InferenceRequest(request_id=0, model="m", inputs=np.zeros(2))
-        placed = PlacementDecision(
-            batch_index=0, model="m", tenant="t", batch_size=1, shard=1,
-            policy="lookahead", ready_time=0.0, start=0.0, finish=1.0,
-        )
-        prefix = PrefixEvent(batch_index=0, model="m", tenant="t", shard=1,
-                             batch_size=1, prefix_key="k", hit=False)
-        step = DecodeStepRecord(step_index=1, model="m", tenant="t", shard=0,
-                                batch_size=1, position=4, cycles=10,
-                                start=1.0, finish=2.0)
-        lost = FailureRecord(request=request, reason="worker_lost", at=0.0)
-        shed = ShedRecord(request, "queue_full", 0.0)
-        log = (shed, steal, lost, placed, prefix, step)
-        worker = ServingReport(
-            completed=(), shard_cycles={}, wall_seconds=0.0, events=log,
-        )
-        assert {type(event) for event in log} == set(EVENT_TYPES)
-        empty = ServingReport(completed=(), shard_cycles={}, wall_seconds=0.0)
-        partitions = [
-            ClusterSpec.homogeneous(SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4), 2)
-        ] * 2
-        merged = merge_reports([empty, worker], partitions)
-        assert merged.steals == (
-            dc_replace(steal, from_shard=2, to_shard=3),
-        )
-        # Every kind crosses the merge through the same rule — log order
-        # kept, worker-local shards in cluster numbering, a record with
-        # no shard untouched.
-        assert merged.events == (
-            shed,
-            dc_replace(steal, from_shard=2, to_shard=3),
-            lost,
-            dc_replace(placed, shard=3),
-            dc_replace(prefix, shard=3),
-            dc_replace(step, shard=2),
-        )
-        # The decode step used to be dropped by the merge.
-        assert merged.generation_steps == (dc_replace(step, shard=2),)
-        assert merged.has_generation_activity
-        assert merged.failed == (lost,)
-
     def test_tuning_config_describes_elastic_steal(self):
         from repro.autotune.tuning import TuningConfig
 
@@ -508,7 +433,7 @@ class TestElasticWiring:
             pool=SKEWED_POOL, placement="lookahead", steal=True,
         )
         engine = build_engine(
-            tuning, [EndpointSpec("bert_small", _mp_model)]
+            tuning, [EndpointSpec("bert_small", _small_bert)]
         )
         assert engine._controller.steal
         assert isinstance(engine.placement, LookaheadPlacement)

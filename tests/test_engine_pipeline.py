@@ -10,14 +10,14 @@ public logs:
   one placement and at most one cache record per unit, busy time that
   is the sum of its committed durations;
 * the one event log tells each batch's story in the order the
-  skeleton decided it, and the report's six views are that log
+  skeleton decided it, and the report's five views are that log
   filtered by record type;
 * the source of ``serving/engine.py`` contains each skeleton call once,
   so a new kind of work cannot re-grow a private copy; likewise the
-  KV-prefix cache, the transformer layer inventory, the per-run record
-  list and the merge re-mapping rule exist once, and so does the path
-  from a deployment described as data to a running engine (one engine
-  construction site, one child-process fan-out, one store swap);
+  KV-prefix cache, the transformer layer inventory and the per-run
+  record list exist once, and so does the path from a deployment
+  described as data to a running engine (one engine construction site,
+  one child-process fan-out, one store swap);
 * a classifier batch of a ``Module`` endpoint is *charged* by replaying
   its shape's trace tape and *computed* as rows of a stacked host pass
   shared with later batches — and every report, log and output bit
@@ -70,7 +70,6 @@ from repro.nn.models import TinyBERT
 from repro.serving import (
     ClusterDispatcher,
     DecodeStepRecord,
-    FailureRecord,
     GenerationAdapter,
     InferenceEngine,
     PlacementDecision,
@@ -84,7 +83,6 @@ from repro.serving import (
 )
 from repro.nn.workload import transformer_serving_workload
 from repro.serving.generation import ActiveSequence
-from repro.serving.multiproc import merge_reports
 from repro.serving.deploy import assemble_engine
 from repro.serving.request import CompletedRequest
 from repro.systolic import SystolicArray, SystolicConfig
@@ -160,7 +158,7 @@ def test_skeleton_contract(kind):
     _, again, repeated = _run(kind, 2)
     for got, want in zip(outputs, repeated):
         assert np.array_equal(got, want)
-    assert report.events == again.events and report.failed == ()
+    assert report.events == again.events
 
     placements = report.placements
     indices = [p.batch_index for p in placements]
@@ -182,7 +180,6 @@ VIEWS = {
     "placements": PlacementDecision,
     "shed": ShedRecord,
     "prefix_events": PrefixEvent,
-    "failed": FailureRecord,
     "generation_steps": DecodeStepRecord,
     "steals": StealEvent,
 }
@@ -355,6 +352,12 @@ def test_one_path_from_deployment_as_data_to_a_running_engine():
     deleted = "Model" "Spec"
     for path in SRC.rglob("*.py"):
         assert deleted not in path.read_text(), path
+    # One engine serves a whole cluster: no second serving path forks
+    # engines, supervises them or merges their reports.
+    assert not (SRC / "serving" / "multiproc.py").exists()
+    assert not (SRC / "serving" / "faults.py").exists()
+    for retired in ("serve_multiproc", "merge_reports", "FaultPlan", "FailureRecord"):
+        assert not hasattr(serving_package, retired)
 
 
 def test_pure_values_are_memoised_where_they_are_defined():
@@ -403,18 +406,12 @@ def test_one_request_description_through_every_front_door():
     import repro.serving
 
     assert _sites("GenerationRequest(") == ["serving/request.py:generation_of"]
-    assert _sites("InferenceRequest(") == [
-        "serving/engine.py:_make_request",
-        "serving/multiproc.py:_lost_report",
-    ]
-    assert "serving/multiproc.py:_lost_report" in _sites("generation_of(")
+    assert _sites("InferenceRequest(") == ["serving/engine.py:_make_request"]
     assert _sites(".submit_generation(") == []
-    # A request's fields are read off a mapping in one function...
+    # A request's fields are read off a mapping in one function.
     for field in ("arrival", "deadline", "max_new_tokens"):
         readers = _sites(f"['{field}']") + _sites(f".get('{field}'")
         assert set(readers) == {"serving/request.py:from_dict"}, field
-    # ...and the fleet front reads them off descriptions.
-    assert [site for site in _sites("'arrival'") if "multiproc" in site] == []
     deleted = (
         "_SOURCE_FIELDS", "_peek_item_arrival", "_coerce_source_item",
         "_raise_bad_source_item", "_RequestSource", "take_from_buffer",
@@ -429,13 +426,11 @@ def test_one_request_description_through_every_front_door():
     assert repro.autotune.TracedRequest is repro.serving.TracedRequest
 
 
-def test_one_record_list_and_one_merge_rule():
-    """The engine keeps its per-run records in one list, and
-    ``merge_reports`` re-maps shard indices through one rule."""
+def test_one_record_list():
+    """The engine keeps its per-run records in one list."""
     record_types = "|".join(record_type.__name__ for record_type in VIEWS.values())
     source = Path(engine_module.__file__).read_text()
     assert not re.findall(rf"self\._\w+\s*:\s*List\[\"?({record_types})\b", source)
-    assert inspect.getsource(merge_reports).count("replace(") <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -902,8 +897,8 @@ def test_a_cpu_quota_below_two_cpus_leaves_no_spare_cpu(
 
 
 def test_a_forked_worker_starts_no_helper(monkeypatch):
-    """A fleet or search worker's siblings may fill the CPUs: an engine in
-    a ``fan_out`` child computes in-process, as one on one CPU would."""
+    """A search worker's siblings may fill the CPUs: an engine in a
+    ``fan_out`` child computes in-process, as one on one CPU would."""
     trace = _bursty(THREE_STACKS, seed=4)
     alone = _in_process(trace, BURSTY, _CountedBERT, monkeypatch)
     started = _cpus(monkeypatch, 2)

@@ -60,6 +60,11 @@ class TestSystolicConfig:
             SystolicConfig(macs_per_pe=0)
         with pytest.raises(ValueError):
             SystolicConfig(clock_hz=0)
+        # A NaN clock would price every makespan NaN, and an infinite
+        # one would serve every batch in 0 s.
+        for clock_hz in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="clock_hz must be positive and finite"):
+                SystolicConfig(clock_hz=clock_hz)
         with pytest.raises(ValueError):
             SystolicConfig(l3_out_width=0)
 

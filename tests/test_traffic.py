@@ -1,16 +1,12 @@
 """Traffic as data: one request description through every front door.
 
 ``repro.serving.request.TracedRequest`` is what a recorder captures, a
-trace stores, and ``enqueue`` / ``serve_multiproc`` / ``replay_trace``
-accept (or a mapping of its field names); ``submit`` /
-``submit_generation`` are its keyword spellings.  These tests pin what
-that buys:
+trace stores, and ``enqueue`` / ``replay_trace`` accept (or a mapping
+of its field names); ``submit`` / ``submit_generation`` are its keyword
+spellings.  These tests pin what that buys:
 
 * the same trace — classification, generation, or both on one engine —
-  serves identically through the replay front, the keyword doors and an
-  in-process fleet;
-* a forked fleet serves generation traffic exactly once, also through a
-  worker death and the redistribution that follows;
+  serves identically through the replay front and the keyword doors;
 * a recorder's capture and ``to_dict()`` rows from JSON are servable
   with no conversion code;
 * the recorder sees *validated submissions*: a request the queue cap
@@ -34,16 +30,7 @@ from repro.autotune import (
 )
 from repro.nn.executor import ArrayBackend
 from repro.nn.models import TinyBERT
-from repro.serving import (
-    ClusterSpec,
-    EndpointSpec,
-    FaultPlan,
-    TenantConfig,
-    TracedRequest,
-    WorkerDeath,
-    WorkloadCostSpec,
-    serve_multiproc,
-)
+from repro.serving import EndpointSpec, TracedRequest, WorkloadCostSpec
 from repro.systolic import SystolicArray, SystolicConfig
 
 BIG = SystolicConfig(pe_rows=8, pe_cols=8, macs_per_pe=16, clock_hz=250e6)
@@ -80,26 +67,6 @@ def _trace(endpoints, n=48, seed=3):
         "traffic", [PROFILES[e.name] for e in endpoints], n, n * 2e-6, seed,
         shape, tenants=TENANTS,
     )
-
-
-def _fleet(endpoints, requests, n_workers=1, tuning=TUNING, **kw):
-    """The fleet front given the deployment ``build_engine`` maps
-    ``tuning`` onto."""
-    return serve_multiproc(
-        ClusterSpec.heterogeneous(tuning.pool),
-        endpoints,
-        requests,
-        n_workers=n_workers,
-        placement=tuning.placement,
-        max_batch_size=tuning.max_batch_size,
-        flush_timeout=tuning.flush_timeout,
-        radix_budget_bytes=tuning.radix_budget_bytes,
-        tenants=[
-            TenantConfig(tenant, max_queue_depth=tuning.max_queue_depth)
-            for tenant in TENANTS
-        ],
-        **kw,
-    ).merged
 
 
 def _rows(report):
@@ -161,68 +128,9 @@ def test_one_trace_serves_identically_through_every_door(endpoints):
                 stop_token=r.stop_token, **when,
             )
     submitted = engine.run()
-    fleet = _fleet(endpoints, trace.requests)
 
-    for served in (submitted, fleet):
-        assert report_fingerprint(served) == report_fingerprint(replayed)
-        _assert_same_rows(served, replayed)
-
-
-def test_forked_fleet_serves_a_generation_trace_exactly_once():
-    trace = _trace((CHAT,))
-    tuning = TuningConfig(
-        pool=(BIG, BIG), max_batch_size=4, flush_timeout=1e-5,
-        radix_budget_bytes=1 << 20,
-    )
-    offered = {("chat", r.arrival, r.inputs_array().tobytes()) for r in trace.requests}
-    assert len(offered) == trace.n_requests
-
-    served = _fleet((CHAT,), trace.requests, n_workers=2, tuning=tuning)
-    assert not served.failed and not served.shed
-    assert _rows(served).keys() == offered  # each once, none invented
-    _assert_tokens_are_recompute_per_token(served)
-
-    # Worker 1 dies, is not restarted, and its requests — generation
-    # parameters and all — re-run on worker 0's block, shifted.
-    death = FaultPlan(events=(WorkerDeath(worker=1, at=trace.horizon / 2),))
-    survived = _fleet(
-        (CHAT,), trace.requests, n_workers=2, tuning=tuning,
-        fault_plan=death, supervise=True, max_restarts=0,
-    )
-    assert survived.worker_redistributions == 1
-    assert not survived.failed and not survived.shed
-    assert {c.shard for c in survived.completed} == {0}
-    rows, healthy = _rows(survived), _rows(served)
-    assert len(rows) == trace.n_requests
-    by_prompt = {(key[0], key[2]): row for key, row in healthy.items()}
-    for (model, arrival, prompt), row in rows.items():
-        assert np.array_equal(row, by_prompt[model, prompt])
-    shifted = sorted(key[1] for key in rows.keys() - healthy.keys())
-    assert len(shifted) == len(trace.requests[1::2])
-    assert shifted[0] > trace.horizon
-
-
-def test_a_lost_worker_reports_generation_requests_failed():
-    # Both workers die at once: worker 0 finds no survivor and reports
-    # its requests lost; worker 1 then re-runs on worker 0's idle block.
-    trace = _trace((CHAT,), n=8)
-    plan = FaultPlan(
-        events=(WorkerDeath(worker=0, at=0.0), WorkerDeath(worker=1, at=0.0))
-    )
-    merged = _fleet(
-        (CHAT,), trace.requests, n_workers=2, fault_plan=plan,
-        supervise=True, max_restarts=0,
-    )
-    assert merged.failed_by_reason() == {"worker_lost": 4}
-    assert len(merged.completed) == 4
-    lost = {
-        (f.request.arrival, f.request.inputs.tobytes()): f.request.generation
-        for f in merged.failed
-    }
-    for request in trace.requests[0::2]:
-        generation = lost[request.arrival, request.inputs_array().tobytes()]
-        assert generation.max_new_tokens == request.max_new_tokens == 4
-        assert np.array_equal(generation.prompt, request.inputs_array())
+    assert report_fingerprint(submitted) == report_fingerprint(replayed)
+    _assert_same_rows(submitted, replayed)
 
 
 def test_a_capture_and_its_json_rows_are_servable_as_they_are():
@@ -236,8 +144,8 @@ def test_a_capture_and_its_json_rows_are_servable_as_they_are():
     captured = recorder.trace()
     assert captured.requests == trace.requests
 
-    fleet = _fleet((CLASSIFIER, CHAT), captured.requests)
-    assert report_fingerprint(fleet) == report_fingerprint(first)
+    replayed = replay_trace(captured, TUNING, (CLASSIFIER, CHAT))
+    assert report_fingerprint(replayed) == report_fingerprint(first)
 
     rows = json.loads(json.dumps([r.to_dict() for r in captured.requests]))
     engine = build_engine(TUNING, (CLASSIFIER, CHAT), tenants=trace.tenants)
