@@ -33,6 +33,7 @@ from repro.autotune.objective import Objective, scalar_score
 from repro.autotune.replay import EndpointSpec, evaluate
 from repro.autotune.trace import TrafficTrace
 from repro.autotune.tuning import ConfigSpace, TuningConfig
+from repro.domains import POSITIVE_INT, at_least
 from repro.serving.deploy import fan_out
 
 
@@ -105,8 +106,7 @@ def random_search(
     Pass a previously saved ``front`` to resume: its entries survive
     into the merge and its ``evaluated`` count keeps accumulating.
     """
-    if n_candidates < 1:
-        raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
+    n_candidates = POSITIVE_INT("n_candidates", n_candidates)
     rng = np.random.default_rng(seed)
     configs = [space.sample(rng) for _ in range(n_candidates)]
     entries = _evaluate_candidates(trace, configs, endpoints, n_workers=n_workers)
@@ -133,10 +133,8 @@ def evolutionary_search(
     and refills the population with crossover children and mutants.
     Every scored candidate is merged into the returned front.
     """
-    if generations < 1:
-        raise ValueError(f"generations must be >= 1, got {generations}")
-    if population < 2:
-        raise ValueError(f"population must be >= 2, got {population}")
+    generations = POSITIVE_INT("generations", generations)
+    population = at_least(2)("population", population)
     rng = np.random.default_rng(seed)
     if front is None:
         front = TuningFront.from_entries(trace.name, (), evaluated=0)

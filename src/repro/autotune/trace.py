@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.domains import instance_of, one_of, tuple_of
 from repro.serving.request import TracedRequest, resolve_arrivals
 
 #: Schema version stamped into every serialized trace.  Bump on any
@@ -179,13 +180,8 @@ def synthesize_trace(
     ``arrival + slack`` to every request so replays score SLO
     attainment.
     """
-    if not endpoints:
-        raise ValueError("synthesize_trace needs at least one endpoint")
-    if shape not in ("bursty", "skewed", "conversational"):
-        raise ValueError(
-            f"unknown workload shape {shape!r}; "
-            "available: bursty, skewed, conversational"
-        )
+    endpoints = tuple_of(instance_of(EndpointProfile))("endpoints", endpoints)
+    one_of("bursty", "skewed", "conversational")("shape", shape)
     rng = np.random.default_rng(seed)
     weights = np.array([e.weight for e in endpoints], dtype=np.float64)
     if shape == "skewed":

@@ -22,11 +22,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.batcher import batch_knobs
-from repro.serving.request import optional_int
+from repro.domains import BOOL, NON_NEGATIVE, POSITIVE_INT, check_fields, instance_of
+from repro.domains import optional, tuple_of
+from repro.serving.cluster import PLACEMENT
 from repro.systolic.config import SystolicConfig
 
-_PLACEMENT_CHOICES = ("round_robin", "least_loaded", "cost_aware", "lookahead")
+_POOL = tuple_of(instance_of(SystolicConfig))
 
 #: Default search range — the pre-elastic trio, so existing seeded
 #: searches draw the same stream; operators add ``"lookahead"``
@@ -63,34 +64,13 @@ class TuningConfig:
     radix_budget_bytes: Optional[int] = None
     steal: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.pool:
-            raise ValueError("a tuning config needs at least one shard")
-        object.__setattr__(
-            self,
-            "max_queue_depth",
-            optional_int("max_queue_depth", self.max_queue_depth),
-        )
-        if self.placement not in _PLACEMENT_CHOICES:
-            raise ValueError(
-                f"unknown placement {self.placement!r}; "
-                f"available: {list(_PLACEMENT_CHOICES)}"
-            )
-        if self.occupancy_penalty < 0:
-            raise ValueError(
-                f"occupancy_penalty must be >= 0, got {self.occupancy_penalty}"
-            )
-        size, timeout = batch_knobs(self.max_batch_size, self.flush_timeout)
-        object.__setattr__(self, "max_batch_size", size)
-        object.__setattr__(self, "flush_timeout", timeout)
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
-            )
-        if self.radix_budget_bytes is not None and self.radix_budget_bytes < 1:
-            raise ValueError(
-                f"radix_budget_bytes must be >= 1, got {self.radix_budget_bytes}"
-            )
+    DOMAINS = dict(
+        pool=_POOL, placement=PLACEMENT, occupancy_penalty=NON_NEGATIVE,
+        max_batch_size=POSITIVE_INT, flush_timeout=NON_NEGATIVE,
+        max_queue_depth=optional(POSITIVE_INT),
+        radix_budget_bytes=optional(POSITIVE_INT), steal=BOOL,
+    )
+    __post_init__ = check_fields
 
     def describe(self) -> str:
         """One line: pool grids, placement and batch knobs."""
@@ -131,17 +111,12 @@ class ConfigSpace:
     batch_sizes: Tuple[int, ...] = (2, 4, 8)
     flush_timeouts: Tuple[float, ...] = (1e-4, 1e-3)
 
-    def __post_init__(self) -> None:
-        if not self.catalog:
-            raise ValueError("the shard catalog must not be empty")
-        if self.max_shards < 1:
-            raise ValueError(f"max_shards must be >= 1, got {self.max_shards}")
-        for placement in self.placements:
-            if placement not in _PLACEMENT_CHOICES:
-                raise ValueError(
-                    f"unknown placement {placement!r}; "
-                    f"available: {list(_PLACEMENT_CHOICES)}"
-                )
+    DOMAINS = dict(
+        catalog=_POOL, max_shards=POSITIVE_INT, placements=tuple_of(PLACEMENT),
+        occupancy_penalties=tuple_of(NON_NEGATIVE), batch_sizes=tuple_of(POSITIVE_INT),
+        flush_timeouts=tuple_of(NON_NEGATIVE),
+    )
+    __post_init__ = check_fields
 
     def sample(self, rng: np.random.Generator) -> TuningConfig:
         """One uniform draw from the space (all randomness from ``rng``)."""
@@ -150,17 +125,15 @@ class ConfigSpace:
             self.catalog[int(rng.integers(0, len(self.catalog)))]
             for _ in range(n_shards)
         )
-        placement = str(self.placements[int(rng.integers(0, len(self.placements)))])
+        placement = str(_pick(rng, self.placements))
         return TuningConfig(
             pool=pool,
             placement=placement,
             occupancy_penalty=(
-                float(_pick(rng, self.occupancy_penalties))
-                if placement == "cost_aware"
-                else 0.0
+                _pick(rng, self.occupancy_penalties) if placement == "cost_aware" else 0.0
             ),
-            max_batch_size=int(_pick(rng, self.batch_sizes)),
-            flush_timeout=float(_pick(rng, self.flush_timeouts)),
+            max_batch_size=_pick(rng, self.batch_sizes),
+            flush_timeout=_pick(rng, self.flush_timeouts),
         )
 
     def mutate(
@@ -186,9 +159,7 @@ class ConfigSpace:
                 ]
             return replace(config, pool=tuple(pool))
         if move == 1:
-            placement = str(
-                self.placements[int(rng.integers(0, len(self.placements)))]
-            )
+            placement = str(_pick(rng, self.placements))
             return replace(
                 config,
                 placement=placement,
@@ -198,20 +169,13 @@ class ConfigSpace:
             )
         if move == 2:
             if config.placement != "cost_aware":
-                return replace(
-                    config, max_batch_size=int(_pick(rng, self.batch_sizes))
-                )
+                return replace(config, max_batch_size=_pick(rng, self.batch_sizes))
             return replace(
-                config,
-                occupancy_penalty=float(_pick(rng, self.occupancy_penalties)),
+                config, occupancy_penalty=_pick(rng, self.occupancy_penalties)
             )
         if move == 3:
-            return replace(
-                config, max_batch_size=int(_pick(rng, self.batch_sizes))
-            )
-        return replace(
-            config, flush_timeout=float(_pick(rng, self.flush_timeouts))
-        )
+            return replace(config, max_batch_size=_pick(rng, self.batch_sizes))
+        return replace(config, flush_timeout=_pick(rng, self.flush_timeouts))
 
     def crossover(
         self,

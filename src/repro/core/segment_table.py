@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.functions import NonlinearFunction, get_function
+from repro.domains import POSITIVE
 from repro.fixedpoint import QFormat, quantize
 
 
@@ -175,8 +176,7 @@ def build_segment_table(
         as the capped extensions outside the domain.
     """
     fn = get_function(function) if isinstance(function, str) else function
-    if granularity <= 0:
-        raise ValueError(f"granularity must be positive, got {granularity}")
+    POSITIVE("granularity", granularity)
     lo, hi = domain if domain is not None else fn.domain
     if not hi > lo:
         raise ValueError(f"empty domain ({lo}, {hi})")

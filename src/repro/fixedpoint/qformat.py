@@ -13,6 +13,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro.domains import at_least, check_fields
+
 
 def cached_field_hash(self) -> int:
     """``__hash__`` of the frozen dataclasses that key hot-path dicts (plan
@@ -50,11 +52,10 @@ class QFormat:
     __hash__ = cached_field_hash
     __getstate__ = state_without_hash
 
+    DOMAINS = dict(total_bits=at_least(2), frac_bits=at_least(0))
+
     def __post_init__(self) -> None:
-        if self.total_bits < 2:
-            raise ValueError(f"total_bits must be >= 2, got {self.total_bits}")
-        if self.frac_bits < 0:
-            raise ValueError(f"frac_bits must be >= 0, got {self.frac_bits}")
+        check_fields(self)
         if self.frac_bits >= self.total_bits:
             raise ValueError(
                 f"frac_bits ({self.frac_bits}) must be < total_bits "

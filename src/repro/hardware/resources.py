@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.domains import POSITIVE_INT
 from repro.systolic.config import SystolicConfig
 
 # ---------------------------------------------------------------------------
@@ -89,8 +90,7 @@ def pe_resources(macs_per_pe: int, nonlinear: bool = True) -> ArrayResources:
     LUT-level muxes but no extra BRAM or DSP — the headline claim of
     Table I.
     """
-    if macs_per_pe < 1:
-        raise ValueError("macs_per_pe must be positive")
+    macs_per_pe = POSITIVE_INT("macs_per_pe", macs_per_pe)
     lut = 600 + 14 * macs_per_pe
     ff = 950 + 57 * macs_per_pe
     if nonlinear:
@@ -142,8 +142,7 @@ def fabric_resources(n_pes: int) -> ArrayResources:
     is MAC-count independent, consistent with the Fig. 9 observation
     that extra MACs grow DSPs and FFs but not BRAM.
     """
-    if n_pes < 1:
-        raise ValueError("n_pes must be positive")
+    n_pes = POSITIVE_INT("n_pes", n_pes)
     anchors = sorted(_TABLE2_SA_TOTALS)
     values = {n: _fabric_anchor(n) for n in anchors}
     xs = np.array(anchors, dtype=np.float64)

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core import nonlinear_ops as NL
 from repro.core.functions import get_function
+from repro.domains import POSITIVE, POSITIVE_INT
 from repro.fixedpoint import QFormat, dequantize, fixed_matmul, quantize
 from repro.fixedpoint.qformat import INT16
 from repro.fixedpoint.quantize import saturate_codes
@@ -67,11 +68,9 @@ class ParamCache:
     NAMESPACE = "nn.params"
 
     def __init__(self, maxsize: int = 256):
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
+        self.maxsize = POSITIVE_INT("maxsize", maxsize)
         self._store = InProcessLRU()
-        self._store.set_limit(self.NAMESPACE, max_entries=maxsize)
+        self._store.set_limit(self.NAMESPACE, max_entries=self.maxsize)
         self.hits = 0
         self.misses = 0
 
@@ -150,9 +149,7 @@ class KVState:
     """
 
     def __init__(self, n_layers: int):
-        if n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {n_layers}")
-        self.n_layers = int(n_layers)
+        self.n_layers = POSITIVE_INT("n_layers", n_layers)
         self.k: List[Optional[np.ndarray]] = [None] * self.n_layers
         self.v: List[Optional[np.ndarray]] = [None] * self.n_layers
         self.final_hidden: Optional[np.ndarray] = None
@@ -447,9 +444,7 @@ class CPWLBackend:
     name = "cpwl"
 
     def __init__(self, granularity: float, fmt: QFormat = INT16):
-        if granularity <= 0:
-            raise ValueError(f"granularity must be positive, got {granularity}")
-        self.granularity = float(granularity)
+        self.granularity = POSITIVE("granularity", granularity)
         self.fmt = fmt
         self.param_cache = ParamCache()
 

@@ -33,11 +33,11 @@ rely on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.serving.request import InferenceRequest, optional_int
+from repro.domains import NON_NEGATIVE, POSITIVE_INT
+from repro.serving.request import InferenceRequest
 from repro.serving.tenancy import DEFAULT_TENANT
 
 
@@ -77,18 +77,6 @@ class Batch:
         return len(self.requests)
 
 
-def batch_knobs(max_batch_size, flush_timeout) -> Tuple[int, float]:
-    """The two batching knobs, checked: a whole ``max_batch_size`` >= 1
-    (``4.0`` as 4; a bool or a fraction raises, never truncates) and a
-    finite ``flush_timeout`` >= 0.  Raises ``ValueError`` otherwise."""
-    size = optional_int("max_batch_size", max_batch_size)
-    if size is None or size < 1:
-        raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-    if not (flush_timeout >= 0 and math.isfinite(flush_timeout)):
-        raise ValueError(f"flush_timeout must be >= 0 and finite, got {flush_timeout}")
-    return size, float(flush_timeout)
-
-
 class DynamicBatcher:
     """Plans batches from a request stream with size/timeout knobs.
 
@@ -103,9 +91,8 @@ class DynamicBatcher:
     """
 
     def __init__(self, max_batch_size: int = 8, flush_timeout: float = 1e-3):
-        self.max_batch_size, self.flush_timeout = batch_knobs(
-            max_batch_size, flush_timeout
-        )
+        self.max_batch_size = POSITIVE_INT("max_batch_size", max_batch_size)
+        self.flush_timeout = NON_NEGATIVE("flush_timeout", flush_timeout)
 
     def plan(self, requests: Sequence[InferenceRequest]) -> List[Batch]:
         """Group ``requests`` into batches, ordered by ready time."""
@@ -215,9 +202,8 @@ class BatchAssembler:
     """
 
     def __init__(self, max_batch_size: int = 8, flush_timeout: float = 1e-3):
-        self.max_batch_size, self.flush_timeout = batch_knobs(
-            max_batch_size, flush_timeout
-        )
+        self.max_batch_size = POSITIVE_INT("max_batch_size", max_batch_size)
+        self.flush_timeout = NON_NEGATIVE("flush_timeout", flush_timeout)
         self._open: Dict[GroupKey, OpenGroup] = {}
         self._closed: Dict[int, OpenGroup] = {}  # seq -> group, insertion order
         self._seq = 0

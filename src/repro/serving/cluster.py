@@ -49,6 +49,8 @@ from typing import (
     Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
+from repro.domains import NON_NEGATIVE, POSITIVE, check_fields, instance_of, one_of
+from repro.domains import optional, tuple_of
 from repro.systolic.config import SystolicConfig
 
 
@@ -78,11 +80,11 @@ class ShardSpec:
     granularity: float = 0.25
     name: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.granularity <= 0:
-            raise ValueError(
-                f"shard granularity must be positive, got {self.granularity}"
-            )
+    DOMAINS = dict(
+        config=instance_of(SystolicConfig), granularity=POSITIVE,
+        name=optional(instance_of(str)),
+    )
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -97,9 +99,8 @@ class ClusterSpec:
 
     shards: Tuple[ShardSpec, ...]
 
-    def __post_init__(self) -> None:
-        if not self.shards:
-            raise ValueError("cluster needs at least one shard")
+    DOMAINS = dict(shards=tuple_of(instance_of(ShardSpec)))
+    __post_init__ = check_fields
 
     @classmethod
     def homogeneous(
@@ -370,11 +371,7 @@ class CostAwarePlacement(PlacementPolicy):
     name = "cost_aware"
 
     def __init__(self, occupancy_penalty: float = 0.0):
-        if occupancy_penalty < 0:
-            raise ValueError(
-                f"occupancy_penalty must be >= 0, got {occupancy_penalty}"
-            )
-        self.occupancy_penalty = float(occupancy_penalty)
+        self.occupancy_penalty = NON_NEGATIVE("occupancy_penalty", occupancy_penalty)
         if self.occupancy_penalty > 0:
             self.name = f"cost_aware(occ={self.occupancy_penalty:g})"
 
@@ -502,6 +499,7 @@ _PLACEMENTS = {
     "cost_aware": CostAwarePlacement,
     "lookahead": LookaheadPlacement,
 }
+PLACEMENT = one_of(*_PLACEMENTS)  # the domain of a placement name
 
 
 def make_placement_policy(
@@ -510,13 +508,7 @@ def make_placement_policy(
     """Resolve a placement-policy name (or pass an instance through)."""
     if isinstance(policy, PlacementPolicy):
         return policy
-    try:
-        return _PLACEMENTS[policy]()
-    except KeyError:
-        raise ValueError(
-            f"unknown placement policy {policy!r}; "
-            f"available: {sorted(_PLACEMENTS)}"
-        ) from None
+    return _PLACEMENTS[PLACEMENT("placement", policy)]()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.domains import BOOL, POSITIVE_INT, check_fields, instance_of, optional
 from repro.serving.cluster import ClusterSpec, workload_cost_model
 from repro.serving.engine import InferenceEngine
 from repro.serving.generation import GenerationAdapter
@@ -80,6 +81,13 @@ class EndpointSpec:
     prefix_len: Optional[int] = None
     generation: bool = False
     cost: Optional[WorkloadCostSpec] = None
+
+    DOMAINS = dict(
+        name=instance_of(str), factory=instance_of(Callable), kwargs=instance_of(dict),
+        prefix_len=optional(POSITIVE_INT), generation=BOOL,
+        cost=optional(instance_of(WorkloadCostSpec)),
+    )
+    __post_init__ = check_fields
 
     @property
     def tapes(self) -> Dict[tuple, list]:

@@ -103,7 +103,6 @@ degenerates to plain ready-time (FIFO) order.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from contextlib import nullcontext, suppress
@@ -119,6 +118,7 @@ from typing import (
 import numpy as np
 
 from repro.core.nonlinear_ops import credit, evaluated
+from repro.domains import BOOL, NAME, NON_NEGATIVE
 from repro.nn.layers import Module
 from repro.serving.batcher import Batch
 from repro.serving.cluster import (
@@ -137,12 +137,13 @@ from repro.serving.generation import ActiveSequence, DecodePool
 from repro.serving.prefix_cache import PrefixEvent, RadixKVCache
 from repro.serving.report import ServingReport
 from repro.serving.request import (
+    DEADLINE,
+    OPTIONAL_INT,
     CompletedRequest,
     InferenceRequest,
     ShedRecord,
     describe_request,
     generation_of,
-    optional_int,
 )
 from repro.serving.scheduler import SchedulingPolicy, TenantScheduler
 from repro.serving.stats import ShardStats
@@ -539,7 +540,7 @@ class InferenceEngine:
         # instance (tests/test_placement_pricing.py) is the one that runs.
         log = self._events.append
         self._controller = ElasticController(
-            steal, self.placement, log, radix_cache,
+            BOOL("steal", steal), self.placement, log, radix_cache,
             views=dispatcher.shard_views,
             profile_of=lambda batch: (
                 None if self._is_prefill(batch) else self._batch_profile(batch)
@@ -801,25 +802,19 @@ class InferenceEngine:
         accepted) or else the engine's last accepted request.
         """
         generation = generation_of(inputs, max_new_tokens, stop_token)
-        priority = optional_int("priority", priority)
+        priority = OPTIONAL_INT("priority", priority)
         if model not in self._endpoints:
             raise KeyError(
                 f"unknown model {model!r}; registered: {sorted(self._endpoints)}"
             )
-        if not tenant:  # TenantConfig's rule, before run() meets it
-            raise ValueError("tenant_id must be a non-empty string")
+        NAME("tenant_id", tenant)  # TenantConfig's domain, before run() meets it
         values = np.asarray(inputs)
         if values.dtype.kind in "fc" and np.isnan(values).any():
             raise ValueError(f"inputs for {model!r} contain NaN")
         if arrival is None:
             arrival = self._last_arrival if after is None else after.arrival
-        arrival = float(arrival)
-        if not (math.isfinite(arrival) and arrival >= 0):
-            raise ValueError(f"arrival must be finite and >= 0, got {arrival}")
-        if deadline is not None:
-            deadline = float(deadline)
-            if math.isnan(deadline):
-                raise ValueError("deadline must not be NaN")
+        arrival = NON_NEGATIVE("arrival", arrival)
+        deadline = DEADLINE("deadline", deadline)
         endpoint = self._endpoints[model]
         prefix_key = None
         if generation is not None:

@@ -53,6 +53,7 @@ from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.domains import POSITIVE_INT
 from repro.nn.executor import KVState
 from repro.nn.workload import transformer_prefix_savings
 from repro.store import InProcessLRU
@@ -195,11 +196,7 @@ class RadixKVCache:
     NAMESPACE = "serving.radix"
 
     def __init__(self, shard_budget_bytes: int = 32 << 20):
-        if shard_budget_bytes < 1:
-            raise ValueError(
-                f"shard_budget_bytes must be >= 1, got {shard_budget_bytes}"
-            )
-        self.shard_budget_bytes = int(shard_budget_bytes)
+        self.shard_budget_bytes = POSITIVE_INT("shard_budget_bytes", shard_budget_bytes)
         self._store = InProcessLRU()
         self._shards_seen: Set[int] = set()
         # Key lengths ever admitted per (shard, tenant, model): which

@@ -15,13 +15,17 @@ keyword spellings.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.domains import INTEGER, NON_NEGATIVE, NUMBER, POSITIVE_INT, check_fields
+from repro.domains import optional
 from repro.serving.tenancy import DEFAULT_TENANT
+
+OPTIONAL_INT = optional(INTEGER)  # priority, max_new_tokens and stop_token
+ARRIVAL, DEADLINE = optional(NON_NEGATIVE), optional(NUMBER)
 
 
 @dataclass(frozen=True)
@@ -45,15 +49,14 @@ class GenerationRequest:
     max_new_tokens: int
     stop_token: "int | None" = None
 
+    DOMAINS = dict(max_new_tokens=POSITIVE_INT, stop_token=OPTIONAL_INT)
+
     def __post_init__(self) -> None:
+        check_fields(self)
         prompt = np.asarray(self.prompt, dtype=np.int64)
         if prompt.ndim != 1 or prompt.shape[0] < 1:
             raise ValueError(
                 f"prompt must be a non-empty 1-D token row, got shape {prompt.shape}"
-            )
-        if self.max_new_tokens < 1:
-            raise ValueError(
-                f"max_new_tokens must be >= 1, got {self.max_new_tokens}"
             )
         prompt = np.array(prompt, copy=True)
         prompt.setflags(write=False)
@@ -66,11 +69,7 @@ def generation_of(prompt, max_new_tokens, stop_token) -> Optional[GenerationRequ
     :class:`GenerationRequest` is built."""
     if max_new_tokens is None:
         return None
-    return GenerationRequest(
-        prompt,
-        optional_int("max_new_tokens", max_new_tokens),
-        optional_int("stop_token", stop_token),
-    )
+    return GenerationRequest(prompt, max_new_tokens, stop_token)
 
 
 @dataclass(frozen=True)
@@ -126,12 +125,12 @@ class TracedRequest:
             model=str(data["model"]),
             inputs=_to_tuple(inputs.tolist()),
             dtype=str(inputs.dtype),
-            arrival=_optional(float, data.get("arrival")),
+            arrival=ARRIVAL("arrival", data.get("arrival")),
             tenant=str(data.get("tenant") or DEFAULT_TENANT),
-            priority=optional_int("priority", data.get("priority")),
-            deadline=_optional(float, data.get("deadline")),
-            max_new_tokens=optional_int("max_new_tokens", data.get("max_new_tokens")),
-            stop_token=optional_int("stop_token", data.get("stop_token")),
+            priority=OPTIONAL_INT("priority", data.get("priority")),
+            deadline=DEADLINE("deadline", data.get("deadline")),
+            max_new_tokens=OPTIONAL_INT("max_new_tokens", data.get("max_new_tokens")),
+            stop_token=OPTIONAL_INT("stop_token", data.get("stop_token")),
         )
 
     @classmethod
@@ -183,22 +182,6 @@ def resolve_arrivals(requests: Iterable[TracedRequest]) -> List[TracedRequest]:
         last = request.arrival
         resolved.append(request)
     return resolved
-
-
-def _optional(cast, value):
-    return None if value is None else cast(value)
-
-
-def optional_int(name: str, value) -> Optional[int]:
-    """``value`` as an int, or None: an integral number passes (``3.0``
-    as 3); a bool or a fraction raises ValueError, never truncates."""
-    if value is None:
-        return None
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
-        isinstance(value, numbers.Integral) or float(value).is_integer()
-    ):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _to_tuple(value):

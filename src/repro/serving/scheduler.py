@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.domains import one_of
 from repro.serving.batcher import Batch, BatchAssembler, OpenGroup
 from repro.serving.request import InferenceRequest
 from repro.serving.tenancy import TenantConfig, TenantRegistry
@@ -149,13 +150,7 @@ def make_policy(policy: Union[str, SchedulingPolicy]) -> SchedulingPolicy:
     """Resolve a policy name (or pass an instance through)."""
     if isinstance(policy, SchedulingPolicy):
         return policy
-    try:
-        return _POLICIES[policy]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduling policy {policy!r}; "
-            f"available: {sorted(set(_POLICIES))}"
-        ) from None
+    return _POLICIES[one_of(*_POLICIES)("policy", policy)]()
 
 
 class TenantScheduler:

@@ -17,6 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.domains import BOOL, INTEGER, NAME, POSITIVE, POSITIVE_INT, check_fields
+from repro.domains import optional
+
 #: Tenant id used when a request is submitted without one.
 DEFAULT_TENANT = "default"
 
@@ -63,30 +66,11 @@ class TenantConfig:
     max_queue_depth: Optional[int] = None
     shed_doomed: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.tenant_id:
-            raise ValueError("tenant_id must be a non-empty string")
-        if not self.weight > 0:
-            raise ValueError(
-                f"tenant {self.tenant_id!r} weight must be > 0, got {self.weight}"
-            )
-        if self.slo_latency is not None and self.slo_latency <= 0:
-            raise ValueError(
-                f"tenant {self.tenant_id!r} slo_latency must be > 0, "
-                f"got {self.slo_latency}"
-            )
-        from repro.serving.request import optional_int  # request imports us
-
-        object.__setattr__(
-            self,
-            "max_queue_depth",
-            optional_int("max_queue_depth", self.max_queue_depth),
-        )
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError(
-                f"tenant {self.tenant_id!r} max_queue_depth must be >= 1, "
-                f"got {self.max_queue_depth}"
-            )
+    DOMAINS = dict(
+        tenant_id=NAME, weight=POSITIVE, priority=INTEGER, shed_doomed=BOOL,
+        slo_latency=optional(POSITIVE), max_queue_depth=optional(POSITIVE_INT),
+    )
+    __post_init__ = check_fields
 
 
 def effective_deadline(request, tenants) -> Optional[float]:

@@ -18,18 +18,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
+from repro.domains import POSITIVE_INT, optional
+
+_LIMIT = optional(POSITIVE_INT)
 
 #: Sentinel distinguishing "no cached value" from a cached ``None``.
 MISSING = object()
-
-
-def _validate_limit(name: str, value: Optional[int]) -> Optional[int]:
-    if value is None:
-        return None
-    value = int(value)
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
 
 
 class _Namespace:
@@ -152,8 +146,8 @@ class InProcessLRU:
     ) -> None:
         """Bound ``namespace`` (``None``: unbounded on that axis);
         shrinking below occupancy evicts the LRU overflow immediately."""
-        max_entries = _validate_limit("max_entries", max_entries)
-        max_bytes = _validate_limit("max_bytes", max_bytes)
+        max_entries = _LIMIT("max_entries", max_entries)
+        max_bytes = _LIMIT("max_bytes", max_bytes)
         ns = self._ns(namespace)
         ns.max_entries, ns.max_bytes = max_entries, max_bytes
         ns.evict(incoming_entries=0, incoming_bytes=0)

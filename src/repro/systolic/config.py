@@ -20,10 +20,11 @@ derivations that reproduce the paper's Table V exactly for the 8×8 /
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+from repro.domains import BOOL, POSITIVE, POSITIVE_INT, check_fields, instance_of
+from repro.domains import optional
 from repro.fixedpoint import QFormat
 from repro.fixedpoint.qformat import INT16, cached_field_hash, state_without_hash
 
@@ -76,22 +77,20 @@ class SystolicConfig:
     __hash__ = cached_field_hash
     __getstate__ = state_without_hash
 
+    DOMAINS = dict(
+        pe_rows=POSITIVE_INT, pe_cols=POSITIVE_INT, macs_per_pe=POSITIVE_INT,
+        clock_hz=POSITIVE, fmt=instance_of(QFormat), nonlinear_enabled=BOOL,
+        l3_out_width=optional(POSITIVE_INT), l3_in_width=POSITIVE_INT,
+        segment_capacity=POSITIVE_INT,
+    )
+
     def __post_init__(self) -> None:
-        if self.pe_rows < 1 or self.pe_cols < 1:
-            raise ValueError("PE grid dimensions must be positive")
+        check_fields(self)
         if self.nonlinear_enabled and self.pe_rows != self.pe_cols:
             raise ValueError(
                 "ONE-SA requires a square PE grid (diagonal MHP dataflow); "
                 f"got {self.pe_rows}x{self.pe_cols}"
             )
-        if self.macs_per_pe < 1:
-            raise ValueError("macs_per_pe must be positive")
-        if not (self.clock_hz > 0 and math.isfinite(self.clock_hz)):
-            raise ValueError(f"clock_hz must be positive and finite, got {self.clock_hz}")
-        if self.l3_out_width is not None and self.l3_out_width < 1:
-            raise ValueError("l3_out_width must be positive or None (auto)")
-        if self.l3_in_width < 1:
-            raise ValueError("l3_in_width must be positive")
 
     # ------------------------------------------------------------------
     # Derived geometry

@@ -13,9 +13,12 @@ every run of every suite; ``tests/conftest.py`` calls it on each report
 * **causality** — ``ready_time <= start <= finish`` on every placement,
   ``arrival <= start <= finish`` on every completion;
 * **busy time reconciles** — on every shard, ``shard_busy`` is the sum
-  of its committed durations (to float rounding of the sum);
+  of its committed durations (to float rounding of the sum, and of each
+  ``finish = start + duration``: half an ulp of ``finish`` per unit);
 * **cycles reconcile** — ``tenant_cycles`` sums to ``total_cycles``.
 """
+
+import math
 
 import pytest
 
@@ -41,8 +44,9 @@ def check_invariants(report, ids=None):
         for (_, finish), (start, _) in zip(on_shard, on_shard[1:]):
             assert start >= finish, f"two units overlap on shard {shard}"
         committed = sum(finish - start for start, finish in on_shard)
+        rounding = sum(math.ulp(finish) for _, finish in on_shard) / 2
         assert report.shard_busy[shard] == pytest.approx(
-            committed, rel=1e-9, abs=1e-15
+            committed, rel=1e-9, abs=1e-15 + rounding
         ), f"busy time of shard {shard} does not reconcile"
 
     assert sum(report.tenant_cycles.values()) == report.total_cycles

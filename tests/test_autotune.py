@@ -386,9 +386,9 @@ class TestSynthesis:
 
     def test_rejects_bad_arguments(self):
         profile = EndpointProfile("bert", seq_len=8)
-        with pytest.raises(ValueError, match="at least one endpoint"):
+        with pytest.raises(ValueError, match="endpoints must be a non-empty tuple"):
             synthesize_trace("t", (), 4, 1e-3, 0)
-        with pytest.raises(ValueError, match="unknown workload shape"):
+        with pytest.raises(ValueError, match="shape must be one of"):
             synthesize_trace("t", (profile,), 4, 1e-3, 0, shape="steady")
 
 
@@ -561,26 +561,36 @@ class TestTuningConfig:
         )
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError, match="at least one shard"):
+        with pytest.raises(ValueError, match="pool must be a non-empty tuple"):
             TuningConfig(pool=())
-        with pytest.raises(ValueError, match="unknown placement"):
+        with pytest.raises(ValueError, match="placement must be one of"):
             TuningConfig(pool=(MID,), placement="psychic")
         with pytest.raises(ValueError, match="occupancy_penalty"):
             TuningConfig(pool=(MID,), occupancy_penalty=-1.0)
         with pytest.raises(ValueError, match="max_batch_size"):
             TuningConfig(pool=(MID,), max_batch_size=0)
         # Values the engine refuses are refused here too, not at replay.
-        with pytest.raises(ValueError, match="flush_timeout must be >= 0"):
+        with pytest.raises(ValueError, match="flush_timeout must be a finite number >= 0"):
             TuningConfig(pool=(MID,), flush_timeout=-1e-3)
-        with pytest.raises(ValueError, match="max_queue_depth must be >= 1"):
+        with pytest.raises(ValueError, match="max_queue_depth must be an integer >= 1"):
             TuningConfig(pool=(MID,), max_queue_depth=0)
-        with pytest.raises(ValueError, match="radix_budget_bytes must be >= 1"):
+        with pytest.raises(ValueError, match="radix_budget_bytes must be an integer >= 1"):
             TuningConfig(pool=(MID,), radix_budget_bytes=0)
         for depth in (1.5, True):
             with pytest.raises(ValueError, match="max_queue_depth must be an integer"):
                 TuningConfig(pool=(MID,), max_queue_depth=depth)
         config = TuningConfig(pool=(MID,), max_queue_depth=3.0)
         assert config.max_queue_depth == 3 and type(config.max_queue_depth) is int
+        # Accepted before, each without a check of its own.
+        for penalty in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="occupancy_penalty must be a finite number >= 0"):
+                TuningConfig(pool=(MID,), occupancy_penalty=penalty)
+        for budget in (1.5, True):
+            with pytest.raises(ValueError, match="radix_budget_bytes must be an integer >= 1"):
+                TuningConfig(pool=(MID,), radix_budget_bytes=budget)
+        for steal in (1, "yes"):
+            with pytest.raises(ValueError, match="steal must be a bool"):
+                TuningConfig(pool=(MID,), steal=steal)
 
     @pytest.mark.parametrize("door", ["TuningConfig", "BatchAssembler", "DynamicBatcher"])
     @pytest.mark.parametrize(
@@ -588,8 +598,8 @@ class TestTuningConfig:
         [
             (dict(max_batch_size=2.5), "max_batch_size must be an integer"),
             (dict(max_batch_size=True), "max_batch_size must be an integer"),
-            (dict(flush_timeout=float("nan")), "flush_timeout must be >= 0 and finite"),
-            (dict(flush_timeout=float("inf")), "flush_timeout must be >= 0 and finite"),
+            (dict(flush_timeout=float("nan")), "flush_timeout must be a finite number >= 0"),
+            (dict(flush_timeout=float("inf")), "flush_timeout must be a finite number >= 0"),
         ],
         ids=["fractional-size", "bool-size", "nan-timeout", "inf-timeout"],
     )
@@ -613,8 +623,18 @@ class TestTuningConfig:
             ConfigSpace(catalog=())
         with pytest.raises(ValueError, match="max_shards"):
             ConfigSpace(catalog=CATALOG, max_shards=0)
-        with pytest.raises(ValueError, match="unknown placement"):
+        with pytest.raises(ValueError, match="placements must be a non-empty tuple, each item one of"):
             ConfigSpace(catalog=CATALOG, placements=("psychic",))
+        # Each range is checked item by item: sample() truncated a batch
+        # size of 2.5 to 2, and a negative timeout raised at the first draw.
+        for knobs, field in [
+            (dict(batch_sizes=(2.5,)), "batch_sizes"),
+            (dict(flush_timeouts=(-1.0,)), "flush_timeouts"),
+            (dict(max_shards=2.5), "max_shards"),
+            (dict(occupancy_penalties=(float("nan"),)), "occupancy_penalties"),
+        ]:
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                ConfigSpace(catalog=CATALOG, **knobs)
 
     def test_describe_lists_pool_and_knobs(self):
         text = TuningConfig(pool=(BIG, TINY), max_batch_size=4).describe()

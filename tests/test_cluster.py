@@ -88,8 +88,9 @@ class TestClusterSpec:
             ClusterSpec(())
 
     def test_bad_granularity_rejected(self):
-        with pytest.raises(ValueError):
-            ShardSpec(SMALL, granularity=0.0)
+        for granularity in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="granularity must be a finite number > 0"):
+                ShardSpec(SMALL, granularity=granularity)
 
 
 class TestPolicies:

@@ -56,6 +56,10 @@ class TestQFormat:
             QFormat(16, 16)
         with pytest.raises(ValueError):
             QFormat(16, -1)
+        # A fractional width was accepted and gave fractional code bounds.
+        with pytest.raises(ValueError, match="total_bits must be an integer >= 2"):
+            QFormat(16.5, 8)
+        assert type(QFormat(16.0, 8).total_bits) is int
 
 
 class TestQuantize:

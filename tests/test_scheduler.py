@@ -74,6 +74,11 @@ class TestTenantConfig:
             TenantConfig("a", weight=-1.0)
         with pytest.raises(ValueError):
             TenantConfig("a", slo_latency=0.0)
+        for slo in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slo_latency must be a finite number > 0"):
+                TenantConfig("a", slo_latency=slo)
+        with pytest.raises(ValueError, match="weight must be a finite number > 0"):
+            TenantConfig("a", weight=float("inf"))
 
     def test_registry_materialises_defaults(self):
         registry = TenantRegistry()

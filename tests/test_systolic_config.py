@@ -63,10 +63,26 @@ class TestSystolicConfig:
         # A NaN clock would price every makespan NaN, and an infinite
         # one would serve every batch in 0 s.
         for clock_hz in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="clock_hz must be positive and finite"):
+            with pytest.raises(ValueError, match="clock_hz must be a finite number > 0"):
                 SystolicConfig(clock_hz=clock_hz)
         with pytest.raises(ValueError):
             SystolicConfig(l3_out_width=0)
+        # A grid that cannot exist: 2.5x2.5 served a trace in 5665.0
+        # cycles, True as a 1x1 grid, and 1.5 MACs per PE in 6264.0.
+        for size in (2.5, True):
+            with pytest.raises(ValueError, match="pe_rows must be an integer >= 1"):
+                SystolicConfig(pe_rows=size, pe_cols=size)
+        with pytest.raises(ValueError, match="macs_per_pe must be an integer >= 1"):
+            SystolicConfig(macs_per_pe=1.5)
+        for width in (2.5, True):
+            with pytest.raises(ValueError, match="l3_in_width must be an integer >= 1"):
+                SystolicConfig(l3_in_width=width)
+        with pytest.raises(ValueError, match="l3_out_width must be an integer >= 1 or None"):
+            SystolicConfig(l3_out_width=2.5)
+        # An integral value is stored as the int it is.
+        config = SystolicConfig(pe_rows=4.0, pe_cols=4, l3_out_width=2.0)
+        assert config == SystolicConfig(pe_rows=4, pe_cols=4, l3_out_width=2)
+        assert type(config.pe_rows) is int and type(config.l3_out_width) is int
 
     def test_cycle_key_is_built_once_and_stays_out_of_identity(self):
         """Placement asks for the clock-free design point on every

@@ -184,7 +184,7 @@ def test_a_list_that_fails_validation_leaves_the_engine_as_it_was():
     engine = build_engine(TUNING, (CLASSIFIER,), tenants=("default",))
     engine.recorder = recorder
     row = list(range(8))
-    with pytest.raises(ValueError, match="arrival must be finite"):
+    with pytest.raises(ValueError, match="arrival must be a finite number >= 0"):
         engine.enqueue([
             {"model": "bert", "inputs": row, "arrival": 5.0},
             {"model": "bert", "inputs": row, "arrival": -1.0},
