@@ -1286,8 +1286,8 @@ def test_autotune_search_beats_default(print_artifact):
     cheaper (smaller pools of the strong design points) and no worse at
     the tail, and the scalar objective (watt-equivalents x p99 seconds
     per unit of honored demand) improves by well over the gate.  The
-    search itself is deterministic: same trace, same seed, same
-    ``n_workers``-independent front every run.
+    search itself is deterministic: same trace, same seed, same front
+    every run.
     """
     from repro.autotune import (
         ConfigSpace,
@@ -1357,9 +1357,7 @@ def test_autotune_search_beats_default(print_artifact):
         batch_sizes=(2, 4, 8), flush_timeouts=(1e-4, 1e-3),
     )
     default_objective = evaluate(trace, default, endpoints)
-    front = random_search(
-        trace, space, endpoints, n_candidates=8, seed=0, n_workers=2
-    )
+    front = random_search(trace, space, endpoints, n_candidates=8, seed=0)
     best = front.best()
 
     default_score = scalar_score(default_objective)

@@ -32,7 +32,7 @@ from the traffic it actually saw, instead of a human guessing them:
   into ``(cost, slo_attainment, p99, tokens_per_sec)``, pricing the
   pool from the paper's resource/power models;
 * **search** (:mod:`repro.autotune.search`) — seeded random and
-  evolutionary drivers, fanned out across worker processes, feeding
+  evolutionary drivers, scoring candidates in one process and feeding
   every scored candidate through the existing
   :func:`~repro.hardware.pareto.pareto_front` dominance code;
 * **the front** (:mod:`repro.autotune.front`) — the surviving
@@ -61,7 +61,6 @@ from repro.autotune.replay import (
     report_fingerprint,
 )
 from repro.autotune.search import (
-    EvaluationFailedError,
     evolutionary_search,
     random_search,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "evaluate",
     "replay_trace",
     "report_fingerprint",
-    "EvaluationFailedError",
     "evolutionary_search",
     "random_search",
     "FrontEntry",

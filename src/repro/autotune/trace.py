@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.domains import instance_of, one_of, tuple_of
+from repro.domains import INTEGER, instance_of, one_of, optional, tuple_of
 from repro.serving.request import TracedRequest, resolve_arrivals
 
 #: Schema version stamped into every serialized trace.  Bump on any
@@ -87,7 +87,7 @@ class TrafficTrace:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TrafficTrace":
-        version = int(data["version"])
+        version = INTEGER("version", data["version"])
         if version != TRACE_VERSION:
             raise ValueError(
                 f"trace version {version} is not supported "
@@ -95,7 +95,7 @@ class TrafficTrace:
             )
         return cls(
             name=str(data["name"]),
-            seed=None if data["seed"] is None else int(data["seed"]),
+            seed=optional(INTEGER)("seed", data["seed"]),
             requests=tuple(
                 TracedRequest.from_dict(item) for item in data["requests"]
             ),

@@ -374,24 +374,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data**2))
-
-        return self._make(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60, 60)))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward)
-
     def exp(self) -> "Tensor":
         out_data = np.exp(np.clip(self.data, -60, 60))
 

@@ -288,12 +288,6 @@ class FloatBackend:
     def gelu(self, x: np.ndarray) -> np.ndarray:
         return get_function("gelu")(x)
 
-    def tanh(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-    def sigmoid(self, x: np.ndarray) -> np.ndarray:
-        return get_function("sigmoid")(x)
-
     def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         shifted = x - x.max(axis=axis, keepdims=True)
         exps = np.exp(shifted)
@@ -409,12 +403,6 @@ class QuantizedFloatBackend(FloatBackend):
 
     def gelu(self, x):
         return self._q(super().gelu(self._q(x)))
-
-    def tanh(self, x):
-        return self._q(super().tanh(self._q(x)))
-
-    def sigmoid(self, x):
-        return self._q(super().sigmoid(self._q(x)))
 
     def softmax(self, x, axis: int = -1):
         return self._q(super().softmax(self._q(x), axis=axis))
@@ -535,12 +523,6 @@ class CPWLBackend:
     def gelu(self, x: np.ndarray) -> np.ndarray:
         return NL.cpwl_gelu(x, self.granularity, self.fmt)
 
-    def tanh(self, x: np.ndarray) -> np.ndarray:
-        return NL.cpwl_tanh(x, self.granularity, self.fmt)
-
-    def sigmoid(self, x: np.ndarray) -> np.ndarray:
-        return NL.cpwl_sigmoid(x, self.granularity, self.fmt)
-
     def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         return NL.cpwl_softmax(x, self.granularity, self.fmt, axis=axis)
 
@@ -617,12 +599,6 @@ class ArrayBackend(CPWLBackend):
         # Same mid-anchored grid as the fast CPWL path (see cpwl_relu).
         domain = (-8.0 - self.granularity / 2.0, 8.0 + self.granularity / 2.0)
         return self._scalar_on_array("relu", x, domain=domain)
-
-    def tanh(self, x: np.ndarray) -> np.ndarray:
-        return self._scalar_on_array("tanh", x)
-
-    def sigmoid(self, x: np.ndarray) -> np.ndarray:
-        return self._scalar_on_array("sigmoid", x)
 
     def _scalar_on_array(self, fn: str, x: np.ndarray, domain=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

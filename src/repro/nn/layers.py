@@ -237,14 +237,6 @@ class GELU(Module):
         return backend.gelu(x)
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-    def infer(self, x: np.ndarray, backend) -> np.ndarray:
-        return backend.tanh(x)
-
-
 class AvgPool2d(Module):
     def __init__(self, kernel: int = 2, stride: Optional[int] = None):
         super().__init__()

@@ -64,7 +64,7 @@ multi-tenant serving system:
   elastic section;
 * deployment-as-data (:mod:`repro.serving.deploy`): endpoints described
   by construction, the one ``assemble_engine`` every front end builds its
-  engine through, and the one child-process ``fan_out``;
+  engine through, and the one child start its stack helper uses;
 * serving-level reporting — latency percentiles, throughput,
   cycles/request, per-shard utilization, per-tenant SLO attainment and
   shed accounting, all over the run's one ordered event log

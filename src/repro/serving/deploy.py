@@ -1,11 +1,11 @@
 """From a deployment described as data to a running engine, once.
 
-A candidate replay of :func:`~repro.autotune.replay.replay_trace` and a
-search worker scoring candidates both stand an engine up from picklable
-values.  What that takes exists here exactly once: endpoints described
-by construction (:class:`EndpointSpec`), the engine assembler
-(:func:`assemble_engine` — it alone decides which caches exist) and
-the child start and fan-out (:func:`start_child`, :func:`fan_out`).
+A candidate replay of :func:`~repro.autotune.replay.replay_trace`
+stands an engine up from picklable values.  What that takes exists
+here exactly once: endpoints described by construction
+(:class:`EndpointSpec`), the engine assembler (:func:`assemble_engine`
+— it alone decides which caches exist) and the child start
+(:func:`start_child`) an engine's stack helper goes through.
 Engine options are forwarded, never re-declared: an option added to
 ``InferenceEngine`` reaches replays with no edit here or in a front end.
 """
@@ -15,11 +15,8 @@ from __future__ import annotations
 import copy
 import functools
 import multiprocessing
-import os
-import sys
-import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.domains import BOOL, POSITIVE_INT, check_fields, instance_of, optional
 from repro.serving.cluster import ClusterSpec, workload_cost_model
@@ -65,8 +62,8 @@ class EndpointSpec:
     The assembling process rebuilds the model as ``factory(**kwargs)`` —
     the factory must be importable (a module-level class or function)
     and the kwargs picklable.  Deterministic factories (seeded weight
-    init) give every replay and every search worker bit-identical
-    weights, which is what makes a replay reproducible.
+    init) give every replay bit-identical weights, which is what makes
+    a replay reproducible.
 
     ``prefix_len`` opts plain-inference traffic into KV-prefix reuse
     when the deployment budgets a K/V cache, ``generation=True``
@@ -168,54 +165,10 @@ def assemble_engine(
     return engine
 
 
-def _child_entry(body: Callable, args: tuple, conn) -> None:
-    """Process body of one child: run, send the result, exit.
-
-    An exception prints its traceback to the child's stderr and exits
-    nonzero *without sending*, so the parent sees a clean dead-child
-    signal (EOF + exit code) instead of a hung pipe.  A ``body`` that
-    must die on purpose calls ``os._exit`` itself.
-    """
-    try:
-        conn.send(body(*args))
-    except BaseException:  # pragma: no cover — exercised via subprocess
-        traceback.print_exc(file=sys.stderr)
-        conn.close()
-        os._exit(1)
-    conn.close()
-
-
-def _collect(proc, conn) -> Tuple[Optional[object], int]:
-    """Reap one child: ``(result, exit code)``, result None if it died
-    before sending.
-
-    Polls the pipe *before* joining — a result can be larger than the
-    pipe buffer, so the child may block in ``send`` until the parent
-    reads; joining first would deadlock.  A dead child closes the pipe,
-    which surfaces here as EOF rather than a hang.
-    """
-    result = None
-    try:
-        while result is None:
-            if conn.poll(0.05):
-                result = conn.recv()
-                break
-            if not proc.is_alive():
-                if conn.poll(0):  # pragma: no cover — send/exit race
-                    result = conn.recv()
-                break
-    except (EOFError, OSError):  # pragma: no cover — pipe torn down
-        result = None
-    finally:
-        conn.close()
-    proc.join()
-    return result, proc.exitcode
-
-
 def start_child(target: Callable, args: tuple):
     """``target(*args, pipe)`` started in a child, forked on POSIX (nothing
     need pickle): ``(process, its one-way pipe's read end)``.  The one
-    way this package starts a child (:func:`fan_out`, an engine's helper)."""
+    way this package starts a child (an engine's stack helper)."""
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover — non-POSIX fallback
@@ -225,20 +178,3 @@ def start_child(target: Callable, args: tuple):
     proc.start()
     child_conn.close()
     return proc, parent_conn
-
-
-def fan_out(
-    body: Callable, calls: Sequence[tuple]
-) -> List[Tuple[Optional[object], int]]:
-    """Run ``body(*args)`` in one child process per element of ``calls``.
-
-    Children are spawned individually (one :func:`start_child` each, not
-    a pool) and run concurrently.
-    Returns ``(result, exit code)`` per call, in call order; a child
-    that died before sending reads ``(None, nonzero)``.  *Every* child
-    is received from, joined and closed before this returns, so judging
-    the results — raising on the first dead one, say — can never strand
-    a live child blocked in ``send``.
-    """
-    children = [start_child(_child_entry, (body, tuple(args))) for args in calls]
-    return [_collect(proc, conn) for proc, conn in children]

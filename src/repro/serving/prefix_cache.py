@@ -108,12 +108,13 @@ class TransformerPrefixAdapter:
                 "bidirectional attention lets suffix tokens influence "
                 "prefix activations, so cached prefixes would be stale"
             )
-        if not 0 < prefix_len < model.seq_len:
+        prefix_len = POSITIVE_INT("prefix_len", prefix_len)
+        if not prefix_len < model.seq_len:
             raise ValueError(
                 f"prefix_len must be in (0, {model.seq_len}), got {prefix_len}"
             )
         self.model = model
-        self.prefix_len = int(prefix_len)
+        self.prefix_len = prefix_len
 
     # -- keying ---------------------------------------------------------
     def prefix_tokens(self, inputs: np.ndarray) -> np.ndarray:

@@ -34,11 +34,10 @@ loop under contention) can move between runs.
 Forked ``multiprocessing`` children are followed: a child keeps the
 parent's profiler hook, and a ``multiprocessing.util.Finalize``
 installed after the fork writes what the child called to a per-pid
-file as it exits, which the pass merges (so ``deploy.fan_out`` search
-workers and the engine's stack helper count).  A child that leaves
-through ``os._exit`` or is killed — a failing ``fan_out`` body, a
-helper killed for silence or for a run that raised — runs no finalizer
-and its record is lost; a child started any other way (a hostbench
+file as it exits, which the pass merges (so the engine's stack helper,
+started by ``deploy.start_child``, counts).  A child that leaves
+through ``os._exit`` or is killed — a helper killed for silence or for
+a run that raised — runs no finalizer and its record is lost; a child started any other way (a hostbench
 measurement process is a fresh interpreter) is not followed.
 ``BENCH_traced.json``, which the bench tier rewrites, is put back as it
 was.

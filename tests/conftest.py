@@ -4,7 +4,7 @@ Every ``ServingReport`` an in-process ``InferenceEngine.run`` returns,
 in any test under ``tests/`` — the serving, elastic, generation,
 traffic, deploy and pipeline suites among them, whichever marker
 selected the test — is held to the run-level invariants of
-``tests/invariants.py``.  (Engines in forked search workers inherit the
+``tests/invariants.py``.  (Engines in forked children inherit the
 check.)
 
 Every test starts with the tape memo of its module's ``EndpointSpec``

@@ -61,12 +61,6 @@ class TestElementwiseGrads:
     def test_gelu(self):
         check_grad(lambda t: t.gelu(), (4, 4), seed=3)
 
-    def test_tanh(self):
-        check_grad(lambda t: t.tanh(), (4,))
-
-    def test_sigmoid(self):
-        check_grad(lambda t: t.sigmoid(), (4,))
-
     def test_exp_log(self):
         check_grad(lambda t: (t.exp() + 1.0).log(), (3, 3))
 

@@ -10,8 +10,8 @@ The two load-bearing contracts are property-based:
   :func:`report_fingerprint` digests (hypothesis over trace seeds).
 
 Around those: recorder capture (through every front door),
-synthesis shapes, config-space operators, search determinism and its
-independence from ``n_workers``, front dominance and resume,
+synthesis shapes, config-space operators, search determinism, front
+dominance and resume,
 the ``cost_aware`` occupancy-penalty knob (pinned no-op at 0.0, load
 spreading above it), and the report's machine-readable
 ``objective_section``.
@@ -33,7 +33,6 @@ from repro.autotune import (
     ConfigSpace,
     EndpointProfile,
     EndpointSpec,
-    EvaluationFailedError,
     FrontEntry,
     Objective,
     TracedRequest,
@@ -64,8 +63,6 @@ from repro.serving import (
     GenerationAdapter,
     InferenceEngine,
 )
-from repro.autotune.search import _evaluate_chunk
-from repro.serving.deploy import _child_entry
 from repro.systolic import SystolicConfig
 
 MODEL_KWARGS = dict(
@@ -102,10 +99,6 @@ SMALL_CONFIG = TuningConfig(
     pool=(MID, SLOW), placement="least_loaded",
     max_batch_size=4, flush_timeout=1e-4,
 )
-
-
-def _broken_factory(**kwargs):
-    raise RuntimeError("this endpoint cannot be built")
 
 
 traced_requests = st.builds(
@@ -745,13 +738,6 @@ class TestSearch:
         assert runs[0].evaluated == 3
         assert runs[0].n_entries >= 1
 
-    def test_result_is_independent_of_n_workers(self):
-        serial = random_search(SMALL_TRACE, self.SPACE, ENDPOINTS,
-                               n_candidates=4, seed=5, n_workers=1)
-        fanned = random_search(SMALL_TRACE, self.SPACE, ENDPOINTS,
-                               n_candidates=4, seed=5, n_workers=2)
-        assert serial == fanned
-
     def test_resume_accumulates_into_the_front(self):
         first = random_search(SMALL_TRACE, self.SPACE, ENDPOINTS,
                               n_candidates=2, seed=1)
@@ -795,21 +781,3 @@ class TestSearch:
         with pytest.raises(ValueError, match="population"):
             evolutionary_search(SMALL_TRACE, self.SPACE, ENDPOINTS,
                                 generations=1, population=1, seed=0)
-
-    def test_child_entry_delivers_scores_over_the_pipe(self):
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-        _child_entry(
-            _evaluate_chunk, (SMALL_TRACE, [SMALL_CONFIG], ENDPOINTS), child_conn
-        )
-        objectives = parent_conn.recv()
-        parent_conn.close()
-        assert len(objectives) == 1
-        assert objectives[0] == evaluate(SMALL_TRACE, SMALL_CONFIG, ENDPOINTS)
-
-    def test_worker_death_raises_evaluation_failed(self):
-        broken = (
-            EndpointSpec(name="bert", factory=_broken_factory, kwargs={}),
-        )
-        with pytest.raises(EvaluationFailedError, match="worker"):
-            random_search(SMALL_TRACE, self.SPACE, broken,
-                          n_candidates=2, seed=0, n_workers=2)

@@ -10,8 +10,8 @@ the instance.  These tests pin what makes that safe:
   ``copy`` / ``deepcopy`` and ``pickle`` all yield objects that hash
   afresh — checked where it matters, in a **fresh interpreter**, because
   ``l3_out_width=None`` is hashed and ``hash(None)`` differs between
-  processes before Python 3.12 (a ``fan_out`` search worker started by
-  spawn, where fork is unavailable, receives its candidates pickled);
+  processes before Python 3.12 (a config pickled by one process and
+  loaded by another must hash afresh over there);
 * the field hash really runs at most once per object.
 """
 
@@ -116,8 +116,8 @@ class TestCachedValueStaysHome:
             assert derived == fmt and not _cached(derived)
 
     def test_pickle_into_a_fresh_interpreter(self, tmp_path):
-        """The path of a ``fan_out`` search worker started by spawn: a
-        hashed config is pickled here and used as a dict key over there."""
+        """A hashed config is pickled here and used as a dict key in
+        another interpreter."""
         config = _config()
         hash(config), hash(config.cycle_key)
         path = tmp_path / "config.pickle"

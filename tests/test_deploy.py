@@ -1,14 +1,11 @@
 """One path from deployment-as-data to a running engine.
 
-``repro.serving.deploy`` holds the one endpoint-by-construction class,
-the one engine assembler and the one child-process fan-out; the replay
-front (``replay_trace``) and the search workers are its clients.  These
-tests pin what that buys:
+``repro.serving.deploy`` holds the one endpoint-by-construction class
+and the one engine assembler; the replay front (``replay_trace``) and
+the searches are its clients.  These tests pin what that buys:
 
 * an endpoint's closed-form cost model reaches the engine it is
   assembled into: without it the same replay is another run;
-* the fan-out collects *every* child before its caller judges any, so a
-  dead child never strands a live one blocked in ``send``;
 * what a deployment's shapes are charged is memoised on its
   ``EndpointSpec``: engines assembled from one spec object share trace
   tapes — and no report can tell, whatever the kind of endpoint or
@@ -21,7 +18,6 @@ tests pin what that buys:
 
 import copy
 import dataclasses
-import multiprocessing
 import pickle
 
 import numpy as np
@@ -42,7 +38,6 @@ from repro.nn.models import TinyBERT
 from repro.nn.workload import transformer_prefill_cycles
 from repro.serving import EndpointSpec, WorkloadCostSpec
 from repro.serving.cluster import BatchProfile
-from repro.serving.deploy import fan_out
 from repro.systolic import SystolicConfig
 
 BIG = SystolicConfig(pe_rows=8, pe_cols=8, macs_per_pe=16, clock_hz=250e6)
@@ -77,24 +72,6 @@ def test_an_endpoint_without_its_closed_form_cost_is_another_run():
     assert report_fingerprint(
         replay_trace(trace, tuning, (unpriced,))
     ) != report_fingerprint(served)
-
-
-def _die_or_deliver(index, size):
-    if index == 0:
-        raise RuntimeError("this child dies before sending")
-    return bytes(size)
-
-
-def test_fan_out_collects_every_child_before_its_caller_judges_any():
-    # Far past any pipe buffer: the second child blocks in ``send``
-    # until the parent reads, whatever became of the first.
-    size = 4 << 20
-    (first, first_code), (second, second_code) = fan_out(
-        _die_or_deliver, [(0, size), (1, size)]
-    )
-    assert first is None and first_code != 0
-    assert second == bytes(size) and second_code == 0
-    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ These tests pin:
 * the normalisation: ``4.0`` is stored as 4, a number field as a float,
   and a bool, a fraction or a non-finite number is refused with one
   message format, ``"<field> must be <domain>, got <value!r>"``;
-* the doors without a test of their own: ``EndpointSpec`` and the
-  engine's ``steal`` switch;
+* the doors without a test of their own: ``EndpointSpec``, the
+  engine's ``steal`` switch, ``TransformerPrefixAdapter``'s
+  ``prefix_len`` and the integers of a trace file;
 * the door fuzzer: every field of the eight classes has a domain (a new
   field without one fails here), and a bool, fraction, NaN, ±inf,
   negative, zero or huge value is either refused at construction or
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autotune import ConfigSpace, TuningConfig, build_engine
+from repro.autotune import ConfigSpace, TrafficTrace, TuningConfig, build_engine
 from repro.domains import (
     BOOL,
     INTEGER,
@@ -37,12 +38,14 @@ from repro.domains import (
     tuple_of,
 )
 from repro.nn.layers import Linear, Module
+from repro.nn.models import TinyBERT
 from repro.serving import (
     ClusterSpec,
     EndpointSpec,
     InferenceEngine,
     ShardSpec,
     TenantConfig,
+    TransformerPrefixAdapter,
     assemble_engine,
 )
 from repro.fixedpoint import INT16, QFormat
@@ -104,6 +107,21 @@ class TestDoorsWithoutATestOfTheirOwn:
     def test_endpoint_prefix_len(self, prefix_len):
         with pytest.raises(ValueError, match="prefix_len must be an integer >= 1 or None"):
             EndpointSpec("head", Head, prefix_len=prefix_len)
+
+    @pytest.mark.parametrize("prefix_len", [2.5, True, 0])
+    def test_prefix_adapter_prefix_len(self, prefix_len):
+        model = TinyBERT(seq_len=8, causal=True)
+        with pytest.raises(ValueError, match="prefix_len must be an integer >= 1"):
+            TransformerPrefixAdapter(model, prefix_len)
+        assert TransformerPrefixAdapter(model, 2.0).prefix_len == 2
+
+    @pytest.mark.parametrize("field, value", [("seed", 2.5), ("version", 1.5)])
+    def test_trace_file_integers(self, field, value):
+        data = {"version": 1, "name": "t", "seed": 2, "requests": [], field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrafficTrace.from_dict(data)
+        stored = getattr(TrafficTrace.from_dict(dict(data, **{field: 1.0})), field)
+        assert stored == 1 and type(stored) is int
 
     def test_endpoint_generation_switch(self):
         with pytest.raises(ValueError, match="generation must be a bool, got 1"):

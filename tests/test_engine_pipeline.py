@@ -17,7 +17,7 @@ public logs:
   KV-prefix cache, the transformer layer inventory and the per-run
   record list exist once, and so does the path from a deployment
   described as data to a running engine (one engine construction site,
-  one child-process fan-out, one store swap);
+  one child-process start, one store swap);
 * a classifier batch of a ``Module`` endpoint is *charged* by replaying
   its shape's trace tape and *computed* as rows of a stacked host pass
   shared with later batches — and every report, log and output bit
@@ -340,14 +340,13 @@ def test_one_path_from_deployment_as_data_to_a_running_engine():
     client of ``repro.serving.deploy``: it does not construct its own
     engine or fork its own children — and the second
     endpoint-by-construction class stays deleted.  A child starts in one
-    place, for a fan-out and for an engine's stack helper alike."""
+    place, and only an engine's stack helper starts one."""
     assert _sites("InferenceEngine(") == ["serving/deploy.py:assemble_engine"]
     assert _sites("engine.register(") == ["serving/deploy.py:assemble_engine"]
     assert _sites("get_context(") == ["serving/deploy.py:start_child"]
     assert _sites(".Pipe(") == ["serving/deploy.py:start_child"]
     assert _sites("start_child(") == [
-        "serving/deploy.py:fan_out", "serving/deploy.py:start_child",
-        "serving/engine.py:_fork",
+        "serving/deploy.py:start_child", "serving/engine.py:_fork",
     ]
     deleted = "Model" "Spec"
     for path in SRC.rglob("*.py"):
@@ -897,18 +896,23 @@ def test_a_cpu_quota_below_two_cpus_leaves_no_spare_cpu(
 
 
 def test_a_forked_worker_starts_no_helper(monkeypatch):
-    """A search worker's siblings may fill the CPUs: an engine in a
-    ``fan_out`` child computes in-process, as one on one CPU would."""
+    """A forked child's siblings may fill the CPUs: an engine in a child
+    started by ``start_child`` computes in-process, as one on one CPU
+    would."""
     trace = _bursty(THREE_STACKS, seed=4)
     alone = _in_process(trace, BURSTY, _CountedBERT, monkeypatch)
     started = _cpus(monkeypatch, 2)
 
-    def worker():
-        return _replay(trace, BURSTY, _CountedBERT(), eager=False), len(started)
+    def worker(conn):
+        conn.send((_replay(trace, BURSTY, _CountedBERT(), eager=False), len(started)))
+        conn.close()
 
-    [((in_worker, helpers), exit_code)] = deploy_module.fan_out(worker, [()])
+    proc, conn = deploy_module.start_child(worker, ())
+    in_worker, helpers = conn.recv()
+    conn.close()
+    proc.join()
     # The worker started; it started no helper of its own.
-    assert exit_code == 0 and len(started) == 1 and helpers == 0
+    assert proc.exitcode == 0 and len(started) == 1 and helpers == 0
     _assert_same_run(in_worker, alone)
     assert multiprocessing.active_children() == []
 

@@ -95,7 +95,7 @@ class TestCPWLBackend:
         cb = CPWLBackend(0.1)
         fb = FloatBackend()
         x = RNG.normal(size=(6, 6))
-        for op in ("gelu", "tanh", "sigmoid", "relu"):
+        for op in ("gelu", "relu"):
             assert np.max(np.abs(getattr(cb, op)(x) - getattr(fb, op)(x))) < 0.05
 
     def test_error_grows_with_granularity(self):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.segment_table import QuantizedSegmentTable
 from repro.nn.executor import ArrayBackend, KVState
-from repro.nn.layers import GELU, Linear, Module, Tanh
+from repro.nn.layers import GELU, Linear, Module, ReLU
 from repro.nn.models import TinyBERT
 from repro.nn.models.resnet import BottleneckBlock, SmallResNet
 from repro.systolic import SystolicArray, SystolicConfig
@@ -224,11 +224,12 @@ class _Head(Module):
 def test_replay_preloads_on_every_table_swap_and_after_reset():
     """Two models whose tables cannot both be resident preload on every
     swap — replayed exactly as executed — and again after ``reset()``."""
-    config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4, segment_capacity=64)
+    # GELU's table has 64 segments, ReLU's mid-anchored one 65.
+    config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4, segment_capacity=65)
     rng = np.random.default_rng(11)
     models = (
         _Head(Linear(8, 8, rng), GELU()),
-        _Head(Linear(8, 8, rng), Tanh()),
+        _Head(Linear(8, 8, rng), ReLU()),
     )
     x = rng.normal(size=(4, 8))
 
@@ -254,7 +255,7 @@ def test_replay_preloads_on_every_table_swap_and_after_reset():
         # 4 preloads in 5 turns (the repeated turn alone finds its table
         # resident), the first of them into an empty store.
         assert executed.params.swaps == 3
-        assert executed.trace.ops_by_kind()["preload"] == 4 * 64
+        assert executed.trace.ops_by_kind()["preload"] == 2 * 64 + 2 * 65
         executed.reset()
         replayed.reset()
 
@@ -278,7 +279,7 @@ def test_detached_computes_and_leaves_no_mark():
     array = SystolicArray(DESIGN_POINTS[1])
     backend = ArrayBackend(array, GRANULARITY)
     x = np.random.default_rng(5).normal(size=(4, 8))
-    model = _Head(LINEAR, Tanh())
+    model = _Head(LINEAR, ReLU())
     backend.gelu(x)  # something on every counter, and a table to keep
     before = _marks(array)
     expected = model.infer(x, ArrayBackend(SystolicArray(DESIGN_POINTS[1]), GRANULARITY))
