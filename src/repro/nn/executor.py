@@ -55,22 +55,18 @@ class ParamCache:
     Derived arrays are marked read-only so a consumer cannot mutate a
     cached value in place.
 
-    Storage is a namespace of a private
-    :class:`~repro.store.InProcessLRU`, so each backend keeps its own
-    entry budget.  The staleness *policy* (weakref identity + dirty
+    Storage is a private :class:`~repro.store.InProcessLRU` of
+    ``maxsize`` entries, so each backend keeps its own entry budget, and
+    the hits and misses counted here — a stale entry is a miss — are
+    the only ones.  The staleness *policy* (weakref identity + dirty
     counter) stays here: it is meaningful only within one process,
     which is also why the keys (``id``, data pointers) make this cache
     in-process by construction — a shared file-backed store would be
     validating another process's pointers.
     """
 
-    #: Store namespace parameter derivations live under.
-    NAMESPACE = "nn.params"
-
     def __init__(self, maxsize: int = 256):
-        self.maxsize = POSITIVE_INT("maxsize", maxsize)
-        self._store = InProcessLRU()
-        self._store.set_limit(self.NAMESPACE, max_entries=self.maxsize)
+        self._store = InProcessLRU(max_entries=POSITIVE_INT("maxsize", maxsize))
         self.hits = 0
         self.misses = 0
 
@@ -89,32 +85,23 @@ class ParamCache:
             array.shape,
             array.strides,
         )
-        entry = self._store.get(self.NAMESPACE, key)
+        entry = self._store.get(key)
         version = data_version(array)
         if entry is not None:
             ref, cached_version, value = entry
             if ref() is base and cached_version == version:
                 self.hits += 1
                 return value
-            self._store.delete(self.NAMESPACE, key)
+            self._store.delete(key)
         value = derive(array)
         value.setflags(write=False)
-        self._store.put(
-            self.NAMESPACE, key, (weakref.ref(base), version, value)
-        )
+        self._store.put(key, (weakref.ref(base), version, value))
         self.misses += 1
         return value
 
     def stats(self) -> Dict[str, object]:
-        """Uniform cache-stats view (dirty-aware hits, store occupancy)."""
-        store_stats = self._store.stats(self.NAMESPACE)
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": store_stats["entries"],
-            "evictions": store_stats["evictions"],
-            "max_entries": self.maxsize,
-        }
+        """Dirty-aware hits and misses beside the store's occupancy."""
+        return {"hits": self.hits, "misses": self.misses, **self._store.stats()}
 
 
 class KVState:

@@ -33,8 +33,6 @@ CPU_COST_WEIGHTS: Dict[str, float] = {
     "softmax": 300.0,  # exp + reduction + divide per element
     "layernorm": 170.0,  # two reductions + rsqrt + affine per element
     "gelu": 180.0,  # erf/tanh evaluation per element
-    "tanh": 120.0,
-    "sigmoid": 120.0,
 }
 
 #: Cost per element in ONE-SA terms: one MHP pass handles one element

@@ -9,7 +9,7 @@ profiler derives the Fig. 1 op mix from the same list.
 
 Composite nonlinearities are charged the number of array events their
 CPWL decomposition needs (see :mod:`repro.core.nonlinear_ops`):
-ReLU/GELU/tanh/sigmoid = 1 MHP pass, softmax = 3 (exp, reciprocal,
+ReLU/GELU = 1 MHP pass, softmax = 3 (exp, reciprocal,
 scale), layernorm = 4 (square, rsqrt, scale, affine), batchnorm = 1
 (folded affine).
 """
@@ -27,8 +27,6 @@ from repro.systolic.timing import CycleBreakdown, gemm_cycles, nonlinear_cycles
 MHP_PASSES = {
     "relu": 1,
     "gelu": 1,
-    "tanh": 1,
-    "sigmoid": 1,
     "softmax": 3,
     "layernorm": 4,
     "batchnorm": 1,

@@ -1,7 +1,7 @@
 """From a deployment described as data to a running engine, once.
 
 A candidate replay of :func:`~repro.autotune.replay.replay_trace`
-stands an engine up from picklable values.  What that takes exists
+stands an engine up from plain values.  What that takes exists
 here exactly once: endpoints described by construction
 (:class:`EndpointSpec`), the engine assembler (:func:`assemble_engine`
 — it alone decides which caches exist) and the child start
@@ -30,12 +30,11 @@ COST_MODELS = 16
 
 @dataclass(frozen=True)
 class WorkloadCostSpec:
-    """Picklable description of a transformer endpoint's cost model.
+    """A transformer endpoint's cost model, described by its shape.
 
-    Rebuilds :func:`~repro.serving.cluster.workload_cost_model` over
-    :func:`~repro.nn.workload.transformer_serving_workload` inside the
-    evaluating process (the memoised closure itself does not pickle),
-    once per spec *value*: equal specs share one memo of pure estimates.
+    Builds :func:`~repro.serving.cluster.workload_cost_model` over
+    :func:`~repro.nn.workload.transformer_serving_workload` once per
+    spec *value*: equal specs share one memo of pure estimates.
     """
 
     seq_len: int
@@ -59,11 +58,10 @@ class WorkloadCostSpec:
 class EndpointSpec:
     """A model endpoint described by construction, not by instance.
 
-    The assembling process rebuilds the model as ``factory(**kwargs)`` —
-    the factory must be importable (a module-level class or function)
-    and the kwargs picklable.  Deterministic factories (seeded weight
-    init) give every replay bit-identical weights, which is what makes
-    a replay reproducible.
+    Every engine assembled from it builds its own model as
+    ``factory(**kwargs)``.  Deterministic factories (seeded weight init)
+    give every replay bit-identical weights, which is what makes a
+    replay reproducible.
 
     ``prefix_len`` opts plain-inference traffic into KV-prefix reuse
     when the deployment budgets a K/V cache, ``generation=True``
@@ -102,7 +100,10 @@ class EndpointSpec:
         evicts it: it holds one tape per design point per unit shape the
         model can form, however many engines were assembled.  It is not
         a field: an equal-but-distinct spec shares nothing, and ``==``,
-        ``repr``, ``hash``, pickle and copy never see it.
+        ``repr`` and ``hash`` never see it.  A copy or an unpickled spec
+        starts from the original's memo, which is sound for the same
+        reason a stale one is dropped: a tape depends on its key and the
+        model's structure alone.
         """
         described = (self.factory, self.kwargs, self.prefix_len, self.generation)
         snapshot, tapes = self.__dict__.get("_memo", (None, None))
@@ -118,9 +119,6 @@ class EndpointSpec:
             tapes = {}
             self.__dict__["_memo"] = snapshot, tapes
         return tapes
-
-    def __getstate__(self) -> dict:
-        return {key: value for key, value in self.__dict__.items() if key != "_memo"}
 
 
 def assemble_engine(

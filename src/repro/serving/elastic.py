@@ -186,8 +186,7 @@ class ElasticController:
     # Work-stealing: hold or move a planned placement at execution
     # ------------------------------------------------------------------
     def observe(
-        self, shard: int, profile: BatchProfile, array, cycles: int,
-        duration: float, reused: bool,
+        self, shard: int, profile: BatchProfile, array, duration: float, reused: bool
     ) -> None:
         """One unit committed on ``shard``.  The shard's drift EWMA
         learns from full executions only: a prefix hit's suffix-only
@@ -196,12 +195,12 @@ class ElasticController:
         estimate = None
         if self._prices_drift and array is not None and not reused:
             estimate = profile.service_seconds(array.config, array.config.clock_hz)
-        self._stats_of(shard).observe(cycles, duration, estimate)
+        self._stats_of(shard).observe(duration, estimate)
 
     def _stats_of(self, shard: int) -> ShardStats:
         stats = self.shard_stats.get(shard)
         if stats is None:
-            stats = self.shard_stats[shard] = ShardStats(shard)
+            stats = self.shard_stats[shard] = ShardStats()
         return stats
 
     def resolve(self, unit: WorkUnit, views: List[ShardView]) -> int:

@@ -945,13 +945,13 @@ class InferenceEngine:
         )
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Stats of the caches this engine owns, one
-        :meth:`repro.store.InProcessLRU.stats` dict per namespace: the K/V
-        cache's per-shard stores and each shard backend's parameter cache
-        (under ``nn.params.shard<N>``)."""
+        """Stats of the caches this engine owns, each counted by its
+        owner: the K/V cache per shard (``serving.radix.shard<N>``) and
+        each shard backend's parameter cache (``nn.params.shard<N>``)."""
         stats: Dict[str, Dict[str, int]] = {}
         if self.radix_cache is not None:
-            stats.update(self.radix_cache.namespace_stats())
+            for shard, shard_stats in self.radix_cache.stats().items():
+                stats[f"serving.radix.shard{shard}"] = shard_stats
         for shard, backend in enumerate(self.dispatcher.backends):
             param_cache = getattr(backend, "param_cache", None)
             if param_cache is not None:
@@ -1176,7 +1176,7 @@ class InferenceEngine:
         finish = start + duration
         self.dispatcher.busy_until[shard] = finish
         self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + duration
-        self._controller.observe(shard, profile, array, batch_cycles, duration, reused)
+        self._controller.observe(shard, profile, array, duration, reused)
         placed = PlacementDecision(
             batch_index=unit.batch_index,
             model=profile.model,

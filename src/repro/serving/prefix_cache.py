@@ -17,12 +17,12 @@ This module provides the cache side of that reuse:
   the backend dequantized onto, frozen read-only) live in per-shard LRU
   stores under a *byte budget*, on the shard whose array computed
   them (activations are format/design-point faithful, and locality is
-  what placement affinity exploits).  The invariant
-  ``resident_bytes(shard) <= budget`` holds after every operation,
-  which the property suite asserts.  Store keys are the *exact token
-  tuples*, and they are the index: the longest cached prefix of a
-  query is its longest prefix whose key the shard's store holds, so
-  lookup and placement affinity read the one record eviction updates.
+  what placement affinity exploits).  A shard's resident bytes never
+  exceed the budget after any operation, which the property suite
+  asserts.  Store keys are the *exact token tuples*, and they are the
+  index: the longest cached prefix of a query is its longest prefix
+  whose key the shard's store holds, so lookup and placement affinity
+  read the one record eviction updates.
 * :class:`TransformerPrefixAdapter` — the classifier endpoint glue:
   derives the request's batch key (content digest of the prompt
   tokens), runs the cold path with K/V capture, runs the hit path
@@ -166,6 +166,43 @@ class TransformerPrefixAdapter:
         )
 
 
+class _Shard:
+    """One shard of :class:`RadixKVCache`: its store, probe index and
+    counters."""
+
+    __slots__ = ("store", "lengths", "hits", "misses", "insertions", "migrations")
+
+    def __init__(self, budget: int) -> None:
+        self.store = InProcessLRU(max_bytes=budget)
+        # Key lengths ever admitted per (tenant, model): which prefixes
+        # of a query are worth probing.  Evictions leave them behind, so
+        # they bound a search and never answer residency.
+        self.lengths: Dict[Tuple[str, str], Set[int]] = {}
+        self.hits = self.misses = self.insertions = self.migrations = 0
+
+    def resident_len(self, tenant: str, model: str, seq) -> int:
+        """Length of the longest prefix of ``seq`` resident under its
+        exact key (0: none).  A pure read of the store."""
+        lengths = self.lengths.get((tenant, model))
+        if not lengths:
+            return 0
+        for n in sorted(lengths, reverse=True):
+            if n <= len(seq) and self.store.contains((tenant, model, seq[:n])):
+                return n
+        return 0
+
+    def admit(self, tenant: str, model: str, seq, payload) -> bool:
+        """Make ``payload`` resident under the byte budget: the store
+        evicts least-recently-used payloads until the entry fits, and
+        rejects one bigger than the whole budget."""
+        if not self.store.put(
+            (tenant, model, seq), payload, nbytes=payload.nbytes + 8 * len(seq)
+        ):
+            return False
+        self.lengths.setdefault((tenant, model), set()).add(len(seq))
+        return True
+
+
 class RadixKVCache:
     """Tenant-scoped, per-shard LRU of cached K/V rows under a byte budget.
 
@@ -182,33 +219,21 @@ class RadixKVCache:
         Eviction budget *per shard*.  Resident bytes on a shard never
         exceed it: inserting evicts least-recently-used entries first,
         and an entry that alone exceeds the budget is rejected (counted
-        in :attr:`rejections`), never resident.
+        in the shard's ``rejections``), never resident.
 
     Entries are keyed ``(tenant, model, exact token tuple)`` — a tenant
     never hits another tenant's cache, so prompt reuse cannot leak
     activations across tenants, and a hit needs no further
-    verification.  Payloads live in a private
-    :class:`~repro.store.InProcessLRU`, shard ``N`` under
-    ``serving.radix.shard<N>``.  That store is the one record of
+    verification.  Each shard's payloads live in a private
+    :class:`~repro.store.InProcessLRU`; that store is the one record of
     residency: :meth:`lookup` and :meth:`resident_shards` both ask it.
+    Each lookup counts once, as a hit or a miss on the shard it probed
+    (:meth:`stats`).
     """
-
-    #: Store namespace of the cache (an engine has one, so one name).
-    NAMESPACE = "serving.radix"
 
     def __init__(self, shard_budget_bytes: int = 32 << 20):
         self.shard_budget_bytes = POSITIVE_INT("shard_budget_bytes", shard_budget_bytes)
-        self._store = InProcessLRU()
-        self._shards_seen: Set[int] = set()
-        # Key lengths ever admitted per (shard, tenant, model): which
-        # prefixes of a query are worth probing.  Evictions leave them
-        # behind, so they bound a search and never answer residency.
-        self._lengths: Dict[Tuple[int, str, str], Set[int]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.rejections = 0
-        self.migrations = 0
+        self._shards: Dict[int, _Shard] = {}
 
     @staticmethod
     def _seq(tokens) -> Tuple[int, ...]:
@@ -216,42 +241,11 @@ class RadixKVCache:
         # float-typed row, so keys serialise as ints whatever the dtype.
         return tuple(map(int, np.asarray(tokens).reshape(-1).tolist()))
 
-    def _namespace(self, shard: int) -> str:
-        namespace = f"{self.NAMESPACE}.shard{shard}"
-        if shard not in self._shards_seen:
-            self._store.set_limit(namespace, max_bytes=self.shard_budget_bytes)
-            self._shards_seen.add(shard)
-        return namespace
-
-    def _resident_len(self, shard: int, tenant: str, model: str, seq) -> int:
-        """Length of the longest prefix of ``seq`` resident on ``shard``
-        under its exact key (0: none).  A pure read of the store."""
-        lengths = self._lengths.get((shard, tenant, model))
-        if not lengths:
-            return 0
-        namespace = self._namespace(shard)
-        for n in sorted(lengths, reverse=True):
-            if n <= len(seq) and self._store.contains(
-                namespace, (tenant, model, seq[:n])
-            ):
-                return n
-        return 0
-
-    def _admit(self, shard: int, tenant: str, model: str, seq, payload) -> bool:
-        """Make ``payload`` resident on ``shard`` under the byte budget.
-
-        The one budget check: evicts least-recently-used payloads until
-        the entry fits, and rejects an entry bigger than the whole budget.
-        """
-        size = payload.nbytes + 8 * len(seq)
-        if size > self.shard_budget_bytes:
-            self.rejections += 1
-            return False
-        self._store.put(
-            self._namespace(shard), (tenant, model, seq), payload, nbytes=size
-        )
-        self._lengths.setdefault((shard, tenant, model), set()).add(len(seq))
-        return True
+    def _shard(self, shard: int) -> _Shard:
+        record = self._shards.get(shard)
+        if record is None:
+            record = self._shards[shard] = _Shard(self.shard_budget_bytes)
+        return record
 
     # -- read side -------------------------------------------------------
     def lookup(
@@ -272,13 +266,12 @@ class RadixKVCache:
         seq = self._seq(tokens)
         if max_len is not None:
             seq = seq[: int(max_len)]
-        match = self._resident_len(shard, tenant, model, seq)
+        record = self._shard(shard)
+        match = record.resident_len(tenant, model, seq)
         if match:
-            self.hits += 1
-            return match, self._store.get(
-                self._namespace(shard), (tenant, model, seq[:match])
-            )
-        self.misses += 1
+            record.hits += 1
+            return match, record.store.get((tenant, model, seq[:match]))
+        record.misses += 1
         return 0, None
 
     def resident_shards(self, tenant: str, model: str, tokens) -> Tuple[int, ...]:
@@ -291,15 +284,9 @@ class RadixKVCache:
         seq = self._seq(tokens)
         return tuple(
             shard
-            for shard in sorted(self._shards_seen)
-            if self._resident_len(shard, tenant, model, seq)
+            for shard, record in sorted(self._shards.items())
+            if record.resident_len(tenant, model, seq)
         )
-
-    def resident_bytes(self, shard: int) -> int:
-        """Bytes of cached rows resident on ``shard`` (<= budget)."""
-        if shard not in self._shards_seen:
-            return 0
-        return self._store.stats(self._namespace(shard))["bytes"]
 
     # -- write side ------------------------------------------------------
     def insert(
@@ -319,10 +306,11 @@ class RadixKVCache:
                 f"payload covers {payload.pos} positions, "
                 f"tokens have {len(seq)}"
             )
-        accepted = self._admit(shard, tenant, model, seq, payload)
-        if accepted:
-            self.insertions += 1
-        return accepted
+        record = self._shard(shard)
+        if not record.admit(tenant, model, seq, payload):
+            return False
+        record.insertions += 1
+        return True
 
     def migrate(
         self, from_shard: int, to_shard: int, tenant: str, model: str, tokens
@@ -333,48 +321,35 @@ class RadixKVCache:
         migrating the payload with the stolen batch preserves the hit
         on the destination shard instead of forcing a cold recompute.
         The source is released only after the destination accepted the
-        entry (an entry is never lost to a failed move).  Returns False
-        when nothing is resident on ``from_shard`` under these tokens,
-        the shards are equal, or the entry alone exceeds the budget.
+        entry (an entry is never lost to a failed move), and the move
+        counts as a migration into the destination, never as a lookup.
+        Returns False when nothing is resident on ``from_shard`` under
+        these tokens, the shards are equal, or the entry alone exceeds
+        the budget.
         """
         if from_shard == to_shard:
             return False
-        seq = self._seq(tokens)
-        source = self._namespace(from_shard)
-        payload = self._store.get(source, (tenant, model, seq), touch=False)
-        if payload is None or not self._admit(to_shard, tenant, model, seq, payload):
+        key = (tenant, model, self._seq(tokens))
+        source, target = self._shard(from_shard), self._shard(to_shard)
+        payload = source.store.get(key, touch=False)
+        if payload is None or not target.admit(*key, payload):
             return False
-        self._store.delete(source, (tenant, model, seq))
-        self.migrations += 1
+        source.store.delete(key)
+        target.migrations += 1
         return True
 
     # -- introspection ---------------------------------------------------
-    @property
-    def evictions(self) -> int:
-        """Payloads the shard stores evicted to keep their budgets."""
-        return sum(stats["evictions"] for stats in self.namespace_stats().values())
-
-    def namespace_stats(self) -> Dict[str, Dict[str, int]]:
-        """Store-schema stats of every shard namespace (for reports)."""
+    def stats(self) -> Dict[int, Dict[str, object]]:
+        """Per shard: the store's occupancy, evictions and rejections
+        beside the lookups (each a hit or a miss), insertions and
+        migrations in that this cache counted."""
         return {
-            self._namespace(shard): self._store.stats(self._namespace(shard))
-            for shard in sorted(self._shards_seen)
-        }
-
-    def stats(self) -> Dict[str, object]:
-        """Counter snapshot plus per-shard residency."""
-        shards = sorted(self._shards_seen)
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "rejections": self.rejections,
-            "migrations": self.migrations,
-            "shard_budget_bytes": self.shard_budget_bytes,
-            "resident_bytes": {shard: self.resident_bytes(shard) for shard in shards},
-            "resident_entries": {
-                shard: self._store.stats(self._namespace(shard))["entries"]
-                for shard in shards
-            },
+            shard: {
+                **record.store.stats(),
+                "hits": record.hits,
+                "misses": record.misses,
+                "insertions": record.insertions,
+                "migrations": record.migrations,
+            }
+            for shard, record in sorted(self._shards.items())
         }

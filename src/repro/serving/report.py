@@ -83,9 +83,10 @@ class ServingReport:
     placement_policy:
         Name of the placement policy that made the decisions.
     cache_stats:
-        Snapshot of the engine's caches after the run, one
-        :meth:`repro.store.InProcessLRU.stats` dict per namespace (K/V
-        cache shards, parameter caches).
+        Snapshot of the engine's caches after the run, one stats dict per
+        K/V cache shard (``serving.radix.shard<N>``) and per parameter
+        cache (``nn.params.shard<N>``), each event counted once by the
+        cache that owns it.
     """
 
     completed: Tuple[CompletedRequest, ...]
@@ -330,23 +331,24 @@ class ServingReport:
         return "\n".join(lines)
 
     def cache_section(self) -> str:
-        """Cache-fabric block of the summary: one line per namespace.
+        """Cache-fabric block of the summary: one line per cache.
 
-        Every cache the engine owns — per-shard K/V stores, parameter
-        caches — reports through the same store-stats schema, so the
-        section is a uniform table instead of per-subsystem formats.
+        Every cache the engine owns — the K/V cache per shard, each
+        parameter cache — reports its own hits and misses beside its
+        store's entries, bytes and evictions, so the section is a
+        uniform table instead of per-subsystem formats.
         """
         if not self.cache_stats:
             return "cache fabric         : (no cache activity recorded)"
         lines = ["cache fabric         :"]
-        for namespace in sorted(self.cache_stats):
-            stats = self.cache_stats[namespace]
+        for name in sorted(self.cache_stats):
+            stats = self.cache_stats[name]
             hits = stats.get("hits", 0)
             misses = stats.get("misses", 0)
             total = hits + misses
             rate = f" ({hits / total:.0%} hit rate)" if total else ""
             lines.append(
-                f"  {namespace:<24s}: {stats.get('entries', 0)} entries, "
+                f"  {name:<24s}: {stats.get('entries', 0)} entries, "
                 f"{stats.get('bytes', 0):,} bytes, "
                 f"{hits} hit / {misses} miss{rate}, "
                 f"{stats.get('evictions', 0)} evicted"

@@ -5,9 +5,9 @@ look-ahead placement and work-stealing read per-shard drift (how far
 actual traced cycles run from calibrated estimates), and the report
 renders the whole picture for humans.  This module provides both:
 
-* :class:`ShardStats` — the live per-shard accumulator the engine
-  updates after every executed batch (the drift EWMA steals trigger
-  on; cycle, busy and steal tallies are read off the report's log);
+* :class:`ShardStats` — the live per-shard drift EWMA the engine
+  updates after every executed batch and steals trigger on (cycle,
+  busy and steal tallies are read off the report's log);
 * :func:`cluster_desc` / :func:`render_cluster_desc` — a nested
   ``{type, stats, sinks}`` descriptor tree (cluster → shards → model
   endpoints) built from a finished
@@ -23,49 +23,33 @@ from typing import Dict, List, Optional
 
 
 class ShardStats:
-    """Live accumulator of one shard's execution statistics.
+    """Live drift of one shard's execution.
 
     ``drift`` is an exponentially weighted moving average of
-    ``actual / estimated`` service seconds over the shard's executed
+    ``actual / estimated`` service seconds over the shard's priced
     batches — 1.0 means the calibrated cost model prices this shard
     perfectly, 2.0 means work takes twice the estimate (a cost model
     that misprices the shard, a stale calibration).  It is a ratio of
     *seconds*, not cycles: the time a batch took on the shard's
     timeline against the time its estimate priced.
     Work-stealing scales a planned shard's ETA by its drift before
-    deciding whether a queued batch should migrate.
+    deciding whether a queued batch should migrate.  Batch, cycle and
+    busy tallies are read off the report's log (see
+    :func:`cluster_desc`).
     """
 
-    __slots__ = ("shard", "batches", "estimated_seconds", "drift")
+    __slots__ = ("drift",)
 
     #: EWMA smoothing weight of the newest observation.
     ALPHA = 0.25
 
-    def __init__(self, shard: int) -> None:
-        self.shard = shard
-        self.reset()
-
-    def observe(
-        self,
-        cycles: int,
-        duration: float,
-        estimated_seconds: Optional[float] = None,
-    ) -> None:
-        """Record one executed batch (and its estimate, when priced).
-
-        ``cycles`` is not accumulated: per-shard cycle and busy tallies
-        come from the report's event log (see :func:`cluster_desc`).
-        """
-        self.batches += 1
-        if estimated_seconds is not None and estimated_seconds > 0 and duration > 0:
-            self.estimated_seconds += float(estimated_seconds)
-            ratio = duration / estimated_seconds
-            self.drift += self.ALPHA * (ratio - self.drift)
-
-    def reset(self) -> None:
-        self.batches = 0
-        self.estimated_seconds = 0.0
+    def __init__(self) -> None:
         self.drift = 1.0
+
+    def observe(self, duration: float, estimated_seconds: Optional[float] = None) -> None:
+        """Fold one executed batch into the drift, when it was priced."""
+        if estimated_seconds is not None and estimated_seconds > 0 and duration > 0:
+            self.drift += self.ALPHA * (duration / estimated_seconds - self.drift)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ check.)
 Every test starts with the tape memo of its module's ``EndpointSpec``
 constants empty, so each meets its shapes by executing them and no
 count depends on which test ran before it.
+
+``store_gets`` lists the key of every ``InProcessLRU.get`` made while a
+test runs: what a cache asked its stores, not what they counted.
+``radix_lookups`` lists ``(shard, hit)`` for every
+``RadixKVCache.lookup``: what a report's K/V-cache lines must add up to.
 """
 
 import functools
@@ -17,7 +22,8 @@ import functools
 import pytest
 from invariants import check_invariants
 
-from repro.serving import EndpointSpec, InferenceEngine
+from repro.serving import EndpointSpec, InferenceEngine, RadixKVCache
+from repro.store import InProcessLRU
 
 
 @pytest.fixture(autouse=True)
@@ -39,3 +45,32 @@ def module_level_specs_start_every_test_without_tapes(request):
         for spec in value if isinstance(value, tuple) else (value,):
             if isinstance(spec, EndpointSpec):
                 spec.tapes.clear()
+
+
+@pytest.fixture
+def store_gets(monkeypatch):
+    keys = []
+    get = InProcessLRU.get
+
+    @functools.wraps(get)
+    def spied_get(self, key, *args, **kwargs):
+        keys.append(key)
+        return get(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(InProcessLRU, "get", spied_get)
+    return keys
+
+
+@pytest.fixture
+def radix_lookups(monkeypatch):
+    lookups = []
+    lookup = RadixKVCache.lookup
+
+    @functools.wraps(lookup)
+    def spied_lookup(self, shard, *args, **kwargs):
+        found = lookup(self, shard, *args, **kwargs)
+        lookups.append((shard, found[0] > 0))
+        return found
+
+    monkeypatch.setattr(RadixKVCache, "lookup", spied_lookup)
+    return lookups

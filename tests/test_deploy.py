@@ -9,8 +9,9 @@ the searches are its clients.  These tests pin what that buys:
 * what a deployment's shapes are charged is memoised on its
   ``EndpointSpec``: engines assembled from one spec object share trace
   tapes — and no report can tell, whatever the kind of endpoint or
-  pool — while an equal-but-distinct spec, a pickled or copied
-  one, or one whose ``kwargs`` changed shares nothing;
+  pool — while an equal-but-distinct spec or one whose ``kwargs``
+  changed shares nothing, and a pickled or copied one starts from the
+  original's tapes;
 * what a shape is *priced* is memoised where the closed form is defined
   (per ``WorkloadCostSpec`` value, and process-wide for generation), so
   any later engine prices without building an op inventory.
@@ -247,12 +248,18 @@ def test_the_memo_is_no_part_of_the_spec_as_a_value():
     assert [f.name for f in dataclasses.fields(spec)] == [
         "name", "factory", "kwargs", "prefix_len", "generation", "cost",
     ]
-    for clone in (
-        pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec),
-        dataclasses.replace(spec),
-    ):
+    # A spec rebuilt from its fields starts empty; a copy or an unpickled
+    # spec starts from the original's memo, and nothing it holds can be
+    # stale: a tape depends on its key and the model's structure alone.
+    rebuilt = dataclasses.replace(spec)
+    assert rebuilt == spec and rebuilt.tapes == {}
+    unpickled = pickle.loads(pickle.dumps(spec))
+    for clone in (unpickled, copy.copy(spec), copy.deepcopy(spec)):
         assert clone == spec
-        assert clone.tapes == {} and clone.tapes is not spec.tapes
+        assert list(clone.tapes) == list(spec.tapes)
+    assert report_fingerprint(
+        replay_trace(trace, TUNING, (unpickled,))
+    ) == report_fingerprint(replay_trace(trace, TUNING, (rebuilt,)))
     assert spec.tapes
 
 

@@ -85,6 +85,7 @@ from repro.nn.workload import transformer_serving_workload
 from repro.serving.generation import ActiveSequence
 from repro.serving.deploy import assemble_engine
 from repro.serving.request import CompletedRequest
+from repro.store import InProcessLRU
 from repro.systolic import SystolicArray, SystolicConfig
 from repro.systolic.trace import Trace
 
@@ -285,10 +286,10 @@ def test_skeleton_exists_once(call):
 
 
 SINGLE_COPY = (
-    ("repro.serving.prefix_cache", "set_limit("),
-    ("repro.serving.prefix_cache", "def _namespace"),
-    ("repro.serving.prefix_cache", "def resident_bytes"),
-    ("repro.serving.prefix_cache", "def namespace_stats"),
+    ("repro.serving.prefix_cache", "InProcessLRU("),
+    ("repro.serving.prefix_cache", "def _shard"),
+    ("repro.serving.prefix_cache", "def resident_len"),
+    ("repro.serving.prefix_cache", "def stats"),
     ("repro.nn.workload", "def gemm("),
 )
 
@@ -1141,7 +1142,6 @@ def test_compute_once_adds_no_knob_and_one_call_site():
     import repro.serving.cluster as cluster
     import repro.serving.scheduler as scheduler
     from repro.serving.batcher import BatchAssembler
-    from repro.store import InProcessLRU
 
     engine = _small_engine()
     policies = [
@@ -1213,7 +1213,11 @@ def test_one_kv_cache_and_one_record_of_array_work():
         return list(inspect.signature(function).parameters)
 
     assert parameters(RadixKVCache.__init__) == ["self", "shard_budget_bytes"]
-    assert RadixKVCache.NAMESPACE == "serving.radix"
+    # One bounded LRU per cache (per shard): budgets fixed at construction,
+    # no namespace on any call.
+    assert parameters(InProcessLRU.__init__) == ["self", "max_entries", "max_bytes"]
+    assert parameters(InProcessLRU.get) == ["self", "key", "default", "touch"]
+    assert not hasattr(InProcessLRU, "set_limit")
     assert parameters(ParamCache.__init__) == ["self", "maxsize"]
     assert parameters(assemble_engine) == [
         "pool", "endpoints", "radix_budget_bytes", "engine_options",

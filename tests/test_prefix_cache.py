@@ -186,8 +186,9 @@ class TestEvictionBudget:
         accepted = rejected = 0
         for i, size in enumerate(sizes):
             ok = _insert(cache, 0, _prompt(i), size)
-            assert cache.resident_bytes(0) <= budget
-            assert cache.resident_bytes(0) == sum(
+            resident = cache.stats()[0]["bytes"]
+            assert resident <= budget
+            assert resident == sum(
                 _charge(_prompt(j), sizes[j])
                 for j in range(i + 1)
                 if cache.resident_shards("t", "m", _prompt(j))
@@ -198,8 +199,8 @@ class TestEvictionBudget:
             else:
                 rejected += 1
                 assert size > budget
-        assert cache.insertions == accepted
-        assert cache.rejections == rejected
+        assert cache.stats()[0]["insertions"] == accepted
+        assert cache.stats()[0]["rejections"] == rejected
 
     def test_lru_eviction_order(self):
         cache = _cache(300)
@@ -215,7 +216,7 @@ class TestEvictionBudget:
             if cache.resident_shards("t", "m", tokens)
         ]
         assert resident == ["a", "c", "d"]
-        assert cache.evictions == 1
+        assert cache.stats()[0]["evictions"] == 1
         # Evicted prompt is a miss now.
         assert cache.lookup(0, "t", "m", b) == (0, None)
 
@@ -224,7 +225,7 @@ class TestEvictionBudget:
         tokens = _prompt(0)
         assert _insert(cache, 0, tokens, 100)
         assert _insert(cache, 1, tokens, 100)
-        assert cache.evictions == 0
+        assert [stats["evictions"] for stats in cache.stats().values()] == [0, 0]
         assert cache.resident_shards("t", "m", tokens) == (0, 1)
 
     def test_tenants_never_share_entries(self):
@@ -452,7 +453,7 @@ class TestEngineIntegration:
         hits = {(event.model, event.hit) for event in report.prefix_events}
         assert {("bert", True), ("chat", True)} <= hits
         assert ("chat", (0,), ()) in cache.inserts  # a prefill evicted the prompt
-        assert cache.evictions >= 2
+        assert cache.stats()[0]["evictions"] >= 2
         _, expected = serve(None)
         for got, want in zip(outputs, expected):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -560,8 +561,8 @@ class TestServingInvariantFuzz:
         )
 
         # Eviction budget holds on every shard after the run.
-        for shard in range(pool.n_shards):
-            assert cache.resident_bytes(shard) <= budget
+        for stats in cache.stats().values():
+            assert stats["bytes"] <= budget
 
         # Shed requests never produce results.
         for rid in shed_ids:

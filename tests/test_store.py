@@ -1,14 +1,15 @@
 """Store suite: the one store and the sites that use it.
 
-* the contract: values round-trip, a cached ``None`` is told apart
-  from a miss through ``MISSING``, and namespaces never share keys;
-* InProcessLRU (the parameter caches and the K/V cache's shard
-  stores): LRU order and recency — hits refresh, peeks
+* the contract: values round-trip and a cached ``None`` is told apart
+  from a miss through ``MISSING``;
+* InProcessLRU (each parameter cache's store and each K/V cache shard's
+  store): LRU order and recency — hits refresh, peeks
   (``touch=False``) don't, eviction takes the least-recently-used
-  entry first — and budgets: entry-count and byte budgets evict until
-  both hold, an entry alone exceeding the byte budget is rejected,
-  replacing a key releases its old bytes first, budgets and counters
-  are per namespace;
+  entry first — and budgets, fixed at construction: entry-count and
+  byte budgets evict until both hold, an entry alone exceeding the byte
+  budget is rejected, replacing a key releases its old bytes first.  The
+  store counts evictions and rejections only; hits and misses are its
+  owner's;
 * the property suite replays random operation sequences against a
   reference OrderedDict model — the historical cache implementation —
   so InProcessLRU stays bit-identical to the pre-store caches.
@@ -16,141 +17,115 @@
 
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.store import MISSING, InProcessLRU
 
-NS = "test.namespace"
-OTHER = "test.other"
-
 
 @pytest.fixture(params=["lru"])
-def store(request):
-    """A fresh :class:`InProcessLRU` (the one backend, by its id)."""
-    return InProcessLRU()
+def make(request):
+    """Builds a fresh :class:`InProcessLRU` (the one backend, by its id)."""
+    return InProcessLRU
 
 
 class TestContract:
-    def test_get_put_roundtrip(self, store):
-        assert store.get(NS, "k") is None
-        assert store.get(NS, "k", default=42) == 42
-        store.put(NS, "k", {"v": 1})
-        assert store.get(NS, "k") == {"v": 1}
+    def test_get_put_roundtrip(self, make):
+        store = make()
+        assert store.get("k") is None
+        assert store.get("k", default=42) == 42
+        store.put("k", {"v": 1})
+        assert store.get("k") == {"v": 1}
 
-    def test_cached_none_distinguishable_via_sentinel(self, store):
-        store.put(NS, "k", None)
-        assert store.get(NS, "k", default=MISSING) is None
-        assert store.get(NS, "absent", default=MISSING) is MISSING
+    def test_cached_none_distinguishable_via_sentinel(self, make):
+        store = make()
+        store.put("k", None)
+        assert store.get("k", default=MISSING) is None
+        assert store.get("absent", default=MISSING) is MISSING
 
-    def test_namespace_isolation(self, store):
-        store.put(NS, "k", "ns")
-        store.put(OTHER, "k", "other")
-        assert store.get(NS, "k") == "ns"
-        assert store.get(OTHER, "k") == "other"
-
-    def test_budgets_and_counters_are_per_namespace(self, store):
-        store.set_limit(NS, max_entries=1)
-        store.put(NS, "k", "ns")
-        store.put(OTHER, "k", "other")
-        store.put(NS, "k2", "ns2")  # evicts within NS only
-        assert store.get(OTHER, "k") == "other"
-        assert store.stats(OTHER)["entries"] == 1
-        assert store.stats(NS)["entries"] == 1
-        assert store.stats(NS)["evictions"] == 1
-        assert store.stats(OTHER)["evictions"] == 0
-
-    def test_lru_order_and_hit_refresh(self, store):
-        store.set_limit(NS, max_entries=3)
+    def test_lru_order_and_hit_refresh(self, make):
+        store = make(max_entries=3)
         for key in ("a", "b", "c"):
-            store.put(NS, key, key.upper())
-        store.get(NS, "a")  # hit refreshes recency: "b" is now LRU
-        store.put(NS, "d", "D")
-        assert [store.contains(NS, key) for key in "abcd"] == [True, False, True, True]
+            store.put(key, key.upper())
+        store.get("a")  # hit refreshes recency: "b" is now LRU
+        store.put("d", "D")
+        assert [store.contains(key) for key in "abcd"] == [True, False, True, True]
 
-    def test_peek_does_not_refresh(self, store):
-        store.set_limit(NS, max_entries=2)
+    def test_peek_does_not_refresh(self, make):
+        store = make(max_entries=2)
         for key in ("a", "b"):
-            store.put(NS, key, key)
-        store.get(NS, "a", touch=False)  # "a" stays LRU
-        store.put(NS, "c", "c")
-        assert not store.contains(NS, "a")
-        assert store.contains(NS, "b") and store.contains(NS, "c")
+            store.put(key, key)
+        store.get("a", touch=False)  # "a" stays LRU
+        store.put("c", "c")
+        assert not store.contains("a")
+        assert store.contains("b") and store.contains("c")
 
-    def test_entry_budget_evicts_lru_first(self, store):
-        store.set_limit(NS, max_entries=2)
-        store.put(NS, "a", 1)
-        store.put(NS, "b", 2)
-        store.put(NS, "c", 3)
-        assert not store.contains(NS, "a")
-        assert store.get(NS, "b") == 2 and store.get(NS, "c") == 3
+    def test_entry_budget_evicts_lru_first(self, make):
+        store = make(max_entries=2)
+        store.put("a", 1)
+        store.put("b", 2)
+        store.put("c", 3)
+        assert not store.contains("a")
+        assert store.get("b") == 2 and store.get("c") == 3
 
-    def test_byte_budget_evicts_until_fit(self, store):
-        store.set_limit(NS, max_bytes=100)
-        store.put(NS, "a", "a", nbytes=40)
-        store.put(NS, "b", "b", nbytes=40)
-        store.put(NS, "c", "c", nbytes=40)  # evicts "a"
-        assert not store.contains(NS, "a")
-        stats = store.stats(NS)
+    def test_byte_budget_evicts_until_fit(self, make):
+        store = make(max_bytes=100)
+        store.put("a", "a", nbytes=40)
+        store.put("b", "b", nbytes=40)
+        store.put("c", "c", nbytes=40)  # evicts "a"
+        assert not store.contains("a")
+        stats = store.stats()
         assert stats["bytes"] == 80
         assert stats["evictions"] == 1
 
-    def test_oversized_entry_rejected(self, store):
-        store.set_limit(NS, max_bytes=100)
-        store.put(NS, "small", 1, nbytes=60)
-        assert not store.put(NS, "huge", 2, nbytes=101)
-        assert not store.contains(NS, "huge")
-        assert store.contains(NS, "small")  # nothing was evicted for it
-        assert store.stats(NS)["rejections"] == 1
+    def test_oversized_entry_rejected(self, make):
+        store = make(max_bytes=100)
+        store.put("small", 1, nbytes=60)
+        assert not store.put("huge", 2, nbytes=101)
+        assert not store.contains("huge")
+        assert store.contains("small")  # nothing was evicted for it
+        assert store.stats()["rejections"] == 1
 
-    def test_replace_releases_old_bytes(self, store):
-        store.set_limit(NS, max_bytes=100)
-        store.put(NS, "a", 1, nbytes=80)
-        store.put(NS, "a", 2, nbytes=90)  # would not fit alongside itself
-        assert store.get(NS, "a") == 2
-        stats = store.stats(NS)
+    def test_replace_releases_old_bytes(self, make):
+        store = make(max_bytes=100)
+        store.put("a", 1, nbytes=80)
+        store.put("a", 2, nbytes=90)  # would not fit alongside itself
+        assert store.get("a") == 2
+        stats = store.stats()
         assert stats["bytes"] == 90
         assert stats["evictions"] == 0
 
-    def test_set_limit_shrink_evicts_immediately(self, store):
-        for i in range(4):
-            store.put(NS, i, i)
-        store.set_limit(NS, max_entries=2)
-        assert store.stats(NS)["entries"] == 2
-        assert [store.contains(NS, i) for i in range(4)] == [False, False, True, True]
+    def test_delete(self, make):
+        store = make()
+        store.put("a", 1, nbytes=10)
+        store.put("b", 2, nbytes=10)
+        assert store.delete("a")
+        assert not store.delete("a")
+        assert store.stats()["bytes"] == 10
+        assert not store.contains("a") and store.contains("b")
 
-    def test_delete(self, store):
-        store.put(NS, "a", 1, nbytes=10)
-        store.put(NS, "b", 2, nbytes=10)
-        assert store.delete(NS, "a")
-        assert not store.delete(NS, "a")
-        assert store.stats(NS)["bytes"] == 10
-        assert not store.contains(NS, "a") and store.contains(NS, "b")
+    def test_stats_counters(self, make):
+        store = make()
+        """The store counts what its budgets decide, never a lookup: hits
+        and misses are counted once, by the cache that owns the store."""
+        store.put("a", 1)
+        store.get("a")
+        store.get("absent")
+        store.get("a", touch=False)
+        assert store.stats() == {
+            "entries": 1, "bytes": 0, "evictions": 0, "rejections": 0,
+            "max_entries": None, "max_bytes": None,
+        }
 
-    def test_stats_counters(self, store):
-        store.put(NS, "a", 1)
-        store.get(NS, "a")
-        store.get(NS, "absent")
-        stats = store.stats(NS)
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["insertions"] == 1
-        assert stats["entries"] == 1
-
-    def test_stats_all_namespaces(self, store):
-        store.put(NS, "a", 1)
-        store.put(OTHER, "b", 2)
-        all_stats = store.stats()
-        assert NS in all_stats and OTHER in all_stats
-        assert all_stats[NS]["entries"] == 1
-
-    def test_limit_validation(self, store):
+    def test_limit_validation(self, make):
         with pytest.raises(ValueError):
-            store.set_limit(NS, max_entries=0)
+            make(max_entries=0)
         with pytest.raises(ValueError):
-            store.set_limit(NS, max_bytes=-1)
-        assert store.stats(NS)["max_entries"] is None  # nothing half-applied
+            make(max_bytes=-1)
+        stats = make(max_entries=2).stats()
+        assert (stats["max_entries"], stats["max_bytes"]) == (2, None)
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +191,23 @@ class TestLRUMatchesHistoricalCaches:
     )
     @settings(max_examples=120, deadline=None)
     def test_random_op_sequences_bit_identical(self, ops, max_entries, max_bytes):
-        store = InProcessLRU()
-        store.set_limit(NS, max_entries=max_entries, max_bytes=max_bytes)
+        store = InProcessLRU(max_entries=max_entries, max_bytes=max_bytes)
         reference = _ReferenceLRU(max_entries=max_entries, max_bytes=max_bytes)
         for op in ops:
             if op[0] == "put":
                 _, key, nbytes = op
-                assert store.put(NS, key, key * 10, nbytes=nbytes) == (
+                assert store.put(key, key * 10, nbytes=nbytes) == (
                     reference.put(key, key * 10, nbytes)
                 )
             elif op[0] == "get":
                 _, key = op
-                assert store.get(NS, op[1]) == reference.get(key)
+                assert store.get(op[1]) == reference.get(key)
             else:
                 reference.delete(op[1])
-                store.delete(NS, op[1])
-            # LRU -> MRU order, read off the namespace's own OrderedDict.
-            assert list(store._namespaces[NS].entries) == list(reference.entries)
-            assert store.stats(NS)["bytes"] == reference.bytes
+                store.delete(op[1])
+            # LRU -> MRU order, read off the store's own OrderedDict.
+            assert list(store._entries) == list(reference.entries)
+            assert store.stats()["bytes"] == reference.bytes
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +245,8 @@ class TestRefactoredSites:
         stats = cache.stats()
         assert stats["max_entries"] == 2
         assert stats["entries"] == 0
+        # The cache's own counts are the only ones: one miss, then a hit.
+        weights = np.arange(4.0)
+        assert cache.get(weights, "w", np.negative) is cache.get(weights, "w", np.negative)
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
