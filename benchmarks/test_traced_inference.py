@@ -48,7 +48,7 @@ import numpy as np
 from hostbench.child import make_calibration
 from hostbench.run import at_reference_speed
 
-from repro.core.nonlinear_ops import get_approximator
+from repro.core.nonlinear_ops import get_approximator, relu_domain
 from repro.fixedpoint import dequantize
 from repro.nn.executor import ArrayBackend
 from repro.nn.models import TinyBERT
@@ -183,8 +183,27 @@ class _SeedArray(_ChainArray):
         return dequantize(out, fmt)
 
 
-class _SeedBackend(ArrayBackend):
-    """ArrayBackend with the seed's per-pair batched matmul loop."""
+class _ChainBackend(ArrayBackend):
+    """Reference ArrayBackend whose ReLU / GELU the array computes *and*
+    charges (``apply_nonlinear``: the structural chain on a
+    ``_ChainArray``), where the library computes them on the CPWL path
+    and only charges the array."""
+
+    def relu(self, x):
+        return self._on_array("relu", x, relu_domain(self.granularity))
+
+    def gelu(self, x):
+        return self._on_array("gelu", x)
+
+    def _on_array(self, function, x, domain=None):
+        x = np.asarray(x, dtype=np.float64)
+        flat = x.reshape(-1, x.shape[-1]) if x.ndim > 1 else x.reshape(1, -1)
+        out = self.array.apply_nonlinear(function, flat, self.granularity, domain=domain)
+        return out.reshape(x.shape)
+
+
+class _SeedBackend(_ChainBackend):
+    """The chain reference with the seed's per-pair batched matmul loop."""
 
     def conv_cols(self, x, kernel, stride, padding, weight_mat, bias):
         # The seed unfolded patches first and quantized the k^2-expanded
@@ -698,7 +717,7 @@ def test_replay_counts_at_the_hostbench_shapes(print_artifact, monkeypatch):
     from hostbench.workloads import WORKLOADS
     from repro.autotune import replay_trace, report_fingerprint
     from repro.core.cpwl import CPWLApproximator
-    from repro.core.nonlinear_ops import get_approximator
+    from repro.core.nonlinear_ops import get_approximator, relu_domain
     from repro.serving.engine import STACK_ELEMENTS
 
     model_calls = ("infer", "prefill", "decode_step")
@@ -798,8 +817,8 @@ def test_nonlinear_code_table(print_artifact, monkeypatch):
     code tables: once every approximator it uses has been fed a table's
     worth of elements, a forward calls neither stage of the IPF -> MHP
     chain nor the structural addressing walk, and it is charged exactly
-    the structural chain's cycles (``_ChainArray``) for bit-identical
-    outputs.
+    the structural chain's cycles (``_ChainBackend`` on a ``_ChainArray``,
+    which must walk it) for bit-identical outputs.
 
     The first forward builds the tables of the ops fed 2**16 elements in
     one call; the rest get theirs over a long run, which the warm-up
@@ -812,14 +831,14 @@ def test_nonlinear_code_table(print_artifact, monkeypatch):
 
     from hostbench.workloads import model_forward
     from repro.core.cpwl import CPWLApproximator
-    from repro.core.nonlinear_ops import get_approximator
+    from repro.core.nonlinear_ops import get_approximator, relu_domain
     from repro.systolic.addressing import DataAddressing
 
     workload = model_forward(0, 0.2)
     config = workload.backend.array.config
 
-    def forward(array_cls):
-        backend = ArrayBackend(array_cls(config), 0.25)
+    def forward(backend_cls, array_cls):
+        backend = backend_cls(array_cls(config), 0.25)
         outputs = (
             workload.bert.infer(workload.tokens, backend),
             workload.block.infer(workload.images, backend),
@@ -836,7 +855,7 @@ def test_nonlinear_code_table(print_artifact, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(CPWLApproximator, "evaluate_raw", feeding)
-        forward(SystolicArray)
+        forward(ArrayBackend, SystolicArray)
     tables = {}
     for approx, elements in fed.items():
         entries = 1 << approx.fmt.total_bits
@@ -864,12 +883,16 @@ def test_nonlinear_code_table(print_artifact, monkeypatch):
                 if module_name.startswith("repro") and vars(module).get(name) is original:
                     patch.setattr(module, name, counted(name, original))
         patch.setattr(DataAddressing, "run", counted("DataAddressing.run", DataAddressing.run))
-        outputs, trace = forward(SystolicArray)
+        outputs, trace = forward(ArrayBackend, SystolicArray)
         chain_calls = {
             name: calls[name]
             for name in ("fetch_parameters", "fixed_hadamard_mac", "DataAddressing.run")
         }
-    reference, reference_trace = forward(_ChainArray)
+        reference, reference_trace = forward(_ChainBackend, _ChainArray)
+        reference_walks = calls["DataAddressing.run"] - chain_calls["DataAddressing.run"]
+    # The reference ran the structural chain, so the gates below compare
+    # the shape charge with the chain's own events.
+    assert reference_walks > 0, "the reference forward skipped the structural chain"
     for ours, theirs in zip(outputs, reference):
         assert np.array_equal(ours, theirs), "code tables changed an output"
     assert trace.cycles_by_kind() == reference_trace.cycles_by_kind()

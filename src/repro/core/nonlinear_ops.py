@@ -102,6 +102,11 @@ def cpwl_gelu(
     return get_approximator("gelu", granularity, fmt)(x)
 
 
+def relu_domain(granularity: float) -> "tuple[float, float]":
+    """ReLU's mid-anchored segment grid (see :func:`cpwl_relu`)."""
+    return (-8.0 - granularity / 2.0, 8.0 + granularity / 2.0)
+
+
 def cpwl_relu(
     x: np.ndarray, granularity: float, fmt: Optional[QFormat] = INT16
 ) -> np.ndarray:
@@ -117,7 +122,7 @@ def cpwl_relu(
     accuracy-vs-granularity table; a kink-aligned grid would make ReLU
     exact and the CNN artificially insensitive.
     """
-    domain = (-8.0 - granularity / 2.0, 8.0 + granularity / 2.0)
+    domain = relu_domain(granularity)
     return get_approximator("relu", granularity, fmt, domain=domain)(x)
 
 

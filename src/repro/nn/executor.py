@@ -9,14 +9,14 @@ different execution models:
 * :class:`CPWLBackend` — every GEMM in saturating INT16, every
   nonlinearity through the capped-piecewise-linear pipeline at a chosen
   granularity (the 0.1 … 1.0 columns of Table III);
-* :class:`ArrayBackend` — same arithmetic as :class:`CPWLBackend` but
-  routed through a :class:`~repro.systolic.array.SystolicArray`
-  instance, which additionally produces the cycle trace (used by the
-  integration tests and the end-to-end examples).
+* :class:`ArrayBackend` — the same values, computed once, with each op
+  charged to a :class:`~repro.systolic.array.SystolicArray`'s cycle
+  trace (the serving shards, integration tests and examples).
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -414,9 +414,14 @@ class CPWLBackend:
     ONE-SA: matrix products through :func:`fixed_matmul` (wide
     accumulate, saturating writeback) and nonlinear operations through
     the IPF+MHP pipeline of :mod:`repro.core.nonlinear_ops`.
+
+    With an :attr:`array` set, each GEMM (one per broadcast pair) and
+    ReLU / GELU is charged to it by shape; the composites (softmax,
+    layernorm, batchnorm) add 0 traced cycles.
     """
 
     name = "cpwl"
+    array = None
 
     def __init__(self, granularity: float, fmt: QFormat = INT16):
         self.granularity = POSITIVE("granularity", granularity)
@@ -452,6 +457,10 @@ class CPWLBackend:
             quantize(b, self.fmt, dtype=np.float64),
             self.fmt,
         )
+        if self.array is not None:
+            a_shape, b_shape = np.shape(a), np.shape(b)
+            pairs = math.prod(np.broadcast_shapes(a_shape[:-2], b_shape[:-2]))
+            self.array.charge_gemm(*a_shape[-2:], b_shape[-1], pairs)
         out *= self.fmt.scale
         return out
 
@@ -465,7 +474,10 @@ class CPWLBackend:
         # quantizing weight.T per call (and integer-exact accumulation
         # makes the result layout-independent).
         w_raw_t = self._quantized_param(weight).T
-        out = self._bias_writeback(self._gemm2d_raw(x_raw, w_raw_t), bias)
+        out = fixed_matmul(x_raw, w_raw_t, self.fmt)
+        if self.array is not None:
+            self.array.charge_gemm(*x_raw.shape, weight.shape[0])
+        out = self._bias_writeback(out, bias)
         return out.reshape(orig_shape[:-1] + (weight.shape[0],))
 
     def _bias_writeback(self, gemm_raw: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -497,18 +509,28 @@ class CPWLBackend:
         # buffer, so the parameter cache hits on every call (identity
         # and layout of the view are part of the key).
         w_raw_t = self._quantized_param(weight_mat).T
-        return self._bias_writeback(self._gemm2d_raw(cols_raw, w_raw_t), bias), out_hw
-
-    def _gemm2d_raw(self, a_raw: np.ndarray, b_raw: np.ndarray) -> np.ndarray:
-        """2-D GEMM on raw operands (hook: ArrayBackend routes + traces)."""
-        return fixed_matmul(a_raw, b_raw, self.fmt)
+        out = fixed_matmul(cols_raw, w_raw_t, self.fmt)
+        if self.array is not None:
+            self.array.charge_gemm(*cols_raw.shape, weight_mat.shape[0])
+        return self._bias_writeback(out, bias), out_hw
 
     # -- nonlinear ------------------------------------------------------
     def relu(self, x: np.ndarray) -> np.ndarray:
-        return NL.cpwl_relu(x, self.granularity, self.fmt)
+        out = NL.cpwl_relu(x, self.granularity, self.fmt)
+        self._charge_nonlinear("relu", out, NL.relu_domain(self.granularity))
+        return out
 
     def gelu(self, x: np.ndarray) -> np.ndarray:
-        return NL.cpwl_gelu(x, self.granularity, self.fmt)
+        out = NL.cpwl_gelu(x, self.granularity, self.fmt)
+        self._charge_nonlinear("gelu", out)
+        return out
+
+    def _charge_nonlinear(self, function: str, out: np.ndarray, domain=None) -> None:
+        """Charge one IPF + MHP pass over ``out`` as ``(rows, last axis)``."""
+        if self.array is not None:
+            shape = out.shape if out.ndim > 1 else (1, out.size)
+            rows = (math.prod(shape[:-1]), shape[-1])
+            self.array.charge_nonlinear(function, rows, self.granularity, domain=domain)
 
     def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         return NL.cpwl_softmax(x, self.granularity, self.fmt, axis=axis)
@@ -538,57 +560,11 @@ class CPWLBackend:
 
 
 class ArrayBackend(CPWLBackend):
-    """CPWL backend routed through a SystolicArray with cycle tracing.
-
-    Linear ops call :meth:`SystolicArray.gemm_raw` and scalar
-    nonlinearities :meth:`SystolicArray.apply_nonlinear_raw`, so after a
-    model's ``infer`` the array's trace holds the per-op cycle account.
-    Composite nonlinearities (softmax, layernorm) are *not*
-    routed through the array: they inherit :class:`CPWLBackend`'s
-    vectorized path, which computes the same values but records no
-    trace events, so they add 0 traced cycles.
-    """
+    """:class:`CPWLBackend` charging each op to ``array``: after a model's
+    ``infer`` its trace holds the per-op cycle account."""
 
     name = "array"
 
     def __init__(self, array, granularity: float):
         super().__init__(granularity, array.config.fmt)
         self.array = array
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.ndim == 2 and b.ndim == 2:
-            return self.array.matmul(a, b)
-        # Batched matmul: the hardware model still issues one traced GEMM
-        # per matrix pair — the per-pair events are synthesized from the
-        # closed-form cycle model — but the arithmetic runs as a single
-        # stacked N-D fixed_matmul, bit-identical to the per-pair loop.
-        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        a_b = np.broadcast_to(a, lead + a.shape[-2:]).reshape((-1,) + a.shape[-2:])
-        b_b = np.broadcast_to(b, lead + b.shape[-2:]).reshape((-1,) + b.shape[-2:])
-        out = self.array.gemm_raw_batched(
-            quantize(a_b, self.fmt, dtype=np.float64),
-            quantize(b_b, self.fmt, dtype=np.float64),
-        )
-        out *= self.fmt.scale
-        return out.reshape(lead + (a.shape[-2], b.shape[-1]))
-
-    def _gemm2d_raw(self, a_raw: np.ndarray, b_raw: np.ndarray) -> np.ndarray:
-        # Route linear/conv GEMMs through the array so they land in the
-        # trace exactly like the seed's dispatch did.
-        return self.array.gemm_raw(a_raw, b_raw)
-
-    def gelu(self, x: np.ndarray) -> np.ndarray:
-        return self._scalar_on_array("gelu", x)
-
-    def relu(self, x: np.ndarray) -> np.ndarray:
-        # Same mid-anchored grid as the fast CPWL path (see cpwl_relu).
-        domain = (-8.0 - self.granularity / 2.0, 8.0 + self.granularity / 2.0)
-        return self._scalar_on_array("relu", x, domain=domain)
-
-    def _scalar_on_array(self, fn: str, x: np.ndarray, domain=None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        flat = x.reshape(-1, x.shape[-1]) if x.ndim > 1 else x.reshape(1, -1)
-        out = self.array.apply_nonlinear(fn, flat, self.granularity, domain=domain)
-        return out.reshape(x.shape)

@@ -296,11 +296,11 @@ def gcn_workload(
 
 
 def _traced_cycles(ops: Iterable[object], config: SystolicConfig) -> int:
-    """Cycles the ``ArrayBackend`` traces for ``ops`` — *exactly*.
+    """Cycles an ``ArrayBackend`` is charged for ``ops`` — *exactly*.
 
-    Covers precisely the traced operations — the GEMMs and the GELU MHP
+    Covers precisely the charged operations — the GEMMs and the GELU MHP
     pass (softmax, layernorm, residuals and the embedding/pool stages
-    run on the CPWL fast path and record no array cycles) — using the
+    are charged no array cycles) — using the
     same :func:`~repro.systolic.timing.gemm_cycles` /
     :func:`~repro.systolic.timing.nonlinear_cycles` closed forms the
     trace records.
@@ -418,7 +418,7 @@ def transformer_prefill_cycles(
 ) -> int:
     """Traced cycles of a generation *prefill* pass, in closed form.
 
-    Covers exactly the ``ArrayBackend``-traced work of
+    Covers exactly the work an ``ArrayBackend`` is charged for in
     ``TinyBERT.prefill``: the un-cached suffix rows against all
     ``prompt_len`` key rows, plus the tied-embedding logits GEMM.
     ``cached_len = 0`` is a cold prefill; ``0 < cached_len <

@@ -17,15 +17,17 @@ Typical use::
     y = array.apply_nonlinear("gelu", x, granularity=0.25)
     print(array.trace.cycles_by_kind())
 
-Hot-path design (the serving engine's per-request accounting rides on
-it):
+An op's value and its charge are separate: :meth:`~SystolicArray.charge_gemm`
+and :meth:`~SystolicArray.charge_nonlinear` record events from operand
+shapes and compute nothing (the backends of :mod:`repro.nn.executor`
+compute each value once and call them); a ``*_raw`` op is its
+arithmetic plus one charge.
 
 * GEMM plans come from the bounded LRU in :mod:`repro.systolic.gemm`
   and functional execution is one whole-operand ``fixed_matmul`` —
   tile geometry stays analytic metadata on the schedule;
 * batched (stacked) GEMMs execute as a single N-D ``fixed_matmul``
-  with the per-pair trace events synthesized from the closed-form
-  cycle model (:meth:`gemm_raw_batched`);
+  charged one closed-form event per pair (:meth:`gemm_raw_batched`);
 * a nonlinear op is charged from its shape (preload, addressing and
   MHP events in closed form) and computed from the approximator's code
   table — one gather per element once the table exists
@@ -83,11 +85,12 @@ class SystolicArray:
     # ------------------------------------------------------------------
     # Linear operations
     # ------------------------------------------------------------------
-    def gemm_raw(
-        self, a_raw: np.ndarray, b_raw: np.ndarray, label: str = "gemm"
-    ) -> np.ndarray:
-        """Bit-accurate GEMM on raw fixed-point operands: the output codes."""
-        out, schedule = execute_gemm(self.config, a_raw, b_raw)
+    def charge_gemm(
+        self, m: int, k: int, n: int, count: int = 1, label: str = "gemm"
+    ) -> None:
+        """Charge ``count`` GEMMs of ``(m, k) @ (k, n)``, computing
+        nothing: what ``count`` :meth:`gemm_raw` calls on them record."""
+        schedule = plan_gemm(self.config, m, k, n)
         self.trace.record(
             TraceEvent(
                 kind="gemm",
@@ -95,25 +98,25 @@ class SystolicArray:
                 cycles=schedule.breakdown.total,
                 ops=schedule.macs,
                 breakdown=schedule.breakdown,
-            )
+            ),
+            count,
         )
+
+    def gemm_raw(
+        self, a_raw: np.ndarray, b_raw: np.ndarray, label: str = "gemm"
+    ) -> np.ndarray:
+        """Bit-accurate GEMM on raw fixed-point operands: the output codes."""
+        out, schedule = execute_gemm(self.config, a_raw, b_raw)
+        self.charge_gemm(schedule.m_dim, schedule.k_dim, schedule.n_dim, label=label)
         return out
 
     def gemm_raw_batched(
         self, a_raw: np.ndarray, b_raw: np.ndarray, label: str = "gemm"
     ) -> np.ndarray:
-        """Bit-accurate stacked GEMM: ``(B, M, K) @ (B, K, N)``.
-
-        The hardware model still issues one GEMM per matrix pair — the
-        trace records one event per pair with the closed-form cycle
-        breakdown, exactly as if :meth:`gemm_raw` had been called in a
-        loop — but the functional arithmetic runs as a single N-D
-        :func:`fixed_matmul`, which is bit-identical to the loop (every
-        output element remains one wide-accumulated dot product with a
-        single saturating writeback).
-        """
-        a_raw = np.asarray(a_raw)
-        b_raw = np.asarray(b_raw)
+        """Bit-accurate stacked GEMM ``(B, M, K) @ (B, K, N)``: one N-D
+        :func:`fixed_matmul`, charged one GEMM per pair as a
+        :meth:`gemm_raw` loop would be, and bit-identical to that loop."""
+        a_raw, b_raw = np.asarray(a_raw), np.asarray(b_raw)
         if a_raw.ndim != 3 or b_raw.ndim != 3:
             raise ValueError("gemm_raw_batched expects 3-D stacked operands")
         if a_raw.shape[0] != b_raw.shape[0]:
@@ -122,18 +125,8 @@ class SystolicArray:
             )
         if a_raw.shape[2] != b_raw.shape[1]:
             raise ValueError(f"shape mismatch: {a_raw.shape} @ {b_raw.shape}")
-        n_pairs, m_dim, k_dim = a_raw.shape
-        n_dim = b_raw.shape[2]
-        schedule = plan_gemm(self.config, m_dim, k_dim, n_dim)
         out = fixed_matmul(a_raw, b_raw, self.config.fmt)
-        event = TraceEvent(
-            kind="gemm",
-            label=label,
-            cycles=schedule.breakdown.total,
-            ops=schedule.macs,
-            breakdown=schedule.breakdown,
-        )
-        self.trace.record(event, count=n_pairs)
+        self.charge_gemm(*a_raw.shape[1:], b_raw.shape[2], a_raw.shape[0], label)
         return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray, label: str = "gemm") -> np.ndarray:
@@ -148,68 +141,52 @@ class SystolicArray:
     # ------------------------------------------------------------------
     # Nonlinear operations (the ONE-SA extension)
     # ------------------------------------------------------------------
-    def apply_nonlinear_raw(
+    def charge_nonlinear(
         self,
         function: str,
-        x_raw: np.ndarray,
+        shape: "tuple[int, int]",
         granularity: float,
         label: Optional[str] = None,
         fused_ipf: bool = True,
         domain: "tuple[float, float] | None" = None,
-    ) -> np.ndarray:
-        """Run one nonlinear op as the IPF → rearrange → MHP chain.
-
-        Every event is charged from the operand's shape alone: the table
-        preload (when the k/b store does not hold it), the addressing
-        pass (``DataAddressing.cycles``) and the MHP schedule.  The
-        values are :meth:`repro.core.cpwl.CPWLApproximator.evaluate_raw`
-        — a gather from the approximator's code table once it has one —
-        bit for bit what the structural chain (:meth:`DataAddressing.run`,
-        :func:`~repro.systolic.mhp_dataflow.execute_mhp_per_lane`)
-        computes.
-
-        The rearrange pass is metadata-only: its relocation cost rides
-        the MHP event (no separate trace entry, matching the seed
-        accounting; :func:`~repro.systolic.rearrange.rearrange_cycles`
-        is the isolated closed form) and the interleaved ``(x, 1)`` /
-        ``(k, b)`` streams are pure routing — the MHP consumes the raw
-        operands — so they are never built here
-        (:func:`~repro.systolic.rearrange.rearrange_for_mhp` builds them).
-        Returns the output codes.
-        """
+    ) -> None:
+        """Charge one nonlinear op on ``(m, n)`` operands, computing nothing:
+        the table preload (when the k/b store does not hold it), the
+        addressing pass (``DataAddressing.cycles``) and the MHP schedule,
+        which the metadata-only rearrange pass rides (the isolated closed
+        form is :func:`~repro.systolic.rearrange.rearrange_cycles`)."""
         if not self.config.nonlinear_enabled:
             raise RuntimeError(
                 "this design point is a conventional SA; nonlinear "
                 "operations need nonlinear_enabled=True"
             )
-        fmt = self.config.fmt
         label = label or function
-        x_raw = np.atleast_2d(np.asarray(x_raw))
-        m_dim, n_dim = x_raw.shape
-        approx = get_approximator(function, granularity, fmt, domain=domain)
+        m_dim, n_dim = shape
+        elements = m_dim * n_dim
+        fmt = self.config.fmt
+        qtable = get_approximator(function, granularity, fmt, domain=domain).qtable
 
         # --- IPF: table preload (if not resident) and the addressing pass.
         self._preload(
-            approx.qtable,
+            qtable,
             TraceEvent(
                 kind="preload",
                 label=f"{label}.table",
-                cycles=-(-approx.qtable.n_segments * 2 // self.config.l3_in_width),
-                ops=approx.qtable.n_segments,
+                cycles=-(-qtable.n_segments * 2 // self.config.l3_in_width),
+                ops=qtable.n_segments,
             ),
         )
         self.trace.record(
             TraceEvent(
                 kind="ipf",
                 label=f"{label}.ipf",
-                cycles=0 if fused_ipf else self.addressing.cycles(x_raw.size),
-                ops=x_raw.size,
+                cycles=0 if fused_ipf else self.addressing.cycles(elements),
+                ops=elements,
             )
         )
 
         # --- MHP on the diagonal computation PEs.
         schedule = plan_mhp(self.config, m_dim, n_dim, fused_ipf=fused_ipf)
-        out = approx.evaluate_raw(x_raw)
         self.trace.record(
             TraceEvent(
                 kind="mhp",
@@ -219,7 +196,30 @@ class SystolicArray:
                 breakdown=schedule.breakdown,
             )
         )
-        return out
+
+    def apply_nonlinear_raw(
+        self,
+        function: str,
+        x_raw: np.ndarray,
+        granularity: float,
+        label: Optional[str] = None,
+        fused_ipf: bool = True,
+        domain: "tuple[float, float] | None" = None,
+    ) -> np.ndarray:
+        """One nonlinear op's output codes, charged by :meth:`charge_nonlinear`.
+
+        The values are :meth:`repro.core.cpwl.CPWLApproximator.evaluate_raw`,
+        bit for bit what the structural chain (:meth:`DataAddressing.run`,
+        :func:`~repro.systolic.mhp_dataflow.execute_mhp_per_lane`)
+        computes; the rearranged streams are pure routing, never built
+        here (:func:`~repro.systolic.rearrange.rearrange_for_mhp` builds them).
+        """
+        x_raw = np.atleast_2d(np.asarray(x_raw))
+        self.charge_nonlinear(
+            function, x_raw.shape, granularity, label, fused_ipf, domain
+        )
+        approx = get_approximator(function, granularity, self.config.fmt, domain=domain)
+        return approx.evaluate_raw(x_raw)
 
     def _preload(self, qtable: QuantizedSegmentTable, event: TraceEvent) -> None:
         """Make ``qtable`` resident in the k/b store; ``event`` is

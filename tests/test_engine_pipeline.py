@@ -684,9 +684,10 @@ class _CountingArray(SystolicArray):
 
     gemm_rows = property(lambda self: self._gemm_rows())
 
-    def gemm_raw(self, a_raw, b_raw, label="gemm"):
-        self._gemm_rows.append(a_raw.shape[0])
-        return super().gemm_raw(a_raw, b_raw, label)
+    def charge_gemm(self, m, k, n, count=1, label="gemm"):
+        if count == 1:
+            self._gemm_rows.append(m)
+        return super().charge_gemm(m, k, n, count, label)
 
 
 class _CountingBackend(ArrayBackend):

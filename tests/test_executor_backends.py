@@ -125,9 +125,13 @@ class TestArrayBackend:
         a = RNG.normal(size=(6, 8))
         b = RNG.normal(size=(8, 4))
         assert np.array_equal(ab.matmul(a, b), cb.matmul(a, b))
-        x = RNG.normal(size=(4, 6))
-        assert np.array_equal(ab.gelu(x), cb.gelu(x))
-        assert np.array_equal(ab.relu(x), cb.relu(x))
+        # N-D broadcast operands: one stacked product, as on the CPWL path.
+        a = RNG.normal(size=(2, 3, 6, 8))
+        b = RNG.normal(size=(3, 8, 4))
+        assert np.array_equal(ab.matmul(a, b), cb.matmul(a, b))
+        for x in (RNG.normal(size=(4, 6)), RNG.normal(size=(2, 3, 5)) * 9):
+            assert np.array_equal(ab.gelu(x), cb.gelu(x))
+            assert np.array_equal(ab.relu(x), cb.relu(x))
 
     def test_records_cycles(self):
         config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)

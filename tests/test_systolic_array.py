@@ -224,6 +224,8 @@ class TestSystolicArray:
         array = SystolicArray(small_config(nonlinear_enabled=False))
         with pytest.raises(RuntimeError):
             array.apply_nonlinear("gelu", np.zeros((2, 2)), 0.25)
+        with pytest.raises(RuntimeError):
+            array.charge_nonlinear("gelu", (2, 2), 0.25)
 
     def test_trace_records_events(self):
         array = SystolicArray(small_config())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.ipf import fetch_parameters
-from repro.core.nonlinear_ops import get_approximator
+from repro.core.nonlinear_ops import get_approximator, relu_domain
 from repro.fixedpoint import INT16, fixed_hadamard_mac, quantize
 from repro.nn.executor import ArrayBackend
 from repro.systolic import SystolicArray, SystolicConfig
@@ -234,6 +234,100 @@ class TestBatchedArrayBackendEquivalence:
             array.gemm_raw_batched(np.zeros((2, 3, 4)), np.zeros((2, 5, 2)))
         with pytest.raises(ValueError):
             array.gemm_raw_batched(np.zeros((3, 4)), np.zeros((4, 2)))
+
+
+class TestChargeApi:
+    """``charge_gemm`` / ``charge_nonlinear`` record what the computing
+    ops record, from shapes alone."""
+
+    @pytest.fixture
+    def no_compute(self, monkeypatch):
+        """From here on, computing a GEMM or a nonlinear value fails."""
+        import sys
+
+        from repro.core.cpwl import CPWLApproximator
+        from repro.fixedpoint import fixed_matmul
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a charge computed a value")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and vars(module).get("fixed_matmul") is fixed_matmul:
+                monkeypatch.setattr(module, "fixed_matmul", refuse)
+        monkeypatch.setattr(CPWLApproximator, "evaluate_raw", refuse)
+
+    @pytest.mark.parametrize(
+        "m, k, n, count", [(4, 4, 4, 1), (9, 13, 7, 3), (1, 33, 5, 2)]
+    )
+    def test_charge_gemm_equals_gemm_raw_calls(self, m, k, n, count, request):
+        rng = np.random.default_rng(m * k * n)
+        a = quantize(rng.normal(size=(m, k)), INT16)
+        b = quantize(rng.normal(size=(k, n)), INT16)
+        computed = SystolicArray(small_config())
+        with computed.capture() as computed_tape:
+            for _ in range(count):
+                computed.gemm_raw(a, b, label="x")
+        charged = SystolicArray(small_config())
+        request.getfixturevalue("no_compute")
+        with charged.capture() as charged_tape:
+            charged.charge_gemm(m, k, n, count, label="x")
+        assert _expanded(charged_tape) == _expanded(computed_tape)
+        for trace in (computed.trace, charged.trace):
+            assert len(trace) == count
+        assert charged.trace.cycles_by_label() == computed.trace.cycles_by_label()
+        assert charged.trace.ops_by_kind() == computed.trace.ops_by_kind()
+
+    @pytest.mark.parametrize(
+        "function, shape, fused_ipf, domain",
+        [
+            ("gelu", (4, 6), True, None),
+            ("relu", (3, 17), False, relu_domain(0.25)),
+            ("gelu", (1, 40), False, None),
+        ],
+    )
+    def test_charge_nonlinear_equals_apply_nonlinear_raw(
+        self, function, shape, fused_ipf, domain, request
+    ):
+        x = quantize(np.random.default_rng(5).normal(size=shape), INT16)
+        computed = SystolicArray(small_config())
+        with computed.capture() as computed_tape:
+            # The second call meets a resident table: no preload cycles.
+            for _ in range(2):
+                computed.apply_nonlinear_raw(
+                    function, x, 0.25, fused_ipf=fused_ipf, domain=domain
+                )
+        charged = SystolicArray(small_config())
+        request.getfixturevalue("no_compute")
+        with charged.capture() as charged_tape:
+            for _ in range(2):
+                charged.charge_nonlinear(
+                    function, shape, 0.25, fused_ipf=fused_ipf, domain=domain
+                )
+        assert charged_tape == computed_tape
+        for trace in (computed.trace, charged.trace):
+            assert len(trace) == 5  # one preload, then ipf + mhp twice
+        assert charged.trace.cycles_by_label() == computed.trace.cycles_by_label()
+        assert charged.trace.ops_by_kind() == computed.trace.ops_by_kind()
+
+    def test_cpwl_backend_charges_nothing(self, monkeypatch):
+        from repro.nn.executor import CPWLBackend
+
+        for name in ("charge_gemm", "charge_nonlinear"):
+            monkeypatch.setattr(
+                SystolicArray, name, lambda *a, **k: pytest.fail("charged")
+            )
+        backend = CPWLBackend(0.25)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2, 3, 4))
+        backend.matmul(x, rng.normal(size=(4, 5)))
+        backend.linear(x, rng.normal(size=(5, 4)), rng.normal(size=5))
+        backend.conv_cols(
+            rng.normal(size=(1, 2, 4, 4)), 3, 1, 1,
+            rng.normal(size=(3, 18)), rng.normal(size=3),
+        )
+        backend.relu(x)
+        backend.gelu(x)
+        assert backend.array is None
 
 
 class TestCycleSimCrossCheck:
