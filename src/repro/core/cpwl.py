@@ -31,18 +31,13 @@ from repro.fixedpoint.qformat import INT16
 from repro.fixedpoint.quantize import strips
 
 #: Widest format whose approximators tabulate every code (2**16 entries,
-#: 128 KiB of INT16).  A table is built once its approximator has
-#: evaluated as many elements as it has entries: the build is one chain
-#: pass over that many codes, so by then the chain has cost as much as
-#: the table will, and paying for it then never costs more than twice
-#: the cheaper of always and never tabulating (the ski-rental rule).
-#: Approximators are per-process memos, so a serving process builds a
-#: table once either way (building at construction moved a hostbench
-#: ``generate_chat`` repetition by less than its noise, ~29-34 ms median
-#: of 40 in three processes each); what building at construction costs
-#: is the approximator that sees little traffic: 64 of them fed 1,024
-#: codes each took 8-12 ms under the rule and 124-136 ms built at
-#: construction on a 2-core x86 host (a table fills in 1.1-2.0 ms).
+#: 128 KiB of INT16).  An approximator builds its table on its first
+#: non-empty :meth:`~CPWLApproximator.evaluate_raw`: one chain pass over
+#: every code, 1.1-2.0 ms on a 2-core x86 host.  Approximators are
+#: per-process memos, so a serving process builds each table once, in
+#: its warm-up.  The cost falls on granularity sweeps, whose many
+#: approximators each see little traffic: 64 of them fed 1,024 codes
+#: each took 124-136 ms with their tables, 8-12 ms on the chain alone.
 TABLE_MAX_BITS = 16
 
 
@@ -110,9 +105,8 @@ class CPWLApproximator:
             self.table.quantized(fmt) if fmt is not None else None
         )
         #: Output code of every input code (see :meth:`evaluate_raw`),
-        #: read-only; ``None`` until built.
+        #: read-only; ``None`` until the first non-empty call builds it.
         self.code_table: Optional[np.ndarray] = None
-        self.evaluated = 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the approximation, returning float values.
@@ -139,18 +133,18 @@ class CPWLApproximator:
         float64 codes, see :mod:`repro.fixedpoint.arithmetic`).
 
         That output depends on one input code alone, so a format of at
-        most :data:`TABLE_MAX_BITS` bits tabulates it: once this
-        approximator has evaluated :attr:`code_table`'s size in elements,
-        the chain runs once over every code to fill the table, and from
-        then on codes within the format's range are one gather from it,
-        strip by strip.  Wider formats, codes out of range and empty
-        input keep the chain.
+        most :data:`TABLE_MAX_BITS` bits tabulates it: the first
+        non-empty call runs the chain once over every code to fill
+        :attr:`code_table`, and from then on codes within the format's
+        range are one gather from it, strip by strip.  Wider formats,
+        codes out of range and empty input keep the chain; an empty
+        input builds nothing.
         """
         if self.fmt is None or self.qtable is None:
             raise RuntimeError("evaluate_raw requires a fixed-point format")
         x_raw = np.asarray(x_raw)
-        table = self._code_table(x_raw.size)
-        if table is None or not x_raw.size or not (
+        table = self._code_table() if x_raw.size else None
+        if table is None or not (
             self.fmt.raw_min <= x_raw.min() and x_raw.max() <= self.fmt.raw_max
         ):
             return self._chain(x_raw)
@@ -165,18 +159,15 @@ class CPWLApproximator:
         ipf = fetch_parameters(x_raw, self.qtable, self.fmt)
         return fixed_hadamard_mac(x_raw, ipf.k_raw, ipf.b_raw, self.fmt)
 
-    def _code_table(self, elements: int) -> Optional[np.ndarray]:
-        """The code table, built on the call that brings the elements
-        evaluated up to its size (never for a wider format)."""
+    def _code_table(self) -> Optional[np.ndarray]:
+        """The code table, built on first use (never for a wider format)."""
         if self.code_table is None and self.fmt.total_bits <= TABLE_MAX_BITS:
-            self.evaluated += elements
-            if self.evaluated >= 1 << self.fmt.total_bits:
-                # Indexed by code: negative codes count from the end.
-                codes = np.arange(self.fmt.raw_min, self.fmt.raw_max + 1)
-                table = np.empty(codes.size, self.fmt.storage_dtype())
-                table[codes] = self._chain(codes)
-                table.setflags(write=False)
-                self.code_table = table
+            # Indexed by code: negative codes count from the end.
+            codes = np.arange(self.fmt.raw_min, self.fmt.raw_max + 1)
+            table = np.empty(codes.size, self.fmt.storage_dtype())
+            table[codes] = self._chain(codes)
+            table.setflags(write=False)
+            self.code_table = table
         return self.code_table
 
     def error_on(self, x: np.ndarray) -> ApproximationError:

@@ -32,8 +32,7 @@ array beyond its codes and its output.
 from __future__ import annotations
 
 import functools
-import weakref
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,9 +49,6 @@ from repro.fixedpoint.qformat import INT16
 #: without limit; no single experiment comes near it.
 APPROXIMATORS = 256
 
-#: The memo's approximators by key while they live (see :func:`credit`).
-_LIVE: Dict[tuple, CPWLApproximator] = weakref.WeakValueDictionary()
-
 
 @functools.lru_cache(maxsize=APPROXIMATORS)
 def _approximator(
@@ -61,21 +57,7 @@ def _approximator(
     fmt: Optional[QFormat],
     domain: Optional[tuple[float, float]],
 ) -> CPWLApproximator:
-    made = CPWLApproximator(name, granularity, fmt=fmt, domain=domain)
-    _LIVE[name, granularity, fmt, domain] = made
-    return made
-
-
-def evaluated() -> Dict[tuple, int]:
-    """Elements each memoised approximator counted toward its code table."""
-    return {key: approx.evaluated for key, approx in _LIVE.items()}
-
-
-def credit(elements: Dict[tuple, int]) -> None:
-    """Count elements a forked copy of this process evaluated (its
-    :func:`evaluated`) toward the code tables here, as if evaluated here."""
-    for key in elements.keys() & _LIVE.keys():
-        _LIVE[key]._code_table(elements[key])
+    return CPWLApproximator(name, granularity, fmt=fmt, domain=domain)
 
 
 def get_approximator(

@@ -117,7 +117,6 @@ from typing import (
 
 import numpy as np
 
-from repro.core.nonlinear_ops import credit, evaluated
 from repro.domains import BOOL, NAME, NON_NEGATIVE
 from repro.nn.layers import Module
 from repro.serving.batcher import Batch
@@ -275,10 +274,11 @@ class _Stack:
 
         A row depends on its own request alone, so what ``rows`` lacks is
         filled by one ``compute(members)`` call per kind of request, on
-        this shard's own backend with its array ``detached()``, over the
-        missing requests plus the next not-yet-computed ones of their
-        kind, up to :data:`STACK_ELEMENTS` input elements.  A row is used
-        only where the same kind of backend computed it (``who``).  None
+        this shard's own backend with its array ``detached()`` (nothing
+        is charged: the units are, by :meth:`charge`), over the missing
+        requests plus the next not-yet-computed ones of their kind, up
+        to :data:`STACK_ELEMENTS` input elements.  A row is used only
+        where the same kind of backend computed it (``who``).  None
         when a row is missing and nobody ahead shares the pass: a stack
         of one unit saves nothing over executing the unit (a lockstep
         pass makes as many model calls as the units it spans — more,
@@ -323,23 +323,23 @@ class _Stack:
             self.owed = {r.request_id: self.ahead.pop(r.request_id) for r in rest}
 
     def _receive(self) -> bool:
-        """Take the helper's next stack of rows and counts; once it has sent
-        all, died or stayed silent :data:`HELPER_SILENCE_S` (it is killed),
-        reap it and make what it owes look-ahead again: False."""
+        """Take the helper's next stack of rows and parameter-cache counts;
+        once it has sent all, died or stayed silent
+        :data:`HELPER_SILENCE_S` (it is killed), reap it and make what it
+        owes look-ahead again: False."""
         process, pipe, who, backend = self.helper
         try:
             if not pipe.poll(HELPER_SILENCE_S):
                 process.kill()
-            ids, stacked, counts = pipe.recv()
+            ids, stacked, (hits, misses) = pipe.recv()
         except (EOFError, OSError):
             pipe.close()
             process.join()
             self.ahead.update(self.owed)
             self.owed.clear()
             return False
-        backend.param_cache.hits += counts.pop("hits")
-        backend.param_cache.misses += counts.pop("misses")
-        credit(counts)
+        backend.param_cache.hits += hits
+        backend.param_cache.misses += misses
         for request_id, row in zip(ids, stacked):
             if self.owed.pop(request_id, None) is not None:
                 self.rows[request_id] = who, row
@@ -348,18 +348,20 @@ class _Stack:
 
 def _helper(requests: list, backend, compute: Callable, pipe) -> None:
     """Body of a forked helper: per :data:`STACK_ELEMENTS` stack of
-    ``requests``, send their ids, rows (one array) and cache-count gains.
-    A failure ends it silently: the parent computes, or raises, instead."""
+    ``requests``, computed on the array ``detached()`` (it charges
+    nothing), send their ids, rows (one array) and the parameter-cache
+    hits and misses the stack took.  A failure ends it silently: the
+    parent computes, or raises, instead."""
     cache = backend.param_cache
-    counts = lambda: {"hits": cache.hits, "misses": cache.misses, **evaluated()}
     per = STACK_ELEMENTS // max(requests[0].inputs.size, 1)
     try:
         with backend.array.detached():
             for start in range(0, len(requests), per):
-                members, before = requests[start:start + per], counts()
+                members = requests[start:start + per]
+                cache.hits = cache.misses = 0  # this copy's counts die with it
                 stacked = np.stack(compute(members))
-                added = {key: n - before.get(key, 0) for key, n in counts().items()}
-                pipe.send(([r.request_id for r in members], stacked, added))
+                counts = cache.hits, cache.misses
+                pipe.send(([r.request_id for r in members], stacked, counts))
     except Exception:
         pass
 

@@ -77,6 +77,9 @@ class SystolicArray:
         configuration raises on them, mirroring real hardware.
     """
 
+    #: True inside :meth:`detached`: charges return at once.
+    _detached = False
+
     def __init__(self, config: SystolicConfig = ONE_SA_PAPER_CONFIG) -> None:
         self.config = config
         self.trace = Trace()
@@ -90,6 +93,8 @@ class SystolicArray:
     ) -> None:
         """Charge ``count`` GEMMs of ``(m, k) @ (k, n)``, computing
         nothing: what ``count`` :meth:`gemm_raw` calls on them record."""
+        if self._detached:
+            return
         schedule = plan_gemm(self.config, m, k, n)
         self.trace.record(
             TraceEvent(
@@ -160,6 +165,8 @@ class SystolicArray:
                 "this design point is a conventional SA; nonlinear "
                 "operations need nonlinear_enabled=True"
             )
+        if self._detached:
+            return
         label = label or function
         m_dim, n_dim = shape
         elements = m_dim * n_dim
@@ -291,17 +298,15 @@ class SystolicArray:
 
     @contextmanager
     def detached(self) -> Iterator["SystolicArray"]:
-        """Compute without being charged: inside the block the array runs
-        on a scratch trace, parameter store and addressing unit; on exit
-        (also when the body raises) the real ones are back, every counter
-        as it was."""
-        live = self.trace, self.params, self.addressing
-        self.trace = Trace()
-        self.reset()
+        """Compute without being charged: inside the block (blocks nest)
+        :meth:`charge_gemm` and :meth:`charge_nonlinear` return at once,
+        so trace, tape, parameter store and addressing unit see nothing;
+        on exit, also when the body raises, charges count again."""
+        outer, self._detached = self._detached, True
         try:
             yield self
         finally:
-            self.trace, self.params, self.addressing = live
+            self._detached = outer
 
     # ------------------------------------------------------------------
     # Introspection

@@ -408,8 +408,8 @@ def test_ops_write_into_nothing_they_do_not_own(make_backend):
             approx.table.slopes, approx.table.intercepts,
             approx.qtable.slopes_raw, approx.qtable.intercepts_raw,
         ]
-        # Every code once: a table's worth of traffic, so the second
-        # run computes each op from its code table, born read-only.
+        # Built on first use, here at the latest: the second run
+        # computes each op from its code table, born read-only.
         approx.evaluate_raw(np.arange(INT16.raw_min, INT16.raw_max + 1))
         code_tables.append(approx.code_table)
     assert not any(table.flags.writeable for table in code_tables)

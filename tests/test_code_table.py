@@ -1,8 +1,7 @@
 """The nonlinear unit as a code table, and code-space rounding in strips.
 
 An INT16 CPWL op's output code depends on its input code alone, so a
-:class:`~repro.core.cpwl.CPWLApproximator` tabulates it once its traffic
-has paid for the table.  These tests pin that the table *is* the
+:class:`~repro.core.cpwl.CPWLApproximator` tabulates it on first use.  These tests pin that the table *is* the
 IPF → MHP chain (every code, every registered function), which inputs
 keep the chain, when a table is built, that it is read-only, that the
 array charges exactly the structural chain's events, and that
@@ -28,9 +27,7 @@ from repro.core.nonlinear_ops import get_approximator
 from repro.core.segment_table import build_segment_table
 from repro.fixedpoint import INT16, INT32, QFormat, fixed_hadamard_mac, round_saturate
 from repro.fixedpoint.quantize import STRIP_ELEMENTS
-from repro.nn.executor import ArrayBackend
 from repro.nn.models import TinyBERT
-from repro.nn.models.resnet import BottleneckBlock
 from repro.systolic import SystolicArray, SystolicConfig
 from repro.systolic.mhp_dataflow import execute_mhp_per_lane
 from repro.systolic.trace import TraceEvent
@@ -57,7 +54,7 @@ def _chain(approx, x_raw):
 
 def _tabulated(name, granularity, fmt=INT16, domain=None):
     approx = CPWLApproximator(name, granularity, fmt, domain=domain)
-    approx.evaluate_raw(_every_code(fmt))  # a table's worth of traffic
+    approx.evaluate_raw(_every_code(fmt))  # builds the table
     assert approx.code_table is not None
     return approx
 
@@ -116,35 +113,44 @@ def test_wide_formats_out_of_range_codes_and_empty_input_take_the_chain(chain_ca
     assert chain_calls["fetch_parameters"] == 4
 
 
-def test_table_is_built_once_the_traffic_pays_for_it(chain_calls):
-    approx = CPWLApproximator("exp", 0.25)
-    entries = 1 << INT16.total_bits
-    approx.evaluate_raw(np.zeros(entries - 1))
-    assert approx.code_table is None
-    approx.evaluate_raw(np.zeros(1))  # this call brings it to 2**16
-    table = approx.code_table
-    assert table is not None and not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0] = 1
-    chain_calls.clear()
-    approx.evaluate_raw(np.zeros(3 * entries))
-    assert approx.code_table is table and not chain_calls
+def test_a_table_is_built_on_first_use(chain_calls):
+    """The first non-empty call builds a read-only table, and no later
+    call runs the chain; an empty call builds nothing, and a format wider
+    than ``TABLE_MAX_BITS`` never builds one."""
+    for fmt in FORMATS:
+        approx = CPWLApproximator("exp", 0.25, fmt)
+        assert approx.evaluate_raw(np.zeros((0, 3))).shape == (0, 3)
+        assert approx.code_table is None
+        approx.evaluate_raw(np.zeros(1))
+        table = approx.code_table
+        assert table is not None and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+        chain_calls.clear()
+        codes = _every_code(fmt)
+        for x in (np.zeros(3), codes, codes.astype(np.float64).reshape(256, -1)):
+            approx.evaluate_raw(x)
+        assert approx.code_table is table and not chain_calls
+
+    wide = CPWLApproximator("exp", 0.25, INT32)
+    for x in (np.zeros(1), np.arange(-(1 << 17), 1 << 17)):
+        wide.evaluate_raw(x)
+    assert wide.code_table is None and chain_calls["fetch_parameters"] == 2
 
 
 def _spy_builds(monkeypatch):
-    """Elements evaluated and tables built, per approximator object."""
-    elements, builds = collections.Counter(), collections.Counter()
+    """Tables built, per approximator object."""
+    builds = collections.Counter()
     evaluate = CPWLApproximator.evaluate_raw
 
     def spy(self, x_raw):
         before = self.code_table
         out = evaluate(self, x_raw)
-        elements[self] += np.asarray(x_raw).size
         builds[self] += before is None and self.code_table is not None
         return out
 
     monkeypatch.setattr(CPWLApproximator, "evaluate_raw", spy)
-    return elements, builds
+    return builds
 
 
 TINY = dict(vocab=16, dim=8, heads=2, ff_dim=16, n_layers=1, seed=0)
@@ -158,41 +164,12 @@ def _bursty_trace():
     )
 
 
-def test_a_replay_builds_only_the_tables_its_traffic_amortises(monkeypatch):
-    """From cold approximators, a conversational generation replay
-    (``generate_chat``'s shapes) evaluates every approximator well under
-    a table's worth of elements, so it builds none; a classifier replay
-    builds exactly the tables of the approximators its traffic took past
-    2**16."""
-    elements, builds = _spy_builds(monkeypatch)
-    chat = synthesize_trace(
-        "chat", (EndpointProfile("chat", seq_len=8, vocab=16, max_new_tokens=8),),
-        72, 72e-4, 1, "conversational", tenants=("tenant-a", "tenant-b"),
-    )
-    get_approximator.cache_clear()
-    replay_trace(
-        chat, REPLAY_TUNING,
-        (EndpointSpec("chat", TinyBERT, dict(TINY, seq_len=16, causal=True), generation=True),),
-    )
-    assert elements and max(elements.values()) < 1 << 16
-    assert not sum(builds.values())
-
-    elements.clear()
-    get_approximator.cache_clear()
-    replay_trace(
-        _bursty_trace(), REPLAY_TUNING, (EndpointSpec("bert", TinyBERT, dict(TINY, seq_len=8)),)
-    )
-    amortised = {a for a, n in elements.items() if n >= 1 << 16}
-    assert amortised and amortised != set(elements)
-    assert {a for a in elements if builds[a]} == amortised
-    assert all(builds[a] == 1 for a in amortised)
-
-
 def test_a_second_replay_builds_no_approximator_and_no_table(monkeypatch):
     """Approximators are memoised per process, so their tables outlive a
-    replay: the second replay of one bursty classifier trace constructs
-    no approximator and builds no table."""
-    _, builds = _spy_builds(monkeypatch)
+    replay: the first replay of one bursty classifier trace builds one
+    table per approximator it constructs, the second constructs no
+    approximator and builds no table."""
+    builds = _spy_builds(monkeypatch)
     constructed = collections.Counter()
     init = CPWLApproximator.__init__
 
@@ -205,34 +182,11 @@ def test_a_second_replay_builds_no_approximator_and_no_table(monkeypatch):
     spec = EndpointSpec("bert", TinyBERT, dict(TINY, seq_len=8))
     get_approximator.cache_clear()
     first = replay_trace(trace, REPLAY_TUNING, (spec,))
-    assert sum(constructed.values()) == 4 and sum(builds.values()) >= 1
+    assert sum(constructed.values()) == 4 and sum(builds.values()) == 4
     constructed.clear(), builds.clear()
     second = replay_trace(trace, REPLAY_TUNING, (spec,))
     assert not constructed and not sum(builds.values())
     assert report_fingerprint(second) == report_fingerprint(first)
-
-
-def test_a_forward_builds_each_table_once_per_process(monkeypatch):
-    """``model_forward``'s shapes: the first forward in a process builds
-    the tables of the ops that evaluate 2**16 elements in one call (GELU,
-    the softmax exponential, ReLU), a second builds nothing — on a new
-    array too — and emptying the approximator memo builds them again."""
-    elements, builds = _spy_builds(monkeypatch)
-    rng = np.random.default_rng(0)
-    bert = TinyBERT(vocab=32, seq_len=64, dim=128, heads=4, ff_dim=512, n_layers=2, seed=0)
-    block = BottleneckBlock(128, 32, np.random.default_rng(0))
-    tokens = rng.integers(0, 32, size=(8, 64))
-    images = rng.normal(size=(16, 128, 8, 8))
-    built = []
-    for _ in range(2):
-        get_approximator.cache_clear()
-        for _ in range(2):
-            backend = ArrayBackend(SystolicArray(BIG), 0.25)
-            builds.clear()
-            bert.infer(tokens, backend)
-            block.infer(images, backend)
-            built.append(sorted(a.function.name for a, n in builds.items() if n))
-    assert built == [["exp", "gelu", "relu"], [], ["exp", "gelu", "relu"], []]
 
 
 def _structural(array, function, x_raw, granularity, fused_ipf, domain=None):

@@ -140,7 +140,7 @@ def test_replays_of_one_spec_share_tapes_and_no_report_can_tell(make):
 class _Taped(TinyBERT):
     """Logs whether each model call ran while its shard's array was
     taping — a first-of-shape execution.  Stacked and lockstep passes run
-    detached, on a scratch trace with no tape."""
+    detached, outside any capture."""
 
     def __init__(self, log, **kwargs):
         super().__init__(**kwargs)

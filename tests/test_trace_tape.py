@@ -11,8 +11,8 @@ pass; these tests pin the three pieces that rests on:
 * **replay == execution** in every aggregate the trace keeps and, taped,
   entry for entry, under namespaces, and in parameter-store traffic
   when tables of two models evict each other;
-* **detached leaves no mark** on trace, parameter store, addressing
-  unit or FIFOs — also when the body raises.
+* **detached leaves no mark** on trace, open tape, parameter store,
+  addressing unit or FIFOs — nested, and also when the body raises.
 """
 
 from contextlib import nullcontext
@@ -276,18 +276,24 @@ def _marks(array):
 
 
 def test_detached_computes_and_leaves_no_mark():
-    array = SystolicArray(DESIGN_POINTS[1])
-    backend = ArrayBackend(array, GRANULARITY)
     x = np.random.default_rng(5).normal(size=(4, 8))
     model = _Head(LINEAR, ReLU())
-    backend.gelu(x)  # something on every counter, and a table to keep
-    before = _marks(array)
     expected = model.infer(x, ArrayBackend(SystolicArray(DESIGN_POINTS[1]), GRANULARITY))
 
-    with array.detached() as same:
-        assert same is array and array.total_cycles == 0
+    fresh = SystolicArray(DESIGN_POINTS[1])
+    with fresh.detached() as same:
+        assert same is fresh
+        assert np.array_equal(model.infer(x, ArrayBackend(fresh, GRANULARITY)), expected)
+        assert fresh.total_cycles == 0
+    assert fresh.total_cycles == 0 and not fresh.params.resident
+
+    array = SystolicArray(DESIGN_POINTS[1])
+    backend = ArrayBackend(array, GRANULARITY)
+    backend.gelu(x)  # something on every counter, and a table to keep
+    before = _marks(array)
+    with array.detached():
         detached = model.infer(x, backend)
-        assert array.total_cycles > 0  # charged to the scratch trace
+        assert _marks(array) == before
     assert np.array_equal(detached, expected)
     assert _marks(array) == before
 
@@ -299,3 +305,47 @@ def test_detached_computes_and_leaves_no_mark():
     # The live array goes on exactly where it was: GELU is still resident.
     backend.gelu(x)
     assert array.trace.cycles_by_kind()["preload"] == before[0]["cycles_by_kind"]["preload"]
+
+
+def test_detached_blocks_nest():
+    array = SystolicArray(DESIGN_POINTS[1])
+    backend = ArrayBackend(array, GRANULARITY)
+    x = np.random.default_rng(6).normal(size=(4, 8))
+    with array.detached():
+        with array.detached():
+            LINEAR.infer(x, backend)
+        LINEAR.infer(x, backend)  # leaving the inner block kept the outer
+        assert array.total_cycles == 0
+    LINEAR.infer(x, backend)
+    assert array.total_cycles > 0
+
+
+def test_a_detached_forward_puts_nothing_on_an_open_tape():
+    array = SystolicArray(DESIGN_POINTS[0])
+    backend = ArrayBackend(array, GRANULARITY)
+    rng = np.random.default_rng(8)
+    with array.capture() as tape:
+        with array.detached():
+            BERT.infer(_tokens(rng), backend)
+        assert not tape
+        LINEAR.infer(rng.normal(size=(4, 8)), backend)
+    assert [event.kind for event, _ in tape] == ["gemm"]
+    assert len(array.trace) == 1
+
+
+def test_detached_leaves_the_parameter_store_alone():
+    """A detached pass whose tables would evict the resident one preloads
+    nothing: the live store and the table the addressing unit holds stay."""
+    # GELU's table has 64 segments, ReLU's mid-anchored one 65.
+    config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4, segment_capacity=65)
+    array = SystolicArray(config)
+    backend = ArrayBackend(array, GRANULARITY)
+    x = np.random.default_rng(9).normal(size=(4, 8))
+    GELU().infer(x, backend)
+    params, loaded = array.params, array.addressing.params
+    resident, swaps = dict(params.resident), params.swaps
+    with array.detached():
+        ReLU().infer(x, backend)
+        BLOCK.infer(np.random.default_rng(10).normal(size=(2, 16, 4, 4)), backend)
+    assert array.params is params and array.addressing.params is loaded
+    assert dict(params.resident) == resident and params.swaps == swaps
