@@ -27,7 +27,9 @@ from repro.core.nonlinear_ops import get_approximator
 from repro.core.segment_table import build_segment_table
 from repro.fixedpoint import INT16, INT32, QFormat, fixed_hadamard_mac, round_saturate
 from repro.fixedpoint.quantize import STRIP_ELEMENTS
+from repro.nn.executor import ArrayBackend
 from repro.nn.models import TinyBERT
+from repro.nn.models.resnet import BottleneckBlock
 from repro.systolic import SystolicArray, SystolicConfig
 from repro.systolic.mhp_dataflow import execute_mhp_per_lane
 from repro.systolic.trace import TraceEvent
@@ -113,10 +115,10 @@ def test_wide_formats_out_of_range_codes_and_empty_input_take_the_chain(chain_ca
     assert chain_calls["fetch_parameters"] == 4
 
 
-def test_a_table_is_built_on_first_use(chain_calls):
-    """The first non-empty call builds a read-only table, and no later
-    call runs the chain; an empty call builds nothing, and a format wider
-    than ``TABLE_MAX_BITS`` never builds one."""
+def test_table_is_built_once_the_traffic_pays_for_it(chain_calls):
+    """The first non-empty call pays for the table: it builds a read-only
+    table, and no later call runs the chain; an empty call builds nothing,
+    and a format wider than ``TABLE_MAX_BITS`` never builds one."""
     for fmt in FORMATS:
         approx = CPWLApproximator("exp", 0.25, fmt)
         assert approx.evaluate_raw(np.zeros((0, 3))).shape == (0, 3)
@@ -139,18 +141,19 @@ def test_a_table_is_built_on_first_use(chain_calls):
 
 
 def _spy_builds(monkeypatch):
-    """Tables built, per approximator object."""
-    builds = collections.Counter()
+    """Elements evaluated and tables built, per approximator object."""
+    elements, builds = collections.Counter(), collections.Counter()
     evaluate = CPWLApproximator.evaluate_raw
 
     def spy(self, x_raw):
         before = self.code_table
         out = evaluate(self, x_raw)
+        elements[self] += np.asarray(x_raw).size
         builds[self] += before is None and self.code_table is not None
         return out
 
     monkeypatch.setattr(CPWLApproximator, "evaluate_raw", spy)
-    return builds
+    return elements, builds
 
 
 TINY = dict(vocab=16, dim=8, heads=2, ff_dim=16, n_layers=1, seed=0)
@@ -164,12 +167,35 @@ def _bursty_trace():
     )
 
 
+def test_a_replay_builds_only_the_tables_its_traffic_amortises(monkeypatch):
+    """From cold approximators, a conversational generation replay
+    (``generate_chat``'s shapes) and a classifier replay each build one
+    table for every approximator they evaluate, and none for an
+    approximator they never feed an element."""
+    elements, builds = _spy_builds(monkeypatch)
+    chat = synthesize_trace(
+        "chat", (EndpointProfile("chat", seq_len=8, vocab=16, max_new_tokens=8),),
+        72, 72e-4, 1, "conversational", tenants=("tenant-a", "tenant-b"),
+    )
+    replays = (
+        (chat, EndpointSpec("chat", TinyBERT, dict(TINY, seq_len=16, causal=True), generation=True)),
+        (_bursty_trace(), EndpointSpec("bert", TinyBERT, dict(TINY, seq_len=8))),
+    )
+    for trace, spec in replays:
+        elements.clear(), builds.clear()
+        get_approximator.cache_clear()
+        replay_trace(trace, REPLAY_TUNING, (spec,))
+        fed = {a for a, n in elements.items() if n}
+        assert fed and {a for a in elements if builds[a]} == fed
+        assert all(builds[a] == 1 for a in fed)
+
+
 def test_a_second_replay_builds_no_approximator_and_no_table(monkeypatch):
     """Approximators are memoised per process, so their tables outlive a
     replay: the first replay of one bursty classifier trace builds one
     table per approximator it constructs, the second constructs no
     approximator and builds no table."""
-    builds = _spy_builds(monkeypatch)
+    _, builds = _spy_builds(monkeypatch)
     constructed = collections.Counter()
     init = CPWLApproximator.__init__
 
@@ -187,6 +213,30 @@ def test_a_second_replay_builds_no_approximator_and_no_table(monkeypatch):
     second = replay_trace(trace, REPLAY_TUNING, (spec,))
     assert not constructed and not sum(builds.values())
     assert report_fingerprint(second) == report_fingerprint(first)
+
+
+def test_a_forward_builds_each_table_once_per_process(monkeypatch):
+    """``model_forward``'s shapes: the first forward in a process builds
+    the table of every op it evaluates, a second builds nothing — on a
+    new array too — and emptying the approximator memo builds them
+    again."""
+    _, builds = _spy_builds(monkeypatch)
+    rng = np.random.default_rng(0)
+    bert = TinyBERT(vocab=32, seq_len=64, dim=128, heads=4, ff_dim=512, n_layers=2, seed=0)
+    block = BottleneckBlock(128, 32, np.random.default_rng(0))
+    tokens = rng.integers(0, 32, size=(8, 64))
+    images = rng.normal(size=(16, 128, 8, 8))
+    built = []
+    for _ in range(2):
+        get_approximator.cache_clear()
+        for _ in range(2):
+            backend = ArrayBackend(SystolicArray(BIG), 0.25)
+            builds.clear()
+            bert.infer(tokens, backend)
+            block.infer(images, backend)
+            built.append(sorted(a.function.name for a, n in builds.items() if n))
+    tables = ["exp", "gelu", "reciprocal", "relu", "rsqrt", "rsqrt"]  # two rsqrt domains
+    assert built == [tables, [], tables, []]
 
 
 def _structural(array, function, x_raw, granularity, fused_ipf, domain=None):
