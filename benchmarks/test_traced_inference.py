@@ -18,18 +18,19 @@ is asserted on it.
 The seed path is reproduced faithfully on top of today's modules:
 
 * one ``fixed_matmul`` dispatched **per output tile** of every GEMM
-  (``execute_gemm_per_tile``), with the plan rebuilt (uncached) per
-  call — exactly the seed ``execute_gemm`` loop;
+  (``tests.reference.dataflow.execute_gemm_per_tile``), with the plan
+  rebuilt (uncached) per call — exactly the seed ``execute_gemm`` loop;
 * batched (attention) matmuls issued as a **per-pair Python loop** with
   per-pair quantization — the seed ``ArrayBackend.matmul``;
 * the seed ``quantize`` (abs/floor/copysign chain, always materializing
   the storage-integer array that ``fixed_matmul`` then converted back
   to float64) in front of every GEMM *and* every nonlinear op, so the
   reference runs on integer codes throughout;
-* every nonlinear op run as the **structural chain** — data addressing
-  batch by batch, the data-rearrange streams **materialized** (the seed
-  built them unconditionally and never consumed them), the MHP **lane
-  by lane** — where today's path charges the same events from the shape
+* every nonlinear op run as the **structural chain**
+  (``tests.reference.chain.ChainArray``) — data addressing batch by
+  batch, the data-rearrange streams **materialized** (the seed built
+  them unconditionally and never consumed them), the MHP **lane by
+  lane** — where today's path charges the same events from the shape
   and gathers the values from the approximator's code table.
 
 A ``BENCH_traced.json`` perf-trajectory artifact is written to the
@@ -48,15 +49,15 @@ import numpy as np
 from hostbench.child import make_calibration
 from hostbench.run import at_reference_speed
 
-from repro.core.nonlinear_ops import get_approximator, relu_domain
 from repro.fixedpoint import dequantize
 from repro.nn.executor import ArrayBackend
 from repro.nn.models import TinyBERT
 from repro.systolic import SystolicArray, SystolicConfig
-from repro.systolic.gemm import execute_gemm_per_tile
-from repro.systolic.mhp_dataflow import execute_mhp_per_lane
-from repro.systolic.rearrange import rearrange_for_mhp
+from repro.systolic.gemm import plan_gemm
 from repro.systolic.trace import TraceEvent
+
+from tests.reference.chain import ChainArray, ChainBackend
+from tests.reference.dataflow import StructuralAddressing, execute_gemm_per_tile
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT = REPO_ROOT / "BENCH_traced.json"
@@ -103,58 +104,7 @@ def _seed_quantize(values, fmt):
     return raw.astype(fmt.storage_dtype()).reshape(values.shape)
 
 
-class _ChainArray(SystolicArray):
-    """SystolicArray whose nonlinear ops run the structural chain the
-    shape-charged events stand for: the table preload, data addressing
-    batch by batch through its FIFOs, the rearranged streams
-    materialized (the seed built them unconditionally and never consumed
-    them) and the MHP lane by lane."""
-
-    def apply_nonlinear_raw(
-        self, function, x_raw, granularity, label=None, fused_ipf=True, domain=None,
-    ):
-        fmt = self.config.fmt
-        label = label or function
-        x_raw = np.atleast_2d(np.asarray(x_raw))
-        qtable = get_approximator(function, granularity, fmt, domain=domain).qtable
-        if self.addressing.preload(qtable, self.params):
-            self.trace.record(
-                TraceEvent(
-                    kind="preload",
-                    label=f"{label}.table",
-                    cycles=-(-qtable.n_segments * 2 // self.config.l3_in_width),
-                    ops=qtable.n_segments,
-                )
-            )
-        ipf, stats = self.addressing.run(x_raw)
-        self.trace.record(
-            TraceEvent(
-                kind="ipf",
-                label=f"{label}.ipf",
-                cycles=0 if fused_ipf else stats.cycles,
-                ops=stats.elements,
-            )
-        )
-        rearrange_for_mhp(
-            x_raw, ipf.k_raw, ipf.b_raw, self.config.pe_rows, 1 << fmt.frac_bits,
-            port_width=self.config.l3_in_width,
-        )
-        out, schedule = execute_mhp_per_lane(
-            self.config, x_raw, ipf.k_raw, ipf.b_raw, fused_ipf=fused_ipf
-        )
-        self.trace.record(
-            TraceEvent(
-                kind="mhp",
-                label=f"{label}.mhp",
-                cycles=schedule.breakdown.total,
-                ops=schedule.elements,
-                breakdown=schedule.breakdown,
-            )
-        )
-        return out
-
-
-class _SeedArray(_ChainArray):
+class _SeedArray(ChainArray):
     """The structural nonlinear chain plus the seed's per-tile GEMM."""
 
     def gemm_raw(self, a_raw, b_raw, label="gemm"):
@@ -183,26 +133,7 @@ class _SeedArray(_ChainArray):
         return dequantize(out, fmt)
 
 
-class _ChainBackend(ArrayBackend):
-    """Reference ArrayBackend whose ReLU / GELU the array computes *and*
-    charges (``apply_nonlinear``: the structural chain on a
-    ``_ChainArray``), where the library computes them on the CPWL path
-    and only charges the array."""
-
-    def relu(self, x):
-        return self._on_array("relu", x, relu_domain(self.granularity))
-
-    def gelu(self, x):
-        return self._on_array("gelu", x)
-
-    def _on_array(self, function, x, domain=None):
-        x = np.asarray(x, dtype=np.float64)
-        flat = x.reshape(-1, x.shape[-1]) if x.ndim > 1 else x.reshape(1, -1)
-        out = self.array.apply_nonlinear(function, flat, self.granularity, domain=domain)
-        return out.reshape(x.shape)
-
-
-class _SeedBackend(_ChainBackend):
+class _SeedBackend(ChainBackend):
     """The chain reference with the seed's per-pair batched matmul loop."""
 
     def conv_cols(self, x, kernel, stride, padding, weight_mat, bias):
@@ -329,7 +260,6 @@ def test_traced_inference_speedup(print_artifact):
     # 8x8 grid is 4096 output tiles, i.e. 4096 per-tile fixed_matmul
     # dispatches in the seed loop vs one whole-operand call.
     from repro.fixedpoint import INT16, quantize as _q
-    from repro.systolic.gemm import execute_gemm
 
     rng = np.random.default_rng(2)
     config = _paper_config()
@@ -338,15 +268,16 @@ def test_traced_inference_speedup(print_artifact):
     out_seed, sched_seed = execute_gemm_per_tile(
         config, a_raw, b_raw, use_plan_cache=False
     )
-    out_new, sched_new = execute_gemm(config, a_raw, b_raw)
+    array = SystolicArray(config)
+    out_new = array.gemm_raw(a_raw, b_raw)
+    sched_new = plan_gemm(config, 512, 512, 512)
     assert np.array_equal(out_seed, out_new)
     assert sched_seed.breakdown == sched_new.breakdown
+    assert array.total_cycles == sched_new.breakdown.total
     t_seed = _best_of(
         lambda: execute_gemm_per_tile(config, a_raw, b_raw, use_plan_cache=False)
     )
-    t_new, ms_new = _reference_ms(
-        lambda: execute_gemm(config, a_raw, b_raw), calibrate
-    )
+    t_new, ms_new = _reference_ms(lambda: array.gemm_raw(a_raw, b_raw), calibrate)
     results["gemm_512"] = {
         "seed_seconds": t_seed,
         "new_seconds": t_new,
@@ -813,7 +744,7 @@ def test_nonlinear_code_table(print_artifact, monkeypatch):
     """A ``model_forward``-shaped forward computes its nonlinear ops from
     code tables: after the first, a forward calls neither stage of the
     IPF -> MHP chain nor the structural addressing walk, and it is charged exactly
-    the structural chain's cycles (``_ChainBackend`` on a ``_ChainArray``,
+    the structural chain's cycles (``ChainBackend`` on a ``ChainArray``,
     which must walk it) for bit-identical outputs.
 
     The first forward builds the table of every approximator it uses
@@ -826,8 +757,7 @@ def test_nonlinear_code_table(print_artifact, monkeypatch):
 
     from hostbench.workloads import model_forward
     from repro.core.cpwl import CPWLApproximator
-    from repro.core.nonlinear_ops import get_approximator, relu_domain
-    from repro.systolic.addressing import DataAddressing
+    from repro.core.nonlinear_ops import get_approximator
 
     workload = model_forward(0, 0.2)
     config = workload.backend.array.config
@@ -875,13 +805,16 @@ def test_nonlinear_code_table(print_artifact, monkeypatch):
             for module_name, module in list(sys.modules.items()):
                 if module_name.startswith("repro") and vars(module).get(name) is original:
                     patch.setattr(module, name, counted(name, original))
-        patch.setattr(DataAddressing, "run", counted("DataAddressing.run", DataAddressing.run))
+        patch.setattr(
+            StructuralAddressing, "run",
+            counted("DataAddressing.run", StructuralAddressing.run),
+        )
         outputs, trace = forward(ArrayBackend, SystolicArray)
         chain_calls = {
             name: calls[name]
             for name in ("fetch_parameters", "fixed_hadamard_mac", "DataAddressing.run")
         }
-        reference, reference_trace = forward(_ChainBackend, _ChainArray)
+        reference, reference_trace = forward(ChainBackend, ChainArray)
         reference_walks = calls["DataAddressing.run"] - chain_calls["DataAddressing.run"]
     # The reference ran the structural chain, so the gates below compare
     # the shape charge with the chain's own events.

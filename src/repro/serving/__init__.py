@@ -77,7 +77,7 @@ See ``examples/serving_demo.py``, ``examples/multitenant_demo.py`` and
 ``docs/serving.md`` for the operator guide.
 """
 
-from repro.serving.batcher import Batch, BatchAssembler, DynamicBatcher
+from repro.serving.batcher import Batch, BatchAssembler
 from repro.serving.cluster import (
     BatchProfile,
     CalibratingCostModel,
@@ -128,7 +128,6 @@ from repro.serving.tenancy import DEFAULT_TENANT, TenantConfig, TenantRegistry
 __all__ = [
     "Batch",
     "BatchAssembler",
-    "DynamicBatcher",
     "BatchProfile",
     "CalibratingCostModel",
     "ClusterDispatcher",

@@ -16,14 +16,12 @@ their prompt length.  An open batch flushes when either knob fires:
   ``flush_timeout`` seconds after its oldest request arrived and
   becomes ready at that deadline.
 
-Two front-ends share those semantics:
-
-* :class:`DynamicBatcher` plans a complete request list offline
-  (the PR-1 drain model; kept as the reference semantics);
-* :class:`BatchAssembler` applies the same rules *incrementally* —
-  requests are admitted one at a time, open groups can be inspected
-  and popped as simulated time advances — which is what lets the
-  scheduler loop accept new requests while a batch is in flight.
+:class:`BatchAssembler` applies these rules *incrementally*: requests
+are admitted one at a time, and open groups can be inspected and popped
+as simulated time advances, which is what lets the scheduler loop
+accept new requests while a batch is in flight.  The offline planner of
+the same rules (the original drain model) is the test oracle
+``tests/reference/batcher.py``.
 
 Batching is planned deterministically from the arrival timestamps
 (discrete-event style) rather than with threads, so a request stream
@@ -33,8 +31,8 @@ rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.domains import NON_NEGATIVE, POSITIVE_INT
 from repro.serving.request import InferenceRequest
@@ -47,17 +45,6 @@ GroupKey = Tuple[str, str, Optional[str], Tuple[int, ...]]
 
 def _group_key(request: InferenceRequest) -> GroupKey:
     return (request.tenant, request.model, request.prefix_key, request.inputs.shape)
-
-
-def _flush_order(timer: "Tuple[float, GroupKey]"):
-    """Total order for expiring flush timers.
-
-    Deadline first, then the group key with ``prefix_key=None`` sorted
-    before real keys (``None`` and ``str`` do not compare directly);
-    prefix-less groups keep the exact pre-prefix ordering.
-    """
-    when, (tenant, model, prefix_key, shape) = timer
-    return (when, tenant, model, prefix_key is not None, prefix_key or "", shape)
 
 
 @dataclass(frozen=True)
@@ -75,79 +62,6 @@ class Batch:
     @property
     def size(self) -> int:
         return len(self.requests)
-
-
-class DynamicBatcher:
-    """Plans batches from a request stream with size/timeout knobs.
-
-    Parameters
-    ----------
-    max_batch_size:
-        Largest number of requests packed into one batch (>= 1).
-    flush_timeout:
-        Simulated seconds an incomplete batch waits for more requests
-        before flushing.  ``0.0`` disables coalescing across distinct
-        arrival times (same-time requests still share a batch).
-    """
-
-    def __init__(self, max_batch_size: int = 8, flush_timeout: float = 1e-3):
-        self.max_batch_size = POSITIVE_INT("max_batch_size", max_batch_size)
-        self.flush_timeout = NON_NEGATIVE("flush_timeout", flush_timeout)
-
-    def plan(self, requests: Sequence[InferenceRequest]) -> List[Batch]:
-        """Group ``requests`` into batches, ordered by ready time."""
-        pending: Dict[GroupKey, List[InferenceRequest]] = {}
-        deadline: Dict[GroupKey, float] = {}
-        batches: List[Batch] = []
-
-        def flush(key: GroupKey, at: float) -> None:
-            group = pending.pop(key, [])
-            deadline.pop(key, None)
-            if group:
-                batches.append(
-                    Batch(
-                        index=len(batches),
-                        model=key[1],
-                        requests=tuple(group),
-                        ready_time=at,
-                        tenant=key[0],
-                        prefix_key=key[2],
-                    )
-                )
-
-        for req in sorted(requests, key=lambda r: (r.arrival, r.request_id)):
-            # Timers that expired strictly before this arrival fire
-            # first, in deadline order, so batch indices are
-            # deterministic.  A request landing exactly at a deadline
-            # still joins (this is what keeps a same-instant burst in
-            # one batch even with flush_timeout=0).
-            expired = sorted(
-                (
-                    (when, key)
-                    for key, when in deadline.items()
-                    if when < req.arrival
-                ),
-                key=_flush_order,
-            )
-            for when, key in expired:
-                flush(key, at=when)
-
-            key = _group_key(req)
-            group = pending.setdefault(key, [])
-            group.append(req)
-            if len(group) == 1:
-                deadline[key] = req.arrival + self.flush_timeout
-            if len(group) >= self.max_batch_size:
-                flush(key, at=req.arrival)
-
-        # End of stream: remaining timers run out.
-        for when, key in sorted(
-            ((when, key) for key, when in deadline.items()), key=_flush_order
-        ):
-            flush(key, at=when)
-
-        batches.sort(key=lambda b: (b.ready_time, b.index))
-        return [replace(b, index=i) for i, b in enumerate(batches)]
 
 
 @dataclass
@@ -180,7 +94,7 @@ class OpenGroup:
 
 
 class BatchAssembler:
-    """Incremental batch assembly with the :class:`DynamicBatcher` rules.
+    """Incremental batch assembly with the module's batching rules.
 
     Requests are admitted one at a time into at most one *open* group
     per group key; a group that reaches
@@ -193,8 +107,9 @@ class BatchAssembler:
     admit-while-in-flight serving path rides on.
 
     Fed the same request stream, the assembler produces exactly the
-    *batch compositions and ready times* :meth:`DynamicBatcher.plan`
-    would (the scheduler tests assert this).  Execution order of
+    *batch compositions and ready times* the offline planner of
+    ``tests/reference/batcher.py`` would (the scheduler tests assert
+    this).  Execution order of
     batches tied at the same ready instant is admission (seq) order —
     policy-arbitrated across tenants — rather than the offline
     planner's flush order, which for timer ties was an artifact of
@@ -233,9 +148,9 @@ class BatchAssembler:
         """Add one request to its group (O(1)).
 
         A same-key group whose flush deadline already passed (strictly
-        before this arrival) is sealed first, exactly as
-        :meth:`DynamicBatcher.plan` fires expired timers before a new
-        request joins — the request then opens a fresh group.
+        before this arrival) is sealed first: expired timers fire
+        before a new request joins, and the request then opens a fresh
+        group.
         """
         key = _group_key(request)
         group = self._open.get(key)

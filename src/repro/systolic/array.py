@@ -1,12 +1,8 @@
 """The user-facing systolic array.
 
-:class:`SystolicArray` ties the microarchitecture modules together: it
-executes GEMMs as single whole-operand ``fixed_matmul`` calls *costed*
-by the output-stationary tile schedule (the per-tile loop is only the
-pinned equivalence reference, :func:`~repro.systolic.gemm.execute_gemm_per_tile`),
-and nonlinear operations as the IPF → rearrange → MHP event chain, all
-bit-accurate in the configured fixed-point format and with cycle
-accounting recorded in an execution trace.
+:class:`SystolicArray` is a charge model: it records what each op costs
+the modelled hardware in an execution trace, and computes values only
+in its convenience methods.
 
 Typical use::
 
@@ -23,28 +19,24 @@ shapes and compute nothing (the backends of :mod:`repro.nn.executor`
 compute each value once and call them); a ``*_raw`` op is its
 arithmetic plus one charge.
 
-* GEMM plans come from the bounded LRU in :mod:`repro.systolic.gemm`
-  and functional execution is one whole-operand ``fixed_matmul`` —
-  tile geometry stays analytic metadata on the schedule;
+* a GEMM is charged its output-stationary tile schedule from the
+  bounded LRU in :mod:`repro.systolic.gemm` and computed as one
+  whole-operand ``fixed_matmul``;
 * batched (stacked) GEMMs execute as a single N-D ``fixed_matmul``
   charged one closed-form event per pair (:meth:`gemm_raw_batched`);
-* a nonlinear op is charged from its shape (preload, addressing and
-  MHP events in closed form) and computed from the approximator's code
-  table — one gather per element once the table exists
-  (:meth:`repro.core.cpwl.CPWLApproximator.evaluate_raw`); the
-  structural chain (``DataAddressing.run``,
-  :func:`~repro.systolic.mhp_dataflow.execute_mhp_per_lane`) is the
-  equivalence reference, as the per-tile loop is for GEMMs;
-* the data-rearrange pass on the nonlinear path is metadata-only: its
-  relocation cost rides the MHP event (no separate trace entry, as in
-  the seed; :func:`repro.systolic.rearrange.rearrange_cycles` gives
-  the isolated closed form) and the interleaved streams are never built
-  (:func:`repro.systolic.rearrange.rearrange_for_mhp` builds them for
-  the dataflow tests);
+* a nonlinear op is charged the IPF → rearrange → MHP chain from its
+  shape (preload, addressing and MHP events in closed form; the
+  data-rearrange pass rides the MHP event) and computed from the
+  approximator's code table — one gather per element once the table
+  exists (:meth:`repro.core.cpwl.CPWLApproximator.evaluate_raw`);
 * the ``*_raw`` operations return the output codes alone: what an op
   cost is on the trace, the one record of array work;
 * trace aggregates (:attr:`total_cycles`, utilization) are maintained
   streaming, so consulting them is O(1) regardless of history length.
+
+The structural models the charges stand for — the per-tile GEMM, the
+addressing walk, the rearranged streams, the lane-by-lane MHP and the
+PE-level cycle simulator — are the test oracles of ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -60,7 +52,7 @@ from repro.fixedpoint import fixed_matmul, quantize
 from repro.systolic.addressing import DataAddressing
 from repro.systolic.buffers import ParameterStore
 from repro.systolic.config import ONE_SA_PAPER_CONFIG, SystolicConfig
-from repro.systolic.gemm import execute_gemm, plan_gemm
+from repro.systolic.gemm import plan_gemm
 from repro.systolic.mhp_dataflow import plan_mhp
 from repro.systolic.timing import effective_out_width
 from repro.systolic.trace import Trace, TraceEvent
@@ -111,8 +103,13 @@ class SystolicArray:
         self, a_raw: np.ndarray, b_raw: np.ndarray, label: str = "gemm"
     ) -> np.ndarray:
         """Bit-accurate GEMM on raw fixed-point operands: the output codes."""
-        out, schedule = execute_gemm(self.config, a_raw, b_raw)
-        self.charge_gemm(schedule.m_dim, schedule.k_dim, schedule.n_dim, label=label)
+        a_raw, b_raw = np.asarray(a_raw), np.asarray(b_raw)
+        if a_raw.ndim != 2 or b_raw.ndim != 2:
+            raise ValueError("gemm_raw expects 2-D raw operands")
+        if a_raw.shape[1] != b_raw.shape[0]:
+            raise ValueError(f"shape mismatch: {a_raw.shape} @ {b_raw.shape}")
+        out = fixed_matmul(a_raw, b_raw, self.config.fmt)
+        self.charge_gemm(*a_raw.shape, b_raw.shape[1], label=label)
         return out
 
     def gemm_raw_batched(
@@ -158,8 +155,7 @@ class SystolicArray:
         """Charge one nonlinear op on ``(m, n)`` operands, computing nothing:
         the table preload (when the k/b store does not hold it), the
         addressing pass (``DataAddressing.cycles``) and the MHP schedule,
-        which the metadata-only rearrange pass rides (the isolated closed
-        form is :func:`~repro.systolic.rearrange.rearrange_cycles`)."""
+        which the data-rearrange pass rides."""
         if not self.config.nonlinear_enabled:
             raise RuntimeError(
                 "this design point is a conventional SA; nonlinear "
@@ -216,10 +212,8 @@ class SystolicArray:
         """One nonlinear op's output codes, charged by :meth:`charge_nonlinear`.
 
         The values are :meth:`repro.core.cpwl.CPWLApproximator.evaluate_raw`,
-        bit for bit what the structural chain (:meth:`DataAddressing.run`,
-        :func:`~repro.systolic.mhp_dataflow.execute_mhp_per_lane`)
-        computes; the rearranged streams are pure routing, never built
-        here (:func:`~repro.systolic.rearrange.rearrange_for_mhp` builds them).
+        bit for bit what the structural chain of ``tests/reference/``
+        (addressing walk, rearranged streams, lane-by-lane MHP) computes.
         """
         x_raw = np.atleast_2d(np.asarray(x_raw))
         self.charge_nonlinear(
@@ -340,7 +334,4 @@ class SystolicArray:
         self.trace.clear()
         #: The L3 ``(k, b)`` store the nonlinear path preloads into.
         self.params = ParameterStore(self.config.segment_capacity)
-        self.addressing = DataAddressing(
-            self.config.fmt,
-            port_width=effective_out_width(self.config),
-        )
+        self.addressing = DataAddressing(port_width=effective_out_width(self.config))

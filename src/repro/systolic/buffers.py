@@ -1,56 +1,22 @@
-"""The k/b parameter store and FIFOs ONE-SA adds to the L3 level.
+"""The k/b parameter store ONE-SA adds to the L3 level.
 
 The classic systolic array (Fig. 2) has an L3 buffer per stream (input,
 weight, output), an L2 bank per array edge lane and an L1 register file
 per PE; their sizes are :class:`~repro.systolic.config.SystolicConfig`
 geometry (Table V), which the cycle model reads.  ONE-SA extends the L3
-level with the data-addressing module (:mod:`repro.systolic.addressing`),
-whose :class:`Fifo` stages, and the :class:`ParameterStore` holding the
-CPWL ``(k, b)`` tables.  Both carry *capacity accounting*: they track
-occupancy, raise on overflow and count traffic.
+level with the data-addressing module (:mod:`repro.systolic.addressing`)
+and the :class:`ParameterStore` holding the CPWL ``(k, b)`` tables, which
+carries *capacity accounting*: it tracks occupancy, raises on overflow
+and counts traffic.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque
 
 
 class BufferOverflowError(RuntimeError):
     """Raised when a write exceeds a buffer's configured capacity."""
-
-
-@dataclass
-class Fifo:
-    """Bounded FIFO used inside the L3 data-addressing module (Fig. 5).
-
-    Tracks pushes/pops and the high-water mark so tests can check the
-    module never needs more storage than the 32 B FIFO region the L3
-    geometry reserves.
-    """
-
-    name: str
-    capacity: int
-    _items: Deque = field(default_factory=deque)
-    pushes: int = 0
-    pops: int = 0
-    high_water: int = 0
-
-    def push(self, item) -> None:
-        if len(self._items) >= self.capacity:
-            raise BufferOverflowError(
-                f"FIFO {self.name!r} overflow (capacity {self.capacity})"
-            )
-        self._items.append(item)
-        self.pushes += 1
-        self.high_water = max(self.high_water, len(self._items))
-
-    def pop(self):
-        if not self._items:
-            raise IndexError(f"FIFO {self.name!r} underflow")
-        self.pops += 1
-        return self._items.popleft()
 
 
 @dataclass

@@ -7,32 +7,22 @@ instead routes each operand stream through *transmission* PEs to the
 computes all outputs assigned to lane ``i``; PEs ``(i, j), i != j``
 only register and forward.
 
-This module builds the MHP schedule (lane assignment and cycle
-breakdown), the lane-by-lane functional execution, and the naive-MHP
+This module builds the MHP schedule (cycle breakdown) and the naive-MHP
 baseline used by the dataflow ablation (all PEs compute, paying the
-reuse-less operand delivery).
-
-Like the GEMM planner, :func:`plan_mhp` serves repeated shapes from a
-bounded per-process memo and derives the lane assignment lazily — a
-schedule is pure analytic metadata until a consumer actually asks for
-the row lists.
-The array computes an MHP as one whole-operand
-:func:`fixed_hadamard_mac`: each output element is computed by exactly
-one diagonal PE independently of every other, so the reassembled
-per-lane result equals the whole-matrix call bit for bit
-(:func:`execute_mhp_per_lane` keeps the lane loop as the equivalence
-reference).
+reuse-less operand delivery).  Like the GEMM planner, :func:`plan_mhp`
+serves repeated shapes from a bounded per-process memo.  The array
+computes an MHP as one whole-operand
+:func:`~repro.fixedpoint.fixed_hadamard_mac` (each
+output element is computed by exactly one diagonal PE, independently of
+every other); the lane-by-lane loop is the test oracle
+``tests/reference/dataflow.py``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List
 
-import numpy as np
-
-from repro.fixedpoint import fixed_hadamard_mac
 from repro.systolic.config import SystolicConfig
 from repro.systolic.timing import CycleBreakdown, nonlinear_cycles
 
@@ -45,18 +35,6 @@ class MHPSchedule:
     m_dim: int
     n_dim: int
     breakdown: CycleBreakdown
-
-    @property
-    def lane_rows(self) -> List[np.ndarray]:
-        """Row indices assigned to each diagonal lane (derived lazily).
-
-        Rows round-robin over the ``pe_rows`` lanes; the list is built
-        on demand so cached schedules hold no per-shape arrays.
-        """
-        return [
-            np.arange(lane, self.m_dim, self.config.pe_rows)
-            for lane in range(self.config.pe_rows)
-        ]
 
     @property
     def elements(self) -> int:
@@ -96,39 +74,6 @@ def plan_mhp(
 
 plan_mhp.cache_info = _mhp_plan.cache_info
 plan_mhp.cache_clear = _mhp_plan.cache_clear
-
-
-def _validate_mhp_operands(
-    x_raw: np.ndarray, k_raw: np.ndarray, b_raw: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x_raw = np.atleast_2d(np.asarray(x_raw))
-    k_raw = np.atleast_2d(np.asarray(k_raw))
-    b_raw = np.atleast_2d(np.asarray(b_raw))
-    if not (x_raw.shape == k_raw.shape == b_raw.shape):
-        raise ValueError(
-            f"MHP operands must share a shape, got {x_raw.shape}, "
-            f"{k_raw.shape}, {b_raw.shape}"
-        )
-    return x_raw, k_raw, b_raw
-
-
-def execute_mhp_per_lane(
-    config: SystolicConfig,
-    x_raw: np.ndarray,
-    k_raw: np.ndarray,
-    b_raw: np.ndarray,
-    fused_ipf: bool = True,
-) -> tuple[np.ndarray, MHPSchedule]:
-    """Seed-faithful lane-by-lane MHP execution (equivalence reference)."""
-    x_raw, k_raw, b_raw = _validate_mhp_operands(x_raw, k_raw, b_raw)
-    m_dim, n_dim = x_raw.shape
-    schedule = plan_mhp(config, m_dim, n_dim, fused_ipf=fused_ipf, use_cache=False)
-    out = np.zeros_like(x_raw)
-    for rows in schedule.lane_rows:
-        if rows.size == 0:
-            continue
-        out[rows] = fixed_hadamard_mac(x_raw[rows], k_raw[rows], b_raw[rows], config.fmt)
-    return out, schedule
 
 
 def naive_mhp_cycles(config: SystolicConfig, m_dim: int, n_dim: int) -> CycleBreakdown:

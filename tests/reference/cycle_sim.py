@@ -1,7 +1,7 @@
 """Event-level (PE-by-PE) cycle simulator.
 
 This simulator steps an actual grid of
-:class:`~repro.systolic.pe.ProcessingElement` objects cycle by cycle,
+:class:`~tests.reference.pe.ProcessingElement` objects cycle by cycle,
 with skewed operand wavefronts and one-cycle forwarding latency, for
 both operating modes:
 
@@ -13,10 +13,10 @@ both operating modes:
   transmission (C2 off).
 
 It is deliberately small-scale (used on grids up to ~8×8 in the tests)
-and exists to *validate* the fast paths: the functional results must be
-bit-identical to :mod:`repro.systolic.gemm` / ``mhp_dataflow``, and the
-measured cycle counts must match the closed-form
-:mod:`repro.systolic.timing` model's compute phase.
+and exists to *validate* what the array computes and charges: its
+results must be bit-identical to ``fixed_matmul`` /
+``fixed_hadamard_mac``, and its measured cycle counts must match the
+closed-form :mod:`repro.systolic.timing` model's compute phase.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.systolic.config import SystolicConfig
-from repro.systolic.pe import PEMode, ProcessingElement
+from tests.reference.pe import PEMode, ProcessingElement
 
 
 @dataclass

@@ -12,7 +12,7 @@ operands onward.  ONE-SA adds two control logics:
   PEs; deactivated in transmission PEs, which merely register and pass
   data.
 
-The cycle-level simulator (:mod:`repro.systolic.cycle_sim`) drives these
+The cycle-level simulator (:mod:`tests.reference.cycle_sim`) drives these
 PEs; the closed-form timing model only needs their throughput constants.
 """
 

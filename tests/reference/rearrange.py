@@ -9,7 +9,8 @@ PE executes a two-term dot product per output element.
 
 This module builds the two streams, the addressing order (which row of
 the array each element is routed to) and the cycle cost of the
-relocation pass.
+relocation pass.  The array charges the pass as part of the MHP event
+and builds nothing; the streams exist here for the dataflow tests.
 """
 
 from __future__ import annotations
@@ -50,13 +51,9 @@ def rearrange_cycles(m_dim: int, n_dim: int, port_width: int = 16) -> int:
     and weight streams each carry ``2 * M * N`` elements, moved at the
     L3 input port width.  Identical to
     ``rearrange_for_mhp(...).cycles`` without constructing the streams.
-    Note the relocation rides the MHP injection (its cost is part of
-    the MHP event's fill/compute phases, as in the seed model), so the
-    trace records no separate rearrange event; this closed form exists
-    for timing consumers that want the pass cost in isolation, and the
-    hot execution path only materializes the actual streams on request
-    (the dataflow tests and the cycle-level simulator want the element
-    order).
+    The relocation rides the MHP injection (its cost is part of the MHP
+    event's fill/compute phases, as in the seed model), so the array
+    records no separate rearrange event and never builds the streams.
     """
     total_elements = 4 * m_dim * n_dim
     return -(-total_elements // port_width)

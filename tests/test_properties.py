@@ -27,9 +27,10 @@ from repro.nn.workload import (
     transformer_serving_workload,
 )
 from repro.systolic.config import SystolicConfig
-from repro.systolic.gemm import execute_gemm
 from repro.systolic.mhp_dataflow import plan_mhp
 from repro.systolic.timing import gemm_cycles, nonlinear_cycles
+
+from tests.reference.dataflow import execute_gemm_per_tile, lane_rows
 
 floats_small = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -99,7 +100,7 @@ class TestDataflowProperties:
         a = quantize(rng.normal(size=(m, k)), INT16)
         b = quantize(rng.normal(size=(k, n)), INT16)
         config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4)
-        out, _ = execute_gemm(config, a, b)
+        out, _ = execute_gemm_per_tile(config, a, b)
         assert np.array_equal(out, fixed_matmul(a, b, INT16))
 
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=2, max_value=16))
@@ -108,7 +109,7 @@ class TestDataflowProperties:
         """Every row is assigned to exactly one diagonal lane."""
         config = SystolicConfig(pe_rows=pe_dim, pe_cols=pe_dim)
         schedule = plan_mhp(config, rows, 4)
-        seen = np.concatenate([r for r in schedule.lane_rows if r.size])
+        seen = np.concatenate([r for r in lane_rows(schedule) if r.size])
         assert sorted(seen.tolist()) == list(range(rows))
 
 

@@ -7,7 +7,7 @@ The load-bearing contracts:
 * per-tenant cycle totals in the report sum exactly to the engine's
   aggregate ``total_cycles`` (trace-namespace attribution is lossless);
 * the incremental :class:`BatchAssembler` composes exactly the batches
-  the offline :class:`DynamicBatcher` plan would;
+  the offline :class:`~tests.reference.batcher.DynamicBatcher` plan would;
 * the legacy single-tenant ``submit``/``run`` API behaves as in PR 1.
 """
 
@@ -18,7 +18,6 @@ from repro.nn.executor import ArrayBackend, CPWLBackend, FloatBackend
 from repro.nn.models import TinyBERT
 from repro.serving import (
     BatchAssembler,
-    DynamicBatcher,
     InferenceEngine,
     InferenceRequest,
     ClusterDispatcher,
@@ -31,6 +30,8 @@ from repro.serving import (
 from repro.serving.scheduler import TenantCandidate, make_policy
 from repro.systolic import SystolicArray, SystolicConfig
 from repro.systolic.trace import Trace, TraceEvent
+
+from tests.reference.batcher import DynamicBatcher
 
 RNG = np.random.default_rng(7)
 

@@ -17,7 +17,6 @@ from repro.nn.executor import (
 from repro.nn.models import GCN, SmallResNet, TinyBERT
 from repro.nn.models.gcn import normalized_adjacency
 from repro.serving import (
-    DynamicBatcher,
     GenerationAdapter,
     InferenceEngine,
     InferenceRequest,
@@ -25,6 +24,8 @@ from repro.serving import (
     TracedRequest,
 )
 from repro.systolic import SystolicArray, SystolicConfig
+
+from tests.reference.batcher import DynamicBatcher
 
 RNG = np.random.default_rng(0)
 

@@ -9,9 +9,16 @@ from repro.fixedpoint import INT16, dequantize, fixed_hadamard_mac, fixed_matmul
 from repro.systolic import ONE_SA_PAPER_CONFIG, SystolicArray, SystolicConfig
 from repro.systolic.addressing import DataAddressing
 from repro.systolic.buffers import ParameterStore
-from repro.systolic.gemm import execute_gemm, plan_gemm
-from repro.systolic.mhp_dataflow import execute_mhp_per_lane, naive_mhp_cycles, plan_mhp
-from repro.systolic.rearrange import rearrange_for_mhp
+from repro.systolic.gemm import plan_gemm
+from repro.systolic.mhp_dataflow import naive_mhp_cycles, plan_mhp
+
+from tests.reference.dataflow import (
+    StructuralAddressing,
+    execute_mhp_per_lane,
+    lane_rows,
+    tiles,
+)
+from tests.reference.rearrange import rearrange_for_mhp
 
 
 def small_config(**kw):
@@ -22,13 +29,13 @@ class TestGemmSchedule:
     def test_tile_enumeration_covers_output(self):
         schedule = plan_gemm(small_config(), 10, 8, 6)
         covered = np.zeros((10, 6), dtype=int)
-        for t in schedule.tiles:
+        for t in tiles(schedule):
             covered[t.row_start : t.row_end, t.col_start : t.col_end] += 1
         assert np.all(covered == 1)
 
     def test_tile_count(self):
         schedule = plan_gemm(small_config(), 10, 8, 6)
-        assert len(schedule.tiles) == 3 * 2  # ceil(10/4) * ceil(6/4)
+        assert len(tiles(schedule)) == 3 * 2  # ceil(10/4) * ceil(6/4)
 
     def test_macs_property(self):
         schedule = plan_gemm(small_config(), 4, 5, 6)
@@ -38,15 +45,18 @@ class TestGemmSchedule:
         rng = np.random.default_rng(0)
         a = quantize(rng.normal(size=(9, 13)), INT16)
         b = quantize(rng.normal(size=(13, 7)), INT16)
-        out, schedule = execute_gemm(small_config(), a, b)
+        array = SystolicArray(small_config())
+        out = array.gemm_raw(a, b)
         assert np.array_equal(out, fixed_matmul(a, b, INT16))
-        assert schedule.breakdown.total > 0
+        assert array.total_cycles == plan_gemm(small_config(), 9, 13, 7).breakdown.total > 0
 
     def test_execute_validates_shapes(self):
-        with pytest.raises(ValueError):
-            execute_gemm(small_config(), np.zeros((2, 3)), np.zeros((4, 5)))
-        with pytest.raises(ValueError):
-            execute_gemm(small_config(), np.zeros(3), np.zeros((3, 2)))
+        array = SystolicArray(small_config())
+        with pytest.raises(ValueError, match="shape mismatch"):
+            array.gemm_raw(np.zeros((2, 3)), np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="gemm_raw expects 2-D raw operands"):
+            array.gemm_raw(np.zeros(3), np.zeros((3, 2)))
+        assert array.total_cycles == 0
 
 
 class TestRectangularGridSchedule:
@@ -60,9 +70,9 @@ class TestRectangularGridSchedule:
 
     def test_tile_shapes_follow_grid(self):
         schedule = plan_gemm(self.rect_config(), 6, 5, 16)
-        assert len(schedule.tiles) == 3 * 2  # ceil(6/2) * ceil(16/8)
+        assert len(tiles(schedule)) == 3 * 2  # ceil(6/2) * ceil(16/8)
         shapes = [
-            (t.row_end - t.row_start, t.col_end - t.col_start) for t in schedule.tiles
+            (t.row_end - t.row_start, t.col_end - t.col_start) for t in tiles(schedule)
         ]
         assert all(rows <= 2 and cols <= 8 for rows, cols in shapes)
         full = [shape for shape in shapes if shape == (2, 8)]
@@ -71,7 +81,7 @@ class TestRectangularGridSchedule:
     def test_tiles_cover_output_exactly_once(self):
         schedule = plan_gemm(self.rect_config(), 7, 4, 11)
         covered = np.zeros((7, 11), dtype=int)
-        for t in schedule.tiles:
+        for t in tiles(schedule):
             covered[t.row_start : t.row_end, t.col_start : t.col_end] += 1
         assert np.all(covered == 1)
 
@@ -79,14 +89,15 @@ class TestRectangularGridSchedule:
         rng = np.random.default_rng(7)
         a = quantize(rng.normal(size=(9, 13)), INT16)
         b = quantize(rng.normal(size=(13, 17)), INT16)
-        out, schedule = execute_gemm(self.rect_config(), a, b)
+        array = SystolicArray(self.rect_config())
+        out = array.gemm_raw(a, b)
         assert np.array_equal(out, fixed_matmul(a, b, INT16))
-        assert schedule.breakdown.total > 0
+        assert array.total_cycles == plan_gemm(self.rect_config(), 9, 13, 17).breakdown.total > 0
 
     def test_square_schedule_unchanged(self):
         # The rectangular fix must not disturb square-grid schedules.
         sq = plan_gemm(small_config(), 10, 8, 6)
-        assert len(sq.tiles) == 3 * 2
+        assert len(tiles(sq)) == 3 * 2
 
     def test_drain_width_follows_column_lanes(self):
         from repro.systolic.timing import effective_out_width
@@ -106,7 +117,7 @@ class TestRectangularGridSchedule:
 class TestMHPSchedule:
     def test_lane_assignment_covers_rows(self):
         schedule = plan_mhp(small_config(), 10, 5)
-        all_rows = np.sort(np.concatenate(schedule.lane_rows))
+        all_rows = np.sort(np.concatenate(lane_rows(schedule)))
         assert np.array_equal(all_rows, np.arange(10))
 
     def test_execute_matches_reference(self):
@@ -172,12 +183,12 @@ class TestRearrange:
 
 class TestDataAddressing:
     def test_requires_preload(self):
-        module = DataAddressing(INT16)
+        module = StructuralAddressing(INT16)
         with pytest.raises(RuntimeError):
             module.run(np.zeros((2, 2), dtype=np.int16))
 
     def test_run_reports_capping(self):
-        module = DataAddressing(INT16)
+        module = StructuralAddressing(INT16)
         qtable = build_segment_table("gelu", 0.25).quantized(INT16)
         module.preload(qtable, ParameterStore(256))
         xs = np.array([[-100.0, 0.0, 100.0]])
@@ -189,14 +200,14 @@ class TestDataAddressing:
         assert stats.cycles >= 1
 
     def test_fifo_high_water_bounded(self):
-        module = DataAddressing(INT16, port_width=4, fifo_depth=16)
+        module = StructuralAddressing(INT16, port_width=4, fifo_depth=16)
         qtable = build_segment_table("gelu", 0.25).quantized(INT16)
         module.preload(qtable, ParameterStore(256))
         _, stats = module.run(quantize(np.random.default_rng(0).normal(size=(16, 16)), INT16))
         assert stats.fifo_high_water <= 16
 
     def test_preload_counts_once(self):
-        module = DataAddressing(INT16)
+        module = DataAddressing()
         store = ParameterStore(256)
         qtable = build_segment_table("gelu", 0.25).quantized(INT16)
         assert module.preload(qtable, store)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.systolic import SystolicArray
-from repro.systolic.buffers import BufferOverflowError, Fifo, ParameterStore
+from repro.systolic.buffers import BufferOverflowError, ParameterStore
 from repro.systolic.config import ONE_SA_PAPER_CONFIG, SA_PAPER_CONFIG, SystolicConfig
+
+from tests.reference.dataflow import Fifo
 
 
 class TestSystolicConfig:

@@ -263,15 +263,10 @@ def test_replay_preloads_on_every_table_swap_and_after_reset():
 def _marks(array):
     """Every counter ``detached()`` promises to leave alone."""
     params = array.params
-    addressing = array.addressing
     return (
         _account(array.trace),
-        id(array.trace), id(params), id(addressing), id(addressing.params),
+        id(array.trace), id(params), id(array.addressing),
         dict(params.resident), params.swaps, params.preloaded_segments,
-        [
-            (fifo.pushes, fifo.pops, fifo.high_water)
-            for fifo in (addressing.c_fifo, addressing.k_fifo, addressing.reg_fifo)
-        ],
     )
 
 
@@ -335,17 +330,17 @@ def test_a_detached_forward_puts_nothing_on_an_open_tape():
 
 def test_detached_leaves_the_parameter_store_alone():
     """A detached pass whose tables would evict the resident one preloads
-    nothing: the live store and the table the addressing unit holds stay."""
+    nothing: the live store and what it holds stay."""
     # GELU's table has 64 segments, ReLU's mid-anchored one 65.
     config = SystolicConfig(pe_rows=4, pe_cols=4, macs_per_pe=4, segment_capacity=65)
     array = SystolicArray(config)
     backend = ArrayBackend(array, GRANULARITY)
     x = np.random.default_rng(9).normal(size=(4, 8))
     GELU().infer(x, backend)
-    params, loaded = array.params, array.addressing.params
+    params = array.params
     resident, swaps = dict(params.resident), params.swaps
     with array.detached():
         ReLU().infer(x, backend)
         BLOCK.infer(np.random.default_rng(10).normal(size=(2, 16, 4, 4)), backend)
-    assert array.params is params and array.addressing.params is loaded
+    assert array.params is params
     assert dict(params.resident) == resident and params.swaps == swaps

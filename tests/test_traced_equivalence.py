@@ -3,8 +3,8 @@
 The traced execution path was rebuilt around cached plans, whole-operand
 compute and analytic trace synthesis.  These tests pin the refactor to
 the seed semantics: bit-identical raw outputs, identical schedules and
-identical per-op cycle accounting versus the retained per-tile /
-per-lane / per-pair references.
+identical per-op cycle accounting versus the per-tile / per-lane /
+per-pair references of ``tests/reference/``.
 """
 
 import numpy as np
@@ -15,19 +15,18 @@ from repro.core.nonlinear_ops import get_approximator, relu_domain
 from repro.fixedpoint import INT16, fixed_hadamard_mac, quantize
 from repro.nn.executor import ArrayBackend
 from repro.systolic import SystolicArray, SystolicConfig
-from repro.systolic.cycle_sim import CycleSimulator
-from repro.systolic.gemm import (
-    GEMM_PLANS,
-    execute_gemm,
-    execute_gemm_per_tile,
-    plan_gemm,
-)
-from repro.systolic.mhp_dataflow import (
-    execute_mhp_per_lane,
-    plan_mhp,
-)
-from repro.systolic.rearrange import rearrange_cycles, rearrange_for_mhp
+from repro.systolic.gemm import GEMM_PLANS, plan_gemm
+from repro.systolic.mhp_dataflow import plan_mhp
 from repro.systolic.trace import Trace, TraceEvent
+
+from tests.reference.cycle_sim import CycleSimulator
+from tests.reference.dataflow import (
+    execute_gemm_per_tile,
+    execute_mhp_per_lane,
+    lane_rows,
+    tiles,
+)
+from tests.reference.rearrange import rearrange_cycles, rearrange_for_mhp
 
 
 def small_config(**kw):
@@ -54,14 +53,14 @@ class TestWholeMatrixGemmEquivalence:
         rng = np.random.default_rng(m * 1000 + n)
         a = quantize(rng.normal(size=(m, k)), INT16)
         b = quantize(rng.normal(size=(k, n)), INT16)
-        out_whole, sched_whole = execute_gemm(config, a, b)
+        array = SystolicArray(config)
+        out_whole = array.gemm_raw(a, b)
         out_tiled, sched_tiled = execute_gemm_per_tile(
             config, a, b, use_plan_cache=False
         )
         assert np.array_equal(out_whole, out_tiled)
         assert out_whole.dtype == out_tiled.dtype
-        assert sched_whole.breakdown == sched_tiled.breakdown
-        assert len(sched_whole.tiles) == len(sched_tiled.tiles)
+        assert array.total_cycles == sched_tiled.breakdown.total
 
     def test_saturating_operands_still_identical(self):
         # Drive the accumulator into saturation territory: whole-matrix
@@ -69,7 +68,7 @@ class TestWholeMatrixGemmEquivalence:
         rng = np.random.default_rng(5)
         a = quantize(rng.normal(scale=60.0, size=(12, 20)), INT16)
         b = quantize(rng.normal(scale=60.0, size=(20, 9)), INT16)
-        out_whole, _ = execute_gemm(small_config(), a, b)
+        out_whole = SystolicArray(small_config()).gemm_raw(a, b)
         out_tiled, _ = execute_gemm_per_tile(small_config(), a, b)
         assert np.array_equal(out_whole, out_tiled)
 
@@ -119,21 +118,21 @@ class TestGemmPlanCache:
 
 class TestLazyTileEnumeration:
     def test_len_and_iter_agree(self):
-        tiles = plan_gemm(small_config(), 10, 8, 6, use_cache=False).tiles
-        assert len(tiles) == 6
-        assert [t.index for t in tiles] == list(range(6))
+        tiling = tiles(plan_gemm(small_config(), 10, 8, 6, use_cache=False))
+        assert len(tiling) == 6
+        assert [t.index for t in tiling] == list(range(6))
 
     def test_tiles_cover_output_exactly_once(self):
         schedule = plan_gemm(rect_config(), 7, 4, 11, use_cache=False)
         covered = np.zeros((7, 11), dtype=int)
-        for t in schedule.tiles:
+        for t in tiles(schedule):
             covered[t.row_start : t.row_end, t.col_start : t.col_end] += 1
         assert np.all(covered == 1)
 
     def test_enumeration_is_allocation_free_metadata(self):
         # A huge schedule must be cheap to *hold*; only iteration pays.
         schedule = plan_gemm(small_config(), 4096, 4096, 4096, use_cache=False)
-        assert len(schedule.tiles) == 1024 * 1024
+        assert len(tiles(schedule)) == 1024 * 1024
 
 
 class TestMhpEquivalence:
@@ -160,7 +159,7 @@ class TestMhpEquivalence:
 
     def test_lazy_lane_rows_cover_rows(self):
         schedule = plan_mhp(small_config(), 10, 5, use_cache=False)
-        all_rows = np.sort(np.concatenate(schedule.lane_rows))
+        all_rows = np.sort(np.concatenate(lane_rows(schedule)))
         assert np.array_equal(all_rows, np.arange(10))
 
 
@@ -341,7 +340,7 @@ class TestCycleSimCrossCheck:
         m, n = config.pe_rows, config.pe_cols
         a = quantize(rng.normal(size=(m, 10)), INT16)
         b = quantize(rng.normal(size=(10, n)), INT16)
-        fast, _ = execute_gemm(config, a, b)
+        fast = SystolicArray(config).gemm_raw(a, b)
         sim = CycleSimulator(config).run_gemm_tile(a, b)
         assert np.array_equal(fast, sim.output)
 
@@ -350,8 +349,8 @@ class TestCycleSimCrossCheck:
         rng = np.random.default_rng(7)
         a = quantize(rng.normal(size=(5, 6)), INT16)
         b = quantize(rng.normal(size=(6, 11)), INT16)
-        whole, schedule = execute_gemm(config, a, b)
-        for tile in schedule.tiles:
+        whole = SystolicArray(config).gemm_raw(a, b)
+        for tile in tiles(plan_gemm(config, 5, 6, 11)):
             sim = CycleSimulator(config).run_gemm_tile(
                 a[tile.row_start : tile.row_end, :],
                 b[:, tile.col_start : tile.col_end],
