@@ -748,9 +748,8 @@ def test_nonlinear_code_table(print_artifact, monkeypatch):
     which must walk it) for bit-identical outputs.
 
     The first forward builds the table of every approximator it uses
-    (each on its first call).  How many forwards would feed each a
-    table's worth of elements is recorded too.  The gates are on counts,
-    which repeat exactly on any runner.
+    (each on its first call).  The gates are on counts, which repeat
+    exactly on any runner.
     """
     import collections
     import sys
@@ -783,12 +782,9 @@ def test_nonlinear_code_table(print_artifact, monkeypatch):
         forward(ArrayBackend, SystolicArray)
     tables = {}
     for approx, elements in fed.items():
-        entries = 1 << approx.fmt.total_bits
-        built_cold = approx.code_table is not None
         tables[f"{approx.function.name}[{approx.table.x_min}, {approx.table.x_max}]"] = {
             "elements_per_forward": elements,
-            "forwards_to_table": -(-entries // elements),
-            "built_by_first_forward": built_cold,
+            "built_by_first_forward": approx.code_table is not None,
         }
 
     calls = collections.Counter()
