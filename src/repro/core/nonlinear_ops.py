@@ -133,7 +133,9 @@ def cpwl_softmax(
 
     Program: (1) row max and subtraction — linear; (2) ``exp`` — CPWL
     IPF+MHP; (3) row sum — matrix-vector GEMM against a ones vector;
-    (4) ``1/sum`` — CPWL; (5) elementwise scale — MHP with ``B = 0``.
+    (4) ``1/sum`` — CPWL on the sum range-reduced into [1, 2) by a
+    power-of-two shift; (5) elementwise scale — MHP with ``B = 0``,
+    shifted back by the same power of two.
 
     ``row_offset`` selects the causal form over the last axis of
     ``(..., R, T)`` scores: row ``i`` is a softmax over its first
@@ -153,10 +155,7 @@ def cpwl_softmax(
         peak = np.max(np.where(visible, x, -np.inf), axis=-1, keepdims=True)
         shifted = np.where(visible, x - peak, 0.0)
     exp_table = get_approximator("exp", granularity, fmt)
-    recip_table = get_approximator("reciprocal", granularity, fmt)
-    # Guard the reciprocal domain: a denominator this small only occurs
-    # when every exponent underflowed to zero; uniform output is correct.
-    lo = recip_table.table.x_min
+    recip_table = get_approximator("reciprocal", granularity, fmt, domain=(1.0, 2.0))
     one = float(1 << fmt.frac_bits)
     shifted *= one
     exps = exp_table.evaluate_raw(round_saturate(shifted, fmt))
@@ -166,11 +165,18 @@ def cpwl_softmax(
     np.maximum(exps, 0.0, out=exps)
     if row_offset is not None:
         exps = np.where(visible, exps, 0.0)
+    # Every row holds its own maximum, whose exponential is 1, so a sum
+    # below 1.0 is CPWL error: clamp it.  The data-shift module then
+    # range-reduces the sum to ``2^j * s`` with ``j = floor(log2 sum)``,
+    # the table reads ``1/s`` on its well-conditioned domain [1, 2), and
+    # the quotient is shifted back by ``2^-j``.
     denom = round_saturate(np.sum(exps, axis=axis, keepdims=True), fmt)
-    np.maximum(denom, lo * one, out=denom)
-    inv = recip_table.evaluate_raw(round_saturate(denom, fmt))
+    np.maximum(denom, one, out=denom)
+    j = np.frexp(denom / one)[1] - 1
+    inv = recip_table.evaluate_raw(round_saturate(np.ldexp(denom, -j), fmt))
     exps *= inv
     exps *= fmt.scale
+    np.ldexp(exps, -j, out=exps)
     round_saturate(exps, fmt)
     exps *= fmt.scale
     return exps

@@ -222,10 +222,11 @@ def _softmax_reference(x, granularity, fmt, row_offset=None):
     exps = np.maximum(get_approximator("exp", granularity, fmt)(_roundtrip(shifted, fmt)), 0.0)
     if row_offset is not None:
         exps = np.where(visible, exps, 0.0)
-    denom = _roundtrip(np.sum(exps, axis=-1, keepdims=True), fmt)
-    recip = get_approximator("reciprocal", granularity, fmt)
-    inv = recip(np.maximum(denom, recip.table.x_min))
-    return _roundtrip(exps * np.broadcast_to(inv, x.shape), fmt)
+    denom = np.maximum(_roundtrip(np.sum(exps, axis=-1, keepdims=True), fmt), 1.0)
+    j = np.floor(np.log2(denom))
+    recip = get_approximator("reciprocal", granularity, fmt, domain=(1.0, 2.0))
+    inv = recip(denom / np.power(2.0, j))
+    return _roundtrip(exps * np.broadcast_to(inv, x.shape) * np.power(2.0, -j), fmt)
 
 
 def _layernorm_reference(x, granularity, gamma, beta, fmt, eps=1e-5):
