@@ -5,28 +5,30 @@
     PYTHONPATH=src python tests/census.py --lines  # statements no workload executes
     PYTHONPATH=src python tests/census.py --rows --max-unreached 1000  # the ratchet
 
-Two passes, each in its own process under a ``sys.setprofile`` hook
+Three passes, each in its own process under a ``sys.setprofile`` hook
 that records every code object called:
 
 * **workloads** — hostbench's four workloads at seed 0 and scale 0.2
   (``warm``, ``repetition``, ``summarize``, ``verify``, ``approx_err``,
-  as one measurement process calls them), every
-  example's ``main()`` (``run_all_experiments.py`` with ``--quick``)
-  and the bench tier (``pytest -m bench benchmarks``);
+  as one measurement process calls them) and every example's
+  ``main()`` (``run_all_experiments.py`` with ``--quick``);
+* **bench** — the bench tier (``pytest -m bench benchmarks``);
 * **tests** — the rest of tier-1 (``pytest -m "not bench" tests
   hostbench``).
 
 Every function and method defined at module or class level under
 ``src/repro`` is then *reached* (the workloads pass called it),
-*tests-only* (only the tests pass did) or *never*.  Nested functions
-count with the function that defines them.
+*bench-only* (only the bench pass or a later one did: a bench reference
+cannot hide code no workload runs), *tests-only* (only the tests pass
+did) or *never*.  Nested functions count with the function that
+defines them.
 
-``--lines`` runs the same two passes at statement level instead: a
+``--lines`` runs the same passes at statement level instead: a
 ``sys.settrace`` hook that traces only frames of ``src/repro`` code
 records every line executed.  For each function the workloads pass
 executes, it lists the statements of that function (nested functions
 included) that no workload executes, ``raise`` statements left out,
-and marks with ``t`` those the tests pass executes.  A statement is one
+and marks with ``t`` those the bench or tests pass executes.  A statement is one
 whose first line carries bytecode, so ``try:`` and docstrings are not.
 Statements that run only when timing says so (a store lock's wait
 loop under contention) can move between runs.
@@ -43,7 +45,8 @@ measurement process is a fresh interpreter) is not followed.
 was.
 
 ``--max-unreached LINES`` makes the census a ratchet: it exits 1 when
-the tests-only and never lines together exceed ``LINES``.
+the tests-only and never lines together exceed ``LINES`` (bench-only
+lines are listed, not counted).
 """
 
 from __future__ import annotations
@@ -170,6 +173,9 @@ def _run_workloads() -> None:
     for example in sorted(EXAMPLES.glob("*.py")):
         sys.argv = [str(example), "--quick"]
         runpy.run_path(str(example), run_name="census")["main"]()
+
+
+def _run_bench() -> None:
     _pytest("-m", "bench", str(ROOT / "benchmarks"))
 
 
@@ -177,7 +183,7 @@ def _run_tests() -> None:
     _pytest("-m", "not bench", str(ROOT / "tests"), str(ROOT / "hostbench"))
 
 
-PASSES = {"workloads": _run_workloads, "tests": _run_tests}
+PASSES = {"workloads": _run_workloads, "bench": _run_bench, "tests": _run_tests}
 
 
 def _line_keys(lines) -> List[Tuple[str, int]]:
@@ -261,10 +267,14 @@ def run_passes(lines: bool = False) -> Dict[str, Set[tuple]]:
 
 def census() -> Dict[str, List[Function]]:
     called = run_passes()
-    kinds: Dict[str, List[Function]] = {"reached": [], "tests-only": [], "never": []}
+    kinds: Dict[str, List[Function]] = {
+        "reached": [], "bench-only": [], "tests-only": [], "never": []
+    }
     for key, function in defined_functions().items():
         if key in called["workloads"]:
             kinds["reached"].append(function)
+        elif key in called["bench"]:
+            kinds["bench-only"].append(function)
         elif key in called["tests"]:
             kinds["tests-only"].append(function)
         else:
@@ -292,7 +302,7 @@ def render(kinds: Dict[str, List[Function]], rows: bool) -> str:
             + "".join(f"{n:>16}{loc:>8}" for n, loc in table[package].values())
         )
     if rows:
-        for kind in ("tests-only", "never"):
+        for kind in ("bench-only", "tests-only", "never"):
             lines += ["", f"{kind}:"]
             lines += [
                 f"  {f.path}:{f.first}  {f.qualname}  ({f.lines} lines)"
@@ -311,7 +321,7 @@ def render_lines(executed: Dict[str, Set[tuple]]) -> str:
     blocks, missed, marked = [], 0, 0
     for function, statements in defined_statements().items():
         by_workloads = ran["workloads"][function.path]
-        by_tests = ran["tests"][function.path]
+        by_tests = ran["bench"][function.path] | ran["tests"][function.path]
         unrun = [(line, src) for line, src in statements if line not in by_workloads]
         if not unrun or len(unrun) == len(statements):
             continue
