@@ -7,8 +7,10 @@ both operating modes:
 
 * **GEMM** — output-stationary: A rows stream from the west, B columns
   from the north, every PE accumulates one output element;
-* **MHP** — diagonal dataflow: interleaved ``(x, 1)`` pairs stream along
-  the rows and ``(k, b)`` pairs down the columns; the diagonal
+* **MHP** — diagonal dataflow: the interleaved ``(x, 1)`` stream of
+  :func:`~tests.reference.rearrange.rearrange_for_mhp` flows along the
+  rows and the ``(k, b)`` stream down the columns, ``macs_per_pe``
+  elements (``macs_per_pe / 2`` pairs) per lane per cycle; the diagonal
   computation PEs consume them (C1 off) while all other PEs are pure
   transmission (C2 off).
 
@@ -28,6 +30,7 @@ import numpy as np
 
 from repro.systolic.config import SystolicConfig
 from tests.reference.pe import PEMode, ProcessingElement
+from tests.reference.rearrange import rearrange_for_mhp
 
 
 @dataclass
@@ -171,11 +174,13 @@ class CycleSimulator:
         """Run a Matrix Hadamard Product through the diagonal dataflow.
 
         Row ``r`` of the operand matrices is assigned to lane
-        ``r % pe_rows``; its ``(x, 1)`` pairs enter that row from the
-        west while the matching ``(k, b)`` pairs enter the lane's column
-        from the north, one pair per cycle.  They meet at the diagonal
-        computation PE after exactly ``lane`` forwarding hops on each
-        path, so no extra skew is needed.
+        ``r % pe_rows``; its interleaved ``(x, 1)`` stream enters that row
+        from the west while the matching ``(k, b)`` stream enters the
+        lane's column from the north, ``macs_per_pe`` elements per cycle
+        — the injection rate the closed form charges (a one-MAC PE takes
+        a pair over two cycles).  They meet at the diagonal computation
+        PE after exactly ``lane`` forwarding hops on each path, so no
+        extra skew is needed.
         """
         x_raw = np.atleast_2d(np.asarray(x_raw, dtype=np.int64))
         k_raw = np.atleast_2d(np.asarray(k_raw, dtype=np.int64))
@@ -184,38 +189,32 @@ class CycleSimulator:
             raise ValueError("MHP operands must share a shape")
         m_dim, n_dim = x_raw.shape
         p = self.config.pe_rows
-        one_raw = np.int64(1) << self.config.fmt.frac_bits
+        macs = self.config.macs_per_pe
+        streams = rearrange_for_mhp(
+            x_raw, k_raw, b_raw, p, np.int64(1) << self.config.fmt.frac_bits
+        )
 
         self._configure(
             lambda i, j: PEMode.COMPUTATION if i == j else PEMode.TRANSMISSION
         )
 
-        # Build per-lane element queues in row-major order.
-        lane_x: List[np.ndarray] = []
-        lane_k: List[np.ndarray] = []
-        lane_b: List[np.ndarray] = []
-        lane_row_order: List[np.ndarray] = []
-        for lane in range(p):
-            rows = np.arange(lane, m_dim, p)
-            lane_row_order.append(rows)
-            lane_x.append(x_raw[rows].reshape(-1))
-            lane_k.append(k_raw[rows].reshape(-1))
-            lane_b.append(b_raw[rows].reshape(-1))
+        # Per-lane streams, in row-major order.
+        lane_row_order = [np.arange(lane, m_dim, p) for lane in range(p)]
+        lane_in = [streams.input_stream[rows].reshape(-1) for rows in lane_row_order]
+        lane_weight = [streams.weight_stream[rows].reshape(-1) for rows in lane_row_order]
 
-        longest = max((arr.size for arr in lane_x), default=0)
+        def chunk(stream: np.ndarray, cycle: int) -> Optional[np.ndarray]:
+            if cycle * macs < stream.size:
+                return stream[cycle * macs : (cycle + 1) * macs]
+            return None
 
         def west_inject(i: int, cycle: int) -> Optional[np.ndarray]:
-            if cycle < lane_x[i].size:
-                return np.array([lane_x[i][cycle], one_raw], dtype=np.int64)
-            return None
+            return chunk(lane_in[i], cycle)
 
         def north_inject(j: int, cycle: int) -> Optional[np.ndarray]:
-            if cycle < lane_k[j].size:
-                return np.array(
-                    [lane_k[j][cycle], lane_b[j][cycle]], dtype=np.int64
-                )
-            return None
+            return chunk(lane_weight[j], cycle)
 
+        longest = max(-(-stream.size // macs) for stream in lane_in)
         # The deepest lane (p-1) needs p-1 hops after its last injection.
         n_cycles = longest + p + 1
         cycles = self._run(west_inject, north_inject, n_cycles)

@@ -71,6 +71,9 @@ class ProcessingElement:
     reg_weight: Optional[np.ndarray] = None
     output_buffer: List[np.ndarray] = field(default_factory=list)
     stats: PEStats = field(default_factory=PEStats)
+    #: The first product of a pair whose second element has not arrived
+    #: (a one-MAC computation PE takes each pair over two cycles).
+    held: Optional[np.int64] = None
 
     def __post_init__(self) -> None:
         if self.accumulator is None:
@@ -99,6 +102,7 @@ class ProcessingElement:
         self.accumulator = np.zeros(1, dtype=np.int64)
         self.reg_input = None
         self.reg_weight = None
+        self.held = None
         self.output_buffer.clear()
 
     # ------------------------------------------------------------------
@@ -133,17 +137,23 @@ class ProcessingElement:
             a = np.asarray(self.reg_input, dtype=np.int64)
             b = np.asarray(self.reg_weight, dtype=np.int64)
             lanes = min(a.size, b.size, self.macs)
-            partial = np.dot(a[:lanes], b[:lanes])
+            a, b = a[:lanes], b[:lanes]
             self.stats.mac_ops += lanes
             self.stats.active_cycles += 1
             if self.mode is PEMode.COMPUTATION:
                 # MHP: the multi-layer accumulator bypasses to the output
                 # buffer — every pair of stream elements is one result.
-                self.output_buffer.append(
-                    accumulator_to_output(np.array([partial]), self.fmt)[0]
+                products = a * b
+                if self.held is not None:
+                    products = np.concatenate(([self.held], products))
+                    self.held = None
+                if products.size % 2:
+                    self.held, products = products[-1], products[:-1]
+                self.output_buffer.extend(
+                    accumulator_to_output(products[0::2] + products[1::2], self.fmt)
                 )
             else:
-                self.accumulator = self.accumulator + partial
+                self.accumulator = self.accumulator + np.dot(a, b)
         else:
             self.stats.idle_cycles += 1
         return forwarded

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fixedpoint import INT16, fixed_hadamard_mac, fixed_matmul, quantize
+from repro.fixedpoint import INT16, dequantize, fixed_hadamard_mac, fixed_matmul, quantize
 from repro.systolic.config import SystolicConfig
 
 from tests.reference.cycle_sim import CycleSimulator
@@ -47,8 +47,6 @@ class TestProcessingElement:
         b = quantize(np.array([3.0, 0.5, 0.0, 0.0]), INT16).astype(np.int64)
         pe.step(a, b)
         pe.step(a, b)
-        from repro.fixedpoint import dequantize
-
         assert dequantize(pe.writeback(), INT16) == pytest.approx(8.0)
 
     def test_transmission_never_computes(self):
@@ -74,9 +72,16 @@ class TestProcessingElement:
         x = quantize(np.array([2.0]), INT16).astype(np.int64)
         pe.step(np.array([x[0], one]), np.array([quantize(0.5, INT16), quantize(1.0, INT16)]).astype(np.int64))
         assert len(pe.output_buffer) == 1
-        from repro.fixedpoint import dequantize
-
         assert dequantize(np.array([pe.output_buffer[0]]), INT16)[0] == pytest.approx(2.0)
+
+    def test_one_mac_computation_pe_takes_a_pair_over_two_cycles(self):
+        pe = ProcessingElement(row=0, col=0, macs=1, fmt=INT16)
+        pe.configure(PEMode.COMPUTATION)
+        x, one, k, b = quantize(np.array([2.0, 1.0, 0.5, 1.0]), INT16).astype(np.int64)
+        pe.step(np.array([x]), np.array([k]))
+        assert pe.output_buffer == []  # x * k waits for its + 1 * b
+        pe.step(np.array([one]), np.array([b]))
+        assert dequantize(np.array(pe.output_buffer), INT16).tolist() == [2.0]
 
 
 class TestGemmCycleSim:

@@ -15,12 +15,13 @@ point (grid, MACs per PE), the operand shapes and the operand scale
   closed form ``charge_gemm`` records; the structural chain is charged
   exactly what ``charge_nonlinear`` records.
 
-Two narrowings, each a property of the PE-level simulator rather than
-of the array: MHP points draw ``macs_per_pe >= 2``, because a PE with
-one MAC computes only ``x * k`` of the two-term ``x * k + b``; and the
-MHP cycle relation draws ``macs_per_pe == 2`` with every lane equally
-loaded, because the simulator injects one ``(x, 1)`` / ``(k, b)`` pair
-per lane per cycle where the closed form injects ``macs_per_pe / 2``.
+MHP points draw every MAC count: the PE grid injects ``macs_per_pe / 2``
+``(x, 1)`` / ``(k, b)`` pairs per lane per cycle, as the closed form
+charges, and a one-MAC PE takes a pair over two cycles.  One narrowing,
+a property of the closed form: the MHP cycle relation draws every lane
+equally loaded, because the closed form charges the mean lane's
+injection (``ceil(2 * elements / (P * macs))``) where the grid runs as
+long as its longest lane.
 """
 
 import numpy as np
@@ -67,9 +68,11 @@ def gemm_points(draw):
 
 
 @st.composite
-def mhp_points(draw, macs=st.sampled_from([2, 4, 16]), balanced=False):
+def mhp_points(draw, balanced=False):
     p = draw(st.integers(1, 4))
-    config = SystolicConfig(pe_rows=p, pe_cols=p, macs_per_pe=draw(macs))
+    config = SystolicConfig(
+        pe_rows=p, pe_cols=p, macs_per_pe=draw(st.sampled_from([1, 2, 4, 16]))
+    )
     rows = p * draw(st.integers(1, 3)) if balanced else draw(st.integers(1, 12))
     return config, rows, draw(st.integers(1, 8))
 
@@ -125,7 +128,7 @@ def test_mhp_oracles_equal_the_whole_operand_mac(point, seed, scale):
     assert sim.mac_ops_by_pe.sum() == 2 * rows * cols
 
 
-@given(point=mhp_points(macs=st.just(2), balanced=True), seed=SEEDS)
+@given(point=mhp_points(balanced=True), seed=SEEDS)
 @SETTINGS
 def test_mhp_cycle_sim_runs_as_long_as_the_charge(point, seed):
     config, rows, cols = point
