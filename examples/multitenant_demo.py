@@ -5,7 +5,7 @@ weight 3, strict-priority rank 10, 2 ms latency SLO) and a best-effort
 tenant ("free", weight 1, rank 0, 10 ms SLO) contending for one
 SystolicArray shard.  Shows weighted-round-robin arbitration shaping
 per-tenant latency, the per-tenant SLO section of the serving report,
-the lossless per-tenant cycle attribution from the trace namespaces,
+the lossless per-tenant cycle attribution folded from the placements,
 and the same burst replayed under the strict-priority policy.
 
     python examples/multitenant_demo.py

@@ -29,8 +29,8 @@ multi-tenant serving system:
   round-robin (the backward-compatible default), least-loaded
   (occupancy-aware) or cost-aware (closed-form cycle-model finish-time
   estimates) — decides at batch-ready time which shard runs each
-  batch, with per-array trace aggregation and per-tenant namespace
-  attribution (:class:`~repro.serving.cluster.ClusterDispatcher`);
+  batch (:class:`~repro.serving.cluster.ClusterDispatcher`); the
+  report folds per-shard and per-tenant cycles from its placements;
 * KV-prefix reuse for transformer endpoints
   (:mod:`repro.serving.prefix_cache`): one
   :class:`~repro.serving.prefix_cache.RadixKVCache` keyed on

@@ -629,7 +629,7 @@ def workload_cost_model(
 
 
 # ---------------------------------------------------------------------------
-# The dispatcher: pool state + trace aggregation
+# The dispatcher: pool state
 # ---------------------------------------------------------------------------
 class ClusterDispatcher:
     """A pool of execution backends with placement-relevant state.
@@ -689,29 +689,3 @@ class ClusterDispatcher:
             ShardView(shard, self.busy_until.get(shard, 0.0), clock_hz, config)
             for shard, (config, clock_hz) in enumerate(self.design_points)
         ]
-
-    def shard_cycles(self) -> Dict[int, int]:
-        """Aggregate traced cycles per hardware-routed shard."""
-        cycles: Dict[int, int] = {}
-        for shard in range(self.n_shards):
-            array = self.array_of(shard)
-            if array is not None:
-                cycles[shard] = array.total_cycles
-        return cycles
-
-    def namespace_cycles(self) -> Dict[str, int]:
-        """Traced cycles per trace namespace, summed over the pool.
-
-        The engine executes every batch inside the owning tenant's
-        namespace (see :meth:`repro.systolic.trace.Trace.namespace`),
-        so this is the pool-wide per-tenant cycle account, read off the
-        trace aggregates.
-        """
-        totals: Dict[str, int] = {}
-        for shard in range(self.n_shards):
-            array = self.array_of(shard)
-            if array is None:
-                continue
-            for name, cycles in array.trace.cycles_by_namespace().items():
-                totals[name] = totals.get(name, 0) + cycles
-        return totals

@@ -73,9 +73,9 @@ orders them, which the same tests pin down.
 trace keeps no per-event log, only O(1) streaming aggregates (see
 :class:`~repro.systolic.trace.Trace`), which per-request cycle
 accounting reads, so shard memory stays constant over arbitrarily long
-request streams.  Per-tenant attribution costs O(tenants x labels),
-not O(events): each batch executes inside its tenant's trace
-namespace.  Request outputs are handed over exactly once by
+request streams.  Per-shard and per-tenant cycles and busy time are
+folds of the run's event log (one placement record per unit), which
+lives for one run.  Request outputs are handed over exactly once by
 :meth:`InferenceEngine.result` and released.
 
 Typical multi-tenant use::
@@ -105,7 +105,7 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
 from multiprocessing import active_children, parent_process
@@ -533,7 +533,6 @@ class InferenceEngine:
         # and steal record, in the order the engine decides them (see
         # ServingReport.events).
         self._events: List[object] = []
-        self._shard_busy: Dict[int, float] = {}
         # The agenda: every producer of work, in tie-break order — decode
         # iterations beat fresh batches, and a batch a look-ahead round
         # already planned (older) beats the scheduler.  Each owns its
@@ -888,12 +887,8 @@ class InferenceEngine:
         call; their outputs become available via :meth:`result`.
         """
         wall_start = time.perf_counter()
-        cycles_before = self.dispatcher.shard_cycles()
-        tenant_cycles_before = self.dispatcher.namespace_cycles()
-        # The event log and busy accounting are per run.
+        # The event log is per run; the report's tallies are its folds.
         self._events.clear()
-        self._shard_busy.clear()
-        self._shard_busy.update(dict.fromkeys(range(self.dispatcher.n_shards), 0.0))
         completed: List[CompletedRequest] = []
         feed = self._arrivals
         try:
@@ -916,32 +911,12 @@ class InferenceEngine:
             # Weights may change between runs: nothing is kept for the next.
             self._clear_stacks()
 
-        cycles_after = self.dispatcher.shard_cycles()
-        shard_cycles = {
-            shard: cycles_after[shard] - cycles_before.get(shard, 0)
-            for shard in cycles_after
-        }
-        tenant_cycles_after = self.dispatcher.namespace_cycles()
-        run_tenants = {record.request.tenant for record in completed}
-        # Namespaces persist on the shard traces across runs; report
-        # only the tenants this run actually touched (nonzero delta or
-        # a completed request), not every tenant ever served.
-        tenant_cycles = {
-            tenant: delta
-            for tenant in tenant_cycles_after
-            if (delta := tenant_cycles_after[tenant] - tenant_cycles_before.get(tenant, 0))
-            or tenant in run_tenants
-        }
-        for tenant in run_tenants:
-            tenant_cycles.setdefault(tenant, 0)
         return ServingReport(
             completed=tuple(completed),
-            shard_cycles=shard_cycles,
             wall_seconds=time.perf_counter() - wall_start,
-            tenant_cycles=tenant_cycles,
+            shard_clocks=tuple(clock for _, clock in self.dispatcher.design_points),
             tenants=self.tenants.configured(),
             events=self.events,
-            shard_busy=dict(self._shard_busy),
             placement_policy=self.placement.name,
             cache_stats=self.cache_stats(),
         )
@@ -1161,14 +1136,7 @@ class InferenceEngine:
 
         start = max(ready, self.dispatcher.busy_until.get(shard, 0.0))
         cycles_before = array.total_cycles if array is not None else 0
-
-        # Attribute everything the unit records to its tenant's trace
-        # namespace: per-tenant cycle accounting from aggregates alone.
-        namespace = (
-            array.trace.namespace(profile.tenant) if array is not None else nullcontext()
-        )
-        with namespace:
-            result, reused = unit.run(shard, backend)
+        result, reused = unit.run(shard, backend)
 
         # Functional backends have no cycle model and are charged nothing
         # (never host time: the simulated clock must not read the host's).
@@ -1177,7 +1145,6 @@ class InferenceEngine:
 
         finish = start + duration
         self.dispatcher.busy_until[shard] = finish
-        self._shard_busy[shard] = self._shard_busy.get(shard, 0.0) + duration
         self._controller.observe(shard, profile, array, duration, reused)
         placed = PlacementDecision(
             batch_index=unit.batch_index,

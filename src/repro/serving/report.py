@@ -2,14 +2,15 @@
 
 Aggregates one :meth:`InferenceEngine.run` into the metrics a serving
 operator watches: latency percentiles, request throughput, the cycle
-cost per request summed over every shard's array trace — and, per
-tenant, the same latency view plus cycle attribution (from the tenant
-trace namespaces), deadline misses and SLO attainment.
+cost per request summed over every shard — and, per tenant, the same
+latency view plus cycle attribution, deadline misses and SLO
+attainment.
 
-The tenant cycle account is exact: every batch executes inside its
-tenant's trace namespace, so :attr:`ServingReport.tenant_cycles` sums
-to :attr:`ServingReport.total_cycles` — cycles are attributed, never
-double-counted or dropped, from the trace aggregates alone.
+The per-shard and per-tenant cycles and the per-shard busy time are
+folds of the run's event log: each executed unit's
+:class:`~repro.serving.cluster.PlacementDecision` carries its shard,
+tenant and ``batch_cycles``, so every cycle a run charged is attributed
+exactly once.
 """
 
 from __future__ import annotations
@@ -55,14 +56,12 @@ class ServingReport:
     ----------
     completed:
         Every finished request with placement and timing.
-    shard_cycles:
-        Traced cycles per hardware-routed shard, summed over the run.
     wall_seconds:
         Host wall-clock time the run took (simulation cost, *not* the
         modelled latency).
-    tenant_cycles:
-        Traced cycles attributed to each tenant (via the per-tenant
-        trace namespaces); sums to :attr:`total_cycles`.
+    shard_clocks:
+        Each shard's clock in Hz, ``None`` for a functional backend (no
+        cycle model): what turns a placement's cycles into busy time.
     tenants:
         Scheduling contracts of the tenants known to the engine
         (weights, priorities, SLO targets) for the SLO section.
@@ -76,10 +75,8 @@ class ServingReport:
     placements, shed, prefix_events, generation_steps, steals:
         Read-only views of :attr:`events` — the records of one type, in
         log order (one line each where they are defined below).
-    shard_busy:
-        Simulated seconds each shard spent executing during the run
-        (keys cover the whole pool, idle shards at 0.0) — the basis of
-        :meth:`shard_utilization` and :meth:`imbalance`.
+    shard_cycles, tenant_cycles, shard_busy:
+        Folds of :attr:`placements` (defined below).
     placement_policy:
         Name of the placement policy that made the decisions.
     cache_stats:
@@ -90,12 +87,10 @@ class ServingReport:
     """
 
     completed: Tuple[CompletedRequest, ...]
-    shard_cycles: Dict[int, int]
     wall_seconds: float
-    tenant_cycles: Dict[str, int] = field(default_factory=dict)
+    shard_clocks: Tuple[Optional[float], ...]
     tenants: Dict[str, TenantConfig] = field(default_factory=dict)
     events: Tuple[object, ...] = ()
-    shard_busy: Dict[int, float] = field(default_factory=dict)
     placement_policy: str = "round_robin"
     cache_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
@@ -113,6 +108,42 @@ class ServingReport:
     prefix_events = _view(PrefixEvent, "Cache decisions, one per prefix-keyed batch.")
     generation_steps = _view(DecodeStepRecord, "Decode iterations, one per step.")
     steals = _view(StealEvent, "Queued batches migrated between shards.")
+
+    # -- folds of the placements ----------------------------------------
+    @cached_property
+    def shard_cycles(self) -> Dict[int, int]:
+        """Cycles charged per hardware-routed shard (idle ones at 0)."""
+        cycles = {
+            shard: 0 for shard, clock in enumerate(self.shard_clocks) if clock
+        }
+        for placed in self.placements:
+            if placed.shard in cycles:
+                cycles[placed.shard] += placed.batch_cycles
+        return cycles
+
+    @cached_property
+    def tenant_cycles(self) -> Dict[str, int]:
+        """Cycles charged per tenant, for every tenant that was charged
+        or completed a request; sums to :attr:`total_cycles`."""
+        cycles: Dict[str, int] = {}
+        for placed in self.placements:
+            if placed.batch_cycles:
+                tenant = placed.tenant
+                cycles[tenant] = cycles.get(tenant, 0) + placed.batch_cycles
+        for tenant in self._completed_by_tenant:
+            cycles.setdefault(tenant, 0)
+        return cycles
+
+    @cached_property
+    def shard_busy(self) -> Dict[int, float]:
+        """Simulated seconds each shard spent executing, summed in log
+        order (the whole pool; idle and functional shards at 0.0) — the
+        basis of :meth:`shard_utilization` and :meth:`imbalance`."""
+        busy = dict.fromkeys(range(len(self.shard_clocks)), 0.0)
+        for placed in self.placements:
+            if clock := self.shard_clocks[placed.shard]:
+                busy[placed.shard] += placed.batch_cycles / clock
+        return busy
 
     # -- request-level views --------------------------------------------
     @property

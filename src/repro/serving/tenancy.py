@@ -31,8 +31,8 @@ class TenantConfig:
     Attributes
     ----------
     tenant_id:
-        Stable identifier; also the trace-label namespace the engine
-        attributes this tenant's cycles under.
+        Stable identifier; also the key the report attributes this
+        tenant's cycles under.
     weight:
         Relative share under the weighted-round-robin policy
         (must be > 0).  A weight-3 tenant contending with a weight-1

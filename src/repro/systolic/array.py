@@ -279,7 +279,7 @@ class SystolicArray:
     def replay(self, tape: list) -> None:
         """Charge a tape :meth:`capture` filled to this array, computing nothing.
 
-        Events go through the live trace (open namespace, open tape) and
+        Events go through the live trace (and any open tape) and
         every table through the live parameter store, so one evicted
         since — by another model's tables or :meth:`reset` — preloads
         again exactly where execution would have paid for it.

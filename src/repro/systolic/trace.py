@@ -9,19 +9,10 @@ maintained *streaming* on :meth:`Trace.record`, so consulting them is
 O(1) in the number of recorded events — a long-lived serving process can
 read ``total_cycles`` per request without re-scanning its history.
 
-Label namespaces
-----------------
-A trace can attribute cycles to a *namespace* — e.g. the serving
-engine's tenant executing the current batch: :meth:`Trace.namespace` is
-a context manager that tags every event recorded inside it, and the
-per-namespace aggregates (:meth:`cycles_by_namespace`, and per-label
-within a namespace via ``cycles_by_label(namespace=...)``) are
-maintained streaming exactly like the global ones.
-
 Memory
 ------
-A trace keeps aggregates only, so its memory is bounded by
-``distinct namespaces x distinct labels``, never by event count.  The
+A trace keeps aggregates only, so its memory is bounded by the number
+of distinct kinds and labels, never by event count.  The
 ordered ``(event, count)`` log of a stretch of work is what
 :meth:`~repro.systolic.array.SystolicArray.capture` tapes, for whoever
 needs one.
@@ -29,9 +20,8 @@ needs one.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.systolic.timing import CycleBreakdown
 
@@ -59,9 +49,6 @@ class Trace:
         self._cycles_by_kind: Dict[str, int] = {}
         self._ops_by_kind: Dict[str, int] = {}
         self._cycles_by_label: Dict[str, int] = {}
-        self._namespace: Optional[str] = None
-        self._cycles_by_namespace: Dict[str, int] = {}
-        self._ns_cycles_by_label: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -80,27 +67,6 @@ class Trace:
         ops[event.kind] = ops.get(event.kind, 0) + event.ops * count
         label = self._cycles_by_label
         label[event.label] = label.get(event.label, 0) + cycles
-        if self._namespace is not None:
-            ns = self._cycles_by_namespace
-            ns[self._namespace] = ns.get(self._namespace, 0) + cycles
-            ns_labels = self._ns_cycles_by_label.setdefault(self._namespace, {})
-            ns_labels[event.label] = ns_labels.get(event.label, 0) + cycles
-
-    @contextmanager
-    def namespace(self, name: str) -> Iterator["Trace"]:
-        """Attribute events recorded inside the block to ``name``.
-
-        Nested namespaces replace each other (the innermost wins), and
-        recording outside any namespace touches only the global
-        aggregates.  The serving engine wraps each batch execution in
-        the owning tenant's namespace to attribute cycles per tenant.
-        """
-        previous = self._namespace
-        self._namespace = name
-        try:
-            yield self
-        finally:
-            self._namespace = previous
 
     # ------------------------------------------------------------------
     # Aggregate views (O(1) / O(distinct keys), never O(events))
@@ -117,30 +83,17 @@ class Trace:
         """Aggregate op counts per operation kind."""
         return dict(self._ops_by_kind)
 
-    def cycles_by_label(self, namespace: Optional[str] = None) -> Dict[str, int]:
-        """Aggregate cycles per event label (e.g. per layer).
-
-        With ``namespace``, only cycles recorded inside that
-        :meth:`namespace` block are reported (empty dict for a
-        namespace the trace has never seen).
-        """
-        if namespace is not None:
-            return dict(self._ns_cycles_by_label.get(namespace, {}))
+    def cycles_by_label(self) -> Dict[str, int]:
+        """Aggregate cycles per event label (e.g. per layer)."""
         return dict(self._cycles_by_label)
 
-    def cycles_by_namespace(self) -> Dict[str, int]:
-        """Aggregate cycles per namespace (see :meth:`namespace`)."""
-        return dict(self._cycles_by_namespace)
-
     def clear(self) -> None:
-        """Zero every aggregate (an open namespace or tape stays open)."""
+        """Zero every aggregate (an open tape stays open)."""
         self._n_events = 0
         self._total_cycles = 0
         self._cycles_by_kind.clear()
         self._ops_by_kind.clear()
         self._cycles_by_label.clear()
-        self._cycles_by_namespace.clear()
-        self._ns_cycles_by_label.clear()
 
     def __len__(self) -> int:
         """Number of events recorded since the last :meth:`clear`."""

@@ -4,8 +4,9 @@ Every ``ServingReport`` an in-process ``InferenceEngine.run`` returns,
 in any test under ``tests/`` — the serving, elastic, generation,
 traffic, deploy and pipeline suites among them, whichever marker
 selected the test — is held to the run-level invariants of
-``tests/invariants.py``.  (Engines in forked children inherit the
-check.)
+``tests/invariants.py``, its per-shard cycles against each shard array's
+``total_cycles`` before and after the run.  (Engines in forked children
+inherit the check.)
 
 Every test starts with the tape memo of its module's ``EndpointSpec``
 constants empty, so each meets its shapes by executing them and no
@@ -32,8 +33,19 @@ def every_report_holds_the_run_invariants(monkeypatch):
 
     @functools.wraps(run)
     def checked_run(self, *args, **kwargs):
+        pool = self.dispatcher
+        arrays = {shard: pool.array_of(shard) for shard in range(pool.n_shards)}
+        before = {
+            shard: array.total_cycles
+            for shard, array in arrays.items()
+            if array is not None
+        }
         report = run(self, *args, **kwargs)
-        check_invariants(report)
+        charged = {
+            shard: arrays[shard].total_cycles - cycles
+            for shard, cycles in before.items()
+        }
+        check_invariants(report, charged=charged)
         return report
 
     monkeypatch.setattr(InferenceEngine, "run", checked_run)

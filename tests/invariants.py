@@ -1,9 +1,10 @@
 """Run-level invariants of a ``ServingReport``, whatever the knobs.
 
-``check_invariants(report)`` reads only the report — the event log, the
-completions and the per-shard / per-tenant tallies — so it applies to
-every run of every suite; ``tests/conftest.py`` calls it on each report
-``InferenceEngine.run`` returns.  What it holds a run to:
+``check_invariants(report, charged=...)`` reads the report — the event
+log, the completions and the per-shard / per-tenant folds of it — and,
+with ``charged``, what each shard's array counted over the run, so it
+applies to every run of every suite; ``tests/conftest.py`` calls it on
+each report ``InferenceEngine.run`` returns.  What it holds a run to:
 
 * **exactly once** — completed and shed request ids are disjoint and
   none repeats (with ``ids``, they are exactly the requests
@@ -15,7 +16,10 @@ every run of every suite; ``tests/conftest.py`` calls it on each report
 * **busy time reconciles** — on every shard, ``shard_busy`` is the sum
   of its committed durations (to float rounding of the sum, and of each
   ``finish = start + duration``: half an ulp of ``finish`` per unit);
-* **cycles reconcile** — ``tenant_cycles`` sums to ``total_cycles``.
+* **cycles reconcile** — every shard's array ``total_cycles`` moved by
+  exactly ``shard_cycles[shard]`` (``charged``: the arrays' own count,
+  independent of the log, so a charge made outside a unit fails here),
+  and ``tenant_cycles`` sums to ``total_cycles``.
 """
 
 import math
@@ -23,7 +27,7 @@ import math
 import pytest
 
 
-def check_invariants(report, ids=None):
+def check_invariants(report, ids=None, charged=None):
     completed = [record.request.request_id for record in report.completed]
     shed = [record.request.request_id for record in report.shed]
     outcomes = completed + shed
@@ -49,4 +53,6 @@ def check_invariants(report, ids=None):
             committed, rel=1e-9, abs=1e-15 + rounding
         ), f"busy time of shard {shard} does not reconcile"
 
+    if charged is not None:
+        assert charged == report.shard_cycles, "array cycles do not reconcile"
     assert sum(report.tenant_cycles.values()) == report.total_cycles

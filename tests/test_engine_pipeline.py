@@ -268,7 +268,6 @@ def test_event_log_tells_each_batch_story_in_order(kind):
 
 
 SKELETON_CALLS = (
-    "trace.namespace(",
     "unit.run(",
     "PlacementDecision(",
 )

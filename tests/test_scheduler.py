@@ -5,7 +5,8 @@ The load-bearing contracts:
 * tenancy never changes results — serving the same requests through
   any tenant split stays bit-identical to single-tenant execution;
 * per-tenant cycle totals in the report sum exactly to the engine's
-  aggregate ``total_cycles`` (trace-namespace attribution is lossless);
+  aggregate ``total_cycles``, which is what the shard arrays counted
+  (the placement-log fold is lossless);
 * the incremental :class:`BatchAssembler` composes exactly the batches
   the offline :class:`~tests.reference.batcher.DynamicBatcher` plan would;
 * the legacy single-tenant ``submit``/``run`` API behaves as in PR 1.
@@ -29,7 +30,6 @@ from repro.serving import (
 )
 from repro.serving.scheduler import TenantCandidate, make_policy
 from repro.systolic import SystolicArray, SystolicConfig
-from repro.systolic.trace import Trace, TraceEvent
 
 from tests.reference.batcher import DynamicBatcher
 
@@ -382,14 +382,13 @@ class TestEngineMultiTenant:
 
         assert report.n_requests == 10
         assert set(report.tenant_ids) == {"alice", "bob"}
-        # Lossless attribution: namespace totals sum to the aggregate.
+        # Lossless attribution: tenant totals sum to the aggregate,
+        # which is every cycle the pool's one array counted.
         assert report.total_cycles > 0
         assert sum(report.tenant_cycles.values()) == report.total_cycles
+        assert report.total_cycles == pool.array_of(0).total_cycles
         assert report.tenant_cycles["alice"] > 0
         assert report.tenant_cycles["bob"] > 0
-        # Attributable from the trace aggregates alone.
-        trace = pool.array_of(0).trace
-        assert set(trace.cycles_by_namespace()) == {"alice", "bob"}
         # Bit-identical to the single-tenant run of the same requests.
         for request_id, expected in zip(ids, reference):
             assert np.array_equal(engine.result(request_id), expected)
@@ -575,9 +574,8 @@ class TestEngineMultiTenant:
             assert engine.result(request_id) is not None
 
     def test_report_names_only_this_runs_tenants(self):
-        # Regression: namespaces persist on the shard traces, but a
-        # run's report must not list tenants served in earlier runs
-        # with a zero cycle delta.
+        # Regression: the shard arrays keep counting across runs, but a
+        # run's report must not list tenants served in earlier runs.
         engine, _ = self.engine()
         engine.submit("bert", RNG.integers(0, 16, size=8), tenant="early")
         assert engine.run().tenant_ids == ["early"]
@@ -595,41 +593,3 @@ class TestEngineMultiTenant:
         report = engine.run()
         assert report.tenant_cycles == {"t1": 0}
         assert report.total_cycles == 0
-
-
-class TestTraceNamespaces:
-    def event(self, cycles, label="l"):
-        return TraceEvent(kind="gemm", label=label, cycles=cycles, ops=1)
-
-    def test_namespace_attribution(self):
-        trace = Trace()
-        trace.record(self.event(5))  # outside any namespace
-        with trace.namespace("a"):
-            trace.record(self.event(7, label="x"))
-            trace.record(self.event(2, label="y"))
-        with trace.namespace("b"):
-            trace.record(self.event(3, label="x"))
-        assert trace.total_cycles == 17
-        assert trace.cycles_by_namespace() == {"a": 9, "b": 3}
-        assert trace.cycles_by_label(namespace="a") == {"x": 7, "y": 2}
-        assert trace.cycles_by_label(namespace="b") == {"x": 3}
-        assert trace.cycles_by_label(namespace="ghost") == {}
-        # Global label aggregates are unchanged by namespacing.
-        assert trace.cycles_by_label() == {"l": 5, "x": 10, "y": 2}
-
-    def test_nested_namespaces_innermost_wins(self):
-        trace = Trace()
-        with trace.namespace("outer"):
-            trace.record(self.event(1))
-            with trace.namespace("inner"):
-                trace.record(self.event(2))
-            trace.record(self.event(4))
-        assert trace.cycles_by_namespace() == {"outer": 5, "inner": 2}
-
-    def test_clear_resets_namespaces(self):
-        trace = Trace()
-        with trace.namespace("a"):
-            trace.record(self.event(1))
-        trace.clear()
-        assert trace.cycles_by_namespace() == {}
-        assert trace.cycles_by_label(namespace="a") == {}

@@ -44,23 +44,22 @@ class TestTrace:
         assert event.cycles == 6
 
     def test_record_count_equals_repeated_record(self):
-        """``record(event, count=n)`` leaves every aggregate and
-        namespace exactly as ``n`` single calls do."""
+        """``record(event, count=n)`` leaves every aggregate exactly as
+        ``n`` single calls do."""
         event = TraceEvent("gemm", "attn", cycles=7, ops=30)
         other = TraceEvent("mhp", "attn.gelu", cycles=3, ops=8)
         looped, counted = Trace(), Trace()
         for trace, batched in ((looped, False), (counted, True)):
             trace.record(other)
-            with trace.namespace("tenant-a"):
-                if batched:
-                    trace.record(event, count=6)
-                else:
-                    for _ in range(6):
-                        trace.record(event)
+            if batched:
+                trace.record(event, count=6)
+            else:
+                for _ in range(6):
+                    trace.record(event)
             trace.record(event, count=1)
         assert vars(counted) == vars(looped)
         assert len(counted) == 8 and counted.total_cycles == 3 + 7 * 7
-        assert counted.cycles_by_label("tenant-a") == {"attn": 6 * 7}
+        assert counted.cycles_by_label() == {"attn.gelu": 3, "attn": 7 * 7}
 
 
 class TestSummary:

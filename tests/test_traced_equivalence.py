@@ -426,18 +426,17 @@ class TestTraceAggregateMode:
         assert len(trace) == len(events)
 
     def test_clear_preserves_mode(self):
-        """``clear`` zeroes the aggregates; an open namespace and an open
-        tape go on receiving what is recorded after it."""
+        """``clear`` zeroes the aggregates; an open tape goes on
+        receiving what is recorded after it."""
         trace = Trace()
         trace.tape = tape = []
-        with trace.namespace("tenant"):
-            trace.record(self._event())
-            trace.clear()
-            assert trace.total_cycles == 0
-            assert len(trace) == 0
-            assert trace.cycles_by_namespace() == {}
-            trace.record(self._event(cycles=4))
-        assert trace.cycles_by_namespace() == {"tenant": 4}
+        trace.record(self._event())
+        trace.clear()
+        assert trace.total_cycles == 0
+        assert len(trace) == 0
+        assert trace.cycles_by_label() == {}
+        trace.record(self._event(cycles=4))
+        assert trace.total_cycles == 4
         assert [count for _, count in tape] == [1, 1]
 
     def test_array_o1_aggregates_follow_mode(self):
