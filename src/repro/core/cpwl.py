@@ -28,7 +28,7 @@ from repro.core.segment_table import (
 from repro.core.ipf import fetch_parameters
 from repro.fixedpoint import QFormat, fixed_hadamard_mac, quantize
 from repro.fixedpoint.qformat import INT16
-from repro.fixedpoint.quantize import strips
+from repro.fixedpoint.quantize import SaturatedCodes, strips
 
 #: Widest format whose approximators tabulate every code (2**16 entries,
 #: 128 KiB of INT16).  An approximator builds its table on its first
@@ -108,16 +108,25 @@ class CPWLApproximator:
         #: read-only; ``None`` until the first non-empty call builds it.
         self.code_table: Optional[np.ndarray] = None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, on_grid: bool = False) -> np.ndarray:
         """Evaluate the approximation, returning float values.
 
         With a fixed-point format configured this is bit-faithful to the
         array: the result is the dequantized INT16 output of the MHP.
+        ``on_grid=True`` says ``x`` already holds the values of saturated
+        codes of the format (an op output the caller wrote back in it):
+        its codes are ``x * 2**frac`` exactly and are not rounded again.
+        Either way they are in range, so :meth:`evaluate_raw` does not
+        scan them.
         """
         x = np.asarray(x, dtype=np.float64)
         if self.fmt is None:
             return self.table.evaluate(x)
-        y = self.evaluate_raw(quantize(x, self.fmt, dtype=np.float64))
+        if on_grid:
+            codes = x * float(1 << self.fmt.frac_bits)
+        else:
+            codes = quantize(x, self.fmt, dtype=np.float64)
+        y = self.evaluate_raw(codes.view(SaturatedCodes))
         y *= self.fmt.scale
         return y
 
@@ -138,14 +147,18 @@ class CPWLApproximator:
         :attr:`code_table`, and from then on codes within the format's
         range are one gather from it, strip by strip.  Wider formats,
         codes out of range and empty input keep the chain; an empty
-        input builds nothing.
+        input builds nothing.  A
+        :class:`~repro.fixedpoint.quantize.SaturatedCodes` operand is in
+        range by its producer's word, and its range is not scanned.
         """
         if self.fmt is None or self.qtable is None:
             raise RuntimeError("evaluate_raw requires a fixed-point format")
+        saturated = isinstance(x_raw, SaturatedCodes)
         x_raw = np.asarray(x_raw)
         table = self._code_table() if x_raw.size else None
         if table is None or not (
-            self.fmt.raw_min <= x_raw.min() and x_raw.max() <= self.fmt.raw_max
+            saturated
+            or self.fmt.raw_min <= x_raw.min() and x_raw.max() <= self.fmt.raw_max
         ):
             return self._chain(x_raw)
         floating = x_raw.dtype.kind == "f"

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.core.cpwl import CPWLApproximator
 from repro.fixedpoint import QFormat, round_saturate
+from repro.fixedpoint.quantize import SaturatedCodes
 from repro.fixedpoint.qformat import INT16
 
 #: Approximators kept per process.  One is a pure function of (function,
@@ -78,10 +79,16 @@ get_approximator.cache_clear = _approximator.cache_clear
 
 
 def cpwl_gelu(
-    x: np.ndarray, granularity: float, fmt: Optional[QFormat] = INT16
+    x: np.ndarray,
+    granularity: float,
+    fmt: Optional[QFormat] = INT16,
+    on_grid: bool = False,
 ) -> np.ndarray:
-    """GELU via one IPF + MHP event (the paper's running example)."""
-    return get_approximator("gelu", granularity, fmt)(x)
+    """GELU via one IPF + MHP event (the paper's running example).
+
+    ``on_grid``: ``x`` holds values of saturated codes, which enter
+    unrounded (see :meth:`CPWLApproximator.__call__`)."""
+    return get_approximator("gelu", granularity, fmt)(x, on_grid)
 
 
 def relu_domain(granularity: float) -> "tuple[float, float]":
@@ -90,7 +97,10 @@ def relu_domain(granularity: float) -> "tuple[float, float]":
 
 
 def cpwl_relu(
-    x: np.ndarray, granularity: float, fmt: Optional[QFormat] = INT16
+    x: np.ndarray,
+    granularity: float,
+    fmt: Optional[QFormat] = INT16,
+    on_grid: bool = False,
 ) -> np.ndarray:
     """ReLU via CPWL on the generic (mid-anchored) segment grid.
 
@@ -102,10 +112,11 @@ def cpwl_relu(
     with error up to ``g/4`` concentrated exactly where batch-normalized
     activations live.  This is the mechanism behind the CNN rows of the
     accuracy-vs-granularity table; a kink-aligned grid would make ReLU
-    exact and the CNN artificially insensitive.
+    exact and the CNN artificially insensitive.  ``on_grid`` is
+    :func:`cpwl_gelu`'s.
     """
     domain = relu_domain(granularity)
-    return get_approximator("relu", granularity, fmt, domain=domain)(x)
+    return get_approximator("relu", granularity, fmt, domain=domain)(x, on_grid)
 
 
 def cpwl_sigmoid(
@@ -158,7 +169,7 @@ def cpwl_softmax(
     recip_table = get_approximator("reciprocal", granularity, fmt, domain=(1.0, 2.0))
     one = float(1 << fmt.frac_bits)
     shifted *= one
-    exps = exp_table.evaluate_raw(round_saturate(shifted, fmt))
+    exps = exp_table.evaluate_raw(round_saturate(shifted, fmt).view(SaturatedCodes))
     # CPWL chords of a convex function overshoot slightly and the capped
     # lower boundary segment can dip below zero; the hardware clamps the
     # exponential to its known non-negative range on writeback.
@@ -174,9 +185,12 @@ def cpwl_softmax(
     np.maximum(denom, one, out=denom)
     j = np.frexp(denom / one)[1] - 1
     inv = recip_table.evaluate_raw(round_saturate(np.ldexp(denom, -j), fmt))
+    # ``e * inv`` is an exact integer, so folding both power-of-two
+    # shifts into the per-row factor scales the same product: one pass
+    # over the weights instead of three.
+    inv *= fmt.scale
+    np.ldexp(inv, -j, out=inv)
     exps *= inv
-    exps *= fmt.scale
-    np.ldexp(exps, -j, out=exps)
     round_saturate(exps, fmt)
     exps *= fmt.scale
     return exps
@@ -215,8 +229,8 @@ def cpwl_layernorm(
     round_saturate(var, fmt)
     np.maximum(var, lo * one, out=var)
     inv_std = rsqrt_table.evaluate_raw(round_saturate(var, fmt))
+    inv_std *= fmt.scale  # per row; the code-by-code product stays exact
     normed = np.multiply(centered, inv_std, out=squares)
-    normed *= fmt.scale
     round_saturate(normed, fmt)
     if gamma is not None:
         normed *= np.asarray(gamma, dtype=np.float64)

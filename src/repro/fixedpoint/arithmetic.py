@@ -56,7 +56,9 @@ def _writeback(acc: np.ndarray, fmt: QFormat) -> np.ndarray:
     return saturate(rounded, fmt)
 
 
-def fixed_matmul(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
+def fixed_matmul(
+    a: np.ndarray, b: np.ndarray, fmt: QFormat, values: bool = False
+) -> np.ndarray:
     """Bit-accurate fixed-point matrix multiply ``a @ b``.
 
     This is the vectorised reference for what the systolic array computes
@@ -64,6 +66,15 @@ def fixed_matmul(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
     the wide accumulator and saturated once on writeback.  Inputs are raw
     codes in ``fmt``; the output is raw codes in ``fmt``, in the
     representation of the operands (float64 if either is).
+
+    ``values=True`` says ``a`` holds the real values ``codes * 2**-frac``
+    of exact codes instead of the codes (a float64 activation already on
+    the format's grid).  Under the accumulator bound every product and
+    partial sum is then the codes' own scaled by a power of two, so
+    ``a @ b`` is exactly the codes' accumulator times ``2**-frac`` and
+    the writeback ``floor(acc + 1/2)`` rounds the same sums: the same
+    codes, without a pass that scales ``a`` up.  Past the bound the codes
+    are recovered exactly for the int64 path.
 
     Operands may carry leading batch axes: ``(..., M, K) @ (..., K, N)``
     is computed as a stack of independent 2-D GEMMs with numpy's matmul
@@ -88,6 +99,13 @@ def fixed_matmul(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
     # back losslessly.  Wider formats fall back to int64 matmul.
     acc_bound = a.shape[-1] * (1 << (fmt.total_bits - 1)) ** 2
     wide = np.float64 if acc_bound <= 1 << 53 else np.int64
+    if values and wide is np.float64:
+        acc = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+        acc += 0.5 if fmt.frac_bits > 0 else 0.0
+        np.floor(acc, out=acc)
+        return saturate_codes(acc, fmt)
+    if values:
+        a = a * float(1 << fmt.frac_bits)
     out = _writeback(a.astype(wide, copy=False) @ b.astype(wide, copy=False), fmt)
     floating = a.dtype.kind == "f" or b.dtype.kind == "f"
     return out.astype(np.float64 if floating else fmt.storage_dtype(), copy=False)

@@ -125,6 +125,15 @@ def round_saturate(codes: np.ndarray, fmt: QFormat) -> np.ndarray:
     return codes
 
 
+class SaturatedCodes(np.ndarray):
+    """Float64 codes whose producer vouches that they lie in the range of
+    the format they are evaluated in: ``round_saturate``'s output, or an
+    op output of the current model pass scaled up exactly.  A view of
+    this class (``codes.view(SaturatedCodes)``, no copy) lets
+    :meth:`repro.core.cpwl.CPWLApproximator.evaluate_raw` skip its
+    min / max scan of the operand."""
+
+
 def dequantize(raw: ArrayLike, fmt: QFormat) -> np.ndarray:
     """Convert raw fixed-point integers back to real values."""
     return np.asarray(raw, dtype=np.float64) * fmt.scale

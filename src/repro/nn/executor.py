@@ -16,9 +16,10 @@ different execution models:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -263,6 +264,12 @@ class FloatBackend:
 
     name = "float"
 
+    def model_pass(self) -> "contextlib.AbstractContextManager[None]":
+        """One forward pass of a model: a float backend rounds nothing, so
+        there is nothing to carry between its ops (see
+        :meth:`CPWLBackend.model_pass`)."""
+        return contextlib.nullcontext()
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
 
@@ -418,6 +425,19 @@ class CPWLBackend:
     With an :attr:`array` set, each GEMM (one per broadcast pair) and
     ReLU / GELU is charged to it by shape; the composites (softmax,
     layernorm, batchnorm) add 0 traced cycles.
+
+    **Round once.**  Every op writes its result back as saturated codes,
+    as the PE output buffer does, and returns them scaled to values.
+    Inside a :meth:`model_pass` the backend keeps a weak record of the
+    arrays its ops returned, so an op input that is one of them (or a
+    float64 view of one) enters as the exact codes ``x * 2**frac`` (the
+    left operand of a GEMM as the values themselves, see
+    :func:`fixed_matmul`'s ``values``) instead of being rounded again:
+    the same bits, one rounding pass fewer per operand.  The contract
+    this rests on: inside a pass, nothing writes into an op's output.
+    The record dies with the outermost pass, so a row that leaves it (a
+    served output, a K/V payload) is rounded again if it ever comes
+    back.
     """
 
     name = "cpwl"
@@ -427,6 +447,45 @@ class CPWLBackend:
         self.granularity = POSITIVE("granularity", granularity)
         self.fmt = fmt
         self.param_cache = ParamCache()
+        self._passes = 0
+        # Memory owners of this pass's op outputs, by id: the entry of an
+        # array dies with it, so no activation outlives its last use.
+        self._outputs: "weakref.WeakValueDictionary[int, np.ndarray]" = (
+            weakref.WeakValueDictionary()
+        )
+
+    # -- one model pass ---------------------------------------------------
+    @contextlib.contextmanager
+    def model_pass(self) -> Iterator[None]:
+        """One forward pass of a model (reentrant): op outputs made inside
+        it enter later ops of it as exact codes (see the class notes)."""
+        self._passes += 1
+        try:
+            yield
+        finally:
+            self._passes -= 1
+            if not self._passes:
+                self._outputs.clear()
+
+    def _output(self, out: np.ndarray) -> np.ndarray:
+        """Record ``out`` — fresh codes scaled to values — as an op output
+        of the open pass; returns it."""
+        if self._passes:
+            owner = out if out.base is None else out.base
+            self._outputs[id(owner)] = owner
+        return out
+
+    def _on_grid(self, x) -> bool:
+        """Whether ``x`` is an op output of the open pass, or a float64 view
+        of one: values ``codes * 2**-frac`` that need no rounding."""
+        if not self._passes or getattr(x, "dtype", None) != np.float64:
+            return False
+        outputs = self._outputs
+        while x is not None:
+            if outputs.get(id(x)) is x:
+                return True
+            x = getattr(x, "base", None)
+        return False
 
     # -- parameter caching ----------------------------------------------
     def _quantized_param(self, array: np.ndarray) -> np.ndarray:
@@ -446,39 +505,48 @@ class CPWLBackend:
         )
 
     # -- linear ---------------------------------------------------------
+    def _gemm(self, a: np.ndarray, b_raw: np.ndarray, on_grid: bool) -> np.ndarray:
+        """``fixed_matmul`` of float64 ``a`` by codes ``b_raw``: an ``a`` on
+        the grid goes in as values, any other is quantized first."""
+        if not on_grid:
+            a = quantize(a, self.fmt, dtype=np.float64)
+        return fixed_matmul(a, b_raw, self.fmt, values=on_grid)
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # One vectorized call covers both the 2-D case and stacked
         # (batched-attention) operands: fixed_matmul broadcasts leading
         # axes and is bit-identical to a Python loop of 2-D GEMMs.  Raw
         # codes stay in float64 (exact for in-range raw integers) from
         # the quantize through BLAS and the writeback to the final scale.
-        out = fixed_matmul(
-            quantize(a, self.fmt, dtype=np.float64),
-            quantize(b, self.fmt, dtype=np.float64),
-            self.fmt,
-        )
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if self._on_grid(b):
+            b_raw = b * float(1 << self.fmt.frac_bits)
+        else:
+            b_raw = quantize(b, self.fmt, dtype=np.float64)
+        out = self._gemm(a, b_raw, self._on_grid(a))
         if self.array is not None:
             a_shape, b_shape = np.shape(a), np.shape(b)
             pairs = math.prod(np.broadcast_shapes(a_shape[:-2], b_shape[:-2]))
             self.array.charge_gemm(*a_shape[-2:], b_shape[-1], pairs)
         out *= self.fmt.scale
-        return out
+        return self._output(out)
 
     def linear(self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
         orig_shape = x.shape
-        x2 = np.asarray(x, dtype=np.float64).reshape(-1, orig_shape[-1])
-        x_raw = quantize(x2, self.fmt, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
         # Weight codes come from the staleness-safe parameter cache;
         # quantize commutes with transposition, so caching the
         # untransposed codes and passing the view is bit-identical to
         # quantizing weight.T per call (and integer-exact accumulation
         # makes the result layout-independent).
         w_raw_t = self._quantized_param(weight).T
-        out = fixed_matmul(x_raw, w_raw_t, self.fmt)
+        x2 = x.reshape(-1, orig_shape[-1])
+        out = self._gemm(x2, w_raw_t, self._on_grid(x))
         if self.array is not None:
-            self.array.charge_gemm(*x_raw.shape, weight.shape[0])
+            self.array.charge_gemm(*x2.shape, weight.shape[0])
         out = self._bias_writeback(out, bias)
-        return out.reshape(orig_shape[:-1] + (weight.shape[0],))
+        return self._output(out.reshape(orig_shape[:-1] + (weight.shape[0],)))
 
     def _bias_writeback(self, gemm_raw: np.ndarray, bias: np.ndarray) -> np.ndarray:
         """The INT16 writeback of the bias add, scaled back to values:
@@ -499,31 +567,33 @@ class CPWLBackend:
         bit-identical to unfolding first and quantizing the ``k^2``
         times larger patch matrix — at a fraction of the rounding
         passes.  The raw values ride in float64 straight into the BLAS
-        GEMM (see :func:`repro.fixedpoint.fixed_matmul`).
+        GEMM (see :func:`repro.fixedpoint.fixed_matmul`); an ``x`` on
+        the grid is unfolded as it is and goes in as values.
         """
-        x_raw = quantize(
-            np.asarray(x, dtype=np.float64), self.fmt, dtype=np.float64
-        )
-        cols_raw, out_hw = im2col(x_raw, kernel, stride, padding)
+        x = np.asarray(x, dtype=np.float64)
+        on_grid = self._on_grid(x)
+        if not on_grid:
+            x = quantize(x, self.fmt, dtype=np.float64)
+        cols, out_hw = im2col(x, kernel, stride, padding)
         # The filter matrix is a reshape view of the layer's weight
         # buffer, so the parameter cache hits on every call (identity
         # and layout of the view are part of the key).
         w_raw_t = self._quantized_param(weight_mat).T
-        out = fixed_matmul(cols_raw, w_raw_t, self.fmt)
+        out = fixed_matmul(cols, w_raw_t, self.fmt, values=on_grid)
         if self.array is not None:
-            self.array.charge_gemm(*cols_raw.shape, weight_mat.shape[0])
-        return self._bias_writeback(out, bias), out_hw
+            self.array.charge_gemm(*cols.shape, weight_mat.shape[0])
+        return self._output(self._bias_writeback(out, bias)), out_hw
 
     # -- nonlinear ------------------------------------------------------
     def relu(self, x: np.ndarray) -> np.ndarray:
-        out = NL.cpwl_relu(x, self.granularity, self.fmt)
+        out = NL.cpwl_relu(x, self.granularity, self.fmt, self._on_grid(x))
         self._charge_nonlinear("relu", out, NL.relu_domain(self.granularity))
-        return out
+        return self._output(out)
 
     def gelu(self, x: np.ndarray) -> np.ndarray:
-        out = NL.cpwl_gelu(x, self.granularity, self.fmt)
+        out = NL.cpwl_gelu(x, self.granularity, self.fmt, self._on_grid(x))
         self._charge_nonlinear("gelu", out)
-        return out
+        return self._output(out)
 
     def _charge_nonlinear(self, function: str, out: np.ndarray, domain=None) -> None:
         """Charge one IPF + MHP pass over ``out`` as ``(rows, last axis)``."""
@@ -533,22 +603,26 @@ class CPWLBackend:
             self.array.charge_nonlinear(function, rows, self.granularity, domain=domain)
 
     def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        return NL.cpwl_softmax(x, self.granularity, self.fmt, axis=axis)
+        return self._output(NL.cpwl_softmax(x, self.granularity, self.fmt, axis=axis))
 
     def causal_softmax(self, scores: np.ndarray, row_offset: int) -> np.ndarray:
         """All causal rows in one masked pass, bit-identical to one
         :meth:`softmax` per row slice (see ``cpwl_softmax``'s ``row_offset``)."""
-        return NL.cpwl_softmax(
-            scores, self.granularity, self.fmt, row_offset=row_offset
+        return self._output(
+            NL.cpwl_softmax(scores, self.granularity, self.fmt, row_offset=row_offset)
         )
 
     def layernorm(self, x, gamma, beta, eps: float = 1e-5) -> np.ndarray:
-        return NL.cpwl_layernorm(
-            x, self.granularity, gamma=gamma, beta=beta, fmt=self.fmt, eps=eps
+        return self._output(
+            NL.cpwl_layernorm(
+                x, self.granularity, gamma=gamma, beta=beta, fmt=self.fmt, eps=eps
+            )
         )
 
     def batchnorm(self, x, scale, shift, channel_axis: int = 1) -> np.ndarray:
-        return NL.cpwl_batchnorm(x, scale, shift, fmt=self.fmt, channel_axis=channel_axis)
+        return self._output(
+            NL.cpwl_batchnorm(x, scale, shift, fmt=self.fmt, channel_axis=channel_axis)
+        )
 
     def batchnorm_stats(self, x, gamma, beta, mean, var, eps=1e-5, channel_axis=1):
         """Derive the affine on the array: range-reduced CPWL rsqrt + MHPs."""

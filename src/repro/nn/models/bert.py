@@ -91,7 +91,9 @@ class TinyBERT(Module):
         cold pass, a classifier prefix hit, a warm prefill and a decode
         step are this call with ``(S, pos)`` = ``(T, 0)``, ``(T - P, P)``,
         ``(P - C, C)`` and ``(1, pos)`` — the one shape
-        :mod:`repro.nn.workload` prices them all as.
+        :mod:`repro.nn.workload` prices them all as.  The layers run in
+        one ``backend.model_pass()``, so each op's output enters the next
+        op as exact codes.
         """
         pos = 0 if kv is None else kv.pos
         if kv is not None and kv.n_layers != self.n_layers:
@@ -109,9 +111,10 @@ class TinyBERT(Module):
                 f"{self.seq_len}-entry position table"
             )
         check_token_ids(tokens, self.vocab)
-        x = self.token_emb.infer_indices(tokens) + self.pos_emb.data[pos:end]
-        for i, layer in enumerate(self.layers):
-            x = layer.infer(x, backend, kv, i)
+        with backend.model_pass():
+            x = self.token_emb.infer_indices(tokens) + self.pos_emb.data[pos:end]
+            for i, layer in enumerate(self.layers):
+                x = layer.infer(x, backend, kv, i)
         return x
 
     def infer(self, tokens: np.ndarray, backend, kv=None) -> np.ndarray:

@@ -45,8 +45,9 @@ class GCN(Module):
         return self.gc2.forward(h, a_hat)
 
     def infer(self, features: np.ndarray, a_hat: np.ndarray, backend) -> np.ndarray:
-        h = backend.relu(self.gc1.infer(features, a_hat, backend))
-        return self.gc2.infer(h, a_hat, backend)
+        with backend.model_pass():
+            h = backend.relu(self.gc1.infer(features, a_hat, backend))
+            return self.gc2.infer(h, a_hat, backend)
 
     def predict(self, features: np.ndarray, a_hat: np.ndarray, backend) -> np.ndarray:
         """Hard per-node class predictions."""

@@ -55,12 +55,13 @@ class ResidualBlock(Module):
         return self.relu(out + skip)
 
     def infer(self, x: np.ndarray, backend) -> np.ndarray:
-        out = backend.relu(self.bn1.infer(self.conv1.infer(x, backend), backend))
-        out = self.bn2.infer(self.conv2.infer(out, backend), backend)
-        skip = x
-        if self.proj is not None:
-            skip = self.proj_bn.infer(self.proj.infer(x, backend), backend)
-        return backend.relu(out + skip)
+        with backend.model_pass():
+            out = backend.relu(self.bn1.infer(self.conv1.infer(x, backend), backend))
+            out = self.bn2.infer(self.conv2.infer(out, backend), backend)
+            skip = x
+            if self.proj is not None:
+                skip = self.proj_bn.infer(self.proj.infer(x, backend), backend)
+            return backend.relu(out + skip)
 
 
 class BottleneckBlock(Module):
@@ -110,13 +111,16 @@ class BottleneckBlock(Module):
         return self.relu(out + skip)
 
     def infer(self, x: np.ndarray, backend) -> np.ndarray:
-        out = backend.relu(self.bn1.infer(self.conv1.infer(x, backend), backend))
-        out = backend.relu(self.bn2.infer(self.conv2.infer(out, backend), backend))
-        out = self.bn3.infer(self.conv3.infer(out, backend), backend)
-        skip = x
-        if self.proj is not None:
-            skip = self.proj_bn.infer(self.proj.infer(x, backend), backend)
-        return backend.relu(out + skip)
+        with backend.model_pass():
+            out = backend.relu(self.bn1.infer(self.conv1.infer(x, backend), backend))
+            out = backend.relu(
+                self.bn2.infer(self.conv2.infer(out, backend), backend)
+            )
+            out = self.bn3.infer(self.conv3.infer(out, backend), backend)
+            skip = x
+            if self.proj is not None:
+                skip = self.proj_bn.infer(self.proj.infer(x, backend), backend)
+            return backend.relu(out + skip)
 
 
 class SmallResNet(Module):
@@ -153,11 +157,14 @@ class SmallResNet(Module):
         return self.fc(out)
 
     def infer(self, x: np.ndarray, backend) -> np.ndarray:
-        out = backend.relu(self.stem_bn.infer(self.stem.infer(x, backend), backend))
-        out = self.block1.infer(out, backend)
-        out = self.block2.infer(out, backend)
-        out = self.flatten.infer(self.pool.infer(out, backend), backend)
-        return self.fc.infer(out, backend)
+        with backend.model_pass():
+            out = backend.relu(
+                self.stem_bn.infer(self.stem.infer(x, backend), backend)
+            )
+            out = self.block1.infer(out, backend)
+            out = self.block2.infer(out, backend)
+            out = self.flatten.infer(self.pool.infer(out, backend), backend)
+            return self.fc.infer(out, backend)
 
     def predict(self, x: np.ndarray, backend) -> np.ndarray:
         """Hard class predictions."""

@@ -1,12 +1,12 @@
 """Suite-wide fixtures.
 
-Every ``ServingReport`` an in-process ``InferenceEngine.run`` returns,
-in any test under ``tests/`` — the serving, elastic, generation,
-traffic, deploy and pipeline suites among them, whichever marker
-selected the test — is held to the run-level invariants of
-``tests/invariants.py``, its per-shard cycles against each shard array's
-``total_cycles`` before and after the run.  (Engines in forked children
-inherit the check.)
+The two autouse fixtures of ``tests/invariants.py`` (shared with
+``benchmarks/``) apply to every test under ``tests/``, whichever marker
+selected it: every ``ServingReport`` an in-process
+``InferenceEngine.run`` returns is held to the run-level invariants, its
+per-shard cycles against each shard array's ``total_cycles`` before and
+after the run; and every op input a fixed-point backend takes as exact
+codes without rounding it must be on the code grid byte for byte.
 
 Every test starts with the tape memo of its module's ``EndpointSpec``
 constants empty, so each meets its shapes by executing them and no
@@ -21,34 +21,13 @@ test runs: what a cache asked its stores, not what they counted.
 import functools
 
 import pytest
-from invariants import check_invariants
+from invariants import (  # noqa: F401  (autouse fixtures)
+    every_report_holds_the_run_invariants,
+    every_skipped_rounding_is_exact,
+)
 
-from repro.serving import EndpointSpec, InferenceEngine, RadixKVCache
+from repro.serving import EndpointSpec, RadixKVCache
 from repro.store import InProcessLRU
-
-
-@pytest.fixture(autouse=True)
-def every_report_holds_the_run_invariants(monkeypatch):
-    run = InferenceEngine.run
-
-    @functools.wraps(run)
-    def checked_run(self, *args, **kwargs):
-        pool = self.dispatcher
-        arrays = {shard: pool.array_of(shard) for shard in range(pool.n_shards)}
-        before = {
-            shard: array.total_cycles
-            for shard, array in arrays.items()
-            if array is not None
-        }
-        report = run(self, *args, **kwargs)
-        charged = {
-            shard: arrays[shard].total_cycles - cycles
-            for shard, cycles in before.items()
-        }
-        check_invariants(report, charged=charged)
-        return report
-
-    monkeypatch.setattr(InferenceEngine, "run", checked_run)
 
 
 @pytest.fixture(autouse=True)

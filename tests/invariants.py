@@ -1,10 +1,9 @@
-"""Run-level invariants of a ``ServingReport``, whatever the knobs.
+"""Invariants every suite holds its runs to, and the fixtures that do it.
 
-``check_invariants(report, charged=...)`` reads the report — the event
-log, the completions and the per-shard / per-tenant folds of it — and,
-with ``charged``, what each shard's array counted over the run, so it
-applies to every run of every suite; ``tests/conftest.py`` calls it on
-each report ``InferenceEngine.run`` returns.  What it holds a run to:
+``check_invariants(report, charged=...)`` reads a ``ServingReport`` —
+the event log, the completions and the per-shard / per-tenant folds of
+it — and, with ``charged``, what each shard's array counted over the
+run, so it applies to every run of every suite.  What it holds a run to:
 
 * **exactly once** — completed and shed request ids are disjoint and
   none repeats (with ``ids``, they are exactly the requests
@@ -20,11 +19,28 @@ each report ``InferenceEngine.run`` returns.  What it holds a run to:
   exactly ``shard_cycles[shard]`` (``charged``: the arrays' own count,
   independent of the log, so a charge made outside a unit fails here),
   and ``tenant_cycles`` sums to ``total_cycles``.
+
+Two autouse fixtures, which ``tests/conftest.py`` and
+``benchmarks/conftest.py`` both import, apply them everywhere:
+``every_report_holds_the_run_invariants`` calls ``check_invariants`` on
+each report an in-process ``InferenceEngine.run`` returns (engines in
+forked children inherit the check), and
+``every_skipped_rounding_is_exact`` checks each op input a
+``CPWLBackend`` takes as exact codes without rounding it (an op output
+of the open model pass): ``round_saturate(x * 2**frac)`` must be
+``x * 2**frac`` byte for byte, so an in-place write into an
+intermediate inside a pass fails the test instead of feeding unrounded
+codes on.
 """
 
+import functools
 import math
 
 import pytest
+
+from repro.fixedpoint import round_saturate
+from repro.nn.executor import CPWLBackend
+from repro.serving import InferenceEngine
 
 
 def check_invariants(report, ids=None, charged=None):
@@ -56,3 +72,46 @@ def check_invariants(report, ids=None, charged=None):
     if charged is not None:
         assert charged == report.shard_cycles, "array cycles do not reconcile"
     assert sum(report.tenant_cycles.values()) == report.total_cycles
+
+
+@pytest.fixture(autouse=True)
+def every_report_holds_the_run_invariants(monkeypatch):
+    run = InferenceEngine.run
+
+    @functools.wraps(run)
+    def checked_run(self, *args, **kwargs):
+        pool = self.dispatcher
+        arrays = {shard: pool.array_of(shard) for shard in range(pool.n_shards)}
+        before = {
+            shard: array.total_cycles
+            for shard, array in arrays.items()
+            if array is not None
+        }
+        report = run(self, *args, **kwargs)
+        charged = {
+            shard: arrays[shard].total_cycles - cycles
+            for shard, cycles in before.items()
+        }
+        check_invariants(report, charged=charged)
+        return report
+
+    monkeypatch.setattr(InferenceEngine, "run", checked_run)
+
+
+@pytest.fixture(autouse=True)
+def every_skipped_rounding_is_exact(monkeypatch):
+    on_grid = CPWLBackend._on_grid
+
+    @functools.wraps(on_grid)
+    def checked_on_grid(self, x):
+        skipped = on_grid(self, x)
+        if skipped:
+            codes = x * float(1 << self.fmt.frac_bits)
+            rounded = round_saturate(codes.copy(), self.fmt)
+            assert rounded.tobytes() == codes.tobytes(), (
+                "an op input taken as exact codes is off the grid: something "
+                "wrote into an op output inside a model pass"
+            )
+        return skipped
+
+    monkeypatch.setattr(CPWLBackend, "_on_grid", checked_on_grid)
